@@ -203,13 +203,13 @@ mod tests {
 
     #[test]
     fn real_operators_label_their_regions() {
-        use graphgen_reldb::{exec, RowSet, Value};
-        let rows = RowSet::from_rows(
-            2,
-            (0..4000i64).map(|i| vec![Value::int(i % 97), Value::int(i)]),
-        );
+        use graphgen_reldb::{exec, RowSet};
+        let mut rows = RowSet::new(2);
+        for i in 0..4000 {
+            rows.push_row([i % 97 + 1, i + 1]);
+        }
         let (_, deltas) = measure_regions(|| {
-            let joined = exec::hash_join(&rows, 0, &rows, 0, 2);
+            let joined = exec::hash_join_project(&rows, 0, &rows, 0, &[0, 1, 2, 3], 2);
             exec::distinct_rows(joined, 2)
         });
         let by_region = |r: Region| deltas.iter().find(|d| d.region == r).unwrap().bytes;

@@ -20,13 +20,13 @@ use std::cell::Cell;
 pub enum Region {
     /// Anything outside a labeled operator.
     General = 0,
-    /// Filtered scan + projection (`scan_project`).
+    /// Filtered scan + projection + dictionary lookup (`scan_project`).
     Scan = 1,
     /// Hash-join index build.
     Build = 2,
     /// Hash-join probe + output emission.
     Probe = 3,
-    /// Duplicate elimination (`distinct_rows`).
+    /// Duplicate elimination over id rows (`distinct_rows`).
     Distinct = 4,
     /// Representation construction + preprocessing (`build_rep`).
     BuildRep = 5,

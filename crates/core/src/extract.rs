@@ -6,13 +6,13 @@ use crate::error::Error;
 use crate::handle::GraphHandle;
 use crate::incremental::{self, IncrementalState};
 use crate::planner::{filters_to_predicate, full_query, plan_chain, ChainPlan};
-use graphgen_common::IdMap;
+use graphgen_common::{FxHashMap, IdMap};
 use graphgen_dedup::preprocess::{expand_cheap_virtuals, should_expand, PreprocessStats};
 use graphgen_dsl::{
     check_program, parse, CheckOptions, CheckReport, GraphSpec, NodesView, Severity,
 };
 use graphgen_graph::{CondensedBuilder, ExpandedGraph, PropValue, Properties, RealId, VirtId};
-use graphgen_reldb::{exec::scan_project, Database, Delta, DeltaOp, Value};
+use graphgen_reldb::{exec::scan_project, Database, Delta, DeltaOp, Value, Vid, NULL_VID};
 use std::time::Instant;
 
 /// Extraction configuration. Construct via [`GraphGenConfig::builder`]:
@@ -28,31 +28,41 @@ pub struct GraphGenConfig {
     preprocess: bool,
     auto_expand_threshold: Option<f64>,
     threads: usize,
+    /// Somebody chose `threads` (the builder or `GRAPHGEN_THREADS`), so it
+    /// is used as given; otherwise it is the machine's parallelism and a
+    /// batch extraction sizes its fan-out to the input ([`ROWS_PER_THREAD`]).
+    threads_chosen: bool,
     incremental: bool,
 }
 
 impl Default for GraphGenConfig {
     fn default() -> Self {
+        let chosen = std::env::var("GRAPHGEN_THREADS")
+            .ok()
+            .and_then(|s| s.trim().parse::<usize>().ok())
+            .filter(|&t| t > 0);
         Self {
             large_output_factor: 2.0,
             preprocess: true,
             auto_expand_threshold: Some(1.2),
-            threads: default_threads(),
+            threads: chosen
+                .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get())),
+            threads_chosen: chosen.is_some(),
             incremental: false,
         }
     }
 }
 
-/// Default worker-thread count: the `GRAPHGEN_THREADS` environment variable
-/// when set to a positive integer (CI uses this to exercise the parallel
-/// path), otherwise the machine's available parallelism.
-fn default_threads() -> usize {
-    std::env::var("GRAPHGEN_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&t| t > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
-}
+/// Scanned input rows per worker thread of a batch extraction whose thread
+/// count nobody chose. Two threads against one on the `Vid`-keyed operators
+/// measured 0.94x at 50k scanned rows, 1.08x at 200k, 1.13x at 800k and
+/// 1.24x at 1.6M; at 200k the fan-outs also cost half again the kernel time
+/// (thread stacks, allocator arenas) and make every operator wait for the
+/// slower of its threads, which on a shared machine is run-to-run spread
+/// bought with no throughput. So a default-configured extraction stays on
+/// the calling thread until it scans two of these, and grows by one thread
+/// per further one.
+const ROWS_PER_THREAD: usize = 1 << 18;
 
 impl GraphGenConfig {
     /// Start building a configuration from the defaults.
@@ -85,8 +95,10 @@ impl GraphGenConfig {
 
     /// Worker threads for the whole extraction pipeline: every segment
     /// query's scans, hash joins, and DISTINCTs, plus Step-6 preprocessing.
-    /// Results are byte-identical for any value. Defaults to
-    /// `GRAPHGEN_THREADS` (if set) or the available parallelism.
+    /// Results are byte-identical for any value. A count set through the
+    /// builder or `GRAPHGEN_THREADS` is used as given. The default is the
+    /// available parallelism, of which a batch extraction uses one thread
+    /// per 262,144 rows it scans, so a small input never fans out.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -119,9 +131,11 @@ impl GraphGenConfigBuilder {
     }
 
     /// Worker threads for the whole extraction pipeline (scans, joins,
-    /// DISTINCT, preprocessing). `1` disables parallelism.
+    /// DISTINCT, preprocessing), used as given whatever the input size.
+    /// `1` disables parallelism.
     pub fn threads(mut self, threads: usize) -> Self {
         self.cfg.threads = threads.max(1);
+        self.cfg.threads_chosen = true;
         self
     }
 
@@ -259,8 +273,10 @@ impl<'a> GraphGen<'a> {
         let start = Instant::now();
         let mut report = ExtractionReport::default();
 
+        let threads = self.batch_threads(spec)?;
+
         // Step 1: load nodes.
-        let (ids, properties) = self.load_nodes(&spec.nodes)?;
+        let (ids, properties, node_of) = self.load_nodes(&spec.nodes, threads)?;
         let mut builder = CondensedBuilder::new(ids.len());
 
         // Steps 2-5 per Edges statement; the union of all rules shares the
@@ -270,7 +286,7 @@ impl<'a> GraphGen<'a> {
             for seg in &plan.segments {
                 report.sql.push(seg.query.to_sql(self.db)?);
             }
-            self.extract_chain(&plan, &ids, &mut builder)?;
+            self.extract_chain(&plan, &node_of, &mut builder, threads)?;
             report.plans.push(plan);
         }
         let span =
@@ -279,7 +295,7 @@ impl<'a> GraphGen<'a> {
 
         // Step 6: preprocessing.
         if self.cfg.preprocess {
-            report.preprocess = Some(expand_cheap_virtuals(&mut graph, self.cfg.threads));
+            report.preprocess = Some(expand_cheap_virtuals(&mut graph, threads));
         }
 
         // §6.5 policy: expand when cheap.
@@ -344,14 +360,15 @@ impl<'a> GraphGen<'a> {
         let spec = self.checked_spec(dsl)?;
         let start = Instant::now();
         let mut report = ExtractionReport::default();
-        let (ids, properties) = self.load_nodes(&spec.nodes)?;
+        let threads = self.batch_threads(&spec)?;
+        let (ids, properties, node_of) = self.load_nodes(&spec.nodes, threads)?;
         let mut edges: Vec<(u32, u32)> = Vec::new();
         for chain in &spec.edges {
             let q = full_query(chain);
             report.sql.push(q.to_sql(self.db)?);
-            for (x, y) in q.run_threaded(self.db, self.cfg.threads)? {
-                if let (Some(u), Some(v)) = (ids.get(&x), ids.get(&y)) {
-                    edges.push((u, v));
+            for (x, y) in q.run_threaded(self.db, threads)? {
+                if let (Some(u), Some(v)) = (node_of[x as usize], node_of[y as usize]) {
+                    edges.push((u.0, v.0));
                 }
             }
         }
@@ -365,82 +382,114 @@ impl<'a> GraphGen<'a> {
         ))
     }
 
-    fn load_nodes(&self, views: &[NodesView]) -> Result<(IdMap<Value>, Properties), Error> {
+    /// Worker threads for one batch extraction of `spec`: the configured
+    /// count as given if somebody chose it, otherwise at most that many and
+    /// one per [`ROWS_PER_THREAD`] rows the node views and chain atoms scan.
+    fn batch_threads(&self, spec: &GraphSpec) -> Result<usize, Error> {
+        if self.cfg.threads_chosen {
+            return Ok(self.cfg.threads);
+        }
+        let relations = spec.nodes.iter().map(|view| &view.relation).chain(
+            spec.edges
+                .iter()
+                .flat_map(|chain| chain.steps.iter().map(|atom| &atom.relation)),
+        );
+        let mut rows = 0;
+        for relation in relations {
+            rows += self.db.table(relation)?.num_rows();
+        }
+        Ok(self.cfg.threads.min(rows / ROWS_PER_THREAD).max(1))
+    }
+
+    /// Step 1: scan the node views. Beside the key map and properties the
+    /// handle keeps, returns `node_of`: the node of each dictionary id
+    /// (indexed by [`Vid`], `None` where the value is no node key), so edge
+    /// endpoints — which arrive as ids — are resolved by indexing. This is
+    /// the only place extraction materializes a `Value`: once per node key
+    /// and property cell.
+    fn load_nodes(&self, views: &[NodesView], threads: usize) -> Result<NodeTables, Error> {
+        let dict = self.db.dict();
+        let value = |vid: Vid| dict.resolve(vid).expect("scanned id is live");
         let mut ids: IdMap<Value> = IdMap::new();
         let mut props = Properties::new(0);
+        let mut node_of = vec![None; dict.capacity()];
         for view in views {
-            let table = self.db.table(&view.relation)?;
             let mut cols = vec![view.id_col];
             cols.extend(view.prop_cols.iter().map(|(_, c)| *c));
             let pred = filters_to_predicate(&view.filters);
-            for row in scan_project(table, &pred, &cols, self.cfg.threads).iter() {
-                let key = row[0].clone();
-                if key.is_null() {
+            let rows = scan_project(self.db, &view.relation, &pred, &cols, threads)?;
+            for row in rows.iter() {
+                if row[0] == NULL_VID {
                     continue;
                 }
-                let u = ids.intern(key);
+                let u = RealId(ids.intern(value(row[0]).clone()));
+                node_of[row[0] as usize] = Some(u);
                 props.grow(ids.len());
-                for ((name, _), value) in view.prop_cols.iter().zip(&row[1..]) {
-                    let pv = match value {
+                for ((name, _), &vid) in view.prop_cols.iter().zip(&row[1..]) {
+                    let pv = match value(vid) {
                         Value::Int(v) => PropValue::Int(*v),
                         Value::Str(s) => PropValue::Text(s.to_string()),
                         Value::Null => continue,
                     };
-                    props.set(RealId(u), name, pv);
+                    props.set(u, name, pv);
                 }
             }
         }
-        Ok((ids, props))
+        Ok((ids, props, node_of))
     }
 
     /// Execute a planned chain and add its edges to the builder.
     fn extract_chain(
         &self,
         plan: &ChainPlan,
-        ids: &IdMap<Value>,
+        node_of: &[Option<RealId>],
         builder: &mut CondensedBuilder,
+        threads: usize,
     ) -> Result<(), Error> {
         let k = plan.segments.len();
         if k == 1 {
             // No large-output join: the database computes the edge list.
-            for (x, y) in plan.segments[0]
-                .query
-                .run_threaded(self.db, self.cfg.threads)?
-            {
-                if let (Some(u), Some(v)) = (ids.get(&x), ids.get(&y)) {
+            for (x, y) in plan.segments[0].query.run_threaded(self.db, threads)? {
+                if let (Some(u), Some(v)) = (node_of[x as usize], node_of[y as usize]) {
                     if u != v {
-                        builder.direct(RealId(u), RealId(v));
+                        builder.direct(u, v);
                     }
                 }
             }
             return Ok(());
         }
-        // Step 4: virtual nodes per boundary attribute value, created
-        // lazily per distinct value.
-        let mut boundaries: Vec<IdMap<Value>> = (0..k - 1).map(|_| IdMap::new()).collect();
-        let mut vnode_of: Vec<Vec<VirtId>> = vec![Vec::new(); k - 1];
+        // Step 4: one virtual node per distinct boundary attribute value,
+        // created at the value's first occurrence.
+        let mut boundaries: Vec<FxHashMap<Vid, VirtId>> = vec![FxHashMap::default(); k - 1];
+        let mut vnode = |boundary: usize, vid: Vid, builder: &mut CondensedBuilder| {
+            *boundaries[boundary]
+                .entry(vid)
+                .or_insert_with(|| builder.add_virtual())
+        };
         for (j, seg) in plan.segments.iter().enumerate() {
-            let rows = seg.query.run_threaded(self.db, self.cfg.threads)?;
+            let rows = seg.query.run_threaded(self.db, threads)?;
             for (x, y) in rows {
                 match (j == 0, j == k - 1) {
                     (true, false) => {
                         // res1(ID1, a_l): real -> virtual
-                        let Some(u) = ids.get(&x) else { continue };
-                        let v = intern_vnode(&mut boundaries[0], &mut vnode_of[0], builder, y);
-                        builder.real_to_virtual(RealId(u), v);
+                        let Some(u) = node_of[x as usize] else {
+                            continue;
+                        };
+                        let v = vnode(0, y, builder);
+                        builder.real_to_virtual(u, v);
                     }
                     (false, true) => {
                         // res_k(a_u, ID2): virtual -> real
-                        let Some(t) = ids.get(&y) else { continue };
-                        let v =
-                            intern_vnode(&mut boundaries[k - 2], &mut vnode_of[k - 2], builder, x);
-                        builder.virtual_to_real(v, RealId(t));
+                        let Some(t) = node_of[y as usize] else {
+                            continue;
+                        };
+                        let v = vnode(k - 2, x, builder);
+                        builder.virtual_to_real(v, t);
                     }
                     (false, false) => {
                         // res_i(a_{i-1}, a_i): virtual -> virtual
-                        let (left, right) = split_two(&mut boundaries, &mut vnode_of, j);
-                        let vl = intern_vnode(left.0, left.1, builder, x);
-                        let vr = intern_vnode(right.0, right.1, builder, y);
+                        let vl = vnode(j - 1, x, builder);
+                        let vr = vnode(j, y, builder);
                         builder.virtual_to_virtual(vl, vr);
                     }
                     (true, true) => unreachable!("k > 1"),
@@ -451,32 +500,9 @@ impl<'a> GraphGen<'a> {
     }
 }
 
-fn intern_vnode(
-    boundary: &mut IdMap<Value>,
-    vnodes: &mut Vec<VirtId>,
-    builder: &mut CondensedBuilder,
-    value: Value,
-) -> VirtId {
-    let idx = boundary.intern(value) as usize;
-    if idx == vnodes.len() {
-        vnodes.push(builder.add_virtual());
-    }
-    vnodes[idx]
-}
-
-/// A boundary's value-interner and its allocated virtual-node ids.
-type BoundaryRef<'x> = (&'x mut IdMap<Value>, &'x mut Vec<VirtId>);
-
-/// Mutable access to boundaries `j-1` and `j` simultaneously.
-fn split_two<'x>(
-    boundaries: &'x mut [IdMap<Value>],
-    vnodes: &'x mut [Vec<VirtId>],
-    j: usize,
-) -> (BoundaryRef<'x>, BoundaryRef<'x>) {
-    let (bl, br) = boundaries.split_at_mut(j);
-    let (vl, vr) = vnodes.split_at_mut(j);
-    ((&mut bl[j - 1], &mut vl[j - 1]), (&mut br[0], &mut vr[0]))
-}
+/// What [`GraphGen::load_nodes`] builds: key map, properties, and the node
+/// of each dictionary id.
+type NodeTables = (IdMap<Value>, Properties, Vec<Option<RealId>>);
 
 #[cfg(test)]
 mod tests {
@@ -542,6 +568,42 @@ mod tests {
         let cfg = GraphGenConfig::builder().threads(0).build();
         assert_eq!(cfg.threads(), 1);
         assert!(GraphGenConfig::default().threads() >= 1);
+    }
+
+    #[test]
+    fn unchosen_thread_count_is_sized_to_the_scanned_rows() {
+        let sized = GraphGenConfig {
+            threads: 8,
+            threads_chosen: false,
+            ..GraphGenConfig::default()
+        };
+        let chosen = GraphGenConfig::builder().threads(8).build();
+        let threads = |db: &Database, cfg| {
+            let gg = GraphGen::with_config(db, cfg);
+            gg.batch_threads(&gg.checked_spec(Q1).unwrap()).unwrap()
+        };
+        // Fig. 1 scans 5 + 8 + 8 rows: serial unless somebody asked.
+        let db = fig1_db();
+        assert_eq!(threads(&db, sized), 1);
+        assert_eq!(threads(&db, chosen), 8);
+        // Q1 scans AuthorPub twice: three times ROWS_PER_THREAD rows with
+        // the five authors, so three of the eight threads.
+        let mut author = Table::new(Schema::new(vec![Column::int("id"), Column::str("name")]));
+        for a in 1..=5 {
+            author
+                .push_row(vec![Value::int(a), Value::str(format!("a{a}"))])
+                .unwrap();
+        }
+        let mut ap = Table::new(Schema::new(vec![Column::int("aid"), Column::int("pid")]));
+        for i in 0..(3 * ROWS_PER_THREAD / 2) as i64 {
+            ap.push_row(vec![Value::int(i % 5 + 1), Value::int(i % 7)])
+                .unwrap();
+        }
+        let mut db = Database::new();
+        db.register("Author", author).unwrap();
+        db.register("AuthorPub", ap).unwrap();
+        assert_eq!(threads(&db, sized), 3);
+        assert_eq!(threads(&db, chosen), 8);
     }
 
     #[test]

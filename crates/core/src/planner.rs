@@ -145,10 +145,7 @@ pub fn plan_chain(
             let steps: Vec<ChainStep> = atoms[start..=end].iter().map(atom_to_step).collect();
             SegmentPlan {
                 atoms: (start, end),
-                query: Query {
-                    steps,
-                    distinct: true,
-                },
+                query: Query { steps },
             }
         })
         .collect();
@@ -165,7 +162,6 @@ pub fn plan_chain(
 pub fn full_query(chain: &EdgeChain) -> Query {
     Query {
         steps: chain.steps.iter().map(atom_to_step).collect(),
-        distinct: true,
     }
 }
 
@@ -248,7 +244,6 @@ mod tests {
         let chain = coauthor_chain();
         let q = full_query(&chain);
         assert_eq!(q.steps.len(), 2);
-        assert!(q.distinct);
     }
 
     #[test]

@@ -15,22 +15,11 @@
 
 use crate::delta::{Delta, DeltaOp};
 use crate::error::{DbError, DbResult};
-use crate::intern::{Interner, Vid};
+use crate::intern::{hash_vids, Interner, Vid};
 use crate::table::Table;
 use crate::value::Value;
 use graphgen_common::codec::{self, CodecError, Reader};
-use graphgen_common::{ByteSize, FxHashMap, FxHasher};
-use std::hash::Hasher;
-
-/// Hash a row of interned ids (the whole-row index key). Hashing dense
-/// `u32`s instead of owned values keeps the delete path off the heap.
-fn hash_vids(vids: &[Vid]) -> u64 {
-    let mut h = FxHasher::default();
-    for &v in vids {
-        h.write_u32(v);
-    }
-    h.finish()
-}
+use graphgen_common::{ByteSize, FxHashMap};
 
 /// Statistics for one column, analogous to a `pg_stats` row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

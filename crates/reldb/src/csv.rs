@@ -159,4 +159,49 @@ mod tests {
     fn unterminated_quote_rejected() {
         assert!(parse_csv("1,\"oops\n", schema()).is_err());
     }
+
+    /// Every table cell survives `to_csv` → `parse_csv` unchanged.
+    fn assert_round_trips(t: &Table) {
+        let back = parse_csv(&to_csv(t), t.schema().clone()).unwrap();
+        assert_eq!(back.num_rows(), t.num_rows());
+        for r in 0..t.num_rows() {
+            assert_eq!(back.row(r), t.row(r));
+        }
+    }
+
+    #[test]
+    fn random_int_tables_round_trip() {
+        let mut rng = graphgen_common::SplitMix64::new(0xC5F);
+        for _ in 0..64 {
+            let mut t = Table::new(Schema::new(vec![Column::int("a"), Column::int("b")]));
+            for _ in 0..rng.next_below(40) {
+                let cell = |rng: &mut graphgen_common::SplitMix64| match rng.next_below(8) {
+                    0 => Value::Null,
+                    _ => Value::int(rng.next_below(24) as i64 - 12),
+                };
+                let row = vec![cell(&mut rng), cell(&mut rng)];
+                t.push_row(row).unwrap();
+            }
+            assert_round_trips(&t);
+        }
+    }
+
+    #[test]
+    fn random_string_tables_round_trip() {
+        // Commas, quotes, spaces and the empty string (which must come back
+        // as `""`, not NULL) in a single-column schema, where a blank line
+        // is a NULL row.
+        const ALPHABET: &[u8] = b"abxyz,\" ";
+        let mut rng = graphgen_common::SplitMix64::new(0x57A);
+        for _ in 0..64 {
+            let mut t = Table::new(Schema::new(vec![Column::str("name")]));
+            for _ in 0..rng.next_below(20) {
+                let name: String = (0..rng.next_below(9))
+                    .map(|_| ALPHABET[rng.next_below(ALPHABET.len() as u64) as usize] as char)
+                    .collect();
+                t.push_row(vec![Value::str(name)]).unwrap();
+            }
+            assert_round_trips(&t);
+        }
+    }
 }

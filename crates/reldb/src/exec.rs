@@ -6,17 +6,21 @@
 //!
 //! # Operator contract
 //!
-//! Every operator consumes and produces [`RowSet`]s — flat value arenas with
-//! index-addressed rows — instead of `Vec<Vec<Value>>`, so no operator
-//! allocates per row and none deep-clones values it does not emit:
+//! Every operator consumes and produces [`RowSet`]s — flat arenas of
+//! dictionary ids ([`Vid`]) with index-addressed rows — so no operator
+//! allocates per row and none touches a [`Value`](crate::value::Value)
+//! after the scan:
 //!
 //! * [`scan_project`] evaluates the predicate against the table columns in
-//!   place and clones only the projected columns of passing rows;
-//! * [`hash_join`] / [`hash_join_project`] build a pointer-based index
-//!   (`&Value` keys, row indices as payload) on the **smaller** input and
-//!   emit only the requested output columns;
-//! * [`distinct_rows`] keeps a hash-of-row index into its own output, so
-//!   each surviving row is stored exactly once.
+//!   place and resolves only the projected cells of passing rows through
+//!   the owning database's dictionary — the one place a value is hashed;
+//! * [`hash_join_project`] builds an index (`Vid` keys, row indices as
+//!   payload) on the **smaller** input and emits only the requested output
+//!   columns; [`NULL_VID`] never joins;
+//! * [`distinct_rows`] keeps the first occurrence of every id tuple.
+//!
+//! All row sets handed to one join must come from the same [`Database`]:
+//! within one dictionary, id equality is value equality.
 //!
 //! # Parallelism and determinism
 //!
@@ -30,18 +34,17 @@
 //! occurrence. Inputs below `graphgen_common::parallel::MIN_PARALLEL_ITEMS`
 //! run serially regardless of `threads`.
 
+use crate::catalog::Database;
+use crate::error::DbResult;
 use crate::expr::Predicate;
-use crate::intern::{Interner, Vid, NULL_VID};
-use crate::rowset::{hash_row, hash_value, RowSet};
-use crate::table::Table;
-use crate::value::Value;
+use crate::intern::{hash_vids, Vid, NULL_VID};
+use crate::rowset::RowSet;
 use graphgen_common::metrics;
 use graphgen_common::parallel::{
     effective_threads, map_morsels, map_partitions, scatter_partitions,
 };
 use graphgen_common::region::Region;
-use graphgen_common::{FxHashMap, FxHasher};
-use std::hash::Hasher;
+use graphgen_common::{FxHashMap, FxHashSet};
 
 // Every operator opens a metrics span at entry: it enters an allocation
 // region (`graphgen_common::region`) so the counting allocator in
@@ -67,11 +70,21 @@ fn merge(arity: usize, parts: Vec<RowSet>) -> RowSet {
     out
 }
 
-/// Scan `table`, keep rows satisfying `pred`, and project the columns in
-/// `cols` (by index, in output order). The predicate is evaluated against
-/// the table's columns directly; only the projected columns of passing rows
-/// are cloned. Morsel-parallel over `threads`, output in table row order.
-pub fn scan_project(table: &Table, pred: &Predicate, cols: &[usize], threads: usize) -> RowSet {
+/// Scan table `table` of `db`, keep rows satisfying `pred`, and project the
+/// columns in `cols` (by index, in output order) as dictionary ids. The
+/// predicate is evaluated against the table's columns directly; only the
+/// projected cells of passing rows are looked up in `db`'s dictionary
+/// (total: every cell of a registered table holds a dictionary reference).
+/// Morsel-parallel over `threads`, output in table row order.
+pub fn scan_project(
+    db: &Database,
+    table: &str,
+    pred: &Predicate,
+    cols: &[usize],
+    threads: usize,
+) -> DbResult<RowSet> {
+    let table = db.table(table)?;
+    let dict = db.dict();
     let _span = metrics::span("scan", Region::Scan);
     // Morsels split the physical row space; tombstoned rows are skipped so
     // the output is the live rows in physical (= insertion) order.
@@ -81,88 +94,76 @@ pub fn scan_project(table: &Table, pred: &Predicate, cols: &[usize], threads: us
         let mut out = RowSet::new(cols.len());
         for r in range {
             if table.is_live(r) && pred.eval_at(table, r) {
-                out.push_row(cols.iter().map(|&c| table.cell(r, c).clone()));
+                out.push_row(cols.iter().map(|&c| {
+                    dict.lookup(table.cell(r, c))
+                        .expect("cell of a registered table is interned")
+                }));
             }
         }
         out
     });
-    merge(cols.len(), parts)
+    Ok(merge(cols.len(), parts))
 }
 
 /// A hash-partitioned join index over one side's key column: partition `p`
-/// owns the keys with `hash_value(key) % parts == p`. Per-key row-index
-/// lists are ascending because every partition scans the build side in row
-/// order.
-type JoinIndex<'a> = Vec<FxHashMap<&'a Value, Vec<u32>>>;
+/// owns the keys with `vid % parts == p`. Per-key row-index lists are
+/// ascending because every partition visits the build side in row order.
+type VidIndex = Vec<FxHashMap<Vid, Vec<u32>>>;
 
-fn build_index(build: &RowSet, key: usize, parts: usize) -> JoinIndex<'_> {
+fn build_index(build: &RowSet, key: usize, parts: usize) -> VidIndex {
     let _span = metrics::span("join", Region::Build);
     assert!(build.num_rows() <= MAX_ROWS, "row set too large");
     if parts <= 1 {
-        let mut index: FxHashMap<&Value, Vec<u32>> = FxHashMap::default();
-        for (i, row) in build.iter().enumerate() {
-            let k = &row[key];
-            if !k.is_null() {
-                index.entry(k).or_default().push(i as u32);
-            }
-        }
-        return vec![index];
+        return vec![index_rows(build, key, 0..build.num_rows() as u32)];
     }
-    // Hash every key exactly once, scattering row indices into per-morsel
-    // partition buckets; each partition thread then touches only its own
-    // rows, and scatter order keeps per-key index lists ascending.
+    // Scatter row indices into per-morsel partition buckets; each partition
+    // thread then touches only its own rows, and scatter order keeps
+    // per-key index lists ascending.
     let buckets = scatter_partitions(build.num_rows(), parts, |r| {
-        let h = hash_value(&build.row(r)[key]);
-        ((h as usize) % parts, r as u32)
+        ((build.row(r)[key] as usize) % parts, r as u32)
     });
     map_partitions(parts, |p| {
-        let mut index: FxHashMap<&Value, Vec<u32>> = FxHashMap::default();
-        for morsel in &buckets {
-            for &i in &morsel[p] {
-                let k = &build.row(i as usize)[key];
-                if !k.is_null() {
-                    index.entry(k).or_default().push(i);
-                }
-            }
-        }
-        index
+        let owned = buckets.iter().flat_map(|morsel| morsel[p].iter().copied());
+        index_rows(build, key, owned)
     })
 }
 
-fn index_lookup<'a, 'b>(index: &'b JoinIndex<'a>, key: &Value) -> Option<&'b [u32]> {
-    let part = if index.len() > 1 {
-        (hash_value(key) as usize) % index.len()
-    } else {
-        0
-    };
-    index[part].get(key).map(Vec::as_slice)
+/// Index the given rows of `build` by their key; NULL keys are left out,
+/// which is what makes NULL never join.
+fn index_rows(
+    build: &RowSet,
+    key: usize,
+    rows: impl Iterator<Item = u32>,
+) -> FxHashMap<Vid, Vec<u32>> {
+    let mut index: FxHashMap<Vid, Vec<u32>> = FxHashMap::default();
+    for r in rows {
+        let k = build.row(r as usize)[key];
+        if k != NULL_VID {
+            index.entry(k).or_default().push(r);
+        }
+    }
+    index
 }
 
-/// Hash equi-join: join `left` and `right` row sets on
-/// `left[lkey] == right[rkey]`, emitting `left ++ right` rows.
+/// Row indices of the build side matching `vid` (none for NULL).
+fn index_lookup(index: &VidIndex, vid: Vid) -> &[u32] {
+    index[(vid as usize) % index.len()]
+        .get(&vid)
+        .map_or(&[], Vec::as_slice)
+}
+
+/// Hash equi-join fused with a projection: join `left` and `right` on
+/// `left[lkey] == right[rkey]`; `cols` indexes into the virtual
+/// concatenated row `left ++ right`, and only those columns are ever
+/// materialized, so chain queries never pay for join columns they
+/// immediately discard.
 ///
 /// Rows with NULL join keys never match (SQL semantics). Output order is the
 /// nested-loop order (left rows outer, matching right rows in row order)
-/// regardless of `threads` or which side the hash table is built on.
-pub fn hash_join(
-    left: &RowSet,
-    lkey: usize,
-    right: &RowSet,
-    rkey: usize,
-    threads: usize,
-) -> RowSet {
-    let cols: Vec<usize> = (0..left.arity() + right.arity()).collect();
-    hash_join_project(left, lkey, right, rkey, &cols, threads)
-}
-
-/// [`hash_join`] fused with a projection: `cols` indexes into the virtual
-/// concatenated row `left ++ right`, and only those columns are ever
-/// materialized. This is what chain queries use to avoid paying for join
-/// columns they immediately discard.
-///
-/// The hash table is built on the smaller input (ties build on `right`);
-/// when the build side is `left`, matches are collected as index pairs and
-/// sorted back into left-outer order, so the output is identical either way.
+/// regardless of `threads` or which side the hash table is built on: the
+/// table is built on the smaller input (ties build on `right`), and when
+/// that is `left`, matches are collected as index pairs and sorted back
+/// into left-outer order.
 pub fn hash_join_project(
     left: &RowSet,
     lkey: usize,
@@ -182,14 +183,8 @@ pub fn hash_join_project(
             let mut out = RowSet::new(cols.len());
             for l in range {
                 let lrow = left.row(l);
-                let k = &lrow[lkey];
-                if k.is_null() {
-                    continue;
-                }
-                if let Some(matches) = index_lookup(&index, k) {
-                    for &r in matches {
-                        push_joined(&mut out, lrow, right.row(r as usize), cols);
-                    }
+                for &r in index_lookup(&index, lrow[lkey]) {
+                    push_joined(&mut out, lrow, right.row(r as usize), cols);
                 }
             }
             out
@@ -204,13 +199,8 @@ pub fn hash_join_project(
         let pairs: Vec<(u32, u32)> = map_morsels(right.num_rows(), t, |range| {
             let mut local = Vec::new();
             for r in range {
-                let k = &right.row(r)[rkey];
-                if k.is_null() {
-                    continue;
-                }
-                if let Some(matches) = index_lookup(&index, k) {
-                    local.extend(matches.iter().map(|&l| (l, r as u32)));
-                }
+                let matches = index_lookup(&index, right.row(r)[rkey]);
+                local.extend(matches.iter().map(|&l| (l, r as u32)));
             }
             local
         })
@@ -235,251 +225,6 @@ pub fn hash_join_project(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Interned operators
-// ---------------------------------------------------------------------------
-//
-// When the caller owns the database dictionary (chain queries always do —
-// every row they touch is derived from base tables), the join/DISTINCT key
-// space can be resolved to dense `Vid`s once per row up front. After that
-// resolution, partitioning, probing, and equality are all `u32` operations:
-// no second value hash on the map lookup, no deep string comparison on
-// collision chains, and the index itself stores machine words instead of
-// `&Value` keys. If any key turns out not to be interned (a synthetic row
-// set built outside the database), the operators fall back to the
-// value-keyed path — semantics are identical either way.
-
-/// Hash a row of dictionary ids (DISTINCT bookkeeping key).
-fn hash_vid_row(vids: &[Vid]) -> u64 {
-    let mut h = FxHasher::default();
-    for &v in vids {
-        h.write_u32(v);
-    }
-    h.finish()
-}
-
-/// Resolve column `key` of every row to its dictionary id, morsel-parallel.
-/// Returns `None` if any key value is not interned.
-fn resolve_key_vids(
-    rows: &RowSet,
-    key: usize,
-    dict: &Interner,
-    threads: usize,
-) -> Option<Vec<Vid>> {
-    let n = rows.num_rows();
-    let t = effective_threads(threads, n);
-    let parts: Vec<Option<Vec<Vid>>> = map_morsels(n, t, |range| {
-        range.map(|r| dict.lookup(&rows.row(r)[key])).collect()
-    });
-    let mut out = Vec::with_capacity(n);
-    for part in parts {
-        out.extend(part?);
-    }
-    Some(out)
-}
-
-/// Resolve every cell of every row, row-major (`arity * num_rows` ids).
-fn resolve_row_vids(rows: &RowSet, dict: &Interner, threads: usize) -> Option<Vec<Vid>> {
-    let n = rows.num_rows();
-    let arity = rows.arity();
-    let t = effective_threads(threads, n);
-    let parts: Vec<Option<Vec<Vid>>> = map_morsels(n, t, |range| {
-        let mut out = Vec::with_capacity(range.len() * arity);
-        for r in range {
-            for v in rows.row(r) {
-                out.push(dict.lookup(v)?);
-            }
-        }
-        Some(out)
-    });
-    let mut out = Vec::with_capacity(n * arity);
-    for part in parts {
-        out.extend(part?);
-    }
-    Some(out)
-}
-
-/// Hash-partitioned join index over dictionary ids: partition `p` owns the
-/// keys with `vid % parts == p`. Per-key row-index lists are ascending.
-type VidIndex = Vec<FxHashMap<Vid, Vec<u32>>>;
-
-fn build_vid_index(keys: &[Vid], parts: usize) -> VidIndex {
-    let _span = metrics::span("join", Region::Build);
-    assert!(keys.len() <= MAX_ROWS, "row set too large");
-    if parts <= 1 {
-        let mut index: FxHashMap<Vid, Vec<u32>> = FxHashMap::default();
-        for (i, &k) in keys.iter().enumerate() {
-            if k != NULL_VID {
-                index.entry(k).or_default().push(i as u32);
-            }
-        }
-        return vec![index];
-    }
-    let buckets = scatter_partitions(keys.len(), parts, |r| {
-        ((keys[r] as usize) % parts, r as u32)
-    });
-    map_partitions(parts, |p| {
-        let mut index: FxHashMap<Vid, Vec<u32>> = FxHashMap::default();
-        for morsel in &buckets {
-            for &i in &morsel[p] {
-                let k = keys[i as usize];
-                if k != NULL_VID {
-                    index.entry(k).or_default().push(i);
-                }
-            }
-        }
-        index
-    })
-}
-
-fn vid_index_lookup(index: &VidIndex, vid: Vid) -> Option<&[u32]> {
-    let part = if index.len() > 1 {
-        (vid as usize) % index.len()
-    } else {
-        0
-    };
-    index[part].get(&vid).map(Vec::as_slice)
-}
-
-/// [`hash_join_project`] probing dictionary ids instead of owned values.
-/// Output is byte-identical to the value-keyed operator; `dict` must be the
-/// dictionary of the database both row sets were derived from.
-pub fn hash_join_project_interned(
-    left: &RowSet,
-    lkey: usize,
-    right: &RowSet,
-    rkey: usize,
-    cols: &[usize],
-    threads: usize,
-    dict: &Interner,
-) -> RowSet {
-    let (Some(lk), Some(rk)) = (
-        resolve_key_vids(left, lkey, dict, threads),
-        resolve_key_vids(right, rkey, dict, threads),
-    ) else {
-        // Some key is not interned: this row set did not come from the
-        // database's tables. Fall back to the value-keyed operator.
-        return hash_join_project(left, lkey, right, rkey, cols, threads);
-    };
-    let t = effective_threads(threads, left.num_rows().max(right.num_rows()));
-    if right.num_rows() <= left.num_rows() {
-        let index = build_vid_index(&rk, effective_threads(threads, right.num_rows()));
-        let _span = metrics::span("join", Region::Probe);
-        let parts = map_morsels(left.num_rows(), t, |range| {
-            let mut out = RowSet::new(cols.len());
-            for l in range {
-                let k = lk[l];
-                if k == NULL_VID {
-                    continue;
-                }
-                if let Some(matches) = vid_index_lookup(&index, k) {
-                    let lrow = left.row(l);
-                    for &r in matches {
-                        push_joined(&mut out, lrow, right.row(r as usize), cols);
-                    }
-                }
-            }
-            out
-        });
-        merge(cols.len(), parts)
-    } else {
-        assert!(right.num_rows() <= MAX_ROWS, "row set too large");
-        let index = build_vid_index(&lk, effective_threads(threads, left.num_rows()));
-        let _span = metrics::span("join", Region::Probe);
-        let pairs: Vec<(u32, u32)> = map_morsels(right.num_rows(), t, |range| {
-            let mut local = Vec::new();
-            for r in range {
-                let k = rk[r];
-                if k == NULL_VID {
-                    continue;
-                }
-                if let Some(matches) = vid_index_lookup(&index, k) {
-                    local.extend(matches.iter().map(|&l| (l, r as u32)));
-                }
-            }
-            local
-        })
-        .concat();
-        let pairs = counting_sort_by_left(pairs, left.num_rows());
-        let parts = map_morsels(
-            pairs.len(),
-            effective_threads(threads, pairs.len()),
-            |range| {
-                let mut out = RowSet::with_row_capacity(cols.len(), range.len());
-                for &(l, r) in &pairs[range] {
-                    push_joined(&mut out, left.row(l as usize), right.row(r as usize), cols);
-                }
-                out
-            },
-        );
-        merge(cols.len(), parts)
-    }
-}
-
-/// [`distinct_rows`] deduplicating through dictionary-id tuples: one value
-/// lookup per cell up front, then all hashing and equality is on `u32`
-/// rows. Byte-identical output (first-occurrence order preserved).
-pub fn distinct_rows_interned(rows: RowSet, threads: usize, dict: &Interner) -> RowSet {
-    let _span = metrics::span("distinct", Region::Distinct);
-    let n = rows.num_rows();
-    assert!(n <= MAX_ROWS, "row set too large");
-    let arity = rows.arity();
-    let t = effective_threads(threads, n);
-    let Some(vids) = resolve_row_vids(&rows, dict, threads) else {
-        return distinct_rows(rows, threads);
-    };
-    let key = |r: usize| &vids[r * arity..(r + 1) * arity];
-    let kept: Vec<u32> = if t <= 1 {
-        let mut seen: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        let mut kept = Vec::new();
-        for r in 0..n {
-            let candidates = seen.entry(hash_vid_row(key(r))).or_default();
-            if candidates.iter().all(|&c| key(c as usize) != key(r)) {
-                candidates.push(r as u32);
-                kept.push(r as u32);
-            }
-        }
-        kept
-    } else {
-        let buckets = scatter_partitions(n, t, |r| {
-            let h = hash_vid_row(key(r));
-            ((h as usize) % t, (r as u32, h))
-        });
-        let kept: Vec<Vec<u32>> = map_partitions(t, |p| {
-            let mut seen: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-            let mut kept = Vec::new();
-            for morsel in &buckets {
-                for &(r, h) in &morsel[p] {
-                    let candidates = seen.entry(h).or_default();
-                    if candidates
-                        .iter()
-                        .all(|&c| key(c as usize) != key(r as usize))
-                    {
-                        candidates.push(r);
-                        kept.push(r);
-                    }
-                }
-            }
-            kept
-        });
-        let mut kept = kept.concat();
-        kept.sort_unstable();
-        kept
-    };
-    let parts = map_morsels(
-        kept.len(),
-        effective_threads(threads, kept.len()),
-        |range| {
-            let mut out = RowSet::with_row_capacity(arity, range.len());
-            for &r in &kept[range] {
-                out.push_row_from(rows.row(r as usize));
-            }
-            out
-        },
-    );
-    merge(arity, parts)
-}
-
 /// Stable counting sort of match pairs by their left row index. Input pairs
 /// arrive sorted by the right index (probe morsel order), so stability
 /// yields full `(l, r)` lexicographic order — the nested-loop emission
@@ -501,28 +246,25 @@ fn counting_sort_by_left(pairs: Vec<(u32, u32)>, left_rows: usize) -> Vec<(u32, 
     sorted
 }
 
-fn push_joined(out: &mut RowSet, lrow: &[Value], rrow: &[Value], cols: &[usize]) {
+fn push_joined(out: &mut RowSet, lrow: &[Vid], rrow: &[Vid], cols: &[usize]) {
     out.push_row(cols.iter().map(|&c| {
         if c < lrow.len() {
-            lrow[c].clone()
+            lrow[c]
         } else {
-            rrow[c - lrow.len()].clone()
+            rrow[c - lrow.len()]
         }
     }));
 }
 
-/// Reference nested-loop join with identical semantics to [`hash_join`];
-/// used as the correctness oracle in tests. Serial by construction.
+/// Reference nested-loop join emitting `left ++ right` rows, with the
+/// semantics and output order [`hash_join_project`] promises; used as the
+/// correctness oracle in tests. Serial by construction.
 pub fn nested_loop_join(left: &RowSet, lkey: usize, right: &RowSet, rkey: usize) -> RowSet {
     let mut out = RowSet::new(left.arity() + right.arity());
-    let cols: Vec<usize> = (0..left.arity() + right.arity()).collect();
     for lrow in left.iter() {
-        if lrow[lkey].is_null() {
-            continue;
-        }
         for rrow in right.iter() {
-            if !rrow[rkey].is_null() && lrow[lkey] == rrow[rkey] {
-                push_joined(&mut out, lrow, rrow, &cols);
+            if lrow[lkey] != NULL_VID && lrow[lkey] == rrow[rkey] {
+                out.push_row(lrow.iter().chain(rrow).copied());
             }
         }
     }
@@ -531,57 +273,37 @@ pub fn nested_loop_join(left: &RowSet, lkey: usize, right: &RowSet, rkey: usize)
 
 /// Remove duplicate rows, preserving first-occurrence order (`DISTINCT`).
 ///
-/// Rows are deduplicated through a hash-of-row index into the output arena,
-/// so every surviving row exists exactly once (the input arena is consumed
-/// and freed) — no key copies, halving the former peak memory. With
-/// `threads > 1` the scan is hash-partitioned: duplicates always land in the
-/// same partition, each partition keeps its first occurrences, and the kept
-/// row indices are merged back into input order.
+/// With `threads > 1` the scan is hash-partitioned: duplicates share a hash
+/// and hence a partition, each partition keeps the first occurrences among
+/// the rows it owns, and the kept row indices are merged back into input
+/// order before the survivors are copied out.
 pub fn distinct_rows(rows: RowSet, threads: usize) -> RowSet {
     let _span = metrics::span("distinct", Region::Distinct);
     let n = rows.num_rows();
     assert!(n <= MAX_ROWS, "row set too large");
     let t = effective_threads(threads, n);
-    if t <= 1 {
-        return distinct_serial(rows);
-    }
-    // Phase 1: hash each row once, scattering row indices into per-morsel
-    // partition buckets (duplicates share a hash, hence a partition;
-    // scatter order keeps buckets ascending).
-    let buckets = scatter_partitions(n, t, |r| {
-        let h = hash_row(rows.row(r));
-        ((h as usize) % t, (r as u32, h))
-    });
-    // Phase 2: each partition keeps the first occurrence of the rows it
-    // owns, touching only its own buckets; kept lists are ascending and
-    // pairwise disjoint.
-    let kept: Vec<Vec<u32>> = map_partitions(t, |p| {
-        let mut seen: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        let mut kept = Vec::new();
-        for morsel in &buckets {
-            for &(r, h) in &morsel[p] {
-                let candidates = seen.entry(h).or_default();
-                if candidates
-                    .iter()
-                    .all(|&c| rows.row(c as usize) != rows.row(r as usize))
-                {
-                    candidates.push(r);
-                    kept.push(r);
-                }
-            }
-        }
+    let kept = if t <= 1 {
+        first_occurrences(&rows, 0..n as u32)
+    } else {
+        // Scatter order keeps every partition's bucket ascending, so the
+        // kept lists are ascending and pairwise disjoint.
+        let buckets =
+            scatter_partitions(n, t, |r| ((hash_vids(rows.row(r)) as usize) % t, r as u32));
+        let mut kept = map_partitions(t, |p| {
+            let owned = buckets.iter().flat_map(|morsel| morsel[p].iter().copied());
+            first_occurrences(&rows, owned)
+        })
+        .concat();
+        kept.sort_unstable();
         kept
-    });
-    let mut kept = kept.concat();
-    kept.sort_unstable();
-    // Phase 3: materialize the survivors, morsel-parallel, in input order.
+    };
     let parts = map_morsels(
         kept.len(),
         effective_threads(threads, kept.len()),
         |range| {
             let mut out = RowSet::with_row_capacity(rows.arity(), range.len());
             for &r in &kept[range] {
-                out.push_row_from(rows.row(r as usize));
+                out.push_row(rows.row(r as usize).iter().copied());
             }
             out
         },
@@ -589,58 +311,65 @@ pub fn distinct_rows(rows: RowSet, threads: usize) -> RowSet {
     merge(rows.arity(), parts)
 }
 
-fn distinct_serial(rows: RowSet) -> RowSet {
-    let mut seen: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-    let mut out = RowSet::new(rows.arity());
-    for row in rows.iter() {
-        let candidates = seen.entry(hash_row(row)).or_default();
-        if candidates.iter().all(|&c| out.row(c as usize) != row) {
-            candidates.push(out.num_rows() as u32);
-            out.push_row_from(row);
-        }
-    }
-    out
+/// Of the given row indices (ascending), those whose row was not seen at an
+/// earlier one.
+fn first_occurrences(rows: &RowSet, candidates: impl Iterator<Item = u32>) -> Vec<u32> {
+    let mut seen: FxHashSet<RowKey<'_>> = FxHashSet::default();
+    candidates
+        .filter(|&r| seen.insert(RowKey(rows.row(r as usize))))
+        .collect()
 }
 
-/// Project a row set to the given column indices.
-pub fn project(rows: &RowSet, cols: &[usize]) -> RowSet {
-    let mut out = RowSet::with_row_capacity(cols.len(), rows.num_rows());
-    for row in rows.iter() {
-        out.push_row(cols.iter().map(|&c| row[c].clone()));
+/// A row as a DISTINCT key: equal as a slice, hashed id by id with
+/// [`hash_vids`]. (The slice's own `Hash` would hand FxHasher two ids packed
+/// per word, and the low bits of an Fx product ignore the upper one.)
+#[derive(PartialEq, Eq)]
+struct RowKey<'a>(&'a [Vid]);
+
+impl std::hash::Hash for RowKey<'_> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(hash_vids(self.0));
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::{Column, Schema};
+    use crate::table::Table;
+    use crate::value::Value;
 
-    fn table(rows: &[(i64, i64)]) -> Table {
-        let mut t = Table::new(Schema::new(vec![Column::int("a"), Column::int("b")]));
-        for &(a, b) in rows {
-            t.push_row(vec![Value::int(a), Value::int(b)]).unwrap();
+    /// Arity-2 row set of raw ids: the join and DISTINCT are functions of
+    /// the ids alone (`0` is NULL), so their unit tests need no dictionary.
+    fn rows(pairs: &[(Vid, Vid)]) -> RowSet {
+        let mut out = RowSet::new(2);
+        for &(a, b) in pairs {
+            out.push_row([a, b]);
         }
-        t
+        out
     }
 
-    fn rows(pairs: &[(i64, i64)]) -> RowSet {
-        RowSet::from_rows(
-            2,
-            pairs
-                .iter()
-                .map(|&(a, b)| vec![Value::int(a), Value::int(b)]),
-        )
+    fn hash_join(l: &RowSet, lkey: usize, r: &RowSet, rkey: usize, threads: usize) -> RowSet {
+        hash_join_project(l, lkey, r, rkey, &[0, 1, 2, 3], threads)
     }
 
     #[test]
-    fn scan_project_filters_and_projects() {
-        let t = table(&[(1, 10), (2, 20), (3, 30)]);
-        let out = scan_project(&t, &Predicate::Gt(0, Value::int(1)), &[1], 1);
-        assert_eq!(
-            out.to_vecs(),
-            vec![vec![Value::int(20)], vec![Value::int(30)]]
-        );
+    fn scan_project_filters_projects_and_interns() {
+        let mut t = Table::new(Schema::new(vec![Column::int("a"), Column::str("b")]));
+        for (a, b) in [(1, "x"), (2, "y"), (3, "x")] {
+            t.push_row(vec![Value::int(a), Value::str(b)]).unwrap();
+        }
+        t.push_row(vec![Value::int(4), Value::Null]).unwrap();
+        let mut db = Database::new();
+        db.register("T", t).unwrap();
+        let out = scan_project(&db, "T", &Predicate::Gt(0, Value::int(1)), &[1], 1).unwrap();
+        let values: Vec<&Value> = out
+            .iter()
+            .map(|row| db.dict().resolve(row[0]).unwrap())
+            .collect();
+        assert_eq!(values, [&Value::str("y"), &Value::str("x"), &Value::Null]);
+        assert_eq!(out.row(2), &[NULL_VID]);
+        assert!(scan_project(&db, "Missing", &Predicate::True, &[0], 1).is_err());
     }
 
     #[test]
@@ -650,15 +379,7 @@ mod tests {
         let out = hash_join(&l, 1, &r, 0, 1);
         // rows with b=100 match both r-rows with key 100
         assert_eq!(out.num_rows(), 4);
-        assert_eq!(
-            out.row(0),
-            &[
-                Value::int(1),
-                Value::int(100),
-                Value::int(100),
-                Value::int(7)
-            ]
-        );
+        assert_eq!(out.row(0), &[1, 100, 100, 7]);
     }
 
     #[test]
@@ -676,8 +397,8 @@ mod tests {
     #[test]
     fn hash_join_builds_on_smaller_side_transparently() {
         // Asymmetric inputs in both directions: output must be identical.
-        let small = rows(&[(1, 0), (2, 0), (7, 0)]);
-        let big = rows(&(0..50).map(|i| (i % 5, i)).collect::<Vec<_>>());
+        let small = rows(&[(1, 9), (2, 9), (7, 9)]);
+        let big = rows(&(0..50).map(|i| (i % 5 + 1, i + 1)).collect::<Vec<_>>());
         let small_left = hash_join(&small, 0, &big, 0, 1);
         assert_eq!(small_left, nested_loop_join(&small, 0, &big, 0));
         let big_left = hash_join(&big, 0, &small, 0, 1);
@@ -689,31 +410,29 @@ mod tests {
         let l = rows(&[(1, 100), (3, 100)]);
         let r = rows(&[(100, 7)]);
         let out = hash_join_project(&l, 1, &r, 0, &[0, 3], 1);
-        assert_eq!(out.to_vecs(), rows(&[(1, 7), (3, 7)]).to_vecs());
+        assert_eq!(out, rows(&[(1, 7), (3, 7)]));
     }
 
     #[test]
     fn nulls_never_join() {
-        let l = RowSet::from_rows(2, vec![vec![Value::int(1), Value::Null]]);
-        let r = RowSet::from_rows(2, vec![vec![Value::Null, Value::int(2)]]);
-        assert!(hash_join(&l, 1, &r, 0, 1).is_empty());
-        assert!(nested_loop_join(&l, 1, &r, 0).is_empty());
-    }
-
-    #[test]
-    fn distinct_preserves_order() {
-        let input = rows(&[(1, 1), (2, 2), (1, 1), (3, 3), (2, 2)]);
-        let expected = rows(&[(1, 1), (2, 2), (3, 3)]);
-        for threads in [1, 2, 8] {
-            assert_eq!(distinct_rows(input.clone(), threads), expected);
+        // Both build sides: ties build on `right`, a longer `right` on `left`.
+        let l = rows(&[(1, NULL_VID)]);
+        for r in [
+            rows(&[(NULL_VID, 2)]),
+            rows(&[(NULL_VID, 2), (NULL_VID, 3)]),
+        ] {
+            assert!(hash_join(&l, 1, &r, 0, 1).is_empty());
+            assert!(nested_loop_join(&l, 1, &r, 0).is_empty());
         }
     }
 
     #[test]
-    fn project_reorders() {
-        let input = rows(&[(1, 2)]);
-        let out = project(&input, &[1, 0]);
-        assert_eq!(out, rows(&[(2, 1)]));
+    fn distinct_preserves_order() {
+        let input = rows(&[(1, 1), (2, 2), (1, 1), (3, 3), (2, 2), (2, 1)]);
+        let expected = rows(&[(1, 1), (2, 2), (3, 3), (2, 1)]);
+        for threads in [1, 2, 8] {
+            assert_eq!(distinct_rows(input.clone(), threads), expected);
+        }
     }
 
     #[test]
@@ -723,7 +442,11 @@ mod tests {
         assert!(hash_join(&e, 0, &r, 0, 4).is_empty());
         assert!(hash_join(&r, 0, &e, 0, 4).is_empty());
         assert!(distinct_rows(RowSet::new(2), 4).is_empty());
-        let t = table(&[]);
-        assert!(scan_project(&t, &Predicate::True, &[0], 4).is_empty());
+        let mut db = Database::new();
+        db.register("T", Table::new(Schema::new(vec![Column::int("a")])))
+            .unwrap();
+        assert!(scan_project(&db, "T", &Predicate::True, &[0], 4)
+            .unwrap()
+            .is_empty());
     }
 }

@@ -47,7 +47,7 @@ impl Predicate {
 
     /// Evaluate against row `row` of `table` directly, without materializing
     /// the row. Semantics are identical to [`Predicate::eval`]; this is the
-    /// scan hot path (`scan_project` only clones the projected columns of
+    /// scan hot path (`scan_project` only interns the projected columns of
     /// rows that pass).
     pub fn eval_at(&self, table: &crate::table::Table, row: usize) -> bool {
         match self {

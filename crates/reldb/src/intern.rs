@@ -28,7 +28,8 @@
 
 use crate::value::Value;
 use graphgen_common::codec::{self, CodecError, Reader};
-use graphgen_common::{ByteSize, FxHashMap};
+use graphgen_common::{ByteSize, FxHashMap, FxHasher};
+use std::hash::Hasher;
 
 /// Dense id for an interned [`Value`] — index into the dictionary's slot
 /// table. `u32` keeps keys register-wide and flat tables compact.
@@ -39,8 +40,19 @@ pub type Vid = u32;
 /// integer compare.
 pub const NULL_VID: Vid = 0;
 
+/// 64-bit FxHash of a row of ids — the single definition of row identity,
+/// shared by DISTINCT and the catalog's whole-row index. Hashing dense
+/// `u32`s instead of owned values keeps both off the heap.
+pub(crate) fn hash_vids(vids: &[Vid]) -> u64 {
+    let mut h = FxHasher::default();
+    for &v in vids {
+        h.write_u32(v);
+    }
+    h.finish()
+}
+
 /// A `Value` → dense [`Vid`] dictionary with refcounted slot reuse.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Interner {
     /// Forward map: value → slot index. Entries exist only for occupied
     /// slots.
@@ -55,10 +67,27 @@ pub struct Interner {
     free: Vec<Vid>,
 }
 
+impl Default for Interner {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Interner {
+    /// No slots at all, not even NULL's: only a starting point for
+    /// [`Interner::new`] and [`Interner::decode`].
+    fn empty() -> Self {
+        Interner {
+            map: FxHashMap::default(),
+            slots: Vec::new(),
+            refs: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
     /// An interner with [`Value::Null`] pre-interned at [`NULL_VID`].
     pub fn new() -> Self {
-        let mut it = Interner::default();
+        let mut it = Self::empty();
         let vid = it.intern(&Value::Null);
         debug_assert_eq!(vid, NULL_VID);
         it
@@ -163,10 +192,15 @@ impl Interner {
         }
     }
 
-    /// Decode a dictionary (inverse of [`Interner::encode_into`]).
+    /// Decode a dictionary (inverse of [`Interner::encode_into`]). Bytes
+    /// that would break what the engines rely on are rejected: slot
+    /// [`NULL_VID`] must hold [`Value::Null`] (joins test "is NULL" by id),
+    /// and the free list must name every empty slot exactly once (a slot
+    /// listed twice would be handed to two values).
     pub fn decode(r: &mut Reader<'_>) -> Result<Interner, CodecError> {
+        let start = r.pos();
         let n = r.len_of(1)?;
-        let mut it = Interner::default();
+        let mut it = Interner::empty();
         it.slots.reserve(n);
         it.refs.reserve(n);
         for i in 0..n {
@@ -189,15 +223,22 @@ impl Interner {
                 tag => return Err(CodecError::invalid(at, format!("bad slot tag {tag}"))),
             }
         }
+        if it.resolve(NULL_VID) != Some(&Value::Null) {
+            return Err(CodecError::invalid(start, "dictionary slot 0 is not NULL"));
+        }
         let nfree = r.len_of(4)?;
+        let mut listed = vec![false; n];
         for _ in 0..nfree {
             let at = r.pos();
             let vid = r.u32()?;
-            if vid as usize >= n || it.slots[vid as usize].is_some() {
+            if vid as usize >= n || it.slots[vid as usize].is_some() || listed[vid as usize] {
                 return Err(CodecError::invalid(at, format!("bad free-list vid {vid}")));
             }
+            listed[vid as usize] = true;
             it.free.push(vid);
         }
+        // No vid is listed twice, so equality here also means no value
+        // occupies two slots.
         if it.free.len() != n - it.map.len() {
             return Err(CodecError::invalid(
                 r.pos(),
@@ -243,6 +284,7 @@ mod tests {
         assert_eq!(it.lookup(&Value::int(7)), Some(b));
         assert_eq!(it.lookup(&Value::int(8)), None);
         assert_eq!(it.live(), 3);
+        assert_eq!(Interner::default().lookup(&Value::Null), Some(NULL_VID));
     }
 
     #[test]
@@ -324,5 +366,36 @@ mod tests {
         let count_at = clipped.len() - 8;
         clipped[count_at] = 0;
         assert!(Interner::decode(&mut Reader::new(&clipped)).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_non_null_slot_zero() {
+        // One live slot holding 7 where NULL must be: every `NULL_VID`
+        // test in the join would then treat 7 as NULL.
+        let mut bytes = Vec::new();
+        codec::put_len(&mut bytes, 1);
+        codec::put_u8(&mut bytes, 1);
+        Value::int(7).encode_into(&mut bytes);
+        codec::put_u64(&mut bytes, 1);
+        codec::put_len(&mut bytes, 0);
+        assert!(Interner::decode(&mut Reader::new(&bytes)).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_free_list_naming_a_slot_twice() {
+        // Slots [NULL, empty, empty] with free list [1, 1]: the count
+        // matches the two empty slots, but `alloc` would hand vid 1 to two
+        // values and never reuse slot 2.
+        let mut bytes = Vec::new();
+        codec::put_len(&mut bytes, 3);
+        codec::put_u8(&mut bytes, 1);
+        Value::Null.encode_into(&mut bytes);
+        codec::put_u64(&mut bytes, 1);
+        codec::put_u8(&mut bytes, 0);
+        codec::put_u8(&mut bytes, 0);
+        codec::put_len(&mut bytes, 2);
+        codec::put_u32(&mut bytes, 1);
+        codec::put_u32(&mut bytes, 1);
+        assert!(Interner::decode(&mut Reader::new(&bytes)).is_err());
     }
 }

@@ -11,12 +11,15 @@
 //! * [`Schema`] / [`Table`] — column-oriented storage with append ingestion.
 //! * [`Database`] — the catalog: named tables plus per-column statistics
 //!   (row count, exact distinct count) used by the extraction planner.
-//! * [`RowSet`] — the flat value arena every operator consumes and
-//!   produces: one allocation per batch, rows addressed by index, no
-//!   per-row `Vec`s.
-//! * [`exec`] — physical operators: scan, filter, project, hash equi-join,
-//!   distinct; and [`query::Query`], a tiny logical plan ("the SQL we
-//!   generate") with a reference nested-loop implementation for testing.
+//! * [`Interner`] — the database-wide `Value` → dense [`Vid`] dictionary;
+//!   every cell of a registered table holds a reference in it.
+//! * [`RowSet`] — the flat [`Vid`] arena every operator consumes and
+//!   produces: one allocation per batch, four bytes per cell, rows
+//!   addressed by index, no per-row `Vec`s.
+//! * [`exec`] — the physical operators, one of each: a scan that filters,
+//!   projects and interns; a hash equi-join and a DISTINCT that see only
+//!   ids; plus a reference nested-loop join for testing. [`query::Query`]
+//!   is a tiny logical plan ("the SQL we generate") over them.
 //!
 //! Every operator takes a `threads` knob (morsel-parallel scans and join
 //! probes, hash-partitioned join builds and DISTINCT — std scoped threads)

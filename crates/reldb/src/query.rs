@@ -7,16 +7,16 @@
 //! ```
 //!
 //! i.e. a left-deep chain of equi-joins over base tables, with per-atom
-//! selection predicates, projecting the two endpoint attributes. A
-//! [`Query`] captures this shape; [`Query::run`] executes it with hash
-//! joins + distinct, and [`Query::to_sql`] renders the equivalent SQL
-//! (the Fig. 16 output).
+//! selection predicates, projecting the two endpoint attributes — always
+//! with set semantics (`SELECT DISTINCT`). A [`Query`] captures this shape;
+//! [`Query::run`] executes it with hash joins + distinct, and
+//! [`Query::to_sql`] renders the equivalent SQL (the Fig. 16 output).
 
 use crate::catalog::Database;
 use crate::error::{DbError, DbResult};
-use crate::exec::{distinct_rows_interned, hash_join_project_interned, scan_project};
+use crate::exec::{distinct_rows, hash_join_project, scan_project};
 use crate::expr::Predicate;
-use crate::value::Value;
+use crate::intern::Vid;
 
 /// One atom in the chain: a base table with a selection predicate, an input
 /// join column and an output join column (which may coincide, e.g. for an
@@ -40,8 +40,6 @@ pub struct ChainStep {
 pub struct Query {
     /// The chain; must be non-empty.
     pub steps: Vec<ChainStep>,
-    /// Apply duplicate elimination to the output (extraction always does).
-    pub distinct: bool,
 }
 
 impl Query {
@@ -54,49 +52,46 @@ impl Query {
                 in_col: x_col,
                 out_col: y_col,
             }],
-            distinct: true,
         }
     }
 
     /// Execute against `db` serially, returning `(X, Y)` pairs. Shorthand
     /// for [`Query::run_threaded`] with one thread.
-    pub fn run(&self, db: &Database) -> DbResult<Vec<(Value, Value)>> {
+    pub fn run(&self, db: &Database) -> DbResult<Vec<(Vid, Vid)>> {
         self.run_threaded(db, 1)
     }
 
-    /// Execute against `db` with `threads` worker threads, returning
-    /// `(X, Y)` pairs. This is the single `threads` knob of the extraction
-    /// pipeline: every scan, join build/probe, and DISTINCT of the chain
-    /// fans out over it, and the result is byte-identical for any value
-    /// (see [`crate::exec`] for the ordering guarantee).
-    pub fn run_threaded(&self, db: &Database, threads: usize) -> DbResult<Vec<(Value, Value)>> {
-        if self.steps.is_empty() {
+    /// Execute against `db` with `threads` worker threads, returning the
+    /// distinct `(X, Y)` pairs as ids of `db`'s dictionary
+    /// ([`Database::dict`] resolves them). This is the single `threads`
+    /// knob of the extraction pipeline: every scan, join build/probe, and
+    /// DISTINCT of the chain fans out over it, and the result is
+    /// byte-identical for any value (see [`crate::exec`] for the ordering
+    /// guarantee).
+    pub fn run_threaded(&self, db: &Database, threads: usize) -> DbResult<Vec<(Vid, Vid)>> {
+        let Some((first, rest)) = self.steps.split_first() else {
             return Err(DbError::Invalid("empty chain query".into()));
-        }
-        let first = &self.steps[0];
-        let t0 = db.table(&first.table)?;
+        };
+        let scan = |step: &ChainStep| {
+            let cols = [step.in_col, step.out_col];
+            scan_project(db, &step.table, &step.pred, &cols, threads)
+        };
         // rows carry (X, current-join-value)
-        let mut rows = scan_project(t0, &first.pred, &[first.in_col, first.out_col], threads);
-        for step in &self.steps[1..] {
-            let t = db.table(&step.table)?;
-            let right = scan_project(t, &step.pred, &[step.in_col, step.out_col], threads);
+        let mut rows = scan(first)?;
+        for step in rest {
             // Joined virtual row is [X, carry, in, out]; the fused
             // projection keeps (X, new-carry) without materializing the
-            // join columns at all. Every value here comes from a base
-            // table, so the join probes the database dictionary's dense
-            // ids instead of hashing owned values.
-            rows = hash_join_project_interned(&rows, 1, &right, 0, &[0, 3], threads, db.dict());
+            // join columns at all.
+            rows = hash_join_project(&rows, 1, &scan(step)?, 0, &[0, 3], threads);
             // Intermediate DISTINCT keeps the frontier bounded by
             // |domain(X)| * |domain(carry)|; extraction only needs set
             // semantics so this is safe and usually a large win.
-            if self.distinct {
-                rows = distinct_rows_interned(rows, threads, db.dict());
-            }
+            rows = distinct_rows(rows, threads);
         }
         // Multi-step chains were already deduplicated by the loop's last
         // iteration; only single-table queries still need the final pass.
-        if self.distinct && self.steps.len() == 1 {
-            rows = distinct_rows_interned(rows, threads, db.dict());
+        if rest.is_empty() {
+            rows = distinct_rows(rows, threads);
         }
         Ok(rows.into_pairs())
     }
@@ -130,8 +125,7 @@ impl Query {
         let last_table = db.table(&last.table)?;
         let last_alias = (b'A' + ((self.steps.len() - 1) as u8 % 26)) as char;
         let mut sql = format!(
-            "SELECT {}A.{} AS ID1, {}.{} AS ID2 FROM {}",
-            if self.distinct { "DISTINCT " } else { "" },
+            "SELECT DISTINCT A.{} AS ID1, {}.{} AS ID2 FROM {}",
             first_table.schema().column(first.in_col).name,
             last_alias,
             last_table.schema().column(last.out_col).name,
@@ -168,6 +162,7 @@ mod tests {
     use super::*;
     use crate::schema::{Column, Schema};
     use crate::table::Table;
+    use crate::value::Value;
 
     /// AuthorPub(aid, pid): the Fig. 1 toy dataset.
     /// p1: {a1,a2,a4}, p2: {a1,a4}, p3: {a3,a4,a5}... keep it small:
@@ -211,9 +206,14 @@ mod tests {
                     out_col: 0,
                 },
             ],
-            distinct: true,
         };
-        let mut pairs = q.run(&db).unwrap();
+        let value = |vid| db.dict().resolve(vid).unwrap().clone();
+        let mut pairs: Vec<(Value, Value)> = q
+            .run(&db)
+            .unwrap()
+            .into_iter()
+            .map(|(x, y)| (value(x), value(y)))
+            .collect();
         pairs.sort();
         // co-authors incl. self-pairs: p1 gives {1,2,4}^2, p2 {1,4}^2, p3 {3,4,5}^2
         let mut expected: Vec<(Value, Value)> = Vec::new();
@@ -247,7 +247,6 @@ mod tests {
                     out_col: 0,
                 },
             ],
-            distinct: true,
         };
         let serial = q.run(&db).unwrap();
         for threads in [2, 8] {
@@ -283,7 +282,6 @@ mod tests {
                     out_col: 0,
                 },
             ],
-            distinct: true,
         };
         let pairs = q.run(&db).unwrap();
         assert_eq!(pairs.len(), 9); // {1,2,4}^2
@@ -307,7 +305,6 @@ mod tests {
                     out_col: 0,
                 },
             ],
-            distinct: true,
         };
         let sql = q.to_sql(&db).unwrap();
         assert_eq!(
@@ -320,10 +317,7 @@ mod tests {
     #[test]
     fn empty_query_is_error() {
         let db = fig1_db();
-        let q = Query {
-            steps: vec![],
-            distinct: true,
-        };
+        let q = Query { steps: vec![] };
         assert!(q.run(&db).is_err());
     }
 }

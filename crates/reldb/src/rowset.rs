@@ -1,25 +1,26 @@
 //! Compact, arena-backed row storage for operator pipelines.
 //!
 //! A [`RowSet`] is the unit every physical operator in [`crate::exec`]
-//! consumes and produces. It stores fixed-arity rows in one flat `Vec<Value>`
-//! arena and addresses them by index (`row r` is
-//! `&values[r * arity .. (r + 1) * arity]`), replacing the former
-//! `Vec<Vec<Value>>` outputs: one allocation per *batch* instead of one per
-//! *row*, no per-row `Vec` headers, and per-thread partial results merge with
-//! a single `Vec::append`. `Value` copies are cheap (ints are `Copy`,
-//! strings bump an `Arc` refcount), so the arena never deep-copies string
-//! payloads.
+//! consumes and produces. It stores fixed-arity rows of dictionary ids in
+//! one flat `Vec<Vid>` arena and addresses them by index (`row r` is
+//! `&vids[r * arity .. (r + 1) * arity]`): one allocation per *batch*, four
+//! bytes per cell, and per-thread partial results merge with a single
+//! `Vec::append`. The ids belong to the dictionary of the [`Database`] the
+//! rows were scanned from ([`crate::exec::scan_project`] is the only
+//! producer from table data), so within one row set — and across row sets
+//! of the same database — id equality is value equality and
+//! [`NULL_VID`](crate::intern::NULL_VID) is NULL.
+//!
+//! [`Database`]: crate::catalog::Database
 
-use crate::value::Value;
-use graphgen_common::{ByteSize, FxHasher};
-use std::hash::{Hash, Hasher};
+use crate::intern::Vid;
 
-/// A batch of fixed-arity rows in one flat value arena.
+/// A batch of fixed-arity rows of dictionary ids in one flat arena.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RowSet {
     arity: usize,
     rows: usize,
-    values: Vec<Value>,
+    vids: Vec<Vid>,
 }
 
 impl RowSet {
@@ -28,7 +29,7 @@ impl RowSet {
         Self {
             arity,
             rows: 0,
-            values: Vec::new(),
+            vids: Vec::new(),
         }
     }
 
@@ -37,26 +38,11 @@ impl RowSet {
         Self {
             arity,
             rows: 0,
-            values: Vec::with_capacity(arity * rows),
+            vids: Vec::with_capacity(arity * rows),
         }
     }
 
-    /// Build from materialized rows (tests, CSV ingestion). Panics if any
-    /// row's length differs from `arity`.
-    pub fn from_rows<I>(arity: usize, rows: I) -> Self
-    where
-        I: IntoIterator<Item = Vec<Value>>,
-    {
-        let mut out = Self::new(arity);
-        for row in rows {
-            assert_eq!(row.len(), arity, "row arity mismatch");
-            out.rows += 1;
-            out.values.extend(row);
-        }
-        out
-    }
-
-    /// Number of values per row.
+    /// Number of ids per row.
     pub fn arity(&self) -> usize {
         self.arity
     }
@@ -71,37 +57,26 @@ impl RowSet {
         self.rows == 0
     }
 
-    /// Row `r` as a value slice.
-    pub fn row(&self, r: usize) -> &[Value] {
-        &self.values[r * self.arity..r * self.arity + self.arity]
+    /// Row `r` as an id slice.
+    pub fn row(&self, r: usize) -> &[Vid] {
+        &self.vids[r * self.arity..r * self.arity + self.arity]
     }
 
-    /// Iterate rows as value slices, in row order.
-    pub fn iter(&self) -> impl Iterator<Item = &[Value]> + '_ {
+    /// Iterate rows as id slices, in row order.
+    pub fn iter(&self) -> impl Iterator<Item = &[Vid]> + '_ {
         (0..self.rows).map(move |r| self.row(r))
     }
 
-    /// Append one row given as an iterator of owned values.
+    /// Append one row given as an iterator of ids.
     ///
     /// # Panics
-    /// If the iterator does not yield exactly `arity` values — a misaligned
+    /// If the iterator does not yield exactly `arity` ids — a misaligned
     /// arena would silently corrupt every later row, so this is a hard
     /// check (one integer compare per row).
-    pub fn push_row<I: IntoIterator<Item = Value>>(&mut self, row: I) {
-        let before = self.values.len();
-        self.values.extend(row);
-        assert_eq!(self.values.len() - before, self.arity, "row arity");
-        self.rows += 1;
-    }
-
-    /// Append one row by cloning a value slice (cheap: ints copy, strings
-    /// bump an `Arc`).
-    ///
-    /// # Panics
-    /// If `row.len() != arity` (see [`RowSet::push_row`]).
-    pub fn push_row_from(&mut self, row: &[Value]) {
-        assert_eq!(row.len(), self.arity, "row arity");
-        self.values.extend_from_slice(row);
+    pub fn push_row<I: IntoIterator<Item = Vid>>(&mut self, row: I) {
+        let before = self.vids.len();
+        self.vids.extend(row);
+        assert_eq!(self.vids.len() - before, self.arity, "row arity");
         self.rows += 1;
     }
 
@@ -109,58 +84,17 @@ impl RowSet {
     /// outputs in morsel order). Panics on arity mismatch.
     pub fn append(&mut self, mut other: RowSet) {
         assert_eq!(self.arity, other.arity, "row set arity mismatch");
-        self.values.append(&mut other.values);
+        self.vids.append(&mut other.vids);
         self.rows += other.rows;
     }
 
-    /// Materialize every row as an owned `Vec<Value>` (tests / debugging).
-    pub fn to_vecs(&self) -> Vec<Vec<Value>> {
-        self.iter().map(<[Value]>::to_vec).collect()
-    }
-
-    /// Consume an arity-2 row set into `(x, y)` pairs without cloning.
+    /// Consume an arity-2 row set into `(x, y)` pairs.
     ///
     /// # Panics
     /// If the arity is not 2.
-    pub fn into_pairs(self) -> Vec<(Value, Value)> {
+    pub fn into_pairs(self) -> Vec<(Vid, Vid)> {
         assert_eq!(self.arity, 2, "into_pairs requires arity 2");
-        let mut out = Vec::with_capacity(self.rows);
-        let mut it = self.values.into_iter();
-        while let (Some(x), Some(y)) = (it.next(), it.next()) {
-            out.push((x, y));
-        }
-        out
-    }
-}
-
-/// 64-bit FxHash of a row given cell by cell — the single definition of
-/// row identity, shared by DISTINCT, the join partitioner, and the
-/// catalog's delete scan (which hashes table cells without materializing
-/// rows).
-pub fn hash_cells<'a>(cells: impl Iterator<Item = &'a Value>) -> u64 {
-    let mut h = FxHasher::default();
-    for v in cells {
-        v.hash(&mut h);
-    }
-    h.finish()
-}
-
-/// 64-bit FxHash of a materialized row (all values in order).
-pub fn hash_row(row: &[Value]) -> u64 {
-    hash_cells(row.iter())
-}
-
-/// 64-bit FxHash of a single value (join keys).
-pub fn hash_value(v: &Value) -> u64 {
-    let mut h = FxHasher::default();
-    v.hash(&mut h);
-    h.finish()
-}
-
-impl ByteSize for RowSet {
-    fn heap_bytes(&self) -> usize {
-        self.values.capacity() * std::mem::size_of::<Value>()
-            + self.values.iter().map(ByteSize::heap_bytes).sum::<usize>()
+        self.vids.chunks_exact(2).map(|p| (p[0], p[1])).collect()
     }
 }
 
@@ -168,43 +102,42 @@ impl ByteSize for RowSet {
 mod tests {
     use super::*;
 
-    fn pairs(rows: &[(i64, i64)]) -> RowSet {
-        RowSet::from_rows(
-            2,
-            rows.iter()
-                .map(|&(a, b)| vec![Value::int(a), Value::int(b)]),
-        )
+    fn pairs(rows: &[(Vid, Vid)]) -> RowSet {
+        let mut rs = RowSet::new(2);
+        for &(a, b) in rows {
+            rs.push_row([a, b]);
+        }
+        rs
     }
 
     #[test]
     fn push_and_read_back() {
-        let mut rs = RowSet::new(2);
-        rs.push_row([Value::int(1), Value::str("a")]);
-        rs.push_row_from(&[Value::int(2), Value::str("b")]);
+        let rs = pairs(&[(1, 7), (2, 8)]);
         assert_eq!(rs.num_rows(), 2);
         assert_eq!(rs.arity(), 2);
-        assert_eq!(rs.row(1), &[Value::int(2), Value::str("b")]);
+        assert_eq!(rs.row(1), &[2, 8]);
         assert_eq!(rs.iter().count(), 2);
         assert!(!rs.is_empty());
     }
 
     #[test]
+    #[should_panic(expected = "row arity")]
+    fn misaligned_row_is_rejected() {
+        RowSet::new(2).push_row([1]);
+    }
+
+    #[test]
     fn append_merges_in_order() {
         let mut a = pairs(&[(1, 1), (2, 2)]);
-        let b = pairs(&[(3, 3)]);
-        a.append(b);
-        assert_eq!(a.to_vecs(), pairs(&[(1, 1), (2, 2), (3, 3)]).to_vecs());
+        a.append(pairs(&[(3, 3)]));
+        assert_eq!(a, pairs(&[(1, 1), (2, 2), (3, 3)]));
     }
 
     #[test]
     fn into_pairs_round_trip() {
-        let rs = pairs(&[(1, 10), (2, 20)]);
         assert_eq!(
-            rs.into_pairs(),
-            vec![
-                (Value::int(1), Value::int(10)),
-                (Value::int(2), Value::int(20))
-            ]
+            pairs(&[(1, 10), (2, 20)]).into_pairs(),
+            vec![(1, 10), (2, 20)]
         );
     }
 
@@ -214,20 +147,6 @@ mod tests {
         rs.push_row([]);
         rs.push_row([]);
         assert_eq!(rs.num_rows(), 2);
-        assert_eq!(rs.row(1), &[] as &[Value]);
-    }
-
-    #[test]
-    fn row_hash_distinguishes_rows() {
-        let rs = pairs(&[(1, 2), (2, 1), (1, 2)]);
-        assert_eq!(hash_row(rs.row(0)), hash_row(rs.row(2)));
-        assert_ne!(hash_row(rs.row(0)), hash_row(rs.row(1)));
-        assert_ne!(hash_value(&Value::int(1)), hash_value(&Value::int(2)));
-    }
-
-    #[test]
-    fn bytesize_counts_arena() {
-        let rs = pairs(&[(1, 2)]);
-        assert!(rs.heap_bytes() >= 2 * std::mem::size_of::<Value>());
+        assert_eq!(rs.row(1), &[] as &[Vid]);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A [`Table`] stores each column as a `Vec<Value>`. Appends validate arity
 //! and type. Row access materializes a `Vec<Value>` only when asked; the
-//! physical operators in [`crate::exec`] work column-wise where possible.
+//! scan in [`crate::exec`] reads cells in place.
 //!
 //! Deletes are **tombstoned**: [`Table::delete_physical_rows`] flips a
 //! per-row dead bit in O(batch) instead of retaining every column in
@@ -146,21 +146,6 @@ impl Table {
         for &r in rows {
             let r = r as usize;
             if !self.dead[r] {
-                self.dead[r] = true;
-                self.dead_count += 1;
-                self.rows -= 1;
-            }
-        }
-        self.maybe_compact();
-    }
-
-    /// Remove the physical rows whose indices are flagged in `remove`
-    /// (length must equal [`Table::physical_rows`]). Tombstones the flagged
-    /// rows; survivors keep their relative order.
-    pub fn remove_marked(&mut self, remove: &[bool]) {
-        assert_eq!(remove.len(), self.dead.len(), "mask length mismatch");
-        for (r, &kill) in remove.iter().enumerate() {
-            if kill && !self.dead[r] {
                 self.dead[r] = true;
                 self.dead_count += 1;
                 self.rows -= 1;
@@ -327,16 +312,6 @@ mod tests {
         let t = people();
         assert!(t.column_by_name("name").is_some());
         assert!(t.column_by_name("nope").is_none());
-    }
-
-    #[test]
-    fn remove_marked_preserves_order() {
-        let mut t = people();
-        t.remove_marked(&[false, true, false]);
-        assert_eq!(t.num_rows(), 2);
-        let rows: Vec<_> = t.iter_rows().collect();
-        assert_eq!(rows[0], vec![Value::int(1), Value::str("a")]);
-        assert_eq!(rows[1], vec![Value::int(3), Value::str("a")]);
     }
 
     #[test]
