@@ -34,7 +34,8 @@ pub enum Region {
     Validate = 6,
     /// WAL record encode + append (+ optional fsync).
     WalAppend = 7,
-    /// In-place graph patch from a delta.
+    /// The delta-maintenance state: its bulk load at extraction (the
+    /// `load_state` span) and the in-place graph patch from a delta.
     Patch = 8,
     /// Reader-visible snapshot construction + publication.
     Publish = 9,

@@ -4,7 +4,7 @@ use crate::anygraph::AnyGraph;
 use crate::check::catalog_view;
 use crate::error::Error;
 use crate::handle::GraphHandle;
-use crate::incremental::{self, IncrementalState};
+use crate::incremental::IncrementalState;
 use crate::planner::{filters_to_predicate, full_query, plan_chain, ChainPlan};
 use graphgen_common::{FxHashMap, IdMap};
 use graphgen_dedup::preprocess::{expand_cheap_virtuals, should_expand, PreprocessStats};
@@ -12,7 +12,7 @@ use graphgen_dsl::{
     check_program, parse, CheckOptions, CheckReport, GraphSpec, NodesView, Severity,
 };
 use graphgen_graph::{CondensedBuilder, ExpandedGraph, PropValue, Properties, RealId, VirtId};
-use graphgen_reldb::{exec::scan_project, Database, Delta, DeltaOp, Value, Vid, NULL_VID};
+use graphgen_reldb::{exec::scan_project, Database, Value, Vid, NULL_VID};
 use std::time::Instant;
 
 /// Extraction configuration. Construct via [`GraphGenConfig::builder`]:
@@ -311,46 +311,38 @@ impl<'a> GraphGen<'a> {
         Ok(GraphHandle::from_parts(graph, ids, properties, report))
     }
 
-    /// Incremental extraction: build the delta-maintenance state and reach
-    /// the current database state by replaying every referenced base table
-    /// through the delta engine itself — one code path for the initial
-    /// extraction and for live maintenance, so the oracle tests exercise
-    /// exactly what [`GraphHandle::apply_delta`] runs later.
+    /// Incremental extraction: plan as the batch path does, then let
+    /// [`IncrementalState::bulk_load`] build the delta-maintenance state,
+    /// the C-DUP graph, the key map and the properties from one scan of
+    /// every atom and node view — set-at-a-time, like the batch path, with
+    /// the result a row-by-row replay through the delta engine would give.
+    /// The operators fan out by the batch rule ([`GraphGen::batch_threads`]);
+    /// the state keeps the configured thread count for later
+    /// [`GraphHandle::apply_delta`] calls.
     fn extract_spec_incremental(&self, spec: &GraphSpec) -> Result<GraphHandle, Error> {
         let start = Instant::now();
         let mut report = ExtractionReport::default();
-        let mut plans = Vec::with_capacity(spec.edges.len());
         for chain in &spec.edges {
             let plan = plan_chain(self.db, chain, self.cfg.large_output_factor)?;
             for seg in &plan.segments {
                 report.sql.push(seg.query.to_sql(self.db)?);
             }
-            plans.push(plan);
+            report.plans.push(plan);
         }
-        let mut state = IncrementalState::new(spec, &plans, self.cfg.threads());
-        let mut graph = AnyGraph::CDup(CondensedBuilder::new(0).build());
-        // The engine takes `Arc`ed stores (shared with reader clones on the
-        // live path); here they are freshly owned, so `make_mut` is free.
-        let mut ids = std::sync::Arc::new(IdMap::<Value>::new());
-        let mut properties = std::sync::Arc::new(Properties::new(0));
-        for table in state.referenced_tables() {
-            let t = self.db.table(&table)?;
-            let mut delta = Delta::new(table);
-            for row in t.iter_rows() {
-                delta.push(row, DeltaOp::Insert);
-            }
-            incremental::apply_delta_state(
-                &mut state,
-                &mut graph,
-                &mut ids,
-                &mut properties,
-                &delta,
-            )?;
-        }
-        report.plans = plans;
+        let (state, graph, ids, properties) = IncrementalState::bulk_load(
+            spec,
+            &report.plans,
+            self.cfg.threads(),
+            self.db,
+            self.batch_threads(spec)?,
+        )?;
         report.extraction_micros = start.elapsed().as_micros();
         Ok(GraphHandle::from_parts_incremental(
-            graph, ids, properties, report, state,
+            AnyGraph::CDup(graph),
+            ids,
+            properties,
+            report,
+            state,
         ))
     }
 

@@ -143,21 +143,17 @@ impl GraphHandle {
     }
 
     /// Assemble a handle that carries the delta-maintenance state (the
-    /// incremental extractor's exit point). Takes the `Arc`ed stores the
-    /// replay engine worked on directly — no unwrap/re-wrap round-trip.
+    /// incremental extractor's exit point).
     pub(crate) fn from_parts_incremental(
         graph: AnyGraph,
-        ids: Arc<IdMap<Value>>,
-        properties: Arc<Properties>,
+        ids: IdMap<Value>,
+        properties: Properties,
         report: ExtractionReport,
         state: IncrementalState,
     ) -> Self {
         Self {
-            graph,
-            ids,
-            properties,
-            report,
             incremental: Some(Arc::new(state)),
+            ..Self::from_parts(graph, ids, properties, report)
         }
     }
 

@@ -56,15 +56,37 @@
 //! canonical serialization ([`crate::serialize::canonical_bytes`]) is
 //! byte-identical to a from-scratch extraction on the mutated database —
 //! enforced by `tests/incremental_oracle.rs` at 1/2/8 threads.
+//!
+//! # How the state is first built
+//!
+//! The update routine above is not how the state reaches the current
+//! database: `IncrementalState::bulk_load` is the separate linear
+//! preprocessing phase. It scans every atom and node view once with the
+//! set-at-a-time operators, computes each segment's counted output by
+//! sort/group-by, fills the *primary* state (atom bags, supports, boundary
+//! interning, node entries) and builds the C-DUP once through
+//! [`CondensedBuilder`]. Everything else — `by_out`, `by_left`/`by_right`,
+//! `boundary_index` — is derived from the primary state by
+//! `IncrementalState::derive_indexes`, the same function the snapshot
+//! decoder ends with. The loader walks tables, chains, segments, atoms and
+//! rows in the order a row-by-row replay through `apply_delta_state`
+//! would, so the engine dictionary and the virtual-node numbering — and
+//! with them every encoded byte of the state — equal the replay's; that
+//! replay survives as the `#[cfg(test)]` oracle of the `bulk_*` tests.
 
 use crate::anygraph::AnyGraph;
 use crate::error::{Error, PatchError};
 use crate::planner::{filters_to_predicate, ChainPlan};
+use graphgen_common::metrics::span;
 use graphgen_common::parallel::{effective_threads, map_morsels};
+use graphgen_common::region::Region;
 use graphgen_common::{FxHashMap, FxHashSet, IdMap};
 use graphgen_dsl::GraphSpec;
-use graphgen_graph::{CondensedGraph, GraphRep, PropValue, Properties, RealId, VirtId};
-use graphgen_reldb::{Delta, DeltaOp, Interner, Predicate, Value, Vid, NULL_VID};
+use graphgen_graph::{
+    CondensedBuilder, CondensedGraph, GraphRep, PropValue, Properties, RealId, VirtId,
+};
+use graphgen_reldb::exec::scan_project;
+use graphgen_reldb::{Database, Delta, DeltaOp, Interner, Predicate, Value, Vid, NULL_VID};
 
 /// A per-value multiplicity index over interned ids: slot `v` holds the
 /// `(other column id → count)` bag of join value `v`. Flat `Vec` indexing
@@ -242,11 +264,9 @@ pub struct IncrementalState {
 }
 
 impl IncrementalState {
-    /// Build the (empty) maintenance state for a compiled spec and its
-    /// plans. The caller then replays every base table as an insert-only
-    /// delta to reach the current database state (one code path for initial
-    /// extraction and live maintenance).
-    pub(crate) fn new(spec: &GraphSpec, plans: &[ChainPlan], threads: usize) -> Self {
+    /// The maintenance state of a compiled spec and its plans over empty
+    /// tables: what [`IncrementalState::bulk_load`] starts from.
+    fn new(spec: &GraphSpec, plans: &[ChainPlan], threads: usize) -> Self {
         let views = spec
             .nodes
             .iter()
@@ -893,7 +913,7 @@ impl SegmentState {
             // segment-level `by_left`/`by_right` indexes (not the atom
             // bags) serve node materialization — so the graph-sized,
             // cache-cold maps need not be maintained at all (they simply
-            // stay empty, on the initial replay and live path alike).
+            // stay empty, in the bulk load and on the live path alike).
             if self.atoms.len() > 1 {
                 let atom = &mut self.atoms[j];
                 for (key, mult) in &entries {
@@ -961,9 +981,23 @@ impl SegmentState {
 // Materialization: segment transitions -> graph operations
 // ---------------------------------------------------------------------------
 
-/// Intern a boundary id, allocating its virtual node on first sight. The
-/// flat `boundary_index` slot array makes the common repeat case a single
-/// array load.
+/// The boundary-local index of `vid` at one boundary, appending it to the
+/// boundary's `keys` on first sight; `true` means it was new and the caller
+/// owes the matching `boundary_virts` entry. The flat `index` slot array
+/// makes the common repeat case a single array load.
+fn boundary_slot(index: &mut Vec<u32>, keys: &mut Vec<Vid>, vid: Vid) -> (usize, bool) {
+    if index.len() <= vid as usize {
+        index.resize(vid as usize + 1, u32::MAX);
+    }
+    let new = index[vid as usize] == u32::MAX;
+    if new {
+        index[vid as usize] = keys.len() as u32;
+        keys.push(vid);
+    }
+    (index[vid as usize] as usize, new)
+}
+
+/// Intern a boundary id, allocating its virtual node on first sight.
 fn ensure_virt(
     boundary_index: &mut [Vec<u32>],
     boundary_keys: &mut [Vec<Vid>],
@@ -973,17 +1007,12 @@ fn ensure_virt(
     target: &mut Target<'_>,
     patch: &mut GraphPatch,
 ) -> VirtId {
-    let index = &mut boundary_index[b];
-    if index.len() <= vid as usize {
-        index.resize(vid as usize + 1, u32::MAX);
-    }
-    if index[vid as usize] == u32::MAX {
-        index[vid as usize] = boundary_keys[b].len() as u32;
-        boundary_keys[b].push(vid);
+    let (slot, new) = boundary_slot(&mut boundary_index[b], &mut boundary_keys[b], vid);
+    if new {
         let v = target.add_virtual_node(patch);
         boundary_virts[b].push(v);
     }
-    boundary_virts[b][index[vid as usize] as usize]
+    boundary_virts[b][slot]
 }
 
 /// Resolve an interned id to its real node id via the flat side-table —
@@ -1010,8 +1039,7 @@ fn materialize_segment(
     target: &mut Target<'_>,
     patch: &mut GraphPatch,
 ) -> Result<(), Error> {
-    let _span =
-        graphgen_common::metrics::span("build_rep", graphgen_common::region::Region::BuildRep);
+    let _span = span("build_rep", Region::BuildRep);
     let k = chain.segments.len();
     let ChainState {
         boundary_index,
@@ -1183,8 +1211,7 @@ fn materialize_node_edges(
     target: &mut Target<'_>,
     patch: &mut GraphPatch,
 ) {
-    let _span =
-        graphgen_common::metrics::span("build_rep", graphgen_common::region::Region::BuildRep);
+    let _span = span("build_rep", Region::BuildRep);
     for chain in chains.iter_mut() {
         let k = chain.segments.len();
         if k == 1 {
@@ -1258,12 +1285,16 @@ fn materialize_node_edges(
 // The top-level delta application
 // ---------------------------------------------------------------------------
 
-/// Derive the property values a node-view row yields (NULLs set nothing,
-/// matching the extractor).
-fn derive_props(view: &ViewState, row: &[Value]) -> Vec<(String, PropValue)> {
+/// Derive the property values a node-view row yields from its property
+/// cells, given in `prop_cols` order (NULLs set nothing, matching the
+/// extractor).
+fn derive_props<'a>(
+    view: &ViewState,
+    cells: impl Iterator<Item = &'a Value>,
+) -> Vec<(String, PropValue)> {
     let mut out = Vec::with_capacity(view.prop_cols.len());
-    for (name, col) in &view.prop_cols {
-        let pv = match &row[*col] {
+    for ((name, _), cell) in view.prop_cols.iter().zip(cells) {
+        let pv = match cell {
             Value::Int(v) => PropValue::Int(*v),
             Value::Str(s) => PropValue::Text(s.to_string()),
             Value::Null => continue,
@@ -1273,9 +1304,21 @@ fn derive_props(view: &ViewState, row: &[Value]) -> Vec<(String, PropValue)> {
     out
 }
 
+/// Set a node's properties from the base rows that currently yield it,
+/// lower view indexes first (so a later view's value wins a shared name).
+fn set_props(props: &mut Properties, id: RealId, entry: &NodeEntry) {
+    let mut rows: Vec<&(usize, Vec<(String, PropValue)>)> = entry.prop_rows.iter().collect();
+    rows.sort_by_key(|(vi, _)| *vi);
+    for (_, propvals) in rows {
+        for (name, v) in propvals {
+            props.set(id, name, v.clone());
+        }
+    }
+}
+
 /// Apply one table delta to the maintained state and the graph. This is
-/// the engine behind [`crate::GraphHandle::apply_delta`]; initial
-/// extraction replays whole tables through the same path.
+/// the engine behind [`crate::GraphHandle::apply_delta`]; the state it
+/// updates was built by [`IncrementalState::bulk_load`].
 ///
 /// `ids` and `props` arrive behind `Arc`s (the handle shares them with
 /// published reader clones): the engine reads them freely and
@@ -1364,7 +1407,7 @@ pub(crate) fn apply_delta_state(
                 v.insert(entry.support);
                 touched.push(kvid);
             }
-            let derived = derive_props(view, &row.values);
+            let derived = derive_props(view, view.prop_cols.iter().map(|(_, c)| &row.values[*c]));
             match row.op {
                 DeltaOp::Insert => {
                     entry.support += 1;
@@ -1428,20 +1471,446 @@ pub(crate) fn apply_delta_state(
             let p = std::sync::Arc::make_mut(props);
             p.grow(ids.len());
             p.clear_vertex(RealId(id));
-            let entry = &node_entries[&kvid];
-            let mut rows: Vec<&(usize, Vec<(String, PropValue)>)> =
-                entry.prop_rows.iter().collect();
-            rows.sort_by_key(|(vi, _)| *vi);
-            for (_, propvals) in rows {
-                for (name, v) in propvals {
-                    p.set(RealId(id), name, v.clone());
-                }
-            }
+            set_props(p, RealId(id), &node_entries[&kvid]);
         } else {
             node_entries.remove(&kvid);
         }
     }
     Ok(patch)
+}
+
+// ---------------------------------------------------------------------------
+// Derived indexes
+// ---------------------------------------------------------------------------
+//
+// `by_out`, `by_left`/`by_right` and `boundary_index` are functions of the
+// primary state (`by_in`, `support`, `boundary_keys`). Neither the bulk
+// loader nor the snapshot decoder builds them: both produce the primary
+// state and finish with `IncrementalState::derive_indexes`, which sizes
+// every slot table and every per-slot container exactly before filling it.
+
+/// How many entries each slot of a flat id-indexed table will hold, sized
+/// to the largest id in `ids`.
+fn slot_counts(ids: impl Iterator<Item = Vid>) -> Vec<u32> {
+    let mut counts: Vec<u32> = Vec::new();
+    for id in ids {
+        if counts.len() <= id as usize {
+            counts.resize(id as usize + 1, 0);
+        }
+        counts[id as usize] += 1;
+    }
+    counts
+}
+
+impl AtomState {
+    /// `by_out` is the transpose of `by_in`.
+    fn derive_indexes(&mut self) {
+        let counts = slot_counts(self.by_in.iter().flat_map(|outs| outs.keys().copied()));
+        self.by_out = counts
+            .iter()
+            .map(|&n| FxHashMap::with_capacity_and_hasher(n as usize, Default::default()))
+            .collect();
+        for (in_v, outs) in self.by_in.iter().enumerate() {
+            for (&out_v, &m) in outs {
+                self.by_out[out_v as usize].insert(in_v as Vid, m);
+            }
+        }
+    }
+}
+
+impl SegmentState {
+    /// `by_left` / `by_right` index the support keys by either endpoint.
+    fn derive_indexes(&mut self) {
+        for atom in &mut self.atoms {
+            atom.derive_indexes();
+        }
+        let sets = |counts: Vec<u32>| -> Vec<FxHashSet<Vid>> {
+            counts
+                .iter()
+                .map(|&n| FxHashSet::with_capacity_and_hasher(n as usize, Default::default()))
+                .collect()
+        };
+        self.by_left = sets(slot_counts(self.support.keys().map(|&k| unpack(k).0)));
+        self.by_right = sets(slot_counts(self.support.keys().map(|&k| unpack(k).1)));
+        for &key in self.support.keys() {
+            let (l, r) = unpack(key);
+            self.by_left[l as usize].insert(r);
+            self.by_right[r as usize].insert(l);
+        }
+    }
+}
+
+impl ChainState {
+    /// `boundary_index` inverts `boundary_keys` (which holds no id twice).
+    fn derive_indexes(&mut self) {
+        for seg in &mut self.segments {
+            seg.derive_indexes();
+        }
+        self.boundary_index = self
+            .boundary_keys
+            .iter()
+            .map(|keys| {
+                let slots = keys.iter().max().map_or(0, |&k| k as usize + 1);
+                let mut index = vec![u32::MAX; slots];
+                for (i, &k) in keys.iter().enumerate() {
+                    index[k as usize] = i as u32;
+                }
+                index
+            })
+            .collect();
+    }
+}
+
+impl IncrementalState {
+    /// (Re)build every derived index from the primary state — the one
+    /// place they come from, whether the primary state was bulk-loaded or
+    /// decoded from a snapshot.
+    fn derive_indexes(&mut self) {
+        for chain in &mut self.chains {
+            chain.derive_indexes();
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Bulk load: the set-at-a-time initial extraction
+// ---------------------------------------------------------------------------
+
+/// A bag of id pairs: `(pack(l, r), multiplicity)` with strictly ascending
+/// keys and multiplicities ≥ 1.
+type CountedPairs = Vec<(u64, i64)>;
+
+/// Append `(key, m)` to a bag being written in ascending key order, folding
+/// it into the last entry when the key repeats.
+#[inline]
+fn push_counted(bag: &mut CountedPairs, key: u64, m: i64) {
+    match bag.last_mut() {
+        Some((last, total)) if *last == key => *total += m,
+        _ => bag.push((key, m)),
+    }
+}
+
+/// GROUP BY over packed pairs: sort, then count the runs.
+fn group_pairs(mut keys: Vec<u64>) -> CountedPairs {
+    keys.sort_unstable();
+    let mut bag = CountedPairs::new();
+    for key in keys {
+        push_counted(&mut bag, key, 1);
+    }
+    bag
+}
+
+#[inline]
+fn same_left(a: &(u64, i64), b: &(u64, i64)) -> bool {
+    a.0 >> 32 == b.0 >> 32
+}
+
+/// Where each left id's run starts in a bag: the entries whose left id is
+/// `v` are `bag[starts[v]..starts[v + 1]]`, for every `v < slots`.
+fn left_runs(bag: &[(u64, i64)], slots: usize) -> Vec<usize> {
+    let mut starts = vec![0usize; slots + 1];
+    for &(key, _) in bag {
+        starts[unpack(key).0 as usize + 1] += 1;
+    }
+    for v in 0..slots {
+        starts[v + 1] += starts[v];
+    }
+    starts
+}
+
+/// One step of a segment's counted join: `frontier` holds the bag of
+/// `(x, carry)` pairs the atoms so far produce, `atom` the next atom's
+/// `(in, out)` bag; the result is the bag of `(x, out)` over
+/// `carry = in`, multiplicities multiplied and summed. [`NULL_VID`] never
+/// joins. Each `x` gathers its matches and sorts that short list, so the
+/// output is written in ascending order without ever holding more than the
+/// grouped result; morsels cut the frontier between `x` runs.
+fn join_counted(
+    frontier: &[(u64, i64)],
+    atom: &[(u64, i64)],
+    slots: usize,
+    threads: usize,
+) -> CountedPairs {
+    let starts = {
+        let _span = span("join", Region::Build);
+        left_runs(atom, slots)
+    };
+    let _span = span("join", Region::Probe);
+    let n = frontier.len();
+    let cut = |mut i: usize| {
+        while i > 0 && i < n && same_left(&frontier[i - 1], &frontier[i]) {
+            i += 1;
+        }
+        i
+    };
+    let parts = map_morsels(n, effective_threads(threads, n), |range| {
+        let mut out = CountedPairs::new();
+        let mut matches: Vec<(Vid, i64)> = Vec::new();
+        for run in frontier[cut(range.start)..cut(range.end)].chunk_by(same_left) {
+            matches.clear();
+            for &(key, m) in run {
+                let carry = unpack(key).1;
+                if carry == NULL_VID {
+                    continue;
+                }
+                let hits = &atom[starts[carry as usize]..starts[carry as usize + 1]];
+                matches.extend(hits.iter().map(|&(hit, mh)| (unpack(hit).1, m * mh)));
+            }
+            matches.sort_unstable_by_key(|&(y, _)| y);
+            let x = unpack(run[0].0).0;
+            for &(y, m) in &matches {
+                push_counted(&mut out, pack(x, y), m);
+            }
+        }
+        out
+    });
+    let mut parts = parts.into_iter();
+    let mut out = parts.next().unwrap_or_default();
+    for part in parts {
+        out.extend(part);
+    }
+    out
+}
+
+/// An atom's `by_in` bag from its grouped `(in, out)` pairs.
+fn bag_by_in(bag: &[(u64, i64)]) -> VidBag {
+    let slots = bag.last().map_or(0, |&(key, _)| unpack(key).0 as usize + 1);
+    let mut by_in = VidBag::new();
+    by_in.resize_with(slots, FxHashMap::default);
+    for run in bag.chunk_by(same_left) {
+        let mut outs = FxHashMap::with_capacity_and_hasher(run.len(), Default::default());
+        outs.extend(run.iter().map(|&(key, m)| (unpack(key).1, m)));
+        by_in[unpack(run[0].0).0 as usize] = outs;
+    }
+    by_in
+}
+
+/// Database ids → engine ids. A value enters the engine dictionary the
+/// first time a scanned cell that the replay would intern holds it, so
+/// engine ids are handed out in the replay's order with one
+/// [`Interner::intern`] per distinct value.
+struct Translation<'a> {
+    db: &'a Interner,
+    /// Indexed by database id; `u32::MAX` = not interned yet.
+    engine: Vec<Vid>,
+}
+
+impl Translation<'_> {
+    fn value(&self, db_vid: Vid) -> &Value {
+        self.db.resolve(db_vid).expect("scanned id is live")
+    }
+
+    #[inline]
+    fn engine_vid(&mut self, dict: &mut Interner, db_vid: Vid) -> Vid {
+        if self.engine[db_vid as usize] == u32::MAX {
+            self.engine[db_vid as usize] = dict.intern(self.value(db_vid));
+        }
+        self.engine[db_vid as usize]
+    }
+}
+
+/// What the loader keeps about one segment beside its [`SegmentState`].
+struct SegmentLoad {
+    /// The scanned, grouped bag of each atom, until the segment's last
+    /// table has been scanned and the join has consumed them.
+    bags: Vec<Option<CountedPairs>>,
+    /// The distinct output pairs, ascending, from then until the graph is
+    /// built.
+    pairs: Vec<u64>,
+}
+
+impl IncrementalState {
+    /// Build the maintenance state of `spec` over the current contents of
+    /// `db`, together with the graph, key map and properties it maintains —
+    /// the set-at-a-time counterpart of replaying every base row through
+    /// [`apply_delta_state`], with the same result down to the encoded
+    /// byte (see the module docs). `threads` is kept for later applies;
+    /// the scans and joins here fan out over `scan_threads`.
+    pub(crate) fn bulk_load(
+        spec: &GraphSpec,
+        plans: &[ChainPlan],
+        threads: usize,
+        db: &Database,
+        scan_threads: usize,
+    ) -> Result<(Self, CondensedGraph, IdMap<Value>, Properties), Error> {
+        let mut state = Self::new(spec, plans, threads);
+        let mut tr = Translation {
+            db: db.dict(),
+            engine: vec![u32::MAX; db.dict().capacity()],
+        };
+        let mut loads: Vec<Vec<SegmentLoad>> = state
+            .chains
+            .iter()
+            .map(|chain| {
+                let load = |seg: &SegmentState| SegmentLoad {
+                    bags: vec![None; seg.atoms.len()],
+                    pairs: Vec::new(),
+                };
+                chain.segments.iter().map(load).collect()
+            })
+            .collect();
+        let mut ids: IdMap<Value> = IdMap::new();
+        // Node keys in real-id order.
+        let mut node_keys: Vec<Vid> = Vec::new();
+        let mut virtuals = 0u32;
+
+        for table in state.referenced_tables() {
+            let IncrementalState {
+                views,
+                chains,
+                node_entries,
+                direct_support,
+                dict,
+                ..
+            } = &mut state;
+            // The table's atoms, chain by chain and segment by segment; a
+            // segment produces its output at the table that completes it.
+            for (chain, loads) in chains.iter_mut().zip(&mut loads) {
+                let k = chain.segments.len();
+                let ChainState {
+                    segments,
+                    boundary_index,
+                    boundary_keys,
+                    boundary_virts,
+                } = chain;
+                for (j, (seg, load)) in segments.iter_mut().zip(loads.iter_mut()).enumerate() {
+                    let keeps_bags = seg.atoms.len() > 1;
+                    let mut scanned = false;
+                    for (atom, bag) in seg.atoms.iter_mut().zip(&mut load.bags) {
+                        if atom.table != table {
+                            continue;
+                        }
+                        let cols = [atom.in_col, atom.out_col];
+                        let rows = scan_project(db, &atom.table, &atom.pred, &cols, scan_threads)?;
+                        let _span = span("load_state", Region::Patch);
+                        let mut keys = Vec::with_capacity(rows.num_rows());
+                        for row in rows.iter() {
+                            let in_v = tr.engine_vid(dict, row[0]);
+                            let out_v = tr.engine_vid(dict, row[1]);
+                            keys.push(pack(in_v, out_v));
+                        }
+                        let grouped = group_pairs(keys);
+                        if keeps_bags {
+                            atom.by_in = bag_by_in(&grouped);
+                        }
+                        *bag = Some(grouped);
+                        scanned = true;
+                    }
+                    if !scanned || load.bags.iter().any(Option::is_none) {
+                        continue;
+                    }
+                    let mut bags = std::mem::take(&mut load.bags).into_iter().flatten();
+                    let mut output = bags.next().expect("a segment has an atom");
+                    for bag in bags {
+                        output = join_counted(&output, &bag, dict.capacity(), scan_threads);
+                    }
+                    let _span = span("load_state", Region::Patch);
+                    seg.support = output.iter().copied().collect();
+                    load.pairs = output.into_iter().map(|(key, _)| key).collect();
+                    if k == 1 {
+                        // Direct edges are reference-counted across chains.
+                        direct_support.reserve(load.pairs.len());
+                        for &key in &load.pairs {
+                            *direct_support.entry(key).or_insert(0) += 1;
+                        }
+                        continue;
+                    }
+                    // Boundary ids get their virtual nodes in sorted-pair
+                    // first-sight order, whether or not the pair's real
+                    // endpoint is a node.
+                    let mut virt_at = |b: usize, vid: Vid| {
+                        let (_, new) =
+                            boundary_slot(&mut boundary_index[b], &mut boundary_keys[b], vid);
+                        if new {
+                            boundary_virts[b].push(VirtId(virtuals));
+                            virtuals += 1;
+                        }
+                    };
+                    for &key in &load.pairs {
+                        let (l, r) = unpack(key);
+                        if j > 0 {
+                            virt_at(j - 1, l);
+                        }
+                        if j < k - 1 {
+                            virt_at(j, r);
+                        }
+                    }
+                }
+            }
+            // The table's node views, in view then row order.
+            for (vi, view) in views.iter().enumerate() {
+                if view.relation != table {
+                    continue;
+                }
+                let mut cols = vec![view.id_col];
+                cols.extend(view.prop_cols.iter().map(|(_, c)| *c));
+                let rows = scan_project(db, &view.relation, &view.pred, &cols, scan_threads)?;
+                let _span = span("load_state", Region::Patch);
+                for row in rows.iter() {
+                    if row[0] == NULL_VID {
+                        continue;
+                    }
+                    let kvid = tr.engine_vid(dict, row[0]);
+                    let entry = node_entries.entry(kvid).or_default();
+                    if entry.support == 0 {
+                        ids.intern(tr.value(row[0]).clone());
+                        node_keys.push(kvid);
+                    }
+                    entry.support += 1;
+                    let cells = row[1..].iter().map(|&cell| tr.value(cell));
+                    entry.prop_rows.push((vi, derive_props(view, cells)));
+                }
+            }
+        }
+
+        let load_span = span("load_state", Region::Patch);
+        let mut props = Properties::new(ids.len());
+        state.real_ids = vec![u32::MAX; state.dict.capacity()];
+        for (id, kvid) in node_keys.iter().enumerate() {
+            set_props(&mut props, RealId(id as u32), &state.node_entries[kvid]);
+            state.real_ids[*kvid as usize] = id as u32;
+        }
+        state.derive_indexes();
+        drop(load_span);
+
+        // Every pair becomes its stored edge, now that all node keys are
+        // known; the builder sorts and dedups the adjacency lists.
+        let _span = span("build_rep", Region::BuildRep);
+        let real = |vid: Vid| real_from(&state.real_ids, vid).map(RealId);
+        let mut builder = CondensedBuilder::new(ids.len());
+        builder.add_virtuals(virtuals as usize);
+        for (chain, loads) in state.chains.iter().zip(&loads) {
+            let k = chain.segments.len();
+            let virt = |b: usize, vid: Vid| {
+                chain.boundary_virts[b][chain.boundary_index[b][vid as usize] as usize]
+            };
+            for (j, load) in loads.iter().enumerate() {
+                for &key in &load.pairs {
+                    let (l, r) = unpack(key);
+                    match (j == 0, j == k - 1) {
+                        (true, true) => {
+                            if let (Some(u), Some(v), true) = (real(l), real(r), l != r) {
+                                builder.direct(u, v);
+                            }
+                        }
+                        (true, false) => {
+                            if let Some(u) = real(l) {
+                                builder.real_to_virtual(u, virt(0, r));
+                            }
+                        }
+                        (false, true) => {
+                            if let Some(t) = real(r) {
+                                builder.virtual_to_real(virt(k - 2, l), t);
+                            }
+                        }
+                        (false, false) => builder.virtual_to_virtual(virt(j - 1, l), virt(j, r)),
+                    }
+                }
+            }
+        }
+        let graph = builder.build();
+        Ok((state, graph, ids, props))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1453,8 +1922,11 @@ pub(crate) fn apply_delta_state(
 // maintenance state — atom multisets, segment supports, boundary interning,
 // node entries, the condensed shadow — is encoded verbatim with the
 // workspace codec conventions; the redundant reverse indexes (`by_out`,
-// `by_left`, `by_right`, the shadow's in-indexes) are rebuilt on decode
-// instead of stored.
+// `by_left`, `by_right`, `boundary_index`, the shadow's in-indexes) are
+// rebuilt on decode instead of stored. Every bag and support map is written
+// with strictly ascending keys and multiplicities ≥ 1, and the decoder
+// accepts nothing else: a repeated key or a non-positive count would
+// otherwise decode into indexes listing pairs that do not exist.
 
 use graphgen_common::codec::{self, CodecError, Reader};
 use graphgen_graph::snapshot as graph_snapshot;
@@ -1480,12 +1952,27 @@ fn put_vid_counts(out: &mut Vec<u8>, map: &FxHashMap<Vid, i64>) {
     }
 }
 
+/// Check what every encoded bag and support map guarantees: keys strictly
+/// ascending (`prev` is the key before this one) and a multiplicity ≥ 1.
+fn check_counted<K: Ord>(at: usize, prev: Option<K>, key: K, count: i64) -> Result<(), CodecError> {
+    if prev.is_some_and(|p| p >= key) {
+        return Err(CodecError::invalid(at, "keys not strictly ascending"));
+    }
+    if count < 1 {
+        return Err(CodecError::invalid(at, "multiplicity below 1"));
+    }
+    Ok(())
+}
+
 fn read_vid_counts(r: &mut Reader<'_>, dict: &Interner) -> Result<FxHashMap<Vid, i64>, CodecError> {
     let n = r.len_of(12)?;
-    let mut map = FxHashMap::default();
+    let mut map = FxHashMap::with_capacity_and_hasher(n, Default::default());
+    let mut prev = None;
     for _ in 0..n {
+        let at = r.pos();
         let k = read_vid(r, dict)?;
         let v = r.i64()?;
+        check_counted(at, prev.replace(k), k, v)?;
         map.insert(k, v);
     }
     Ok(map)
@@ -1509,12 +1996,16 @@ fn read_vid_bag(r: &mut Reader<'_>, dict: &Interner) -> Result<VidBag, CodecErro
     let n = r.len()?;
     let mut bag = VidBag::new();
     for _ in 0..n {
+        let at = r.pos();
         let k = read_vid(r, dict)?;
-        let counts = read_vid_counts(r, dict)?;
-        if bag.len() <= k as usize {
-            bag.resize_with(k as usize + 1, FxHashMap::default);
+        // Ascending slots: each one extends the table, so none is
+        // overwritten.
+        if bag.len() > k as usize {
+            return Err(CodecError::invalid(at, "bag slots not strictly ascending"));
         }
-        bag[k as usize] = counts;
+        let counts = read_vid_counts(r, dict)?;
+        bag.resize_with(k as usize, FxHashMap::default);
+        bag.push(counts);
     }
     Ok(bag)
 }
@@ -1534,7 +2025,8 @@ fn read_packed_counts(
     dict: &Interner,
 ) -> Result<FxHashMap<u64, i64>, CodecError> {
     let n = r.len_of(16)?;
-    let mut map = FxHashMap::default();
+    let mut map = FxHashMap::with_capacity_and_hasher(n, Default::default());
+    let mut prev = None;
     for _ in 0..n {
         let at = r.pos();
         let k = r.u64()?;
@@ -1546,6 +2038,7 @@ fn read_packed_counts(
             ));
         }
         let v = r.i64()?;
+        check_counted(at, prev.replace(k), k, v)?;
         map.insert(k, v);
     }
     Ok(map)
@@ -1589,31 +2082,19 @@ impl AtomState {
         codec::put_len(out, self.in_col);
         codec::put_len(out, self.out_col);
         put_vid_bag(out, &self.by_in);
-        // `by_out` is the transpose of `by_in`: rebuilt on decode.
+        // `by_out` is the transpose of `by_in`: derived on decode.
     }
 
+    /// The primary state only: [`IncrementalState::decode`] derives the
+    /// indexes once everything is read.
     fn decode(r: &mut Reader<'_>, dict: &Interner) -> Result<Self, CodecError> {
-        let table = r.str()?.to_string();
-        let pred = Predicate::decode(r)?;
-        let in_col = r.scalar()?;
-        let out_col = r.scalar()?;
-        let by_in = read_vid_bag(r, dict)?;
-        let mut by_out = VidBag::new();
-        for (in_v, outs) in by_in.iter().enumerate() {
-            for (&out_v, &m) in outs {
-                if by_out.len() <= out_v as usize {
-                    by_out.resize_with(out_v as usize + 1, FxHashMap::default);
-                }
-                *by_out[out_v as usize].entry(in_v as Vid).or_insert(0) += m;
-            }
-        }
         Ok(Self {
-            table,
-            pred,
-            in_col,
-            out_col,
-            by_in,
-            by_out,
+            table: r.str()?.to_string(),
+            pred: Predicate::decode(r)?,
+            in_col: r.scalar()?,
+            out_col: r.scalar()?,
+            by_in: read_vid_bag(r, dict)?,
+            by_out: VidBag::new(),
         })
     }
 }
@@ -1625,28 +2106,21 @@ impl SegmentState {
             atom.encode_into(out);
         }
         put_packed_counts(out, &self.support);
-        // `by_left` / `by_right` index the support keys: rebuilt on decode.
+        // `by_left` / `by_right` index the support keys: derived on decode.
     }
 
+    /// The primary state only, like [`AtomState::decode`].
     fn decode(r: &mut Reader<'_>, dict: &Interner) -> Result<Self, CodecError> {
         let n = r.len()?;
         let mut atoms = Vec::with_capacity(n);
         for _ in 0..n {
             atoms.push(AtomState::decode(r, dict)?);
         }
-        let support = read_packed_counts(r, dict)?;
-        let mut by_left: Vec<FxHashSet<Vid>> = Vec::new();
-        let mut by_right: Vec<FxHashSet<Vid>> = Vec::new();
-        for key in support.keys() {
-            let (x, y) = unpack(*key);
-            flat_insert(&mut by_left, x, y);
-            flat_insert(&mut by_right, y, x);
-        }
         Ok(Self {
             atoms,
-            support,
-            by_left,
-            by_right,
+            support: read_packed_counts(r, dict)?,
+            by_left: Vec::new(),
+            by_right: Vec::new(),
         })
     }
 }
@@ -1721,7 +2195,9 @@ impl IncrementalState {
     }
 
     /// Decode a maintenance state (inverse of
-    /// [`IncrementalState::encode_into`]); reverse indexes are rebuilt.
+    /// [`IncrementalState::encode_into`]): the primary state is read and
+    /// validated, then [`IncrementalState::derive_indexes`] rebuilds the
+    /// reverse indexes.
     pub(crate) fn decode(
         r: &mut Reader<'_>,
         dec: &graph_snapshot::ChunkDecoder,
@@ -1764,23 +2240,18 @@ impl IncrementalState {
             if n_bounds != n_segs.saturating_sub(1) {
                 return Err(CodecError::invalid(at, "boundary count mismatch"));
             }
-            let mut boundary_index = Vec::with_capacity(n_bounds);
             let mut boundary_keys = Vec::with_capacity(n_bounds);
             let mut boundary_virts = Vec::with_capacity(n_bounds);
             for _ in 0..n_bounds {
                 let n_keys = r.len_of(4)?;
                 let mut keys = Vec::with_capacity(n_keys);
-                let mut index: Vec<u32> = Vec::new();
-                for i in 0..n_keys {
+                let mut seen: FxHashSet<Vid> = FxHashSet::default();
+                for _ in 0..n_keys {
                     let at = r.pos();
                     let k = read_vid(r, &dict)?;
-                    if index.len() <= k as usize {
-                        index.resize(k as usize + 1, u32::MAX);
-                    }
-                    if index[k as usize] != u32::MAX {
+                    if !seen.insert(k) {
                         return Err(CodecError::invalid(at, "duplicate boundary key"));
                     }
-                    index[k as usize] = i as u32;
                     keys.push(k);
                 }
                 let n_virts = r.len_of(4)?;
@@ -1792,13 +2263,12 @@ impl IncrementalState {
                 for _ in 0..n_virts {
                     virts.push(VirtId(r.u32()?));
                 }
-                boundary_index.push(index);
                 boundary_keys.push(keys);
                 boundary_virts.push(virts);
             }
             chains.push(ChainState {
                 segments,
-                boundary_index,
+                boundary_index: Vec::new(),
                 boundary_keys,
                 boundary_virts,
             });
@@ -1838,7 +2308,7 @@ impl IncrementalState {
             )?)),
             tag => return Err(CodecError::invalid(at, format!("bad shadow tag {tag}"))),
         };
-        Ok(Self {
+        let mut state = Self {
             threads,
             views,
             chains,
@@ -1849,16 +2319,24 @@ impl IncrementalState {
             // decoded id map (`rebuild_real_ids`).
             real_ids: Vec::new(),
             shadow,
-        })
+        };
+        state.derive_indexes();
+        Ok(state)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::{apply_delta_state, CodecError, IncrementalState, Reader};
+    use crate::anygraph::AnyGraph;
     use crate::extract::{GraphGen, GraphGenConfig};
     use crate::handle::{ConvertOptions, GraphHandle};
-    use graphgen_graph::{GraphRep, RepKind};
+    use crate::planner::plan_chain;
+    use graphgen_common::{IdMap, SplitMix64};
+    use graphgen_graph::snapshot::{ChunkDecoder, ChunkEncoder};
+    use graphgen_graph::{CondensedBuilder, GraphRep, Properties, RepKind};
     use graphgen_reldb::{Column, Database, Delta, DeltaOp, Schema, Table, Value};
+    use std::sync::Arc;
 
     /// The Fig. 1 toy DBLP instance.
     fn fig1_db() -> Database {
@@ -2136,5 +2614,569 @@ mod tests {
         assert_eq!(bytes[0], bytes[1]);
         assert_eq!(bytes[0], bytes[2]);
         assert_matches_reextraction(&db, &handles[0]);
+    }
+
+    // -----------------------------------------------------------------------
+    // Bulk load ≡ row-by-row replay
+    // -----------------------------------------------------------------------
+
+    /// The oracle the bulk loader is held to: reach the database state by
+    /// pushing every referenced table through the delta engine as one
+    /// insert-only delta, row by row — how extraction built the state
+    /// before [`IncrementalState::bulk_load`].
+    fn extract_by_replay(db: &Database, dsl: &str, cfg: GraphGenConfig) -> GraphHandle {
+        let spec = graphgen_dsl::compile(dsl).unwrap();
+        let plans: Vec<_> = spec
+            .edges
+            .iter()
+            .map(|chain| plan_chain(db, chain, cfg.large_output_factor()).unwrap())
+            .collect();
+        let mut state = IncrementalState::new(&spec, &plans, cfg.threads());
+        let mut graph = AnyGraph::CDup(CondensedBuilder::new(0).build());
+        let mut ids = Arc::new(IdMap::<Value>::new());
+        let mut props = Arc::new(Properties::new(0));
+        for table in state.referenced_tables() {
+            let mut delta = Delta::new(table.as_str());
+            for row in db.table(&table).unwrap().iter_rows() {
+                delta.push(row, DeltaOp::Insert);
+            }
+            apply_delta_state(&mut state, &mut graph, &mut ids, &mut props, &delta).unwrap();
+        }
+        GraphHandle::from_parts_incremental(
+            graph,
+            Arc::unwrap_or_clone(ids),
+            Arc::unwrap_or_clone(props),
+            Default::default(),
+            state,
+        )
+    }
+
+    fn state_bytes(g: &GraphHandle) -> Vec<u8> {
+        let mut out = Vec::new();
+        g.incremental_state()
+            .expect("incremental handle")
+            .encode_into(&mut ChunkEncoder::new(), &mut out);
+        out
+    }
+
+    /// Every encoded byte of the maintenance state — engine dictionary,
+    /// atom bags, supports, boundary key/virtual order, node entries,
+    /// `direct_support` — and the graph the handle serves.
+    fn assert_same_handle(bulk: &GraphHandle, replay: &GraphHandle, what: &str) {
+        assert!(state_bytes(bulk) == state_bytes(replay), "{what}: state");
+        assert_eq!(
+            String::from_utf8(bulk.canonical_bytes()).unwrap(),
+            String::from_utf8(replay.canonical_bytes()).unwrap(),
+            "{what}: canonical bytes"
+        );
+        let (b, r) = (bulk.graph(), replay.graph());
+        assert_eq!(b.num_vertices(), r.num_vertices(), "{what}: vertices");
+        assert_eq!(
+            b.stored_edge_count(),
+            r.stored_edge_count(),
+            "{what}: stored edges"
+        );
+        assert_eq!(
+            b.as_condensed().unwrap().num_virtual(),
+            r.as_condensed().unwrap().num_virtual(),
+            "{what}: virtual nodes"
+        );
+    }
+
+    /// `factor`: `None` keeps the planner's default large-output factor.
+    fn bulk_cfg(factor: Option<f64>, threads: usize, incremental: bool) -> GraphGenConfig {
+        let b = GraphGenConfig::builder()
+            .preprocess(false)
+            .auto_expand_threshold(None)
+            .threads(threads)
+            .incremental(incremental);
+        match factor {
+            Some(f) => b.large_output_factor(f).build(),
+            None => b.build(),
+        }
+    }
+
+    /// Build the state both ways at 1/2/8 threads and require identity;
+    /// returns the 2-thread pair for the caller to continue with deltas.
+    fn both_ways(db: &Database, dsl: &str, factor: Option<f64>) -> (GraphHandle, GraphHandle) {
+        let mut pair = None;
+        for threads in [1, 2, 8] {
+            let cfg = bulk_cfg(factor, threads, true);
+            let bulk = GraphGen::with_config(db, cfg).extract(dsl).unwrap();
+            let replay = extract_by_replay(db, dsl, cfg);
+            assert_same_handle(&bulk, &replay, &format!("{threads} threads"));
+            let fresh = GraphGen::with_config(db, bulk_cfg(factor, 1, false))
+                .extract(dsl)
+                .unwrap();
+            assert_eq!(bulk.canonical_bytes(), fresh.canonical_bytes());
+            if threads == 2 {
+                pair = Some((bulk, replay));
+            }
+        }
+        pair.unwrap()
+    }
+
+    /// Apply `deltas` to a bulk-built and a replay-built handle: they must
+    /// stay byte-identical, and equal a from-scratch extraction of `db`.
+    fn continue_both(
+        db: &Database,
+        dsl: &str,
+        factor: Option<f64>,
+        pair: &mut (GraphHandle, GraphHandle),
+        deltas: &[Delta],
+    ) {
+        for delta in deltas {
+            pair.0.apply_delta(delta).unwrap();
+            pair.1.apply_delta(delta).unwrap();
+        }
+        assert_same_handle(&pair.0, &pair.1, "after deltas");
+        let fresh = GraphGen::with_config(db, bulk_cfg(factor, 1, false))
+            .extract(dsl)
+            .unwrap();
+        assert_eq!(
+            String::from_utf8(pair.0.canonical_bytes()).unwrap(),
+            String::from_utf8(fresh.canonical_bytes()).unwrap(),
+            "bulk-built handle diverges from re-extraction"
+        );
+    }
+
+    /// One cell: NULL `null_permille` times in a thousand, else uniform in
+    /// `0..domain` (a small domain means many duplicate rows).
+    fn cell(rng: &mut SplitMix64, domain: u64, null_permille: u64) -> Value {
+        if rng.next_below(1000) < null_permille {
+            Value::Null
+        } else {
+            Value::int(rng.next_below(domain) as i64)
+        }
+    }
+
+    fn int_table(
+        rng: &mut SplitMix64,
+        cols: &[&str],
+        rows: usize,
+        domain: u64,
+        null_permille: u64,
+    ) -> Table {
+        let mut t = Table::new(Schema::new(cols.iter().map(|c| Column::int(*c)).collect()));
+        for _ in 0..rows {
+            t.push_row(
+                cols.iter()
+                    .map(|_| cell(rng, domain, null_permille))
+                    .collect(),
+            )
+            .unwrap();
+        }
+        t
+    }
+
+    /// `Entity(id, name)`: ids `0..n` in shuffled order, every third one
+    /// missing (so edge endpoints exist that are no node key), a few
+    /// repeated under another name, one NULL key.
+    fn entity_table(rng: &mut SplitMix64, n: i64) -> Table {
+        let mut t = Table::new(Schema::new(vec![Column::int("id"), Column::str("name")]));
+        let mut keys: Vec<i64> = (0..n).filter(|k| k % 3 != 1).collect();
+        rng.shuffle(&mut keys);
+        for k in keys {
+            t.push_row(vec![Value::int(k), Value::str(format!("e{k}"))])
+                .unwrap();
+            if k % 7 == 0 {
+                t.push_row(vec![Value::int(k), Value::str(format!("alias{k}"))])
+                    .unwrap();
+            }
+        }
+        t.push_row(vec![Value::Null, Value::str("nobody")]).unwrap();
+        t
+    }
+
+    /// Delete `deletes` random live rows of `table` and insert `inserts`
+    /// fresh random ones.
+    fn churn(
+        db: &mut Database,
+        table: &str,
+        rng: &mut SplitMix64,
+        deletes: usize,
+        inserts: usize,
+        domain: u64,
+    ) -> Vec<Delta> {
+        let t = db.table(table).unwrap();
+        let arity = t.schema().arity();
+        let live: Vec<Vec<Value>> = t.iter_rows().collect();
+        let gone: Vec<Vec<Value>> = (0..deletes.min(live.len()))
+            .map(|_| live[rng.next_below(live.len() as u64) as usize].clone())
+            .collect();
+        let fresh: Vec<Vec<Value>> = (0..inserts)
+            .map(|_| (0..arity).map(|_| cell(rng, domain, 50)).collect())
+            .collect();
+        vec![
+            db.delete_rows(table, &gone).unwrap(),
+            db.insert_rows(table, fresh).unwrap(),
+        ]
+    }
+
+    const COAUTHORS: &str = "Nodes(ID, Name) :- Entity(ID, Name).\n\
+                             Edges(A, B) :- M(A, G), M(B, G).";
+
+    /// The serve plan: sparse memberships under the default factor plan as
+    /// one two-atom self-join segment — direct edges, no virtual node —
+    /// and big enough that the 2- and 8-thread joins really fan out.
+    #[test]
+    fn bulk_single_segment_self_join() {
+        for seed in [1, 2, 3] {
+            let mut rng = SplitMix64::new(seed);
+            let mut db = Database::new();
+            db.register("Entity", entity_table(&mut rng, 900)).unwrap();
+            db.register("M", int_table(&mut rng, &["e", "g"], 4000, 3000, 20))
+                .unwrap();
+            let mut pair = both_ways(&db, COAUTHORS, None);
+            assert_eq!(pair.0.report().plans[0].segments.len(), 1);
+            assert_eq!(pair.0.graph().as_condensed().unwrap().num_virtual(), 0);
+            assert!(pair.0.graph().stored_edge_count() > 0);
+            for _ in 0..3 {
+                let deltas = churn(&mut db, "M", &mut rng, 30, 30, 3000);
+                continue_both(&db, COAUTHORS, None, &mut pair, &deltas);
+            }
+            // Tombstoned rows and recycled dictionary slots underneath.
+            both_ways(&db, COAUTHORS, None);
+        }
+    }
+
+    /// Factor 0.0 cuts the self-join: two single-atom segments, one layer
+    /// of virtual nodes; duplicates and NULLs on both sides of the cut.
+    #[test]
+    fn bulk_two_single_atom_segments() {
+        for seed in [4, 5, 6] {
+            let mut rng = SplitMix64::new(seed);
+            let mut db = Database::new();
+            db.register("Entity", entity_table(&mut rng, 60)).unwrap();
+            db.register("M", int_table(&mut rng, &["e", "g"], 1500, 40, 60))
+                .unwrap();
+            let mut pair = both_ways(&db, COAUTHORS, Some(0.0));
+            assert_eq!(pair.0.report().plans[0].segments.len(), 2);
+            assert!(pair.0.graph().as_condensed().unwrap().num_virtual() > 0);
+            for _ in 0..3 {
+                let mut deltas = churn(&mut db, "M", &mut rng, 40, 40, 40);
+                deltas.extend(churn(&mut db, "Entity", &mut rng, 3, 0, 60));
+                continue_both(&db, COAUTHORS, Some(0.0), &mut pair, &deltas);
+            }
+            both_ways(&db, COAUTHORS, Some(0.0));
+        }
+    }
+
+    /// Three segments: the middle one is virtual → virtual, and its two
+    /// boundaries are each fed from two segments. `R` is small, so many
+    /// middle pairs are the first to name both their boundary ids.
+    #[test]
+    fn bulk_three_segment_chain() {
+        let dsl = "Nodes(ID, Name) :- Entity(ID, Name).\n\
+                   Edges(A, B) :- R(A, X), S(X, Y), T(Y, B).";
+        for seed in [7, 8] {
+            let mut rng = SplitMix64::new(seed);
+            let mut db = Database::new();
+            db.register("Entity", entity_table(&mut rng, 50)).unwrap();
+            db.register("R", int_table(&mut rng, &["a", "x"], 60, 50, 30))
+                .unwrap();
+            db.register("S", int_table(&mut rng, &["x", "y"], 300, 50, 30))
+                .unwrap();
+            db.register("T", int_table(&mut rng, &["y", "b"], 1200, 50, 30))
+                .unwrap();
+            let mut pair = both_ways(&db, dsl, Some(0.0));
+            assert_eq!(pair.0.report().plans[0].segments.len(), 3);
+            for table in ["S", "R", "T"] {
+                let deltas = churn(&mut db, table, &mut rng, 25, 25, 50);
+                continue_both(&db, dsl, Some(0.0), &mut pair, &deltas);
+            }
+        }
+    }
+
+    /// One segment over two tables completes at whichever is scanned
+    /// later: `S` when the node view reads `Entity`, `R` when it reads
+    /// `S` (node views come first in table order) — there `S` also serves
+    /// a node view and an atom at once.
+    #[test]
+    fn bulk_segment_over_two_tables() {
+        let by_entity = "Nodes(ID, Name) :- Entity(ID, Name).\n\
+                         Edges(A, B) :- R(A, X), S(X, B).";
+        let by_s = "Nodes(ID) :- S(_, ID).\nEdges(A, B) :- R(A, X), S(X, B).";
+        for (seed, dsl) in [(9, by_entity), (10, by_s)] {
+            let mut rng = SplitMix64::new(seed);
+            let mut db = Database::new();
+            db.register("Entity", entity_table(&mut rng, 80)).unwrap();
+            db.register("R", int_table(&mut rng, &["a", "x"], 2500, 80, 30))
+                .unwrap();
+            db.register("S", int_table(&mut rng, &["x", "b"], 2500, 80, 30))
+                .unwrap();
+            let mut pair = both_ways(&db, dsl, Some(1e12));
+            assert_eq!(pair.0.report().plans[0].segments.len(), 1);
+            for table in ["R", "S"] {
+                let deltas = churn(&mut db, table, &mut rng, 30, 30, 80);
+                continue_both(&db, dsl, Some(1e12), &mut pair, &deltas);
+            }
+        }
+    }
+
+    /// A friend-of-friend chain over the table the nodes come from, cut
+    /// and uncut: the table is scanned as a view and as both atoms.
+    #[test]
+    fn bulk_one_table_as_view_and_atoms() {
+        let dsl = "Nodes(ID) :- F(ID, _).\nEdges(A, B) :- F(A, X), F(X, B).";
+        for (seed, factor) in [(11, 0.0), (12, 1e12)] {
+            let mut rng = SplitMix64::new(seed);
+            let mut db = Database::new();
+            db.register("F", int_table(&mut rng, &["src", "dst"], 2000, 70, 40))
+                .unwrap();
+            let mut pair = both_ways(&db, dsl, Some(factor));
+            let deltas = churn(&mut db, "F", &mut rng, 50, 50, 70);
+            continue_both(&db, dsl, Some(factor), &mut pair, &deltas);
+        }
+    }
+
+    /// Two rules yield overlapping pairs (direct edges are reference-
+    /// counted across chains), and filter constants select rows in an atom
+    /// and in a node view.
+    #[test]
+    fn bulk_two_chains_and_filters() {
+        let dsl = "Nodes(ID, Name) :- Person(ID, Name, 1).\n\
+                   Edges(A, B) :- M(A, G, 7), M(B, G, 7).\n\
+                   Edges(A, B) :- M(A, G, Y), M(B, G, Y).";
+        for (seed, factor) in [(13, None), (14, Some(0.0))] {
+            let mut rng = SplitMix64::new(seed);
+            let mut person = Table::new(Schema::new(vec![
+                Column::int("id"),
+                Column::str("name"),
+                Column::int("kind"),
+            ]));
+            for k in 0..60i64 {
+                person
+                    .push_row(vec![
+                        Value::int(k),
+                        Value::str(format!("p{k}")),
+                        Value::int(k % 2),
+                    ])
+                    .unwrap();
+            }
+            let mut m = Table::new(Schema::new(vec![
+                Column::int("e"),
+                Column::int("g"),
+                Column::int("y"),
+            ]));
+            for _ in 0..1500 {
+                m.push_row(vec![
+                    cell(&mut rng, 60, 20),
+                    cell(&mut rng, 400, 20),
+                    Value::int(6 + rng.next_below(3) as i64),
+                ])
+                .unwrap();
+            }
+            let mut db = Database::new();
+            db.register("Person", person).unwrap();
+            db.register("M", m).unwrap();
+            let mut pair = both_ways(&db, dsl, factor);
+            let gone: Vec<Vec<Value>> = db.table("M").unwrap().iter_rows().take(40).collect();
+            let deltas = vec![db.delete_rows("M", &gone).unwrap()];
+            continue_both(&db, dsl, factor, &mut pair, &deltas);
+        }
+    }
+
+    /// Two node views yield the same keys with different properties, in
+    /// an order where the second view's table is scanned between the
+    /// first view's table and the atoms.
+    #[test]
+    fn bulk_two_views_share_keys() {
+        let dsl = "Nodes(ID, Name) :- P(ID, Name).\n\
+                   Nodes(ID, Name) :- Q(ID, Name).\n\
+                   Edges(A, B) :- M(A, G), M(B, G).";
+        let mut rng = SplitMix64::new(15);
+        let named = |prefix: &str, keys: std::ops::Range<i64>| {
+            let mut t = Table::new(Schema::new(vec![Column::int("id"), Column::str("name")]));
+            for k in keys {
+                t.push_row(vec![Value::int(k), Value::str(format!("{prefix}{k}"))])
+                    .unwrap();
+            }
+            t
+        };
+        let mut db = Database::new();
+        db.register("P", named("p", 0..40)).unwrap();
+        db.register("Q", named("q", 25..70)).unwrap();
+        db.register("M", int_table(&mut rng, &["e", "g"], 1200, 80, 10))
+            .unwrap();
+        for factor in [None, Some(0.0)] {
+            let mut pair = both_ways(&db, dsl, factor);
+            assert_eq!(
+                pair.0
+                    .vertex_property(&Value::int(30), "Name")
+                    .and_then(|p| p.as_text()),
+                Some("q30"),
+                "the later view's value wins"
+            );
+            // Key 30 loses its Q row and falls back to P's name; it comes
+            // back under another name.
+            let deltas = vec![
+                db.delete_rows("Q", &[vec![Value::int(30), Value::str("q30")]])
+                    .unwrap(),
+                db.insert_rows("Q", vec![vec![Value::int(30), Value::str("q30")]])
+                    .unwrap(),
+            ];
+            continue_both(&db, dsl, factor, &mut pair, &deltas);
+        }
+    }
+
+    #[test]
+    fn bulk_empty_tables() {
+        let empty = |cols: Vec<Column>| Table::new(Schema::new(cols));
+        for (entities, memberships) in [(false, false), (true, false), (false, true)] {
+            for factor in [None, Some(0.0)] {
+                let mut rng = SplitMix64::new(16);
+                let mut db = Database::new();
+                let entity = if entities {
+                    entity_table(&mut rng, 20)
+                } else {
+                    empty(vec![Column::int("id"), Column::str("name")])
+                };
+                let m = if memberships {
+                    int_table(&mut rng, &["e", "g"], 100, 20, 0)
+                } else {
+                    empty(vec![Column::int("e"), Column::int("g")])
+                };
+                db.register("Entity", entity).unwrap();
+                db.register("M", m).unwrap();
+                let mut pair = both_ways(&db, COAUTHORS, factor);
+                let deltas = vec![
+                    db.insert_rows("M", vec![vec![Value::int(3), Value::int(1)]; 2])
+                        .unwrap(),
+                    db.insert_rows("Entity", vec![vec![Value::int(3), Value::str("e3")]])
+                        .unwrap(),
+                ];
+                continue_both(&db, COAUTHORS, factor, &mut pair, &deltas);
+            }
+        }
+    }
+
+    /// The named hand-offs from bulk-built state to the delta engine, on
+    /// Fig. 1 plus a duplicated row and a membership of a non-author.
+    #[test]
+    fn bulk_built_state_continues_under_deltas() {
+        for factor in [None, Some(0.0)] {
+            let mut db = fig1_db();
+            db.insert_rows(
+                "AuthorPub",
+                vec![
+                    vec![Value::int(2), Value::int(1)], // (2, 1) is now held twice
+                    vec![Value::int(9), Value::int(3)], // author 9 is no node
+                ],
+            )
+            .unwrap();
+            let mut pair = both_ways(&db, Q1, factor);
+            let mut step = |db: &Database, delta: Delta| {
+                continue_both(db, Q1, factor, &mut pair, &[delta]);
+            };
+            // Delete one copy of the duplicated row: no edge may go.
+            let d = db
+                .delete_rows("AuthorPub", &[vec![Value::int(2), Value::int(1)]])
+                .unwrap();
+            step(&db, d);
+            // Delete the other: the supports of a2's pairs reach zero.
+            let d = db
+                .delete_rows("AuthorPub", &[vec![Value::int(2), Value::int(1)]])
+                .unwrap();
+            step(&db, d);
+            // Remove the hub, then revive it.
+            let d = db
+                .delete_rows("Author", &[vec![Value::int(4), Value::str("a4")]])
+                .unwrap();
+            step(&db, d);
+            let d = db
+                .insert_rows("Author", vec![vec![Value::int(4), Value::str("back")]])
+                .unwrap();
+            step(&db, d);
+            // The non-node endpoint becomes a node and gains its edges.
+            let d = db
+                .insert_rows("Author", vec![vec![Value::int(9), Value::str("a9")]])
+                .unwrap();
+            step(&db, d);
+            assert!(pair
+                .0
+                .neighbors_by_key(&Value::int(9))
+                .unwrap()
+                .contains(&&Value::int(3)));
+        }
+    }
+
+    // -----------------------------------------------------------------------
+    // Hostile snapshot bytes
+    // -----------------------------------------------------------------------
+
+    /// The encoded state of Q1 over Fig. 1 cut into two single-atom
+    /// segments, and the offset of segment 0's support map in it.
+    fn encoded_state_with_support_at() -> (Vec<u8>, usize) {
+        let g = GraphGen::with_config(&fig1_db(), cfg(true, 1))
+            .extract(Q1)
+            .unwrap();
+        let bytes = state_bytes(&g);
+        // Fig. 1's eight (author, publication) pairs, each held once: the
+        // first map of eight entries whose first count is 1.
+        let n = 8u64.to_le_bytes();
+        let at = (0..bytes.len() - 32)
+            .find(|&i| bytes[i..i + 8] == n && bytes[i + 16..i + 24] == 1i64.to_le_bytes())
+            .expect("support map of segment 0");
+        (bytes, at)
+    }
+
+    fn decode_state(bytes: &[u8]) -> Result<IncrementalState, CodecError> {
+        let mut chunks = Vec::new();
+        ChunkEncoder::new().finish_into(&mut chunks);
+        let dec = ChunkDecoder::decode(&mut Reader::new(&chunks)).unwrap();
+        IncrementalState::decode(&mut Reader::new(bytes), &dec)
+    }
+
+    #[test]
+    fn decode_rejects_zero_multiplicity() {
+        let (mut bytes, at) = encoded_state_with_support_at();
+        assert!(decode_state(&bytes).is_ok());
+        bytes[at + 16..at + 24].copy_from_slice(&0i64.to_le_bytes());
+        let err = decode_state(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::Invalid { at: pos, what }
+                if *pos == at + 8 && what.contains("multiplicity")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn decode_rejects_duplicate_packed_key() {
+        let (mut bytes, at) = encoded_state_with_support_at();
+        // Entry 1's key := entry 0's key.
+        let first = bytes[at + 8..at + 16].to_vec();
+        bytes[at + 24..at + 32].copy_from_slice(&first);
+        let err = decode_state(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::Invalid { at: pos, what }
+                if *pos == at + 24 && what.contains("ascending")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn decode_rejects_descending_bag_slot() {
+        // The default factor keeps Q1 one two-atom segment, whose atoms
+        // keep their bags: `by_in` of atom 0 has a slot per author.
+        let g = GraphGen::with_config(&fig1_db(), bulk_cfg(None, 1, true))
+            .extract(Q1)
+            .unwrap();
+        let mut bytes = state_bytes(&g);
+        assert!(decode_state(&bytes).is_ok());
+        // Five author slots; the first holds two publications, one each.
+        let (five, two) = (5u64.to_le_bytes(), 2u64.to_le_bytes());
+        let at = (0..bytes.len() - 24)
+            .find(|&i| bytes[i..i + 8] == five && bytes[i + 12..i + 20] == two)
+            .expect("by_in of atom 0");
+        // Slot 1's id := 0, below slot 0's: it would overwrite a bag.
+        let second = at + 8 + 4 + 8 + 2 * 12;
+        bytes[second..second + 4].copy_from_slice(&0u32.to_le_bytes());
+        let err = decode_state(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::Invalid { at: pos, what }
+                if *pos == second && what.contains("bag slots")),
+            "{err}"
+        );
     }
 }

@@ -110,16 +110,19 @@ impl Interner {
 
     /// Intern `value` without tracking the reference: the slot is pinned
     /// for the interner's lifetime. Used by grow-only consumers (the
-    /// incremental engine's historical key space).
+    /// incremental engine's historical key space). Idempotent — interning
+    /// a pinned value again leaves the dictionary (and so its encoding)
+    /// unchanged, which is what lets a bulk loader intern each distinct
+    /// value once and still match a row-at-a-time replay byte for byte.
     pub fn intern(&mut self, value: &Value) -> Vid {
-        if let Some(&vid) = self.map.get(value) {
-            self.refs[vid as usize] = self.refs[vid as usize].saturating_add(1).max(u64::MAX / 2);
-            return vid;
-        }
-        let vid = self.alloc(value);
+        let vid = match self.map.get(value) {
+            Some(&vid) => vid,
+            None => self.alloc(value),
+        };
         // Pin: a count this large can never be released back to zero by
         // well-formed acquire/release pairs.
-        self.refs[vid as usize] = u64::MAX / 2;
+        let refs = &mut self.refs[vid as usize];
+        *refs = (*refs).max(u64::MAX / 2);
         vid
     }
 
@@ -317,6 +320,19 @@ mod tests {
         assert_eq!(it.lookup(&Value::int(1)), Some(a));
         it.release(a);
         assert_eq!(it.lookup(&Value::int(1)), None);
+    }
+
+    #[test]
+    fn interning_a_pinned_value_again_changes_nothing() {
+        let mut it = Interner::new();
+        it.intern(&Value::str("k"));
+        let mut once = Vec::new();
+        it.encode_into(&mut once);
+        it.intern(&Value::str("k"));
+        it.intern(&Value::Null);
+        let mut thrice = Vec::new();
+        it.encode_into(&mut thrice);
+        assert_eq!(once, thrice);
     }
 
     #[test]

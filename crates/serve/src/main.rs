@@ -23,9 +23,9 @@
 //!   EXTRACT with its per-code rejection counters, a skewed-insert burst
 //!   that flips a frozen plan's `stale_plan` drift flag, an
 //!   analyze → publish → re-analyze sequence that must warm-start, and a
-//!   METRICS + TRACE pass that must find the deliberately slow ANALYZE in
-//!   the trace ring), shut down cleanly, and exit non-zero on any
-//!   mismatch (used by CI)
+//!   METRICS + TRACE pass that must find the EXTRACT's scan phase in the
+//!   exposition and the deliberately slow ANALYZE in the trace ring), shut
+//!   down cleanly, and exit non-zero on any mismatch (used by CI)
 //!
 //! The protocol is newline-delimited text — see `graphgen_serve::protocol`
 //! — so `nc 127.0.0.1 7411` is a usable client.
@@ -372,6 +372,17 @@ fn smoke() -> Result<(), String> {
     }
     if !exposition.contains("verb=\"apply\"") || !exposition.contains("phase=\"publish\"") {
         return Err("METRICS missing per-verb/per-phase labelled series".into());
+    }
+    // The EXTRACT above must have built its state with the set-at-a-time
+    // operators: replaying rows through the delta engine records no scan.
+    let scans = exposition
+        .lines()
+        .find_map(|l| l.strip_prefix("graphgen_extract_phase_ns_count{phase=\"scan\"} "))
+        .and_then(|n| n.parse::<u64>().ok());
+    if scans.unwrap_or(0) == 0 {
+        return Err(format!(
+            "EXTRACT recorded no scan phase (count {scans:?}): is it replaying rows again?"
+        ));
     }
     println!("metrics: {} instrument families exposed", families.len());
     // Every command above outran the 1µs threshold, so the ring holds the

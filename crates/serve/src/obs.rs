@@ -50,10 +50,12 @@ pub const VERBS: &[&str] = &[
 /// [`crate::GraphService::apply`]).
 pub const APPLY_PHASES: &[&str] = &["validate", "wal_append", "patch", "publish"];
 
-/// The extraction operator phases, as the `phase` label of
+/// The extraction phases, as the `phase` label of
 /// `graphgen_extract_phase_ns` (span labels emitted by the relational
-/// executor and the representation builder).
-pub const EXTRACT_PHASES: &[&str] = &["scan", "join", "distinct", "build_rep"];
+/// executor, the maintenance-state bulk loader and the representation
+/// builder). The spans never nest, so the family's sums add up to the
+/// attributed share of `graphgen_extract_ns`.
+pub const EXTRACT_PHASES: &[&str] = &["scan", "join", "distinct", "load_state", "build_rep"];
 
 instruments! {
     /// The unlabelled instrument catalog of the serving stack.

@@ -21,6 +21,9 @@
 //! * **Recovery zeroing** — instruments are in-memory only: reopening a
 //!   durable service zeroes the workload counters while graph versions
 //!   (and the recovery-replay instruments) prove the data survived.
+//! * **`EXTRACT` attribution** — the extraction phase spans account for at
+//!   least 80% of `graphgen_extract_ns`, the scan and join operators among
+//!   them (a row-by-row replay through the delta engine ran neither).
 
 use graphgen_common::metrics::{unescape_exposition, ValueSnapshot};
 use graphgen_reldb::Value;
@@ -377,4 +380,38 @@ fn recovery_zeroes_instruments_but_preserves_graphs() {
         version_before,
         "graph version must survive the restart that zeroed the metrics"
     );
+}
+
+#[test]
+fn extract_time_is_attributed_to_phases() {
+    use graphgen_datagen::relational::DBLP_COAUTHORS;
+    use graphgen_datagen::{dblp_like, DblpConfig};
+    let s = GraphService::in_memory(dblp_like(DblpConfig {
+        authors: 4_000,
+        publications: 6_000,
+        avg_authors_per_pub: 2.5,
+        seed: 1,
+    }));
+    let extract = format!("EXTRACT g {}", DBLP_COAUTHORS.replace('\n', " "));
+    assert!(send(&s, &extract).starts_with("OK"), "EXTRACT failed");
+    let hists = histograms(&s);
+    let hist = |key: &str| {
+        let (_, h) = hists.iter().find(|(k, _)| k == key).expect(key);
+        (h.count, h.sum)
+    };
+    let phase = |label: &str| hist(&format!("graphgen_extract_phase_ns{{phase={label}}}"));
+    let (extracts, total_ns) = hist("graphgen_extract_ns");
+    assert_eq!(extracts, 1);
+    let attributed_ns: u64 = graphgen_serve::obs::EXTRACT_PHASES
+        .iter()
+        .map(|label| phase(label).1)
+        .sum();
+    assert!(
+        attributed_ns as f64 >= 0.8 * total_ns as f64,
+        "phases cover {attributed_ns} of {total_ns} ns"
+    );
+    assert!(attributed_ns <= total_ns, "phase spans must not nest");
+    for label in ["scan", "join", "load_state", "build_rep"] {
+        assert!(phase(label).0 > 0, "no `{label}` span recorded");
+    }
 }

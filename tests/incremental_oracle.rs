@@ -271,52 +271,55 @@ fn default_planner_small_output_chain() {
     }
 }
 
-/// Deeper clone-isolation property suite: arbitrary-seeded mutation
-/// streams with a growing chain of pinned clones, every pin checked for
-/// bit-stability after every batch. Requires the external `proptest` crate
-/// — enable the `proptest-tests` feature in an environment with a
-/// reachable registry (see Cargo.toml).
-#[cfg(feature = "proptest-tests")]
-mod deep {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(12))]
-        #[test]
-        fn clone_chains_stay_isolated(seed in any::<u64>(), rounds in 1usize..5) {
-            let (mut db, query) = single_layer_database(SingleLayerConfig {
-                rows: 600,
-                selectivity: 0.2,
-                seed,
-            });
-            let mut handle = GraphGen::with_config(&db, cfg(2, true))
-                .extract(&query)
-                .unwrap();
-            // (pinned clone, bytes at pin time) — one pin per round, all
-            // re-checked after every later batch.
-            let mut pins: Vec<(GraphHandle, Vec<u8>)> = Vec::new();
-            for round in 0..rounds as u64 {
-                let bytes = handle.canonical_bytes();
-                pins.push((handle.clone(), bytes));
-                let deltas = random_mutation(
-                    &mut db,
-                    "A",
-                    MutationConfig { inserts: 20, deletes: 12, seed: seed ^ round },
-                )
-                .unwrap();
-                for d in &deltas {
-                    handle.apply_delta(d).unwrap();
-                }
-                for (pin, at_pin) in &pins {
-                    prop_assert_eq!(
-                        &pin.canonical_bytes(),
-                        at_pin,
-                        "pinned clone mutated by a later patch"
-                    );
-                }
+/// Deeper clone-isolation suite: seeded mutation streams with a growing
+/// chain of pinned clones, every pin checked for bit-stability after every
+/// batch. Twelve cases, each drawing its database seed and its 1–4 rounds
+/// from a fixed `SplitMix64` seed.
+#[test]
+fn clone_chains_stay_isolated() {
+    for case in 0..12u64 {
+        let mut rng = graphgen::common::SplitMix64::new(0xC10E + case);
+        let seed = rng.next_u64();
+        let rounds = 1 + rng.next_below(4);
+        let (mut db, query) = single_layer_database(SingleLayerConfig {
+            rows: 600,
+            selectivity: 0.2,
+            seed,
+        });
+        let mut handle = GraphGen::with_config(&db, cfg(2, true))
+            .extract(&query)
+            .unwrap();
+        // (pinned clone, bytes at pin time) — one pin per round, all
+        // re-checked after every later batch.
+        let mut pins: Vec<(GraphHandle, Vec<u8>)> = Vec::new();
+        for round in 0..rounds {
+            let bytes = handle.canonical_bytes();
+            pins.push((handle.clone(), bytes));
+            let deltas = random_mutation(
+                &mut db,
+                "A",
+                MutationConfig {
+                    inserts: 20,
+                    deletes: 12,
+                    seed: seed ^ round,
+                },
+            )
+            .unwrap();
+            for d in &deltas {
+                handle.apply_delta(d).unwrap();
             }
-            prop_assert_eq!(handle.canonical_bytes(), reextract(&db, &query));
+            for (pin, at_pin) in &pins {
+                assert_eq!(
+                    &pin.canonical_bytes(),
+                    at_pin,
+                    "case {case}: pinned clone mutated by a later patch"
+                );
+            }
         }
+        assert_eq!(
+            handle.canonical_bytes(),
+            reextract(&db, &query),
+            "case {case}"
+        );
     }
 }
