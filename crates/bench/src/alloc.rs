@@ -203,14 +203,11 @@ mod tests {
 
     #[test]
     fn real_operators_label_their_regions() {
-        use graphgen_reldb::{exec, RowSet};
-        let mut rows = RowSet::new(2);
-        for i in 0..4000 {
-            rows.push_row([i % 97 + 1, i + 1]);
-        }
+        use graphgen_reldb::exec;
+        let keys: Vec<u64> = (0..4000).map(|i| exec::pack(i % 97 + 1, i + 1)).collect();
         let (_, deltas) = measure_regions(|| {
-            let joined = exec::hash_join_project(&rows, 0, &rows, 0, &[0, 1, 2, 3], 2);
-            exec::distinct_rows(joined, 2)
+            let bag = exec::group_pairs(keys.clone());
+            exec::join_counted(&bag, &bag, 4001, 2)
         });
         let by_region = |r: Region| deltas.iter().find(|d| d.region == r).unwrap().bytes;
         assert!(by_region(Region::Build) > 0, "build not attributed");

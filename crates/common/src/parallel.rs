@@ -1,13 +1,10 @@
 //! Morsel-driven parallelism helpers (std scoped threads, no external deps).
 //!
-//! The extraction hot paths — table scans, hash-join build and probe,
-//! DISTINCT, the dedup preprocessing scan — all follow the same two shapes:
-//!
-//! * **morsels**: split `0..n` into contiguous ranges, process each range on
-//!   its own scoped thread, and merge the per-morsel outputs *in morsel
-//!   order*, so the merged result is byte-identical to a serial run;
-//! * **partitions**: run one thread per hash partition, each producing the
-//!   output for the keys it owns.
+//! The extraction hot paths — table scans, join probes, delta probes, the
+//! dedup preprocessing scan — all follow the same shape, **morsels**: split
+//! `0..n` into contiguous ranges, process each range on its own scoped
+//! thread, and merge the per-morsel outputs *in morsel order*, so the
+//! merged result is byte-identical to a serial run.
 //!
 //! Centralizing the pattern keeps every parallel operator deterministic and
 //! keeps thread management out of the operator code itself.
@@ -85,56 +82,6 @@ where
     })
 }
 
-/// Morsel-parallel scatter of `0..n` into hash partitions: maps each item
-/// `i` through `f(i) -> (partition, payload)` and returns per-morsel bucket
-/// sets `out[morsel][partition]`. Iterating morsels in order within one
-/// partition yields payloads in ascending item order — the invariant the
-/// deterministic partitioned operators (join build, DISTINCT) rely on, so
-/// it lives here rather than being re-derived at each call site.
-pub fn scatter_partitions<T, F>(n: usize, parts: usize, f: F) -> Vec<Vec<Vec<T>>>
-where
-    T: Send,
-    F: Fn(usize) -> (usize, T) + Sync,
-{
-    map_morsels(n, parts, |range| {
-        let mut local: Vec<Vec<T>> = (0..parts).map(|_| Vec::new()).collect();
-        for i in range {
-            let (p, payload) = f(i);
-            local[p].push(payload);
-        }
-        local
-    })
-}
-
-/// Run `f(p)` for every partition `p in 0..parts` on scoped threads,
-/// returning the outputs in partition order. `parts <= 1` runs serially.
-pub fn map_partitions<T, F>(parts: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if parts <= 1 {
-        return vec![f(0)];
-    }
-    // See map_morsels: workers inherit the caller's region label.
-    let region = crate::region::current();
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = (0..parts)
-            .map(|p| {
-                scope.spawn(move || {
-                    let _region = crate::region::enter(region);
-                    f(p)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("partition worker panicked"))
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,24 +116,6 @@ mod tests {
     fn map_morsels_preserves_order() {
         let out = map_morsels(5000, 4, |r| r.collect::<Vec<_>>()).concat();
         assert_eq!(out, (0..5000).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn map_partitions_in_order() {
-        assert_eq!(map_partitions(4, |p| p * 10), vec![0, 10, 20, 30]);
-        assert_eq!(map_partitions(0, |p| p), vec![0]);
-    }
-
-    #[test]
-    fn scatter_partitions_preserves_item_order_per_partition() {
-        let n = 5000usize;
-        let parts = 4;
-        let buckets = scatter_partitions(n, parts, |i| (i % parts, i));
-        for p in 0..parts {
-            let items: Vec<usize> = buckets.iter().flat_map(|m| m[p].iter().copied()).collect();
-            assert!(items.windows(2).all(|w| w[0] < w[1]), "partition {p}");
-            assert_eq!(items, (0..n).filter(|i| i % parts == p).collect::<Vec<_>>());
-        }
     }
 
     #[test]

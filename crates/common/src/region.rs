@@ -22,11 +22,13 @@ pub enum Region {
     General = 0,
     /// Filtered scan + projection + dictionary lookup (`scan_project`).
     Scan = 1,
-    /// Hash-join index build.
+    /// Counted-join build: the run offsets of the atom bag
+    /// (`join_counted`).
     Build = 2,
-    /// Hash-join probe + output emission.
+    /// Counted-join probe + grouped output emission (`join_counted`).
     Probe = 3,
-    /// Duplicate elimination over id rows (`distinct_rows`).
+    /// GROUP BY over packed id pairs, which is the `DISTINCT`
+    /// (`group_pairs`).
     Distinct = 4,
     /// Representation construction + preprocessing (`build_rep`).
     BuildRep = 5,

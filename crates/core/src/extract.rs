@@ -6,7 +6,7 @@ use crate::error::Error;
 use crate::handle::GraphHandle;
 use crate::incremental::IncrementalState;
 use crate::planner::{filters_to_predicate, full_query, plan_chain, ChainPlan};
-use graphgen_common::{FxHashMap, IdMap};
+use graphgen_common::IdMap;
 use graphgen_dedup::preprocess::{expand_cheap_virtuals, should_expand, PreprocessStats};
 use graphgen_dsl::{
     check_program, parse, CheckOptions, CheckReport, GraphSpec, NodesView, Severity,
@@ -54,14 +54,16 @@ impl Default for GraphGenConfig {
 }
 
 /// Scanned input rows per worker thread of a batch extraction whose thread
-/// count nobody chose. Two threads against one on the `Vid`-keyed operators
-/// measured 0.94x at 50k scanned rows, 1.08x at 200k, 1.13x at 800k and
-/// 1.24x at 1.6M; at 200k the fan-outs also cost half again the kernel time
-/// (thread stacks, allocator arenas) and make every operator wait for the
-/// slower of its threads, which on a shared machine is run-to-run spread
-/// bought with no throughput. So a default-configured extraction stays on
-/// the calling thread until it scans two of these, and grows by one thread
-/// per further one.
+/// count nobody chose. Two threads against one on the sort/group operators
+/// (scans and join probes fan out, the grouping sort and the graph build do
+/// not) measured 0.93x at 50k scanned rows and 1.00x at 200k, at 800k and at
+/// 1.6M (0.97x to 1.08x over four runs there): below 200k a fan-out costs
+/// more than it saves, above it buys nothing measurable yet, and either way
+/// it costs kernel time (thread stacks, allocator arenas) and makes every
+/// operator wait for the slower of its threads, which on a shared machine
+/// is run-to-run spread bought with no throughput. So a default-configured
+/// extraction stays on the calling thread until it scans two of these, and
+/// grows by one thread per further one.
 const ROWS_PER_THREAD: usize = 1 << 18;
 
 impl GraphGenConfig {
@@ -94,7 +96,7 @@ impl GraphGenConfig {
     }
 
     /// Worker threads for the whole extraction pipeline: every segment
-    /// query's scans, hash joins, and DISTINCTs, plus Step-6 preprocessing.
+    /// query's scans and join probes, plus Step-6 preprocessing.
     /// Results are byte-identical for any value. A count set through the
     /// builder or `GRAPHGEN_THREADS` is used as given. The default is the
     /// available parallelism, of which a batch extraction uses one thread
@@ -130,8 +132,8 @@ impl GraphGenConfigBuilder {
         self
     }
 
-    /// Worker threads for the whole extraction pipeline (scans, joins,
-    /// DISTINCT, preprocessing), used as given whatever the input size.
+    /// Worker threads for the whole extraction pipeline (scans, join
+    /// probes, preprocessing), used as given whatever the input size.
     /// `1` disables parallelism.
     pub fn threads(mut self, threads: usize) -> Self {
         self.cfg.threads = threads.max(1);
@@ -283,10 +285,26 @@ impl<'a> GraphGen<'a> {
         // node space and appends virtual nodes.
         for chain in &spec.edges {
             let plan = plan_chain(self.db, chain, self.cfg.large_output_factor)?;
-            for seg in &plan.segments {
+            let k = plan.segments.len();
+            // Per boundary: database id -> its virtual node (`u32::MAX` =
+            // none yet).
+            let mut virt_of = vec![vec![u32::MAX; node_of.len()]; k - 1];
+            for (j, seg) in plan.segments.iter().enumerate() {
                 report.sql.push(seg.query.to_sql(self.db)?);
+                emit_segment(
+                    &mut builder,
+                    (j, k),
+                    seg.query.run_threaded(self.db, threads)?,
+                    |vid| node_of[vid as usize],
+                    |b, vid, builder| {
+                        let slot = &mut virt_of[b][vid as usize];
+                        if *slot == u32::MAX {
+                            *slot = builder.add_virtual().0;
+                        }
+                        VirtId(*slot)
+                    },
+                );
             }
-            self.extract_chain(&plan, &node_of, &mut builder, threads)?;
             report.plans.push(plan);
         }
         let span =
@@ -429,66 +447,63 @@ impl<'a> GraphGen<'a> {
         }
         Ok((ids, props, node_of))
     }
+}
 
-    /// Execute a planned chain and add its edges to the builder.
-    fn extract_chain(
-        &self,
-        plan: &ChainPlan,
-        node_of: &[Option<RealId>],
-        builder: &mut CondensedBuilder,
-        threads: usize,
-    ) -> Result<(), Error> {
-        let k = plan.segments.len();
-        if k == 1 {
-            // No large-output join: the database computes the edge list.
-            for (x, y) in plan.segments[0].query.run_threaded(self.db, threads)? {
-                if let (Some(u), Some(v)) = (node_of[x as usize], node_of[y as usize]) {
+/// §4.2 Steps 4–5, the one place segment output becomes stored edges: add
+/// the edges of segment `j` of a `k`-segment chain to `builder`, given the
+/// segment's distinct `(l, r)` pairs in ascending order. A single-segment
+/// chain's pairs are direct `real → real` edges (self-pairs dropped);
+/// otherwise the first segment's are `real → virtual`, the last's
+/// `virtual → real` and the middle ones' `virtual → virtual`, with one
+/// virtual node per distinct attribute value of each boundary between
+/// segments.
+///
+/// `real` resolves an id to the node it is the key of; `virt(b, id,
+/// builder)` returns the virtual node of `id` at boundary `b`, allocating
+/// it on first sight. It is asked for every pair, whether or not the pair's
+/// real endpoint is a node key, and for a middle pair's left id before its
+/// right one — so virtual nodes are numbered in sorted-pair first-sight
+/// order, a function of the segment outputs alone, in whichever id space
+/// the caller evaluated them (database ids for batch extraction, engine ids
+/// for [`IncrementalState::bulk_load`]).
+pub(crate) fn emit_segment(
+    builder: &mut CondensedBuilder,
+    (j, k): (usize, usize),
+    pairs: impl IntoIterator<Item = (Vid, Vid)>,
+    real: impl Fn(Vid) -> Option<RealId>,
+    mut virt: impl FnMut(usize, Vid, &mut CondensedBuilder) -> VirtId,
+) {
+    for (l, r) in pairs {
+        match (j == 0, j == k - 1) {
+            (true, true) => {
+                // No large-output join: the database computed the edge.
+                if let (Some(u), Some(v)) = (real(l), real(r)) {
                     if u != v {
                         builder.direct(u, v);
                     }
                 }
             }
-            return Ok(());
-        }
-        // Step 4: one virtual node per distinct boundary attribute value,
-        // created at the value's first occurrence.
-        let mut boundaries: Vec<FxHashMap<Vid, VirtId>> = vec![FxHashMap::default(); k - 1];
-        let mut vnode = |boundary: usize, vid: Vid, builder: &mut CondensedBuilder| {
-            *boundaries[boundary]
-                .entry(vid)
-                .or_insert_with(|| builder.add_virtual())
-        };
-        for (j, seg) in plan.segments.iter().enumerate() {
-            let rows = seg.query.run_threaded(self.db, threads)?;
-            for (x, y) in rows {
-                match (j == 0, j == k - 1) {
-                    (true, false) => {
-                        // res1(ID1, a_l): real -> virtual
-                        let Some(u) = node_of[x as usize] else {
-                            continue;
-                        };
-                        let v = vnode(0, y, builder);
-                        builder.real_to_virtual(u, v);
-                    }
-                    (false, true) => {
-                        // res_k(a_u, ID2): virtual -> real
-                        let Some(t) = node_of[y as usize] else {
-                            continue;
-                        };
-                        let v = vnode(k - 2, x, builder);
-                        builder.virtual_to_real(v, t);
-                    }
-                    (false, false) => {
-                        // res_i(a_{i-1}, a_i): virtual -> virtual
-                        let vl = vnode(j - 1, x, builder);
-                        let vr = vnode(j, y, builder);
-                        builder.virtual_to_virtual(vl, vr);
-                    }
-                    (true, true) => unreachable!("k > 1"),
+            (true, false) => {
+                // res1(ID1, a_l): real -> virtual
+                let v = virt(0, r, builder);
+                if let Some(u) = real(l) {
+                    builder.real_to_virtual(u, v);
                 }
             }
+            (false, true) => {
+                // res_k(a_u, ID2): virtual -> real
+                let v = virt(k - 2, l, builder);
+                if let Some(t) = real(r) {
+                    builder.virtual_to_real(v, t);
+                }
+            }
+            (false, false) => {
+                // res_i(a_{i-1}, a_i): virtual -> virtual
+                let vl = virt(j - 1, l, builder);
+                let vr = virt(j, r, builder);
+                builder.virtual_to_virtual(vl, vr);
+            }
         }
-        Ok(())
     }
 }
 

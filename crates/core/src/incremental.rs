@@ -20,7 +20,7 @@
 //! * per **segment**: the bag multiplicity (`support`) of every output
 //!   pair, which makes `DISTINCT` incremental — a pair enters the graph
 //!   when its support rises from zero and leaves when it returns to zero
-//!   (the same hash-of-row identity the `DISTINCT` operator uses);
+//!   (the multiplicity the grouping operator counts);
 //! * per **boundary** between segments: the virtual-node interning map
 //!   (join-attribute value → [`VirtId`]).
 //!
@@ -61,21 +61,28 @@
 //!
 //! The update routine above is not how the state reaches the current
 //! database: `IncrementalState::bulk_load` is the separate linear
-//! preprocessing phase. It scans every atom and node view once with the
-//! set-at-a-time operators, computes each segment's counted output by
-//! sort/group-by, fills the *primary* state (atom bags, supports, boundary
-//! interning, node entries) and builds the C-DUP once through
+//! preprocessing phase. It scans every atom and node view once and computes
+//! each segment's counted output with the operators batch extraction runs
+//! its segment queries on — `graphgen_reldb::exec::{group_pairs,
+//! join_counted}`, over engine ids where `Query::run_threaded` uses
+//! database ids; the multiplicities the batch path drops are the supports
+//! kept here — fills the *primary* state (atom bags, supports, node
+//! entries), and hands every segment's pairs to the function that turns
+//! batch extraction's into edges, `crate::extract::emit_segment`, which
+//! numbers the boundary virtual nodes as it builds the C-DUP through
 //! [`CondensedBuilder`]. Everything else — `by_out`, `by_left`/`by_right`,
 //! `boundary_index` — is derived from the primary state by
 //! `IncrementalState::derive_indexes`, the same function the snapshot
 //! decoder ends with. The loader walks tables, chains, segments, atoms and
 //! rows in the order a row-by-row replay through `apply_delta_state`
-//! would, so the engine dictionary and the virtual-node numbering — and
-//! with them every encoded byte of the state — equal the replay's; that
-//! replay survives as the `#[cfg(test)]` oracle of the `bulk_*` tests.
+//! would, and emits the segments in the order they were completed, so the
+//! engine dictionary and the virtual-node numbering — and with them every
+//! encoded byte of the state — equal the replay's; that replay survives as
+//! the `#[cfg(test)]` oracle of the `bulk_*` tests.
 
 use crate::anygraph::AnyGraph;
 use crate::error::{Error, PatchError};
+use crate::extract::emit_segment;
 use crate::planner::{filters_to_predicate, ChainPlan};
 use graphgen_common::metrics::span;
 use graphgen_common::parallel::{effective_threads, map_morsels};
@@ -85,7 +92,7 @@ use graphgen_dsl::GraphSpec;
 use graphgen_graph::{
     CondensedBuilder, CondensedGraph, GraphRep, PropValue, Properties, RealId, VirtId,
 };
-use graphgen_reldb::exec::scan_project;
+use graphgen_reldb::exec::{group_pairs, join_counted, pack, scan_project, unpack, CountedPairs};
 use graphgen_reldb::{Database, Delta, DeltaOp, Interner, Predicate, Value, Vid, NULL_VID};
 
 /// A per-value multiplicity index over interned ids: slot `v` holds the
@@ -94,18 +101,6 @@ use graphgen_reldb::{Database, Delta, DeltaOp, Interner, Predicate, Value, Vid, 
 /// an array load instead of a value hash + pointer chase, which is what
 /// made publish latency scale with database size.
 type VidBag = Vec<FxHashMap<Vid, i64>>;
-
-/// Pack an output pair of interned ids into one machine word (support-map
-/// key). Ordering of the packed form equals lexicographic `(l, r)` order.
-#[inline]
-fn pack(l: Vid, r: Vid) -> u64 {
-    (u64::from(l) << 32) | u64::from(r)
-}
-
-#[inline]
-fn unpack(key: u64) -> (Vid, Vid) {
-    ((key >> 32) as Vid, key as Vid)
-}
 
 /// What [`crate::GraphHandle::apply_delta`] did, for reporting and
 /// benchmarking. All counters are in units of applied operations.
@@ -750,7 +745,7 @@ impl Target<'_> {
 /// Walk left from atom `j`: the bag of segment-left endpoints `X` reachable
 /// from join id `v` through atoms `j-1 … 0` (each crossing is a flat slot
 /// load — the "re-probe only the changed side" rule). [`NULL_VID`] never
-/// crosses a join, matching the hash-join operator.
+/// crosses a join, matching the join operator.
 fn expand_left(atoms: &[AtomState], j: usize, v: Vid) -> FxHashMap<Vid, i64> {
     let mut frontier: FxHashMap<Vid, i64> = FxHashMap::default();
     frontier.insert(v, 1);
@@ -1576,108 +1571,12 @@ impl IncrementalState {
 // Bulk load: the set-at-a-time initial extraction
 // ---------------------------------------------------------------------------
 
-/// A bag of id pairs: `(pack(l, r), multiplicity)` with strictly ascending
-/// keys and multiplicities ≥ 1.
-type CountedPairs = Vec<(u64, i64)>;
-
-/// Append `(key, m)` to a bag being written in ascending key order, folding
-/// it into the last entry when the key repeats.
-#[inline]
-fn push_counted(bag: &mut CountedPairs, key: u64, m: i64) {
-    match bag.last_mut() {
-        Some((last, total)) if *last == key => *total += m,
-        _ => bag.push((key, m)),
-    }
-}
-
-/// GROUP BY over packed pairs: sort, then count the runs.
-fn group_pairs(mut keys: Vec<u64>) -> CountedPairs {
-    keys.sort_unstable();
-    let mut bag = CountedPairs::new();
-    for key in keys {
-        push_counted(&mut bag, key, 1);
-    }
-    bag
-}
-
-#[inline]
-fn same_left(a: &(u64, i64), b: &(u64, i64)) -> bool {
-    a.0 >> 32 == b.0 >> 32
-}
-
-/// Where each left id's run starts in a bag: the entries whose left id is
-/// `v` are `bag[starts[v]..starts[v + 1]]`, for every `v < slots`.
-fn left_runs(bag: &[(u64, i64)], slots: usize) -> Vec<usize> {
-    let mut starts = vec![0usize; slots + 1];
-    for &(key, _) in bag {
-        starts[unpack(key).0 as usize + 1] += 1;
-    }
-    for v in 0..slots {
-        starts[v + 1] += starts[v];
-    }
-    starts
-}
-
-/// One step of a segment's counted join: `frontier` holds the bag of
-/// `(x, carry)` pairs the atoms so far produce, `atom` the next atom's
-/// `(in, out)` bag; the result is the bag of `(x, out)` over
-/// `carry = in`, multiplicities multiplied and summed. [`NULL_VID`] never
-/// joins. Each `x` gathers its matches and sorts that short list, so the
-/// output is written in ascending order without ever holding more than the
-/// grouped result; morsels cut the frontier between `x` runs.
-fn join_counted(
-    frontier: &[(u64, i64)],
-    atom: &[(u64, i64)],
-    slots: usize,
-    threads: usize,
-) -> CountedPairs {
-    let starts = {
-        let _span = span("join", Region::Build);
-        left_runs(atom, slots)
-    };
-    let _span = span("join", Region::Probe);
-    let n = frontier.len();
-    let cut = |mut i: usize| {
-        while i > 0 && i < n && same_left(&frontier[i - 1], &frontier[i]) {
-            i += 1;
-        }
-        i
-    };
-    let parts = map_morsels(n, effective_threads(threads, n), |range| {
-        let mut out = CountedPairs::new();
-        let mut matches: Vec<(Vid, i64)> = Vec::new();
-        for run in frontier[cut(range.start)..cut(range.end)].chunk_by(same_left) {
-            matches.clear();
-            for &(key, m) in run {
-                let carry = unpack(key).1;
-                if carry == NULL_VID {
-                    continue;
-                }
-                let hits = &atom[starts[carry as usize]..starts[carry as usize + 1]];
-                matches.extend(hits.iter().map(|&(hit, mh)| (unpack(hit).1, m * mh)));
-            }
-            matches.sort_unstable_by_key(|&(y, _)| y);
-            let x = unpack(run[0].0).0;
-            for &(y, m) in &matches {
-                push_counted(&mut out, pack(x, y), m);
-            }
-        }
-        out
-    });
-    let mut parts = parts.into_iter();
-    let mut out = parts.next().unwrap_or_default();
-    for part in parts {
-        out.extend(part);
-    }
-    out
-}
-
 /// An atom's `by_in` bag from its grouped `(in, out)` pairs.
 fn bag_by_in(bag: &[(u64, i64)]) -> VidBag {
     let slots = bag.last().map_or(0, |&(key, _)| unpack(key).0 as usize + 1);
     let mut by_in = VidBag::new();
     by_in.resize_with(slots, FxHashMap::default);
-    for run in bag.chunk_by(same_left) {
+    for run in bag.chunk_by(|a, b| unpack(a.0).0 == unpack(b.0).0) {
         let mut outs = FxHashMap::with_capacity_and_hasher(run.len(), Default::default());
         outs.extend(run.iter().map(|&(key, m)| (unpack(key).1, m)));
         by_in[unpack(run[0].0).0 as usize] = outs;
@@ -1752,7 +1651,9 @@ impl IncrementalState {
         let mut ids: IdMap<Value> = IdMap::new();
         // Node keys in real-id order.
         let mut node_keys: Vec<Vid> = Vec::new();
-        let mut virtuals = 0u32;
+        // `(chain, segment)` in the order the segments were completed: the
+        // order the replay first sees their boundary values in.
+        let mut completed: Vec<(usize, usize)> = Vec::new();
 
         for table in state.referenced_tables() {
             let IncrementalState {
@@ -1765,15 +1666,10 @@ impl IncrementalState {
             } = &mut state;
             // The table's atoms, chain by chain and segment by segment; a
             // segment produces its output at the table that completes it.
-            for (chain, loads) in chains.iter_mut().zip(&mut loads) {
+            for (c, (chain, loads)) in chains.iter_mut().zip(&mut loads).enumerate() {
                 let k = chain.segments.len();
-                let ChainState {
-                    segments,
-                    boundary_index,
-                    boundary_keys,
-                    boundary_virts,
-                } = chain;
-                for (j, (seg, load)) in segments.iter_mut().zip(loads.iter_mut()).enumerate() {
+                let segments = chain.segments.iter_mut().zip(loads.iter_mut());
+                for (j, (seg, load)) in segments.enumerate() {
                     let keeps_bags = seg.atoms.len() > 1;
                     let mut scanned = false;
                     for (atom, bag) in seg.atoms.iter_mut().zip(&mut load.bags) {
@@ -1782,15 +1678,19 @@ impl IncrementalState {
                         }
                         let cols = [atom.in_col, atom.out_col];
                         let rows = scan_project(db, &atom.table, &atom.pred, &cols, scan_threads)?;
-                        let _span = span("load_state", Region::Patch);
-                        let mut keys = Vec::with_capacity(rows.num_rows());
-                        for row in rows.iter() {
-                            let in_v = tr.engine_vid(dict, row[0]);
-                            let out_v = tr.engine_vid(dict, row[1]);
-                            keys.push(pack(in_v, out_v));
-                        }
+                        let keys = {
+                            let _span = span("load_state", Region::Patch);
+                            let mut keys = Vec::with_capacity(rows.num_rows());
+                            for row in rows.iter() {
+                                let in_v = tr.engine_vid(dict, row[0]);
+                                let out_v = tr.engine_vid(dict, row[1]);
+                                keys.push(pack(in_v, out_v));
+                            }
+                            keys
+                        };
                         let grouped = group_pairs(keys);
                         if keeps_bags {
+                            let _span = span("load_state", Region::Patch);
                             atom.by_in = bag_by_in(&grouped);
                         }
                         *bag = Some(grouped);
@@ -1807,32 +1707,12 @@ impl IncrementalState {
                     let _span = span("load_state", Region::Patch);
                     seg.support = output.iter().copied().collect();
                     load.pairs = output.into_iter().map(|(key, _)| key).collect();
+                    completed.push((c, j));
                     if k == 1 {
                         // Direct edges are reference-counted across chains.
                         direct_support.reserve(load.pairs.len());
                         for &key in &load.pairs {
                             *direct_support.entry(key).or_insert(0) += 1;
-                        }
-                        continue;
-                    }
-                    // Boundary ids get their virtual nodes in sorted-pair
-                    // first-sight order, whether or not the pair's real
-                    // endpoint is a node.
-                    let mut virt_at = |b: usize, vid: Vid| {
-                        let (_, new) =
-                            boundary_slot(&mut boundary_index[b], &mut boundary_keys[b], vid);
-                        if new {
-                            boundary_virts[b].push(VirtId(virtuals));
-                            virtuals += 1;
-                        }
-                    };
-                    for &key in &load.pairs {
-                        let (l, r) = unpack(key);
-                        if j > 0 {
-                            virt_at(j - 1, l);
-                        }
-                        if j < k - 1 {
-                            virt_at(j, r);
                         }
                     }
                 }
@@ -1874,39 +1754,32 @@ impl IncrementalState {
         drop(load_span);
 
         // Every pair becomes its stored edge, now that all node keys are
-        // known; the builder sorts and dedups the adjacency lists.
+        // known; the builder sorts and dedups the adjacency lists. The
+        // boundary tables fill here, `boundary_slot` keeping
+        // `boundary_index` current as it goes.
         let _span = span("build_rep", Region::BuildRep);
-        let real = |vid: Vid| real_from(&state.real_ids, vid).map(RealId);
         let mut builder = CondensedBuilder::new(ids.len());
-        builder.add_virtuals(virtuals as usize);
-        for (chain, loads) in state.chains.iter().zip(&loads) {
-            let k = chain.segments.len();
-            let virt = |b: usize, vid: Vid| {
-                chain.boundary_virts[b][chain.boundary_index[b][vid as usize] as usize]
-            };
-            for (j, load) in loads.iter().enumerate() {
-                for &key in &load.pairs {
-                    let (l, r) = unpack(key);
-                    match (j == 0, j == k - 1) {
-                        (true, true) => {
-                            if let (Some(u), Some(v), true) = (real(l), real(r), l != r) {
-                                builder.direct(u, v);
-                            }
-                        }
-                        (true, false) => {
-                            if let Some(u) = real(l) {
-                                builder.real_to_virtual(u, virt(0, r));
-                            }
-                        }
-                        (false, true) => {
-                            if let Some(t) = real(r) {
-                                builder.virtual_to_real(virt(k - 2, l), t);
-                            }
-                        }
-                        (false, false) => builder.virtual_to_virtual(virt(j - 1, l), virt(j, r)),
+        for (c, j) in completed {
+            let ChainState {
+                segments,
+                boundary_index,
+                boundary_keys,
+                boundary_virts,
+            } = &mut state.chains[c];
+            emit_segment(
+                &mut builder,
+                (j, segments.len()),
+                loads[c][j].pairs.iter().map(|&key| unpack(key)),
+                |vid| real_from(&state.real_ids, vid).map(RealId),
+                |b, vid, builder| {
+                    let (slot, new) =
+                        boundary_slot(&mut boundary_index[b], &mut boundary_keys[b], vid);
+                    if new {
+                        boundary_virts[b].push(builder.add_virtual());
                     }
-                }
-            }
+                    boundary_virts[b][slot]
+                },
+            );
         }
         let graph = builder.build();
         Ok((state, graph, ids, props))

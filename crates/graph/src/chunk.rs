@@ -163,12 +163,17 @@ impl ChunkedAdj {
         Self::default()
     }
 
-    /// Take ownership of flat lists, grouping them into chunks.
+    /// Take ownership of flat lists, grouping them into chunks. Every chunk
+    /// is sized exactly, so [`ChunkedAdj::heap_bytes`] of the result is a
+    /// function of the list lengths, not of the order they were pushed in.
     pub fn from_lists(lists: Vec<Vec<Adj>>) -> Self {
         let len = lists.len();
         let mut chunks = Vec::with_capacity(len.div_ceil(CHUNK_LEN));
         for group in lists.chunks(CHUNK_LEN) {
-            let mut chunk = AdjChunk::default();
+            let mut chunk = AdjChunk {
+                data: Vec::with_capacity(group.iter().map(Vec::len).sum()),
+                ends: Vec::with_capacity(group.len()),
+            };
             for list in group {
                 chunk.push_list(list);
             }
@@ -361,6 +366,63 @@ mod tests {
             b.push(l);
         }
         assert_eq!(a, b);
+    }
+
+    fn assert_sized_exactly(store: &ChunkedAdj) {
+        for chunk in store.chunks() {
+            assert_eq!(chunk.data.capacity(), chunk.data.len());
+            assert_eq!(chunk.ends.capacity(), chunk.ends.len());
+        }
+    }
+
+    #[test]
+    fn from_lists_sizes_every_chunk_exactly() {
+        // Lengths that make a doubling `Vec` end with slack whichever order
+        // they arrive in, and a short trailing chunk.
+        let lists: Vec<Vec<Adj>> = (0..(CHUNK_LEN as u32 * 3 + 5))
+            .map(|i| (0..(i * 7) % 23).map(adj).collect())
+            .collect();
+        assert_sized_exactly(&ChunkedAdj::from_lists(lists));
+        assert_sized_exactly(&ChunkedAdj::from_lists(Vec::new()));
+
+        let mut b = crate::builder::CondensedBuilder::new(40);
+        for v in 0..9u32 {
+            let members: Vec<RealId> = (0..40).filter(|i| i % (v + 2) == 0).map(RealId).collect();
+            b.clique(&members);
+        }
+        let g = b.build();
+        assert_sized_exactly(g.real_out_chunks());
+        assert_sized_exactly(g.virt_out_chunks());
+    }
+
+    #[test]
+    fn heap_bytes_ignore_the_numbering_of_virtual_nodes() {
+        use crate::api::GraphRep;
+        use crate::builder::CondensedBuilder;
+        // The same member sets under two numberings of the virtual nodes:
+        // the member lists of one chunk arrive in a different order.
+        let sets: Vec<Vec<RealId>> = (0..(CHUNK_LEN as u32 * 2 + 3))
+            .map(|v| {
+                (0..60)
+                    .filter(|i| (i + v) % (v % 7 + 2) == 0)
+                    .map(RealId)
+                    .collect()
+            })
+            .collect();
+        let build = |order: &mut dyn Iterator<Item = &Vec<RealId>>| {
+            let mut b = CondensedBuilder::new(60);
+            for set in order {
+                b.clique(set);
+            }
+            b.build()
+        };
+        let forward = build(&mut sets.iter());
+        let backward = build(&mut sets.iter().rev());
+        assert_eq!(
+            crate::expand_to_edge_list(&forward),
+            crate::expand_to_edge_list(&backward)
+        );
+        assert_eq!(forward.heap_bytes(), backward.heap_bytes());
     }
 
     #[test]

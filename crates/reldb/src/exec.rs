@@ -1,74 +1,67 @@
 //! Physical operators.
 //!
 //! The extraction layer composes three operators: filtered scans with
-//! projection, hash equi-joins, and duplicate elimination. A nested-loop
-//! join is provided as the test oracle.
+//! projection, GROUP BY over packed id pairs — which is the `DISTINCT` —
+//! and the counted equi-join. A nested-loop join is provided as the test
+//! oracle.
 //!
 //! # Operator contract
 //!
-//! Every operator consumes and produces [`RowSet`]s — flat arenas of
-//! dictionary ids ([`Vid`]) with index-addressed rows — so no operator
-//! allocates per row and none touches a [`Value`](crate::value::Value)
-//! after the scan:
+//! Every query extraction issues is a chain of binary atoms (see
+//! [`crate::query`]), so past the scan a relation is a **counted bag of id
+//! pairs** ([`CountedPairs`]): `(pack(l, r), multiplicity)` entries in
+//! strictly ascending key order. No operator allocates per row and none
+//! touches a [`Value`](crate::value::Value) after the scan:
 //!
 //! * [`scan_project`] evaluates the predicate against the table columns in
 //!   place and resolves only the projected cells of passing rows through
-//!   the owning database's dictionary — the one place a value is hashed;
-//! * [`hash_join_project`] builds an index (`Vid` keys, row indices as
-//!   payload) on the **smaller** input and emits only the requested output
-//!   columns; [`NULL_VID`] never joins;
-//! * [`distinct_rows`] keeps the first occurrence of every id tuple.
+//!   the owning database's dictionary — the one place a value is hashed —
+//!   into a [`RowSet`];
+//! * [`group_pairs`] sorts packed pairs and counts the runs: the keys of
+//!   the result are the `DISTINCT` pairs, the counts their bag
+//!   multiplicities;
+//! * [`join_counted`] joins a frontier bag `(x, carry)` with an atom bag
+//!   `(in, out)` on `carry = in` and groups the `(x, out)` results as it
+//!   writes them, so a join's output is already distinct; [`NULL_VID`]
+//!   never joins.
 //!
-//! All row sets handed to one join must come from the same [`Database`]:
-//! within one dictionary, id equality is value equality.
+//! All bags handed to one join must come from the same dictionary: within
+//! one dictionary, id equality is value equality. The batch path
+//! ([`Query::run_threaded`](crate::query::Query::run_threaded)) evaluates
+//! in database ids, the maintenance-state loader of `graphgen-core` in its
+//! engine ids; both call the same two functions.
 //!
 //! # Parallelism and determinism
 //!
 //! Each operator takes a `threads` knob (plumbed from
 //! `GraphGenConfig::threads()` through every segment query). Scans and join
-//! probes are morsel-parallel, join builds and DISTINCT are hash-partitioned
-//! (`std::thread::scope`, no external deps). Per-thread partial results are
-//! merged in morsel/partition order, so **for any `threads` value the output
-//! is byte-identical to the serial run**: scans preserve table order, joins
-//! preserve left-outer/right-inner order, DISTINCT preserves first
-//! occurrence. Inputs below `graphgen_common::parallel::MIN_PARALLEL_ITEMS`
-//! run serially regardless of `threads`.
+//! probes are morsel-parallel (`std::thread::scope`, no external deps); the
+//! grouping sort is serial. Scans merge per-thread outputs in morsel
+//! order, so they preserve table order; everything after the scan is
+//! **sorted** — a bag is a function of the multiset it holds, whatever
+//! order and whatever thread produced its entries — so for any `threads`
+//! value the output is byte-identical to the serial run. Inputs below
+//! `graphgen_common::parallel::MIN_PARALLEL_ITEMS` run serially regardless
+//! of `threads`.
 
 use crate::catalog::Database;
 use crate::error::DbResult;
 use crate::expr::Predicate;
-use crate::intern::{hash_vids, Vid, NULL_VID};
+use crate::intern::{Vid, NULL_VID};
 use crate::rowset::RowSet;
 use graphgen_common::metrics;
-use graphgen_common::parallel::{
-    effective_threads, map_morsels, map_partitions, scatter_partitions,
-};
+use graphgen_common::parallel::{effective_threads, map_morsels};
 use graphgen_common::region::Region;
-use graphgen_common::{FxHashMap, FxHashSet};
 
 // Every operator opens a metrics span at entry: it enters an allocation
 // region (`graphgen_common::region`) so the counting allocator in
 // `graphgen-bench` can attribute bytes per operator, and on drop it logs
 // the operator's wall time into the caller's phase log
 // (`graphgen_common::metrics::collect_phases`) so the serving layer can
-// report extraction phase breakdowns. The parallel helpers propagate the
-// caller's region label onto their worker threads, and the span guard
-// lives on the calling thread for the whole operator, so one guard at
-// operator entry covers the whole fan-out (scatter buckets included).
-
-/// Row indices are carried as `u32` inside the operators to halve the
-/// footprint of join/distinct bookkeeping.
-const MAX_ROWS: usize = u32::MAX as usize;
-
-/// Merge per-thread partial outputs in morsel order.
-fn merge(arity: usize, parts: Vec<RowSet>) -> RowSet {
-    let mut parts = parts.into_iter();
-    let mut out = parts.next().unwrap_or_else(|| RowSet::new(arity));
-    for p in parts {
-        out.append(p);
-    }
-    out
-}
+// report extraction phase breakdowns. `map_morsels` propagates the caller's
+// region label onto its worker threads, and the span guard lives on the
+// calling thread for the whole operator, so one guard at operator entry
+// covers the whole fan-out.
 
 /// Scan table `table` of `db`, keep rows satisfying `pred`, and project the
 /// columns in `cols` (by index, in output order) as dictionary ids. The
@@ -102,163 +95,133 @@ pub fn scan_project(
         }
         out
     });
-    Ok(merge(cols.len(), parts))
-}
-
-/// A hash-partitioned join index over one side's key column: partition `p`
-/// owns the keys with `vid % parts == p`. Per-key row-index lists are
-/// ascending because every partition visits the build side in row order.
-type VidIndex = Vec<FxHashMap<Vid, Vec<u32>>>;
-
-fn build_index(build: &RowSet, key: usize, parts: usize) -> VidIndex {
-    let _span = metrics::span("join", Region::Build);
-    assert!(build.num_rows() <= MAX_ROWS, "row set too large");
-    if parts <= 1 {
-        return vec![index_rows(build, key, 0..build.num_rows() as u32)];
+    let mut parts = parts.into_iter();
+    let mut out = parts.next().unwrap_or_else(|| RowSet::new(cols.len()));
+    for part in parts {
+        out.append(part);
     }
-    // Scatter row indices into per-morsel partition buckets; each partition
-    // thread then touches only its own rows, and scatter order keeps
-    // per-key index lists ascending.
-    let buckets = scatter_partitions(build.num_rows(), parts, |r| {
-        ((build.row(r)[key] as usize) % parts, r as u32)
-    });
-    map_partitions(parts, |p| {
-        let owned = buckets.iter().flat_map(|morsel| morsel[p].iter().copied());
-        index_rows(build, key, owned)
-    })
+    Ok(out)
 }
 
-/// Index the given rows of `build` by their key; NULL keys are left out,
-/// which is what makes NULL never join.
-fn index_rows(
-    build: &RowSet,
-    key: usize,
-    rows: impl Iterator<Item = u32>,
-) -> FxHashMap<Vid, Vec<u32>> {
-    let mut index: FxHashMap<Vid, Vec<u32>> = FxHashMap::default();
-    for r in rows {
-        let k = build.row(r as usize)[key];
-        if k != NULL_VID {
-            index.entry(k).or_default().push(r);
-        }
+/// Pack a pair of ids into one machine word. Ordering of the packed form
+/// equals lexicographic `(l, r)` order.
+#[inline]
+pub fn pack(l: Vid, r: Vid) -> u64 {
+    (u64::from(l) << 32) | u64::from(r)
+}
+
+/// Invert [`pack`].
+#[inline]
+pub fn unpack(key: u64) -> (Vid, Vid) {
+    ((key >> 32) as Vid, key as Vid)
+}
+
+/// A bag of id pairs: `(pack(l, r), multiplicity)` with strictly ascending
+/// keys and multiplicities ≥ 1.
+pub type CountedPairs = Vec<(u64, i64)>;
+
+/// Append `(key, m)` to a bag being written in ascending key order, folding
+/// it into the last entry when the key repeats.
+#[inline]
+fn push_counted(bag: &mut CountedPairs, key: u64, m: i64) {
+    match bag.last_mut() {
+        Some((last, total)) if *last == key => *total += m,
+        _ => bag.push((key, m)),
     }
-    index
 }
 
-/// Row indices of the build side matching `vid` (none for NULL).
-fn index_lookup(index: &VidIndex, vid: Vid) -> &[u32] {
-    index[(vid as usize) % index.len()]
-        .get(&vid)
-        .map_or(&[], Vec::as_slice)
+/// GROUP BY over packed pairs: sort, then count the runs. The keys of the
+/// result are the `DISTINCT` pairs — the only duplicate elimination a
+/// segment query performs.
+pub fn group_pairs(mut keys: Vec<u64>) -> CountedPairs {
+    let _span = metrics::span("distinct", Region::Distinct);
+    keys.sort_unstable();
+    let mut bag = CountedPairs::new();
+    for key in keys {
+        push_counted(&mut bag, key, 1);
+    }
+    bag
 }
 
-/// Hash equi-join fused with a projection: join `left` and `right` on
-/// `left[lkey] == right[rkey]`; `cols` indexes into the virtual
-/// concatenated row `left ++ right`, and only those columns are ever
-/// materialized, so chain queries never pay for join columns they
-/// immediately discard.
-///
-/// Rows with NULL join keys never match (SQL semantics). Output order is the
-/// nested-loop order (left rows outer, matching right rows in row order)
-/// regardless of `threads` or which side the hash table is built on: the
-/// table is built on the smaller input (ties build on `right`), and when
-/// that is `left`, matches are collected as index pairs and sorted back
-/// into left-outer order.
-pub fn hash_join_project(
-    left: &RowSet,
-    lkey: usize,
-    right: &RowSet,
-    rkey: usize,
-    cols: &[usize],
+#[inline]
+fn same_left(a: &(u64, i64), b: &(u64, i64)) -> bool {
+    a.0 >> 32 == b.0 >> 32
+}
+
+/// Where each left id's run starts in a bag: the entries whose left id is
+/// `v` are `bag[starts[v]..starts[v + 1]]`, for every `v < slots`.
+fn left_runs(bag: &[(u64, i64)], slots: usize) -> Vec<usize> {
+    let mut starts = vec![0usize; slots + 1];
+    for &(key, _) in bag {
+        starts[unpack(key).0 as usize + 1] += 1;
+    }
+    for v in 0..slots {
+        starts[v + 1] += starts[v];
+    }
+    starts
+}
+
+/// One step of a chain's counted join: `frontier` holds the bag of
+/// `(x, carry)` pairs the atoms so far produce, `atom` the next atom's
+/// `(in, out)` bag; the result is the bag of `(x, out)` over
+/// `carry = in`, multiplicities multiplied and summed. [`NULL_VID`] never
+/// joins (SQL semantics). `slots` bounds every id of `atom` (the
+/// dictionary's capacity). Each `x` gathers its matches and sorts that
+/// short list, so the output is written in ascending order without ever
+/// holding more than the grouped result; morsels cut the frontier between
+/// `x` runs.
+pub fn join_counted(
+    frontier: &[(u64, i64)],
+    atom: &[(u64, i64)],
+    slots: usize,
     threads: usize,
-) -> RowSet {
-    let t = effective_threads(threads, left.num_rows().max(right.num_rows()));
-    if right.num_rows() <= left.num_rows() {
-        // Build on `right`, probe with `left` outer: morsel concatenation
-        // already yields left-outer order. The partition count is sized by
-        // the *build* side so a tiny build stays serial under a big probe.
-        let index = build_index(right, rkey, effective_threads(threads, right.num_rows()));
-        let _span = metrics::span("join", Region::Probe);
-        let parts = map_morsels(left.num_rows(), t, |range| {
-            let mut out = RowSet::new(cols.len());
-            for l in range {
-                let lrow = left.row(l);
-                for &r in index_lookup(&index, lrow[lkey]) {
-                    push_joined(&mut out, lrow, right.row(r as usize), cols);
-                }
-            }
-            out
-        });
-        merge(cols.len(), parts)
-    } else {
-        // `left` is strictly smaller: build on it, probe with `right`, then
-        // reorder the matched index pairs into left-outer order.
-        assert!(right.num_rows() <= MAX_ROWS, "row set too large");
-        let index = build_index(left, lkey, effective_threads(threads, left.num_rows()));
-        let _span = metrics::span("join", Region::Probe);
-        let pairs: Vec<(u32, u32)> = map_morsels(right.num_rows(), t, |range| {
-            let mut local = Vec::new();
-            for r in range {
-                let matches = index_lookup(&index, right.row(r)[rkey]);
-                local.extend(matches.iter().map(|&l| (l, r as u32)));
-            }
-            local
-        })
-        .concat();
-        // Restore (left, right) lexicographic order == nested-loop emission
-        // order. The concatenated pairs are already sorted by `r` with
-        // ascending `r` per `l`, so a *stable* counting sort on `l` alone
-        // finishes the job in O(m + |left|) instead of O(m log m).
-        let pairs = counting_sort_by_left(pairs, left.num_rows());
-        let parts = map_morsels(
-            pairs.len(),
-            effective_threads(threads, pairs.len()),
-            |range| {
-                let mut out = RowSet::with_row_capacity(cols.len(), range.len());
-                for &(l, r) in &pairs[range] {
-                    push_joined(&mut out, left.row(l as usize), right.row(r as usize), cols);
-                }
-                out
-            },
-        );
-        merge(cols.len(), parts)
-    }
-}
-
-/// Stable counting sort of match pairs by their left row index. Input pairs
-/// arrive sorted by the right index (probe morsel order), so stability
-/// yields full `(l, r)` lexicographic order — the nested-loop emission
-/// order — in two linear passes.
-fn counting_sort_by_left(pairs: Vec<(u32, u32)>, left_rows: usize) -> Vec<(u32, u32)> {
-    let mut offsets = vec![0usize; left_rows + 1];
-    for &(l, _) in &pairs {
-        offsets[l as usize + 1] += 1;
-    }
-    for i in 1..offsets.len() {
-        offsets[i] += offsets[i - 1];
-    }
-    let mut sorted = vec![(0u32, 0u32); pairs.len()];
-    for &(l, r) in &pairs {
-        let slot = &mut offsets[l as usize];
-        sorted[*slot] = (l, r);
-        *slot += 1;
-    }
-    sorted
-}
-
-fn push_joined(out: &mut RowSet, lrow: &[Vid], rrow: &[Vid], cols: &[usize]) {
-    out.push_row(cols.iter().map(|&c| {
-        if c < lrow.len() {
-            lrow[c]
-        } else {
-            rrow[c - lrow.len()]
+) -> CountedPairs {
+    let starts = {
+        let _span = metrics::span("join", Region::Build);
+        left_runs(atom, slots)
+    };
+    let _span = metrics::span("join", Region::Probe);
+    let n = frontier.len();
+    let cut = |mut i: usize| {
+        while i > 0 && i < n && same_left(&frontier[i - 1], &frontier[i]) {
+            i += 1;
         }
-    }));
+        i
+    };
+    let parts = map_morsels(n, effective_threads(threads, n), |range| {
+        let mut out = CountedPairs::new();
+        let mut matches: Vec<(Vid, i64)> = Vec::new();
+        for run in frontier[cut(range.start)..cut(range.end)].chunk_by(same_left) {
+            matches.clear();
+            for &(key, m) in run {
+                let carry = unpack(key).1;
+                if carry == NULL_VID {
+                    continue;
+                }
+                let hits = &atom[starts[carry as usize]..starts[carry as usize + 1]];
+                matches.extend(hits.iter().map(|&(hit, mh)| (unpack(hit).1, m * mh)));
+            }
+            matches.sort_unstable_by_key(|&(y, _)| y);
+            let x = unpack(run[0].0).0;
+            for &(y, m) in &matches {
+                push_counted(&mut out, pack(x, y), m);
+            }
+        }
+        out
+    });
+    let mut parts = parts.into_iter();
+    let mut out = parts.next().unwrap_or_default();
+    for part in parts {
+        out.extend(part);
+    }
+    out
 }
 
-/// Reference nested-loop join emitting `left ++ right` rows, with the
-/// semantics and output order [`hash_join_project`] promises; used as the
-/// correctness oracle in tests. Serial by construction.
+/// Reference nested-loop join emitting `left ++ right` rows for
+/// `left[lkey] == right[rkey]`, left rows outer; NULL keys never match.
+/// Projected, packed, sorted and run-counted, its output is what
+/// [`join_counted`] must produce — the correctness oracle in tests. Serial
+/// by construction.
 pub fn nested_loop_join(left: &RowSet, lkey: usize, right: &RowSet, rkey: usize) -> RowSet {
     let mut out = RowSet::new(left.arity() + right.arity());
     for lrow in left.iter() {
@@ -271,67 +234,6 @@ pub fn nested_loop_join(left: &RowSet, lkey: usize, right: &RowSet, rkey: usize)
     out
 }
 
-/// Remove duplicate rows, preserving first-occurrence order (`DISTINCT`).
-///
-/// With `threads > 1` the scan is hash-partitioned: duplicates share a hash
-/// and hence a partition, each partition keeps the first occurrences among
-/// the rows it owns, and the kept row indices are merged back into input
-/// order before the survivors are copied out.
-pub fn distinct_rows(rows: RowSet, threads: usize) -> RowSet {
-    let _span = metrics::span("distinct", Region::Distinct);
-    let n = rows.num_rows();
-    assert!(n <= MAX_ROWS, "row set too large");
-    let t = effective_threads(threads, n);
-    let kept = if t <= 1 {
-        first_occurrences(&rows, 0..n as u32)
-    } else {
-        // Scatter order keeps every partition's bucket ascending, so the
-        // kept lists are ascending and pairwise disjoint.
-        let buckets =
-            scatter_partitions(n, t, |r| ((hash_vids(rows.row(r)) as usize) % t, r as u32));
-        let mut kept = map_partitions(t, |p| {
-            let owned = buckets.iter().flat_map(|morsel| morsel[p].iter().copied());
-            first_occurrences(&rows, owned)
-        })
-        .concat();
-        kept.sort_unstable();
-        kept
-    };
-    let parts = map_morsels(
-        kept.len(),
-        effective_threads(threads, kept.len()),
-        |range| {
-            let mut out = RowSet::with_row_capacity(rows.arity(), range.len());
-            for &r in &kept[range] {
-                out.push_row(rows.row(r as usize).iter().copied());
-            }
-            out
-        },
-    );
-    merge(rows.arity(), parts)
-}
-
-/// Of the given row indices (ascending), those whose row was not seen at an
-/// earlier one.
-fn first_occurrences(rows: &RowSet, candidates: impl Iterator<Item = u32>) -> Vec<u32> {
-    let mut seen: FxHashSet<RowKey<'_>> = FxHashSet::default();
-    candidates
-        .filter(|&r| seen.insert(RowKey(rows.row(r as usize))))
-        .collect()
-}
-
-/// A row as a DISTINCT key: equal as a slice, hashed id by id with
-/// [`hash_vids`]. (The slice's own `Hash` would hand FxHasher two ids packed
-/// per word, and the low bits of an Fx product ignore the upper one.)
-#[derive(PartialEq, Eq)]
-struct RowKey<'a>(&'a [Vid]);
-
-impl std::hash::Hash for RowKey<'_> {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        state.write_u64(hash_vids(self.0));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,8 +241,9 @@ mod tests {
     use crate::table::Table;
     use crate::value::Value;
 
-    /// Arity-2 row set of raw ids: the join and DISTINCT are functions of
-    /// the ids alone (`0` is NULL), so their unit tests need no dictionary.
+    /// Arity-2 row set of raw ids: the join and the grouping are functions
+    /// of the ids alone (`0` is NULL), so their unit tests need no
+    /// dictionary.
     fn rows(pairs: &[(Vid, Vid)]) -> RowSet {
         let mut out = RowSet::new(2);
         for &(a, b) in pairs {
@@ -349,8 +252,29 @@ mod tests {
         out
     }
 
-    fn hash_join(l: &RowSet, lkey: usize, r: &RowSet, rkey: usize, threads: usize) -> RowSet {
-        hash_join_project(l, lkey, r, rkey, &[0, 1, 2, 3], threads)
+    fn bag(rows: &RowSet) -> CountedPairs {
+        group_pairs(rows.iter().map(|r| pack(r[0], r[1])).collect())
+    }
+
+    /// Ids in these tests stay below this.
+    const SLOTS: usize = 512;
+
+    /// `left(x, c) ⋈ right(c, y)` through the operators under test.
+    fn join(l: &RowSet, r: &RowSet, threads: usize) -> CountedPairs {
+        join_counted(&bag(l), &bag(r), SLOTS, threads)
+    }
+
+    /// The same through the nested-loop reference: project `(x, y)`, sort,
+    /// count the runs.
+    fn reference(l: &RowSet, r: &RowSet) -> CountedPairs {
+        let mut keys: Vec<u64> = nested_loop_join(l, 1, r, 0)
+            .iter()
+            .map(|row| pack(row[0], row[3]))
+            .collect();
+        keys.sort_unstable();
+        keys.chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len() as i64))
+            .collect()
     }
 
     #[test]
@@ -373,75 +297,92 @@ mod tests {
     }
 
     #[test]
-    fn hash_join_basic() {
-        let l = rows(&[(1, 100), (2, 200), (3, 100)]);
-        let r = rows(&[(100, 7), (100, 8), (300, 9)]);
-        let out = hash_join(&l, 1, &r, 0, 1);
-        // rows with b=100 match both r-rows with key 100
-        assert_eq!(out.num_rows(), 4);
-        assert_eq!(out.row(0), &[1, 100, 100, 7]);
+    fn pack_orders_lexicographically() {
+        assert_eq!(unpack(pack(7, u32::MAX)), (7, u32::MAX));
+        assert!(pack(1, u32::MAX) < pack(2, 0));
+        assert!(pack(2, 1) < pack(2, 2));
     }
 
     #[test]
-    fn hash_join_matches_nested_loop_in_order() {
-        let l = rows(&[(1, 1), (2, 2), (3, 1), (4, 4), (5, 2)]);
-        let r = rows(&[(1, 10), (2, 20), (1, 11), (9, 90)]);
-        // Exact order equality, not set equality: the operator promises
-        // nested-loop emission order for every thread count and build side.
-        let n = nested_loop_join(&l, 1, &r, 0);
+    fn group_pairs_sorts_and_counts_runs() {
+        let input = rows(&[(1, 1), (2, 2), (1, 1), (3, 3), (2, 2), (2, 1), (1, 1)]);
+        assert_eq!(
+            bag(&input),
+            [
+                (pack(1, 1), 3),
+                (pack(2, 1), 1),
+                (pack(2, 2), 2),
+                (pack(3, 3), 1)
+            ]
+        );
+    }
+
+    #[test]
+    fn join_counted_basic() {
+        let l = rows(&[(1, 100), (2, 200), (3, 100)]);
+        let r = rows(&[(100, 7), (100, 8), (300, 9)]);
+        // rows with carry 100 match both r-rows with key 100
+        assert_eq!(
+            join(&l, &r, 1),
+            [
+                (pack(1, 7), 1),
+                (pack(1, 8), 1),
+                (pack(3, 7), 1),
+                (pack(3, 8), 1)
+            ]
+        );
+    }
+
+    #[test]
+    fn join_counted_multiplies_and_sums_multiplicities() {
+        // x=1 reaches y=9 over carry 5 (2 × 3 ways) and carry 6 (1 × 1).
+        let l = rows(&[(1, 5), (1, 5), (1, 6)]);
+        let r = rows(&[(5, 9), (5, 9), (5, 9), (6, 9)]);
+        assert_eq!(join(&l, &r, 1), [(pack(1, 9), 7)]);
+        assert_eq!(join(&l, &r, 1), reference(&l, &r));
+    }
+
+    #[test]
+    fn join_counted_matches_nested_loop_reference() {
+        let l = rows(&[(1, 1), (2, 2), (3, 1), (4, 4), (5, 2), (3, 1)]);
+        let r = rows(&[(1, 10), (2, 20), (1, 11), (9, 90), (1, 10)]);
         for threads in [1, 2, 8] {
-            assert_eq!(hash_join(&l, 1, &r, 0, threads), n);
+            assert_eq!(join(&l, &r, threads), reference(&l, &r));
         }
     }
 
     #[test]
-    fn hash_join_builds_on_smaller_side_transparently() {
-        // Asymmetric inputs in both directions: output must be identical.
-        let small = rows(&[(1, 9), (2, 9), (7, 9)]);
+    fn join_counted_is_size_asymmetry_agnostic() {
+        // Asymmetric inputs in both directions.
+        let small = rows(&[(1, 9), (2, 9), (7, 3)]);
         let big = rows(&(0..50).map(|i| (i % 5 + 1, i + 1)).collect::<Vec<_>>());
-        let small_left = hash_join(&small, 0, &big, 0, 1);
-        assert_eq!(small_left, nested_loop_join(&small, 0, &big, 0));
-        let big_left = hash_join(&big, 0, &small, 0, 1);
-        assert_eq!(big_left, nested_loop_join(&big, 0, &small, 0));
-    }
-
-    #[test]
-    fn hash_join_project_fuses_projection() {
-        let l = rows(&[(1, 100), (3, 100)]);
-        let r = rows(&[(100, 7)]);
-        let out = hash_join_project(&l, 1, &r, 0, &[0, 3], 1);
-        assert_eq!(out, rows(&[(1, 7), (3, 7)]));
+        assert_eq!(join(&small, &big, 1), reference(&small, &big));
+        assert_eq!(join(&big, &small, 1), reference(&big, &small));
     }
 
     #[test]
     fn nulls_never_join() {
-        // Both build sides: ties build on `right`, a longer `right` on `left`.
         let l = rows(&[(1, NULL_VID)]);
         for r in [
             rows(&[(NULL_VID, 2)]),
             rows(&[(NULL_VID, 2), (NULL_VID, 3)]),
         ] {
-            assert!(hash_join(&l, 1, &r, 0, 1).is_empty());
+            assert!(join(&l, &r, 1).is_empty());
             assert!(nested_loop_join(&l, 1, &r, 0).is_empty());
         }
-    }
-
-    #[test]
-    fn distinct_preserves_order() {
-        let input = rows(&[(1, 1), (2, 2), (1, 1), (3, 3), (2, 2), (2, 1)]);
-        let expected = rows(&[(1, 1), (2, 2), (3, 3), (2, 1)]);
-        for threads in [1, 2, 8] {
-            assert_eq!(distinct_rows(input.clone(), threads), expected);
-        }
+        // NULL as the carried-through `x` or the produced `y` is a value.
+        let l = rows(&[(NULL_VID, 4)]);
+        let r = rows(&[(4, NULL_VID)]);
+        assert_eq!(join(&l, &r, 1), [(pack(NULL_VID, NULL_VID), 1)]);
     }
 
     #[test]
     fn empty_inputs() {
         let e = RowSet::new(2);
         let r = rows(&[(1, 1)]);
-        assert!(hash_join(&e, 0, &r, 0, 4).is_empty());
-        assert!(hash_join(&r, 0, &e, 0, 4).is_empty());
-        assert!(distinct_rows(RowSet::new(2), 4).is_empty());
+        assert!(join(&e, &r, 4).is_empty());
+        assert!(join(&r, &e, 4).is_empty());
+        assert!(group_pairs(Vec::new()).is_empty());
         let mut db = Database::new();
         db.register("T", Table::new(Schema::new(vec![Column::int("a")])))
             .unwrap();

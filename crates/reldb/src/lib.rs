@@ -13,18 +13,18 @@
 //!   (row count, exact distinct count) used by the extraction planner.
 //! * [`Interner`] — the database-wide `Value` → dense [`Vid`] dictionary;
 //!   every cell of a registered table holds a reference in it.
-//! * [`RowSet`] — the flat [`Vid`] arena every operator consumes and
-//!   produces: one allocation per batch, four bytes per cell, rows
-//!   addressed by index, no per-row `Vec`s.
+//! * [`RowSet`] — the flat [`Vid`] arena a scan produces: one allocation
+//!   per batch, four bytes per cell, rows addressed by index, no per-row
+//!   `Vec`s.
 //! * [`exec`] — the physical operators, one of each: a scan that filters,
-//!   projects and interns; a hash equi-join and a DISTINCT that see only
-//!   ids; plus a reference nested-loop join for testing. [`query::Query`]
-//!   is a tiny logical plan ("the SQL we generate") over them.
+//!   projects and interns; a GROUP BY over packed id pairs, which is the
+//!   DISTINCT; a counted equi-join over the grouped bags; plus a reference
+//!   nested-loop join for testing. [`query::Query`] is a tiny logical plan
+//!   ("the SQL we generate") over them.
 //!
 //! Every operator takes a `threads` knob (morsel-parallel scans and join
-//! probes, hash-partitioned join builds and DISTINCT — std scoped threads)
-//! and produces byte-identical output for any thread count; see [`exec`]
-//! for the operator contract and ordering guarantee.
+//! probes — std scoped threads) and produces byte-identical output for any
+//! thread count; see [`exec`] for the operator contract and why.
 //!
 //! Tables are mutable after registration: [`Database::insert_rows`] and
 //! [`Database::delete_rows`] apply a batch, recompute the statistics, and

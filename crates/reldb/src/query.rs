@@ -9,12 +9,15 @@
 //! i.e. a left-deep chain of equi-joins over base tables, with per-atom
 //! selection predicates, projecting the two endpoint attributes — always
 //! with set semantics (`SELECT DISTINCT`). A [`Query`] captures this shape;
-//! [`Query::run`] executes it with hash joins + distinct, and
-//! [`Query::to_sql`] renders the equivalent SQL (the Fig. 16 output).
+//! [`Query::run`] executes it on the counted sort/group operators of
+//! [`crate::exec`] — every atom is scanned and grouped into a bag of
+//! `(in, out)` pairs, and the bags are joined left to right, each join
+//! writing its output already grouped, so the grouping *is* the `DISTINCT`
+//! — and [`Query::to_sql`] renders the equivalent SQL (the Fig. 16 output).
 
 use crate::catalog::Database;
 use crate::error::{DbError, DbResult};
-use crate::exec::{distinct_rows, hash_join_project, scan_project};
+use crate::exec::{group_pairs, join_counted, pack, scan_project, unpack};
 use crate::expr::Predicate;
 use crate::intern::Vid;
 
@@ -63,37 +66,27 @@ impl Query {
 
     /// Execute against `db` with `threads` worker threads, returning the
     /// distinct `(X, Y)` pairs as ids of `db`'s dictionary
-    /// ([`Database::dict`] resolves them). This is the single `threads`
-    /// knob of the extraction pipeline: every scan, join build/probe, and
-    /// DISTINCT of the chain fans out over it, and the result is
-    /// byte-identical for any value (see [`crate::exec`] for the ordering
-    /// guarantee).
+    /// ([`Database::dict`] resolves them), in ascending `(X, Y)` id order.
+    /// This is the single `threads` knob of the extraction pipeline: every
+    /// scan and join probe of the chain fans out over it, and the result is
+    /// byte-identical for any value (see [`crate::exec`] for why).
     pub fn run_threaded(&self, db: &Database, threads: usize) -> DbResult<Vec<(Vid, Vid)>> {
         let Some((first, rest)) = self.steps.split_first() else {
             return Err(DbError::Invalid("empty chain query".into()));
         };
         let scan = |step: &ChainStep| {
             let cols = [step.in_col, step.out_col];
-            scan_project(db, &step.table, &step.pred, &cols, threads)
+            let rows = scan_project(db, &step.table, &step.pred, &cols, threads)?;
+            Ok(group_pairs(rows.iter().map(|r| pack(r[0], r[1])).collect()))
         };
-        // rows carry (X, current-join-value)
-        let mut rows = scan(first)?;
+        // The bag of (X, current-join-value) pairs the steps so far produce.
+        // Every join writes its output grouped, which keeps the frontier
+        // bounded by |domain(X)| * |domain(carry)|.
+        let mut frontier = scan(first)?;
         for step in rest {
-            // Joined virtual row is [X, carry, in, out]; the fused
-            // projection keeps (X, new-carry) without materializing the
-            // join columns at all.
-            rows = hash_join_project(&rows, 1, &scan(step)?, 0, &[0, 3], threads);
-            // Intermediate DISTINCT keeps the frontier bounded by
-            // |domain(X)| * |domain(carry)|; extraction only needs set
-            // semantics so this is safe and usually a large win.
-            rows = distinct_rows(rows, threads);
+            frontier = join_counted(&frontier, &scan(step)?, db.dict().capacity(), threads);
         }
-        // Multi-step chains were already deduplicated by the loop's last
-        // iteration; only single-table queries still need the final pass.
-        if rest.is_empty() {
-            rows = distinct_rows(rows, threads);
-        }
-        Ok(rows.into_pairs())
+        Ok(frontier.into_iter().map(|(key, _)| unpack(key)).collect())
     }
 
     /// Render the equivalent SQL text (for display / logging, mirroring the

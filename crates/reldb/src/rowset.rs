@@ -1,7 +1,8 @@
-//! Compact, arena-backed row storage for operator pipelines.
+//! Compact, arena-backed row storage for scan output.
 //!
-//! A [`RowSet`] is the unit every physical operator in [`crate::exec`]
-//! consumes and produces. It stores fixed-arity rows of dictionary ids in
+//! A [`RowSet`] is what [`crate::exec::scan_project`] produces — node-view
+//! rows of any arity, and the `(in, out)` pairs the join operators pack
+//! into bags. It stores fixed-arity rows of dictionary ids in
 //! one flat `Vec<Vid>` arena and addresses them by index (`row r` is
 //! `&vids[r * arity .. (r + 1) * arity]`): one allocation per *batch*, four
 //! bytes per cell, and per-thread partial results merge with a single
@@ -30,15 +31,6 @@ impl RowSet {
             arity,
             rows: 0,
             vids: Vec::new(),
-        }
-    }
-
-    /// An empty row set with arena capacity reserved for `rows` rows.
-    pub fn with_row_capacity(arity: usize, rows: usize) -> Self {
-        Self {
-            arity,
-            rows: 0,
-            vids: Vec::with_capacity(arity * rows),
         }
     }
 
@@ -87,15 +79,6 @@ impl RowSet {
         self.vids.append(&mut other.vids);
         self.rows += other.rows;
     }
-
-    /// Consume an arity-2 row set into `(x, y)` pairs.
-    ///
-    /// # Panics
-    /// If the arity is not 2.
-    pub fn into_pairs(self) -> Vec<(Vid, Vid)> {
-        assert_eq!(self.arity, 2, "into_pairs requires arity 2");
-        self.vids.chunks_exact(2).map(|p| (p[0], p[1])).collect()
-    }
 }
 
 #[cfg(test)]
@@ -131,14 +114,6 @@ mod tests {
         let mut a = pairs(&[(1, 1), (2, 2)]);
         a.append(pairs(&[(3, 3)]));
         assert_eq!(a, pairs(&[(1, 1), (2, 2), (3, 3)]));
-    }
-
-    #[test]
-    fn into_pairs_round_trip() {
-        assert_eq!(
-            pairs(&[(1, 10), (2, 20)]).into_pairs(),
-            vec![(1, 10), (2, 20)]
-        );
     }
 
     #[test]

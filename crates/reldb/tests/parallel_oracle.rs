@@ -5,26 +5,32 @@
 //! and the operators under test see exactly those. They assert the
 //! operator contract of `reldb::exec`:
 //!
-//! * [`hash_join_project`] equals the [`nested_loop_join`] oracle
-//!   **including row order**, for every thread count and both build sides,
-//!   and — resolved back through the dictionary — a join written on
-//!   `Value`s, so interning cannot hide a wrong match;
-//! * [`scan_project`] and [`distinct_rows`] are byte-identical across
-//!   1/2/8 threads and equal to value-level oracles;
-//! * a 2-step [`Query`] equals a brute-force evaluator;
+//! * [`join_counted`] over [`group_pairs`]-built bags equals the
+//!   [`nested_loop_join`] oracle projected, sorted and run-counted — keys
+//!   **and** multiplicities — for every thread count and every choice of
+//!   key columns, and that oracle — resolved back through the dictionary —
+//!   equals a join written on `Value`s, so interning cannot hide a wrong
+//!   match;
+//! * [`scan_project`] is byte-identical across 1/2/8 threads and equal to
+//!   a value-level oracle; [`group_pairs`] equals a value-level
+//!   count-per-distinct-row;
+//! * 1-, 2- and 3-step [`Query`]s equal a brute-force evaluator on values
+//!   and return the same pairs in the same order at 1/2/8 threads;
 //! * NULL-heavy, skewed-key, string-keyed, mixed `Int`/`Str`, empty, and
 //!   size-asymmetric inputs are covered, at sizes both below and above the
-//!   serial-fallback threshold.
+//!   serial-fallback threshold, plus a frontier whose one `x` run spans
+//!   every morsel cut.
 
 use graphgen_common::parallel::MIN_PARALLEL_ITEMS;
 use graphgen_common::SplitMix64;
-use graphgen_reldb::exec::{distinct_rows, hash_join_project, nested_loop_join, scan_project};
+use graphgen_reldb::exec::{
+    group_pairs, join_counted, nested_loop_join, pack, scan_project, unpack, CountedPairs,
+};
 use graphgen_reldb::query::{ChainStep, Query};
-use graphgen_reldb::{Column, Database, Predicate, RowSet, Schema, Table, Value};
+use graphgen_reldb::{Column, Database, Predicate, RowSet, Schema, Table, Value, NULL_VID};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 const KEY_PAIRS: [(usize, usize); 4] = [(0, 0), (0, 1), (1, 0), (1, 1)];
-const ALL_COLS: [usize; 4] = [0, 1, 2, 3];
 
 /// The type of a generated column. `Str` cells spell the same numbers as
 /// `Int` cells (`"3"` vs `3`), so a join across the two kinds is full of
@@ -119,6 +125,30 @@ fn value_join(l: &[Vec<Value>], lk: usize, r: &[Vec<Value>], rk: usize) -> Vec<V
     out
 }
 
+/// `L ⋈ R` on `L[lk] = R[rk]` through the operators under test: the
+/// frontier bag is `(L's other column, L[lk])`, the atom bag
+/// `(R[rk], R's other column)`.
+fn counted_join(fx: &Fixture, lk: usize, rk: usize, threads: usize) -> CountedPairs {
+    let bag = |rows: &RowSet, first: usize| {
+        group_pairs(rows.iter().map(|r| pack(r[first], r[1 - first])).collect())
+    };
+    let slots = fx.db.dict().capacity();
+    join_counted(&bag(&fx.l, 1 - lk), &bag(&fx.r, rk), slots, threads)
+}
+
+/// The same join through the nested-loop oracle: project the two non-key
+/// columns, sort, count the runs.
+fn reference_join(fx: &Fixture, lk: usize, rk: usize) -> CountedPairs {
+    let mut keys: Vec<u64> = nested_loop_join(&fx.l, lk, &fx.r, rk)
+        .iter()
+        .map(|row| pack(row[1 - lk], row[2 + (1 - rk)]))
+        .collect();
+    keys.sort_unstable();
+    keys.chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len() as i64))
+        .collect()
+}
+
 fn check_join(fx: &Fixture, label: &str) {
     let (lv, rv) = (values(&fx.db, &fx.l), values(&fx.db, &fx.r));
     for (lk, rk) in KEY_PAIRS {
@@ -128,10 +158,11 @@ fn check_join(fx: &Fixture, label: &str) {
             value_join(&lv, lk, &rv, rk),
             "{label}: id oracle vs value join, keys ({lk},{rk})"
         );
+        let reference = reference_join(fx, lk, rk);
         for threads in THREADS {
             assert_eq!(
-                hash_join_project(&fx.l, lk, &fx.r, rk, &ALL_COLS, threads),
-                oracle,
+                counted_join(fx, lk, rk, threads),
+                reference,
                 "{label}: join keys ({lk},{rk}) at {threads} threads"
             );
         }
@@ -141,17 +172,16 @@ fn check_join(fx: &Fixture, label: &str) {
 /// For inputs large enough that the quadratic oracle is slow: nested-loop
 /// oracle on one key pair, serial-vs-parallel byte-equality on all pairs.
 fn check_join_large(fx: &Fixture, label: &str) {
-    let join = |lk, rk, threads| hash_join_project(&fx.l, lk, &fx.r, rk, &ALL_COLS, threads);
     assert_eq!(
-        join(0, 1, 1),
-        nested_loop_join(&fx.l, 0, &fx.r, 1),
+        counted_join(fx, 0, 1, 1),
+        reference_join(fx, 0, 1),
         "{label}: serial vs oracle"
     );
     for (lk, rk) in KEY_PAIRS {
-        let serial = join(lk, rk, 1);
+        let serial = counted_join(fx, lk, rk, 1);
         for threads in [2usize, 8] {
             assert_eq!(
-                join(lk, rk, threads),
+                counted_join(fx, lk, rk, threads),
                 serial,
                 "{label}: join keys ({lk},{rk}) at {threads} threads"
             );
@@ -225,15 +255,15 @@ fn join_oracle_empty_inputs() {
 }
 
 #[test]
-fn join_builds_on_smaller_side_either_direction() {
+fn join_oracle_size_asymmetric_either_direction() {
     let mut rng = SplitMix64::new(0xD15C);
     let shape = Shape {
         domain: 64,
         null_pct: 10,
         skew: false,
     };
-    // Heavy asymmetry in both directions, large enough that the bigger side
-    // gets multiple workers from effective_threads.
+    // Heavy asymmetry in both directions, large enough that a big frontier
+    // gets multiple probe workers from effective_threads.
     let big = random_table(&mut rng, MIN_PARALLEL_ITEMS * 3, shape, INTS);
     let small = random_table(&mut rng, 60, shape, INTS);
     check_join_large(&fixture(big.clone(), small.clone()), "big-left/small-right");
@@ -241,7 +271,9 @@ fn join_builds_on_smaller_side_either_direction() {
 }
 
 #[test]
-fn fused_projection_matches_join_then_project() {
+fn join_output_multiplicities_count_join_paths() {
+    // Few distinct pairs, many ways to reach each: the multiplicities, not
+    // just the keys, must equal the oracle's run lengths.
     let mut rng = SplitMix64::new(0xF00D);
     let shape = Shape {
         domain: 12,
@@ -252,16 +284,57 @@ fn fused_projection_matches_join_then_project() {
         random_table(&mut rng, 500, shape, INTS),
         random_table(&mut rng, 800, shape, INTS),
     );
-    let mut projected = RowSet::new(2);
-    for row in nested_loop_join(&fx.l, 1, &fx.r, 0).iter() {
-        projected.push_row([row[0], row[3]]);
-    }
+    let reference = reference_join(&fx, 1, 0);
+    assert!(reference.iter().any(|&(_, m)| m > 1));
+    let joined: i64 = reference.iter().map(|&(_, m)| m).sum();
+    assert_eq!(
+        joined as usize,
+        nested_loop_join(&fx.l, 1, &fx.r, 0).num_rows()
+    );
     for threads in THREADS {
-        assert_eq!(
-            hash_join_project(&fx.l, 1, &fx.r, 0, &[0, 3], threads),
-            projected,
-            "{threads} threads"
-        );
+        assert_eq!(counted_join(&fx, 1, 0, threads), reference, "{threads}");
+    }
+}
+
+#[test]
+fn one_x_run_spanning_every_morsel_cut() {
+    // Every frontier entry has the same `x`, so every morsel boundary falls
+    // inside the one run and the cuts must move to its end.
+    let n = (MIN_PARALLEL_ITEMS * 3) as i64;
+    let mut l = Table::new(Schema::new(vec![Column::int("a"), Column::int("b")]));
+    let mut r = Table::new(Schema::new(vec![Column::int("a"), Column::int("b")]));
+    for i in 0..n {
+        l.push_row(vec![Value::int(-1), Value::int(i)]).unwrap();
+        r.push_row(vec![Value::int(i), Value::int(i % 50)]).unwrap();
+    }
+    let fx = fixture(l, r);
+    let reference = reference_join(&fx, 1, 0);
+    assert_eq!(reference.len(), 50);
+    for threads in THREADS {
+        assert_eq!(counted_join(&fx, 1, 0, threads), reference, "{threads}");
+    }
+}
+
+#[test]
+fn null_joins_nothing_but_is_carried_as_a_value() {
+    let table = |rows: &[(Value, Value)]| {
+        let mut t = Table::new(Schema::new(vec![Column::int("a"), Column::int("b")]));
+        for (a, b) in rows {
+            t.push_row(vec![a.clone(), b.clone()]).unwrap();
+        }
+        t
+    };
+    let (null, int) = (Value::Null, Value::int);
+    // NULL as carry and as `in` never matches — not even another NULL; NULL
+    // as the carried `x` and as the produced `out` passes through.
+    let fx = fixture(
+        table(&[(int(1), null.clone()), (null.clone(), int(5))]),
+        table(&[(null.clone(), int(9)), (int(5), null.clone())]),
+    );
+    for threads in THREADS {
+        let out = counted_join(&fx, 1, 0, threads);
+        assert_eq!(out, reference_join(&fx, 1, 0));
+        assert_eq!(out, [(pack(NULL_VID, NULL_VID), 1)]);
     }
 }
 
@@ -309,7 +382,7 @@ fn scan_project_parallel_is_byte_identical() {
 }
 
 #[test]
-fn distinct_parallel_preserves_first_occurrence() {
+fn grouping_is_distinct_with_counts() {
     let mut rng = SplitMix64::new(0xDED0);
     // Small domain forces many duplicates; NULLs participate as values.
     let shape = Shape {
@@ -325,46 +398,86 @@ fn distinct_parallel_preserves_first_occurrence() {
         )
         .unwrap();
         let rows = scan_all(&db, "T");
-        let serial = distinct_rows(rows.clone(), 1);
-        // Oracle: first-occurrence filter via a set of materialized rows.
-        let mut seen = std::collections::HashSet::new();
-        let expected: Vec<Vec<Value>> = values(&db, &rows)
-            .into_iter()
-            .filter(|row| seen.insert(row.clone()))
-            .collect();
-        assert_eq!(values(&db, &serial), expected, "serial vs oracle at n={n}");
-        assert_eq!(distinct_rows(serial.clone(), 1), serial, "idempotent");
-        for threads in THREADS {
-            assert_eq!(
-                distinct_rows(rows.clone(), threads),
-                serial,
-                "{threads} threads at n={n}"
-            );
+        let bag = group_pairs(rows.iter().map(|r| pack(r[0], r[1])).collect());
+        assert!(
+            bag.windows(2).all(|w| w[0].0 < w[1].0),
+            "ascending at n={n}"
+        );
+        // Oracle: occurrences per distinct materialized row.
+        let mut expected = std::collections::HashMap::new();
+        for row in values(&db, &rows) {
+            *expected.entry(row).or_insert(0i64) += 1;
         }
+        let value = |vid| db.dict().resolve(vid).expect("live vid").clone();
+        let got: std::collections::HashMap<Vec<Value>, i64> = bag
+            .iter()
+            .map(|&(key, m)| (vec![value(unpack(key).0), value(unpack(key).1)], m))
+            .collect();
+        assert_eq!(got.len(), bag.len(), "no duplicate left behind at n={n}");
+        assert_eq!(got, expected, "n={n}");
     }
 }
 
-#[test]
-fn chain_query_matches_bruteforce() {
-    // res(X, Y) :- R(X, g), R(Y, g): co-membership, a 2-step chain — the
-    // shape of every multi-atom segment extraction runs.
-    let mut rng = SplitMix64::new(0xC4A1);
-    let q = Query {
-        steps: vec![
-            ChainStep {
-                table: "R".into(),
-                pred: Predicate::True,
-                in_col: 0,
-                out_col: 1,
-            },
-            ChainStep {
-                table: "R".into(),
-                pred: Predicate::True,
-                in_col: 1,
-                out_col: 0,
-            },
-        ],
+/// The chain evaluated on values with nested loops: per step, filter the
+/// table, extend every frontier pair whose carry equals a row's `in` value
+/// (NULL equals nothing), and deduplicate.
+fn brute_force(db: &Database, q: &Query) -> Vec<(Value, Value)> {
+    let atom = |step: &ChainStep| -> Vec<(Value, Value)> {
+        let rows = db.table(&step.table).unwrap().iter_rows();
+        rows.filter(|row| step.pred.eval(row))
+            .map(|row| (row[step.in_col].clone(), row[step.out_col].clone()))
+            .collect()
     };
+    let mut frontier = atom(&q.steps[0]);
+    for step in &q.steps[1..] {
+        let rows = atom(step);
+        let mut next = Vec::new();
+        for (x, carry) in &frontier {
+            for (in_v, out_v) in &rows {
+                if !carry.is_null() && carry == in_v {
+                    next.push((x.clone(), out_v.clone()));
+                }
+            }
+        }
+        next.sort();
+        next.dedup();
+        frontier = next;
+    }
+    frontier.sort();
+    frontier.dedup();
+    frontier
+}
+
+#[test]
+fn chain_queries_match_bruteforce() {
+    let step = |table: &str, pred: Predicate, in_col, out_col| ChainStep {
+        table: table.into(),
+        pred,
+        in_col,
+        out_col,
+    };
+    let queries = [
+        // res(X, Y) :- R(X, Y), X < 9: a single filtered atom.
+        Query::single("R", Predicate::Lt(0, Value::int(9)), 0, 1),
+        // res(X, Y) :- R(X, g), R(Y, g): co-membership, a 2-step chain — the
+        // shape of every multi-atom segment extraction runs.
+        Query {
+            steps: vec![
+                step("R", Predicate::True, 0, 1),
+                step("R", Predicate::True, 1, 0),
+            ],
+        },
+        // res(X, Y) :- R(X, g), S(g, h), R(Y, h), Y > 2: three steps over
+        // two tables, string-keyed joins.
+        Query {
+            steps: vec![
+                step("R", Predicate::True, 0, 1),
+                step("S", Predicate::True, 0, 1),
+                step("R", Predicate::Gt(0, Value::int(2)), 1, 0),
+            ],
+        },
+    ];
+    let mut rng = SplitMix64::new(0xC4A1);
     for (n, domain) in [(0usize, 12), (40, 12), (MIN_PARALLEL_ITEMS * 2, 300)] {
         let shape = Shape {
             domain,
@@ -377,23 +490,33 @@ fn chain_query_matches_bruteforce() {
             random_table(&mut rng, n, shape, [Kind::Int, Kind::Str]),
         )
         .unwrap();
-        let serial = q.run(&db).unwrap();
-        for threads in THREADS {
-            assert_eq!(q.run_threaded(&db, threads).unwrap(), serial, "{threads}");
+        db.register(
+            "S",
+            random_table(&mut rng, n, shape, [Kind::Str, Kind::Str]),
+        )
+        .unwrap();
+        for q in &queries {
+            let steps = q.steps.len();
+            let serial = q.run(&db).unwrap();
+            assert!(
+                serial.windows(2).all(|w| w[0] < w[1]),
+                "ascending, duplicate-free ids: n={n}, {steps} steps"
+            );
+            for threads in THREADS {
+                // Same pairs in the same order, not just the same set.
+                assert_eq!(
+                    q.run_threaded(&db, threads).unwrap(),
+                    serial,
+                    "n={n}, {steps} steps at {threads} threads"
+                );
+            }
+            let value = |vid| db.dict().resolve(vid).expect("live vid").clone();
+            let mut got: Vec<(Value, Value)> =
+                serial.iter().map(|&(x, y)| (value(x), value(y))).collect();
+            got.sort();
+            // Equal to the deduplicated brute force *as a list*: DISTINCT
+            // left no duplicate behind.
+            assert_eq!(got, brute_force(&db, q), "n={n}, {steps} steps");
         }
-        let value = |vid| db.dict().resolve(vid).expect("live vid").clone();
-        let mut got: Vec<(Value, Value)> =
-            serial.iter().map(|&(x, y)| (value(x), value(y))).collect();
-        got.sort();
-        let rows: Vec<Vec<Value>> = db.table("R").unwrap().iter_rows().collect();
-        let mut expected: Vec<(Value, Value)> = value_join(&rows, 1, &rows, 1)
-            .into_iter()
-            .map(|row| (row[0].clone(), row[2].clone()))
-            .collect();
-        expected.sort();
-        expected.dedup();
-        // Equal to the deduplicated brute force *as a list*: DISTINCT left
-        // no duplicate behind.
-        assert_eq!(got, expected, "n={n}");
     }
 }

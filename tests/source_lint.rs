@@ -17,6 +17,10 @@
 //! counters (`AtomicU64` and friends) in `crates/serve/src` must go
 //! through the metrics registry (`crate::obs`) so they show up in
 //! `METRICS`, with `RAW_COUNTER_ALLOWED` for the justified exceptions.
+//!
+//! A fourth lint keeps the relational engine at one operator set: the
+//! names of the deleted hash join and hash DISTINCT may not reappear in
+//! any crate's sources or in the docs.
 
 use std::path::Path;
 
@@ -63,6 +67,17 @@ fn compact_nontest_source(path: &Path) -> String {
         })
         .collect::<Vec<_>>()
         .join("")
+}
+
+/// Every file at or under `path`.
+fn walk(path: &Path, files: &mut Vec<std::path::PathBuf>) {
+    if path.is_dir() {
+        for entry in std::fs::read_dir(path).unwrap_or_else(|e| panic!("{path:?}: {e}")) {
+            walk(&entry.expect("dir entry").path(), files);
+        }
+    } else {
+        files.push(path.to_path_buf());
+    }
 }
 
 fn context(text: &str, pos: usize) -> String {
@@ -180,6 +195,51 @@ fn raw_counter_allowlist_entries_are_still_used() {
 }
 
 // ---------------------------------------------------------------------------
+// One join, one DISTINCT
+// ---------------------------------------------------------------------------
+
+/// The operators `reldb::exec::{group_pairs, join_counted}` replaced. A
+/// second join or DISTINCT beside them would be a second mechanism for one
+/// job, and a doc line naming these would describe code that is gone.
+const DELETED_OPERATORS: &[&str] = &["hash_join_project", "distinct_rows"];
+
+#[test]
+fn deleted_operators_stay_deleted() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    let crates = root.join("crates");
+    for entry in std::fs::read_dir(&crates).unwrap_or_else(|e| panic!("{crates:?}: {e}")) {
+        walk(&entry.expect("dir entry").path().join("src"), &mut files);
+    }
+    walk(&root.join("docs"), &mut files);
+    walk(&root.join("README.md"), &mut files);
+
+    let mut violations = Vec::new();
+    for path in files {
+        // Anything that is not text cannot name an operator.
+        let Ok(text) = std::fs::read_to_string(&path) else {
+            continue;
+        };
+        for (n, line) in text.lines().enumerate() {
+            for name in DELETED_OPERATORS {
+                if line.contains(name) {
+                    let rel = path.strip_prefix(root).expect("under root");
+                    violations.push(format!("{}:{}: `{name}`", rel.display(), n + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "the hash join and the hash DISTINCT were deleted for \
+         `reldb::exec::{{join_counted, group_pairs}}`; extend those instead of \
+         bringing a second operator set back, and keep the docs on the code \
+         that exists:\n{}",
+        violations.join("\n")
+    );
+}
+
+// ---------------------------------------------------------------------------
 // `#[allow(...)]` registry for the analysis crates
 // ---------------------------------------------------------------------------
 
@@ -204,20 +264,11 @@ const ALLOW_REGISTRY: &[(&str, &str)] = &[
 /// All `(file, lint)` pairs for `#[allow(...)]` / `#![allow(...)]`
 /// attributes under the given crate source directories.
 fn allow_attributes(root: &Path, dirs: &[&str]) -> Vec<(String, String)> {
-    fn walk(dir: &Path, files: &mut Vec<std::path::PathBuf>) {
-        for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{dir:?}: {e}")) {
-            let path = entry.expect("dir entry").path();
-            if path.is_dir() {
-                walk(&path, files);
-            } else if path.extension().is_some_and(|ext| ext == "rs") {
-                files.push(path);
-            }
-        }
-    }
     let mut files = Vec::new();
     for dir in dirs {
         walk(&root.join(dir), &mut files);
     }
+    files.retain(|path| path.extension().is_some_and(|ext| ext == "rs"));
     let mut found = Vec::new();
     for path in files {
         let rel = path
