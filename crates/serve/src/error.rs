@@ -32,7 +32,7 @@ pub enum ServeError {
     /// for a result that was never computed).
     Analyze(String),
     /// A previous write failed after the database was already mutated, so
-    /// the in-memory state may be ahead of the write-ahead logs. The
+    /// the in-memory state may be ahead of the write-ahead log. The
     /// writer refuses further work; reads keep serving the last published
     /// versions. Reopen the service from its directory to recover a
     /// consistent committed state.
@@ -65,7 +65,7 @@ impl fmt::Display for ServeError {
             ServeError::Wedged => write!(
                 f,
                 "service is wedged after a write failure (in-memory state may be \
-                 ahead of the write-ahead logs); reopen it from its directory to \
+                 ahead of the write-ahead log); reopen it from its directory to \
                  recover the consistent committed state"
             ),
         }

@@ -15,10 +15,11 @@
 //!   crate's soak tests at 1/2/8 reader threads);
 //! * **persistence** — per-graph binary snapshots
 //!   (`GraphHandle::to_snapshot_bytes`, magic-headed, length-prefixed
-//!   little-endian) plus per-graph write-ahead delta logs with checksummed
-//!   records, torn-tail truncation, and size-triggered log compaction.
-//!   [`GraphService::open`] recovers the exact pre-crash committed state
-//!   from any abrupt-drop layout, including mid-compaction ones;
+//!   little-endian) plus **one** write-ahead delta log with checksummed
+//!   records and torn-tail truncation, folded into fresh snapshots by a
+//!   size-triggered checkpoint. [`GraphService::open`] recovers the exact
+//!   pre-crash committed state from any abrupt-drop layout, including
+//!   mid-checkpoint ones;
 //! * a **TCP front end** — the `graphgen-serve` binary: std
 //!   `TcpListener`, thread per connection, newline-delimited text protocol
 //!   (`EXTRACT` / `CHECK` / `EXPLAIN` / `NEIGHBORS` / `DEGREE` / `ANALYZE`

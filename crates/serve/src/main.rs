@@ -24,8 +24,10 @@
 //!   that flips a frozen plan's `stale_plan` drift flag, an
 //!   analyze → publish → re-analyze sequence that must warm-start, and a
 //!   METRICS + TRACE pass that must find the EXTRACT's scan phase in the
-//!   exposition and the deliberately slow ANALYZE in the trace ring), shut
-//!   down cleanly, and exit non-zero on any mismatch (used by CI)
+//!   exposition and the deliberately slow ANALYZE in the trace ring, and a
+//!   COMPACT + one more APPLY after which a reopen must replay exactly one
+//!   log record), shut down cleanly, and exit non-zero on any mismatch
+//!   (used by CI)
 //!
 //! The protocol is newline-delimited text — see `graphgen_serve::protocol`
 //! — so `nc 127.0.0.1 7411` is a usable client.
@@ -401,15 +403,37 @@ fn smoke() -> Result<(), String> {
     if !trace.starts_with("OK n=") || trace.contains("verb=analyze ") {
         return Err(format!("TRACE ring was not drained: `{trace}`"));
     }
+    // One log, and COMPACT bounds what a restart replays: the four batches
+    // above are in it until the checkpoint folds them into the snapshots;
+    // the one applied afterwards is all that is left to redo.
+    let stats = send("STATS")?;
+    if stats.contains("wal_bytes=0 ") || !stats.contains(" wal_bytes=") {
+        return Err(format!("expected a non-empty log in `{stats}`"));
+    }
+    expect(send("COMPACT coauthors")?, "OK")?;
+    let stats = send("STATS")?;
+    if !stats.contains(" wal_bytes=0 ") {
+        return Err(format!("expected `wal_bytes=0` after COMPACT in `{stats}`"));
+    }
+    expect(send("APPLY AuthorPub +5,1")?, "OK rows=1 coauthors@5")?;
     expect(send("SHUTDOWN")?, "OK bye")?;
     handle.wait();
 
     // The abrupt-drop recovery contract, through the same directory.
     let recovered = GraphService::open(tmp.path()).map_err(|e| e.to_string())?;
     let snap = recovered.snapshot("coauthors").map_err(|e| e.to_string())?;
-    if snap.version() != 4 {
-        return Err(format!("recovered version {} != 4", snap.version()));
+    if snap.version() != 5 {
+        return Err(format!("recovered version {} != 5", snap.version()));
     }
-    println!("recovery: coauthors@{} served after reopen", snap.version());
+    let replayed = recovered.obs().m.recovery_records_total.get();
+    if replayed != 1 {
+        return Err(format!(
+            "recovery replayed {replayed} log records, expected the 1 after COMPACT"
+        ));
+    }
+    println!(
+        "recovery: coauthors@{} served after reopen, {replayed} log record replayed",
+        snap.version()
+    );
     Ok(())
 }

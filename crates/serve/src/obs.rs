@@ -45,10 +45,21 @@ pub const VERBS: &[&str] = &[
     "shutdown",
 ];
 
-/// The writer's publish pipeline phases, as the `phase` label of
-/// `graphgen_apply_phase_ns` (span labels emitted inside
-/// [`crate::GraphService::apply`]).
-pub const APPLY_PHASES: &[&str] = &["validate", "wal_append", "patch", "publish"];
+/// The writer's publish pipeline phases, in order, as the `phase` label
+/// of `graphgen_apply_phase_ns` (span labels emitted inside
+/// [`crate::GraphService::apply`]): pre-validation, the database mutation
+/// that yields the batch, the one log append (encode + write + fsync), the
+/// per-graph incremental patch, the drift re-cost on the post-batch
+/// catalog, and the publication swap. The spans never nest, so the
+/// family's sums add up to the attributed share of `graphgen_apply_ns`.
+pub const APPLY_PHASES: &[&str] = &[
+    "validate",
+    "db_mutate",
+    "wal_append",
+    "patch",
+    "drift",
+    "publish",
+];
 
 /// The extraction phases, as the `phase` label of
 /// `graphgen_extract_phase_ns` (span labels emitted by the relational
@@ -89,19 +100,19 @@ instruments! {
         histogram apply_ns: "graphgen_apply_ns" =
             "end-to-end APPLY latency, all phases included (ns)",
         counter wal_appends_total: "graphgen_wal_appends_total" =
-            "records appended across the db and graph WALs",
+            "records appended to the write-ahead log (one per accepted APPLY batch)",
         counter wal_append_bytes_total: "graphgen_wal_append_bytes_total" =
-            "payload bytes appended across the db and graph WALs",
+            "payload bytes appended to the write-ahead log",
         histogram wal_fsync_ns: "graphgen_wal_fsync_ns" =
             "WAL fsync duration (ns) — the durability tax per synced append",
         counter compactions_total: "graphgen_compactions_total" =
-            "WAL-into-snapshot folds (graph and db logs)",
+            "checkpoints: the log folded into fresh graph and db snapshots",
         histogram compaction_ns: "graphgen_compaction_ns" =
-            "compaction fold duration (ns)",
+            "checkpoint duration, snapshot writes and truncation included (ns)",
         histogram recovery_replay_ns: "graphgen_recovery_replay_ns" =
-            "startup WAL replay duration per log (ns)",
+            "startup graph-snapshot load plus log replay duration (ns)",
         counter recovery_records_total: "graphgen_recovery_records_total" =
-            "WAL records replayed at startup",
+            "log records replayed at startup (each counted once)",
         counter analyze_computes_total: "graphgen_analyze_computes_total" =
             "ANALYZE kernel runs (cache misses)",
         counter analyze_hits_total: "graphgen_analyze_hits_total" =

@@ -13,8 +13,9 @@
 //! ANALYZE STATUS             engine counters (computes/hits/warm starts/cache size)
 //! ANALYZE STATUS <name> <algo> [k=v …]   newest cached result, never computes
 //! APPLY <table> <±row …>     mutate a table: +1,2 inserts row (1,2); -1,2 deletes it
-//! STATS [<name>]             per-graph version/vertices/edges (all graphs if no name)
-//! COMPACT <name>             fold the graph's WAL into a fresh snapshot
+//! STATS [<name>]             per-graph version/vertices/edges (all graphs, after a
+//!                            service line with the log's size, if no name)
+//! COMPACT <name>             checkpoint: fold the log into fresh snapshots
 //! METRICS                    full instrument registry, escaped exposition
 //! TRACE [<n>]                drain up to n slow/failed ops from the trace ring
 //! PING                       liveness probe
@@ -459,8 +460,8 @@ pub fn parse_command(line: &str) -> ServeResult<Option<Command>> {
 /// server loop is responsible for actually stopping.
 ///
 /// Every execution is observed: the wall time lands in the per-verb
-/// request histogram, the phase spans recorded on this thread (validate /
-/// wal_append / patch / publish, scan / join / distinct / build_rep) are
+/// request histogram, the phase spans recorded on this thread
+/// ([`crate::obs::APPLY_PHASES`], [`crate::obs::EXTRACT_PHASES`]) are
 /// folded into their phase families, and a slow or failed command is
 /// captured in the trace ring with that breakdown.
 pub fn execute(service: &GraphService, cmd: &Command) -> String {
@@ -608,16 +609,8 @@ fn run(service: &GraphService, cmd: &Command) -> ServeResult<String> {
             let (stats, db_rows) = service.stats();
             let render = |s: &crate::service::GraphStats| {
                 format!(
-                    "{} version={} vertices={} edges={} rep={} wal_bytes={} \
-                     drift={:.2} stale_plan={}",
-                    s.name,
-                    s.version,
-                    s.vertices,
-                    s.edges,
-                    s.rep,
-                    s.wal_bytes,
-                    s.drift,
-                    s.stale_plan
+                    "{} version={} vertices={} edges={} rep={} drift={:.2} stale_plan={}",
+                    s.name, s.version, s.vertices, s.edges, s.rep, s.drift, s.stale_plan
                 )
             };
             match name {
@@ -631,8 +624,11 @@ fn run(service: &GraphService, cmd: &Command) -> ServeResult<String> {
                 None => {
                     let rejects = service.check_reject_counts();
                     let total: u64 = rejects.iter().map(|(_, n)| n).sum();
-                    let mut head =
-                        format!("graphs={} db_rows={db_rows} rejects={total}", stats.len());
+                    let mut head = format!(
+                        "graphs={} db_rows={db_rows} wal_bytes={} rejects={total}",
+                        stats.len(),
+                        service.wal_bytes()
+                    );
                     if total > 0 {
                         let by_code: Vec<String> = rejects
                             .iter()
@@ -972,10 +968,17 @@ mod tests {
         assert!(resp.starts_with("OK rows=1 g@2"), "{resp}");
         let resp = run("NEIGHBORS g 2");
         assert!(resp.starts_with("OK version=2 n=4"), "{resp}");
+        // The log is the service's, not the graph's: its size sits on the
+        // bare STATS head line only (0 here: nothing is persisted).
         let resp = run("STATS g");
         assert!(resp.contains("version=2"), "{resp}");
+        assert!(!resp.contains("wal_bytes="), "{resp}");
         let resp = run("STATS");
-        assert!(resp.contains("graphs=1"), "{resp}");
+        assert!(
+            resp.starts_with("OK graphs=1 db_rows=14 wal_bytes=0 "),
+            "{resp}"
+        );
+        assert_eq!(resp.matches("wal_bytes=").count(), 1, "{resp}");
         // Errors come back as ERR lines, not broken connections.
         assert!(run("NEIGHBORS nope 1").starts_with("ERR unknown graph"));
         assert!(run("NEIGHBORS g 999").starts_with("ERR"));

@@ -36,14 +36,13 @@
 //!
 //! ```text
 //! dir/
-//!   db.snap            magic GGSVDB2\0 | u64 version | Database
+//!   db.snap            magic GGSVDB2\0 | u64 db_version | Database
 //!                      (value dictionary first, then the tables)
-//!   db.wal             records: u64 version | DeltaBatch     (see wal.rs)
+//!   db.wal             records: u64 db_version | DeltaBatch   (see wal.rs)
 //!   <name>.graph.snap  magic GGSVGR5\0 | u64 version | u64 db_version
 //!                      | dsl | frozen plans (per chain: cuts, planned
 //!                      outputs, planned cost) | GraphHandle snapshot
 //!                      (GGSNAP3, chunked + dense-id interned)
-//!   <name>.graph.wal   records: u64 version | u64 db_version | DeltaBatch
 //! ```
 //!
 //! Graph snapshots are written from the **working** handle (it owns the
@@ -53,30 +52,33 @@
 //! rejected with a clean magic mismatch.
 //!
 //! Snapshot files carry a whole-file fxhash64 trailer ([`crate::wal::seal`])
-//! and WAL records carry per-record checksums, so recovery surfaces
+//! and log records carry per-record checksums, so recovery surfaces
 //! corruption as [`ServeError::Corrupt`] instead of decoding flipped bytes.
 //!
-//! A batch is appended to the write-ahead logs **before** its version is
-//! published, so an acknowledged version is always recoverable. When a
-//! graph's WAL grows past [`ServiceConfig::compact_threshold`], it is
-//! folded into a fresh snapshot (atomic tmp+rename) and the log is
-//! truncated; [`GraphService::open`] replays only WAL records *newer* than
-//! the snapshot version, so every mid-compaction crash layout (old
-//! snapshot + full log, new snapshot + not-yet-truncated log, leftover
-//! `.tmp`) recovers to the exact pre-crash state.
+//! **One log.** The writer lock puts every batch in one serial order, and
+//! the delta engine is deterministic in that order, so the order is all
+//! durability has to record: a batch is appended to `db.wal` once, stamped
+//! with the database version it produces, **before** any version it leads
+//! to is observable. A graph's durable state is its snapshot alone, stamped
+//! with the graph version and the database version it is consistent with.
+//! [`GraphService::open`] loads `db.snap` and every graph snapshot, then
+//! walks the log once: a record is applied to the database if it is newer
+//! than `db.snap`, and to each graph whose stamp it exceeds and whose tables
+//! it touches — the predicate and the `version += 1` of the live write path.
 //!
-//! The database WAL and the per-graph WALs are separate files, appended in
-//! sequence, so a crash can land *between* the two appends of one batch.
-//! The `db_version` stamp on every graph snapshot and graph WAL record is
-//! the cross-log correlation that makes this window safe: recovery knows
-//! exactly which database version each recovered graph is consistent with,
-//! and replays any later db-WAL batches the graph's own log is missing
-//! (skipping batches that touch none of its tables, exactly as the live
-//! write path would). So that db log truncation can never strand a graph,
-//! db compaction first folds every graph whose durable stamp lags the
-//! current database version; a graph stamp *older than `db.snap`* is
-//! therefore impossible in any crash layout and recovery rejects it as
-//! [`ServeError::Corrupt`] instead of serving a silently diverged graph.
+//! **Checkpoint.** When the log grows past
+//! [`ServiceConfig::compact_threshold`] (or on [`GraphService::compact`]),
+//! the service writes the snapshot of every graph whose file is stamped
+//! older than the current database version, then `db.snap`, then truncates
+//! the log (each file atomically, tmp+rename). Replay skips the records at
+//! or below each file's own stamp, so a crash between any two of those
+//! steps — some graph snapshots new, `db.snap` old or new, the log still
+//! full, a leftover `.tmp` — recovers to the exact pre-crash state, and
+//! restart cost is bounded by the log written since the last checkpoint.
+//! A checkpoint leaves no file stamped behind `db.snap`, and the log is
+//! appended before anything else, so a graph stamped *behind* `db.snap` or
+//! *ahead of* the recovered database is a foreign file and recovery rejects
+//! it as [`ServeError::Corrupt`] instead of serving a diverged graph.
 
 use crate::error::{ServeError, ServeResult};
 use crate::wal::{seal, unseal, write_file_atomic, Wal};
@@ -109,9 +111,10 @@ pub const GRAPH_SNAP_MAGIC: [u8; 8] = *b"GGSVGR5\0";
 /// Service knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Fold a WAL into a fresh snapshot once it exceeds this many bytes.
+    /// Checkpoint (fold the log into fresh snapshots) once the log exceeds
+    /// this many bytes.
     pub compact_threshold: u64,
-    /// Fsync WAL appends and snapshot writes (durability on return). Turn
+    /// Fsync log appends and snapshot writes (durability on return). Turn
     /// off for throughput experiments where the OS page cache is enough.
     pub fsync: bool,
     /// Worker threads for extraction and delta probes (`0` = the
@@ -211,8 +214,6 @@ pub struct GraphStats {
     pub edges: u64,
     /// Representation label of the served handle.
     pub rep: String,
-    /// Bytes in the graph's write-ahead log (0 when not persisted).
-    pub wal_bytes: u64,
     /// Cost of the frozen plan re-costed on live statistics, relative to
     /// the live min-cost plan (1.0 = still optimal).
     pub drift: f64,
@@ -287,13 +288,74 @@ struct GraphState {
     /// The currently published version (a structurally shared reader
     /// clone of `working` as of its commit).
     current: Arc<GraphSnapshot>,
-    wal: Option<Wal>,
-    /// Highest database version the graph's *durable* state (the snapshot
-    /// file's stamp or its last WAL record) is known consistent with. Lags
-    /// `current.db_version()` while batches skip this graph; db compaction
-    /// uses it to fold the graph before discarding db-WAL records its
-    /// files have never seen.
-    durable_db_version: u64,
+    /// The database version stamped on the graph's snapshot **file**: log
+    /// records at or below it are already in that file. A checkpoint
+    /// rewrites the file when this is behind the current database version.
+    snap_db_version: u64,
+}
+
+impl GraphState {
+    /// Writer-side state around `working`, published as `version` and
+    /// stamped `db_version` in memory and on disk (a fresh extraction, or a
+    /// snapshot file just loaded). Drift starts neutral; the caller
+    /// re-costs it against its catalog.
+    fn new(
+        name: &str,
+        dsl: String,
+        frozen: Vec<FrozenChainPlan>,
+        working: GraphHandle,
+        version: u64,
+        db_version: u64,
+    ) -> Self {
+        let chains = graphgen_dsl::compile(&dsl).map_or_else(|_| Vec::new(), |spec| spec.edges);
+        let current = Arc::new(GraphSnapshot {
+            name: name.to_string(),
+            version,
+            db_version,
+            handle: working.reader_clone(),
+        });
+        GraphState {
+            dsl,
+            chains,
+            frozen,
+            drift: 1.0,
+            stale_plan: false,
+            working,
+            current,
+            snap_db_version: db_version,
+        }
+    }
+
+    /// Push the batch that produced `db_version` through the graph — the
+    /// one step the live write path and recovery's log walk share. A graph
+    /// is affected iff the batch touches a table its spec reads: such a
+    /// batch is always applied and versioned (even when it changes no
+    /// visible edge, it advances the maintenance state the next delta
+    /// builds on), and `current` becomes a structurally shared reader
+    /// clone of the patched working handle (O(#chunks): the delta-bound
+    /// publish). A graph whose tables are untouched is skipped wholesale,
+    /// keeps its version, and answers `None`.
+    ///
+    /// The patch is in place: a failure leaves the working handle
+    /// untrustworthy, while `current` is untouched and keeps serving.
+    /// Pinned snapshots are immune to the patching — a write copies the
+    /// chunks it touches, never the ones a pinned version points at.
+    fn advance(&mut self, batch: &DeltaBatch, db_version: u64) -> ServeResult<Option<GraphPatch>> {
+        if !batch_affects(batch, &self.working.referenced_tables()) {
+            return Ok(None);
+        }
+        let patch = {
+            let _span = metrics::span("patch", Region::Patch);
+            self.working.apply_batch(batch)?
+        };
+        self.current = Arc::new(GraphSnapshot {
+            name: self.current.name.clone(),
+            version: self.current.version + 1,
+            db_version,
+            handle: self.working.reader_clone(),
+        });
+        Ok(Some(patch))
+    }
 }
 
 /// Everything the single writer touches, behind one lock.
@@ -301,7 +363,8 @@ struct GraphState {
 struct Inner {
     db: Database,
     db_version: u64,
-    db_wal: Option<Wal>,
+    /// The service's only log (`db.wal`); `None` when not persisted.
+    wal: Option<Wal>,
     graphs: FxHashMap<String, GraphState>,
     dir: Option<PathBuf>,
     cfg: ServiceConfig,
@@ -311,7 +374,7 @@ struct Inner {
     /// attribute it to and nothing for recovery to restore.
     check_rejects: FxHashMap<String, u64>,
     /// Set when a write failed *after* the database was already mutated:
-    /// the in-memory state may be ahead of the logs, so further writer
+    /// the in-memory state may be ahead of the log, so further writer
     /// operations would compound the divergence silently. Reads keep
     /// working; recovery is reopening from the directory.
     wedged: bool,
@@ -370,39 +433,37 @@ impl GraphService {
             // The directory may hold debris from a previous incarnation
             // (e.g. the operator deleted a corrupt db.snap to start over):
             // graph files extracted from a database this service never
-            // saw, WAL records, half-written `.tmp` siblings. All of it
+            // saw, its log (and the per-graph logs of the layout before
+            // the single one), half-written `.tmp` siblings. All of it
             // must be gone *before* the fresh db.snap is written — a later
             // `open` would otherwise recover those graphs as live, or
-            // (for the reset-but-not-deleted db.wal) replay mutations over
-            // the new database and mask its own records behind recycled
-            // version numbers. A crash mid-cleanup leaves no db.snap,
-            // which `open` refuses, so `create` simply runs again.
+            // replay the old log's mutations over the new database and
+            // mask its own records behind recycled version numbers. A
+            // crash mid-cleanup leaves no db.snap, which `open` refuses,
+            // so `create` simply runs again.
             for entry in std::fs::read_dir(dir)? {
                 let path = entry?.path();
                 let Some(file) = path.file_name().and_then(|n| n.to_str()) else {
                     continue;
                 };
-                if file.ends_with(".graph.snap")
+                if file == "db.wal"
+                    || file.ends_with(".graph.snap")
                     || file.ends_with(".graph.wal")
                     || file.ends_with(".tmp")
                 {
                     std::fs::remove_file(&path)?;
                 }
             }
-            let (mut wal, stale) = Wal::open(dir.join("db.wal"))?;
-            if !stale.is_empty() {
-                wal.reset()?;
-            }
+            let (mut wal, _) = Wal::open(dir.join("db.wal"))?;
             wal.set_fsync_histogram(service.obs.m.wal_fsync_ns.clone());
-            write_db_snapshot(&mut inner)?;
-            inner.db_wal = Some(wal);
+            write_db_snapshot(dir, &inner.db, inner.db_version, cfg.fsync)?;
+            inner.wal = Some(wal);
         }
         Ok(service)
     }
 
-    /// Recover a persistent service from `dir`: load every snapshot, replay
-    /// every WAL record newer than its snapshot, and serve the exact
-    /// pre-crash committed state.
+    /// Recover a persistent service from `dir`: load every snapshot, walk
+    /// the log once, and serve the exact pre-crash committed state.
     pub fn open(dir: impl AsRef<Path>) -> ServeResult<Self> {
         Self::open_with(dir, ServiceConfig::default())
     }
@@ -410,7 +471,7 @@ impl GraphService {
     /// [`GraphService::open`] with explicit knobs.
     pub fn open_with(dir: impl AsRef<Path>, cfg: ServiceConfig) -> ServeResult<Self> {
         let dir = dir.as_ref();
-        // -- database ------------------------------------------------------
+        // -- snapshots -----------------------------------------------------
         let db_snap_path = dir.join("db.snap");
         let bytes = std::fs::read(&db_snap_path)?;
         let content = unseal(&bytes).ok_or_else(|| {
@@ -427,83 +488,114 @@ impl GraphService {
             r.expect_end()?;
             Ok((version, db))
         };
-        let (snap_version, mut db) = parse(&mut r)
+        let (db_snap_version, mut db) = parse(&mut r)
             .map_err(|e| ServeError::corrupt(db_snap_path.display().to_string(), e))?;
         let replay_t0 = Instant::now();
         let _replay_span = metrics::span("recovery", Region::Recovery);
-        let (mut db_wal, db_records) = Wal::open(dir.join("db.wal"))?;
-        let mut db_version = snap_version;
-        // The replayed tail is kept for the per-graph pass below: a graph
-        // whose log is missing the final batch of a crashed `apply` (the
-        // two logs are appended non-atomically) is caught up from it.
-        let mut db_tail: Vec<(u64, DeltaBatch)> = Vec::new();
-        let mut db_replayed = 0u64;
-        for record in db_records {
-            let (version, batch) = decode_wal_record(&record)
-                .map_err(|e| ServeError::corrupt(db_wal.path().display().to_string(), e))?;
+        let mut stems: Vec<(String, PathBuf)> = Vec::new();
+        for entry in std::fs::read_dir(dir)? {
+            let path = entry?.path();
+            let Some(file) = path.file_name().and_then(|n| n.to_str()) else {
+                continue;
+            };
+            if let Some(stem) = file.strip_suffix(".graph.snap") {
+                stems.push((stem.to_string(), path.clone()));
+            }
+        }
+        stems.sort();
+        // Snapshots record the thread count they were extracted with; this
+        // service's own knob (resolved the same way extraction resolves
+        // it) wins for every recovered handle.
+        let threads = Self::extraction_config(&cfg).threads();
+        let mut graphs = Vec::with_capacity(stems.len());
+        for (name, snap_path) in stems {
+            let state = load_graph_snapshot(&name, &snap_path, threads)?;
+            if state.snap_db_version < db_snap_version {
+                // A checkpoint rewrites every graph file stamped behind the
+                // database before it writes db.snap, so no crash leaves
+                // this layout, and the batches in between are gone from
+                // the log: refuse rather than serve a graph behind its
+                // database.
+                return Err(ServeError::corrupt(
+                    snap_path.display().to_string(),
+                    format!(
+                        "graph is consistent with database version {} but db.snap \
+                         is at {db_snap_version} and the batches between were \
+                         checkpointed away; re-extract the graph",
+                        state.snap_db_version
+                    ),
+                ));
+            }
+            graphs.push(state);
+        }
+        // -- the log, once ---------------------------------------------------
+        let log_path = dir.join("db.wal");
+        let log_file = log_path.display().to_string();
+        let (mut wal, records) = Wal::open(&log_path).map_err(|e| match e.kind() {
+            std::io::ErrorKind::InvalidData => ServeError::corrupt(&log_file, e),
+            _ => e.into(),
+        })?;
+        let mut db_version = db_snap_version;
+        let mut replayed = 0u64;
+        for record in records {
+            let (version, batch) =
+                decode_wal_record(&record).map_err(|e| ServeError::corrupt(&log_file, e))?;
             if version <= db_version {
-                continue; // already folded into the snapshot (mid-compaction crash)
+                // Folded into db.snap by a checkpoint that crashed before
+                // truncating — and so into every graph file, none of which
+                // is stamped behind db.snap.
+                continue;
             }
             replay_batch_on_db(&mut db, &batch)?;
             db_version = version;
-            db_replayed += 1;
-            db_tail.push((version, batch));
+            replayed += 1;
+            for state in &mut graphs {
+                if version > state.snap_db_version {
+                    state.advance(&batch, version)?;
+                }
+            }
+        }
+        for state in &graphs {
+            if state.snap_db_version > db_version {
+                // The log is appended before anything is patched or
+                // snapshotted, so a graph is never ahead of its database.
+                // Finding one means foreign files (a previous incarnation's
+                // graph beside a recreated database) or fsync-off
+                // reordering — its history is not this database's.
+                return Err(ServeError::corrupt(
+                    graph_snap_path(dir, state.current.name())
+                        .display()
+                        .to_string(),
+                    format!(
+                        "graph is ahead of its database (stamped database version \
+                         {}, recovered database at {db_version}): the graph belongs \
+                         to another incarnation; re-extract it",
+                        state.snap_db_version
+                    ),
+                ));
+            }
         }
         let service = Self::assemble(db, Some(dir.to_path_buf()), cfg);
-        // The registry is born with the service, so the db replay above is
+        // The registry is born with the service, so the replay above is
         // timed externally and recorded here (instruments are in-memory
         // only: a reopened service starts them at zero).
         service.obs.m.recovery_replay_ns.record_since(replay_t0);
-        service.obs.m.recovery_records_total.add(db_replayed);
-        db_wal.set_fsync_histogram(service.obs.m.wal_fsync_ns.clone());
+        service.obs.m.recovery_records_total.add(replayed);
+        wal.set_fsync_histogram(service.obs.m.wal_fsync_ns.clone());
         {
             let mut inner = service.inner.lock().unwrap();
             inner.db_version = db_version;
-            inner.db_wal = Some(db_wal);
-            // -- graphs ----------------------------------------------------
-            let mut stems: Vec<(String, PathBuf)> = Vec::new();
-            for entry in std::fs::read_dir(dir)? {
-                let path = entry?.path();
-                let Some(file) = path.file_name().and_then(|n| n.to_str()) else {
-                    continue;
-                };
-                if let Some(stem) = file.strip_suffix(".graph.snap") {
-                    stems.push((stem.to_string(), path.clone()));
-                }
-            }
-            stems.sort();
-            // Snapshots record the thread count they were extracted with;
-            // this service's own knob (resolved the same way extraction
-            // resolves it) wins for every recovered handle.
-            let threads = Self::extraction_config(&cfg).threads();
-            for (name, snap_path) in stems {
-                let graph_t0 = Instant::now();
-                let (mut state, replayed) = recover_graph(
-                    &name,
-                    &snap_path,
-                    dir,
-                    snap_version,
-                    &db_tail,
-                    threads,
-                    cfg.fsync,
-                )?;
-                service.obs.m.recovery_replay_ns.record_since(graph_t0);
-                service.obs.m.recovery_records_total.add(replayed);
-                if let Some(wal) = state.wal.as_mut() {
-                    wal.set_fsync_histogram(service.obs.m.wal_fsync_ns.clone());
-                }
-                inner.graphs.insert(name, state);
-            }
+            inner.wal = Some(wal);
             // Re-cost every recovered graph's frozen plan against the
             // recovered catalog: drift survives restarts without a scan.
             let catalog = catalog_view(&inner.db);
             let factor = Self::extraction_config(&cfg).large_output_factor();
-            for state in inner.graphs.values_mut() {
-                recompute_drift(&catalog, state, factor, cfg.drift_threshold);
-            }
             let mut published = service.published.write().unwrap();
-            for (name, state) in &inner.graphs {
+            for mut state in graphs {
+                recompute_drift(&catalog, &mut state, factor, cfg.drift_threshold);
+                let name = state.current.name().to_string();
                 published.insert(name.clone(), Arc::clone(&state.current));
+                inner.graphs.insert(name, state);
             }
         }
         Ok(service)
@@ -524,7 +616,7 @@ impl GraphService {
             inner: Mutex::new(Inner {
                 db,
                 db_version: 0,
-                db_wal: None,
+                wal: None,
                 graphs: FxHashMap::default(),
                 dir,
                 cfg,
@@ -637,50 +729,23 @@ impl GraphService {
                 return Err(e.into());
             }
         };
-        let snapshot = Arc::new(GraphSnapshot {
-            name: name.to_string(),
-            version: 1,
-            db_version: inner.db_version,
-            handle: handle.reader_clone(),
-        });
         // Freeze the plan the extraction ran with: the drift detector
         // re-costs exactly these cuts against every future catalog state.
-        let chains = graphgen_dsl::compile(dsl).map_or_else(|_| Vec::new(), |spec| spec.edges);
         let frozen = frozen_plans(handle.report());
-        let mut state = GraphState {
-            dsl: dsl.to_string(),
-            chains,
-            frozen,
-            drift: 1.0,
-            stale_plan: false,
-            working: handle,
-            current: Arc::clone(&snapshot),
-            wal: None,
-            durable_db_version: inner.db_version,
-        };
+        let db_version = inner.db_version;
+        let mut state = GraphState::new(name, dsl.to_string(), frozen, handle, 1, db_version);
+        let snapshot = Arc::clone(&state.current);
         recompute_drift(
             &catalog_view(&inner.db),
             &mut state,
             Self::extraction_config(&inner.cfg).large_output_factor(),
             inner.cfg.drift_threshold,
         );
-        if let Some(dir) = inner.dir.clone() {
-            // A prior incarnation of this graph name may have left records
-            // behind (e.g. a crash between drop_graph's two unlinks).
-            // Empty the log *before* writing the version-1 snapshot: in
-            // this order a crash window leaves either an empty WAL and no
-            // snapshot (recovery registers graphs by their .graph.snap
-            // file, so the leftover is inert) or the fully consistent
-            // pair. Snapshot first would open a window where the fresh
-            // snapshot sits beside old-incarnation records that recovery
-            // would replay onto it.
-            let (mut wal, stale) = Wal::open(graph_wal_path(&dir, name))?;
-            if !stale.is_empty() {
-                wal.reset()?;
-            }
-            wal.set_fsync_histogram(self.obs.m.wal_fsync_ns.clone());
-            write_graph_snapshot(&dir, &state, inner.db_version, inner.cfg.fsync)?;
-            state.wal = Some(wal);
+        if let Some(dir) = &inner.dir {
+            // The stamp is all recovery needs: log records at or below
+            // `db_version` (a previous graph of this name may have seen
+            // them) are skipped for this file.
+            write_graph_snapshot(dir, &state, db_version, inner.cfg.fsync)?;
         }
         inner.graphs.insert(name.to_string(), state);
         self.published
@@ -782,18 +847,15 @@ impl GraphService {
         counts
     }
 
-    /// Unregister a graph and delete its persistence files. Readers holding
+    /// Unregister a graph and delete its snapshot file. Readers holding
     /// snapshots keep their pinned versions.
     pub fn drop_graph(&self, name: &str) -> ServeResult<()> {
         let mut inner = self.inner.lock().unwrap();
-        let state = inner
-            .graphs
-            .remove(name)
-            .ok_or_else(|| ServeError::UnknownGraph(name.to_string()))?;
-        drop(state.wal); // close before unlinking (Windows-friendliness)
+        if inner.graphs.remove(name).is_none() {
+            return Err(ServeError::UnknownGraph(name.to_string()));
+        }
         if let Some(dir) = &inner.dir {
             let _ = std::fs::remove_file(graph_snap_path(dir, name));
-            let _ = std::fs::remove_file(graph_wal_path(dir, name));
         }
         self.published.write().unwrap().remove(name);
         self.analytics.forget(name);
@@ -839,14 +901,13 @@ impl GraphService {
             let inner = self.inner.lock().unwrap();
             let mut names: Vec<&String> = inner.graphs.keys().collect();
             names.sort();
-            let entries: Vec<(String, Arc<GraphSnapshot>, u64, f64, bool)> = names
+            let entries: Vec<(String, Arc<GraphSnapshot>, f64, bool)> = names
                 .into_iter()
                 .map(|name| {
                     let state = &inner.graphs[name.as_str()];
                     (
                         name.clone(),
                         Arc::clone(&state.current),
-                        state.wal.as_ref().map_or(0, Wal::bytes),
                         state.drift,
                         state.stale_plan,
                     )
@@ -856,7 +917,7 @@ impl GraphService {
         };
         let out = entries
             .into_iter()
-            .map(|(name, snapshot, wal_bytes, drift, stale_plan)| {
+            .map(|(name, snapshot, drift, stale_plan)| {
                 let h = snapshot.handle();
                 let rep = match h.graph() {
                     AnyGraph::CDup(_) => "C-DUP",
@@ -871,7 +932,6 @@ impl GraphService {
                     vertices: h.num_vertices(),
                     edges: h.expanded_edge_count(),
                     rep: rep.to_string(),
-                    wal_bytes,
                     drift,
                     stale_plan,
                 }
@@ -880,20 +940,29 @@ impl GraphService {
         (out, db_rows)
     }
 
+    /// Bytes in the write-ahead log, framing included (0 when the service
+    /// is not persisted) — what the next restart replays and the next
+    /// checkpoint folds.
+    pub fn wal_bytes(&self) -> u64 {
+        let inner = self.inner.lock().unwrap();
+        inner.wal.as_ref().map_or(0, Wal::bytes)
+    }
+
     // -- the write path ---------------------------------------------------
 
-    /// Apply a batch of table mutations: mutate the database, log the
-    /// resulting [`DeltaBatch`] to every write-ahead log, patch a private
-    /// clone of every registered graph, and atomically publish the next
-    /// version of each. Readers pinned to older versions are unaffected.
+    /// Apply a batch of table mutations: mutate the database, append the
+    /// resulting [`DeltaBatch`] to the write-ahead log, patch the working
+    /// handle of every graph that reads a touched table, and atomically
+    /// publish the next version of each. Readers pinned to older versions
+    /// are unaffected.
     ///
     /// Validation errors (unknown table, schema mismatch) are detected
     /// **before** anything is mutated, so a rejected call is a true no-op.
-    /// A failure *after* mutation begins (an io error on a WAL, an
+    /// A failure *after* mutation begins (an io error on the log, an
     /// inconsistent hand-built state) wedges the writer — see
     /// [`ServeError::Wedged`] — because the in-memory state can no longer
-    /// be proven consistent with the logs; graphs that committed their WAL
-    /// record before the failure are still published.
+    /// be proven consistent with the log; graphs patched before the
+    /// failure are still published.
     pub fn apply(&self, mutations: &[TableMutation]) -> ServeResult<ApplyOutcome> {
         let mut inner = self.inner.lock().unwrap();
         let inner = &mut *inner;
@@ -912,23 +981,27 @@ impl GraphService {
                 }
             }
         }
+        // 1. Mutate the database; the deltas it hands back are the batch.
         let mut batch = DeltaBatch::new();
-        for m in mutations {
-            let step = (|| -> ServeResult<()> {
-                if !m.inserts.is_empty() {
-                    batch.push(inner.db.insert_rows(&m.table, m.inserts.clone())?);
+        {
+            let _span = metrics::span("db_mutate", Region::General);
+            for m in mutations {
+                let step = (|| -> ServeResult<()> {
+                    if !m.inserts.is_empty() {
+                        batch.push(inner.db.insert_rows(&m.table, m.inserts.clone())?);
+                    }
+                    if !m.deletes.is_empty() {
+                        batch.push(inner.db.delete_rows(&m.table, &m.deletes)?);
+                    }
+                    Ok(())
+                })();
+                if let Err(e) = step {
+                    // Unreachable given the pre-validation, but if it ever
+                    // fires with earlier mutations already applied, the db
+                    // has diverged from the (unwritten) log: wedge.
+                    inner.wedged = !batch.is_empty();
+                    return Err(e);
                 }
-                if !m.deletes.is_empty() {
-                    batch.push(inner.db.delete_rows(&m.table, &m.deletes)?);
-                }
-                Ok(())
-            })();
-            if let Err(e) = step {
-                // Unreachable given the pre-validation, but if it ever
-                // fires with earlier mutations already applied, the db has
-                // diverged from the (unwritten) log: wedge.
-                inner.wedged = !batch.is_empty();
-                return Err(e);
             }
         }
         let mut outcome = ApplyOutcome {
@@ -940,17 +1013,16 @@ impl GraphService {
         }
         self.obs.m.applies_total.inc();
         self.obs.m.apply_rows_total.add(batch.len() as u64);
-        let fsync = inner.cfg.fsync;
-        let threshold = inner.cfg.compact_threshold;
 
-        // 1. WAL the batch for the database first (redo rule: log before
-        //    the version it produces is observable anywhere).
+        // 2. Log the batch, once, under the database version it produces
+        //    (redo rule: in the log before that version is observable
+        //    anywhere). This record is every affected graph's durability.
         inner.db_version += 1;
         let db_version = inner.db_version;
-        if let Some(wal) = inner.db_wal.as_mut() {
-            let record = encode_wal_record(db_version, &batch);
+        if let Some(wal) = inner.wal.as_mut() {
             let _span = metrics::span("wal_append", Region::WalAppend);
-            if let Err(e) = wal.append(&record, fsync) {
+            let record = encode_wal_record(db_version, &batch);
+            if let Err(e) = wal.append(&record, inner.cfg.fsync) {
                 // The db is mutated but the log does not carry the batch:
                 // a restart would recover the pre-batch state while this
                 // process serves the post-batch one. Refuse further writes.
@@ -961,128 +1033,55 @@ impl GraphService {
             self.obs.m.wal_append_bytes_total.add(record.len() as u64);
         }
 
-        // 2. Patch every affected graph's working handle in place, WAL,
-        //    then publish a structurally shared reader clone (O(#chunks):
-        //    the delta-bound publish). A graph is affected iff the batch
-        //    touches a table its spec reads — such a batch must always be
-        //    applied and versioned (even when it changes no visible edge,
-        //    it advances the maintenance state the next delta builds on);
-        //    a graph whose tables are untouched is skipped wholesale and
-        //    keeps its version. Published snapshots are immune to the
-        //    in-place patching: a write copies the chunks it touches,
-        //    never the ones a pinned version points at.
-        let mut names: Vec<String> = inner.graphs.keys().cloned().collect();
-        names.sort();
-        let mut newly_published: Vec<(String, Arc<GraphSnapshot>)> = Vec::new();
-        // One catalog view of the post-batch statistics serves every
-        // affected graph's drift recompute below (pure arithmetic; a graph
-        // whose tables the batch left untouched keeps its verdict — its
-        // statistics did not move).
-        let catalog = catalog_view(&inner.db);
-        let factor = Self::extraction_config(&inner.cfg).large_output_factor();
-        let drift_threshold = inner.cfg.drift_threshold;
-        // On a mid-loop failure (io error, inconsistent delta) the graphs
-        // patched *before* the failure have committed — their WAL records
-        // are durable and `state.current` advanced — so they must still be
-        // published; otherwise `stats()`/recovery and `snapshot()` would
-        // disagree about the current version. The failing graph and every
-        // graph after it in the order are now one batch behind the
-        // database, so the writer is wedged and the error is returned
-        // after the publication step below; reopening the directory heals
-        // the lag (recovery replays the batch from the db WAL into every
-        // graph whose own log is missing it).
+        // 3. Push the batch through every graph it affects (see
+        //    `GraphState::advance`). A failure leaves that graph and every
+        //    one after it a batch behind the database, so the writer
+        //    wedges; the graphs advanced before it are consistent and are
+        //    still published below, and reopening the directory heals the
+        //    rest (the batch is in the log for every graph).
+        let mut states: Vec<(&String, &mut GraphState)> = inner.graphs.iter_mut().collect();
+        states.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let mut apply_err: Option<ServeError> = None;
-        for name in names {
-            let state = inner.graphs.get_mut(&name).expect("listed name");
-            let tables = state.working.referenced_tables();
-            if !batch_affects(&batch, &tables) {
-                continue;
-            }
-            let step = (|| -> ServeResult<()> {
-                // In-place patch: a failure leaves the working handle
-                // untrustworthy, which is exactly the wedge contract — the
-                // published `current` is untouched and keeps serving.
-                let patch = {
-                    let _span = metrics::span("patch", Region::Patch);
-                    state.working.apply_batch(&batch)?
-                };
-                let version = state.current.version() + 1;
-                if let Some(wal) = state.wal.as_mut() {
-                    let record = encode_graph_wal_record(version, db_version, &batch);
-                    {
-                        let _span = metrics::span("wal_append", Region::WalAppend);
-                        wal.append(&record, fsync)?;
-                    }
-                    self.obs.m.wal_appends_total.inc();
-                    self.obs.m.wal_append_bytes_total.add(record.len() as u64);
-                    state.durable_db_version = db_version;
+        for (name, state) in states {
+            match state.advance(&batch, db_version) {
+                Ok(None) => {}
+                Ok(Some(patch)) => {
+                    outcome
+                        .graphs
+                        .push((name.clone(), state.current.version, patch));
                 }
-                let snapshot = Arc::new(GraphSnapshot {
-                    name: name.clone(),
-                    version,
-                    db_version,
-                    handle: state.working.reader_clone(),
-                });
-                state.current = Arc::clone(&snapshot);
-                recompute_drift(&catalog, state, factor, drift_threshold);
-                outcome.graphs.push((name.clone(), version, patch));
-                newly_published.push((name.clone(), snapshot));
-                // 3. Compaction: fold an oversized WAL into a fresh
-                //    snapshot.
-                let oversized = state.wal.as_ref().is_some_and(|w| w.bytes() > threshold);
-                if oversized {
-                    let dir = inner.dir.clone().expect("wal implies dir");
-                    let compact_t0 = Instant::now();
-                    compact_graph(&dir, state, db_version, fsync)?;
-                    self.obs.m.compactions_total.inc();
-                    self.obs.m.compaction_ns.record_since(compact_t0);
+                Err(e) => {
+                    inner.wedged = true;
+                    apply_err = Some(e);
+                    break;
                 }
-                Ok(())
-            })();
-            if let Err(e) = step {
-                inner.wedged = true;
-                apply_err = Some(e);
-                break;
             }
         }
 
-        // 4. Database compaction mirrors the graph rule. Errors here must
-        //    not skip the publication step (the versions above already
-        //    committed), so they route through `apply_err` too.
-        if apply_err.is_none() {
-            let db_oversized = inner.db_wal.as_ref().is_some_and(|w| w.bytes() > threshold);
-            if db_oversized {
-                let step = (|| -> ServeResult<()> {
-                    // Truncating db.wal discards batches a quiescent
-                    // graph's files have never recorded (its tables were
-                    // untouched, so no record advanced its stamp). Fold
-                    // every such graph first, stamped with the current
-                    // database version, so recovery never meets a graph
-                    // whose missing db batches were compacted away.
-                    let dir = inner.dir.clone().expect("db wal implies dir");
-                    let compact_t0 = Instant::now();
-                    let mut names: Vec<String> = inner.graphs.keys().cloned().collect();
-                    names.sort();
-                    for name in names {
-                        let state = inner.graphs.get_mut(&name).expect("listed name");
-                        if state.wal.is_some() && state.durable_db_version < db_version {
-                            compact_graph(&dir, state, db_version, fsync)?;
-                            self.obs.m.compactions_total.inc();
-                        }
-                    }
-                    write_db_snapshot(inner)?;
-                    inner.db_wal.as_mut().expect("checked").reset()?;
-                    // One fold of the db log (the lagging-graph folds above
-                    // counted themselves); the duration covers the whole
-                    // cascade.
-                    self.obs.m.compactions_total.inc();
-                    self.obs.m.compaction_ns.record_since(compact_t0);
-                    Ok(())
-                })();
-                if let Err(e) = step {
-                    inner.wedged = true;
-                    apply_err = Some(e);
+        // 4. Re-cost the patched graphs' frozen plans against one view of
+        //    the post-batch statistics (pure arithmetic; a graph whose
+        //    tables the batch left untouched keeps its verdict — its
+        //    statistics did not move).
+        if !outcome.graphs.is_empty() {
+            let _span = metrics::span("drift", Region::General);
+            let catalog = catalog_view(&inner.db);
+            let factor = Self::extraction_config(&inner.cfg).large_output_factor();
+            for (name, _, _) in &outcome.graphs {
+                if let Some(state) = inner.graphs.get_mut(name) {
+                    recompute_drift(&catalog, state, factor, inner.cfg.drift_threshold);
                 }
+            }
+        }
+
+        // 5. Checkpoint an oversized log. An error here must not skip the
+        //    publication step (the versions above already committed), so
+        //    it routes through `apply_err` too.
+        let threshold = inner.cfg.compact_threshold;
+        let oversized = inner.wal.as_ref().is_some_and(|w| w.bytes() > threshold);
+        if apply_err.is_none() && oversized {
+            if let Err(e) = self.checkpoint(inner) {
+                inner.wedged = true;
+                apply_err = Some(e);
             }
         }
 
@@ -1092,14 +1091,14 @@ impl GraphService {
             self.analytics.note_publish(name, *version, patch);
         }
 
-        // 5. Atomic publication: one short write lock swaps every changed
+        // 6. Atomic publication: one short write lock swaps every changed
         //    graph to its next version.
-        if !newly_published.is_empty() {
+        if !outcome.graphs.is_empty() {
             let _span = metrics::span("publish", Region::Publish);
-            self.obs.m.publishes_total.add(newly_published.len() as u64);
+            self.obs.m.publishes_total.add(outcome.graphs.len() as u64);
             let mut published = self.published.write().unwrap();
-            for (name, snapshot) in newly_published {
-                published.insert(name, snapshot);
+            for (name, _, _) in &outcome.graphs {
+                published.insert(name.clone(), Arc::clone(&inner.graphs[name].current));
             }
         }
         self.obs.m.apply_ns.record_since(t0);
@@ -1109,28 +1108,45 @@ impl GraphService {
         }
     }
 
-    /// Fold `name`'s WAL into a fresh snapshot now (the automatic
-    /// threshold does this lazily).
+    /// Checkpoint now (the automatic threshold does this lazily): fold the
+    /// log into fresh snapshots so a restart replays nothing older. `name`
+    /// must be a registered graph; the checkpoint itself covers the
+    /// database and every graph, because they share the one log.
     pub fn compact(&self, name: &str) -> ServeResult<()> {
         let mut inner = self.inner.lock().unwrap();
-        let inner = &mut *inner;
         if inner.wedged {
             return Err(ServeError::Wedged);
         }
-        let Some(dir) = inner.dir.clone() else {
+        if !inner.graphs.contains_key(name) {
+            return Err(ServeError::UnknownGraph(name.to_string()));
+        }
+        self.checkpoint(&mut inner)
+    }
+
+    /// The one compaction routine: write the snapshot of every graph whose
+    /// file is stamped behind the database, then `db.snap`, then truncate
+    /// the log. Requires a non-wedged service — every graph is then
+    /// consistent with the current database version (each batch that
+    /// touched its tables was applied), so its file can be stamped with
+    /// it. Each step leaves a layout recovery already handles: replay
+    /// skips the records at or below each file's own stamp.
+    fn checkpoint(&self, inner: &mut Inner) -> ServeResult<()> {
+        let (Some(dir), Some(wal)) = (&inner.dir, &mut inner.wal) else {
             return Ok(()); // in-memory service: nothing to fold
         };
-        // A non-wedged service's graphs are all consistent with the
-        // current database version (every affected batch was applied), so
-        // the fold can stamp them with it.
-        let db_version = inner.db_version;
-        let fsync = inner.cfg.fsync;
-        let state = inner
-            .graphs
-            .get_mut(name)
-            .ok_or_else(|| ServeError::UnknownGraph(name.to_string()))?;
+        if wal.bytes() == 0 {
+            return Ok(()); // every file is already at the current version
+        }
         let t0 = Instant::now();
-        compact_graph(&dir, state, db_version, fsync)?;
+        let (db_version, fsync) = (inner.db_version, inner.cfg.fsync);
+        for state in inner.graphs.values_mut() {
+            if state.snap_db_version < db_version {
+                write_graph_snapshot(dir, state, db_version, fsync)?;
+                state.snap_db_version = db_version;
+            }
+        }
+        write_db_snapshot(dir, &inner.db, db_version, fsync)?;
+        wal.reset()?;
         self.obs.m.compactions_total.inc();
         self.obs.m.compaction_ns.record_since(t0);
         Ok(())
@@ -1146,9 +1162,8 @@ impl GraphService {
 // Persistence helpers
 // ---------------------------------------------------------------------------
 
-/// Does `batch` touch any of the given referenced tables? The live write
-/// path and the recovery catch-up must agree on this predicate exactly —
-/// it decides which batches version a graph.
+/// Does `batch` touch any of the given referenced tables? Decides which
+/// batches version a graph.
 fn batch_affects(batch: &DeltaBatch, tables: &[String]) -> bool {
     batch
         .deltas()
@@ -1207,10 +1222,6 @@ fn graph_snap_path(dir: &Path, name: &str) -> PathBuf {
     dir.join(format!("{name}.graph.snap"))
 }
 
-fn graph_wal_path(dir: &Path, name: &str) -> PathBuf {
-    dir.join(format!("{name}.graph.wal"))
-}
-
 fn encode_wal_record(version: u64, batch: &DeltaBatch) -> Vec<u8> {
     let mut out = Vec::new();
     codec::put_u64(&mut out, version);
@@ -1224,28 +1235,6 @@ fn decode_wal_record(record: &[u8]) -> Result<(u64, DeltaBatch), graphgen_common
     let batch = DeltaBatch::decode(&mut r)?;
     r.expect_end()?;
     Ok((version, batch))
-}
-
-/// Graph WAL records additionally carry the database version the batch
-/// was committed as — the cross-log stamp recovery uses to correlate a
-/// graph's log with `db.wal` (the two are appended non-atomically).
-fn encode_graph_wal_record(version: u64, db_version: u64, batch: &DeltaBatch) -> Vec<u8> {
-    let mut out = Vec::new();
-    codec::put_u64(&mut out, version);
-    codec::put_u64(&mut out, db_version);
-    batch.encode_into(&mut out);
-    out
-}
-
-fn decode_graph_wal_record(
-    record: &[u8],
-) -> Result<(u64, u64, DeltaBatch), graphgen_common::CodecError> {
-    let mut r = Reader::new(record);
-    let version = r.u64()?;
-    let db_version = r.u64()?;
-    let batch = DeltaBatch::decode(&mut r)?;
-    r.expect_end()?;
-    Ok((version, db_version, batch))
 }
 
 /// Re-apply a recovered batch to the database (replay path: the mutations
@@ -1284,21 +1273,18 @@ fn replay_batch_on_db(db: &mut Database, batch: &DeltaBatch) -> ServeResult<()> 
     Ok(())
 }
 
-fn write_db_snapshot(inner: &mut Inner) -> ServeResult<()> {
-    let Some(dir) = inner.dir.clone() else {
-        return Ok(());
-    };
+fn write_db_snapshot(dir: &Path, db: &Database, db_version: u64, fsync: bool) -> ServeResult<()> {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(&DB_SNAP_MAGIC);
-    codec::put_u64(&mut bytes, inner.db_version);
-    inner.db.encode_into(&mut bytes);
+    codec::put_u64(&mut bytes, db_version);
+    db.encode_into(&mut bytes);
     seal(&mut bytes);
-    write_file_atomic(&dir.join("db.snap"), &bytes, inner.cfg.fsync)?;
+    write_file_atomic(&dir.join("db.snap"), &bytes, fsync)?;
     Ok(())
 }
 
 /// `db_version` is passed explicitly (not read off the snapshot) because a
-/// compaction may stamp a graph as consistent with a database version
+/// checkpoint may stamp a graph as consistent with a database version
 /// *newer* than the one it was published at — every batch in between left
 /// its tables untouched. The snapshot is written from the **working**
 /// handle: it owns the delta-maintenance state the recovered graph
@@ -1331,41 +1317,9 @@ fn write_graph_snapshot(
     Ok(())
 }
 
-fn compact_graph(
-    dir: &Path,
-    state: &mut GraphState,
-    db_version: u64,
-    fsync: bool,
-) -> ServeResult<()> {
-    write_graph_snapshot(dir, state, db_version, fsync)?;
-    if let Some(wal) = state.wal.as_mut() {
-        wal.reset()?;
-    }
-    state.durable_db_version = db_version;
-    Ok(())
-}
-
-/// Recover one graph: load its snapshot, replay its WAL, then reconcile
-/// with the database log — the graph WAL and `db.wal` are appended
-/// non-atomically, so a crash between the two appends of a batch leaves
-/// the batch in the database log only. `db_tail` holds the db-WAL batches
-/// newer than `db.snap` (in commit order); any of them newer than the
-/// graph's own db-version stamp is replayed here (and logged, so the
-/// catch-up is itself durable), exactly as the live write path would have:
-/// batches touching none of the graph's tables advance the stamp without
-/// creating a version.
-///
-/// The second return is the number of WAL records replayed (own log plus
-/// db-tail catch-up) — the caller's `graphgen_recovery_records_total`.
-fn recover_graph(
-    name: &str,
-    snap_path: &Path,
-    dir: &Path,
-    db_snap_version: u64,
-    db_tail: &[(u64, DeltaBatch)],
-    threads: usize,
-    fsync: bool,
-) -> ServeResult<(GraphState, u64)> {
+/// Load one graph's snapshot file into writer-side state at the version
+/// and database stamp the file carries.
+fn load_graph_snapshot(name: &str, snap_path: &Path, threads: usize) -> ServeResult<GraphState> {
     let bytes = std::fs::read(snap_path)?;
     let file = snap_path.display().to_string();
     let content =
@@ -1400,109 +1354,17 @@ fn recover_graph(
         r.expect_end()?;
         Ok((version, db_version, dsl, frozen, handle_bytes))
     };
-    let (snap_version, snap_db_version, dsl, frozen, handle_bytes) =
+    let (version, snap_db_version, dsl, frozen, handle_bytes) =
         parse(&mut r).map_err(|e| ServeError::corrupt(&file, e))?;
-    let mut handle = GraphHandle::from_snapshot_bytes(&handle_bytes)?;
-    handle.set_threads(threads);
-    let (mut wal, records) = Wal::open(graph_wal_path(dir, name))?;
-    let wal_file = wal.path().display().to_string();
-    let mut version = snap_version;
-    let mut db_version = snap_db_version;
-    let mut replayed = 0u64;
-    for record in records {
-        let (record_version, record_db_version, batch) =
-            decode_graph_wal_record(&record).map_err(|e| ServeError::corrupt(&wal_file, e))?;
-        if record_version <= snap_version {
-            continue; // folded into the snapshot before the crash
-        }
-        if record_db_version <= db_version {
-            // A record past the snapshot must carry a newer db stamp
-            // (stamps grow strictly across a graph's commits): this one is
-            // debris from a previous incarnation of the name.
-            return Err(ServeError::corrupt(
-                &wal_file,
-                format!(
-                    "record v{record_version} has database stamp \
-                     {record_db_version} <= {db_version}: stale log"
-                ),
-            ));
-        }
-        handle.apply_batch(&batch)?;
-        version = record_version;
-        db_version = record_db_version;
-        replayed += 1;
-    }
-    let db_recovered = db_tail.last().map_or(db_snap_version, |(v, _)| *v);
-    if db_version > db_recovered {
-        // The db WAL is appended before the graph WAL, so with durability
-        // on a graph can never be ahead of its database. Finding one means
-        // foreign files (a previous incarnation's graph surviving next to
-        // a recreated database) or fsync-off reordering — either way its
-        // batches do not correspond to this database's history.
-        return Err(ServeError::corrupt(
-            &file,
-            format!(
-                "graph is ahead of its database (stamped database version \
-                 {db_version}, recovered database at {db_recovered}): the graph \
-                 belongs to another incarnation; re-extract it"
-            ),
-        ));
-    }
-    if db_version < db_snap_version {
-        // The batches between this graph's stamp and db.snap were folded
-        // away, so the graph can no longer be caught up from the logs. No
-        // crash layout produces this (db compaction folds lagging graphs
-        // before truncating db.wal) — refuse rather than silently serve a
-        // graph behind its database.
-        return Err(ServeError::corrupt(
-            &file,
-            format!(
-                "graph is consistent with database version {db_version} but db.snap \
-                 is at {db_snap_version} and the batches between were compacted \
-                 away; re-extract the graph"
-            ),
-        ));
-    }
-    let mut durable_db_version = db_version;
-    let tables = handle.referenced_tables();
-    for (batch_db_version, batch) in db_tail {
-        if *batch_db_version <= db_version {
-            continue; // already in the graph's own snapshot or log
-        }
-        if batch_affects(batch, &tables) {
-            handle.apply_batch(batch)?;
-            version += 1;
-            wal.append(
-                &encode_graph_wal_record(version, *batch_db_version, batch),
-                fsync,
-            )?;
-            durable_db_version = *batch_db_version;
-            replayed += 1;
-        }
-        db_version = *batch_db_version;
-    }
-    // Drift state is recomputed by `open_with` once every graph is back
-    // (it needs the recovered database's catalog); the frozen plans
-    // themselves came off the snapshot above.
-    let chains = graphgen_dsl::compile(&dsl).map_or_else(|_| Vec::new(), |spec| spec.edges);
-    Ok((
-        GraphState {
-            dsl,
-            chains,
-            frozen,
-            drift: 1.0,
-            stale_plan: false,
-            current: Arc::new(GraphSnapshot {
-                name: name.to_string(),
-                version,
-                db_version,
-                handle: handle.reader_clone(),
-            }),
-            working: handle,
-            wal: Some(wal),
-            durable_db_version,
-        },
-        replayed,
+    let mut working = GraphHandle::from_snapshot_bytes(&handle_bytes)?;
+    working.set_threads(threads);
+    Ok(GraphState::new(
+        name,
+        dsl,
+        frozen,
+        working,
+        version,
+        snap_db_version,
     ))
 }
 

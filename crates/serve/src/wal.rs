@@ -8,9 +8,12 @@
 //! ```
 //!
 //! Opening a WAL reads every intact record and **truncates a torn tail**
-//! (a record cut short by a crash mid-append, or whose checksum does not
-//! match) so subsequent appends continue from the last durable record —
-//! the standard redo-log recovery discipline.
+//! (the last frame, cut short by a crash mid-append or failing its
+//! checksum) so subsequent appends continue from the last durable record —
+//! the standard redo-log recovery discipline. Only the last frame can be
+//! torn: a frame that fails its checksum with more bytes after it is
+//! corruption of acknowledged history, and [`Wal::open`] reports it as
+//! [`io::ErrorKind::InvalidData`] without touching the file.
 //!
 //! Snapshots are replaced atomically: [`write_file_atomic`] writes to a
 //! `.tmp` sibling, syncs, then renames over the target, so a reader never
@@ -48,8 +51,11 @@ pub struct Wal {
 
 impl Wal {
     /// Open (or create) the log at `path`, returning the intact records in
-    /// append order. A torn or corrupt tail is truncated away; everything
-    /// before it is kept.
+    /// append order. A torn or corrupt **last** frame is truncated away;
+    /// everything before it is kept. A corrupt frame that ends before the
+    /// end of the file is an [`io::ErrorKind::InvalidData`] error and the
+    /// file is left as found: truncating there would destroy the intact,
+    /// acknowledged records behind it.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<(Wal, Vec<Vec<u8>>)> {
         let path = path.into();
         let mut file = OpenOptions::new()
@@ -72,6 +78,17 @@ impl Wal {
             }
             let payload = &raw[start..start + len];
             if checksum(payload) != sum {
+                if start + len < raw.len() {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "record {} (bytes {pos}..{}) fails its checksum and is \
+                             not the last frame: mid-log corruption",
+                            records.len(),
+                            start + len
+                        ),
+                    ));
+                }
                 break; // corrupt tail record
             }
             records.push(payload.to_vec());
@@ -266,6 +283,27 @@ mod tests {
         std::fs::write(&path, &raw).unwrap();
         let (_, records) = Wal::open(&path).unwrap();
         assert_eq!(records, vec![b"keep".to_vec()]);
+    }
+
+    /// A flipped byte in record 2 of 5 is not a torn tail: truncating there
+    /// would roll back the intact, acknowledged records 3–5.
+    #[test]
+    fn mid_log_corruption_is_an_error_and_leaves_the_file_alone() {
+        let dir = TempDir::new("wal-midflip");
+        let path = dir.path().join("t.wal");
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        wal.append(b"one", true).unwrap();
+        let second = wal.bytes() as usize + HEADER; // first payload byte of record 2
+        for payload in [b"two", b"3rd", b"4th", b"5th"] {
+            wal.append(payload, true).unwrap();
+        }
+        drop(wal);
+        let mut raw = std::fs::read(&path).unwrap();
+        raw[second] ^= 0xFF;
+        std::fs::write(&path, &raw).unwrap();
+        let err = Wal::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), raw, "file was modified");
     }
 
     #[test]

@@ -24,6 +24,12 @@
 //! * **`EXTRACT` attribution** — the extraction phase spans account for at
 //!   least 80% of `graphgen_extract_ns`, the scan and join operators among
 //!   them (a row-by-row replay through the delta engine ran neither).
+//! * **`APPLY` attribution** — every `APPLY_PHASES` label fires on every
+//!   apply and, the spans never nesting, their sums stay within
+//!   `graphgen_apply_ns`.
+//! * **One log** — however many graphs read a table, an accepted batch is
+//!   appended and fsynced once; after a checkpoint plus *k* applies a
+//!   restart replays exactly *k* records, whatever came before it.
 
 use graphgen_common::metrics::{unescape_exposition, ValueSnapshot};
 use graphgen_reldb::Value;
@@ -67,6 +73,15 @@ fn histograms(s: &GraphService) -> Vec<(String, graphgen_common::metrics::Histog
             _ => None,
         })
         .collect()
+}
+
+/// `(count, sum)` of the histogram `histograms` listed under `key`.
+fn count_and_sum(
+    hists: &[(String, graphgen_common::metrics::HistogramSnapshot)],
+    key: &str,
+) -> (u64, u64) {
+    let (_, h) = hists.iter().find(|(k, _)| k == key).expect(key);
+    (h.count, h.sum)
 }
 
 /// Drive `threads` concurrent workers through a mixed read/write protocol
@@ -395,10 +410,7 @@ fn extract_time_is_attributed_to_phases() {
     let extract = format!("EXTRACT g {}", DBLP_COAUTHORS.replace('\n', " "));
     assert!(send(&s, &extract).starts_with("OK"), "EXTRACT failed");
     let hists = histograms(&s);
-    let hist = |key: &str| {
-        let (_, h) = hists.iter().find(|(k, _)| k == key).expect(key);
-        (h.count, h.sum)
-    };
+    let hist = |key: &str| count_and_sum(&hists, key);
     let phase = |label: &str| hist(&format!("graphgen_extract_phase_ns{{phase={label}}}"));
     let (extracts, total_ns) = hist("graphgen_extract_ns");
     assert_eq!(extracts, 1);
@@ -413,5 +425,77 @@ fn extract_time_is_attributed_to_phases() {
     assert!(attributed_ns <= total_ns, "phase spans must not nest");
     for label in ["scan", "join", "load_state", "build_rep"] {
         assert!(phase(label).0 > 0, "no `{label}` span recorded");
+    }
+}
+
+#[test]
+fn apply_time_is_attributed_to_phases() {
+    const APPLIES: u64 = 12;
+    // Persistent, so the log append is among the phases.
+    let dir = TempDir::new("metrics-oracle-apply-phases");
+    let s = GraphService::create(dir.path(), fig1_db(), ServiceConfig::default()).expect("create");
+    s.extract("g", Q).expect("extract");
+    for i in 0..APPLIES {
+        assert!(send(&s, &format!("APPLY AuthorPub +{},1", 400 + i)).starts_with("OK rows=1 g@"));
+    }
+    let hists = histograms(&s);
+    let hist = |key: &str| count_and_sum(&hists, key);
+    let (applies, total_ns) = hist("graphgen_apply_ns");
+    assert_eq!(applies, APPLIES);
+    let mut attributed_ns = 0;
+    for label in graphgen_serve::obs::APPLY_PHASES {
+        let (count, sum) = hist(&format!("graphgen_apply_phase_ns{{phase={label}}}"));
+        assert!(count >= APPLIES, "`{label}` fired {count} times");
+        attributed_ns += sum;
+    }
+    assert!(
+        attributed_ns <= total_ns,
+        "phase spans must not nest: {attributed_ns} of {total_ns} ns"
+    );
+}
+
+#[test]
+fn one_append_per_apply_and_a_checkpoint_bounds_replay() {
+    const TAIL: u64 = 3;
+    let apply = |s: &GraphService, a: i64| {
+        let m = TableMutation::new(
+            "AuthorPub",
+            vec![vec![Value::int(a), Value::int(2)]],
+            vec![],
+        );
+        let outcome = s.apply(&[m]).expect("apply");
+        assert_eq!(outcome.graphs.len(), 2, "both graphs read AuthorPub");
+    };
+    for before in [1u64, 9] {
+        let dir = TempDir::new("metrics-oracle-one-log");
+        {
+            let s = GraphService::create(dir.path(), fig1_db(), ServiceConfig::default())
+                .expect("create");
+            s.extract("g", Q).expect("extract");
+            s.extract("h", Q).expect("extract");
+            for i in 0..before {
+                apply(&s, 500 + i as i64);
+            }
+            let m = &s.obs().m;
+            assert_eq!(m.applies_total.get(), before);
+            assert_eq!(m.wal_appends_total.get(), before, "one record per batch");
+            assert_eq!(m.wal_fsync_ns.count(), before, "one fsync per batch");
+            s.compact("g").expect("checkpoint");
+            assert_eq!(m.compactions_total.get(), 1);
+            for i in 0..TAIL {
+                apply(&s, 600 + i as i64);
+            }
+            assert_eq!(m.wal_appends_total.get(), before + TAIL);
+        }
+        let s = GraphService::open(dir.path()).expect("reopen");
+        assert_eq!(
+            s.obs().m.recovery_records_total.get(),
+            TAIL,
+            "{before} applies before the checkpoint must not be replayed"
+        );
+        for name in ["g", "h"] {
+            let version = s.snapshot(name).expect("snapshot").version();
+            assert_eq!(version, 1 + before + TAIL, "{name}");
+        }
     }
 }

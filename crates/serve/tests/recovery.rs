@@ -1,14 +1,18 @@
 //! Kill-and-recover: a service dropped abruptly (no shutdown call exists —
 //! every committed version is already durable) must reopen to the exact
 //! pre-crash canonical bytes for every registered graph, from every crash
-//! layout: snapshot + non-empty WAL, WAL-only-compacted graphs, stale WAL
-//! records after a snapshot rename (mid-compaction), leftover `.tmp`
-//! files, and torn WAL tails.
+//! layout of the one log (`db.wal`) and the snapshots beside it: snapshots
+//! with a non-empty log, a checkpoint after every batch, each point a
+//! checkpoint can be interrupted at (graph snapshots new and `db.snap` old,
+//! `db.snap` new and the log not yet truncated, one graph's snapshot new
+//! and the next one's old), leftover `.tmp` files, and a torn log tail. It
+//! must refuse, as `Corrupt`, files that are not this database's history.
 
 use graphgen_common::SplitMix64;
 use graphgen_reldb::{Column, Database, Schema, Table, Value};
 use graphgen_serve::testutil::TempDir;
-use graphgen_serve::{GraphService, ServiceConfig, TableMutation};
+use graphgen_serve::wal::Wal;
+use graphgen_serve::{GraphService, ServeError, ServiceConfig, TableMutation};
 use std::collections::HashMap;
 
 const Q_COAUTHORS: &str = "Nodes(ID, Name) :- Author(ID, Name). \
@@ -95,6 +99,37 @@ fn fingerprint(service: &GraphService) -> HashMap<String, (u64, Vec<u8>)> {
         .collect()
 }
 
+/// A config whose log is never checkpointed by the threshold.
+fn never_checkpoint() -> ServiceConfig {
+    ServiceConfig {
+        compact_threshold: u64::MAX,
+        ..ServiceConfig::default()
+    }
+}
+
+/// The directory's file names, sorted.
+fn listing(dir: &TempDir) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir.path())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+fn assert_corrupt(dir: &TempDir, file: &str) {
+    match GraphService::open(dir.path()) {
+        Err(ServeError::Corrupt { file: got, .. }) => {
+            assert!(
+                got.ends_with(file),
+                "Corrupt names `{got}`, expected `{file}`"
+            )
+        }
+        Err(other) => panic!("expected Corrupt, got {other}"),
+        Ok(_) => panic!("expected Corrupt, but the service opened"),
+    }
+}
+
 fn assert_recovered(dir: &TempDir, expected: &HashMap<String, (u64, Vec<u8>)>) {
     let recovered = GraphService::open(dir.path()).unwrap();
     let got = fingerprint(&recovered);
@@ -110,35 +145,27 @@ fn assert_recovered(dir: &TempDir, expected: &HashMap<String, (u64, Vec<u8>)>) {
     }
 }
 
-/// Abrupt drop with snapshot + non-empty WAL on two graphs (one of which
-/// ignores most of the churn).
+/// Abrupt drop with snapshots + a non-empty log on two graphs (one of
+/// which ignores most of the churn).
 #[test]
 fn recover_snapshot_plus_wal() {
     let dir = TempDir::new("rec-basic");
     let expected;
     {
-        let service = GraphService::create(
-            dir.path(),
-            seed_db(),
-            ServiceConfig {
-                compact_threshold: u64::MAX, // never compact: WAL carries everything
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
+        // Never checkpoint: the log carries everything.
+        let service = GraphService::create(dir.path(), seed_db(), never_checkpoint()).unwrap();
         service.extract("coauthors", Q_COAUTHORS).unwrap();
         service.extract("roster", Q_NODES_ONLY).unwrap();
         churn(&service, 7, 12);
         expected = fingerprint(&service);
-        // WAL must be non-empty for the scenario to be the one claimed.
-        let (stats, _) = service.stats();
-        assert!(stats.iter().any(|s| s.wal_bytes > 0));
+        // The log must be non-empty for the scenario to be the one claimed.
+        assert!(service.wal_bytes() > 0);
     }
     assert_recovered(&dir, &expected);
 }
 
-/// Aggressive compaction: every batch folds the WAL into a fresh snapshot,
-/// so recovery is snapshot-only (plus whatever tail remains).
+/// Aggressive checkpointing: every batch folds the log into fresh
+/// snapshots, so recovery is snapshot-only.
 #[test]
 fn recover_with_aggressive_compaction() {
     let dir = TempDir::new("rec-compact");
@@ -148,7 +175,7 @@ fn recover_with_aggressive_compaction() {
             dir.path(),
             seed_db(),
             ServiceConfig {
-                compact_threshold: 1, // every publish triggers compaction
+                compact_threshold: 1, // every apply triggers a checkpoint
                 ..ServiceConfig::default()
             },
         )
@@ -156,91 +183,103 @@ fn recover_with_aggressive_compaction() {
         service.extract("coauthors", Q_COAUTHORS).unwrap();
         churn(&service, 21, 10);
         expected = fingerprint(&service);
+        assert_eq!(service.wal_bytes(), 0);
     }
     assert_recovered(&dir, &expected);
 }
 
-/// Mid-compaction crash, layout A: the new snapshot was renamed into place
-/// but the WAL was not yet truncated — recovery must skip the WAL records
-/// the snapshot already contains.
-#[test]
-fn recover_mid_compaction_stale_wal() {
-    let dir = TempDir::new("rec-midcompact");
+/// A checkpoint writes each stale graph snapshot, then `db.snap`, then
+/// truncates the log. Run one to completion over two graphs, then put
+/// `restore`d files back as they were before it — the layout of a crash
+/// part-way through — and require the pre-crash state.
+fn recover_mid_checkpoint(tag: &str, restore: &[&str]) {
+    let dir = TempDir::new(tag);
     let expected;
     {
-        let service = GraphService::create(
-            dir.path(),
-            seed_db(),
-            ServiceConfig {
-                compact_threshold: u64::MAX,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
+        let service = GraphService::create(dir.path(), seed_db(), never_checkpoint()).unwrap();
         service.extract("coauthors", Q_COAUTHORS).unwrap();
+        service.extract("roster", Q_NODES_ONLY).unwrap();
         churn(&service, 33, 8);
-        // Simulate: keep the pre-compaction WAL, compact (snapshot moves to
-        // the newest version + WAL truncates), then restore the stale WAL —
-        // exactly the layout of a crash between rename and truncate.
-        let wal_path = dir.path().join("coauthors.graph.wal");
-        let stale_wal = std::fs::read(&wal_path).unwrap();
-        assert!(!stale_wal.is_empty());
+        let before: Vec<(&str, Vec<u8>)> = restore
+            .iter()
+            .map(|file| (*file, std::fs::read(dir.path().join(file)).unwrap()))
+            .collect();
         service.compact("coauthors").unwrap();
+        assert_eq!(service.wal_bytes(), 0, "a checkpoint truncates the log");
         expected = fingerprint(&service);
         drop(service);
-        std::fs::write(&wal_path, &stale_wal).unwrap();
+        for (file, bytes) in before {
+            assert_ne!(
+                std::fs::read(dir.path().join(file)).unwrap(),
+                bytes,
+                "{file}: the checkpoint must have rewritten it"
+            );
+            std::fs::write(dir.path().join(file), bytes).unwrap();
+        }
     }
     assert_recovered(&dir, &expected);
 }
 
-/// Mid-compaction crash, layout B: the crash hit before the rename — a
-/// leftover `.tmp` next to the old snapshot and the full WAL. The `.tmp`
-/// must be ignored and the WAL replayed.
+/// Crash after every graph snapshot was renamed into place, before
+/// `db.snap`: new graph files, old database, full log. The log replays
+/// onto the database only — every record is at or below the graphs' stamps.
 #[test]
-fn recover_mid_compaction_leftover_tmp() {
+fn recover_mid_checkpoint_graph_snapshots_new_db_snap_old() {
+    recover_mid_checkpoint("rec-ckpt-graphs", &["db.snap", "db.wal"]);
+}
+
+/// Crash between the `db.snap` rename and the truncation: every snapshot
+/// is new and the log still holds the records they contain. Recovery must
+/// skip them all.
+#[test]
+fn recover_mid_checkpoint_untruncated_log() {
+    recover_mid_checkpoint("rec-ckpt-stale-log", &["db.wal"]);
+}
+
+/// Crash between two graphs' snapshots: `coauthors` is new, `roster` and
+/// the database are old, the log is full. Each file replays from its own
+/// stamp.
+#[test]
+fn recover_mid_checkpoint_between_two_graphs() {
+    recover_mid_checkpoint(
+        "rec-ckpt-between",
+        &["roster.graph.snap", "db.snap", "db.wal"],
+    );
+}
+
+/// The crash hit before a rename: leftover `.tmp` files sit next to the
+/// old snapshots and the full log. They must be ignored and the log
+/// replayed.
+#[test]
+fn recover_mid_checkpoint_leftover_tmp() {
     let dir = TempDir::new("rec-tmp");
     let expected;
     {
-        let service = GraphService::create(
-            dir.path(),
-            seed_db(),
-            ServiceConfig {
-                compact_threshold: u64::MAX,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
+        let service = GraphService::create(dir.path(), seed_db(), never_checkpoint()).unwrap();
         service.extract("coauthors", Q_COAUTHORS).unwrap();
         churn(&service, 55, 6);
         expected = fingerprint(&service);
-        // A half-written snapshot the rename never happened for.
+        // Half-written snapshots the rename never happened for.
         std::fs::write(dir.path().join("coauthors.graph.tmp"), b"half-written").unwrap();
+        std::fs::write(dir.path().join("db.tmp"), b"half-written").unwrap();
     }
     assert_recovered(&dir, &expected);
 }
 
-/// A WAL whose tail record was torn mid-write: the torn record was never
+/// A log whose tail record was torn mid-write: the torn record was never
 /// acknowledged, so recovery lands exactly on the last durable version.
 #[test]
 fn recover_torn_wal_tail() {
     let dir = TempDir::new("rec-torn");
     let expected;
     {
-        let service = GraphService::create(
-            dir.path(),
-            seed_db(),
-            ServiceConfig {
-                compact_threshold: u64::MAX,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
+        let service = GraphService::create(dir.path(), seed_db(), never_checkpoint()).unwrap();
         service.extract("coauthors", Q_COAUTHORS).unwrap();
         churn(&service, 77, 6);
         expected = fingerprint(&service);
         drop(service);
         // Append garbage that looks like the start of a record.
-        let wal_path = dir.path().join("coauthors.graph.wal");
+        let wal_path = dir.path().join("db.wal");
         let mut raw = std::fs::read(&wal_path).unwrap();
         raw.extend_from_slice(&[0x40, 0, 0, 0, 1, 2, 3]);
         std::fs::write(&wal_path, &raw).unwrap();
@@ -248,52 +287,61 @@ fn recover_torn_wal_tail() {
     assert_recovered(&dir, &expected);
 }
 
-/// Crash between the two WAL appends of one batch: the db WAL carries the
-/// batch, the graph WAL does not (they are separate files, appended in
-/// sequence). Recovery must catch the lagging graph up from the db WAL —
-/// not serve a graph one batch behind its database — and the caught-up
-/// maintenance state must keep evolving identically to an uninterrupted
-/// service.
+/// A flipped byte inside the *first* of several log records is not a torn
+/// tail: the records behind it are intact and acknowledged. Recovery must
+/// say `Corrupt` (naming the log) and serve nothing — not truncate there
+/// and open at an older version — and must leave the file as it found it.
 #[test]
-fn recover_graph_wal_lagging_db_wal() {
-    let dir = TempDir::new("rec-lag");
-    let wal_path = dir.path().join("coauthors.graph.wal");
-    let final_batch = [TableMutation::new(
-        "AuthorPub",
-        vec![
-            vec![Value::int(2), Value::int(2)],
-            vec![Value::int(4), Value::int(5)],
-        ],
-        vec![],
-    )];
-    let expected;
-    let pre_len;
+fn flipped_byte_mid_log_is_corrupt_not_a_rollback() {
+    let dir = TempDir::new("rec-midflip");
     {
-        let service = GraphService::create(
-            dir.path(),
-            seed_db(),
-            ServiceConfig {
-                compact_threshold: u64::MAX,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
+        let service = GraphService::create(dir.path(), seed_db(), never_checkpoint()).unwrap();
+        service.extract("coauthors", Q_COAUTHORS).unwrap();
+        churn(&service, 5, 4);
+    }
+    let wal_path = dir.path().join("db.wal");
+    let mut raw = std::fs::read(&wal_path).unwrap();
+    raw[12] ^= 0xFF; // first payload byte of record 0 (after its 12-byte frame header)
+    std::fs::write(&wal_path, &raw).unwrap();
+    assert_corrupt(&dir, "db.wal");
+    assert_eq!(std::fs::read(&wal_path).unwrap(), raw, "log was modified");
+}
+
+/// The process dies right after an `apply` returned, with two graphs
+/// registered: the batch is in the log once and in no snapshot. (Before
+/// the single log, each graph had its own and a crash could land between
+/// the appends of one batch; that window no longer exists.) The reopened
+/// service must equal the pre-crash one and keep evolving, under further
+/// churn, exactly like an uninterrupted in-memory reference.
+#[test]
+fn recover_two_graphs_after_apply_and_continue() {
+    let dir = TempDir::new("rec-after-apply");
+    let final_batch = [
+        TableMutation::new(
+            "AuthorPub",
+            vec![
+                vec![Value::int(2), Value::int(2)],
+                vec![Value::int(4), Value::int(5)],
+            ],
+            vec![],
+        ),
+        TableMutation::new(
+            "Author",
+            vec![vec![Value::int(40), Value::str("late")]],
+            vec![],
+        ),
+    ];
+    let expected;
+    {
+        let service = GraphService::create(dir.path(), seed_db(), never_checkpoint()).unwrap();
         service.extract("coauthors", Q_COAUTHORS).unwrap();
         service.extract("roster", Q_NODES_ONLY).unwrap();
         churn(&service, 13, 6);
-        pre_len = std::fs::metadata(&wal_path).unwrap().len() as usize;
-        // One more committed batch; its graph-WAL record is then erased to
-        // reproduce a crash after the db-WAL append, before the graph's.
         let outcome = service.apply(&final_batch).unwrap();
-        assert_eq!(outcome.graphs.len(), 1);
+        assert_eq!(outcome.graphs.len(), 2, "the batch touches both graphs");
         expected = fingerprint(&service);
     }
-    let raw = std::fs::read(&wal_path).unwrap();
-    assert!(raw.len() > pre_len, "the batch must have appended a record");
-    std::fs::write(&wal_path, &raw[..pre_len]).unwrap();
     assert_recovered(&dir, &expected);
-    // assert_recovered's open() already re-appended the missing record, so
-    // this second recovery starts from healed logs.
     let recovered = GraphService::open(dir.path()).unwrap();
     let reference = GraphService::in_memory(seed_db());
     reference.extract("coauthors", Q_COAUTHORS).unwrap();
@@ -303,16 +351,16 @@ fn recover_graph_wal_lagging_db_wal() {
     churn(&recovered, 17, 3);
     churn(&reference, 17, 3);
     assert_eq!(
-        recovered.snapshot("coauthors").unwrap().canonical_bytes(),
-        reference.snapshot("coauthors").unwrap().canonical_bytes(),
-        "caught-up graph diverged from the uninterrupted reference"
+        fingerprint(&recovered),
+        fingerprint(&reference),
+        "recovered graphs diverged from the uninterrupted reference"
     );
 }
 
-/// A graph whose tables the workload never touches gains no WAL records,
-/// yet aggressive db compaction truncates `db.wal` constantly. The
-/// compaction rule (fold every graph whose durable stamp lags before
-/// truncating the db log) must keep such a graph recoverable.
+/// A graph whose tables the workload never touches is never patched, yet
+/// aggressive checkpointing truncates the log constantly. The checkpoint
+/// rule (rewrite every graph file stamped behind the database before
+/// `db.snap`) must keep such a graph recoverable.
 #[test]
 fn recover_quiescent_graph_across_db_compaction() {
     let dir = TempDir::new("rec-db-compact");
@@ -322,7 +370,7 @@ fn recover_quiescent_graph_across_db_compaction() {
             dir.path(),
             seed_db(),
             ServiceConfig {
-                compact_threshold: 1, // every batch folds the oversized WALs
+                compact_threshold: 1, // every batch checkpoints
                 ..ServiceConfig::default()
             },
         )
@@ -330,7 +378,7 @@ fn recover_quiescent_graph_across_db_compaction() {
         service.extract("coauthors", Q_COAUTHORS).unwrap();
         service.extract("roster", Q_NODES_ONLY).unwrap();
         // AuthorPub-only churn: roster (Author-only) stays at version 1
-        // throughout while db.wal is truncated after every batch.
+        // throughout while the log is truncated after every batch.
         for pid in 1..=5 {
             service
                 .apply(&[TableMutation::new(
@@ -348,7 +396,7 @@ fn recover_quiescent_graph_across_db_compaction() {
 
 /// The layout the db-version stamps exist to rule out: a graph consistent
 /// with a database version *older than `db.snap`*, with the batches in
-/// between compacted away. No crash produces it; if it is found on disk
+/// between checkpointed away. No crash produces it; if it is found on disk
 /// anyway, recovery must refuse rather than silently serve a diverged
 /// graph.
 #[test]
@@ -367,7 +415,7 @@ fn graph_stranded_behind_db_snapshot_is_rejected() {
         .unwrap();
         service.extract("roster", Q_NODES_ONLY).unwrap();
         let stale_snap = std::fs::read(&snap_path).unwrap();
-        // Author batches advance roster while truncating db.wal each time.
+        // Author batches advance roster while truncating the log each time.
         for a in 0..3i64 {
             service
                 .apply(&[TableMutation::new(
@@ -378,50 +426,149 @@ fn graph_stranded_behind_db_snapshot_is_rejected() {
                 .unwrap();
         }
         drop(service);
-        // Hand-roll the impossible state: roster's files claim database
-        // version 0 while db.snap is at 3 and db.wal is empty.
+        // Hand-roll the impossible state: roster's file claims database
+        // version 0 while db.snap is at 3 and the log is empty.
         std::fs::write(&snap_path, &stale_snap).unwrap();
-        std::fs::write(dir.path().join("roster.graph.wal"), b"").unwrap();
     }
-    let err = GraphService::open(dir.path()).unwrap_err();
-    assert!(
-        matches!(err, graphgen_serve::ServeError::Corrupt { .. }),
-        "{err}"
-    );
+    assert_corrupt(&dir, "roster.graph.snap");
 }
 
-/// `drop_graph` unlinks the snapshot first, then the WAL; a crash between
-/// the two leaves a WAL-only graph on disk. Recovery must not register it,
-/// and a re-extraction under the same name must not resurrect its records
-/// (extract empties the leftover log *before* writing the fresh snapshot,
-/// so no crash point leaves the two inconsistent).
+/// The other foreign file: a graph stamped *ahead of* the recovered
+/// database (here a later snapshot set beside an earlier database and
+/// log). The log is appended before anything is snapshotted, so no crash
+/// leaves this either.
+#[test]
+fn graph_ahead_of_its_database_is_rejected() {
+    let dir = TempDir::new("rec-ahead");
+    {
+        let service = GraphService::create(dir.path(), seed_db(), never_checkpoint()).unwrap();
+        service.extract("coauthors", Q_COAUTHORS).unwrap();
+        churn(&service, 9, 2);
+        let early_log = std::fs::read(dir.path().join("db.wal")).unwrap();
+        let early_db = std::fs::read(dir.path().join("db.snap")).unwrap();
+        churn(&service, 10, 2);
+        service.compact("coauthors").unwrap(); // coauthors.graph.snap now stamped 4+
+        drop(service);
+        std::fs::write(dir.path().join("db.wal"), early_log).unwrap();
+        std::fs::write(dir.path().join("db.snap"), early_db).unwrap();
+    }
+    assert_corrupt(&dir, "coauthors.graph.snap");
+}
+
+/// A graph's snapshot file disappears (a `drop_graph` whose process died
+/// before anything else happened, or an operator's `rm`) while the log
+/// still holds batches that were applied to it. Recovery must not register
+/// it, and a re-extraction under the same name must not have those old
+/// records replayed onto it: the fresh snapshot's stamp puts them behind it.
 #[test]
 fn reextract_after_partial_drop_crash_ignores_stale_wal() {
     let dir = TempDir::new("rec-redrop");
     {
-        let service = GraphService::create(
-            dir.path(),
-            seed_db(),
-            ServiceConfig {
-                compact_threshold: u64::MAX,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
+        let service = GraphService::create(dir.path(), seed_db(), never_checkpoint()).unwrap();
         service.extract("coauthors", Q_COAUTHORS).unwrap();
         churn(&service, 41, 5);
     }
     std::fs::remove_file(dir.path().join("coauthors.graph.snap")).unwrap();
-    let reopened = GraphService::open(dir.path()).unwrap();
+    let reopened = GraphService::open_with(dir.path(), never_checkpoint()).unwrap();
     assert!(
         reopened.names().is_empty(),
         "snapshot-less graph must not be registered"
     );
+    assert!(reopened.wal_bytes() > 0, "the old records are still there");
     reopened.extract("coauthors", Q_COAUTHORS).unwrap();
     churn(&reopened, 43, 3);
     let expected = fingerprint(&reopened);
     drop(reopened);
     assert_recovered(&dir, &expected);
+}
+
+/// One log: after any sequence of EXTRACT / APPLY / COMPACT / DROP the
+/// directory holds `db.snap`, `db.wal` and one `<name>.graph.snap` per
+/// registered graph — nothing else, at every step.
+#[test]
+fn directory_holds_one_log_and_one_snapshot_per_graph() {
+    let dir = TempDir::new("rec-listing");
+    let service = GraphService::create(dir.path(), seed_db(), never_checkpoint()).unwrap();
+    assert_eq!(listing(&dir), ["db.snap", "db.wal"]);
+    service.extract("coauthors", Q_COAUTHORS).unwrap();
+    service.extract("roster", Q_NODES_ONLY).unwrap();
+    let both = [
+        "coauthors.graph.snap",
+        "db.snap",
+        "db.wal",
+        "roster.graph.snap",
+    ];
+    assert_eq!(listing(&dir), both);
+    churn(&service, 3, 4);
+    assert_eq!(listing(&dir), both);
+    service.compact("roster").unwrap();
+    assert_eq!(listing(&dir), both);
+    churn(&service, 4, 2);
+    service.drop_graph("roster").unwrap();
+    assert_eq!(listing(&dir), ["coauthors.graph.snap", "db.snap", "db.wal"]);
+    service.extract("roster", Q_NODES_ONLY).unwrap();
+    churn(&service, 5, 2);
+    service.compact("coauthors").unwrap();
+    assert_eq!(listing(&dir), both);
+    let expected = fingerprint(&service);
+    drop(service);
+    assert_recovered(&dir, &expected);
+    assert_eq!(listing(&dir), both, "recovery writes nothing");
+}
+
+/// A directory in the layout the previous build wrote: each graph had its
+/// own log, `<name>.graph.wal`, of `u64 version | u64 db_version |
+/// DeltaBatch` records beside the same `db.wal`. Those files are never
+/// read. Either `db.wal` still holds every batch past the graph's snapshot
+/// stamp and the graph recovers byte-identically from it, or the previous
+/// build's database checkpoint truncated `db.wal` while the graph's
+/// batches lived only in its own log — then the snapshot is stamped behind
+/// `db.snap` and the stamp guard rejects it. Never a silently stale graph.
+#[test]
+fn legacy_per_graph_log_layout_recovers_from_the_one_log_or_is_rejected() {
+    /// The previous build's graph log for `db_wal`'s records, all of which
+    /// touched the graph: versions 2, 3, … in the same order.
+    fn write_legacy_graph_log(dir: &TempDir, db_wal: &[u8]) {
+        let scratch = dir.path().join("legacy-scratch.wal");
+        std::fs::write(&scratch, db_wal).unwrap();
+        let (_, records) = Wal::open(&scratch).unwrap();
+        std::fs::remove_file(&scratch).unwrap();
+        assert!(!records.is_empty());
+        let (mut legacy, _) = Wal::open(dir.path().join("coauthors.graph.wal")).unwrap();
+        for (i, record) in records.iter().enumerate() {
+            let mut payload = (i as u64 + 2).to_le_bytes().to_vec();
+            payload.extend_from_slice(record); // u64 db_version | DeltaBatch
+            legacy.append(&payload, false).unwrap();
+        }
+    }
+
+    // (1) No database checkpoint ever ran: db.wal holds everything.
+    let dir = TempDir::new("rec-legacy-full");
+    let expected;
+    {
+        let service = GraphService::create(dir.path(), seed_db(), never_checkpoint()).unwrap();
+        service.extract("coauthors", Q_COAUTHORS).unwrap();
+        churn(&service, 61, 5);
+        expected = fingerprint(&service);
+    }
+    write_legacy_graph_log(&dir, &std::fs::read(dir.path().join("db.wal")).unwrap());
+    assert_recovered(&dir, &expected);
+
+    // (2) The previous build folded db.wal into db.snap without rewriting
+    // the graph's snapshot, because the graph's own log was up to date.
+    let dir = TempDir::new("rec-legacy-folded");
+    {
+        let service = GraphService::create(dir.path(), seed_db(), never_checkpoint()).unwrap();
+        service.extract("coauthors", Q_COAUTHORS).unwrap();
+        let v1_snap = std::fs::read(dir.path().join("coauthors.graph.snap")).unwrap();
+        churn(&service, 61, 5);
+        let db_wal = std::fs::read(dir.path().join("db.wal")).unwrap();
+        service.compact("coauthors").unwrap(); // db.snap at 5+, db.wal empty
+        drop(service);
+        std::fs::write(dir.path().join("coauthors.graph.snap"), v1_snap).unwrap();
+        write_legacy_graph_log(&dir, &db_wal);
+    }
+    assert_corrupt(&dir, "coauthors.graph.snap");
 }
 
 /// `create` over a directory holding a leftover db.wal (the operator
@@ -482,11 +629,12 @@ fn create_clears_previous_incarnation_graph_files() {
         churn(&service, 3, 3);
     }
     std::fs::remove_file(dir.path().join("db.snap")).unwrap();
+    // The previous layout's per-graph log is debris of the same kind.
+    std::fs::write(dir.path().join("coauthors.graph.wal"), b"old records").unwrap();
     {
         let service =
             GraphService::create(dir.path(), seed_db(), ServiceConfig::default()).unwrap();
-        assert!(!dir.path().join("coauthors.graph.snap").exists());
-        assert!(!dir.path().join("coauthors.graph.wal").exists());
+        assert_eq!(listing(&dir), ["db.snap", "db.wal"]);
         service
             .apply(&[TableMutation::new(
                 "Author",
@@ -518,11 +666,7 @@ fn corrupted_snapshot_is_rejected() {
     let mid = raw.len() / 2;
     raw[mid] ^= 0xFF;
     std::fs::write(&snap_path, &raw).unwrap();
-    let err = GraphService::open(dir.path()).unwrap_err();
-    assert!(
-        matches!(err, graphgen_serve::ServeError::Corrupt { .. }),
-        "{err}"
-    );
+    assert_corrupt(&dir, "coauthors.graph.snap");
 }
 
 /// The recovered incremental state must keep *working*: post-recovery
@@ -576,7 +720,7 @@ fn old_format_graph_snapshot_is_rejected_by_magic() {
         std::fs::write(&snap_path, &content).unwrap();
         let err = GraphService::open(dir.path()).unwrap_err();
         match &err {
-            graphgen_serve::ServeError::Corrupt { what, .. } => {
+            ServeError::Corrupt { what, .. } => {
                 assert!(what.contains("bad magic"), "unexpected reason: {what}");
             }
             other => panic!("expected Corrupt, got {other}"),

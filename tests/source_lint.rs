@@ -18,9 +18,10 @@
 //! through the metrics registry (`crate::obs`) so they show up in
 //! `METRICS`, with `RAW_COUNTER_ALLOWED` for the justified exceptions.
 //!
-//! A fourth lint keeps the relational engine at one operator set: the
-//! names of the deleted hash join and hash DISTINCT may not reappear in
-//! any crate's sources or in the docs.
+//! A fourth lint keeps deleted mechanisms deleted: the names of the hash
+//! join and hash DISTINCT (one operator set) and of the per-graph
+//! write-ahead logs (one log) may not reappear in any crate's sources or
+//! in the docs.
 
 use std::path::Path;
 
@@ -40,13 +41,7 @@ const UNWRAP_ALLOWED_AFTER: &[&str] = &[".lock()", ".read()", ".write()", ".try_
 
 /// The only `.expect(...)` messages allowed: each marks an invariant that
 /// an enclosing check on the same path already established.
-const EXPECT_ALLOWED: &[&str] = &[
-    "\"listed name\"",
-    "\"wal implies dir\"",
-    "\"db wal implies dir\"",
-    "\"checked\"",
-    "\"8-byte trailer\"",
-];
+const EXPECT_ALLOWED: &[&str] = &["\"8-byte trailer\""];
 
 /// The file's non-test source with comments stripped and lines joined
 /// (so multi-line method chains like `.write()\n.unwrap()` scan as one
@@ -195,13 +190,23 @@ fn raw_counter_allowlist_entries_are_still_used() {
 }
 
 // ---------------------------------------------------------------------------
-// One join, one DISTINCT
+// One join, one DISTINCT, one log
 // ---------------------------------------------------------------------------
 
-/// The operators `reldb::exec::{group_pairs, join_counted}` replaced. A
-/// second join or DISTINCT beside them would be a second mechanism for one
-/// job, and a doc line naming these would describe code that is gone.
-const DELETED_OPERATORS: &[&str] = &["hash_join_project", "distinct_rows"];
+/// Names of mechanisms that were deleted for a single one, each with the
+/// only file (if any) that may still spell it. A second join or DISTINCT
+/// beside `reldb::exec::{group_pairs, join_counted}`, or a second log
+/// beside `db.wal`, would be a second mechanism for one job, and a doc
+/// line naming these would describe code that is gone.
+const DELETED_NAMES: &[(&str, Option<&str>)] = &[
+    ("hash_join_project", None),
+    ("distinct_rows", None),
+    ("graph_wal_path", None),
+    ("graph_wal_record", None),
+    // `GraphService::create` clears a previous layout's per-graph logs
+    // along with the rest of a dead incarnation's files.
+    (".graph.wal", Some("crates/serve/src/service.rs")),
+];
 
 #[test]
 fn deleted_operators_stay_deleted() {
@@ -220,21 +225,24 @@ fn deleted_operators_stay_deleted() {
         let Ok(text) = std::fs::read_to_string(&path) else {
             continue;
         };
-        for (n, line) in text.lines().enumerate() {
-            for name in DELETED_OPERATORS {
-                if line.contains(name) {
-                    let rel = path.strip_prefix(root).expect("under root");
-                    violations.push(format!("{}:{}: `{name}`", rel.display(), n + 1));
-                }
+        let rel = path.strip_prefix(root).expect("under root");
+        for (name, allowed_in) in DELETED_NAMES {
+            let mut hits = text
+                .lines()
+                .enumerate()
+                .filter(|(_, line)| line.contains(name));
+            if allowed_in.is_some_and(|file| rel == Path::new(file)) {
+                hits.next(); // the one place
             }
+            violations.extend(hits.map(|(n, _)| format!("{}:{}: `{name}`", rel.display(), n + 1)));
         }
     }
     assert!(
         violations.is_empty(),
         "the hash join and the hash DISTINCT were deleted for \
-         `reldb::exec::{{join_counted, group_pairs}}`; extend those instead of \
-         bringing a second operator set back, and keep the docs on the code \
-         that exists:\n{}",
+         `reldb::exec::{{join_counted, group_pairs}}`, and the per-graph logs \
+         for the one `db.wal`; extend those instead of bringing a second \
+         mechanism back, and keep the docs on the code that exists:\n{}",
         violations.join("\n")
     );
 }
