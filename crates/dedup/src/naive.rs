@@ -57,21 +57,6 @@ pub(crate) fn resolve_pair(w: &mut WorkGraph, v1: u32, v2: u32) {
     }
 }
 
-/// Remove direct edges already covered by virtual node `v` (needed when a
-/// virtual node is introduced into a partial graph that compensated earlier
-/// removals with direct edges).
-fn absorb_direct_edges(w: &mut WorkGraph, v: u32) {
-    let sources = w.iv[v as usize].clone();
-    let targets = w.ov[v as usize].clone();
-    for &u in &sources {
-        for &t in &targets {
-            if u != t {
-                w.remove_direct(u, t);
-            }
-        }
-    }
-}
-
 /// Naive Virtual-Nodes-First (complexity `O(n_v * d^4)`).
 pub fn naive_virtual_nodes_first(
     g: &CondensedGraph,
@@ -86,10 +71,10 @@ pub fn naive_virtual_nodes_first(
         // add a direct edge v is about to duplicate).
         w.activate(v);
         // Direct edges covered by v become redundant.
-        absorb_direct_edges(&mut w, v);
+        w.absorb_direct_edges(v);
         // Candidate conflicts: active virtual nodes sharing a source.
         let mut candidates: Vec<u32> = Vec::new();
-        for &u in &w.iv[v as usize].clone() {
+        for &u in &w.iv[v as usize] {
             for &r in &w.rv[u as usize] {
                 if r != v && w.active[r as usize] {
                     candidates.push(r);

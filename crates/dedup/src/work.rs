@@ -155,11 +155,21 @@ impl WorkGraph {
         if !sorted_remove(&mut self.ov[v as usize], r) {
             return;
         }
-        let sources = self.iv[v as usize].clone();
-        for u in sources {
+        for i in 0..self.iv[v as usize].len() {
+            let u = self.iv[v as usize][i];
             if u != r && !self.exists_edge(u, r) {
                 sorted_insert(&mut self.direct[u as usize], r);
             }
+        }
+    }
+
+    /// Remove the direct edges virtual node `v` covers (needed when `v`
+    /// joins a partial graph that compensated earlier removals with direct
+    /// edges).
+    pub fn absorb_direct_edges(&mut self, v: u32) {
+        let targets = &self.ov[v as usize];
+        for &u in &self.iv[v as usize] {
+            self.direct[u as usize].retain(|&t| t == u || targets.binary_search(&t).is_err());
         }
     }
 
