@@ -4,11 +4,11 @@
 //! condensed representation (large-output joins postponed) and once running
 //! the complete join in the relational engine — and reports stored edges,
 //! wall time, and bytes allocated for both, plus the blow-up factor.
-//! A second table re-runs the condensed extraction at 1/2/4/8 threads and
-//! reports the speedup and peak live bytes per thread count.
+//! A second table attributes the condensed extraction's allocations to
+//! the relational operators.
 
 use graphgen_bench::alloc::{human_bytes, measure, measure_regions};
-use graphgen_bench::{measure_thread_scaling, ms, row, speedup, time};
+use graphgen_bench::{ms, row, time};
 use graphgen_core::{GraphGen, GraphGenConfig};
 use graphgen_datagen::relational::{
     DBLP_COAUTHORS, IMDB_COACTORS, TPCH_COPURCHASE, UNIV_COENROLLMENT,
@@ -19,7 +19,9 @@ use graphgen_datagen::{
 use graphgen_graph::GraphRep;
 
 fn main() {
-    println!("Table 1: condensed vs full extraction (synthetic stand-ins, see EXPERIMENTS.md)\n");
+    println!(
+        "Table 1: condensed vs full extraction (synthetic stand-ins, see the graphgen-datagen docs)\n"
+    );
     let widths = [12, 10, 12, 14, 11, 12, 14, 11, 8];
     row(
         &[
@@ -72,38 +74,6 @@ fn main() {
         );
     }
 
-    println!("\nCondensed extraction thread scaling (same datasets, forced condensed path):\n");
-    let twidths = [12, 9, 14, 10, 12];
-    row(
-        &["dataset", "threads", "time(ms)", "speedup", "peak.alloc"].map(String::from),
-        &twidths,
-    );
-    for (name, db, query) in &datasets {
-        let runs = measure_thread_scaling(&[1, 2, 4, 8], |threads| {
-            let cfg = GraphGenConfig::builder()
-                .large_output_factor(0.0)
-                .preprocess(true)
-                .auto_expand_threshold(None)
-                .threads(threads)
-                .build();
-            GraphGen::with_config(db, cfg)
-                .extract(query)
-                .expect("extraction");
-        });
-        let base = runs[0].time;
-        for r in &runs {
-            row(
-                &[
-                    name.to_string(),
-                    r.threads.to_string(),
-                    ms(r.time),
-                    speedup(base, r.time),
-                    human_bytes(r.alloc.peak),
-                ],
-                &twidths,
-            );
-        }
-    }
     println!("\nPer-operator allocation breakdown (condensed path, 1 thread):\n");
     let rwidths = [12, 10, 12, 10];
     row(

@@ -1,13 +1,13 @@
 //! `graphgen-bench` — shared harness utilities for the experiment binaries.
 //!
-//! One binary per paper table/figure lives in `src/bin/`; Criterion
-//! microbenchmarks live in `benches/`. This library holds the dataset
-//! presets (scaled-down but shape-preserving stand-ins for the paper's
-//! datasets — see EXPERIMENTS.md for the mapping) and the representation
-//! builders shared by all of them.
+//! One binary per paper table/figure lives in `src/bin/`. This library
+//! holds the dataset presets (scaled-down but shape-preserving stand-ins
+//! for the paper's datasets — the `graphgen_datagen` crate docs map each
+//! generator to the dataset it replaces), the representation builders
+//! shared by all of them, and the counting allocator ([`alloc`]) that
+//! `graphbench`, the repository's benchmark, reports memory with.
 
 pub mod alloc;
-pub mod report;
 
 /// Every binary linking this crate accounts allocations through
 /// [`alloc::CountingAlloc`] so benches can report bytes allocated and peak
@@ -36,44 +36,6 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 /// Milliseconds with 3 decimals.
 pub fn ms(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64() * 1e3)
-}
-
-/// Speedup of `t` relative to `base`, formatted as `N.NNx`.
-pub fn speedup(base: Duration, t: Duration) -> String {
-    format!("{:.2}x", base.as_secs_f64() / t.as_secs_f64().max(1e-9))
-}
-
-/// One measurement of [`measure_thread_scaling`].
-pub struct ThreadScalingRow<T> {
-    /// Thread count this row ran with.
-    pub threads: usize,
-    /// Wall time of the run.
-    pub time: Duration,
-    /// Bytes allocated / peak live during the run.
-    pub alloc: alloc::AllocStats,
-    /// Whatever the measured closure returned.
-    pub output: T,
-}
-
-/// Run `f` once per thread count, measuring wall time and allocation, so
-/// every bench bin shares one measurement protocol. Speedup of row `i` is
-/// `rows[0].time` over `rows[i].time` (see [`speedup`]).
-pub fn measure_thread_scaling<T>(
-    counts: &[usize],
-    mut f: impl FnMut(usize) -> T,
-) -> Vec<ThreadScalingRow<T>> {
-    counts
-        .iter()
-        .map(|&threads| {
-            let ((output, time), alloc) = alloc::measure(|| time(|| f(threads)));
-            ThreadScalingRow {
-                threads,
-                time,
-                alloc,
-                output,
-            }
-        })
-        .collect()
 }
 
 /// The four small datasets of §6.1, as condensed graphs.

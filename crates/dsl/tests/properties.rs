@@ -1,28 +1,78 @@
-//! Property tests for the DSL: printed programs re-parse, chains are always
-//! valid join paths, and the lexer/parser never panic on arbitrary input.
-// Requires the external `proptest` crate (see Cargo.toml); compiled only
-// when the `proptest-tests` feature is enabled.
-#![cfg(feature = "proptest-tests")]
+//! Seeded-random properties for the DSL: printed programs re-parse, chains
+//! are always valid join paths, and the lexer/parser never panic on
+//! arbitrary input.
+//!
+//! Cases come from the std-only `SplitMix64` generator over fixed seed
+//! ranges (the case counts of the proptest suite this replaces).
 
+use graphgen_common::SplitMix64;
 use graphgen_dsl::{analyze, compile, parse, Atom, HeadKind, Program, Rule, Term};
-use proptest::prelude::*;
 
-fn ident() -> impl Strategy<Value = String> {
-    "[A-Za-z][A-Za-z0-9_]{0,6}".prop_map(|s| s)
+const CASES: u64 = 256;
+
+/// Run `check` on `CASES` generators seeded from `base`.
+fn for_each_case(base: u64, mut check: impl FnMut(u64, &mut SplitMix64)) {
+    for seed in 0..CASES {
+        check(seed, &mut SplitMix64::new(base + seed));
+    }
 }
 
-fn term() -> impl Strategy<Value = Term> {
-    prop_oneof![
-        ident().prop_map(Term::Var),
-        (-100i64..100).prop_map(Term::Int),
-        "[a-z ]{0,6}".prop_map(Term::Str),
-        Just(Term::Wildcard),
-    ]
+/// A uniform draw from `lo..hi`.
+fn range(rng: &mut SplitMix64, lo: usize, hi: usize) -> usize {
+    lo + rng.next_below((hi - lo) as u64) as usize
 }
 
-fn atom() -> impl Strategy<Value = Atom> {
-    (ident(), proptest::collection::vec(term(), 1..5))
-        .prop_map(|(relation, args)| Atom::new(relation, args))
+fn pick(rng: &mut SplitMix64, alphabet: &[u8]) -> char {
+    char::from(alphabet[range(rng, 0, alphabet.len())])
+}
+
+/// `[A-Za-z][A-Za-z0-9_]{0,6}`.
+fn ident(rng: &mut SplitMix64) -> String {
+    const LETTERS: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz";
+    const REST: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_";
+    let mut s = String::from(pick(rng, LETTERS));
+    for _ in 0..range(rng, 0, 7) {
+        s.push(pick(rng, REST));
+    }
+    s
+}
+
+/// A variable, an integer in `-100..100`, a `[a-z ]{0,6}` string or `_`.
+fn term(rng: &mut SplitMix64) -> Term {
+    match rng.next_below(4) {
+        0 => Term::Var(ident(rng)),
+        1 => Term::Int(range(rng, 0, 200) as i64 - 100),
+        2 => Term::Str(
+            (0..range(rng, 0, 7))
+                .map(|_| pick(rng, b"abcdefghijklmnopqrstuvwxyz "))
+                .collect(),
+        ),
+        _ => Term::Wildcard,
+    }
+}
+
+/// An identifier over 1 to 4 terms.
+fn atom(rng: &mut SplitMix64) -> Atom {
+    let relation = ident(rng);
+    let args = (0..range(rng, 1, 5)).map(|_| term(rng)).collect();
+    Atom::new(relation, args)
+}
+
+/// `\PC{0,200}`: up to 200 characters, none of them a control character.
+/// Half are printable ASCII, so the lexer's own punctuation comes up often.
+fn text(rng: &mut SplitMix64) -> String {
+    let len = range(rng, 0, 201);
+    let mut s = String::new();
+    while s.chars().count() < len {
+        if rng.next_below(2) == 0 {
+            s.push(char::from(b' ' + rng.next_below(95) as u8));
+        } else if let Some(c) = char::from_u32(rng.next_below(0x3_0000) as u32) {
+            if !c.is_control() {
+                s.push(c);
+            }
+        }
+    }
+    s
 }
 
 fn render(program: &Program) -> String {
@@ -52,45 +102,54 @@ fn render(program: &Program) -> String {
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+#[test]
+fn lexer_and_parser_never_panic() {
+    for_each_case(0xD5_0000, |_, rng| {
+        let _ = parse(&text(rng)); // must not panic, errors are fine
+    });
+}
 
-    #[test]
-    fn lexer_and_parser_never_panic(input in "\\PC{0,200}") {
-        let _ = parse(&input); // must not panic, errors are fine
-    }
-
-    #[test]
-    fn printed_programs_reparse(
-        heads in proptest::collection::vec(
-            (prop_oneof![Just(HeadKind::Nodes), Just(HeadKind::Edges)],
-             proptest::collection::vec(ident().prop_map(Term::Var), 1..4),
-             proptest::collection::vec(atom(), 1..4)),
-            1..4
-        )
-    ) {
-        let program = Program {
-            rules: heads
-                .into_iter()
-                .map(|(head, head_args, body)| Rule::new(head, head_args, body))
-                .collect(),
-        };
+#[test]
+fn printed_programs_reparse() {
+    for_each_case(0xD5_1000, |seed, rng| {
+        let rules = (0..range(rng, 1, 4))
+            .map(|_| {
+                let head = if rng.next_below(2) == 0 {
+                    HeadKind::Nodes
+                } else {
+                    HeadKind::Edges
+                };
+                let head_args = (0..range(rng, 1, 4))
+                    .map(|_| Term::Var(ident(rng)))
+                    .collect();
+                let body = (0..range(rng, 1, 4)).map(|_| atom(rng)).collect();
+                Rule::new(head, head_args, body)
+            })
+            .collect();
+        let program = Program { rules };
         // Reserved names in bodies make rendering unparseable in a benign
         // way; skip those cases.
         let reserved = program.rules.iter().any(|r| {
-            r.body.iter().any(|a| a.relation == "Nodes" || a.relation == "Edges")
+            r.body
+                .iter()
+                .any(|a| a.relation == "Nodes" || a.relation == "Edges")
         });
-        prop_assume!(!reserved);
+        if reserved {
+            return;
+        }
         let text = render(&program);
-        let reparsed = parse(&text).expect("rendered program must re-parse");
-        prop_assert_eq!(reparsed, program);
-    }
+        let reparsed = parse(&text).unwrap_or_else(|e| {
+            panic!("seed {seed}: rendered program must re-parse: {e:?}\n{text}")
+        });
+        assert_eq!(reparsed, program, "seed {seed}:\n{text}");
+    });
+}
 
-    #[test]
-    fn chains_are_connected_join_paths(
-        n_extra in 0usize..3,
-        use_self_join in any::<bool>(),
-    ) {
+#[test]
+fn chains_are_connected_join_paths() {
+    for_each_case(0xD5_2000, |seed, rng| {
+        let n_extra = range(rng, 0, 3);
+        let use_self_join = rng.next_below(2) == 0;
         // Build co-membership queries of varying chain length and verify
         // the analyzer returns a chain whose consecutive columns join.
         let mut body = String::from("R0(ID1, J0)");
@@ -106,25 +165,30 @@ proptest! {
         let text = format!("Nodes(X) :- E(X).\nEdges(ID1, ID2) :- {body}.");
         let spec = compile(&text).expect("chain should compile");
         let chain = &spec.edges[0];
-        prop_assert_eq!(chain.steps.len(), n_extra + 2);
+        assert_eq!(chain.steps.len(), n_extra + 2, "seed {seed}");
         // Endpoint columns are where ID1/ID2 live.
-        prop_assert_eq!(chain.steps[0].in_col, 0);
-        prop_assert_eq!(chain.steps.last().unwrap().out_col, 0);
-    }
+        assert_eq!(chain.steps[0].in_col, 0, "seed {seed}");
+        assert_eq!(chain.steps.last().unwrap().out_col, 0, "seed {seed}");
+    });
+}
 
-    #[test]
-    fn acyclicity_checker_accepts_paths_rejects_cycles(len in 2usize..6) {
+#[test]
+fn acyclicity_checker_accepts_paths_rejects_cycles() {
+    for_each_case(0xD5_3000, |seed, rng| {
+        let len = range(rng, 2, 6);
         let mut chain_body = String::new();
         for i in 0..len {
-            if i > 0 { chain_body.push_str(", "); }
+            if i > 0 {
+                chain_body.push_str(", ");
+            }
             chain_body.push_str(&format!("R(V{}, V{})", i, i + 1));
         }
         let p = parse(&format!("Edges(V0, V{len}) :- {chain_body}.")).unwrap();
-        prop_assert!(analyze::is_acyclic(&p.rules[0].body));
+        assert!(analyze::is_acyclic(&p.rules[0].body), "seed {seed}");
 
         let mut cycle_body = chain_body.clone();
         cycle_body.push_str(&format!(", R(V{len}, V0)"));
         let p = parse(&format!("Edges(V0, V{len}) :- {cycle_body}.")).unwrap();
-        prop_assert!(!analyze::is_acyclic(&p.rules[0].body));
-    }
+        assert!(!analyze::is_acyclic(&p.rules[0].body), "seed {seed}");
+    });
 }

@@ -1,15 +1,17 @@
-//! Property tests for the mutation operations of the Graph API: the logical
-//! edge set must respond to add/delete operations exactly like a reference
-//! set-of-pairs model, on every representation.
-// Requires the external `proptest` crate (see Cargo.toml); compiled only
-// when the `proptest-tests` feature is enabled.
-#![cfg(feature = "proptest-tests")]
+//! Seeded-random properties for the mutation operations of the Graph API:
+//! the logical edge set must respond to add/delete operations exactly like
+//! a reference set-of-pairs model, on every representation.
+//!
+//! Cases come from the std-only `SplitMix64` generator over fixed seed
+//! ranges (the case counts of the proptest suite this replaces).
 
+use graphgen_common::SplitMix64;
 use graphgen_graph::{
     expand_to_edge_list, CondensedBuilder, CondensedGraph, ExpandedGraph, GraphRep, RealId,
 };
-use proptest::prelude::*;
 use std::collections::BTreeSet;
+
+const CASES: u64 = 64;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -19,18 +21,35 @@ enum Op {
     Compact,
 }
 
-fn ops(n: u32) -> impl Strategy<Value = Vec<Op>> {
-    let op = prop_oneof![
-        (0..n, 0..n).prop_map(|(a, b)| Op::AddEdge(a, b)),
-        (0..n, 0..n).prop_map(|(a, b)| Op::DeleteEdge(a, b)),
-        (0..n).prop_map(Op::DeleteVertex),
-        Just(Op::Compact),
-    ];
-    proptest::collection::vec(op, 0..24)
+/// Run `check` on `CASES` generators seeded from `base`.
+fn for_each_case(base: u64, mut check: impl FnMut(u64, &mut SplitMix64)) {
+    for seed in 0..CASES {
+        check(seed, &mut SplitMix64::new(base + seed));
+    }
 }
 
-fn sets(n: u32) -> impl Strategy<Value = Vec<Vec<u32>>> {
-    proptest::collection::vec(proptest::collection::vec(0..n, 2..6), 0..8)
+/// A uniform draw from `lo..hi`.
+fn range(rng: &mut SplitMix64, lo: u32, hi: u32) -> u32 {
+    lo + rng.next_below(u64::from(hi - lo)) as u32
+}
+
+/// Up to 23 operations over vertices `0..n`, each kind equally likely.
+fn ops(rng: &mut SplitMix64, n: u32) -> Vec<Op> {
+    (0..range(rng, 0, 24))
+        .map(|_| match rng.next_below(4) {
+            0 => Op::AddEdge(range(rng, 0, n), range(rng, 0, n)),
+            1 => Op::DeleteEdge(range(rng, 0, n), range(rng, 0, n)),
+            2 => Op::DeleteVertex(range(rng, 0, n)),
+            _ => Op::Compact,
+        })
+        .collect()
+}
+
+/// Up to 7 member sets of 2 to 5 draws from `0..n`.
+fn sets(rng: &mut SplitMix64, n: u32) -> Vec<Vec<u32>> {
+    (0..range(rng, 0, 8))
+        .map(|_| (0..range(rng, 2, 6)).map(|_| range(rng, 0, n)).collect())
+        .collect()
 }
 
 fn build_cdup(n: u32, cliques: &[Vec<u32>]) -> CondensedGraph {
@@ -95,82 +114,68 @@ fn apply_graph<G: GraphRep>(g: &mut G, op: &Op) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn cdup_mutations_match_reference_model(
-        cliques in sets(10),
-        operations in ops(10),
-    ) {
-        let mut g = build_cdup(10, &cliques);
-        let mut model = Model {
-            edges: expand_to_edge_list(&g).into_iter().collect(),
-            dead: BTreeSet::new(),
-        };
-        for op in &operations {
-            // Deleting a logical edge in the model while the vertex is dead
-            // diverges from condensed behavior (hidden edges reappear on
-            // resurrection — which the API doesn't support); our model
-            // treats dead vertices' edges as *gone* only if deleted; the
-            // graph hides them. Align by comparing only visible edges.
-            apply_graph(&mut g, op);
-            // The model must first drop logical edges of dead vertices when
-            // a delete_edge happens "through" them; delete on hidden pairs
-            // is a no-op in both.
-            let before_dead = model.dead.clone();
-            model.apply(op);
-            // delete_edge on a hidden (dead-endpoint) pair: graph keeps the
-            // structure hidden; model removed it. Re-add for parity.
-            if let Op::DeleteEdge(a, b) = *op {
-                if before_dead.contains(&a) || before_dead.contains(&b) {
-                    // undefined corner: skip comparison by restoring nothing;
-                    // both hide the pair anyway.
-                }
-                let _ = (a, b);
-            }
-            prop_assert_eq!(expand_to_edge_list(&g), model.visible_edges());
-        }
+/// Apply `operations` to `g` and to the model side by side, comparing
+/// after every step. A pair with a dead endpoint is hidden by both, so
+/// only visible edges are compared.
+fn check_against_model(seed: u64, mut g: impl GraphRep, operations: &[Op]) {
+    let mut model = Model {
+        edges: expand_to_edge_list(&g).into_iter().collect(),
+        dead: BTreeSet::new(),
+    };
+    for (step, op) in operations.iter().enumerate() {
+        apply_graph(&mut g, op);
+        model.apply(op);
+        assert_eq!(
+            expand_to_edge_list(&g),
+            model.visible_edges(),
+            "seed {seed}, step {step}: {op:?}"
+        );
     }
+}
 
-    #[test]
-    fn exp_mutations_match_reference_model(
-        cliques in sets(10),
-        operations in ops(10),
-    ) {
+#[test]
+fn cdup_mutations_match_reference_model() {
+    for_each_case(0x6A_0000, |seed, rng| {
+        let cliques = sets(rng, 10);
+        let operations = ops(rng, 10);
+        check_against_model(seed, build_cdup(10, &cliques), &operations);
+    });
+}
+
+#[test]
+fn exp_mutations_match_reference_model() {
+    for_each_case(0x6A_1000, |seed, rng| {
+        let cliques = sets(rng, 10);
+        let operations = ops(rng, 10);
         let cdup = build_cdup(10, &cliques);
-        let mut g = ExpandedGraph::from_rep(&cdup);
-        let mut model = Model {
-            edges: expand_to_edge_list(&g).into_iter().collect(),
-            dead: BTreeSet::new(),
-        };
-        for op in &operations {
-            apply_graph(&mut g, op);
-            model.apply(op);
-            prop_assert_eq!(expand_to_edge_list(&g), model.visible_edges());
-        }
-    }
+        check_against_model(seed, ExpandedGraph::from_rep(&cdup), &operations);
+    });
+}
 
-    #[test]
-    fn degree_equals_neighbor_count_everywhere(cliques in sets(12)) {
-        let g = build_cdup(12, &cliques);
+#[test]
+fn degree_equals_neighbor_count_everywhere() {
+    for_each_case(0x6A_2000, |seed, rng| {
+        let g = build_cdup(12, &sets(rng, 12));
         for u in g.vertices() {
-            prop_assert_eq!(g.degree(u), g.neighbors(u).len());
+            assert_eq!(g.degree(u), g.neighbors(u).len(), "seed {seed}, u={}", u.0);
         }
-    }
+    });
+}
 
-    #[test]
-    fn exists_edge_consistent_with_neighbors(cliques in sets(12)) {
-        let g = build_cdup(12, &cliques);
+#[test]
+fn exists_edge_consistent_with_neighbors() {
+    for_each_case(0x6A_3000, |seed, rng| {
+        let g = build_cdup(12, &sets(rng, 12));
         for u in g.vertices() {
             let nbrs: BTreeSet<u32> = g.neighbors(u).iter().map(|r| r.0).collect();
             for v in 0..12u32 {
-                prop_assert_eq!(
+                assert_eq!(
                     g.exists_edge(u, RealId(v)),
                     nbrs.contains(&v),
-                    "u={} v={}", u.0, v
+                    "seed {seed}, u={} v={v}",
+                    u.0
                 );
             }
         }
-    }
+    });
 }

@@ -375,11 +375,12 @@ impl Obs {
     /// Account one completed protocol operation: bump the request
     /// counters, record the per-verb latency and the phase breakdown, and
     /// land the event in the trace ring when it was slow (≥ the
-    /// threshold) or failed.
+    /// threshold) or failed. `detail` runs only for a traced event, so a
+    /// fast, successful operation allocates nothing here.
     pub fn record_op(
         &self,
         verb: &'static str,
-        detail: String,
+        detail: impl FnOnce() -> String,
         ok: bool,
         total_ns: u64,
         phases: Vec<(&'static str, u64)>,
@@ -396,7 +397,7 @@ impl Obs {
         if slow {
             self.m.slow_ops_total.inc();
         }
-        if (slow || !ok) && self.trace.record(verb, detail, ok, total_ns, phases) {
+        if (slow || !ok) && self.trace.record(verb, detail(), ok, total_ns, phases) {
             self.m.trace_events_dropped_total.inc();
         }
     }
@@ -482,9 +483,9 @@ mod tests {
     #[test]
     fn record_op_routes_slow_and_failed() {
         let obs = Obs::new(1_000, 8);
-        obs.record_op("ping", String::new(), true, 10, Vec::new()); // fast + ok
-        obs.record_op("apply", "T".into(), true, 5_000, vec![("patch", 4_000)]); // slow
-        obs.record_op("stats", String::new(), false, 10, Vec::new()); // failed
+        obs.record_op("ping", String::new, true, 10, Vec::new()); // fast + ok
+        obs.record_op("apply", || "T".into(), true, 5_000, vec![("patch", 4_000)]); // slow
+        obs.record_op("stats", String::new, false, 10, Vec::new()); // failed
         assert_eq!(obs.m.requests_total.get(), 3);
         assert_eq!(obs.m.request_errors_total.get(), 1);
         assert_eq!(obs.m.slow_ops_total.get(), 1);

@@ -475,7 +475,7 @@ pub fn execute(service: &GraphService, cmd: &Command) -> String {
     };
     service.obs().record_op(
         cmd.verb(),
-        cmd.detail(),
+        || cmd.detail(),
         ok,
         u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
         phases,

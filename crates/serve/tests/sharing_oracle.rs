@@ -17,9 +17,12 @@
 //! chunk-level CoW (adjacency) and the `Arc`-level CoW (id map, property
 //! store) are exercised, and it verifies consecutive versions really do
 //! share chunks (the delta-bound publish is sharing, not copying).
+//! `publish_unshares_chunks_bounded_by_the_delta_not_the_graph` makes that
+//! exact: across graphs growing 16×, a publish unshares at most
+//! `2 × rows + 2` chunks.
 
 use graphgen_common::SplitMix64;
-use graphgen_graph::GraphRep;
+use graphgen_graph::{ChunkedAdj, GraphRep};
 use graphgen_reldb::{Column, Database, Schema, Table, Value};
 use graphgen_serve::{GraphService, GraphSnapshot, TableMutation};
 use std::sync::Arc;
@@ -35,19 +38,27 @@ const AUTHORS: i64 = 300;
 const PUBS: i64 = 90;
 
 fn seed_db(rng: &mut SplitMix64) -> Database {
+    coauthor_db(rng, AUTHORS, PUBS, 500)
+}
+
+/// A random `AuthorPub` row over the given id ranges.
+fn membership(rng: &mut SplitMix64, authors: i64, pubs: i64) -> Vec<Value> {
+    vec![
+        Value::int(rng.next_below(authors as u64) as i64 + 1),
+        Value::int(rng.next_below(pubs as u64) as i64 + 1),
+    ]
+}
+
+fn coauthor_db(rng: &mut SplitMix64, authors: i64, pubs: i64, memberships: usize) -> Database {
     let mut author = Table::new(Schema::new(vec![Column::int("id"), Column::str("name")]));
-    for a in 1..=AUTHORS {
+    for a in 1..=authors {
         author
             .push_row(vec![Value::int(a), Value::str(format!("a{a}"))])
             .unwrap();
     }
     let mut ap = Table::new(Schema::new(vec![Column::int("aid"), Column::int("pid")]));
-    for _ in 0..500 {
-        ap.push_row(vec![
-            Value::int(rng.next_below(AUTHORS as u64) as i64 + 1),
-            Value::int(rng.next_below(PUBS as u64) as i64 + 1),
-        ])
-        .unwrap();
+    for _ in 0..memberships {
+        ap.push_row(membership(rng, authors, pubs)).unwrap();
     }
     let mut db = Database::new();
     db.register("Author", author).unwrap();
@@ -71,10 +82,7 @@ fn random_mutation(rng: &mut SplitMix64, round: u64) -> Vec<TableMutation> {
     let mut inserts = Vec::new();
     let mut deletes = Vec::new();
     for _ in 0..rng.next_below(4) + 1 {
-        let row = vec![
-            Value::int(rng.next_below(AUTHORS as u64) as i64 + 1),
-            Value::int(rng.next_below(PUBS as u64) as i64 + 1),
-        ];
+        let row = membership(rng, AUTHORS, PUBS);
         if rng.next_below(3) == 0 {
             deletes.push(row);
         } else {
@@ -95,19 +103,32 @@ fn replay(db: &mut Database, mutations: &[TableMutation]) {
     }
 }
 
+/// The condensed adjacency stores (real and virtual sides) of a snapshot.
+fn adjacency(s: &GraphSnapshot) -> [&ChunkedAdj; 2] {
+    let g = s
+        .handle()
+        .graph()
+        .as_condensed()
+        .expect("serving graphs are C-DUP");
+    [g.real_out_chunks(), g.virt_out_chunks()]
+}
+
 /// Chunks the two snapshots' condensed adjacency stores share (both real
 /// and virtual sides).
 fn shared_chunks(a: &GraphSnapshot, b: &GraphSnapshot) -> usize {
-    let (Some(ga), Some(gb)) = (
-        a.handle().graph().as_condensed(),
-        b.handle().graph().as_condensed(),
-    ) else {
-        panic!("serving graphs are C-DUP");
-    };
-    ga.real_out_chunks()
-        .shared_chunks_with(gb.real_out_chunks())
-        + ga.virt_out_chunks()
-            .shared_chunks_with(gb.virt_out_chunks())
+    let [ra, va] = adjacency(a);
+    let [rb, vb] = adjacency(b);
+    ra.shared_chunks_with(rb) + va.shared_chunks_with(vb)
+}
+
+fn chunk_count(s: &GraphSnapshot) -> usize {
+    adjacency(s).iter().map(|adj| adj.chunks().len()).sum()
+}
+
+/// Chunks of `new` (both sides) that are not the very `Arc` at the same
+/// position in `old`: what publishing `new` unshared or appended.
+fn unshared_chunks(old: &GraphSnapshot, new: &GraphSnapshot) -> usize {
+    chunk_count(new) - shared_chunks(old, new)
 }
 
 #[test]
@@ -222,4 +243,60 @@ fn recovered_handles_keep_the_cow_discipline() {
         .unwrap()
         .canonical_bytes();
     assert_eq!(service.snapshot("g").unwrap().canonical_bytes(), fresh);
+}
+
+/// Publishing is delta-bound: the chunks a publish unshares from the
+/// previous version are bounded by the rows in the batch, whatever the
+/// size of the graph — an update touches a number of cells bounded by the
+/// delta (the Berkholz–Keppeler–Schweikardt discipline). A mutated
+/// membership row can land in two chunks, the author's list and its
+/// publication's virtual-node list; appends add at most a tail chunk per
+/// side. A publish that copied the graph would unshare every chunk, and
+/// the largest graph here has thousands. Counting `Arc`s instead of timing
+/// publishes gives the same answer on every run and build profile.
+#[test]
+fn publish_unshares_chunks_bounded_by_the_delta_not_the_graph() {
+    const DELTA_ROWS: usize = 64;
+    const BOUND: usize = 2 * DELTA_ROWS + 2;
+    for memberships in [10_000usize, 40_000, 160_000] {
+        // Co-authorship shape constant across sizes (~3 memberships per
+        // author, ~8 per publication), so a 64-row batch does the same
+        // join fan-out at every size and only the graph grows.
+        let (authors, pubs) = ((memberships / 3) as i64, (memberships / 8) as i64);
+        let db = coauthor_db(&mut SplitMix64::new(42), authors, pubs, memberships);
+        let service = GraphService::in_memory(db);
+        service.extract("g", Q).unwrap();
+        let mut prev = service.snapshot("g").unwrap();
+        let chunks = chunk_count(&prev);
+        assert!(chunks > 2 * BOUND, "{memberships}: only {chunks} chunks");
+
+        let mut rng = SplitMix64::new(0xF1A7 + memberships as u64);
+        let mut publishes = 0;
+        while publishes < 15 {
+            // Three inserts to one delete; a delete of an absent row is a
+            // no-op, and a batch that changes nothing publishes nothing.
+            let (mut inserts, mut deletes) = (Vec::new(), Vec::new());
+            for _ in 0..DELTA_ROWS {
+                let row = membership(&mut rng, authors, pubs);
+                if rng.next_below(4) == 0 {
+                    deletes.push(row);
+                } else {
+                    inserts.push(row);
+                }
+            }
+            let batch = [TableMutation::new("AuthorPub", inserts, deletes)];
+            if service.apply(&batch).unwrap().graphs.is_empty() {
+                continue;
+            }
+            publishes += 1;
+            let new = service.snapshot("g").unwrap();
+            let unshared = unshared_chunks(&prev, &new);
+            assert!(
+                unshared <= BOUND,
+                "{memberships} memberships, publish {publishes}: {unshared} of {chunks} \
+                 chunks unshared by a {DELTA_ROWS}-row batch (bound {BOUND})"
+            );
+            prev = new;
+        }
+    }
 }

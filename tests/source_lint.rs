@@ -190,14 +190,15 @@ fn raw_counter_allowlist_entries_are_still_used() {
 }
 
 // ---------------------------------------------------------------------------
-// One join, one DISTINCT, one log
+// One join, one DISTINCT, one log, one benchmark
 // ---------------------------------------------------------------------------
 
 /// Names of mechanisms that were deleted for a single one, each with the
 /// only file (if any) that may still spell it. A second join or DISTINCT
-/// beside `reldb::exec::{group_pairs, join_counted}`, or a second log
-/// beside `db.wal`, would be a second mechanism for one job, and a doc
-/// line naming these would describe code that is gone.
+/// beside `reldb::exec::{group_pairs, join_counted}`, a second log beside
+/// `db.wal`, or a second benchmark beside `graphbench` would be a second
+/// mechanism for one job, and a doc line naming these would describe code
+/// that is gone.
 const DELETED_NAMES: &[(&str, Option<&str>)] = &[
     ("hash_join_project", None),
     ("distinct_rows", None),
@@ -206,6 +207,14 @@ const DELETED_NAMES: &[(&str, Option<&str>)] = &[
     // `GraphService::create` clears a previous layout's per-graph logs
     // along with the rest of a dead incarnation's files.
     (".graph.wal", Some("crates/serve/src/service.rs")),
+    // `graphbench` is the one benchmark; the publish bound is the
+    // chunk-count test in `crates/serve/tests/sharing_oracle.rs`.
+    ("BenchReport", None),
+    ("BENCH_serving", None),
+    ("BENCH_incremental", None),
+    ("serving_throughput", None),
+    ("scaling_extraction", None),
+    ("measure_thread_scaling", None),
 ];
 
 #[test]
@@ -240,9 +249,10 @@ fn deleted_operators_stay_deleted() {
     assert!(
         violations.is_empty(),
         "the hash join and the hash DISTINCT were deleted for \
-         `reldb::exec::{{join_counted, group_pairs}}`, and the per-graph logs \
-         for the one `db.wal`; extend those instead of bringing a second \
-         mechanism back, and keep the docs on the code that exists:\n{}",
+         `reldb::exec::{{join_counted, group_pairs}}`, the per-graph logs \
+         for the one `db.wal`, and the second benchmark for `graphbench`; \
+         extend those instead of bringing a second mechanism back, and keep \
+         the docs on the code that exists:\n{}",
         violations.join("\n")
     );
 }
