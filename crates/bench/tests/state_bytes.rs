@@ -1,0 +1,75 @@
+//! What a served `EXTRACT` keeps alive, per maintained support pair.
+//!
+//! An incremental extraction retains the graph plus its delta-maintenance
+//! state, and the state's keyed structures — atom bags, segment supports
+//! and their reverse indexes — are the operators' sorted, counted runs
+//! rather than per-id hash maps. This test pins that
+//! with the counting allocator: the live bytes an `EXTRACT` leaves behind
+//! on a DBLP-shaped database, divided by the number of `(author, author)`
+//! pairs the co-author segment maintains a support count for, must stay
+//! under a bound that per-slot hash maps exceed.
+//!
+//! Kept as a single `#[test]` on purpose: `alloc::measure` reads
+//! process-global counters, so no other test in this binary may allocate
+//! concurrently.
+
+use graphgen_bench::alloc;
+use graphgen_datagen::relational::DBLP_COAUTHORS;
+use graphgen_datagen::{dblp_like, DblpConfig};
+use graphgen_graph::GraphRep;
+use graphgen_reldb::{Database, Value};
+use graphgen_serve::GraphService;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// Retained bytes per support pair may not exceed this: halfway between
+/// the state kept as per-id hash maps (12,952,406 bytes, 178.6 per pair)
+/// and as counted runs (6,689,614 bytes, 92.3 per pair).
+const MAX_BYTES_PER_PAIR: f64 = 135.5;
+
+/// The distinct output of the co-author self-join
+/// `AuthorPub(a, p), AuthorPub(b, p)`: every `(a, b)`, `a == b` included,
+/// that shares a publication — the pairs the served graph maintains a
+/// support count for.
+fn support_pairs(db: &Database) -> usize {
+    let mut authors: BTreeMap<Value, Vec<Value>> = BTreeMap::new();
+    for row in db.table("AuthorPub").expect("AuthorPub").iter_rows() {
+        authors
+            .entry(row[1].clone())
+            .or_default()
+            .push(row[0].clone());
+    }
+    let mut pairs = BTreeSet::new();
+    for group in authors.values() {
+        for a in group {
+            for b in group {
+                pairs.insert((a.clone(), b.clone()));
+            }
+        }
+    }
+    pairs.len()
+}
+
+#[test]
+fn served_extract_retains_bounded_bytes_per_support_pair() {
+    let db = dblp_like(DblpConfig {
+        authors: 5_000,
+        publications: 7_500,
+        avg_authors_per_pub: 2.5,
+        seed: 1,
+    });
+    let pairs = support_pairs(&db);
+    let service = GraphService::in_memory(db);
+    let (snapshot, m) = alloc::measure(|| service.extract("g", DBLP_COAUTHORS).expect("extract"));
+    assert!(snapshot.handle().graph().stored_edge_count() > 0);
+    let per_pair = m.live as f64 / pairs as f64;
+    println!(
+        "{} live bytes for {pairs} support pairs: {per_pair:.1} B/pair",
+        m.live
+    );
+    assert!(
+        per_pair <= MAX_BYTES_PER_PAIR,
+        "a served EXTRACT retains {} bytes for {pairs} support pairs \
+         ({per_pair:.1} B/pair, bound {MAX_BYTES_PER_PAIR})",
+        m.live
+    );
+}

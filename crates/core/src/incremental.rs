@@ -15,8 +15,9 @@
 //! [`crate::planner`]). For each segment the [`IncrementalState`] maintains:
 //!
 //! * per **atom**: the filtered, projected `(in, out)` pairs of the base
-//!   table as a multiset, hash-indexed by both columns (the state the
-//!   delta-join rules probe);
+//!   table as a multiset, kept in `in` order and — for the atoms a delta
+//!   join walks leftwards — also in `out` order (the state the delta-join
+//!   rules probe);
 //! * per **segment**: the bag multiplicity (`support`) of every output
 //!   pair, which makes `DISTINCT` incremental — a pair enters the graph
 //!   when its support rises from zero and leaves when it returns to zero
@@ -28,7 +29,7 @@
 //! changed atom, the signed delta rows are joined with the *unchanged*
 //! sides — the prefix atoms at their post-update state, the suffix atoms at
 //! their pre-update state (the classic telescoping sum), each probe walking
-//! the atom hash indexes, morsel-parallel over the delta rows via
+//! one id's run of an atom bag, morsel-parallel over the delta rows via
 //! `graphgen_common::parallel` — so the work is `O(|Δ| × join fan-out)`,
 //! never `O(|database|)`.
 //!
@@ -38,8 +39,8 @@
 //! are `real → virtual` membership edges, middle-segment pairs are
 //! `virtual → virtual` edges, last-segment pairs are `virtual → real`
 //! edges, and single-segment chains contribute direct `real → real` edges
-//! (reference-counted across chains). `Nodes`-view deltas add, remove, or
-//! revive real vertices and re-derive their properties.
+//! (one edge however many chains output the pair). `Nodes`-view deltas
+//! add, remove, or revive real vertices and re-derive their properties.
 //!
 //! Two application paths exist:
 //!
@@ -51,6 +52,15 @@
 //!   structural operation there, derives the resulting **logical** edge
 //!   diff (re-probing only the affected virtual node's reach), and replays
 //!   it through the representation's own 7-operation mutation API.
+//!
+//! Every keyed structure of the state — atom bags, supports, the reverse
+//! index of a chain's last support — is one `CountedRuns`: the sorted,
+//! counted pairs the relational operators emit, with per-left-id run
+//! offsets, plus a small overlay of the changes deltas made since, folded
+//! back when it outgrows a fixed fraction of the runs. How many
+//! single-segment chains output a pair (the reference count of its direct
+//! edge) is a function of their supports, read from them where needed and
+//! never kept beside them.
 //!
 //! Correctness contract: after any sequence of deltas, the patched handle's
 //! canonical serialization ([`crate::serialize::canonical_bytes`]) is
@@ -66,15 +76,16 @@
 //! its segment queries on — `graphgen_reldb::exec::{group_pairs,
 //! join_counted}`, over engine ids where `Query::run_threaded` uses
 //! database ids; the multiplicities the batch path drops are the supports
-//! kept here — fills the *primary* state (atom bags, supports, node
-//! entries), and hands every segment's pairs to the function that turns
-//! batch extraction's into edges, `crate::extract::emit_segment`, which
-//! numbers the boundary virtual nodes as it builds the C-DUP through
-//! [`CondensedBuilder`]. Everything else — `by_out`, `by_left`/`by_right`,
-//! `boundary_index` — is derived from the primary state by
-//! `IncrementalState::derive_indexes`, the same function the snapshot
-//! decoder ends with. The loader walks tables, chains, segments, atoms and
-//! rows in the order a row-by-row replay through `apply_delta_state`
+//! kept here — keeps the operators' output as the *primary* state (each
+//! grouped atom bag becomes the atom's `by_in`, each joined output the
+//! segment's `support`, moved, not copied), and hands every segment's
+//! pairs to the function that turns batch extraction's into edges,
+//! `crate::extract::emit_segment`, which numbers the boundary virtual nodes
+//! as it builds the C-DUP through [`CondensedBuilder`]. Everything else —
+//! `by_out`, `by_right`, `boundary_index` — is derived from the primary
+//! state by `IncrementalState::derive_indexes`, the same function the
+//! snapshot decoder ends with. The loader walks tables, chains, segments,
+//! atoms and rows in the order a row-by-row replay through `apply_delta_state`
 //! would, and emits the segments in the order they were completed, so the
 //! engine dictionary and the virtual-node numbering — and with them every
 //! encoded byte of the state — equal the replay's; that replay survives as
@@ -84,6 +95,7 @@ use crate::anygraph::AnyGraph;
 use crate::error::{Error, PatchError};
 use crate::extract::emit_segment;
 use crate::planner::{filters_to_predicate, ChainPlan};
+use crate::runs::{merge, CountedRuns};
 use graphgen_common::metrics::span;
 use graphgen_common::parallel::{effective_threads, map_morsels};
 use graphgen_common::region::Region;
@@ -94,13 +106,6 @@ use graphgen_graph::{
 };
 use graphgen_reldb::exec::{group_pairs, join_counted, pack, scan_project, unpack, CountedPairs};
 use graphgen_reldb::{Database, Delta, DeltaOp, Interner, Predicate, Value, Vid, NULL_VID};
-
-/// A per-value multiplicity index over interned ids: slot `v` holds the
-/// `(other column id → count)` bag of join value `v`. Flat `Vec` indexing
-/// replaces the former `HashMap<Value, …>` outer layer — a delta probe is
-/// an array load instead of a value hash + pointer chase, which is what
-/// made publish latency scale with database size.
-type VidBag = Vec<FxHashMap<Vid, i64>>;
 
 /// What [`crate::GraphHandle::apply_delta`] did, for reporting and
 /// benchmarking. All counters are in units of applied operations.
@@ -124,12 +129,21 @@ pub struct GraphPatch {
     /// Logical edge removals replayed through a converted representation's
     /// mutation API (generic path only).
     pub logical_edges_removed: usize,
+    /// Segment output pairs whose support changed, whether or not it
+    /// crossed zero: the pairs-out of the delta, which bound the work of
+    /// the support update.
+    pub support_changes: usize,
 }
 
 impl GraphPatch {
-    /// True if the delta changed nothing in the graph.
+    /// True if the delta changed nothing in the graph (support changes
+    /// that cross no zero leave it as it was).
     pub fn is_empty(&self) -> bool {
-        *self == GraphPatch::default()
+        *self
+            == GraphPatch {
+                support_changes: self.support_changes,
+                ..GraphPatch::default()
+            }
     }
 
     /// Accumulate another patch's counters into this one (handy when
@@ -143,6 +157,7 @@ impl GraphPatch {
         self.stored_edges_removed += other.stored_edges_removed;
         self.logical_edges_added += other.logical_edges_added;
         self.logical_edges_removed += other.logical_edges_removed;
+        self.support_changes += other.support_changes;
     }
 }
 
@@ -171,30 +186,32 @@ struct NodeEntry {
 }
 
 /// One atom of a segment query: the filtered base table projected to its
-/// `(in, out)` join columns, as a multiset indexed both ways.
+/// `(in, out)` join columns, as a multiset. A single-atom segment's bag is
+/// never probed — the delta join walks only the *other* atoms of a segment
+/// — so it stays empty, in the bulk load and on the live path alike.
 #[derive(Debug, Clone)]
 struct AtomState {
     table: String,
     pred: Predicate,
     in_col: usize,
     out_col: usize,
-    /// `in id → (out id → multiplicity)`.
-    by_in: VidBag,
-    /// `out id → (in id → multiplicity)`.
-    by_out: VidBag,
+    /// `(in, out) → multiplicity`.
+    by_in: CountedRuns,
+    /// `(out, in) → multiplicity`, the transpose of `by_in`; only for the
+    /// atoms a delta join walks leftwards (every atom but a segment's last).
+    by_out: Option<CountedRuns>,
 }
 
 /// The maintained output of one segment query.
 #[derive(Debug, Clone)]
 struct SegmentState {
     atoms: Vec<AtomState>,
-    /// Bag multiplicity of each output pair (the incremental `DISTINCT`),
-    /// keyed by the [`pack`]ed interned endpoint ids.
-    support: FxHashMap<u64, i64>,
-    /// Distinct output indexed by left endpoint id (flat slot per id).
-    by_left: Vec<FxHashSet<Vid>>,
-    /// Distinct output indexed by right endpoint id (flat slot per id).
-    by_right: Vec<FxHashSet<Vid>>,
+    /// Bag multiplicity of each output pair `(l, r)` (the incremental
+    /// `DISTINCT`); a left endpoint's run is its distinct output.
+    support: CountedRuns,
+    /// `(r, l) → 1` for every support pair; only for a chain's last
+    /// segment, whose right endpoints a new node looks itself up by.
+    by_right: Option<CountedRuns>,
 }
 
 /// The maintained state of one `Edges` chain.
@@ -237,9 +254,6 @@ pub struct IncrementalState {
     views: Vec<ViewState>,
     chains: Vec<ChainState>,
     node_entries: FxHashMap<Vid, NodeEntry>,
-    /// Cross-chain reference counts of direct real→real pairs, keyed by
-    /// the [`pack`]ed interned endpoint ids.
-    direct_support: FxHashMap<u64, i64>,
     /// The engine dictionary: every join value, boundary attribute, and
     /// node key that ever entered a keyed structure, interned to a dense
     /// [`Vid`]. Grow-only (interned via [`Interner::intern`], which pins
@@ -288,13 +302,12 @@ impl IncrementalState {
                                 pred: step.pred.clone(),
                                 in_col: step.in_col,
                                 out_col: step.out_col,
-                                by_in: VidBag::default(),
-                                by_out: VidBag::default(),
+                                by_in: CountedRuns::default(),
+                                by_out: None,
                             })
                             .collect(),
-                        support: FxHashMap::default(),
-                        by_left: Vec::new(),
-                        by_right: Vec::new(),
+                        support: CountedRuns::default(),
+                        by_right: None,
                     })
                     .collect();
                 let boundaries = segments.len().saturating_sub(1);
@@ -306,16 +319,30 @@ impl IncrementalState {
                 }
             })
             .collect();
-        Self {
+        let mut state = Self {
             threads,
             views,
             chains,
             node_entries: FxHashMap::default(),
-            direct_support: FxHashMap::default(),
             dict: Interner::new(),
             real_ids: Vec::new(),
             shadow: None,
+        };
+        state.derive_indexes();
+        state
+    }
+
+    /// How many single-segment chains output each pair: the reference
+    /// count of its direct edge. A function of the supports, so it is not
+    /// kept; snapshots store it (as they always have) and decoding checks
+    /// it.
+    fn direct_support(&self) -> CountedPairs {
+        let mut direct = CountedPairs::new();
+        for chain in self.chains.iter().filter(|c| c.segments.len() == 1) {
+            let keys = chain.segments[0].support.iter().map(|(key, _)| (key, 1));
+            direct = merge(std::mem::take(&mut direct).into_iter(), keys).collect();
         }
+        direct
     }
 
     /// Rebuild the `Vid` → real-id side-table from scratch (snapshot
@@ -742,23 +769,22 @@ impl Target<'_> {
 // Delta-join propagation through one segment
 // ---------------------------------------------------------------------------
 
-/// Walk left from atom `j`: the bag of segment-left endpoints `X` reachable
-/// from join id `v` through atoms `j-1 … 0` (each crossing is a flat slot
-/// load — the "re-probe only the changed side" rule). [`NULL_VID`] never
+/// Walk from join id `v` across `bags` in turn: the bag of endpoints
+/// reachable through them, each crossing one id's run — the "re-probe only
+/// the changed side" rule. Left of atom `j` the bags are `by_out` of atoms
+/// `j-1 … 0`, right of it `by_in` of atoms `j+1 … m-1`. [`NULL_VID`] never
 /// crosses a join, matching the join operator.
-fn expand_left(atoms: &[AtomState], j: usize, v: Vid) -> FxHashMap<Vid, i64> {
+fn expand<'a>(v: Vid, bags: impl Iterator<Item = &'a CountedRuns>) -> FxHashMap<Vid, i64> {
     let mut frontier: FxHashMap<Vid, i64> = FxHashMap::default();
     frontier.insert(v, 1);
-    for i in (0..j).rev() {
+    for bag in bags {
         let mut next: FxHashMap<Vid, i64> = FxHashMap::default();
         for (&val, m) in &frontier {
             if val == NULL_VID {
                 continue;
             }
-            if let Some(ins) = atoms[i].by_out.get(val as usize) {
-                for (&in_v, mi) in ins {
-                    *next.entry(in_v).or_insert(0) += m * mi;
-                }
+            for (other, mb) in bag.run(val) {
+                *next.entry(other).or_insert(0) += m * mb;
             }
         }
         frontier = next;
@@ -769,69 +795,10 @@ fn expand_left(atoms: &[AtomState], j: usize, v: Vid) -> FxHashMap<Vid, i64> {
     frontier
 }
 
-/// Walk right from atom `j`: the bag of segment-right endpoints `Y`
-/// reachable from join id `v` through atoms `j+1 … m-1`.
-fn expand_right(atoms: &[AtomState], j: usize, v: Vid) -> FxHashMap<Vid, i64> {
-    let mut frontier: FxHashMap<Vid, i64> = FxHashMap::default();
-    frontier.insert(v, 1);
-    for atom in atoms.iter().skip(j + 1) {
-        let mut next: FxHashMap<Vid, i64> = FxHashMap::default();
-        for (&val, m) in &frontier {
-            if val == NULL_VID {
-                continue;
-            }
-            if let Some(outs) = atom.by_in.get(val as usize) {
-                for (&out_v, mo) in outs {
-                    *next.entry(out_v).or_insert(0) += m * mo;
-                }
-            }
-        }
-        frontier = next;
-        if frontier.is_empty() {
-            break;
-        }
-    }
-    frontier
-}
-
-/// Add `mult` to `bag[key][val]`, erroring if a multiplicity would go
-/// negative (a delta that deletes rows the table never held). Grows the
-/// flat outer `Vec` on demand; empty inner maps stay allocated (a handful
-/// of machine words per id ever seen — the price of O(1) slot loads).
-fn bump(bag: &mut VidBag, key: Vid, val: Vid, mult: i64, dict: &Interner) -> Result<(), Error> {
-    if bag.len() <= key as usize {
-        bag.resize_with(key as usize + 1, FxHashMap::default);
-    }
-    let inner = &mut bag[key as usize];
-    let slot = inner.entry(val).or_insert(0);
-    *slot += mult;
-    if *slot < 0 {
-        let k = dict.resolve(key).cloned().unwrap_or(Value::Null);
-        let v = dict.resolve(val).cloned().unwrap_or(Value::Null);
-        return Err(PatchError::Inconsistent(format!(
-            "delta drives multiplicity of ({k}, {v}) negative"
-        ))
-        .into());
-    }
-    if *slot == 0 {
-        inner.remove(&val);
-    }
-    Ok(())
-}
-
-/// Insert `r` into the flat set at slot `l`, growing on demand.
-fn flat_insert(index: &mut Vec<FxHashSet<Vid>>, l: Vid, r: Vid) {
-    if index.len() <= l as usize {
-        index.resize_with(l as usize + 1, FxHashSet::default);
-    }
-    index[l as usize].insert(r);
-}
-
-/// Remove `r` from the flat set at slot `l` (empty sets stay allocated).
-fn flat_remove(index: &mut [FxHashSet<Vid>], l: Vid, r: Vid) {
-    if let Some(set) = index.get_mut(l as usize) {
-        set.remove(&r);
-    }
+/// `(l, r)` as `(r, l)`.
+fn flip(key: u64) -> u64 {
+    let (l, r) = unpack(key);
+    pack(r, l)
 }
 
 impl SegmentState {
@@ -846,13 +813,15 @@ impl SegmentState {
     /// projection loop, never inside the parallel expansion — so id
     /// assignment (and with it every downstream order) is independent of
     /// the thread count.
+    ///
+    /// Also returns how many output pairs' support changed at all.
     #[allow(clippy::type_complexity)]
     fn transitions(
         &mut self,
         delta: &Delta,
         threads: usize,
         dict: &mut Interner,
-    ) -> Result<(Vec<(Vid, Vid)>, Vec<(Vid, Vid)>), Error> {
+    ) -> Result<(Vec<(Vid, Vid)>, Vec<(Vid, Vid)>, usize), Error> {
         let mut sdelta: FxHashMap<u64, i64> = FxHashMap::default();
         for j in 0..self.atoms.len() {
             if self.atoms[j].table != delta.table() {
@@ -884,11 +853,12 @@ impl SegmentState {
                 let mut local: FxHashMap<u64, i64> = FxHashMap::default();
                 for (key, mult) in &entries[range] {
                     let (in_v, out_v) = unpack(*key);
-                    let lefts = expand_left(atoms, j, in_v);
+                    let walked = atoms[..j].iter().rev();
+                    let lefts = expand(in_v, walked.map(|a| a.by_out.as_ref().expect("walked")));
                     if lefts.is_empty() {
                         continue;
                     }
-                    let rights = expand_right(atoms, j, out_v);
+                    let rights = expand(out_v, atoms[j + 1..].iter().map(|a| &a.by_in));
                     for (&x, ml) in &lefts {
                         for (&y, mr) in &rights {
                             *local.entry(pack(x, y)).or_insert(0) += mult * ml * mr;
@@ -902,19 +872,15 @@ impl SegmentState {
                     *sdelta.entry(k).or_insert(0) += v;
                 }
             }
-            // Advance atom j to its post-delta state. A single-atom
-            // segment's bags are never probed — the delta join only walks
-            // the bags of *other* atoms in the same segment, and the
-            // segment-level `by_left`/`by_right` indexes (not the atom
-            // bags) serve node materialization — so the graph-sized,
-            // cache-cold maps need not be maintained at all (they simply
-            // stay empty, in the bulk load and on the live path alike).
+            // Advance atom j to its post-delta state (a single-atom
+            // segment keeps no bag: see `AtomState`).
             if self.atoms.len() > 1 {
                 let atom = &mut self.atoms[j];
-                for (key, mult) in &entries {
-                    let (in_v, out_v) = unpack(*key);
-                    bump(&mut atom.by_in, in_v, out_v, *mult, dict)?;
-                    bump(&mut atom.by_out, out_v, in_v, *mult, dict)?;
+                for &(key, mult) in &entries {
+                    atom.by_in.add(key, mult, "multiplicity", dict)?;
+                    if let Some(by_out) = &mut atom.by_out {
+                        by_out.adjust(flip(key), mult);
+                    }
                 }
             }
         }
@@ -925,50 +891,25 @@ impl SegmentState {
         // value-pair sort — just an integer compare instead).
         let mut changes: Vec<(u64, i64)> = sdelta.into_iter().collect();
         changes.sort_unstable_by_key(|&(k, _)| k);
+        let what = "support of output pair";
         let mut added = Vec::new();
         let mut removed = Vec::new();
-        for (key, d) in changes {
-            let (l, r) = unpack(key);
-            // One entry-API probe of the (graph-sized, usually cold)
-            // support map per changed pair: the common no-transition case
-            // (old > 0, new > 0) touches it exactly once.
-            let (old, new) = match self.support.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let old = *e.get();
-                    let new = old + d;
-                    if new == 0 {
-                        e.remove();
-                    } else {
-                        *e.get_mut() = new;
-                    }
-                    (old, new)
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    if d > 0 {
-                        e.insert(d);
-                    }
-                    (0, d)
-                }
+        for &(key, d) in &changes {
+            let old = self.support.add(key, d, what, dict)?;
+            let crossed = if old == 0 && old + d > 0 {
+                added.push(unpack(key));
+                1
+            } else if old > 0 && old + d == 0 {
+                removed.push(unpack(key));
+                -1
+            } else {
+                continue;
             };
-            if new < 0 {
-                let lv = dict.resolve(l).cloned().unwrap_or(Value::Null);
-                let rv = dict.resolve(r).cloned().unwrap_or(Value::Null);
-                return Err(PatchError::Inconsistent(format!(
-                    "delta drives support of output pair ({lv}, {rv}) negative"
-                ))
-                .into());
-            }
-            if old == 0 && new > 0 {
-                flat_insert(&mut self.by_left, l, r);
-                flat_insert(&mut self.by_right, r, l);
-                added.push((l, r));
-            } else if old > 0 && new == 0 {
-                flat_remove(&mut self.by_left, l, r);
-                flat_remove(&mut self.by_right, r, l);
-                removed.push((l, r));
+            if let Some(by_right) = &mut self.by_right {
+                by_right.adjust(flip(key), crossed);
             }
         }
-        Ok((added, removed))
+        Ok((added, removed, changes.len()))
     }
 }
 
@@ -1022,18 +963,19 @@ fn real_from(real_ids: &[u32], vid: Vid) -> Option<u32> {
         .filter(|&id| id != u32::MAX)
 }
 
+/// `elsewhere(pair)`: whether another single-segment chain outputs the
+/// pair, so its direct edge exists whatever this chain does.
 #[allow(clippy::too_many_arguments)]
 fn materialize_segment(
     chain: &mut ChainState,
     j: usize,
     added: &[(Vid, Vid)],
     removed: &[(Vid, Vid)],
-    direct_support: &mut FxHashMap<u64, i64>,
+    elsewhere: impl Fn(u64) -> bool,
     real_ids: &[u32],
-    dict: &Interner,
     target: &mut Target<'_>,
     patch: &mut GraphPatch,
-) -> Result<(), Error> {
+) {
     let _span = span("build_rep", Region::BuildRep);
     let k = chain.segments.len();
     let ChainState {
@@ -1043,40 +985,24 @@ fn materialize_segment(
         ..
     } = chain;
     if k == 1 {
-        // Single-segment chain: the database-computed edge list. Direct
-        // edges are reference-counted across chains, since several Edges
-        // rules may yield the same pair.
+        // Single-segment chain: the database-computed edge list. Several
+        // Edges rules may yield the same pair, and its direct edge stays
+        // while any of them does.
         for &(x, y) in added {
-            let s = direct_support.entry(pack(x, y)).or_insert(0);
-            *s += 1;
-            if *s == 1 && x != y {
+            if x != y && !elsewhere(pack(x, y)) {
                 if let (Some(u), Some(v)) = (real_from(real_ids, x), real_from(real_ids, y)) {
                     target.add_direct(RealId(u), RealId(v), patch);
                 }
             }
         }
         for &(x, y) in removed {
-            let key = pack(x, y);
-            let s = direct_support.entry(key).or_insert(0);
-            *s -= 1;
-            if *s < 0 {
-                let xv = dict.resolve(x).cloned().unwrap_or(Value::Null);
-                let yv = dict.resolve(y).cloned().unwrap_or(Value::Null);
-                return Err(PatchError::Inconsistent(format!(
-                    "direct-edge support of ({xv}, {yv}) went negative"
-                ))
-                .into());
-            }
-            if *s == 0 {
-                direct_support.remove(&key);
-                if x != y {
-                    if let (Some(u), Some(v)) = (real_from(real_ids, x), real_from(real_ids, y)) {
-                        target.remove_direct(RealId(u), RealId(v), patch);
-                    }
+            if x != y && !elsewhere(pack(x, y)) {
+                if let (Some(u), Some(v)) = (real_from(real_ids, x), real_from(real_ids, y)) {
+                    target.remove_direct(RealId(u), RealId(v), patch);
                 }
             }
         }
-        return Ok(());
+        return;
     }
     // Multi-segment chain: boundary attributes materialize as virtual
     // nodes. Membership edges are kept for *every interned* key, alive or
@@ -1191,7 +1117,6 @@ fn materialize_segment(
             (true, true) => unreachable!("k > 1"),
         }
     }
-    Ok(())
 }
 
 /// Materialize every edge a brand-new real node participates in, looked up
@@ -1201,77 +1126,64 @@ fn materialize_node_edges(
     chains: &mut [ChainState],
     key: Vid,
     id: RealId,
-    direct_support: &FxHashMap<u64, i64>,
     real_ids: &[u32],
     target: &mut Target<'_>,
     patch: &mut GraphPatch,
 ) {
     let _span = span("build_rep", Region::BuildRep);
     for chain in chains.iter_mut() {
-        let k = chain.segments.len();
-        if k == 1 {
-            let seg = &chain.segments[0];
-            if let Some(ys) = seg.by_left.get(key as usize) {
-                let mut ys: Vec<Vid> = ys.iter().copied().collect();
-                ys.sort_unstable();
-                for y in ys {
-                    if y != key && direct_support.get(&pack(key, y)).copied().unwrap_or(0) > 0 {
-                        if let Some(v) = real_from(real_ids, y) {
-                            target.add_direct(id, RealId(v), patch);
-                        }
-                    }
-                }
-            }
-            if let Some(xs) = seg.by_right.get(key as usize) {
-                let mut xs: Vec<Vid> = xs.iter().copied().collect();
-                xs.sort_unstable();
-                for x in xs {
-                    if x != key && direct_support.get(&pack(x, key)).copied().unwrap_or(0) > 0 {
-                        if let Some(u) = real_from(real_ids, x) {
-                            target.add_direct(RealId(u), id, patch);
-                        }
-                    }
-                }
-            }
-            continue;
-        }
         let ChainState {
             segments,
             boundary_index,
             boundary_keys,
             boundary_virts,
         } = chain;
-        if let Some(avals) = segments[0].by_left.get(key as usize) {
-            let mut avals: Vec<Vid> = avals.iter().copied().collect();
-            avals.sort_unstable();
-            for a in avals {
-                let v = ensure_virt(
-                    boundary_index,
-                    boundary_keys,
-                    boundary_virts,
-                    0,
-                    a,
-                    target,
-                    patch,
-                );
-                target.add_membership(id, v, patch);
+        let k = segments.len();
+        // The key's distinct output as a left endpoint of the first
+        // segment and as a right endpoint of the last, ascending.
+        let rights = segments[0].support.run(key).map(|(r, _)| r);
+        let by_right = segments[k - 1].by_right.as_ref().expect("last segment");
+        let lefts = by_right.run(key).map(|(l, _)| l);
+        if k == 1 {
+            for y in rights {
+                if y != key {
+                    if let Some(v) = real_from(real_ids, y) {
+                        target.add_direct(id, RealId(v), patch);
+                    }
+                }
             }
+            for x in lefts {
+                if x != key {
+                    if let Some(u) = real_from(real_ids, x) {
+                        target.add_direct(RealId(u), id, patch);
+                    }
+                }
+            }
+            continue;
         }
-        if let Some(avals) = segments[k - 1].by_right.get(key as usize) {
-            let mut avals: Vec<Vid> = avals.iter().copied().collect();
-            avals.sort_unstable();
-            for a in avals {
-                let v = ensure_virt(
-                    boundary_index,
-                    boundary_keys,
-                    boundary_virts,
-                    k - 2,
-                    a,
-                    target,
-                    patch,
-                );
-                target.add_virt_to_real(v, id, patch);
-            }
+        for a in rights {
+            let v = ensure_virt(
+                boundary_index,
+                boundary_keys,
+                boundary_virts,
+                0,
+                a,
+                target,
+                patch,
+            );
+            target.add_membership(id, v, patch);
+        }
+        for a in lefts {
+            let v = ensure_virt(
+                boundary_index,
+                boundary_keys,
+                boundary_virts,
+                k - 2,
+                a,
+                target,
+                patch,
+            );
+            target.add_virt_to_real(v, id, patch);
         }
     }
 }
@@ -1332,7 +1244,6 @@ pub(crate) fn apply_delta_state(
         views,
         chains,
         node_entries,
-        direct_support,
         dict,
         real_ids,
         shadow,
@@ -1359,24 +1270,31 @@ pub(crate) fn apply_delta_state(
 
     // Phase 1: push the delta through every segment of every chain and
     // patch the edge structure.
-    for chain in chains.iter_mut() {
-        let k = chain.segments.len();
-        for j in 0..k {
-            let (added, removed) = chain.segments[j].transitions(delta, threads, dict)?;
+    for c in 0..chains.len() {
+        let (before, rest) = chains.split_at_mut(c);
+        let (chain, after) = rest.split_first_mut().expect("chain c exists");
+        for j in 0..chain.segments.len() {
+            let (added, removed, changes) = chain.segments[j].transitions(delta, threads, dict)?;
+            patch.support_changes += changes;
             if added.is_empty() && removed.is_empty() {
                 continue;
             }
+            let elsewhere = |pair| {
+                let mut others = before.iter().chain(after.iter());
+                others.any(|other| {
+                    other.segments.len() == 1 && other.segments[0].support.get(pair) > 0
+                })
+            };
             materialize_segment(
                 chain,
                 j,
                 &added,
                 &removed,
-                direct_support,
+                elsewhere,
                 real_ids,
-                dict,
                 &mut target,
                 &mut patch,
-            )?;
+            );
         }
     }
 
@@ -1447,15 +1365,7 @@ pub(crate) fn apply_delta_state(
                     real_ids.resize(kvid as usize + 1, u32::MAX);
                 }
                 real_ids[kvid as usize] = id;
-                materialize_node_edges(
-                    chains,
-                    kvid,
-                    RealId(id),
-                    direct_support,
-                    real_ids,
-                    &mut target,
-                    &mut patch,
-                );
+                materialize_node_edges(chains, kvid, RealId(id), real_ids, &mut target, &mut patch);
             }
         } else if before > 0 && now == 0 {
             let id = ids.get(&key).expect("supported key is interned");
@@ -1478,68 +1388,31 @@ pub(crate) fn apply_delta_state(
 // Derived indexes
 // ---------------------------------------------------------------------------
 //
-// `by_out`, `by_left`/`by_right` and `boundary_index` are functions of the
-// primary state (`by_in`, `support`, `boundary_keys`). Neither the bulk
-// loader nor the snapshot decoder builds them: both produce the primary
-// state and finish with `IncrementalState::derive_indexes`, which sizes
-// every slot table and every per-slot container exactly before filling it.
-
-/// How many entries each slot of a flat id-indexed table will hold, sized
-/// to the largest id in `ids`.
-fn slot_counts(ids: impl Iterator<Item = Vid>) -> Vec<u32> {
-    let mut counts: Vec<u32> = Vec::new();
-    for id in ids {
-        if counts.len() <= id as usize {
-            counts.resize(id as usize + 1, 0);
-        }
-        counts[id as usize] += 1;
-    }
-    counts
-}
-
-impl AtomState {
-    /// `by_out` is the transpose of `by_in`.
-    fn derive_indexes(&mut self) {
-        let counts = slot_counts(self.by_in.iter().flat_map(|outs| outs.keys().copied()));
-        self.by_out = counts
-            .iter()
-            .map(|&n| FxHashMap::with_capacity_and_hasher(n as usize, Default::default()))
-            .collect();
-        for (in_v, outs) in self.by_in.iter().enumerate() {
-            for (&out_v, &m) in outs {
-                self.by_out[out_v as usize].insert(in_v as Vid, m);
-            }
-        }
-    }
-}
+// `by_out`, `by_right` and `boundary_index` are functions of the primary
+// state (`by_in`, `support`, `boundary_keys`). Neither the bulk loader nor
+// the snapshot decoder builds them: both produce the primary state and
+// finish with `IncrementalState::derive_indexes`, which also decides which
+// of them exist — `IncrementalState::new` runs it on the empty state.
 
 impl SegmentState {
-    /// `by_left` / `by_right` index the support keys by either endpoint.
-    fn derive_indexes(&mut self) {
-        for atom in &mut self.atoms {
-            atom.derive_indexes();
+    /// `by_out` transposes `by_in` for every atom but a multi-atom
+    /// segment's last; `by_right` transposes the support keys of a chain's
+    /// `last` segment.
+    fn derive_indexes(&mut self, last: bool) {
+        let walked = self.atoms.len().saturating_sub(1);
+        for (i, atom) in self.atoms.iter_mut().enumerate() {
+            atom.by_out = (i < walked).then(|| atom.by_in.transposed());
         }
-        let sets = |counts: Vec<u32>| -> Vec<FxHashSet<Vid>> {
-            counts
-                .iter()
-                .map(|&n| FxHashSet::with_capacity_and_hasher(n as usize, Default::default()))
-                .collect()
-        };
-        self.by_left = sets(slot_counts(self.support.keys().map(|&k| unpack(k).0)));
-        self.by_right = sets(slot_counts(self.support.keys().map(|&k| unpack(k).1)));
-        for &key in self.support.keys() {
-            let (l, r) = unpack(key);
-            self.by_left[l as usize].insert(r);
-            self.by_right[r as usize].insert(l);
-        }
+        self.by_right = last.then(|| self.support.transposed_keys());
     }
 }
 
 impl ChainState {
     /// `boundary_index` inverts `boundary_keys` (which holds no id twice).
     fn derive_indexes(&mut self) {
-        for seg in &mut self.segments {
-            seg.derive_indexes();
+        let k = self.segments.len();
+        for (j, seg) in self.segments.iter_mut().enumerate() {
+            seg.derive_indexes(j + 1 == k);
         }
         self.boundary_index = self
             .boundary_keys
@@ -1571,19 +1444,6 @@ impl IncrementalState {
 // Bulk load: the set-at-a-time initial extraction
 // ---------------------------------------------------------------------------
 
-/// An atom's `by_in` bag from its grouped `(in, out)` pairs.
-fn bag_by_in(bag: &[(u64, i64)]) -> VidBag {
-    let slots = bag.last().map_or(0, |&(key, _)| unpack(key).0 as usize + 1);
-    let mut by_in = VidBag::new();
-    by_in.resize_with(slots, FxHashMap::default);
-    for run in bag.chunk_by(|a, b| unpack(a.0).0 == unpack(b.0).0) {
-        let mut outs = FxHashMap::with_capacity_and_hasher(run.len(), Default::default());
-        outs.extend(run.iter().map(|&(key, m)| (unpack(key).1, m)));
-        by_in[unpack(run[0].0).0 as usize] = outs;
-    }
-    by_in
-}
-
 /// Database ids → engine ids. A value enters the engine dictionary the
 /// first time a scanned cell that the replay would intern holds it, so
 /// engine ids are handed out in the replay's order with one
@@ -1608,16 +1468,6 @@ impl Translation<'_> {
     }
 }
 
-/// What the loader keeps about one segment beside its [`SegmentState`].
-struct SegmentLoad {
-    /// The scanned, grouped bag of each atom, until the segment's last
-    /// table has been scanned and the join has consumed them.
-    bags: Vec<Option<CountedPairs>>,
-    /// The distinct output pairs, ascending, from then until the graph is
-    /// built.
-    pairs: Vec<u64>,
-}
-
 impl IncrementalState {
     /// Build the maintenance state of `spec` over the current contents of
     /// `db`, together with the graph, key map and properties it maintains —
@@ -1637,14 +1487,13 @@ impl IncrementalState {
             db: db.dict(),
             engine: vec![u32::MAX; db.dict().capacity()],
         };
-        let mut loads: Vec<Vec<SegmentLoad>> = state
+        // Per segment, the scanned, grouped bag of each atom, until the
+        // segment's last table has been scanned and the join has read them.
+        let mut loads: Vec<Vec<Vec<Option<CountedPairs>>>> = state
             .chains
             .iter()
             .map(|chain| {
-                let load = |seg: &SegmentState| SegmentLoad {
-                    bags: vec![None; seg.atoms.len()],
-                    pairs: Vec::new(),
-                };
+                let load = |seg: &SegmentState| vec![None; seg.atoms.len()];
                 chain.segments.iter().map(load).collect()
             })
             .collect();
@@ -1660,19 +1509,16 @@ impl IncrementalState {
                 views,
                 chains,
                 node_entries,
-                direct_support,
                 dict,
                 ..
             } = &mut state;
             // The table's atoms, chain by chain and segment by segment; a
             // segment produces its output at the table that completes it.
             for (c, (chain, loads)) in chains.iter_mut().zip(&mut loads).enumerate() {
-                let k = chain.segments.len();
                 let segments = chain.segments.iter_mut().zip(loads.iter_mut());
                 for (j, (seg, load)) in segments.enumerate() {
-                    let keeps_bags = seg.atoms.len() > 1;
                     let mut scanned = false;
-                    for (atom, bag) in seg.atoms.iter_mut().zip(&mut load.bags) {
+                    for (atom, bag) in seg.atoms.iter().zip(load.iter_mut()) {
                         if atom.table != table {
                             continue;
                         }
@@ -1688,33 +1534,33 @@ impl IncrementalState {
                             }
                             keys
                         };
-                        let grouped = group_pairs(keys);
-                        if keeps_bags {
-                            let _span = span("load_state", Region::Patch);
-                            atom.by_in = bag_by_in(&grouped);
-                        }
-                        *bag = Some(grouped);
+                        *bag = Some(group_pairs(keys));
                         scanned = true;
                     }
-                    if !scanned || load.bags.iter().any(Option::is_none) {
+                    if !scanned || load.iter().any(Option::is_none) {
                         continue;
                     }
-                    let mut bags = std::mem::take(&mut load.bags).into_iter().flatten();
-                    let mut output = bags.next().expect("a segment has an atom");
-                    for bag in bags {
-                        output = join_counted(&output, &bag, dict.capacity(), scan_threads);
+                    let mut bags: Vec<CountedPairs> =
+                        std::mem::take(load).into_iter().flatten().collect();
+                    let mut joined = None;
+                    for bag in &bags[1..] {
+                        let frontier = joined.as_ref().unwrap_or(&bags[0]);
+                        joined = Some(join_counted(frontier, bag, dict.capacity(), scan_threads));
                     }
                     let _span = span("load_state", Region::Patch);
-                    seg.support = output.iter().copied().collect();
-                    load.pairs = output.into_iter().map(|(key, _)| key).collect();
-                    completed.push((c, j));
-                    if k == 1 {
-                        // Direct edges are reference-counted across chains.
-                        direct_support.reserve(load.pairs.len());
-                        for &key in &load.pairs {
-                            *direct_support.entry(key).or_insert(0) += 1;
+                    let output = match joined {
+                        // The join has read the bags: they become the
+                        // atoms' `by_in`, as they are.
+                        Some(output) => {
+                            for (atom, bag) in seg.atoms.iter_mut().zip(bags) {
+                                atom.by_in = CountedRuns::new(bag);
+                            }
+                            output
                         }
-                    }
+                        None => bags.pop().expect("a segment has an atom"),
+                    };
+                    seg.support = CountedRuns::new(output);
+                    completed.push((c, j));
                 }
             }
             // The table's node views, in view then row order.
@@ -1769,7 +1615,7 @@ impl IncrementalState {
             emit_segment(
                 &mut builder,
                 (j, segments.len()),
-                loads[c][j].pairs.iter().map(|&key| unpack(key)),
+                segments[j].support.iter().map(|(key, _)| unpack(key)),
                 |vid| real_from(&state.real_ids, vid).map(RealId),
                 |b, vid, builder| {
                     let (slot, new) =
@@ -1795,11 +1641,11 @@ impl IncrementalState {
 // maintenance state — atom multisets, segment supports, boundary interning,
 // node entries, the condensed shadow — is encoded verbatim with the
 // workspace codec conventions; the redundant reverse indexes (`by_out`,
-// `by_left`, `by_right`, `boundary_index`, the shadow's in-indexes) are
-// rebuilt on decode instead of stored. Every bag and support map is written
-// with strictly ascending keys and multiplicities ≥ 1, and the decoder
-// accepts nothing else: a repeated key or a non-positive count would
-// otherwise decode into indexes listing pairs that do not exist.
+// `by_right`, `boundary_index`, the shadow's in-indexes) are rebuilt on
+// decode instead of stored. Every bag and support map is written in run
+// order — strictly ascending keys, multiplicities ≥ 1, no empty bag slot —
+// and the decoder accepts nothing else, so a decoded bag is valid runs as
+// read and re-encodes to the bytes it came from.
 
 use graphgen_common::codec::{self, CodecError, Reader};
 use graphgen_graph::snapshot as graph_snapshot;
@@ -1815,16 +1661,6 @@ fn read_vid(r: &mut Reader<'_>, dict: &Interner) -> Result<Vid, CodecError> {
     Ok(v)
 }
 
-fn put_vid_counts(out: &mut Vec<u8>, map: &FxHashMap<Vid, i64>) {
-    let mut keys: Vec<Vid> = map.keys().copied().collect();
-    keys.sort_unstable();
-    codec::put_len(out, keys.len());
-    for k in keys {
-        codec::put_u32(out, k);
-        codec::put_i64(out, map[&k]);
-    }
-}
-
 /// Check what every encoded bag and support map guarantees: keys strictly
 /// ascending (`prev` is the key before this one) and a multiplicity ≥ 1.
 fn check_counted<K: Ord>(at: usize, prev: Option<K>, key: K, count: i64) -> Result<(), CodecError> {
@@ -1837,68 +1673,67 @@ fn check_counted<K: Ord>(at: usize, prev: Option<K>, key: K, count: i64) -> Resu
     Ok(())
 }
 
-fn read_vid_counts(r: &mut Reader<'_>, dict: &Interner) -> Result<FxHashMap<Vid, i64>, CodecError> {
-    let n = r.len_of(12)?;
-    let mut map = FxHashMap::with_capacity_and_hasher(n, Default::default());
-    let mut prev = None;
-    for _ in 0..n {
-        let at = r.pos();
-        let k = read_vid(r, dict)?;
-        let v = r.i64()?;
-        check_counted(at, prev.replace(k), k, v)?;
-        map.insert(k, v);
-    }
-    Ok(map)
-}
-
-/// Encode a flat id-indexed bag: only the non-empty slots are written, in
-/// ascending id order (deterministic without sorting hash keys).
-fn put_vid_bag(out: &mut Vec<u8>, bag: &VidBag) {
-    let n = bag.iter().filter(|inner| !inner.is_empty()).count();
-    codec::put_len(out, n);
-    for (vid, inner) in bag.iter().enumerate() {
-        if inner.is_empty() {
-            continue;
+/// Encode an atom bag slot by slot: every left id with a run, ascending,
+/// then its `(right id, multiplicity)` entries.
+fn put_bag(out: &mut Vec<u8>, bag: &CountedRuns) {
+    let mut lefts: Vec<Vid> = Vec::new();
+    for (key, _) in bag.iter() {
+        let l = unpack(key).0;
+        if lefts.last() != Some(&l) {
+            lefts.push(l);
         }
-        codec::put_u32(out, vid as Vid);
-        put_vid_counts(out, inner);
+    }
+    codec::put_len(out, lefts.len());
+    for l in lefts {
+        codec::put_u32(out, l);
+        codec::put_len(out, bag.run(l).count());
+        for (r, m) in bag.run(l) {
+            codec::put_u32(out, r);
+            codec::put_i64(out, m);
+        }
     }
 }
 
-fn read_vid_bag(r: &mut Reader<'_>, dict: &Interner) -> Result<VidBag, CodecError> {
+/// Decode an atom bag (inverse of [`put_bag`]) straight into runs: slots
+/// strictly ascending and never empty, as the encoder writes them.
+fn read_bag(r: &mut Reader<'_>, dict: &Interner) -> Result<CountedRuns, CodecError> {
     let n = r.len()?;
-    let mut bag = VidBag::new();
+    let mut pairs = CountedPairs::new();
+    let mut prev_slot = None;
     for _ in 0..n {
         let at = r.pos();
-        let k = read_vid(r, dict)?;
-        // Ascending slots: each one extends the table, so none is
-        // overwritten.
-        if bag.len() > k as usize {
+        let l = read_vid(r, dict)?;
+        if prev_slot.replace(l).is_some_and(|p| p >= l) {
             return Err(CodecError::invalid(at, "bag slots not strictly ascending"));
         }
-        let counts = read_vid_counts(r, dict)?;
-        bag.resize_with(k as usize, FxHashMap::default);
-        bag.push(counts);
+        let at = r.pos();
+        let m = r.len_of(12)?;
+        if m == 0 {
+            return Err(CodecError::invalid(at, "empty bag slot"));
+        }
+        let mut prev = None;
+        for _ in 0..m {
+            let at = r.pos();
+            let k = read_vid(r, dict)?;
+            let v = r.i64()?;
+            check_counted(at, prev.replace(k), k, v)?;
+            pairs.push((pack(l, k), v));
+        }
     }
-    Ok(bag)
+    Ok(CountedRuns::new(pairs))
 }
 
-fn put_packed_counts(out: &mut Vec<u8>, map: &FxHashMap<u64, i64>) {
-    let mut keys: Vec<u64> = map.keys().copied().collect();
-    keys.sort_unstable();
-    codec::put_len(out, keys.len());
-    for k in keys {
-        codec::put_u64(out, k);
-        codec::put_i64(out, map[&k]);
+fn put_packed_counts(out: &mut Vec<u8>, len: usize, pairs: impl Iterator<Item = (u64, i64)>) {
+    codec::put_len(out, len);
+    for (key, m) in pairs {
+        codec::put_u64(out, key);
+        codec::put_i64(out, m);
     }
 }
 
-fn read_packed_counts(
-    r: &mut Reader<'_>,
-    dict: &Interner,
-) -> Result<FxHashMap<u64, i64>, CodecError> {
+fn read_packed_counts(r: &mut Reader<'_>, dict: &Interner) -> Result<CountedPairs, CodecError> {
     let n = r.len_of(16)?;
-    let mut map = FxHashMap::with_capacity_and_hasher(n, Default::default());
+    let mut pairs = CountedPairs::with_capacity(n);
     let mut prev = None;
     for _ in 0..n {
         let at = r.pos();
@@ -1912,9 +1747,9 @@ fn read_packed_counts(
         }
         let v = r.i64()?;
         check_counted(at, prev.replace(k), k, v)?;
-        map.insert(k, v);
+        pairs.push((k, v));
     }
-    Ok(map)
+    Ok(pairs)
 }
 
 fn put_idmap(out: &mut Vec<u8>, ids: &IdMap<Value>) {
@@ -1954,7 +1789,7 @@ impl AtomState {
         self.pred.encode_into(out);
         codec::put_len(out, self.in_col);
         codec::put_len(out, self.out_col);
-        put_vid_bag(out, &self.by_in);
+        put_bag(out, &self.by_in);
         // `by_out` is the transpose of `by_in`: derived on decode.
     }
 
@@ -1966,8 +1801,8 @@ impl AtomState {
             pred: Predicate::decode(r)?,
             in_col: r.scalar()?,
             out_col: r.scalar()?,
-            by_in: read_vid_bag(r, dict)?,
-            by_out: VidBag::new(),
+            by_in: read_bag(r, dict)?,
+            by_out: None,
         })
     }
 }
@@ -1978,8 +1813,8 @@ impl SegmentState {
         for atom in &self.atoms {
             atom.encode_into(out);
         }
-        put_packed_counts(out, &self.support);
-        // `by_left` / `by_right` index the support keys: derived on decode.
+        put_packed_counts(out, self.support.len(), self.support.iter());
+        // `by_right` transposes the support keys: derived on decode.
     }
 
     /// The primary state only, like [`AtomState::decode`].
@@ -1991,16 +1826,16 @@ impl SegmentState {
         }
         Ok(Self {
             atoms,
-            support: read_packed_counts(r, dict)?,
-            by_left: Vec::new(),
-            by_right: Vec::new(),
+            support: CountedRuns::new(read_packed_counts(r, dict)?),
+            by_right: None,
         })
     }
 }
 
 impl IncrementalState {
     /// Encode the whole maintenance state (see the module-level codec
-    /// notes). Deterministic: hash-map content is emitted in sorted order.
+    /// notes). Deterministic: runs are walked in order, hash-map content is
+    /// emitted in sorted order.
     /// The shadow's adjacency chunks intern into `enc` — chunks shared
     /// with the handle's own graph are written once per snapshot.
     pub(crate) fn encode_into(&self, enc: &mut graph_snapshot::ChunkEncoder, out: &mut Vec<u8>) {
@@ -2057,7 +1892,8 @@ impl IncrementalState {
                 }
             }
         }
-        put_packed_counts(out, &self.direct_support);
+        let direct = self.direct_support();
+        put_packed_counts(out, direct.len(), direct.into_iter());
         match &self.shadow {
             None => codec::put_u8(out, 0),
             Some(shadow) => {
@@ -2172,6 +2008,7 @@ impl IncrementalState {
             }
             node_entries.insert(key, NodeEntry { support, prop_rows });
         }
+        let direct_at = r.pos();
         let direct_support = read_packed_counts(r, &dict)?;
         let at = r.pos();
         let shadow = match r.u8()? {
@@ -2186,13 +2023,18 @@ impl IncrementalState {
             views,
             chains,
             node_entries,
-            direct_support,
             dict,
             // Not persisted: the handle assembly rebuilds this from the
             // decoded id map (`rebuild_real_ids`).
             real_ids: Vec::new(),
             shadow,
         };
+        if state.direct_support() != direct_support {
+            return Err(CodecError::invalid(
+                direct_at,
+                "direct-edge support disagrees with the single-segment supports",
+            ));
+        }
         state.derive_indexes();
         Ok(state)
     }
@@ -2374,6 +2216,35 @@ mod tests {
             .neighbors_by_key(&Value::int(9))
             .unwrap()
             .contains(&&Value::int(1)));
+        assert_matches_reextraction(&db, &g);
+    }
+
+    #[test]
+    fn support_changes_count_pairs_out_whether_or_not_they_cross_zero() {
+        // One two-atom segment: a second copy of (1, 1) raises the support
+        // of (1, 1) by 3 and of (1, 2), (1, 4), (2, 1), (4, 1) by 1 each.
+        let mut db = fig1_db();
+        let mut g = GraphGen::with_config(&db, bulk_cfg(None, 1, true))
+            .extract(Q1)
+            .unwrap();
+        let dup = db
+            .insert_rows("AuthorPub", vec![vec![Value::int(1), Value::int(1)]])
+            .unwrap();
+        let patch = g.apply_delta(&dup).unwrap();
+        assert_eq!(patch.support_changes, 5);
+        assert!(patch.is_empty(), "no support crossed zero: {patch:?}");
+        // a2 joins publication 3: the new pairs (2, x), (x, 2) for x in
+        // {2, 3, 4, 5} minus (2, 2) and (2, 4), (4, 2), which it already
+        // shares through publication 1 — 7 pairs, 6 of them new.
+        let join = db
+            .insert_rows("AuthorPub", vec![vec![Value::int(2), Value::int(3)]])
+            .unwrap();
+        let mut total = patch.clone();
+        let patch = g.apply_delta(&join).unwrap();
+        assert_eq!(patch.support_changes, 7);
+        assert!(!patch.is_empty());
+        total.merge(&patch);
+        assert_eq!(total.support_changes, 12);
         assert_matches_reextraction(&db, &g);
     }
 
@@ -3024,6 +2895,53 @@ mod tests {
         assert!(
             matches!(&err, CodecError::Invalid { at: pos, what }
                 if *pos == at + 24 && what.contains("ascending")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn decode_rejects_empty_bag_slot() {
+        // Q1 over Fig. 1 as one two-atom segment, whose atoms keep their
+        // bags: `by_in` of atom 0 has five author slots, the first holding
+        // two publications, one each.
+        let g = GraphGen::with_config(&fig1_db(), bulk_cfg(None, 1, true))
+            .extract(Q1)
+            .unwrap();
+        let mut bytes = state_bytes(&g);
+        assert!(decode_state(&bytes).is_ok());
+        let (five, two) = (5u64.to_le_bytes(), 2u64.to_le_bytes());
+        let at = (0..bytes.len() - 24)
+            .find(|&i| bytes[i..i + 8] == five && bytes[i + 12..i + 20] == two)
+            .expect("by_in of atom 0");
+        // Slot 0 keeps its id but loses its two entries: a slot the
+        // encoder never writes.
+        let count = at + 8 + 4;
+        bytes.drain(count + 8..count + 8 + 2 * 12);
+        bytes[count..count + 8].copy_from_slice(&0u64.to_le_bytes());
+        let err = decode_state(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::Invalid { at: pos, what }
+                if *pos == count && what.contains("empty bag slot")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn decode_rejects_direct_support_disagreeing_with_the_supports() {
+        // One single-segment chain: `direct_support` is the segment's 17
+        // co-author pairs, each counted once, right before the shadow tag.
+        let g = GraphGen::with_config(&fig1_db(), bulk_cfg(None, 1, true))
+            .extract(Q1)
+            .unwrap();
+        let mut bytes = state_bytes(&g);
+        let at = bytes.len() - 1 - 17 * 16 - 8;
+        assert_eq!(bytes[at..at + 8], 17u64.to_le_bytes());
+        assert!(decode_state(&bytes).is_ok());
+        bytes[at + 16..at + 24].copy_from_slice(&2i64.to_le_bytes());
+        let err = decode_state(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::Invalid { at: pos, what }
+                if *pos == at && what.contains("direct-edge support")),
             "{err}"
         );
     }

@@ -34,6 +34,7 @@ pub mod extract;
 pub mod handle;
 pub mod incremental;
 pub mod planner;
+mod runs;
 pub mod serialize;
 
 pub use anygraph::AnyGraph;

@@ -149,8 +149,9 @@ fn same_left(a: &(u64, i64), b: &(u64, i64)) -> bool {
 }
 
 /// Where each left id's run starts in a bag: the entries whose left id is
-/// `v` are `bag[starts[v]..starts[v + 1]]`, for every `v < slots`.
-fn left_runs(bag: &[(u64, i64)], slots: usize) -> Vec<usize> {
+/// `v` are `bag[starts[v]..starts[v + 1]]`, for every `v < slots`. `slots`
+/// must exceed every left id of `bag`.
+pub fn left_runs(bag: &[(u64, i64)], slots: usize) -> Vec<usize> {
     let mut starts = vec![0usize; slots + 1];
     for &(key, _) in bag {
         starts[unpack(key).0 as usize + 1] += 1;

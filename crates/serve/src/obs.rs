@@ -97,6 +97,9 @@ instruments! {
             "delta rows across accepted APPLY batches",
         counter publishes_total: "graphgen_publishes_total" =
             "graph versions published",
+        counter patch_support_changes_total: "graphgen_patch_support_changes_total" =
+            "segment output pairs whose support an APPLY changed, crossing zero or not \
+             (the pairs-out the incremental patch is bounded by)",
         histogram apply_ns: "graphgen_apply_ns" =
             "end-to-end APPLY latency, all phases included (ns)",
         counter wal_appends_total: "graphgen_wal_appends_total" =

@@ -1046,6 +1046,8 @@ impl GraphService {
             match state.advance(&batch, db_version) {
                 Ok(None) => {}
                 Ok(Some(patch)) => {
+                    let changes = patch.support_changes as u64;
+                    self.obs.m.patch_support_changes_total.add(changes);
                     outcome
                         .graphs
                         .push((name.clone(), state.current.version, patch));

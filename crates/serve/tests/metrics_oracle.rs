@@ -27,6 +27,10 @@
 //! * **`APPLY` attribution** — every `APPLY_PHASES` label fires on every
 //!   apply and, the spans never nesting, their sums stay within
 //!   `graphgen_apply_ns`.
+//! * **Pairs-out per delta** — `graphgen_patch_support_changes_total`
+//!   advances by exactly the segment output pairs whose support an apply
+//!   changed, including changes that cross no zero and leave the graph as
+//!   it was.
 //! * **One log** — however many graphs read a table, an accepted batch is
 //!   appended and fsynced once; after a checkpoint plus *k* applies a
 //!   restart replays exactly *k* records, whatever came before it.
@@ -196,6 +200,31 @@ fn counters_monotone_across_publishes() {
         prev = now;
     }
     assert_eq!(prev["graphgen_applies_total"], 8);
+}
+
+#[test]
+fn support_changes_count_pairs_out_per_apply() {
+    let s = service();
+    let insert = |a: i64, p: i64| {
+        let m = TableMutation::new(
+            "AuthorPub",
+            vec![vec![Value::int(a), Value::int(p)]],
+            vec![],
+        );
+        s.apply(&[m]).expect("apply")
+    };
+    let changes = || s.obs().m.patch_support_changes_total.get();
+    // Author 7 joins publication 1, whose authors are 1, 2 and 4: the
+    // pairs (7, x) and (x, 7) for each of them, and (7, 7), appear.
+    insert(7, 1);
+    assert_eq!(changes(), 7);
+    // A second copy of (4, 2) — publication 2 is {1, 4} — raises the
+    // support of (4, 1), (1, 4) and (4, 4); no pair crosses zero.
+    let outcome = insert(4, 2);
+    assert_eq!(changes(), 10);
+    let (_, _, patch) = &outcome.graphs[0];
+    assert_eq!(patch.support_changes, 3);
+    assert!(patch.is_empty(), "the graph is unchanged: {patch:?}");
 }
 
 #[test]

@@ -196,7 +196,8 @@ fn raw_counter_allowlist_entries_are_still_used() {
 /// Names of mechanisms that were deleted for a single one, each with the
 /// only file (if any) that may still spell it. A second join or DISTINCT
 /// beside `reldb::exec::{group_pairs, join_counted}`, a second log beside
-/// `db.wal`, or a second benchmark beside `graphbench` would be a second
+/// `db.wal`, a second benchmark beside `graphbench`, or a hash-map copy of
+/// the maintenance state beside its `CountedRuns` would be a second
 /// mechanism for one job, and a doc line naming these would describe code
 /// that is gone.
 const DELETED_NAMES: &[(&str, Option<&str>)] = &[
@@ -215,6 +216,12 @@ const DELETED_NAMES: &[(&str, Option<&str>)] = &[
     ("serving_throughput", None),
     ("scaling_extraction", None),
     ("measure_thread_scaling", None),
+    // The maintenance state keeps the operators' sorted, counted runs
+    // (`core/src/runs.rs`); a left endpoint's output is its support run.
+    ("VidBag", None),
+    ("bag_by_in", None),
+    ("flat_insert", None),
+    ("by_left", None),
 ];
 
 #[test]
@@ -250,7 +257,8 @@ fn deleted_operators_stay_deleted() {
         violations.is_empty(),
         "the hash join and the hash DISTINCT were deleted for \
          `reldb::exec::{{join_counted, group_pairs}}`, the per-graph logs \
-         for the one `db.wal`, and the second benchmark for `graphbench`; \
+         for the one `db.wal`, the second benchmark for `graphbench`, and \
+         the per-id hash maps of the maintenance state for `CountedRuns`; \
          extend those instead of bringing a second mechanism back, and keep \
          the docs on the code that exists:\n{}",
         violations.join("\n")
