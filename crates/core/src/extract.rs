@@ -6,6 +6,8 @@ use crate::error::Error;
 use crate::handle::GraphHandle;
 use crate::incremental::IncrementalState;
 use crate::planner::{filters_to_predicate, full_query, plan_chain, ChainPlan};
+use graphgen_common::metrics::span;
+use graphgen_common::region::{self, Region};
 use graphgen_common::IdMap;
 use graphgen_dedup::preprocess::{expand_cheap_virtuals, should_expand, PreprocessStats};
 use graphgen_dsl::{
@@ -291,10 +293,12 @@ impl<'a> GraphGen<'a> {
             let mut virt_of = vec![vec![u32::MAX; node_of.len()]; k - 1];
             for (j, seg) in plan.segments.iter().enumerate() {
                 report.sql.push(seg.query.to_sql(self.db)?);
+                let pairs = seg.query.run_threaded(self.db, threads)?;
+                let _span = span("emit", region::current());
                 emit_segment(
                     &mut builder,
                     (j, k),
-                    seg.query.run_threaded(self.db, threads)?,
+                    pairs,
                     |vid| node_of[vid as usize],
                     |b, vid, builder| {
                         let slot = &mut virt_of[b][vid as usize];
@@ -307,8 +311,7 @@ impl<'a> GraphGen<'a> {
             }
             report.plans.push(plan);
         }
-        let span =
-            graphgen_common::metrics::span("build_rep", graphgen_common::region::Region::BuildRep);
+        let rep_span = span("build_rep", Region::BuildRep);
         let mut graph = builder.build();
 
         // Step 6: preprocessing.
@@ -324,7 +327,7 @@ impl<'a> GraphGen<'a> {
             }
             _ => AnyGraph::CDup(graph),
         };
-        drop(span);
+        drop(rep_span);
         report.extraction_micros = start.elapsed().as_micros();
         Ok(GraphHandle::from_parts(graph, ids, properties, report))
     }
@@ -428,6 +431,7 @@ impl<'a> GraphGen<'a> {
             cols.extend(view.prop_cols.iter().map(|(_, c)| *c));
             let pred = filters_to_predicate(&view.filters);
             let rows = scan_project(self.db, &view.relation, &pred, &cols, threads)?;
+            let _span = span("load_nodes", region::current());
             for row in rows.iter() {
                 if row[0] == NULL_VID {
                     continue;
@@ -666,6 +670,50 @@ mod tests {
         // graph ends up expanded.
         assert!(g.report().auto_expanded);
         assert!(matches!(g.graph(), AnyGraph::Exp(_)));
+    }
+
+    #[test]
+    fn batch_extraction_spans_every_phase_once_over() {
+        use graphgen_common::metrics::collect_phases;
+        let db = fig1_db();
+        let condensed = GraphGenConfig::builder()
+            .large_output_factor(0.0)
+            .threads(1)
+            .build();
+        // Default: Fig. 1 is small-output, so its one segment joins the two
+        // atoms. Forced condensed: two one-atom segments, no join.
+        for (cfg, labels) in [
+            (
+                GraphGenConfig::builder().threads(1).build(),
+                &[
+                    "scan",
+                    "distinct",
+                    "join",
+                    "load_nodes",
+                    "emit",
+                    "build_rep",
+                ][..],
+            ),
+            (
+                condensed,
+                &["scan", "distinct", "load_nodes", "emit", "build_rep"][..],
+            ),
+        ] {
+            let gg = GraphGen::with_config(&db, cfg);
+            let start = Instant::now();
+            let (g, phases) = collect_phases(|| gg.extract(Q1).unwrap());
+            let wall = start.elapsed().as_nanos() as u64;
+            assert_eq!(g.graph().expanded_edge_count(), 12);
+            for label in labels {
+                assert!(
+                    phases.iter().any(|(l, _)| l == label),
+                    "no {label} span in {phases:?}"
+                );
+            }
+            // The spans never nest: together they fit in the wall time.
+            let spanned: u64 = phases.iter().map(|p| p.1).sum();
+            assert!(spanned <= wall, "{spanned} ns spanned in {wall} ns");
+        }
     }
 
     #[test]

@@ -30,6 +30,12 @@ pub struct PreprocessStats {
 /// `threads` controls the parallel decision scan (1 = serial).
 pub fn expand_cheap_virtuals(g: &mut CondensedGraph, threads: usize) -> PreprocessStats {
     let n_virt = g.num_virtual();
+    if n_virt == 0 {
+        return PreprocessStats {
+            examined: 0,
+            expanded: 0,
+        };
+    }
     let in_index = g.real_in_index();
     // A virtual node is a candidate only if all its out-edges target reals
     // and no virtual node points at it.
@@ -75,10 +81,24 @@ pub fn expand_cheap_virtuals(g: &mut CondensedGraph, threads: usize) -> Preproce
 /// Decide whether to hand the user the expanded graph instead of a condensed
 /// one (§6.5): expansion is advised when the expanded size is within
 /// `threshold` (e.g. 1.2 = +20%) of the condensed stored size.
+///
+/// The expanded edges are counted vertex by vertex, and the answer is
+/// `false` as soon as the running count passes the bound — the same
+/// answer as comparing the full [`GraphRep::expanded_edge_count`].
 pub fn should_expand(g: &CondensedGraph, threshold: f64) -> bool {
     let condensed = g.stored_edge_count() as f64;
-    let expanded = g.expanded_edge_count() as f64;
-    condensed == 0.0 || expanded <= condensed * threshold
+    if condensed == 0.0 {
+        return true;
+    }
+    let fits = |expanded: u64| expanded as f64 <= condensed * threshold;
+    let mut expanded = 0u64;
+    for u in g.vertices() {
+        expanded += g.degree(u) as u64;
+        if !fits(expanded) {
+            return false;
+        }
+    }
+    fits(expanded)
 }
 
 #[cfg(test)]
@@ -148,6 +168,24 @@ mod tests {
         let before = expand_to_edge_list(&g);
         let stats = expand_cheap_virtuals(&mut g, 1);
         assert_eq!(stats.expanded, 0);
+        assert_eq!(expand_to_edge_list(&g), before);
+    }
+
+    #[test]
+    fn graph_without_virtual_nodes_is_left_alone() {
+        let mut b = CondensedBuilder::new(3);
+        b.direct(RealId(0), RealId(1));
+        b.direct(RealId(2), RealId(0));
+        let mut g = b.build();
+        let before = expand_to_edge_list(&g);
+        let stats = expand_cheap_virtuals(&mut g, 4);
+        assert_eq!(
+            stats,
+            PreprocessStats {
+                examined: 0,
+                expanded: 0
+            }
+        );
         assert_eq!(expand_to_edge_list(&g), before);
     }
 

@@ -10,6 +10,16 @@
 //! papers), `getNeighbors` must deduplicate **on the fly**: it runs a
 //! depth-first traversal keeping a hashset of already-emitted neighbors —
 //! exactly the execution penalty the paper attributes to C-DUP.
+//!
+//! Every adjacency list is **strictly sorted**, and [`Adj`]'s order puts
+//! real targets before virtual ones: the builder sorts and dedups, the
+//! patch surface inserts in place (`insert_sorted`), and the snapshot
+//! decoder rejects any list that is not strictly sorted. So the real
+//! prefix of a list is duplicate-free, and two paths can meet only behind
+//! a virtual entry. The iterator therefore emits the prefix directly and
+//! hashes only when the list holds a virtual target; a graph with no
+//! virtual nodes (or a vertex with only direct edges) pays no
+//! deduplication at all.
 
 use crate::api::{GraphRep, RepKind};
 use crate::chunk::ChunkedAdj;
@@ -24,7 +34,8 @@ use graphgen_common::FxHashSet;
 /// sharing contract the serving layer builds on).
 #[derive(Debug, Clone)]
 pub struct CondensedGraph {
-    /// Out-edges of each real node (sorted: real targets first).
+    /// Out-edges of each real node (strictly sorted: real targets first;
+    /// `for_each_neighbor` relies on it).
     pub(crate) real_out: ChunkedAdj,
     /// Out-edges of each virtual node (sorted: real targets first).
     pub(crate) virt_out: ChunkedAdj,
@@ -323,22 +334,29 @@ impl GraphRep for CondensedGraph {
     }
 
     fn for_each_neighbor(&self, u: RealId, f: &mut dyn FnMut(RealId)) {
-        // The paper's C-DUP iterator: DFS from u_s, hashset of seen
-        // neighbors to skip duplicates.
-        let mut seen: FxHashSet<u32> = FxHashSet::default();
-        let mut visited_virts: FxHashSet<u32> = FxHashSet::default();
-        let mut stack: Vec<u32> = Vec::new();
-        for a in self.real_out.list(u.0 as usize) {
-            if let Some(r) = a.as_real() {
-                if r != u && self.alive[r.0 as usize] && seen.insert(r.0) {
-                    f(r);
-                }
-            } else if let Some(v) = a.as_virtual() {
-                if visited_virts.insert(v.0) {
-                    stack.push(v.0);
-                }
+        // Lists are strictly sorted with reals before virtuals, so the
+        // direct prefix names each real target once: emit it as is. Only
+        // when virtual entries follow can two paths meet, and only then
+        // does the paper's C-DUP iterator run: DFS from u_s, hashset of
+        // seen neighbors (seeded with the prefix) to skip duplicates.
+        let list = self.real_out.list(u.0 as usize);
+        let (direct, via) = list.split_at(list.partition_point(|a| !a.is_virtual()));
+        for a in direct {
+            let r = RealId(a.raw());
+            if r != u && self.alive[r.0 as usize] {
+                f(r);
             }
         }
+        if via.is_empty() {
+            return;
+        }
+        let mut seen: FxHashSet<u32> = direct.iter().map(|a| a.raw()).collect();
+        let mut stack: Vec<u32> = via
+            .iter()
+            .filter_map(|a| a.as_virtual())
+            .map(|v| v.0)
+            .collect();
+        let mut visited_virts: FxHashSet<u32> = stack.iter().copied().collect();
         while let Some(x) = stack.pop() {
             for a in self.virt_out.list(x as usize) {
                 if let Some(r) = a.as_real() {

@@ -32,43 +32,59 @@ impl ExpandedGraph {
     /// Build from a directed edge list over `n` vertices. Self-loops and
     /// duplicates are dropped.
     pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (u32, u32)>) -> Self {
-        let mut g = Self::new(n);
+        let mut out = vec![Vec::new(); n];
         for (u, v) in edges {
             if u != v {
-                g.out[u as usize].push(v);
-                g.inc[v as usize].push(u);
+                out[u as usize].push(v);
             }
         }
-        for list in g.out.iter_mut().chain(g.inc.iter_mut()) {
+        for list in &mut out {
             list.sort_unstable();
             list.dedup();
             list.shrink_to_fit();
         }
-        g
+        Self::from_out(out, vec![true; n])
     }
 
-    /// Expand any other representation into an [`ExpandedGraph`].
+    /// Expand any other representation into an [`ExpandedGraph`]: one
+    /// neighbor pass per live vertex into a reused buffer, sorted, deduped
+    /// and stored at exact size; the in-lists follow by transposition.
     pub fn from_rep<G: GraphRep + ?Sized>(rep: &G) -> Self {
         let n = rep.num_real_slots();
-        let mut g = Self::new(n);
-        for slot in 0..n as u32 {
-            if !rep.is_alive(RealId(slot)) {
-                g.alive[slot as usize] = false;
-                g.n_alive -= 1;
+        let alive: Vec<bool> = (0..n as u32).map(|u| rep.is_alive(RealId(u))).collect();
+        let mut out = vec![Vec::new(); n];
+        let mut buf = Vec::new();
+        for u in rep.vertices() {
+            buf.clear();
+            rep.for_each_neighbor(u, &mut |v| buf.push(v.0));
+            buf.sort_unstable();
+            buf.dedup();
+            out[u.0 as usize] = buf.to_vec();
+        }
+        Self::from_out(out, alive)
+    }
+
+    /// Finish a graph from its sorted, duplicate-free out-lists: a
+    /// counting transpose in source order builds every in-list at exact
+    /// size and already sorted.
+    fn from_out(out: Vec<Vec<u32>>, alive: Vec<bool>) -> Self {
+        let mut in_degree = vec![0usize; out.len()];
+        for &v in out.iter().flatten() {
+            in_degree[v as usize] += 1;
+        }
+        let mut inc: Vec<Vec<u32>> = in_degree.iter().map(|&d| Vec::with_capacity(d)).collect();
+        for (u, list) in out.iter().enumerate() {
+            for &v in list {
+                inc[v as usize].push(u as u32);
             }
         }
-        for u in rep.vertices() {
-            rep.for_each_neighbor(u, &mut |v| {
-                g.out[u.0 as usize].push(v.0);
-                g.inc[v.0 as usize].push(u.0);
-            });
+        let n_alive = alive.iter().filter(|&&a| a).count();
+        Self {
+            out,
+            inc,
+            alive,
+            n_alive,
         }
-        for list in g.out.iter_mut().chain(g.inc.iter_mut()) {
-            list.sort_unstable();
-            list.dedup();
-            list.shrink_to_fit();
-        }
-        g
     }
 
     /// In-neighbors of `u` (live only).
