@@ -155,8 +155,9 @@ impl GraphGenConfigBuilder {
     /// [`GraphHandle::apply_delta`]. Incremental extraction always hands
     /// back the raw condensed graph (C-DUP) — Step-6 preprocessing and the
     /// §6.5 auto-expansion are skipped, since both rewrite the structure
-    /// the maintenance state mirrors; convert the handle afterwards if a
-    /// different representation is wanted (patching survives conversions).
+    /// the maintenance state mirrors. Convert the handle when another
+    /// representation is wanted: conversions are derived, read-only
+    /// handles, and the maintained C-DUP keeps taking the deltas.
     pub fn incremental(mut self, on: bool) -> Self {
         self.cfg.incremental = on;
         self
@@ -359,11 +360,7 @@ impl<'a> GraphGen<'a> {
         )?;
         report.extraction_micros = start.elapsed().as_micros();
         Ok(GraphHandle::from_parts_incremental(
-            AnyGraph::CDup(graph),
-            ids,
-            properties,
-            report,
-            state,
+            graph, ids, properties, report, state,
         ))
     }
 

@@ -32,6 +32,7 @@ use graphgen_graph::{
     CondensedGraph, ExpandedGraph, GraphRep, PropValue, Properties, RealId, RepKind,
 };
 use graphgen_reldb::{Delta, DeltaBatch, Value};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Which BITMAP preprocessing pass builds the bitmap representation.
@@ -142,10 +143,11 @@ impl GraphHandle {
         }
     }
 
-    /// Assemble a handle that carries the delta-maintenance state (the
-    /// incremental extractor's exit point).
+    /// Assemble a handle that carries the delta-maintenance state beside
+    /// the C-DUP graph it maintains (the incremental extractor's exit
+    /// point).
     pub(crate) fn from_parts_incremental(
-        graph: AnyGraph,
+        graph: CondensedGraph,
         ids: IdMap<Value>,
         properties: Properties,
         report: ExtractionReport,
@@ -153,7 +155,7 @@ impl GraphHandle {
     ) -> Self {
         Self {
             incremental: Some(Arc::new(state)),
-            ..Self::from_parts(graph, ids, properties, report)
+            ..Self::from_parts(AnyGraph::CDup(graph), ids, properties, report)
         }
     }
 
@@ -263,7 +265,8 @@ impl GraphHandle {
 
     /// True if this handle carries delta-maintenance state (extracted with
     /// `GraphGenConfig::incremental`), i.e. [`GraphHandle::apply_delta`]
-    /// will work. Conversions preserve the state.
+    /// will work. Conversions do not carry the state: they are derived,
+    /// read-only handles.
     pub fn is_incremental(&self) -> bool {
         self.incremental.is_some()
     }
@@ -296,18 +299,30 @@ impl GraphHandle {
     ///
     /// [`PatchError::NotIncremental`] if the handle has no maintenance
     /// state; [`PatchError::Inconsistent`] if the delta contradicts the
-    /// maintained state (the handle should then be re-extracted — its
-    /// contents are no longer trustworthy).
+    /// maintained state, or the C-DUP it maintains was swapped out through
+    /// [`GraphHandle::graph_mut`] (the handle should then be re-extracted —
+    /// its contents are no longer trustworthy).
     pub fn apply_delta(&mut self, delta: &Delta) -> Result<GraphPatch, Error> {
         let Some(state) = self.incremental.as_mut() else {
             return Err(PatchError::NotIncremental.into());
+        };
+        let graph = match &mut self.graph {
+            AnyGraph::CDup(g) => g,
+            other => {
+                return Err(PatchError::Inconsistent(format!(
+                    "incremental handle holds {} instead of its C-DUP \
+                     (graph_mut was used to swap representations?)",
+                    other.kind()
+                ))
+                .into())
+            }
         };
         // `make_mut` is free while the writer is the state's only owner
         // (reader clones never carry it); a fully shared clone pays one
         // state copy on its first patch and is sole owner afterwards.
         incremental::apply_delta_state(
             Arc::make_mut(state),
-            &mut self.graph,
+            graph,
             &mut self.ids,
             &mut self.properties,
             delta,
@@ -421,15 +436,6 @@ impl GraphHandle {
         })
     }
 
-    /// A single-layer condensed core: borrowed when already single-layer,
-    /// flattened (owned) when `opts.flatten` allows, an error otherwise.
-    fn single_layer_core(
-        &self,
-        opts: &ConvertOptions,
-    ) -> Result<std::borrow::Cow<'_, CondensedGraph>, ConvertError> {
-        single_layer_of(self.condensed_core()?, opts)
-    }
-
     /// Convert to the requested representation. Every feasible conversion
     /// goes through here; infeasible ones explain themselves:
     ///
@@ -440,9 +446,15 @@ impl GraphHandle {
     /// | `Bitmap` | condensed core | [`ConvertError::NotCondensed`] |
     /// | `Dedup1` | + single layer | [`ConvertError::MultiLayer`] |
     /// | `Dedup2` | + symmetric | [`ConvertError::Asymmetric`] |
+    /// | any, from an incremental handle | as above, from its C-DUP | as above |
     ///
     /// Converting to the representation the handle already holds clones it.
-    /// The id mapping, properties, and report carry over unchanged.
+    /// The id mapping, properties, and report carry over unchanged. The
+    /// result is always a derived, read-only handle like
+    /// [`GraphHandle::reader_clone`]: it carries no delta-maintenance state,
+    /// so [`GraphHandle::apply_delta`] on it fails with
+    /// [`PatchError::NotIncremental`]. An incremental handle keeps taking
+    /// deltas on its C-DUP; convert again after patching it.
     pub fn convert(
         &self,
         target: RepKind,
@@ -453,20 +465,17 @@ impl GraphHandle {
         // DEDUP-2 from a DEDUP-2 handle would be infeasible even though
         // holding it clearly is.
         if target == self.graph.kind() {
-            return Ok(self.clone());
+            return Ok(self.reader_clone());
         }
-        if self.incremental.is_some() {
-            return self.convert_incremental(target, opts);
-        }
-        let graph = match target {
+        let mut graph = match target {
             RepKind::Exp => AnyGraph::Exp(ExpandedGraph::from_rep(&self.graph)),
             RepKind::CDup => AnyGraph::CDup(self.condensed_core()?.clone()),
             RepKind::Dedup1 => {
-                let core = self.single_layer_core(opts)?;
+                let core = single_layer_of(self.condensed_core()?, opts)?;
                 AnyGraph::Dedup1(opts.algorithm.try_run(&core, opts.ordering, opts.seed)?)
             }
             RepKind::Dedup2 => {
-                let core = self.single_layer_core(opts)?;
+                let core = single_layer_of(self.condensed_core()?, opts)?;
                 AnyGraph::Dedup2(try_dedup2_greedy(&core, opts.ordering, opts.seed)?)
             }
             RepKind::Bitmap => {
@@ -477,73 +486,20 @@ impl GraphHandle {
                 })
             }
         };
+        // The DEDUP constructors start every slot alive: carry the
+        // source's deleted slots (a patched handle's, once a key left
+        // every node view) over.
+        for u in (0..self.graph.num_real_slots() as u32).map(RealId) {
+            if !self.graph.is_alive(u) {
+                graph.delete_vertex(u);
+            }
+        }
         Ok(GraphHandle {
             graph,
             ids: self.ids.clone(),
             properties: self.properties.clone(),
             report: self.report.clone(),
             incremental: None,
-        })
-    }
-
-    /// Conversion for handles carrying delta-maintenance state. The state's
-    /// pristine condensed structure (the handle's own graph while it is
-    /// C-DUP, its shadow afterwards) is the conversion source, so an
-    /// incremental handle never loses its condensed core — even EXP and
-    /// DEDUP-2 handles can convert onward. Representations are built from a
-    /// *compacted* copy so deleted slots enter them without stale
-    /// adjacency (a later key revival re-adds edges through the patch
-    /// engine).
-    fn convert_incremental(
-        &self,
-        target: RepKind,
-        opts: &ConvertOptions,
-    ) -> Result<GraphHandle, ConvertError> {
-        let state = self.incremental.as_deref().expect("checked by caller");
-        let pristine: CondensedGraph = match (&self.graph, state.shadow_graph()) {
-            (AnyGraph::CDup(g), _) => g.clone(),
-            (_, Some(shadow)) => shadow.clone(),
-            // Reachable only if graph_mut() swapped the representation
-            // behind the maintenance state's back: the pristine core is
-            // gone, so report it like any other core-less source.
-            (_, None) => {
-                return Err(ConvertError::NotCondensed {
-                    from: self.graph.kind(),
-                })
-            }
-        };
-        let mut new_state = state.clone();
-        let graph = if target == RepKind::CDup {
-            new_state.drop_shadow();
-            AnyGraph::CDup(pristine)
-        } else {
-            let mut core = pristine.clone();
-            core.compact();
-            let g = match target {
-                RepKind::CDup => unreachable!("handled above"),
-                RepKind::Exp => AnyGraph::Exp(ExpandedGraph::from_rep(&core)),
-                RepKind::Dedup1 => {
-                    let single = single_layer_of(&core, opts)?;
-                    AnyGraph::Dedup1(opts.algorithm.try_run(&single, opts.ordering, opts.seed)?)
-                }
-                RepKind::Dedup2 => {
-                    let single = single_layer_of(&core, opts)?;
-                    AnyGraph::Dedup2(try_dedup2_greedy(&single, opts.ordering, opts.seed)?)
-                }
-                RepKind::Bitmap => AnyGraph::Bitmap(match opts.bitmap {
-                    BitmapAlgorithm::Bitmap1 => bitmap1(core),
-                    BitmapAlgorithm::Bitmap2 => bitmap2(core, opts.threads).0,
-                }),
-            };
-            new_state.set_shadow(pristine);
-            g
-        };
-        Ok(GraphHandle {
-            graph,
-            ids: self.ids.clone(),
-            properties: self.properties.clone(),
-            report: self.report.clone(),
-            incremental: Some(Arc::new(new_state)),
         })
     }
 
@@ -561,14 +517,7 @@ impl GraphHandle {
     /// * multi-layer: BITMAP — the only duplicate-free representation that
     ///   handles layered condensed graphs directly.
     pub fn advise(&self, policy: &AdvisorPolicy) -> RepKind {
-        // Incremental handles keep a pristine condensed shadow after
-        // converting away from C-DUP; the chooser consults it so the
-        // advice stays shape-aware (and convert can always realize it).
-        let shadow = self
-            .incremental
-            .as_deref()
-            .and_then(IncrementalState::shadow_graph);
-        let Some(core) = self.graph.as_condensed().or(shadow) else {
+        let Some(core) = self.graph.as_condensed() else {
             return self.graph.kind();
         };
         if should_expand(core, policy.expand_threshold) {
@@ -601,11 +550,11 @@ impl GraphHandle {
 fn single_layer_of<'a>(
     core: &'a CondensedGraph,
     opts: &ConvertOptions,
-) -> Result<std::borrow::Cow<'a, CondensedGraph>, ConvertError> {
+) -> Result<Cow<'a, CondensedGraph>, ConvertError> {
     if core.is_single_layer() {
-        Ok(std::borrow::Cow::Borrowed(core))
+        Ok(Cow::Borrowed(core))
     } else if opts.flatten {
-        Ok(std::borrow::Cow::Owned(flatten_to_single_layer(core)))
+        Ok(Cow::Owned(flatten_to_single_layer(core)))
     } else {
         Err(ConvertError::MultiLayer)
     }

@@ -42,16 +42,10 @@
 //! (one edge however many chains output the pair). `Nodes`-view deltas
 //! add, remove, or revive real vertices and re-derive their properties.
 //!
-//! Two application paths exist:
-//!
-//! * **mirror** — the handle still holds the C-DUP graph extraction built:
-//!   operations apply directly to it (a patch costs a handful of sorted
-//!   adjacency-list edits);
-//! * **generic** — the handle was converted to EXP / DEDUP-1 / DEDUP-2 /
-//!   BITMAP: the state keeps a pristine condensed *shadow*, applies the
-//!   structural operation there, derives the resulting **logical** edge
-//!   diff (re-probing only the affected virtual node's reach), and replays
-//!   it through the representation's own 7-operation mutation API.
+//! The handle always holds the C-DUP graph extraction built — conversions
+//! are derived, read-only handles (see [`crate::GraphHandle::convert`]) —
+//! so every operation applies directly to it: a patch costs a handful of
+//! sorted adjacency-list edits.
 //!
 //! Every keyed structure of the state — atom bags, supports, the reverse
 //! index of a chain's last support — is one `CountedRuns`: the sorted,
@@ -91,7 +85,6 @@
 //! encoded byte of the state — equal the replay's; that replay survives as
 //! the `#[cfg(test)]` oracle of the `bulk_*` tests.
 
-use crate::anygraph::AnyGraph;
 use crate::error::{Error, PatchError};
 use crate::extract::emit_segment;
 use crate::planner::{filters_to_predicate, ChainPlan};
@@ -123,12 +116,6 @@ pub struct GraphPatch {
     pub stored_edges_added: usize,
     /// Stored (condensed-level) edges removed.
     pub stored_edges_removed: usize,
-    /// Logical edge insertions replayed through a converted
-    /// representation's mutation API (generic path only).
-    pub logical_edges_added: usize,
-    /// Logical edge removals replayed through a converted representation's
-    /// mutation API (generic path only).
-    pub logical_edges_removed: usize,
     /// Segment output pairs whose support changed, whether or not it
     /// crossed zero: the pairs-out of the delta, which bound the work of
     /// the support update.
@@ -155,8 +142,6 @@ impl GraphPatch {
         self.virtuals_added += other.virtuals_added;
         self.stored_edges_added += other.stored_edges_added;
         self.stored_edges_removed += other.stored_edges_removed;
-        self.logical_edges_added += other.logical_edges_added;
-        self.logical_edges_removed += other.logical_edges_removed;
         self.support_changes += other.support_changes;
     }
 }
@@ -228,26 +213,10 @@ struct ChainState {
     boundary_virts: Vec<Vec<VirtId>>,
 }
 
-/// The condensed shadow kept once a handle leaves C-DUP: the pristine
-/// structure extraction maintains, plus reverse indexes so logical edge
-/// diffs can be derived by re-probing only the affected virtual nodes.
-#[derive(Debug, Clone)]
-struct ShadowCore {
-    g: CondensedGraph,
-    /// Per virtual node: real sources with an edge to it.
-    virt_in_reals: Vec<FxHashSet<u32>>,
-    /// Per virtual node: virtual sources with an edge to it.
-    virt_in_virts: Vec<FxHashSet<u32>>,
-    /// Per real target: virtual nodes with an edge to it.
-    real_in_virts: FxHashMap<u32, FxHashSet<u32>>,
-    /// Per real target: real sources with a *direct* edge to it.
-    real_in_reals: FxHashMap<u32, FxHashSet<u32>>,
-}
-
 /// Everything needed to maintain an extracted graph under base-table
 /// deltas. Owned by the [`crate::GraphHandle`] when extraction ran with
-/// [`crate::GraphGenConfig`]'s `incremental(true)`; survives
-/// representation conversions.
+/// [`crate::GraphGenConfig`]'s `incremental(true)`, beside the C-DUP graph
+/// it maintains.
 #[derive(Debug, Clone)]
 pub struct IncrementalState {
     threads: usize,
@@ -269,7 +238,6 @@ pub struct IncrementalState {
     /// ([`IncrementalState::rebuild_real_ids`]), and maintained by the
     /// node-add path during live applies.
     real_ids: Vec<u32>,
-    shadow: Option<ShadowCore>,
 }
 
 impl IncrementalState {
@@ -326,7 +294,6 @@ impl IncrementalState {
             node_entries: FxHashMap::default(),
             dict: Interner::new(),
             real_ids: Vec::new(),
-            shadow: None,
         };
         state.derive_indexes();
         state
@@ -399,369 +366,78 @@ impl IncrementalState {
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
-
-    /// The pristine condensed structure the state maintains, when the
-    /// handle no longer holds it itself (i.e. after a conversion away from
-    /// C-DUP).
-    pub(crate) fn shadow_graph(&self) -> Option<&CondensedGraph> {
-        self.shadow.as_ref().map(|s| &s.g)
-    }
-
-    /// Install a shadow copy of the pristine condensed graph (called by
-    /// `GraphHandle::convert` when leaving C-DUP).
-    pub(crate) fn set_shadow(&mut self, core: CondensedGraph) {
-        self.shadow = Some(ShadowCore::from_graph(core));
-    }
-
-    /// Drop the shadow (called when converting back to C-DUP, which then
-    /// holds the pristine structure itself).
-    pub(crate) fn drop_shadow(&mut self) {
-        self.shadow = None;
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Shadow core
+// Patch target: the C-DUP graph and the counters of what was done to it
 // ---------------------------------------------------------------------------
 
-impl ShadowCore {
-    fn from_graph(g: CondensedGraph) -> Self {
-        let nv = g.num_virtual();
-        let mut virt_in_reals = vec![FxHashSet::default(); nv];
-        let mut virt_in_virts = vec![FxHashSet::default(); nv];
-        let mut real_in_virts: FxHashMap<u32, FxHashSet<u32>> = FxHashMap::default();
-        let mut real_in_reals: FxHashMap<u32, FxHashSet<u32>> = FxHashMap::default();
-        for u in 0..g.num_real_slots() as u32 {
-            for a in g.real_out(RealId(u)) {
-                if let Some(v) = a.as_virtual() {
-                    virt_in_reals[v.0 as usize].insert(u);
-                } else if let Some(r) = a.as_real() {
-                    real_in_reals.entry(r.0).or_default().insert(u);
-                }
-            }
-        }
-        for v in 0..nv as u32 {
-            for a in g.virt_out(VirtId(v)) {
-                if let Some(w) = a.as_virtual() {
-                    virt_in_virts[w.0 as usize].insert(v);
-                } else if let Some(r) = a.as_real() {
-                    real_in_virts.entry(r.0).or_default().insert(v);
-                }
-            }
-        }
-        Self {
-            g,
-            virt_in_reals,
-            virt_in_virts,
-            real_in_virts,
-            real_in_reals,
-        }
-    }
-
-    /// Alive real nodes reachable *from* `v`, sorted.
-    fn fwd_reach(&self, v: VirtId) -> Vec<u32> {
-        let mut out = FxHashSet::default();
-        self.g.virtual_reach(v, &mut out);
-        let mut out: Vec<u32> = out.into_iter().collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// Alive real nodes that reach `v` (reverse traversal over the
-    /// maintained in-indexes), sorted.
-    fn rev_reach(&self, v: VirtId) -> Vec<u32> {
-        let mut sources = FxHashSet::default();
-        let mut visited = FxHashSet::default();
-        let mut stack = vec![v.0];
-        visited.insert(v.0);
-        while let Some(x) = stack.pop() {
-            for &s in &self.virt_in_reals[x as usize] {
-                if self.g.is_alive(RealId(s)) {
-                    sources.insert(s);
-                }
-            }
-            for &w in &self.virt_in_virts[x as usize] {
-                if visited.insert(w) {
-                    stack.push(w);
-                }
-            }
-        }
-        let mut sources: Vec<u32> = sources.into_iter().collect();
-        sources.sort_unstable();
-        sources
-    }
-
-    /// Alive real nodes with a logical edge *into* `u`, sorted.
-    fn in_neighbors_of_real(&self, u: RealId) -> Vec<u32> {
-        let mut sources = FxHashSet::default();
-        if let Some(direct) = self.real_in_reals.get(&u.0) {
-            for &s in direct {
-                if self.g.is_alive(RealId(s)) {
-                    sources.insert(s);
-                }
-            }
-        }
-        if let Some(virts) = self.real_in_virts.get(&u.0) {
-            for &v in virts {
-                for s in self.rev_reach(VirtId(v)) {
-                    sources.insert(s);
-                }
-            }
-        }
-        sources.remove(&u.0);
-        let mut sources: Vec<u32> = sources.into_iter().collect();
-        sources.sort_unstable();
-        sources
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Patch target: mirror (C-DUP in place) or generic (shadow + logical replay)
-// ---------------------------------------------------------------------------
-
-enum Target<'a> {
-    /// The handle still holds the pristine C-DUP graph: patch it directly.
-    Mirror(&'a mut CondensedGraph),
-    /// The handle holds a converted representation: patch the shadow and
-    /// replay the logical diff through the representation's mutation API.
-    Generic {
-        shadow: &'a mut ShadowCore,
-        rep: &'a mut AnyGraph,
-    },
+/// The handle's C-DUP graph, patched in place, and the [`GraphPatch`]
+/// counting every operation applied to it.
+struct Target<'a> {
+    g: &'a mut CondensedGraph,
+    patch: GraphPatch,
 }
 
 impl Target<'_> {
-    fn add_real_slot(&mut self, patch: &mut GraphPatch) -> RealId {
-        patch.nodes_added += 1;
-        match self {
-            Target::Mirror(g) => g.add_vertex(),
-            Target::Generic { shadow, rep } => {
-                let a = shadow.g.add_vertex();
-                let b = rep.add_vertex();
-                debug_assert_eq!(a, b, "shadow and representation slots diverged");
-                a
-            }
-        }
+    fn add_real_slot(&mut self) -> RealId {
+        self.patch.nodes_added += 1;
+        self.g.add_vertex()
     }
 
-    fn revive(&mut self, u: RealId, patch: &mut GraphPatch) {
-        patch.nodes_revived += 1;
-        match self {
-            Target::Mirror(g) => g.revive_vertex(u),
-            Target::Generic { shadow, rep } => {
-                shadow.g.revive_vertex(u);
-                rep.revive_vertex(u);
-                // The representation's slot was purged at kill time (or was
-                // compacted empty at conversion); re-add the node's current
-                // logical edges from the shadow.
-                let mut outs: Vec<u32> = Vec::new();
-                shadow.g.for_each_neighbor(u, &mut |t| outs.push(t.0));
-                outs.sort_unstable();
-                for t in outs {
-                    rep.add_edge(u, RealId(t));
-                    patch.logical_edges_added += 1;
-                }
-                for s in shadow.in_neighbors_of_real(u) {
-                    rep.add_edge(RealId(s), u);
-                    patch.logical_edges_added += 1;
-                }
-            }
-        }
+    fn revive(&mut self, u: RealId) {
+        self.patch.nodes_revived += 1;
+        self.g.revive_vertex(u);
     }
 
-    fn kill(&mut self, u: RealId, patch: &mut GraphPatch) {
-        patch.nodes_removed += 1;
-        match self {
-            Target::Mirror(g) => g.delete_vertex(u),
-            Target::Generic { shadow, rep } => {
-                // Physically purge the node's logical edges from the
-                // representation first, so a later revival starts from a
-                // clean slot instead of resurrecting stale adjacency.
-                let mut outs: Vec<u32> = Vec::new();
-                shadow.g.for_each_neighbor(u, &mut |t| outs.push(t.0));
-                outs.sort_unstable();
-                for t in outs {
-                    rep.delete_edge(u, RealId(t));
-                    patch.logical_edges_removed += 1;
-                }
-                for s in shadow.in_neighbors_of_real(u) {
-                    rep.delete_edge(RealId(s), u);
-                    patch.logical_edges_removed += 1;
-                }
-                rep.delete_vertex(u);
-                shadow.g.delete_vertex(u);
-            }
-        }
+    fn kill(&mut self, u: RealId) {
+        self.patch.nodes_removed += 1;
+        self.g.delete_vertex(u);
     }
 
-    fn add_virtual_node(&mut self, patch: &mut GraphPatch) -> VirtId {
-        patch.virtuals_added += 1;
-        match self {
-            Target::Mirror(g) => g.add_virtual_node(),
-            Target::Generic { shadow, .. } => {
-                let v = shadow.g.add_virtual_node();
-                shadow.virt_in_reals.push(FxHashSet::default());
-                shadow.virt_in_virts.push(FxHashSet::default());
-                v
-            }
-        }
+    fn add_virtual_node(&mut self) -> VirtId {
+        self.patch.virtuals_added += 1;
+        self.g.add_virtual_node()
     }
 
-    fn add_membership(&mut self, u: RealId, v: VirtId, patch: &mut GraphPatch) {
-        patch.stored_edges_added += 1;
-        match self {
-            Target::Mirror(g) => g.insert_real_to_virtual(u, v),
-            Target::Generic { shadow, rep } => {
-                if shadow.g.is_alive(u) {
-                    for t in shadow.fwd_reach(v) {
-                        if t != u.0 && !shadow.g.exists_edge(u, RealId(t)) {
-                            rep.add_edge(u, RealId(t));
-                            patch.logical_edges_added += 1;
-                        }
-                    }
-                }
-                shadow.g.insert_real_to_virtual(u, v);
-                shadow.virt_in_reals[v.0 as usize].insert(u.0);
-            }
-        }
+    fn add_membership(&mut self, u: RealId, v: VirtId) {
+        self.patch.stored_edges_added += 1;
+        self.g.insert_real_to_virtual(u, v);
     }
 
-    fn remove_membership(&mut self, u: RealId, v: VirtId, patch: &mut GraphPatch) {
-        patch.stored_edges_removed += 1;
-        match self {
-            Target::Mirror(g) => g.detach_real_from_virtual(u, v),
-            Target::Generic { shadow, rep } => {
-                let candidates = shadow.fwd_reach(v);
-                shadow.g.detach_real_from_virtual(u, v);
-                shadow.virt_in_reals[v.0 as usize].remove(&u.0);
-                if shadow.g.is_alive(u) {
-                    for t in candidates {
-                        if t != u.0 && !shadow.g.exists_edge(u, RealId(t)) {
-                            rep.delete_edge(u, RealId(t));
-                            patch.logical_edges_removed += 1;
-                        }
-                    }
-                }
-            }
-        }
+    fn remove_membership(&mut self, u: RealId, v: VirtId) {
+        self.patch.stored_edges_removed += 1;
+        self.g.detach_real_from_virtual(u, v);
     }
 
-    fn add_virt_to_real(&mut self, v: VirtId, t: RealId, patch: &mut GraphPatch) {
-        patch.stored_edges_added += 1;
-        match self {
-            Target::Mirror(g) => g.insert_virtual_to_real(v, t),
-            Target::Generic { shadow, rep } => {
-                if shadow.g.is_alive(t) {
-                    for s in shadow.rev_reach(v) {
-                        if s != t.0 && !shadow.g.exists_edge(RealId(s), t) {
-                            rep.add_edge(RealId(s), t);
-                            patch.logical_edges_added += 1;
-                        }
-                    }
-                }
-                shadow.g.insert_virtual_to_real(v, t);
-                shadow.real_in_virts.entry(t.0).or_default().insert(v.0);
-            }
-        }
+    fn add_virt_to_real(&mut self, v: VirtId, t: RealId) {
+        self.patch.stored_edges_added += 1;
+        self.g.insert_virtual_to_real(v, t);
     }
 
-    fn remove_virt_to_real(&mut self, v: VirtId, t: RealId, patch: &mut GraphPatch) {
-        patch.stored_edges_removed += 1;
-        match self {
-            Target::Mirror(g) => g.remove_virtual_to_real(v, t),
-            Target::Generic { shadow, rep } => {
-                shadow.g.remove_virtual_to_real(v, t);
-                if let Some(set) = shadow.real_in_virts.get_mut(&t.0) {
-                    set.remove(&v.0);
-                }
-                if shadow.g.is_alive(t) {
-                    for s in shadow.rev_reach(v) {
-                        if s != t.0 && !shadow.g.exists_edge(RealId(s), t) {
-                            rep.delete_edge(RealId(s), t);
-                            patch.logical_edges_removed += 1;
-                        }
-                    }
-                }
-            }
-        }
+    fn remove_virt_to_real(&mut self, v: VirtId, t: RealId) {
+        self.patch.stored_edges_removed += 1;
+        self.g.remove_virtual_to_real(v, t);
     }
 
-    fn add_vv(&mut self, v: VirtId, w: VirtId, patch: &mut GraphPatch) {
-        patch.stored_edges_added += 1;
-        match self {
-            Target::Mirror(g) => g.insert_virtual_to_virtual(v, w),
-            Target::Generic { shadow, rep } => {
-                let sources = shadow.rev_reach(v);
-                let targets = shadow.fwd_reach(w);
-                let mut adds = Vec::new();
-                for &s in &sources {
-                    for &t in &targets {
-                        if s != t && !shadow.g.exists_edge(RealId(s), RealId(t)) {
-                            adds.push((s, t));
-                        }
-                    }
-                }
-                shadow.g.insert_virtual_to_virtual(v, w);
-                shadow.virt_in_virts[w.0 as usize].insert(v.0);
-                for (s, t) in adds {
-                    rep.add_edge(RealId(s), RealId(t));
-                    patch.logical_edges_added += 1;
-                }
-            }
-        }
+    fn add_vv(&mut self, v: VirtId, w: VirtId) {
+        self.patch.stored_edges_added += 1;
+        self.g.insert_virtual_to_virtual(v, w);
     }
 
-    fn remove_vv(&mut self, v: VirtId, w: VirtId, patch: &mut GraphPatch) {
-        patch.stored_edges_removed += 1;
-        match self {
-            Target::Mirror(g) => g.remove_virtual_to_virtual(v, w),
-            Target::Generic { shadow, rep } => {
-                let sources = shadow.rev_reach(v);
-                let targets = shadow.fwd_reach(w);
-                shadow.g.remove_virtual_to_virtual(v, w);
-                shadow.virt_in_virts[w.0 as usize].remove(&v.0);
-                for &s in &sources {
-                    for &t in &targets {
-                        if s != t && !shadow.g.exists_edge(RealId(s), RealId(t)) {
-                            rep.delete_edge(RealId(s), RealId(t));
-                            patch.logical_edges_removed += 1;
-                        }
-                    }
-                }
-            }
-        }
+    fn remove_vv(&mut self, v: VirtId, w: VirtId) {
+        self.patch.stored_edges_removed += 1;
+        self.g.remove_virtual_to_virtual(v, w);
     }
 
-    fn add_direct(&mut self, u: RealId, t: RealId, patch: &mut GraphPatch) {
-        patch.stored_edges_added += 1;
-        match self {
-            Target::Mirror(g) => g.insert_direct(u, t),
-            Target::Generic { shadow, rep } => {
-                if shadow.g.is_alive(u) && shadow.g.is_alive(t) && !shadow.g.exists_edge(u, t) {
-                    rep.add_edge(u, t);
-                    patch.logical_edges_added += 1;
-                }
-                shadow.g.insert_direct(u, t);
-                shadow.real_in_reals.entry(t.0).or_default().insert(u.0);
-            }
-        }
+    fn add_direct(&mut self, u: RealId, t: RealId) {
+        self.patch.stored_edges_added += 1;
+        self.g.insert_direct(u, t);
     }
 
-    fn remove_direct(&mut self, u: RealId, t: RealId, patch: &mut GraphPatch) {
-        patch.stored_edges_removed += 1;
-        match self {
-            Target::Mirror(g) => g.remove_direct(u, t),
-            Target::Generic { shadow, rep } => {
-                shadow.g.remove_direct(u, t);
-                if let Some(set) = shadow.real_in_reals.get_mut(&t.0) {
-                    set.remove(&u.0);
-                }
-                if shadow.g.is_alive(u) && shadow.g.is_alive(t) && !shadow.g.exists_edge(u, t) {
-                    rep.delete_edge(u, t);
-                    patch.logical_edges_removed += 1;
-                }
-            }
-        }
+    fn remove_direct(&mut self, u: RealId, t: RealId) {
+        self.patch.stored_edges_removed += 1;
+        self.g.remove_direct(u, t);
     }
 }
 
@@ -941,11 +617,10 @@ fn ensure_virt(
     b: usize,
     vid: Vid,
     target: &mut Target<'_>,
-    patch: &mut GraphPatch,
 ) -> VirtId {
     let (slot, new) = boundary_slot(&mut boundary_index[b], &mut boundary_keys[b], vid);
     if new {
-        let v = target.add_virtual_node(patch);
+        let v = target.add_virtual_node();
         boundary_virts[b].push(v);
     }
     boundary_virts[b][slot]
@@ -965,7 +640,6 @@ fn real_from(real_ids: &[u32], vid: Vid) -> Option<u32> {
 
 /// `elsewhere(pair)`: whether another single-segment chain outputs the
 /// pair, so its direct edge exists whatever this chain does.
-#[allow(clippy::too_many_arguments)]
 fn materialize_segment(
     chain: &mut ChainState,
     j: usize,
@@ -974,7 +648,6 @@ fn materialize_segment(
     elsewhere: impl Fn(u64) -> bool,
     real_ids: &[u32],
     target: &mut Target<'_>,
-    patch: &mut GraphPatch,
 ) {
     let _span = span("build_rep", Region::BuildRep);
     let k = chain.segments.len();
@@ -991,14 +664,14 @@ fn materialize_segment(
         for &(x, y) in added {
             if x != y && !elsewhere(pack(x, y)) {
                 if let (Some(u), Some(v)) = (real_from(real_ids, x), real_from(real_ids, y)) {
-                    target.add_direct(RealId(u), RealId(v), patch);
+                    target.add_direct(RealId(u), RealId(v));
                 }
             }
         }
         for &(x, y) in removed {
             if x != y && !elsewhere(pack(x, y)) {
                 if let (Some(u), Some(v)) = (real_from(real_ids, x), real_from(real_ids, y)) {
-                    target.remove_direct(RealId(u), RealId(v), patch);
+                    target.remove_direct(RealId(u), RealId(v));
                 }
             }
         }
@@ -1012,17 +685,9 @@ fn materialize_segment(
     for &(l, r) in added {
         match (j == 0, j == k - 1) {
             (true, false) => {
-                let v = ensure_virt(
-                    boundary_index,
-                    boundary_keys,
-                    boundary_virts,
-                    0,
-                    r,
-                    target,
-                    patch,
-                );
+                let v = ensure_virt(boundary_index, boundary_keys, boundary_virts, 0, r, target);
                 if let Some(u) = real_from(real_ids, l) {
-                    target.add_membership(RealId(u), v, patch);
+                    target.add_membership(RealId(u), v);
                 }
             }
             (false, true) => {
@@ -1033,10 +698,9 @@ fn materialize_segment(
                     k - 2,
                     l,
                     target,
-                    patch,
                 );
                 if let Some(t) = real_from(real_ids, r) {
-                    target.add_virt_to_real(v, RealId(t), patch);
+                    target.add_virt_to_real(v, RealId(t));
                 }
             }
             (false, false) => {
@@ -1047,18 +711,9 @@ fn materialize_segment(
                     j - 1,
                     l,
                     target,
-                    patch,
                 );
-                let vr = ensure_virt(
-                    boundary_index,
-                    boundary_keys,
-                    boundary_virts,
-                    j,
-                    r,
-                    target,
-                    patch,
-                );
-                target.add_vv(vl, vr, patch);
+                let vr = ensure_virt(boundary_index, boundary_keys, boundary_virts, j, r, target);
+                target.add_vv(vl, vr);
             }
             (true, true) => unreachable!("k > 1"),
         }
@@ -1066,17 +721,9 @@ fn materialize_segment(
     for &(l, r) in removed {
         match (j == 0, j == k - 1) {
             (true, false) => {
-                let v = ensure_virt(
-                    boundary_index,
-                    boundary_keys,
-                    boundary_virts,
-                    0,
-                    r,
-                    target,
-                    patch,
-                );
+                let v = ensure_virt(boundary_index, boundary_keys, boundary_virts, 0, r, target);
                 if let Some(u) = real_from(real_ids, l) {
-                    target.remove_membership(RealId(u), v, patch);
+                    target.remove_membership(RealId(u), v);
                 }
             }
             (false, true) => {
@@ -1087,10 +734,9 @@ fn materialize_segment(
                     k - 2,
                     l,
                     target,
-                    patch,
                 );
                 if let Some(t) = real_from(real_ids, r) {
-                    target.remove_virt_to_real(v, RealId(t), patch);
+                    target.remove_virt_to_real(v, RealId(t));
                 }
             }
             (false, false) => {
@@ -1101,18 +747,9 @@ fn materialize_segment(
                     j - 1,
                     l,
                     target,
-                    patch,
                 );
-                let vr = ensure_virt(
-                    boundary_index,
-                    boundary_keys,
-                    boundary_virts,
-                    j,
-                    r,
-                    target,
-                    patch,
-                );
-                target.remove_vv(vl, vr, patch);
+                let vr = ensure_virt(boundary_index, boundary_keys, boundary_virts, j, r, target);
+                target.remove_vv(vl, vr);
             }
             (true, true) => unreachable!("k > 1"),
         }
@@ -1128,7 +765,6 @@ fn materialize_node_edges(
     id: RealId,
     real_ids: &[u32],
     target: &mut Target<'_>,
-    patch: &mut GraphPatch,
 ) {
     let _span = span("build_rep", Region::BuildRep);
     for chain in chains.iter_mut() {
@@ -1148,30 +784,22 @@ fn materialize_node_edges(
             for y in rights {
                 if y != key {
                     if let Some(v) = real_from(real_ids, y) {
-                        target.add_direct(id, RealId(v), patch);
+                        target.add_direct(id, RealId(v));
                     }
                 }
             }
             for x in lefts {
                 if x != key {
                     if let Some(u) = real_from(real_ids, x) {
-                        target.add_direct(RealId(u), id, patch);
+                        target.add_direct(RealId(u), id);
                     }
                 }
             }
             continue;
         }
         for a in rights {
-            let v = ensure_virt(
-                boundary_index,
-                boundary_keys,
-                boundary_virts,
-                0,
-                a,
-                target,
-                patch,
-            );
-            target.add_membership(id, v, patch);
+            let v = ensure_virt(boundary_index, boundary_keys, boundary_virts, 0, a, target);
+            target.add_membership(id, v);
         }
         for a in lefts {
             let v = ensure_virt(
@@ -1181,9 +809,8 @@ fn materialize_node_edges(
                 k - 2,
                 a,
                 target,
-                patch,
             );
-            target.add_virt_to_real(v, id, patch);
+            target.add_virt_to_real(v, id);
         }
     }
 }
@@ -1234,7 +861,7 @@ fn set_props(props: &mut Properties, id: RealId, entry: &NodeEntry) {
 /// no matter how many snapshots share them.
 pub(crate) fn apply_delta_state(
     state: &mut IncrementalState,
-    graph: &mut AnyGraph,
+    graph: &mut CondensedGraph,
     ids: &mut std::sync::Arc<IdMap<Value>>,
     props: &mut std::sync::Arc<Properties>,
     delta: &Delta,
@@ -1246,26 +873,11 @@ pub(crate) fn apply_delta_state(
         node_entries,
         dict,
         real_ids,
-        shadow,
     } = state;
     let threads = *threads;
-    let mut patch = GraphPatch::default();
-    let mut target = match shadow.as_mut() {
-        Some(s) => Target::Generic {
-            shadow: s,
-            rep: graph,
-        },
-        None => match graph {
-            AnyGraph::CDup(g) => Target::Mirror(g),
-            other => {
-                return Err(PatchError::Inconsistent(format!(
-                    "incremental state lost its shadow while the handle holds {} \
-                     (graph_mut was used to swap representations?)",
-                    other.kind()
-                ))
-                .into())
-            }
-        },
+    let mut target = Target {
+        g: graph,
+        patch: GraphPatch::default(),
     };
 
     // Phase 1: push the delta through every segment of every chain and
@@ -1275,7 +887,7 @@ pub(crate) fn apply_delta_state(
         let (chain, after) = rest.split_first_mut().expect("chain c exists");
         for j in 0..chain.segments.len() {
             let (added, removed, changes) = chain.segments[j].transitions(delta, threads, dict)?;
-            patch.support_changes += changes;
+            target.patch.support_changes += changes;
             if added.is_empty() && removed.is_empty() {
                 continue;
             }
@@ -1285,16 +897,7 @@ pub(crate) fn apply_delta_state(
                     other.segments.len() == 1 && other.segments[0].support.get(pair) > 0
                 })
             };
-            materialize_segment(
-                chain,
-                j,
-                &added,
-                &removed,
-                elsewhere,
-                real_ids,
-                &mut target,
-                &mut patch,
-            );
+            materialize_segment(chain, j, &added, &removed, elsewhere, real_ids, &mut target);
         }
     }
 
@@ -1353,10 +956,10 @@ pub(crate) fn apply_delta_state(
         let key = dict.resolve(kvid).expect("node key is interned").clone();
         if before == 0 && now > 0 {
             if let Some(id) = ids.get(&key) {
-                target.revive(RealId(id), &mut patch);
+                target.revive(RealId(id));
             } else {
                 let id = std::sync::Arc::make_mut(ids).intern(key.clone());
-                let slot = target.add_real_slot(&mut patch);
+                let slot = target.add_real_slot();
                 debug_assert_eq!(slot.0, id, "id map and graph slots diverged");
                 std::sync::Arc::make_mut(props).grow(ids.len());
                 // Keep the flat side-table in step with the id map — the
@@ -1365,11 +968,11 @@ pub(crate) fn apply_delta_state(
                     real_ids.resize(kvid as usize + 1, u32::MAX);
                 }
                 real_ids[kvid as usize] = id;
-                materialize_node_edges(chains, kvid, RealId(id), real_ids, &mut target, &mut patch);
+                materialize_node_edges(chains, kvid, RealId(id), real_ids, &mut target);
             }
         } else if before > 0 && now == 0 {
             let id = ids.get(&key).expect("supported key is interned");
-            target.kill(RealId(id), &mut patch);
+            target.kill(RealId(id));
         }
         if now > 0 {
             let id = ids.get(&key).expect("supported key is interned");
@@ -1381,7 +984,7 @@ pub(crate) fn apply_delta_state(
             node_entries.remove(&kvid);
         }
     }
-    Ok(patch)
+    Ok(target.patch)
 }
 
 // ---------------------------------------------------------------------------
@@ -1639,10 +1242,9 @@ impl IncrementalState {
 // The serving layer persists incremental handles so a recovered process can
 // keep applying deltas exactly where the crashed one stopped. The whole
 // maintenance state — atom multisets, segment supports, boundary interning,
-// node entries, the condensed shadow — is encoded verbatim with the
-// workspace codec conventions; the redundant reverse indexes (`by_out`,
-// `by_right`, `boundary_index`, the shadow's in-indexes) are rebuilt on
-// decode instead of stored. Every bag and support map is written in run
+// node entries — is encoded verbatim with the workspace codec conventions;
+// the redundant reverse indexes (`by_out`, `by_right`, `boundary_index`)
+// are rebuilt on decode instead of stored. Every bag and support map is written in run
 // order — strictly ascending keys, multiplicities ≥ 1, no empty bag slot —
 // and the decoder accepts nothing else, so a decoded bag is valid runs as
 // read and re-encodes to the bytes it came from.
@@ -1836,9 +1438,7 @@ impl IncrementalState {
     /// Encode the whole maintenance state (see the module-level codec
     /// notes). Deterministic: runs are walked in order, hash-map content is
     /// emitted in sorted order.
-    /// The shadow's adjacency chunks intern into `enc` — chunks shared
-    /// with the handle's own graph are written once per snapshot.
-    pub(crate) fn encode_into(&self, enc: &mut graph_snapshot::ChunkEncoder, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         // The engine dictionary goes first: everything after it stores
         // interned ids, and a recovered state must continue allocating
         // ids exactly where the encoding process stopped.
@@ -1894,23 +1494,16 @@ impl IncrementalState {
         }
         let direct = self.direct_support();
         put_packed_counts(out, direct.len(), direct.into_iter());
-        match &self.shadow {
-            None => codec::put_u8(out, 0),
-            Some(shadow) => {
-                codec::put_u8(out, 1);
-                graph_snapshot::encode_condensed(&shadow.g, enc, out);
-            }
-        }
+        // The trailing tag once flagged a condensed shadow section (1);
+        // files written since carry 0, and the format keeps the byte.
+        codec::put_u8(out, 0);
     }
 
     /// Decode a maintenance state (inverse of
     /// [`IncrementalState::encode_into`]): the primary state is read and
     /// validated, then [`IncrementalState::derive_indexes`] rebuilds the
     /// reverse indexes.
-    pub(crate) fn decode(
-        r: &mut Reader<'_>,
-        dec: &graph_snapshot::ChunkDecoder,
-    ) -> Result<Self, CodecError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let dict = Interner::decode(r)?;
         // `threads` is a plain scalar, not a length — `Reader::len`'s
         // fits-in-remaining-input plausibility check would spuriously
@@ -2011,13 +1604,16 @@ impl IncrementalState {
         let direct_at = r.pos();
         let direct_support = read_packed_counts(r, &dict)?;
         let at = r.pos();
-        let shadow = match r.u8()? {
-            0 => None,
-            1 => Some(ShadowCore::from_graph(graph_snapshot::decode_condensed(
-                r, dec,
-            )?)),
+        match r.u8()? {
+            0 => {}
+            1 => {
+                return Err(CodecError::invalid(
+                    at,
+                    "condensed shadow section: a maintained handle holds its C-DUP",
+                ))
+            }
             tag => return Err(CodecError::invalid(at, format!("bad shadow tag {tag}"))),
-        };
+        }
         let mut state = Self {
             threads,
             views,
@@ -2027,7 +1623,6 @@ impl IncrementalState {
             // Not persisted: the handle assembly rebuilds this from the
             // decoded id map (`rebuild_real_ids`).
             real_ids: Vec::new(),
-            shadow,
         };
         if state.direct_support() != direct_support {
             return Err(CodecError::invalid(
@@ -2043,12 +1638,10 @@ impl IncrementalState {
 #[cfg(test)]
 mod tests {
     use super::{apply_delta_state, CodecError, IncrementalState, Reader};
-    use crate::anygraph::AnyGraph;
     use crate::extract::{GraphGen, GraphGenConfig};
     use crate::handle::{ConvertOptions, GraphHandle};
     use crate::planner::plan_chain;
     use graphgen_common::{IdMap, SplitMix64};
-    use graphgen_graph::snapshot::{ChunkDecoder, ChunkEncoder};
     use graphgen_graph::{CondensedBuilder, GraphRep, Properties, RepKind};
     use graphgen_reldb::{Column, Database, Delta, DeltaOp, Schema, Table, Value};
     use std::sync::Arc;
@@ -2272,60 +1865,53 @@ mod tests {
             err.as_patch(),
             Some(crate::error::PatchError::Inconsistent(_))
         ));
+        // A C-DUP swapped out behind the maintenance state's back.
+        let mut g = extract(&db, true);
+        let exp = g.convert(RepKind::Exp, &ConvertOptions::default()).unwrap();
+        *g.graph_mut() = exp.graph().clone();
+        let err = g.apply_delta(&Delta::new("AuthorPub")).unwrap_err();
+        assert!(matches!(
+            err.as_patch(),
+            Some(crate::error::PatchError::Inconsistent(_))
+        ));
     }
 
     #[test]
     fn patches_survive_conversion() {
         let mut db = fig1_db();
         let opts = ConvertOptions::default();
+        let mut g = extract(&db, true);
         for target in [
             RepKind::Exp,
             RepKind::Dedup1,
             RepKind::Dedup2,
             RepKind::Bitmap,
         ] {
-            let mut g = extract(&db, true).convert(target, &opts).unwrap();
-            assert!(g.is_incremental());
+            // The maintained C-DUP takes the delta; every conversion of it
+            // is derived from the patched version and is read-only.
             let delta = db
                 .insert_rows("AuthorPub", vec![vec![Value::int(2), Value::int(3)]])
                 .unwrap();
-            let patch = g.apply_delta(&delta).unwrap();
-            assert!(patch.logical_edges_added > 0, "{target}");
-            assert_matches_reextraction(&db, &g);
+            g.apply_delta(&delta).unwrap();
+            let mut converted = g.convert(target, &opts).unwrap();
+            assert_eq!(converted.kind(), target);
+            assert!(!converted.is_incremental());
+            assert_matches_reextraction(&db, &converted);
+            let err = converted.apply_delta(&delta).unwrap_err();
+            assert!(
+                matches!(
+                    err.as_patch(),
+                    Some(crate::error::PatchError::NotIncremental)
+                ),
+                "{target}: {err}"
+            );
             // Undo for the next representation.
             let delta = db
                 .delete_rows("AuthorPub", &[vec![Value::int(2), Value::int(3)]])
                 .unwrap();
             g.apply_delta(&delta).unwrap();
-            assert_matches_reextraction(&db, &g);
-            // An incremental handle never loses its condensed core: even
-            // EXP/DEDUP-2 handles convert onward.
-            let back = g.convert(RepKind::CDup, &opts).unwrap();
-            assert_eq!(back.canonical_bytes(), g.canonical_bytes());
+            assert_matches_reextraction(&db, &g.convert(target, &opts).unwrap());
         }
-    }
-
-    #[test]
-    fn advise_consults_the_shadow_core() {
-        use crate::handle::AdvisorPolicy;
-        let db = fig1_db();
-        let exp = extract(&db, true)
-            .convert(RepKind::Exp, &ConvertOptions::default())
-            .unwrap();
-        // A plain EXP handle has no condensed core, so the chooser can only
-        // keep EXP; an incremental EXP handle still knows the shape through
-        // its shadow and advises like the C-DUP original.
-        let strict = AdvisorPolicy {
-            expand_threshold: 0.0,
-            ..Default::default()
-        };
-        let advised = exp.advise(&strict);
-        assert_ne!(advised, RepKind::Exp, "shadow-aware advice expected");
-        let converted = exp
-            .convert_to_advised(&strict, &ConvertOptions::default())
-            .unwrap();
-        assert_eq!(converted.kind(), advised);
-        assert_eq!(converted.canonical_bytes(), exp.canonical_bytes());
     }
 
     #[test]
@@ -2376,7 +1962,7 @@ mod tests {
             .map(|chain| plan_chain(db, chain, cfg.large_output_factor()).unwrap())
             .collect();
         let mut state = IncrementalState::new(&spec, &plans, cfg.threads());
-        let mut graph = AnyGraph::CDup(CondensedBuilder::new(0).build());
+        let mut graph = CondensedBuilder::new(0).build();
         let mut ids = Arc::new(IdMap::<Value>::new());
         let mut props = Arc::new(Properties::new(0));
         for table in state.referenced_tables() {
@@ -2399,7 +1985,7 @@ mod tests {
         let mut out = Vec::new();
         g.incremental_state()
             .expect("incremental handle")
-            .encode_into(&mut ChunkEncoder::new(), &mut out);
+            .encode_into(&mut out);
         out
     }
 
@@ -2866,10 +2452,7 @@ mod tests {
     }
 
     fn decode_state(bytes: &[u8]) -> Result<IncrementalState, CodecError> {
-        let mut chunks = Vec::new();
-        ChunkEncoder::new().finish_into(&mut chunks);
-        let dec = ChunkDecoder::decode(&mut Reader::new(&chunks)).unwrap();
-        IncrementalState::decode(&mut Reader::new(bytes), &dec)
+        IncrementalState::decode(&mut Reader::new(bytes))
     }
 
     #[test]
@@ -2929,7 +2512,7 @@ mod tests {
     #[test]
     fn decode_rejects_direct_support_disagreeing_with_the_supports() {
         // One single-segment chain: `direct_support` is the segment's 17
-        // co-author pairs, each counted once, right before the shadow tag.
+        // co-author pairs, each counted once, right before the trailing tag.
         let g = GraphGen::with_config(&fig1_db(), bulk_cfg(None, 1, true))
             .extract(Q1)
             .unwrap();

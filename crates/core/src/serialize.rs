@@ -11,7 +11,7 @@
 //! **verbatim binary image of a whole [`GraphHandle`]** — whichever of the
 //! five representations it holds, the id ↔ key mapping, the vertex
 //! properties, and (for incremental handles) the complete delta-maintenance
-//! state including the condensed shadow. The serving layer
+//! state. The serving layer
 //! (`graphgen-serve`) persists and recovers graphs through it.
 //!
 //! Layout (all integers little-endian, variable data length-prefixed — see
@@ -28,10 +28,13 @@
 //!                 chunk references into the table)
 //! ids    …        node keys in dense-id order
 //! props  …        property columns (sorted by name)
-//! incr   u8 + …   0 = plain handle; 1 = incremental maintenance state:
-//!                 the engine dictionary (dense-id interner) first, then
-//!                 id-keyed atom bags / supports / boundary interning (the
-//!                 condensed shadow also references the chunk table)
+//! incr   u8 + …   0 = plain handle; 1 = incremental maintenance state
+//!                 (only beside rep 0: a maintained handle holds its
+//!                 C-DUP): the engine dictionary (dense-id interner)
+//!                 first, then id-keyed atom bags / supports / boundary
+//!                 interning / node entries / direct-edge supports, then
+//!                 one tag byte, always 0 (1 flagged a condensed shadow
+//!                 section, which decoding now rejects)
 //! ```
 //!
 //! Format 3 prepends the engine dictionary to the incremental section and
@@ -200,7 +203,7 @@ pub fn encode_snapshot(g: &GraphHandle) -> Vec<u8> {
         None => codec::put_u8(&mut body, 0),
         Some(state) => {
             codec::put_u8(&mut body, 1);
-            state.encode_into(&mut enc, &mut body);
+            state.encode_into(&mut body);
         }
     }
     let mut out = Vec::with_capacity(body.len() + 64);
@@ -260,7 +263,14 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<GraphHandle, Error> {
     let at = r.pos();
     let state = match r.u8()? {
         0 => None,
-        1 => Some(IncrementalState::decode(&mut r, &dec)?),
+        1 if !matches!(graph, AnyGraph::CDup(_)) => {
+            return Err(CodecError::invalid(
+                at,
+                format!("incremental state beside a {} graph", graph.kind()),
+            )
+            .into())
+        }
+        1 => Some(IncrementalState::decode(&mut r)?),
         tag => return Err(CodecError::invalid(at, format!("bad incremental tag {tag}")).into()),
     };
     r.expect_end()?;
@@ -559,14 +569,8 @@ mod tests {
         assert_eq!(restored.canonical_bytes(), reference.canonical_bytes());
     }
 
-    /// An incremental handle converted away from C-DUP carries a condensed
-    /// shadow; the snapshot must restore it so the generic patch path
-    /// keeps working after decode.
-    #[test]
-    fn snapshot_roundtrip_restores_the_shadow() {
-        use crate::handle::ConvertOptions;
-        use graphgen_graph::RepKind;
-        let mut db = tiny();
+    fn extract_incremental() -> GraphHandle {
+        let db = tiny();
         let gg = GraphGen::with_config(
             &db,
             GraphGenConfig::builder()
@@ -575,29 +579,75 @@ mod tests {
                 .threads(1)
                 .build(),
         );
-        let extracted = gg
-            .extract(
-                "Nodes(ID, Name) :- Person(ID, Name).\n\
-                 Edges(A, B) :- Knows(A, B).",
-            )
-            .unwrap();
-        let mut original = extracted
-            .convert(RepKind::Bitmap, &ConvertOptions::default())
-            .unwrap();
-        let mut restored = decode_snapshot(&encode_snapshot(&original)).unwrap();
-        assert_eq!(restored.kind(), RepKind::Bitmap);
-        assert!(restored.is_incremental());
-        let delta = db
-            .insert_rows("Knows", vec![vec![Value::int(2), Value::int(1)]])
-            .unwrap();
-        original.apply_delta(&delta).unwrap();
-        restored.apply_delta(&delta).unwrap();
-        assert_eq!(restored.canonical_bytes(), original.canonical_bytes());
-        // The shadow also keeps onward conversions feasible after decode.
-        let back = restored
-            .convert(RepKind::CDup, &ConvertOptions::default())
-            .unwrap();
-        assert_eq!(back.canonical_bytes(), restored.canonical_bytes());
+        gg.extract(
+            "Nodes(ID, Name) :- Person(ID, Name).\n\
+             Edges(A, B) :- Knows(A, B).",
+        )
+        .unwrap()
+    }
+
+    /// A file written while converted handles kept their maintenance state
+    /// ends the state with tag 1 and a condensed shadow section: decoding
+    /// rejects it with a typed error instead of reading the shadow.
+    #[test]
+    fn snapshot_rejects_a_shadow_section() {
+        use crate::error::ErrorKind;
+        let g = extract_incremental();
+        let mut bytes = encode_snapshot(&g);
+        assert_eq!(bytes.last(), Some(&0), "the state's trailing tag");
+        // A shadow of the handle's own graph references the chunk table
+        // exactly as the representation section does.
+        let mut enc = graph_snapshot::ChunkEncoder::new();
+        let core = g
+            .graph()
+            .as_condensed()
+            .expect("incremental handles are C-DUP");
+        *bytes.last_mut().expect("non-empty") = 1;
+        graph_snapshot::encode_condensed(core, &mut enc, &mut bytes);
+        let err = decode_snapshot(&bytes).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Snapshot);
+        assert!(err.to_string().contains("shadow"), "{err}");
+    }
+
+    /// A maintained handle holds its C-DUP, so a snapshot pairing the
+    /// incremental section with any other representation is corrupt.
+    #[test]
+    fn snapshot_rejects_incremental_state_beside_another_representation() {
+        use crate::error::ErrorKind;
+        use crate::handle::ConvertOptions;
+        use graphgen_graph::RepKind;
+        let g = extract_incremental();
+        let mut state = Vec::new();
+        g.incremental_state()
+            .expect("incremental handle")
+            .encode_into(&mut state);
+        for target in RepKind::all() {
+            let Ok(h) = g.convert(target, &ConvertOptions::default()) else {
+                continue; // representations infeasible for this shape
+            };
+            let mut bytes = encode_snapshot(&h);
+            assert_eq!(
+                bytes.last(),
+                Some(&0),
+                "{target}: derived handles are plain"
+            );
+            *bytes.last_mut().expect("non-empty") = 1;
+            bytes.extend_from_slice(&state);
+            match decode_snapshot(&bytes) {
+                Ok(back) => {
+                    assert_eq!(target, RepKind::CDup);
+                    assert!(back.is_incremental());
+                }
+                Err(err) => {
+                    assert_ne!(target, RepKind::CDup, "{err}");
+                    assert_eq!(err.kind(), ErrorKind::Snapshot, "{target}");
+                    assert!(
+                        err.to_string().contains("incremental state beside"),
+                        "{err}"
+                    );
+                }
+            }
+        }
     }
 
     /// Older-format snapshots (`GGSNAP2\0` value-keyed state, `GGSNAP1\0`
@@ -664,48 +714,6 @@ mod tests {
             "deduplicated chunks not rebuilt shared"
         );
         assert_eq!(back.canonical_bytes(), h.canonical_bytes());
-    }
-
-    /// An incremental handle converted away from C-DUP stores the pristine
-    /// condensed structure twice — once inside the representation (the
-    /// BITMAP core) and once as the maintenance shadow. Their chunks are
-    /// byte-identical, so the snapshot must carry them once.
-    #[test]
-    fn snapshot_dedups_core_against_shadow() {
-        use crate::handle::ConvertOptions;
-        use graphgen_graph::RepKind;
-        let db = tiny();
-        let gg = GraphGen::with_config(
-            &db,
-            GraphGenConfig::builder()
-                .auto_expand_threshold(None)
-                .incremental(true)
-                .threads(1)
-                .build(),
-        );
-        let cdup = gg
-            .extract(
-                "Nodes(ID, Name) :- Person(ID, Name).\n\
-                 Edges(A, B) :- Knows(A, B).",
-            )
-            .unwrap();
-        let bmp = cdup
-            .convert(RepKind::Bitmap, &ConvertOptions::default())
-            .unwrap();
-        let bytes = encode_snapshot(&bmp);
-        let n_chunks = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-        // The C-DUP original stores the structure once; the converted
-        // handle stores it twice (core + shadow) yet must reference the
-        // same deduplicated table entries.
-        let cdup_chunks = u64::from_le_bytes(encode_snapshot(&cdup)[16..24].try_into().unwrap());
-        assert_eq!(
-            n_chunks, cdup_chunks,
-            "shadow chunks duplicated instead of shared with the core"
-        );
-        // And the trip is still lossless.
-        let back = decode_snapshot(&bytes).unwrap();
-        assert_eq!(back.canonical_bytes(), bmp.canonical_bytes());
-        assert!(back.is_incremental());
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Patch-aware membership: the deduplicated representations must keep
-//! their structural invariants — and their logical edge sets — under the
-//! mutation sequences the incremental maintenance layer replays through
-//! the 7-operation API (edge add/delete, vertex kill with edge purge,
-//! revive with edge re-add).
+//! their structural invariants — and their logical edge sets — under
+//! sequences of the 7-operation mutation API (edge add/delete, vertex
+//! kill with edge purge, revive with edge re-add).
 //!
-//! The incremental engine in `graphgen-core` patches converted handles by
-//! translating condensed-level deltas into `add_edge`/`delete_edge`/
-//! `delete_vertex`/`revive_vertex` calls; these tests pin down, at the
-//! `graphgen-dedup` level, that DEDUP-1's "at most one path per pair" and
-//! DEDUP-2's witness invariants survive exactly those call sequences.
+//! A caller mutating a converted graph (`GraphHandle::graph_mut`) drives
+//! `add_edge`/`delete_edge`/`delete_vertex`/`revive_vertex` directly; these
+//! tests pin down, at the `graphgen-dedup` level, that DEDUP-1's "at most
+//! one path per pair" and DEDUP-2's witness invariants survive such call
+//! sequences.
 
 use graphgen_common::{SplitMix64, VertexOrdering};
 use graphgen_dedup::{try_dedup2_greedy, Dedup1Algorithm};

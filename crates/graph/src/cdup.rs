@@ -408,8 +408,8 @@ impl GraphRep for CondensedGraph {
     fn compact(&mut self) {
         // Physically remove dead nodes: their own out-lists and their
         // occurrences as targets. A whole-graph rewrite: every chunk is
-        // unshared (compaction runs on pristine conversion copies, not the
-        // delta path).
+        // unshared (compaction is an explicit call, never on the delta
+        // path).
         let alive = &self.alive;
         self.real_out
             .retain(|slot, a| alive[slot] && a.as_real().is_none_or(|r| alive[r.0 as usize]));

@@ -833,8 +833,8 @@ mod tests {
         }
         let g = b.build();
         // Encode the graph AND a clone through one encoder — the clone
-        // shares every Arc, modelling the graph + incremental-shadow pair
-        // inside one handle snapshot.
+        // shares every Arc, so the encoder meets each chunk twice by
+        // pointer and must still write it once.
         let clone = g.clone();
         let mut enc = ChunkEncoder::new();
         let mut body = Vec::new();

@@ -654,10 +654,7 @@ impl Analytics {
     /// Record a committed publish: component warm-starts become unsound
     /// past any version that removed something.
     pub(crate) fn note_publish(&self, name: &str, version: u64, patch: &GraphPatch) {
-        if patch.nodes_removed > 0
-            || patch.stored_edges_removed > 0
-            || patch.logical_edges_removed > 0
-        {
+        if patch.nodes_removed > 0 || patch.stored_edges_removed > 0 {
             let mut state = self.shared.state.lock().unwrap();
             state.last_removal.insert(name.to_string(), version);
         }

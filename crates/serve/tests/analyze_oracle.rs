@@ -146,7 +146,7 @@ fn warm_start_fixpoints_equal_cold_start() {
             let removed_something = outcome
                 .graphs
                 .iter()
-                .any(|(_, _, patch)| patch.logical_edges_removed > 0 || patch.nodes_removed > 0);
+                .any(|(_, _, patch)| patch.stored_edges_removed > 0 || patch.nodes_removed > 0);
             let snap = service.snapshot("co").unwrap();
 
             let warm_pr = service.analyze("co", Algo::Pagerank, &params).unwrap();

@@ -19,9 +19,10 @@
 //! `METRICS`, with `RAW_COUNTER_ALLOWED` for the justified exceptions.
 //!
 //! A fourth lint keeps deleted mechanisms deleted: the names of the hash
-//! join and hash DISTINCT (one operator set) and of the per-graph
-//! write-ahead logs (one log) may not reappear in any crate's sources or
-//! in the docs.
+//! join and hash DISTINCT (one operator set), of the per-graph
+//! write-ahead logs (one log) and of the condensed shadow that patched
+//! converted incremental handles (one patch path) may not reappear in any
+//! crate's sources or in the docs.
 
 use std::path::Path;
 
@@ -222,6 +223,12 @@ const DELETED_NAMES: &[(&str, Option<&str>)] = &[
     ("bag_by_in", None),
     ("flat_insert", None),
     ("by_left", None),
+    // A maintained handle holds its C-DUP and takes every delta there;
+    // conversions are derived, read-only handles (`GraphHandle::convert`).
+    ("ShadowCore", None),
+    ("convert_incremental", None),
+    ("set_shadow", None),
+    ("logical_edges_", None),
 ];
 
 #[test]
@@ -257,8 +264,10 @@ fn deleted_operators_stay_deleted() {
         violations.is_empty(),
         "the hash join and the hash DISTINCT were deleted for \
          `reldb::exec::{{join_counted, group_pairs}}`, the per-graph logs \
-         for the one `db.wal`, the second benchmark for `graphbench`, and \
-         the per-id hash maps of the maintenance state for `CountedRuns`; \
+         for the one `db.wal`, the second benchmark for `graphbench`, \
+         the per-id hash maps of the maintenance state for `CountedRuns`, \
+         and the condensed shadow and logical-edge patch path of converted \
+         incremental handles for patching the C-DUP only; \
          extend those instead of bringing a second mechanism back, and keep \
          the docs on the code that exists:\n{}",
         violations.join("\n")
@@ -279,12 +288,6 @@ const ALLOW_REGISTRY: &[(&str, &str)] = &[
     // `SegmentState::transitions` honestly returns (appeared, disappeared)
     // edge-pair vectors; an alias used once would only hide the shape.
     ("crates/core/src/incremental.rs", "clippy::type_complexity"),
-    // `materialize_segment` threads every piece of per-segment patch state
-    // explicitly; bundling them would hide which step mutates what.
-    (
-        "crates/core/src/incremental.rs",
-        "clippy::too_many_arguments",
-    ),
 ];
 
 /// All `(file, lint)` pairs for `#[allow(...)]` / `#![allow(...)]`
