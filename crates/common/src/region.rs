@@ -20,7 +20,8 @@ use std::cell::Cell;
 pub enum Region {
     /// Anything outside a labeled operator.
     General = 0,
-    /// Filtered scan + projection + dictionary lookup (`scan_project`).
+    /// Filtered scan + projection, copying ids out of a table's id columns
+    /// (`scan_project`).
     Scan = 1,
     /// Counted-join build: the run offsets of the atom bag
     /// (`join_counted`).

@@ -389,15 +389,13 @@ mod tests {
         let students = db.table("Student").unwrap();
         let instructors = db.table("Instructor").unwrap();
         let max_student = students
-            .column(0)
-            .iter()
-            .filter_map(|v| v.as_int())
+            .iter_rows()
+            .filter_map(|row| row[0].as_int())
             .max()
             .unwrap();
         let min_instructor = instructors
-            .column(0)
-            .iter()
-            .filter_map(|v| v.as_int())
+            .iter_rows()
+            .filter_map(|row| row[0].as_int())
             .min()
             .unwrap();
         assert!(min_instructor > max_student);

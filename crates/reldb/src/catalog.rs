@@ -16,7 +16,7 @@
 use crate::delta::{Delta, DeltaOp};
 use crate::error::{DbError, DbResult};
 use crate::intern::{hash_vids, Interner, Vid};
-use crate::table::Table;
+use crate::table::{StoredTable, Table, TableRef};
 use crate::value::Value;
 use graphgen_common::codec::{self, CodecError, Reader};
 use graphgen_common::{ByteSize, FxHashMap};
@@ -59,25 +59,11 @@ struct TableCounts {
 }
 
 impl TableCounts {
-    /// Full scan of `table` (registration-time ANALYZE), acquiring one
-    /// dictionary reference per live cell occurrence.
-    fn analyze(table: &Table, dict: &mut Interner) -> Self {
-        let arity = table.schema().arity();
-        let mut counts = Self {
+    fn new(arity: usize) -> Self {
+        Self {
             columns: vec![FxHashMap::default(); arity],
             row_hashes: FxHashMap::default(),
-        };
-        let mut vids = vec![0 as Vid; arity];
-        for r in 0..table.physical_rows() {
-            if !table.is_live(r) {
-                continue;
-            }
-            for (c, vid) in vids.iter_mut().enumerate() {
-                *vid = dict.acquire(table.cell(r, c));
-            }
-            counts.insert(&vids);
         }
-        counts
     }
 
     /// Bump counts for one inserted row (already interned).
@@ -121,7 +107,7 @@ impl TableCounts {
 /// dictionary.
 #[derive(Debug, Default)]
 pub struct Database {
-    tables: FxHashMap<String, Table>,
+    tables: FxHashMap<String, StoredTable>,
     counts: FxHashMap<String, TableCounts>,
     /// The database-wide value dictionary: every live cell occurrence holds
     /// one reference, so the dictionary's live set is exactly the distinct
@@ -161,24 +147,27 @@ impl Database {
             .sum()
     }
 
-    /// Register `table` under `name`, computing statistics for every column
-    /// (the one-time ANALYZE step; mutations afterwards maintain the
-    /// statistics incrementally).
+    /// Register `table` under `name`: acquire every cell in the dictionary,
+    /// keep only the ids, and compute statistics for every column (the
+    /// one-time ANALYZE step; mutations afterwards maintain the statistics
+    /// per row). The `Value` columns of `table` are dropped.
     pub fn register(&mut self, name: impl Into<String>, table: Table) -> DbResult<()> {
         let name = name.into();
         if self.tables.contains_key(&name) {
             return Err(DbError::DuplicateTable(name));
         }
-        self.counts
-            .insert(name.clone(), TableCounts::analyze(&table, &mut self.dict));
-        self.tables.insert(name, table);
+        let mut counts = TableCounts::new(table.schema().arity());
+        let stored = StoredTable::ingest(table, &mut self.dict, |ids| counts.insert(ids));
+        self.counts.insert(name.clone(), counts);
+        self.tables.insert(name, stored);
         Ok(())
     }
 
     /// Append `rows` to table `name`, returning the [`Delta`] log of the
     /// mutation. Every row is validated against the schema **before** any is
-    /// applied, so a failed call leaves the table untouched. Column
-    /// statistics are recomputed afterwards.
+    /// applied, so a failed call leaves the table untouched. Each row's
+    /// cells are acquired in the dictionary once; the ids go into the table
+    /// and the statistics, and the row itself moves into the delta.
     pub fn insert_rows(&mut self, name: &str, rows: Vec<Vec<Value>>) -> DbResult<Delta> {
         let table = self
             .tables
@@ -198,7 +187,7 @@ impl Database {
             vids.clear();
             vids.extend(row.iter().map(|v| self.dict.acquire(v)));
             counts.insert(&vids);
-            table.push_row(row.clone()).expect("row pre-validated");
+            table.push_ids(&vids);
             delta.push(row, DeltaOp::Insert);
         }
         Ok(delta)
@@ -208,18 +197,18 @@ impl Database {
     /// semantics: a row requested twice removes two occurrences), preserving
     /// the order of surviving rows. Requested rows that are not present are
     /// ignored — the returned [`Delta`] only logs rows actually removed, so
-    /// deleting a never-inserted row yields an empty delta. Column
-    /// statistics are recomputed afterwards.
+    /// deleting a never-inserted row yields an empty delta.
     ///
-    /// Requested rows are first checked against the maintained whole-row
-    /// hash index: a batch of absent rows (common under random churn) is a
-    /// true `O(batch)` no-op with **no scan at all**. When present rows
-    /// remain, the scan probes a hash of each table row computed cell-wise
-    /// (no row materialization) and stops as soon as every *satisfiable*
-    /// occurrence has been found (the hash index bounds how many can
-    /// match, so over-requested counts don't force a full pass).
-    /// Statistics are decremented per removed row, so the statistics cost
-    /// tracks the delta.
+    /// Requested rows are looked up in the dictionary once each and checked
+    /// against the maintained whole-row hash index: a batch of absent rows
+    /// (common under random churn) is a true `O(batch)` no-op with **no
+    /// scan at all**. When present rows remain, the scan hashes each table
+    /// row's stored ids (no dictionary lookup, no row materialization) and
+    /// stops as soon as every *satisfiable* occurrence has been found (the
+    /// hash index bounds how many can match, so over-requested counts don't
+    /// force a full pass). The ids of each removed row decrement the
+    /// statistics and release their dictionary references directly, so the
+    /// statistics cost tracks the delta.
     pub fn delete_rows(&mut self, name: &str, rows: &[Vec<Value>]) -> DbResult<Delta> {
         let table = self
             .tables
@@ -228,7 +217,10 @@ impl Database {
         for row in rows {
             table.schema().check_row(row)?;
         }
-        let counts = self.counts.get(name).expect("registered table has counts");
+        let counts = self
+            .counts
+            .get_mut(name)
+            .expect("registered table has counts");
         // Resolve each requested row to interned ids and group by hash,
         // keeping a remaining count per distinct row (bag semantics). A row
         // with any cell absent from the dictionary is stored nowhere and is
@@ -273,12 +265,7 @@ impl Database {
             if !table.is_live(r) {
                 continue;
             }
-            for (c, vid) in row_vids.iter_mut().enumerate() {
-                *vid = self
-                    .dict
-                    .lookup(table.cell(r, c))
-                    .expect("live cell is interned");
-            }
+            table.row_ids(r, &mut row_vids);
             let h = hash_vids(&row_vids);
             let Some(candidates) = by_hash.get_mut(&h) else {
                 continue;
@@ -288,39 +275,34 @@ impl Database {
                     *count -= 1;
                     remaining -= 1;
                     matched.push(r as u32);
-                    delta.push(table.row(r), DeltaOp::Delete);
                     break;
                 }
             }
         }
-        if !delta.is_empty() {
-            // O(batch): tombstone the matched slots (compaction is
-            // amortized), then decrement statistics and drop dictionary
-            // references per removed occurrence.
-            table.delete_physical_rows(&matched);
-            let counts = self
-                .counts
-                .get_mut(name)
-                .expect("registered table has counts");
-            for row in delta.rows() {
-                let vids: Vec<Vid> = row
-                    .values
-                    .iter()
-                    .map(|v| self.dict.lookup(v).expect("deleted cell was interned"))
-                    .collect();
-                counts.delete(&vids);
-                for &vid in &vids {
-                    self.dict.release(vid);
-                }
+        // O(batch): log each matched row while its ids still resolve,
+        // decrement statistics and drop dictionary references per removed
+        // occurrence, then tombstone the slots (compaction is amortized).
+        for &r in &matched {
+            delta.push(
+                TableRef::new(table, &self.dict).row(r as usize),
+                DeltaOp::Delete,
+            );
+            table.row_ids(r as usize, &mut row_vids);
+            counts.delete(&row_vids);
+            for &vid in &row_vids {
+                self.dict.release(vid);
             }
         }
+        table.delete_physical_rows(&matched);
         Ok(delta)
     }
 
-    /// Look up a table by name.
-    pub fn table(&self, name: &str) -> DbResult<&Table> {
+    /// Look up a table by name: a read view over its id columns and the
+    /// dictionary.
+    pub fn table(&self, name: &str) -> DbResult<TableRef<'_>> {
         self.tables
             .get(name)
+            .map(|t| TableRef::new(t, &self.dict))
             .ok_or_else(|| DbError::UnknownTable(name.to_string()))
     }
 
@@ -368,17 +350,19 @@ impl Database {
 
     /// Total rows across all tables.
     pub fn total_rows(&self) -> usize {
-        self.tables.values().map(Table::num_rows).sum()
+        self.tables.values().map(StoredTable::num_rows).sum()
     }
 
     /// Append the binary encoding of the whole database: the value
     /// dictionary first (slots, refcounts, free list — so a decoded
     /// database continues allocating identical `Vid`s), then table count,
     /// then each table (sorted by name for deterministic bytes) as name +
-    /// [`Table::encode_into`]. Statistics are **not** stored — they are
-    /// rebuilt on decode by resolving each cell against the decoded
-    /// dictionary (lookup-only, never re-acquiring: the persisted
-    /// refcounts already account for every live occurrence).
+    /// its schema, live row count and columns, each cell written as the
+    /// tagged [`Value`] its id resolves to (the snapshot holds values, not
+    /// ids). Statistics are **not** stored — they are rebuilt on decode
+    /// from the ids each cell is looked up to in the decoded dictionary
+    /// (lookup-only, never re-acquiring: the persisted refcounts already
+    /// account for every live occurrence).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         self.dict.encode_into(out);
         let mut names: Vec<&String> = self.tables.keys().collect();
@@ -386,14 +370,15 @@ impl Database {
         codec::put_len(out, names.len());
         for name in names {
             codec::put_str(out, name);
-            self.tables[name.as_str()].encode_into(out);
+            self.tables[name.as_str()].encode_into(&self.dict, out);
         }
     }
 
-    /// Decode a database (inverse of [`Database::encode_into`]),
-    /// rebuilding per-table statistics against the decoded dictionary. A
-    /// cell value missing from the dictionary is a hard codec error — it
-    /// means the snapshot's dictionary and tables disagree.
+    /// Decode a database (inverse of [`Database::encode_into`]), storing
+    /// each cell as its id in the decoded dictionary and rebuilding
+    /// per-table statistics from those ids. A cell value missing from the
+    /// dictionary is a hard codec error — it means the snapshot's
+    /// dictionary and tables disagree.
     pub fn decode(r: &mut Reader<'_>) -> Result<Database, CodecError> {
         let dict = Interner::decode(r)?;
         let n = r.len()?;
@@ -408,19 +393,11 @@ impl Database {
             if db.tables.contains_key(&name) {
                 return Err(CodecError::invalid(at, format!("duplicate table `{name}`")));
             }
-            let table = Table::decode(r)?;
-            let arity = table.schema().arity();
-            let mut counts = TableCounts {
-                columns: vec![FxHashMap::default(); arity],
-                row_hashes: FxHashMap::default(),
-            };
-            let mut vids = vec![0 as Vid; arity];
+            let table = StoredTable::decode(r, &db.dict)?;
+            let mut counts = TableCounts::new(table.schema().arity());
+            let mut vids = vec![0 as Vid; table.schema().arity()];
             for row in 0..table.num_rows() {
-                for (c, vid) in vids.iter_mut().enumerate() {
-                    *vid = db.dict.lookup(table.cell(row, c)).ok_or_else(|| {
-                        CodecError::invalid(at, "table cell missing from dictionary")
-                    })?;
-                }
+                table.row_ids(row, &mut vids);
                 counts.insert(&vids);
             }
             db.counts.insert(name.clone(), counts);
@@ -431,15 +408,15 @@ impl Database {
 }
 
 impl ByteSize for Database {
+    /// Id columns and tombstones of every table, the statistics (per-column
+    /// counts and whole-row index) and the dictionary, which holds every
+    /// value payload once.
     fn heap_bytes(&self) -> usize {
-        let count_bytes: usize = self
-            .counts
+        self.tables
             .values()
-            .flat_map(|t| t.columns.iter())
-            .map(|col| col.capacity() * std::mem::size_of::<(Vid, u64)>())
-            .sum();
-        self.tables.values().map(Table::heap_bytes).sum::<usize>()
-            + count_bytes
+            .map(ByteSize::heap_bytes)
+            .sum::<usize>()
+            + self.stats_heap_bytes()
             + self.dict.heap_bytes()
     }
 }
@@ -654,6 +631,29 @@ mod tests {
             .unwrap();
         assert_eq!(db.column_stats_by_name("T", "x").unwrap().n_distinct, 1);
         assert_eq!(db.column_stats_by_name("T", "x").unwrap().row_count, 2);
+    }
+
+    #[test]
+    fn heap_bytes_counts_tables_stats_and_dictionary() {
+        let mut db = sample_db();
+        let mut names = Table::new(Schema::new(vec![Column::int("id"), Column::str("s")]));
+        for i in 0..100 {
+            names
+                .push_row(vec![Value::int(i), Value::str(format!("name {i}"))])
+                .unwrap();
+        }
+        db.register("Names", names).unwrap();
+        db.delete_rows("Names", &[vec![Value::int(3), Value::str("name 3")]])
+            .unwrap();
+        let parts = db.stats_heap_bytes() + db.dict().heap_bytes();
+        assert!(db.stats_heap_bytes() > 0);
+        // The tables add their id columns and tombstones on top: 4 bytes per
+        // cell of the 105 physical rows, at least.
+        assert!(
+            db.heap_bytes() >= parts + 4 * 2 * 105,
+            "{} vs {parts}",
+            db.heap_bytes()
+        );
     }
 
     #[test]

@@ -83,11 +83,10 @@ pub fn parse_csv(text: &str, schema: Schema) -> DbResult<Table> {
     Ok(table)
 }
 
-/// Serialize a table back to CSV text (no header); only live rows are
-/// written.
+/// Serialize a table back to CSV text (no header).
 pub fn to_csv(table: &Table) -> String {
     let mut out = String::new();
-    for r in (0..table.physical_rows()).filter(|&r| table.is_live(r)) {
+    for r in 0..table.num_rows() {
         for c in 0..table.schema().arity() {
             if c > 0 {
                 out.push(',');

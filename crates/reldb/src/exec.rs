@@ -13,10 +13,11 @@
 //! strictly ascending key order. No operator allocates per row and none
 //! touches a [`Value`](crate::value::Value) after the scan:
 //!
-//! * [`scan_project`] evaluates the predicate against the table columns in
-//!   place and resolves only the projected cells of passing rows through
-//!   the owning database's dictionary — the one place a value is hashed —
-//!   into a [`RowSet`];
+//! * [`scan_project`] evaluates the predicate in place, resolving a cell's
+//!   id by index where it needs the value, and copies the projected ids of
+//!   passing rows into a [`RowSet`]. A registered table already stores
+//!   dictionary ids, so no operator hashes a value: that happens once per
+//!   cell, when registration or a mutation acquires it;
 //! * [`group_pairs`] sorts packed pairs and counts the runs: the keys of
 //!   the result are the `DISTINCT` pairs, the counts their bag
 //!   multiplicities;
@@ -64,10 +65,9 @@ use graphgen_common::region::Region;
 // covers the whole fan-out.
 
 /// Scan table `table` of `db`, keep rows satisfying `pred`, and project the
-/// columns in `cols` (by index, in output order) as dictionary ids. The
-/// predicate is evaluated against the table's columns directly; only the
-/// projected cells of passing rows are looked up in `db`'s dictionary
-/// (total: every cell of a registered table holds a dictionary reference).
+/// columns in `cols` (by index, in output order) as dictionary ids. A
+/// registered table stores ids, so projecting copies them, and `pred`
+/// reads a cell by resolving its id (an index, not a hash).
 /// Morsel-parallel over `threads`, output in table row order.
 pub fn scan_project(
     db: &Database,
@@ -77,8 +77,8 @@ pub fn scan_project(
     threads: usize,
 ) -> DbResult<RowSet> {
     let table = db.table(table)?;
-    let dict = db.dict();
     let _span = metrics::span("scan", Region::Scan);
+    let columns: Vec<&[Vid]> = cols.iter().map(|&c| table.ids(c)).collect();
     // Morsels split the physical row space; tombstoned rows are skipped so
     // the output is the live rows in physical (= insertion) order.
     let n = table.physical_rows();
@@ -87,10 +87,7 @@ pub fn scan_project(
         let mut out = RowSet::new(cols.len());
         for r in range {
             if table.is_live(r) && pred.eval_at(table, r) {
-                out.push_row(cols.iter().map(|&c| {
-                    dict.lookup(table.cell(r, c))
-                        .expect("cell of a registered table is interned")
-                }));
+                out.push_row(columns.iter().map(|col| col[r]));
             }
         }
         out

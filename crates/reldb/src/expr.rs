@@ -5,6 +5,7 @@
 //! comparisons so examples can express things like "papers since 2010"
 //! (temporal graph extraction from the paper's introduction).
 
+use crate::table::TableRef;
 use crate::value::Value;
 use graphgen_common::codec::{self, CodecError, Reader};
 
@@ -45,31 +46,20 @@ impl Predicate {
         }
     }
 
-    /// Evaluate against row `row` of `table` directly, without materializing
-    /// the row. Semantics are identical to [`Predicate::eval`]; this is the
-    /// scan hot path (`scan_project` only interns the projected columns of
-    /// rows that pass).
-    pub fn eval_at(&self, table: &crate::table::Table, row: usize) -> bool {
+    /// Evaluate against physical row `row` of a registered table, reading
+    /// each cell through the view (an index into the dictionary, no hash)
+    /// instead of materializing the row. Semantics are identical to
+    /// [`Predicate::eval`].
+    pub fn eval_at(&self, table: TableRef<'_>, row: usize) -> bool {
+        let cell = |col: &usize| table.cell(row, *col);
         match self {
             Predicate::True => true,
-            Predicate::Eq(col, v) => table.cell(row, *col) == v,
-            Predicate::Ne(col, v) => table.cell(row, *col) != v,
-            Predicate::Lt(col, v) => {
-                let c = table.cell(row, *col);
-                !c.is_null() && c < v
-            }
-            Predicate::Le(col, v) => {
-                let c = table.cell(row, *col);
-                !c.is_null() && c <= v
-            }
-            Predicate::Gt(col, v) => {
-                let c = table.cell(row, *col);
-                !c.is_null() && c > v
-            }
-            Predicate::Ge(col, v) => {
-                let c = table.cell(row, *col);
-                !c.is_null() && c >= v
-            }
+            Predicate::Eq(col, v) => cell(col) == v,
+            Predicate::Ne(col, v) => cell(col) != v,
+            Predicate::Lt(col, v) => !cell(col).is_null() && cell(col) < v,
+            Predicate::Le(col, v) => !cell(col).is_null() && cell(col) <= v,
+            Predicate::Gt(col, v) => !cell(col).is_null() && cell(col) > v,
+            Predicate::Ge(col, v) => !cell(col).is_null() && cell(col) >= v,
             Predicate::And(ps) => ps.iter().all(|p| p.eval_at(table, row)),
         }
     }
@@ -196,11 +186,15 @@ mod tests {
 
     #[test]
     fn eval_at_matches_eval() {
+        use crate::catalog::Database;
         use crate::schema::{Column, Schema};
         use crate::table::Table;
         let mut t = Table::new(Schema::new(vec![Column::int("a"), Column::str("s")]));
         t.push_row(vec![Value::int(5), Value::str("x")]).unwrap();
         t.push_row(vec![Value::Null, Value::Null]).unwrap();
+        let mut db = Database::new();
+        db.register("T", t).unwrap();
+        let t = db.table("T").unwrap();
         let preds = [
             Predicate::True,
             Predicate::Eq(0, Value::int(5)),
@@ -214,7 +208,7 @@ mod tests {
         ];
         for p in &preds {
             for r in 0..t.num_rows() {
-                assert_eq!(p.eval_at(&t, r), p.eval(&t.row(r)), "{p:?} row {r}");
+                assert_eq!(p.eval_at(t, r), p.eval(&t.row(r)), "{p:?} row {r}");
             }
         }
     }

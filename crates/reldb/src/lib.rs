@@ -8,16 +8,20 @@
 //!
 //! * [`Value`] / [`DataType`] — a compact dynamic value model (64-bit ints
 //!   and strings cover every schema in the paper's Fig. 15).
-//! * [`Schema`] / [`Table`] — column-oriented storage with append ingestion.
+//! * [`Schema`] / [`Table`] — column-oriented ingestion buffer; once
+//!   registered, a table is stored as dictionary-id columns and read
+//!   through a [`TableRef`] view.
 //! * [`Database`] — the catalog: named tables plus per-column statistics
 //!   (row count, exact distinct count) used by the extraction planner.
 //! * [`Interner`] — the database-wide `Value` → dense [`Vid`] dictionary;
-//!   every cell of a registered table holds a reference in it.
+//!   every cell of a registered table is stored as its id and holds a
+//!   reference in it. A value is hashed only when registration or a
+//!   mutation acquires (or looks up) it.
 //! * [`RowSet`] — the flat [`Vid`] arena a scan produces: one allocation
 //!   per batch, four bytes per cell, rows addressed by index, no per-row
 //!   `Vec`s.
-//! * [`exec`] — the physical operators, one of each: a scan that filters,
-//!   projects and interns; a GROUP BY over packed id pairs, which is the
+//! * [`exec`] — the physical operators, one of each: a scan that filters
+//!   and projects by copying ids; a GROUP BY over packed id pairs, which is the
 //!   DISTINCT; a counted equi-join over the grouped bags; plus a reference
 //!   nested-loop join for testing. [`query::Query`] is a tiny logical plan
 //!   ("the SQL we generate") over them.
@@ -27,8 +31,8 @@
 //! thread count; see [`exec`] for the operator contract and why.
 //!
 //! Tables are mutable after registration: [`Database::insert_rows`] and
-//! [`Database::delete_rows`] apply a batch, recompute the statistics, and
-//! return a typed [`Delta`] log that `graphgen-core`'s incremental module
+//! [`Database::delete_rows`] apply a batch, maintain the statistics row by
+//! row, and return a typed [`Delta`] log that `graphgen-core`'s incremental module
 //! consumes to maintain extracted graphs without re-running queries.
 
 #![warn(missing_docs)]
@@ -54,5 +58,5 @@ pub use intern::{Interner, Vid, NULL_VID};
 pub use query::Query;
 pub use rowset::RowSet;
 pub use schema::{Column, Schema};
-pub use table::Table;
+pub use table::{Table, TableRef};
 pub use value::{DataType, Value};

@@ -20,6 +20,7 @@ use crate::error::{DbError, DbResult};
 use crate::exec::{group_pairs, join_counted, pack, scan_project, unpack};
 use crate::expr::Predicate;
 use crate::intern::Vid;
+use crate::table::TableRef;
 
 /// One atom in the chain: a base table with a selection predicate, an input
 /// join column and an output join column (which may coincide, e.g. for an
@@ -133,7 +134,7 @@ impl Query {
     }
 }
 
-fn render_pred(pred: &Predicate, alias: char, table: &crate::table::Table, out: &mut Vec<String>) {
+fn render_pred(pred: &Predicate, alias: char, table: TableRef<'_>, out: &mut Vec<String>) {
     match pred {
         Predicate::True => {}
         Predicate::Eq(c, v) => out.push(format!("{alias}.{}={v}", table.schema().column(*c).name)),

@@ -1,17 +1,29 @@
-//! Column-oriented table storage.
+//! Table storage: an ingestion buffer of values, and the registered form
+//! that keeps only dictionary ids.
 //!
-//! A [`Table`] stores each column as a `Vec<Value>`. Appends validate arity
-//! and type. Row access materializes a `Vec<Value>` only when asked; the
-//! scan in [`crate::exec`] reads cells in place.
+//! A [`Table`] stores each column as a `Vec<Value>`. It is how rows get
+//! *into* a database: appends validate arity and type, and CSV parsing and
+//! the generators fill one. [`Database::register`] then takes it in: each
+//! cell is acquired once in the database dictionary, only its [`Vid`] is
+//! kept (one `Vec<Vid>` per column, four bytes a cell), and the `Value`
+//! columns are dropped. A value lives once, in the dictionary.
 //!
-//! Deletes are **tombstoned**: [`Table::delete_physical_rows`] flips a
-//! per-row dead bit in O(batch) instead of retaining every column in
-//! O(table). Physical row indices stay stable across deletes; a periodic
-//! compaction (triggered only when dead rows outnumber live ones) rewrites
-//! the columns, so the amortized cost per deleted row is O(1) and every
+//! A registered table is read through [`TableRef`]: the id columns plus the
+//! dictionary that resolves them. Resolving an id is an index into the
+//! dictionary's slot table, never a hash, so the scan in [`crate::exec`]
+//! copies ids and only ordered comparisons look at a value at all.
+//!
+//! Deletes of a registered table are **tombstoned**: a per-row dead bit is
+//! flipped in O(batch) instead of retaining every column in O(table).
+//! Physical row indices stay stable across deletes; a periodic compaction
+//! (triggered only when dead rows outnumber live ones) rewrites the
+//! columns, so the amortized cost per deleted row is O(1) and every
 //! mutation path is bounded by the delta, not the table.
+//!
+//! [`Database::register`]: crate::catalog::Database::register
 
 use crate::error::DbResult;
+use crate::intern::{Interner, Vid};
 use crate::schema::Schema;
 use crate::value::Value;
 use graphgen_common::codec::{self, CodecError, Reader};
@@ -21,22 +33,14 @@ use graphgen_common::ByteSize;
 /// bookkeeping vector is cheaper than any rewrite.
 const COMPACT_MIN_DEAD: usize = 64;
 
-/// An in-memory table: a schema plus one value vector per column.
-///
-/// `rows` counts **live** rows; the columns may be longer when tombstoned
-/// rows are awaiting compaction. All row indices taken and returned by this
-/// type are *physical* (stable across deletes, invalidated only by
-/// compaction).
+/// A table being built: a schema plus one value vector per column. Hand it
+/// to [`Database::register`](crate::catalog::Database::register) to query
+/// or mutate it.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
     columns: Vec<Vec<Value>>,
     rows: usize,
-    /// Tombstones, one per physical row. `true` = deleted, awaiting
-    /// compaction.
-    dead: Vec<bool>,
-    dead_count: usize,
-    compactions: u64,
 }
 
 impl Table {
@@ -47,9 +51,6 @@ impl Table {
             schema,
             columns,
             rows: 0,
-            dead: Vec::new(),
-            dead_count: 0,
-            compactions: 0,
         }
     }
 
@@ -58,26 +59,9 @@ impl Table {
         &self.schema
     }
 
-    /// Number of **live** rows.
+    /// Number of rows.
     pub fn num_rows(&self) -> usize {
         self.rows
-    }
-
-    /// Number of physical row slots (live + tombstoned). Every valid
-    /// physical row index is strictly below this.
-    pub fn physical_rows(&self) -> usize {
-        self.dead.len()
-    }
-
-    /// True if physical row `row` has not been tombstoned.
-    pub fn is_live(&self, row: usize) -> bool {
-        !self.dead[row]
-    }
-
-    /// How many compaction rewrites this table has performed. Tests use
-    /// this to prove delete cost is amortized, not per-batch O(table).
-    pub fn compaction_count(&self) -> u64 {
-        self.compactions
     }
 
     /// True if the table holds no rows.
@@ -91,7 +75,6 @@ impl Table {
         for (col, v) in self.columns.iter_mut().zip(row) {
             col.push(v);
         }
-        self.dead.push(false);
         self.rows += 1;
         Ok(())
     }
@@ -131,18 +114,122 @@ impl Table {
         self.columns.iter().map(|c| c[row].clone()).collect()
     }
 
-    /// Iterate **live** rows as freshly materialized `Vec<Value>`s, in
-    /// physical order.
+    /// Iterate rows as freshly materialized `Vec<Value>`s, in order.
     pub fn iter_rows(&self) -> impl Iterator<Item = Vec<Value>> + '_ {
-        (0..self.dead.len())
-            .filter(|&r| !self.dead[r])
-            .map(|r| self.row(r))
+        (0..self.rows).map(|r| self.row(r))
+    }
+}
+
+impl ByteSize for Table {
+    fn heap_bytes(&self) -> usize {
+        self.columns
+            .iter()
+            .map(|col| {
+                col.capacity() * std::mem::size_of::<Value>()
+                    + col.iter().map(ByteSize::heap_bytes).sum::<usize>()
+            })
+            .sum()
+    }
+}
+
+/// A registered table: the schema plus one dictionary-id column per
+/// column. Owned by the catalog, which keeps the dictionary beside it; read
+/// it through [`TableRef`].
+///
+/// `rows` counts **live** rows; the columns may be longer when tombstoned
+/// rows are awaiting compaction. All row indices taken and returned by this
+/// type are *physical* (stable across deletes, invalidated only by
+/// compaction).
+#[derive(Debug)]
+pub(crate) struct StoredTable {
+    schema: Schema,
+    columns: Vec<Vec<Vid>>,
+    rows: usize,
+    /// Tombstones, one per physical row. `true` = deleted, awaiting
+    /// compaction.
+    dead: Vec<bool>,
+    dead_count: usize,
+    compactions: u64,
+}
+
+impl StoredTable {
+    fn with_columns(schema: Schema, columns: Vec<Vec<Vid>>, rows: usize) -> Self {
+        StoredTable {
+            schema,
+            columns,
+            rows,
+            dead: vec![false; rows],
+            dead_count: 0,
+            compactions: 0,
+        }
+    }
+
+    /// Take `table` in: acquire every cell in `dict` row by row, keep the
+    /// ids, and hand each row's ids to `each_row` (the catalog's
+    /// statistics). The `Value` columns are dropped on return.
+    pub(crate) fn ingest(
+        table: Table,
+        dict: &mut Interner,
+        mut each_row: impl FnMut(&[Vid]),
+    ) -> Self {
+        let arity = table.schema.arity();
+        let mut columns: Vec<Vec<Vid>> =
+            (0..arity).map(|_| Vec::with_capacity(table.rows)).collect();
+        let mut ids = vec![0 as Vid; arity];
+        for r in 0..table.rows {
+            for (c, id) in ids.iter_mut().enumerate() {
+                *id = dict.acquire(table.cell(r, c));
+                columns[c].push(*id);
+            }
+            each_row(&ids);
+        }
+        Self::with_columns(table.schema, columns, table.rows)
+    }
+
+    pub(crate) fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    pub(crate) fn num_rows(&self) -> usize {
+        self.rows
+    }
+
+    pub(crate) fn physical_rows(&self) -> usize {
+        self.dead.len()
+    }
+
+    pub(crate) fn is_live(&self, row: usize) -> bool {
+        !self.dead[row]
+    }
+
+    /// The ids of physical row `row`, written into `out`.
+    pub(crate) fn row_ids(&self, row: usize, out: &mut [Vid]) {
+        for (id, col) in out.iter_mut().zip(&self.columns) {
+            *id = col[row];
+        }
+    }
+
+    /// Append one row of ids (already acquired).
+    pub(crate) fn push_ids(&mut self, ids: &[Vid]) {
+        for (col, &id) in self.columns.iter_mut().zip(ids) {
+            col.push(id);
+        }
+        self.dead.push(false);
+        self.rows += 1;
+    }
+
+    /// Reserve capacity for `n` additional rows in every column.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        for col in &mut self.columns {
+            col.reserve(n);
+        }
+        self.dead.reserve(n);
     }
 
     /// Tombstone the physical rows in `rows` — O(batch), no column rewrite.
     /// Already-dead entries are ignored. May trigger a compaction pass when
     /// dead rows outnumber live ones (amortized O(1) per deleted row).
-    pub fn delete_physical_rows(&mut self, rows: &[u32]) {
+    pub(crate) fn delete_physical_rows(&mut self, rows: &[u32]) {
         for &r in rows {
             let r = r as usize;
             if !self.dead[r] {
@@ -178,83 +265,154 @@ impl Table {
     }
 
     /// Append the binary encoding of this table: schema, live row count,
-    /// then the columns in declaration order (column-major, each cell a
-    /// tagged [`Value`]); tombstoned rows are not written, so a decoded
-    /// table is always compact. Part of the service database snapshot.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    /// then the columns in declaration order (column-major, each cell the
+    /// tagged [`Value`] its id resolves to in `dict`); tombstoned rows are
+    /// not written, so a decoded table is always compact. Part of the
+    /// service database snapshot.
+    pub(crate) fn encode_into(&self, dict: &Interner, out: &mut Vec<u8>) {
         self.schema.encode_into(out);
         codec::put_len(out, self.rows);
         for col in &self.columns {
-            for (r, v) in col.iter().enumerate() {
+            for (r, &id) in col.iter().enumerate() {
                 if !self.dead[r] {
-                    v.encode_into(out);
+                    resolve(dict, id).encode_into(out);
                 }
             }
         }
     }
 
-    /// Decode one table (inverse of [`Table::encode_into`]). Cell types are
-    /// re-validated against the decoded schema.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Table, CodecError> {
+    /// Decode one table (inverse of [`StoredTable::encode_into`]), storing
+    /// each cell as its id in `dict`. Cell types are re-validated against
+    /// the decoded schema; a value `dict` does not hold is an error (the
+    /// snapshot's dictionary and tables disagree).
+    pub(crate) fn decode(r: &mut Reader<'_>, dict: &Interner) -> Result<Self, CodecError> {
         let schema = Schema::decode(r)?;
         let rows = r.len()?;
         let mut columns = Vec::with_capacity(schema.arity());
-        for idx in 0..schema.arity() {
+        for column in schema.columns() {
             let mut col = Vec::with_capacity(rows);
             for _ in 0..rows {
                 let at = r.pos();
                 let v = Value::decode(r)?;
-                if let Some(dt) = v.data_type() {
-                    if dt != schema.column(idx).dtype {
-                        return Err(CodecError::invalid(
-                            at,
-                            format!(
-                                "column `{}` expects {}",
-                                schema.column(idx).name,
-                                schema.column(idx).dtype
-                            ),
-                        ));
-                    }
+                if v.data_type().is_some_and(|dt| dt != column.dtype) {
+                    return Err(CodecError::invalid(
+                        at,
+                        format!("column `{}` expects {}", column.name, column.dtype),
+                    ));
                 }
-                col.push(v);
+                let id = dict
+                    .lookup(&v)
+                    .ok_or_else(|| CodecError::invalid(at, "table cell missing from dictionary"))?;
+                col.push(id);
             }
             columns.push(col);
         }
-        Ok(Table {
-            schema,
-            columns,
-            rows,
-            dead: vec![false; rows],
-            dead_count: 0,
-            compactions: 0,
-        })
-    }
-
-    /// Exact number of distinct values in column `idx` among live rows
-    /// (NULLs count as one value, matching our join semantics, not SQL's).
-    pub fn distinct_count(&self, idx: usize) -> usize {
-        let mut seen: graphgen_common::FxHashSet<&Value> = Default::default();
-        seen.reserve(self.rows.min(1 << 20));
-        for (r, v) in self.columns[idx].iter().enumerate() {
-            if !self.dead[r] {
-                seen.insert(v);
-            }
-        }
-        seen.len()
+        Ok(Self::with_columns(schema, columns, rows))
     }
 }
 
-impl ByteSize for Table {
+impl ByteSize for StoredTable {
+    /// Id columns plus tombstones; the values are the dictionary's.
     fn heap_bytes(&self) -> usize {
         self.dead.capacity()
             + self
                 .columns
                 .iter()
-                .map(|col| {
-                    col.capacity() * std::mem::size_of::<Value>()
-                        + col.iter().map(ByteSize::heap_bytes).sum::<usize>()
-                })
+                .map(|col| col.capacity() * std::mem::size_of::<Vid>())
                 .sum::<usize>()
+    }
+}
+
+/// The value a stored id names. Every cell of a registered table holds a
+/// reference in the dictionary, so the slot is live.
+fn resolve(dict: &Interner, id: Vid) -> &Value {
+    dict.resolve(id)
+        .expect("cell of a registered table is interned")
+}
+
+/// A read view of a registered table: its id columns plus the database
+/// dictionary that resolves them. Returned by
+/// [`Database::table`](crate::catalog::Database::table).
+///
+/// Row indices are *physical*: every index below
+/// [`TableRef::physical_rows`] is valid, and tombstoned rows (see
+/// [`TableRef::is_live`]) still hold their ids until the next compaction.
+#[derive(Debug, Clone, Copy)]
+pub struct TableRef<'a> {
+    table: &'a StoredTable,
+    dict: &'a Interner,
+}
+
+impl<'a> TableRef<'a> {
+    pub(crate) fn new(table: &'a StoredTable, dict: &'a Interner) -> Self {
+        TableRef { table, dict }
+    }
+
+    /// The table's schema.
+    pub fn schema(&self) -> &'a Schema {
+        &self.table.schema
+    }
+
+    /// Number of **live** rows.
+    pub fn num_rows(&self) -> usize {
+        self.table.num_rows()
+    }
+
+    /// Number of physical row slots (live + tombstoned). Every valid
+    /// physical row index is strictly below this.
+    pub fn physical_rows(&self) -> usize {
+        self.table.physical_rows()
+    }
+
+    /// True if physical row `row` has not been tombstoned.
+    pub fn is_live(&self, row: usize) -> bool {
+        self.table.is_live(row)
+    }
+
+    /// How many compaction rewrites this table has performed. Tests use
+    /// this to prove delete cost is amortized, not per-batch O(table).
+    pub fn compaction_count(&self) -> u64 {
+        self.table.compactions
+    }
+
+    /// Column `col` as dictionary ids, one per physical row.
+    pub fn ids(&self, col: usize) -> &'a [Vid] {
+        &self.table.columns[col]
+    }
+
+    /// The cell at (`row`, `col`), resolved through the dictionary.
+    pub fn cell(&self, row: usize, col: usize) -> &'a Value {
+        resolve(self.dict, self.table.columns[col][row])
+    }
+
+    /// Materialize physical row `row`.
+    pub fn row(&self, row: usize) -> Vec<Value> {
+        (0..self.table.columns.len())
+            .map(|c| self.cell(row, c).clone())
+            .collect()
+    }
+
+    /// Iterate **live** rows as freshly materialized `Vec<Value>`s, in
+    /// physical order.
+    pub fn iter_rows(&self) -> impl Iterator<Item = Vec<Value>> + 'a {
+        let view = *self;
+        (0..view.physical_rows())
+            .filter(move |&r| view.is_live(r))
+            .map(move |r| view.row(r))
+    }
+
+    /// Exact number of distinct values in column `col` among live rows
+    /// (NULLs count as one value, matching our join semantics, not SQL's).
+    /// Within one dictionary distinct ids are distinct values.
+    pub fn distinct_count(&self, col: usize) -> usize {
+        let mut seen = vec![false; self.dict.capacity()];
+        let mut n = 0;
+        for (r, &id) in self.ids(col).iter().enumerate() {
+            if self.is_live(r) && !std::mem::replace(&mut seen[id as usize], true) {
+                n += 1;
+            }
+        }
+        n
     }
 }
 
@@ -272,6 +430,12 @@ mod tests {
         t
     }
 
+    fn stored(t: Table) -> (StoredTable, Interner) {
+        let mut dict = Interner::new();
+        let stored = StoredTable::ingest(t, &mut dict, |_| {});
+        (stored, dict)
+    }
+
     #[test]
     fn push_and_read_back() {
         let t = people();
@@ -279,6 +443,15 @@ mod tests {
         assert_eq!(t.cell(1, 1), &Value::str("b"));
         assert_eq!(t.row(0), vec![Value::int(1), Value::str("a")]);
         assert_eq!(t.iter_rows().count(), 3);
+        // The registered form reads back the same rows through the view.
+        let (s, dict) = stored(people());
+        let view = TableRef::new(&s, &dict);
+        assert_eq!(view.cell(1, 1), &Value::str("b"));
+        assert_eq!(
+            view.iter_rows().collect::<Vec<_>>(),
+            t.iter_rows().collect::<Vec<_>>()
+        );
+        assert_eq!(view.ids(1)[0], view.ids(1)[2], "equal values share an id");
     }
 
     #[test]
@@ -302,9 +475,10 @@ mod tests {
 
     #[test]
     fn distinct_counts() {
-        let t = people();
-        assert_eq!(t.distinct_count(0), 3);
-        assert_eq!(t.distinct_count(1), 2);
+        let (s, dict) = stored(people());
+        let view = TableRef::new(&s, &dict);
+        assert_eq!(view.distinct_count(0), 3);
+        assert_eq!(view.distinct_count(1), 2);
     }
 
     #[test]
@@ -316,17 +490,19 @@ mod tests {
 
     #[test]
     fn tombstones_keep_physical_indices_stable() {
-        let mut t = people();
-        t.delete_physical_rows(&[1]);
-        assert_eq!(t.num_rows(), 2);
-        assert_eq!(t.physical_rows(), 3);
-        assert!(t.is_live(0) && !t.is_live(1) && t.is_live(2));
+        let (mut s, dict) = stored(people());
+        s.delete_physical_rows(&[1]);
+        let view = TableRef::new(&s, &dict);
+        assert_eq!(view.num_rows(), 2);
+        assert_eq!(view.physical_rows(), 3);
+        assert!(view.is_live(0) && !view.is_live(1) && view.is_live(2));
         // Physical addressing still reaches the survivor at slot 2.
-        assert_eq!(t.row(2), vec![Value::int(3), Value::str("a")]);
+        assert_eq!(view.row(2), vec![Value::int(3), Value::str("a")]);
         // Repeat deletes of the same slot are no-ops.
-        t.delete_physical_rows(&[1]);
-        assert_eq!(t.num_rows(), 2);
-        assert_eq!(t.distinct_count(0), 2);
+        s.delete_physical_rows(&[1]);
+        let view = TableRef::new(&s, &dict);
+        assert_eq!(view.num_rows(), 2);
+        assert_eq!(view.distinct_count(0), 2);
     }
 
     #[test]
@@ -335,39 +511,49 @@ mod tests {
         for i in 0..200 {
             t.push_row(vec![Value::int(i)]).unwrap();
         }
+        let (mut s, dict) = stored(t);
         // Delete under the dead-majority threshold: no compaction, the
         // physical layout is untouched (that's the O(batch) guarantee).
-        t.delete_physical_rows(&(0..63).collect::<Vec<u32>>());
-        assert_eq!(t.compaction_count(), 0);
-        assert_eq!(t.physical_rows(), 200);
+        s.delete_physical_rows(&(0..63).collect::<Vec<u32>>());
+        assert_eq!(TableRef::new(&s, &dict).compaction_count(), 0);
+        assert_eq!(s.physical_rows(), 200);
         // Push the dead past the living: exactly one rewrite happens.
-        t.delete_physical_rows(&(63..150).collect::<Vec<u32>>());
-        assert_eq!(t.compaction_count(), 1);
-        assert_eq!(t.physical_rows(), 50);
-        assert_eq!(t.num_rows(), 50);
-        let rows: Vec<_> = t.iter_rows().collect();
+        s.delete_physical_rows(&(63..150).collect::<Vec<u32>>());
+        let view = TableRef::new(&s, &dict);
+        assert_eq!(view.compaction_count(), 1);
+        assert_eq!(view.physical_rows(), 50);
+        assert_eq!(view.num_rows(), 50);
+        assert_eq!(view.ids(0).len(), 50);
+        let rows: Vec<_> = view.iter_rows().collect();
         assert_eq!(rows[0], vec![Value::int(150)]);
         assert_eq!(rows[49], vec![Value::int(199)]);
     }
 
     #[test]
     fn codec_drops_tombstones() {
-        let mut t = people();
-        t.delete_physical_rows(&[0]);
+        let (mut s, dict) = stored(people());
+        s.delete_physical_rows(&[0]);
         let mut bytes = Vec::new();
-        t.encode_into(&mut bytes);
-        let back = Table::decode(&mut Reader::new(&bytes)).unwrap();
+        s.encode_into(&dict, &mut bytes);
+        let back = StoredTable::decode(&mut Reader::new(&bytes), &dict).unwrap();
         assert_eq!(back.num_rows(), 2);
         assert_eq!(back.physical_rows(), 2);
+        let (view, back) = (TableRef::new(&s, &dict), TableRef::new(&back, &dict));
         assert_eq!(
             back.iter_rows().collect::<Vec<_>>(),
-            t.iter_rows().collect::<Vec<_>>()
+            view.iter_rows().collect::<Vec<_>>()
         );
+        // A value the dictionary does not hold is rejected, not invented.
+        let mut other = Interner::new();
+        other.acquire(&Value::int(2));
+        assert!(StoredTable::decode(&mut Reader::new(&bytes), &other).is_err());
     }
 
     #[test]
     fn bytesize_nonzero() {
-        let t = people();
-        assert!(t.heap_bytes() > 0);
+        assert!(people().heap_bytes() > 0);
+        let (s, _) = stored(people());
+        // Two 4-byte id columns and a tombstone byte per row, no payload.
+        assert_eq!(s.heap_bytes(), 3 * (2 * 4 + 1));
     }
 }

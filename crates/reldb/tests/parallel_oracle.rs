@@ -12,8 +12,11 @@
 //!   equals a join written on `Value`s, so interning cannot hide a wrong
 //!   match;
 //! * [`scan_project`] is byte-identical across 1/2/8 threads and equal to
-//!   a value-level oracle; [`group_pairs`] equals a value-level
-//!   count-per-distinct-row;
+//!   a value-level oracle — [`Predicate::eval`] over the materialised live
+//!   rows, then a dictionary lookup per projected cell — for every
+//!   predicate kind, NULL and absent constants included, on tables with
+//!   tombstones before and after a compaction; [`group_pairs`] equals a
+//!   value-level count-per-distinct-row;
 //! * 1-, 2- and 3-step [`Query`]s equal a brute-force evaluator on values
 //!   and return the same pairs in the same order at 1/2/8 threads;
 //! * NULL-heavy, skewed-key, string-keyed, mixed `Int`/`Str`, empty, and
@@ -378,6 +381,91 @@ fn scan_project_parallel_is_byte_identical() {
                 assert_eq!(scan(threads), serial, "{pred:?} at {threads} threads");
             }
         }
+    }
+}
+
+/// `scan_project` of table `T`, projecting `[1, 0]`, at 1/2/8 threads
+/// against a reference on the same table: materialise its live rows, keep
+/// those [`Predicate::eval`] accepts, and look each projected cell up in
+/// the dictionary.
+fn check_scan(db: &Database, preds: &[Predicate], label: &str) {
+    let table = db.table("T").unwrap();
+    for pred in preds {
+        let mut expected = RowSet::new(2);
+        for row in table.iter_rows().filter(|row| pred.eval(row)) {
+            expected.push_row([1, 0].map(|c| db.dict().lookup(&row[c]).expect("stored value")));
+        }
+        for threads in THREADS {
+            assert_eq!(
+                scan_project(db, "T", pred, &[1, 0], threads).unwrap(),
+                expected,
+                "{label}: {pred:?} at {threads} threads"
+            );
+        }
+    }
+}
+
+#[test]
+fn scan_over_id_columns_matches_row_reference() {
+    let mut rng = SplitMix64::new(0x1D5C);
+    let shape = Shape {
+        domain: 30,
+        null_pct: 25,
+        skew: false,
+    };
+    // The generator never draws 1000 or "absent": those constants are in no
+    // dictionary. "3" is a string that is stored, compared against the Int
+    // column.
+    let preds = [
+        Predicate::True,
+        Predicate::Eq(0, Value::int(7)),
+        Predicate::Eq(0, Value::Null),
+        Predicate::Eq(1, Value::str("absent")),
+        Predicate::Eq(0, Value::str("3")),
+        Predicate::Ne(1, Value::str("3")),
+        Predicate::Ne(1, Value::Null),
+        Predicate::Ne(0, Value::int(1_000)),
+        Predicate::Lt(0, Value::int(12)),
+        Predicate::Le(1, Value::str("2")),
+        Predicate::Gt(0, Value::Null),
+        Predicate::Ge(0, Value::int(20)),
+        Predicate::Ge(1, Value::str("5"))
+            .and(Predicate::Ne(0, Value::int(4)))
+            .and(Predicate::Ne(1, Value::str("absent"))),
+    ];
+    for n in [0usize, 200, MIN_PARALLEL_ITEMS * 3] {
+        let mut db = Database::new();
+        db.register(
+            "T",
+            random_table(&mut rng, n, shape, [Kind::Int, Kind::Str]),
+        )
+        .unwrap();
+        check_scan(&db, &preds, "fresh");
+        let live = |db: &Database| db.table("T").unwrap().iter_rows().collect::<Vec<_>>();
+        let every = |rows: Vec<Vec<Value>>, keep: fn(usize) -> bool| -> Vec<Vec<Value>> {
+            rows.into_iter()
+                .enumerate()
+                .filter(|&(i, _)| keep(i))
+                .map(|(_, row)| row)
+                .collect()
+        };
+        // A third of the rows tombstoned: dead rows stay in the columns.
+        db.delete_rows("T", &every(live(&db), |i| i % 3 == 0))
+            .unwrap();
+        assert_eq!(db.table("T").unwrap().compaction_count(), 0);
+        check_scan(&db, &preds, "tombstoned");
+        // Three quarters of the rest: the dead now outnumber the living, and
+        // the columns are rewritten.
+        db.delete_rows("T", &every(live(&db), |i| i % 4 != 0))
+            .unwrap();
+        let compacted = db.table("T").unwrap();
+        assert_eq!(compacted.compaction_count(), u64::from(n > 0));
+        assert_eq!(compacted.physical_rows(), compacted.num_rows());
+        check_scan(&db, &preds, "compacted");
+        // And tombstones again, on the compacted columns.
+        db.delete_rows("T", &every(live(&db), |i| i % 5 == 1))
+            .unwrap();
+        check_scan(&db, &preds, "tombstoned after compaction");
     }
 }
 
