@@ -22,7 +22,7 @@ use graphgen_graph::{CondensedGraph, Dedup1Graph};
 /// `- compensations`    (sources losing their only witness to a
 ///                       disconnected target).
 fn move_benefit(w: &WorkGraph, u: u32, v: u32, covered: &FxHashSet<u32>) -> i64 {
-    let ov = &w.ov[v as usize];
+    let ov = w.targets(v);
     let mut new_cover = 0i64;
     let mut overlap: Vec<u32> = Vec::new();
     for &t in ov {
@@ -48,7 +48,8 @@ fn move_benefit(w: &WorkGraph, u: u32, v: u32, covered: &FxHashSet<u32>) -> i64 
 /// Apply the move: disconnect covered targets from `v` (compensating), and
 /// return `v`'s remaining targets for the caller to mark covered.
 fn apply_move(w: &mut WorkGraph, v: u32, covered: &mut FxHashSet<u32>) {
-    let overlap: Vec<u32> = w.ov[v as usize]
+    let overlap: Vec<u32> = w
+        .targets(v)
         .iter()
         .copied()
         .filter(|t| covered.contains(t))
@@ -56,7 +57,7 @@ fn apply_move(w: &mut WorkGraph, v: u32, covered: &mut FxHashSet<u32>) {
     for t in overlap {
         w.remove_target_and_compensate(v, t);
     }
-    for &t in &w.ov[v as usize] {
+    for &t in w.targets(v) {
         covered.insert(t);
     }
 }
@@ -76,7 +77,7 @@ pub fn greedy_real_nodes_first(
         // N(u): everything u currently reaches.
         let mut remaining: FxHashSet<u32> = FxHashSet::default();
         for &v in &w.rv[u as usize] {
-            for &t in &w.ov[v as usize] {
+            for &t in w.targets(v) {
                 if t != u {
                     remaining.insert(t);
                 }

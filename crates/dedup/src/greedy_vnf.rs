@@ -17,7 +17,8 @@
 //! removal shrinks one `O(·)` list and adds direct edges; it never changes
 //! `I(·)` or the active set. So the step computes three things once and
 //! patches them, where a literal reading of Fig. 9 recomputes them after
-//! every removal:
+//! every removal, and reads a fourth that the work graph keeps for the whole
+//! run:
 //!
 //! 1. **The candidates** — active `R ≠ V` sharing a source with `V` — and
 //!    each one's shared sources `I(V) ∩ I(R)`, kept as a count and the first
@@ -30,6 +31,13 @@
 //!    the witness counts of the pairs `(x, r)`. Removing `t`, with its
 //!    compensating direct edges to `t`, changes witness counts for target
 //!    `t` only, so a memoised cost stays exact until a removal of its target.
+//! 4. **The target index** ([`WorkGraph::holders`]): for each real node `r`,
+//!    the virtual nodes whose `O(·)` holds it, updated by the one call that
+//!    shrinks `O(·)`. A cost (item 3) and a removal's compensation ask the
+//!    same question — which sources of `X` reach `r` through `X` alone? — and
+//!    the index answers it in one pass: stamp the sources of `r`'s other
+//!    active holders into a reused mark array, then walk `I(X)` once,
+//!    checking the mark and the source's direct edges.
 //!
 //! The choice is the one the recompute-everything formulation makes, tie
 //! included: the first strictly larger ratio wins, visiting conflicts in
@@ -39,30 +47,25 @@
 //!
 //! Complexity: per step with `k` candidates of `V`, the setup is one
 //! intersection per candidate; each removal rescans the `O(k·d)` kept
-//! targets and recomputes only the costs of the removed target, `O(d·m)`
-//! each (`d` = list length, `m` = virtual nodes per real node).
+//! targets and recomputes only the costs of the removed target. A cost, like
+//! a compensation, stamps the sources of the target's `m` holders and walks
+//! `I(X)` once with one search of a direct-edge list per source: `O(m·d)`
+//! memory writes, where counting witnesses pair by pair would take `d·m`
+//! binary searches of `O(·)` lists (`d` = list length, `m` = virtual nodes
+//! per real node).
 
 use crate::work::{intersect_sorted, WorkGraph};
 use graphgen_common::{FxHashMap, VertexOrdering};
 use graphgen_graph::{CondensedGraph, Dedup1Graph};
 
-/// Cost of removing target `r` from node `v`: direct edges needed to keep
-/// all of `v`'s sources connected to `r`.
-fn removal_cost(w: &WorkGraph, v: u32, r: u32) -> usize {
-    w.iv[v as usize]
-        .iter()
-        .filter(|&&x| x != r && w.witness_count(x, r) == 1)
-        .count()
-}
-
 /// A target with the memoised cost of removing it from its list's node.
 type Target = (u32, Option<usize>);
 
 /// The memoised cost of removing `target.0` from `node`, computed on a miss.
-fn cost_of(w: &WorkGraph, node: u32, target: &mut Target) -> usize {
+fn cost_of(w: &mut WorkGraph, node: u32, target: &mut Target) -> usize {
     *target
         .1
-        .get_or_insert_with(|| removal_cost(w, node, target.0))
+        .get_or_insert_with(|| w.removal_cost(node, target.0))
 }
 
 /// Drop `t` from a target list sorted by target.
@@ -121,7 +124,7 @@ fn candidates_of(w: &WorkGraph, v: u32) -> Vec<Candidate> {
                 node,
                 shared_sources: run.len(),
                 first_shared_source: run[0].1,
-                shared_targets: intersect_sorted(&w.ov[v as usize], &w.ov[node as usize])
+                shared_targets: intersect_sorted(w.targets(v), w.targets(node))
                     .into_iter()
                     .map(|t| (t, None))
                     .collect(),
@@ -133,7 +136,7 @@ fn candidates_of(w: &WorkGraph, v: u32) -> Vec<Candidate> {
 /// The next removal, as (candidate index, or `None` for `V` itself; target),
 /// or `None` once `V` conflicts with no candidate. `own` is `O(V)`.
 fn best_removal(
-    w: &WorkGraph,
+    w: &mut WorkGraph,
     v: u32,
     candidates: &mut [Candidate],
     own: &mut [Target],
@@ -172,7 +175,7 @@ pub fn greedy_virtual_nodes_first(
     seed: u64,
 ) -> Dedup1Graph {
     let mut w = WorkGraph::from_condensed(g, false);
-    let order = ordering.order_by(w.num_virtual(), |v| w.ov[v as usize].len() as u64, seed);
+    let order = ordering.order_by(w.num_virtual(), |v| w.targets(v).len() as u64, seed);
     for v in order {
         w.activate(v);
         w.absorb_direct_edges(v);
@@ -180,8 +183,8 @@ pub fn greedy_virtual_nodes_first(
         // Shared sources are fixed and shared targets only shrink, so a
         // candidate that does not conflict now never will.
         candidates.retain(Candidate::conflicts);
-        let mut own: Vec<Target> = w.ov[v as usize].iter().map(|&t| (t, None)).collect();
-        while let Some((from, t)) = best_removal(&w, v, &mut candidates, &mut own) {
+        let mut own: Vec<Target> = w.targets(v).iter().map(|&t| (t, None)).collect();
+        while let Some((from, t)) = best_removal(&mut w, v, &mut candidates, &mut own) {
             match from {
                 None => {
                     w.remove_target_and_compensate(v, t);
@@ -224,11 +227,20 @@ mod tests {
         if ss.is_empty() {
             return false;
         }
-        let st = intersect_sorted(&w.ov[v1 as usize], &w.ov[v2 as usize]);
+        let st = intersect_sorted(w.targets(v1), w.targets(v2));
         if st.is_empty() {
             return false;
         }
         !(ss.len() == 1 && st.len() == 1 && ss[0] == st[0])
+    }
+
+    /// Cost of removing target `r` from node `v`, from the per-pair
+    /// definition: the sources of `v` whose only witness to `r` is `v`.
+    fn removal_cost(w: &WorkGraph, v: u32, r: u32) -> usize {
+        w.iv[v as usize]
+            .iter()
+            .filter(|&&x| x != r && w.witness_count(x, r) == 1)
+            .count()
     }
 
     /// The reference: Fig. 9 read literally, recomputing the conflict set,
@@ -236,7 +248,7 @@ mod tests {
     /// removal, then resolving anything left pairwise.
     fn reference(g: &CondensedGraph, ordering: VertexOrdering, seed: u64) -> Dedup1Graph {
         let mut w = WorkGraph::from_condensed(g, false);
-        let order = ordering.order_by(w.num_virtual(), |v| w.ov[v as usize].len() as u64, seed);
+        let order = ordering.order_by(w.num_virtual(), |v| w.targets(v).len() as u64, seed);
         for v in order {
             w.activate(v);
             w.absorb_direct_edges(v);
@@ -267,7 +279,7 @@ mod tests {
                 };
                 let mut v_target_gain: FxHashMap<u32, usize> = Default::default();
                 for &c in &conflicts {
-                    let st = intersect_sorted(&w.ov[v as usize], &w.ov[c as usize]);
+                    let st = intersect_sorted(w.targets(v), w.targets(c));
                     for &r in &st {
                         *v_target_gain.entry(r).or_insert(0) += 1;
                         consider(c, r, 1, &w);

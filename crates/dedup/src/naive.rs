@@ -36,7 +36,7 @@ fn has_duplication(shared_sources: &[u32], shared_targets: &[u32]) -> bool {
 pub(crate) fn resolve_pair(w: &mut WorkGraph, v1: u32, v2: u32) {
     loop {
         let ss = intersect_sorted(&w.iv[v1 as usize], &w.iv[v2 as usize]);
-        let st = intersect_sorted(&w.ov[v1 as usize], &w.ov[v2 as usize]);
+        let st = intersect_sorted(w.targets(v1), w.targets(v2));
         if !has_duplication(&ss, &st) {
             return;
         }
@@ -64,7 +64,7 @@ pub fn naive_virtual_nodes_first(
     seed: u64,
 ) -> Dedup1Graph {
     let mut w = WorkGraph::from_condensed(g, false);
-    let order = ordering.order_by(w.num_virtual(), |v| w.ov[v as usize].len() as u64, seed);
+    let order = ordering.order_by(w.num_virtual(), |v| w.targets(v).len() as u64, seed);
     for v in order {
         // Activate first so that conflict compensation sees v as a witness
         // (otherwise removing a shared target from the *other* node would

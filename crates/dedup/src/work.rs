@@ -10,6 +10,23 @@
 //! An `active` flag per virtual node implements the "partial graph" of the
 //! virtual-nodes-first algorithms: `exists_edge` and witness counting only
 //! consider active virtual nodes.
+//!
+//! # The target index
+//!
+//! Beside `O(·)` the graph keeps its transpose: for each real node `r`, the
+//! sorted virtual nodes whose `O(·)` contains `r`, active or not. `O(·)` is
+//! private and changes only in [`WorkGraph::remove_target_and_compensate`],
+//! which updates the index in the same call, so the two never disagree.
+//!
+//! The index answers the algorithms' per-pair question — "which sources of
+//! `X` reach `r` through nothing but `X`?" — in one pass per `(X, r)`: stamp
+//! the sources of every other active node holding `r` into a reused mark
+//! array, then walk `I(X)` once, checking the mark and the direct edges.
+//! That is the cost of removing `r` from `X` ([`WorkGraph::removal_cost`])
+//! and, once `r` is gone, the set of sources to compensate. Its price is
+//! the degree of `r` (its holders' sources), not `|I(X)| × |rv[x]|` binary
+//! searches. [`WorkGraph::witness_count`] and [`WorkGraph::exists_edge`]
+//! stay as the per-pair definitions the tests compare against.
 
 use graphgen_graph::{Adj, CondensedBuilder, CondensedGraph, GraphRep, RealId, VirtId};
 
@@ -20,7 +37,7 @@ pub struct WorkGraph {
     /// `I(V)`: sorted real sources of each virtual node.
     pub iv: Vec<Vec<u32>>,
     /// `O(V)`: sorted real targets of each virtual node.
-    pub ov: Vec<Vec<u32>>,
+    ov: Vec<Vec<u32>>,
     /// For each real node, the sorted virtual nodes it sources (u ∈ I(V)).
     pub rv: Vec<Vec<u32>>,
     /// Sorted direct out-neighbors per real node.
@@ -28,6 +45,13 @@ pub struct WorkGraph {
     /// Partial-graph flag: inactive virtual nodes are invisible to
     /// `exists_edge` / `witness_count`.
     pub active: Vec<bool>,
+    /// The target index: for each real node `r`, the sorted virtual nodes
+    /// whose `O(·)` contains `r` (the transpose of `ov`).
+    holders: Vec<Vec<u32>>,
+    /// `marks[x] == epoch` iff `x` is a source of a node stamped by the last
+    /// `stamp_other_holders`.
+    marks: Vec<u32>,
+    epoch: u32,
 }
 
 /// Intersection of two sorted `u32` slices.
@@ -84,6 +108,7 @@ impl WorkGraph {
         let mut ov = vec![Vec::new(); n_virt];
         let mut rv = vec![Vec::new(); n_real];
         let mut direct = vec![Vec::new(); n_real];
+        let mut holders = vec![Vec::new(); n_real];
         for u in 0..n_real as u32 {
             for a in g.real_out(RealId(u)) {
                 if let Some(v) = a.as_virtual() {
@@ -98,10 +123,12 @@ impl WorkGraph {
             for a in g.virt_out(VirtId(v as u32)) {
                 let r = a.as_real().expect("single-layer");
                 targets.push(r.0);
+                holders[r.0 as usize].push(v as u32);
             }
         }
         // real_out was sorted by Adj packing, which preserves numeric order
-        // within each kind; iv/ov built in ascending u / sorted order.
+        // within each kind; iv/ov/holders built in ascending u / sorted / v
+        // order.
         Self {
             n_real,
             iv,
@@ -109,6 +136,9 @@ impl WorkGraph {
             rv,
             direct,
             active: vec![all_active; n_virt],
+            holders,
+            marks: vec![0; n_real],
+            epoch: 0,
         }
     }
 
@@ -120,6 +150,17 @@ impl WorkGraph {
     /// Number of virtual nodes.
     pub fn num_virtual(&self) -> usize {
         self.iv.len()
+    }
+
+    /// `O(V)`: the sorted real targets of virtual node `v`.
+    pub fn targets(&self, v: u32) -> &[u32] {
+        &self.ov[v as usize]
+    }
+
+    /// The target index of `r`: the sorted virtual nodes, active or not,
+    /// whose `O(·)` contains `r`.
+    pub fn holders(&self, r: u32) -> &[u32] {
+        &self.holders[r as usize]
     }
 
     /// Activate a virtual node (virtual-nodes-first partial graph growth).
@@ -149,15 +190,52 @@ impl WorkGraph {
             .any(|&v| self.active[v as usize] && self.ov[v as usize].binary_search(&w).is_ok())
     }
 
+    /// Mark the sources of every active virtual node other than `v` whose
+    /// `O(·)` contains `r`.
+    fn stamp_other_holders(&mut self, v: u32, r: u32) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.marks.fill(0);
+            self.epoch = 1;
+        }
+        for &h in &self.holders[r as usize] {
+            if h != v && self.active[h as usize] {
+                for &x in &self.iv[h as usize] {
+                    self.marks[x as usize] = self.epoch;
+                }
+            }
+        }
+    }
+
+    /// Does `x` reach `r` without the node the last `stamp_other_holders`
+    /// excluded: through a stamped node or a direct edge?
+    fn reaches_elsewhere(&self, x: u32, r: u32) -> bool {
+        self.marks[x as usize] == self.epoch || self.direct[x as usize].binary_search(&r).is_ok()
+    }
+
+    /// Cost of removing target `r` from virtual node `v`: the sources of `v`
+    /// other than `r` that reach `r` through `v` alone, so each would need a
+    /// compensating direct edge. For an active `v` holding `r` this is the
+    /// number of `x ∈ I(v)`, `x ≠ r`, with `witness_count(x, r) == 1`.
+    pub fn removal_cost(&mut self, v: u32, r: u32) -> usize {
+        self.stamp_other_holders(v, r);
+        self.iv[v as usize]
+            .iter()
+            .filter(|&&x| x != r && !self.reaches_elsewhere(x, r))
+            .count()
+    }
+
     /// Remove target `r` from `O(V)` and compensate: every remaining source
     /// of `V` that loses its only witness to `r` gets a direct edge.
     pub fn remove_target_and_compensate(&mut self, v: u32, r: u32) {
         if !sorted_remove(&mut self.ov[v as usize], r) {
             return;
         }
+        sorted_remove(&mut self.holders[r as usize], v);
+        self.stamp_other_holders(v, r);
         for i in 0..self.iv[v as usize].len() {
             let u = self.iv[v as usize][i];
-            if u != r && !self.exists_edge(u, r) {
+            if u != r && !self.reaches_elsewhere(u, r) {
                 sorted_insert(&mut self.direct[u as usize], r);
             }
         }
@@ -284,6 +362,8 @@ mod tests {
         assert_eq!(w.iv[1], vec![0, 3]);
         assert_eq!(w.rv[0], vec![0, 1]);
         assert_eq!(w.rv[2], Vec::<u32>::new());
+        assert_eq!(w.holders(3), &[0, 1]);
+        assert_eq!(w.holders(1), &[0]);
     }
 
     #[test]
@@ -312,6 +392,7 @@ mod tests {
         w.remove_target_and_compensate(1, 3);
         assert_eq!(w.witness_count(0, 3), 1);
         assert!(w.direct[0].is_empty());
+        assert_eq!(w.holders(3), &[0]);
         // Remove 3 from O(V0) too: now 0 and 1 need direct edges to 3.
         w.remove_target_and_compensate(0, 3);
         assert_eq!(w.witness_count(0, 3), 1);
@@ -323,6 +404,18 @@ mod tests {
         assert_eq!(w.witness_count(3, 0), 2);
         w.remove_target_and_compensate(1, 0);
         assert!(w.is_deduplicated());
+    }
+
+    #[test]
+    fn stale_marks_do_not_survive_the_epoch_wrapping() {
+        let mut w = WorkGraph::from_condensed(&two_pubs(), true);
+        // Source 1 reaches 3 through V0 alone: a mark left over from an
+        // earlier cycle of epochs must not count as another witness.
+        w.marks[1] = 1;
+        w.epoch = u32::MAX;
+        assert_eq!(w.removal_cost(0, 3), 1);
+        assert_eq!(w.epoch, 1);
+        assert_eq!(w.removal_cost(0, 3), 1);
     }
 
     #[test]

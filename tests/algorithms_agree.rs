@@ -8,6 +8,7 @@ use graphgen::datagen::{synthetic_condensed, CondensedGenConfig};
 use graphgen::dedup::{bitmap2, dedup2_greedy, Dedup1Algorithm};
 use graphgen::giraph::{self, GiraphRep};
 use graphgen::graph::{ExpandedGraph, GraphRep, RealId};
+use graphgen::ConvertOptions;
 
 fn dataset(seed: u64) -> graphgen::graph::CondensedGraph {
     synthetic_condensed(CondensedGenConfig {
@@ -25,6 +26,9 @@ fn kernels_agree_across_all_representations() {
         let cdup = dataset(seed);
         let exp = ExpandedGraph::from_rep(&cdup);
         let dedup1 = Dedup1Algorithm::GreedyRnf.run(&cdup, VertexOrdering::Random, seed);
+        // The DEDUP-1 `GraphHandle::convert` builds by default (Greedy-VNF).
+        let opts = ConvertOptions::default();
+        let dedup1_default = opts.algorithm.run(&cdup, opts.ordering, opts.seed);
         let dedup2 = dedup2_greedy(&cdup, VertexOrdering::Descending, seed);
         let (bmp, _) = bitmap2(cdup.clone(), 1);
 
@@ -71,6 +75,7 @@ fn kernels_agree_across_all_representations() {
         }
         check!("C-DUP", cdup);
         check!("DEDUP-1", dedup1);
+        check!("DEDUP-1 (default)", dedup1_default);
         check!("DEDUP-2", dedup2);
         check!("BITMAP-2", bmp);
     }
@@ -147,12 +152,15 @@ fn kernels_agree_on_tombstoned_and_revived_graphs() {
         let mut cdup = dataset(seed);
         let mut exp = ExpandedGraph::from_rep(&cdup);
         let mut dedup1 = Dedup1Algorithm::GreedyRnf.run(&cdup, VertexOrdering::Random, seed);
+        let opts = ConvertOptions::default();
+        let mut dedup1_default = opts.algorithm.run(&cdup, opts.ordering, opts.seed);
         let mut dedup2 = dedup2_greedy(&cdup, VertexOrdering::Descending, seed);
         let (mut bmp, _) = bitmap2(cdup.clone(), 1);
 
         let (dead, fresh) = churn(&mut exp);
         churn(&mut cdup);
         churn(&mut dedup1);
+        churn(&mut dedup1_default);
         churn(&mut dedup2);
         churn(&mut bmp);
 
@@ -192,6 +200,7 @@ fn kernels_agree_on_tombstoned_and_revived_graphs() {
         }
         check!("C-DUP", cdup);
         check!("DEDUP-1", dedup1);
+        check!("DEDUP-1 (default)", dedup1_default);
         check!("DEDUP-2", dedup2);
         check!("BITMAP-2", bmp);
     }
