@@ -1,48 +1,25 @@
 //! Connected components via min-label propagation (Table 4's third kernel).
 //!
 //! Duplicate-insensitive, so it runs correctly on raw C-DUP — the property
-//! §6.4 exploits for the Giraph speedup. Treats the graph as undirected
-//! (labels flow along out-edges both ways via repeated supersteps on
-//! symmetric graphs; for truly directed graphs this computes weakly
-//! connected components only if edges are symmetric).
+//! §6.4 exploits for the Giraph speedup, and the reason one structural
+//! sweep serves every single-layer condensed core (see [`crate::condensed`]).
+//! Treats the graph as undirected (labels flow along out-edges both ways
+//! via repeated supersteps on symmetric graphs; for truly directed graphs
+//! this computes weakly connected components only if edges are symmetric).
 
-use crate::vertex_centric::{run_vertex_centric, VertexCentricConfig, VertexProgram};
-use graphgen_graph::{GraphRep, RealId};
-
-struct MinLabel;
-
-impl<G: GraphRep + Sync> VertexProgram<G> for MinLabel {
-    type State = u32;
-
-    fn init(&self, _g: &G, u: RealId) -> u32 {
-        u.0
-    }
-
-    fn compute(&self, g: &G, u: RealId, prev: &[u32], _step: usize) -> (u32, bool) {
-        let mut best = prev[u.0 as usize];
-        g.for_each_neighbor(u, &mut |v| best = best.min(prev[v.0 as usize]));
-        (best, best == prev[u.0 as usize])
-    }
-}
+use crate::condensed::components_seeded;
+use graphgen_graph::GraphRep;
 
 /// Component label per vertex (the minimum vertex id in the component).
 /// Dead vertices keep their own id.
 pub fn connected_components<G: GraphRep + Sync>(g: &G, threads: usize) -> Vec<u32> {
-    let (labels, _) = run_vertex_centric(
-        g,
-        &MinLabel,
-        VertexCentricConfig {
-            threads,
-            max_supersteps: 100_000,
-        },
-    );
-    labels
+    components_seeded(g, threads, None).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphgen_graph::{CondensedBuilder, ExpandedGraph};
+    use graphgen_graph::{CondensedBuilder, ExpandedGraph, RealId};
 
     #[test]
     fn two_components() {

@@ -1,13 +1,15 @@
 //! Condensed-direct kernels: analytics *on the condensed structure itself*.
 //!
-//! The generic kernels in this crate go through `for_each_neighbor`, which
-//! on condensed representations runs a DFS with a dedup hashset per vertex
-//! — correct, but it pays the on-the-fly expansion cost every superstep.
-//! This module exploits the structure instead: on a **single-layer** graph a
-//! virtual node `V` stands for a clique (every real node pointing at `V`
-//! logically reaches every real target of `V`), so per-vertex aggregates can
-//! be computed by *weighting through the virtual node* — one precomputed
-//! per-virtual sum replaces `|V|` neighbor visits.
+//! [`crate::degrees()`], [`crate::pagerank()`], [`crate::connected_components`]
+//! and their seeded forms pick their kernel through [`condensed_path`]:
+//! only graphs without a single-layer condensed core (EXP, DEDUP-2, and
+//! multi-layer cores) go through `for_each_neighbor`, whose on-the-fly
+//! expansion is paid every superstep. Everything else computes here, on the
+//! structure: on a **single-layer** graph a virtual node `V` stands for a
+//! clique (every real node pointing at `V` logically reaches every real
+//! target of `V`), so per-vertex aggregates can be computed by *weighting
+//! through the virtual node* — one precomputed per-virtual value replaces
+//! `|V|` neighbor visits.
 //!
 //! Two strategies, chosen by whether the structure can store duplicate
 //! paths:
@@ -21,14 +23,18 @@
 //!   each virtual child into a reused scratch buffer, sort, dedup. Still no
 //!   DFS bookkeeping and no expanded adjacency is ever materialized.
 //!
-//! Both also come with **seeded** entry points (PageRank from a previous
-//! rank vector, components from previous labels) so a server can warm-start
-//! after a small delta; [`pagerank_seeded`] is the representation-generic
-//! fall-back that the multi-layer / EXP / DEDUP-2 paths share.
+//! Min-label components are duplicate-insensitive, so both paths share one
+//! structural sweep: per superstep, each virtual node takes the minimum
+//! label of its live real targets, then each live vertex the minimum over
+//! its own label, its live direct targets and its virtual children.
+//!
+//! PageRank and components also come with **seeded** entry points
+//! ([`pagerank_seeded`] from a previous rank vector, [`components_seeded`]
+//! from previous labels) so a server can warm-start after a small delta.
 
 use crate::degree::degrees;
 use crate::vertex_centric::{run_vertex_centric, VertexCentricConfig, VertexProgram};
-use graphgen_graph::{Adj, CondensedGraph, GraphRep, RealId, VirtId};
+use graphgen_graph::{Adj, CondensedGraph, GraphRep, RealId, RepKind, VirtId};
 
 /// Which condensed-direct strategy a dispatch picked (for reporting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,10 +58,48 @@ impl CondensedPath {
     }
 }
 
+/// The kernel family [`crate::degrees()`], [`crate::pagerank()`] and
+/// [`crate::connected_components`] (and their seeded forms) run on `g`:
+/// aggregated on a single-layer DEDUP-1, merged on a single-layer C-DUP or
+/// BITMAP core, traversal for everything else (multi-layer cores, EXP,
+/// DEDUP-2). The aggregated path trusts DEDUP-1's one-path-per-edge
+/// invariant exactly as far as `Dedup1Graph::for_each_neighbor` does.
+pub fn condensed_path<G: GraphRep + ?Sized>(g: &G) -> CondensedPath {
+    match Kernel::of(g) {
+        Kernel::Aggregated(_) => CondensedPath::Aggregated,
+        Kernel::Merged(_) => CondensedPath::Merged,
+        Kernel::Traversal => CondensedPath::Traversal,
+    }
+}
+
+/// [`condensed_path`] together with the single-layer core the structural
+/// paths read.
+pub(crate) enum Kernel<'a> {
+    Aggregated(&'a CondensedGraph),
+    Merged(&'a CondensedGraph),
+    Traversal,
+}
+
+impl<'a> Kernel<'a> {
+    pub(crate) fn of<G: GraphRep + ?Sized>(g: &'a G) -> Self {
+        match (g.as_condensed(), g.kind()) {
+            (Some(core), RepKind::Dedup1) if core.is_single_layer() => Kernel::Aggregated(core),
+            (Some(core), RepKind::CDup | RepKind::Bitmap) if core.is_single_layer() => {
+                Kernel::Merged(core)
+            }
+            _ => Kernel::Traversal,
+        }
+    }
+}
+
+/// Superstep cap of the min-label programs, a safety net: they halt one
+/// superstep after the longest shortest path has been crossed.
+const MAX_SUPERSTEPS: usize = 100_000;
+
 /// Per-virtual-node count of *alive* real targets (the clique size a
 /// virtual node currently stands for). Virtual→virtual targets are not
 /// counted — callers require a single-layer structure.
-pub fn virtual_alive_counts(g: &CondensedGraph) -> Vec<u32> {
+fn virtual_alive_counts(g: &CondensedGraph) -> Vec<u32> {
     (0..g.num_virtual())
         .map(|v| {
             g.virt_out(VirtId(v as u32))
@@ -74,22 +118,68 @@ fn member(g: &CondensedGraph, v: VirtId, u: RealId) -> bool {
     g.virt_out(v).binary_search(&Adj::real(u)).is_ok()
 }
 
-/// Run `f(u)` for every slot chunk-parallel, writing into `out`.
-fn for_each_slot_into<T: Send, F: Fn(u32) -> T + Sync>(out: &mut [T], threads: usize, f: F) {
-    let n = out.len();
-    if n == 0 {
-        return;
+/// `u`'s stored list as its direct real targets other than `u` (two sorted
+/// runs) and its virtual children. Lists are strictly sorted, real targets
+/// first.
+fn split_list(g: &CondensedGraph, u: RealId) -> ([&[Adj]; 2], &[Adj]) {
+    let list = g.real_out(u);
+    let (direct, via) = list.split_at(list.partition_point(|a| !a.is_virtual()));
+    let runs = match direct.binary_search(&Adj::real(u)) {
+        Ok(i) => [&direct[..i], &direct[i + 1..]],
+        Err(_) => [direct, &[][..]],
+    };
+    (runs, via)
+}
+
+/// `Σ contrib[a]` over `targets` in four independent lanes: a serial sum
+/// waits on every add, and this is the aggregated PageRank's inner loop.
+fn lane_sum(targets: &[Adj], contrib: &[f64]) -> f64 {
+    let value = |a: &Adj| contrib[a.raw() as usize];
+    let mut lanes = [0.0f64; 4];
+    let mut quads = targets.chunks_exact(4);
+    for quad in &mut quads {
+        for (lane, a) in lanes.iter_mut().zip(quad) {
+            *lane += value(a);
+        }
     }
-    let chunk = n.div_ceil(threads.max(1));
+    let tail: f64 = quads.remainder().iter().map(value).sum();
+    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
+}
+
+/// Split `out` into one chunk per thread and run `work(base, chunk)` on
+/// each, the first on the calling thread; returns the chunks' results in
+/// order. `base` is the index of the chunk's first element.
+fn in_chunks<T, R, W>(out: &mut [T], threads: usize, work: W) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    W: Fn(usize, &mut [T]) -> R + Sync,
+{
+    if out.is_empty() {
+        return Vec::new();
+    }
+    let chunk = out.len().div_ceil(threads.max(1));
+    let work = &work;
     std::thread::scope(|scope| {
-        for (ci, slot) in out.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                let base = (ci * chunk) as u32;
-                for (j, s) in slot.iter_mut().enumerate() {
-                    *s = f(base + j as u32);
-                }
-            });
+        let mut chunks = out.chunks_mut(chunk).enumerate();
+        let (_, first) = chunks.next().expect("out is not empty");
+        let rest: Vec<_> = chunks
+            .map(|(ci, slot)| scope.spawn(move || work(ci * chunk, slot)))
+            .collect();
+        let mut results = vec![work(0, first)];
+        results.extend(
+            rest.into_iter()
+                .map(|h| h.join().expect("kernel worker panicked")),
+        );
+        results
+    })
+}
+
+/// Write `f(i)` into every `out[i]`, chunk-parallel.
+fn for_each_slot_into<T: Send, F: Fn(u32) -> T + Sync>(out: &mut [T], threads: usize, f: F) {
+    in_chunks(out, threads, |base, slot| {
+        for (j, s) in slot.iter_mut().enumerate() {
+            *s = f((base + j) as u32);
         }
     });
 }
@@ -100,24 +190,28 @@ fn for_each_slot_into<T: Send, F: Fn(u32) -> T + Sync>(out: &mut [T], threads: u
 /// (minus `u` itself where it is a stored target) plus its live direct
 /// targets. `O(stored edges + deg·log)` total, no per-vertex hashing, no
 /// expansion. Dead vertices report 0.
-pub fn degrees_dedup_free(g: &CondensedGraph, threads: usize) -> Vec<u32> {
+pub(crate) fn degrees_dedup_free(g: &CondensedGraph, threads: usize) -> Vec<u32> {
     debug_assert!(g.is_single_layer(), "aggregated degrees need single layer");
     let alive_counts = virtual_alive_counts(g);
+    let all_alive = g.num_vertices() == g.num_real_slots();
     let mut out = vec![0u32; g.num_real_slots()];
     for_each_slot_into(&mut out, threads, |u| {
         let u = RealId(u);
         if !g.is_alive(u) {
             return 0;
         }
-        let mut deg = 0u32;
-        for a in g.real_out(u) {
-            if let Some(r) = a.as_real() {
-                if r != u && g.is_alive(r) {
-                    deg += 1;
-                }
-            } else if let Some(v) = a.as_virtual() {
-                deg += alive_counts[v.0 as usize] - u32::from(member(g, v, u));
-            }
+        let (direct, via) = split_list(g, u);
+        let mut deg = if all_alive {
+            direct.iter().map(|run| run.len() as u32).sum()
+        } else {
+            direct
+                .iter()
+                .flat_map(|run| run.iter())
+                .filter(|a| g.is_alive(RealId(a.raw())))
+                .count() as u32
+        };
+        for v in via.iter().filter_map(|a| a.as_virtual()) {
+            deg += alive_counts[v.0 as usize] - u32::from(member(g, v, u));
         }
         deg
     });
@@ -150,28 +244,17 @@ fn merged_targets(g: &CondensedGraph, u: RealId, scratch: &mut Vec<u32>) {
 /// single-layer condensed structure, duplicates included (C-DUP and the
 /// BITMAP core). Allocates only one scratch buffer per worker thread —
 /// the expanded adjacency never exists in memory. Dead vertices report 0.
-pub fn degrees_merged(g: &CondensedGraph, threads: usize) -> Vec<u32> {
+pub(crate) fn degrees_merged(g: &CondensedGraph, threads: usize) -> Vec<u32> {
     debug_assert!(g.is_single_layer(), "merged degrees need single layer");
-    let n = g.num_real_slots();
-    let mut out = vec![0u32; n];
-    if n == 0 {
-        return out;
-    }
-    let chunk = n.div_ceil(threads.max(1));
-    std::thread::scope(|scope| {
-        for (ci, slot) in out.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || {
-                let mut scratch: Vec<u32> = Vec::new();
-                let base = (ci * chunk) as u32;
-                for (j, s) in slot.iter_mut().enumerate() {
-                    let u = RealId(base + j as u32);
-                    if !g.is_alive(u) {
-                        continue;
-                    }
-                    merged_targets(g, u, &mut scratch);
-                    *s = scratch.len() as u32;
-                }
-            });
+    let mut out = vec![0u32; g.num_real_slots()];
+    in_chunks(&mut out, threads, |base, slot| {
+        let mut scratch: Vec<u32> = Vec::new();
+        for (j, s) in slot.iter_mut().enumerate() {
+            let u = RealId((base + j) as u32);
+            if g.is_alive(u) {
+                merged_targets(g, u, &mut scratch);
+                *s = scratch.len() as u32;
+            }
         }
     });
     out
@@ -246,7 +329,9 @@ trait PrKernel: Sync {
     /// refresh per-virtual aggregates from the new contributions).
     fn begin_iteration(&mut self, contrib: &[f64]);
     /// `Σ contrib[v]` over the distinct live logical neighbors of `u`.
-    /// `scratch` is a per-worker reusable buffer.
+    /// A dead slot's `contrib` is 0 (its degree is 0), so a kernel may sum
+    /// it without a liveness test. `scratch` is a per-worker reusable
+    /// buffer.
     fn neighbor_sum(&self, u: RealId, contrib: &[f64], scratch: &mut Vec<u32>) -> f64;
 }
 
@@ -275,7 +360,6 @@ where
     let mut next = vec![0.0f64; slots];
     let mut contrib = vec![0.0f64; slots];
     let threads = cfg.threads.max(1);
-    let chunk = slots.div_ceil(threads);
     let mut iterations = 0usize;
     while iterations < cfg.max_iterations.max(1) {
         let mut dangling = 0.0f64;
@@ -293,28 +377,22 @@ where
         kernel.begin_iteration(&contrib);
         let k: &K = kernel;
         let base_term = (1.0 - d) / n + d * dangling / n;
-        let mut deltas = vec![0.0f64; next.chunks(chunk).count()];
         let (rank_ref, contrib_ref) = (&rank, &contrib);
-        std::thread::scope(|scope| {
-            for ((ci, slot), delta) in next.chunks_mut(chunk).enumerate().zip(&mut deltas) {
-                scope.spawn(move || {
-                    let mut scratch: Vec<u32> = Vec::new();
-                    let base = ci * chunk;
-                    let mut worst = 0.0f64;
-                    for (j, s) in slot.iter_mut().enumerate() {
-                        let u = RealId((base + j) as u32);
-                        if !g.is_alive(u) {
-                            *s = 0.0;
-                            continue;
-                        }
-                        let sum = k.neighbor_sum(u, contrib_ref, &mut scratch);
-                        let r = base_term + d * sum;
-                        worst = worst.max((r - rank_ref[base + j]).abs());
-                        *s = r;
-                    }
-                    *delta = worst;
-                });
+        let deltas = in_chunks(&mut next, threads, |base, slot| {
+            let mut scratch: Vec<u32> = Vec::new();
+            let mut worst = 0.0f64;
+            for (j, s) in slot.iter_mut().enumerate() {
+                let u = RealId((base + j) as u32);
+                if !g.is_alive(u) {
+                    *s = 0.0;
+                    continue;
+                }
+                let sum = k.neighbor_sum(u, contrib_ref, &mut scratch);
+                let r = base_term + d * sum;
+                worst = worst.max((r - rank_ref[base + j]).abs());
+                *s = r;
             }
+            worst
         });
         std::mem::swap(&mut rank, &mut next);
         iterations += 1;
@@ -358,24 +436,18 @@ impl PrKernel for AggregatedKernel<'_> {
                 .virt_out(VirtId(v as u32))
                 .iter()
                 .filter_map(|a| a.as_real())
-                .filter(|r| g.is_alive(*r))
                 .map(|r| contrib[r.0 as usize])
                 .sum();
         }
     }
 
     fn neighbor_sum(&self, u: RealId, contrib: &[f64], _scratch: &mut Vec<u32>) -> f64 {
-        let mut sum = 0.0;
-        for a in self.g.real_out(u) {
-            if let Some(r) = a.as_real() {
-                if r != u && self.g.is_alive(r) {
-                    sum += contrib[r.0 as usize];
-                }
-            } else if let Some(v) = a.as_virtual() {
-                sum += self.virt_sum[v.0 as usize];
-                if member(self.g, v, u) {
-                    sum -= contrib[u.0 as usize];
-                }
+        let ([lo, hi], via) = split_list(self.g, u);
+        let mut sum = lane_sum(lo, contrib) + lane_sum(hi, contrib);
+        for v in via.iter().filter_map(|a| a.as_virtual()) {
+            sum += self.virt_sum[v.0 as usize];
+            if member(self.g, v, u) {
+                sum -= contrib[u.0 as usize];
             }
         }
         sum
@@ -396,52 +468,39 @@ impl PrKernel for MergedKernel<'_> {
     }
 }
 
-/// Representation-generic convergence PageRank, optionally warm-started
-/// from a previous rank vector. Symmetric-graph pull formulation with the
-/// dangling mass summed exactly every iteration (the fixed-iteration
-/// [`crate::pagerank()`] precomputes an aggregate dangling model that is only
-/// valid from a uniform start, so the seeded family recomputes it).
+/// Convergence PageRank, optionally warm-started from a previous rank
+/// vector: symmetric-graph pull formulation, dangling mass summed exactly
+/// every iteration. The neighbor sum is the [`condensed_path`] kernel's, so
+/// a single-layer condensed core is never traversed or expanded.
 pub fn pagerank_seeded<G: GraphRep + Sync>(
     g: &G,
     cfg: &SeededPageRankConfig,
     seed: Option<&[f64]>,
 ) -> PageRankRun {
     let degs = degrees(g, cfg.threads);
-    let mut kernel = TraversalKernel { g };
-    power_iterate(g, &degs, &mut kernel, cfg, seed)
+    match Kernel::of(g) {
+        Kernel::Aggregated(core) => {
+            let mut kernel = AggregatedKernel {
+                g: core,
+                virt_sum: vec![0.0; core.num_virtual()],
+            };
+            power_iterate(core, &degs, &mut kernel, cfg, seed)
+        }
+        Kernel::Merged(core) => {
+            power_iterate(core, &degs, &mut MergedKernel { g: core }, cfg, seed)
+        }
+        Kernel::Traversal => power_iterate(g, &degs, &mut TraversalKernel { g }, cfg, seed),
+    }
 }
 
-/// Aggregated condensed-direct PageRank (single-layer, duplicate-free
-/// structures — DEDUP-1). Never materializes expanded adjacency.
-pub fn pagerank_dedup_free(
-    g: &CondensedGraph,
-    cfg: &SeededPageRankConfig,
-    seed: Option<&[f64]>,
-) -> PageRankRun {
-    debug_assert!(
-        g.is_single_layer(),
-        "aggregated pagerank needs single layer"
-    );
-    let degs = degrees_dedup_free(g, cfg.threads);
-    let mut kernel = AggregatedKernel {
-        g,
-        virt_sum: vec![0.0; g.num_virtual()],
-    };
-    power_iterate(g, &degs, &mut kernel, cfg, seed)
-}
-
-/// Merged condensed-direct PageRank (single-layer structures with
-/// duplicate paths — C-DUP and the BITMAP core). Never materializes
-/// expanded adjacency.
-pub fn pagerank_merged(
-    g: &CondensedGraph,
-    cfg: &SeededPageRankConfig,
-    seed: Option<&[f64]>,
-) -> PageRankRun {
-    debug_assert!(g.is_single_layer(), "merged pagerank needs single layer");
-    let degs = degrees_merged(g, cfg.threads);
-    let mut kernel = MergedKernel { g };
-    power_iterate(g, &degs, &mut kernel, cfg, seed)
+/// A min-label program's starting label: the seed where one is given (never
+/// above the vertex's own id), the vertex's own id otherwise and for dead
+/// slots.
+fn initial_label<G: GraphRep + ?Sized>(g: &G, u: RealId, seed: Option<&[u32]>) -> u32 {
+    match seed.and_then(|s| s.get(u.0 as usize)) {
+        Some(&l) if g.is_alive(u) => l.min(u.0),
+        _ => u.0,
+    }
 }
 
 /// Min-label connected components, optionally warm-started from a previous
@@ -450,7 +509,11 @@ pub fn pagerank_merged(
 /// component, so the propagated minimum is exactly the cold-start answer
 /// (min-label can never recover from a component split, so callers must
 /// fall back to a cold start after deletions). Returns the labels and the
-/// supersteps executed.
+/// supersteps executed; dead slots keep their own id.
+///
+/// A single-layer condensed core runs the structural sweep
+/// ([`condensed_path`] aggregated or merged), everything else the
+/// traversal program; both produce the same labels every superstep.
 pub fn components_seeded<G: GraphRep + Sync>(
     g: &G,
     threads: usize,
@@ -462,13 +525,7 @@ pub fn components_seeded<G: GraphRep + Sync>(
     impl<G: GraphRep + Sync> VertexProgram<G> for SeededMinLabel<'_> {
         type State = u32;
         fn init(&self, g: &G, u: RealId) -> u32 {
-            if !g.is_alive(u) {
-                return u.0;
-            }
-            match self.seed.and_then(|s| s.get(u.0 as usize)) {
-                Some(&l) => l.min(u.0),
-                None => u.0,
-            }
+            initial_label(g, u, self.seed)
         }
         fn compute(&self, g: &G, u: RealId, prev: &[u32], _step: usize) -> (u32, bool) {
             let mut best = prev[u.0 as usize];
@@ -476,21 +533,87 @@ pub fn components_seeded<G: GraphRep + Sync>(
             (best, best == prev[u.0 as usize])
         }
     }
-    run_vertex_centric(
-        g,
-        &SeededMinLabel { seed },
-        VertexCentricConfig {
-            threads,
-            max_supersteps: 100_000,
-        },
-    )
+    match Kernel::of(g) {
+        Kernel::Aggregated(core) | Kernel::Merged(core) => {
+            components_structural(core, threads, seed)
+        }
+        Kernel::Traversal => run_vertex_centric(
+            g,
+            &SeededMinLabel { seed },
+            VertexCentricConfig {
+                threads,
+                max_supersteps: MAX_SUPERSTEPS,
+            },
+        ),
+    }
+}
+
+/// The min-label supersteps on a single-layer core. A vertex's neighbors
+/// are its live direct targets and the live real targets of its virtual
+/// children, and a minimum ignores duplicates, so each superstep first
+/// takes every virtual node's minimum over its live real targets, then
+/// gives each live vertex the minimum of its own label, its live direct
+/// targets and its virtual children: the traversal program's superstep,
+/// in `O(stored edges)` and for C-DUP as well as DEDUP-1.
+fn components_structural(
+    g: &CondensedGraph,
+    threads: usize,
+    seed: Option<&[u32]>,
+) -> (Vec<u32>, usize) {
+    let n = g.num_real_slots();
+    let mut cur: Vec<u32> = (0..n as u32)
+        .map(|u| initial_label(g, RealId(u), seed))
+        .collect();
+    if n == 0 {
+        return (cur, 0);
+    }
+    let mut next = cur.clone();
+    let mut virt = vec![u32::MAX; g.num_virtual()];
+    let all_alive = g.num_vertices() == n;
+    for step in 0..MAX_SUPERSTEPS {
+        let prev = &cur;
+        for (v, min) in virt.iter_mut().enumerate() {
+            *min = g
+                .virt_out(VirtId(v as u32))
+                .iter()
+                .filter_map(|a| a.as_real())
+                .filter(|r| g.is_alive(*r))
+                .map(|r| prev[r.0 as usize])
+                .min()
+                .unwrap_or(u32::MAX);
+        }
+        let virt_min = &virt;
+        for_each_slot_into(&mut next, threads, |u| {
+            let own = prev[u as usize];
+            if !g.is_alive(RealId(u)) {
+                return own;
+            }
+            let list = g.real_out(RealId(u));
+            let (direct, via) = list.split_at(list.partition_point(|a| !a.is_virtual()));
+            let live = |a: &&Adj| all_alive || g.is_alive(RealId(a.raw()));
+            let best = direct
+                .iter()
+                .filter(live)
+                .map(|a| prev[a.raw() as usize])
+                .fold(own, u32::min);
+            via.iter()
+                .filter_map(|a| a.as_virtual())
+                .map(|v| virt_min[v.0 as usize])
+                .fold(best, u32::min)
+        });
+        std::mem::swap(&mut cur, &mut next);
+        if cur == next {
+            return (cur, step + 1);
+        }
+    }
+    (cur, MAX_SUPERSTEPS)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::concomp::connected_components;
-    use graphgen_graph::{CondensedBuilder, ExpandedGraph};
+    use graphgen_graph::{CondensedBuilder, Dedup1Graph, ExpandedGraph};
 
     /// Overlapping cliques with a dead vertex and a revived one.
     fn dataset() -> CondensedGraph {
@@ -509,8 +632,9 @@ mod tests {
     #[test]
     fn merged_degrees_match_traversal() {
         let g = dataset();
-        assert_eq!(degrees_merged(&g, 2), degrees(&g, 2));
-        assert_eq!(degrees_merged(&g, 1), degrees(&g, 1));
+        let exp = ExpandedGraph::from_rep(&g);
+        assert_eq!(degrees_merged(&g, 2), degrees(&exp, 2));
+        assert_eq!(degrees_merged(&g, 1), degrees(&exp, 1));
     }
 
     #[test]
@@ -521,7 +645,38 @@ mod tests {
         b.clique(&[RealId(3), RealId(4)]);
         let mut g = b.build();
         g.delete_vertex(RealId(1));
-        assert_eq!(degrees_dedup_free(&g, 2), degrees(&g, 2));
+        assert_eq!(
+            degrees_dedup_free(&g, 2),
+            degrees(&ExpandedGraph::from_rep(&g), 2)
+        );
+    }
+
+    /// The structural sweep is the traversal program superstep by
+    /// superstep: same labels and the same superstep count, cold and
+    /// seeded, on C-DUP and on a duplicate-free DEDUP-1.
+    #[test]
+    fn structural_components_match_traversal_supersteps() {
+        let g = dataset();
+        let exp = ExpandedGraph::from_rep(&g);
+        let mut b = CondensedBuilder::new(7);
+        b.clique(&[RealId(0), RealId(1), RealId(2)]);
+        b.clique(&[RealId(2), RealId(3)]);
+        b.clique(&[RealId(4), RealId(5)]);
+        let d1 = Dedup1Graph::new_unchecked(b.build());
+        let d1_exp = ExpandedGraph::from_rep(&d1);
+        let seed = [0, 0, 1, 2, 3, 4, 6, 7];
+        for threads in [1, 2] {
+            for seed in [None, Some(&seed[..])] {
+                assert_eq!(
+                    components_seeded(&g, threads, seed),
+                    components_seeded(&exp, threads, seed)
+                );
+                assert_eq!(
+                    components_seeded(&d1, threads, seed),
+                    components_seeded(&d1_exp, threads, seed)
+                );
+            }
+        }
     }
 
     #[test]
@@ -532,7 +687,8 @@ mod tests {
             threads: 2,
             ..Default::default()
         };
-        let a = pagerank_merged(&g, &cfg, None);
+        assert_eq!(condensed_path(&g), CondensedPath::Merged);
+        let a = pagerank_seeded(&g, &cfg, None);
         let b = pagerank_seeded(&exp, &cfg, None);
         for (x, y) in a.ranks.iter().zip(&b.ranks) {
             assert!((x - y).abs() < 1e-11, "{x} vs {y}");
@@ -544,13 +700,14 @@ mod tests {
         let mut b = CondensedBuilder::new(7);
         b.clique(&[RealId(0), RealId(1), RealId(2)]);
         b.clique(&[RealId(3), RealId(4), RealId(5)]);
-        let g = b.build();
+        let g = Dedup1Graph::new_unchecked(b.build());
         let exp = ExpandedGraph::from_rep(&g);
         let cfg = SeededPageRankConfig {
             threads: 2,
             ..Default::default()
         };
-        let a = pagerank_dedup_free(&g, &cfg, None);
+        assert_eq!(condensed_path(&g), CondensedPath::Aggregated);
+        let a = pagerank_seeded(&g, &cfg, None);
         let b = pagerank_seeded(&exp, &cfg, None);
         for (x, y) in a.ranks.iter().zip(&b.ranks) {
             assert!((x - y).abs() < 1e-11, "{x} vs {y}");
@@ -564,8 +721,8 @@ mod tests {
             threads: 2,
             ..Default::default()
         };
-        let cold = pagerank_merged(&g, &cfg, None);
-        let warm = pagerank_merged(&g, &cfg, Some(&cold.ranks));
+        let cold = pagerank_seeded(&g, &cfg, None);
+        let warm = pagerank_seeded(&g, &cfg, Some(&cold.ranks));
         assert!(warm.iterations < cold.iterations);
         for (x, y) in warm.ranks.iter().zip(&cold.ranks) {
             assert!((x - y).abs() < 1e-9);
@@ -576,7 +733,10 @@ mod tests {
     fn seeded_components_match_cold_after_additions() {
         let mut g = dataset();
         let (cold_before, _) = components_seeded(&g, 2, None);
-        assert_eq!(cold_before, connected_components(&g, 2));
+        assert_eq!(
+            cold_before,
+            connected_components(&ExpandedGraph::from_rep(&g), 2)
+        );
         // Additions only: merge the two components with a bridge.
         g.add_edge(RealId(5), RealId(6));
         g.add_edge(RealId(6), RealId(5));

@@ -1,10 +1,14 @@
 //! Degree computation (one of the three evaluation kernels, Fig. 11).
 //!
-//! On EXP this is an adjacency-length read; on condensed representations
-//! each vertex iterates its (deduplicated) neighbors — which is exactly the
-//! cost difference the paper's Degree benchmark measures. Runs through the
-//! vertex-centric framework to exercise the multithreaded path.
+//! On a single-layer condensed core the degree is read off the structure
+//! (`condensed`'s aggregated or merged kernel); everywhere else each vertex
+//! asks `GraphRep::degree`, an adjacency-length read on EXP and a
+//! deduplicating neighbor walk on multi-layer condensed graphs — exactly
+//! the cost difference the paper's Degree benchmark measures. The traversal
+//! runs through the vertex-centric framework to exercise the multithreaded
+//! path.
 
+use crate::condensed::{degrees_dedup_free, degrees_merged, Kernel};
 use crate::vertex_centric::{run_vertex_centric, VertexCentricConfig, VertexProgram};
 use graphgen_graph::{GraphRep, RealId};
 
@@ -22,18 +26,25 @@ impl<G: GraphRep + Sync> VertexProgram<G> for DegreeProgram {
     }
 }
 
-/// Out-degree of every vertex (dead vertices report 0).
+/// Out-degree of every vertex (dead vertices report 0), on the kernel
+/// [`crate::condensed_path`] picks for `g`.
 pub fn degrees<G: GraphRep + Sync>(g: &G, threads: usize) -> Vec<u32> {
-    let (states, steps) = run_vertex_centric(
-        g,
-        &DegreeProgram,
-        VertexCentricConfig {
-            threads,
-            max_supersteps: 2,
-        },
-    );
-    debug_assert_eq!(steps, 1);
-    states
+    match Kernel::of(g) {
+        Kernel::Aggregated(core) => degrees_dedup_free(core, threads),
+        Kernel::Merged(core) => degrees_merged(core, threads),
+        Kernel::Traversal => {
+            let (states, steps) = run_vertex_centric(
+                g,
+                &DegreeProgram,
+                VertexCentricConfig {
+                    threads,
+                    max_supersteps: 2,
+                },
+            );
+            debug_assert_eq!(steps, 1);
+            states
+        }
+    }
 }
 
 #[cfg(test)]

@@ -26,8 +26,8 @@ pub use bfs::bfs;
 pub use clustering::{average_clustering, clustering_coefficients};
 pub use concomp::connected_components;
 pub use condensed::{
-    components_seeded, degrees_dedup_free, degrees_merged, pagerank_dedup_free, pagerank_merged,
-    pagerank_seeded, CondensedPath, PageRankRun, SeededPageRankConfig,
+    components_seeded, condensed_path, pagerank_seeded, CondensedPath, PageRankRun,
+    SeededPageRankConfig,
 };
 pub use degree::degrees;
 pub use pagerank::{pagerank, PageRankConfig};

@@ -1,17 +1,18 @@
 //! PageRank (Fig. 11's heaviest kernel).
 //!
 //! Pull-based formulation over the representation-independent API:
-//! `pr'[u] = (1-d)/N + d * Σ_{v ∈ nbr(u)} pr[v] / deg[v]`, which is exact
-//! for the symmetric graphs the paper evaluates (co-author, co-actor,
-//! co-purchase), where out- and in-neighborhoods coincide. Degrees are
-//! **precomputed** and carried in the vertex state — the paper makes the
-//! same point for its Giraph port: condensed representations cannot read a
-//! neighbor's degree for free, so it must be computed once up front.
-//! Dangling mass is redistributed uniformly so ranks always sum to 1.
+//! `pr'[u] = (1-d)/N + d * (Σ_{v ∈ nbr(u)} pr[v] / deg[v] + dangling/N)`,
+//! which is exact for the symmetric graphs the paper evaluates (co-author,
+//! co-actor, co-purchase), where out- and in-neighborhoods coincide.
+//! Degrees are **precomputed** — the paper makes the same point for its
+//! Giraph port: condensed representations cannot read a neighbor's degree
+//! for free, so it must be computed once up front. The dangling mass is
+//! summed every iteration and redistributed uniformly, so ranks always sum
+//! to 1. [`pagerank`] is the fixed-iteration call of the same power
+//! iteration [`crate::pagerank_seeded`] runs, on the same kernels.
 
-use crate::degree::degrees;
-use crate::vertex_centric::{run_vertex_centric, VertexCentricConfig, VertexProgram};
-use graphgen_graph::{GraphRep, RealId};
+use crate::condensed::{pagerank_seeded, SeededPageRankConfig};
+use graphgen_graph::GraphRep;
 
 /// PageRank parameters.
 #[derive(Debug, Clone, Copy)]
@@ -34,96 +35,23 @@ impl Default for PageRankConfig {
     }
 }
 
-#[derive(Clone, Copy)]
-struct PrState {
-    rank: f64,
-    contrib: f64, // rank / degree, 0 for dangling nodes
-}
-
-struct PrProgram {
-    damping: f64,
-    n: f64,
-    degrees: Vec<u32>,
-    dangling_per_iter: Vec<f64>, // dangling mass share added per iteration
-    iterations: usize,
-}
-
-impl<G: GraphRep + Sync> VertexProgram<G> for PrProgram {
-    type State = PrState;
-
-    fn init(&self, _g: &G, u: RealId) -> PrState {
-        let rank = 1.0 / self.n;
-        let deg = self.degrees[u.0 as usize];
-        PrState {
-            rank,
-            contrib: if deg > 0 { rank / deg as f64 } else { 0.0 },
-        }
-    }
-
-    fn compute(&self, g: &G, u: RealId, prev: &[PrState], step: usize) -> (PrState, bool) {
-        let mut sum = 0.0;
-        g.for_each_neighbor(u, &mut |v| sum += prev[v.0 as usize].contrib);
-        let rank =
-            (1.0 - self.damping) / self.n + self.damping * (sum + self.dangling_per_iter[step]);
-        let deg = self.degrees[u.0 as usize];
-        let state = PrState {
-            rank,
-            contrib: if deg > 0 { rank / deg as f64 } else { 0.0 },
-        };
-        (state, step + 1 >= self.iterations)
-    }
-}
-
-/// Run PageRank; returns per-vertex ranks (dead vertices get 0).
+/// Run exactly `cfg.iterations` power iterations (at least one) from the
+/// uniform start; returns per-vertex ranks (dead vertices get 0).
 pub fn pagerank<G: GraphRep + Sync>(g: &G, cfg: PageRankConfig) -> Vec<f64> {
-    let n_live = g.num_vertices();
-    if n_live == 0 {
-        return vec![0.0; g.num_real_slots()];
-    }
-    let degs = degrees(g, cfg.threads);
-    // Dangling mass: exact redistribution needs the per-iteration total of
-    // dangling ranks; with uniform init and uniform redistribution the
-    // dangling share converges — we precompute it iteratively on the
-    // aggregate (cheap: O(iterations)).
-    let n_dangling = g.vertices().filter(|&u| degs[u.0 as usize] == 0).count() as f64;
-    let n = n_live as f64;
-    let mut dangling_per_iter = Vec::with_capacity(cfg.iterations);
-    // Aggregate model: dangling nodes hold rank mass m_t; each iteration
-    // they receive (1-d)/n + d*share each (no in-edges in the symmetric
-    // case), so m_{t+1} = n_dangling * ((1-d)/n + d*m_t/n).
-    let mut mass = n_dangling / n;
-    for _ in 0..cfg.iterations {
-        dangling_per_iter.push(mass / n);
-        mass = n_dangling * ((1.0 - cfg.damping) / n + cfg.damping * mass / n);
-    }
-    let program = PrProgram {
+    let fixed = SeededPageRankConfig {
         damping: cfg.damping,
-        n,
-        degrees: degs,
-        dangling_per_iter,
-        iterations: cfg.iterations.max(1),
+        max_iterations: cfg.iterations,
+        // An L∞ change is never below zero, so no iteration stops early.
+        tol: 0.0,
+        threads: cfg.threads,
     };
-    let (states, _) = run_vertex_centric(
-        g,
-        &program,
-        VertexCentricConfig {
-            threads: cfg.threads,
-            max_supersteps: cfg.iterations.max(1),
-        },
-    );
-    let mut ranks: Vec<f64> = states.iter().map(|s| s.rank).collect();
-    for (i, r) in ranks.iter_mut().enumerate() {
-        if !g.is_alive(RealId(i as u32)) {
-            *r = 0.0;
-        }
-    }
-    ranks
+    pagerank_seeded(g, &fixed, None).ranks
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphgen_graph::{CondensedBuilder, ExpandedGraph};
+    use graphgen_graph::{CondensedBuilder, ExpandedGraph, RealId};
 
     fn assert_sums_to_one(ranks: &[f64]) {
         let sum: f64 = ranks.iter().sum();

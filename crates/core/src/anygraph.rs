@@ -47,15 +47,9 @@ impl AnyGraph {
         }
     }
 
-    /// The condensed core, if this representation retains one (C-DUP,
-    /// DEDUP-1, and BITMAP do; EXP and DEDUP-2 do not).
+    /// [`GraphRep::as_condensed`], callable without the trait in scope.
     pub fn as_condensed(&self) -> Option<&CondensedGraph> {
-        match self {
-            AnyGraph::CDup(g) => Some(g),
-            AnyGraph::Dedup1(g) => Some(g.as_condensed()),
-            AnyGraph::Bitmap(g) => Some(g.core()),
-            _ => None,
-        }
+        GraphRep::as_condensed(self)
     }
 }
 
@@ -105,6 +99,12 @@ impl GraphRep for AnyGraph {
     fn for_each_neighbor(&self, u: RealId, f: &mut dyn FnMut(RealId)) {
         self.inner().for_each_neighbor(u, f)
     }
+    fn neighbors(&self, u: RealId) -> Vec<RealId> {
+        self.inner().neighbors(u)
+    }
+    fn degree(&self, u: RealId) -> usize {
+        self.inner().degree(u)
+    }
     fn exists_edge(&self, u: RealId, v: RealId) -> bool {
         self.inner().exists_edge(u, v)
     }
@@ -126,6 +126,9 @@ impl GraphRep for AnyGraph {
     fn delete_edge(&mut self, u: RealId, v: RealId) {
         self.inner_mut().delete_edge(u, v)
     }
+    fn expanded_edge_count(&self) -> u64 {
+        self.inner().expanded_edge_count()
+    }
     fn stored_edge_count(&self) -> u64 {
         self.inner().stored_edge_count()
     }
@@ -134,6 +137,9 @@ impl GraphRep for AnyGraph {
     }
     fn heap_bytes(&self) -> usize {
         self.inner().heap_bytes()
+    }
+    fn as_condensed(&self) -> Option<&CondensedGraph> {
+        self.inner().as_condensed()
     }
 }
 

@@ -579,6 +579,12 @@ impl GraphRep for GraphHandle {
     fn for_each_neighbor(&self, u: RealId, f: &mut dyn FnMut(RealId)) {
         self.graph.for_each_neighbor(u, f)
     }
+    fn neighbors(&self, u: RealId) -> Vec<RealId> {
+        self.graph.neighbors(u)
+    }
+    fn degree(&self, u: RealId) -> usize {
+        self.graph.degree(u)
+    }
     fn exists_edge(&self, u: RealId, v: RealId) -> bool {
         self.graph.exists_edge(u, v)
     }
@@ -600,6 +606,9 @@ impl GraphRep for GraphHandle {
     fn delete_edge(&mut self, u: RealId, v: RealId) {
         self.graph.delete_edge(u, v)
     }
+    fn expanded_edge_count(&self) -> u64 {
+        self.graph.expanded_edge_count()
+    }
     fn stored_edge_count(&self) -> u64 {
         self.graph.stored_edge_count()
     }
@@ -608,6 +617,9 @@ impl GraphRep for GraphHandle {
     }
     fn heap_bytes(&self) -> usize {
         self.graph.heap_bytes()
+    }
+    fn as_condensed(&self) -> Option<&CondensedGraph> {
+        self.graph.as_condensed()
     }
 }
 
@@ -684,6 +696,41 @@ mod tests {
         assert_eq!(h.advise(&strict), RepKind::Dedup1);
         let d1 = h.convert_to_advised(&strict, &opts).unwrap();
         assert_eq!(expand_to_edge_list(&d1), expand_to_edge_list(&h));
+    }
+
+    /// A handle forwards every defaulted `GraphRep` method to its inner
+    /// representation instead of falling back to a neighbor walk.
+    #[test]
+    fn handle_answers_equal_its_inner_representation() {
+        let mut h = symmetric_handle();
+        h.graph_mut().delete_vertex(RealId(1));
+        for target in RepKind::all() {
+            let converted = h.convert(target, &ConvertOptions::default()).unwrap();
+            let inner: &dyn GraphRep = match converted.graph() {
+                AnyGraph::CDup(g) => g,
+                AnyGraph::Exp(g) => g,
+                AnyGraph::Dedup1(g) => g,
+                AnyGraph::Dedup2(g) => g,
+                AnyGraph::Bitmap(g) => g,
+            };
+            assert_eq!(
+                converted.expanded_edge_count(),
+                inner.expanded_edge_count(),
+                "{target}"
+            );
+            for u in converted.vertices() {
+                assert_eq!(converted.degree(u), inner.degree(u), "{target} {u:?}");
+                assert_eq!(converted.neighbors(u), inner.neighbors(u), "{target} {u:?}");
+            }
+            let (got, want) = (converted.as_condensed(), inner.as_condensed());
+            assert_eq!(got.is_some(), want.is_some(), "{target}");
+            assert!(got.zip(want).is_none_or(|(a, b)| std::ptr::eq(a, b)));
+            assert_eq!(
+                got.is_some(),
+                matches!(target, RepKind::CDup | RepKind::Dedup1 | RepKind::Bitmap),
+                "{target}"
+            );
+        }
     }
 
     #[test]

@@ -402,7 +402,7 @@ mod tests {
             for &seed in seeds {
                 let got = greedy_virtual_nodes_first(g, ord, seed);
                 let want = reference(g, ord, seed);
-                let (got_c, want_c) = (got.as_condensed(), want.as_condensed());
+                let (got_c, want_c) = (got.core(), want.core());
                 assert!(
                     got_c.real_out_chunks() == want_c.real_out_chunks(),
                     "{what}: real adjacency differs ({ord:?}, seed {seed})"

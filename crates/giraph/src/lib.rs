@@ -62,7 +62,7 @@ impl<'a> GiraphRep<'a> {
     fn core(&self) -> Option<&'a CondensedGraph> {
         match self {
             GiraphRep::Exp(_) => None,
-            GiraphRep::Dedup1(g) => Some(g.as_condensed()),
+            GiraphRep::Dedup1(g) => Some(g.core()),
             GiraphRep::Bitmap(g) => Some(g.core()),
             GiraphRep::CDup(g) => Some(g),
         }
@@ -143,7 +143,7 @@ fn virtual_degree_reply(rep: &GiraphRep<'_>, v: VirtId, u: RealId, stats: &mut R
     // degree needs the hashset path, which Giraph can't do cheaply; the
     // paper runs Degree only on deduplicated reps.
     let core = match rep {
-        GiraphRep::Dedup1(g) => g.as_condensed(),
+        GiraphRep::Dedup1(g) => g.core(),
         GiraphRep::Bitmap(g) => g.core(),
         GiraphRep::CDup(g) => g,
         GiraphRep::Exp(_) => unreachable!("virtual reply on EXP"),

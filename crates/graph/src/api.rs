@@ -11,6 +11,7 @@
 //! each **distinct live** logical out-neighbor exactly once, excluding the
 //! vertex itself.
 
+use crate::cdup::CondensedGraph;
 use crate::ids::RealId;
 use std::fmt;
 
@@ -169,6 +170,14 @@ pub trait GraphRep {
 
     /// Estimated heap bytes of the structure (Table 3 / Table 4 memory).
     fn heap_bytes(&self) -> usize;
+
+    /// The condensed structure this representation stores, if it keeps one:
+    /// C-DUP itself, and the core under DEDUP-1 and BITMAP. EXP and DEDUP-2
+    /// keep none. Kernels that compute on the structure instead of through
+    /// [`GraphRep::for_each_neighbor`] dispatch on it.
+    fn as_condensed(&self) -> Option<&CondensedGraph> {
+        None
+    }
 }
 
 #[cfg(test)]

@@ -268,6 +268,9 @@ impl GraphRep for BitmapGraph {
             + self.bitmaps.capacity() * std::mem::size_of::<FxHashMap<u32, Bitmap>>()
             + bitmap_bytes
     }
+    fn as_condensed(&self) -> Option<&CondensedGraph> {
+        Some(&self.core)
+    }
 }
 
 #[cfg(test)]

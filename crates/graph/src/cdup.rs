@@ -475,6 +475,9 @@ impl GraphRep for CondensedGraph {
     fn heap_bytes(&self) -> usize {
         self.real_out.heap_bytes() + self.virt_out.heap_bytes() + self.alive.capacity()
     }
+    fn as_condensed(&self) -> Option<&CondensedGraph> {
+        Some(self)
+    }
 }
 
 #[cfg(test)]

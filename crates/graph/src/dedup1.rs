@@ -27,7 +27,7 @@ impl Dedup1Graph {
     }
 
     /// The underlying condensed structure.
-    pub fn as_condensed(&self) -> &CondensedGraph {
+    pub fn core(&self) -> &CondensedGraph {
         &self.inner
     }
 
@@ -127,6 +127,9 @@ impl GraphRep for Dedup1Graph {
 
     fn heap_bytes(&self) -> usize {
         self.inner.heap_bytes()
+    }
+    fn as_condensed(&self) -> Option<&CondensedGraph> {
+        Some(&self.inner)
     }
 }
 

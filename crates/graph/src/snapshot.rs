@@ -404,7 +404,7 @@ pub fn decode_expanded(r: &mut Reader<'_>) -> Result<ExpandedGraph, CodecError> 
 /// Encode a [`Dedup1Graph`] (its condensed core, whose deduplication
 /// invariant the decode trusts — the bytes came from a validated graph).
 pub fn encode_dedup1(g: &Dedup1Graph, enc: &mut ChunkEncoder, out: &mut Vec<u8>) {
-    encode_condensed(g.as_condensed(), enc, out);
+    encode_condensed(g.core(), enc, out);
 }
 
 /// Decode a [`Dedup1Graph`] (inverse of [`encode_dedup1`]).

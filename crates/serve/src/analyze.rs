@@ -29,11 +29,12 @@
 //!
 //! # Condensed-direct dispatch and warm starts
 //!
-//! [`compute_on_handle`] picks the cheapest sound kernel for the served
-//! representation: the `graphgen_algo::condensed` aggregated path for
-//! DEDUP-1 cores, the sort-merge path for C-DUP/BITMAP cores (neither
-//! materializes the expanded adjacency), a `convert`-to-EXP fall-back for
-//! multi-layer cores, and plain traversal for EXP/DEDUP-2. PageRank reuses
+//! [`compute_on_handle`] calls the library entry points, which pick the
+//! kernel themselves (`graphgen_algo::condensed_path`): the aggregated
+//! path for single-layer DEDUP-1 cores, the sort-merge path for
+//! single-layer C-DUP/BITMAP cores (neither materializes the expanded
+//! adjacency), and plain traversal for EXP/DEDUP-2. The one choice left
+//! here is a `convert`-to-EXP fall-back for multi-layer cores. PageRank reuses
 //! the previous version's cached rank vector as its starting point
 //! whenever one exists (the fixpoint is unique, so the seed only buys
 //! iterations); connected components reuse previous labels only while no
@@ -44,15 +45,15 @@ use crate::error::{ServeError, ServeResult};
 use crate::protocol::format_value;
 use crate::service::{GraphService, GraphSnapshot};
 use graphgen_algo::{
-    average_clustering, components_seeded, degrees, degrees_dedup_free, degrees_merged,
-    pagerank_dedup_free, pagerank_merged, pagerank_seeded, triangles, CondensedPath, PageRankRun,
-    SeededPageRankConfig,
+    average_clustering, components_seeded, condensed_path, degrees, pagerank_seeded, triangles,
+    CondensedPath, PageRankRun, SeededPageRankConfig,
 };
 use graphgen_common::metrics::{self, Counter, Histogram};
 use graphgen_common::region::Region;
 use graphgen_common::FxHashMap;
 use graphgen_core::{ConvertOptions, GraphHandle, GraphPatch};
 use graphgen_graph::{GraphRep, RealId, RepKind};
+use std::borrow::Cow;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -282,35 +283,17 @@ pub struct AnalyzeCounters {
 // Kernel dispatch
 // ---------------------------------------------------------------------------
 
-enum Strategy<'a> {
-    /// Virtual-node weighting (DEDUP-1: single stored path per edge).
-    Aggregated(&'a graphgen_graph::CondensedGraph),
-    /// Sort-merge dedup (C-DUP / BITMAP cores: duplicate paths possible).
-    Merged(&'a graphgen_graph::CondensedGraph),
-    /// Multi-layer condensed core: fall back through `convert` to EXP.
-    Expand,
-    /// EXP / DEDUP-2: traverse the handle directly.
-    Direct,
-}
-
-fn pick_strategy(handle: &GraphHandle) -> Strategy<'_> {
-    match handle.graph().as_condensed() {
-        Some(core) if core.is_single_layer() => {
-            if handle.kind() == RepKind::Dedup1 {
-                Strategy::Aggregated(core)
-            } else {
-                Strategy::Merged(core)
-            }
-        }
-        Some(_) => Strategy::Expand,
-        None => Strategy::Direct,
+/// What degree, PageRank and components run on: the handle itself, or EXP
+/// for a multi-layer core, which has no structural kernel and whose
+/// traversal pays a hashed DFS per vertex per pass.
+fn kernel_input(handle: &GraphHandle) -> ServeResult<Cow<'_, GraphHandle>> {
+    match handle.as_condensed() {
+        Some(core) if !core.is_single_layer() => handle
+            .convert(RepKind::Exp, &ConvertOptions::default())
+            .map(Cow::Owned)
+            .map_err(|e| ServeError::Analyze(format!("expanded fall-back failed: {e}"))),
+        _ => Ok(Cow::Borrowed(handle)),
     }
-}
-
-fn convert_expanded(handle: &GraphHandle) -> ServeResult<GraphHandle> {
-    handle
-        .convert(RepKind::Exp, &ConvertOptions::default())
-        .map_err(|e| ServeError::Analyze(format!("expanded fall-back failed: {e}")))
 }
 
 fn degree_summary(handle: &GraphHandle, degs: &[u32]) -> String {
@@ -373,19 +356,10 @@ pub fn compute_on_handle(
     let threads = threads.max(1);
     match algo {
         Algo::Degree => {
-            let (degs, path) = match pick_strategy(handle) {
-                Strategy::Aggregated(core) => {
-                    (degrees_dedup_free(core, threads), CondensedPath::Aggregated)
-                }
-                Strategy::Merged(core) => (degrees_merged(core, threads), CondensedPath::Merged),
-                Strategy::Expand => {
-                    let exp = convert_expanded(handle)?;
-                    (degrees(&exp, threads), CondensedPath::Traversal)
-                }
-                Strategy::Direct => (degrees(handle, threads), CondensedPath::Traversal),
-            };
+            let g = kernel_input(handle)?;
+            let degs = degrees(&*g, threads);
             Ok(AnalysisOutcome {
-                path,
+                path: condensed_path(&*g),
                 iterations: 1,
                 summary: degree_summary(handle, &degs),
                 degrees: Some(degs),
@@ -401,29 +375,10 @@ pub fn compute_on_handle(
                 threads,
             };
             let seed_ranks = seed.and_then(|o| o.ranks.as_deref());
-            let (run, path) = match pick_strategy(handle) {
-                Strategy::Aggregated(core) => (
-                    pagerank_dedup_free(core, &cfg, seed_ranks),
-                    CondensedPath::Aggregated,
-                ),
-                Strategy::Merged(core) => (
-                    pagerank_merged(core, &cfg, seed_ranks),
-                    CondensedPath::Merged,
-                ),
-                Strategy::Expand => {
-                    let exp = convert_expanded(handle)?;
-                    (
-                        pagerank_seeded(&exp, &cfg, seed_ranks),
-                        CondensedPath::Traversal,
-                    )
-                }
-                Strategy::Direct => (
-                    pagerank_seeded(handle, &cfg, seed_ranks),
-                    CondensedPath::Traversal,
-                ),
-            };
+            let g = kernel_input(handle)?;
+            let run = pagerank_seeded(&*g, &cfg, seed_ranks);
             Ok(AnalysisOutcome {
-                path,
+                path: condensed_path(&*g),
                 iterations: run.iterations,
                 summary: pagerank_summary(handle, &run),
                 degrees: None,
@@ -433,9 +388,10 @@ pub fn compute_on_handle(
         }
         Algo::Components => {
             let seed_labels = seed.and_then(|o| o.labels.as_deref());
-            let (labels, supersteps) = components_seeded(handle, threads, seed_labels);
+            let g = kernel_input(handle)?;
+            let (labels, supersteps) = components_seeded(&*g, threads, seed_labels);
             Ok(AnalysisOutcome {
-                path: CondensedPath::Traversal,
+                path: condensed_path(&*g),
                 iterations: supersteps,
                 summary: components_summary(handle, &labels),
                 degrees: None,
