@@ -71,7 +71,7 @@ pub fn greedy_real_nodes_first(
     let mut w = WorkGraph::from_condensed(g, true);
     let order = ordering.order_by(w.num_real(), |u| w.rv[u as usize].len() as u64, seed);
     for u in order {
-        if w.rv[u as usize].len() < 2 && w.direct[u as usize].is_empty() {
+        if w.rv[u as usize].len() < 2 && w.direct_targets(u).is_empty() {
             continue; // a single virtual neighbor cannot self-duplicate
         }
         // N(u): everything u currently reaches.
@@ -83,7 +83,7 @@ pub fn greedy_real_nodes_first(
                 }
             }
         }
-        for &t in &w.direct[u as usize] {
+        for &t in w.direct_targets(u) {
             remaining.insert(t);
         }
 
@@ -114,7 +114,7 @@ pub fn greedy_real_nodes_first(
         }
         // Whatever is not covered through V' must be a direct edge; drop
         // direct edges that became covered.
-        let direct_now: Vec<u32> = w.direct[u as usize].clone();
+        let direct_now: Vec<u32> = w.direct_targets(u).to_vec();
         for t in direct_now {
             if covered.contains(&t) {
                 w.remove_direct(u, t);

@@ -31,13 +31,18 @@
 //!    the witness counts of the pairs `(x, r)`. Removing `t`, with its
 //!    compensating direct edges to `t`, changes witness counts for target
 //!    `t` only, so a memoised cost stays exact until a removal of its target.
-//! 4. **The target index** ([`WorkGraph::holders`]): for each real node `r`,
-//!    the virtual nodes whose `O(·)` holds it, updated by the one call that
-//!    shrinks `O(·)`. A cost (item 3) and a removal's compensation ask the
-//!    same question — which sources of `X` reach `r` through `X` alone? — and
-//!    the index answers it in one pass: stamp the sources of `r`'s other
-//!    active holders into a reused mark array, then walk `I(X)` once,
-//!    checking the mark and the source's direct edges.
+//! 4. **The target index** ([`WorkGraph::holders`]) and **the direct-edge
+//!    index** ([`WorkGraph::direct_sources`]): for each real node `r`, the
+//!    virtual nodes whose `O(·)` holds it and the sorted sources of its
+//!    direct edges, each updated in the calls that change what it indexes.
+//!    A cost (item 3) and a removal's compensation ask the same question —
+//!    which sources of `X` reach `r` through `X` alone? — and the indexes
+//!    answer it in one pass: stamp the sources of `r`'s other active holders
+//!    into a reused mark array, and `r`'s direct sources too unless they
+//!    outnumber `I(X)`, then walk `I(X)` once, testing the mark (and, for a
+//!    hub target left unstamped, the source's direct edges). The
+//!    compensation merges its new sources into `r`'s sorted list in one
+//!    pass; no per-source list is searched or shifted.
 //!
 //! The choice is the one the recompute-everything formulation makes, tie
 //! included: the first strictly larger ratio wins, visiting conflicts in
@@ -48,11 +53,14 @@
 //! Complexity: per step with `k` candidates of `V`, the setup is one
 //! intersection per candidate; each removal rescans the `O(k·d)` kept
 //! targets and recomputes only the costs of the removed target. A cost, like
-//! a compensation, stamps the sources of the target's `m` holders and walks
-//! `I(X)` once with one search of a direct-edge list per source: `O(m·d)`
-//! memory writes, where counting witnesses pair by pair would take `d·m`
-//! binary searches of `O(·)` lists (`d` = list length, `m` = virtual nodes
-//! per real node).
+//! a compensation, stamps the sources of the target's `m` holders and at
+//! most `d` of its direct sources, then walks `I(X)` once with one mark test
+//! per source (a hub target's direct sources are searched instead of
+//! stamped): `O(m·d)` memory writes, where counting witnesses pair by pair
+//! would take `d·m` binary searches of `O(·)` lists (`d` = list length, `m`
+//! = virtual nodes per real node). A compensation adds `c` direct edges in
+//! one merge into the target's sorted sources, where sorted per-source
+//! lists took `c` searches and shifts.
 
 use crate::work::{intersect_sorted, WorkGraph};
 use graphgen_common::{FxHashMap, VertexOrdering};

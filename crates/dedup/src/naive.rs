@@ -98,6 +98,11 @@ pub fn naive_real_nodes_first(
     seed: u64,
 ) -> Dedup1Graph {
     let mut w = WorkGraph::from_condensed(g, true);
+    // Every virtual node is in the graph from the start, so a direct edge
+    // one of them covers duplicates a path already.
+    for v in 0..w.num_virtual() as u32 {
+        w.absorb_direct_edges(v);
+    }
     let order = ordering.order_by(w.num_real(), |u| w.rv[u as usize].len() as u64, seed);
     for u in order {
         let neighborhood = w.rv[u as usize].clone();
@@ -157,6 +162,19 @@ mod tests {
             assert_eq!(expand_to_edge_list(&d), before);
             assert!(validate_dedup1(&d).is_ok());
         }
+    }
+
+    #[test]
+    fn rnf_drops_direct_edges_a_virtual_node_covers() {
+        // 0 → 1 is both a direct edge and a path through the clique.
+        let mut b = CondensedBuilder::new(3);
+        b.clique(&[RealId(0), RealId(1), RealId(2)]);
+        b.direct(RealId(0), RealId(1));
+        let g = b.build();
+        let before = expand_to_edge_list(&g);
+        let d = naive_real_nodes_first(&g, VertexOrdering::Random, 1);
+        assert_eq!(expand_to_edge_list(&d), before);
+        assert!(validate_dedup1(&d).is_ok());
     }
 
     #[test]

@@ -27,8 +27,43 @@
 //! the degree of `r` (its holders' sources), not `|I(X)| × |rv[x]|` binary
 //! searches. [`WorkGraph::witness_count`] and [`WorkGraph::exists_edge`]
 //! stay as the per-pair definitions the tests compare against.
+//!
+//! # The direct-edge index
+//!
+//! Direct edges are kept twice. Per source `u`, the targets of its direct
+//! edges form an unordered set that only grows at the end and loses entries
+//! by `swap_remove`; Greedy-RNF, [`WorkGraph::absorb_direct_edges`] and
+//! `is_deduplicated` walk it. Per target `r`, the sorted sources with a
+//! direct edge to `r` ([`WorkGraph::direct_sources`]) feed the removal
+//! costs, the compensations and the emit. The two change together, and only
+//! in `remove_target_and_compensate`, `absorb_direct_edges`, `add_direct`
+//! and `remove_direct`.
+//!
+//! "Does `u` have a direct edge to `w`?" is answered from the cheaper
+//! side: a per-source set of up to 16 targets is scanned, a longer one
+//! gives way to a binary search of `w`'s sources. So a hub target
+//! (thousands of direct sources on Fig. 12's IMDB) is searched only for the
+//! rare source that has many direct edges.
+//!
+//! A cost or a compensation for `(X, r)` asks that question of every
+//! source of `X`. When `r`'s direct sources are no more than `|I(X)|`, they
+//! are stamped into the mark array beside the holders' sources, and the
+//! walk over `I(X)` is one mark test per source; when they are more, the
+//! walk asks per source instead, so the stamp never costs more than the
+//! walk. A compensation's new sources come out of the walk ascending and
+//! are merged into `r`'s sorted list in place, from the back.
+//!
+//! [`WorkGraph::into_condensed`] consumes the index in target order, so
+//! every real list comes out strictly sorted — direct targets, then the
+//! renumbered virtual nodes — and goes to
+//! [`CondensedGraph::from_sorted_lists`] without another sort.
 
-use graphgen_graph::{Adj, CondensedBuilder, CondensedGraph, GraphRep, RealId, VirtId};
+use graphgen_graph::{Adj, CondensedGraph, GraphRep, RealId, VirtId};
+
+/// The longest per-source direct-edge set `has_direct` scans rather than
+/// searching the target's sources: a hub target has thousands of them, and
+/// a scan this short costs no more than the search.
+const SCAN_MAX: usize = 16;
 
 /// Mutable single-layer condensed graph for deduplication.
 #[derive(Debug, Clone)]
@@ -40,18 +75,24 @@ pub struct WorkGraph {
     ov: Vec<Vec<u32>>,
     /// For each real node, the sorted virtual nodes it sources (u ∈ I(V)).
     pub rv: Vec<Vec<u32>>,
-    /// Sorted direct out-neighbors per real node.
-    pub direct: Vec<Vec<u32>>,
+    /// Direct out-neighbors per real node, unordered.
+    direct: Vec<Vec<u32>>,
     /// Partial-graph flag: inactive virtual nodes are invisible to
     /// `exists_edge` / `witness_count`.
     pub active: Vec<bool>,
     /// The target index: for each real node `r`, the sorted virtual nodes
     /// whose `O(·)` contains `r` (the transpose of `ov`).
     holders: Vec<Vec<u32>>,
-    /// `marks[x] == epoch` iff `x` is a source of a node stamped by the last
-    /// `stamp_other_holders`.
+    /// The direct-edge index: for each real node `r`, the sorted real nodes
+    /// with a direct edge to `r` (the transpose of `direct`).
+    direct_in: Vec<Vec<u32>>,
+    /// `marks[x] == epoch` iff `x` was stamped by the last
+    /// `stamp_other_witnesses`.
     marks: Vec<u32>,
     epoch: u32,
+    /// The sources the current compensation adds direct edges from, kept
+    /// to reuse its allocation.
+    fresh: Vec<u32>,
 }
 
 /// Intersection of two sorted `u32` slices.
@@ -94,6 +135,38 @@ pub fn sorted_remove(v: &mut Vec<u32>, x: u32) -> bool {
     }
 }
 
+/// Merge the sorted `src`, disjoint from the sorted `dst`, into `dst` in
+/// place: grow it once, then fill it from the back. A few sources merged
+/// into a hub target's long list are placed by binary search, each moving
+/// the run of `dst` behind it as one block; lists of comparable length
+/// merge one element at a time.
+fn merge_disjoint(dst: &mut Vec<u32>, src: &[u32]) {
+    let mut end = dst.len();
+    dst.resize(end + src.len(), 0);
+    if src.len() * 8 < end {
+        for (j, &x) in src.iter().enumerate().rev() {
+            let at = dst[..end].partition_point(|&y| y < x);
+            dst.copy_within(at..end, at + j + 1);
+            dst[at + j] = x;
+            end = at;
+        }
+        return;
+    }
+    let mut j = src.len();
+    for k in (0..dst.len()).rev() {
+        if j == 0 {
+            break;
+        }
+        if end > 0 && dst[end - 1] > src[j - 1] {
+            dst[k] = dst[end - 1];
+            end -= 1;
+        } else {
+            dst[k] = src[j - 1];
+            j -= 1;
+        }
+    }
+}
+
 impl WorkGraph {
     /// Build from a single-layer condensed graph (panics on multi-layer
     /// input — callers flatten first; see `flatten_to_single_layer`).
@@ -109,6 +182,7 @@ impl WorkGraph {
         let mut rv = vec![Vec::new(); n_real];
         let mut direct = vec![Vec::new(); n_real];
         let mut holders = vec![Vec::new(); n_real];
+        let mut direct_in = vec![Vec::new(); n_real];
         for u in 0..n_real as u32 {
             for a in g.real_out(RealId(u)) {
                 if let Some(v) = a.as_virtual() {
@@ -116,6 +190,7 @@ impl WorkGraph {
                     rv[u as usize].push(v.0);
                 } else if let Some(r) = a.as_real() {
                     direct[u as usize].push(r.0);
+                    direct_in[r.0 as usize].push(u);
                 }
             }
         }
@@ -127,8 +202,8 @@ impl WorkGraph {
             }
         }
         // real_out was sorted by Adj packing, which preserves numeric order
-        // within each kind; iv/ov/holders built in ascending u / sorted / v
-        // order.
+        // within each kind; iv/ov/holders/direct_in built in ascending u /
+        // sorted / v order.
         Self {
             n_real,
             iv,
@@ -137,8 +212,10 @@ impl WorkGraph {
             direct,
             active: vec![all_active; n_virt],
             holders,
+            direct_in,
             marks: vec![0; n_real],
             epoch: 0,
+            fresh: Vec::new(),
         }
     }
 
@@ -163,6 +240,27 @@ impl WorkGraph {
         &self.holders[r as usize]
     }
 
+    /// The targets of `u`'s direct edges, in no particular order.
+    pub fn direct_targets(&self, u: u32) -> &[u32] {
+        &self.direct[u as usize]
+    }
+
+    /// The direct-edge index of `r`: the sorted real nodes with a direct
+    /// edge to `r`.
+    pub fn direct_sources(&self, r: u32) -> &[u32] {
+        &self.direct_in[r as usize]
+    }
+
+    /// Does `u` have a direct edge to `w`? A short per-source set is
+    /// scanned; otherwise `w`'s sorted sources are searched.
+    fn has_direct(&self, u: u32, w: u32) -> bool {
+        let targets = &self.direct[u as usize];
+        if targets.len() <= SCAN_MAX {
+            return targets.contains(&w);
+        }
+        self.direct_in[w as usize].binary_search(&u).is_ok()
+    }
+
     /// Activate a virtual node (virtual-nodes-first partial graph growth).
     pub fn activate(&mut self, v: u32) {
         self.active[v as usize] = true;
@@ -171,7 +269,7 @@ impl WorkGraph {
     /// Count the witnesses of the logical edge `u → w` in the active graph:
     /// direct edge (0/1) plus active virtual nodes with `u ∈ I(V), w ∈ O(V)`.
     pub fn witness_count(&self, u: u32, w: u32) -> usize {
-        let mut count = usize::from(self.direct[u as usize].binary_search(&w).is_ok());
+        let mut count = usize::from(self.has_direct(u, w));
         for &v in &self.rv[u as usize] {
             if self.active[v as usize] && self.ov[v as usize].binary_search(&w).is_ok() {
                 count += 1;
@@ -182,7 +280,7 @@ impl WorkGraph {
 
     /// Does the logical edge `u → w` exist in the active graph?
     pub fn exists_edge(&self, u: u32, w: u32) -> bool {
-        if self.direct[u as usize].binary_search(&w).is_ok() {
+        if self.has_direct(u, w) {
             return true;
         }
         self.rv[u as usize]
@@ -190,9 +288,12 @@ impl WorkGraph {
             .any(|&v| self.active[v as usize] && self.ov[v as usize].binary_search(&w).is_ok())
     }
 
-    /// Mark the sources of every active virtual node other than `v` whose
-    /// `O(·)` contains `r`.
-    fn stamp_other_holders(&mut self, v: u32, r: u32) {
+    /// Mark the sources that reach `r` other than through `v`: those of
+    /// every other active virtual node holding `r` and, unless they outnumber
+    /// `I(v)`, those of `r`'s direct edges. Returns whether the direct
+    /// sources were left unmarked, so that `reaches_elsewhere` must search
+    /// them.
+    fn stamp_other_witnesses(&mut self, v: u32, r: u32) -> bool {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             self.marks.fill(0);
@@ -205,12 +306,21 @@ impl WorkGraph {
                 }
             }
         }
+        let direct_sources = &self.direct_in[r as usize];
+        if direct_sources.len() > self.iv[v as usize].len() {
+            return true;
+        }
+        for &x in direct_sources {
+            self.marks[x as usize] = self.epoch;
+        }
+        false
     }
 
-    /// Does `x` reach `r` without the node the last `stamp_other_holders`
-    /// excluded: through a stamped node or a direct edge?
-    fn reaches_elsewhere(&self, x: u32, r: u32) -> bool {
-        self.marks[x as usize] == self.epoch || self.direct[x as usize].binary_search(&r).is_ok()
+    /// Does `x` reach `r` without the node the last `stamp_other_witnesses`
+    /// excluded: through a stamped node or a direct edge? `search` is what
+    /// that stamp returned.
+    fn reaches_elsewhere(&self, x: u32, r: u32, search: bool) -> bool {
+        self.marks[x as usize] == self.epoch || (search && self.has_direct(x, r))
     }
 
     /// Cost of removing target `r` from virtual node `v`: the sources of `v`
@@ -218,10 +328,10 @@ impl WorkGraph {
     /// compensating direct edge. For an active `v` holding `r` this is the
     /// number of `x ∈ I(v)`, `x ≠ r`, with `witness_count(x, r) == 1`.
     pub fn removal_cost(&mut self, v: u32, r: u32) -> usize {
-        self.stamp_other_holders(v, r);
+        let search = self.stamp_other_witnesses(v, r);
         self.iv[v as usize]
             .iter()
-            .filter(|&&x| x != r && !self.reaches_elsewhere(x, r))
+            .filter(|&&x| x != r && !self.reaches_elsewhere(x, r, search))
             .count()
     }
 
@@ -232,13 +342,21 @@ impl WorkGraph {
             return;
         }
         sorted_remove(&mut self.holders[r as usize], v);
-        self.stamp_other_holders(v, r);
-        for i in 0..self.iv[v as usize].len() {
-            let u = self.iv[v as usize][i];
-            if u != r && !self.reaches_elsewhere(u, r) {
-                sorted_insert(&mut self.direct[u as usize], r);
-            }
+        let search = self.stamp_other_witnesses(v, r);
+        let mut fresh = std::mem::take(&mut self.fresh);
+        fresh.clear();
+        fresh.extend(
+            self.iv[v as usize]
+                .iter()
+                .filter(|&&u| u != r && !self.reaches_elsewhere(u, r, search)),
+        );
+        for &u in &fresh {
+            self.direct[u as usize].push(r);
         }
+        // `I(V)` is sorted, so `fresh` is, and none of it reached `r`
+        // directly.
+        merge_disjoint(&mut self.direct_in[r as usize], &fresh);
+        self.fresh = fresh;
     }
 
     /// Remove the direct edges virtual node `v` covers (needed when `v`
@@ -246,8 +364,21 @@ impl WorkGraph {
     /// edges).
     pub fn absorb_direct_edges(&mut self, v: u32) {
         let targets = &self.ov[v as usize];
+        let mut dropped: Vec<(u32, u32)> = Vec::new(); // (target, source)
         for &u in &self.iv[v as usize] {
-            self.direct[u as usize].retain(|&t| t == u || targets.binary_search(&t).is_err());
+            self.direct[u as usize].retain(|&t| {
+                let keep = t == u || targets.binary_search(&t).is_err();
+                if !keep {
+                    dropped.push((t, u));
+                }
+                keep
+            });
+        }
+        dropped.sort_unstable();
+        for run in dropped.chunk_by(|a, b| a.0 == b.0) {
+            // Both ascending, and every dropped source is in the list.
+            let mut gone = run.iter().map(|&(_, u)| u).peekable();
+            self.direct_in[run[0].0 as usize].retain(|&x| gone.next_if_eq(&x).is_none());
         }
     }
 
@@ -260,14 +391,23 @@ impl WorkGraph {
 
     /// Add a direct edge if absent.
     pub fn add_direct(&mut self, u: u32, w: u32) {
-        if u != w {
-            sorted_insert(&mut self.direct[u as usize], w);
+        if u != w && sorted_insert(&mut self.direct_in[w as usize], u) {
+            self.direct[u as usize].push(w);
         }
     }
 
     /// Remove a direct edge if present.
     pub fn remove_direct(&mut self, u: u32, w: u32) -> bool {
-        sorted_remove(&mut self.direct[u as usize], w)
+        if !sorted_remove(&mut self.direct_in[w as usize], u) {
+            return false;
+        }
+        let targets = &mut self.direct[u as usize];
+        let at = targets
+            .iter()
+            .position(|&t| t == w)
+            .expect("the direct-edge index mirrors the per-source sets");
+        targets.swap_remove(at);
+        true
     }
 
     /// Total stored edges (source edges + target edges + direct).
@@ -280,25 +420,53 @@ impl WorkGraph {
 
     /// Convert back to a condensed graph, dropping empty virtual nodes.
     pub fn into_condensed(self) -> CondensedGraph {
-        let mut b = CondensedBuilder::new(self.n_real);
-        for v in 0..self.iv.len() {
-            if self.iv[v].is_empty() || self.ov[v].is_empty() {
-                continue;
-            }
-            let vid = b.add_virtual();
-            for &u in &self.iv[v] {
-                b.real_to_virtual(RealId(u), vid);
-            }
-            for &w in &self.ov[v] {
-                b.virtual_to_real(vid, RealId(w));
+        let Self {
+            n_real,
+            iv,
+            ov,
+            rv,
+            direct,
+            active,
+            holders,
+            direct_in,
+            marks,
+            fresh,
+            ..
+        } = self;
+        // Only `I(·)`, `O(·)` and the direct-edge index feed the output:
+        // free the rest before allocating it.
+        drop((rv, direct, active, holders, marks, fresh));
+        let kept: Vec<usize> = (0..iv.len())
+            .filter(|&v| !iv[v].is_empty() && !ov[v].is_empty())
+            .collect();
+        let mut len = vec![0usize; n_real];
+        for &u in direct_in.iter().flatten() {
+            len[u as usize] += 1;
+        }
+        for &v in &kept {
+            for &u in &iv[v] {
+                len[u as usize] += 1;
             }
         }
-        for (u, list) in self.direct.iter().enumerate() {
-            for &w in list {
-                b.direct(RealId(u as u32), RealId(w));
+        let mut real_out: Vec<Vec<Adj>> = len.into_iter().map(Vec::with_capacity).collect();
+        // Targets ascending, then virtual nodes ascending: every list comes
+        // out strictly sorted.
+        for (r, sources) in direct_in.into_iter().enumerate() {
+            for u in sources {
+                real_out[u as usize].push(Adj::real(RealId(r as u32)));
             }
         }
-        b.build()
+        for (id, &v) in kept.iter().enumerate() {
+            for &u in &iv[v] {
+                real_out[u as usize].push(Adj::virt(VirtId(id as u32)));
+            }
+        }
+        let virt_out: Vec<Vec<Adj>> = kept
+            .iter()
+            .map(|&v| ov[v].iter().map(|&w| Adj::real(RealId(w))).collect())
+            .collect();
+        drop((iv, ov));
+        CondensedGraph::from_sorted_lists(real_out, virt_out)
     }
 
     /// Sanity check used by tests: every pair has at most one witness.
@@ -448,5 +616,132 @@ mod tests {
         w.ov[1].clear();
         let g = w.into_condensed();
         assert_eq!(g.num_virtual(), 1);
+    }
+
+    #[test]
+    fn merge_disjoint_matches_a_sorted_rebuild() {
+        let mut rng = graphgen_common::SplitMix64::new(0x3e7);
+        for _ in 0..500 {
+            let all: Vec<u32> = (0..rng.next_below(200) as u32)
+                .filter(|_| rng.next_below(2) == 0)
+                .collect();
+            // From half of the elements merged in to one in forty, so that
+            // both ways of merging run.
+            let one_in = 2 + rng.next_below(39);
+            let (mut kept, mut other) = (Vec::new(), Vec::new());
+            for &x in &all {
+                if rng.next_below(one_in) == 0 {
+                    other.push(x);
+                } else {
+                    kept.push(x);
+                }
+            }
+            merge_disjoint(&mut kept, &other);
+            assert_eq!(kept, all);
+        }
+    }
+
+    /// The output assembled edge by edge through `CondensedBuilder`, which
+    /// sorts and dedups every list: the oracle for `into_condensed`.
+    fn builder_assembly(w: &WorkGraph) -> CondensedGraph {
+        let mut b = CondensedBuilder::new(w.n_real);
+        for v in 0..w.iv.len() {
+            if w.iv[v].is_empty() || w.ov[v].is_empty() {
+                continue;
+            }
+            let vid = b.add_virtual();
+            for &u in &w.iv[v] {
+                b.real_to_virtual(RealId(u), vid);
+            }
+            for &t in &w.ov[v] {
+                b.virtual_to_real(vid, RealId(t));
+            }
+        }
+        for (u, targets) in w.direct.iter().enumerate() {
+            for &t in targets {
+                b.direct(RealId(u as u32), RealId(t));
+            }
+        }
+        b.build()
+    }
+
+    /// Random cliques and asymmetric nodes, some empty or of one member,
+    /// with direct edges (self-loops included).
+    fn random_graph(rng: &mut graphgen_common::SplitMix64) -> CondensedGraph {
+        let n_real = 1 + rng.next_below(30) as u32;
+        let draw = |rng: &mut graphgen_common::SplitMix64, max: u64| -> Vec<RealId> {
+            (0..rng.next_below(max + 1))
+                .map(|_| RealId(rng.next_below(u64::from(n_real)) as u32))
+                .collect()
+        };
+        let mut b = CondensedBuilder::new(n_real as usize);
+        for _ in 0..rng.next_below(8) {
+            b.clique(&draw(rng, 8));
+        }
+        for _ in 0..rng.next_below(6) {
+            let v = b.add_virtual();
+            for u in draw(rng, 6) {
+                b.real_to_virtual(u, v);
+            }
+            for u in draw(rng, 6) {
+                b.virtual_to_real(v, u);
+            }
+        }
+        let ends = draw(rng, 40);
+        for pair in ends.chunks_exact(2) {
+            b.direct(pair[0], pair[1]);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn into_condensed_equals_the_builder_assembly() {
+        let mut rng = graphgen_common::SplitMix64::new(0xe117);
+        for case in 0..300 {
+            let g = random_graph(&mut rng);
+            let mut w = WorkGraph::from_condensed(&g, rng.next_below(2) == 0);
+            let (n_real, n_virt) = (w.num_real() as u64, w.num_virtual() as u64);
+            for _ in 0..rng.next_below(40) {
+                let u = rng.next_below(n_real) as u32;
+                let t = rng.next_below(n_real) as u32;
+                if n_virt == 0 {
+                    w.add_direct(u, t);
+                    continue;
+                }
+                let v = rng.next_below(n_virt) as u32;
+                match rng.next_below(8) {
+                    0 => w.activate(v),
+                    1 => w.absorb_direct_edges(v),
+                    2 => w.detach_source(v, u),
+                    3 => w.add_direct(u, t),
+                    4 => {
+                        w.remove_direct(u, t);
+                    }
+                    5 => {
+                        // Greedy-RNF re-attaches a source in place.
+                        sorted_insert(&mut w.iv[v as usize], u);
+                        sorted_insert(&mut w.rv[u as usize], v);
+                    }
+                    6 => {
+                        // Empty the node's targets.
+                        for r in w.targets(v).to_vec() {
+                            w.remove_target_and_compensate(v, r);
+                        }
+                    }
+                    _ => w.remove_target_and_compensate(v, t),
+                }
+            }
+            let want = builder_assembly(&w);
+            let got = w.into_condensed();
+            assert!(
+                got.real_out_chunks() == want.real_out_chunks(),
+                "case {case}: real adjacency"
+            );
+            assert!(
+                got.virt_out_chunks() == want.virt_out_chunks(),
+                "case {case}: virtual adjacency"
+            );
+            assert_eq!(got.heap_bytes(), want.heap_bytes(), "case {case}");
+        }
     }
 }

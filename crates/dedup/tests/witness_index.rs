@@ -5,7 +5,8 @@
 //! random sequences of the edits the DEDUP-1 algorithms make. After every
 //! edit:
 //!
-//! * the index equals the transpose of `O(·)`;
+//! * the index equals the transpose of `O(·)`, and the direct-edge index
+//!   the transpose of the per-source direct-edge sets;
 //! * the index-answered removal cost of every target of every active node
 //!   equals the number of its sources `x ≠ r` with `witness_count(x, r) == 1`;
 //! * a removal adds a direct edge to exactly the sources that
@@ -66,6 +67,35 @@ fn assert_index_is_transpose(w: &WorkGraph, what: &str) {
     }
 }
 
+fn assert_direct_index_is_transpose(w: &WorkGraph, what: &str) {
+    let mut want = vec![Vec::new(); w.num_real()];
+    for u in 0..w.num_real() as u32 {
+        for &t in w.direct_targets(u) {
+            want[t as usize].push(u);
+        }
+    }
+    for (r, sources) in want.iter().enumerate() {
+        // Built in ascending source order, so a repeated target shows up
+        // as a repeated source.
+        assert_eq!(
+            w.direct_sources(r as u32),
+            sources.as_slice(),
+            "{what}: direct sources of {r}"
+        );
+    }
+}
+
+/// Each source's direct targets, sorted: the per-source sets keep no order.
+fn sorted_direct(w: &WorkGraph) -> Vec<Vec<u32>> {
+    (0..w.num_real() as u32)
+        .map(|u| {
+            let mut targets = w.direct_targets(u).to_vec();
+            targets.sort_unstable();
+            targets
+        })
+        .collect()
+}
+
 fn assert_costs_match(w: &mut WorkGraph, what: &str) {
     for v in 0..w.num_virtual() as u32 {
         if !w.active[v as usize] {
@@ -88,7 +118,7 @@ fn remove_and_check(w: &mut WorkGraph, v: u32, r: u32, what: &str) {
     let mut without_v = w.clone();
     without_v.active[v as usize] = false;
     let held = w.targets(v).binary_search(&r).is_ok();
-    let mut want_direct = w.direct.clone();
+    let mut want_direct = sorted_direct(w);
     if held {
         for &u in &w.iv[v as usize] {
             if u != r && !without_v.exists_edge(u, r) {
@@ -104,7 +134,8 @@ fn remove_and_check(w: &mut WorkGraph, v: u32, r: u32, what: &str) {
 
     w.remove_target_and_compensate(v, r);
     assert_eq!(
-        w.direct, want_direct,
+        sorted_direct(w),
+        want_direct,
         "{what}: compensation for {r} from {v}"
     );
     assert_eq!(w.targets(v), want_targets.as_slice(), "{what}: O({v})");
@@ -122,7 +153,7 @@ fn target_index_answers_like_the_per_pair_definitions() {
         for step in 0..80 {
             let what = format!("seed {seed} step {step}");
             let v = rng.next_below(n_virt) as u32;
-            match rng.next_below(10) {
+            match rng.next_below(11) {
                 0..=1 => w.activate(v),
                 2 => w.absorb_direct_edges(v),
                 3 => {
@@ -134,6 +165,19 @@ fn target_index_answers_like_the_per_pair_definitions() {
                     let u = rng.next_below(n_real) as u32;
                     let t = rng.next_below(n_real) as u32;
                     w.add_direct(u, t);
+                }
+                5 => {
+                    // Mostly an edge that exists; sometimes any pair, so
+                    // the no-op path runs too.
+                    let u = rng.next_below(n_real) as u32;
+                    let targets = w.direct_targets(u);
+                    let t = if targets.is_empty() || rng.next_below(4) == 0 {
+                        rng.next_below(n_real) as u32
+                    } else {
+                        targets[rng.next_below(targets.len() as u64) as usize]
+                    };
+                    let had = w.direct_targets(u).contains(&t);
+                    assert_eq!(w.remove_direct(u, t), had, "{what}: remove {u} → {t}");
                 }
                 _ => {
                     // Mostly a target `v` holds; sometimes any real node, so
@@ -149,6 +193,7 @@ fn target_index_answers_like_the_per_pair_definitions() {
                 }
             }
             assert_index_is_transpose(&w, &what);
+            assert_direct_index_is_transpose(&w, &what);
             assert_costs_match(&mut w, &what);
         }
     }

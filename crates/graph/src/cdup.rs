@@ -57,6 +57,43 @@ impl CondensedGraph {
         }
     }
 
+    /// Wrap adjacency lists that are already in the order
+    /// [`crate::builder::CondensedBuilder::build`] produces — strictly
+    /// ascending, so real targets come before virtual ones — without
+    /// sorting them again. Every list is checked, in O(stored edges): a
+    /// list out of order, a repeated entry or an id outside `real_out` /
+    /// `virt_out` panics. The virtual graph is checked for cycles in debug
+    /// builds, as `build` does.
+    pub fn from_sorted_lists(real_out: Vec<Vec<Adj>>, virt_out: Vec<Vec<Adj>>) -> Self {
+        let (n_real, n_virt) = (real_out.len(), virt_out.len());
+        for list in real_out.iter().chain(&virt_out) {
+            assert!(
+                list.windows(2).all(|p| p[0] < p[1]),
+                "adjacency list is not strictly sorted"
+            );
+            // Sorted, so the largest real id ends the real prefix and the
+            // largest virtual id ends the list.
+            let reals = list.partition_point(|a| !a.is_virtual());
+            let real_ok = list[..reals]
+                .last()
+                .is_none_or(|a| (a.raw() as usize) < n_real);
+            let virt_ok = list[reals..]
+                .last()
+                .and_then(|a| a.as_virtual())
+                .is_none_or(|v| (v.0 as usize) < n_virt);
+            assert!(
+                real_ok && virt_ok,
+                "adjacency list names a node out of range"
+            );
+        }
+        let g = Self::from_parts(real_out, virt_out);
+        debug_assert!(
+            crate::validate::validate_virtual_dag(&g).is_ok(),
+            "condensed graph has a virtual-node cycle"
+        );
+        g
+    }
+
     /// Assemble from decoded chunked stores (the snapshot codec's exit
     /// point; shape and liveness lengths already validated).
     pub(crate) fn from_chunked(
@@ -681,5 +718,48 @@ mod tests {
         let g = fig1();
         let edges = crate::expand_to_edge_list(&g);
         assert_eq!(edges.len() as u64, g.expanded_edge_count());
+    }
+
+    /// Fig. 1's lists in the builder's order.
+    fn fig1_lists() -> (Vec<Vec<Adj>>, Vec<Vec<Adj>>) {
+        let g = fig1();
+        let real = (0..5).map(|u| g.real_out(RealId(u)).to_vec()).collect();
+        let virt = (0..3).map(|v| g.virt_out(VirtId(v)).to_vec()).collect();
+        (real, virt)
+    }
+
+    #[test]
+    fn from_sorted_lists_equals_the_builder() {
+        let (real, virt) = fig1_lists();
+        let g = CondensedGraph::from_sorted_lists(real, virt);
+        let want = fig1();
+        assert!(g.real_out_chunks() == want.real_out_chunks());
+        assert!(g.virt_out_chunks() == want.virt_out_chunks());
+        assert_eq!(g.heap_bytes(), want.heap_bytes());
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly sorted")]
+    fn from_sorted_lists_rejects_an_unsorted_list() {
+        let (mut real, virt) = fig1_lists();
+        real[3].reverse();
+        CondensedGraph::from_sorted_lists(real, virt);
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly sorted")]
+    fn from_sorted_lists_rejects_a_duplicate() {
+        let (mut real, virt) = fig1_lists();
+        real[0].insert(0, Adj::real(RealId(2)));
+        real[0].insert(0, Adj::real(RealId(2)));
+        CondensedGraph::from_sorted_lists(real, virt);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn from_sorted_lists_rejects_an_out_of_range_id() {
+        let (mut real, virt) = fig1_lists();
+        real[4].push(Adj::virt(VirtId(3)));
+        CondensedGraph::from_sorted_lists(real, virt);
     }
 }
