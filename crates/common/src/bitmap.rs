@@ -99,27 +99,6 @@ impl Bitmap {
     pub fn heap_bytes(&self) -> usize {
         self.words.len() * std::mem::size_of::<u64>()
     }
-
-    /// The raw 64-bit words backing the bitmap (tail bits beyond
-    /// [`Bitmap::len`] are always zero). Used by the snapshot codec.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Rebuild a bitmap from raw words and a bit length (the inverse of
-    /// [`Bitmap::words`]). `words` must hold exactly `len.div_ceil(64)`
-    /// entries; tail bits beyond `len` are cleared.
-    pub fn from_words(words: Vec<u64>, len: usize) -> Option<Self> {
-        if words.len() != len.div_ceil(64) {
-            return None;
-        }
-        let mut bitmap = Self {
-            words: words.into_boxed_slice(),
-            len,
-        };
-        bitmap.clear_tail();
-        Some(bitmap)
-    }
 }
 
 /// Iterator over set-bit indices of a [`Bitmap`].

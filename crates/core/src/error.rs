@@ -114,7 +114,8 @@ pub enum ErrorKind {
     Convert,
     /// Incremental delta application failure.
     Patch,
-    /// Corrupt or incompatible binary snapshot input.
+    /// Corrupt or incompatible binary snapshot input, or a snapshot asked
+    /// of a handle that holds a derived representation.
     Snapshot,
 }
 
@@ -136,6 +137,9 @@ pub enum Error {
     /// Corrupt or incompatible binary snapshot input
     /// (`GraphHandle::from_snapshot_bytes`).
     Snapshot(CodecError),
+    /// A snapshot holds the C-DUP graph; this handle holds the derived
+    /// representation named here (`GraphHandle::to_snapshot_bytes`).
+    SnapshotOfDerived(RepKind),
 }
 
 impl Error {
@@ -147,7 +151,7 @@ impl Error {
             Error::Db(_) => ErrorKind::Db,
             Error::Convert(_) => ErrorKind::Convert,
             Error::Patch(_) => ErrorKind::Patch,
-            Error::Snapshot(_) => ErrorKind::Snapshot,
+            Error::Snapshot(_) | Error::SnapshotOfDerived(_) => ErrorKind::Snapshot,
         }
     }
 
@@ -196,6 +200,11 @@ impl fmt::Display for Error {
             Error::Convert(e) => write!(f, "{e}"),
             Error::Patch(e) => write!(f, "{e}"),
             Error::Snapshot(e) => write!(f, "snapshot: {e}"),
+            Error::SnapshotOfDerived(kind) => write!(
+                f,
+                "snapshot: a snapshot holds a C-DUP graph, but this handle holds \
+                 {kind}; snapshot the C-DUP handle and convert after decoding"
+            ),
         }
     }
 }
@@ -204,7 +213,7 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Dsl(e) => Some(e),
-            Error::Check(_) => None,
+            Error::Check(_) | Error::SnapshotOfDerived(_) => None,
             Error::Db(e) => Some(e),
             Error::Convert(e) => Some(e),
             Error::Patch(e) => Some(e),

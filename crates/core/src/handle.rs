@@ -162,7 +162,7 @@ impl GraphHandle {
     /// Assemble a handle from decoded snapshot sections (the binary
     /// snapshot decoder's exit point; the report is not persisted).
     pub(crate) fn from_snapshot_parts(
-        graph: AnyGraph,
+        graph: CondensedGraph,
         ids: IdMap<Value>,
         properties: Properties,
         mut state: Option<IncrementalState>,
@@ -174,7 +174,7 @@ impl GraphHandle {
             s.rebuild_real_ids(&ids);
         }
         Self {
-            graph,
+            graph: AnyGraph::CDup(graph),
             ids: Arc::new(ids),
             properties: Arc::new(properties),
             report: ExtractionReport::default(),
@@ -357,18 +357,25 @@ impl GraphHandle {
         crate::serialize::canonical_bytes(self)
     }
 
-    /// Encode this handle as a self-contained binary snapshot: the graph in
-    /// its current representation, the id ↔ key mapping, the properties,
-    /// and (for incremental handles) the complete delta-maintenance state.
-    /// See [`crate::serialize`] for the format. The extraction report is
+    /// Encode this handle as a self-contained binary snapshot: the C-DUP
+    /// graph, the id ↔ key mapping, the properties, and (for incremental
+    /// handles) the complete delta-maintenance state. See
+    /// [`crate::serialize`] for the format. The extraction report is
     /// diagnostics and is not included.
-    pub fn to_snapshot_bytes(&self) -> Vec<u8> {
+    ///
+    /// # Errors
+    ///
+    /// [`Error::SnapshotOfDerived`] (kind [`crate::ErrorKind::Snapshot`])
+    /// if the handle holds a derived representation (EXP, DEDUP-1,
+    /// DEDUP-2 or BITMAP). Snapshot the C-DUP handle instead and
+    /// [`GraphHandle::convert`] after decoding.
+    pub fn to_snapshot_bytes(&self) -> Result<Vec<u8>, Error> {
         crate::serialize::encode_snapshot(self)
     }
 
     /// Decode a snapshot produced by [`GraphHandle::to_snapshot_bytes`].
-    /// The recovered handle is structurally verbatim: same representation,
-    /// same canonical bytes, and — for incremental handles — `apply_delta`
+    /// The recovered handle is structurally verbatim: the same C-DUP,
+    /// the same canonical bytes, and — for incremental handles — `apply_delta`
     /// continues exactly where the encoded handle stopped.
     ///
     /// # Errors

@@ -8,11 +8,13 @@
 //! # Binary snapshots
 //!
 //! [`encode_snapshot`] / [`decode_snapshot`] are the third format: a
-//! **verbatim binary image of a whole [`GraphHandle`]** — whichever of the
-//! five representations it holds, the id ↔ key mapping, the vertex
-//! properties, and (for incremental handles) the complete delta-maintenance
-//! state. The serving layer
-//! (`graphgen-serve`) persists and recovers graphs through it.
+//! **verbatim binary image of a whole C-DUP [`GraphHandle`]** — the
+//! condensed graph, the id ↔ key mapping, the vertex properties, and (for
+//! incremental handles) the complete delta-maintenance state. The serving
+//! layer (`graphgen-serve`) persists and recovers graphs through it. A
+//! handle holding a derived representation (EXP, DEDUP-1, DEDUP-2, BITMAP)
+//! has no snapshot: snapshot the C-DUP it was converted from and
+//! [`convert`](GraphHandle::convert) after decoding.
 //!
 //! Layout (all integers little-endian, variable data length-prefixed — see
 //! `graphgen_common::codec`):
@@ -23,14 +25,14 @@
 //!                 chunk capacity, count, then each distinct chunk once —
 //!                 chunks shared between sections (or byte-identical) are
 //!                 deduplicated and rebuilt shared on decode
-//! rep    u8       0=C-DUP 1=EXP 2=DEDUP-1 3=DEDUP-2 4=BITMAP
-//! graph  …        representation payload (condensed adjacency stored as
-//!                 chunk references into the table)
+//! rep    u8       always 0 (C-DUP); any other tag is rejected
+//! graph  …        C-DUP payload: slot counts, liveness bits, then the
+//!                 real and virtual adjacency as chunk references into
+//!                 the table
 //! ids    …        node keys in dense-id order
 //! props  …        property columns (sorted by name)
-//! incr   u8 + …   0 = plain handle; 1 = incremental maintenance state
-//!                 (only beside rep 0: a maintained handle holds its
-//!                 C-DUP): the engine dictionary (dense-id interner)
+//! incr   u8 + …   0 = plain handle; 1 = incremental maintenance state:
+//!                 the engine dictionary (dense-id interner)
 //!                 first, then id-keyed atom bags / supports / boundary
 //!                 interning / node entries / direct-edge supports, then
 //!                 one tag byte, always 0 (1 flagged a condensed shadow
@@ -166,37 +168,25 @@ fn json_prop(p: &PropValue) -> String {
 /// magic mismatch).
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"GGSNAP3\0";
 
-/// Encode a whole [`GraphHandle`] as a self-contained binary snapshot (see
-/// the module docs for the layout). Deterministic: equal handles produce
-/// equal bytes.
-pub fn encode_snapshot(g: &GraphHandle) -> Vec<u8> {
+/// Encode a whole C-DUP [`GraphHandle`] as a self-contained binary
+/// snapshot (see the module docs for the layout). Deterministic: equal
+/// handles produce equal bytes.
+///
+/// # Errors
+///
+/// [`Error::SnapshotOfDerived`] (kind [`crate::ErrorKind::Snapshot`]) if
+/// the handle holds a representation derived from the C-DUP.
+pub fn encode_snapshot(g: &GraphHandle) -> Result<Vec<u8>, Error> {
+    let AnyGraph::CDup(graph) = g.graph() else {
+        return Err(Error::SnapshotOfDerived(g.kind()));
+    };
     // Chunk-bearing sections encode into a body buffer while interning
     // their chunks; the deduplicated chunk table is then emitted *before*
     // the body, so decode can resolve references in one pass.
     let mut enc = graph_snapshot::ChunkEncoder::new();
     let mut body = Vec::new();
-    match g.graph() {
-        AnyGraph::CDup(inner) => {
-            codec::put_u8(&mut body, 0);
-            graph_snapshot::encode_condensed(inner, &mut enc, &mut body);
-        }
-        AnyGraph::Exp(inner) => {
-            codec::put_u8(&mut body, 1);
-            graph_snapshot::encode_expanded(inner, &mut body);
-        }
-        AnyGraph::Dedup1(inner) => {
-            codec::put_u8(&mut body, 2);
-            graph_snapshot::encode_dedup1(inner, &mut enc, &mut body);
-        }
-        AnyGraph::Dedup2(inner) => {
-            codec::put_u8(&mut body, 3);
-            graph_snapshot::encode_dedup2(inner, &mut body);
-        }
-        AnyGraph::Bitmap(inner) => {
-            codec::put_u8(&mut body, 4);
-            graph_snapshot::encode_bitmap(inner, &mut enc, &mut body);
-        }
-    }
+    codec::put_u8(&mut body, 0);
+    graph_snapshot::encode_condensed(graph, &mut enc, &mut body);
     incremental::encode_idmap(g.ids(), &mut body);
     graph_snapshot::encode_properties(g.properties(), &mut body);
     match g.incremental_state() {
@@ -210,26 +200,23 @@ pub fn encode_snapshot(g: &GraphHandle) -> Vec<u8> {
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     enc.finish_into(&mut out);
     out.extend_from_slice(&body);
-    out
+    Ok(out)
 }
 
 /// Decode a binary snapshot produced by [`encode_snapshot`]. Rejects bad
 /// magic (including the retired `GGSNAP1` format), truncation, trailing
-/// bytes, and structurally inconsistent sections with
-/// [`crate::ErrorKind::Snapshot`].
+/// bytes, any representation tag but C-DUP's, and structurally
+/// inconsistent sections with [`crate::ErrorKind::Snapshot`].
 pub fn decode_snapshot(bytes: &[u8]) -> Result<GraphHandle, Error> {
     let mut r = Reader::new(bytes);
     r.expect_magic(&SNAPSHOT_MAGIC)?;
     let dec = graph_snapshot::ChunkDecoder::decode(&mut r)?;
     let at = r.pos();
-    let graph = match r.u8()? {
-        0 => AnyGraph::CDup(graph_snapshot::decode_condensed(&mut r, &dec)?),
-        1 => AnyGraph::Exp(graph_snapshot::decode_expanded(&mut r)?),
-        2 => AnyGraph::Dedup1(graph_snapshot::decode_dedup1(&mut r, &dec)?),
-        3 => AnyGraph::Dedup2(graph_snapshot::decode_dedup2(&mut r)?),
-        4 => AnyGraph::Bitmap(graph_snapshot::decode_bitmap(&mut r, &dec)?),
+    match r.u8()? {
+        0 => {}
         tag => return Err(CodecError::invalid(at, format!("bad representation tag {tag}")).into()),
-    };
+    }
+    let graph = graph_snapshot::decode_condensed(&mut r, &dec)?;
     let ids = incremental::decode_idmap(&mut r)?;
     let at = r.pos();
     // Cross-section consistency: each section is individually validated,
@@ -263,13 +250,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<GraphHandle, Error> {
     let at = r.pos();
     let state = match r.u8()? {
         0 => None,
-        1 if !matches!(graph, AnyGraph::CDup(_)) => {
-            return Err(CodecError::invalid(
-                at,
-                format!("incremental state beside a {} graph", graph.kind()),
-            )
-            .into())
-        }
         1 => Some(IncrementalState::decode(&mut r)?),
         tag => return Err(CodecError::invalid(at, format!("bad incremental tag {tag}")).into()),
     };
@@ -408,25 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrip_every_representation() {
-        use crate::handle::ConvertOptions;
-        use graphgen_graph::RepKind;
-        let g = extract();
-        let opts = ConvertOptions::default();
-        for target in RepKind::all() {
-            let Ok(h) = g.convert(target, &opts) else {
-                continue; // representations infeasible for this shape
-            };
-            let bytes = encode_snapshot(&h);
-            let back = decode_snapshot(&bytes).unwrap();
-            assert_eq!(back.kind(), h.kind(), "{target}");
-            assert_eq!(back.canonical_bytes(), h.canonical_bytes(), "{target}");
-            // Deterministic bytes.
-            assert_eq!(encode_snapshot(&back), bytes, "{target}");
-        }
-    }
-
-    #[test]
     fn snapshot_roundtrip_restores_incremental_state() {
         let mut db = tiny();
         let gg = GraphGen::with_config(
@@ -443,7 +404,7 @@ mod tests {
                  Edges(A, B) :- Knows(A, B).",
             )
             .unwrap();
-        let mut restored = decode_snapshot(&encode_snapshot(&original)).unwrap();
+        let mut restored = decode_snapshot(&encode_snapshot(&original).unwrap()).unwrap();
         assert!(restored.is_incremental());
         assert_eq!(restored.canonical_bytes(), original.canonical_bytes());
         // Both handles must evolve identically under further deltas.
@@ -508,7 +469,7 @@ mod tests {
         ] {
             original.apply_delta(&delta).unwrap();
         }
-        let mut restored = decode_snapshot(&encode_snapshot(&original)).unwrap();
+        let mut restored = decode_snapshot(&encode_snapshot(&original).unwrap()).unwrap();
         assert_eq!(restored.canonical_bytes(), original.canonical_bytes());
         // Continue the stream on both sides: revive node 1 under a new
         // name (its adjacency must come back), mint brand-new values that
@@ -533,7 +494,10 @@ mod tests {
         }
         // The full encodings (dictionary and free list included) must
         // agree too, not just the canonical graph bytes.
-        assert_eq!(encode_snapshot(&original), encode_snapshot(&restored));
+        assert_eq!(
+            encode_snapshot(&original).unwrap(),
+            encode_snapshot(&restored).unwrap()
+        );
     }
 
     /// A snapshot records the thread count it was encoded with, which may
@@ -556,7 +520,7 @@ mod tests {
                  Edges(A, B) :- Knows(A, B).",
             )
             .unwrap();
-        let mut restored = decode_snapshot(&encode_snapshot(&original)).unwrap();
+        let mut restored = decode_snapshot(&encode_snapshot(&original).unwrap()).unwrap();
         assert_eq!(restored.incremental_state().unwrap().threads(), 2);
         restored.set_threads(0); // clamps to 1
         assert_eq!(restored.incremental_state().unwrap().threads(), 1);
@@ -586,6 +550,118 @@ mod tests {
         .unwrap()
     }
 
+    /// An incremental handle whose chain has a virtual layer (every join is
+    /// large-output, so co-knowers meet through one virtual node per
+    /// target), taken after a delete and a re-insert churned its state.
+    fn churned_co_occurrence() -> GraphHandle {
+        let mut db = tiny();
+        db.insert_rows("Person", vec![vec![Value::int(3), Value::str("cy")]])
+            .unwrap();
+        db.insert_rows(
+            "Knows",
+            vec![
+                vec![Value::int(3), Value::int(2)],
+                vec![Value::int(2), Value::int(1)],
+                vec![Value::int(3), Value::int(1)],
+            ],
+        )
+        .unwrap();
+        let gg = GraphGen::with_config(
+            &db,
+            GraphGenConfig::builder()
+                .large_output_factor(0.0)
+                .preprocess(false)
+                .auto_expand_threshold(None)
+                .incremental(true)
+                .threads(1)
+                .build(),
+        );
+        let mut g = gg
+            .extract(
+                "Nodes(ID, Name) :- Person(ID, Name).\n\
+                 Edges(A, B) :- Knows(A, X), Knows(B, X).",
+            )
+            .unwrap();
+        let row = vec![Value::int(3), Value::int(2)];
+        for delta in [
+            db.delete_rows("Knows", std::slice::from_ref(&row)).unwrap(),
+            db.insert_rows("Knows", vec![row.clone()]).unwrap(),
+        ] {
+            g.apply_delta(&delta).unwrap();
+        }
+        let core = g
+            .graph()
+            .as_condensed()
+            .expect("incremental handles are C-DUP");
+        assert!(core.num_virtual() > 0, "the chain keeps a virtual layer");
+        g
+    }
+
+    /// A snapshot holds a C-DUP and nothing else: the C-DUP round trip is
+    /// verbatim, a derived handle refuses to encode with a typed error, and
+    /// every representation tag but 0 is rejected — including a DEDUP-1
+    /// tag in front of a core whose paths repeat, which the retired
+    /// decoder used to accept unchecked.
+    #[test]
+    fn snapshot_holds_the_c_dup_only() {
+        use crate::error::ErrorKind;
+        use crate::handle::ConvertOptions;
+        use graphgen_common::IdMap;
+        use graphgen_graph::{CondensedBuilder, Properties, RealId, RepKind};
+
+        for g in [extract(), churned_co_occurrence()] {
+            assert_eq!(g.kind(), RepKind::CDup);
+            let bytes = g.to_snapshot_bytes().unwrap();
+            let back = decode_snapshot(&bytes).unwrap();
+            assert_eq!(back.kind(), RepKind::CDup);
+            assert_eq!(back.is_incremental(), g.is_incremental());
+            assert_eq!(back.canonical_bytes(), g.canonical_bytes());
+            assert_eq!(back.to_snapshot_bytes().unwrap(), bytes, "re-encode");
+        }
+
+        let g = churned_co_occurrence();
+        let mut refused = Vec::new();
+        for target in RepKind::all().into_iter().filter(|&k| k != RepKind::CDup) {
+            let h = g.convert(target, &ConvertOptions::default()).unwrap();
+            let err = h.to_snapshot_bytes().unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Snapshot, "{target}");
+            let msg = err.to_string();
+            assert!(msg.contains(target.label()), "{msg}");
+            assert!(msg.contains("convert after decoding"), "{msg}");
+            refused.push(target);
+        }
+        assert_eq!(refused.len(), 4, "every derived kind is covered");
+
+        // Cliques {0,1,2} and {0,1}: a valid C-DUP whose paths repeat, so
+        // it is no DEDUP-1.
+        let mut b = CondensedBuilder::new(3);
+        b.clique(&[RealId(0), RealId(1), RealId(2)]);
+        b.clique(&[RealId(0), RealId(1)]);
+        let mut ids = IdMap::new();
+        for i in 0..3 {
+            ids.intern(Value::int(i));
+        }
+        let h = GraphHandle::from_parts(
+            AnyGraph::CDup(b.build()),
+            ids,
+            Properties::new(3),
+            Default::default(),
+        );
+        let mut bytes = encode_snapshot(&h).unwrap();
+        let mut r = Reader::new(&bytes);
+        r.expect_magic(&SNAPSHOT_MAGIC).unwrap();
+        graph_snapshot::ChunkDecoder::decode(&mut r).unwrap();
+        let rep_at = r.pos();
+        assert_eq!(bytes[rep_at], 0);
+        assert!(decode_snapshot(&bytes).is_ok());
+        for tag in 1..=5 {
+            bytes[rep_at] = tag;
+            let err = decode_snapshot(&bytes).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Snapshot, "tag {tag}");
+            assert!(err.to_string().contains("bad representation tag"), "{err}");
+        }
+    }
+
     /// A file written while converted handles kept their maintenance state
     /// ends the state with tag 1 and a condensed shadow section: decoding
     /// rejects it with a typed error instead of reading the shadow.
@@ -593,7 +669,7 @@ mod tests {
     fn snapshot_rejects_a_shadow_section() {
         use crate::error::ErrorKind;
         let g = extract_incremental();
-        let mut bytes = encode_snapshot(&g);
+        let mut bytes = encode_snapshot(&g).unwrap();
         assert_eq!(bytes.last(), Some(&0), "the state's trailing tag");
         // A shadow of the handle's own graph references the chunk table
         // exactly as the representation section does.
@@ -609,47 +685,6 @@ mod tests {
         assert!(err.to_string().contains("shadow"), "{err}");
     }
 
-    /// A maintained handle holds its C-DUP, so a snapshot pairing the
-    /// incremental section with any other representation is corrupt.
-    #[test]
-    fn snapshot_rejects_incremental_state_beside_another_representation() {
-        use crate::error::ErrorKind;
-        use crate::handle::ConvertOptions;
-        use graphgen_graph::RepKind;
-        let g = extract_incremental();
-        let mut state = Vec::new();
-        g.incremental_state()
-            .expect("incremental handle")
-            .encode_into(&mut state);
-        for target in RepKind::all() {
-            let Ok(h) = g.convert(target, &ConvertOptions::default()) else {
-                continue; // representations infeasible for this shape
-            };
-            let mut bytes = encode_snapshot(&h);
-            assert_eq!(
-                bytes.last(),
-                Some(&0),
-                "{target}: derived handles are plain"
-            );
-            *bytes.last_mut().expect("non-empty") = 1;
-            bytes.extend_from_slice(&state);
-            match decode_snapshot(&bytes) {
-                Ok(back) => {
-                    assert_eq!(target, RepKind::CDup);
-                    assert!(back.is_incremental());
-                }
-                Err(err) => {
-                    assert_ne!(target, RepKind::CDup, "{err}");
-                    assert_eq!(err.kind(), ErrorKind::Snapshot, "{target}");
-                    assert!(
-                        err.to_string().contains("incremental state beside"),
-                        "{err}"
-                    );
-                }
-            }
-        }
-    }
-
     /// Older-format snapshots (`GGSNAP2\0` value-keyed state, `GGSNAP1\0`
     /// flat adjacency) must fail with a clean magic mismatch, not a
     /// misparse.
@@ -657,7 +692,7 @@ mod tests {
     fn snapshot_rejects_old_magic() {
         use crate::error::ErrorKind;
         let g = extract();
-        let mut bytes = encode_snapshot(&g);
+        let mut bytes = encode_snapshot(&g).unwrap();
         assert_eq!(&bytes[..8], b"GGSNAP3\0");
         for old in [*b"GGSNAP2\0", *b"GGSNAP1\0"] {
             bytes[..8].copy_from_slice(&old);
@@ -698,7 +733,7 @@ mod tests {
             Properties::new(n),
             Default::default(),
         );
-        let bytes = encode_snapshot(&h);
+        let bytes = encode_snapshot(&h).unwrap();
         // Header: magic(8) | u64 chunk capacity | u64 chunk count — the two
         // identical real chunks collapse with each other (the virtual
         // store's single big list stays distinct): 2 table entries, not 3.
@@ -720,7 +755,7 @@ mod tests {
     fn snapshot_rejects_corruption() {
         use crate::error::ErrorKind;
         let g = extract();
-        let bytes = encode_snapshot(&g);
+        let bytes = encode_snapshot(&g).unwrap();
         // Bad magic.
         let mut bad = bytes.clone();
         bad[0] ^= 0xFF;
@@ -739,5 +774,25 @@ mod tests {
             decode_snapshot(&long).unwrap_err().kind(),
             ErrorKind::Snapshot
         );
+        // Every byte flipped by three masks, in a plain handle and in an
+        // incremental one with a virtual layer: each flip decodes to a
+        // handle that still serializes, or fails as a snapshot error.
+        for g in [g, churned_co_occurrence()] {
+            let bytes = encode_snapshot(&g).unwrap();
+            for i in 0..bytes.len() {
+                for mask in [0xFF, 0x01, 0x80] {
+                    let mut bad = bytes.clone();
+                    bad[i] ^= mask;
+                    match decode_snapshot(&bad) {
+                        Ok(back) => drop(back.canonical_bytes()),
+                        Err(err) => assert_eq!(
+                            err.kind(),
+                            ErrorKind::Snapshot,
+                            "byte {i} ^ {mask:#04x}: {err}"
+                        ),
+                    }
+                }
+            }
+        }
     }
 }

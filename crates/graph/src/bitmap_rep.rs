@@ -19,10 +19,10 @@ use graphgen_common::{Bitmap, FxHashMap};
 /// A condensed graph plus traversal bitmaps.
 #[derive(Debug, Clone)]
 pub struct BitmapGraph {
-    pub(crate) core: CondensedGraph,
+    core: CondensedGraph,
     /// For each virtual node: source real id → bitmap over the positions of
     /// `virt_out[v]`. Absent bitmap = follow all out-edges.
-    pub(crate) bitmaps: Vec<FxHashMap<u32, Bitmap>>,
+    bitmaps: Vec<FxHashMap<u32, Bitmap>>,
 }
 
 impl BitmapGraph {

@@ -26,18 +26,18 @@ use crate::ids::RealId;
 #[derive(Debug, Clone, Default)]
 pub struct Dedup2Graph {
     /// For each real node, the sorted virtual nodes it belongs to.
-    pub(crate) memberships: Vec<Vec<u32>>,
+    memberships: Vec<Vec<u32>>,
     /// For each virtual node, its sorted real members.
-    pub(crate) members: Vec<Vec<u32>>,
+    members: Vec<Vec<u32>>,
     /// Undirected virtual–virtual adjacency (stored in both directions,
     /// sorted).
-    pub(crate) vv: Vec<Vec<u32>>,
+    vv: Vec<Vec<u32>>,
     /// Direct (undirected) real–real edges, stored in both directions.
     /// The paper models these as singleton virtual nodes; a side list is
     /// equivalent and cheaper.
-    pub(crate) direct: Vec<Vec<u32>>,
-    pub(crate) alive: Vec<bool>,
-    pub(crate) n_alive: usize,
+    direct: Vec<Vec<u32>>,
+    alive: Vec<bool>,
+    n_alive: usize,
 }
 
 impl Dedup2Graph {

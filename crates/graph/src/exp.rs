@@ -10,12 +10,12 @@ use crate::api::{GraphRep, RepKind};
 use crate::ids::RealId;
 
 /// Fully expanded directed graph with lazy vertex deletion.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExpandedGraph {
-    pub(crate) out: Vec<Vec<u32>>, // sorted
-    pub(crate) inc: Vec<Vec<u32>>, // sorted (in-edges; the paper stores both lists)
-    pub(crate) alive: Vec<bool>,
-    pub(crate) n_alive: usize,
+    out: Vec<Vec<u32>>, // sorted
+    inc: Vec<Vec<u32>>, // sorted (in-edges; the paper stores both lists)
+    alive: Vec<bool>,
+    n_alive: usize,
 }
 
 impl ExpandedGraph {

@@ -1,35 +1,35 @@
-//! Binary snapshot codecs for every in-memory representation.
+//! Binary snapshot codecs for the C-DUP graph and its properties.
 //!
 //! The serving layer persists extracted graphs to disk and recovers them
-//! after a crash (see `graphgen-serve`). This module provides the
+//! after a crash (see `graphgen-serve`). What it persists is the condensed
+//! C-DUP graph the incremental writer maintains; the other four
+//! representations are derived from it by conversion and are recomputed
+//! after decoding, never stored. This module provides the
 //! representation-level primitives of that snapshot format: a verbatim,
-//! structure-preserving binary encoding of each of the five
-//! representations plus [`Properties`], following the workspace codec
-//! conventions (`graphgen_common::codec`: little-endian, length-prefixed,
-//! bounds-checked decode).
+//! structure-preserving binary encoding of a [`CondensedGraph`] (through a
+//! deduplicating chunk table) plus [`Properties`], following the workspace
+//! codec conventions (`graphgen_common::codec`: little-endian,
+//! length-prefixed, bounds-checked decode).
 //!
 //! The encodings are **verbatim**: a decoded graph has exactly the stored
 //! adjacency of the encoded one — same virtual-node numbering, same dead
-//! slots, same bitmaps — so a recovered handle is byte-identical
-//! (canonical serialization *and* structure) to the one that was
-//! persisted. Encoding is deterministic (hash-map content is emitted in
-//! sorted key order), so equal graphs produce equal bytes.
+//! slots — so a recovered handle is byte-identical (canonical serialization
+//! *and* structure) to the one that was persisted. Decoding checks every
+//! list's order and every target's range. Encoding is deterministic
+//! (hash-map content is emitted in sorted key order), so equal graphs
+//! produce equal bytes.
 //!
 //! Framing (magic header, format version, section layout for a whole
 //! `GraphHandle`) lives one level up in `graphgen_core::serialize`; these
 //! functions encode bare representation payloads.
 
 use crate::api::GraphRep;
-use crate::bitmap_rep::BitmapGraph;
 use crate::cdup::CondensedGraph;
 use crate::chunk::{AdjChunk, ChunkedAdj, CHUNK_LEN};
-use crate::dedup1::Dedup1Graph;
-use crate::dedup2::Dedup2Graph;
-use crate::exp::ExpandedGraph;
 use crate::ids::Adj;
 use crate::properties::{PropValue, Properties};
 use graphgen_common::codec::{self, CodecError, Reader};
-use graphgen_common::{Bitmap, FxHashMap};
+use graphgen_common::FxHashMap;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -72,53 +72,6 @@ fn read_bools(r: &mut Reader<'_>) -> Result<Vec<bool>, CodecError> {
         bits.push((word >> (i % 64)) & 1 == 1);
     }
     Ok(bits)
-}
-
-/// Encode a list-of-sorted-u32-lists adjacency structure.
-fn put_lists(out: &mut Vec<u8>, lists: &[Vec<u32>]) {
-    codec::put_len(out, lists.len());
-    for list in lists {
-        codec::put_len(out, list.len());
-        for &v in list {
-            codec::put_u32(out, v);
-        }
-    }
-}
-
-/// Decode an adjacency structure, checking each entry is `< bound` and each
-/// list is strictly sorted (the invariant every representation maintains).
-fn read_lists(r: &mut Reader<'_>, bound: u32, what: &str) -> Result<Vec<Vec<u32>>, CodecError> {
-    let n = r.len_of(8)?;
-    let mut lists = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = r.len_of(4)?;
-        let mut list = Vec::with_capacity(len);
-        for _ in 0..len {
-            let at = r.pos();
-            let v = r.u32()?;
-            if v >= bound {
-                return Err(CodecError::invalid(
-                    at,
-                    format!("{what} target {v} out of range {bound}"),
-                ));
-            }
-            if let Some(&prev) = list.last() {
-                if prev >= v {
-                    return Err(CodecError::invalid(
-                        at,
-                        format!("{what} list not strictly sorted"),
-                    ));
-                }
-            }
-            list.push(v);
-        }
-        lists.push(list);
-    }
-    Ok(lists)
-}
-
-fn count_alive(alive: &[bool]) -> usize {
-    alive.iter().filter(|&&a| a).count()
 }
 
 // ---------------------------------------------------------------------------
@@ -322,7 +275,7 @@ impl ChunkDecoder {
 }
 
 // ---------------------------------------------------------------------------
-// C-DUP (also the core of DEDUP-1 and BITMAP)
+// C-DUP
 // ---------------------------------------------------------------------------
 
 /// Encode a [`CondensedGraph`] verbatim (real adjacency, virtual adjacency,
@@ -361,180 +314,6 @@ pub fn decode_condensed(
         return Err(CodecError::invalid(at, "adjacency length mismatch"));
     }
     Ok(CondensedGraph::from_chunked(real_out, virt_out, alive))
-}
-
-// ---------------------------------------------------------------------------
-// EXP
-// ---------------------------------------------------------------------------
-
-/// Encode an [`ExpandedGraph`] verbatim (both adjacency directions and the
-/// liveness bits are stored, so lazily deleted targets survive the trip).
-pub fn encode_expanded(g: &ExpandedGraph, out: &mut Vec<u8>) {
-    put_bools(out, &g.alive);
-    put_lists(out, &g.out);
-    put_lists(out, &g.inc);
-}
-
-/// Decode an [`ExpandedGraph`] (inverse of [`encode_expanded`]).
-pub fn decode_expanded(r: &mut Reader<'_>) -> Result<ExpandedGraph, CodecError> {
-    let at = r.pos();
-    let alive = read_bools(r)?;
-    let n = alive.len();
-    if n > u32::MAX as usize {
-        return Err(CodecError::invalid(at, "node count overflows u32"));
-    }
-    let out = read_lists(r, n as u32, "out")?;
-    let inc = read_lists(r, n as u32, "in")?;
-    if out.len() != n || inc.len() != n {
-        return Err(CodecError::invalid(at, "adjacency length mismatch"));
-    }
-    let n_alive = count_alive(&alive);
-    Ok(ExpandedGraph {
-        out,
-        inc,
-        alive,
-        n_alive,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// DEDUP-1
-// ---------------------------------------------------------------------------
-
-/// Encode a [`Dedup1Graph`] (its condensed core, whose deduplication
-/// invariant the decode trusts — the bytes came from a validated graph).
-pub fn encode_dedup1(g: &Dedup1Graph, enc: &mut ChunkEncoder, out: &mut Vec<u8>) {
-    encode_condensed(g.core(), enc, out);
-}
-
-/// Decode a [`Dedup1Graph`] (inverse of [`encode_dedup1`]).
-pub fn decode_dedup1(r: &mut Reader<'_>, dec: &ChunkDecoder) -> Result<Dedup1Graph, CodecError> {
-    Ok(Dedup1Graph::new_unchecked(decode_condensed(r, dec)?))
-}
-
-// ---------------------------------------------------------------------------
-// DEDUP-2
-// ---------------------------------------------------------------------------
-
-/// Encode a [`Dedup2Graph`] verbatim (memberships, members, virtual-virtual
-/// and direct edges, liveness).
-pub fn encode_dedup2(g: &Dedup2Graph, out: &mut Vec<u8>) {
-    codec::put_len(out, g.members.len());
-    put_bools(out, &g.alive);
-    put_lists(out, &g.memberships);
-    put_lists(out, &g.members);
-    put_lists(out, &g.vv);
-    put_lists(out, &g.direct);
-}
-
-/// Decode a [`Dedup2Graph`] (inverse of [`encode_dedup2`]).
-pub fn decode_dedup2(r: &mut Reader<'_>) -> Result<Dedup2Graph, CodecError> {
-    let at = r.pos();
-    let n_virt = r.len()?;
-    let alive = read_bools(r)?;
-    let n_real = alive.len();
-    if n_real > u32::MAX as usize || n_virt > u32::MAX as usize {
-        return Err(CodecError::invalid(at, "node count overflows u32"));
-    }
-    let memberships = read_lists(r, n_virt as u32, "membership")?;
-    let members = read_lists(r, n_real as u32, "member")?;
-    let vv = read_lists(r, n_virt as u32, "virtual-virtual")?;
-    let direct = read_lists(r, n_real as u32, "direct")?;
-    if memberships.len() != n_real
-        || direct.len() != n_real
-        || members.len() != n_virt
-        || vv.len() != n_virt
-    {
-        return Err(CodecError::invalid(at, "section length mismatch"));
-    }
-    let n_alive = count_alive(&alive);
-    Ok(Dedup2Graph {
-        memberships,
-        members,
-        vv,
-        direct,
-        alive,
-        n_alive,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// BITMAP
-// ---------------------------------------------------------------------------
-
-/// Encode a [`BitmapGraph`] verbatim: its condensed core plus, per virtual
-/// node, the per-source traversal bitmaps (in ascending source order, so
-/// the bytes are deterministic).
-pub fn encode_bitmap(g: &BitmapGraph, enc: &mut ChunkEncoder, out: &mut Vec<u8>) {
-    encode_condensed(&g.core, enc, out);
-    codec::put_len(out, g.bitmaps.len());
-    for map in &g.bitmaps {
-        let mut sources: Vec<u32> = map.keys().copied().collect();
-        sources.sort_unstable();
-        codec::put_len(out, sources.len());
-        for src in sources {
-            let bm = &map[&src];
-            codec::put_u32(out, src);
-            codec::put_len(out, bm.len());
-            for &w in bm.words() {
-                codec::put_u64(out, w);
-            }
-        }
-    }
-}
-
-/// Decode a [`BitmapGraph`] (inverse of [`encode_bitmap`]).
-pub fn decode_bitmap(r: &mut Reader<'_>, dec: &ChunkDecoder) -> Result<BitmapGraph, CodecError> {
-    let core = decode_condensed(r, dec)?;
-    let at = r.pos();
-    let n_virt = r.len()?;
-    if n_virt != core.num_virtual() {
-        return Err(CodecError::invalid(
-            at,
-            "bitmap section does not match virtual count",
-        ));
-    }
-    let n_real = core.num_real_slots() as u32;
-    let mut bitmaps = Vec::with_capacity(n_virt);
-    for v in 0..n_virt {
-        let count = r.len_of(4)?;
-        let mut map: FxHashMap<u32, Bitmap> = FxHashMap::default();
-        for _ in 0..count {
-            let at = r.pos();
-            let src = r.u32()?;
-            if src >= n_real {
-                return Err(CodecError::invalid(at, "bitmap source out of range"));
-            }
-            // The stored count is in BITS (~1/8 byte each), so the
-            // byte-based plausibility check of `Reader::len` does not
-            // apply; bound it against the word payload instead.
-            let bits = usize::try_from(r.u64()?)
-                .map_err(|_| CodecError::invalid(at, "bitmap length overflows"))?;
-            if bits.div_ceil(64) > r.remaining() / 8 {
-                return Err(CodecError::invalid(
-                    at,
-                    "bitmap longer than remaining input",
-                ));
-            }
-            if bits != core.virt_out(crate::ids::VirtId(v as u32)).len() {
-                return Err(CodecError::invalid(
-                    at,
-                    "bitmap length does not match out-degree",
-                ));
-            }
-            let mut words = Vec::with_capacity(bits.div_ceil(64));
-            for _ in 0..bits.div_ceil(64) {
-                words.push(r.u64()?);
-            }
-            let bm = Bitmap::from_words(words, bits)
-                .ok_or_else(|| CodecError::invalid(at, "bitmap word count mismatch"))?;
-            if map.insert(src, bm).is_some() {
-                return Err(CodecError::invalid(at, "duplicate bitmap source"));
-            }
-        }
-        bitmaps.push(map);
-    }
-    Ok(BitmapGraph { core, bitmaps })
 }
 
 // ---------------------------------------------------------------------------
@@ -630,8 +409,8 @@ pub fn decode_properties(r: &mut Reader<'_>) -> Result<Properties, CodecError> {
 mod tests {
     use super::*;
     use crate::builder::CondensedBuilder;
+    use crate::expand_to_edge_list;
     use crate::ids::RealId;
-    use crate::{expand_to_edge_list, RepKind};
 
     fn sample_condensed() -> CondensedGraph {
         let mut b = CondensedBuilder::new(6);
@@ -699,84 +478,6 @@ mod tests {
             assert_eq!(back.is_alive(RealId(u)), g.is_alive(RealId(u)));
         }
         assert_eq!(expand_to_edge_list(&back), expand_to_edge_list(&g));
-    }
-
-    #[test]
-    fn expanded_roundtrip_keeps_lazy_deletes() {
-        let mut g = ExpandedGraph::from_rep(&sample_condensed());
-        g.delete_vertex(RealId(1));
-        let back = roundtrip(encode_expanded, decode_expanded, &g);
-        assert_eq!(back.num_vertices(), g.num_vertices());
-        assert_eq!(expand_to_edge_list(&back), expand_to_edge_list(&g));
-        // Lazily deleted targets survive verbatim (revive works after decode).
-        let mut revived_a = back.clone();
-        let mut revived_b = g.clone();
-        revived_a.revive_vertex(RealId(1));
-        revived_b.revive_vertex(RealId(1));
-        assert_eq!(
-            expand_to_edge_list(&revived_a),
-            expand_to_edge_list(&revived_b)
-        );
-    }
-
-    #[test]
-    fn dedup1_and_dedup2_roundtrip() {
-        let mut b = CondensedBuilder::new(5);
-        b.clique(&[RealId(0), RealId(1), RealId(3)]);
-        b.clique(&[RealId(2), RealId(3), RealId(4)]);
-        let d1 = Dedup1Graph::new_unchecked(b.build());
-        let back = roundtrip_chunked(encode_dedup1, decode_dedup1, &d1);
-        assert_eq!(back.kind(), RepKind::Dedup1);
-        assert_eq!(expand_to_edge_list(&back), expand_to_edge_list(&d1));
-
-        let mut d2 = Dedup2Graph::new(9);
-        let w1 = d2.add_virtual(vec![0, 1, 2]);
-        let w2 = d2.add_virtual(vec![3, 4, 5]);
-        d2.add_virtual_edge(w1, w2);
-        d2.add_edge(RealId(6), RealId(7));
-        d2.delete_vertex(RealId(8));
-        let back = roundtrip(encode_dedup2, decode_dedup2, &d2);
-        assert_eq!(back.kind(), RepKind::Dedup2);
-        assert_eq!(back.num_vertices(), d2.num_vertices());
-        assert_eq!(expand_to_edge_list(&back), expand_to_edge_list(&d2));
-    }
-
-    #[test]
-    fn bitmap_roundtrip_keeps_masks() {
-        let mut b = CondensedBuilder::new(4);
-        let p1 = b.clique(&[RealId(0), RealId(1)]);
-        b.clique(&[RealId(0), RealId(1), RealId(2)]);
-        let mut g = BitmapGraph::new_unmasked(b.build());
-        let mut m = Bitmap::ones(2);
-        m.unset(0);
-        m.unset(1);
-        g.set_bitmap(p1, RealId(0), m);
-        let back = roundtrip_chunked(encode_bitmap, decode_bitmap, &g);
-        assert_eq!(back.bitmap_count(), g.bitmap_count());
-        assert_eq!(back.bitmap(p1, RealId(0)), g.bitmap(p1, RealId(0)));
-        // Masked traversal is identical.
-        let collect = |g: &BitmapGraph| {
-            let mut seen = Vec::new();
-            g.for_each_neighbor(RealId(0), &mut |r| seen.push(r.0));
-            seen
-        };
-        assert_eq!(collect(&back), collect(&g));
-    }
-
-    /// Regression: the bitmap length is a BIT count; a byte-based
-    /// plausibility bound used to reject any mask with more bits than
-    /// trailing bytes.
-    #[test]
-    fn bitmap_roundtrip_with_wide_masks() {
-        let mut b = CondensedBuilder::new(130);
-        let members: Vec<RealId> = (0..128).map(RealId).collect();
-        let v = b.clique(&members);
-        let mut g = BitmapGraph::new_unmasked(b.build());
-        let mut m = Bitmap::ones(128);
-        m.unset(0);
-        g.set_bitmap(v, RealId(0), m);
-        let back = roundtrip_chunked(encode_bitmap, decode_bitmap, &g);
-        assert_eq!(back.bitmap(v, RealId(0)), g.bitmap(v, RealId(0)));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   reader's view is always byte-identical to *some* committed version,
 //!   never a torn mid-patch state (snapshot isolation; enforced by the
 //!   crate's soak tests at 1/2/8 reader threads);
-//! * **persistence** — per-graph binary snapshots
+//! * **persistence** — per-graph binary snapshots of the maintained C-DUP
 //!   (`GraphHandle::to_snapshot_bytes`, magic-headed, length-prefixed
 //!   little-endian) plus **one** write-ahead delta log with checksummed
 //!   records and torn-tail truncation, folded into fresh snapshots by a

@@ -895,7 +895,6 @@ impl GraphService {
     /// so a `STATS` request never stalls the write path for the duration
     /// of a traversal.
     pub fn stats(&self) -> (Vec<GraphStats>, usize) {
-        use graphgen_core::AnyGraph;
         use graphgen_graph::GraphRep;
         let (entries, db_rows) = {
             let inner = self.inner.lock().unwrap();
@@ -919,19 +918,12 @@ impl GraphService {
             .into_iter()
             .map(|(name, snapshot, drift, stale_plan)| {
                 let h = snapshot.handle();
-                let rep = match h.graph() {
-                    AnyGraph::CDup(_) => "C-DUP",
-                    AnyGraph::Exp(_) => "EXP",
-                    AnyGraph::Dedup1(_) => "DEDUP-1",
-                    AnyGraph::Dedup2(_) => "DEDUP-2",
-                    AnyGraph::Bitmap(_) => "BITMAP",
-                };
                 GraphStats {
                     name,
                     version: snapshot.version(),
                     vertices: h.num_vertices(),
                     edges: h.expanded_edge_count(),
-                    rep: rep.to_string(),
+                    rep: h.kind().label().to_string(),
                     drift,
                     stale_plan,
                 }
@@ -1313,7 +1305,7 @@ fn write_graph_snapshot(
         }
         codec::put_f64(&mut bytes, plan.planned_cost);
     }
-    codec::put_bytes(&mut bytes, &state.working.to_snapshot_bytes());
+    codec::put_bytes(&mut bytes, &state.working.to_snapshot_bytes()?);
     seal(&mut bytes);
     write_file_atomic(&graph_snap_path(dir, state.current.name()), &bytes, fsync)?;
     Ok(())

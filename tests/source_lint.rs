@@ -232,6 +232,17 @@ const DELETED_NAMES: &[(&str, Option<&str>)] = &[
     // A registered table stores dictionary ids: the scan copies them, and a
     // value is hashed only when registration or a mutation acquires it.
     ("lookup(table.cell", None),
+    // A snapshot holds the C-DUP; derived representations are recomputed
+    // with `convert` after decoding.
+    ("encode_expanded", None),
+    ("decode_expanded", None),
+    ("encode_dedup1", None),
+    ("decode_dedup1", None),
+    ("encode_dedup2", None),
+    ("decode_dedup2", None),
+    ("encode_bitmap", None),
+    ("decode_bitmap", None),
+    ("from_words", None),
 ];
 
 #[test]
@@ -271,7 +282,8 @@ fn deleted_operators_stay_deleted() {
          the per-id hash maps of the maintenance state for `CountedRuns`, \
          the condensed shadow and logical-edge patch path of converted \
          incremental handles for patching the C-DUP only, and the scan's \
-         per-cell dictionary lookup for tables that store ids; \
+         per-cell dictionary lookup for tables that store ids, and the \
+         derived representations' snapshot codecs for the C-DUP's; \
          extend those instead of bringing a second mechanism back, and keep \
          the docs on the code that exists:\n{}",
         violations.join("\n")
