@@ -6,6 +6,10 @@
 //! wall time, and bytes allocated for both, plus the blow-up factor.
 //! A second table attributes the condensed extraction's allocations to
 //! the relational operators.
+//!
+//! Each dataset's two graphs are checked afterwards, outside the timed
+//! closures: the condensed graph must expand to the full graph's edge
+//! list. The binary exits non-zero if any check fails.
 
 use graphgen_bench::alloc::{human_bytes, measure, measure_regions};
 use graphgen_bench::{ms, row, time};
@@ -16,7 +20,7 @@ use graphgen_datagen::relational::{
 use graphgen_datagen::{
     dblp_like, imdb_like, tpch_like, univ, DblpConfig, ImdbConfig, TpchConfig, UnivConfig,
 };
-use graphgen_graph::GraphRep;
+use graphgen_graph::{expand_to_edge_list, GraphRep};
 
 fn main() {
     println!(
@@ -44,6 +48,7 @@ fn main() {
         ("TPCH", tpch_like(TpchConfig::default()), TPCH_COPURCHASE),
         ("UNIV", univ(UnivConfig::default()), UNIV_COENROLLMENT),
     ];
+    let mut failures = 0;
     for (name, db, query) in &datasets {
         let cfg = GraphGenConfig::builder()
             .large_output_factor(2.0)
@@ -72,6 +77,10 @@ fn main() {
             ],
             &widths,
         );
+        if expand_to_edge_list(&condensed) != expand_to_edge_list(&full) {
+            eprintln!("{name}: the condensed graph does not expand to the full graph");
+            failures += 1;
+        }
     }
 
     println!("\nPer-operator allocation breakdown (condensed path, 1 thread):\n");
@@ -109,4 +118,8 @@ fn main() {
     println!("TPCH shows the largest blow-up (small input hiding a dense graph).");
     println!("the region table attributes allocation to scan/build/probe/distinct;");
     println!("`general` is everything outside the relational operators.");
+    if failures > 0 {
+        eprintln!("{failures} dataset(s) failed their check");
+        std::process::exit(1);
+    }
 }

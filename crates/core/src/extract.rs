@@ -14,7 +14,8 @@ use graphgen_dsl::{
     check_program, parse, CheckOptions, CheckReport, GraphSpec, NodesView, Severity,
 };
 use graphgen_graph::{CondensedBuilder, ExpandedGraph, PropValue, Properties, RealId, VirtId};
-use graphgen_reldb::{exec::scan_project, Database, Value, Vid, NULL_VID};
+use graphgen_reldb::exec::{scan_project, unpack};
+use graphgen_reldb::{Database, Query, Value, Vid, NULL_VID};
 use std::time::Instant;
 
 /// Extraction configuration. Construct via [`GraphGenConfig::builder`]:
@@ -93,6 +94,8 @@ impl GraphGenConfig {
     }
 
     /// The §6.5 auto-expansion threshold; `None` disables auto-expansion.
+    /// See [`GraphGenConfigBuilder::auto_expand_threshold`] for when a
+    /// batch extraction builds EXP directly.
     pub fn auto_expand_threshold(&self) -> Option<f64> {
         self.auto_expand_threshold
     }
@@ -146,6 +149,14 @@ impl GraphGenConfigBuilder {
     /// §6.5 policy: hand back EXP when the expanded graph is at most this
     /// factor larger than the condensed one (e.g. 1.2 = +20%). Pass `None`
     /// to disable auto-expansion and always keep the condensed result.
+    ///
+    /// A graph without virtual nodes expands to exactly the edges it
+    /// stores, so any threshold of at least 1 expands it. When no chain has
+    /// a large-output join, a batch extraction under such a threshold
+    /// therefore builds EXP straight from its segment queries' output and
+    /// never builds the C-DUP; otherwise it builds the C-DUP, tests it and
+    /// expands it if the test passes. Either way the graph and the report
+    /// are the same. Incremental extraction ignores the threshold.
     pub fn auto_expand_threshold(mut self, threshold: impl Into<Option<f64>>) -> Self {
         self.cfg.auto_expand_threshold = threshold.into();
         self
@@ -282,24 +293,56 @@ impl<'a> GraphGen<'a> {
 
         // Step 1: load nodes.
         let (ids, properties, node_of) = self.load_nodes(&spec.nodes, threads)?;
-        let mut builder = CondensedBuilder::new(ids.len());
 
-        // Steps 2-5 per Edges statement; the union of all rules shares the
-        // node space and appends virtual nodes.
+        // Step 2: plan every chain before any segment runs.
         for chain in &spec.edges {
             let plan = plan_chain(self.db, chain, self.cfg.large_output_factor)?;
+            report.plans.push(plan);
+        }
+
+        // No large-output join anywhere: every chain is one segment of
+        // direct edges, so the graph has no virtual node, expands to
+        // exactly what it stores, and §6.5 hands back EXP for any threshold
+        // of at least 1. Build that EXP straight from the segments' bags.
+        let direct = report.plans.iter().all(|plan| plan.segments.len() == 1)
+            && self.cfg.auto_expand_threshold.is_some_and(|t| t >= 1.0);
+        if direct {
+            let queries = report.plans.iter().map(|plan| &plan.segments[0].query);
+            let graph =
+                self.extract_direct(queries, ids.len(), &node_of, threads, &mut report.sql)?;
+            if self.cfg.preprocess {
+                // Step 6 has no virtual node to examine.
+                report.preprocess = Some(PreprocessStats {
+                    examined: 0,
+                    expanded: 0,
+                });
+            }
+            report.auto_expanded = true;
+            report.extraction_micros = start.elapsed().as_micros();
+            return Ok(GraphHandle::from_parts(
+                AnyGraph::Exp(graph),
+                ids,
+                properties,
+                report,
+            ));
+        }
+
+        // Steps 3-5 per Edges statement; the union of all rules shares the
+        // node space and appends virtual nodes.
+        let mut builder = CondensedBuilder::new(ids.len());
+        for plan in &report.plans {
             let k = plan.segments.len();
             // Per boundary: database id -> its virtual node (`u32::MAX` =
             // none yet).
             let mut virt_of = vec![vec![u32::MAX; node_of.len()]; k - 1];
             for (j, seg) in plan.segments.iter().enumerate() {
                 report.sql.push(seg.query.to_sql(self.db)?);
-                let pairs = seg.query.run_threaded(self.db, threads)?;
+                let bag = seg.query.run_counted(self.db, threads)?;
                 let _span = span("emit", region::current());
                 emit_segment(
                     &mut builder,
                     (j, k),
-                    pairs,
+                    bag.iter().map(|&(key, _)| key),
                     |vid| node_of[vid as usize],
                     |b, vid, builder| {
                         let slot = &mut virt_of[b][vid as usize];
@@ -310,7 +353,6 @@ impl<'a> GraphGen<'a> {
                     },
                 );
             }
-            report.plans.push(plan);
         }
         let rep_span = span("build_rep", Region::BuildRep);
         let mut graph = builder.build();
@@ -365,24 +407,17 @@ impl<'a> GraphGen<'a> {
     }
 
     /// Extract the **fully expanded** graph by running each chain as one
-    /// SQL query (Table 1's "Full Graph" baseline).
+    /// SQL query (Table 1's "Full Graph" baseline). The EXP is built from
+    /// the queries' bags as a batch extraction with no large-output join
+    /// builds it.
     pub fn extract_full(&self, dsl: &str) -> Result<GraphHandle, Error> {
         let spec = self.checked_spec(dsl)?;
         let start = Instant::now();
         let mut report = ExtractionReport::default();
         let threads = self.batch_threads(&spec)?;
         let (ids, properties, node_of) = self.load_nodes(&spec.nodes, threads)?;
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for chain in &spec.edges {
-            let q = full_query(chain);
-            report.sql.push(q.to_sql(self.db)?);
-            for (x, y) in q.run_threaded(self.db, threads)? {
-                if let (Some(u), Some(v)) = (node_of[x as usize], node_of[y as usize]) {
-                    edges.push((u.0, v.0));
-                }
-            }
-        }
-        let graph = ExpandedGraph::from_edges(ids.len(), edges);
+        let queries: Vec<Query> = spec.edges.iter().map(full_query).collect();
+        let graph = self.extract_direct(&queries, ids.len(), &node_of, threads, &mut report.sql)?;
         report.extraction_micros = start.elapsed().as_micros();
         Ok(GraphHandle::from_parts(
             AnyGraph::Exp(graph),
@@ -390,6 +425,61 @@ impl<'a> GraphGen<'a> {
             properties,
             report,
         ))
+    }
+
+    /// Run chain queries whose output pairs are edges and build the EXP
+    /// straight from their bags, rendering each query's SQL into `sql`
+    /// before it runs: the single-segment chains of a batch extraction
+    /// without large-output joins, and [`GraphGen::extract_full`]'s
+    /// whole-chain queries.
+    ///
+    /// A bag's keys are distinct `(l, r)` database-id pairs in ascending
+    /// order, so one left id's run is one node's targets: ids that are no
+    /// node key (`node_of`, over `n` nodes) and self-pairs drop out, and the
+    /// rest are distinct, since each node is the key of one id. The list is
+    /// already sorted unless the node order differs from the id order
+    /// there, or another bag fed the same node; only then is it sorted
+    /// (and deduplicated). Every list is stored at exact size, and
+    /// [`ExpandedGraph::from_sorted_lists`] builds the in-lists by one
+    /// counting transpose. The `emit` span covers each bag's lists and the
+    /// `build_rep` span the transpose, never an operator.
+    fn extract_direct<'q>(
+        &self,
+        queries: impl IntoIterator<Item = &'q Query>,
+        n: usize,
+        node_of: &[Option<RealId>],
+        threads: usize,
+        sql: &mut Vec<String>,
+    ) -> Result<ExpandedGraph, Error> {
+        let mut out: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut buf = Vec::new();
+        for query in queries {
+            sql.push(query.to_sql(self.db)?);
+            let bag = query.run_counted(self.db, threads)?;
+            let _span = span("emit", region::current());
+            for run in bag.chunk_by(|a, b| a.0 >> 32 == b.0 >> 32) {
+                let Some(u) = node_of[unpack(run[0].0).0 as usize] else {
+                    continue;
+                };
+                let list = &mut out[u.0 as usize];
+                buf.clear();
+                buf.extend(
+                    run.iter()
+                        .filter_map(|&(key, _)| node_of[unpack(key).1 as usize])
+                        .filter(|&v| v != u)
+                        .map(|v| v.0),
+                );
+                if !list.is_empty() || !buf.is_sorted_by(|a, b| a < b) {
+                    buf.extend_from_slice(list);
+                    buf.sort_unstable();
+                    buf.dedup();
+                }
+                // A clone is allocated at exact size.
+                *list = buf.clone();
+            }
+        }
+        let _span = span("build_rep", Region::BuildRep);
+        Ok(ExpandedGraph::from_sorted_lists(out))
     }
 
     /// Worker threads for one batch extraction of `spec`: the configured
@@ -452,8 +542,9 @@ impl<'a> GraphGen<'a> {
 
 /// §4.2 Steps 4–5, the one place segment output becomes stored edges: add
 /// the edges of segment `j` of a `k`-segment chain to `builder`, given the
-/// segment's distinct `(l, r)` pairs in ascending order. A single-segment
-/// chain's pairs are direct `real → real` edges (self-pairs dropped);
+/// keys of the segment's bag: its distinct `(l, r)` pairs, packed, in
+/// ascending order. A single-segment chain's pairs are direct
+/// `real → real` edges (self-pairs dropped);
 /// otherwise the first segment's are `real → virtual`, the last's
 /// `virtual → real` and the middle ones' `virtual → virtual`, with one
 /// virtual node per distinct attribute value of each boundary between
@@ -470,11 +561,11 @@ impl<'a> GraphGen<'a> {
 pub(crate) fn emit_segment(
     builder: &mut CondensedBuilder,
     (j, k): (usize, usize),
-    pairs: impl IntoIterator<Item = (Vid, Vid)>,
+    keys: impl IntoIterator<Item = u64>,
     real: impl Fn(Vid) -> Option<RealId>,
     mut virt: impl FnMut(usize, Vid, &mut CondensedBuilder) -> VirtId,
 ) {
-    for (l, r) in pairs {
+    for (l, r) in keys.into_iter().map(unpack) {
         match (j == 0, j == k - 1) {
             (true, true) => {
                 // No large-output join: the database computed the edge.

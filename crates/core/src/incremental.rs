@@ -68,8 +68,8 @@
 //! preprocessing phase. It scans every atom and node view once and computes
 //! each segment's counted output with the operators batch extraction runs
 //! its segment queries on — `graphgen_reldb::exec::{group_pairs,
-//! join_counted}`, over engine ids where `Query::run_threaded` uses
-//! database ids; the multiplicities the batch path drops are the supports
+//! join_counted}`, over engine ids where `Query::run_counted` uses
+//! database ids; the multiplicities the batch path ignores are the supports
 //! kept here — keeps the operators' output as the *primary* state (each
 //! grouped atom bag becomes the atom's `by_in`, each joined output the
 //! segment's `support`, moved, not copied), and hands every segment's
@@ -1218,7 +1218,7 @@ impl IncrementalState {
             emit_segment(
                 &mut builder,
                 (j, segments.len()),
-                segments[j].support.iter().map(|(key, _)| unpack(key)),
+                segments[j].support.iter().map(|(key, _)| key),
                 |vid| real_from(&state.real_ids, vid).map(RealId),
                 |b, vid, builder| {
                     let (slot, new) =

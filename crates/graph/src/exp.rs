@@ -64,6 +64,33 @@ impl ExpandedGraph {
         Self::from_out(out, alive)
     }
 
+    /// Build from out-lists that are already in the order
+    /// [`ExpandedGraph::from_edges`] produces — strictly ascending, no
+    /// self-loop — without sorting them again: `out[u]` lists the targets
+    /// of vertex `u`, every vertex is alive, and each list is stored at
+    /// exact size. Every list is checked, in O(edges): a list out of
+    /// order, a repeated target, a self-loop or a target outside `out`
+    /// panics.
+    pub fn from_sorted_lists(mut out: Vec<Vec<u32>>) -> Self {
+        let n = out.len();
+        for (u, list) in out.iter_mut().enumerate() {
+            assert!(
+                list.windows(2).all(|p| p[0] < p[1]),
+                "out-list is not strictly sorted"
+            );
+            assert!(
+                list.last().is_none_or(|&v| (v as usize) < n),
+                "out-list names a vertex out of range"
+            );
+            assert!(
+                list.binary_search(&(u as u32)).is_err(),
+                "out-list holds a self-loop"
+            );
+            list.shrink_to_fit();
+        }
+        Self::from_out(out, vec![true; n])
+    }
+
     /// Finish a graph from its sorted, duplicate-free out-lists: a
     /// counting transpose in source order builds every in-list at exact
     /// size and already sorted.
@@ -283,6 +310,52 @@ mod tests {
             crate::expand_to_edge_list(&g),
             crate::expand_to_edge_list(&g2)
         );
+    }
+
+    #[test]
+    fn from_sorted_lists_equals_from_edges() {
+        let mut rng = graphgen_common::SplitMix64::new(7);
+        for case in 0..64 {
+            let n = rng.next_below(40) as usize;
+            let out: Vec<Vec<u32>> = (0..n as u32)
+                .map(|u| {
+                    (0..n as u32)
+                        .filter(|&v| v != u && rng.next_below(4) == 0)
+                        .collect()
+                })
+                .collect();
+            let edges: Vec<(u32, u32)> = (0..n)
+                .flat_map(|u| out[u].iter().map(move |&v| (u as u32, v)))
+                .collect();
+            let direct = ExpandedGraph::from_sorted_lists(out);
+            let reference = ExpandedGraph::from_edges(n, edges.into_iter().rev());
+            assert_eq!(direct, reference, "case {case}");
+            assert_eq!(direct.heap_bytes(), reference.heap_bytes(), "case {case}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly sorted")]
+    fn from_sorted_lists_rejects_an_unsorted_list() {
+        ExpandedGraph::from_sorted_lists(vec![vec![2, 1], vec![], vec![]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly sorted")]
+    fn from_sorted_lists_rejects_a_duplicate() {
+        ExpandedGraph::from_sorted_lists(vec![vec![1, 1], vec![]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "self-loop")]
+    fn from_sorted_lists_rejects_a_self_loop() {
+        ExpandedGraph::from_sorted_lists(vec![vec![1], vec![0, 1, 2], vec![]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn from_sorted_lists_rejects_an_out_of_range_target() {
+        ExpandedGraph::from_sorted_lists(vec![vec![1, 2], vec![]]);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!
 //! All bags handed to one join must come from the same dictionary: within
 //! one dictionary, id equality is value equality. The batch path
-//! ([`Query::run_threaded`](crate::query::Query::run_threaded)) evaluates
+//! ([`Query::run_counted`](crate::query::Query::run_counted)) evaluates
 //! in database ids, the maintenance-state loader of `graphgen-core` in its
 //! engine ids; both call the same two functions.
 //!

@@ -17,7 +17,7 @@
 
 use crate::catalog::Database;
 use crate::error::{DbError, DbResult};
-use crate::exec::{group_pairs, join_counted, pack, scan_project, unpack};
+use crate::exec::{group_pairs, join_counted, pack, scan_project, unpack, CountedPairs};
 use crate::expr::Predicate;
 use crate::intern::Vid;
 use crate::table::TableRef;
@@ -71,7 +71,21 @@ impl Query {
     /// This is the single `threads` knob of the extraction pipeline: every
     /// scan and join probe of the chain fans out over it, and the result is
     /// byte-identical for any value (see [`crate::exec`] for why).
+    /// [`Query::run_counted`] hands back the same pairs without unpacking
+    /// them.
     pub fn run_threaded(&self, db: &Database, threads: usize) -> DbResult<Vec<(Vid, Vid)>> {
+        Ok(self
+            .run_counted(db, threads)?
+            .into_iter()
+            .map(|(key, _)| unpack(key))
+            .collect())
+    }
+
+    /// [`Query::run_threaded`]'s result as the last operator wrote it: the
+    /// bag of `(X, Y)` pairs, `(pack(x, y), multiplicity)` in strictly
+    /// ascending key order. Its keys are the distinct pairs; the
+    /// multiplicities count the join paths behind each.
+    pub fn run_counted(&self, db: &Database, threads: usize) -> DbResult<CountedPairs> {
         let Some((first, rest)) = self.steps.split_first() else {
             return Err(DbError::Invalid("empty chain query".into()));
         };
@@ -87,7 +101,7 @@ impl Query {
         for step in rest {
             frontier = join_counted(&frontier, &scan(step)?, db.dict().capacity(), threads);
         }
-        Ok(frontier.into_iter().map(|(key, _)| unpack(key)).collect())
+        Ok(frontier)
     }
 
     /// Render the equivalent SQL text (for display / logging, mirroring the
