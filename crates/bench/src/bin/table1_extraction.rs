@@ -20,7 +20,7 @@ use graphgen_datagen::relational::{
 use graphgen_datagen::{
     dblp_like, imdb_like, tpch_like, univ, DblpConfig, ImdbConfig, TpchConfig, UnivConfig,
 };
-use graphgen_graph::{expand_to_edge_list, GraphRep};
+use graphgen_graph::expand_to_edge_list;
 
 fn main() {
     println!(

@@ -90,10 +90,11 @@ pub fn extract_cdup(db: &graphgen_reldb::Database, query: &str) -> CondensedGrap
             .threads(1)
             .build(),
     );
-    match gg.extract(query).expect("extraction failed").into_parts().0 {
-        AnyGraph::CDup(g) => g,
-        _ => unreachable!("auto-expansion disabled"),
-    }
+    let handle = gg.extract(query).expect("extraction failed");
+    let AnyGraph::CDup(g) = handle.graph() else {
+        unreachable!("auto-expansion disabled")
+    };
+    g.clone()
 }
 
 /// All representations built from one condensed graph.

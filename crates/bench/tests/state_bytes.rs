@@ -16,7 +16,6 @@
 use graphgen_bench::alloc;
 use graphgen_datagen::relational::DBLP_COAUTHORS;
 use graphgen_datagen::{dblp_like, DblpConfig};
-use graphgen_graph::GraphRep;
 use graphgen_reldb::{Database, Value};
 use graphgen_serve::GraphService;
 use std::collections::{BTreeMap, BTreeSet};

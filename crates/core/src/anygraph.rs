@@ -2,14 +2,16 @@
 //!
 //! The paper's system picks a representation per dataset / per analysis
 //! (§6.5). [`AnyGraph`] is the dynamic wrapper: it holds any of the five
-//! representations and implements the full [`GraphRep`] API by dispatch.
-//! Moving **between** representations is the job of
-//! [`crate::GraphHandle::convert`] — the typed, single entry point that
-//! replaced the old scatter of `Option`-returning `to_*` methods here.
+//! representations and dereferences to the one it holds as a
+//! `dyn GraphRep`, so `graph.as_condensed()` or `graph.degree(u)` reach
+//! the concrete representation's own method. [`crate::GraphHandle`] is the
+//! graph API's one forwarding layer; moving **between** representations is
+//! the job of [`crate::GraphHandle::convert`].
 
 use graphgen_graph::{
-    BitmapGraph, CondensedGraph, Dedup1Graph, Dedup2Graph, ExpandedGraph, GraphRep, RealId, RepKind,
+    BitmapGraph, CondensedGraph, Dedup1Graph, Dedup2Graph, ExpandedGraph, GraphRep,
 };
+use std::ops::{Deref, DerefMut};
 
 /// Any of the five in-memory representations.
 #[derive(Debug, Clone)]
@@ -26,8 +28,10 @@ pub enum AnyGraph {
     Bitmap(BitmapGraph),
 }
 
-impl AnyGraph {
-    fn inner(&self) -> &dyn GraphRep {
+impl Deref for AnyGraph {
+    type Target = dyn GraphRep;
+
+    fn deref(&self) -> &Self::Target {
         match self {
             AnyGraph::CDup(g) => g,
             AnyGraph::Exp(g) => g,
@@ -36,8 +40,10 @@ impl AnyGraph {
             AnyGraph::Bitmap(g) => g,
         }
     }
+}
 
-    fn inner_mut(&mut self) -> &mut dyn GraphRep {
+impl DerefMut for AnyGraph {
+    fn deref_mut(&mut self) -> &mut Self::Target {
         match self {
             AnyGraph::CDup(g) => g,
             AnyGraph::Exp(g) => g,
@@ -45,108 +51,13 @@ impl AnyGraph {
             AnyGraph::Dedup2(g) => g,
             AnyGraph::Bitmap(g) => g,
         }
-    }
-
-    /// [`GraphRep::as_condensed`], callable without the trait in scope.
-    pub fn as_condensed(&self) -> Option<&CondensedGraph> {
-        GraphRep::as_condensed(self)
-    }
-}
-
-impl From<CondensedGraph> for AnyGraph {
-    fn from(g: CondensedGraph) -> Self {
-        AnyGraph::CDup(g)
-    }
-}
-
-impl From<ExpandedGraph> for AnyGraph {
-    fn from(g: ExpandedGraph) -> Self {
-        AnyGraph::Exp(g)
-    }
-}
-
-impl From<Dedup1Graph> for AnyGraph {
-    fn from(g: Dedup1Graph) -> Self {
-        AnyGraph::Dedup1(g)
-    }
-}
-
-impl From<Dedup2Graph> for AnyGraph {
-    fn from(g: Dedup2Graph) -> Self {
-        AnyGraph::Dedup2(g)
-    }
-}
-
-impl From<BitmapGraph> for AnyGraph {
-    fn from(g: BitmapGraph) -> Self {
-        AnyGraph::Bitmap(g)
-    }
-}
-
-impl GraphRep for AnyGraph {
-    fn kind(&self) -> RepKind {
-        self.inner().kind()
-    }
-    fn num_real_slots(&self) -> usize {
-        self.inner().num_real_slots()
-    }
-    fn is_alive(&self, u: RealId) -> bool {
-        self.inner().is_alive(u)
-    }
-    fn num_vertices(&self) -> usize {
-        self.inner().num_vertices()
-    }
-    fn for_each_neighbor(&self, u: RealId, f: &mut dyn FnMut(RealId)) {
-        self.inner().for_each_neighbor(u, f)
-    }
-    fn neighbors(&self, u: RealId) -> Vec<RealId> {
-        self.inner().neighbors(u)
-    }
-    fn degree(&self, u: RealId) -> usize {
-        self.inner().degree(u)
-    }
-    fn exists_edge(&self, u: RealId, v: RealId) -> bool {
-        self.inner().exists_edge(u, v)
-    }
-    fn add_vertex(&mut self) -> RealId {
-        self.inner_mut().add_vertex()
-    }
-    fn delete_vertex(&mut self, u: RealId) {
-        self.inner_mut().delete_vertex(u)
-    }
-    fn revive_vertex(&mut self, u: RealId) {
-        self.inner_mut().revive_vertex(u)
-    }
-    fn compact(&mut self) {
-        self.inner_mut().compact()
-    }
-    fn add_edge(&mut self, u: RealId, v: RealId) {
-        self.inner_mut().add_edge(u, v)
-    }
-    fn delete_edge(&mut self, u: RealId, v: RealId) {
-        self.inner_mut().delete_edge(u, v)
-    }
-    fn expanded_edge_count(&self) -> u64 {
-        self.inner().expanded_edge_count()
-    }
-    fn stored_edge_count(&self) -> u64 {
-        self.inner().stored_edge_count()
-    }
-    fn stored_node_count(&self) -> usize {
-        self.inner().stored_node_count()
-    }
-    fn heap_bytes(&self) -> usize {
-        self.inner().heap_bytes()
-    }
-    fn as_condensed(&self) -> Option<&CondensedGraph> {
-        self.inner().as_condensed()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphgen_graph::CondensedBuilder;
+    use graphgen_graph::{CondensedBuilder, RealId, RepKind};
 
     fn sample() -> AnyGraph {
         let mut b = CondensedBuilder::new(5);
@@ -173,21 +84,8 @@ mod tests {
     fn condensed_core_visibility() {
         let g = sample();
         assert!(g.as_condensed().is_some());
-        let exp = AnyGraph::Exp(ExpandedGraph::from_rep(&g));
+        let exp = AnyGraph::Exp(ExpandedGraph::from_rep(&*g));
         assert_eq!(exp.kind(), RepKind::Exp);
         assert!(exp.as_condensed().is_none());
-    }
-
-    #[test]
-    fn from_impls_wrap_the_right_variant() {
-        let core = match sample() {
-            AnyGraph::CDup(g) => g,
-            _ => unreachable!(),
-        };
-        assert_eq!(AnyGraph::from(core.clone()).kind(), RepKind::CDup);
-        assert_eq!(
-            AnyGraph::from(ExpandedGraph::from_rep(&core)).kind(),
-            RepKind::Exp
-        );
     }
 }

@@ -1,11 +1,10 @@
 //! The GraphGen facade and the condensed extraction algorithm (§4.2).
 
 use crate::anygraph::AnyGraph;
-use crate::check::catalog_view;
 use crate::error::Error;
 use crate::handle::GraphHandle;
 use crate::incremental::IncrementalState;
-use crate::planner::{filters_to_predicate, full_query, plan_chain, ChainPlan};
+use crate::planner::{catalog_view, filters_to_predicate, full_query, plan_chain, ChainPlan};
 use graphgen_common::metrics::span;
 use graphgen_common::region::{self, Region};
 use graphgen_common::IdMap;
@@ -262,9 +261,9 @@ impl<'a> GraphGen<'a> {
     /// analysis — per-atom/per-join estimates, the chosen min-cost plan,
     /// its fingerprint — rendered as a plan tree by `Display`. Pure
     /// catalog arithmetic; no table is scanned.
-    pub fn explain(&self, dsl: &str) -> Result<crate::cost::Explanation, Error> {
+    pub fn explain(&self, dsl: &str) -> Result<crate::planner::Explanation, Error> {
         let spec = self.checked_spec(dsl)?;
-        Ok(crate::cost::explain_spec(
+        Ok(crate::planner::explain_spec(
             self.db,
             &spec,
             self.cfg.large_output_factor,
@@ -606,7 +605,7 @@ type NodeTables = (IdMap<Value>, Properties, Vec<Option<RealId>>);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphgen_graph::{expand_to_edge_list, GraphRep};
+    use graphgen_graph::expand_to_edge_list;
     use graphgen_reldb::{Column, Schema, Table};
 
     /// The Fig. 1 toy DBLP instance.

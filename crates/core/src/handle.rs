@@ -25,8 +25,7 @@ use crate::extract::ExtractionReport;
 use crate::incremental::{self, GraphPatch, IncrementalState};
 use graphgen_common::{IdMap, VertexOrdering};
 use graphgen_dedup::{
-    bitmap1, bitmap2, flatten_to_single_layer, preprocess::should_expand, try_dedup2_greedy,
-    Dedup1Algorithm,
+    bitmap2, flatten_to_single_layer, preprocess::should_expand, try_dedup2_greedy, Dedup1Algorithm,
 };
 use graphgen_graph::{
     CondensedGraph, ExpandedGraph, GraphRep, PropValue, Properties, RealId, RepKind,
@@ -35,48 +34,16 @@ use graphgen_reldb::{Delta, DeltaBatch, Value};
 use std::borrow::Cow;
 use std::sync::Arc;
 
-/// Which BITMAP preprocessing pass builds the bitmap representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BitmapAlgorithm {
-    /// BITMAP-1: one pass per real node setting first-seen bits.
-    Bitmap1,
-    /// BITMAP-2: greedy-set-cover bitmaps, fewer bitmaps/bits (the paper's
-    /// preferred variant).
-    #[default]
-    Bitmap2,
-}
-
-/// Knobs for [`GraphHandle::convert`]. The defaults reproduce the paper's
-/// Fig. 10 configuration (Greedy-VNF for DEDUP-1, BITMAP-2 for BITMAP).
-#[derive(Debug, Clone, Copy)]
+/// Options for [`GraphHandle::convert`]. DEDUP-1 is always built by
+/// Greedy-VNF and DEDUP-2 by the greedy constructor, both in descending
+/// degree order with seed 0, and BITMAP by BITMAP-2: the paper's Fig. 10
+/// configuration. Fig. 12's sweeps call the constructors directly.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ConvertOptions {
-    /// DEDUP-1 algorithm (Fig. 12a sweeps all four).
-    pub algorithm: Dedup1Algorithm,
-    /// Vertex processing order for the dedup constructors.
-    pub ordering: VertexOrdering,
-    /// Seed for the `Random` ordering's tie-breaking.
-    pub seed: u64,
-    /// Worker threads for BITMAP-2 preprocessing.
-    pub threads: usize,
-    /// Which BITMAP preprocessing pass to run.
-    pub bitmap: BitmapAlgorithm,
     /// Automatically flatten multi-layer sources before DEDUP-1/DEDUP-2
     /// (§5.2.2's suggested route). When `false` (the default), a
     /// multi-layer source reports [`ConvertError::MultiLayer`].
     pub flatten: bool,
-}
-
-impl Default for ConvertOptions {
-    fn default() -> Self {
-        Self {
-            algorithm: Dedup1Algorithm::GreedyVnf,
-            ordering: VertexOrdering::Descending,
-            seed: 0,
-            threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            bitmap: BitmapAlgorithm::Bitmap2,
-            flatten: false,
-        }
-    }
 }
 
 /// Policy for the §6.5 representation chooser ([`GraphHandle::advise`]).
@@ -86,17 +53,12 @@ pub struct AdvisorPolicy {
     /// than the condensed one (the paper uses 1.2 = +20%): small graphs are
     /// not worth the condensed machinery.
     pub expand_threshold: f64,
-    /// Permit the structural dedup representations (DEDUP-1/2). Disable for
-    /// extraction-latency-critical paths: BITMAP preprocessing is cheaper
-    /// than the dedup constructions (Fig. 11's trade-off).
-    pub allow_dedup: bool,
 }
 
 impl Default for AdvisorPolicy {
     fn default() -> Self {
         Self {
             expand_threshold: 1.2,
-            allow_dedup: true,
         }
     }
 }
@@ -127,8 +89,8 @@ pub struct GraphHandle {
 
 impl GraphHandle {
     /// Assemble a handle from parts (the extractor's exit point; also handy
-    /// for synthetic graphs in tests and benchmarks).
-    pub fn from_parts(
+    /// for synthetic graphs in tests).
+    pub(crate) fn from_parts(
         graph: AnyGraph,
         ids: IdMap<Value>,
         properties: Properties,
@@ -215,11 +177,6 @@ impl GraphHandle {
         &self.graph
     }
 
-    /// Mutable access for the 7-operation mutation API.
-    pub fn graph_mut(&mut self) -> &mut AnyGraph {
-        &mut self.graph
-    }
-
     /// The dense node id ↔ original key mapping.
     pub fn ids(&self) -> &IdMap<Value> {
         &self.ids
@@ -238,18 +195,6 @@ impl GraphHandle {
     /// Which representation the handle currently holds.
     pub fn kind(&self) -> RepKind {
         self.graph.kind()
-    }
-
-    /// Decompose into `(graph, ids, properties, report)`. Any incremental
-    /// maintenance state is dropped — a decomposed handle can no longer
-    /// apply deltas. Sections shared with other clones are copied out.
-    pub fn into_parts(self) -> (AnyGraph, IdMap<Value>, Properties, ExtractionReport) {
-        (
-            self.graph,
-            Arc::try_unwrap(self.ids).unwrap_or_else(|shared| (*shared).clone()),
-            Arc::try_unwrap(self.properties).unwrap_or_else(|shared| (*shared).clone()),
-            self.report,
-        )
     }
 
     // ---- incremental maintenance ---------------------------------------
@@ -299,23 +244,17 @@ impl GraphHandle {
     ///
     /// [`PatchError::NotIncremental`] if the handle has no maintenance
     /// state; [`PatchError::Inconsistent`] if the delta contradicts the
-    /// maintained state, or the C-DUP it maintains was swapped out through
-    /// [`GraphHandle::graph_mut`] (the handle should then be re-extracted —
-    /// its contents are no longer trustworthy).
+    /// maintained state (the handle should then be re-extracted — its
+    /// contents are no longer trustworthy).
     pub fn apply_delta(&mut self, delta: &Delta) -> Result<GraphPatch, Error> {
         let Some(state) = self.incremental.as_mut() else {
             return Err(PatchError::NotIncremental.into());
         };
-        let graph = match &mut self.graph {
-            AnyGraph::CDup(g) => g,
-            other => {
-                return Err(PatchError::Inconsistent(format!(
-                    "incremental handle holds {} instead of its C-DUP \
-                     (graph_mut was used to swap representations?)",
-                    other.kind()
-                ))
-                .into())
-            }
+        // Only `from_parts_incremental` and the snapshot decoder attach a
+        // state, both beside a C-DUP, and no API replaces a handle's graph:
+        // `convert` returns a new handle without the state.
+        let AnyGraph::CDup(graph) = &mut self.graph else {
+            unreachable!("an incremental handle always holds its C-DUP");
         };
         // `make_mut` is free while the writer is the state's only owner
         // (reader clones never carry it); a fully shared clone pays one
@@ -475,22 +414,23 @@ impl GraphHandle {
             return Ok(self.reader_clone());
         }
         let mut graph = match target {
-            RepKind::Exp => AnyGraph::Exp(ExpandedGraph::from_rep(&self.graph)),
+            RepKind::Exp => AnyGraph::Exp(ExpandedGraph::from_rep(&*self.graph)),
             RepKind::CDup => AnyGraph::CDup(self.condensed_core()?.clone()),
             RepKind::Dedup1 => {
                 let core = single_layer_of(self.condensed_core()?, opts)?;
-                AnyGraph::Dedup1(opts.algorithm.try_run(&core, opts.ordering, opts.seed)?)
+                AnyGraph::Dedup1(Dedup1Algorithm::GreedyVnf.try_run(
+                    &core,
+                    VertexOrdering::Descending,
+                    0,
+                )?)
             }
             RepKind::Dedup2 => {
                 let core = single_layer_of(self.condensed_core()?, opts)?;
-                AnyGraph::Dedup2(try_dedup2_greedy(&core, opts.ordering, opts.seed)?)
+                AnyGraph::Dedup2(try_dedup2_greedy(&core, VertexOrdering::Descending, 0)?)
             }
             RepKind::Bitmap => {
-                let core = self.condensed_core()?.clone();
-                AnyGraph::Bitmap(match opts.bitmap {
-                    BitmapAlgorithm::Bitmap1 => bitmap1(core),
-                    BitmapAlgorithm::Bitmap2 => bitmap2(core, opts.threads).0,
-                })
+                let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
+                AnyGraph::Bitmap(bitmap2(self.condensed_core()?.clone(), threads).0)
             }
         };
         // The DEDUP constructors start every slot alive: carry the
@@ -530,7 +470,7 @@ impl GraphHandle {
         if should_expand(core, policy.expand_threshold) {
             return RepKind::Exp;
         }
-        if policy.allow_dedup && core.is_single_layer() {
+        if core.is_single_layer() {
             return match graphgen_dedup::check_symmetric(core) {
                 Ok(()) => RepKind::Dedup2,
                 Err(_) => RepKind::Dedup1,
@@ -698,7 +638,6 @@ mod tests {
         // The advisor must route such graphs to DEDUP-1 instead.
         let strict = AdvisorPolicy {
             expand_threshold: 0.0,
-            ..Default::default()
         };
         assert_eq!(h.advise(&strict), RepKind::Dedup1);
         let d1 = h.convert_to_advised(&strict, &opts).unwrap();
@@ -710,7 +649,7 @@ mod tests {
     #[test]
     fn handle_answers_equal_its_inner_representation() {
         let mut h = symmetric_handle();
-        h.graph_mut().delete_vertex(RealId(1));
+        h.delete_vertex(RealId(1));
         for target in RepKind::all() {
             let converted = h.convert(target, &ConvertOptions::default()).unwrap();
             let inner: &dyn GraphRep = match converted.graph() {
@@ -758,6 +697,69 @@ mod tests {
         }
     }
 
+    /// Twenty random cliques over 40 real nodes: on this shape the dedup
+    /// constructors' vertex order, and BITMAP-1 against BITMAP-2, change
+    /// what is stored.
+    fn dense_cliques_handle() -> GraphHandle {
+        let mut rng = graphgen_common::SplitMix64::new(7);
+        let mut b = CondensedBuilder::new(40);
+        for _ in 0..20 {
+            let size = rng.next_below(17);
+            let members: Vec<RealId> = (0..size)
+                .map(|_| RealId(rng.next_below(40) as u32))
+                .collect();
+            b.clique(&members);
+        }
+        handle_of(AnyGraph::CDup(b.build()))
+    }
+
+    /// `convert` builds DEDUP-1 with Greedy-VNF and DEDUP-2 with the greedy
+    /// constructor, both in descending order with seed 0, and BITMAP with
+    /// BITMAP-2. `Debug` prints every stored list (and BITMAP's bitmaps), so
+    /// equal strings mean equal structures.
+    #[test]
+    fn default_conversions_equal_the_fixed_constructors() {
+        for h in [
+            symmetric_handle(),
+            asymmetric_handle(),
+            dense_cliques_handle(),
+        ] {
+            let core = h.as_condensed().unwrap();
+            let descending = VertexOrdering::Descending;
+            let direct = [
+                (
+                    RepKind::Dedup1,
+                    Some(AnyGraph::Dedup1(
+                        graphgen_dedup::greedy_virtual_nodes_first(core, descending, 0),
+                    )),
+                ),
+                (
+                    RepKind::Dedup2,
+                    try_dedup2_greedy(core, descending, 0)
+                        .ok()
+                        .map(AnyGraph::Dedup2),
+                ),
+                (
+                    RepKind::Bitmap,
+                    Some(AnyGraph::Bitmap(bitmap2(core.clone(), 1).0)),
+                ),
+            ];
+            for (target, want) in direct {
+                let got = h.convert(target, &ConvertOptions::default()).ok();
+                assert_eq!(
+                    got.as_ref().map(|g| format!("{:?}", g.graph())),
+                    want.as_ref().map(|w| format!("{w:?}")),
+                    "{target}"
+                );
+                assert_eq!(
+                    got.map(|g| g.heap_bytes()),
+                    want.map(|w| w.heap_bytes()),
+                    "{target}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn multilayer_source_reports_multilayer_for_dedup() {
         let h = multilayer_handle();
@@ -778,10 +780,7 @@ mod tests {
     #[test]
     fn flatten_option_unlocks_multilayer_dedup1() {
         let h = multilayer_handle();
-        let opts = ConvertOptions {
-            flatten: true,
-            ..Default::default()
-        };
+        let opts = ConvertOptions { flatten: true };
         let d1 = h.convert(RepKind::Dedup1, &opts).unwrap();
         assert_eq!(expand_to_edge_list(&d1), expand_to_edge_list(&h));
     }
@@ -829,16 +828,8 @@ mod tests {
         // Forbid expansion: symmetric single-layer -> DEDUP-2.
         let strict = AdvisorPolicy {
             expand_threshold: 0.0,
-            ..Default::default()
         };
         assert_eq!(h.advise(&strict), RepKind::Dedup2);
-        assert_eq!(
-            h.advise(&AdvisorPolicy {
-                allow_dedup: false,
-                ..strict
-            }),
-            RepKind::Bitmap
-        );
         // Asymmetric single-layer -> DEDUP-1.
         assert_eq!(asymmetric_handle().advise(&strict), RepKind::Dedup1);
         // Multi-layer -> BITMAP.
@@ -858,7 +849,6 @@ mod tests {
         let opts = ConvertOptions::default();
         let strict = AdvisorPolicy {
             expand_threshold: 0.0,
-            ..Default::default()
         };
         // DEDUP-2 retains no condensed core, yet advise/convert on a
         // DEDUP-2 handle must keep the "advice is always feasible"

@@ -1865,15 +1865,6 @@ mod tests {
             err.as_patch(),
             Some(crate::error::PatchError::Inconsistent(_))
         ));
-        // A C-DUP swapped out behind the maintenance state's back.
-        let mut g = extract(&db, true);
-        let exp = g.convert(RepKind::Exp, &ConvertOptions::default()).unwrap();
-        *g.graph_mut() = exp.graph().clone();
-        let err = g.apply_delta(&Delta::new("AuthorPub")).unwrap_err();
-        assert!(matches!(
-            err.as_patch(),
-            Some(crate::error::PatchError::Inconsistent(_))
-        ));
     }
 
     #[test]

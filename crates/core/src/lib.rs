@@ -27,8 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod anygraph;
-pub mod check;
-pub mod cost;
 pub mod error;
 pub mod extract;
 pub mod handle;
@@ -38,10 +36,9 @@ mod runs;
 pub mod serialize;
 
 pub use anygraph::AnyGraph;
-pub use check::catalog_view;
-pub use cost::{explain_spec, ChainCost, Explanation, PlanFingerprint};
 pub use error::{ConvertError, Error, ErrorKind, PatchError};
 pub use extract::{ExtractionReport, GraphGen, GraphGenConfig, GraphGenConfigBuilder};
-pub use handle::{AdvisorPolicy, BitmapAlgorithm, ConvertOptions, GraphHandle};
+pub use graphgen_dsl::cost::{ChainCost, PlanFingerprint};
+pub use handle::{AdvisorPolicy, ConvertOptions, GraphHandle};
 pub use incremental::{GraphPatch, IncrementalState};
-pub use planner::{ChainPlan, JoinDecision, SegmentPlan};
+pub use planner::{catalog_view, explain_spec, ChainPlan, Explanation, JoinDecision, SegmentPlan};

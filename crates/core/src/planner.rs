@@ -1,20 +1,29 @@
 //! The extraction planner (§4.2 Steps 2–3).
 //!
 //! All cardinality reasoning delegates to the unified cost engine
-//! ([`crate::cost`], one implementation shared with the `W103`/`W105`
-//! lints and the serve-layer drift detector): per-join estimates use the
-//! paper's uniform-assumption formula `|Ri| · |R(i+1)| / d`, and instead
-//! of the greedy left-to-right classification the planner enumerates
-//! every segmentation cut set and picks the min-cost plan. Small-output
-//! runs of the chain become segment queries handed to the relational
-//! engine; postponed (large-output) joins each materialize a layer of
-//! virtual nodes. For two-atom chains the min-cost plan coincides with
-//! the paper's test: cut iff `|L|·|R|/d > factor·(|L|+|R|)`.
+//! ([`graphgen_dsl::cost`], one implementation shared with the
+//! `W103`/`W105` lints and the serve-layer drift detector), fed with the
+//! live database's statistics through [`catalog_view`]: per-join
+//! estimates use the paper's uniform-assumption formula
+//! `|Ri| · |R(i+1)| / d`, and instead of the greedy left-to-right
+//! classification the planner enumerates every segmentation cut set and
+//! picks the min-cost plan. Small-output runs of the chain become segment
+//! queries handed to the relational engine; postponed (large-output)
+//! joins each materialize a layer of virtual nodes. For two-atom chains
+//! the min-cost plan coincides with the paper's test: cut iff
+//! `|L|·|R|/d > factor·(|L|+|R|)`.
+//!
+//! [`explain_spec`] costs a whole extraction spec at once into an
+//! [`Explanation`]: the payload behind `GraphGen::explain`, the
+//! `graphgen-check --explain` plan trees, and the serve layer's `EXPLAIN`
+//! verb and drift detector.
 
-use crate::check::catalog_view;
-use graphgen_dsl::cost::{estimate_chain, ChainCost, PlanFingerprint};
-use graphgen_dsl::{ChainAtom, ConstFilter, EdgeChain};
-use graphgen_reldb::{query::ChainStep, Database, DbResult, Predicate, Query, Value};
+use graphgen_dsl::cost::{estimate_chain, render_explain, ChainCost, PlanFingerprint};
+use graphgen_dsl::{
+    ChainAtom, CheckCatalog, ColType, ConstFilter, EdgeChain, GraphSpec, RelationInfo,
+};
+use graphgen_reldb::{query::ChainStep, DataType, Database, DbResult, Predicate, Query, Value};
+use std::fmt;
 
 /// The planner's verdict on one join of the chain.
 #[derive(Debug, Clone)]
@@ -96,6 +105,40 @@ fn atom_to_step(atom: &ChainAtom) -> ChainStep {
     }
 }
 
+/// Snapshot the database's schema and statistics as a checker catalog, so
+/// the `graphgen-check` diagnostics and the cost engine read the actual
+/// tables an extraction would run against.
+///
+/// Every registered table becomes a relation with its column names/types,
+/// row count, and per-column distinct counts — the statistics are always
+/// present (the engine maintains them incrementally), so plan lints like
+/// W105 (`large-output-segment`) use the same numbers the planner's
+/// large-output test would.
+pub fn catalog_view(db: &Database) -> CheckCatalog {
+    let mut catalog = CheckCatalog::new();
+    for name in db.table_names() {
+        let table = db.table(name).expect("listed table exists");
+        let columns: Vec<(String, ColType)> = table
+            .schema()
+            .columns()
+            .iter()
+            .map(|c| {
+                let ty = match c.dtype {
+                    DataType::Int => ColType::Int,
+                    DataType::Str => ColType::Str,
+                };
+                (c.name.clone(), ty)
+            })
+            .collect();
+        let n_distinct: Vec<Option<u64>> = (0..columns.len())
+            .map(|i| db.column_stats(name, i).ok().map(|s| s.n_distinct as u64))
+            .collect();
+        let info = RelationInfo::new(columns).with_stats(table.num_rows() as u64, n_distinct);
+        catalog.add(name, info);
+    }
+    catalog
+}
+
 /// Estimate `chain` against the live catalog: delegate to the unified
 /// cost engine (every registered table carries full statistics, so the
 /// engine can always cost the chain). Unknown tables surface first as
@@ -163,6 +206,45 @@ pub fn full_query(chain: &EdgeChain) -> Query {
     Query {
         steps: chain.steps.iter().map(atom_to_step).collect(),
     }
+}
+
+/// The cost analysis of every `Edges` chain in a spec against one
+/// statistics snapshot. `Display` renders the golden-locked plan trees.
+#[derive(Debug, Clone)]
+pub struct Explanation {
+    /// One analysis per `Edges` chain, in rule order.
+    pub chains: Vec<ChainCost>,
+}
+
+impl Explanation {
+    /// Total estimated cost of the chosen plans across all chains.
+    pub fn total_cost(&self) -> f64 {
+        self.chains.iter().map(|c| c.cost).sum()
+    }
+
+    /// Total virtual-node layers across all chains.
+    pub fn virtual_layers(&self) -> usize {
+        self.chains.iter().map(|c| c.virtual_layers()).sum()
+    }
+}
+
+impl fmt::Display for Explanation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, chain) in self.chains.iter().enumerate() {
+            f.write_str(&render_explain(&format!("chain {}", i + 1), chain))?;
+        }
+        Ok(())
+    }
+}
+
+/// Cost every `Edges` chain of `spec` against `db`'s live statistics —
+/// pure catalog arithmetic, no table is scanned.
+pub fn explain_spec(db: &Database, spec: &GraphSpec, factor: f64) -> DbResult<Explanation> {
+    let mut chains = Vec::with_capacity(spec.edges.len());
+    for chain in &spec.edges {
+        chains.push(cost_chain(db, chain, factor)?);
+    }
+    Ok(Explanation { chains })
 }
 
 #[cfg(test)]
@@ -252,5 +334,79 @@ mod tests {
         // With an absurd factor nothing is large.
         let plan = plan_chain(&db, &coauthor_chain(), 1e9).unwrap();
         assert!(!plan.joins[0].large_output);
+    }
+
+    fn tagged_db() -> Database {
+        let mut t = Table::new(Schema::new(vec![Column::int("aid"), Column::str("tag")]));
+        for (a, s) in [(1, "x"), (2, "x"), (2, "y")] {
+            t.push_row(vec![Value::int(a), Value::str(s)]).unwrap();
+        }
+        let mut db = Database::new();
+        db.register("AuthorPub", t).unwrap();
+        db
+    }
+
+    #[test]
+    fn catalog_mirrors_schema_and_stats() {
+        let catalog = catalog_view(&tagged_db());
+        let info = catalog.relation("AuthorPub").expect("registered");
+        assert_eq!(
+            info.columns,
+            vec![
+                ("aid".to_string(), ColType::Int),
+                ("tag".to_string(), ColType::Str)
+            ]
+        );
+        assert_eq!(info.row_count, Some(3));
+        assert_eq!(info.n_distinct, vec![Some(2), Some(2)]);
+        assert!(catalog.relation("Missing").is_none());
+    }
+
+    #[test]
+    fn checker_sees_live_tables() {
+        use graphgen_dsl::{check_source, CheckOptions};
+        let catalog = catalog_view(&tagged_db());
+        let report = check_source(
+            "Nodes(ID) :- AuthorPub(ID, _).\nEdges(A, B) :- AuthorPub(A, T), AuthorPub(B, T).",
+            Some(&catalog),
+            &CheckOptions::default(),
+        );
+        assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
+        let report = check_source(
+            "Nodes(ID) :- AuthorPubs(ID, _).",
+            Some(&catalog),
+            &CheckOptions::default(),
+        );
+        assert_eq!(report.diagnostics[0].code.code(), "E001");
+    }
+
+    #[test]
+    fn explain_spec_costs_every_chain_without_scanning() {
+        let spec = compile(
+            "Nodes(ID, Name) :- Author(ID, Name).\n\
+             Edges(A, B) :- AuthorPub(A, P), AuthorPub(B, P).",
+        )
+        .unwrap();
+        let ex = explain_spec(&dblp_like(50, 100, 10), &spec, 2.0).unwrap();
+        assert_eq!(ex.chains.len(), 1);
+        // 1000·1000/100 = 10000 > 2·2000 -> one virtual layer.
+        assert_eq!(ex.virtual_layers(), 1);
+        assert!(ex.total_cost() > 0.0);
+        let rendered = ex.to_string();
+        assert!(
+            rendered.contains("chain 1: AuthorPub ⋈ AuthorPub"),
+            "{rendered}"
+        );
+        assert!(rendered.contains("fingerprint="), "{rendered}");
+    }
+
+    #[test]
+    fn explain_spec_surfaces_unknown_tables_as_db_errors() {
+        let spec = compile(
+            "Nodes(ID, Name) :- Author(ID, Name).\n\
+             Edges(A, B) :- Missing(A, P), Missing(B, P).",
+        )
+        .unwrap();
+        assert!(explain_spec(&dblp_like(50, 100, 10), &spec, 2.0).is_err());
     }
 }

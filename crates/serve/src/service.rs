@@ -86,10 +86,10 @@ use graphgen_common::codec::{self, Reader};
 use graphgen_common::metrics;
 use graphgen_common::region::Region;
 use graphgen_common::FxHashMap;
-use graphgen_core::cost::{
+use graphgen_core::{catalog_view, Error, GraphGen, GraphGenConfig, GraphHandle, GraphPatch};
+use graphgen_dsl::cost::{
     cost_with_cuts, estimate_chain, plan_fingerprint, render_explain, render_unknown,
 };
-use graphgen_core::{catalog_view, Error, GraphGen, GraphGenConfig, GraphHandle, GraphPatch};
 use graphgen_dsl::{check_source, CheckCatalog, CheckOptions, CheckReport, EdgeChain};
 use graphgen_reldb::{Database, DeltaBatch, Value};
 use std::path::{Path, PathBuf};

@@ -78,13 +78,7 @@ fn main() {
         let err = handle.convert(RepKind::Dedup1, &opts).unwrap_err();
         println!("\nDEDUP-1 directly: {err}");
         let flat = handle
-            .convert(
-                RepKind::Dedup1,
-                &ConvertOptions {
-                    flatten: true,
-                    ..opts
-                },
-            )
+            .convert(RepKind::Dedup1, &ConvertOptions { flatten: true })
             .expect("flattened conversion");
         println!(
             "DEDUP-1 after flattening: {} stored edges",

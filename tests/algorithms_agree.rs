@@ -8,7 +8,6 @@ use graphgen::datagen::{synthetic_condensed, CondensedGenConfig};
 use graphgen::dedup::{bitmap2, dedup2_greedy, Dedup1Algorithm};
 use graphgen::giraph::{self, GiraphRep};
 use graphgen::graph::{ExpandedGraph, GraphRep, RealId};
-use graphgen::ConvertOptions;
 
 fn dataset(seed: u64) -> graphgen::graph::CondensedGraph {
     synthetic_condensed(CondensedGenConfig {
@@ -27,8 +26,7 @@ fn kernels_agree_across_all_representations() {
         let exp = ExpandedGraph::from_rep(&cdup);
         let dedup1 = Dedup1Algorithm::GreedyRnf.run(&cdup, VertexOrdering::Random, seed);
         // The DEDUP-1 `GraphHandle::convert` builds by default (Greedy-VNF).
-        let opts = ConvertOptions::default();
-        let dedup1_default = opts.algorithm.run(&cdup, opts.ordering, opts.seed);
+        let dedup1_default = Dedup1Algorithm::GreedyVnf.run(&cdup, VertexOrdering::Descending, 0);
         let dedup2 = dedup2_greedy(&cdup, VertexOrdering::Descending, seed);
         let (bmp, _) = bitmap2(cdup.clone(), 1);
 
@@ -152,8 +150,8 @@ fn kernels_agree_on_tombstoned_and_revived_graphs() {
         let mut cdup = dataset(seed);
         let mut exp = ExpandedGraph::from_rep(&cdup);
         let mut dedup1 = Dedup1Algorithm::GreedyRnf.run(&cdup, VertexOrdering::Random, seed);
-        let opts = ConvertOptions::default();
-        let mut dedup1_default = opts.algorithm.run(&cdup, opts.ordering, opts.seed);
+        let mut dedup1_default =
+            Dedup1Algorithm::GreedyVnf.run(&cdup, VertexOrdering::Descending, 0);
         let mut dedup2 = dedup2_greedy(&cdup, VertexOrdering::Descending, seed);
         let (mut bmp, _) = bitmap2(cdup.clone(), 1);
 

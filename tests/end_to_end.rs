@@ -93,10 +93,7 @@ fn tpch_multilayer_pipeline() {
     );
 
     // ...until the caller opts into flattening (§5.2.2's route).
-    let flat_opts = ConvertOptions {
-        flatten: true,
-        ..opts
-    };
+    let flat_opts = ConvertOptions { flatten: true };
     let d1 = extracted
         .convert(RepKind::Dedup1, &flat_opts)
         .expect("flattened");
@@ -112,7 +109,6 @@ fn tpch_multilayer_pipeline() {
     // condensed graphs get BITMAP when expansion is off the table.
     let strict = AdvisorPolicy {
         expand_threshold: 0.0,
-        ..Default::default()
     };
     assert_eq!(extracted.advise(&strict), RepKind::Bitmap);
     let advised = extracted
@@ -154,7 +150,6 @@ fn asymmetric_graphs_refuse_dedup2_with_a_reason() {
     // And the advisor routes around the restriction.
     let strict = AdvisorPolicy {
         expand_threshold: 0.0,
-        ..Default::default()
     };
     assert_eq!(extracted.advise(&strict), RepKind::Dedup1);
 }

@@ -32,10 +32,9 @@ fn extract(db: &Database, dsl: &str) -> GraphHandle {
 /// Tombstone `revived` and `dead`, then revive `revived`: its hidden
 /// adjacency comes back, the other slot stays dead.
 fn churn(h: &mut GraphHandle, revived: RealId, dead: RealId) {
-    let g = h.graph_mut();
-    g.delete_vertex(revived);
-    g.delete_vertex(dead);
-    g.revive_vertex(revived);
+    h.delete_vertex(revived);
+    h.delete_vertex(dead);
+    h.revive_vertex(revived);
 }
 
 /// The path each representation must take on a single-layer or a

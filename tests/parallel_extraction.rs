@@ -7,7 +7,7 @@ use graphgen::core::{GraphGen, GraphGenConfig, GraphGenConfigBuilder};
 use graphgen::datagen::large::{
     layered_database, single_layer_database, LayeredConfig, SingleLayerConfig,
 };
-use graphgen::graph::{expand_to_edge_list, GraphRep};
+use graphgen::graph::expand_to_edge_list;
 use graphgen::reldb::Database;
 
 fn base(preprocess: bool) -> GraphGenConfigBuilder {
