@@ -62,7 +62,7 @@ fn algorithms() -> usize {
     for (name, cdup) in small_datasets() {
         let want = expand_to_edge_list(&cdup);
         let (_, t_b1) = time(|| bitmap1(cdup.clone()));
-        let (_, t_b2) = time(|| bitmap2(cdup.clone(), 1));
+        let (_, t_b2) = time(|| bitmap2(cdup.clone()));
         let mut cols = vec![name.to_string(), ms(t_b1), ms(t_b2)];
         for algo in Dedup1Algorithm::all() {
             let (d, t) = time(|| algo.run(&cdup, VertexOrdering::Random, 7));

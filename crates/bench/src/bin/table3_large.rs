@@ -101,7 +101,7 @@ fn main() {
         );
         // BITMAP row (BITMAP-2; flatten first if multi-layer for dedup time
         // fairness — bitmap2 itself handles multi-layer).
-        let ((bmp, _), t_dedup) = time(|| graphgen_dedup::bitmap2(cdup.clone(), 4));
+        let ((bmp, _), t_dedup) = time(|| graphgen_dedup::bitmap2(cdup.clone()));
         let (d, p, b) = kernels(&bmp);
         row(
             &[

@@ -51,7 +51,7 @@ fn main() {
     for (name, cdup) in datasets() {
         let exp = ExpandedGraph::from_rep(&cdup);
         let dedup1 = Dedup1Algorithm::GreedyVnf.run(&cdup, VertexOrdering::Random, 7);
-        let (bmp, _) = bitmap2(cdup.clone(), 1);
+        let (bmp, _) = bitmap2(cdup.clone());
         for (label, rep) in [
             ("EXP", GiraphRep::Exp(&exp)),
             ("DEDUP1", GiraphRep::Dedup1(&dedup1)),
@@ -91,7 +91,7 @@ fn describe() {
     for (name, cdup) in datasets() {
         let exp = ExpandedGraph::from_rep(&cdup);
         let dedup1 = Dedup1Algorithm::GreedyVnf.run(&cdup, VertexOrdering::Random, 7);
-        let (bmp, _) = bitmap2(cdup.clone(), 1);
+        let (bmp, _) = bitmap2(cdup.clone());
         let rows: Vec<(&str, usize, usize, u64)> = vec![
             ("EXP", exp.stored_node_count(), 0, exp.stored_edge_count()),
             (

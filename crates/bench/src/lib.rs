@@ -122,7 +122,7 @@ impl RepSet {
         let dedup1 = Dedup1Algorithm::GreedyVnf.run(&cdup, VertexOrdering::Random, 7);
         let dedup2 = try_dedup2_greedy(&cdup, VertexOrdering::Descending, 7).ok();
         let b1 = bitmap1(cdup.clone());
-        let (b2, _) = bitmap2(cdup.clone(), 1);
+        let (b2, _) = bitmap2(cdup.clone());
         Self {
             name: name.to_string(),
             cdup,

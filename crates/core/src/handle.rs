@@ -428,10 +428,7 @@ impl GraphHandle {
                 let core = single_layer_of(self.condensed_core()?, opts)?;
                 AnyGraph::Dedup2(try_dedup2_greedy(&core, VertexOrdering::Descending, 0)?)
             }
-            RepKind::Bitmap => {
-                let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-                AnyGraph::Bitmap(bitmap2(self.condensed_core()?.clone(), threads).0)
-            }
+            RepKind::Bitmap => AnyGraph::Bitmap(bitmap2(self.condensed_core()?.clone()).0),
         };
         // The DEDUP constructors start every slot alive: carry the
         // source's deleted slots (a patched handle's, once a key left
@@ -741,7 +738,7 @@ mod tests {
                 ),
                 (
                     RepKind::Bitmap,
-                    Some(AnyGraph::Bitmap(bitmap2(core.clone(), 1).0)),
+                    Some(AnyGraph::Bitmap(bitmap2(core.clone()).0)),
                 ),
             ];
             for (target, want) in direct {

@@ -24,12 +24,10 @@ pub struct Bitmap2Stats {
     pub pruned_edges: usize,
 }
 
-/// Run BITMAP-2 on a condensed graph (any number of layers). `threads`
-/// chunks the real nodes as in the paper's parallel implementation; because
-/// bitmap installation mutates shared per-virtual-node maps, the parallel
-/// phase computes plans and the application is serial. With `threads <= 1`
-/// everything is serial.
-pub fn bitmap2(g: CondensedGraph, _threads: usize) -> (BitmapGraph, Bitmap2Stats) {
+/// Run BITMAP-2 on a condensed graph (any number of layers). The pass is
+/// serial: real nodes are covered one after another in id order, because
+/// installing a bitmap mutates shared per-virtual-node maps.
+pub fn bitmap2(g: CondensedGraph) -> (BitmapGraph, Bitmap2Stats) {
     let n_real = g.num_real_slots();
     let mut out = BitmapGraph::new_unmasked(g);
     let mut stats = Bitmap2Stats::default();
@@ -193,7 +191,7 @@ mod tests {
         let g = fig1();
         let before = expand_to_edge_list(&g);
         let stored_before = g.stored_edge_count();
-        let (bg, stats) = bitmap2(g, 1);
+        let (bg, stats) = bitmap2(g);
         assert_eq!(expand_to_edge_list(&bg), before);
         assert!(validate_no_duplicate_emission(&bg).is_ok());
         // p2 ⊂ p1, so both a1 and a4 should prune their edge to p2.
@@ -205,7 +203,7 @@ mod tests {
     fn fewer_bitmaps_than_bitmap1() {
         let g = fig1();
         let b1 = crate::bitmap1(g.clone());
-        let (b2, _) = bitmap2(g, 1);
+        let (b2, _) = bitmap2(g);
         assert!(b2.bitmap_count() <= b1.bitmap_count());
     }
 
@@ -226,7 +224,7 @@ mod tests {
         b.virtual_to_real(v3, RealId(3));
         let g = b.build();
         let before = expand_to_edge_list(&g);
-        let (bg, _) = bitmap2(g, 1);
+        let (bg, _) = bitmap2(g);
         assert_eq!(expand_to_edge_list(&bg), before);
         assert!(validate_no_duplicate_emission(&bg).is_ok());
     }
@@ -243,7 +241,7 @@ mod tests {
         b.virtual_to_real(v1, RealId(1));
         b.virtual_to_virtual(v2, v1);
         let g = b.build();
-        let (bg, _) = bitmap2(g, 1);
+        let (bg, _) = bitmap2(g);
         // source 2 reaches 1 through v2 -> v1
         assert_eq!(bg.neighbors(RealId(2)), vec![RealId(1)]);
         assert_eq!(bg.neighbors(RealId(0)), vec![RealId(1)]);

@@ -448,7 +448,7 @@ mod tests {
         let cdup = sample_cdup();
         let exp = ExpandedGraph::from_rep(&cdup);
         let d1 = greedy_virtual_nodes_first(&cdup, VertexOrdering::Random, 0);
-        let (bmp, _) = bitmap2(cdup.clone(), 1);
+        let (bmp, _) = bitmap2(cdup.clone());
         let (de, se) = degree(GiraphRep::Exp(&exp));
         let (dd, sd) = degree(GiraphRep::Dedup1(&d1));
         let (db, sb) = degree(GiraphRep::Bitmap(&bmp));
@@ -464,7 +464,7 @@ mod tests {
         let cdup = sample_cdup();
         let exp = ExpandedGraph::from_rep(&cdup);
         let d1 = greedy_virtual_nodes_first(&cdup, VertexOrdering::Random, 0);
-        let (bmp, _) = bitmap2(cdup.clone(), 1);
+        let (bmp, _) = bitmap2(cdup.clone());
         let reference = graphgen_algo::pagerank(
             &exp,
             graphgen_algo::PageRankConfig {

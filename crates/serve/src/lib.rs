@@ -22,9 +22,8 @@
 //!   mid-checkpoint ones;
 //! * a **TCP front end** — the `graphgen-serve` binary: std
 //!   `TcpListener`, thread per connection, newline-delimited text protocol
-//!   (`EXTRACT` / `CHECK` / `EXPLAIN` / `NEIGHBORS` / `DEGREE` / `ANALYZE`
-//!   / `APPLY` / `STATS` / `COMPACT` / `METRICS` / `TRACE` / `PING` /
-//!   `SHUTDOWN`, see [`protocol`]);
+//!   (one verb per [`protocol::Verb`], declared once beside
+//!   [`protocol::Command`]; request syntax in [`protocol`]);
 //! * **observability** — every hot path records into a structured
 //!   instrument registry ([`obs`]): per-verb request latency histograms,
 //!   per-phase writer and extraction timings, WAL fsync/compaction/
@@ -42,7 +41,8 @@
 //! `EXTRACT` requests are statically validated against the live schema and
 //! statistics before any extraction work ([`GraphService::check`] runs the
 //! same analysis on demand via the `CHECK` verb); rejections are coded,
-//! span-carrying one-liners, and `STATS` reports per-code rejection totals.
+//! span-carrying one-liners, counted per code in the registry
+//! (`graphgen_check_rejects_total{code=…}`) and totalled by `STATS`.
 //!
 //! **Plan drift detection.** Every registered graph freezes the plan it
 //! was extracted with (the §4.2 cut set plus the estimates it was chosen

@@ -7,8 +7,9 @@
 //! * a [`Registry`] holding every
 //!   named instrument — the unlabelled catalog is declared once through
 //!   [`graphgen_common::instruments!`] as [`ServeMetrics`], and the
-//!   labelled families (per-verb request latency, per-phase apply and
-//!   extraction timings) are registered beside it;
+//!   labelled families (per-verb request latency over [`Verb::ALL`],
+//!   per-phase apply and extraction timings, per-code check rejections)
+//!   are registered beside it;
 //! * the phase router ([`Obs::record_phases`]) that folds the span labels
 //!   captured by [`graphgen_common::metrics::collect_phases`] into those
 //!   families;
@@ -20,30 +21,12 @@
 //! escaped form of [`graphgen_common::metrics::escape_exposition`], and
 //! `graphgen-serve --metrics-dump` prints the canonical multi-line text.
 
+use crate::protocol::Verb;
 use graphgen_common::instruments;
-use graphgen_common::metrics::{Histogram, Registry};
+use graphgen_common::metrics::{Counter, Histogram, Registry};
+use graphgen_dsl::{Code, Severity};
 use std::collections::VecDeque;
 use std::sync::Mutex;
-
-/// Every verb of the text protocol, as the `verb` label of the
-/// `graphgen_request_ns` family. [`crate::protocol::Command::verb`] maps
-/// a parsed command onto this list.
-pub const VERBS: &[&str] = &[
-    "extract",
-    "check",
-    "explain",
-    "neighbors",
-    "degree",
-    "analyze",
-    "analyze_status",
-    "apply",
-    "stats",
-    "compact",
-    "metrics",
-    "trace",
-    "ping",
-    "shutdown",
-];
 
 /// The writer's publish pipeline phases, in order, as the `phase` label
 /// of `graphgen_apply_phase_ns` (span labels emitted inside
@@ -76,7 +59,7 @@ instruments! {
     /// table, and the oracle tests all read from this single declaration.
     pub struct ServeMetrics {
         counter requests_total: "graphgen_requests_total" =
-            "protocol commands executed (every verb, ok or error)",
+            "protocol request lines answered (every verb, ok or error, unparsable lines included)",
         counter request_errors_total: "graphgen_request_errors_total" =
             "protocol commands answered with an ERR line",
         counter connections_opened_total: "graphgen_connections_opened_total" =
@@ -87,8 +70,6 @@ instruments! {
             "published-snapshot pins handed to readers",
         counter extracts_total: "graphgen_extracts_total" =
             "successful EXTRACT registrations",
-        counter check_rejects_total: "graphgen_check_rejects_total" =
-            "EXTRACT requests rejected by the static checker",
         histogram extract_ns: "graphgen_extract_ns" =
             "end-to-end extraction latency (ns)",
         counter applies_total: "graphgen_applies_total" =
@@ -153,7 +134,7 @@ instruments! {
 pub struct TraceEvent {
     /// Monotone sequence number (survives eviction: gaps reveal drops).
     pub seq: u64,
-    /// The protocol verb (one of [`VERBS`]).
+    /// The protocol verb's label ([`Verb::label`]).
     pub verb: &'static str,
     /// Short operation detail — typically the graph or table name.
     pub detail: String,
@@ -283,9 +264,12 @@ pub struct Obs {
     registry: Registry,
     /// The unlabelled instrument catalog (see [`ServeMetrics`]).
     pub m: ServeMetrics,
+    /// `graphgen_request_ns`, indexed by `verb as usize`.
     request_ns: Vec<(&'static str, Histogram)>,
     apply_phase_ns: Vec<(&'static str, Histogram)>,
     extract_phase_ns: Vec<(&'static str, Histogram)>,
+    /// `graphgen_check_rejects_total`, one member per error code.
+    rejects: Vec<(Code, Counter)>,
     trace: TraceRing,
     slow_op_ns: u64,
 }
@@ -303,10 +287,11 @@ impl Obs {
                 .map(|v| (*v, registry.histogram_with(name, label, v, help)))
                 .collect::<Vec<_>>()
         };
+        let verbs: Vec<&'static str> = Verb::ALL.iter().map(|v| v.label()).collect();
         let request_ns = family(
             "graphgen_request_ns",
             "verb",
-            VERBS,
+            &verbs,
             "request latency by protocol verb (ns)",
         );
         let apply_phase_ns = family(
@@ -321,12 +306,24 @@ impl Obs {
             EXTRACT_PHASES,
             "extraction operator phase duration (ns)",
         );
+        let help = "EXTRACT requests rejected by the static checker, by diagnostic code";
+        let rejects = Code::all()
+            .iter()
+            .filter(|c| c.severity() == Severity::Error)
+            .map(|c| {
+                (
+                    *c,
+                    registry.counter_with("graphgen_check_rejects_total", "code", c.code(), help),
+                )
+            })
+            .collect();
         Obs {
             registry,
             m,
             request_ns,
             apply_phase_ns,
             extract_phase_ns,
+            rejects,
             trace: TraceRing::new(trace_capacity),
             slow_op_ns,
         }
@@ -347,13 +344,17 @@ impl Obs {
         self.slow_op_ns
     }
 
-    /// The per-verb request latency histogram (`None` for a verb outside
-    /// [`VERBS`] — callers built from `Command::verb` never miss).
-    pub fn request_hist(&self, verb: &str) -> Option<&Histogram> {
-        self.request_ns
-            .iter()
-            .find(|(v, _)| *v == verb)
-            .map(|(_, h)| h)
+    /// Count one EXTRACT rejection with error `code` (warnings have none).
+    pub fn record_reject(&self, code: Code) {
+        if let Some((_, counter)) = self.rejects.iter().find(|(c, _)| *c == code) {
+            counter.inc();
+        }
+    }
+
+    /// The codes that rejected an EXTRACT, with their counts, in code order.
+    pub fn reject_counts(&self) -> Vec<(Code, u64)> {
+        let counts = self.rejects.iter().map(|(c, n)| (*c, n.get()));
+        counts.filter(|(_, n)| *n > 0).collect()
     }
 
     /// Fold span labels captured on a request thread into the phase
@@ -382,7 +383,7 @@ impl Obs {
     /// fast, successful operation allocates nothing here.
     pub fn record_op(
         &self,
-        verb: &'static str,
+        verb: Verb,
         detail: impl FnOnce() -> String,
         ok: bool,
         total_ns: u64,
@@ -392,15 +393,17 @@ impl Obs {
         if !ok {
             self.m.request_errors_total.inc();
         }
-        if let Some(h) = self.request_hist(verb) {
-            h.record(total_ns);
-        }
+        self.request_ns[verb as usize].1.record(total_ns);
         self.record_phases(&phases);
         let slow = total_ns >= self.slow_op_ns;
         if slow {
             self.m.slow_ops_total.inc();
         }
-        if (slow || !ok) && self.trace.record(verb, detail(), ok, total_ns, phases) {
+        if (slow || !ok)
+            && self
+                .trace
+                .record(verb.label(), detail(), ok, total_ns, phases)
+        {
             self.m.trace_events_dropped_total.inc();
         }
     }
@@ -486,9 +489,15 @@ mod tests {
     #[test]
     fn record_op_routes_slow_and_failed() {
         let obs = Obs::new(1_000, 8);
-        obs.record_op("ping", String::new, true, 10, Vec::new()); // fast + ok
-        obs.record_op("apply", || "T".into(), true, 5_000, vec![("patch", 4_000)]); // slow
-        obs.record_op("stats", String::new, false, 10, Vec::new()); // failed
+        obs.record_op(Verb::Ping, String::new, true, 10, Vec::new()); // fast + ok
+        obs.record_op(
+            Verb::Apply,
+            || "T".into(),
+            true,
+            5_000,
+            vec![("patch", 4_000)],
+        ); // slow
+        obs.record_op(Verb::Stats, String::new, false, 10, Vec::new()); // failed
         assert_eq!(obs.m.requests_total.get(), 3);
         assert_eq!(obs.m.request_errors_total.get(), 1);
         assert_eq!(obs.m.slow_ops_total.get(), 1);
@@ -499,9 +508,9 @@ mod tests {
         assert_eq!(events[1].verb, "stats");
         assert!(!events[1].ok);
         // Per-verb latency recorded for all three.
-        assert_eq!(obs.request_hist("ping").unwrap().count(), 1);
-        assert_eq!(obs.request_hist("apply").unwrap().count(), 1);
-        assert_eq!(obs.request_hist("stats").unwrap().count(), 1);
+        for verb in [Verb::Ping, Verb::Apply, Verb::Stats] {
+            assert_eq!(obs.request_ns[verb as usize].1.count(), 1, "{verb:?}");
+        }
     }
 
     #[test]
@@ -511,10 +520,16 @@ mod tests {
         for (name, _, _) in ServeMetrics::CATALOG {
             assert!(text.contains(name), "missing {name}");
         }
-        for verb in VERBS {
+        for code in Code::all()
+            .iter()
+            .filter(|c| c.severity() == Severity::Error)
+        {
             assert!(
-                text.contains(&format!("verb=\"{verb}\"")),
-                "missing verb {verb}"
+                text.contains(&format!(
+                    "graphgen_check_rejects_total{{code=\"{}\"}} 0",
+                    code.code()
+                )),
+                "missing code {code}"
             );
         }
     }

@@ -1,6 +1,8 @@
 //! The newline-delimited text protocol of `graphgen-serve`.
 //!
-//! One request per line, one response line per request:
+//! One request per line, one response line per request. Each verb is
+//! declared once, with its metric label, by the `verbs!` table below
+//! ([`Verb`], [`Verb::ALL`], [`Command::verb`]); its request syntax:
 //!
 //! ```text
 //! EXTRACT <name> <dsl…>      extract + register a graph (DSL on the same line)
@@ -34,7 +36,8 @@
 //! entry (`E001 unknown-relation at 1:15: …`). An `EXTRACT` the checker
 //! rejects answers `ERR check failed: <diag>; …` with the same coded form,
 //! and the bare `STATS` line reports service-wide per-code rejection
-//! totals (`rejects=2 reject_codes=E001:1,E003:1`).
+//! totals (`rejects=2 reject_codes=E001:1,E003:1`), read from the
+//! `graphgen_check_rejects_total{code=…}` counters `METRICS` renders.
 //!
 //! `ANALYZE` algorithms: `degree`, `pagerank` (params `damping=`, `tol=`,
 //! `iters=`), `components`, `triangles`, `clustering`. The response leads
@@ -160,28 +163,46 @@ pub enum Command {
     Shutdown,
 }
 
-impl Command {
-    /// The command's instrument label — the `verb` label of the
-    /// `graphgen_request_ns` family (always one of [`crate::obs::VERBS`]).
-    pub fn verb(&self) -> &'static str {
-        match self {
-            Command::Extract { .. } => "extract",
-            Command::Check { .. } => "check",
-            Command::Explain { .. } => "explain",
-            Command::Neighbors { .. } => "neighbors",
-            Command::Degree { .. } => "degree",
-            Command::Analyze { .. } => "analyze",
-            Command::AnalyzeStatus { .. } => "analyze_status",
-            Command::Apply { .. } => "apply",
-            Command::Stats { .. } => "stats",
-            Command::Compact { .. } => "compact",
-            Command::Metrics => "metrics",
-            Command::Trace { .. } => "trace",
-            Command::Ping => "ping",
-            Command::Shutdown => "shutdown",
+/// Declares [`Verb`] — one variant per [`Command`] variant, of the same
+/// name — with its metric label, [`Verb::ALL`] and [`Command::verb`], so
+/// the verb set and its labels are written once.
+macro_rules! verbs {
+    ($($variant:ident => $label:literal),* $(,)?) => {
+        /// A protocol verb: the instrument identity of a [`Command`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Verb {
+            $(#[doc = concat!("`", $label, "`")] $variant,)*
         }
-    }
 
+        impl Verb {
+            /// Every verb in declaration order, the order of the
+            /// `graphgen_request_ns` members (`verb as usize` indexes it).
+            pub const ALL: &'static [Verb] = &[$(Verb::$variant),*];
+
+            /// The `verb` label of the `graphgen_request_ns` family.
+            pub fn label(self) -> &'static str {
+                match self { $(Verb::$variant => $label),* }
+            }
+        }
+
+        impl Command {
+            /// The command's verb.
+            pub fn verb(&self) -> Verb {
+                match self { $(Command::$variant { .. } => Verb::$variant),* }
+            }
+        }
+    };
+}
+
+verbs! {
+    Extract => "extract", Check => "check", Explain => "explain",
+    Neighbors => "neighbors", Degree => "degree",
+    Analyze => "analyze", AnalyzeStatus => "analyze_status",
+    Apply => "apply", Stats => "stats", Compact => "compact",
+    Metrics => "metrics", Trace => "trace", Ping => "ping", Shutdown => "shutdown",
+}
+
+impl Command {
     /// Short operation detail for the slow-op trace: the graph or table
     /// the command addresses (empty for service-wide commands).
     fn detail(&self) -> String {
@@ -369,9 +390,10 @@ pub fn parse_command(line: &str) -> ServeResult<Option<Command>> {
                     return Err(protocol_err("ANALYZE <name> <algo> [k=v …]"));
                 };
                 let algo = Algo::parse(algo_tok).ok_or_else(|| {
+                    let known: Vec<&str> = Algo::all().iter().map(|a| a.label()).collect();
                     protocol_err(format!(
-                        "unknown algorithm `{algo_tok}` \
-                         (degree, pagerank, components, triangles, clustering)"
+                        "unknown algorithm `{algo_tok}` ({})",
+                        known.join(", ")
                     ))
                 })?;
                 if algo != Algo::Pagerank && !param_toks.is_empty() {
@@ -622,7 +644,7 @@ fn run(service: &GraphService, cmd: &Command) -> ServeResult<String> {
                     Ok(render(s))
                 }
                 None => {
-                    let rejects = service.check_reject_counts();
+                    let rejects = service.obs().reject_counts();
                     let total: u64 = rejects.iter().map(|(_, n)| n).sum();
                     let mut head = format!(
                         "graphs={} db_rows={db_rows} wal_bytes={} rejects={total}",
@@ -632,7 +654,7 @@ fn run(service: &GraphService, cmd: &Command) -> ServeResult<String> {
                     if total > 0 {
                         let by_code: Vec<String> = rejects
                             .iter()
-                            .map(|(code, n)| format!("{code}:{n}"))
+                            .map(|(code, n)| format!("{}:{n}", code.code()))
                             .collect();
                         head.push_str(&format!(" reject_codes={}", by_code.join(",")));
                     }
@@ -951,6 +973,59 @@ mod tests {
             resp.contains("rejects=2 reject_codes=E000:1,E001:1"),
             "{resp}"
         );
+        // METRICS carries the same counts, one member per error code.
+        let metrics = run("METRICS");
+        let exposition =
+            graphgen_common::metrics::unescape_exposition(metrics.strip_prefix("OK ").unwrap());
+        let members: Vec<&str> = exposition
+            .lines()
+            .filter(|l| l.starts_with("graphgen_check_rejects_total{"))
+            .filter(|l| !l.ends_with(" 0"))
+            .collect();
+        assert_eq!(
+            members,
+            [
+                "graphgen_check_rejects_total{code=\"E000\"} 1",
+                "graphgen_check_rejects_total{code=\"E001\"} 1"
+            ]
+        );
+    }
+
+    /// The verb declaration is authoritative: every declared verb has a
+    /// request line that parses to it, and `METRICS` times exactly the
+    /// declared verbs, in declared order.
+    #[test]
+    fn every_declared_verb_parses_and_is_timed() {
+        let lines = [
+            (Verb::Extract, "EXTRACT g Nodes(ID) :- T(ID)."),
+            (Verb::Check, "CHECK g Nodes(ID) :- T(ID)."),
+            (Verb::Explain, "EXPLAIN g"),
+            (Verb::Neighbors, "NEIGHBORS g 1"),
+            (Verb::Degree, "DEGREE g 1"),
+            (Verb::Analyze, "ANALYZE g degree"),
+            (Verb::AnalyzeStatus, "ANALYZE STATUS"),
+            (Verb::Apply, "APPLY T +1"),
+            (Verb::Stats, "STATS"),
+            (Verb::Compact, "COMPACT g"),
+            (Verb::Metrics, "METRICS"),
+            (Verb::Trace, "TRACE"),
+            (Verb::Ping, "PING"),
+            (Verb::Shutdown, "SHUTDOWN"),
+        ];
+        let declared: Vec<Verb> = lines.iter().map(|(v, _)| *v).collect();
+        assert_eq!(declared, Verb::ALL, "one request line per declared verb");
+        for (verb, line) in lines {
+            let cmd = parse_command(line).unwrap().unwrap();
+            assert_eq!(cmd.verb(), verb, "{line}");
+        }
+        let exposition = crate::obs::Obs::new(u64::MAX, 1).render();
+        let timed: Vec<&str> = exposition
+            .lines()
+            .filter_map(|l| l.strip_prefix("graphgen_request_ns_count{verb=\""))
+            .filter_map(|l| l.split('"').next())
+            .collect();
+        let labels: Vec<&str> = Verb::ALL.iter().map(|v| v.label()).collect();
+        assert_eq!(timed, labels);
     }
 
     #[test]

@@ -135,7 +135,12 @@ fn handle_connection(
                 }
                 response
             }
-            Err(e) => crate::protocol::sanitize_line(&format!("ERR {e}")),
+            Err(e) => {
+                // A failed request that names no verb: no histogram, no trace.
+                service.obs().m.requests_total.inc();
+                service.obs().m.request_errors_total.inc();
+                crate::protocol::sanitize_line(&format!("ERR {e}"))
+            }
         };
         if writeln!(writer, "{response}")
             .and_then(|()| writer.flush())
@@ -150,6 +155,7 @@ fn handle_connection(
 mod tests {
     use super::*;
     use crate::service::tests::{fig1_db, Q1};
+    use graphgen_common::metrics::ValueSnapshot;
 
     fn client(addr: SocketAddr) -> (BufReader<TcpStream>, TcpStream) {
         let stream = TcpStream::connect(addr).unwrap();
@@ -184,6 +190,33 @@ mod tests {
         // Protocol-level shutdown.
         assert_eq!(roundtrip(&mut r1, &mut w1, "SHUTDOWN"), "OK bye");
         handle.wait();
+    }
+
+    #[test]
+    fn unparsable_lines_count_as_failed_requests() {
+        let service = Arc::new(GraphService::in_memory(fig1_db()));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let handle = spawn(Arc::clone(&service), listener).unwrap();
+        let (mut r, mut w) = client(handle.addr());
+        let m = &service.obs().m;
+        let (requests, errors) = (m.requests_total.get(), m.request_errors_total.get());
+        let resp = roundtrip(&mut r, &mut w, "NOPE");
+        assert!(
+            resp.starts_with("ERR") && resp.contains("unknown command"),
+            "{resp}"
+        );
+        assert_eq!(m.requests_total.get(), requests + 1);
+        assert_eq!(m.request_errors_total.get(), errors + 1);
+        assert!(service.obs().trace().is_empty(), "no verb, no trace event");
+        let timed: u64 = (service.obs().registry().snapshot().into_iter())
+            .filter(|s| s.name == "graphgen_request_ns")
+            .map(|s| match s.value {
+                ValueSnapshot::Histogram(h) => h.count,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(timed, 0, "no verb, no request histogram");
+        handle.shutdown();
     }
 
     #[test]

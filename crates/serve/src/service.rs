@@ -368,11 +368,6 @@ struct Inner {
     graphs: FxHashMap<String, GraphState>,
     dir: Option<PathBuf>,
     cfg: ServiceConfig,
-    /// Per-code counts of EXTRACT requests the static checker rejected
-    /// (`E001 -> 3`, …). Service-wide, not persisted: a rejected
-    /// extraction never registers anything, so there is no graph to
-    /// attribute it to and nothing for recovery to restore.
-    check_rejects: FxHashMap<String, u64>,
     /// Set when a write failed *after* the database was already mutated:
     /// the in-memory state may be ahead of the log, so further writer
     /// operations would compound the divergence silently. Reads keep
@@ -620,7 +615,6 @@ impl GraphService {
                 graphs: FxHashMap::default(),
                 dir,
                 cfg,
-                check_rejects: FxHashMap::default(),
                 wedged: false,
             }),
             published: RwLock::new(FxHashMap::default()),
@@ -703,27 +697,14 @@ impl GraphService {
         let handle = match result {
             Ok(handle) => handle,
             Err(e) => {
-                // Count what the static checker rejected, per code, so
-                // STATS can report how often (and why) extraction requests
-                // bounce. Parse failures count under their E000 code. The
-                // registry total mirrors the sum of the per-code map.
+                // Count what the static checker rejected, per code (parse
+                // failures under E000). Not persisted: a rejected
+                // extraction registers nothing for recovery to restore.
                 match &e {
                     Error::Check(diags) => {
-                        for d in diags {
-                            *inner
-                                .check_rejects
-                                .entry(d.code.code().to_string())
-                                .or_insert(0) += 1;
-                        }
-                        self.obs.m.check_rejects_total.add(diags.len() as u64);
+                        diags.iter().for_each(|d| self.obs.record_reject(d.code))
                     }
-                    Error::Dsl(parse) => {
-                        *inner
-                            .check_rejects
-                            .entry(parse.diagnostic().code.code().to_string())
-                            .or_insert(0) += 1;
-                        self.obs.m.check_rejects_total.inc();
-                    }
+                    Error::Dsl(parse) => self.obs.record_reject(parse.diagnostic().code),
                     _ => {}
                 }
                 return Err(e.into());
@@ -831,20 +812,6 @@ impl GraphService {
             }
         }
         Ok(out)
-    }
-
-    /// Per-code counts of EXTRACT requests the static checker rejected,
-    /// sorted by code (`[("E001", 3), …]`). Empty when nothing was
-    /// rejected since the service opened.
-    pub fn check_reject_counts(&self) -> Vec<(String, u64)> {
-        let inner = self.inner.lock().unwrap();
-        let mut counts: Vec<(String, u64)> = inner
-            .check_rejects
-            .iter()
-            .map(|(code, n)| (code.clone(), *n))
-            .collect();
-        counts.sort_unstable();
-        counts
     }
 
     /// Unregister a graph and delete its snapshot file. Readers holding

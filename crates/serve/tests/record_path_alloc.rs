@@ -12,6 +12,7 @@
 
 use graphgen_bench::alloc;
 use graphgen_common::metrics::{Counter, Histogram};
+use graphgen_serve::protocol::Verb;
 use graphgen_serve::Obs;
 use std::time::Instant;
 
@@ -29,7 +30,7 @@ fn metrics_record_path_allocates_nothing() {
             counter.inc();
             hist.record(i);
             hist.record_since(start);
-            obs.record_op("neighbors", || graph.clone(), true, i, Vec::new());
+            obs.record_op(Verb::Neighbors, || graph.clone(), true, i, Vec::new());
         }
     });
     assert_eq!(
@@ -43,7 +44,7 @@ fn metrics_record_path_allocates_nothing() {
     assert!(obs.trace().is_empty(), "a fast, successful op was traced");
 
     // A slow op still lands in the ring, with its detail.
-    obs.record_op("neighbors", || graph.clone(), true, SLOW_NS, Vec::new());
+    obs.record_op(Verb::Neighbors, || graph.clone(), true, SLOW_NS, Vec::new());
     let events = obs.trace().drain(None);
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].detail, "coauthors");

@@ -28,7 +28,7 @@ fn kernels_agree_across_all_representations() {
         // The DEDUP-1 `GraphHandle::convert` builds by default (Greedy-VNF).
         let dedup1_default = Dedup1Algorithm::GreedyVnf.run(&cdup, VertexOrdering::Descending, 0);
         let dedup2 = dedup2_greedy(&cdup, VertexOrdering::Descending, seed);
-        let (bmp, _) = bitmap2(cdup.clone(), 1);
+        let (bmp, _) = bitmap2(cdup.clone());
 
         let ref_deg = degrees(&exp, 2);
         let ref_cc = connected_components(&exp, 2);
@@ -84,7 +84,7 @@ fn giraph_engine_agrees_with_shared_memory_engine() {
     let cdup = dataset(9);
     let exp = ExpandedGraph::from_rep(&cdup);
     let dedup1 = Dedup1Algorithm::GreedyVnf.run(&cdup, VertexOrdering::Random, 9);
-    let (bmp, _) = bitmap2(cdup.clone(), 1);
+    let (bmp, _) = bitmap2(cdup.clone());
 
     let ref_deg = degrees(&exp, 2);
     let (gd, _) = giraph::degree(GiraphRep::Dedup1(&dedup1));
@@ -153,7 +153,7 @@ fn kernels_agree_on_tombstoned_and_revived_graphs() {
         let mut dedup1_default =
             Dedup1Algorithm::GreedyVnf.run(&cdup, VertexOrdering::Descending, 0);
         let mut dedup2 = dedup2_greedy(&cdup, VertexOrdering::Descending, seed);
-        let (mut bmp, _) = bitmap2(cdup.clone(), 1);
+        let (mut bmp, _) = bitmap2(cdup.clone());
 
         let (dead, fresh) = churn(&mut exp);
         churn(&mut cdup);

@@ -89,7 +89,7 @@ fn all_representations_expand_identically() {
             "seed {seed}"
         );
 
-        let (b2, _) = bitmap2(cdup.clone(), 1);
+        let (b2, _) = bitmap2(cdup.clone());
         assert_eq!(expand_to_edge_list(&b2), truth, "seed {seed}: BITMAP-2");
         assert!(
             validate::validate_no_duplicate_emission(&b2).is_ok(),

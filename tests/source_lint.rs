@@ -20,9 +20,14 @@
 //!
 //! A fourth lint keeps deleted mechanisms deleted: the names of the hash
 //! join and hash DISTINCT (one operator set), of the per-graph
-//! write-ahead logs (one log) and of the condensed shadow that patched
-//! converted incremental handles (one patch path) may not reappear in any
+//! write-ahead logs (one log), of the condensed shadow that patched
+//! converted incremental handles (one patch path) and of the writer's
+//! private rejection map (one counter store) may not reappear in any
 //! crate's sources or in the docs.
+//!
+//! A fifth lint keeps the protocol's verb set declared once: each verb's
+//! metric label is spelled in exactly one place of `crates/serve/src`,
+//! its `Verb` declaration.
 
 use std::path::Path;
 
@@ -255,6 +260,10 @@ const DELETED_NAMES: &[(&str, Option<&str>)] = &[
     // `catalog_view` and `explain_spec` live in `core::planner`; the cost
     // engine is `graphgen_dsl::cost`.
     ("graphgen_core::cost", None),
+    // Check rejections are the registry's `graphgen_check_rejects_total`
+    // members; `STATS` reads them through `Obs::reject_counts`.
+    ("check_reject_counts", None),
+    ("check_rejects:", None),
 ];
 
 #[test]
@@ -298,10 +307,62 @@ fn deleted_operators_stay_deleted() {
          derived representations' snapshot codecs for the C-DUP's, \
          `AnyGraph`'s `GraphRep` impl for its `Deref` to the one it holds, \
          `graph_mut`/`into_parts` and the never-set conversion and advisor \
-         knobs for the fixed Fig. 10 constructors, and `core::cost` for \
-         `core::planner` over `graphgen_dsl::cost`; extend those instead \
+         knobs for the fixed Fig. 10 constructors, `core::cost` for \
+         `core::planner` over `graphgen_dsl::cost`, and the writer's \
+         rejection map for the registry's per-code counters; extend those instead \
          of bringing a second mechanism back, and keep the docs on the \
          code that exists:\n{}",
+        violations.join("\n")
+    );
+}
+
+// ---------------------------------------------------------------------------
+// One declaration per protocol verb
+// ---------------------------------------------------------------------------
+
+/// Verb labels that are also a word of another vocabulary, with the file
+/// that spells the other one: `ANALYZE`'s `degree` algorithm.
+const VERB_LABEL_HOMONYMS: &[(&str, &str)] = &[("degree", "crates/serve/src/analyze.rs")];
+
+#[test]
+fn each_verb_label_is_written_once() {
+    use graphgen_serve::protocol::Verb;
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    walk(&root.join("crates/serve/src"), &mut files);
+    let sources: Vec<(String, String)> = files
+        .iter()
+        .map(|path| {
+            let rel = path.strip_prefix(root).expect("under root");
+            (
+                rel.to_string_lossy().into_owned(),
+                compact_nontest_source(path),
+            )
+        })
+        .collect();
+    let mut violations = Vec::new();
+    for verb in Verb::ALL {
+        let literal = format!("\"{}\"", verb.label());
+        let spellings: Vec<&str> = sources
+            .iter()
+            .filter(|(rel, _)| !VERB_LABEL_HOMONYMS.contains(&(verb.label(), rel.as_str())))
+            .flat_map(|(rel, text)| text.matches(&literal).map(move |_| rel.as_str()))
+            .collect();
+        if spellings.len() != 1 {
+            violations.push(format!("{literal} spelled in {spellings:?}"));
+        }
+    }
+    for (label, file) in VERB_LABEL_HOMONYMS {
+        let text = compact_nontest_source(&root.join(file));
+        assert!(
+            text.contains(&format!("\"{label}\"")),
+            "{file} no longer spells \"{label}\"; prune it from VERB_LABEL_HOMONYMS"
+        );
+    }
+    assert!(
+        violations.is_empty(),
+        "a protocol verb's label is written once, in `protocol.rs`'s \
+         `verbs!` declaration; derive it with `Verb::label` instead:\n{}",
         violations.join("\n")
     );
 }
