@@ -34,6 +34,7 @@
 
 use crate::degree::degrees;
 use crate::vertex_centric::{run_vertex_centric, VertexCentricConfig, VertexProgram};
+use graphgen_common::parallel::map_chunks;
 use graphgen_graph::{Adj, CondensedGraph, GraphRep, RealId, RepKind, VirtId};
 
 /// Which condensed-direct strategy a dispatch picked (for reporting).
@@ -146,38 +147,9 @@ fn lane_sum(targets: &[Adj], contrib: &[f64]) -> f64 {
     (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
 }
 
-/// Split `out` into one chunk per thread and run `work(base, chunk)` on
-/// each, the first on the calling thread; returns the chunks' results in
-/// order. `base` is the index of the chunk's first element.
-fn in_chunks<T, R, W>(out: &mut [T], threads: usize, work: W) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    W: Fn(usize, &mut [T]) -> R + Sync,
-{
-    if out.is_empty() {
-        return Vec::new();
-    }
-    let chunk = out.len().div_ceil(threads.max(1));
-    let work = &work;
-    std::thread::scope(|scope| {
-        let mut chunks = out.chunks_mut(chunk).enumerate();
-        let (_, first) = chunks.next().expect("out is not empty");
-        let rest: Vec<_> = chunks
-            .map(|(ci, slot)| scope.spawn(move || work(ci * chunk, slot)))
-            .collect();
-        let mut results = vec![work(0, first)];
-        results.extend(
-            rest.into_iter()
-                .map(|h| h.join().expect("kernel worker panicked")),
-        );
-        results
-    })
-}
-
-/// Write `f(i)` into every `out[i]`, chunk-parallel.
+/// Write `f(i)` into every `out[i]`, chunk-parallel ([`map_chunks`]).
 fn for_each_slot_into<T: Send, F: Fn(u32) -> T + Sync>(out: &mut [T], threads: usize, f: F) {
-    in_chunks(out, threads, |base, slot| {
+    map_chunks(out, threads, |base, slot| {
         for (j, s) in slot.iter_mut().enumerate() {
             *s = f((base + j) as u32);
         }
@@ -247,7 +219,7 @@ fn merged_targets(g: &CondensedGraph, u: RealId, scratch: &mut Vec<u32>) {
 pub(crate) fn degrees_merged(g: &CondensedGraph, threads: usize) -> Vec<u32> {
     debug_assert!(g.is_single_layer(), "merged degrees need single layer");
     let mut out = vec![0u32; g.num_real_slots()];
-    in_chunks(&mut out, threads, |base, slot| {
+    map_chunks(&mut out, threads, |base, slot| {
         let mut scratch: Vec<u32> = Vec::new();
         for (j, s) in slot.iter_mut().enumerate() {
             let u = RealId((base + j) as u32);
@@ -378,7 +350,7 @@ where
         let k: &K = kernel;
         let base_term = (1.0 - d) / n + d * dangling / n;
         let (rank_ref, contrib_ref) = (&rank, &contrib);
-        let deltas = in_chunks(&mut next, threads, |base, slot| {
+        let deltas = map_chunks(&mut next, threads, |base, slot| {
             let mut scratch: Vec<u32> = Vec::new();
             let mut worst = 0.0f64;
             for (j, s) in slot.iter_mut().enumerate() {

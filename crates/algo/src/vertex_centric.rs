@@ -4,10 +4,11 @@
 //! next state from its current state and read-only access to all previous
 //! states (the gather-apply-scatter style of GraphLab: no explicit message
 //! buffers — "nodes communicate by directly accessing their neighbors'
-//! data"). The coordinator splits the vertices into per-core chunks, runs
-//! one `compute` per live vertex per superstep, and terminates when every
-//! vertex votes to halt.
+//! data"). The coordinator splits the vertices into per-core chunks
+//! (`graphgen_common::parallel::map_chunks`), runs one `compute` per live
+//! vertex per superstep, and terminates when every vertex votes to halt.
 
+use graphgen_common::parallel::map_chunks;
 use graphgen_graph::{GraphRep, RealId};
 
 /// A vertex-centric program over graph `G`.
@@ -68,34 +69,23 @@ where
         return (cur, 0);
     }
     let mut next = cur.clone();
-    let threads = cfg.threads.max(1);
     for step in 0..cfg.max_supersteps {
-        let all_halted = std::sync::atomic::AtomicBool::new(true);
-        let chunk = n.div_ceil(threads);
-        let cur_ref = &cur;
-        let all_halted_ref = &all_halted;
-        std::thread::scope(|scope| {
-            for (ci, slot) in next.chunks_mut(chunk).enumerate() {
-                scope.spawn(move || {
-                    let base = ci * chunk;
-                    let mut local_all_halted = true;
-                    for (j, s) in slot.iter_mut().enumerate() {
-                        let u = RealId((base + j) as u32);
-                        if !g.is_alive(u) {
-                            continue;
-                        }
-                        let (state, halt) = program.compute(g, u, cur_ref, step);
-                        *s = state;
-                        local_all_halted &= halt;
-                    }
-                    if !local_all_halted {
-                        all_halted_ref.store(false, std::sync::atomic::Ordering::Relaxed);
-                    }
-                });
+        let prev = &cur;
+        let halted = map_chunks(&mut next, cfg.threads, |base, slot| {
+            let mut all_halted = true;
+            for (j, s) in slot.iter_mut().enumerate() {
+                let u = RealId((base + j) as u32);
+                if !g.is_alive(u) {
+                    continue;
+                }
+                let (state, halt) = program.compute(g, u, prev, step);
+                *s = state;
+                all_halted &= halt;
             }
+            all_halted
         });
         std::mem::swap(&mut cur, &mut next);
-        if all_halted.load(std::sync::atomic::Ordering::Relaxed) {
+        if halted.into_iter().all(|h| h) {
             return (cur, step + 1);
         }
     }

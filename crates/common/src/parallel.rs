@@ -33,52 +33,57 @@ pub fn effective_threads(threads: usize, items: usize) -> usize {
     }
 }
 
-/// Split `0..n` into at most `parts` contiguous near-equal ranges (the last
-/// may be shorter). Always returns at least one range, so callers can rely
-/// on `morsels(0, p)` yielding the single empty range `0..0`.
-pub fn morsels(n: usize, parts: usize) -> Vec<Range<usize>> {
-    if n == 0 {
-        return std::iter::once(0..0).collect();
+/// Split `items` into at most `threads` (clamped to `1..=`[`MAX_THREADS`])
+/// contiguous near-equal chunks and run `work(base, chunk)` on each —
+/// the first on the calling thread, the rest on scoped threads — returning
+/// the chunks' results in chunk order. `base` is the index of the chunk's
+/// first element; an empty `items` is one empty chunk. Workers inherit the
+/// caller's allocation-region label, so the counting allocator attributes
+/// their allocations to the operator that fanned out (thread-locals do not
+/// propagate on their own). Every chunk writes only its own slots, which is
+/// what lets parallel kernels promise results identical to a serial run.
+pub fn map_chunks<T, R, W>(items: &mut [T], threads: usize, work: W) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    W: Fn(usize, &mut [T]) -> R + Sync,
+{
+    let chunk = items.len().div_ceil(threads.clamp(1, MAX_THREADS));
+    if chunk >= items.len() {
+        return vec![work(0, items)];
     }
-    let chunk = n.div_ceil(parts.clamp(1, n));
-    (0..n)
-        .step_by(chunk)
-        .map(|start| start..(start + chunk).min(n))
-        .collect()
+    let region = crate::region::current();
+    let work = &work;
+    std::thread::scope(|scope| {
+        let mut chunks = items.chunks_mut(chunk);
+        let first = chunks.next().expect("more than one chunk");
+        let rest: Vec<_> = (1..)
+            .zip(chunks)
+            .map(|(i, slot)| {
+                scope.spawn(move || {
+                    let _region = crate::region::enter(region);
+                    work(i * chunk, slot)
+                })
+            })
+            .collect();
+        let mut results = vec![work(0, first)];
+        results.extend(rest.into_iter().map(|h| h.join().expect("worker panicked")));
+        results
+    })
 }
 
-/// Map `f` over the morsels of `0..n` on scoped threads, returning the
-/// per-morsel outputs in morsel order. With `threads <= 1` this is a single
-/// serial call; the output sequence is identical either way, which is what
-/// lets parallel operators promise byte-identical results.
+/// Map `f` over contiguous morsels of `0..n` — [`map_chunks`]' chunks of
+/// `n` items, as ranges — returning the per-morsel outputs in morsel
+/// order. With `threads <= 1` this is a single serial call; the output
+/// sequence is identical either way, which is what lets parallel operators
+/// promise byte-identical results.
 pub fn map_morsels<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
-    if threads <= 1 || n == 0 {
-        return vec![f(0..n)];
-    }
-    let ranges = morsels(n, threads);
-    // Worker threads inherit the caller's allocation-region label so the
-    // counting allocator attributes their allocations to the operator that
-    // fanned out (thread-locals do not propagate on their own).
-    let region = crate::region::current();
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|r| {
-                scope.spawn(move || {
-                    let _region = crate::region::enter(region);
-                    f(r)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("morsel worker panicked"))
-            .collect()
+    map_chunks(&mut vec![(); n], threads, |base, morsel| {
+        f(base..base + morsel.len())
     })
 }
 
@@ -89,8 +94,8 @@ mod tests {
     #[test]
     fn morsels_cover_range_in_order() {
         for n in [0usize, 1, 7, 1000, 1025] {
-            for parts in [1usize, 2, 3, 8, 2000] {
-                let ms = morsels(n, parts);
+            for parts in [1usize, 2, 3, 8, 9] {
+                let ms = map_morsels(n, parts, |r| r);
                 let mut next = 0;
                 for m in &ms {
                     assert_eq!(m.start, next);

@@ -539,61 +539,91 @@ impl<'a> GraphGen<'a> {
     }
 }
 
-/// §4.2 Steps 4–5, the one place segment output becomes stored edges: add
-/// the edges of segment `j` of a `k`-segment chain to `builder`, given the
-/// keys of the segment's bag: its distinct `(l, r)` pairs, packed, in
-/// ascending order. A single-segment chain's pairs are direct
-/// `real → real` edges (self-pairs dropped);
-/// otherwise the first segment's are `real → virtual`, the last's
-/// `virtual → real` and the middle ones' `virtual → virtual`, with one
-/// virtual node per distinct attribute value of each boundary between
-/// segments.
+/// One stored C-DUP edge (§4.2 Step 5), as [`segment_edge`] derives it
+/// from a segment output pair.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum StoredEdge {
+    /// `real → real`: a single-segment chain's pair.
+    Direct(RealId, RealId),
+    /// `real → virtual`: a first segment's pair.
+    RealToVirtual(RealId, VirtId),
+    /// `virtual → virtual`: a middle segment's pair.
+    VirtualToVirtual(VirtId, VirtId),
+    /// `virtual → real`: a last segment's pair.
+    VirtualToReal(VirtId, RealId),
+}
+
+/// §4.2 Steps 4–5, the one rule from segment output to stored edges: the
+/// edge that the pair `(l, r)` of segment `j` of a `k`-segment chain
+/// stores. A single-segment chain's pairs are direct `real → real` edges
+/// (self-pairs dropped); otherwise the first segment's are
+/// `real → virtual`, the last's `virtual → real` and the middle ones'
+/// `virtual → virtual`, with one virtual node per distinct attribute value
+/// of each boundary between segments. `None` when a real endpoint is no
+/// node key.
 ///
-/// `real` resolves an id to the node it is the key of; `virt(b, id,
-/// builder)` returns the virtual node of `id` at boundary `b`, allocating
-/// it on first sight. It is asked for every pair, whether or not the pair's
-/// real endpoint is a node key, and for a middle pair's left id before its
-/// right one — so virtual nodes are numbered in sorted-pair first-sight
-/// order, a function of the segment outputs alone, in whichever id space
-/// the caller evaluated them (database ids for batch extraction, engine ids
-/// for [`IncrementalState::bulk_load`]).
+/// `real` resolves an id to the node it is the key of; `virt(b, id)`
+/// returns the virtual node of `id` at boundary `b`, allocating it on first
+/// sight. It is asked for every pair, whether or not the pair's real
+/// endpoint is a node key, and for a middle pair's left id before its
+/// right one — so a caller that feeds a segment's pairs in ascending order
+/// numbers virtual nodes in sorted-pair first-sight order, a function of
+/// the segment outputs alone, in whichever id space it evaluated them.
+///
+/// Every stored edge comes from here: batch extraction and
+/// [`IncrementalState::bulk_load`] through [`emit_segment`], a delta's
+/// support transitions and a new node's memberships through the
+/// incremental patch.
+pub(crate) fn segment_edge(
+    (j, k): (usize, usize),
+    (l, r): (Vid, Vid),
+    real: impl Fn(Vid) -> Option<RealId>,
+    mut virt: impl FnMut(usize, Vid) -> VirtId,
+) -> Option<StoredEdge> {
+    match (j == 0, j == k - 1) {
+        // No large-output join: the database computed the edge.
+        (true, true) => match (real(l), real(r)) {
+            (Some(u), Some(v)) if u != v => Some(StoredEdge::Direct(u, v)),
+            _ => None,
+        },
+        // res1(ID1, a_l): real -> virtual
+        (true, false) => {
+            let v = virt(0, r);
+            real(l).map(|u| StoredEdge::RealToVirtual(u, v))
+        }
+        // res_k(a_u, ID2): virtual -> real
+        (false, true) => {
+            let v = virt(k - 2, l);
+            real(r).map(|t| StoredEdge::VirtualToReal(v, t))
+        }
+        // res_i(a_{i-1}, a_i): virtual -> virtual
+        (false, false) => {
+            let vl = virt(j - 1, l);
+            Some(StoredEdge::VirtualToVirtual(vl, virt(j, r)))
+        }
+    }
+}
+
+/// Add the stored edges of segment `j` of a `k`-segment chain to
+/// `builder`, given the keys of the segment's bag: its distinct `(l, r)`
+/// pairs, packed, in ascending order. Each pair goes through
+/// [`segment_edge`], whose `virt` here also gets the builder to allocate
+/// from; the id space is database ids for batch extraction and engine ids
+/// for [`IncrementalState::bulk_load`].
 pub(crate) fn emit_segment(
     builder: &mut CondensedBuilder,
-    (j, k): (usize, usize),
+    jk: (usize, usize),
     keys: impl IntoIterator<Item = u64>,
     real: impl Fn(Vid) -> Option<RealId>,
     mut virt: impl FnMut(usize, Vid, &mut CondensedBuilder) -> VirtId,
 ) {
-    for (l, r) in keys.into_iter().map(unpack) {
-        match (j == 0, j == k - 1) {
-            (true, true) => {
-                // No large-output join: the database computed the edge.
-                if let (Some(u), Some(v)) = (real(l), real(r)) {
-                    if u != v {
-                        builder.direct(u, v);
-                    }
-                }
-            }
-            (true, false) => {
-                // res1(ID1, a_l): real -> virtual
-                let v = virt(0, r, builder);
-                if let Some(u) = real(l) {
-                    builder.real_to_virtual(u, v);
-                }
-            }
-            (false, true) => {
-                // res_k(a_u, ID2): virtual -> real
-                let v = virt(k - 2, l, builder);
-                if let Some(t) = real(r) {
-                    builder.virtual_to_real(v, t);
-                }
-            }
-            (false, false) => {
-                // res_i(a_{i-1}, a_i): virtual -> virtual
-                let vl = virt(j - 1, l, builder);
-                let vr = virt(j, r, builder);
-                builder.virtual_to_virtual(vl, vr);
-            }
+    for pair in keys.into_iter().map(unpack) {
+        match segment_edge(jk, pair, &real, |b, vid| virt(b, vid, builder)) {
+            Some(StoredEdge::Direct(u, v)) => builder.direct(u, v),
+            Some(StoredEdge::RealToVirtual(u, v)) => builder.real_to_virtual(u, v),
+            Some(StoredEdge::VirtualToVirtual(v, w)) => builder.virtual_to_virtual(v, w),
+            Some(StoredEdge::VirtualToReal(v, t)) => builder.virtual_to_real(v, t),
+            None => {}
         }
     }
 }

@@ -35,11 +35,17 @@
 //!
 //! # How the graph is patched
 //!
-//! Support transitions become condensed-graph operations: segment-0 pairs
-//! are `real → virtual` membership edges, middle-segment pairs are
+//! One rule turns a segment output pair into a stored edge:
+//! `crate::extract::segment_edge` (§4.2 Steps 4–5). Segment-0 pairs are
+//! `real → virtual` membership edges, middle-segment pairs are
 //! `virtual → virtual` edges, last-segment pairs are `virtual → real`
 //! edges, and single-segment chains contribute direct `real → real` edges
-//! (one edge however many chains output the pair). `Nodes`-view deltas
+//! (one edge however many chains output the pair). It has four callers:
+//! batch extraction and the bulk load below (both through
+//! `crate::extract::emit_segment`), a delta's support transitions — a pair
+//! whose support rises from zero inserts its edge, one that returns to
+//! zero removes it — and a new node, whose support and `by_right` runs are
+//! fed through it as first- and last-segment pairs. `Nodes`-view deltas
 //! add, remove, or revive real vertices and re-derive their properties.
 //!
 //! The handle always holds the C-DUP graph extraction built — conversions
@@ -73,10 +79,10 @@
 //! kept here — keeps the operators' output as the *primary* state (each
 //! grouped atom bag becomes the atom's `by_in`, each joined output the
 //! segment's `support`, moved, not copied), and hands every segment's
-//! pairs to the function that turns batch extraction's into edges,
-//! `crate::extract::emit_segment`, which numbers the boundary virtual nodes
-//! as it builds the C-DUP through [`CondensedBuilder`]. Everything else —
-//! `by_out`, `by_right`, `boundary_index` — is derived from the primary
+//! pairs to `crate::extract::emit_segment`, as batch extraction does; the
+//! boundary virtual nodes are numbered as the C-DUP is built through
+//! [`CondensedBuilder`]. Everything else —
+//! `by_out`, `by_right`, `bounds.index` — is derived from the primary
 //! state by `IncrementalState::derive_indexes`, the same function the
 //! snapshot decoder ends with. The loader walks tables, chains, segments,
 //! atoms and rows in the order a row-by-row replay through `apply_delta_state`
@@ -86,7 +92,7 @@
 //! the `#[cfg(test)]` oracle of the `bulk_*` tests.
 
 use crate::error::{Error, PatchError};
-use crate::extract::emit_segment;
+use crate::extract::{emit_segment, segment_edge, StoredEdge};
 use crate::planner::{filters_to_predicate, ChainPlan};
 use crate::runs::{merge, CountedRuns};
 use graphgen_common::metrics::span;
@@ -203,14 +209,46 @@ struct SegmentState {
 #[derive(Debug, Clone)]
 struct ChainState {
     segments: Vec<SegmentState>,
-    /// Per boundary between segments: interned id → boundary-local dense
-    /// index (`u32::MAX` = not seen at this boundary), flat-indexed by id.
-    boundary_index: Vec<Vec<u32>>,
+    bounds: Boundaries,
+}
+
+/// The virtual-node interning of a chain's boundaries between segments.
+#[derive(Debug, Clone)]
+struct Boundaries {
+    /// Per boundary: interned id → boundary-local dense index (`u32::MAX` =
+    /// not seen at this boundary), flat-indexed by id.
+    index: Vec<Vec<u32>>,
     /// Per boundary: boundary-local index → the id it was allocated for
     /// (the interning order, persisted so recovery continues identically).
-    boundary_keys: Vec<Vec<Vid>>,
+    keys: Vec<Vec<Vid>>,
     /// Per boundary: boundary-local index → allocated virtual node.
-    boundary_virts: Vec<Vec<VirtId>>,
+    virts: Vec<Vec<VirtId>>,
+}
+
+impl Boundaries {
+    fn new(boundaries: usize) -> Self {
+        Self {
+            index: vec![Vec::new(); boundaries],
+            keys: vec![Vec::new(); boundaries],
+            virts: vec![Vec::new(); boundaries],
+        }
+    }
+
+    /// The virtual node of `vid` at boundary `b`, interning `vid` and
+    /// taking a node from `alloc` on first sight. The flat `index` makes
+    /// the common repeat case a single array load.
+    fn virt(&mut self, b: usize, vid: Vid, alloc: impl FnOnce() -> VirtId) -> VirtId {
+        let index = &mut self.index[b];
+        if index.len() <= vid as usize {
+            index.resize(vid as usize + 1, u32::MAX);
+        }
+        if index[vid as usize] == u32::MAX {
+            index[vid as usize] = self.keys[b].len() as u32;
+            self.keys[b].push(vid);
+            self.virts[b].push(alloc());
+        }
+        self.virts[b][index[vid as usize] as usize]
+    }
 }
 
 /// Everything needed to maintain an extracted graph under base-table
@@ -278,13 +316,8 @@ impl IncrementalState {
                         by_right: None,
                     })
                     .collect();
-                let boundaries = segments.len().saturating_sub(1);
-                ChainState {
-                    segments,
-                    boundary_index: vec![Vec::new(); boundaries],
-                    boundary_keys: vec![Vec::new(); boundaries],
-                    boundary_virts: vec![Vec::new(); boundaries],
-                }
+                let bounds = Boundaries::new(segments.len().saturating_sub(1));
+                ChainState { segments, bounds }
             })
             .collect();
         let mut state = Self {
@@ -400,44 +433,25 @@ impl Target<'_> {
         self.g.add_virtual_node()
     }
 
-    fn add_membership(&mut self, u: RealId, v: VirtId) {
-        self.patch.stored_edges_added += 1;
-        self.g.insert_real_to_virtual(u, v);
-    }
-
-    fn remove_membership(&mut self, u: RealId, v: VirtId) {
-        self.patch.stored_edges_removed += 1;
-        self.g.detach_real_from_virtual(u, v);
-    }
-
-    fn add_virt_to_real(&mut self, v: VirtId, t: RealId) {
-        self.patch.stored_edges_added += 1;
-        self.g.insert_virtual_to_real(v, t);
-    }
-
-    fn remove_virt_to_real(&mut self, v: VirtId, t: RealId) {
-        self.patch.stored_edges_removed += 1;
-        self.g.remove_virtual_to_real(v, t);
-    }
-
-    fn add_vv(&mut self, v: VirtId, w: VirtId) {
-        self.patch.stored_edges_added += 1;
-        self.g.insert_virtual_to_virtual(v, w);
-    }
-
-    fn remove_vv(&mut self, v: VirtId, w: VirtId) {
-        self.patch.stored_edges_removed += 1;
-        self.g.remove_virtual_to_virtual(v, w);
-    }
-
-    fn add_direct(&mut self, u: RealId, t: RealId) {
-        self.patch.stored_edges_added += 1;
-        self.g.insert_direct(u, t);
-    }
-
-    fn remove_direct(&mut self, u: RealId, t: RealId) {
-        self.patch.stored_edges_removed += 1;
-        self.g.remove_direct(u, t);
+    /// Insert (`add`) or remove one stored edge.
+    fn edge(&mut self, edge: StoredEdge, add: bool) {
+        use StoredEdge::*;
+        if add {
+            self.patch.stored_edges_added += 1;
+        } else {
+            self.patch.stored_edges_removed += 1;
+        }
+        let g = &mut *self.g;
+        match (edge, add) {
+            (Direct(u, t), true) => g.insert_direct(u, t),
+            (Direct(u, t), false) => g.remove_direct(u, t),
+            (RealToVirtual(u, v), true) => g.insert_real_to_virtual(u, v),
+            (RealToVirtual(u, v), false) => g.detach_real_from_virtual(u, v),
+            (VirtualToVirtual(v, w), true) => g.insert_virtual_to_virtual(v, w),
+            (VirtualToVirtual(v, w), false) => g.remove_virtual_to_virtual(v, w),
+            (VirtualToReal(v, t), true) => g.insert_virtual_to_real(v, t),
+            (VirtualToReal(v, t), false) => g.remove_virtual_to_real(v, t),
+        }
     }
 }
 
@@ -593,225 +607,78 @@ impl SegmentState {
 // Materialization: segment transitions -> graph operations
 // ---------------------------------------------------------------------------
 
-/// The boundary-local index of `vid` at one boundary, appending it to the
-/// boundary's `keys` on first sight; `true` means it was new and the caller
-/// owes the matching `boundary_virts` entry. The flat `index` slot array
-/// makes the common repeat case a single array load.
-fn boundary_slot(index: &mut Vec<u32>, keys: &mut Vec<Vid>, vid: Vid) -> (usize, bool) {
-    if index.len() <= vid as usize {
-        index.resize(vid as usize + 1, u32::MAX);
-    }
-    let new = index[vid as usize] == u32::MAX;
-    if new {
-        index[vid as usize] = keys.len() as u32;
-        keys.push(vid);
-    }
-    (index[vid as usize] as usize, new)
-}
-
-/// Intern a boundary id, allocating its virtual node on first sight.
-fn ensure_virt(
-    boundary_index: &mut [Vec<u32>],
-    boundary_keys: &mut [Vec<Vid>],
-    boundary_virts: &mut [Vec<VirtId>],
-    b: usize,
-    vid: Vid,
-    target: &mut Target<'_>,
-) -> VirtId {
-    let (slot, new) = boundary_slot(&mut boundary_index[b], &mut boundary_keys[b], vid);
-    if new {
-        let v = target.add_virtual_node();
-        boundary_virts[b].push(v);
-    }
-    boundary_virts[b][slot]
-}
-
 /// Resolve an interned id to its real node id via the flat side-table —
 /// one array load, no value hash. A `Vid` beyond the table (interned
 /// after the last rebuild/add) or mapped to the sentinel is not a node
 /// key, exactly as an id-map miss would report.
 #[inline]
-fn real_from(real_ids: &[u32], vid: Vid) -> Option<u32> {
+fn real_from(real_ids: &[u32], vid: Vid) -> Option<RealId> {
     real_ids
         .get(vid as usize)
         .copied()
         .filter(|&id| id != u32::MAX)
+        .map(RealId)
 }
 
-/// `elsewhere(pair)`: whether another single-segment chain outputs the
-/// pair, so its direct edge exists whatever this chain does.
+/// Insert (`add`) or remove the stored edge of every pair of `pairs`, in
+/// order, as segment `j` of a `k`-segment chain stores it: the rule is
+/// [`segment_edge`]'s, with `bounds` numbering the virtual nodes.
+/// `elsewhere(pair)`: whether another single-segment chain accounts for
+/// the pair's direct edge, which is then not this chain's to change —
+/// several `Edges` rules may yield one pair, and its one direct edge stays
+/// while any of them does.
+///
+/// Membership edges are kept for *every interned* key, alive or not, so a
+/// node whose key later reappears revives with its adjacency intact; keys
+/// that never were nodes contribute no edges until a node add materializes
+/// them from the segment indexes ([`materialize_node_edges`]).
 fn materialize_segment(
-    chain: &mut ChainState,
-    j: usize,
-    added: &[(Vid, Vid)],
-    removed: &[(Vid, Vid)],
+    jk: (usize, usize),
+    bounds: &mut Boundaries,
+    pairs: impl IntoIterator<Item = (Vid, Vid)>,
+    add: bool,
     elsewhere: impl Fn(u64) -> bool,
     real_ids: &[u32],
     target: &mut Target<'_>,
 ) {
-    let _span = span("build_rep", Region::BuildRep);
-    let k = chain.segments.len();
-    let ChainState {
-        boundary_index,
-        boundary_keys,
-        boundary_virts,
-        ..
-    } = chain;
-    if k == 1 {
-        // Single-segment chain: the database-computed edge list. Several
-        // Edges rules may yield the same pair, and its direct edge stays
-        // while any of them does.
-        for &(x, y) in added {
-            if x != y && !elsewhere(pack(x, y)) {
-                if let (Some(u), Some(v)) = (real_from(real_ids, x), real_from(real_ids, y)) {
-                    target.add_direct(RealId(u), RealId(v));
-                }
-            }
-        }
-        for &(x, y) in removed {
-            if x != y && !elsewhere(pack(x, y)) {
-                if let (Some(u), Some(v)) = (real_from(real_ids, x), real_from(real_ids, y)) {
-                    target.remove_direct(RealId(u), RealId(v));
-                }
-            }
-        }
-        return;
-    }
-    // Multi-segment chain: boundary attributes materialize as virtual
-    // nodes. Membership edges are kept for *every interned* key, alive or
-    // not, so a node whose key later reappears revives with its adjacency
-    // intact; keys that never were nodes contribute no edges until a node
-    // add materializes them from the segment indexes.
-    for &(l, r) in added {
-        match (j == 0, j == k - 1) {
-            (true, false) => {
-                let v = ensure_virt(boundary_index, boundary_keys, boundary_virts, 0, r, target);
-                if let Some(u) = real_from(real_ids, l) {
-                    target.add_membership(RealId(u), v);
-                }
-            }
-            (false, true) => {
-                let v = ensure_virt(
-                    boundary_index,
-                    boundary_keys,
-                    boundary_virts,
-                    k - 2,
-                    l,
-                    target,
-                );
-                if let Some(t) = real_from(real_ids, r) {
-                    target.add_virt_to_real(v, RealId(t));
-                }
-            }
-            (false, false) => {
-                let vl = ensure_virt(
-                    boundary_index,
-                    boundary_keys,
-                    boundary_virts,
-                    j - 1,
-                    l,
-                    target,
-                );
-                let vr = ensure_virt(boundary_index, boundary_keys, boundary_virts, j, r, target);
-                target.add_vv(vl, vr);
-            }
-            (true, true) => unreachable!("k > 1"),
-        }
-    }
-    for &(l, r) in removed {
-        match (j == 0, j == k - 1) {
-            (true, false) => {
-                let v = ensure_virt(boundary_index, boundary_keys, boundary_virts, 0, r, target);
-                if let Some(u) = real_from(real_ids, l) {
-                    target.remove_membership(RealId(u), v);
-                }
-            }
-            (false, true) => {
-                let v = ensure_virt(
-                    boundary_index,
-                    boundary_keys,
-                    boundary_virts,
-                    k - 2,
-                    l,
-                    target,
-                );
-                if let Some(t) = real_from(real_ids, r) {
-                    target.remove_virt_to_real(v, RealId(t));
-                }
-            }
-            (false, false) => {
-                let vl = ensure_virt(
-                    boundary_index,
-                    boundary_keys,
-                    boundary_virts,
-                    j - 1,
-                    l,
-                    target,
-                );
-                let vr = ensure_virt(boundary_index, boundary_keys, boundary_virts, j, r, target);
-                target.remove_vv(vl, vr);
-            }
-            (true, true) => unreachable!("k > 1"),
+    for (l, r) in pairs {
+        let real = |vid| real_from(real_ids, vid);
+        let virt = |b, vid| bounds.virt(b, vid, || target.add_virtual_node());
+        match segment_edge(jk, (l, r), real, virt) {
+            Some(StoredEdge::Direct(..)) if elsewhere(pack(l, r)) => {}
+            Some(edge) => target.edge(edge, add),
+            None => {}
         }
     }
 }
 
-/// Materialize every edge a brand-new real node participates in, looked up
-/// from the maintained segment indexes (cost proportional to the node's
-/// own memberships, not the graph).
+/// Materialize every edge the brand-new node of interned key `key`
+/// participates in: its distinct output as a left endpoint of each chain's
+/// first segment (the support run) and as a right endpoint of its last
+/// (the `by_right` run), each through [`materialize_segment`] as that
+/// segment's pairs. Cost is proportional to the node's own memberships,
+/// not the graph. A direct edge is the first single-segment chain's that
+/// outputs its pair.
 fn materialize_node_edges(
     chains: &mut [ChainState],
     key: Vid,
-    id: RealId,
     real_ids: &[u32],
     target: &mut Target<'_>,
 ) {
     let _span = span("build_rep", Region::BuildRep);
-    for chain in chains.iter_mut() {
-        let ChainState {
-            segments,
-            boundary_index,
-            boundary_keys,
-            boundary_virts,
-        } = chain;
+    for c in 0..chains.len() {
+        let (before, rest) = chains.split_at_mut(c);
+        let ChainState { segments, bounds } = &mut rest[0];
         let k = segments.len();
-        // The key's distinct output as a left endpoint of the first
-        // segment and as a right endpoint of the last, ascending.
-        let rights = segments[0].support.run(key).map(|(r, _)| r);
+        let earlier = |pair| {
+            let mut single = before.iter().filter(|o| o.segments.len() == 1);
+            single.any(|o| o.segments[0].support.get(pair) > 0)
+        };
+        let rights = segments[0].support.run(key).map(|(r, _)| (key, r));
+        materialize_segment((0, k), bounds, rights, true, earlier, real_ids, target);
         let by_right = segments[k - 1].by_right.as_ref().expect("last segment");
-        let lefts = by_right.run(key).map(|(l, _)| l);
-        if k == 1 {
-            for y in rights {
-                if y != key {
-                    if let Some(v) = real_from(real_ids, y) {
-                        target.add_direct(id, RealId(v));
-                    }
-                }
-            }
-            for x in lefts {
-                if x != key {
-                    if let Some(u) = real_from(real_ids, x) {
-                        target.add_direct(RealId(u), id);
-                    }
-                }
-            }
-            continue;
-        }
-        for a in rights {
-            let v = ensure_virt(boundary_index, boundary_keys, boundary_virts, 0, a, target);
-            target.add_membership(id, v);
-        }
-        for a in lefts {
-            let v = ensure_virt(
-                boundary_index,
-                boundary_keys,
-                boundary_virts,
-                k - 2,
-                a,
-                target,
-            );
-            target.add_virt_to_real(v, id);
-        }
+        let lefts = by_right.run(key).map(|(l, _)| (l, key));
+        materialize_segment((k - 1, k), bounds, lefts, true, earlier, real_ids, target);
     }
 }
 
@@ -897,7 +764,12 @@ pub(crate) fn apply_delta_state(
                     other.segments.len() == 1 && other.segments[0].support.get(pair) > 0
                 })
             };
-            materialize_segment(chain, j, &added, &removed, elsewhere, real_ids, &mut target);
+            let _span = span("build_rep", Region::BuildRep);
+            let jk = (j, chain.segments.len());
+            for (pairs, add) in [(added, true), (removed, false)] {
+                let bounds = &mut chain.bounds;
+                materialize_segment(jk, bounds, pairs, add, elsewhere, real_ids, &mut target);
+            }
         }
     }
 
@@ -968,7 +840,7 @@ pub(crate) fn apply_delta_state(
                     real_ids.resize(kvid as usize + 1, u32::MAX);
                 }
                 real_ids[kvid as usize] = id;
-                materialize_node_edges(chains, kvid, RealId(id), real_ids, &mut target);
+                materialize_node_edges(chains, kvid, real_ids, &mut target);
             }
         } else if before > 0 && now == 0 {
             let id = ids.get(&key).expect("supported key is interned");
@@ -991,8 +863,8 @@ pub(crate) fn apply_delta_state(
 // Derived indexes
 // ---------------------------------------------------------------------------
 //
-// `by_out`, `by_right` and `boundary_index` are functions of the primary
-// state (`by_in`, `support`, `boundary_keys`). Neither the bulk loader nor
+// `by_out`, `by_right` and `bounds.index` are functions of the primary
+// state (`by_in`, `support`, `bounds.keys`). Neither the bulk loader nor
 // the snapshot decoder builds them: both produce the primary state and
 // finish with `IncrementalState::derive_indexes`, which also decides which
 // of them exist — `IncrementalState::new` runs it on the empty state.
@@ -1011,14 +883,15 @@ impl SegmentState {
 }
 
 impl ChainState {
-    /// `boundary_index` inverts `boundary_keys` (which holds no id twice).
+    /// `bounds.index` inverts `bounds.keys` (which holds no id twice).
     fn derive_indexes(&mut self) {
         let k = self.segments.len();
         for (j, seg) in self.segments.iter_mut().enumerate() {
             seg.derive_indexes(j + 1 == k);
         }
-        self.boundary_index = self
-            .boundary_keys
+        self.bounds.index = self
+            .bounds
+            .keys
             .iter()
             .map(|keys| {
                 let slots = keys.iter().max().map_or(0, |&k| k as usize + 1);
@@ -1204,30 +1077,18 @@ impl IncrementalState {
 
         // Every pair becomes its stored edge, now that all node keys are
         // known; the builder sorts and dedups the adjacency lists. The
-        // boundary tables fill here, `boundary_slot` keeping
-        // `boundary_index` current as it goes.
+        // boundary tables fill here, keeping their `index` current as they
+        // go.
         let _span = span("build_rep", Region::BuildRep);
         let mut builder = CondensedBuilder::new(ids.len());
         for (c, j) in completed {
-            let ChainState {
-                segments,
-                boundary_index,
-                boundary_keys,
-                boundary_virts,
-            } = &mut state.chains[c];
+            let ChainState { segments, bounds } = &mut state.chains[c];
             emit_segment(
                 &mut builder,
                 (j, segments.len()),
                 segments[j].support.iter().map(|(key, _)| key),
-                |vid| real_from(&state.real_ids, vid).map(RealId),
-                |b, vid, builder| {
-                    let (slot, new) =
-                        boundary_slot(&mut boundary_index[b], &mut boundary_keys[b], vid);
-                    if new {
-                        boundary_virts[b].push(builder.add_virtual());
-                    }
-                    boundary_virts[b][slot]
-                },
+                |vid| real_from(&state.real_ids, vid),
+                |b, vid, builder| bounds.virt(b, vid, || builder.add_virtual()),
             );
         }
         let graph = builder.build();
@@ -1243,7 +1104,7 @@ impl IncrementalState {
 // keep applying deltas exactly where the crashed one stopped. The whole
 // maintenance state — atom multisets, segment supports, boundary interning,
 // node entries — is encoded verbatim with the workspace codec conventions;
-// the redundant reverse indexes (`by_out`, `by_right`, `boundary_index`)
+// the redundant reverse indexes (`by_out`, `by_right`, `bounds.index`)
 // are rebuilt on decode instead of stored. Every bag and support map is written in run
 // order — strictly ascending keys, multiplicities ≥ 1, no empty bag slot —
 // and the decoder accepts nothing else, so a decoded bag is valid runs as
@@ -1461,8 +1322,8 @@ impl IncrementalState {
             for seg in &chain.segments {
                 seg.encode_into(out);
             }
-            codec::put_len(out, chain.boundary_keys.len());
-            for (keys, virts) in chain.boundary_keys.iter().zip(&chain.boundary_virts) {
+            codec::put_len(out, chain.bounds.keys.len());
+            for (keys, virts) in chain.bounds.keys.iter().zip(&chain.bounds.virts) {
                 // Boundary interning order, persisted explicitly (the flat
                 // id → local-index table is rebuilt on decode).
                 codec::put_len(out, keys.len());
@@ -1542,8 +1403,7 @@ impl IncrementalState {
             if n_bounds != n_segs.saturating_sub(1) {
                 return Err(CodecError::invalid(at, "boundary count mismatch"));
             }
-            let mut boundary_keys = Vec::with_capacity(n_bounds);
-            let mut boundary_virts = Vec::with_capacity(n_bounds);
+            let mut bounds = Boundaries::new(0);
             for _ in 0..n_bounds {
                 let n_keys = r.len_of(4)?;
                 let mut keys = Vec::with_capacity(n_keys);
@@ -1565,15 +1425,10 @@ impl IncrementalState {
                 for _ in 0..n_virts {
                     virts.push(VirtId(r.u32()?));
                 }
-                boundary_keys.push(keys);
-                boundary_virts.push(virts);
+                bounds.keys.push(keys);
+                bounds.virts.push(virts);
             }
-            chains.push(ChainState {
-                segments,
-                boundary_index: Vec::new(),
-                boundary_keys,
-                boundary_virts,
-            });
+            chains.push(ChainState { segments, bounds });
         }
         let n_nodes = r.len()?;
         let mut node_entries = FxHashMap::default();

@@ -36,6 +36,7 @@
 //!   restart replays exactly *k* records, whatever came before it.
 
 use graphgen_common::metrics::{unescape_exposition, ValueSnapshot};
+use graphgen_dsl::{Code, Severity};
 use graphgen_reldb::Value;
 use graphgen_serve::testutil::{fig1_db, TempDir};
 use graphgen_serve::{GraphService, ServiceConfig, TableMutation};
@@ -161,13 +162,21 @@ fn histogram_conservation_eight_threads() {
 }
 
 /// Counter families from a coherent exposition snapshot.
+/// Every counter by family and label (`name{key=value}`), so the members
+/// of a labelled family are each their own entry.
 fn counters(s: &GraphService) -> BTreeMap<String, u64> {
     s.obs()
         .registry()
         .snapshot()
         .into_iter()
         .filter_map(|i| match i.value {
-            ValueSnapshot::Counter(v) => Some((i.name.to_string(), v)),
+            ValueSnapshot::Counter(v) => {
+                let name = match &i.label {
+                    Some((key, value)) => format!("{}{{{key}={value}}}", i.name),
+                    None => i.name.to_string(),
+                };
+                Some((name, v))
+            }
             _ => None,
         })
         .collect()
@@ -177,6 +186,17 @@ fn counters(s: &GraphService) -> BTreeMap<String, u64> {
 fn counters_monotone_across_publishes() {
     let s = service();
     let mut prev = counters(&s);
+    let rejects = prev
+        .keys()
+        .filter(|name| name.starts_with("graphgen_check_rejects_total{"))
+        .count();
+    let codes = Code::all();
+    let errors = codes.iter().filter(|c| c.severity() == Severity::Error);
+    assert_eq!(
+        rejects,
+        errors.count(),
+        "each rejection code is its own counter"
+    );
     for round in 0..8i64 {
         let m = TableMutation::new(
             "AuthorPub",

@@ -264,6 +264,27 @@ const DELETED_NAMES: &[(&str, Option<&str>)] = &[
     // members; `STATS` reads them through `Obs::reject_counts`.
     ("check_reject_counts", None),
     ("check_rejects:", None),
+    // A segment output pair becomes its stored edge in one function,
+    // `core::extract::segment_edge`; the delta patch inserts or removes
+    // that edge through `Target::edge`, and a chain's virtual nodes are
+    // numbered by `Boundaries::virt`.
+    ("add_membership", None),
+    ("remove_membership", None),
+    ("add_virt_to_real", None),
+    ("remove_virt_to_real", None),
+    ("fn add_vv", None),
+    ("fn remove_vv", None),
+    ("target.add_direct", None),
+    ("target.remove_direct", None),
+    ("ensure_virt", None),
+    ("boundary_slot", None),
+    ("boundary_index", None),
+    ("boundary_keys", None),
+    ("boundary_virts", None),
+    // Scoped threads fan out through `common::parallel::map_chunks`, which
+    // `map_morsels` is a view of.
+    ("in_chunks", None),
+    ("fn morsels(", None),
 ];
 
 #[test]
@@ -308,8 +329,10 @@ fn deleted_operators_stay_deleted() {
          `AnyGraph`'s `GraphRep` impl for its `Deref` to the one it holds, \
          `graph_mut`/`into_parts` and the never-set conversion and advisor \
          knobs for the fixed Fig. 10 constructors, `core::cost` for \
-         `core::planner` over `graphgen_dsl::cost`, and the writer's \
-         rejection map for the registry's per-code counters; extend those instead \
+         `core::planner` over `graphgen_dsl::cost`, the writer's \
+         rejection map for the registry's per-code counters, the patch \
+         path's per-kind edge methods for `segment_edge` and `Target::edge`, \
+         and the kernels' own thread fan-out for `map_chunks`; extend those instead \
          of bringing a second mechanism back, and keep the docs on the \
          code that exists:\n{}",
         violations.join("\n")
