@@ -15,9 +15,10 @@
 //!    from a snapshot without any allocation on the record path.
 //! 2. **Spans** — [`span`] returns a guard that records wall time on drop
 //!    and simultaneously enters a [`region`] so one guard
-//!    yields both allocation attribution *and* phase timing. Spans push
-//!    `(label, ns)` entries into a thread-local phase log when a
-//!    [`collect_phases`] scope is active, which is how a request handler
+//!    yields both allocation attribution *and* phase timing. Every span is
+//!    a [`Phase`], declared once below with the family that charts it.
+//!    Spans push `(phase, ns)` entries into a thread-local phase log when
+//!    a [`collect_phases`] scope is active, which is how a request handler
 //!    reconstructs the per-phase breakdown of the call tree it just ran
 //!    without the deep code knowing about any registry.
 //! 3. **Exposition** — [`Registry::render`] emits Prometheus-style text
@@ -555,10 +556,92 @@ impl ValueSnapshot {
 // Spans and the thread-local phase log
 // ---------------------------------------------------------------------------
 
+/// Which phase family a [`Phase`]'s span time is charted in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PhaseFamily {
+    /// The writer's publish pipeline: `graphgen_apply_phase_ns`.
+    Apply,
+    /// The relational operators, the maintenance-state loader and the
+    /// representation builder: `graphgen_extract_phase_ns`.
+    Extract,
+    /// Opened only by a batch `GraphGen::extract`, which no served request
+    /// runs (a served `EXTRACT` is incremental), so no family charts them;
+    /// a [`collect_phases`] caller reads them.
+    BatchOnly,
+    /// Timed off any request thread (startup recovery, the analyze worker
+    /// pool), where no phase log is collected.
+    Background,
+}
+
+/// Declares every span label once, grouped by [`PhaseFamily`]:
+/// `Phase::ALL` in declaration order, `label` and `family` as matches, so
+/// a consumer indexes by `phase as usize` and never compares a string.
+macro_rules! phases {
+    ($($family:ident { $($variant:ident => $label:literal),* $(,)? })*) => {
+        /// A span label (see [`span`]).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Phase {
+            $($(#[doc = concat!("`", $label, "`")] $variant,)*)*
+        }
+
+        impl Phase {
+            /// Every phase in declaration order (`phase as usize` indexes it).
+            pub const ALL: &'static [Phase] = &[$($(Phase::$variant,)*)*];
+
+            /// The span label: the `phase` label value of its family.
+            pub fn label(self) -> &'static str {
+                match self { $($(Phase::$variant => $label,)*)* }
+            }
+
+            /// The family charting this phase.
+            pub fn family(self) -> PhaseFamily {
+                match self { $($(Phase::$variant => PhaseFamily::$family,)*)* }
+            }
+        }
+    };
+}
+
+phases! {
+    Apply {
+        Validate => "validate", DbMutate => "db_mutate", WalAppend => "wal_append",
+        Patch => "patch", Drift => "drift", Publish => "publish",
+    }
+    Extract {
+        Scan => "scan", Join => "join", Distinct => "distinct",
+        LoadState => "load_state", BuildRep => "build_rep",
+    }
+    BatchOnly { LoadNodes => "load_nodes", Emit => "emit" }
+    Background { Recovery => "recovery", AnalyzeCompute => "analyze_compute" }
+}
+
+impl Phase {
+    /// The members of `family`, in declaration order.
+    pub fn of(family: PhaseFamily) -> impl Iterator<Item = Phase> {
+        Phase::ALL
+            .iter()
+            .copied()
+            .filter(move |p| p.family() == family)
+    }
+}
+
+/// A phase equals its label, so a collected phase log can be filtered by
+/// label text.
+impl PartialEq<&str> for Phase {
+    fn eq(&self, label: &&str) -> bool {
+        self.label() == *label
+    }
+}
+
+impl std::fmt::Display for Phase {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
+    }
+}
+
 thread_local! {
     /// Phase log: `Some(vec)` while a [`collect_phases`] scope is active
-    /// on this thread; spans append `(label, ns)` on drop.
-    static PHASES: RefCell<Option<Vec<(&'static str, u64)>>> = const { RefCell::new(None) };
+    /// on this thread; spans append `(phase, ns)` on drop.
+    static PHASES: RefCell<Option<Vec<(Phase, u64)>>> = const { RefCell::new(None) };
 }
 
 /// A span guard: enters `region` for allocation attribution, and on drop
@@ -566,18 +649,18 @@ thread_local! {
 /// phase log (if any). Created by [`span`] / [`span_timed`].
 #[must_use = "dropping the span immediately ends it"]
 pub struct Span {
-    label: &'static str,
+    phase: Phase,
     start: Instant,
     hist: Option<Histogram>,
     _region: region::RegionGuard,
 }
 
-/// Start a span labelled `label` in `region`. The elapsed time lands in
-/// the thread's phase log (when one is being collected); no registry or
+/// Start a span of `phase` in `region`. The elapsed time lands in the
+/// thread's phase log (when one is being collected); no registry or
 /// histogram is involved, so deep library code can use this freely.
-pub fn span(label: &'static str, r: Region) -> Span {
+pub fn span(phase: Phase, r: Region) -> Span {
     Span {
-        label,
+        phase,
         start: Instant::now(),
         hist: None,
         _region: region::enter(r),
@@ -586,9 +669,9 @@ pub fn span(label: &'static str, r: Region) -> Span {
 
 /// Like [`span`], but additionally records the elapsed nanoseconds into
 /// `hist` on drop.
-pub fn span_timed(label: &'static str, r: Region, hist: &Histogram) -> Span {
+pub fn span_timed(phase: Phase, r: Region, hist: &Histogram) -> Span {
     Span {
-        label,
+        phase,
         start: Instant::now(),
         hist: Some(hist.clone()),
         _region: region::enter(r),
@@ -603,17 +686,17 @@ impl Drop for Span {
         }
         let _ = PHASES.try_with(|p| {
             if let Some(log) = p.borrow_mut().as_mut() {
-                log.push((self.label, ns));
+                log.push((self.phase, ns));
             }
         });
     }
 }
 
 /// Run `f` with phase collection enabled on this thread; returns `f`'s
-/// result plus every `(label, ns)` span that completed inside it, in
+/// result plus every `(phase, ns)` span that completed inside it, in
 /// completion order. Scopes nest: an inner scope captures its own spans
 /// and the outer scope resumes afterwards.
-pub fn collect_phases<R>(f: impl FnOnce() -> R) -> (R, Vec<(&'static str, u64)>) {
+pub fn collect_phases<R>(f: impl FnOnce() -> R) -> (R, Vec<(Phase, u64)>) {
     let prev = PHASES.with(|p| p.borrow_mut().replace(Vec::new()));
     let out = f();
     let collected = PHASES.with(|p| {
@@ -857,13 +940,13 @@ mod tests {
     fn span_records_phase_and_histogram() {
         let h = Histogram::new();
         let ((), phases) = collect_phases(|| {
-            let _s = span_timed("work", Region::Scan, &h);
+            let _s = span_timed(Phase::Scan, Region::Scan, &h);
             assert_eq!(region::current(), Region::Scan);
             std::hint::black_box(());
         });
         assert_eq!(region::current(), Region::General);
         assert_eq!(phases.len(), 1);
-        assert_eq!(phases[0].0, "work");
+        assert_eq!(phases[0].0, Phase::Scan);
         assert_eq!(h.count(), 1);
     }
 
@@ -871,19 +954,37 @@ mod tests {
     fn collect_phases_nests() {
         let ((), outer) = collect_phases(|| {
             {
-                let _a = span("outer_a", Region::General);
+                let _a = span(Phase::Validate, Region::General);
             }
             let ((), inner) = collect_phases(|| {
-                let _b = span("inner_b", Region::General);
+                let _b = span(Phase::Patch, Region::General);
             });
             assert_eq!(inner.len(), 1);
-            assert_eq!(inner[0].0, "inner_b");
+            assert_eq!(inner[0].0, Phase::Patch);
             {
-                let _c = span("outer_c", Region::General);
+                let _c = span(Phase::Publish, Region::General);
             }
         });
         let labels: Vec<_> = outer.iter().map(|p| p.0).collect();
-        assert_eq!(labels, vec!["outer_a", "outer_c"]);
+        assert_eq!(labels, vec![Phase::Validate, Phase::Publish]);
+    }
+
+    #[test]
+    fn every_phase_is_declared_once_with_its_family() {
+        let mut labels: Vec<&str> = Phase::ALL.iter().map(|p| p.label()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), Phase::ALL.len(), "a label is spelled twice");
+        for (i, phase) in Phase::ALL.iter().enumerate() {
+            assert_eq!(*phase as usize, i, "{phase} out of declaration order");
+            assert!(*phase == phase.label());
+        }
+        let members = |family| Phase::of(family).map(Phase::label).collect::<Vec<_>>();
+        assert_eq!(
+            members(PhaseFamily::Extract),
+            ["scan", "join", "distinct", "load_state", "build_rep"]
+        );
+        assert_eq!(members(PhaseFamily::BatchOnly), ["load_nodes", "emit"]);
     }
 
     #[test]
@@ -891,7 +992,7 @@ mod tests {
         // No collect_phases active: the span still times and regions.
         let h = Histogram::new();
         {
-            let _s = span_timed("lone", Region::Build, &h);
+            let _s = span_timed(Phase::Join, Region::Build, &h);
         }
         assert_eq!(h.count(), 1);
     }

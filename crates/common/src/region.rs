@@ -23,13 +23,15 @@ pub enum Region {
     /// Filtered scan + projection, copying ids out of a table's id columns
     /// (`scan_project`).
     Scan = 1,
-    /// Counted-join build: the run offsets of the atom bag
-    /// (`join_counted`).
+    /// Counted-join build: the run offsets of the atom bag (`join_runs`).
     Build = 2,
-    /// Counted-join probe + grouped output emission (`join_counted`).
+    /// Counted-join probe + grouped output handed to the join's consumer
+    /// (`join_runs`): the collected bag of `join_counted`, or the out-lists
+    /// a batch extraction's direct route writes.
     Probe = 3,
     /// GROUP BY over packed id pairs, which is the `DISTINCT`
-    /// (`group_pairs`).
+    /// (`group_pairs`), and the transpose that derives a self-join's
+    /// second bag from its first (`transpose_counted`).
     Distinct = 4,
     /// Representation construction + preprocessing (`build_rep`).
     BuildRep = 5,

@@ -5,7 +5,7 @@ use crate::error::Error;
 use crate::handle::GraphHandle;
 use crate::incremental::IncrementalState;
 use crate::planner::{catalog_view, filters_to_predicate, full_query, plan_chain, ChainPlan};
-use graphgen_common::metrics::span;
+use graphgen_common::metrics::{span, Phase};
 use graphgen_common::region::{self, Region};
 use graphgen_common::IdMap;
 use graphgen_dedup::preprocess::{expand_cheap_virtuals, should_expand, PreprocessStats};
@@ -56,10 +56,13 @@ impl Default for GraphGenConfig {
 }
 
 /// Scanned input rows per worker thread of a batch extraction whose thread
-/// count nobody chose. Two threads against one on the sort/group operators
-/// (scans and join probes fan out, the grouping sort and the graph build do
-/// not) measured 0.93x at 50k scanned rows and 1.00x at 200k, at 800k and at
-/// 1.6M (0.97x to 1.08x over four runs there): below 200k a fan-out costs
+/// count nobody chose. The scans and the join probes fan out — with the
+/// probes, the direct route's out-list writes, each morsel into its own
+/// slot per node —, while the grouping sort, the self-join transpose and
+/// the graph build run on the calling thread. Two threads against one,
+/// measured when the probes still collected a bag, gave 0.93x at 50k
+/// scanned rows and 1.00x at 200k, at 800k and at 1.6M (0.97x to 1.08x
+/// over four runs there): below 200k a fan-out costs
 /// more than it saves, above it buys nothing measurable yet, and either way
 /// it costs kernel time (thread stacks, allocator arenas) and makes every
 /// operator wait for the slower of its threads, which on a shared machine
@@ -337,7 +340,7 @@ impl<'a> GraphGen<'a> {
             for (j, seg) in plan.segments.iter().enumerate() {
                 report.sql.push(seg.query.to_sql(self.db)?);
                 let bag = seg.query.run_counted(self.db, threads)?;
-                let _span = span("emit", region::current());
+                let _span = span(Phase::Emit, region::current());
                 emit_segment(
                     &mut builder,
                     (j, k),
@@ -353,7 +356,7 @@ impl<'a> GraphGen<'a> {
                 );
             }
         }
-        let rep_span = span("build_rep", Region::BuildRep);
+        let rep_span = span(Phase::BuildRep, Region::BuildRep);
         let mut graph = builder.build();
 
         // Step 6: preprocessing.
@@ -427,21 +430,26 @@ impl<'a> GraphGen<'a> {
     }
 
     /// Run chain queries whose output pairs are edges and build the EXP
-    /// straight from their bags, rendering each query's SQL into `sql`
-    /// before it runs: the single-segment chains of a batch extraction
-    /// without large-output joins, and [`GraphGen::extract_full`]'s
-    /// whole-chain queries.
+    /// from their output, rendering each query's SQL into `sql` before it
+    /// runs: the single-segment chains of a batch extraction without
+    /// large-output joins, and [`GraphGen::extract_full`]'s whole-chain
+    /// queries.
     ///
-    /// A bag's keys are distinct `(l, r)` database-id pairs in ascending
-    /// order, so one left id's run is one node's targets: ids that are no
-    /// node key (`node_of`, over `n` nodes) and self-pairs drop out, and the
-    /// rest are distinct, since each node is the key of one id. The list is
-    /// already sorted unless the node order differs from the id order
-    /// there, or another bag fed the same node; only then is it sorted
-    /// (and deduplicated). Every list is stored at exact size, and
+    /// No query's bag is collected: [`Query::run_by_source`] hands each
+    /// left id's run — distinct `(l, r)` database-id pairs in ascending
+    /// order — straight from the last join to the node's out-list. Ids that
+    /// are no node key (`node_of`, over `n` nodes) and self-pairs drop out,
+    /// and the rest are distinct, since each node is the key of one id. The
+    /// list is already sorted unless the node order differs from the id
+    /// order there; only then is it sorted. Each morsel of the join writes
+    /// into its own slot per node, so one thread writes straight into the
+    /// graph's out-lists and more threads merge theirs after. Each list is
+    /// stored at exact size, merged (sorted, deduplicated) only when
+    /// another query fed the same node, and
     /// [`ExpandedGraph::from_sorted_lists`] builds the in-lists by one
-    /// counting transpose. The `emit` span covers each bag's lists and the
-    /// `build_rep` span the transpose, never an operator.
+    /// counting transpose. The list writes are part of the
+    /// `join` span (of `emit`, for a one-atom query) and the transpose is
+    /// the `build_rep` span.
     fn extract_direct<'q>(
         &self,
         queries: impl IntoIterator<Item = &'q Query>,
@@ -450,17 +458,16 @@ impl<'a> GraphGen<'a> {
         threads: usize,
         sql: &mut Vec<String>,
     ) -> Result<ExpandedGraph, Error> {
-        let mut out: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut buf = Vec::new();
+        // Per morsel: an out-list slot per node, and a scratch list.
+        type Lists = (Vec<Vec<u32>>, Vec<u32>);
+        let mut out: Vec<Vec<u32>> = Vec::new();
         for query in queries {
             sql.push(query.to_sql(self.db)?);
-            let bag = query.run_counted(self.db, threads)?;
-            let _span = span("emit", region::current());
-            for run in bag.chunk_by(|a, b| a.0 >> 32 == b.0 >> 32) {
+            let init = || (vec![Vec::new(); n], Vec::new());
+            let each = |(lists, buf): &mut Lists, run: &[(u64, i64)]| {
                 let Some(u) = node_of[unpack(run[0].0).0 as usize] else {
-                    continue;
+                    return;
                 };
-                let list = &mut out[u.0 as usize];
                 buf.clear();
                 buf.extend(
                     run.iter()
@@ -468,16 +475,24 @@ impl<'a> GraphGen<'a> {
                         .filter(|&v| v != u)
                         .map(|v| v.0),
                 );
-                if !list.is_empty() || !buf.is_sorted_by(|a, b| a < b) {
-                    buf.extend_from_slice(list);
+                if !buf.is_sorted() {
                     buf.sort_unstable();
-                    buf.dedup();
                 }
                 // A clone is allocated at exact size.
-                *list = buf.clone();
+                merge_list(&mut lists[u.0 as usize], buf.clone());
+            };
+            for (lists, _) in query.run_by_source(self.db, threads, init, each)? {
+                if out.is_empty() {
+                    out = lists;
+                } else {
+                    for (slot, list) in out.iter_mut().zip(lists) {
+                        merge_list(slot, list);
+                    }
+                }
             }
         }
-        let _span = span("build_rep", Region::BuildRep);
+        out.resize_with(n, Vec::new);
+        let _span = span(Phase::BuildRep, Region::BuildRep);
         Ok(ExpandedGraph::from_sorted_lists(out))
     }
 
@@ -517,7 +532,7 @@ impl<'a> GraphGen<'a> {
             cols.extend(view.prop_cols.iter().map(|(_, c)| *c));
             let pred = filters_to_predicate(&view.filters);
             let rows = scan_project(self.db, &view.relation, &pred, &cols, threads)?;
-            let _span = span("load_nodes", region::current());
+            let _span = span(Phase::LoadNodes, region::current());
             for row in rows.iter() {
                 if row[0] == NULL_VID {
                     continue;
@@ -528,7 +543,7 @@ impl<'a> GraphGen<'a> {
                 for ((name, _), &vid) in view.prop_cols.iter().zip(&row[1..]) {
                     let pv = match value(vid) {
                         Value::Int(v) => PropValue::Int(*v),
-                        Value::Str(s) => PropValue::Text(s.to_string()),
+                        Value::Str(s) => PropValue::Text(s.clone()),
                         Value::Null => continue,
                     };
                     props.set(u, name, pv);
@@ -625,6 +640,19 @@ pub(crate) fn emit_segment(
             Some(StoredEdge::VirtualToReal(v, t)) => builder.virtual_to_real(v, t),
             None => {}
         }
+    }
+}
+
+/// Add the sorted out-list `list` to the sorted out-list `slot`: moved in
+/// when `slot` is empty, otherwise merged (sorted, deduplicated), which
+/// happens only when two queries feed one node.
+fn merge_list(slot: &mut Vec<u32>, list: Vec<u32>) {
+    if slot.is_empty() {
+        *slot = list;
+    } else if !list.is_empty() {
+        slot.extend_from_slice(&list);
+        slot.sort_unstable();
+        slot.dedup();
     }
 }
 
@@ -798,18 +826,12 @@ mod tests {
             .threads(1)
             .build();
         // Default: Fig. 1 is small-output, so its one segment joins the two
-        // atoms. Forced condensed: two one-atom segments, no join.
+        // atoms, and the direct route writes the out-lists inside the join.
+        // Forced condensed: two one-atom segments, no join.
         for (cfg, labels) in [
             (
                 GraphGenConfig::builder().threads(1).build(),
-                &[
-                    "scan",
-                    "distinct",
-                    "join",
-                    "load_nodes",
-                    "emit",
-                    "build_rep",
-                ][..],
+                &["scan", "distinct", "join", "load_nodes", "build_rep"][..],
             ),
             (
                 condensed,

@@ -580,7 +580,11 @@ mod tests {
         }
         let mut properties = Properties::new(n);
         for i in 0..n {
-            properties.set(RealId(i as u32), "Name", PropValue::Text(format!("n{i}")));
+            properties.set(
+                RealId(i as u32),
+                "Name",
+                PropValue::Text(format!("n{i}").into()),
+            );
         }
         GraphHandle::from_parts(graph, ids, properties, ExtractionReport::default())
     }

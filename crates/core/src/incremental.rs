@@ -95,7 +95,7 @@ use crate::error::{Error, PatchError};
 use crate::extract::{emit_segment, segment_edge, StoredEdge};
 use crate::planner::{filters_to_predicate, ChainPlan};
 use crate::runs::{merge, CountedRuns};
-use graphgen_common::metrics::span;
+use graphgen_common::metrics::{span, Phase};
 use graphgen_common::parallel::{effective_threads, map_morsels};
 use graphgen_common::region::Region;
 use graphgen_common::{FxHashMap, FxHashSet, IdMap};
@@ -665,7 +665,7 @@ fn materialize_node_edges(
     real_ids: &[u32],
     target: &mut Target<'_>,
 ) {
-    let _span = span("build_rep", Region::BuildRep);
+    let _span = span(Phase::BuildRep, Region::BuildRep);
     for c in 0..chains.len() {
         let (before, rest) = chains.split_at_mut(c);
         let ChainState { segments, bounds } = &mut rest[0];
@@ -697,7 +697,7 @@ fn derive_props<'a>(
     for ((name, _), cell) in view.prop_cols.iter().zip(cells) {
         let pv = match cell {
             Value::Int(v) => PropValue::Int(*v),
-            Value::Str(s) => PropValue::Text(s.to_string()),
+            Value::Str(s) => PropValue::Text(s.clone()),
             Value::Null => continue,
         };
         out.push((name.clone(), pv));
@@ -764,7 +764,7 @@ pub(crate) fn apply_delta_state(
                     other.segments.len() == 1 && other.segments[0].support.get(pair) > 0
                 })
             };
-            let _span = span("build_rep", Region::BuildRep);
+            let _span = span(Phase::BuildRep, Region::BuildRep);
             let jk = (j, chain.segments.len());
             for (pairs, add) in [(added, true), (removed, false)] {
                 let bounds = &mut chain.bounds;
@@ -1001,7 +1001,7 @@ impl IncrementalState {
                         let cols = [atom.in_col, atom.out_col];
                         let rows = scan_project(db, &atom.table, &atom.pred, &cols, scan_threads)?;
                         let keys = {
-                            let _span = span("load_state", Region::Patch);
+                            let _span = span(Phase::LoadState, Region::Patch);
                             let mut keys = Vec::with_capacity(rows.num_rows());
                             for row in rows.iter() {
                                 let in_v = tr.engine_vid(dict, row[0]);
@@ -1023,7 +1023,7 @@ impl IncrementalState {
                         let frontier = joined.as_ref().unwrap_or(&bags[0]);
                         joined = Some(join_counted(frontier, bag, dict.capacity(), scan_threads));
                     }
-                    let _span = span("load_state", Region::Patch);
+                    let _span = span(Phase::LoadState, Region::Patch);
                     let output = match joined {
                         // The join has read the bags: they become the
                         // atoms' `by_in`, as they are.
@@ -1047,7 +1047,7 @@ impl IncrementalState {
                 let mut cols = vec![view.id_col];
                 cols.extend(view.prop_cols.iter().map(|(_, c)| *c));
                 let rows = scan_project(db, &view.relation, &view.pred, &cols, scan_threads)?;
-                let _span = span("load_state", Region::Patch);
+                let _span = span(Phase::LoadState, Region::Patch);
                 for row in rows.iter() {
                     if row[0] == NULL_VID {
                         continue;
@@ -1065,7 +1065,7 @@ impl IncrementalState {
             }
         }
 
-        let load_span = span("load_state", Region::Patch);
+        let load_span = span(Phase::LoadState, Region::Patch);
         let mut props = Properties::new(ids.len());
         state.real_ids = vec![u32::MAX; state.dict.capacity()];
         for (id, kvid) in node_keys.iter().enumerate() {
@@ -1079,7 +1079,7 @@ impl IncrementalState {
         // known; the builder sorts and dedups the adjacency lists. The
         // boundary tables fill here, keeping their `index` current as they
         // go.
-        let _span = span("build_rep", Region::BuildRep);
+        let _span = span(Phase::BuildRep, Region::BuildRep);
         let mut builder = CondensedBuilder::new(ids.len());
         for (c, j) in completed {
             let ChainState { segments, bounds } = &mut state.chains[c];

@@ -6,6 +6,7 @@
 
 use crate::ids::RealId;
 use graphgen_common::FxHashMap;
+use std::sync::Arc;
 
 /// A property value.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,8 +15,9 @@ pub enum PropValue {
     Int(i64),
     /// Floating-point property (used by algorithms, e.g. precomputed degree).
     Float(f64),
-    /// Text property.
-    Text(String),
+    /// Text property, shared with the string it was read from (a
+    /// database dictionary entry), so loading it copies no bytes.
+    Text(Arc<str>),
 }
 
 impl PropValue {
@@ -81,13 +83,16 @@ impl Properties {
         }
     }
 
-    /// Set `name` for vertex `u`.
+    /// Set `name` for vertex `u`. Only the first value of a column
+    /// allocates its name.
     pub fn set(&mut self, u: RealId, name: &str, value: PropValue) {
-        let n = self.n;
-        let col = self
-            .columns
-            .entry(name.to_string())
-            .or_insert_with(|| vec![None; n]);
+        let col = match self.columns.get_mut(name) {
+            Some(col) => col,
+            None => self
+                .columns
+                .entry(name.to_string())
+                .or_insert_with(|| vec![None; self.n]),
+        };
         col[u.0 as usize] = Some(value);
     }
 

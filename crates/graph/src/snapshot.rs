@@ -344,7 +344,7 @@ pub fn decode_prop_value(r: &mut Reader<'_>) -> Result<PropValue, CodecError> {
     Ok(match r.u8()? {
         0 => PropValue::Int(r.i64()?),
         1 => PropValue::Float(r.f64()?),
-        2 => PropValue::Text(r.str()?.to_string()),
+        2 => PropValue::Text(r.str()?.into()),
         tag => return Err(CodecError::invalid(at, format!("bad property tag {tag}"))),
     })
 }

@@ -1,9 +1,9 @@
 //! Physical operators.
 //!
-//! The extraction layer composes three operators: filtered scans with
-//! projection, GROUP BY over packed id pairs — which is the `DISTINCT` —
-//! and the counted equi-join. A nested-loop join is provided as the test
-//! oracle.
+//! The extraction layer composes four operators: filtered scans with
+//! projection, GROUP BY over packed id pairs — which is the `DISTINCT` —,
+//! the transpose of a grouped bag, and the counted equi-join. A
+//! nested-loop join is provided as the test oracle.
 //!
 //! # Operator contract
 //!
@@ -21,27 +21,35 @@
 //! * [`group_pairs`] sorts packed pairs and counts the runs: the keys of
 //!   the result are the `DISTINCT` pairs, the counts their bag
 //!   multiplicities;
-//! * [`join_counted`] joins a frontier bag `(x, carry)` with an atom bag
-//!   `(in, out)` on `carry = in` and groups the `(x, out)` results as it
-//!   writes them, so a join's output is already distinct; [`NULL_VID`]
-//!   never joins.
+//! * [`transpose_counted`] turns the bag of `(l, r)` into the bag of
+//!   `(r, l)` by a stable counting sort — what [`group_pairs`] of the
+//!   swapped rows gives, without scanning or sorting them again;
+//! * [`join_runs`] joins a frontier bag `(x, carry)` with an atom bag
+//!   `(in, out)` on `carry = in` and hands each `x`'s `(x, out)` results,
+//!   sorted and folded, to a consumer, so a join's output is already
+//!   distinct and nobody has to hold all of it; [`join_counted`] is that
+//!   join collected into a bag. [`NULL_VID`] never joins.
 //!
 //! All bags handed to one join must come from the same dictionary: within
 //! one dictionary, id equality is value equality. The batch path
-//! ([`Query::run_counted`](crate::query::Query::run_counted)) evaluates
-//! in database ids, the maintenance-state loader of `graphgen-core` in its
-//! engine ids; both call the same two functions.
+//! ([`Query::run_counted`](crate::query::Query::run_counted) and, for the
+//! direct EXP build, [`Query::run_by_source`](crate::query::Query::run_by_source))
+//! evaluates in database ids, the maintenance-state loader of
+//! `graphgen-core` in its engine ids; both group with [`group_pairs`] and
+//! join with [`join_runs`].
 //!
 //! # Parallelism and determinism
 //!
 //! Each operator takes a `threads` knob (plumbed from
 //! `GraphGenConfig::threads()` through every segment query). Scans and join
 //! probes are morsel-parallel (`std::thread::scope`, no external deps); the
-//! grouping sort is serial. Scans merge per-thread outputs in morsel
-//! order, so they preserve table order; everything after the scan is
-//! **sorted** — a bag is a function of the multiset it holds, whatever
-//! order and whatever thread produced its entries — so for any `threads`
-//! value the output is byte-identical to the serial run. Inputs below
+//! grouping sort and the transpose are serial. Scans merge per-thread
+//! outputs in morsel order, so they preserve table order; everything after
+//! the scan is **sorted** — a bag is a function of the multiset it holds,
+//! whatever order and whatever thread produced its entries — and a join
+//! hands each `x`'s run over exactly once, to the consumer state of the
+//! morsel holding `x`, morsels in order; so for any `threads` value the
+//! output is byte-identical to the serial run. Inputs below
 //! `graphgen_common::parallel::MIN_PARALLEL_ITEMS` run serially regardless
 //! of `threads`.
 
@@ -50,7 +58,7 @@ use crate::error::DbResult;
 use crate::expr::Predicate;
 use crate::intern::{Vid, NULL_VID};
 use crate::rowset::RowSet;
-use graphgen_common::metrics;
+use graphgen_common::metrics::{self, Phase};
 use graphgen_common::parallel::{effective_threads, map_morsels};
 use graphgen_common::region::Region;
 
@@ -77,7 +85,7 @@ pub fn scan_project(
     threads: usize,
 ) -> DbResult<RowSet> {
     let table = db.table(table)?;
-    let _span = metrics::span("scan", Region::Scan);
+    let _span = metrics::span(Phase::Scan, Region::Scan);
     let columns: Vec<&[Vid]> = cols.iter().map(|&c| table.ids(c)).collect();
     // Morsels split the physical row space; tombstoned rows are skipped so
     // the output is the live rows in physical (= insertion) order.
@@ -131,7 +139,7 @@ fn push_counted(bag: &mut CountedPairs, key: u64, m: i64) {
 /// result are the `DISTINCT` pairs — the only duplicate elimination a
 /// segment query performs.
 pub fn group_pairs(mut keys: Vec<u64>) -> CountedPairs {
-    let _span = metrics::span("distinct", Region::Distinct);
+    let _span = metrics::span(Phase::Distinct, Region::Distinct);
     keys.sort_unstable();
     let mut bag = CountedPairs::new();
     for key in keys {
@@ -141,7 +149,7 @@ pub fn group_pairs(mut keys: Vec<u64>) -> CountedPairs {
 }
 
 #[inline]
-fn same_left(a: &(u64, i64), b: &(u64, i64)) -> bool {
+pub(crate) fn same_left(a: &(u64, i64), b: &(u64, i64)) -> bool {
     a.0 >> 32 == b.0 >> 32
 }
 
@@ -159,26 +167,62 @@ pub fn left_runs(bag: &[(u64, i64)], slots: usize) -> Vec<usize> {
     starts
 }
 
-/// One step of a chain's counted join: `frontier` holds the bag of
-/// `(x, carry)` pairs the atoms so far produce, `atom` the next atom's
-/// `(in, out)` bag; the result is the bag of `(x, out)` over
-/// `carry = in`, multiplicities multiplied and summed. [`NULL_VID`] never
-/// joins (SQL semantics). `slots` bounds every id of `atom` (the
-/// dictionary's capacity). Each `x` gathers its matches and sorts that
-/// short list, so the output is written in ascending order without ever
-/// holding more than the grouped result; morsels cut the frontier between
-/// `x` runs.
-pub fn join_counted(
+/// The bag of `(r, l)` pairs for a bag of `(l, r)` pairs, multiplicities
+/// kept: what grouping the swapped rows would give, built by a stable
+/// counting sort on `r` instead of a second scan and sort. A bag lists
+/// each `r`'s pairs in ascending `l` order, so every `r` bucket comes out
+/// strictly ascending. O(|bag| + slots); `slots` must exceed every right
+/// id of `bag`.
+pub fn transpose_counted(bag: &[(u64, i64)], slots: usize) -> CountedPairs {
+    let _span = metrics::span(Phase::Distinct, Region::Distinct);
+    let mut next = vec![0usize; slots + 1];
+    for &(key, _) in bag {
+        next[unpack(key).1 as usize + 1] += 1;
+    }
+    for v in 0..slots {
+        next[v + 1] += next[v];
+    }
+    let mut out = vec![(0, 0); bag.len()];
+    for &(key, m) in bag {
+        let (l, r) = unpack(key);
+        out[next[r as usize]] = (pack(r, l), m);
+        next[r as usize] += 1;
+    }
+    out
+}
+
+/// One step of a chain's counted join, handed over one left id at a time:
+/// `frontier` holds the bag of `(x, carry)` pairs the atoms so far
+/// produce, `atom` the next atom's `(in, out)` bag; the result is the bag
+/// of `(x, out)` over `carry = in`, multiplicities multiplied and summed.
+/// [`NULL_VID`] never joins (SQL semantics). `slots` bounds every id of
+/// `atom` (the dictionary's capacity).
+///
+/// Each `x` gathers its matches and sorts and folds that short list, then
+/// passes it — `x`'s run of the result bag, strictly ascending, every
+/// multiplicity ≥ 1 — to `each` along with the morsel's state, so the
+/// join itself holds one `x`'s output at a time and the consumer keeps
+/// what it wants of it. An `x` without matches is skipped. Morsels cut the frontier between
+/// `x` runs; each starts from `init()`, and the states come back in morsel
+/// order, so a consumer that appends reads the serial run's output.
+pub fn join_runs<T, I, E>(
     frontier: &[(u64, i64)],
     atom: &[(u64, i64)],
     slots: usize,
     threads: usize,
-) -> CountedPairs {
+    init: I,
+    each: E,
+) -> Vec<T>
+where
+    T: Send,
+    I: Fn() -> T + Sync,
+    E: Fn(&mut T, &[(u64, i64)]) + Sync,
+{
     let starts = {
-        let _span = metrics::span("join", Region::Build);
+        let _span = metrics::span(Phase::Join, Region::Build);
         left_runs(atom, slots)
     };
-    let _span = metrics::span("join", Region::Probe);
+    let _span = metrics::span(Phase::Join, Region::Probe);
     let n = frontier.len();
     let cut = |mut i: usize| {
         while i > 0 && i < n && same_left(&frontier[i - 1], &frontier[i]) {
@@ -186,10 +230,11 @@ pub fn join_counted(
         }
         i
     };
-    let parts = map_morsels(n, effective_threads(threads, n), |range| {
-        let mut out = CountedPairs::new();
-        let mut matches: Vec<(Vid, i64)> = Vec::new();
+    map_morsels(n, effective_threads(threads, n), |range| {
+        let mut state = init();
+        let mut matches: CountedPairs = Vec::new();
         for run in frontier[cut(range.start)..cut(range.end)].chunk_by(same_left) {
+            let x = unpack(run[0].0).0;
             matches.clear();
             for &(key, m) in run {
                 let carry = unpack(key).1;
@@ -197,16 +242,38 @@ pub fn join_counted(
                     continue;
                 }
                 let hits = &atom[starts[carry as usize]..starts[carry as usize + 1]];
-                matches.extend(hits.iter().map(|&(hit, mh)| (unpack(hit).1, m * mh)));
+                matches.extend(
+                    hits.iter()
+                        .map(|&(hit, mh)| (pack(x, unpack(hit).1), m * mh)),
+                );
             }
-            matches.sort_unstable_by_key(|&(y, _)| y);
-            let x = unpack(run[0].0).0;
-            for &(y, m) in &matches {
-                push_counted(&mut out, pack(x, y), m);
+            if matches.is_empty() {
+                continue;
             }
+            matches.sort_unstable_by_key(|&(key, _)| key);
+            matches.dedup_by(|later, kept| {
+                later.0 == kept.0 && {
+                    kept.1 += later.1;
+                    true
+                }
+            });
+            each(&mut state, &matches);
         }
-        out
-    });
+        state
+    })
+}
+
+/// [`join_runs`] collected into one bag: the join's output, already
+/// grouped.
+pub fn join_counted(
+    frontier: &[(u64, i64)],
+    atom: &[(u64, i64)],
+    slots: usize,
+    threads: usize,
+) -> CountedPairs {
+    let append = |out: &mut CountedPairs, run: &[(u64, i64)]| out.extend_from_slice(run);
+    let parts = join_runs(frontier, atom, slots, threads, CountedPairs::new, append);
+    let _span = metrics::span(Phase::Join, Region::Probe);
     let mut parts = parts.into_iter();
     let mut out = parts.next().unwrap_or_default();
     for part in parts {
@@ -375,12 +442,89 @@ mod tests {
     }
 
     #[test]
+    fn transpose_counted_equals_grouping_the_swapped_rows() {
+        let swapped = |rows: &RowSet| -> CountedPairs {
+            group_pairs(rows.iter().map(|r| pack(r[1], r[0])).collect())
+        };
+        // NULL ids on either side, multiplicities above 1, left ids out of
+        // order in the rows, a right id shared by many left ids.
+        let input = rows(&[
+            (3, 7),
+            (1, 7),
+            (3, 7),
+            (NULL_VID, 7),
+            (2, NULL_VID),
+            (NULL_VID, NULL_VID),
+            (2, NULL_VID),
+            (5, 1),
+            (1, 5),
+            (4, 4),
+            (3, 7),
+        ]);
+        let t = transpose_counted(&bag(&input), SLOTS);
+        assert_eq!(t, swapped(&input));
+        assert!(t.contains(&(pack(7, 3), 3)) && t.contains(&(pack(NULL_VID, 2), 2)));
+        // Transposing twice gives the bag back.
+        assert_eq!(transpose_counted(&t, SLOTS), bag(&input));
+        assert!(transpose_counted(&[], SLOTS).is_empty());
+        // Larger: 600 distinct pairs, each five times.
+        let many = rows(
+            &(0..3000u32)
+                .map(|i| (i % 150, (i * 7) % 40))
+                .collect::<Vec<_>>(),
+        );
+        assert_eq!(bag(&many).len(), 600);
+        assert_eq!(transpose_counted(&bag(&many), SLOTS), swapped(&many));
+    }
+
+    #[test]
+    fn join_runs_hands_over_the_nested_loop_reference_one_source_at_a_time() {
+        // Big enough that 2 and 8 threads cut the frontier into morsels.
+        let l = rows(
+            &(0..6000u32)
+                .map(|i| (i % 389 + 1, (i * 31) % 97))
+                .collect::<Vec<_>>(),
+        );
+        let r = rows(&(0..900u32).map(|i| (i % 101, i % 53)).collect::<Vec<_>>());
+        let want = reference(&l, &r);
+        for threads in [1, 2, 8] {
+            let parts = join_runs(
+                &bag(&l),
+                &bag(&r),
+                SLOTS,
+                threads,
+                Vec::new,
+                |runs: &mut Vec<CountedPairs>, run| runs.push(run.to_vec()),
+            );
+            if threads > 1 {
+                assert!(parts.len() > 1, "{threads} threads ran one morsel");
+            }
+            let runs: Vec<CountedPairs> = parts.into_iter().flatten().collect();
+            for run in &runs {
+                assert!(
+                    run.iter().all(|e| same_left(e, &run[0])),
+                    "one source per run"
+                );
+                assert!(run.windows(2).all(|p| p[0].0 < p[1].0), "folded and sorted");
+            }
+            let sources: Vec<u64> = runs.iter().map(|run| run[0].0 >> 32).collect();
+            assert!(
+                sources.windows(2).all(|p| p[0] < p[1]),
+                "each source once, in order"
+            );
+            assert_eq!(runs.concat(), want, "{threads} threads");
+            assert_eq!(join_counted(&bag(&l), &bag(&r), SLOTS, threads), want);
+        }
+    }
+
+    #[test]
     fn empty_inputs() {
         let e = RowSet::new(2);
         let r = rows(&[(1, 1)]);
         assert!(join(&e, &r, 4).is_empty());
         assert!(join(&r, &e, 4).is_empty());
         assert!(group_pairs(Vec::new()).is_empty());
+        assert!(transpose_counted(&[], 0).is_empty());
         let mut db = Database::new();
         db.register("T", Table::new(Schema::new(vec![Column::int("a")])))
             .unwrap();

@@ -11,16 +11,25 @@
 //! with set semantics (`SELECT DISTINCT`). A [`Query`] captures this shape;
 //! [`Query::run`] executes it on the counted sort/group operators of
 //! [`crate::exec`] — every atom is scanned and grouped into a bag of
-//! `(in, out)` pairs, and the bags are joined left to right, each join
-//! writing its output already grouped, so the grouping *is* the `DISTINCT`
-//! — and [`Query::to_sql`] renders the equivalent SQL (the Fig. 16 output).
+//! `(in, out)` pairs once (an atom that reads an earlier one's table the
+//! other way round, as a self-join's second atom does, transposes that
+//! bag instead), and the bags are joined left to right, each join writing
+//! its output already grouped, so the grouping *is* the `DISTINCT` — and
+//! [`Query::to_sql`] renders the equivalent SQL (the Fig. 16 output).
+//! [`Query::run_by_source`] hands the last join's output over one `X` at a
+//! time instead of collecting it.
 
 use crate::catalog::Database;
 use crate::error::{DbError, DbResult};
-use crate::exec::{group_pairs, join_counted, pack, scan_project, unpack, CountedPairs};
+use crate::exec::{
+    group_pairs, join_counted, join_runs, pack, same_left, scan_project, transpose_counted, unpack,
+    CountedPairs,
+};
 use crate::expr::Predicate;
 use crate::intern::Vid;
 use crate::table::TableRef;
+use graphgen_common::metrics::{self, Phase};
+use graphgen_common::region;
 
 /// One atom in the chain: a base table with a selection predicate, an input
 /// join column and an output join column (which may coincide, e.g. for an
@@ -37,6 +46,17 @@ pub struct ChainStep {
     /// Column carried to the next join (or the right endpoint / ID2 column
     /// for the final step).
     pub out_col: usize,
+}
+
+impl ChainStep {
+    /// Whether `other`'s bag is this step's transposed: the same table
+    /// under an equal predicate, with the join columns swapped.
+    fn transposes(&self, other: &ChainStep) -> bool {
+        self.table == other.table
+            && self.pred == other.pred
+            && self.in_col == other.out_col
+            && self.out_col == other.in_col
+    }
 }
 
 /// A chain query producing distinct `(X, Y)` pairs.
@@ -86,22 +106,100 @@ impl Query {
     /// ascending key order. Its keys are the distinct pairs; the
     /// multiplicities count the join paths behind each.
     pub fn run_counted(&self, db: &Database, threads: usize) -> DbResult<CountedPairs> {
-        let Some((first, rest)) = self.steps.split_first() else {
+        let (frontier, last) = self.run_to_last_join(db, threads)?;
+        Ok(match last {
+            Some(atom) => join_counted(&frontier, &atom, db.dict().capacity(), threads),
+            None => frontier,
+        })
+    }
+
+    /// [`Query::run_counted`]'s bag handed over one `X` at a time instead
+    /// of collected: each `X`'s run of it goes to `each`, the last join's
+    /// consumer (see [`join_runs`]), with the state its morsel started
+    /// from `init()`; the states come back in morsel order. The runs are
+    /// exactly the bag's, for any `threads`. A one-atom chain has no join:
+    /// its bag's runs are handed over in order, to one state, under the
+    /// `emit` span.
+    pub fn run_by_source<T, I, E>(
+        &self,
+        db: &Database,
+        threads: usize,
+        init: I,
+        each: E,
+    ) -> DbResult<Vec<T>>
+    where
+        T: Send,
+        I: Fn() -> T + Sync,
+        E: Fn(&mut T, &[(u64, i64)]) + Sync,
+    {
+        let (frontier, last) = self.run_to_last_join(db, threads)?;
+        if let Some(atom) = last {
+            let slots = db.dict().capacity();
+            return Ok(join_runs(&frontier, &atom, slots, threads, init, each));
+        }
+        let _span = metrics::span(Phase::Emit, region::current());
+        let mut state = init();
+        for run in frontier.chunk_by(same_left) {
+            each(&mut state, run);
+        }
+        Ok(vec![state])
+    }
+
+    /// Everything but the last join: the bag of `(X, carry)` pairs the
+    /// atoms before the last one produce, and the last atom's bag (`None`
+    /// for a one-atom chain, whose bag is the first).
+    ///
+    /// Every atom's bag is built once. An atom that reads the same table
+    /// under an equal predicate as an earlier one, with `in_col` and
+    /// `out_col` swapped, gets the transpose of that atom's bag
+    /// ([`transpose_counted`], taken as soon as the earlier bag exists)
+    /// instead of a second scan and grouping sort: a self-join scans its
+    /// table once.
+    fn run_to_last_join(
+        &self,
+        db: &Database,
+        threads: usize,
+    ) -> DbResult<(CountedPairs, Option<CountedPairs>)> {
+        if self.steps.is_empty() {
             return Err(DbError::Invalid("empty chain query".into()));
-        };
-        let scan = |step: &ChainStep| {
-            let cols = [step.in_col, step.out_col];
-            let rows = scan_project(db, &step.table, &step.pred, &cols, threads)?;
-            Ok(group_pairs(rows.iter().map(|r| pack(r[0], r[1])).collect()))
+        }
+        let slots = db.dict().capacity();
+        let steps = &self.steps;
+        // Per atom, the earlier atom whose bag it is the transpose of.
+        let source: Vec<Option<usize>> = (0..steps.len())
+            .map(|k| steps[..k].iter().position(|e| e.transposes(&steps[k])))
+            .collect();
+        // The transposes taken for later atoms, until they are reached.
+        let mut derived: Vec<Option<CountedPairs>> = vec![None; steps.len()];
+        let mut bag = |k: usize| -> DbResult<CountedPairs> {
+            let step = &steps[k];
+            let bag = match derived[k].take() {
+                Some(bag) => bag,
+                None => {
+                    let cols = [step.in_col, step.out_col];
+                    let rows = scan_project(db, &step.table, &step.pred, &cols, threads)?;
+                    group_pairs(rows.iter().map(|r| pack(r[0], r[1])).collect())
+                }
+            };
+            for (slot, _) in derived
+                .iter_mut()
+                .zip(&source)
+                .filter(|(_, s)| **s == Some(k))
+            {
+                *slot = Some(transpose_counted(&bag, slots));
+            }
+            Ok(bag)
         };
         // The bag of (X, current-join-value) pairs the steps so far produce.
         // Every join writes its output grouped, which keeps the frontier
         // bounded by |domain(X)| * |domain(carry)|.
-        let mut frontier = scan(first)?;
-        for step in rest {
-            frontier = join_counted(&frontier, &scan(step)?, db.dict().capacity(), threads);
+        let mut frontier = bag(0)?;
+        let last = steps.len() - 1;
+        for k in 1..last {
+            frontier = join_counted(&frontier, &bag(k)?, slots, threads);
         }
-        Ok(frontier)
+        let last = if last > 0 { Some(bag(last)?) } else { None };
+        Ok((frontier, last))
     }
 
     /// Render the equivalent SQL text (for display / logging, mirroring the

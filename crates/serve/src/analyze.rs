@@ -48,7 +48,7 @@ use graphgen_algo::{
     average_clustering, components_seeded, condensed_path, degrees, pagerank_seeded, triangles,
     CondensedPath, PageRankRun, SeededPageRankConfig,
 };
-use graphgen_common::metrics::{self, Counter, Histogram};
+use graphgen_common::metrics::{self, Counter, Histogram, Phase};
 use graphgen_common::region::Region;
 use graphgen_common::FxHashMap;
 use graphgen_core::{ConvertOptions, GraphHandle, GraphPatch};
@@ -770,7 +770,7 @@ fn run_analysis(
     let seed_iterations = seed.as_ref().map(|e| e.outcome.iterations);
     let t0 = Instant::now();
     let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _span = metrics::span("analyze_compute", Region::Analyze);
+        let _span = metrics::span(Phase::AnalyzeCompute, Region::Analyze);
         compute_on_handle(
             snap.handle(),
             algo,

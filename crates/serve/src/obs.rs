@@ -23,33 +23,33 @@
 
 use crate::protocol::Verb;
 use graphgen_common::instruments;
-use graphgen_common::metrics::{Counter, Histogram, Registry};
+use graphgen_common::metrics::{Counter, Histogram, Phase, PhaseFamily, Registry};
 use graphgen_dsl::{Code, Severity};
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-/// The writer's publish pipeline phases, in order, as the `phase` label
-/// of `graphgen_apply_phase_ns` (span labels emitted inside
-/// [`crate::GraphService::apply`]): pre-validation, the database mutation
-/// that yields the batch, the one log append (encode + write + fsync), the
-/// per-graph incremental patch, the drift re-cost on the post-batch
-/// catalog, and the publication swap. The spans never nest, so the
-/// family's sums add up to the attributed share of `graphgen_apply_ns`.
-pub const APPLY_PHASES: &[&str] = &[
-    "validate",
-    "db_mutate",
-    "wal_append",
-    "patch",
-    "drift",
-    "publish",
+/// What each phase family charts, as `(family, name, help)`. The members
+/// are the [`Phase`]s of that family, in declaration order: the writer's
+/// publish pipeline inside [`crate::GraphService::apply`] (pre-validation,
+/// the database mutation that yields the batch, the one log append —
+/// encode + write + fsync —, the per-graph incremental patch, the drift
+/// re-cost on the post-batch catalog, and the publication swap), and the
+/// extraction spans of the relational executor, the maintenance-state bulk
+/// loader and the representation builder. Within a family the spans never
+/// nest, so its sums add up to the attributed share of `graphgen_apply_ns`
+/// and `graphgen_extract_ns` respectively.
+const PHASE_FAMILIES: [(PhaseFamily, &str, &str); 2] = [
+    (
+        PhaseFamily::Apply,
+        "graphgen_apply_phase_ns",
+        "publish pipeline phase duration (ns)",
+    ),
+    (
+        PhaseFamily::Extract,
+        "graphgen_extract_phase_ns",
+        "extraction operator phase duration (ns)",
+    ),
 ];
-
-/// The extraction phases, as the `phase` label of
-/// `graphgen_extract_phase_ns` (span labels emitted by the relational
-/// executor, the maintenance-state bulk loader and the representation
-/// builder). The spans never nest, so the family's sums add up to the
-/// attributed share of `graphgen_extract_ns`.
-pub const EXTRACT_PHASES: &[&str] = &["scan", "join", "distinct", "load_state", "build_rep"];
 
 instruments! {
     /// The unlabelled instrument catalog of the serving stack.
@@ -143,8 +143,8 @@ pub struct TraceEvent {
     /// End-to-end wall time in nanoseconds.
     pub total_ns: u64,
     /// Phase breakdown captured on the request thread, in completion
-    /// order: `(span label, ns)`.
-    pub phases: Vec<(&'static str, u64)>,
+    /// order: `(span, ns)`.
+    pub phases: Vec<(Phase, u64)>,
 }
 
 impl TraceEvent {
@@ -168,7 +168,7 @@ impl TraceEvent {
             let phases: Vec<String> = self
                 .phases
                 .iter()
-                .map(|(label, ns)| format!("{label}:{ns}"))
+                .map(|(phase, ns)| format!("{phase}:{ns}"))
                 .collect();
             out.push_str(&format!(" phases={}", phases.join(",")));
         }
@@ -213,7 +213,7 @@ impl TraceRing {
         detail: String,
         ok: bool,
         total_ns: u64,
-        phases: Vec<(&'static str, u64)>,
+        phases: Vec<(Phase, u64)>,
     ) -> bool {
         let mut inner = self.inner.lock().unwrap();
         let seq = inner.next_seq;
@@ -266,8 +266,9 @@ pub struct Obs {
     pub m: ServeMetrics,
     /// `graphgen_request_ns`, indexed by `verb as usize`.
     request_ns: Vec<(&'static str, Histogram)>,
-    apply_phase_ns: Vec<(&'static str, Histogram)>,
-    extract_phase_ns: Vec<(&'static str, Histogram)>,
+    /// Per [`Phase`] (`phase as usize`), its family's member; `None` for a
+    /// phase no family charts.
+    phase_ns: Vec<Option<Histogram>>,
     /// `graphgen_check_rejects_total`, one member per error code.
     rejects: Vec<(Code, Counter)>,
     trace: TraceRing,
@@ -281,31 +282,23 @@ impl Obs {
     pub fn new(slow_op_ns: u64, trace_capacity: usize) -> Self {
         let registry = Registry::new();
         let m = ServeMetrics::register(&registry);
-        let family = |name: &'static str, label: &'static str, values: &[&'static str], help| {
-            values
-                .iter()
-                .map(|v| (*v, registry.histogram_with(name, label, v, help)))
-                .collect::<Vec<_>>()
-        };
-        let verbs: Vec<&'static str> = Verb::ALL.iter().map(|v| v.label()).collect();
-        let request_ns = family(
-            "graphgen_request_ns",
-            "verb",
-            &verbs,
-            "request latency by protocol verb (ns)",
-        );
-        let apply_phase_ns = family(
-            "graphgen_apply_phase_ns",
-            "phase",
-            APPLY_PHASES,
-            "publish pipeline phase duration (ns)",
-        );
-        let extract_phase_ns = family(
-            "graphgen_extract_phase_ns",
-            "phase",
-            EXTRACT_PHASES,
-            "extraction operator phase duration (ns)",
-        );
+        let help = "request latency by protocol verb (ns)";
+        let request_ns = Verb::ALL
+            .iter()
+            .map(|v| {
+                let h = registry.histogram_with("graphgen_request_ns", "verb", v.label(), help);
+                (v.label(), h)
+            })
+            .collect();
+        let phase_ns = Phase::ALL
+            .iter()
+            .map(|phase| {
+                let (_, name, help) = PHASE_FAMILIES
+                    .iter()
+                    .find(|(family, _, _)| *family == phase.family())?;
+                Some(registry.histogram_with(name, "phase", phase.label(), help))
+            })
+            .collect();
         let help = "EXTRACT requests rejected by the static checker, by diagnostic code";
         let rejects = Code::all()
             .iter()
@@ -321,8 +314,7 @@ impl Obs {
             registry,
             m,
             request_ns,
-            apply_phase_ns,
-            extract_phase_ns,
+            phase_ns,
             rejects,
             trace: TraceRing::new(trace_capacity),
             slow_op_ns,
@@ -357,21 +349,14 @@ impl Obs {
         counts.filter(|(_, n)| *n > 0).collect()
     }
 
-    /// Fold span labels captured on a request thread into the phase
-    /// families. Apply-phase labels go to `graphgen_apply_phase_ns`,
-    /// extraction labels to `graphgen_extract_phase_ns`; anything else
-    /// (a label recorded by a deeper layer this catalog does not chart)
-    /// is ignored.
-    pub fn record_phases(&self, phases: &[(&'static str, u64)]) {
-        for (label, ns) in phases {
-            let hist = self
-                .apply_phase_ns
-                .iter()
-                .chain(&self.extract_phase_ns)
-                .find(|(l, _)| l == label)
-                .map(|(_, h)| h);
-            if let Some(h) = hist {
-                h.record(*ns);
+    /// Fold the spans captured on a request thread into the phase
+    /// families: each phase reaches its family member by index. A
+    /// batch-only or background phase has none and is skipped (see
+    /// [`PhaseFamily`]).
+    pub fn record_phases(&self, phases: &[(Phase, u64)]) {
+        for &(phase, ns) in phases {
+            if let Some(h) = &self.phase_ns[phase as usize] {
+                h.record(ns);
             }
         }
     }
@@ -387,7 +372,7 @@ impl Obs {
         detail: impl FnOnce() -> String,
         ok: bool,
         total_ns: u64,
-        phases: Vec<(&'static str, u64)>,
+        phases: Vec<(Phase, u64)>,
     ) {
         self.m.requests_total.inc();
         if !ok {
@@ -439,11 +424,12 @@ mod tests {
     fn phase_labels_route_to_their_families() {
         let obs = Obs::new(u64::MAX, 4);
         obs.record_phases(&[
-            ("validate", 10),
-            ("scan", 20),
-            ("join", 30),
-            ("publish", 40),
-            ("unknown_label", 50),
+            (Phase::Validate, 10),
+            (Phase::Scan, 20),
+            (Phase::Join, 30),
+            (Phase::Publish, 40),
+            (Phase::LoadNodes, 50),
+            (Phase::Recovery, 60),
         ]);
         let count = |name: &str, label_value: &str| {
             obs.registry()
@@ -463,6 +449,12 @@ mod tests {
         assert_eq!(count("graphgen_extract_phase_ns", "scan"), 1);
         assert_eq!(count("graphgen_extract_phase_ns", "join"), 1);
         assert_eq!(count("graphgen_apply_phase_ns", "patch"), 0);
+        // Batch-only and background phases are no family's members.
+        let charted = obs.registry().snapshot().into_iter().filter(|s| {
+            let label = s.label.as_ref().map(|(_, v)| v.as_str());
+            label == Some("load_nodes") || label == Some("recovery")
+        });
+        assert_eq!(charted.count(), 0);
     }
 
     #[test]
@@ -495,7 +487,7 @@ mod tests {
             || "T".into(),
             true,
             5_000,
-            vec![("patch", 4_000)],
+            vec![(Phase::Patch, 4_000)],
         ); // slow
         obs.record_op(Verb::Stats, String::new, false, 10, Vec::new()); // failed
         assert_eq!(obs.m.requests_total.get(), 3);

@@ -482,9 +482,9 @@ pub fn parse_command(line: &str) -> ServeResult<Option<Command>> {
 /// server loop is responsible for actually stopping.
 ///
 /// Every execution is observed: the wall time lands in the per-verb
-/// request histogram, the phase spans recorded on this thread
-/// ([`crate::obs::APPLY_PHASES`], [`crate::obs::EXTRACT_PHASES`]) are
-/// folded into their phase families, and a slow or failed command is
+/// request histogram, the phase spans recorded on this thread are folded
+/// into their phase families ([`graphgen_common::metrics::PhaseFamily`]),
+/// and a slow or failed command is
 /// captured in the trace ring with that breakdown.
 pub fn execute(service: &GraphService, cmd: &Command) -> String {
     let t0 = std::time::Instant::now();

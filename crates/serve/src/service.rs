@@ -83,7 +83,7 @@
 use crate::error::{ServeError, ServeResult};
 use crate::wal::{seal, unseal, write_file_atomic, Wal};
 use graphgen_common::codec::{self, Reader};
-use graphgen_common::metrics;
+use graphgen_common::metrics::{self, Phase};
 use graphgen_common::region::Region;
 use graphgen_common::FxHashMap;
 use graphgen_core::{catalog_view, Error, GraphGen, GraphGenConfig, GraphHandle, GraphPatch};
@@ -345,7 +345,7 @@ impl GraphState {
             return Ok(None);
         }
         let patch = {
-            let _span = metrics::span("patch", Region::Patch);
+            let _span = metrics::span(Phase::Patch, Region::Patch);
             self.working.apply_batch(batch)?
         };
         self.current = Arc::new(GraphSnapshot {
@@ -486,7 +486,7 @@ impl GraphService {
         let (db_snap_version, mut db) = parse(&mut r)
             .map_err(|e| ServeError::corrupt(db_snap_path.display().to_string(), e))?;
         let replay_t0 = Instant::now();
-        let _replay_span = metrics::span("recovery", Region::Recovery);
+        let _replay_span = metrics::span(Phase::Recovery, Region::Recovery);
         let mut stems: Vec<(String, PathBuf)> = Vec::new();
         for entry in std::fs::read_dir(dir)? {
             let path = entry?.path();
@@ -932,7 +932,7 @@ impl GraphService {
         // 0. Pre-validate every mutation against the catalog so the whole
         //    call either passes validation or mutates nothing.
         {
-            let _span = metrics::span("validate", Region::Validate);
+            let _span = metrics::span(Phase::Validate, Region::Validate);
             for m in mutations {
                 let table = inner.db.table(&m.table)?;
                 for row in m.inserts.iter().chain(m.deletes.iter()) {
@@ -943,7 +943,7 @@ impl GraphService {
         // 1. Mutate the database; the deltas it hands back are the batch.
         let mut batch = DeltaBatch::new();
         {
-            let _span = metrics::span("db_mutate", Region::General);
+            let _span = metrics::span(Phase::DbMutate, Region::General);
             for m in mutations {
                 let step = (|| -> ServeResult<()> {
                     if !m.inserts.is_empty() {
@@ -979,7 +979,7 @@ impl GraphService {
         inner.db_version += 1;
         let db_version = inner.db_version;
         if let Some(wal) = inner.wal.as_mut() {
-            let _span = metrics::span("wal_append", Region::WalAppend);
+            let _span = metrics::span(Phase::WalAppend, Region::WalAppend);
             let record = encode_wal_record(db_version, &batch);
             if let Err(e) = wal.append(&record, inner.cfg.fsync) {
                 // The db is mutated but the log does not carry the batch:
@@ -1024,7 +1024,7 @@ impl GraphService {
         //    tables the batch left untouched keeps its verdict — its
         //    statistics did not move).
         if !outcome.graphs.is_empty() {
-            let _span = metrics::span("drift", Region::General);
+            let _span = metrics::span(Phase::Drift, Region::General);
             let catalog = catalog_view(&inner.db);
             let factor = Self::extraction_config(&inner.cfg).large_output_factor();
             for (name, _, _) in &outcome.graphs {
@@ -1055,7 +1055,7 @@ impl GraphService {
         // 6. Atomic publication: one short write lock swaps every changed
         //    graph to its next version.
         if !outcome.graphs.is_empty() {
-            let _span = metrics::span("publish", Region::Publish);
+            let _span = metrics::span(Phase::Publish, Region::Publish);
             self.obs.m.publishes_total.add(outcome.graphs.len() as u64);
             let mut published = self.published.write().unwrap();
             for (name, _, _) in &outcome.graphs {

@@ -24,7 +24,7 @@
 //! * **`EXTRACT` attribution** — the extraction phase spans account for at
 //!   least 80% of `graphgen_extract_ns`, the scan and join operators among
 //!   them (a row-by-row replay through the delta engine ran neither).
-//! * **`APPLY` attribution** — every `APPLY_PHASES` label fires on every
+//! * **`APPLY` attribution** — every apply-family phase fires on every
 //!   apply and, the spans never nesting, their sums stay within
 //!   `graphgen_apply_ns`.
 //! * **Pairs-out per delta** — `graphgen_patch_support_changes_total`
@@ -35,7 +35,7 @@
 //!   appended and fsynced once; after a checkpoint plus *k* applies a
 //!   restart replays exactly *k* records, whatever came before it.
 
-use graphgen_common::metrics::{unescape_exposition, ValueSnapshot};
+use graphgen_common::metrics::{unescape_exposition, Phase, PhaseFamily, ValueSnapshot};
 use graphgen_dsl::{Code, Severity};
 use graphgen_reldb::Value;
 use graphgen_serve::testutil::{fig1_db, TempDir};
@@ -463,9 +463,8 @@ fn extract_time_is_attributed_to_phases() {
     let phase = |label: &str| hist(&format!("graphgen_extract_phase_ns{{phase={label}}}"));
     let (extracts, total_ns) = hist("graphgen_extract_ns");
     assert_eq!(extracts, 1);
-    let attributed_ns: u64 = graphgen_serve::obs::EXTRACT_PHASES
-        .iter()
-        .map(|label| phase(label).1)
+    let attributed_ns: u64 = Phase::of(PhaseFamily::Extract)
+        .map(|p| phase(p.label()).1)
         .sum();
     assert!(
         attributed_ns as f64 >= 0.8 * total_ns as f64,
@@ -492,7 +491,7 @@ fn apply_time_is_attributed_to_phases() {
     let (applies, total_ns) = hist("graphgen_apply_ns");
     assert_eq!(applies, APPLIES);
     let mut attributed_ns = 0;
-    for label in graphgen_serve::obs::APPLY_PHASES {
+    for label in Phase::of(PhaseFamily::Apply).map(Phase::label) {
         let (count, sum) = hist(&format!("graphgen_apply_phase_ns{{phase={label}}}"));
         assert!(count >= APPLIES, "`{label}` fired {count} times");
         attributed_ns += sum;

@@ -9,7 +9,10 @@
 //!
 //! Cases come from `SplitMix64` over fixed seeds: one rule, two rules into
 //! one node view, node rows out of dictionary order, a filtered node view,
-//! self-pairs, NULL join keys and endpoints, empty tables; thresholds 1.0,
+//! self-pairs, NULL join keys and endpoints, empty tables, and chains whose
+//! atoms share a table (checked against a value-level reference as well,
+//! since both routes derive a self-join's second bag by transposing the
+//! first); thresholds 1.0,
 //! 0.99 and none; 1, 2 and 8 threads. The `#[ignore]`d case runs at the
 //! shape of the benchmark's sparse extraction (25,000 authors, 33,000
 //! publications) and wants a release build: `cargo test --release --test
@@ -220,6 +223,150 @@ fn direct_route_matches_the_cdup_route_on_a_small_dblp() {
         seed: 5,
     });
     check(&db, DBLP_COAUTHORS, true, "dblp 1.5k/2k");
+}
+
+/// `Author(id, name, active)`, `Wrote(aid, pid, year)` with years 1 to 3,
+/// `PubCites(src, dst)` over publication ids and `Cites(src, dst)` over
+/// author ids, each with NULLs, repeated rows and ids that are no node.
+fn random_papers_db(rng: &mut SplitMix64) -> Database {
+    let authors = rng.next_below(25) as i64;
+    let mut author = Table::new(Schema::new(vec![
+        Column::int("id"),
+        Column::str("name"),
+        Column::int("active"),
+    ]));
+    for a in (0..authors).rev() {
+        let row = vec![Value::int(a), Value::str(format!("a{a}")), Value::int(1)];
+        author.push_row(row).unwrap();
+    }
+    let ids = authors as u64 + 3;
+    let mut wrote = Table::new(Schema::new(vec![
+        Column::int("aid"),
+        Column::int("pid"),
+        Column::int("year"),
+    ]));
+    for _ in 0..rng.next_below(100) {
+        let (a, p) = (rng.next_below(ids) as i64, rng.next_below(15) as i64);
+        let year = rng.next_below(3) as i64 + 1;
+        let row = vec![
+            maybe_null(rng, a),
+            maybe_null(rng, p),
+            maybe_null(rng, year),
+        ];
+        wrote.push_row(row).unwrap();
+    }
+    let pairs = |a: &str, b: &str| Schema::new(vec![Column::int(a), Column::int(b)]);
+    let mut pub_cites = Table::new(pairs("src", "dst"));
+    for _ in 0..rng.next_below(30) {
+        let (p, q) = (rng.next_below(15) as i64, rng.next_below(15) as i64);
+        let row = vec![maybe_null(rng, p), maybe_null(rng, q)];
+        pub_cites.push_row(row).unwrap();
+    }
+    let mut cites = Table::new(pairs("src", "dst"));
+    for _ in 0..rng.next_below(40) {
+        let (a, b) = (rng.next_below(ids) as i64, rng.next_below(ids) as i64);
+        let row = vec![maybe_null(rng, a), maybe_null(rng, b)];
+        cites.push_row(row).unwrap();
+    }
+    let mut db = Database::new();
+    db.register("Wrote", wrote).unwrap();
+    db.register("PubCites", pub_cites).unwrap();
+    db.register("Cites", cites).unwrap();
+    db.register("Author", author).unwrap();
+    db
+}
+
+/// One atom of a chain for [`chain_edges`]: table, an optional
+/// `column = constant` filter, and the join columns in and out.
+type Atom = (&'static str, Option<(usize, i64)>, usize, usize);
+
+/// The edges a chain rule defines, evaluated on the tables' values with
+/// nested loops (NULL joins nothing) and mapped through the handle's key
+/// map, self-pairs and non-nodes dropped: a reference that shares no code
+/// with the operators, so a bag wrongly derived from another atom's shows.
+fn chain_edges(db: &Database, g: &graphgen::core::GraphHandle, atoms: &[Atom]) -> Vec<(u32, u32)> {
+    let pairs = |&(table, filter, in_col, out_col): &Atom| -> Vec<(Value, Value)> {
+        let rows = db.table(table).unwrap().iter_rows();
+        rows.filter(|row| filter.is_none_or(|(c, v)| row[c] == Value::int(v)))
+            .map(|row| (row[in_col].clone(), row[out_col].clone()))
+            .collect()
+    };
+    let mut frontier = pairs(&atoms[0]);
+    for atom in &atoms[1..] {
+        let rows = pairs(atom);
+        let mut next = Vec::new();
+        for (x, carry) in &frontier {
+            for (in_v, out_v) in &rows {
+                if !carry.is_null() && carry == in_v {
+                    next.push((x.clone(), out_v.clone()));
+                }
+            }
+        }
+        frontier = next;
+    }
+    let mut edges: Vec<(u32, u32)> = frontier
+        .iter()
+        .filter_map(|(x, y)| Some((g.vertex_of(x)?.0, g.vertex_of(y)?.0)))
+        .filter(|(u, v)| u != v)
+        .collect();
+    edges.sort_unstable();
+    edges.dedup();
+    edges
+}
+
+/// Chains where an atom's bag may or may not be an earlier atom's
+/// transpose, each against the value-level reference and the C-DUP route:
+/// a self-join (the transpose fires), a filter on one atom only and a
+/// same-table chain in one orientation (it must not), and a three-atom
+/// single segment whose last atom transposes the first, past the middle
+/// join.
+#[test]
+fn direct_route_matches_a_value_reference_where_atoms_share_a_table() {
+    const NODES: &str = "Nodes(ID, Name) :- Author(ID, Name, _).\n";
+    let cases: [(&str, &str, &[Atom]); 4] = [
+        (
+            "self-join",
+            "Edges(A, B) :- Wrote(A, P, _), Wrote(B, P, _).",
+            &[("Wrote", None, 0, 1), ("Wrote", None, 1, 0)],
+        ),
+        (
+            "filter on one atom",
+            "Edges(A, B) :- Wrote(A, P, 1), Wrote(B, P, _).",
+            &[("Wrote", Some((2, 1)), 0, 1), ("Wrote", None, 1, 0)],
+        ),
+        (
+            "same orientation",
+            "Edges(A, B) :- Cites(A, C), Cites(C, B).",
+            &[("Cites", None, 0, 1), ("Cites", None, 0, 1)],
+        ),
+        (
+            "three atoms",
+            "Edges(A, B) :- Wrote(A, P, _), PubCites(P, Q), Wrote(B, Q, _).",
+            &[
+                ("Wrote", None, 0, 1),
+                ("PubCites", None, 0, 1),
+                ("Wrote", None, 1, 0),
+            ],
+        ),
+    ];
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::new(seed);
+        let db = random_papers_db(&mut rng);
+        for (name, rule, atoms) in cases {
+            let ctx = format!("seed {seed}, {name}");
+            let dsl = format!("{NODES}{rule}");
+            for threads in THREADS {
+                let g = GraphGen::with_config(&db, config(Some(1.0), threads, true))
+                    .extract(&dsl)
+                    .expect("extraction");
+                assert_eq!(g.report().plans[0].segments.len(), 1, "{ctx}: one segment");
+                let mut got = expand_to_edge_list(&g);
+                got.sort_unstable();
+                assert_eq!(got, chain_edges(&db, &g, atoms), "{ctx}, {threads} threads");
+            }
+            check(&db, &dsl, seed % 2 == 0, &ctx);
+        }
+    }
 }
 
 #[test]

@@ -201,7 +201,7 @@ fn raw_counter_allowlist_entries_are_still_used() {
 
 /// Names of mechanisms that were deleted for a single one, each with the
 /// only file (if any) that may still spell it. A second join or DISTINCT
-/// beside `reldb::exec::{group_pairs, join_counted}`, a second log beside
+/// beside `reldb::exec::{group_pairs, join_runs}`, a second log beside
 /// `db.wal`, a second benchmark beside `graphbench`, or a hash-map copy of
 /// the maintenance state beside its `CountedRuns` would be a second
 /// mechanism for one job, and a doc line naming these would describe code
@@ -285,6 +285,10 @@ const DELETED_NAMES: &[(&str, Option<&str>)] = &[
     // `map_morsels` is a view of.
     ("in_chunks", None),
     ("fn morsels(", None),
+    // Every span label is a `common::metrics::Phase`, declared once with
+    // its family; the serving layer routes by `phase as usize`.
+    ("APPLY_PHASES", None),
+    ("EXTRACT_PHASES", None),
 ];
 
 #[test]
@@ -319,7 +323,7 @@ fn deleted_operators_stay_deleted() {
     assert!(
         violations.is_empty(),
         "the hash join and the hash DISTINCT were deleted for \
-         `reldb::exec::{{join_counted, group_pairs}}`, the per-graph logs \
+         `reldb::exec::{{join_runs, group_pairs}}`, the per-graph logs \
          for the one `db.wal`, the second benchmark for `graphbench`, \
          the per-id hash maps of the maintenance state for `CountedRuns`, \
          the condensed shadow and logical-edge patch path of converted \
@@ -332,7 +336,8 @@ fn deleted_operators_stay_deleted() {
          `core::planner` over `graphgen_dsl::cost`, the writer's \
          rejection map for the registry's per-code counters, the patch \
          path's per-kind edge methods for `segment_edge` and `Target::edge`, \
-         and the kernels' own thread fan-out for `map_chunks`; extend those instead \
+         the kernels' own thread fan-out for `map_chunks`, and the phase \
+         label lists for the one `Phase` declaration; extend those instead \
          of bringing a second mechanism back, and keep the docs on the \
          code that exists:\n{}",
         violations.join("\n")
