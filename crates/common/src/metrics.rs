@@ -401,6 +401,21 @@ impl Registry {
         }
     }
 
+    /// Register a gauge labelled `key="value"` within the family `name`.
+    pub fn gauge_with(
+        &self,
+        name: &'static str,
+        key: &'static str,
+        value: &str,
+        help: &'static str,
+    ) -> Gauge {
+        let label = Some((key, value.to_string()));
+        match self.intern(name, help, label, || Inst::Gauge(Gauge::new())) {
+            Inst::Gauge(g) => g,
+            other => mismatch(name, InstrumentKind::Gauge, other.kind()),
+        }
+    }
+
     /// Register (or look up) a histogram.
     pub fn histogram(&self, name: &'static str, help: &'static str) -> Histogram {
         match self.intern(name, help, None, || Inst::Histogram(Histogram::new())) {

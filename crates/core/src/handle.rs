@@ -22,7 +22,7 @@
 use crate::anygraph::AnyGraph;
 use crate::error::{ConvertError, Error, PatchError};
 use crate::extract::ExtractionReport;
-use crate::incremental::{self, GraphPatch, IncrementalState};
+use crate::incremental::{self, GraphPatch, IncrementalState, StateBytes};
 use graphgen_common::{IdMap, VertexOrdering};
 use graphgen_dedup::{
     bitmap2, flatten_to_single_layer, preprocess::should_expand, try_dedup2_greedy, Dedup1Algorithm,
@@ -206,6 +206,15 @@ impl GraphHandle {
         self.incremental
             .as_deref()
             .map_or(0, IncrementalState::intern_entries)
+    }
+
+    /// Where the delta-maintenance state's heap bytes live, by part
+    /// (`None` for a plain handle). Observability: the serving layer sums
+    /// it across graphs into the `graphgen_state_bytes` gauge.
+    pub fn state_bytes(&self) -> Option<StateBytes> {
+        self.incremental
+            .as_deref()
+            .map(IncrementalState::state_bytes)
     }
 
     /// True if this handle carries delta-maintenance state (extracted with

@@ -14,10 +14,11 @@
 //! `res_j(x, y) :- S_1(x, a_1), …, S_m(a_{m-1}, y)` (see
 //! [`crate::planner`]). For each segment the [`IncrementalState`] maintains:
 //!
-//! * per **atom**: the filtered, projected `(in, out)` pairs of the base
-//!   table as a multiset, kept in `in` order and — for the atoms a delta
-//!   join walks leftwards — also in `out` order (the state the delta-join
-//!   rules probe);
+//! * per **atom relation**: the filtered, projected pairs of the base table
+//!   as a multiset, in each orientation a delta join walks it — keyed by
+//!   `out` for every atom but a segment's last, by `in` for every atom but
+//!   its first — once per relation and orientation however many atoms read
+//!   it (a self-join's two atoms share one bag);
 //! * per **segment**: the bag multiplicity (`support`) of every output
 //!   pair, which makes `DISTINCT` incremental — a pair enters the graph
 //!   when its support rises from zero and leaves when it returns to zero
@@ -31,7 +32,10 @@
 //! their pre-update state (the classic telescoping sum), each probe walking
 //! one id's run of an atom bag, morsel-parallel over the delta rows via
 //! `graphgen_common::parallel` — so the work is `O(|Δ| × join fan-out)`,
-//! never `O(|database|)`.
+//! never `O(|database|)`. A shared bag cannot be at both states at once,
+//! so no bag changes until every changed atom has been walked: a prefix
+//! atom is read as its bag plus the bag's change, and each bag then
+//! advances once.
 //!
 //! # How the graph is patched
 //!
@@ -44,8 +48,9 @@
 //! batch extraction and the bulk load below (both through
 //! `crate::extract::emit_segment`), a delta's support transitions — a pair
 //! whose support rises from zero inserts its edge, one that returns to
-//! zero removes it — and a new node, whose support and `by_right` runs are
-//! fed through it as first- and last-segment pairs. `Nodes`-view deltas
+//! zero removes it — and a new node, whose support run and reverse-index
+//! run (`by_right`, or the first support where the chain mirrors itself)
+//! are fed through it as first- and last-segment pairs. `Nodes`-view deltas
 //! add, remove, or revive real vertices and re-derive their properties.
 //!
 //! The handle always holds the C-DUP graph extraction built — conversions
@@ -54,13 +59,13 @@
 //! sorted adjacency-list edits.
 //!
 //! Every keyed structure of the state — atom bags, supports, the reverse
-//! index of a chain's last support — is one `CountedRuns`: the sorted,
-//! counted pairs the relational operators emit, with per-left-id run
-//! offsets, plus a small overlay of the changes deltas made since, folded
-//! back when it outgrows a fixed fraction of the runs. How many
-//! single-segment chains output a pair (the reference count of its direct
-//! edge) is a function of their supports, read from them where needed and
-//! never kept beside them.
+//! index of a chain's last support where it is kept — is one
+//! `CountedRuns`: the sorted, counted pairs the relational operators emit,
+//! with per-left-id run offsets, plus a small overlay of the changes deltas
+//! made since, folded back when it outgrows a fixed fraction of the runs.
+//! How many single-segment chains output a pair (the reference count of
+//! its direct edge) is a function of their supports, read from them where
+//! needed and never kept beside them.
 //!
 //! Correctness contract: after any sequence of deltas, the patched handle's
 //! canonical serialization ([`crate::serialize::canonical_bytes`]) is
@@ -74,17 +79,19 @@
 //! preprocessing phase. It scans every atom and node view once and computes
 //! each segment's counted output with the operators batch extraction runs
 //! its segment queries on — `graphgen_reldb::exec::{group_pairs,
-//! join_counted}`, over engine ids where `Query::run_counted` uses
-//! database ids; the multiplicities the batch path ignores are the supports
-//! kept here — keeps the operators' output as the *primary* state (each
-//! grouped atom bag becomes the atom's `by_in`, each joined output the
-//! segment's `support`, moved, not copied), and hands every segment's
-//! pairs to `crate::extract::emit_segment`, as batch extraction does; the
-//! boundary virtual nodes are numbered as the C-DUP is built through
-//! [`CondensedBuilder`]. Everything else —
-//! `by_out`, `by_right`, `bounds.index` — is derived from the primary
-//! state by `IncrementalState::derive_indexes`, the same function the
-//! snapshot decoder ends with. The loader walks tables, chains, segments,
+//! join_counted, transpose_counted}`, over engine ids where
+//! `Query::run_counted` uses database ids (a self-join's second atom takes
+//! the first one's bag transposed, so its table is scanned once); the
+//! multiplicities the batch path ignores are the supports kept here —
+//! keeps the operators' output as the *primary* state (the grouped atom
+//! bags become the segment's bags, each joined output the segment's
+//! `support`, moved, not copied), and hands every segment's pairs to
+//! `crate::extract::emit_segment`, as batch extraction does; the boundary
+//! virtual nodes are numbered as the C-DUP is built through
+//! [`CondensedBuilder`]. The reverse indexes — `by_right`, `bounds.index`
+//! — are derived from the primary state by
+//! `IncrementalState::derive_indexes`, the same function the snapshot
+//! decoder ends with. The loader walks tables, chains, segments,
 //! atoms and rows in the order a row-by-row replay through `apply_delta_state`
 //! would, and emits the segments in the order they were completed, so the
 //! engine dictionary and the virtual-node numbering — and with them every
@@ -98,13 +105,16 @@ use crate::runs::{merge, CountedRuns};
 use graphgen_common::metrics::{span, Phase};
 use graphgen_common::parallel::{effective_threads, map_morsels};
 use graphgen_common::region::Region;
-use graphgen_common::{FxHashMap, FxHashSet, IdMap};
+use graphgen_common::{ByteSize, FxHashMap, FxHashSet, IdMap};
 use graphgen_dsl::GraphSpec;
 use graphgen_graph::{
     CondensedBuilder, CondensedGraph, GraphRep, PropValue, Properties, RealId, VirtId,
 };
-use graphgen_reldb::exec::{group_pairs, join_counted, pack, scan_project, unpack, CountedPairs};
+use graphgen_reldb::exec::{
+    group_pairs, join_counted, pack, scan_project, transpose_counted, unpack, CountedPairs,
+};
 use graphgen_reldb::{Database, Delta, DeltaOp, Interner, Predicate, Value, Vid, NULL_VID};
+use std::borrow::Cow;
 
 /// What [`crate::GraphHandle::apply_delta`] did, for reporting and
 /// benchmarking. All counters are in units of applied operations.
@@ -166,43 +176,56 @@ struct ViewState {
     pred: Predicate,
 }
 
-/// A node key's standing across all `Nodes` views: how many base rows
-/// currently yield it, and the property values each of those rows derived
-/// (kept so properties can be re-derived after a partial delete).
-#[derive(Debug, Clone, Default)]
-struct NodeEntry {
-    support: i64,
-    /// `(view index, derived properties)` in arrival order.
-    prop_rows: Vec<(usize, Vec<(String, PropValue)>)>,
+/// One node-view row that yields a node key: the view's index and the
+/// row's property values, aligned with the view's `prop_cols` (`None` for
+/// a NULL cell, which sets nothing). The names are the view's, so a row
+/// keeps none. A key's rows are kept so its properties can be re-derived
+/// after a partial delete, and their count is the key's support.
+#[derive(Debug, Clone, PartialEq)]
+struct PropRow {
+    view: usize,
+    values: Box<[Option<PropValue>]>,
+}
+
+/// Append `row` to a key's rows, reallocated to the exact new length (a
+/// key rarely has more than one row).
+fn push_row(rows: &mut Box<[PropRow]>, row: PropRow) {
+    let mut grown = Vec::with_capacity(rows.len() + 1);
+    grown.extend(std::mem::take(rows).into_vec());
+    grown.push(row);
+    *rows = grown.into_boxed_slice();
 }
 
 /// One atom of a segment query: the filtered base table projected to its
-/// `(in, out)` join columns, as a multiset. A single-atom segment's bag is
-/// never probed — the delta join walks only the *other* atoms of a segment
-/// — so it stays empty, in the bulk load and on the live path alike.
+/// `(in, out)` join columns. Its pairs live in the segment's `bags`, once
+/// per orientation a delta join walks it in (see [`SegmentState::new`]).
 #[derive(Debug, Clone)]
 struct AtomState {
     table: String,
     pred: Predicate,
     in_col: usize,
     out_col: usize,
-    /// `(in, out) → multiplicity`.
-    by_in: CountedRuns,
-    /// `(out, in) → multiplicity`, the transpose of `by_in`; only for the
-    /// atoms a delta join walks leftwards (every atom but a segment's last).
-    by_out: Option<CountedRuns>,
+    /// The bag holding the pairs keyed by `in`, `(in, out) → multiplicity`:
+    /// for every atom but a segment's first (the delta join of an atom to
+    /// its left walks rightwards into it).
+    by_in: Option<usize>,
+    /// The bag holding the pairs keyed by `out`, `(out, in) →
+    /// multiplicity`: for every atom but a segment's last.
+    by_out: Option<usize>,
 }
 
 /// The maintained output of one segment query.
 #[derive(Debug, Clone)]
 struct SegmentState {
     atoms: Vec<AtomState>,
+    /// One bag per atom relation — table, predicate and ordered column pair
+    /// — that a delta join reads: atoms refer to them by index, and atoms
+    /// over the same relation share one (a self-join's two atoms read the
+    /// one `(p, a)` bag, the first by `out`, the second by `in`).
+    bags: Vec<CountedRuns>,
     /// Bag multiplicity of each output pair `(l, r)` (the incremental
     /// `DISTINCT`); a left endpoint's run is its distinct output.
     support: CountedRuns,
-    /// `(r, l) → 1` for every support pair; only for a chain's last
-    /// segment, whose right endpoints a new node looks itself up by.
-    by_right: Option<CountedRuns>,
 }
 
 /// The maintained state of one `Edges` chain.
@@ -210,6 +233,11 @@ struct SegmentState {
 struct ChainState {
     segments: Vec<SegmentState>,
     bounds: Boundaries,
+    /// `(r, l) → 1` for every pair of the last segment's support, whose
+    /// right endpoints a new node looks itself up by. `None` when the last
+    /// segment mirrors the first ([`mirrors`]): that support is the first
+    /// segment's transposed, so the first's support is read instead.
+    by_right: Option<CountedRuns>,
 }
 
 /// The virtual-node interning of a chain's boundaries between segments.
@@ -260,7 +288,9 @@ pub struct IncrementalState {
     threads: usize,
     views: Vec<ViewState>,
     chains: Vec<ChainState>,
-    node_entries: FxHashMap<Vid, NodeEntry>,
+    /// Per engine id, the node-view rows that currently yield it as a node
+    /// key, in arrival order; empty for an id no row yields.
+    node_rows: Vec<Box<[PropRow]>>,
     /// The engine dictionary: every join value, boundary attribute, and
     /// node key that ever entered a keyed structure, interned to a dense
     /// [`Vid`]. Grow-only (interned via [`Interner::intern`], which pins
@@ -298,33 +328,31 @@ impl IncrementalState {
                 let segments: Vec<SegmentState> = plan
                     .segments
                     .iter()
-                    .map(|seg| SegmentState {
-                        atoms: seg
-                            .query
-                            .steps
-                            .iter()
-                            .map(|step| AtomState {
-                                table: step.table.clone(),
-                                pred: step.pred.clone(),
-                                in_col: step.in_col,
-                                out_col: step.out_col,
-                                by_in: CountedRuns::default(),
-                                by_out: None,
-                            })
-                            .collect(),
-                        support: CountedRuns::default(),
-                        by_right: None,
+                    .map(|seg| {
+                        let atoms = seg.query.steps.iter().map(|step| AtomState {
+                            table: step.table.clone(),
+                            pred: step.pred.clone(),
+                            in_col: step.in_col,
+                            out_col: step.out_col,
+                            by_in: None,
+                            by_out: None,
+                        });
+                        SegmentState::new(atoms.collect())
                     })
                     .collect();
                 let bounds = Boundaries::new(segments.len().saturating_sub(1));
-                ChainState { segments, bounds }
+                ChainState {
+                    segments,
+                    bounds,
+                    by_right: None,
+                }
             })
             .collect();
         let mut state = Self {
             threads,
             views,
             chains,
-            node_entries: FxHashMap::default(),
+            node_rows: Vec::new(),
             dict: Interner::new(),
             real_ids: Vec::new(),
         };
@@ -366,6 +394,41 @@ impl IncrementalState {
         self.dict.live()
     }
 
+    /// Where the state's heap bytes live, estimated from capacities (the
+    /// serving layer's `graphgen_state_bytes` gauge). Text property values
+    /// are shared with the database dictionary and counted there.
+    pub fn state_bytes(&self) -> StateBytes {
+        let segments = self.chains.iter().flat_map(|c| c.segments.iter());
+        let atom_bags = segments.clone().flat_map(|s| s.bags.iter());
+        let supports = segments.map(|s| s.support.heap_bytes()).sum::<usize>()
+            + self
+                .chains
+                .iter()
+                .map(|c| c.by_right.heap_bytes())
+                .sum::<usize>();
+        let rows = self.node_rows.iter().flat_map(|rows| rows.iter());
+        let node_entries = self.node_rows.capacity() * size_of::<Box<[PropRow]>>()
+            + rows
+                .map(|row| size_of::<PropRow>() + row.values.len() * size_of::<Option<PropValue>>())
+                .sum::<usize>();
+        let bounds = self.chains.iter().map(|c| {
+            let b = &c.bounds;
+            b.index.heap_bytes()
+                + b.keys.heap_bytes()
+                + b.virts.capacity() * size_of::<Vec<VirtId>>()
+                + b.virts
+                    .iter()
+                    .map(|v| v.capacity() * size_of::<VirtId>())
+                    .sum::<usize>()
+        });
+        StateBytes {
+            atom_bags: atom_bags.map(ByteSize::heap_bytes).sum(),
+            supports,
+            node_entries,
+            dictionary: self.dict.heap_bytes() + self.real_ids.heap_bytes() + bounds.sum::<usize>(),
+        }
+    }
+
     /// Every base table the spec reads, in deterministic first-reference
     /// order (node views first, then chain atoms). Exposed to callers via
     /// `GraphHandle::referenced_tables`.
@@ -398,6 +461,42 @@ impl IncrementalState {
     /// different machine applies its own configuration through this.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
+    }
+}
+
+/// The heap bytes of a maintenance state by part
+/// ([`IncrementalState::state_bytes`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StateBytes {
+    /// The atom bags the delta joins walk.
+    pub atom_bags: usize,
+    /// The segment supports and the reverse index of a last support.
+    pub supports: usize,
+    /// The node-view rows kept per node key.
+    pub node_entries: usize,
+    /// The engine dictionary, its real-id side-table and the boundaries'
+    /// virtual-node interning.
+    pub dictionary: usize,
+}
+
+impl StateBytes {
+    /// Every part with its label, in declaration order.
+    pub fn parts(&self) -> [(&'static str, usize); 4] {
+        [
+            ("atom_bags", self.atom_bags),
+            ("supports", self.supports),
+            ("node_entries", self.node_entries),
+            ("dictionary", self.dictionary),
+        ]
+    }
+}
+
+impl std::ops::AddAssign for StateBytes {
+    fn add_assign(&mut self, other: StateBytes) {
+        self.atom_bags += other.atom_bags;
+        self.supports += other.supports;
+        self.node_entries += other.node_entries;
+        self.dictionary += other.dictionary;
     }
 }
 
@@ -461,13 +560,18 @@ impl Target<'_> {
 
 /// Walk from join id `v` across `bags` in turn: the bag of endpoints
 /// reachable through them, each crossing one id's run — the "re-probe only
-/// the changed side" rule. Left of atom `j` the bags are `by_out` of atoms
-/// `j-1 … 0`, right of it `by_in` of atoms `j+1 … m-1`. [`NULL_VID`] never
-/// crosses a join, matching the join operator.
-fn expand<'a>(v: Vid, bags: impl Iterator<Item = &'a CountedRuns>) -> FxHashMap<Vid, i64> {
+/// the changed side" rule. Left of atom `j` the bags are the `by_out` bags
+/// of atoms `j-1 … 0`, right of it the `by_in` bags of atoms `j+1 … m-1`.
+/// Each bag comes with a change to read it through (empty for a bag read as
+/// it is): its sorted `(key, change)` entries count beside the bag's own.
+/// [`NULL_VID`] never crosses a join, matching the join operator.
+fn expand<'a>(
+    v: Vid,
+    bags: impl Iterator<Item = (&'a CountedRuns, &'a [(u64, i64)])>,
+) -> FxHashMap<Vid, i64> {
     let mut frontier: FxHashMap<Vid, i64> = FxHashMap::default();
     frontier.insert(v, 1);
-    for bag in bags {
+    for (bag, change) in bags {
         let mut next: FxHashMap<Vid, i64> = FxHashMap::default();
         for (&val, m) in &frontier {
             if val == NULL_VID {
@@ -476,7 +580,15 @@ fn expand<'a>(v: Vid, bags: impl Iterator<Item = &'a CountedRuns>) -> FxHashMap<
             for (other, mb) in bag.run(val) {
                 *next.entry(other).or_insert(0) += m * mb;
             }
+            let from = change.partition_point(|&(key, _)| key < pack(val, 0));
+            for &(key, d) in change[from..]
+                .iter()
+                .take_while(|(k, _)| unpack(*k).0 == val)
+            {
+                *next.entry(unpack(key).1).or_insert(0) += m * d;
+            }
         }
+        next.retain(|_, m| *m != 0);
         frontier = next;
         if frontier.is_empty() {
             break;
@@ -492,6 +604,92 @@ fn flip(key: u64) -> u64 {
 }
 
 impl SegmentState {
+    /// A segment over `atoms` with empty bags, each atom pointed at the
+    /// bags a delta join walks it through: `by_out` for every atom but the
+    /// last, `by_in` for every atom but the first — so a single-atom
+    /// segment keeps none. Atoms over the same relation in the same
+    /// orientation — same table, equal predicate, same key and value
+    /// columns — share one bag: a self-join's second atom reads its
+    /// partner's `by_out` as its `by_in`. The layout follows from the atoms
+    /// alone, so the bulk load, the snapshot decoder and the empty state
+    /// agree on it.
+    fn new(mut atoms: Vec<AtomState>) -> Self {
+        let m = atoms.len();
+        // Per bag: the atom that first read it, and its key and value columns.
+        let mut relations: Vec<(usize, usize, usize)> = Vec::new();
+        for i in 0..m {
+            let (in_col, out_col) = (atoms[i].in_col, atoms[i].out_col);
+            let walks = [(i > 0, in_col, out_col), (i + 1 < m, out_col, in_col)];
+            let mut picked = [None, None];
+            for (slot, (walked, key, value)) in picked.iter_mut().zip(walks) {
+                if !walked {
+                    continue;
+                }
+                let same = |&(a, k, v): &(usize, usize, usize)| {
+                    let other: &AtomState = &atoms[a];
+                    (k, v) == (key, value)
+                        && other.table == atoms[i].table
+                        && other.pred == atoms[i].pred
+                };
+                let found = relations.iter().position(same);
+                *slot = Some(found.unwrap_or_else(|| {
+                    relations.push((i, key, value));
+                    relations.len() - 1
+                }));
+            }
+            [atoms[i].by_in, atoms[i].by_out] = picked;
+        }
+        Self {
+            atoms,
+            bags: vec![CountedRuns::default(); relations.len()],
+            support: CountedRuns::default(),
+        }
+    }
+
+    /// Fill the bags from every atom's `(in, out)` pairs, which the bulk
+    /// load's scans and the snapshot decoder both produce: a bag some atom
+    /// reads by `in` is that atom's pairs, moved; a bag read by `out` only
+    /// is its first reader's pairs, transposed. Hands back, per atom, the
+    /// pairs no bag took.
+    fn adopt(&mut self, pairs: Vec<CountedPairs>) -> Vec<Option<CountedPairs>> {
+        let mut pairs: Vec<Option<CountedPairs>> = pairs.into_iter().map(Some).collect();
+        // Per bag: the atom whose pairs fill it, and whether it reads them by `in`.
+        let sources: Vec<(usize, bool)> = (0..self.bags.len())
+            .map(
+                |b| match self.atoms.iter().position(|a| a.by_in == Some(b)) {
+                    Some(i) => (i, true),
+                    None => {
+                        let i = self.atoms.iter().position(|a| a.by_out == Some(b));
+                        (i.expect("every bag is read"), false)
+                    }
+                },
+            )
+            .collect();
+        // Transposes first: the pairs they read may be moved below.
+        for (b, &(i, keyed_by_in)) in sources.iter().enumerate() {
+            if !keyed_by_in {
+                let of = pairs[i].as_deref().expect("an atom's pairs");
+                self.bags[b] = CountedRuns::transpose_of(of);
+            }
+        }
+        for (b, &(i, keyed_by_in)) in sources.iter().enumerate() {
+            if keyed_by_in {
+                self.bags[b] = CountedRuns::new(pairs[i].take().expect("moved once"));
+            }
+        }
+        pairs
+    }
+
+    /// Atom `i`'s `(in, out)` pairs as the snapshot format writes every
+    /// atom's (empty for an atom no delta join walks).
+    fn pairs_of(&self, i: usize) -> Cow<'_, CountedRuns> {
+        match (self.atoms[i].by_in, self.atoms[i].by_out) {
+            (Some(b), _) => Cow::Borrowed(&self.bags[b]),
+            (None, Some(b)) => Cow::Owned(self.bags[b].transposed()),
+            (None, None) => Cow::Owned(CountedRuns::default()),
+        }
+    }
+
     /// Propagate a table delta through this segment: telescoping delta
     /// joins per changed atom (prefix atoms at their new state, suffix
     /// atoms at their old state), morsel-parallel over the delta rows, then
@@ -512,43 +710,70 @@ impl SegmentState {
         threads: usize,
         dict: &mut Interner,
     ) -> Result<(Vec<(Vid, Vid)>, Vec<(Vid, Vid)>, usize), Error> {
-        let mut sdelta: FxHashMap<u64, i64> = FxHashMap::default();
-        for j in 0..self.atoms.len() {
-            if self.atoms[j].table != delta.table() {
+        // Project the delta rows through every atom on the table, in atom
+        // order, interning the join values (sequential: see above).
+        let mut changed: Vec<(usize, Vec<(u64, i64)>)> = Vec::new();
+        for (j, atom) in self.atoms.iter().enumerate() {
+            if atom.table != delta.table() {
                 continue;
             }
-            // Project the delta rows through the atom's predicate,
-            // interning the join values (sequential: see above).
             let mut dj: FxHashMap<u64, i64> = FxHashMap::default();
             for row in delta.rows() {
-                if !self.atoms[j].pred.eval(&row.values) {
+                if !atom.pred.eval(&row.values) {
                     continue;
                 }
-                let in_v = dict.intern(&row.values[self.atoms[j].in_col]);
-                let out_v = dict.intern(&row.values[self.atoms[j].out_col]);
+                let in_v = dict.intern(&row.values[atom.in_col]);
+                let out_v = dict.intern(&row.values[atom.out_col]);
                 *dj.entry(pack(in_v, out_v)).or_insert(0) += row.op.sign();
             }
             dj.retain(|_, m| *m != 0);
-            if dj.is_empty() {
-                continue;
+            if !dj.is_empty() {
+                changed.push((j, dj.into_iter().collect()));
             }
-            let entries: Vec<(u64, i64)> = dj.into_iter().collect();
-            // Delta join: expand every changed row against the unchanged
-            // sides. Atoms before `j` were already advanced to their new
-            // state by earlier loop iterations; atoms after `j` are still
-            // old — the exact telescoping decomposition of the delta.
-            let atoms = &self.atoms;
+        }
+        // Each bag's change in its own orientation, sorted. A bag holds one
+        // relation however many atoms read it, so it changes once.
+        let mut change: Vec<CountedPairs> = vec![Vec::new(); self.bags.len()];
+        for (j, entries) in &changed {
+            let atom = &self.atoms[*j];
+            for (bag, flipped) in [(atom.by_in, false), (atom.by_out, true)] {
+                match bag {
+                    Some(b) if change[b].is_empty() => {
+                        let key = |k| if flipped { flip(k) } else { k };
+                        change[b] = entries.iter().map(|&(k, m)| (key(k), m)).collect();
+                        change[b].sort_unstable();
+                    }
+                    _ => {}
+                }
+            }
+        }
+        // Delta joins: expand every changed row against the other atoms.
+        // Every bag is still at its pre-delta state, so the atoms before
+        // `j` are read through their change (their post-delta state) and
+        // the atoms after `j` as they are — the exact telescoping
+        // decomposition of the delta, whichever atoms share a bag.
+        let mut sdelta: FxHashMap<u64, i64> = FxHashMap::default();
+        let (atoms, bags) = (&self.atoms, &self.bags);
+        for (j, entries) in &changed {
+            let j = *j;
             let t = effective_threads(threads, entries.len());
             let parts = map_morsels(entries.len(), t, |range| {
                 let mut local: FxHashMap<u64, i64> = FxHashMap::default();
                 for (key, mult) in &entries[range] {
                     let (in_v, out_v) = unpack(*key);
-                    let walked = atoms[..j].iter().rev();
-                    let lefts = expand(in_v, walked.map(|a| a.by_out.as_ref().expect("walked")));
+                    let walked = atoms[..j].iter().rev().map(|a| {
+                        let b = a.by_out.expect("walked");
+                        (&bags[b], change[b].as_slice())
+                    });
+                    let lefts = expand(in_v, walked);
                     if lefts.is_empty() {
                         continue;
                     }
-                    let rights = expand(out_v, atoms[j + 1..].iter().map(|a| &a.by_in));
+                    let walked = atoms[j + 1..].iter().map(|a| {
+                        let b = a.by_in.expect("walked");
+                        (&bags[b], &[][..])
+                    });
+                    let rights = expand(out_v, walked);
                     for (&x, ml) in &lefts {
                         for (&y, mr) in &rights {
                             *local.entry(pack(x, y)).or_insert(0) += mult * ml * mr;
@@ -562,16 +787,11 @@ impl SegmentState {
                     *sdelta.entry(k).or_insert(0) += v;
                 }
             }
-            // Advance atom j to its post-delta state (a single-atom
-            // segment keeps no bag: see `AtomState`).
-            if self.atoms.len() > 1 {
-                let atom = &mut self.atoms[j];
-                for &(key, mult) in &entries {
-                    atom.by_in.add(key, mult, "multiplicity", dict)?;
-                    if let Some(by_out) = &mut atom.by_out {
-                        by_out.adjust(flip(key), mult);
-                    }
-                }
+        }
+        // Advance every changed bag to its post-delta state, once.
+        for (bag, change) in self.bags.iter_mut().zip(&change) {
+            for &(key, d) in change {
+                bag.add(key, d, "multiplicity", dict)?;
             }
         }
         sdelta.retain(|_, d| *d != 0);
@@ -586,21 +806,32 @@ impl SegmentState {
         let mut removed = Vec::new();
         for &(key, d) in &changes {
             let old = self.support.add(key, d, what, dict)?;
-            let crossed = if old == 0 && old + d > 0 {
+            if old == 0 && old + d > 0 {
                 added.push(unpack(key));
-                1
             } else if old > 0 && old + d == 0 {
                 removed.push(unpack(key));
-                -1
-            } else {
-                continue;
-            };
-            if let Some(by_right) = &mut self.by_right {
-                by_right.adjust(flip(key), crossed);
             }
         }
         Ok((added, removed, changes.len()))
     }
+}
+
+/// Whether a chain's last segment mirrors its first: its atoms are the
+/// first segment's in reverse order, each with its columns swapped (same
+/// table, equal predicate) — as in `M(a, g), M(b, g)`, where one segment
+/// mirrors itself. The last segment's support is then the first's
+/// transposed, count for count.
+fn mirrors(first: &SegmentState, last: &SegmentState) -> bool {
+    first.atoms.len() == last.atoms.len()
+        && first
+            .atoms
+            .iter()
+            .zip(last.atoms.iter().rev())
+            .all(|(a, b)| {
+                a.table == b.table
+                    && a.pred == b.pred
+                    && (a.in_col, a.out_col) == (b.out_col, b.in_col)
+            })
 }
 
 // ---------------------------------------------------------------------------
@@ -655,10 +886,11 @@ fn materialize_segment(
 /// Materialize every edge the brand-new node of interned key `key`
 /// participates in: its distinct output as a left endpoint of each chain's
 /// first segment (the support run) and as a right endpoint of its last
-/// (the `by_right` run), each through [`materialize_segment`] as that
-/// segment's pairs. Cost is proportional to the node's own memberships,
-/// not the graph. A direct edge is the first single-segment chain's that
-/// outputs its pair.
+/// (the `by_right` run, or the first segment's support run where the last
+/// segment mirrors the first), each through [`materialize_segment`] as
+/// that segment's pairs. Cost is proportional to the node's own
+/// memberships, not the graph. A direct edge is the first single-segment
+/// chain's that outputs its pair.
 fn materialize_node_edges(
     chains: &mut [ChainState],
     key: Vid,
@@ -668,7 +900,11 @@ fn materialize_node_edges(
     let _span = span(Phase::BuildRep, Region::BuildRep);
     for c in 0..chains.len() {
         let (before, rest) = chains.split_at_mut(c);
-        let ChainState { segments, bounds } = &mut rest[0];
+        let ChainState {
+            segments,
+            bounds,
+            by_right,
+        } = &mut rest[0];
         let k = segments.len();
         let earlier = |pair| {
             let mut single = before.iter().filter(|o| o.segments.len() == 1);
@@ -676,7 +912,7 @@ fn materialize_node_edges(
         };
         let rights = segments[0].support.run(key).map(|(r, _)| (key, r));
         materialize_segment((0, k), bounds, rights, true, earlier, real_ids, target);
-        let by_right = segments[k - 1].by_right.as_ref().expect("last segment");
+        let by_right = by_right.as_ref().unwrap_or(&segments[0].support);
         let lefts = by_right.run(key).map(|(l, _)| (l, key));
         materialize_segment((k - 1, k), bounds, lefts, true, earlier, real_ids, target);
     }
@@ -686,33 +922,29 @@ fn materialize_node_edges(
 // The top-level delta application
 // ---------------------------------------------------------------------------
 
-/// Derive the property values a node-view row yields from its property
-/// cells, given in `prop_cols` order (NULLs set nothing, matching the
+/// The property values a node-view row yields from its property cells,
+/// given in `prop_cols` order (a NULL sets nothing, matching the
 /// extractor).
-fn derive_props<'a>(
-    view: &ViewState,
-    cells: impl Iterator<Item = &'a Value>,
-) -> Vec<(String, PropValue)> {
-    let mut out = Vec::with_capacity(view.prop_cols.len());
-    for ((name, _), cell) in view.prop_cols.iter().zip(cells) {
-        let pv = match cell {
-            Value::Int(v) => PropValue::Int(*v),
-            Value::Str(s) => PropValue::Text(s.clone()),
-            Value::Null => continue,
-        };
-        out.push((name.clone(), pv));
-    }
-    out
+fn derive_props<'a>(cells: impl Iterator<Item = &'a Value>) -> Box<[Option<PropValue>]> {
+    cells
+        .map(|cell| match cell {
+            Value::Int(v) => Some(PropValue::Int(*v)),
+            Value::Str(s) => Some(PropValue::Text(s.clone())),
+            Value::Null => None,
+        })
+        .collect()
 }
 
 /// Set a node's properties from the base rows that currently yield it,
 /// lower view indexes first (so a later view's value wins a shared name).
-fn set_props(props: &mut Properties, id: RealId, entry: &NodeEntry) {
-    let mut rows: Vec<&(usize, Vec<(String, PropValue)>)> = entry.prop_rows.iter().collect();
-    rows.sort_by_key(|(vi, _)| *vi);
-    for (_, propvals) in rows {
-        for (name, v) in propvals {
-            props.set(id, name, v.clone());
+fn set_props(props: &mut Properties, id: RealId, rows: &[PropRow], views: &[ViewState]) {
+    let mut rows: Vec<&PropRow> = rows.iter().collect();
+    rows.sort_by_key(|row| row.view);
+    for row in rows {
+        for ((name, _), value) in views[row.view].prop_cols.iter().zip(&row.values) {
+            if let Some(v) = value {
+                props.set(id, name, v.clone());
+            }
         }
     }
 }
@@ -737,7 +969,7 @@ pub(crate) fn apply_delta_state(
         threads,
         views,
         chains,
-        node_entries,
+        node_rows,
         dict,
         real_ids,
     } = state;
@@ -752,11 +984,19 @@ pub(crate) fn apply_delta_state(
     for c in 0..chains.len() {
         let (before, rest) = chains.split_at_mut(c);
         let (chain, after) = rest.split_first_mut().expect("chain c exists");
-        for j in 0..chain.segments.len() {
+        let k = chain.segments.len();
+        for j in 0..k {
             let (added, removed, changes) = chain.segments[j].transitions(delta, threads, dict)?;
             target.patch.support_changes += changes;
             if added.is_empty() && removed.is_empty() {
                 continue;
+            }
+            if let Some(by_right) = chain.by_right.as_mut().filter(|_| j + 1 == k) {
+                for (pairs, d) in [(&added, 1), (&removed, -1)] {
+                    for &(l, r) in pairs {
+                        by_right.adjust(pack(r, l), d);
+                    }
+                }
             }
             let elsewhere = |pair| {
                 let mut others = before.iter().chain(after.iter());
@@ -765,7 +1005,7 @@ pub(crate) fn apply_delta_state(
                 })
             };
             let _span = span(Phase::BuildRep, Region::BuildRep);
-            let jk = (j, chain.segments.len());
+            let jk = (j, k);
             for (pairs, add) in [(added, true), (removed, false)] {
                 let bounds = &mut chain.bounds;
                 materialize_segment(jk, bounds, pairs, add, elsewhere, real_ids, &mut target);
@@ -776,7 +1016,7 @@ pub(crate) fn apply_delta_state(
     // Phase 2: node views — update per-key support and property rows
     // (sequential, so key interning is thread-count independent).
     let mut touched: Vec<Vid> = Vec::new();
-    let mut prior: FxHashMap<Vid, i64> = FxHashMap::default();
+    let mut prior: FxHashMap<Vid, usize> = FxHashMap::default();
     for (vi, view) in views.iter().enumerate() {
         if view.relation != delta.table() {
             continue;
@@ -790,29 +1030,29 @@ pub(crate) fn apply_delta_state(
                 continue;
             }
             let kvid = dict.intern(key);
-            let entry = node_entries.entry(kvid).or_default();
+            if node_rows.len() <= kvid as usize {
+                node_rows.resize_with(kvid as usize + 1, Box::default);
+            }
+            let rows = &mut node_rows[kvid as usize];
             if let std::collections::hash_map::Entry::Vacant(v) = prior.entry(kvid) {
-                v.insert(entry.support);
+                v.insert(rows.len());
                 touched.push(kvid);
             }
-            let derived = derive_props(view, view.prop_cols.iter().map(|(_, c)| &row.values[*c]));
+            let derived = PropRow {
+                view: vi,
+                values: derive_props(view.prop_cols.iter().map(|(_, c)| &row.values[*c])),
+            };
             match row.op {
-                DeltaOp::Insert => {
-                    entry.support += 1;
-                    entry.prop_rows.push((vi, derived));
-                }
+                DeltaOp::Insert => push_row(rows, derived),
                 DeltaOp::Delete => {
-                    let pos = entry
-                        .prop_rows
-                        .iter()
-                        .position(|(v, p)| *v == vi && *p == derived)
-                        .ok_or_else(|| {
-                            PatchError::Inconsistent(format!(
-                                "delta deletes node row for key {key} that was never inserted"
-                            ))
-                        })?;
-                    entry.prop_rows.remove(pos);
-                    entry.support -= 1;
+                    let pos = rows.iter().position(|r| *r == derived).ok_or_else(|| {
+                        PatchError::Inconsistent(format!(
+                            "delta deletes node row for key {key} that was never inserted"
+                        ))
+                    })?;
+                    let mut kept = std::mem::take(rows).into_vec();
+                    kept.remove(pos);
+                    *rows = kept.into_boxed_slice();
                 }
             }
         }
@@ -824,7 +1064,7 @@ pub(crate) fn apply_delta_state(
     // a node view actually changed.
     for kvid in touched {
         let before = prior[&kvid];
-        let now = node_entries.get(&kvid).map_or(0, |e| e.support);
+        let now = node_rows[kvid as usize].len();
         let key = dict.resolve(kvid).expect("node key is interned").clone();
         if before == 0 && now > 0 {
             if let Some(id) = ids.get(&key) {
@@ -851,9 +1091,7 @@ pub(crate) fn apply_delta_state(
             let p = std::sync::Arc::make_mut(props);
             p.grow(ids.len());
             p.clear_vertex(RealId(id));
-            set_props(p, RealId(id), &node_entries[&kvid]);
-        } else {
-            node_entries.remove(&kvid);
+            set_props(p, RealId(id), &node_rows[kvid as usize], views);
         }
     }
     Ok(target.patch)
@@ -863,32 +1101,31 @@ pub(crate) fn apply_delta_state(
 // Derived indexes
 // ---------------------------------------------------------------------------
 //
-// `by_out`, `by_right` and `bounds.index` are functions of the primary
-// state (`by_in`, `support`, `bounds.keys`). Neither the bulk loader nor
-// the snapshot decoder builds them: both produce the primary state and
-// finish with `IncrementalState::derive_indexes`, which also decides which
-// of them exist — `IncrementalState::new` runs it on the empty state.
-
-impl SegmentState {
-    /// `by_out` transposes `by_in` for every atom but a multi-atom
-    /// segment's last; `by_right` transposes the support keys of a chain's
-    /// `last` segment.
-    fn derive_indexes(&mut self, last: bool) {
-        let walked = self.atoms.len().saturating_sub(1);
-        for (i, atom) in self.atoms.iter_mut().enumerate() {
-            atom.by_out = (i < walked).then(|| atom.by_in.transposed());
-        }
-        self.by_right = last.then(|| self.support.transposed_keys());
-    }
-}
+// Which structure exists follows from the chain's shape, never from an
+// option:
+//
+// * atom bags — one per relation and orientation a delta join walks
+//   (`SegmentState::new`): a segment's first atom is read only by `out`,
+//   its last only by `in`, a middle atom both ways, a single atom not at
+//   all; an atom whose relation another atom already reads in the same
+//   orientation (a self-join's transposing second atom) shares that bag;
+// * `by_right` — only where a chain's last segment does not mirror its
+//   first (`mirrors`); a mirroring chain reads the first support instead;
+// * `bounds.index` — one per boundary.
+//
+// The bags are the primary state (the bulk loader and the snapshot
+// decoder fill them through `SegmentState::adopt`); `by_right` and
+// `bounds.index` are functions of the supports and `bounds.keys`, built by
+// `IncrementalState::derive_indexes`, which both of them end with —
+// `IncrementalState::new` runs it on the empty state.
 
 impl ChainState {
-    /// `bounds.index` inverts `bounds.keys` (which holds no id twice).
+    /// `by_right` transposes the last segment's support keys unless that
+    /// segment mirrors the first; `bounds.index` inverts `bounds.keys`
+    /// (which holds no id twice).
     fn derive_indexes(&mut self) {
-        let k = self.segments.len();
-        for (j, seg) in self.segments.iter_mut().enumerate() {
-            seg.derive_indexes(j + 1 == k);
-        }
+        let (first, last) = (&self.segments[0], &self.segments[self.segments.len() - 1]);
+        self.by_right = (!mirrors(first, last)).then(|| last.support.transposed_keys());
         self.bounds.index = self
             .bounds
             .keys
@@ -984,7 +1221,7 @@ impl IncrementalState {
             let IncrementalState {
                 views,
                 chains,
-                node_entries,
+                node_rows,
                 dict,
                 ..
             } = &mut state;
@@ -994,8 +1231,23 @@ impl IncrementalState {
                 let segments = chain.segments.iter_mut().zip(loads.iter_mut());
                 for (j, (seg, load)) in segments.enumerate() {
                     let mut scanned = false;
-                    for (atom, bag) in seg.atoms.iter().zip(load.iter_mut()) {
+                    for (k, atom) in seg.atoms.iter().enumerate() {
                         if atom.table != table {
+                            continue;
+                        }
+                        scanned = true;
+                        // A transposing atom (a self-join's second) reads
+                        // its partner's rows with the columns swapped: its
+                        // bag is the partner's transposed, and its cells
+                        // are the partner's, interned already, so skipping
+                        // its scan leaves the dictionary as the replay
+                        // builds it.
+                        let partner = atom.by_in.and_then(|b| {
+                            let mut earlier = seg.atoms[..k].iter();
+                            earlier.position(|a| a.by_out == Some(b))
+                        });
+                        if let Some(bag) = partner.and_then(|p| load[p].as_ref()) {
+                            load[k] = Some(transpose_counted(bag, dict.capacity()));
                             continue;
                         }
                         let cols = [atom.in_col, atom.out_col];
@@ -1010,8 +1262,7 @@ impl IncrementalState {
                             }
                             keys
                         };
-                        *bag = Some(group_pairs(keys));
-                        scanned = true;
+                        load[k] = Some(group_pairs(keys));
                     }
                     if !scanned || load.iter().any(Option::is_none) {
                         continue;
@@ -1025,12 +1276,10 @@ impl IncrementalState {
                     }
                     let _span = span(Phase::LoadState, Region::Patch);
                     let output = match joined {
-                        // The join has read the bags: they become the
-                        // atoms' `by_in`, as they are.
+                        // The join has read the bags: the segment keeps
+                        // them as its atoms walk them.
                         Some(output) => {
-                            for (atom, bag) in seg.atoms.iter_mut().zip(bags) {
-                                atom.by_in = CountedRuns::new(bag);
-                            }
+                            seg.adopt(bags);
                             output
                         }
                         None => bags.pop().expect("a segment has an atom"),
@@ -1052,15 +1301,17 @@ impl IncrementalState {
                     if row[0] == NULL_VID {
                         continue;
                     }
-                    let kvid = tr.engine_vid(dict, row[0]);
-                    let entry = node_entries.entry(kvid).or_default();
-                    if entry.support == 0 {
-                        ids.intern(tr.value(row[0]).clone());
-                        node_keys.push(kvid);
+                    let kvid = tr.engine_vid(dict, row[0]) as usize;
+                    if node_rows.len() <= kvid {
+                        node_rows.resize_with(kvid + 1, Box::default);
                     }
-                    entry.support += 1;
+                    if node_rows[kvid].is_empty() {
+                        ids.intern(tr.value(row[0]).clone());
+                        node_keys.push(kvid as Vid);
+                    }
                     let cells = row[1..].iter().map(|&cell| tr.value(cell));
-                    entry.prop_rows.push((vi, derive_props(view, cells)));
+                    let values = derive_props(cells);
+                    push_row(&mut node_rows[kvid], PropRow { view: vi, values });
                 }
             }
         }
@@ -1068,9 +1319,11 @@ impl IncrementalState {
         let load_span = span(Phase::LoadState, Region::Patch);
         let mut props = Properties::new(ids.len());
         state.real_ids = vec![u32::MAX; state.dict.capacity()];
-        for (id, kvid) in node_keys.iter().enumerate() {
-            set_props(&mut props, RealId(id as u32), &state.node_entries[kvid]);
-            state.real_ids[*kvid as usize] = id as u32;
+        state.node_rows.shrink_to_fit();
+        for (id, &kvid) in node_keys.iter().enumerate() {
+            let rows = &state.node_rows[kvid as usize];
+            set_props(&mut props, RealId(id as u32), rows, &state.views);
+            state.real_ids[kvid as usize] = id as u32;
         }
         state.derive_indexes();
         drop(load_span);
@@ -1082,7 +1335,9 @@ impl IncrementalState {
         let _span = span(Phase::BuildRep, Region::BuildRep);
         let mut builder = CondensedBuilder::new(ids.len());
         for (c, j) in completed {
-            let ChainState { segments, bounds } = &mut state.chains[c];
+            let ChainState {
+                segments, bounds, ..
+            } = &mut state.chains[c];
             emit_segment(
                 &mut builder,
                 (j, segments.len()),
@@ -1103,12 +1358,16 @@ impl IncrementalState {
 // The serving layer persists incremental handles so a recovered process can
 // keep applying deltas exactly where the crashed one stopped. The whole
 // maintenance state — atom multisets, segment supports, boundary interning,
-// node entries — is encoded verbatim with the workspace codec conventions;
-// the redundant reverse indexes (`by_out`, `by_right`, `bounds.index`)
-// are rebuilt on decode instead of stored. Every bag and support map is written in run
-// order — strictly ascending keys, multiplicities ≥ 1, no empty bag slot —
-// and the decoder accepts nothing else, so a decoded bag is valid runs as
-// read and re-encodes to the bytes it came from.
+// node entries — is encoded with the workspace codec conventions, in a
+// format older than the state's layout: every atom writes its `(in, out)`
+// pairs (empty for an atom no delta join walks) and every node row its
+// property names, and the encoder derives them from the bags and the views
+// where the state keeps neither. The reverse indexes (`by_right`,
+// `bounds.index`) are rebuilt on decode instead of stored. Every bag and
+// support map is written in run order — strictly ascending keys,
+// multiplicities ≥ 1, no empty bag slot — and the decoder accepts nothing
+// else, nor an atom's pairs that disagree with the bag its segment keeps
+// for them, so a decoded state re-encodes to the bytes it came from.
 
 use graphgen_common::codec::{self, CodecError, Reader};
 use graphgen_graph::snapshot as graph_snapshot;
@@ -1157,9 +1416,9 @@ fn put_bag(out: &mut Vec<u8>, bag: &CountedRuns) {
     }
 }
 
-/// Decode an atom bag (inverse of [`put_bag`]) straight into runs: slots
-/// strictly ascending and never empty, as the encoder writes them.
-fn read_bag(r: &mut Reader<'_>, dict: &Interner) -> Result<CountedRuns, CodecError> {
+/// Decode an atom bag (inverse of [`put_bag`]): slots strictly ascending
+/// and never empty, as the encoder writes them.
+fn read_bag(r: &mut Reader<'_>, dict: &Interner) -> Result<CountedPairs, CodecError> {
     let n = r.len()?;
     let mut pairs = CountedPairs::new();
     let mut prev_slot = None;
@@ -1183,7 +1442,7 @@ fn read_bag(r: &mut Reader<'_>, dict: &Interner) -> Result<CountedRuns, CodecErr
             pairs.push((pack(l, k), v));
         }
     }
-    Ok(CountedRuns::new(pairs))
+    Ok(pairs)
 }
 
 fn put_packed_counts(out: &mut Vec<u8>, len: usize, pairs: impl Iterator<Item = (u64, i64)>) {
@@ -1247,24 +1506,22 @@ pub(crate) fn decode_idmap(r: &mut Reader<'_>) -> Result<IdMap<Value>, CodecErro
 }
 
 impl AtomState {
+    /// The atom's header; its pairs follow ([`SegmentState::encode_into`]).
     fn encode_into(&self, out: &mut Vec<u8>) {
         codec::put_str(out, &self.table);
         self.pred.encode_into(out);
         codec::put_len(out, self.in_col);
         codec::put_len(out, self.out_col);
-        put_bag(out, &self.by_in);
-        // `by_out` is the transpose of `by_in`: derived on decode.
     }
 
-    /// The primary state only: [`IncrementalState::decode`] derives the
-    /// indexes once everything is read.
-    fn decode(r: &mut Reader<'_>, dict: &Interner) -> Result<Self, CodecError> {
+    /// The header only: [`SegmentState::new`] points the atom at its bags.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Self {
             table: r.str()?.to_string(),
             pred: Predicate::decode(r)?,
             in_col: r.scalar()?,
             out_col: r.scalar()?,
-            by_in: read_bag(r, dict)?,
+            by_in: None,
             by_out: None,
         })
     }
@@ -1273,25 +1530,39 @@ impl AtomState {
 impl SegmentState {
     fn encode_into(&self, out: &mut Vec<u8>) {
         codec::put_len(out, self.atoms.len());
-        for atom in &self.atoms {
+        for (i, atom) in self.atoms.iter().enumerate() {
             atom.encode_into(out);
+            put_bag(out, &self.pairs_of(i));
         }
         put_packed_counts(out, self.support.len(), self.support.iter());
-        // `by_right` transposes the support keys: derived on decode.
     }
 
-    /// The primary state only, like [`AtomState::decode`].
+    /// The primary state: every atom's pairs are read, the bags adopt them,
+    /// and pairs no bag took must equal what the bags imply for their atom.
     fn decode(r: &mut Reader<'_>, dict: &Interner) -> Result<Self, CodecError> {
         let n = r.len()?;
         let mut atoms = Vec::with_capacity(n);
+        let mut pairs = Vec::with_capacity(n);
+        let mut at = Vec::with_capacity(n);
         for _ in 0..n {
-            atoms.push(AtomState::decode(r, dict)?);
+            atoms.push(AtomState::decode(r)?);
+            at.push(r.pos());
+            pairs.push(read_bag(r, dict)?);
         }
-        Ok(Self {
-            atoms,
-            support: CountedRuns::new(read_packed_counts(r, dict)?),
-            by_right: None,
-        })
+        let mut seg = Self::new(atoms);
+        let left = seg.adopt(pairs);
+        for (i, pairs) in left.iter().enumerate() {
+            if let Some(pairs) = pairs {
+                if !seg.pairs_of(i).iter().eq(pairs.iter().copied()) {
+                    return Err(CodecError::invalid(
+                        at[i],
+                        "atom pairs disagree with the segment's bags",
+                    ));
+                }
+            }
+        }
+        seg.support = CountedRuns::new(read_packed_counts(r, dict)?);
+        Ok(seg)
     }
 }
 
@@ -1336,16 +1607,23 @@ impl IncrementalState {
                 }
             }
         }
-        let mut node_keys: Vec<Vid> = self.node_entries.keys().copied().collect();
-        node_keys.sort_unstable();
-        codec::put_len(out, node_keys.len());
-        for key in node_keys {
-            let entry = &self.node_entries[&key];
-            codec::put_u32(out, key);
-            codec::put_i64(out, entry.support);
-            codec::put_len(out, entry.prop_rows.len());
-            for (view_idx, props) in &entry.prop_rows {
-                codec::put_len(out, *view_idx);
+        // Node entries ascending by key: the support (its row count), then
+        // each row's view and its non-NULL properties by name.
+        let nodes = self.node_rows.iter().enumerate();
+        let nodes: Vec<(usize, &Box<[PropRow]>)> =
+            nodes.filter(|(_, rows)| !rows.is_empty()).collect();
+        codec::put_len(out, nodes.len());
+        for (key, rows) in nodes {
+            codec::put_u32(out, key as Vid);
+            codec::put_i64(out, rows.len() as i64);
+            codec::put_len(out, rows.len());
+            for row in rows.iter() {
+                codec::put_len(out, row.view);
+                let names = self.views[row.view].prop_cols.iter().map(|(name, _)| name);
+                let props: Vec<(&String, &PropValue)> = names
+                    .zip(row.values.iter())
+                    .filter_map(|(name, value)| Some((name, value.as_ref()?)))
+                    .collect();
                 codec::put_len(out, props.len());
                 for (name, value) in props {
                     codec::put_str(out, name);
@@ -1393,7 +1671,11 @@ impl IncrementalState {
         let n_chains = r.len()?;
         let mut chains = Vec::with_capacity(n_chains);
         for _ in 0..n_chains {
+            let at = r.pos();
             let n_segs = r.len()?;
+            if n_segs == 0 {
+                return Err(CodecError::invalid(at, "chain without a segment"));
+            }
             let mut segments = Vec::with_capacity(n_segs);
             for _ in 0..n_segs {
                 segments.push(SegmentState::decode(r, &dict)?);
@@ -1428,33 +1710,67 @@ impl IncrementalState {
                 bounds.keys.push(keys);
                 bounds.virts.push(virts);
             }
-            chains.push(ChainState { segments, bounds });
+            chains.push(ChainState {
+                segments,
+                bounds,
+                by_right: None,
+            });
         }
         let n_nodes = r.len()?;
-        let mut node_entries = FxHashMap::default();
+        let mut node_rows: Vec<Box<[PropRow]>> = Vec::new();
         for _ in 0..n_nodes {
-            let key = read_vid(r, &dict)?;
+            let at = r.pos();
+            let key = read_vid(r, &dict)? as usize;
+            if node_rows.len() > key {
+                return Err(CodecError::invalid(at, "node keys not strictly ascending"));
+            }
+            let at = r.pos();
             let support = r.i64()?;
             let n_rows = r.len()?;
-            let mut prop_rows = Vec::with_capacity(n_rows);
+            if n_rows == 0 || support != n_rows as i64 {
+                return Err(CodecError::invalid(
+                    at,
+                    "node support is not its positive row count",
+                ));
+            }
+            let mut rows = Vec::with_capacity(n_rows);
             for _ in 0..n_rows {
                 let at = r.pos();
-                let view_idx = r.scalar()?;
-                if view_idx >= views.len() {
+                let view = r.scalar()?;
+                let Some(view_state) = views.get(view) else {
                     return Err(CodecError::invalid(
                         at,
                         "node entry references unknown view",
                     ));
-                }
+                };
+                let cols = &view_state.prop_cols;
+                let mut values = vec![None; cols.len()];
                 let n_props = r.len()?;
-                let mut props = Vec::with_capacity(n_props);
+                // Names come in the view's column order, each at most once.
+                let mut next = 0;
                 for _ in 0..n_props {
-                    let name = r.str()?.to_string();
-                    props.push((name, graph_snapshot::decode_prop_value(r)?));
+                    let at = r.pos();
+                    let name = r.str()?;
+                    let Some(col) = cols.iter().position(|(n, _)| n == name) else {
+                        return Err(CodecError::invalid(
+                            at,
+                            format!("node property `{name}` is not declared by its view"),
+                        ));
+                    };
+                    if col < next {
+                        return Err(CodecError::invalid(
+                            at,
+                            "node properties out of the view's column order",
+                        ));
+                    }
+                    values[col] = Some(graph_snapshot::decode_prop_value(r)?);
+                    next = col + 1;
                 }
-                prop_rows.push((view_idx, props));
+                let values = values.into_boxed_slice();
+                rows.push(PropRow { view, values });
             }
-            node_entries.insert(key, NodeEntry { support, prop_rows });
+            node_rows.resize_with(key, Box::default);
+            node_rows.push(rows.into_boxed_slice());
         }
         let direct_at = r.pos();
         let direct_support = read_packed_counts(r, &dict)?;
@@ -1473,7 +1789,7 @@ impl IncrementalState {
             threads,
             views,
             chains,
-            node_entries,
+            node_rows,
             dict,
             // Not persisted: the handle assembly rebuilds this from the
             // decoded id map (`rebuild_real_ids`).
@@ -2398,5 +2714,95 @@ mod tests {
                 if *pos == second && what.contains("bag slots")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn decode_rejects_a_node_property_the_view_does_not_declare() {
+        let g = extract(&fig1_db(), true);
+        let mut bytes = state_bytes(&g);
+        assert!(decode_state(&bytes).is_ok());
+        // The view declares `Name` before any node row names it, so the
+        // last `Name` written is a node row's.
+        let at = (0..bytes.len() - 4)
+            .rev()
+            .find(|&i| &bytes[i..i + 4] == b"Name")
+            .expect("a node row's property name");
+        bytes[at..at + 4].copy_from_slice(b"Nope");
+        let err = decode_state(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::Invalid { at: pos, what }
+                if *pos == at - 8 && what.contains("`Nope` is not declared")),
+            "{err}"
+        );
+    }
+
+    /// `M(e, g, y)` with `y` in {7, 8}, keys and groups from small domains.
+    fn tagged_memberships(rng: &mut SplitMix64, rows: usize) -> Table {
+        let mut m = Table::new(Schema::new(vec![
+            Column::int("e"),
+            Column::int("g"),
+            Column::int("y"),
+        ]));
+        for _ in 0..rows {
+            let row = vec![
+                cell(rng, 40, 20),
+                cell(rng, 40, 20),
+                Value::int(7 + rng.next_below(2) as i64),
+            ];
+            m.push_row(row).unwrap();
+        }
+        m
+    }
+
+    /// Which bags a segment keeps and whether a chain keeps `by_right`
+    /// follow from the atoms alone: atoms over one relation in one
+    /// orientation share a bag, a single atom keeps none, and a chain whose
+    /// last segment mirrors its first reads that support instead of
+    /// keeping its transpose. Each shape also continues under deltas.
+    #[test]
+    fn the_chain_shape_decides_which_structures_exist() {
+        let cases: [(&str, f64, &[usize], bool); 8] = [
+            // A self-join: one bag read by both atoms; mirrors itself.
+            ("M(A, G, 7), M(B, G, 7)", 1e12, &[1], false),
+            ("M(A, G, 7), M(B, G, 7)", 0.0, &[0, 0], false),
+            // Different predicates: two relations, no mirror.
+            ("M(A, G, 7), M(B, G, 8)", 1e12, &[2], true),
+            // Friend of friend: one relation read in two orientations.
+            ("M(A, X, 7), M(X, B, 7)", 1e12, &[2], true),
+            // The outer atoms share a bag around a middle atom on the same
+            // table; the cut chain's last segment mirrors its first.
+            ("M(A, G, 7), M(G, H, 8), M(B, H, 7)", 1e12, &[3], true),
+            ("M(A, G, 7), M(G, H, 8), M(B, H, 7)", 0.0, &[0, 0, 0], false),
+            // Three copies of one relation: two bags, one per orientation.
+            ("M(A, X, 7), M(X, Y, 7), M(Y, B, 7)", 1e12, &[2], true),
+            // A palindrome over two relations mirrors itself, its inner
+            // atoms sharing both of their bags.
+            (
+                "M(A, G, 7), M(G, H, 8), M(G2, H, 8), M(B, G2, 7)",
+                1e12,
+                &[3],
+                false,
+            ),
+        ];
+        for (seed, (body, factor, bags, by_right)) in cases.into_iter().enumerate() {
+            let dsl = format!("Nodes(ID, Name) :- Entity(ID, Name).\nEdges(A, B) :- {body}.");
+            let mut rng = SplitMix64::new(30 + seed as u64);
+            let mut db = Database::new();
+            db.register("Entity", entity_table(&mut rng, 40)).unwrap();
+            db.register("M", tagged_memberships(&mut rng, 300)).unwrap();
+            let mut pair = both_ways(&db, &dsl, Some(factor));
+            let state = pair.0.incremental_state().unwrap();
+            let kept: Vec<usize> = state.chains[0]
+                .segments
+                .iter()
+                .map(|s| s.bags.len())
+                .collect();
+            assert_eq!(kept, bags, "{body} at factor {factor}: bags per segment");
+            let has_index = state.chains[0].by_right.is_some();
+            assert_eq!(has_index, by_right, "{body} at factor {factor}: by_right");
+            let mut deltas = churn(&mut db, "M", &mut rng, 20, 20, 40);
+            deltas.extend(churn(&mut db, "Entity", &mut rng, 2, 0, 40));
+            continue_both(&db, &dsl, Some(factor), &mut pair, &deltas);
+        }
     }
 }

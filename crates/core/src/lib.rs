@@ -40,5 +40,5 @@ pub use error::{ConvertError, Error, ErrorKind, PatchError};
 pub use extract::{ExtractionReport, GraphGen, GraphGenConfig, GraphGenConfigBuilder};
 pub use graphgen_dsl::cost::{ChainCost, PlanFingerprint};
 pub use handle::{AdvisorPolicy, ConvertOptions, GraphHandle};
-pub use incremental::{GraphPatch, IncrementalState};
+pub use incremental::{GraphPatch, IncrementalState, StateBytes};
 pub use planner::{catalog_view, explain_spec, ChainPlan, Explanation, JoinDecision, SegmentPlan};

@@ -17,7 +17,7 @@
 //! against the `base / MERGE_FRACTION` changes since the last one.
 
 use crate::error::PatchError;
-use graphgen_common::FxHashMap;
+use graphgen_common::{ByteSize, FxHashMap};
 use graphgen_reldb::exec::{left_runs, pack, unpack, CountedPairs};
 use graphgen_reldb::{Interner, Value, Vid};
 use std::iter::Peekable;
@@ -199,43 +199,64 @@ impl CountedRuns {
     /// counting scatter of the ascending entries, which leaves each `r`'s
     /// run already ascending by `l`.
     pub(crate) fn transposed(&self) -> Self {
-        self.scatter(|m| m)
+        scatter(|| self.iter(), |m| m)
     }
 
     /// The transposed key set: `(r, l)` with count 1 for every pair.
     pub(crate) fn transposed_keys(&self) -> Self {
-        self.scatter(|_| 1)
+        scatter(|| self.iter(), |_| 1)
     }
 
-    fn scatter(&self, count: impl Fn(i64) -> i64) -> Self {
-        // `starts[r + 2]` counts right id `r`; after the prefix sum
-        // `starts[r + 1]` is where its run begins, and it serves as the
-        // write cursor, so the scatter leaves `starts[r]` = begin of `r`.
-        let mut starts: Vec<usize> = vec![0; 2];
-        for (key, _) in self.iter() {
-            let r = unpack(key).1 as usize;
-            if starts.len() < r + 3 {
-                starts.resize(r + 3, 0);
-            }
-            starts[r + 2] += 1;
+    /// The operator output `pairs` (a valid [`CountedPairs`]) with every
+    /// pair stored as `(r, l)`, by the same scatter as
+    /// [`CountedRuns::transposed`].
+    pub(crate) fn transpose_of(pairs: &[(u64, i64)]) -> Self {
+        scatter(|| pairs.iter().copied(), |m| m)
+    }
+}
+
+impl ByteSize for CountedRuns {
+    fn heap_bytes(&self) -> usize {
+        self.base.capacity() * std::mem::size_of::<(u64, i64)>()
+            + self.starts.capacity() * std::mem::size_of::<usize>()
+            + self.overlay.heap_bytes()
+    }
+}
+
+/// Store every `(l, r)` of the ascending `entries` as `(r, l)` with count
+/// `count(m)`. `entries` is walked twice: to count each right id, then to
+/// place every pair.
+fn scatter<I>(entries: impl Fn() -> I, count: impl Fn(i64) -> i64) -> CountedRuns
+where
+    I: Iterator<Item = (u64, i64)>,
+{
+    // `starts[r + 2]` counts right id `r`; after the prefix sum
+    // `starts[r + 1]` is where its run begins, and it serves as the
+    // write cursor, so the scatter leaves `starts[r]` = begin of `r`.
+    let mut starts: Vec<usize> = vec![0; 2];
+    for (key, _) in entries() {
+        let r = unpack(key).1 as usize;
+        if starts.len() < r + 3 {
+            starts.resize(r + 3, 0);
         }
-        for i in 1..starts.len() {
-            starts[i] += starts[i - 1];
-        }
-        let mut base = vec![(0, 0); starts[starts.len() - 1]];
-        for (key, m) in self.iter() {
-            let (l, r) = unpack(key);
-            let at = &mut starts[r as usize + 1];
-            base[*at] = (pack(r, l), count(m));
-            *at += 1;
-        }
-        starts.pop();
-        Self {
-            base,
-            starts,
-            overlay: FxHashMap::default(),
-            overlay_len: 0,
-        }
+        starts[r + 2] += 1;
+    }
+    for i in 1..starts.len() {
+        starts[i] += starts[i - 1];
+    }
+    let mut base = vec![(0, 0); starts[starts.len() - 1]];
+    for (key, m) in entries() {
+        let (l, r) = unpack(key);
+        let at = &mut starts[r as usize + 1];
+        base[*at] = (pack(r, l), count(m));
+        *at += 1;
+    }
+    starts.pop();
+    CountedRuns {
+        base,
+        starts,
+        overlay: FxHashMap::default(),
+        overlay_len: 0,
     }
 }
 
@@ -329,6 +350,12 @@ mod tests {
         for &(k, m) in &flipped {
             assert_eq!(t.get(k), m, "{what}: transposed get");
         }
+        let of = CountedRuns::transpose_of(&all);
+        assert_eq!(
+            of.iter().collect::<Vec<_>>(),
+            flipped,
+            "{what}: pairs transpose"
+        );
         let keys: Vec<(u64, i64)> = flipped.iter().map(|&(k, _)| (k, 1)).collect();
         let tk = runs.transposed_keys();
         assert_eq!(tk.iter().collect::<Vec<_>>(), keys, "{what}: key transpose");

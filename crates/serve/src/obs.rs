@@ -9,7 +9,7 @@
 //!   [`graphgen_common::instruments!`] as [`ServeMetrics`], and the
 //!   labelled families (per-verb request latency over [`Verb::ALL`],
 //!   per-phase apply and extraction timings, per-code check rejections)
-//!   are registered beside it;
+//!   are registered beside it, with the per-part state-bytes gauge;
 //! * the phase router ([`Obs::record_phases`]) that folds the span labels
 //!   captured by [`graphgen_common::metrics::collect_phases`] into those
 //!   families;
@@ -23,7 +23,8 @@
 
 use crate::protocol::Verb;
 use graphgen_common::instruments;
-use graphgen_common::metrics::{Counter, Histogram, Phase, PhaseFamily, Registry};
+use graphgen_common::metrics::{Counter, Gauge, Histogram, Phase, PhaseFamily, Registry};
+use graphgen_core::StateBytes;
 use graphgen_dsl::{Code, Severity};
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -271,6 +272,8 @@ pub struct Obs {
     phase_ns: Vec<Option<Histogram>>,
     /// `graphgen_check_rejects_total`, one member per error code.
     rejects: Vec<(Code, Counter)>,
+    /// `graphgen_state_bytes`, one member per [`StateBytes`] part.
+    state_bytes: Vec<Gauge>,
     trace: TraceRing,
     slow_op_ns: u64,
 }
@@ -310,12 +313,20 @@ impl Obs {
                 )
             })
             .collect();
+        let help = "heap bytes of every graph's delta-maintenance state, by part \
+                    (estimated from capacities when METRICS renders)";
+        let state_bytes = StateBytes::default()
+            .parts()
+            .iter()
+            .map(|(part, _)| registry.gauge_with("graphgen_state_bytes", "part", part, help))
+            .collect();
         Obs {
             registry,
             m,
             request_ns,
             phase_ns,
             rejects,
+            state_bytes,
             trace: TraceRing::new(trace_capacity),
             slow_op_ns,
         }
@@ -340,6 +351,13 @@ impl Obs {
     pub fn record_reject(&self, code: Code) {
         if let Some((_, counter)) = self.rejects.iter().find(|(c, _)| *c == code) {
             counter.inc();
+        }
+    }
+
+    /// Set `graphgen_state_bytes` to `total`, part by part.
+    pub fn set_state_bytes(&self, total: &StateBytes) {
+        for (gauge, (_, bytes)) in self.state_bytes.iter().zip(total.parts()) {
+            gauge.set(bytes as u64);
         }
     }
 

@@ -86,7 +86,9 @@ use graphgen_common::codec::{self, Reader};
 use graphgen_common::metrics::{self, Phase};
 use graphgen_common::region::Region;
 use graphgen_common::FxHashMap;
-use graphgen_core::{catalog_view, Error, GraphGen, GraphGenConfig, GraphHandle, GraphPatch};
+use graphgen_core::{
+    catalog_view, Error, GraphGen, GraphGenConfig, GraphHandle, GraphPatch, StateBytes,
+};
 use graphgen_dsl::cost::{
     cost_with_cuts, estimate_chain, plan_fingerprint, render_explain, render_unknown,
 };
@@ -631,7 +633,8 @@ impl GraphService {
 
     /// Render the Prometheus-style text exposition of every instrument,
     /// refreshing the point-in-time gauges (graph count, database
-    /// version/rows, wedge flag, analyze cache occupancy) from live state
+    /// version/rows, dictionary entries, state bytes, wedge flag, analyze
+    /// cache occupancy) from live state
     /// first. One coherent registry snapshot per call: counters are read
     /// monotonically, never torn against each other mid-line.
     pub fn metrics_text(&self) -> String {
@@ -647,6 +650,15 @@ impl GraphService {
                     .map(|g| g.working.intern_entries())
                     .sum::<usize>();
             self.obs.m.intern_entries.set(interned as u64);
+            let mut state = StateBytes::default();
+            for bytes in inner
+                .graphs
+                .values()
+                .filter_map(|g| g.working.state_bytes())
+            {
+                state += bytes;
+            }
+            self.obs.set_state_bytes(&state);
             self.obs.m.wedged.set(u64::from(inner.wedged));
         }
         let c = self.analyze_counters();

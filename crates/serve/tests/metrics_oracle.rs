@@ -24,6 +24,11 @@
 //! * **`EXTRACT` attribution** — the extraction phase spans account for at
 //!   least 80% of `graphgen_extract_ns`, the scan and join operators among
 //!   them (a row-by-row replay through the delta engine ran neither).
+//! * **One scan per table** — a served self-join `EXTRACT` scans each of
+//!   its two tables once.
+//! * **State bytes by part** — `graphgen_state_bytes` has one member per
+//!   part of the maintenance state, each holding bytes once a graph is
+//!   served and growing with a second one.
 //! * **`APPLY` attribution** — every apply-family phase fires on every
 //!   apply and, the spans never nesting, their sums stay within
 //!   `graphgen_apply_ns`.
@@ -36,6 +41,7 @@
 //!   restart replays exactly *k* records, whatever came before it.
 
 use graphgen_common::metrics::{unescape_exposition, Phase, PhaseFamily, ValueSnapshot};
+use graphgen_core::StateBytes;
 use graphgen_dsl::{Code, Severity};
 use graphgen_reldb::Value;
 use graphgen_serve::testutil::{fig1_db, TempDir};
@@ -473,6 +479,63 @@ fn extract_time_is_attributed_to_phases() {
     assert!(attributed_ns <= total_ns, "phase spans must not nest");
     for label in ["scan", "join", "load_state", "build_rep"] {
         assert!(phase(label).0 > 0, "no `{label}` span recorded");
+    }
+}
+
+#[test]
+fn a_served_self_join_scans_each_table_once() {
+    use graphgen_common::metrics::collect_phases;
+    use graphgen_datagen::relational::DBLP_COAUTHORS;
+    use graphgen_datagen::{dblp_like, DblpConfig};
+    let s = GraphService::in_memory(dblp_like(DblpConfig {
+        authors: 4_000,
+        publications: 6_000,
+        avg_authors_per_pub: 2.5,
+        seed: 1,
+    }));
+    let (extracted, phases) = collect_phases(|| s.extract("g", DBLP_COAUTHORS));
+    extracted.expect("extract");
+    // `Author` for the nodes, `AuthorPub` once: the self-join's second
+    // atom takes the first one's bag transposed.
+    let scans = phases.iter().filter(|(p, _)| *p == Phase::Scan).count();
+    assert_eq!(scans, 2, "{phases:?}");
+}
+
+#[test]
+fn state_bytes_gauge_has_one_member_per_part() {
+    let gauges = |s: &GraphService| -> BTreeMap<String, u64> {
+        let _ = s.metrics_text(); // the gauge is computed when METRICS renders
+        let snapshot = s.obs().registry().snapshot().into_iter();
+        snapshot
+            .filter(|i| i.name == "graphgen_state_bytes")
+            .filter_map(|i| match (i.label, i.value) {
+                (Some((_, part)), ValueSnapshot::Gauge(v)) => Some((part, v)),
+                _ => None,
+            })
+            .collect()
+    };
+    let empty = GraphService::in_memory(fig1_db());
+    let parts: Vec<String> = StateBytes::default()
+        .parts()
+        .iter()
+        .map(|(part, _)| part.to_string())
+        .collect();
+    let none = gauges(&empty);
+    assert_eq!(none.len(), parts.len(), "{none:?}");
+    for part in &parts {
+        assert_eq!(none.get(part), Some(&0), "{none:?}");
+    }
+    // One self-join graph: every part holds bytes; a second graph over the
+    // same tables adds its own to every part.
+    let s = service();
+    let one = gauges(&s);
+    for part in &parts {
+        assert!(one[part] > 0, "`{part}` holds no bytes: {one:?}");
+    }
+    s.extract("h", Q).expect("second extract");
+    let two = gauges(&s);
+    for part in &parts {
+        assert!(two[part] > one[part], "`{part}`: {one:?} -> {two:?}");
     }
 }
 

@@ -289,6 +289,11 @@ const DELETED_NAMES: &[(&str, Option<&str>)] = &[
     // its family; the serving layer routes by `phase as usize`.
     ("APPLY_PHASES", None),
     ("EXTRACT_PHASES", None),
+    // The maintenance state keeps each relation once: node-view rows hold
+    // property values aligned with their view's columns, no names and no
+    // per-key hash entry.
+    ("NodeEntry", None),
+    ("prop_rows", None),
 ];
 
 #[test]
@@ -336,8 +341,10 @@ fn deleted_operators_stay_deleted() {
          `core::planner` over `graphgen_dsl::cost`, the writer's \
          rejection map for the registry's per-code counters, the patch \
          path's per-kind edge methods for `segment_edge` and `Target::edge`, \
-         the kernels' own thread fan-out for `map_chunks`, and the phase \
-         label lists for the one `Phase` declaration; extend those instead \
+         the kernels' own thread fan-out for `map_chunks`, the phase \
+         label lists for the one `Phase` declaration, and the named, \
+         hash-mapped node entries for rows aligned with their view; extend \
+         those instead \
          of bringing a second mechanism back, and keep the docs on the \
          code that exists:\n{}",
         violations.join("\n")
