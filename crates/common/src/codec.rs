@@ -10,8 +10,17 @@
 //! * decoding is bounds-checked everywhere and reports a typed
 //!   [`CodecError`] with the byte offset of the failure — corrupt or
 //!   truncated input can never panic or over-read.
+//!
+//! Encoders write through a [`Sink`]: a `Vec<u8>` in memory, or a
+//! [`FileSink`] that streams a file to disk and keeps its checksum as it
+//! goes.
 
+use crate::fxhash::FxHasher;
 use std::fmt;
+use std::fs::{File, OpenOptions};
+use std::hash::Hasher;
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::path::Path;
 
 /// A decoding failure: what went wrong and where in the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,52 +72,259 @@ impl std::error::Error for CodecError {}
 // Writing
 // ---------------------------------------------------------------------------
 
+/// Where an encoder writes: every `put_*` function appends through one.
+///
+/// A `Vec<u8>` is a sink (the in-memory encodings: `to_snapshot_bytes`,
+/// log records, tests); a [`FileSink`] streams to a file, so a snapshot
+/// file never exists as one buffer in memory.
+pub trait Sink {
+    /// Append `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
 /// Append a `u8`.
 #[inline]
-pub fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
+pub fn put_u8(out: &mut impl Sink, v: u8) {
+    out.put(&[v]);
 }
 
 /// Append a little-endian `u32`.
 #[inline]
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+pub fn put_u32(out: &mut impl Sink, v: u32) {
+    out.put(&v.to_le_bytes());
 }
 
 /// Append a little-endian `u64`.
 #[inline]
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+pub fn put_u64(out: &mut impl Sink, v: u64) {
+    out.put(&v.to_le_bytes());
 }
 
 /// Append a little-endian `i64`.
 #[inline]
-pub fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
+pub fn put_i64(out: &mut impl Sink, v: i64) {
+    out.put(&v.to_le_bytes());
 }
 
 /// Append an `f64` as its IEEE-754 bit pattern (little-endian).
 #[inline]
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
+pub fn put_f64(out: &mut impl Sink, v: f64) {
     put_u64(out, v.to_bits());
 }
 
 /// Append a `usize` as a `u64` (the format is 64-bit regardless of host).
 #[inline]
-pub fn put_len(out: &mut Vec<u8>, v: usize) {
+pub fn put_len(out: &mut impl Sink, v: usize) {
     put_u64(out, v as u64);
 }
 
 /// Append a length-prefixed UTF-8 string.
-pub fn put_str(out: &mut Vec<u8>, s: &str) {
+pub fn put_str(out: &mut impl Sink, s: &str) {
     put_len(out, s.len());
-    out.extend_from_slice(s.as_bytes());
+    out.put(s.as_bytes());
 }
 
 /// Append a length-prefixed byte slice.
-pub fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+pub fn put_bytes(out: &mut impl Sink, b: &[u8]) {
     put_len(out, b.len());
-    out.extend_from_slice(b);
+    out.put(b);
+}
+
+// ---------------------------------------------------------------------------
+// Integrity checksum
+// ---------------------------------------------------------------------------
+
+/// The fxhash64 of `bytes`: the checksum of every log record and the
+/// trailer of every sealed snapshot file.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut sum = Checksum::default();
+    sum.update(bytes);
+    sum.finish()
+}
+
+/// [`checksum`] computed over content that arrives in pieces: equal to
+/// `checksum` of the concatenation, however it is split.
+///
+/// `FxHasher::write` folds whole 8-byte words and then pads a short tail,
+/// so only 8-byte-aligned blocks may reach the hasher before the end; the
+/// remainder of each piece is carried into the next.
+#[derive(Debug, Clone, Default)]
+pub struct Checksum {
+    hasher: FxHasher,
+    carry: [u8; 8],
+    pending: usize,
+}
+
+impl Checksum {
+    /// Feed the next piece of the content.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        if self.pending > 0 {
+            let take = (8 - self.pending).min(bytes.len());
+            self.carry[self.pending..self.pending + take].copy_from_slice(&bytes[..take]);
+            self.pending += take;
+            bytes = &bytes[take..];
+            if self.pending < 8 {
+                return;
+            }
+            self.hasher.write(&self.carry);
+            self.pending = 0;
+        }
+        let whole = bytes.len() & !7;
+        self.hasher.write(&bytes[..whole]);
+        let rest = &bytes[whole..];
+        self.carry[..rest.len()].copy_from_slice(rest);
+        self.pending = rest.len();
+    }
+
+    /// The checksum of everything fed so far.
+    pub fn finish(&self) -> u64 {
+        let mut h = self.hasher.clone();
+        h.write(&self.carry[..self.pending]);
+        h.finish()
+    }
+}
+
+/// Block size of a [`FileSink`]'s write buffer and of its read-back.
+const FILE_BLOCK: usize = 64 << 10;
+
+/// A [`Sink`] that streams into a new file through a 64 KiB
+/// [`BufWriter`], counting the bytes and keeping their [`Checksum`] as
+/// blocks reach the file.
+///
+/// Writes cannot fail mid-encode: the first I/O error is kept, later
+/// puts are dropped, and [`FileSink::checksum`] or [`FileSink::finish`]
+/// return it. Bytes already written can be overwritten once their value
+/// is known ([`FileSink::patch`], for a length written ahead of what it
+/// measures); the next [`FileSink::checksum`] then reads the file back
+/// once, sequentially, instead of encoding anything twice.
+#[derive(Debug)]
+pub struct FileSink {
+    out: BufWriter<Tally>,
+    patched: bool,
+    err: Option<io::Error>,
+}
+
+/// The file under a [`FileSink`]'s buffer: what reaches it is counted and
+/// checksummed in the order it is written.
+#[derive(Debug)]
+struct Tally {
+    file: File,
+    written: u64,
+    sum: Checksum,
+}
+
+impl Write for Tally {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.file.write(buf)?;
+        self.sum.update(&buf[..n]);
+        self.written += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.file.flush()
+    }
+}
+
+impl FileSink {
+    /// Create (or truncate) the file at `path` and write from its start.
+    pub fn create(path: &Path) -> io::Result<Self> {
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(path)?;
+        let tally = Tally {
+            file,
+            written: 0,
+            sum: Checksum::default(),
+        };
+        Ok(Self {
+            out: BufWriter::with_capacity(FILE_BLOCK, tally),
+            patched: false,
+            err: None,
+        })
+    }
+
+    /// Bytes put so far: the offset the next put writes at.
+    pub fn position(&self) -> u64 {
+        self.out.get_ref().written + self.out.buffer().len() as u64
+    }
+
+    /// Overwrite the bytes at offset `at` (all of them already put) with
+    /// `bytes`. The running checksum no longer matches the file, so the
+    /// next [`FileSink::checksum`] reads the file back.
+    pub fn patch(&mut self, at: u64, bytes: &[u8]) -> io::Result<()> {
+        assert!(
+            at + bytes.len() as u64 <= self.position(),
+            "a patch overwrites bytes already put"
+        );
+        self.flush()?;
+        let file = &mut self.out.get_mut().file;
+        file.seek(SeekFrom::Start(at))?;
+        file.write_all(bytes)?;
+        file.seek(SeekFrom::End(0))?;
+        self.patched = true;
+        Ok(())
+    }
+
+    /// The [`checksum`] of every byte put so far, patches included.
+    pub fn checksum(&mut self) -> io::Result<u64> {
+        self.flush()?;
+        let tally = self.out.get_mut();
+        if self.patched {
+            let mut sum = Checksum::default();
+            let mut block = vec![0u8; FILE_BLOCK];
+            tally.file.seek(SeekFrom::Start(0))?;
+            loop {
+                match tally.file.read(&mut block) {
+                    Ok(0) => break,
+                    Ok(n) => sum.update(&block[..n]),
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            tally.sum = sum;
+            self.patched = false;
+        }
+        Ok(tally.sum.finish())
+    }
+
+    /// Flush everything put and, when `sync` is set, fsync the file.
+    pub fn finish(mut self, sync: bool) -> io::Result<()> {
+        self.flush()?;
+        if sync {
+            self.out.get_ref().file.sync_all()?;
+        }
+        Ok(())
+    }
+
+    /// Push the buffer to the file, or return the first error any write
+    /// met.
+    fn flush(&mut self) -> io::Result<()> {
+        if let Some(e) = self.err.take() {
+            return Err(e);
+        }
+        self.out.flush()
+    }
+}
+
+impl Sink for FileSink {
+    fn put(&mut self, bytes: &[u8]) {
+        if self.err.is_none() {
+            if let Err(e) = self.out.write_all(bytes) {
+                self.err = Some(e);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -322,6 +538,78 @@ mod tests {
         assert!(r.expect_end().is_ok());
         let mut r2 = Reader::new(&buf);
         assert!(r2.expect_magic(b"NOPE").is_err());
+    }
+
+    /// The streamed checksum equals the one-shot checksum of the whole
+    /// content however the content is cut: empty pieces, pieces shorter
+    /// than a word, and pieces longer than a file block, in seeded random
+    /// order.
+    #[test]
+    fn streamed_checksum_matches_the_whole_under_random_splits() {
+        use crate::SplitMix64;
+        for seed in 0..64 {
+            let mut rng = SplitMix64::new(seed);
+            let len = rng.next_below(3 * FILE_BLOCK as u64) as usize;
+            let content: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let mut sum = Checksum::default();
+            let mut at = 0;
+            while at < len {
+                let piece = match rng.next_below(4) {
+                    0 => 0,
+                    1 => 1 + rng.next_below(7) as usize,
+                    2 => rng.next_below(64) as usize,
+                    _ => FILE_BLOCK - 3 + rng.next_below(FILE_BLOCK as u64) as usize,
+                };
+                let end = (at + piece).min(len);
+                sum.update(&content[at..end]);
+                at = end;
+                if rng.next_below(8) == 0 {
+                    assert_eq!(
+                        sum.finish(),
+                        checksum(&content[..at]),
+                        "seed {seed} at {at}"
+                    );
+                }
+            }
+            sum.update(&[]);
+            assert_eq!(sum.finish(), checksum(&content), "seed {seed}");
+            let mut whole = FxHasher::default();
+            whole.write(&content);
+            assert_eq!(checksum(&content), whole.finish(), "seed {seed}");
+        }
+    }
+
+    /// A file streamed through a [`FileSink`] holds exactly what a `Vec`
+    /// sink holds, and its checksum is the content's, before and after a
+    /// back-patch.
+    #[test]
+    fn file_sink_writes_what_a_vec_sink_holds() {
+        let path = std::env::temp_dir().join(format!("codec-sink-{}", std::process::id()));
+        let mut vec = Vec::new();
+        let mut file = FileSink::create(&path).unwrap();
+        put_u64(&mut vec, 0);
+        put_u64(&mut file, 0);
+        for i in 0..40_000u32 {
+            put_u8(&mut vec, i as u8);
+            put_u8(&mut file, i as u8);
+            put_str(&mut vec, "héllo");
+            put_str(&mut file, "héllo");
+        }
+        let big = vec![7u8; 3 * FILE_BLOCK];
+        put_bytes(&mut vec, &big);
+        put_bytes(&mut file, &big);
+        assert_eq!(file.position(), vec.len() as u64);
+        assert_eq!(file.checksum().unwrap(), checksum(&vec));
+        let len = (vec.len() as u64).to_le_bytes();
+        vec[..8].copy_from_slice(&len);
+        file.patch(0, &len).unwrap();
+        assert_eq!(file.checksum().unwrap(), checksum(&vec));
+        put_u32(&mut vec, 9);
+        put_u32(&mut file, 9);
+        assert_eq!(file.checksum().unwrap(), checksum(&vec));
+        file.finish(false).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), vec);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

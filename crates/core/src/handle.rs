@@ -321,6 +321,16 @@ impl GraphHandle {
         crate::serialize::encode_snapshot(self)
     }
 
+    /// Write the bytes of [`GraphHandle::to_snapshot_bytes`] through `out`
+    /// without collecting them: a file sink streams them to disk.
+    ///
+    /// # Errors
+    ///
+    /// As [`GraphHandle::to_snapshot_bytes`]; nothing is written then.
+    pub fn write_snapshot(&self, out: &mut impl graphgen_common::codec::Sink) -> Result<(), Error> {
+        crate::serialize::encode_snapshot_into(self, out)
+    }
+
     /// Decode a snapshot produced by [`GraphHandle::to_snapshot_bytes`].
     /// The recovered handle is structurally verbatim: the same C-DUP,
     /// the same canonical bytes, and — for incremental handles — `apply_delta`

@@ -361,14 +361,14 @@ impl IncrementalState {
     }
 
     /// How many single-segment chains output each pair: the reference
-    /// count of its direct edge. A function of the supports, so it is not
-    /// kept; snapshots store it (as they always have) and decoding checks
-    /// it.
-    fn direct_support(&self) -> CountedPairs {
-        let mut direct = CountedPairs::new();
+    /// count of its direct edge, ascending by pair. A function of the
+    /// supports, so it is neither kept nor collected; snapshots store it
+    /// (as they always have) and decoding checks it.
+    fn direct_support(&self) -> impl Iterator<Item = (u64, i64)> + '_ {
+        let mut direct: Box<dyn Iterator<Item = (u64, i64)> + '_> = Box::new(std::iter::empty());
         for chain in self.chains.iter().filter(|c| c.segments.len() == 1) {
             let keys = chain.segments[0].support.iter().map(|(key, _)| (key, 1));
-            direct = merge(std::mem::take(&mut direct).into_iter(), keys).collect();
+            direct = Box::new(merge(direct, keys));
         }
         direct
     }
@@ -1397,7 +1397,7 @@ fn check_counted<K: Ord>(at: usize, prev: Option<K>, key: K, count: i64) -> Resu
 
 /// Encode an atom bag slot by slot: every left id with a run, ascending,
 /// then its `(right id, multiplicity)` entries.
-fn put_bag(out: &mut Vec<u8>, bag: &CountedRuns) {
+fn put_bag(out: &mut impl codec::Sink, bag: &CountedRuns) {
     let mut lefts: Vec<Vid> = Vec::new();
     for (key, _) in bag.iter() {
         let l = unpack(key).0;
@@ -1445,7 +1445,11 @@ fn read_bag(r: &mut Reader<'_>, dict: &Interner) -> Result<CountedPairs, CodecEr
     Ok(pairs)
 }
 
-fn put_packed_counts(out: &mut Vec<u8>, len: usize, pairs: impl Iterator<Item = (u64, i64)>) {
+fn put_packed_counts(
+    out: &mut impl codec::Sink,
+    len: usize,
+    pairs: impl Iterator<Item = (u64, i64)>,
+) {
     codec::put_len(out, len);
     for (key, m) in pairs {
         codec::put_u64(out, key);
@@ -1474,7 +1478,7 @@ fn read_packed_counts(r: &mut Reader<'_>, dict: &Interner) -> Result<CountedPair
     Ok(pairs)
 }
 
-fn put_idmap(out: &mut Vec<u8>, ids: &IdMap<Value>) {
+fn put_idmap(out: &mut impl codec::Sink, ids: &IdMap<Value>) {
     codec::put_len(out, ids.len());
     for (_, key) in ids.iter() {
         key.encode_into(out);
@@ -1496,7 +1500,7 @@ fn read_idmap(r: &mut Reader<'_>) -> Result<IdMap<Value>, CodecError> {
 
 /// Encode an `IdMap<Value>` (keys in dense-id order). Shared with the
 /// handle snapshot in [`crate::serialize`].
-pub(crate) fn encode_idmap(ids: &IdMap<Value>, out: &mut Vec<u8>) {
+pub(crate) fn encode_idmap(ids: &IdMap<Value>, out: &mut impl codec::Sink) {
     put_idmap(out, ids);
 }
 
@@ -1507,7 +1511,7 @@ pub(crate) fn decode_idmap(r: &mut Reader<'_>) -> Result<IdMap<Value>, CodecErro
 
 impl AtomState {
     /// The atom's header; its pairs follow ([`SegmentState::encode_into`]).
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into(&self, out: &mut impl codec::Sink) {
         codec::put_str(out, &self.table);
         self.pred.encode_into(out);
         codec::put_len(out, self.in_col);
@@ -1528,7 +1532,7 @@ impl AtomState {
 }
 
 impl SegmentState {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into(&self, out: &mut impl codec::Sink) {
         codec::put_len(out, self.atoms.len());
         for (i, atom) in self.atoms.iter().enumerate() {
             atom.encode_into(out);
@@ -1570,7 +1574,7 @@ impl IncrementalState {
     /// Encode the whole maintenance state (see the module-level codec
     /// notes). Deterministic: runs are walked in order, hash-map content is
     /// emitted in sorted order.
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut impl codec::Sink) {
         // The engine dictionary goes first: everything after it stores
         // interned ids, and a recovered state must continue allocating
         // ids exactly where the encoding process stopped.
@@ -1631,8 +1635,7 @@ impl IncrementalState {
                 }
             }
         }
-        let direct = self.direct_support();
-        put_packed_counts(out, direct.len(), direct.into_iter());
+        put_packed_counts(out, self.direct_support().count(), self.direct_support());
         // The trailing tag once flagged a condensed shadow section (1);
         // files written since carry 0, and the format keeps the byte.
         codec::put_u8(out, 0);
@@ -1795,7 +1798,7 @@ impl IncrementalState {
             // decoded id map (`rebuild_real_ids`).
             real_ids: Vec::new(),
         };
-        if state.direct_support() != direct_support {
+        if !state.direct_support().eq(direct_support) {
             return Err(CodecError::invalid(
                 direct_at,
                 "direct-edge support disagrees with the single-segment supports",

@@ -45,6 +45,13 @@
 //! format 1 (`GGSNAP1\0`, flat adjacency lists) are **not** readable;
 //! their files fail with a clean magic-mismatch error.
 //!
+//! [`encode_snapshot_into`] writes the layout through any
+//! [`Sink`], section by section, so the
+//! serving layer streams it into a snapshot file without holding the
+//! encoding. Only the condensed-graph section is buffered: encoding it
+//! fills the chunk table, which must come first. [`encode_snapshot`] is the
+//! same writer into a `Vec`, trimmed to its length.
+//!
 //! The extraction [`report`](crate::ExtractionReport) is diagnostics, not
 //! state, and is **not** persisted: a decoded handle carries a default
 //! report. Everything observable through the graph API — canonical bytes,
@@ -55,7 +62,7 @@ use crate::anygraph::AnyGraph;
 use crate::error::Error;
 use crate::handle::GraphHandle;
 use crate::incremental::{self, IncrementalState};
-use graphgen_common::codec::{self, CodecError, Reader};
+use graphgen_common::codec::{self, CodecError, Reader, Sink};
 use graphgen_graph::snapshot as graph_snapshot;
 use graphgen_graph::{GraphRep, PropValue};
 use graphgen_reldb::Value;
@@ -170,37 +177,52 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"GGSNAP3\0";
 
 /// Encode a whole C-DUP [`GraphHandle`] as a self-contained binary
 /// snapshot (see the module docs for the layout). Deterministic: equal
-/// handles produce equal bytes.
+/// handles produce equal bytes. The buffer is [`encode_snapshot_into`]'s
+/// output, trimmed to its length.
 ///
 /// # Errors
 ///
 /// [`Error::SnapshotOfDerived`] (kind [`crate::ErrorKind::Snapshot`]) if
 /// the handle holds a representation derived from the C-DUP.
 pub fn encode_snapshot(g: &GraphHandle) -> Result<Vec<u8>, Error> {
+    let mut out = Vec::new();
+    encode_snapshot_into(g, &mut out)?;
+    out.shrink_to_fit();
+    Ok(out)
+}
+
+/// Write the snapshot of `g` (the bytes [`encode_snapshot`] returns)
+/// through `out`, section by section. Only the condensed graph is buffered:
+/// the chunk table its encoding fills must precede it.
+///
+/// # Errors
+///
+/// [`Error::SnapshotOfDerived`] (kind [`crate::ErrorKind::Snapshot`]) if
+/// the handle holds a representation derived from the C-DUP; nothing has
+/// been written then.
+pub fn encode_snapshot_into(g: &GraphHandle, out: &mut impl Sink) -> Result<(), Error> {
     let AnyGraph::CDup(graph) = g.graph() else {
         return Err(Error::SnapshotOfDerived(g.kind()));
     };
-    // Chunk-bearing sections encode into a body buffer while interning
-    // their chunks; the deduplicated chunk table is then emitted *before*
-    // the body, so decode can resolve references in one pass.
     let mut enc = graph_snapshot::ChunkEncoder::new();
-    let mut body = Vec::new();
-    codec::put_u8(&mut body, 0);
-    graph_snapshot::encode_condensed(graph, &mut enc, &mut body);
-    incremental::encode_idmap(g.ids(), &mut body);
-    graph_snapshot::encode_properties(g.properties(), &mut body);
+    let mut section = Vec::new();
+    graph_snapshot::encode_condensed(graph, &mut enc, &mut section);
+    out.put(&SNAPSHOT_MAGIC);
+    enc.finish_into(out);
+    codec::put_u8(out, 0);
+    out.put(&section);
+    // Freed before the id map and the state stream behind it.
+    drop(section);
+    incremental::encode_idmap(g.ids(), out);
+    graph_snapshot::encode_properties(g.properties(), out);
     match g.incremental_state() {
-        None => codec::put_u8(&mut body, 0),
+        None => codec::put_u8(out, 0),
         Some(state) => {
-            codec::put_u8(&mut body, 1);
-            state.encode_into(&mut body);
+            codec::put_u8(out, 1);
+            state.encode_into(out);
         }
     }
-    let mut out = Vec::with_capacity(body.len() + 64);
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    enc.finish_into(&mut out);
-    out.extend_from_slice(&body);
-    Ok(out)
+    Ok(())
 }
 
 /// Decode a binary snapshot produced by [`encode_snapshot`]. Rejects bad
@@ -612,6 +634,7 @@ mod tests {
         for g in [extract(), churned_co_occurrence()] {
             assert_eq!(g.kind(), RepKind::CDup);
             let bytes = g.to_snapshot_bytes().unwrap();
+            assert_eq!(bytes.capacity(), bytes.len(), "exact-size buffer");
             let back = decode_snapshot(&bytes).unwrap();
             assert_eq!(back.kind(), RepKind::CDup);
             assert_eq!(back.is_incremental(), g.is_incremental());

@@ -37,7 +37,7 @@ use std::sync::Arc;
 // ---------------------------------------------------------------------------
 
 /// Encode a `Vec<bool>` as a bit-packed word array.
-fn put_bools(out: &mut Vec<u8>, bits: &[bool]) {
+fn put_bools(out: &mut impl codec::Sink, bits: &[bool]) {
     codec::put_len(out, bits.len());
     let mut word = 0u64;
     for (i, &b) in bits.iter().enumerate() {
@@ -132,7 +132,7 @@ impl ChunkEncoder {
 
     /// Encode a [`ChunkedAdj`] store as its length plus chunk references,
     /// interning each chunk into the table.
-    pub fn encode_chunked(&mut self, adj: &ChunkedAdj, out: &mut Vec<u8>) {
+    pub fn encode_chunked(&mut self, adj: &ChunkedAdj, out: &mut impl codec::Sink) {
         codec::put_len(out, adj.len());
         for chunk in adj.chunks() {
             codec::put_u32(out, self.intern(chunk));
@@ -141,14 +141,14 @@ impl ChunkEncoder {
 
     /// Emit the chunk table section (chunk capacity, count, payloads in
     /// id order).
-    pub fn finish_into(self, out: &mut Vec<u8>) {
+    pub fn finish_into(self, out: &mut impl codec::Sink) {
         codec::put_len(out, CHUNK_LEN);
         codec::put_len(out, self.by_bytes.len());
         let mut payloads: Vec<(&Vec<u8>, u32)> =
             self.by_bytes.iter().map(|(p, &id)| (p, id)).collect();
         payloads.sort_by_key(|&(_, id)| id);
         for (p, _) in payloads {
-            out.extend_from_slice(p);
+            out.put(p);
         }
     }
 }
@@ -282,7 +282,7 @@ impl ChunkDecoder {
 /// liveness bits). Adjacency chunks are interned into `enc`'s chunk table
 /// — shared or byte-identical chunks are written once across the whole
 /// snapshot.
-pub fn encode_condensed(g: &CondensedGraph, enc: &mut ChunkEncoder, out: &mut Vec<u8>) {
+pub fn encode_condensed(g: &CondensedGraph, enc: &mut ChunkEncoder, out: &mut impl codec::Sink) {
     codec::put_len(out, g.num_real_slots());
     codec::put_len(out, g.num_virtual());
     put_bools(out, &g.alive);
@@ -321,7 +321,7 @@ pub fn decode_condensed(
 // ---------------------------------------------------------------------------
 
 /// Encode one [`PropValue`] (tag byte + payload).
-pub fn encode_prop_value(p: &PropValue, out: &mut Vec<u8>) {
+pub fn encode_prop_value(p: &PropValue, out: &mut impl codec::Sink) {
     match p {
         PropValue::Int(v) => {
             codec::put_u8(out, 0);
@@ -351,7 +351,7 @@ pub fn decode_prop_value(r: &mut Reader<'_>) -> Result<PropValue, CodecError> {
 
 /// Encode a [`Properties`] store (columns in sorted name order; each cell a
 /// presence tag plus the value).
-pub fn encode_properties(p: &Properties, out: &mut Vec<u8>) {
+pub fn encode_properties(p: &Properties, out: &mut impl codec::Sink) {
     codec::put_len(out, p.n);
     let mut names: Vec<&String> = p.columns.keys().collect();
     names.sort();

@@ -363,7 +363,7 @@ impl Database {
     /// from the ids each cell is looked up to in the decoded dictionary
     /// (lookup-only, never re-acquiring: the persisted refcounts already
     /// account for every live occurrence).
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub fn encode_into(&self, out: &mut impl codec::Sink) {
         self.dict.encode_into(out);
         let mut names: Vec<&String> = self.tables.keys().collect();
         names.sort();

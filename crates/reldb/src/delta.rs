@@ -117,7 +117,7 @@ impl Delta {
     /// then per row an op tag (`0` insert, `1` delete) and the
     /// length-prefixed values. This is the write-ahead-log record payload
     /// format of the serving layer.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub fn encode_into(&self, out: &mut impl codec::Sink) {
         codec::put_str(out, &self.table);
         codec::put_len(out, self.rows.len());
         for row in &self.rows {
@@ -204,7 +204,7 @@ impl DeltaBatch {
     }
 
     /// Append the binary encoding: delta count, then each delta.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub fn encode_into(&self, out: &mut impl codec::Sink) {
         codec::put_len(out, self.deltas.len());
         for d in &self.deltas {
             d.encode_into(out);

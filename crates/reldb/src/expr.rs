@@ -93,8 +93,8 @@ impl Predicate {
     /// column and value for comparisons, count and children for `And`).
     /// Part of the graph snapshot format: the incremental maintenance
     /// state persists its pre-compiled atom predicates.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let cmp = |out: &mut Vec<u8>, tag: u8, col: &usize, v: &Value| {
+    pub fn encode_into<S: codec::Sink>(&self, out: &mut S) {
+        let cmp = |out: &mut S, tag: u8, col: &usize, v: &Value| {
             codec::put_u8(out, tag);
             codec::put_len(out, *col);
             v.encode_into(out);

@@ -177,7 +177,7 @@ impl Interner {
     /// (occupancy flag, value, refcount), then the free list. Persisting
     /// the free list verbatim means a decoded interner allocates the same
     /// `Vid`s the live one would have.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub fn encode_into(&self, out: &mut impl codec::Sink) {
         codec::put_len(out, self.slots.len());
         for (slot, &refs) in self.slots.iter().zip(&self.refs) {
             match slot {
@@ -253,20 +253,13 @@ impl Interner {
 }
 
 impl ByteSize for Interner {
+    /// From the containers' capacities: spare hash slots and control
+    /// bytes, and the vectors' spare room, are held as much as entries.
     fn heap_bytes(&self) -> usize {
-        let map = self
-            .map
-            .keys()
-            .map(|v| v.heap_bytes() + std::mem::size_of::<(Value, Vid)>())
-            .sum::<usize>();
-        let slots = self
-            .slots
-            .iter()
-            .map(|s| {
-                s.as_ref().map_or(0, ByteSize::heap_bytes) + std::mem::size_of::<Option<Value>>()
-            })
-            .sum::<usize>();
-        map + slots + self.refs.len() * 8 + self.free.len() * 4
+        self.map.heap_bytes()
+            + self.slots.heap_bytes()
+            + self.refs.heap_bytes()
+            + self.free.heap_bytes()
     }
 }
 

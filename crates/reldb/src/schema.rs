@@ -71,7 +71,7 @@ impl Schema {
 
     /// Append the binary encoding of this schema (column count, then each
     /// column's name and type tag). Part of the service database snapshot.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub fn encode_into(&self, out: &mut impl codec::Sink) {
         codec::put_len(out, self.columns.len());
         for c in &self.columns {
             codec::put_str(out, &c.name);

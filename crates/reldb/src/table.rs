@@ -269,7 +269,7 @@ impl StoredTable {
     /// tagged [`Value`] its id resolves to in `dict`); tombstoned rows are
     /// not written, so a decoded table is always compact. Part of the
     /// service database snapshot.
-    pub(crate) fn encode_into(&self, dict: &Interner, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, dict: &Interner, out: &mut impl codec::Sink) {
         self.schema.encode_into(out);
         codec::put_len(out, self.rows);
         for col in &self.columns {

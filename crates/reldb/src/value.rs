@@ -83,7 +83,7 @@ impl Value {
     /// Append the binary encoding of this value (tag byte, then the
     /// payload; strings are length-prefixed UTF-8). Part of the snapshot /
     /// WAL format — see `graphgen_common::codec` for the conventions.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub fn encode_into(&self, out: &mut impl codec::Sink) {
         match self {
             Value::Null => codec::put_u8(out, 0),
             Value::Int(v) => {

@@ -14,8 +14,8 @@
 //!   never a torn mid-patch state (snapshot isolation; enforced by the
 //!   crate's soak tests at 1/2/8 reader threads);
 //! * **persistence** — per-graph binary snapshots of the maintained C-DUP
-//!   (`GraphHandle::to_snapshot_bytes`, magic-headed, length-prefixed
-//!   little-endian) plus **one** write-ahead delta log with checksummed
+//!   (`GraphHandle::write_snapshot`, magic-headed, length-prefixed
+//!   little-endian, streamed to the file) plus **one** write-ahead delta log with checksummed
 //!   records and torn-tail truncation, folded into fresh snapshots by a
 //!   size-triggered checkpoint. [`GraphService::open`] recovers the exact
 //!   pre-crash committed state from any abrupt-drop layout, including

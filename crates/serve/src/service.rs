@@ -54,6 +54,8 @@
 //! Snapshot files carry a whole-file fxhash64 trailer ([`crate::wal::seal`])
 //! and log records carry per-record checksums, so recovery surfaces
 //! corruption as [`ServeError::Corrupt`] instead of decoding flipped bytes.
+//! Both snapshot files stream to disk through
+//! [`crate::wal::write_sealed_file`]; neither exists in memory whole.
 //!
 //! **One log.** The writer lock puts every batch in one serial order, and
 //! the delta engine is deterministic in that order, so the order is all
@@ -81,8 +83,8 @@
 //! it as [`ServeError::Corrupt`] instead of serving a diverged graph.
 
 use crate::error::{ServeError, ServeResult};
-use crate::wal::{seal, unseal, write_file_atomic, Wal};
-use graphgen_common::codec::{self, Reader};
+use crate::wal::{unseal, write_sealed_file, Wal};
+use graphgen_common::codec::{self, Reader, Sink};
 use graphgen_common::metrics::{self, Phase};
 use graphgen_common::region::Region;
 use graphgen_common::FxHashMap;
@@ -1247,13 +1249,17 @@ fn replay_batch_on_db(db: &mut Database, batch: &DeltaBatch) -> ServeResult<()> 
 }
 
 fn write_db_snapshot(dir: &Path, db: &Database, db_version: u64, fsync: bool) -> ServeResult<()> {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&DB_SNAP_MAGIC);
-    codec::put_u64(&mut bytes, db_version);
-    db.encode_into(&mut bytes);
-    seal(&mut bytes);
-    write_file_atomic(&dir.join("db.snap"), &bytes, fsync)?;
-    Ok(())
+    write_sealed_file(&dir.join("db.snap"), fsync, |out| {
+        put_db_snapshot(out, db, db_version);
+        Ok(())
+    })
+}
+
+/// The content of `db.snap` before its seal.
+fn put_db_snapshot(out: &mut impl Sink, db: &Database, db_version: u64) {
+    out.put(&DB_SNAP_MAGIC);
+    codec::put_u64(out, db_version);
+    db.encode_into(out);
 }
 
 /// `db_version` is passed explicitly (not read off the snapshot) because a
@@ -1262,32 +1268,47 @@ fn write_db_snapshot(dir: &Path, db: &Database, db_version: u64, fsync: bool) ->
 /// its tables untouched. The snapshot is written from the **working**
 /// handle: it owns the delta-maintenance state the recovered graph
 /// continues from (published reader clones deliberately carry none).
+///
+/// The handle's encoding streams to the file behind its `u64` length,
+/// which is written as 0 and patched once the handle is out; the seal is
+/// then computed by reading the file back once. Only the handle's
+/// condensed-graph section is ever buffered whole.
 fn write_graph_snapshot(
     dir: &Path,
     state: &GraphState,
     db_version: u64,
     fsync: bool,
 ) -> ServeResult<()> {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&GRAPH_SNAP_MAGIC);
-    codec::put_u64(&mut bytes, state.current.version());
-    codec::put_u64(&mut bytes, db_version);
-    codec::put_str(&mut bytes, &state.dsl);
-    codec::put_len(&mut bytes, state.frozen.len());
+    let path = graph_snap_path(dir, state.current.name());
+    write_sealed_file(&path, fsync, |out| {
+        put_graph_header(out, state, db_version);
+        let at = out.position();
+        codec::put_u64(out, 0);
+        state.working.write_snapshot(out)?;
+        let len = out.position() - at - 8;
+        out.patch(at, &len.to_le_bytes())?;
+        Ok(())
+    })
+}
+
+/// What a graph snapshot file holds before the handle's length and bytes:
+/// magic, version stamps, DSL and frozen plans.
+fn put_graph_header(out: &mut impl Sink, state: &GraphState, db_version: u64) {
+    out.put(&GRAPH_SNAP_MAGIC);
+    codec::put_u64(out, state.current.version());
+    codec::put_u64(out, db_version);
+    codec::put_str(out, &state.dsl);
+    codec::put_len(out, state.frozen.len());
     for plan in &state.frozen {
-        codec::put_len(&mut bytes, plan.cuts.len());
+        codec::put_len(out, plan.cuts.len());
         for &cut in &plan.cuts {
-            codec::put_u8(&mut bytes, u8::from(cut));
+            codec::put_u8(out, u8::from(cut));
         }
-        for &out in &plan.planned_outputs {
-            codec::put_f64(&mut bytes, out);
+        for &planned in &plan.planned_outputs {
+            codec::put_f64(out, planned);
         }
-        codec::put_f64(&mut bytes, plan.planned_cost);
+        codec::put_f64(out, plan.planned_cost);
     }
-    codec::put_bytes(&mut bytes, &state.working.to_snapshot_bytes()?);
-    seal(&mut bytes);
-    write_file_atomic(&graph_snap_path(dir, state.current.name()), &bytes, fsync)?;
-    Ok(())
 }
 
 /// Load one graph's snapshot file into writer-side state at the version
@@ -1298,8 +1319,8 @@ fn load_graph_snapshot(name: &str, snap_path: &Path, threads: usize) -> ServeRes
     let content =
         unseal(&bytes).ok_or_else(|| ServeError::corrupt(&file, "integrity checksum mismatch"))?;
     let mut r = Reader::new(content);
-    type SnapParts = (u64, u64, String, Vec<FrozenChainPlan>, Vec<u8>);
-    let parse = |r: &mut Reader<'_>| -> Result<SnapParts, graphgen_common::CodecError> {
+    type SnapParts<'a> = (u64, u64, String, Vec<FrozenChainPlan>, &'a [u8]);
+    fn parse<'a>(r: &mut Reader<'a>) -> Result<SnapParts<'a>, graphgen_common::CodecError> {
         r.expect_magic(&GRAPH_SNAP_MAGIC)?;
         let version = r.u64()?;
         let db_version = r.u64()?;
@@ -1323,13 +1344,13 @@ fn load_graph_snapshot(name: &str, snap_path: &Path, threads: usize) -> ServeRes
                 planned_cost,
             });
         }
-        let handle_bytes = r.bytes()?.to_vec();
+        let handle_bytes = r.bytes()?;
         r.expect_end()?;
         Ok((version, db_version, dsl, frozen, handle_bytes))
-    };
+    }
     let (version, snap_db_version, dsl, frozen, handle_bytes) =
         parse(&mut r).map_err(|e| ServeError::corrupt(&file, e))?;
-    let mut working = GraphHandle::from_snapshot_bytes(&handle_bytes)?;
+    let mut working = GraphHandle::from_snapshot_bytes(handle_bytes)?;
     working.set_threads(threads);
     Ok(GraphState::new(
         name,
@@ -1551,6 +1572,74 @@ pub(crate) mod tests {
             )])
             .unwrap();
         assert_eq!(recovered.snapshot("g").unwrap().version(), 3);
+    }
+
+    /// The snapshot files the service streams to disk hold exactly the
+    /// bytes of the same content encoded into a `Vec` and sealed:
+    /// `db.snap` and `g.graph.snap` after the `EXTRACT` and after a
+    /// `COMPACT` between applies, on a graph whose handle spans many file
+    /// blocks. The directory then reopens to the graph it served.
+    #[test]
+    fn streamed_snapshot_files_equal_the_vec_encoding() {
+        use crate::wal::seal;
+        use graphgen_datagen::relational::DBLP_COAUTHORS;
+        use graphgen_datagen::{dblp_like, DblpConfig};
+
+        fn expected(service: &GraphService) -> (Vec<u8>, Vec<u8>) {
+            let inner = service.inner.lock().unwrap();
+            let mut db_snap = Vec::new();
+            put_db_snapshot(&mut db_snap, &inner.db, inner.db_version);
+            seal(&mut db_snap);
+            let state = &inner.graphs["g"];
+            let mut graph_snap = Vec::new();
+            put_graph_header(&mut graph_snap, state, state.snap_db_version);
+            codec::put_bytes(&mut graph_snap, &state.working.to_snapshot_bytes().unwrap());
+            seal(&mut graph_snap);
+            (db_snap, graph_snap)
+        }
+        let on_disk = |dir: &Path| {
+            let read = |file: &str| std::fs::read(dir.join(file)).unwrap();
+            (read("db.snap"), read("g.graph.snap"))
+        };
+
+        let db = dblp_like(DblpConfig {
+            authors: 1_500,
+            publications: 2_000,
+            avg_authors_per_pub: 2.5,
+            seed: 5,
+        });
+        let rows: Vec<Vec<Value>> = db.table("AuthorPub").unwrap().iter_rows().collect();
+        let dir = TempDir::new("svc-streamed");
+        let expected_canonical;
+        {
+            let service = GraphService::create(dir.path(), db, ServiceConfig::default()).unwrap();
+            service.extract("g", DBLP_COAUTHORS).unwrap();
+            let files = on_disk(dir.path());
+            assert!(files.1.len() > 4 * 65_536, "the handle spans file blocks");
+            assert_eq!(files, expected(&service), "after EXTRACT");
+            let apply = |i: usize| {
+                let a = Value::int(i as i64 % 1_500);
+                let inserts = (0..8).map(|p| vec![a.clone(), Value::int(p * 7 + i as i64)]);
+                service
+                    .apply(&[TableMutation::new(
+                        "AuthorPub",
+                        inserts.collect(),
+                        rows[i * 5..i * 5 + 3].to_vec(),
+                    )])
+                    .unwrap();
+            };
+            (0..3).for_each(apply);
+            service.compact("g").unwrap();
+            let files = on_disk(dir.path());
+            assert_eq!(files, expected(&service), "after COMPACT");
+            (3..5).for_each(apply);
+            assert_eq!(on_disk(dir.path()), files, "applies only append to the log");
+            expected_canonical = service.snapshot("g").unwrap().canonical_bytes();
+        }
+        let reopened = GraphService::open(dir.path()).unwrap();
+        let snap = reopened.snapshot("g").unwrap();
+        assert_eq!(snap.version(), 6);
+        assert_eq!(snap.canonical_bytes(), expected_canonical);
     }
 
     #[test]

@@ -15,26 +15,20 @@
 //! corruption of acknowledged history, and [`Wal::open`] reports it as
 //! [`io::ErrorKind::InvalidData`] without touching the file.
 //!
-//! Snapshots are replaced atomically: [`write_file_atomic`] writes to a
+//! Snapshots are replaced atomically: [`write_sealed_file`] streams to a
 //! `.tmp` sibling, syncs, then renames over the target, so a reader never
 //! observes a half-written snapshot and a crash mid-compaction leaves
 //! either the old or the new file, never a hybrid.
 
+use graphgen_common::codec::{self, checksum, FileSink};
 use graphgen_common::metrics::Histogram;
 use std::fs::{File, OpenOptions};
-use std::hash::Hasher;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Frame overhead per record (length + checksum).
 const HEADER: usize = 4 + 8;
-
-fn checksum(payload: &[u8]) -> u64 {
-    let mut h = graphgen_common::FxHasher::default();
-    h.write(payload);
-    h.finish()
-}
 
 /// An append-only record log. See the module docs for the framing.
 #[derive(Debug)]
@@ -191,6 +185,7 @@ impl Wal {
 /// Append an fxhash64 integrity trailer over `bytes` — the seal every
 /// snapshot file carries so recovery detects corruption (WAL records carry
 /// per-record checksums; snapshot files carry this whole-file one).
+/// [`write_sealed_file`] writes the same trailer without holding the file.
 pub fn seal(bytes: &mut Vec<u8>) {
     let sum = checksum(bytes);
     bytes.extend_from_slice(&sum.to_le_bytes());
@@ -205,18 +200,28 @@ pub fn unseal(bytes: &[u8]) -> Option<&[u8]> {
     (checksum(content) == stored).then_some(content)
 }
 
-/// Write `bytes` to `path` atomically: write + sync a `.tmp` sibling, then
-/// rename it over the target. Leftover `.tmp` files from a crash are inert
-/// (recovery ignores them).
-pub fn write_file_atomic(path: &Path, bytes: &[u8], sync: bool) -> io::Result<()> {
+/// Write a sealed file at `path` atomically: `fill` streams the content
+/// into a [`FileSink`] on a `.tmp` sibling, the [`seal`] trailer follows
+/// (the sink's checksum of everything it holds, back-patches included),
+/// then the file is synced and renamed over the target and the rename
+/// synced. The file equals `seal` of the same content written to a `Vec`.
+/// Leftover `.tmp` files from a crash are inert (recovery ignores them);
+/// one left by a failed `fill` is removed.
+pub fn write_sealed_file<E: From<io::Error>>(
+    path: &Path,
+    sync: bool,
+    fill: impl FnOnce(&mut FileSink) -> Result<(), E>,
+) -> Result<(), E> {
     let tmp = path.with_extension("tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        if sync {
-            f.sync_all()?;
-        }
+    let mut out = FileSink::create(&tmp)?;
+    if let Err(e) = fill(&mut out) {
+        drop(out);
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
     }
+    let sum = out.checksum()?;
+    codec::put_u64(&mut out, sum);
+    out.finish(sync)?;
     std::fs::rename(&tmp, path)?;
     if sync {
         // Make the rename itself durable where the platform allows.
@@ -338,9 +343,25 @@ mod tests {
     fn atomic_write_replaces() {
         let dir = TempDir::new("wal-atomic");
         let path = dir.path().join("s.snap");
-        write_file_atomic(&path, b"v1", true).unwrap();
-        write_file_atomic(&path, b"v2", true).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"v2");
+        let put = |content: &'static [u8]| {
+            move |out: &mut FileSink| -> io::Result<()> {
+                codec::Sink::put(out, content);
+                Ok(())
+            }
+        };
+        write_sealed_file(&path, true, put(b"v1")).unwrap();
+        write_sealed_file(&path, true, put(b"v2")).unwrap();
+        let mut sealed = b"v2".to_vec();
+        seal(&mut sealed);
+        assert_eq!(std::fs::read(&path).unwrap(), sealed);
+        assert!(!path.with_extension("tmp").exists());
+        // A failing fill leaves the target and no `.tmp` behind.
+        let failed = write_sealed_file(&path, true, |out: &mut FileSink| {
+            codec::Sink::put(out, b"v3");
+            Err(io::Error::other("encode failed"))
+        });
+        assert!(failed.is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), sealed);
         assert!(!path.with_extension("tmp").exists());
     }
 }
