@@ -79,12 +79,6 @@ impl GraphGenConfig {
         }
     }
 
-    /// Re-open this configuration as a builder, to vary one knob without
-    /// re-listing the others.
-    pub fn to_builder(self) -> GraphGenConfigBuilder {
-        GraphGenConfigBuilder { cfg: self }
-    }
-
     /// The large-output test factor (the paper uses 2.0).
     pub fn large_output_factor(&self) -> f64 {
         self.large_output_factor

@@ -101,7 +101,7 @@
 use crate::error::{Error, PatchError};
 use crate::extract::{emit_segment, segment_edge, StoredEdge};
 use crate::planner::{filters_to_predicate, ChainPlan};
-use crate::runs::{merge, CountedRuns};
+use crate::runs::CountedRuns;
 use graphgen_common::metrics::{span, Phase};
 use graphgen_common::parallel::{effective_threads, map_morsels};
 use graphgen_common::region::Region;
@@ -114,7 +114,6 @@ use graphgen_reldb::exec::{
     group_pairs, join_counted, pack, scan_project, transpose_counted, unpack, CountedPairs,
 };
 use graphgen_reldb::{Database, Delta, DeltaOp, Interner, Predicate, Value, Vid, NULL_VID};
-use std::borrow::Cow;
 
 /// What [`crate::GraphHandle::apply_delta`] did, for reporting and
 /// benchmarking. All counters are in units of applied operations.
@@ -358,19 +357,6 @@ impl IncrementalState {
         };
         state.derive_indexes();
         state
-    }
-
-    /// How many single-segment chains output each pair: the reference
-    /// count of its direct edge, ascending by pair. A function of the
-    /// supports, so it is neither kept nor collected; snapshots store it
-    /// (as they always have) and decoding checks it.
-    fn direct_support(&self) -> impl Iterator<Item = (u64, i64)> + '_ {
-        let mut direct: Box<dyn Iterator<Item = (u64, i64)> + '_> = Box::new(std::iter::empty());
-        for chain in self.chains.iter().filter(|c| c.segments.len() == 1) {
-            let keys = chain.segments[0].support.iter().map(|(key, _)| (key, 1));
-            direct = Box::new(merge(direct, keys));
-        }
-        direct
     }
 
     /// Rebuild the `Vid` → real-id side-table from scratch (snapshot
@@ -646,12 +632,11 @@ impl SegmentState {
         }
     }
 
-    /// Fill the bags from every atom's `(in, out)` pairs, which the bulk
-    /// load's scans and the snapshot decoder both produce: a bag some atom
-    /// reads by `in` is that atom's pairs, moved; a bag read by `out` only
-    /// is its first reader's pairs, transposed. Hands back, per atom, the
-    /// pairs no bag took.
-    fn adopt(&mut self, pairs: Vec<CountedPairs>) -> Vec<Option<CountedPairs>> {
+    /// Fill the bags from every atom's `(in, out)` pairs, as the bulk
+    /// load's scans produce them: a bag some atom reads by `in` is that
+    /// atom's pairs, moved; a bag read by `out` only is its first reader's
+    /// pairs, transposed. Pairs no bag takes are dropped.
+    fn adopt(&mut self, pairs: Vec<CountedPairs>) {
         let mut pairs: Vec<Option<CountedPairs>> = pairs.into_iter().map(Some).collect();
         // Per bag: the atom whose pairs fill it, and whether it reads them by `in`.
         let sources: Vec<(usize, bool)> = (0..self.bags.len())
@@ -676,17 +661,6 @@ impl SegmentState {
             if keyed_by_in {
                 self.bags[b] = CountedRuns::new(pairs[i].take().expect("moved once"));
             }
-        }
-        pairs
-    }
-
-    /// Atom `i`'s `(in, out)` pairs as the snapshot format writes every
-    /// atom's (empty for an atom no delta join walks).
-    fn pairs_of(&self, i: usize) -> Cow<'_, CountedRuns> {
-        match (self.atoms[i].by_in, self.atoms[i].by_out) {
-            (Some(b), _) => Cow::Borrowed(&self.bags[b]),
-            (None, Some(b)) => Cow::Owned(self.bags[b].transposed()),
-            (None, None) => Cow::Owned(CountedRuns::default()),
         }
     }
 
@@ -1113,8 +1087,9 @@ pub(crate) fn apply_delta_state(
 //   first (`mirrors`); a mirroring chain reads the first support instead;
 // * `bounds.index` — one per boundary.
 //
-// The bags are the primary state (the bulk loader and the snapshot
-// decoder fill them through `SegmentState::adopt`); `by_right` and
+// The bags are the primary state (the bulk loader fills them through
+// `SegmentState::adopt`, the snapshot decoder reads them as written);
+// `by_right` and
 // `bounds.index` are functions of the supports and `bounds.keys`, built by
 // `IncrementalState::derive_indexes`, which both of them end with —
 // `IncrementalState::new` runs it on the empty state.
@@ -1356,18 +1331,18 @@ impl IncrementalState {
 // ---------------------------------------------------------------------------
 //
 // The serving layer persists incremental handles so a recovered process can
-// keep applying deltas exactly where the crashed one stopped. The whole
-// maintenance state — atom multisets, segment supports, boundary interning,
-// node entries — is encoded with the workspace codec conventions, in a
-// format older than the state's layout: every atom writes its `(in, out)`
-// pairs (empty for an atom no delta join walks) and every node row its
-// property names, and the encoder derives them from the bags and the views
-// where the state keeps neither. The reverse indexes (`by_right`,
-// `bounds.index`) are rebuilt on decode instead of stored. Every bag and
-// support map is written in run order — strictly ascending keys,
-// multiplicities ≥ 1, no empty bag slot — and the decoder accepts nothing
-// else, nor an atom's pairs that disagree with the bag its segment keeps
-// for them, so a decoded state re-encodes to the bytes it came from.
+// keep applying deltas exactly where the crashed one stopped. The encoding
+// writes what the state keeps, once, with the workspace codec conventions:
+// the engine dictionary, the views, per segment its atom headers, then its
+// bags as kept (how many there are, and which atom reads which, follows
+// from the headers through `SegmentState::new`) and its support, per chain
+// the boundary interning, and the node rows, each its view and one
+// presence-tagged value per property column the view declares. The reverse
+// indexes (`by_right`, `bounds.index`) are rebuilt on decode instead of
+// stored. Every bag and support map is written in run order — strictly
+// ascending keys, multiplicities ≥ 1, no empty bag slot — and the decoder
+// accepts nothing else, so a decoded state re-encodes to the bytes it came
+// from.
 
 use graphgen_common::codec::{self, CodecError, Reader};
 use graphgen_graph::snapshot as graph_snapshot;
@@ -1445,13 +1420,10 @@ fn read_bag(r: &mut Reader<'_>, dict: &Interner) -> Result<CountedPairs, CodecEr
     Ok(pairs)
 }
 
-fn put_packed_counts(
-    out: &mut impl codec::Sink,
-    len: usize,
-    pairs: impl Iterator<Item = (u64, i64)>,
-) {
-    codec::put_len(out, len);
-    for (key, m) in pairs {
+/// Encode a support map: its length, then every `(packed key, count)`.
+fn put_packed_counts(out: &mut impl codec::Sink, support: &CountedRuns) {
+    codec::put_len(out, support.len());
+    for (key, m) in support.iter() {
         codec::put_u64(out, key);
         codec::put_i64(out, m);
     }
@@ -1478,39 +1450,9 @@ fn read_packed_counts(r: &mut Reader<'_>, dict: &Interner) -> Result<CountedPair
     Ok(pairs)
 }
 
-fn put_idmap(out: &mut impl codec::Sink, ids: &IdMap<Value>) {
-    codec::put_len(out, ids.len());
-    for (_, key) in ids.iter() {
-        key.encode_into(out);
-    }
-}
-
-fn read_idmap(r: &mut Reader<'_>) -> Result<IdMap<Value>, CodecError> {
-    let n = r.len()?;
-    let mut ids = IdMap::with_capacity(n);
-    for i in 0..n {
-        let at = r.pos();
-        let key = Value::decode(r)?;
-        if ids.intern(key) != i as u32 {
-            return Err(CodecError::invalid(at, "duplicate key in id map"));
-        }
-    }
-    Ok(ids)
-}
-
-/// Encode an `IdMap<Value>` (keys in dense-id order). Shared with the
-/// handle snapshot in [`crate::serialize`].
-pub(crate) fn encode_idmap(ids: &IdMap<Value>, out: &mut impl codec::Sink) {
-    put_idmap(out, ids);
-}
-
-/// Decode an `IdMap<Value>` (inverse of [`encode_idmap`]).
-pub(crate) fn decode_idmap(r: &mut Reader<'_>) -> Result<IdMap<Value>, CodecError> {
-    read_idmap(r)
-}
-
 impl AtomState {
-    /// The atom's header; its pairs follow ([`SegmentState::encode_into`]).
+    /// The atom's header; the segment's bags follow its atoms'
+    /// ([`SegmentState::encode_into`]).
     fn encode_into(&self, out: &mut impl codec::Sink) {
         codec::put_str(out, &self.table);
         self.pred.encode_into(out);
@@ -1534,36 +1476,23 @@ impl AtomState {
 impl SegmentState {
     fn encode_into(&self, out: &mut impl codec::Sink) {
         codec::put_len(out, self.atoms.len());
-        for (i, atom) in self.atoms.iter().enumerate() {
+        for atom in &self.atoms {
             atom.encode_into(out);
-            put_bag(out, &self.pairs_of(i));
         }
-        put_packed_counts(out, self.support.len(), self.support.iter());
+        for bag in &self.bags {
+            put_bag(out, bag);
+        }
+        put_packed_counts(out, &self.support);
     }
 
-    /// The primary state: every atom's pairs are read, the bags adopt them,
-    /// and pairs no bag took must equal what the bags imply for their atom.
+    /// The atom headers decide the bag layout ([`SegmentState::new`]); the
+    /// bags and the support follow as written.
     fn decode(r: &mut Reader<'_>, dict: &Interner) -> Result<Self, CodecError> {
         let n = r.len()?;
-        let mut atoms = Vec::with_capacity(n);
-        let mut pairs = Vec::with_capacity(n);
-        let mut at = Vec::with_capacity(n);
-        for _ in 0..n {
-            atoms.push(AtomState::decode(r)?);
-            at.push(r.pos());
-            pairs.push(read_bag(r, dict)?);
-        }
-        let mut seg = Self::new(atoms);
-        let left = seg.adopt(pairs);
-        for (i, pairs) in left.iter().enumerate() {
-            if let Some(pairs) = pairs {
-                if !seg.pairs_of(i).iter().eq(pairs.iter().copied()) {
-                    return Err(CodecError::invalid(
-                        at[i],
-                        "atom pairs disagree with the segment's bags",
-                    ));
-                }
-            }
+        let atoms = (0..n).map(|_| AtomState::decode(r));
+        let mut seg = Self::new(atoms.collect::<Result<_, _>>()?);
+        for bag in &mut seg.bags {
+            *bag = CountedRuns::new(read_bag(r, dict)?);
         }
         seg.support = CountedRuns::new(read_packed_counts(r, dict)?);
         Ok(seg)
@@ -1611,34 +1540,23 @@ impl IncrementalState {
                 }
             }
         }
-        // Node entries ascending by key: the support (its row count), then
-        // each row's view and its non-NULL properties by name.
+        // Node entries ascending by key: the rows (their count is the
+        // key's support), each its view and one presence-tagged value per
+        // property column the view declares.
         let nodes = self.node_rows.iter().enumerate();
         let nodes: Vec<(usize, &Box<[PropRow]>)> =
             nodes.filter(|(_, rows)| !rows.is_empty()).collect();
         codec::put_len(out, nodes.len());
         for (key, rows) in nodes {
             codec::put_u32(out, key as Vid);
-            codec::put_i64(out, rows.len() as i64);
             codec::put_len(out, rows.len());
             for row in rows.iter() {
                 codec::put_len(out, row.view);
-                let names = self.views[row.view].prop_cols.iter().map(|(name, _)| name);
-                let props: Vec<(&String, &PropValue)> = names
-                    .zip(row.values.iter())
-                    .filter_map(|(name, value)| Some((name, value.as_ref()?)))
-                    .collect();
-                codec::put_len(out, props.len());
-                for (name, value) in props {
-                    codec::put_str(out, name);
-                    graph_snapshot::encode_prop_value(value, out);
+                for value in row.values.iter() {
+                    graph_snapshot::encode_prop_cell(value.as_ref(), out);
                 }
             }
         }
-        put_packed_counts(out, self.direct_support().count(), self.direct_support());
-        // The trailing tag once flagged a condensed shadow section (1);
-        // files written since carry 0, and the format keeps the byte.
-        codec::put_u8(out, 0);
     }
 
     /// Decode a maintenance state (inverse of
@@ -1728,13 +1646,9 @@ impl IncrementalState {
                 return Err(CodecError::invalid(at, "node keys not strictly ascending"));
             }
             let at = r.pos();
-            let support = r.i64()?;
             let n_rows = r.len()?;
-            if n_rows == 0 || support != n_rows as i64 {
-                return Err(CodecError::invalid(
-                    at,
-                    "node support is not its positive row count",
-                ));
+            if n_rows == 0 {
+                return Err(CodecError::invalid(at, "node entry without a row"));
             }
             let mut rows = Vec::with_capacity(n_rows);
             for _ in 0..n_rows {
@@ -1746,47 +1660,13 @@ impl IncrementalState {
                         "node entry references unknown view",
                     ));
                 };
-                let cols = &view_state.prop_cols;
-                let mut values = vec![None; cols.len()];
-                let n_props = r.len()?;
-                // Names come in the view's column order, each at most once.
-                let mut next = 0;
-                for _ in 0..n_props {
-                    let at = r.pos();
-                    let name = r.str()?;
-                    let Some(col) = cols.iter().position(|(n, _)| n == name) else {
-                        return Err(CodecError::invalid(
-                            at,
-                            format!("node property `{name}` is not declared by its view"),
-                        ));
-                    };
-                    if col < next {
-                        return Err(CodecError::invalid(
-                            at,
-                            "node properties out of the view's column order",
-                        ));
-                    }
-                    values[col] = Some(graph_snapshot::decode_prop_value(r)?);
-                    next = col + 1;
-                }
-                let values = values.into_boxed_slice();
+                let values = (0..view_state.prop_cols.len())
+                    .map(|_| graph_snapshot::decode_prop_cell(r))
+                    .collect::<Result<_, _>>()?;
                 rows.push(PropRow { view, values });
             }
             node_rows.resize_with(key, Box::default);
             node_rows.push(rows.into_boxed_slice());
-        }
-        let direct_at = r.pos();
-        let direct_support = read_packed_counts(r, &dict)?;
-        let at = r.pos();
-        match r.u8()? {
-            0 => {}
-            1 => {
-                return Err(CodecError::invalid(
-                    at,
-                    "condensed shadow section: a maintained handle holds its C-DUP",
-                ))
-            }
-            tag => return Err(CodecError::invalid(at, format!("bad shadow tag {tag}"))),
         }
         let mut state = Self {
             threads,
@@ -1798,12 +1678,6 @@ impl IncrementalState {
             // decoded id map (`rebuild_real_ids`).
             real_ids: Vec::new(),
         };
-        if !state.direct_support().eq(direct_support) {
-            return Err(CodecError::invalid(
-                direct_at,
-                "direct-edge support disagrees with the single-segment supports",
-            ));
-        }
         state.derive_indexes();
         Ok(state)
     }
@@ -2155,8 +2029,8 @@ mod tests {
     }
 
     /// Every encoded byte of the maintenance state — engine dictionary,
-    /// atom bags, supports, boundary key/virtual order, node entries,
-    /// `direct_support` — and the graph the handle serves.
+    /// atom bags, supports, boundary key/virtual order, node entries — and
+    /// the graph the handle serves.
     fn assert_same_handle(bulk: &GraphHandle, replay: &GraphHandle, what: &str) {
         assert!(state_bytes(bulk) == state_bytes(replay), "{what}: state");
         assert_eq!(
@@ -2647,24 +2521,28 @@ mod tests {
         );
     }
 
+    /// Q1 over Fig. 1 as one two-atom segment: the self-join's one bag,
+    /// `(publication, author)`, has three publication slots, the first
+    /// holding three authors, one each. Its offset in the encoded state.
+    fn shared_bag_at(bytes: &[u8]) -> usize {
+        let three = 3u64.to_le_bytes();
+        (0..bytes.len() - 24)
+            .find(|&i| bytes[i..i + 8] == three && bytes[i + 12..i + 20] == three)
+            .expect("the self-join's bag")
+    }
+
     #[test]
     fn decode_rejects_empty_bag_slot() {
-        // Q1 over Fig. 1 as one two-atom segment, whose atoms keep their
-        // bags: `by_in` of atom 0 has five author slots, the first holding
-        // two publications, one each.
         let g = GraphGen::with_config(&fig1_db(), bulk_cfg(None, 1, true))
             .extract(Q1)
             .unwrap();
         let mut bytes = state_bytes(&g);
         assert!(decode_state(&bytes).is_ok());
-        let (five, two) = (5u64.to_le_bytes(), 2u64.to_le_bytes());
-        let at = (0..bytes.len() - 24)
-            .find(|&i| bytes[i..i + 8] == five && bytes[i + 12..i + 20] == two)
-            .expect("by_in of atom 0");
-        // Slot 0 keeps its id but loses its two entries: a slot the
+        let at = shared_bag_at(&bytes);
+        // Slot 0 keeps its id but loses its three entries: a slot the
         // encoder never writes.
         let count = at + 8 + 4;
-        bytes.drain(count + 8..count + 8 + 2 * 12);
+        bytes.drain(count + 8..count + 8 + 3 * 12);
         bytes[count..count + 8].copy_from_slice(&0u64.to_le_bytes());
         let err = decode_state(&bytes).unwrap_err();
         assert!(
@@ -2675,41 +2553,15 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_direct_support_disagreeing_with_the_supports() {
-        // One single-segment chain: `direct_support` is the segment's 17
-        // co-author pairs, each counted once, right before the trailing tag.
-        let g = GraphGen::with_config(&fig1_db(), bulk_cfg(None, 1, true))
-            .extract(Q1)
-            .unwrap();
-        let mut bytes = state_bytes(&g);
-        let at = bytes.len() - 1 - 17 * 16 - 8;
-        assert_eq!(bytes[at..at + 8], 17u64.to_le_bytes());
-        assert!(decode_state(&bytes).is_ok());
-        bytes[at + 16..at + 24].copy_from_slice(&2i64.to_le_bytes());
-        let err = decode_state(&bytes).unwrap_err();
-        assert!(
-            matches!(&err, CodecError::Invalid { at: pos, what }
-                if *pos == at && what.contains("direct-edge support")),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn decode_rejects_descending_bag_slot() {
-        // The default factor keeps Q1 one two-atom segment, whose atoms
-        // keep their bags: `by_in` of atom 0 has a slot per author.
         let g = GraphGen::with_config(&fig1_db(), bulk_cfg(None, 1, true))
             .extract(Q1)
             .unwrap();
         let mut bytes = state_bytes(&g);
         assert!(decode_state(&bytes).is_ok());
-        // Five author slots; the first holds two publications, one each.
-        let (five, two) = (5u64.to_le_bytes(), 2u64.to_le_bytes());
-        let at = (0..bytes.len() - 24)
-            .find(|&i| bytes[i..i + 8] == five && bytes[i + 12..i + 20] == two)
-            .expect("by_in of atom 0");
-        // Slot 1's id := 0, below slot 0's: it would overwrite a bag.
-        let second = at + 8 + 4 + 8 + 2 * 12;
+        let at = shared_bag_at(&bytes);
+        // Slot 1's id := 0, not above slot 0's: it would overwrite a bag.
+        let second = at + 8 + 4 + 8 + 3 * 12;
         bytes[second..second + 4].copy_from_slice(&0u32.to_le_bytes());
         let err = decode_state(&bytes).unwrap_err();
         assert!(
@@ -2720,21 +2572,20 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_a_node_property_the_view_does_not_declare() {
+    fn decode_rejects_a_bad_presence_tag() {
         let g = extract(&fig1_db(), true);
         let mut bytes = state_bytes(&g);
         assert!(decode_state(&bytes).is_ok());
-        // The view declares `Name` before any node row names it, so the
-        // last `Name` written is a node row's.
-        let at = (0..bytes.len() - 4)
-            .rev()
-            .find(|&i| &bytes[i..i + 4] == b"Name")
-            .expect("a node row's property name");
-        bytes[at..at + 4].copy_from_slice(b"Nope");
+        // The state ends with the last node row's one property cell:
+        // present, text, "a5".
+        let at = bytes.len() - (1 + 1 + 8 + 2);
+        assert_eq!(bytes[at..at + 2], [1, 2]);
+        assert!(bytes.ends_with(b"a5"));
+        bytes[at] = 7;
         let err = decode_state(&bytes).unwrap_err();
         assert!(
             matches!(&err, CodecError::Invalid { at: pos, what }
-                if *pos == at - 8 && what.contains("`Nope` is not declared")),
+                if *pos == at && what.contains("bad presence tag 7")),
             "{err}"
         );
     }

@@ -8,7 +8,7 @@
 //! since: per left id, a short list of its changes sorted by right id. A
 //! point probe is a binary search in the id's slice and in its list; a left
 //! id's entries are the two merged; the reverse order is a counting scatter
-//! of the ascending entries ([`CountedRuns::transposed`]), never a hash
+//! of the ascending entries ([`CountedRuns::transpose_of`]), never a hash
 //! rebuild or a comparison sort.
 //!
 //! The overlay folds into the base once it outgrows a fixed fraction of it
@@ -195,21 +195,14 @@ impl CountedRuns {
         merge(self.base.iter().copied(), adj)
     }
 
-    /// The same bag with every pair `(l, r)` stored as `(r, l)`: one
-    /// counting scatter of the ascending entries, which leaves each `r`'s
-    /// run already ascending by `l`.
-    pub(crate) fn transposed(&self) -> Self {
-        scatter(|| self.iter(), |m| m)
-    }
-
     /// The transposed key set: `(r, l)` with count 1 for every pair.
     pub(crate) fn transposed_keys(&self) -> Self {
         scatter(|| self.iter(), |_| 1)
     }
 
     /// The operator output `pairs` (a valid [`CountedPairs`]) with every
-    /// pair stored as `(r, l)`, by the same scatter as
-    /// [`CountedRuns::transposed`].
+    /// pair stored as `(r, l)`: one counting scatter of the ascending
+    /// entries, which leaves each `r`'s run already ascending by `l`.
     pub(crate) fn transpose_of(pairs: &[(u64, i64)]) -> Self {
         scatter(|| pairs.iter().copied(), |m| m)
     }
@@ -345,17 +338,15 @@ mod tests {
             })
             .collect();
         flipped.sort_unstable();
-        let t = runs.transposed();
-        assert_eq!(t.iter().collect::<Vec<_>>(), flipped, "{what}: transpose");
-        for &(k, m) in &flipped {
-            assert_eq!(t.get(k), m, "{what}: transposed get");
-        }
         let of = CountedRuns::transpose_of(&all);
         assert_eq!(
             of.iter().collect::<Vec<_>>(),
             flipped,
             "{what}: pairs transpose"
         );
+        for &(k, m) in &flipped {
+            assert_eq!(of.get(k), m, "{what}: transposed get");
+        }
         let keys: Vec<(u64, i64)> = flipped.iter().map(|&(k, _)| (k, 1)).collect();
         let tk = runs.transposed_keys();
         assert_eq!(tk.iter().collect::<Vec<_>>(), keys, "{what}: key transpose");

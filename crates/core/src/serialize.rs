@@ -20,30 +20,29 @@
 //! `graphgen_common::codec`):
 //!
 //! ```text
-//! magic  8 bytes  b"GGSNAP3\0"   (embeds the format version)
+//! magic  8 bytes  b"GGSNAP4\0"   (embeds the format version)
 //! chunks …        adjacency chunk table (graphgen_graph::snapshot):
 //!                 chunk capacity, count, then each distinct chunk once —
 //!                 chunks shared between sections (or byte-identical) are
 //!                 deduplicated and rebuilt shared on decode
-//! rep    u8       always 0 (C-DUP); any other tag is rejected
 //! graph  …        C-DUP payload: slot counts, liveness bits, then the
 //!                 real and virtual adjacency as chunk references into
 //!                 the table
 //! ids    …        node keys in dense-id order
 //! props  …        property columns (sorted by name)
-//! incr   u8 + …   0 = plain handle; 1 = incremental maintenance state:
-//!                 the engine dictionary (dense-id interner)
-//!                 first, then id-keyed atom bags / supports / boundary
-//!                 interning / node entries / direct-edge supports, then
-//!                 one tag byte, always 0 (1 flagged a condensed shadow
-//!                 section, which decoding now rejects)
+//! incr   u8 + …   0 = plain handle; 1 = incremental maintenance state,
+//!                 as the state keeps it: the engine dictionary (dense-id
+//!                 interner) first, then the views, per segment its atom
+//!                 headers, its bags and its support, the boundary
+//!                 interning, and the node rows
 //! ```
 //!
-//! Format 3 prepends the engine dictionary to the incremental section and
-//! stores all maintenance state keyed by dense interned ids instead of
-//! owned values. Format 2 (`GGSNAP2\0`, value-keyed maintenance state) and
-//! format 1 (`GGSNAP1\0`, flat adjacency lists) are **not** readable;
-//! their files fail with a clean magic-mismatch error.
+//! Format 4 writes each maintained relation once: no per-atom copy of a
+//! bag, no direct-edge counts (they follow from the supports), no property
+//! names per node row and no representation or shadow tag. Formats 1–3
+//! (`GGSNAP1\0` flat adjacency lists, `GGSNAP2\0` value-keyed maintenance
+//! state, `GGSNAP3\0` derived copies beside the state) are **not**
+//! readable; their files fail with a clean magic-mismatch error.
 //!
 //! [`encode_snapshot_into`] writes the layout through any
 //! [`Sink`], section by section, so the
@@ -61,8 +60,9 @@
 use crate::anygraph::AnyGraph;
 use crate::error::Error;
 use crate::handle::GraphHandle;
-use crate::incremental::{self, IncrementalState};
+use crate::incremental::IncrementalState;
 use graphgen_common::codec::{self, CodecError, Reader, Sink};
+use graphgen_common::IdMap;
 use graphgen_graph::snapshot as graph_snapshot;
 use graphgen_graph::{GraphRep, PropValue};
 use graphgen_reldb::Value;
@@ -170,10 +170,10 @@ fn json_prop(p: &PropValue) -> String {
 }
 
 /// Magic prefix of the binary handle snapshot format; the trailing digit is
-/// the format version (3 = dense-id interned maintenance state; 2 =
-/// chunked, deduplicated adjacency — older-format files fail with a clean
-/// magic mismatch).
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"GGSNAP3\0";
+/// the format version (4 = the maintenance state as it is kept; 3 =
+/// dense-id interned maintenance state; 2 = chunked, deduplicated
+/// adjacency — older-format files fail with a clean magic mismatch).
+pub const SNAPSHOT_MAGIC: [u8; 8] = *b"GGSNAP4\0";
 
 /// Encode a whole C-DUP [`GraphHandle`] as a self-contained binary
 /// snapshot (see the module docs for the layout). Deterministic: equal
@@ -209,11 +209,10 @@ pub fn encode_snapshot_into(g: &GraphHandle, out: &mut impl Sink) -> Result<(), 
     graph_snapshot::encode_condensed(graph, &mut enc, &mut section);
     out.put(&SNAPSHOT_MAGIC);
     enc.finish_into(out);
-    codec::put_u8(out, 0);
     out.put(&section);
     // Freed before the id map and the state stream behind it.
     drop(section);
-    incremental::encode_idmap(g.ids(), out);
+    put_idmap(out, g.ids());
     graph_snapshot::encode_properties(g.properties(), out);
     match g.incremental_state() {
         None => codec::put_u8(out, 0),
@@ -226,20 +225,14 @@ pub fn encode_snapshot_into(g: &GraphHandle, out: &mut impl Sink) -> Result<(), 
 }
 
 /// Decode a binary snapshot produced by [`encode_snapshot`]. Rejects bad
-/// magic (including the retired `GGSNAP1` format), truncation, trailing
-/// bytes, any representation tag but C-DUP's, and structurally
-/// inconsistent sections with [`crate::ErrorKind::Snapshot`].
+/// magic (including every retired format), truncation, trailing bytes and
+/// structurally inconsistent sections with [`crate::ErrorKind::Snapshot`].
 pub fn decode_snapshot(bytes: &[u8]) -> Result<GraphHandle, Error> {
     let mut r = Reader::new(bytes);
     r.expect_magic(&SNAPSHOT_MAGIC)?;
     let dec = graph_snapshot::ChunkDecoder::decode(&mut r)?;
-    let at = r.pos();
-    match r.u8()? {
-        0 => {}
-        tag => return Err(CodecError::invalid(at, format!("bad representation tag {tag}")).into()),
-    }
     let graph = graph_snapshot::decode_condensed(&mut r, &dec)?;
-    let ids = incremental::decode_idmap(&mut r)?;
+    let ids = read_idmap(&mut r)?;
     let at = r.pos();
     // Cross-section consistency: each section is individually validated,
     // but a corrupt snapshot could still pair a graph of N slots with a
@@ -279,6 +272,28 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<GraphHandle, Error> {
     Ok(GraphHandle::from_snapshot_parts(
         graph, ids, properties, state,
     ))
+}
+
+/// Encode the id map: its length, then the node keys in dense-id order.
+fn put_idmap(out: &mut impl Sink, ids: &IdMap<Value>) {
+    codec::put_len(out, ids.len());
+    for (_, key) in ids.iter() {
+        key.encode_into(out);
+    }
+}
+
+/// Decode the id map (inverse of [`put_idmap`]): no key twice.
+fn read_idmap(r: &mut Reader<'_>) -> Result<IdMap<Value>, CodecError> {
+    let n = r.len()?;
+    let mut ids = IdMap::with_capacity(n);
+    for i in 0..n {
+        let at = r.pos();
+        let key = Value::decode(r)?;
+        if ids.intern(key) != i as u32 {
+            return Err(CodecError::invalid(at, "duplicate key in id map"));
+        }
+    }
+    Ok(ids)
 }
 
 /// A canonical, key-space byte serialization of a handle's logical graph:
@@ -555,23 +570,6 @@ mod tests {
         assert_eq!(restored.canonical_bytes(), reference.canonical_bytes());
     }
 
-    fn extract_incremental() -> GraphHandle {
-        let db = tiny();
-        let gg = GraphGen::with_config(
-            &db,
-            GraphGenConfig::builder()
-                .auto_expand_threshold(None)
-                .incremental(true)
-                .threads(1)
-                .build(),
-        );
-        gg.extract(
-            "Nodes(ID, Name) :- Person(ID, Name).\n\
-             Edges(A, B) :- Knows(A, B).",
-        )
-        .unwrap()
-    }
-
     /// An incremental handle whose chain has a virtual layer (every join is
     /// large-output, so co-knowers meet through one virtual node per
     /// target), taken after a delete and a re-insert churned its state.
@@ -620,10 +618,8 @@ mod tests {
     }
 
     /// A snapshot holds a C-DUP and nothing else: the C-DUP round trip is
-    /// verbatim, a derived handle refuses to encode with a typed error, and
-    /// every representation tag but 0 is rejected — including a DEDUP-1
-    /// tag in front of a core whose paths repeat, which the retired
-    /// decoder used to accept unchecked.
+    /// verbatim, including a core whose paths repeat, and a derived handle
+    /// refuses to encode with a typed error.
     #[test]
     fn snapshot_holds_the_c_dup_only() {
         use crate::error::ErrorKind;
@@ -670,54 +666,20 @@ mod tests {
             Properties::new(3),
             Default::default(),
         );
-        let mut bytes = encode_snapshot(&h).unwrap();
-        let mut r = Reader::new(&bytes);
-        r.expect_magic(&SNAPSHOT_MAGIC).unwrap();
-        graph_snapshot::ChunkDecoder::decode(&mut r).unwrap();
-        let rep_at = r.pos();
-        assert_eq!(bytes[rep_at], 0);
-        assert!(decode_snapshot(&bytes).is_ok());
-        for tag in 1..=5 {
-            bytes[rep_at] = tag;
-            let err = decode_snapshot(&bytes).unwrap_err();
-            assert_eq!(err.kind(), ErrorKind::Snapshot, "tag {tag}");
-            assert!(err.to_string().contains("bad representation tag"), "{err}");
-        }
+        let back = decode_snapshot(&encode_snapshot(&h).unwrap()).unwrap();
+        assert_eq!(back.canonical_bytes(), h.canonical_bytes());
     }
 
-    /// A file written while converted handles kept their maintenance state
-    /// ends the state with tag 1 and a condensed shadow section: decoding
-    /// rejects it with a typed error instead of reading the shadow.
-    #[test]
-    fn snapshot_rejects_a_shadow_section() {
-        use crate::error::ErrorKind;
-        let g = extract_incremental();
-        let mut bytes = encode_snapshot(&g).unwrap();
-        assert_eq!(bytes.last(), Some(&0), "the state's trailing tag");
-        // A shadow of the handle's own graph references the chunk table
-        // exactly as the representation section does.
-        let mut enc = graph_snapshot::ChunkEncoder::new();
-        let core = g
-            .graph()
-            .as_condensed()
-            .expect("incremental handles are C-DUP");
-        *bytes.last_mut().expect("non-empty") = 1;
-        graph_snapshot::encode_condensed(core, &mut enc, &mut bytes);
-        let err = decode_snapshot(&bytes).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::Snapshot);
-        assert!(err.to_string().contains("shadow"), "{err}");
-    }
-
-    /// Older-format snapshots (`GGSNAP2\0` value-keyed state, `GGSNAP1\0`
-    /// flat adjacency) must fail with a clean magic mismatch, not a
-    /// misparse.
+    /// Older-format snapshots (`GGSNAP3\0` derived copies beside the state,
+    /// `GGSNAP2\0` value-keyed state, `GGSNAP1\0` flat adjacency) must fail
+    /// with a clean magic mismatch, not a misparse.
     #[test]
     fn snapshot_rejects_old_magic() {
         use crate::error::ErrorKind;
         let g = extract();
         let mut bytes = encode_snapshot(&g).unwrap();
-        assert_eq!(&bytes[..8], b"GGSNAP3\0");
-        for old in [*b"GGSNAP2\0", *b"GGSNAP1\0"] {
+        assert_eq!(&bytes[..8], b"GGSNAP4\0");
+        for old in [*b"GGSNAP3\0", *b"GGSNAP2\0", *b"GGSNAP1\0"] {
             bytes[..8].copy_from_slice(&old);
             let err = decode_snapshot(&bytes).unwrap_err();
             assert_eq!(err.kind(), ErrorKind::Snapshot);

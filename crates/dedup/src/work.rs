@@ -494,20 +494,6 @@ impl WorkGraph {
     }
 }
 
-/// Check that a condensed graph's direct edges don't duplicate paths (helper
-/// for algorithm postconditions in tests).
-pub fn direct_edges_count(g: &CondensedGraph) -> u64 {
-    let mut n = 0;
-    for u in 0..g.num_real_slots() as u32 {
-        n += g
-            .real_out(RealId(u))
-            .iter()
-            .filter(|a: &&Adj| !a.is_virtual())
-            .count() as u64;
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

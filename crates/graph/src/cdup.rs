@@ -183,17 +183,6 @@ impl CondensedGraph {
         index
     }
 
-    /// All real nodes reachable from `u` (the expanded out-neighborhood),
-    /// **including** duplicates-collapsed but excluding `u`. Shared by
-    /// `for_each_neighbor` and the deduplication algorithms.
-    pub fn reach_set(&self, u: RealId) -> FxHashSet<u32> {
-        let mut seen = FxHashSet::default();
-        self.for_each_neighbor(u, &mut |v| {
-            seen.insert(v.0);
-        });
-        seen
-    }
-
     /// DFS from a virtual node collecting all reachable real targets
     /// (alive only).
     pub fn virtual_reach(&self, v: VirtId, out: &mut FxHashSet<u32>) {

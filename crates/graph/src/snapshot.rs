@@ -321,7 +321,7 @@ pub fn decode_condensed(
 // ---------------------------------------------------------------------------
 
 /// Encode one [`PropValue`] (tag byte + payload).
-pub fn encode_prop_value(p: &PropValue, out: &mut impl codec::Sink) {
+fn encode_prop_value(p: &PropValue, out: &mut impl codec::Sink) {
     match p {
         PropValue::Int(v) => {
             codec::put_u8(out, 0);
@@ -339,7 +339,7 @@ pub fn encode_prop_value(p: &PropValue, out: &mut impl codec::Sink) {
 }
 
 /// Decode one [`PropValue`] (inverse of [`encode_prop_value`]).
-pub fn decode_prop_value(r: &mut Reader<'_>) -> Result<PropValue, CodecError> {
+fn decode_prop_value(r: &mut Reader<'_>) -> Result<PropValue, CodecError> {
     let at = r.pos();
     Ok(match r.u8()? {
         0 => PropValue::Int(r.i64()?),
@@ -349,8 +349,30 @@ pub fn decode_prop_value(r: &mut Reader<'_>) -> Result<PropValue, CodecError> {
     })
 }
 
-/// Encode a [`Properties`] store (columns in sorted name order; each cell a
-/// presence tag plus the value).
+/// Encode one property cell: a presence tag (0 = unset, 1 = set), then the
+/// value when set.
+pub fn encode_prop_cell(cell: Option<&PropValue>, out: &mut impl codec::Sink) {
+    match cell {
+        None => codec::put_u8(out, 0),
+        Some(v) => {
+            codec::put_u8(out, 1);
+            encode_prop_value(v, out);
+        }
+    }
+}
+
+/// Decode one property cell (inverse of [`encode_prop_cell`]).
+pub fn decode_prop_cell(r: &mut Reader<'_>) -> Result<Option<PropValue>, CodecError> {
+    let at = r.pos();
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(decode_prop_value(r)?)),
+        tag => Err(CodecError::invalid(at, format!("bad presence tag {tag}"))),
+    }
+}
+
+/// Encode a [`Properties`] store (columns in sorted name order; each cell
+/// as [`encode_prop_cell`] writes it).
 pub fn encode_properties(p: &Properties, out: &mut impl codec::Sink) {
     codec::put_len(out, p.n);
     let mut names: Vec<&String> = p.columns.keys().collect();
@@ -359,13 +381,7 @@ pub fn encode_properties(p: &Properties, out: &mut impl codec::Sink) {
     for name in names {
         codec::put_str(out, name);
         for cell in &p.columns[name.as_str()] {
-            match cell {
-                None => codec::put_u8(out, 0),
-                Some(v) => {
-                    codec::put_u8(out, 1);
-                    encode_prop_value(v, out);
-                }
-            }
+            encode_prop_cell(cell.as_ref(), out);
         }
     }
 }
@@ -391,12 +407,7 @@ pub fn decode_properties(r: &mut Reader<'_>) -> Result<Properties, CodecError> {
         let name = r.str()?.to_string();
         let mut col = Vec::with_capacity(n);
         for _ in 0..n {
-            let at = r.pos();
-            col.push(match r.u8()? {
-                0 => None,
-                1 => Some(decode_prop_value(r)?),
-                tag => return Err(CodecError::invalid(at, format!("bad presence tag {tag}"))),
-            });
+            col.push(decode_prop_cell(r)?);
         }
         if columns.insert(name, col).is_some() {
             return Err(CodecError::invalid(at, "duplicate property column"));

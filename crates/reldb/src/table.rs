@@ -79,14 +79,6 @@ impl Table {
         Ok(())
     }
 
-    /// Append many rows.
-    pub fn extend_rows<I: IntoIterator<Item = Vec<Value>>>(&mut self, rows: I) -> DbResult<()> {
-        for row in rows {
-            self.push_row(row)?;
-        }
-        Ok(())
-    }
-
     /// Reserve capacity for `n` additional rows in every column.
     pub fn reserve(&mut self, n: usize) {
         for col in &mut self.columns {

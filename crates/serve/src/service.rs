@@ -41,15 +41,18 @@
 //!   db.wal             records: u64 db_version | DeltaBatch   (see wal.rs)
 //!   <name>.graph.snap  magic GGSVGR5\0 | u64 version | u64 db_version
 //!                      | dsl | frozen plans (per chain: cuts, planned
-//!                      outputs, planned cost) | GraphHandle snapshot
-//!                      (GGSNAP3, chunked + dense-id interned)
+//!                      outputs, planned cost) | u64 length | GraphHandle
+//!                      snapshot (its own magic, GGSNAP4: the C-DUP and the
+//!                      maintenance state as it is kept)
 //! ```
 //!
 //! Graph snapshots are written from the **working** handle (it owns the
 //! delta-maintenance state recovery needs; published reader clones do
-//! not). Every older format — `GGSVGR4\0` (value-keyed maintenance state)
-//! back to `GGSVGR2\0` (flat-adjacency `GGSNAP1` handle bytes) — is
-//! rejected with a clean magic mismatch.
+//! not). Each magic versions only its own layout: the handle bytes carry
+//! `GGSNAP`'s, so a file framing an older handle (`GGSNAP3\0` and before)
+//! fails at that magic, and an older frame — `GGSVGR4\0` (value-keyed
+//! maintenance state) back to `GGSVGR2\0` — at its own. Both are
+//! [`ServeError::Corrupt`] naming the file.
 //!
 //! Snapshot files carry a whole-file fxhash64 trailer ([`crate::wal::seal`])
 //! and log records carry per-record checksums, so recovery surfaces
@@ -104,12 +107,12 @@ use std::time::Instant;
 /// prepends the database's value dictionary — the dense-id interner the
 /// catalog and the interned join operators key by — to the table section).
 pub const DB_SNAP_MAGIC: [u8; 8] = *b"GGSVDB2\0";
-/// Magic prefix of `<name>.graph.snap` (format 5 embeds the dense-id
-/// interned `GGSNAP3` handle layout; format 4 added the frozen plan —
-/// per-chain cuts and the estimates the plan was chosen with — for drift
-/// detection; format 3 switched the embedded handle snapshot to the
-/// chunked `GGSNAP2` layout. Older-format files fail `expect_magic`
-/// cleanly).
+/// Magic prefix of `<name>.graph.snap`: it versions the frame only (format
+/// 4 added the frozen plan — per-chain cuts and the estimates the plan was
+/// chosen with — for drift detection; formats 3 and 5 were bumped with the
+/// embedded handle's layout). The framed handle carries its own `GGSNAP`
+/// magic, which versions its bytes. Older-format files fail `expect_magic`
+/// cleanly.
 pub const GRAPH_SNAP_MAGIC: [u8; 8] = *b"GGSVGR5\0";
 
 /// Service knobs.
@@ -1350,7 +1353,8 @@ fn load_graph_snapshot(name: &str, snap_path: &Path, threads: usize) -> ServeRes
     }
     let (version, snap_db_version, dsl, frozen, handle_bytes) =
         parse(&mut r).map_err(|e| ServeError::corrupt(&file, e))?;
-    let mut working = GraphHandle::from_snapshot_bytes(handle_bytes)?;
+    let mut working = GraphHandle::from_snapshot_bytes(handle_bytes)
+        .map_err(|e| ServeError::corrupt(&file, e))?;
     working.set_threads(threads);
     Ok(GraphState::new(
         name,

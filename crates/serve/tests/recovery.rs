@@ -775,3 +775,38 @@ fn recover_chunked_snapshot_mid_wal() {
         "pin taken after recovery mutated by later publishes"
     );
 }
+
+/// Each magic versions its own layout: a `GGSVGR5\0` frame around a handle
+/// of the previous handle format (`GGSNAP3\0`, which stored derived copies
+/// beside the maintenance state) must fail recovery at the embedded magic
+/// with a `Corrupt` error naming the graph file — never a panic or a
+/// misparse.
+#[test]
+fn graph_file_framing_an_old_handle_format_is_rejected() {
+    let dir = TempDir::new("rec-old-handle");
+    {
+        let service =
+            GraphService::create(dir.path(), seed_db(), ServiceConfig::default()).unwrap();
+        service.extract("coauthors", Q_COAUTHORS).unwrap();
+        churn(&service, 5, 3);
+    }
+    let snap_path = dir.path().join("coauthors.graph.snap");
+    let sealed = std::fs::read(&snap_path).unwrap();
+    let mut content = graphgen_serve::wal::unseal(&sealed).unwrap().to_vec();
+    assert_eq!(&content[..8], b"GGSVGR5\0");
+    let handle: Vec<usize> = (0..content.len() - 8)
+        .filter(|&i| &content[i..i + 8] == b"GGSNAP4\0")
+        .collect();
+    assert_eq!(handle.len(), 1, "one framed handle");
+    content[handle[0]..handle[0] + 8].copy_from_slice(b"GGSNAP3\0");
+    graphgen_serve::wal::seal(&mut content);
+    std::fs::write(&snap_path, &content).unwrap();
+    match GraphService::open(dir.path()) {
+        Err(ServeError::Corrupt { file, what }) => {
+            assert!(file.ends_with("coauthors.graph.snap"), "names `{file}`");
+            assert!(what.contains("bad magic"), "unexpected reason: {what}");
+        }
+        Err(other) => panic!("expected Corrupt, got {other}"),
+        Ok(_) => panic!("expected Corrupt, but the service opened"),
+    }
+}

@@ -294,6 +294,11 @@ const DELETED_NAMES: &[(&str, Option<&str>)] = &[
     // per-key hash entry.
     ("NodeEntry", None),
     ("prop_rows", None),
+    // Public functions nothing called.
+    ("extend_rows", None),
+    ("reach_set", None),
+    ("direct_edges_count", None),
+    ("to_builder", None),
 ];
 
 #[test]
@@ -343,8 +348,8 @@ fn deleted_operators_stay_deleted() {
          path's per-kind edge methods for `segment_edge` and `Target::edge`, \
          the kernels' own thread fan-out for `map_chunks`, the phase \
          label lists for the one `Phase` declaration, and the named, \
-         hash-mapped node entries for rows aligned with their view; extend \
-         those instead \
+         hash-mapped node entries for rows aligned with their view, and \
+         public functions nothing called were deleted; extend those instead \
          of bringing a second mechanism back, and keep the docs on the \
          code that exists:\n{}",
         violations.join("\n")
