@@ -9,7 +9,9 @@
 //! allocator: the live bytes an `EXTRACT` leaves behind on a DBLP-shaped
 //! database, divided by the number of `(author, author)` pairs the
 //! co-author segment maintains a support count for, must stay under a
-//! bound that a state holding those copies exceeds.
+//! bound that a state holding those copies exceeds. The `EXTRACT`'s peak
+//! is bounded too: a second, 16-byte form of the state held beside the
+//! kept one would exceed it.
 //!
 //! Kept as a single `#[test]` on purpose: `alloc::measure` reads
 //! process-global counters, so no other test in this binary may allocate
@@ -26,8 +28,19 @@ use std::collections::{BTreeMap, BTreeSet};
 /// state kept as per-id hash maps, 12,952,406 bytes (178.6 per pair); as
 /// counted runs with a bag per atom, a transposed copy per walked atom and
 /// a reverse index of the last support, 6,581,626 bytes (90.8 per pair);
-/// each relation kept once, 3,656,402 bytes (50.4 per pair).
-const MAX_BYTES_PER_PAIR: f64 = 65.0;
+/// each relation kept once, 3,656,402 bytes (50.4 per pair); 8-byte
+/// entries and `u32` offsets, 2,865,058 bytes (39.5 per pair).
+const MAX_BYTES_PER_PAIR: f64 = 40.0;
+
+/// Peak live bytes above entry during the `EXTRACT` may not exceed this,
+/// so that converting the operators' output to the kept form fails here if
+/// it ever holds both forms whole. Measured: 16-byte entries, the join's
+/// output collected and then kept, 4,208,069 bytes at one thread
+/// (5,213,085 at two, 4,702,205 at eight); the last join step's runs kept
+/// compact as they come and the bags converted chunk by chunk, 3,812,853
+/// at one thread (3,459,541 at two, 3,605,757 at eight). Converting the
+/// bags whole instead peaks at 3,878,629 bytes at one thread.
+const MAX_PEAK_BYTES: usize = 3_850_000;
 
 /// The distinct output of the co-author self-join
 /// `AuthorPub(a, p), AuthorPub(b, p)`: every `(a, b)`, `a == b` included,
@@ -66,13 +79,18 @@ fn served_extract_retains_bounded_bytes_per_support_pair() {
     assert!(snapshot.handle().graph().stored_edge_count() > 0);
     let per_pair = m.live as f64 / pairs as f64;
     println!(
-        "{} live bytes for {pairs} support pairs: {per_pair:.1} B/pair",
-        m.live
+        "{} live bytes for {pairs} support pairs: {per_pair:.1} B/pair; peak {} B",
+        m.live, m.peak
     );
     assert!(
         per_pair <= MAX_BYTES_PER_PAIR,
         "a served EXTRACT retains {} bytes for {pairs} support pairs \
          ({per_pair:.1} B/pair, bound {MAX_BYTES_PER_PAIR})",
         m.live
+    );
+    assert!(
+        m.peak <= MAX_PEAK_BYTES,
+        "a served EXTRACT peaked at {} bytes above entry (bound {MAX_PEAK_BYTES})",
+        m.peak
     );
 }

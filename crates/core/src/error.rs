@@ -82,6 +82,11 @@ pub enum PatchError {
     /// behind the state's back). The handle should be considered stale:
     /// re-extract instead of applying further deltas.
     Inconsistent(String),
+    /// A count the maintained state keeps would pass `u32::MAX`, or one of
+    /// its bags would hold more than `u32::MAX` pairs. The refused change
+    /// is not applied, but the delta's earlier changes stand, so the
+    /// handle should be considered stale, as for `Inconsistent`.
+    Overflow(String),
 }
 
 impl fmt::Display for PatchError {
@@ -94,6 +99,9 @@ impl fmt::Display for PatchError {
             ),
             PatchError::Inconsistent(msg) => {
                 write!(f, "delta is inconsistent with the maintained state: {msg}")
+            }
+            PatchError::Overflow(msg) => {
+                write!(f, "count past the maintained state's limits: {msg}")
             }
         }
     }
@@ -302,6 +310,9 @@ mod tests {
         assert!(e.to_string().contains("incremental"));
         let e: Error = PatchError::Inconsistent("x".into()).into();
         assert!(e.to_string().contains("inconsistent"));
+        let e: Error = PatchError::Overflow("x".into()).into();
+        assert_eq!(e.kind(), ErrorKind::Patch);
+        assert!(e.to_string().contains("limits"));
         assert_eq!(e.as_convert(), None);
     }
 

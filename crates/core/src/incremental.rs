@@ -61,8 +61,9 @@
 //! Every keyed structure of the state — atom bags, supports, the reverse
 //! index of a chain's last support where it is kept — is one
 //! `CountedRuns`: the sorted, counted pairs the relational operators emit,
-//! with per-left-id run offsets, plus a small overlay of the changes deltas
-//! made since, folded back when it outgrows a fixed fraction of the runs.
+//! kept at 8 bytes a pair under per-left-id run offsets, plus a small
+//! overlay of the changes deltas made since, folded back when it outgrows a
+//! fixed fraction of the runs. A count past `u32::MAX` is refused.
 //! How many single-segment chains output a pair (the reference count of
 //! its direct edge) is a function of their supports, read from them where
 //! needed and never kept beside them.
@@ -79,13 +80,14 @@
 //! preprocessing phase. It scans every atom and node view once and computes
 //! each segment's counted output with the operators batch extraction runs
 //! its segment queries on — `graphgen_reldb::exec::{group_pairs,
-//! join_counted, transpose_counted}`, over engine ids where
+//! join_counted, join_runs, transpose_counted}`, over engine ids where
 //! `Query::run_counted` uses database ids (a self-join's second atom takes
 //! the first one's bag transposed, so its table is scanned once); the
 //! multiplicities the batch path ignores are the supports kept here —
 //! keeps the operators' output as the *primary* state (the grouped atom
-//! bags become the segment's bags, each joined output the segment's
-//! `support`, moved, not copied), and hands every segment's pairs to
+//! bags become the segment's bags, converted chunk by chunk; each
+//! last join step hands its output over run by run, kept compact as the
+//! segment's `support` as it comes), and hands every segment's pairs to
 //! `crate::extract::emit_segment`, as batch extraction does; the boundary
 //! virtual nodes are numbered as the C-DUP is built through
 //! [`CondensedBuilder`]. The reverse indexes — `by_right`, `bounds.index`
@@ -101,7 +103,7 @@
 use crate::error::{Error, PatchError};
 use crate::extract::{emit_segment, segment_edge, StoredEdge};
 use crate::planner::{filters_to_predicate, ChainPlan};
-use crate::runs::CountedRuns;
+use crate::runs::{CountedRuns, RunsBuilder, MAX_PAIRS};
 use graphgen_common::metrics::{span, Phase};
 use graphgen_common::parallel::{effective_threads, map_morsels};
 use graphgen_common::region::Region;
@@ -111,7 +113,8 @@ use graphgen_graph::{
     CondensedBuilder, CondensedGraph, GraphRep, PropValue, Properties, RealId, VirtId,
 };
 use graphgen_reldb::exec::{
-    group_pairs, join_counted, pack, scan_project, transpose_counted, unpack, CountedPairs,
+    group_pairs, join_counted, join_runs, pack, scan_project, transpose_counted, unpack,
+    CountedPairs,
 };
 use graphgen_reldb::{Database, Delta, DeltaOp, Interner, Predicate, Value, Vid, NULL_VID};
 
@@ -635,8 +638,9 @@ impl SegmentState {
     /// Fill the bags from every atom's `(in, out)` pairs, as the bulk
     /// load's scans produce them: a bag some atom reads by `in` is that
     /// atom's pairs, moved; a bag read by `out` only is its first reader's
-    /// pairs, transposed. Pairs no bag takes are dropped.
-    fn adopt(&mut self, pairs: Vec<CountedPairs>) {
+    /// pairs, transposed. Pairs no bag takes are dropped. Counts past the
+    /// bags' limits are [`PatchError::Overflow`].
+    fn adopt(&mut self, pairs: Vec<CountedPairs>) -> Result<(), PatchError> {
         let mut pairs: Vec<Option<CountedPairs>> = pairs.into_iter().map(Some).collect();
         // Per bag: the atom whose pairs fill it, and whether it reads them by `in`.
         let sources: Vec<(usize, bool)> = (0..self.bags.len())
@@ -654,14 +658,15 @@ impl SegmentState {
         for (b, &(i, keyed_by_in)) in sources.iter().enumerate() {
             if !keyed_by_in {
                 let of = pairs[i].as_deref().expect("an atom's pairs");
-                self.bags[b] = CountedRuns::transpose_of(of);
+                self.bags[b] = CountedRuns::transpose_of(of)?;
             }
         }
         for (b, &(i, keyed_by_in)) in sources.iter().enumerate() {
             if keyed_by_in {
-                self.bags[b] = CountedRuns::new(pairs[i].take().expect("moved once"));
+                self.bags[b] = CountedRuns::new(pairs[i].take().expect("moved once"))?;
             }
         }
+        Ok(())
     }
 
     /// Propagate a table delta through this segment: telescoping delta
@@ -1244,22 +1249,43 @@ impl IncrementalState {
                     }
                     let mut bags: Vec<CountedPairs> =
                         std::mem::take(load).into_iter().flatten().collect();
-                    let mut joined = None;
-                    for bag in &bags[1..] {
-                        let frontier = joined.as_ref().unwrap_or(&bags[0]);
-                        joined = Some(join_counted(frontier, bag, dict.capacity(), scan_threads));
-                    }
-                    let _span = span(Phase::LoadState, Region::Patch);
-                    let output = match joined {
-                        // The join has read the bags: the segment keeps
-                        // them as its atoms walk them.
-                        Some(output) => {
-                            seg.adopt(bags);
-                            output
+                    seg.support = match bags.len() {
+                        1 => {
+                            let _span = span(Phase::LoadState, Region::Patch);
+                            CountedRuns::new(bags.pop().expect("one atom"))?
                         }
-                        None => bags.pop().expect("a segment has an atom"),
+                        // The last join step hands its output over run by
+                        // run, kept compact as it comes; the join has read
+                        // the bags, and the segment keeps them as its atoms
+                        // walk them.
+                        m => {
+                            let slots = dict.capacity();
+                            let mut joined: Option<CountedPairs> = None;
+                            for bag in &bags[1..m - 1] {
+                                let frontier = joined.as_ref().unwrap_or(&bags[0]);
+                                joined = Some(join_counted(frontier, bag, slots, scan_threads));
+                            }
+                            let frontier = joined.as_ref().unwrap_or(&bags[0]);
+                            let parts = join_runs(
+                                frontier,
+                                &bags[m - 1],
+                                slots,
+                                scan_threads,
+                                || Ok(RunsBuilder::default()),
+                                |part: &mut Result<RunsBuilder, PatchError>, run| {
+                                    if let Ok(builder) = part {
+                                        if let Err(e) = builder.extend_run(run) {
+                                            *part = Err(e);
+                                        }
+                                    }
+                                },
+                            );
+                            drop(joined);
+                            let _span = span(Phase::LoadState, Region::Patch);
+                            seg.adopt(bags)?;
+                            RunsBuilder::concat(parts.into_iter().collect::<Result<_, _>>()?)?
+                        }
                     };
-                    seg.support = CountedRuns::new(output);
                     completed.push((c, j));
                 }
             }
@@ -1359,32 +1385,40 @@ fn read_vid(r: &mut Reader<'_>, dict: &Interner) -> Result<Vid, CodecError> {
 }
 
 /// Check what every encoded bag and support map guarantees: keys strictly
-/// ascending (`prev` is the key before this one) and a multiplicity ≥ 1.
-fn check_counted<K: Ord>(at: usize, prev: Option<K>, key: K, count: i64) -> Result<(), CodecError> {
+/// ascending (`prev` is the key before this one), a multiplicity in
+/// `1..=u32::MAX`, and no more pairs than a bag holds (`pairs` came
+/// before this one).
+fn check_counted<K: Ord>(
+    at: usize,
+    prev: Option<K>,
+    key: K,
+    count: i64,
+    pairs: usize,
+) -> Result<u32, CodecError> {
     if prev.is_some_and(|p| p >= key) {
         return Err(CodecError::invalid(at, "keys not strictly ascending"));
     }
     if count < 1 {
         return Err(CodecError::invalid(at, "multiplicity below 1"));
     }
-    Ok(())
+    if pairs >= MAX_PAIRS {
+        return Err(CodecError::invalid(at, "more pairs than a bag holds"));
+    }
+    u32::try_from(count).map_err(|_| CodecError::invalid(at, "multiplicity above u32::MAX"))
 }
 
 /// Encode an atom bag slot by slot: every left id with a run, ascending,
-/// then its `(right id, multiplicity)` entries.
+/// then its `(right id, multiplicity)` entries, each run walked once.
 fn put_bag(out: &mut impl codec::Sink, bag: &CountedRuns) {
-    let mut lefts: Vec<Vid> = Vec::new();
-    for (key, _) in bag.iter() {
-        let l = unpack(key).0;
-        if lefts.last() != Some(&l) {
-            lefts.push(l);
-        }
-    }
+    let lefts = bag.lefts();
     codec::put_len(out, lefts.len());
+    let mut run = Vec::new();
     for l in lefts {
+        run.clear();
+        run.extend(bag.run(l));
         codec::put_u32(out, l);
-        codec::put_len(out, bag.run(l).count());
-        for (r, m) in bag.run(l) {
+        codec::put_len(out, run.len());
+        for &(r, m) in &run {
             codec::put_u32(out, r);
             codec::put_i64(out, m);
         }
@@ -1393,9 +1427,9 @@ fn put_bag(out: &mut impl codec::Sink, bag: &CountedRuns) {
 
 /// Decode an atom bag (inverse of [`put_bag`]): slots strictly ascending
 /// and never empty, as the encoder writes them.
-fn read_bag(r: &mut Reader<'_>, dict: &Interner) -> Result<CountedPairs, CodecError> {
+fn read_bag(r: &mut Reader<'_>, dict: &Interner) -> Result<CountedRuns, CodecError> {
     let n = r.len()?;
-    let mut pairs = CountedPairs::new();
+    let mut pairs = RunsBuilder::default();
     let mut prev_slot = None;
     for _ in 0..n {
         let at = r.pos();
@@ -1413,11 +1447,11 @@ fn read_bag(r: &mut Reader<'_>, dict: &Interner) -> Result<CountedPairs, CodecEr
             let at = r.pos();
             let k = read_vid(r, dict)?;
             let v = r.i64()?;
-            check_counted(at, prev.replace(k), k, v)?;
-            pairs.push((pack(l, k), v));
+            let v = check_counted(at, prev.replace(k), k, v, pairs.len())?;
+            pairs.push(l, k, v);
         }
     }
-    Ok(pairs)
+    Ok(pairs.finish())
 }
 
 /// Encode a support map: its length, then every `(packed key, count)`.
@@ -1429,9 +1463,9 @@ fn put_packed_counts(out: &mut impl codec::Sink, support: &CountedRuns) {
     }
 }
 
-fn read_packed_counts(r: &mut Reader<'_>, dict: &Interner) -> Result<CountedPairs, CodecError> {
+fn read_packed_counts(r: &mut Reader<'_>, dict: &Interner) -> Result<CountedRuns, CodecError> {
     let n = r.len_of(16)?;
-    let mut pairs = CountedPairs::with_capacity(n);
+    let mut pairs = RunsBuilder::with_capacity(n.min(MAX_PAIRS));
     let mut prev = None;
     for _ in 0..n {
         let at = r.pos();
@@ -1444,10 +1478,10 @@ fn read_packed_counts(r: &mut Reader<'_>, dict: &Interner) -> Result<CountedPair
             ));
         }
         let v = r.i64()?;
-        check_counted(at, prev.replace(k), k, v)?;
-        pairs.push((k, v));
+        let v = check_counted(at, prev.replace(k), k, v, pairs.len())?;
+        pairs.push(l, rr, v);
     }
-    Ok(pairs)
+    Ok(pairs.finish())
 }
 
 impl AtomState {
@@ -1492,9 +1526,9 @@ impl SegmentState {
         let atoms = (0..n).map(|_| AtomState::decode(r));
         let mut seg = Self::new(atoms.collect::<Result<_, _>>()?);
         for bag in &mut seg.bags {
-            *bag = CountedRuns::new(read_bag(r, dict)?);
+            *bag = read_bag(r, dict)?;
         }
-        seg.support = CountedRuns::new(read_packed_counts(r, dict)?);
+        seg.support = read_packed_counts(r, dict)?;
         Ok(seg)
     }
 }
@@ -2517,6 +2551,34 @@ mod tests {
         assert!(
             matches!(&err, CodecError::Invalid { at: pos, what }
                 if *pos == at + 24 && what.contains("ascending")),
+            "{err}"
+        );
+    }
+
+    /// A count is kept in 32 bits: an encoded support or bag entry whose
+    /// count passes `u32::MAX` is refused at the entry, never truncated.
+    #[test]
+    fn decode_rejects_a_count_above_u32_max() {
+        let over = (i64::from(u32::MAX) + 1).to_le_bytes();
+        let (mut bytes, at) = encoded_state_with_support_at();
+        bytes[at + 16..at + 24].copy_from_slice(&over);
+        let err = decode_state(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::Invalid { at: pos, what }
+                if *pos == at + 8 && what.contains("above u32::MAX")),
+            "{err}"
+        );
+        let g = GraphGen::with_config(&fig1_db(), bulk_cfg(None, 1, true))
+            .extract(Q1)
+            .unwrap();
+        let mut bytes = state_bytes(&g);
+        // Slot 0's first entry: its right id, then its count.
+        let entry = shared_bag_at(&bytes) + 8 + 4 + 8;
+        bytes[entry + 4..entry + 12].copy_from_slice(&over);
+        let err = decode_state(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::Invalid { at: pos, what }
+                if *pos == entry && what.contains("above u32::MAX")),
             "{err}"
         );
     }

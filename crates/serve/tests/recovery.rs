@@ -729,7 +729,7 @@ fn old_format_graph_snapshot_is_rejected_by_magic() {
 }
 
 /// Restart onto the chunked snapshot format mid-WAL: the `.graph.snap`
-/// (GGSVGR5 framing a chunked GGSNAP3 handle, written from the *working*
+/// (GGSVGR5 framing a chunked GGSNAP4 handle, written from the *working*
 /// handle so it carries the full maintenance state) plus a WAL holding
 /// batches committed after it. Recovery must decode the chunked snapshot,
 /// replay the log, and keep both the reader side (canonical bytes, CoW
