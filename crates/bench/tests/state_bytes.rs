@@ -29,8 +29,10 @@ use std::collections::{BTreeMap, BTreeSet};
 /// counted runs with a bag per atom, a transposed copy per walked atom and
 /// a reverse index of the last support, 6,581,626 bytes (90.8 per pair);
 /// each relation kept once, 3,656,402 bytes (50.4 per pair); 8-byte
-/// entries and `u32` offsets, 2,865,058 bytes (39.5 per pair).
-const MAX_BYTES_PER_PAIR: f64 = 40.0;
+/// entries and `u32` offsets, 2,865,058 bytes (39.5 per pair); the
+/// mirrored co-author support kept on and above its diagonal only,
+/// 2,591,466 bytes (35.7 per pair).
+const MAX_BYTES_PER_PAIR: f64 = 37.0;
 
 /// Peak live bytes above entry during the `EXTRACT` may not exceed this,
 /// so that converting the operators' output to the kept form fails here if
@@ -39,8 +41,10 @@ const MAX_BYTES_PER_PAIR: f64 = 40.0;
 /// (5,213,085 at two, 4,702,205 at eight); the last join step's runs kept
 /// compact as they come and the bags converted chunk by chunk, 3,812,853
 /// at one thread (3,459,541 at two, 3,605,757 at eight). Converting the
-/// bags whole instead peaks at 3,878,629 bytes at one thread.
-const MAX_PEAK_BYTES: usize = 3_850_000;
+/// bags whole instead peaks at 3,878,629 bytes at one thread. The
+/// mirrored support's join runs kept from the diagonal up, 3,288,573 at
+/// one thread (3,130,461 at two, 3,094,493 at eight).
+const MAX_PEAK_BYTES: usize = 3_400_000;
 
 /// The distinct output of the co-author self-join
 /// `AuthorPub(a, p), AuthorPub(b, p)`: every `(a, b)`, `a == b` included,

@@ -11,6 +11,10 @@
 //!
 //! * the served graph's canonical bytes equal a from-scratch extraction
 //!   of the final database;
+//! * the served C-DUP's adjacency takes at most [`MAX_GRAPH_GROWTH`]
+//!   times the bytes of the same lists stored exact-sized: every apply
+//!   copies the chunks it writes to, and the copies' spare room stays
+//!   small;
 //! * the supports and atom bags, by the `graphgen_state_bytes` gauge,
 //!   take at most [`MAX_BYTES_PER_PAIR`] bytes per maintained support
 //!   pair, overlay and spare capacity included;
@@ -27,6 +31,7 @@ use graphgen_common::SplitMix64;
 use graphgen_core::GraphGen;
 use graphgen_datagen::relational::DBLP_COAUTHORS;
 use graphgen_datagen::{dblp_like, DblpConfig};
+use graphgen_graph::{Adj, ChunkedAdj};
 use graphgen_reldb::{Database, Value};
 use graphgen_serve::{GraphService, TableMutation};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -39,16 +44,24 @@ const APPLIES: usize = 240;
 /// entries, `usize` offsets and 16-byte overlay changes merged at a
 /// quarter of the runs, 7,348,982 bytes (23.7 per pair); 8-byte entries,
 /// `u32` offsets and 8-byte changes merged at an eighth, 3,291,052 bytes
-/// (10.6 per pair).
-const MAX_BYTES_PER_PAIR: f64 = 11.0;
+/// (10.6 per pair); the co-author support kept once, on and above its
+/// diagonal, 1,781,492 bytes (5.7 per pair).
+const MAX_BYTES_PER_PAIR: f64 = 6.0;
+
+/// The served C-DUP's adjacency chunks may take at most this many times
+/// the bytes of `ChunkedAdj::from_lists` over the same lists. Measured
+/// after the 240 applies, against 1,243,000 bytes exact-sized: chunk
+/// copies that double on their second write, 2,444,180 bytes (1.97 times);
+/// copies that grow by an eighth, 1,393,588 bytes (1.12 times).
+const MAX_GRAPH_GROWTH: f64 = 1.2;
 
 /// How far the bytes freed by dropping the graph may stray from the
-/// gauge's total, as a fraction of the gauge. The gauge counts a hash
-/// table as its usable slots, a hashbrown table allocates an eighth more
-/// plus control bytes, and the gauge leaves out the structs themselves,
-/// the views, the atom headers and the working handle's chunk table and
-/// plans. Measured: 2.5% more freed than reported.
-const GAUGE_TOLERANCE: f64 = 0.05;
+/// gauge's total, as a fraction of the gauge. The gauge leaves out the
+/// structs themselves, the views, the atom headers and the working
+/// handle's chunk table and plans. Measured: 2.5% more freed than reported
+/// while a hash table was counted by its usable slots; 0.33% once it is
+/// counted by its buckets and control bytes, at 1, 2 and 8 threads.
+const GAUGE_TOLERANCE: f64 = 0.01;
 
 /// Inverse-CDF Zipf sampler over ranks `0..n`.
 struct Zipf(Vec<f64>);
@@ -152,6 +165,24 @@ fn served_state_stays_bounded_per_support_pair_under_writes() {
         "the served graph diverged from a re-extraction"
     );
     drop(fresh);
+
+    let served = snapshot.handle().graph();
+    let served = served.as_condensed().expect("a served C-DUP");
+    let stores = [served.real_out_chunks(), served.virt_out_chunks()];
+    let kept: usize = stores.iter().map(|store| store.heap_bytes()).sum();
+    let exact: usize = stores
+        .iter()
+        .map(|store| {
+            ChunkedAdj::from_lists(store.iter().map(<[Adj]>::to_vec).collect()).heap_bytes()
+        })
+        .sum();
+    let growth = kept as f64 / exact as f64;
+    println!("served adjacency {kept} B, {exact} B exact-sized: {growth:.3}x");
+    assert!(
+        growth <= MAX_GRAPH_GROWTH,
+        "after {APPLIES} applies the served adjacency takes {kept} bytes, {growth:.3} times \
+         the {exact} of its lists exact-sized (bound {MAX_GRAPH_GROWTH})"
+    );
 
     let gauge = state_gauge(&service);
     let pairs = support_pairs(&shadow);

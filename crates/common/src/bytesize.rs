@@ -61,16 +61,26 @@ impl<T: ByteSize> ByteSize for Box<[T]> {
     }
 }
 
+/// The bytes of a hash table's allocation holding `capacity` usable slots
+/// of `slot` bytes each. `capacity()` is seven eighths of the buckets (all
+/// but one below 8), and the table allocates every bucket plus one control
+/// byte per bucket and a trailing group of 16; an empty table allocates
+/// nothing.
+fn table_bytes(capacity: usize, slot: usize) -> usize {
+    if capacity == 0 {
+        return 0;
+    }
+    let buckets = (capacity * 8 / 7).next_power_of_two();
+    buckets * slot + buckets + 16
+}
+
 impl<K, V, S> ByteSize for std::collections::HashMap<K, V, S>
 where
     K: ByteSize,
     V: ByteSize,
 {
     fn heap_bytes(&self) -> usize {
-        // A hashbrown table stores (K, V) pairs plus one control byte per
-        // slot; capacity() is the usable slot count.
-        let slot = std::mem::size_of::<(K, V)>() + 1;
-        self.capacity() * slot
+        table_bytes(self.capacity(), std::mem::size_of::<(K, V)>())
             + self
                 .iter()
                 .map(|(k, v)| k.heap_bytes() + v.heap_bytes())
@@ -83,8 +93,8 @@ where
     K: ByteSize,
 {
     fn heap_bytes(&self) -> usize {
-        let slot = std::mem::size_of::<K>() + 1;
-        self.capacity() * slot + self.iter().map(ByteSize::heap_bytes).sum::<usize>()
+        table_bytes(self.capacity(), std::mem::size_of::<K>())
+            + self.iter().map(ByteSize::heap_bytes).sum::<usize>()
     }
 }
 
@@ -138,6 +148,22 @@ mod tests {
         assert_eq!(human_bytes(512), "512 B");
         assert_eq!(human_bytes(2048), "2.00 KB");
         assert_eq!(human_bytes(3 * 1024 * 1024), "3.00 MB");
+    }
+
+    /// A table's estimate is its buckets — a power of two, an eighth more
+    /// than its usable capacity — each with a control byte, plus a
+    /// trailing control group.
+    #[test]
+    fn hash_tables_count_buckets_and_control_bytes() {
+        use std::collections::{HashMap, HashSet};
+        assert_eq!(HashMap::<u64, u64>::new().heap_bytes(), 0);
+        // (requested capacity, buckets)
+        for (want, buckets) in [(3, 4), (7, 8), (8, 16), (14, 16), (100, 128)] {
+            let map = HashMap::<u64, u64>::with_capacity(want);
+            assert_eq!(map.heap_bytes(), buckets * 16 + buckets + 16, "{want}");
+            let set = HashSet::<u32>::with_capacity(want);
+            assert_eq!(set.heap_bytes(), buckets * 4 + buckets + 16, "{want}");
+        }
     }
 
     #[test]

@@ -48,10 +48,11 @@
 //! batch extraction and the bulk load below (both through
 //! `crate::extract::emit_segment`), a delta's support transitions — a pair
 //! whose support rises from zero inserts its edge, one that returns to
-//! zero removes it — and a new node, whose support run and reverse-index
-//! run (`by_right`, or the first support where the chain mirrors itself)
-//! are fed through it as first- and last-segment pairs. `Nodes`-view deltas
-//! add, remove, or revive real vertices and re-derive their properties.
+//! zero removes it — and a new node, whose partners in the first support
+//! and in the reverse index (`by_right`, or a mirrored support where the
+//! chain keeps none) are fed through it as first- and last-segment pairs.
+//! `Nodes`-view deltas add, remove, or revive real vertices and re-derive
+//! their properties.
 //!
 //! The handle always holds the C-DUP graph extraction built — conversions
 //! are derived, read-only handles (see [`crate::GraphHandle::convert`]) —
@@ -67,6 +68,16 @@
 //! How many single-segment chains output a pair (the reference count of
 //! its direct edge) is a function of their supports, read from them where
 //! needed and never kept beside them.
+//!
+//! A segment that mirrors itself — its atoms read backwards with their
+//! columns swapped are its atoms, as in the co-author self-join
+//! `AuthorPub(a, p), AuthorPub(b, p)` — has a symmetric support, and keeps
+//! only its pairs `(l, r)` with `l ≤ r`. This follows from the atoms, like
+//! every other layout choice. A delta's support changes are still
+//! computed, counted and materialized for every ordered pair; only the
+//! `l ≤ r` half moves a count. A probe normalises its pair, and a new
+//! node's partners are its stored run plus one probe per smaller left id,
+//! `O(left ids × log)` per node add on such a segment.
 //!
 //! Correctness contract: after any sequence of deltas, the patched handle's
 //! canonical serialization ([`crate::serialize::canonical_bytes`]) is
@@ -90,7 +101,9 @@
 //! segment's `support` as it comes), and hands every segment's pairs to
 //! `crate::extract::emit_segment`, as batch extraction does; the boundary
 //! virtual nodes are numbered as the C-DUP is built through
-//! [`CondensedBuilder`]. The reverse indexes — `by_right`, `bounds.index`
+//! [`CondensedBuilder`]. A mirrored segment keeps each join run from the
+//! diagonal up as it arrives, and hands its pairs to the emitter in both
+//! orientations. The reverse indexes — `by_right`, `bounds.index`
 //! — are derived from the primary state by
 //! `IncrementalState::derive_indexes`, the same function the snapshot
 //! decoder ends with. The loader walks tables, chains, segments,
@@ -226,8 +239,14 @@ struct SegmentState {
     /// one `(p, a)` bag, the first by `out`, the second by `in`).
     bags: Vec<CountedRuns>,
     /// Bag multiplicity of each output pair `(l, r)` (the incremental
-    /// `DISTINCT`); a left endpoint's run is its distinct output.
+    /// `DISTINCT`); a left endpoint's run is its distinct output. Where the
+    /// segment mirrors itself the output is symmetric and only the pairs
+    /// with `l ≤ r` are kept: read it through [`SegmentState::count`] and
+    /// [`SegmentState::partners`].
     support: CountedRuns,
+    /// Whether the segment mirrors itself ([`mirrors`]), as
+    /// `AuthorPub(a, p), AuthorPub(b, p)` does.
+    mirrored: bool,
 }
 
 /// The maintained state of one `Edges` chain.
@@ -237,8 +256,8 @@ struct ChainState {
     bounds: Boundaries,
     /// `(r, l) → 1` for every pair of the last segment's support, whose
     /// right endpoints a new node looks itself up by. `None` when the last
-    /// segment mirrors the first ([`mirrors`]): that support is the first
-    /// segment's transposed, so the first's support is read instead.
+    /// segment mirrors the first ([`mirrors`]), whose support is then read
+    /// instead, or itself, whose partners are then read as they are.
     by_right: Option<CountedRuns>,
 }
 
@@ -592,6 +611,12 @@ fn flip(key: u64) -> u64 {
     pack(r, l)
 }
 
+/// `(l, r)` as `(min, max)`: where a mirrored support keeps the pair.
+fn normalized(key: u64) -> u64 {
+    let (l, r) = unpack(key);
+    pack(l.min(r), l.max(r))
+}
+
 impl SegmentState {
     /// A segment over `atoms` with empty bags, each atom pointed at the
     /// bags a delta join walks it through: `by_out` for every atom but the
@@ -629,10 +654,27 @@ impl SegmentState {
             [atoms[i].by_in, atoms[i].by_out] = picked;
         }
         Self {
+            mirrored: mirrors(&atoms, &atoms),
             atoms,
             bags: vec![CountedRuns::default(); relations.len()],
             support: CountedRuns::default(),
         }
+    }
+
+    /// The support of output pair `key`: a mirrored support keeps `(l, r)`
+    /// with `l > r` as `(r, l)`.
+    fn count(&self, key: u64) -> i64 {
+        self.support
+            .get(if self.mirrored { normalized(key) } else { key })
+    }
+
+    /// Every `r` with `(l, r)` in the output, ascending. A mirrored
+    /// support's run of `l` holds those from `l` up; those below are found
+    /// by probing each smaller left id's run for `l`, `O(l × log)`.
+    fn partners(&self, l: Vid) -> impl Iterator<Item = Vid> + '_ {
+        let below = (0..if self.mirrored { l } else { 0 })
+            .filter(move |&x| self.support.get(pack(x, l)) > 0);
+        below.chain(self.support.run(l).map(|(r, _)| r))
     }
 
     /// Fill the bags from every atom's `(in, out)` pairs, as the bulk
@@ -784,7 +826,15 @@ impl SegmentState {
         let mut added = Vec::new();
         let mut removed = Vec::new();
         for &(key, d) in &changes {
-            let old = self.support.add(key, d, what, dict)?;
+            let (l, r) = unpack(key);
+            // A mirrored segment's change is symmetric: `(r, l)` came
+            // earlier in this walk with the same `d`, and moved the one
+            // count both pairs share.
+            let old = if self.mirrored && l > r {
+                self.support.get(flip(key)) - d
+            } else {
+                self.support.add(key, d, what, dict)?
+            };
             if old == 0 && old + d > 0 {
                 added.push(unpack(key));
             } else if old > 0 && old + d == 0 {
@@ -795,22 +845,17 @@ impl SegmentState {
     }
 }
 
-/// Whether a chain's last segment mirrors its first: its atoms are the
-/// first segment's in reverse order, each with its columns swapped (same
-/// table, equal predicate) — as in `M(a, g), M(b, g)`, where one segment
-/// mirrors itself. The last segment's support is then the first's
-/// transposed, count for count.
-fn mirrors(first: &SegmentState, last: &SegmentState) -> bool {
-    first.atoms.len() == last.atoms.len()
-        && first
-            .atoms
-            .iter()
-            .zip(last.atoms.iter().rev())
-            .all(|(a, b)| {
-                a.table == b.table
-                    && a.pred == b.pred
-                    && (a.in_col, a.out_col) == (b.out_col, b.in_col)
-            })
+/// Whether the atoms `last` of a segment mirror the atoms `first` of
+/// another: they are `first` in reverse order, each with its columns
+/// swapped (same table, equal predicate) — as in `M(a, g), M(b, g)`, where
+/// one segment mirrors itself. The support of `last` is then the support
+/// of `first` transposed, count for count, and a segment that mirrors
+/// itself has a symmetric support.
+fn mirrors(first: &[AtomState], last: &[AtomState]) -> bool {
+    first.len() == last.len()
+        && first.iter().zip(last.iter().rev()).all(|(a, b)| {
+            a.table == b.table && a.pred == b.pred && (a.in_col, a.out_col) == (b.out_col, b.in_col)
+        })
 }
 
 // ---------------------------------------------------------------------------
@@ -864,12 +909,14 @@ fn materialize_segment(
 
 /// Materialize every edge the brand-new node of interned key `key`
 /// participates in: its distinct output as a left endpoint of each chain's
-/// first segment (the support run) and as a right endpoint of its last
-/// (the `by_right` run, or the first segment's support run where the last
-/// segment mirrors the first), each through [`materialize_segment`] as
-/// that segment's pairs. Cost is proportional to the node's own
-/// memberships, not the graph. A direct edge is the first single-segment
-/// chain's that outputs its pair.
+/// first segment (its [`SegmentState::partners`]) and as a right endpoint
+/// of its last (the `by_right` run; where the chain keeps none, the
+/// partners in the last segment if it mirrors itself, else in the first,
+/// which the last mirrors), each through [`materialize_segment`] as that
+/// segment's pairs. A direct edge is the first single-segment chain's that
+/// outputs its pair. Where neither end mirrors itself the cost is
+/// proportional to the node's own memberships; a mirrored end adds a
+/// probe per left id below `key` (`O(left ids × log)`).
 fn materialize_node_edges(
     chains: &mut [ChainState],
     key: Vid,
@@ -887,12 +934,18 @@ fn materialize_node_edges(
         let k = segments.len();
         let earlier = |pair| {
             let mut single = before.iter().filter(|o| o.segments.len() == 1);
-            single.any(|o| o.segments[0].support.get(pair) > 0)
+            single.any(|o| o.segments[0].count(pair) > 0)
         };
-        let rights = segments[0].support.run(key).map(|(r, _)| (key, r));
+        let rights = segments[0].partners(key).map(|r| (key, r));
         materialize_segment((0, k), bounds, rights, true, earlier, real_ids, target);
-        let by_right = by_right.as_ref().unwrap_or(&segments[0].support);
-        let lefts = by_right.run(key).map(|(l, _)| (l, key));
+        let indexed = by_right
+            .iter()
+            .flat_map(|index| index.run(key).map(|(l, _)| l));
+        let reader = &segments[if segments[k - 1].mirrored { k - 1 } else { 0 }];
+        let mirrored = by_right.is_none().then(|| reader.partners(key));
+        let lefts = indexed
+            .chain(mirrored.into_iter().flatten())
+            .map(|l| (l, key));
         materialize_segment((k - 1, k), bounds, lefts, true, earlier, real_ids, target);
     }
 }
@@ -979,9 +1032,7 @@ pub(crate) fn apply_delta_state(
             }
             let elsewhere = |pair| {
                 let mut others = before.iter().chain(after.iter());
-                others.any(|other| {
-                    other.segments.len() == 1 && other.segments[0].support.get(pair) > 0
-                })
+                others.any(|other| other.segments.len() == 1 && other.segments[0].count(pair) > 0)
             };
             let _span = span(Phase::BuildRep, Region::BuildRep);
             let jk = (j, k);
@@ -1088,8 +1139,11 @@ pub(crate) fn apply_delta_state(
 //   its last only by `in`, a middle atom both ways, a single atom not at
 //   all; an atom whose relation another atom already reads in the same
 //   orientation (a self-join's transposing second atom) shares that bag;
-// * `by_right` — only where a chain's last segment does not mirror its
-//   first (`mirrors`); a mirroring chain reads the first support instead;
+// * `by_right` — only where a chain's last segment neither mirrors its
+//   first nor itself (`mirrors`); a mirroring chain reads the partners in
+//   the first support, a self-mirroring last segment its own;
+// * a support keeps the pairs `l ≤ r` only where its segment mirrors
+//   itself;
 // * `bounds.index` — one per boundary.
 //
 // The bags are the primary state (the bulk loader fills them through
@@ -1101,11 +1155,12 @@ pub(crate) fn apply_delta_state(
 
 impl ChainState {
     /// `by_right` transposes the last segment's support keys unless that
-    /// segment mirrors the first; `bounds.index` inverts `bounds.keys`
-    /// (which holds no id twice).
+    /// segment mirrors the first or itself; `bounds.index` inverts
+    /// `bounds.keys` (which holds no id twice).
     fn derive_indexes(&mut self) {
         let (first, last) = (&self.segments[0], &self.segments[self.segments.len() - 1]);
-        self.by_right = (!mirrors(first, last)).then(|| last.support.transposed_keys());
+        let mirrored = last.mirrored || mirrors(&first.atoms, &last.atoms);
+        self.by_right = (!mirrored).then(|| last.support.transposed_keys());
         self.bounds.index = self
             .bounds
             .keys
@@ -1250,16 +1305,20 @@ impl IncrementalState {
                     let mut bags: Vec<CountedPairs> =
                         std::mem::take(load).into_iter().flatten().collect();
                     seg.support = match bags.len() {
+                        // A single atom mirrors itself only when it reads
+                        // one column twice: its pairs are all diagonal.
                         1 => {
                             let _span = span(Phase::LoadState, Region::Patch);
                             CountedRuns::new(bags.pop().expect("one atom"))?
                         }
                         // The last join step hands its output over run by
-                        // run, kept compact as it comes; the join has read
+                        // run, kept compact as it comes (a mirrored
+                        // segment's from the diagonal up); the join has read
                         // the bags, and the segment keeps them as its atoms
                         // walk them.
                         m => {
                             let slots = dict.capacity();
+                            let mirrored = seg.mirrored;
                             let mut joined: Option<CountedPairs> = None;
                             for bag in &bags[1..m - 1] {
                                 let frontier = joined.as_ref().unwrap_or(&bags[0]);
@@ -1273,8 +1332,12 @@ impl IncrementalState {
                                 scan_threads,
                                 || Ok(RunsBuilder::default()),
                                 |part: &mut Result<RunsBuilder, PatchError>, run| {
+                                    let from = run.partition_point(|&(key, _)| {
+                                        let (l, r) = unpack(key);
+                                        mirrored && r < l
+                                    });
                                     if let Ok(builder) = part {
-                                        if let Err(e) = builder.extend_run(run) {
+                                        if let Err(e) = builder.extend_run(&run[from..]) {
                                             *part = Err(e);
                                         }
                                     }
@@ -1332,7 +1395,8 @@ impl IncrementalState {
         // Every pair becomes its stored edge, now that all node keys are
         // known; the builder sorts and dedups the adjacency lists. The
         // boundary tables fill here, keeping their `index` current as they
-        // go.
+        // go. A mirrored support gives its pairs in both orientations, in
+        // the order a replay's sorted transitions do.
         let _span = span(Phase::BuildRep, Region::BuildRep);
         let mut builder = CondensedBuilder::new(ids.len());
         for (c, j) in completed {
@@ -1342,7 +1406,7 @@ impl IncrementalState {
             emit_segment(
                 &mut builder,
                 (j, segments.len()),
-                segments[j].support.iter().map(|(key, _)| key),
+                segments[j].support.keys(segments[j].mirrored),
                 |vid| real_from(&state.real_ids, vid),
                 |b, vid, builder| bounds.virt(b, vid, || builder.add_virtual()),
             );
@@ -1463,7 +1527,13 @@ fn put_packed_counts(out: &mut impl codec::Sink, support: &CountedRuns) {
     }
 }
 
-fn read_packed_counts(r: &mut Reader<'_>, dict: &Interner) -> Result<CountedRuns, CodecError> {
+/// Decode a support map (inverse of [`put_packed_counts`]); a `mirrored`
+/// one holds no pair below the diagonal.
+fn read_packed_counts(
+    r: &mut Reader<'_>,
+    dict: &Interner,
+    mirrored: bool,
+) -> Result<CountedRuns, CodecError> {
     let n = r.len_of(16)?;
     let mut pairs = RunsBuilder::with_capacity(n.min(MAX_PAIRS));
     let mut prev = None;
@@ -1475,6 +1545,12 @@ fn read_packed_counts(r: &mut Reader<'_>, dict: &Interner) -> Result<CountedRuns
             return Err(CodecError::invalid(
                 at,
                 "packed id pair not in engine dictionary",
+            ));
+        }
+        if mirrored && l > rr {
+            return Err(CodecError::invalid(
+                at,
+                "mirrored support pair below the diagonal",
             ));
         }
         let v = r.i64()?;
@@ -1528,7 +1604,7 @@ impl SegmentState {
         for bag in &mut seg.bags {
             *bag = read_bag(r, dict)?;
         }
-        seg.support = read_packed_counts(r, dict)?;
+        seg.support = read_packed_counts(r, dict, seg.mirrored)?;
         Ok(seg)
     }
 }
@@ -1719,12 +1795,13 @@ impl IncrementalState {
 
 #[cfg(test)]
 mod tests {
-    use super::{apply_delta_state, CodecError, IncrementalState, Reader};
+    use super::{apply_delta_state, CodecError, GraphPatch, IncrementalState, Reader};
     use crate::extract::{GraphGen, GraphGenConfig};
     use crate::handle::{ConvertOptions, GraphHandle};
     use crate::planner::plan_chain;
     use graphgen_common::{IdMap, SplitMix64};
     use graphgen_graph::{CondensedBuilder, GraphRep, Properties, RepKind};
+    use graphgen_reldb::exec::{pack, unpack};
     use graphgen_reldb::{Column, Database, Delta, DeltaOp, Schema, Table, Value};
     use std::sync::Arc;
 
@@ -2423,6 +2500,61 @@ mod tests {
         }
     }
 
+    /// A self-join beside a cut: the chain's first segment (then its last)
+    /// mirrors itself and keeps its support once, while its pairs number
+    /// the virtual nodes of the boundary in the replay's order. `M` has
+    /// many small groups, `R` few join values, so only the join at `X` is
+    /// cut. New entities are node adds reading both halves.
+    #[test]
+    fn bulk_a_self_join_beside_a_cut() {
+        let first = "Nodes(ID, Name) :- Entity(ID, Name).\n\
+                     Edges(A, B) :- M(A, G), M(X, G), R(X, B).";
+        let last = "Nodes(ID, Name) :- Entity(ID, Name).\n\
+                    Edges(A, B) :- R(A, X), M(X, G), M(B, G).";
+        for (seed, dsl, mirrored) in [(17, first, 0), (18, last, 1)] {
+            let mut rng = SplitMix64::new(seed);
+            let mut db = Database::new();
+            db.register("Entity", entity_table(&mut rng, 60)).unwrap();
+            let mut m = Table::new(Schema::new(vec![Column::int("e"), Column::int("g")]));
+            let mut r = Table::new(Schema::new(vec![Column::int("x"), Column::int("b")]));
+            for _ in 0..300 {
+                m.push_row(vec![cell(&mut rng, 60, 10), cell(&mut rng, 200, 10)])
+                    .unwrap();
+                let row = vec![cell(&mut rng, 60, 10), Value::int(rng.next_below(4) as i64)];
+                let row = if mirrored == 0 {
+                    row.into_iter().rev().collect()
+                } else {
+                    row
+                };
+                r.push_row(row).unwrap();
+            }
+            db.register("M", m).unwrap();
+            db.register("R", r).unwrap();
+            let mut pair = both_ways(&db, dsl, None);
+            let state = pair.0.incremental_state().unwrap();
+            let flags: Vec<bool> = state.chains[0]
+                .segments
+                .iter()
+                .map(|s| s.mirrored)
+                .collect();
+            let mut want = vec![false, false];
+            want[mirrored] = true;
+            assert_eq!(flags, want, "{dsl}");
+            assert!(state.chains[0].by_right.is_none() == (mirrored == 1));
+            for _ in 0..2 {
+                let mut deltas = churn(&mut db, "M", &mut rng, 30, 30, 60);
+                deltas.extend(churn(&mut db, "R", &mut rng, 20, 20, 4));
+                let fresh = (0..60).filter(|k| k % 3 == 1).take(4);
+                let fresh: Vec<Vec<Value>> = fresh
+                    .map(|k| vec![Value::int(k), Value::str(format!("new{k}"))])
+                    .collect();
+                deltas.push(db.delete_rows("Entity", &fresh).unwrap());
+                deltas.push(db.insert_rows("Entity", fresh).unwrap());
+                continue_both(&db, dsl, None, &mut pair, &deltas);
+            }
+        }
+    }
+
     #[test]
     fn bulk_empty_tables() {
         let empty = |cols: Vec<Column>| Table::new(Schema::new(cols));
@@ -2502,6 +2634,75 @@ mod tests {
                 .unwrap()
                 .contains(&&Value::int(3)));
         }
+    }
+
+    /// Apply `delta` to every handle: each must equal a re-extraction of
+    /// `db`, its co-author support kept from the diagonal up. Returns the
+    /// first handle's patch.
+    fn mirrored_step(db: &Database, handles: &mut [GraphHandle], delta: Delta) -> GraphPatch {
+        let fresh = GraphGen::with_config(db, bulk_cfg(None, 1, false))
+            .extract(Q1)
+            .unwrap();
+        let patches: Vec<GraphPatch> = handles
+            .iter_mut()
+            .map(|g| g.apply_delta(&delta).unwrap())
+            .collect();
+        for g in handles.iter() {
+            let state = g.incremental_state().unwrap();
+            let seg = &state.chains[0].segments[0];
+            assert!(seg.mirrored && state.chains[0].by_right.is_none());
+            assert!(seg.support.iter().all(|(key, _)| {
+                let (l, r) = unpack(key);
+                l <= r
+            }));
+            assert_eq!(
+                String::from_utf8(g.canonical_bytes()).unwrap(),
+                String::from_utf8(fresh.canonical_bytes()).unwrap()
+            );
+        }
+        patches[0].clone()
+    }
+
+    /// The co-author self-join mirrors itself and keeps its support once.
+    /// A new author whose co-authors' ids lie below its own (through
+    /// publication 1) and above it (through a publication shared with an
+    /// author interned later) gains every edge: the stored run and the
+    /// probe of the lower half are both read. The node is then removed and
+    /// revived. Every step equals a re-extraction, at 1, 2 and 8 threads.
+    #[test]
+    fn a_node_add_on_a_mirrored_segment_reads_both_halves() {
+        let mut db = fig1_db();
+        let mut handles: Vec<GraphHandle> = [1, 2, 8]
+            .iter()
+            .map(|&t| {
+                GraphGen::with_config(&db, bulk_cfg(None, t, true))
+                    .extract(Q1)
+                    .unwrap()
+            })
+            .collect();
+        let row = |a: i64, p: i64| vec![Value::int(a), Value::int(p)];
+        let author = |a: i64| vec![Value::int(a), Value::str(format!("a{a}"))];
+        // Author 9 is no node yet, and is interned before author 10.
+        let d = db
+            .insert_rows("AuthorPub", vec![row(9, 1), row(9, 7)])
+            .unwrap();
+        mirrored_step(&db, &mut handles, d);
+        let d = db.insert_rows("Author", vec![author(10)]).unwrap();
+        mirrored_step(&db, &mut handles, d);
+        let d = db.insert_rows("AuthorPub", vec![row(10, 7)]).unwrap();
+        mirrored_step(&db, &mut handles, d);
+        let dict = &handles[0].incremental_state().unwrap().dict;
+        let vid = |a: i64| dict.lookup(&Value::int(a)).unwrap();
+        assert!([1, 2, 4].iter().all(|&a| vid(a) < vid(9)) && vid(9) < vid(10));
+        // The node add: co-authors 1, 2 and 4 below, 10 above, an edge
+        // each way with each.
+        let d = db.insert_rows("Author", vec![author(9)]).unwrap();
+        let patch = mirrored_step(&db, &mut handles, d);
+        assert_eq!((patch.nodes_added, patch.stored_edges_added), (1, 8));
+        let d = db.delete_rows("Author", &[author(9)]).unwrap();
+        assert_eq!(mirrored_step(&db, &mut handles, d).nodes_removed, 1);
+        let d = db.insert_rows("Author", vec![author(9)]).unwrap();
+        assert_eq!(mirrored_step(&db, &mut handles, d).nodes_revived, 1);
     }
 
     // -----------------------------------------------------------------------
@@ -2591,6 +2792,32 @@ mod tests {
         (0..bytes.len() - 24)
             .find(|&i| bytes[i..i + 8] == three && bytes[i + 12..i + 20] == three)
             .expect("the self-join's bag")
+    }
+
+    /// Q1 over Fig. 1 as one segment mirrors itself: its support keeps
+    /// the 11 pairs on and above the diagonal of the 19 it counts, and
+    /// follows the shared bag (three slots of 3, 2 and 3 authors). A pair
+    /// below the diagonal is refused at its entry.
+    #[test]
+    fn decode_rejects_a_mirrored_support_pair_below_the_diagonal() {
+        let g = GraphGen::with_config(&fig1_db(), bulk_cfg(None, 1, true))
+            .extract(Q1)
+            .unwrap();
+        let mut bytes = state_bytes(&g);
+        let support = shared_bag_at(&bytes) + 8 + 3 * (4 + 8) + 8 * 12;
+        assert_eq!(bytes[support..support + 8], 11u64.to_le_bytes());
+        // Entry 1 is a1's pair with a2: store it as (a2, a1).
+        let entry = support + 8 + 16;
+        let key = u64::from_le_bytes(bytes[entry..entry + 8].try_into().unwrap());
+        let (l, r) = unpack(key);
+        assert!(l < r);
+        bytes[entry..entry + 8].copy_from_slice(&pack(r, l).to_le_bytes());
+        let err = decode_state(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::Invalid { at: pos, what }
+                if *pos == entry && what.contains("below the diagonal")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -28,6 +28,12 @@
 //! scatter of the ascending entries ([`CountedRuns::transpose_of`]), never
 //! a hash rebuild or a comparison sort.
 //!
+//! A bag of a symmetric relation — the support of a segment that mirrors
+//! itself, such as the co-author self-join — is kept once: its owner stores
+//! only the pairs with `l ≤ r` and normalises every probe; the bag itself
+//! does not know. [`CountedRuns::keys`] is told, and walks the whole
+//! relation in key order.
+//!
 //! The overlay folds into the base once it outgrows a fixed fraction of it
 //! (the same amortization as `Table::maybe_compact`): the fold moves the
 //! base's entries up in place to make room, in `O(base + slots)`, charged
@@ -382,6 +388,36 @@ impl CountedRuns {
     /// The transposed key set: `(r, l)` with count 1 for every pair.
     pub(crate) fn transposed_keys(&self) -> Self {
         scatter(|| self.iter(), |_| 1)
+    }
+
+    /// Every key, ascending. With `mirrored` the bag keeps each pair of a
+    /// symmetric relation once, as `(l, r)` with `l ≤ r`, and the keys
+    /// below the diagonal come too: those above it transposed by a
+    /// counting scatter and merged in, so a walk of the whole relation
+    /// sees every left id's run in order.
+    pub(crate) fn keys(&self, mirrored: bool) -> impl Iterator<Item = u64> + '_ {
+        let above = || {
+            self.iter().filter(|&(key, _)| {
+                let (l, r) = unpack(key);
+                l < r
+            })
+        };
+        let below = mirrored.then(|| scatter(above, |_| 1));
+        merge(self.iter(), below.unwrap_or_default().into_entries()).map(|(key, _)| key)
+    }
+
+    /// Every `(key, count)` of a bag without an overlay, ascending, taking
+    /// the bag.
+    fn into_entries(self) -> impl Iterator<Item = (u64, i64)> {
+        debug_assert!(self.overlay.is_empty());
+        let Self { base, starts, .. } = self;
+        let mut l = 0;
+        base.into_iter().enumerate().map(move |(i, e)| {
+            while starts[l + 1] as usize <= i {
+                l += 1;
+            }
+            (pack(l as Vid, right(e)), count(e))
+        })
     }
 
     /// The operator output `pairs` (a valid [`CountedPairs`]) with every
@@ -761,6 +797,35 @@ mod tests {
         assert!(matches!(err, Err(PatchError::Overflow(_))), "{err:?}");
         let err = CountedRuns::new(over);
         assert!(matches!(err, Err(PatchError::Overflow(_))), "{err:?}");
+    }
+
+    /// A bag holding the upper half of a symmetric relation gives every
+    /// key of the relation, ascending, through `keys(true)`, also through
+    /// its overlay; `keys(false)` gives the bag's own.
+    #[test]
+    fn mirrored_keys_are_both_orientations_ascending() {
+        let dict = Interner::new();
+        let mut rng = SplitMix64::new(4);
+        let mut full: BTreeSet<u64> = BTreeSet::new();
+        for _ in 0..300 {
+            let (a, b) = (rng.next_below(40) as u32, rng.next_below(40) as u32);
+            full.extend([pack(a, b), pack(b, a)]);
+        }
+        let kept: Vec<(u64, i64)> = full
+            .iter()
+            .filter(|&&key| unpack(key).0 <= unpack(key).1)
+            .map(|&key| (key, 2))
+            .collect();
+        let mut runs = CountedRuns::new(kept.clone()).unwrap();
+        assert!(runs.keys(true).eq(full.iter().copied()));
+        assert!(runs.keys(false).eq(kept.iter().map(|&(key, _)| key)));
+        let (added, gone) = (pack(3, 41), kept[5].0);
+        runs.add(added, 1, "count", &dict).unwrap();
+        runs.add(gone, -2, "count", &dict).unwrap();
+        let (l, r) = unpack(gone);
+        full.extend([added, pack(41, 3)]);
+        full.retain(|&key| key != gone && key != pack(r, l));
+        assert!(runs.keys(true).eq(full.iter().copied()));
     }
 
     /// Operator output longer than a conversion chunk keeps every pair in

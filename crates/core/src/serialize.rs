@@ -20,7 +20,7 @@
 //! `graphgen_common::codec`):
 //!
 //! ```text
-//! magic  8 bytes  b"GGSNAP4\0"   (embeds the format version)
+//! magic  8 bytes  b"GGSNAP5\0"   (embeds the format version)
 //! chunks …        adjacency chunk table (graphgen_graph::snapshot):
 //!                 chunk capacity, count, then each distinct chunk once —
 //!                 chunks shared between sections (or byte-identical) are
@@ -33,15 +33,18 @@
 //! incr   u8 + …   0 = plain handle; 1 = incremental maintenance state,
 //!                 as the state keeps it: the engine dictionary (dense-id
 //!                 interner) first, then the views, per segment its atom
-//!                 headers, its bags and its support, the boundary
-//!                 interning, and the node rows
+//!                 headers, its bags and its support (a segment that
+//!                 mirrors itself writes the pairs `l ≤ r` only), the
+//!                 boundary interning, and the node rows
 //! ```
 //!
 //! Format 4 writes each maintained relation once: no per-atom copy of a
 //! bag, no direct-edge counts (they follow from the supports), no property
-//! names per node row and no representation or shadow tag. Formats 1–3
-//! (`GGSNAP1\0` flat adjacency lists, `GGSNAP2\0` value-keyed maintenance
-//! state, `GGSNAP3\0` derived copies beside the state) are **not**
+//! names per node row and no representation or shadow tag. Format 5 also
+//! writes a symmetric support once: the pairs on and above the diagonal.
+//! Formats 1–4 (`GGSNAP1\0` flat adjacency lists, `GGSNAP2\0` value-keyed
+//! maintenance state, `GGSNAP3\0` derived copies beside the state,
+//! `GGSNAP4\0` symmetric supports in both orientations) are **not**
 //! readable; their files fail with a clean magic-mismatch error.
 //!
 //! [`encode_snapshot_into`] writes the layout through any
@@ -170,10 +173,11 @@ fn json_prop(p: &PropValue) -> String {
 }
 
 /// Magic prefix of the binary handle snapshot format; the trailing digit is
-/// the format version (4 = the maintenance state as it is kept; 3 =
+/// the format version (5 = a symmetric support kept once; 4 = the
+/// maintenance state as it is kept; 3 =
 /// dense-id interned maintenance state; 2 = chunked, deduplicated
 /// adjacency — older-format files fail with a clean magic mismatch).
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"GGSNAP4\0";
+pub const SNAPSHOT_MAGIC: [u8; 8] = *b"GGSNAP5\0";
 
 /// Encode a whole C-DUP [`GraphHandle`] as a self-contained binary
 /// snapshot (see the module docs for the layout). Deterministic: equal
@@ -670,7 +674,8 @@ mod tests {
         assert_eq!(back.canonical_bytes(), h.canonical_bytes());
     }
 
-    /// Older-format snapshots (`GGSNAP3\0` derived copies beside the state,
+    /// Older-format snapshots (`GGSNAP4\0` symmetric supports in both
+    /// orientations, `GGSNAP3\0` derived copies beside the state,
     /// `GGSNAP2\0` value-keyed state, `GGSNAP1\0` flat adjacency) must fail
     /// with a clean magic mismatch, not a misparse.
     #[test]
@@ -678,8 +683,8 @@ mod tests {
         use crate::error::ErrorKind;
         let g = extract();
         let mut bytes = encode_snapshot(&g).unwrap();
-        assert_eq!(&bytes[..8], b"GGSNAP4\0");
-        for old in [*b"GGSNAP3\0", *b"GGSNAP2\0", *b"GGSNAP1\0"] {
+        assert_eq!(&bytes[..8], b"GGSNAP5\0");
+        for old in [*b"GGSNAP4\0", *b"GGSNAP3\0", *b"GGSNAP2\0", *b"GGSNAP1\0"] {
             bytes[..8].copy_from_slice(&old);
             let err = decode_snapshot(&bytes).unwrap_err();
             assert_eq!(err.kind(), ErrorKind::Snapshot);

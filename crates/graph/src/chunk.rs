@@ -25,6 +25,14 @@
 //! a straight `memcpy` (not a pointer chase through per-list allocations),
 //! and iteration over a chunk's lists is sequential in memory.
 //!
+//! A chunk's buffer never doubles: a built, decoded or copied chunk is
+//! exact-sized, and a full buffer grows by an eighth of its length. A
+//! served graph is copied chunk by chunk on every publish that writes to
+//! it, so a doubling buffer would leave most chunks half empty; an eighth
+//! keeps the store within about an eighth of its exact size, for one
+//! reallocation per `len / 8` inserts, each of which already moves
+//! `O(len)` entries.
+//!
 //! The snapshot codec (`crate::snapshot`) understands chunks natively and
 //! deduplicates identical ones on disk.
 
@@ -74,9 +82,22 @@ impl AdjChunk {
         (0..self.ends.len()).map(|s| self.list(s))
     }
 
+    /// A chunk holding `lists` (at most [`CHUNK_LEN`]), sized exactly.
+    pub(crate) fn from_lists(lists: &[Vec<Adj>]) -> Self {
+        let mut chunk = AdjChunk {
+            data: Vec::with_capacity(lists.iter().map(Vec::len).sum()),
+            ends: Vec::with_capacity(lists.len()),
+        };
+        for list in lists {
+            chunk.push_list(list);
+        }
+        chunk
+    }
+
     /// Append a list as the next slot.
     pub(crate) fn push_list(&mut self, list: &[Adj]) {
         debug_assert!(self.ends.len() < CHUNK_LEN);
+        grow(&mut self.data, list.len());
         self.data.extend_from_slice(list);
         self.ends.push(self.data.len() as u32);
     }
@@ -88,6 +109,7 @@ impl AdjChunk {
         match self.data[s..e].binary_search(&a) {
             Ok(_) => false,
             Err(pos) => {
+                grow(&mut self.data, 1);
                 self.data.insert(s + pos, a);
                 for end in &mut self.ends[slot..] {
                     *end += 1;
@@ -149,6 +171,14 @@ impl AdjChunk {
     }
 }
 
+/// Make room for `extra` more entries in `data`: a full buffer grows by an
+/// eighth of its length (at least `extra`), never by doubling.
+fn grow(data: &mut Vec<Adj>, extra: usize) {
+    if data.capacity() - data.len() < extra {
+        data.reserve_exact(extra.max(data.len() / 8 + 1));
+    }
+}
+
 /// A growable sequence of adjacency lists stored as `Arc`-shared chunks.
 /// See the module docs for the sharing/copy-on-write contract.
 #[derive(Debug, Clone, Default)]
@@ -170,14 +200,7 @@ impl ChunkedAdj {
         let len = lists.len();
         let mut chunks = Vec::with_capacity(len.div_ceil(CHUNK_LEN));
         for group in lists.chunks(CHUNK_LEN) {
-            let mut chunk = AdjChunk {
-                data: Vec::with_capacity(group.iter().map(Vec::len).sum()),
-                ends: Vec::with_capacity(group.len()),
-            };
-            for list in group {
-                chunk.push_list(list);
-            }
-            chunks.push(Arc::new(chunk));
+            chunks.push(Arc::new(AdjChunk::from_lists(group)));
         }
         Self { chunks, len }
     }
@@ -344,6 +367,31 @@ mod tests {
         );
         // Untouched slots of the copied chunk carried over.
         assert_eq!(a.list(CHUNK_LEN + 2), b.list(CHUNK_LEN + 2));
+    }
+
+    /// Writes after a clone copy the chunk at its exact size and then grow
+    /// it by an eighth at a time: however many entries arrive, at most an
+    /// eighth of the buffer (plus one entry) is ever spare.
+    #[test]
+    fn writes_after_a_clone_leave_at_most_an_eighth_spare() {
+        let lists: Vec<Vec<Adj>> = (0..CHUNK_LEN as u32)
+            .map(|i| (0..40).map(|j| adj(i * 1000 + j * 2)).collect())
+            .collect();
+        let mut a = ChunkedAdj::from_lists(lists);
+        for round in 0..50u32 {
+            let published = a.clone();
+            for slot in 0..CHUNK_LEN {
+                let fresh = adj(slot as u32 * 1000 + 2 * round + 1);
+                assert!(a.insert_sorted(slot, fresh));
+            }
+            a.push(&[adj(round)]);
+            for chunk in a.chunks() {
+                let (len, cap) = (chunk.data.len(), chunk.data.capacity());
+                assert!(cap <= len + len / 8 + 1, "round {round}: {cap} for {len}");
+            }
+            drop(published);
+        }
+        assert_eq!(a.list(3).len(), 40 + 50);
     }
 
     #[test]

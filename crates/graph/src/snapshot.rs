@@ -182,7 +182,7 @@ impl ChunkDecoder {
             if n_lists > CHUNK_LEN {
                 return Err(CodecError::invalid(at, "chunk holds too many lists"));
             }
-            let mut chunk = AdjChunk::default();
+            let mut lists = Vec::with_capacity(n_lists);
             for _ in 0..n_lists {
                 let len = r.len_of(4)?;
                 let mut list: Vec<Adj> = Vec::with_capacity(len);
@@ -199,9 +199,9 @@ impl ChunkDecoder {
                     }
                     list.push(a);
                 }
-                chunk.push_list(&list);
+                lists.push(list);
             }
-            chunks.push(Arc::new(chunk));
+            chunks.push(Arc::new(AdjChunk::from_lists(&lists)));
         }
         Ok(Self { chunks })
     }
@@ -489,6 +489,26 @@ mod tests {
             assert_eq!(back.is_alive(RealId(u)), g.is_alive(RealId(u)));
         }
         assert_eq!(expand_to_edge_list(&back), expand_to_edge_list(&g));
+    }
+
+    /// A decoded chunk is sized exactly, as a built one is: lengths that
+    /// leave a growing buffer with spare room, many lists per chunk.
+    #[test]
+    fn decoded_chunks_are_sized_exactly() {
+        let mut b = crate::builder::CondensedBuilder::new(200);
+        for v in 0..40u32 {
+            let members: Vec<RealId> = (0..200).filter(|i| i % (v + 3) == 0).map(RealId).collect();
+            b.clique(&members);
+        }
+        let g = b.build();
+        let back = roundtrip_chunked(encode_condensed, decode_condensed, &g);
+        for (built, decoded) in [
+            (g.real_out_chunks(), back.real_out_chunks()),
+            (g.virt_out_chunks(), back.virt_out_chunks()),
+        ] {
+            assert_eq!(decoded, built);
+            assert_eq!(decoded.heap_bytes(), built.heap_bytes());
+        }
     }
 
     #[test]

@@ -42,14 +42,14 @@
 //!   <name>.graph.snap  magic GGSVGR5\0 | u64 version | u64 db_version
 //!                      | dsl | frozen plans (per chain: cuts, planned
 //!                      outputs, planned cost) | u64 length | GraphHandle
-//!                      snapshot (its own magic, GGSNAP4: the C-DUP and the
+//!                      snapshot (its own magic, GGSNAP5: the C-DUP and the
 //!                      maintenance state as it is kept)
 //! ```
 //!
 //! Graph snapshots are written from the **working** handle (it owns the
 //! delta-maintenance state recovery needs; published reader clones do
 //! not). Each magic versions only its own layout: the handle bytes carry
-//! `GGSNAP`'s, so a file framing an older handle (`GGSNAP3\0` and before)
+//! `GGSNAP`'s, so a file framing an older handle (`GGSNAP4\0` and before)
 //! fails at that magic, and an older frame — `GGSVGR4\0` (value-keyed
 //! maintenance state) back to `GGSVGR2\0` — at its own. Both are
 //! [`ServeError::Corrupt`] naming the file.
