@@ -104,6 +104,16 @@ impl ByteSize for crate::Bitmap {
     }
 }
 
+/// Make room for `extra` more entries in `v`: a full vector grows by an
+/// eighth of its length (at least `extra`), never by doubling, so a
+/// vector written entry by entry holds at most an eighth (plus one entry)
+/// more than it needs, for one reallocation per `len / 8` entries.
+pub fn grow_by_eighth<T>(v: &mut Vec<T>, extra: usize) {
+    if v.capacity() - v.len() < extra {
+        v.reserve_exact(extra.max(v.len() / 8 + 1));
+    }
+}
+
 /// Format a byte count as a human-readable string (e.g. `1.42 GB`).
 pub fn human_bytes(bytes: usize) -> String {
     const UNITS: [&str; 5] = ["B", "KB", "MB", "GB", "TB"];
@@ -163,6 +173,16 @@ mod tests {
             assert_eq!(map.heap_bytes(), buckets * 16 + buckets + 16, "{want}");
             let set = HashSet::<u32>::with_capacity(want);
             assert_eq!(set.heap_bytes(), buckets * 4 + buckets + 16, "{want}");
+        }
+    }
+
+    #[test]
+    fn growth_by_an_eighth_leaves_at_most_an_eighth_spare() {
+        let mut v: Vec<u32> = Vec::new();
+        for i in 0..10_000 {
+            grow_by_eighth(&mut v, 3);
+            v.extend([i; 3]);
+            assert!(v.capacity() <= v.len() + v.len() / 8 + 3, "{}", v.len());
         }
     }
 

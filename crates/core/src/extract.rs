@@ -5,6 +5,7 @@ use crate::error::Error;
 use crate::handle::GraphHandle;
 use crate::incremental::IncrementalState;
 use crate::planner::{catalog_view, filters_to_predicate, full_query, plan_chain, ChainPlan};
+use graphgen_common::bytesize::grow_by_eighth;
 use graphgen_common::metrics::{span, Phase};
 use graphgen_common::region::{self, Region};
 use graphgen_common::IdMap;
@@ -15,6 +16,7 @@ use graphgen_dsl::{
 use graphgen_graph::{CondensedBuilder, ExpandedGraph, PropValue, Properties, RealId, VirtId};
 use graphgen_reldb::exec::{scan_project, unpack};
 use graphgen_reldb::{Database, Query, Value, Vid, NULL_VID};
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// Extraction configuration. Construct via [`GraphGenConfig::builder`]:
@@ -58,7 +60,7 @@ impl Default for GraphGenConfig {
 /// Scanned input rows per worker thread of a batch extraction whose thread
 /// count nobody chose. The scans and the join probes fan out — with the
 /// probes, the direct route's out-list writes, each morsel into its own
-/// slot per node —, while the grouping sort, the self-join transpose and
+/// flat buffer —, while the grouping sort, the self-join transpose and
 /// the graph build run on the calling thread. Two threads against one,
 /// measured when the probes still collected a bag, gave 0.93x at 50k
 /// scanned rows and 1.00x at 200k, at 800k and at 1.6M (0.97x to 1.08x
@@ -339,7 +341,7 @@ impl<'a> GraphGen<'a> {
                     &mut builder,
                     (j, k),
                     bag.iter().map(|&(key, _)| key),
-                    |vid| node_of[vid as usize],
+                    |vid| real_from(&node_of, vid),
                     |b, vid, builder| {
                         let slot = &mut virt_of[b][vid as usize];
                         if *slot == u32::MAX {
@@ -435,59 +437,62 @@ impl<'a> GraphGen<'a> {
     /// are no node key (`node_of`, over `n` nodes) and self-pairs drop out,
     /// and the rest are distinct, since each node is the key of one id. The
     /// list is already sorted unless the node order differs from the id
-    /// order there; only then is it sorted. Each morsel of the join writes
-    /// into its own slot per node, so one thread writes straight into the
-    /// graph's out-lists and more threads merge theirs after. Each list is
-    /// stored at exact size, merged (sorted, deduplicated) only when
-    /// another query fed the same node, and
-    /// [`ExpandedGraph::from_sorted_lists`] builds the in-lists by one
-    /// counting transpose. The list writes are part of the
-    /// `join` span (of `emit`, for a one-atom query) and the transpose is
-    /// the `build_rep` span.
+    /// order there; only then is it sorted. Each morsel of the join appends
+    /// its lists to flat blocks of a fixed size ([`FlatLists`]), which are
+    /// never reallocated. Once every join is done and its atom bags are
+    /// dropped, [`ExpandedGraph::from_sorted_lists`] moves the lists, in
+    /// node order, into exact-size chunks (a node fed by more than one
+    /// query gets its lists merged) and shares them as the in-lists when
+    /// the graph is symmetric. The list writes are part of the `join` span
+    /// (of `emit`, for a one-atom query) and the graph build is the
+    /// `build_rep` span.
     fn extract_direct<'q>(
         &self,
         queries: impl IntoIterator<Item = &'q Query>,
         n: usize,
-        node_of: &[Option<RealId>],
+        node_of: &[u32],
         threads: usize,
         sql: &mut Vec<String>,
     ) -> Result<ExpandedGraph, Error> {
-        // Per morsel: an out-list slot per node, and a scratch list.
-        type Lists = (Vec<Vec<u32>>, Vec<u32>);
-        let mut out: Vec<Vec<u32>> = Vec::new();
+        let mut parts: Vec<FlatLists> = Vec::new();
         for query in queries {
             sql.push(query.to_sql(self.db)?);
-            let init = || (vec![Vec::new(); n], Vec::new());
-            let each = |(lists, buf): &mut Lists, run: &[(u64, i64)]| {
-                let Some(u) = node_of[unpack(run[0].0).0 as usize] else {
+            let each = |part: &mut FlatLists, run: &[(u64, i64)]| {
+                let Some(u) = real_from(node_of, unpack(run[0].0).0) else {
                     return;
                 };
-                buf.clear();
-                buf.extend(
+                let blocks = &mut part.blocks;
+                if blocks
+                    .last()
+                    .is_none_or(|b| b.capacity() - b.len() < run.len())
+                {
+                    blocks.push(Vec::with_capacity(BLOCK.max(run.len())));
+                }
+                let block = blocks.last_mut().expect("block pushed above");
+                let start = block.len();
+                block.extend(
                     run.iter()
-                        .filter_map(|&(key, _)| node_of[unpack(key).1 as usize])
+                        .filter_map(|&(key, _)| real_from(node_of, unpack(key).1))
                         .filter(|&v| v != u)
                         .map(|v| v.0),
                 );
-                if !buf.is_sorted() {
-                    buf.sort_unstable();
+                let list = &mut block[start..];
+                if !list.is_sorted() {
+                    list.sort_unstable();
                 }
-                // A clone is allocated at exact size.
-                merge_list(&mut lists[u.0 as usize], buf.clone());
+                if !list.is_empty() {
+                    let len = list.len() as u32;
+                    grow_by_eighth(&mut part.lists, 1);
+                    part.lists.push((u.0, len));
+                }
             };
-            for (lists, _) in query.run_by_source(self.db, threads, init, each)? {
-                if out.is_empty() {
-                    out = lists;
-                } else {
-                    for (slot, list) in out.iter_mut().zip(lists) {
-                        merge_list(slot, list);
-                    }
-                }
-            }
+            parts.extend(query.run_by_source(self.db, threads, FlatLists::default, each)?);
         }
-        out.resize_with(n, Vec::new);
         let _span = span(Phase::BuildRep, Region::BuildRep);
-        Ok(ExpandedGraph::from_sorted_lists(out))
+        let lists = FlatLists::by_node(&parts, n);
+        Ok(ExpandedGraph::from_sorted_lists(
+            lists.iter().map(|list| list.iter().copied()),
+        ))
     }
 
     /// Worker threads for one batch extraction of `spec`: the configured
@@ -511,7 +516,8 @@ impl<'a> GraphGen<'a> {
 
     /// Step 1: scan the node views. Beside the key map and properties the
     /// handle keeps, returns `node_of`: the node of each dictionary id
-    /// (indexed by [`Vid`], `None` where the value is no node key), so edge
+    /// (indexed by [`Vid`], `u32::MAX` where the value is no node key, read
+    /// by [`real_from`]), so edge
     /// endpoints — which arrive as ids — are resolved by indexing. This is
     /// the only place extraction materializes a `Value`: once per node key
     /// and property cell.
@@ -520,7 +526,7 @@ impl<'a> GraphGen<'a> {
         let value = |vid: Vid| dict.resolve(vid).expect("scanned id is live");
         let mut ids: IdMap<Value> = IdMap::new();
         let mut props = Properties::new(0);
-        let mut node_of = vec![None; dict.capacity()];
+        let mut node_of = vec![u32::MAX; dict.capacity()];
         for view in views {
             let mut cols = vec![view.id_col];
             cols.extend(view.prop_cols.iter().map(|(_, c)| *c));
@@ -532,7 +538,7 @@ impl<'a> GraphGen<'a> {
                     continue;
                 }
                 let u = RealId(ids.intern(value(row[0]).clone()));
-                node_of[row[0] as usize] = Some(u);
+                node_of[row[0] as usize] = u.0;
                 props.grow(ids.len());
                 for ((name, _), &vid) in view.prop_cols.iter().zip(&row[1..]) {
                     let pv = match value(vid) {
@@ -546,6 +552,20 @@ impl<'a> GraphGen<'a> {
         }
         Ok((ids, props, node_of))
     }
+}
+
+/// Resolve an id to its real node through a flat side-table of node ids —
+/// one array load, no value hash, four bytes per dictionary slot. A `Vid`
+/// beyond the table (interned after the last rebuild/add) or mapped to the
+/// sentinel `u32::MAX` is not a node key, exactly as an id-map miss would
+/// report.
+#[inline]
+pub(crate) fn real_from(real_ids: &[u32], vid: Vid) -> Option<RealId> {
+    real_ids
+        .get(vid as usize)
+        .copied()
+        .filter(|&id| id != u32::MAX)
+        .map(RealId)
 }
 
 /// One stored C-DUP edge (§4.2 Step 5), as [`segment_edge`] derives it
@@ -637,22 +657,55 @@ pub(crate) fn emit_segment(
     }
 }
 
-/// Add the sorted out-list `list` to the sorted out-list `slot`: moved in
-/// when `slot` is empty, otherwise merged (sorted, deduplicated), which
-/// happens only when two queries feed one node.
-fn merge_list(slot: &mut Vec<u32>, list: Vec<u32>) {
-    if slot.is_empty() {
-        *slot = list;
-    } else if !list.is_empty() {
-        slot.extend_from_slice(&list);
-        slot.sort_unstable();
-        slot.dedup();
+/// Targets per [`FlatLists`] block (64 KiB). A block is allocated once, at
+/// this size or at a longer run's, and never grows: writing a morsel's
+/// lists costs no reallocation and leaves at most one block's slack.
+const BLOCK: usize = 1 << 14;
+
+/// One join morsel's out-lists on the direct route, written flat: `blocks`
+/// hold the non-empty lists back to back, each list within one block, and
+/// `lists` the node and length of each, in the order they were written.
+#[derive(Default)]
+struct FlatLists {
+    blocks: Vec<Vec<u32>>,
+    lists: Vec<(u32, u32)>,
+}
+
+impl FlatLists {
+    /// Every node's out-list, in node order, from the lists of `parts`: a
+    /// list is borrowed where one part wrote the node's, and merged
+    /// (sorted, deduplicated) only where two queries fed one node.
+    fn by_node(parts: &[FlatLists], n: usize) -> Vec<Cow<'_, [u32]>> {
+        let mut out = vec![Cow::Borrowed(&[][..]); n];
+        for part in parts {
+            let mut blocks = part.blocks.iter();
+            let mut rest: &[u32] = &[];
+            for &(u, len) in &part.lists {
+                // A list that did not fit its predecessor's block opened
+                // the next one; a block may end up holding no list.
+                while rest.is_empty() {
+                    rest = blocks.next().expect("every list lies in a block");
+                }
+                let (list, tail) = rest.split_at(len as usize);
+                rest = tail;
+                let slot = &mut out[u as usize];
+                if slot.is_empty() {
+                    *slot = Cow::Borrowed(list);
+                } else {
+                    let merged = slot.to_mut();
+                    merged.extend_from_slice(list);
+                    merged.sort_unstable();
+                    merged.dedup();
+                }
+            }
+        }
+        out
     }
 }
 
 /// What [`GraphGen::load_nodes`] builds: key map, properties, and the node
-/// of each dictionary id.
-type NodeTables = (IdMap<Value>, Properties, Vec<Option<RealId>>);
+/// of each dictionary id (`u32::MAX` where the id is no node key).
+type NodeTables = (IdMap<Value>, Properties, Vec<u32>);
 
 #[cfg(test)]
 mod tests {

@@ -114,7 +114,7 @@
 //! the `#[cfg(test)]` oracle of the `bulk_*` tests.
 
 use crate::error::{Error, PatchError};
-use crate::extract::{emit_segment, segment_edge, StoredEdge};
+use crate::extract::{emit_segment, real_from, segment_edge, StoredEdge};
 use crate::planner::{filters_to_predicate, ChainPlan};
 use crate::runs::{CountedRuns, RunsBuilder, MAX_PAIRS};
 use graphgen_common::metrics::{span, Phase};
@@ -126,8 +126,8 @@ use graphgen_graph::{
     CondensedBuilder, CondensedGraph, GraphRep, PropValue, Properties, RealId, VirtId,
 };
 use graphgen_reldb::exec::{
-    group_pairs, join_counted, join_runs, pack, scan_project, transpose_counted, unpack,
-    CountedPairs,
+    check_joinable, group_pairs, join_counted, join_runs, pack, scan_project, transpose_counted,
+    unpack, CountedPairs,
 };
 use graphgen_reldb::{Database, Delta, DeltaOp, Interner, Predicate, Value, Vid, NULL_VID};
 
@@ -862,19 +862,6 @@ fn mirrors(first: &[AtomState], last: &[AtomState]) -> bool {
 // Materialization: segment transitions -> graph operations
 // ---------------------------------------------------------------------------
 
-/// Resolve an interned id to its real node id via the flat side-table —
-/// one array load, no value hash. A `Vid` beyond the table (interned
-/// after the last rebuild/add) or mapped to the sentinel is not a node
-/// key, exactly as an id-map miss would report.
-#[inline]
-fn real_from(real_ids: &[u32], vid: Vid) -> Option<RealId> {
-    real_ids
-        .get(vid as usize)
-        .copied()
-        .filter(|&id| id != u32::MAX)
-        .map(RealId)
-}
-
 /// Insert (`add`) or remove the stored edge of every pair of `pairs`, in
 /// order, as segment `j` of a `k`-segment chain stores it: the rule is
 /// [`segment_edge`]'s, with `bounds` numbering the virtual nodes.
@@ -1317,6 +1304,9 @@ impl IncrementalState {
                         // the bags, and the segment keeps them as its atoms
                         // walk them.
                         m => {
+                            for bag in &bags[1..] {
+                                check_joinable(bag.len())?;
+                            }
                             let slots = dict.capacity();
                             let mirrored = seg.mirrored;
                             let mut joined: Option<CountedPairs> = None;

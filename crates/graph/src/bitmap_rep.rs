@@ -14,7 +14,7 @@
 use crate::api::{GraphRep, RepKind};
 use crate::cdup::CondensedGraph;
 use crate::ids::{RealId, VirtId};
-use graphgen_common::{Bitmap, FxHashMap};
+use graphgen_common::{Bitmap, ByteSize, FxHashMap};
 
 /// A condensed graph plus traversal bitmaps.
 #[derive(Debug, Clone)]
@@ -256,17 +256,9 @@ impl GraphRep for BitmapGraph {
     }
 
     fn heap_bytes(&self) -> usize {
-        let bitmap_bytes: usize = self
-            .bitmaps
-            .iter()
-            .map(|m| {
-                m.capacity() * (std::mem::size_of::<(u32, Bitmap)>() + 1)
-                    + m.values().map(Bitmap::heap_bytes).sum::<usize>()
-            })
-            .sum();
-        self.core.heap_bytes()
-            + self.bitmaps.capacity() * std::mem::size_of::<FxHashMap<u32, Bitmap>>()
-            + bitmap_bytes
+        // `ByteSize` sizes each map as its table allocation: every bucket
+        // plus its control byte and a trailing control group.
+        self.core.heap_bytes() + ByteSize::heap_bytes(&self.bitmaps)
     }
     fn as_condensed(&self) -> Option<&CondensedGraph> {
         Some(&self.core)
@@ -356,5 +348,33 @@ mod tests {
         let g = fig1_bitmapped();
         assert_eq!(g.bitmap_count(), 2);
         assert!(g.heap_bytes() > g.core().heap_bytes());
+    }
+
+    /// A virtual node's map of `k` bitmaps is its table's buckets — a power
+    /// of two, at least `k` and an eighth more — each with a control byte,
+    /// a trailing control group of 16, and the bitmaps' own words.
+    #[test]
+    fn bitmap_maps_count_their_buckets_and_control_bytes() {
+        let members: Vec<RealId> = (0..40).map(RealId).collect();
+        let mut b = CondensedBuilder::new(40);
+        let v = b.clique(&members);
+        let mut g = BitmapGraph::new_unmasked(b.build());
+        let empty = g.heap_bytes();
+        let slot = std::mem::size_of::<(u32, Bitmap)>();
+        let words = Bitmap::ones(40).heap_bytes();
+        for (k, buckets) in [(1, 4), (3, 4), (4, 8), (7, 8), (8, 16), (15, 32), (29, 64)] {
+            for u in 0..k {
+                g.set_bitmap(v, RealId(u), Bitmap::ones(40));
+            }
+            let map = &g.bitmaps[v.0 as usize];
+            assert_eq!(map.len(), k as usize);
+            let table = (map.capacity() * 8 / 7).next_power_of_two();
+            assert_eq!(table, buckets, "{k} bitmaps");
+            assert_eq!(
+                g.heap_bytes(),
+                empty + buckets * slot + buckets + 16 + k as usize * words,
+                "{k} bitmaps"
+            );
+        }
     }
 }

@@ -37,6 +37,7 @@
 //! deduplicates identical ones on disk.
 
 use crate::ids::Adj;
+use graphgen_common::bytesize::grow_by_eighth;
 use std::sync::Arc;
 
 /// Adjacency lists per [`AdjChunk`]. 16 lists keeps the copy-on-first-write
@@ -83,13 +84,14 @@ impl AdjChunk {
     }
 
     /// A chunk holding `lists` (at most [`CHUNK_LEN`]), sized exactly.
-    pub(crate) fn from_lists(lists: &[Vec<Adj>]) -> Self {
+    pub(crate) fn from_lists<L: ExactSizeIterator<Item = Adj>>(lists: Vec<L>) -> Self {
         let mut chunk = AdjChunk {
-            data: Vec::with_capacity(lists.iter().map(Vec::len).sum()),
+            data: Vec::with_capacity(lists.iter().map(ExactSizeIterator::len).sum()),
             ends: Vec::with_capacity(lists.len()),
         };
         for list in lists {
-            chunk.push_list(list);
+            chunk.data.extend(list);
+            chunk.ends.push(chunk.data.len() as u32);
         }
         chunk
     }
@@ -97,7 +99,7 @@ impl AdjChunk {
     /// Append a list as the next slot.
     pub(crate) fn push_list(&mut self, list: &[Adj]) {
         debug_assert!(self.ends.len() < CHUNK_LEN);
-        grow(&mut self.data, list.len());
+        grow_by_eighth(&mut self.data, list.len());
         self.data.extend_from_slice(list);
         self.ends.push(self.data.len() as u32);
     }
@@ -109,7 +111,7 @@ impl AdjChunk {
         match self.data[s..e].binary_search(&a) {
             Ok(_) => false,
             Err(pos) => {
-                grow(&mut self.data, 1);
+                grow_by_eighth(&mut self.data, 1);
                 self.data.insert(s + pos, a);
                 for end in &mut self.ends[slot..] {
                     *end += 1;
@@ -146,7 +148,8 @@ impl AdjChunk {
         }
     }
 
-    /// Keep only entries `f(slot, adj)` approves, compacting in place.
+    /// Keep only entries `f(slot, adj)` approves, compacting in place and
+    /// then releasing the freed capacity.
     fn retain(&mut self, base_slot: usize, mut f: impl FnMut(usize, Adj) -> bool) {
         let mut write = 0usize;
         let mut read = 0usize;
@@ -163,19 +166,12 @@ impl AdjChunk {
             self.ends[slot] = write as u32;
         }
         self.data.truncate(write);
+        self.data.shrink_to_fit();
     }
 
     fn heap_bytes(&self) -> usize {
         self.data.capacity() * std::mem::size_of::<Adj>()
             + self.ends.capacity() * std::mem::size_of::<u32>()
-    }
-}
-
-/// Make room for `extra` more entries in `data`: a full buffer grows by an
-/// eighth of its length (at least `extra`), never by doubling.
-fn grow(data: &mut Vec<Adj>, extra: usize) {
-    if data.capacity() - data.len() < extra {
-        data.reserve_exact(extra.max(data.len() / 8 + 1));
     }
 }
 
@@ -197,11 +193,23 @@ impl ChunkedAdj {
     /// is sized exactly, so [`ChunkedAdj::heap_bytes`] of the result is a
     /// function of the list lengths, not of the order they were pushed in.
     pub fn from_lists(lists: Vec<Vec<Adj>>) -> Self {
+        Self::collect_lists(lists.into_iter().map(Vec::into_iter))
+    }
+
+    /// [`ChunkedAdj::from_lists`] over lists handed out in slot order: each
+    /// chunk is sized exactly, and a list is dropped as soon as its chunk
+    /// holds it, so building from owned lists never holds them twice.
+    pub(crate) fn collect_lists<L>(mut lists: impl ExactSizeIterator<Item = L>) -> Self
+    where
+        L: ExactSizeIterator<Item = Adj>,
+    {
         let len = lists.len();
-        let mut chunks = Vec::with_capacity(len.div_ceil(CHUNK_LEN));
-        for group in lists.chunks(CHUNK_LEN) {
-            chunks.push(Arc::new(AdjChunk::from_lists(group)));
-        }
+        let chunks = (0..len.div_ceil(CHUNK_LEN))
+            .map(|_| {
+                let group = lists.by_ref().take(CHUNK_LEN).collect();
+                Arc::new(AdjChunk::from_lists(group))
+            })
+            .collect();
         Self { chunks, len }
     }
 
@@ -269,13 +277,42 @@ impl ChunkedAdj {
         self.len += 1;
     }
 
+    /// Append an empty list to this store and to `mirror`, which holds as
+    /// many lists. Where the two trailing chunks are one shared chunk, or
+    /// both stores end on a chunk boundary, the new trailing chunk is shared
+    /// as well: two stores sharing every chunk still do.
+    pub(crate) fn push_empty_mirrored(&mut self, mirror: &mut ChunkedAdj) {
+        debug_assert_eq!(self.len, mirror.len, "mirror holds as many lists");
+        let boundary = self.len & CHUNK_MASK == 0;
+        let shared = matches!(
+            (self.chunks.last(), mirror.chunks.last()),
+            (Some(a), Some(b)) if Arc::ptr_eq(a, b)
+        );
+        if !boundary && !shared {
+            self.push(&[]);
+            mirror.push(&[]);
+            return;
+        }
+        if !boundary {
+            // Let go of the mirror's reference so the push below writes the
+            // trailing chunk in place instead of copying it.
+            mirror.chunks.pop();
+        }
+        self.push(&[]);
+        mirror
+            .chunks
+            .push(Arc::clone(&self.chunks[self.chunks.len() - 1]));
+        mirror.len += 1;
+    }
+
     /// Iterate all lists in slot order.
     pub fn iter(&self) -> impl Iterator<Item = &[Adj]> {
         self.chunks.iter().flat_map(|c| c.lists())
     }
 
-    /// Keep only entries `f(slot, adj)` approves. Unshares **every** chunk
-    /// — meant for whole-graph rewrites (`compact`), not the delta path.
+    /// Keep only entries `f(slot, adj)` approves, leaving every chunk at its
+    /// exact size. Unshares **every** chunk — meant for whole-graph
+    /// rewrites (`compact`), not the delta path.
     pub fn retain(&mut self, mut f: impl FnMut(usize, Adj) -> bool) {
         for (ci, chunk) in self.chunks.iter_mut().enumerate() {
             Arc::make_mut(chunk).retain(ci << CHUNK_SHIFT, &mut f);
@@ -292,12 +329,28 @@ impl ChunkedAdj {
             .count()
     }
 
-    /// Heap bytes reachable from this store. Shared chunks are counted in
+    /// Heap bytes reachable from this store: every chunk's list payload and
+    /// `ends`, and the vector of chunk pointers. Shared chunks are counted in
     /// full (each clone reports the whole structure, as `heap_bytes` always
-    /// has).
+    /// has). The `Arc` box each chunk lives in (its two counts and the two
+    /// vector headers, 64 bytes) is not counted.
     pub fn heap_bytes(&self) -> usize {
         self.chunks.capacity() * std::mem::size_of::<Arc<AdjChunk>>()
             + self.chunks.iter().map(|c| c.heap_bytes()).sum::<usize>()
+    }
+
+    /// [`ChunkedAdj::heap_bytes`] less the chunks this store shares with
+    /// `other` index by index: what this store adds to `other`'s bytes when
+    /// both are kept.
+    pub(crate) fn heap_bytes_beside(&self, other: &ChunkedAdj) -> usize {
+        let shared: usize = self
+            .chunks
+            .iter()
+            .zip(&other.chunks)
+            .filter(|(a, b)| Arc::ptr_eq(a, b))
+            .map(|(a, _)| a.heap_bytes())
+            .sum();
+        self.heap_bytes() - shared
     }
 }
 
@@ -483,6 +536,7 @@ mod tests {
         // Drop adj(1) everywhere and empty even slots entirely.
         a.retain(|slot, x| slot % 2 == 1 && x != adj(1));
         assert_eq!(a.shared_chunks_with(&b), 0);
+        assert_sized_exactly(&a);
         for i in 0..a.len() {
             if i % 2 == 1 {
                 assert_eq!(a.list(i), &[adj(i as u32 + 10)]);

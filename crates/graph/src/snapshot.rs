@@ -201,7 +201,8 @@ impl ChunkDecoder {
                 }
                 lists.push(list);
             }
-            chunks.push(Arc::new(AdjChunk::from_lists(&lists)));
+            let lists = lists.into_iter().map(Vec::into_iter).collect();
+            chunks.push(Arc::new(AdjChunk::from_lists(lists)));
         }
         Ok(Self { chunks })
     }

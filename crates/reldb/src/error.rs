@@ -20,6 +20,9 @@ pub enum DbError {
     SchemaMismatch(String),
     /// Malformed CSV input.
     Csv(String),
+    /// A bag of this many entries is past what a join can index (its run
+    /// offsets are `u32`).
+    TooLarge(usize),
     /// Anything else (query shape errors etc.).
     Invalid(String),
 }
@@ -34,6 +37,9 @@ impl fmt::Display for DbError {
             DbError::DuplicateTable(name) => write!(f, "table `{name}` already exists"),
             DbError::SchemaMismatch(msg) => write!(f, "schema mismatch: {msg}"),
             DbError::Csv(msg) => write!(f, "csv error: {msg}"),
+            DbError::TooLarge(n) => {
+                write!(f, "a bag of {n} entries is too large to join (u32 offsets)")
+            }
             DbError::Invalid(msg) => write!(f, "invalid query: {msg}"),
         }
     }

@@ -54,7 +54,7 @@
 //! of `threads`.
 
 use crate::catalog::Database;
-use crate::error::DbResult;
+use crate::error::{DbError, DbResult};
 use crate::expr::Predicate;
 use crate::intern::{Vid, NULL_VID};
 use crate::rowset::RowSet;
@@ -125,26 +125,16 @@ pub fn unpack(key: u64) -> (Vid, Vid) {
 /// keys and multiplicities ≥ 1.
 pub type CountedPairs = Vec<(u64, i64)>;
 
-/// Append `(key, m)` to a bag being written in ascending key order, folding
-/// it into the last entry when the key repeats.
-#[inline]
-fn push_counted(bag: &mut CountedPairs, key: u64, m: i64) {
-    match bag.last_mut() {
-        Some((last, total)) if *last == key => *total += m,
-        _ => bag.push((key, m)),
-    }
-}
-
 /// GROUP BY over packed pairs: sort, then count the runs. The keys of the
 /// result are the `DISTINCT` pairs — the only duplicate elimination a
-/// segment query performs.
+/// segment query performs. The runs are counted before the bag is
+/// allocated, so it is allocated once, at its exact size.
 pub fn group_pairs(mut keys: Vec<u64>) -> CountedPairs {
     let _span = metrics::span(Phase::Distinct, Region::Distinct);
     keys.sort_unstable();
-    let mut bag = CountedPairs::new();
-    for key in keys {
-        push_counted(&mut bag, key, 1);
-    }
+    let runs = || keys.chunk_by(|a, b| a == b);
+    let mut bag = CountedPairs::with_capacity(runs().count());
+    bag.extend(runs().map(|run| (run[0], run.len() as i64)));
     bag
 }
 
@@ -155,9 +145,18 @@ pub(crate) fn same_left(a: &(u64, i64), b: &(u64, i64)) -> bool {
 
 /// Where each left id's run starts in a bag: the entries whose left id is
 /// `v` are `bag[starts[v]..starts[v + 1]]`, for every `v < slots`. `slots`
-/// must exceed every left id of `bag`.
-pub fn left_runs(bag: &[(u64, i64)], slots: usize) -> Vec<usize> {
-    let mut starts = vec![0usize; slots + 1];
+/// must exceed every left id of `bag`. The offsets are `u32`, four bytes
+/// per dictionary slot.
+///
+/// # Panics
+///
+/// If `bag` holds more than `u32::MAX` entries, rather than wrap an
+/// offset: a caller hands over only bags [`check_joinable`] accepts.
+pub fn left_runs(bag: &[(u64, i64)], slots: usize) -> Vec<u32> {
+    if let Err(e) = check_joinable(bag.len()) {
+        panic!("{e}");
+    }
+    let mut starts = vec![0u32; slots + 1];
     for &(key, _) in bag {
         starts[unpack(key).0 as usize + 1] += 1;
     }
@@ -165,6 +164,15 @@ pub fn left_runs(bag: &[(u64, i64)], slots: usize) -> Vec<usize> {
         starts[v + 1] += starts[v];
     }
     starts
+}
+
+/// Whether a bag of `len` entries can be the atom side of a join:
+/// [`left_runs`] indexes it with `u32` offsets, so past `u32::MAX` entries
+/// it is [`DbError::TooLarge`].
+pub fn check_joinable(len: usize) -> DbResult<()> {
+    u32::try_from(len)
+        .map(drop)
+        .map_err(|_| DbError::TooLarge(len))
 }
 
 /// The bag of `(r, l)` pairs for a bag of `(l, r)` pairs, multiplicities
@@ -196,7 +204,8 @@ pub fn transpose_counted(bag: &[(u64, i64)], slots: usize) -> CountedPairs {
 /// produce, `atom` the next atom's `(in, out)` bag; the result is the bag
 /// of `(x, out)` over `carry = in`, multiplicities multiplied and summed.
 /// [`NULL_VID`] never joins (SQL semantics). `slots` bounds every id of
-/// `atom` (the dictionary's capacity).
+/// `atom` (the dictionary's capacity), and [`check_joinable`] must accept
+/// its length.
 ///
 /// Each `x` gathers its matches and sorts and folds that short list, then
 /// passes it — `x`'s run of the result bag, strictly ascending, every
@@ -241,7 +250,8 @@ where
                 if carry == NULL_VID {
                     continue;
                 }
-                let hits = &atom[starts[carry as usize]..starts[carry as usize + 1]];
+                let hits =
+                    &atom[starts[carry as usize] as usize..starts[carry as usize + 1] as usize];
                 matches.extend(
                     hits.iter()
                         .map(|&(hit, mh)| (pack(x, unpack(hit).1), m * mh)),
@@ -515,6 +525,17 @@ mod tests {
             assert_eq!(runs.concat(), want, "{threads} threads");
             assert_eq!(join_counted(&bag(&l), &bag(&r), SLOTS, threads), want);
         }
+    }
+
+    #[test]
+    fn a_bag_past_u32_offsets_is_too_large_to_join() {
+        let max = u32::MAX as usize;
+        assert_eq!(check_joinable(max), Ok(()));
+        assert_eq!(check_joinable(max + 1), Err(DbError::TooLarge(max + 1)));
+        assert_eq!(
+            left_runs(&bag(&rows(&[(1, 2), (1, 3), (4, 2)])), 6),
+            [0, 0, 2, 2, 2, 3, 3]
+        );
     }
 
     #[test]

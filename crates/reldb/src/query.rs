@@ -22,8 +22,8 @@
 use crate::catalog::Database;
 use crate::error::{DbError, DbResult};
 use crate::exec::{
-    group_pairs, join_counted, join_runs, pack, same_left, scan_project, transpose_counted, unpack,
-    CountedPairs,
+    check_joinable, group_pairs, join_counted, join_runs, pack, same_left, scan_project,
+    transpose_counted, unpack, CountedPairs,
 };
 use crate::expr::Predicate;
 use crate::intern::Vid;
@@ -181,6 +181,9 @@ impl Query {
                     group_pairs(rows.iter().map(|r| pack(r[0], r[1])).collect())
                 }
             };
+            if k > 0 {
+                check_joinable(bag.len())?;
+            }
             for (slot, _) in derived
                 .iter_mut()
                 .zip(&source)

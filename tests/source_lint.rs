@@ -299,6 +299,7 @@ const DELETED_NAMES: &[(&str, Option<&str>)] = &[
     ("reach_set", None),
     ("direct_edges_count", None),
     ("to_builder", None),
+    ("raw_out", None),
 ];
 
 #[test]
