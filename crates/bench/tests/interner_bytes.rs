@@ -2,24 +2,40 @@
 //!
 //! `Interner::heap_bytes` feeds the database's `heap_bytes` and the
 //! `graphgen_state_bytes{part="dictionary"}` gauge. It must count the
-//! containers' capacities (spare hash slots, control bytes, the vectors'
-//! spare room), not their entries. This test pins that with the counting
+//! containers' capacities (the id table's empty slots, the vectors' spare
+//! room), not their entries. This test pins that with the counting
 //! allocator: for 50,000 interned integers the report must be within 10%
 //! of the live bytes the dictionary allocated. Counting entries reported
 //! 3,200,064 bytes for 4,259,856 live (−24.9%); counting capacities
-//! reports 3,989,504 (−6.3%, the hash table's 1/8 of buckets kept empty
-//! is what remains uncounted).
+//! reported 3,989,504 (−6.3%, the hash table's 1/8 of buckets kept empty
+//! was what remained uncounted).
+//!
+//! Both dictionaries — the `Interner` and a handle's `IdMap` — keep each
+//! value once, in their slot vector, under an index-only id table. The
+//! absolute bounds below fail for a forward map that holds a second copy
+//! of every value in its buckets.
 //!
 //! Kept as a single `#[test]` on purpose: `alloc::measure` reads
 //! process-global counters, so no other test in this binary may allocate
 //! concurrently.
 
 use graphgen_bench::alloc;
-use graphgen_common::ByteSize;
+use graphgen_common::{ByteSize, IdMap};
 use graphgen_reldb::{Interner, Value};
 
 /// The report may differ from the live bytes by at most this share.
 const MAX_RELATIVE_ERROR: f64 = 0.10;
+
+/// Live bytes of an `Interner` of 50,000 ints may not exceed this.
+/// Measured: an `FxHashMap<Value, Vid>` forward map, 4,259,856 bytes; the
+/// index-only id table, 3,145,728 (slots 1.5 MiB, refcounts 0.5 MiB, ids
+/// 1 MiB).
+const MAX_INTERNER_BYTES: usize = 3_300_000;
+
+/// Live bytes of an `IdMap<Value>` of 50,000 ints may not exceed this.
+/// Measured: an `FxHashMap<Value, u32>` forward map, 3,735,568 bytes; the
+/// index-only id table, 2,621,440 (keys 1.5 MiB, ids 1 MiB).
+const MAX_IDMAP_BYTES: usize = 2_700_000;
 
 #[test]
 fn interner_reports_its_live_bytes() {
@@ -43,5 +59,25 @@ fn interner_reports_its_live_bytes() {
         m.live,
         error * 100.0,
         MAX_RELATIVE_ERROR * 100.0
+    );
+    assert!(
+        m.live <= MAX_INTERNER_BYTES,
+        "an interner of 50,000 ints holds {} bytes (bound {MAX_INTERNER_BYTES})",
+        m.live
+    );
+
+    let (ids, m) = alloc::measure(|| {
+        let mut ids = IdMap::new();
+        for i in 0..50_000 {
+            ids.intern(Value::int(i));
+        }
+        ids
+    });
+    assert_eq!(ids.len(), 50_000);
+    println!("IdMap: {} live bytes", m.live);
+    assert!(
+        m.live <= MAX_IDMAP_BYTES,
+        "an IdMap of 50,000 ints holds {} bytes (bound {MAX_IDMAP_BYTES})",
+        m.live
     );
 }

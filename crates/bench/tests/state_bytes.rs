@@ -31,8 +31,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// each relation kept once, 3,656,402 bytes (50.4 per pair); 8-byte
 /// entries and `u32` offsets, 2,865,058 bytes (39.5 per pair); the
 /// mirrored co-author support kept on and above its diagonal only,
-/// 2,591,466 bytes (35.7 per pair).
-const MAX_BYTES_PER_PAIR: f64 = 37.0;
+/// 2,591,466 bytes (35.7 per pair); the dictionaries' forward maps as
+/// index-only id tables, 1,977,018 bytes (27.3 per pair).
+const MAX_BYTES_PER_PAIR: f64 = 30.0;
 
 /// Peak live bytes above entry during the `EXTRACT` may not exceed this,
 /// so that converting the operators' output to the kept form fails here if
@@ -43,8 +44,9 @@ const MAX_BYTES_PER_PAIR: f64 = 37.0;
 /// at one thread (3,459,541 at two, 3,605,757 at eight). Converting the
 /// bags whole instead peaks at 3,878,629 bytes at one thread. The
 /// mirrored support's join runs kept from the diagonal up, 3,288,573 at
-/// one thread (3,130,461 at two, 3,094,493 at eight).
-const MAX_PEAK_BYTES: usize = 3_400_000;
+/// one thread (3,130,461 at two, 3,094,493 at eight). The dictionaries'
+/// forward maps as index-only id tables, 2,535,464.
+const MAX_PEAK_BYTES: usize = 2_800_000;
 
 /// The distinct output of the co-author self-join
 /// `AuthorPub(a, p), AuthorPub(b, p)`: every `(a, b)`, `a == b` included,

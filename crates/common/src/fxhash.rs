@@ -8,7 +8,7 @@
 //! source node id. SipHash (std's default) is needlessly slow for this;
 //! HashDoS is not a concern for an in-process analytics engine.
 
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Multiplicative constant used by the Fx algorithm (64-bit variant).
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -90,15 +90,20 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// `HashSet` keyed with the Fx hash.
 pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
+/// The 64-bit Fx hash of `value`, as an [`FxHashMap`] would compute it.
+#[inline]
+pub fn fx_hash<T: Hash + ?Sized>(value: &T) -> u64 {
+    let mut hasher = FxHasher::default();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::hash::Hash;
 
     fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
-        let mut hasher = FxHasher::default();
-        value.hash(&mut hasher);
-        hasher.finish()
+        fx_hash(value)
     }
 
     #[test]

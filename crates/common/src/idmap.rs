@@ -3,29 +3,38 @@
 //! Graph extraction maps arbitrary key values (author ids, customer keys,
 //! strings…) to dense `u32` node ids; all downstream structures index by the
 //! dense id. `IdMap` is the single place this translation happens.
+//!
+//! Each key is stored once, in `reverse` at its id. The forward index is an
+//! [`IdTable`]: 8-byte slots of an id and a tag from the key's FxHash, at
+//! most 3/4 full, doubling when an insert would pass that. A lookup hashes
+//! the key, and on a tag match compares it with `reverse[id]`, so the
+//! table never holds a copy of a key. An intern offers the table the next
+//! id, which it stores at the end of the same probe run if the key is new.
 
-use crate::fxhash::FxHashMap;
+use crate::fxhash::fx_hash;
+use crate::idtable::IdTable;
 use std::hash::Hash;
 
 /// Interns values of type `K` into dense `u32` ids (0, 1, 2, …) and keeps
 /// the reverse mapping for lookups back to the original key.
 #[derive(Debug, Clone)]
 pub struct IdMap<K> {
-    forward: FxHashMap<K, u32>,
+    /// Forward index: the id of each key, found by comparing `reverse`.
+    forward: IdTable,
     reverse: Vec<K>,
 }
 
-impl<K: Eq + Hash + Clone> Default for IdMap<K> {
+impl<K: Eq + Hash> Default for IdMap<K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Eq + Hash + Clone> IdMap<K> {
+impl<K: Eq + Hash> IdMap<K> {
     /// New, empty map.
     pub fn new() -> Self {
         Self {
-            forward: FxHashMap::default(),
+            forward: IdTable::new(),
             reverse: Vec::new(),
         }
     }
@@ -33,25 +42,28 @@ impl<K: Eq + Hash + Clone> IdMap<K> {
     /// New map with capacity for `n` keys.
     pub fn with_capacity(n: usize) -> Self {
         Self {
-            forward: FxHashMap::with_capacity_and_hasher(n, Default::default()),
+            forward: IdTable::with_capacity(n),
             reverse: Vec::with_capacity(n),
         }
     }
 
     /// Intern `key`, returning its dense id (allocating a new one if unseen).
     pub fn intern(&mut self, key: K) -> u32 {
-        if let Some(&id) = self.forward.get(&key) {
-            return id;
-        }
         let id = u32::try_from(self.reverse.len()).expect("more than u32::MAX interned ids");
-        self.forward.insert(key.clone(), id);
-        self.reverse.push(key);
-        id
+        let reverse = &self.reverse;
+        let found = self
+            .forward
+            .find_or_insert(fx_hash(&key), id, |id| reverse[id as usize] == key);
+        found.unwrap_or_else(|| {
+            self.reverse.push(key);
+            id
+        })
     }
 
     /// Look up the dense id of `key` without inserting.
     pub fn get(&self, key: &K) -> Option<u32> {
-        self.forward.get(key).copied()
+        self.forward
+            .find(fx_hash(key), |id| self.reverse[id as usize] == *key)
     }
 
     /// The original key for dense id `id`.

@@ -4,14 +4,16 @@
 //! small, hot building blocks used everywhere else — a fast non-cryptographic
 //! hasher (a re-implementation of the FxHash algorithm used by rustc, since
 //! `rustc-hash` is not part of our allowed dependency set), a compact bitmap,
-//! dense id interning, heap-size accounting, deterministic RNG helpers, and
-//! the morsel/partition scoped-thread helpers behind every parallel operator.
+//! dense id interning over an index-only id table, heap-size accounting,
+//! deterministic RNG helpers, and the morsel/partition scoped-thread
+//! helpers behind every parallel operator.
 
 pub mod bitmap;
 pub mod bytesize;
 pub mod codec;
 pub mod fxhash;
 pub mod idmap;
+pub mod idtable;
 pub mod metrics;
 pub mod ordering;
 pub mod parallel;
@@ -20,8 +22,9 @@ pub mod region;
 pub use bitmap::Bitmap;
 pub use bytesize::ByteSize;
 pub use codec::{CodecError, Reader};
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use fxhash::{fx_hash, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use idmap::IdMap;
+pub use idtable::IdTable;
 pub use ordering::VertexOrdering;
 
 /// A simple deterministic splitmix64 PRNG for places where we want

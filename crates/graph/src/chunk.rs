@@ -13,8 +13,9 @@
 //!   ([`ChunkedAdj::insert_sorted`] / [`ChunkedAdj::remove_sorted`] / …),
 //!   which [`Arc::make_mut`]s the covering chunk: the first write after a
 //!   clone copies that one chunk and leaves every other chunk shared. A
-//!   delta that lands in `k` chunks therefore costs `O(k × chunk bytes)`
-//!   copies, never `O(graph)`.
+//!   sorted edit searches the shared list first, so one that changes
+//!   nothing copies nothing. A delta that lands in `k` chunks therefore
+//!   costs `O(k × chunk bytes)` copies, never `O(graph)`.
 //! * Readers holding an older clone are **immune** to later writes: their
 //!   `Arc`s keep pointing at the pre-write chunks (the copy-on-write
 //!   discipline the sharing-oracle suite in `graphgen-serve` asserts
@@ -104,36 +105,20 @@ impl AdjChunk {
         self.ends.push(self.data.len() as u32);
     }
 
-    /// Insert `a` into the sorted list in `slot`; false if already present.
-    fn insert_sorted(&mut self, slot: usize, a: Adj) -> bool {
-        let s = self.start(slot);
-        let e = self.ends[slot] as usize;
-        match self.data[s..e].binary_search(&a) {
-            Ok(_) => false,
-            Err(pos) => {
-                grow_by_eighth(&mut self.data, 1);
-                self.data.insert(s + pos, a);
-                for end in &mut self.ends[slot..] {
-                    *end += 1;
-                }
-                true
-            }
+    /// Insert `a` at position `pos` of the list in `slot`.
+    fn insert_at(&mut self, slot: usize, pos: usize, a: Adj) {
+        grow_by_eighth(&mut self.data, 1);
+        self.data.insert(self.start(slot) + pos, a);
+        for end in &mut self.ends[slot..] {
+            *end += 1;
         }
     }
 
-    /// Remove `a` from the sorted list in `slot`; false if absent.
-    fn remove_sorted(&mut self, slot: usize, a: Adj) -> bool {
-        let s = self.start(slot);
-        let e = self.ends[slot] as usize;
-        match self.data[s..e].binary_search(&a) {
-            Ok(pos) => {
-                self.data.remove(s + pos);
-                for end in &mut self.ends[slot..] {
-                    *end -= 1;
-                }
-                true
-            }
-            Err(_) => false,
+    /// Remove the entry at position `pos` of the list in `slot`.
+    fn remove_at(&mut self, slot: usize, pos: usize) {
+        self.data.remove(self.start(slot) + pos);
+        for end in &mut self.ends[slot..] {
+            *end -= 1;
         }
     }
 
@@ -248,18 +233,32 @@ impl ChunkedAdj {
 
     /// Insert `a` into the sorted list at `index` (no-op if present),
     /// copying the covering chunk first if it is shared. Returns whether
-    /// the entry was inserted.
+    /// the entry was inserted; a no-op copies nothing.
     #[inline]
     pub fn insert_sorted(&mut self, index: usize, a: Adj) -> bool {
-        Arc::make_mut(&mut self.chunks[index >> CHUNK_SHIFT]).insert_sorted(index & CHUNK_MASK, a)
+        let (chunk, slot) = (index >> CHUNK_SHIFT, index & CHUNK_MASK);
+        match self.chunks[chunk].list(slot).binary_search(&a) {
+            Ok(_) => false,
+            Err(pos) => {
+                Arc::make_mut(&mut self.chunks[chunk]).insert_at(slot, pos, a);
+                true
+            }
+        }
     }
 
     /// Remove `a` from the sorted list at `index` (no-op if absent),
     /// copying the covering chunk first if it is shared. Returns whether
-    /// the entry was removed.
+    /// the entry was removed; a no-op copies nothing.
     #[inline]
     pub fn remove_sorted(&mut self, index: usize, a: Adj) -> bool {
-        Arc::make_mut(&mut self.chunks[index >> CHUNK_SHIFT]).remove_sorted(index & CHUNK_MASK, a)
+        let (chunk, slot) = (index >> CHUNK_SHIFT, index & CHUNK_MASK);
+        match self.chunks[chunk].list(slot).binary_search(&a) {
+            Ok(pos) => {
+                Arc::make_mut(&mut self.chunks[chunk]).remove_at(slot, pos);
+                true
+            }
+            Err(_) => false,
+        }
     }
 
     /// Empty the list at `index` (copy-on-write like the edits above).
@@ -445,6 +444,22 @@ mod tests {
             drop(published);
         }
         assert_eq!(a.list(3).len(), 40 + 50);
+    }
+
+    #[test]
+    fn no_op_edits_on_a_clone_copy_no_chunk() {
+        let lists: Vec<Vec<Adj>> = (0..CHUNK_LEN as u32 * 4).map(|i| vec![adj(i)]).collect();
+        let mut a = ChunkedAdj::from_lists(lists);
+        let b = a.clone();
+        for i in [0, CHUNK_LEN + 3, CHUNK_LEN * 4 - 1] {
+            assert!(!a.insert_sorted(i, adj(i as u32)), "present entry");
+            assert!(!a.remove_sorted(i, adj(i as u32 + 1)), "absent entry");
+        }
+        assert!(a
+            .chunks()
+            .iter()
+            .zip(b.chunks())
+            .all(|(x, y)| Arc::ptr_eq(x, y)));
     }
 
     #[test]

@@ -264,27 +264,13 @@ impl GraphRep for ExpandedGraph {
     }
 
     fn add_edge(&mut self, u: RealId, v: RealId) {
-        // Only a write copies a shared chunk, so look before writing.
-        if u != v
-            && self
-                .out
-                .list(u.0 as usize)
-                .binary_search(&target(v.0))
-                .is_err()
-        {
-            self.out.insert_sorted(u.0 as usize, target(v.0));
+        if u != v && self.out.insert_sorted(u.0 as usize, target(v.0)) {
             self.inc.insert_sorted(v.0 as usize, target(u.0));
         }
     }
 
     fn delete_edge(&mut self, u: RealId, v: RealId) {
-        if self
-            .out
-            .list(u.0 as usize)
-            .binary_search(&target(v.0))
-            .is_ok()
-        {
-            self.out.remove_sorted(u.0 as usize, target(v.0));
+        if self.out.remove_sorted(u.0 as usize, target(v.0)) {
             self.inc.remove_sorted(v.0 as usize, target(u.0));
         }
     }

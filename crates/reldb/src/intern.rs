@@ -19,6 +19,16 @@
 //!   keys it has *ever* seen (its bags hold historical multiplicities);
 //!   those slots pin a reference and are never recycled.
 //!
+//! The forward index is a `graphgen_common::IdTable`: 8-byte slots of a
+//! `Vid` and a tag from the value's FxHash, at most 3/4 full, doubling when
+//! an insert would pass that. A lookup hashes the value and, on a tag
+//! match, compares it with `slots[vid]`, so each value is stored once, in
+//! its slot. An intern or acquire offers the table the slot a new value
+//! would get (the last one freed, else the next), which it stores at the
+//! end of the same probe run if the value is new. Nothing iterates the
+//! index: ids are handed out by the slot vector and the free list, and the
+//! codec walks the slots, so the index decides no order anywhere.
+//!
 //! Slot reuse is safe because a `Vid` is only ever held by structures that
 //! are maintained in lockstep with the refcounts: when a slot is freed, no
 //! live row, count, or support entry still names it. The codec persists
@@ -28,7 +38,7 @@
 
 use crate::value::Value;
 use graphgen_common::codec::{self, CodecError, Reader};
-use graphgen_common::{ByteSize, FxHashMap, FxHasher};
+use graphgen_common::{fx_hash, ByteSize, FxHasher, IdTable};
 use std::hash::Hasher;
 
 /// Dense id for an interned [`Value`] — index into the dictionary's slot
@@ -54,9 +64,9 @@ pub(crate) fn hash_vids(vids: &[Vid]) -> u64 {
 /// A `Value` → dense [`Vid`] dictionary with refcounted slot reuse.
 #[derive(Debug, Clone)]
 pub struct Interner {
-    /// Forward map: value → slot index. Entries exist only for occupied
-    /// slots.
-    map: FxHashMap<Value, Vid>,
+    /// Forward index: the slot of each live value, keyed by its FxHash and
+    /// found by comparing `slots`. Entries exist only for occupied slots.
+    map: IdTable,
     /// Reverse table: slot → value. `None` marks a freed slot awaiting
     /// reuse.
     slots: Vec<Option<Value>>,
@@ -78,7 +88,7 @@ impl Interner {
     /// [`Interner::new`] and [`Interner::decode`].
     fn empty() -> Self {
         Interner {
-            map: FxHashMap::default(),
+            map: IdTable::new(),
             slots: Vec::new(),
             refs: Vec::new(),
             free: Vec::new(),
@@ -93,19 +103,28 @@ impl Interner {
         it
     }
 
-    fn alloc(&mut self, value: &Value) -> Vid {
-        if let Some(vid) = self.free.pop() {
-            self.slots[vid as usize] = Some(value.clone());
-            self.refs[vid as usize] = 0;
-            self.map.insert(value.clone(), vid);
-            vid
+    /// The slot of `value`, allocating one if it has none: the last slot
+    /// freed, else a new one at the end.
+    fn find_or_alloc(&mut self, value: &Value) -> Vid {
+        let next = match self.free.last() {
+            Some(&vid) => vid,
+            None => Vid::try_from(self.slots.len()).expect("more than u32::MAX dictionary slots"),
+        };
+        let slots = &self.slots;
+        let found = self.map.find_or_insert(fx_hash(value), next, |vid| {
+            slots[vid as usize].as_ref() == Some(value)
+        });
+        if let Some(vid) = found {
+            return vid;
+        }
+        if self.free.pop().is_some() {
+            self.slots[next as usize] = Some(value.clone());
+            self.refs[next as usize] = 0;
         } else {
-            let vid = self.slots.len() as Vid;
             self.slots.push(Some(value.clone()));
             self.refs.push(0);
-            self.map.insert(value.clone(), vid);
-            vid
         }
+        next
     }
 
     /// Intern `value` without tracking the reference: the slot is pinned
@@ -115,10 +134,7 @@ impl Interner {
     /// unchanged, which is what lets a bulk loader intern each distinct
     /// value once and still match a row-at-a-time replay byte for byte.
     pub fn intern(&mut self, value: &Value) -> Vid {
-        let vid = match self.map.get(value) {
-            Some(&vid) => vid,
-            None => self.alloc(value),
-        };
+        let vid = self.find_or_alloc(value);
         // Pin: a count this large can never be released back to zero by
         // well-formed acquire/release pairs.
         let refs = &mut self.refs[vid as usize];
@@ -129,10 +145,7 @@ impl Interner {
     /// Intern `value` and count one reference (one cell occurrence).
     /// Release with [`Interner::release`] when the occurrence is deleted.
     pub fn acquire(&mut self, value: &Value) -> Vid {
-        let vid = match self.map.get(value) {
-            Some(&vid) => vid,
-            None => self.alloc(value),
-        };
+        let vid = self.find_or_alloc(value);
         self.refs[vid as usize] += 1;
         vid
     }
@@ -146,7 +159,7 @@ impl Interner {
         self.refs[i] -= 1;
         if self.refs[i] == 0 {
             if let Some(value) = self.slots[i].take() {
-                self.map.remove(&value);
+                self.map.remove(fx_hash(&value), vid);
             }
             self.free.push(vid);
         }
@@ -154,7 +167,9 @@ impl Interner {
 
     /// The `Vid` for `value` if it is currently interned.
     pub fn lookup(&self, value: &Value) -> Option<Vid> {
-        self.map.get(value).copied()
+        self.map.find(fx_hash(value), |vid| {
+            self.slots[vid as usize].as_ref() == Some(value)
+        })
     }
 
     /// The value stored in slot `vid`, if the slot is live.
@@ -198,12 +213,20 @@ impl Interner {
     /// Decode a dictionary (inverse of [`Interner::encode_into`]). Bytes
     /// that would break what the engines rely on are rejected: slot
     /// [`NULL_VID`] must hold [`Value::Null`] (joins test "is NULL" by id),
-    /// and the free list must name every empty slot exactly once (a slot
-    /// listed twice would be handed to two values).
+    /// no value may occupy two live slots (a lookup would find only one of
+    /// them), and the free list must name every empty slot exactly once (a
+    /// slot listed twice would be handed to two values).
     pub fn decode(r: &mut Reader<'_>) -> Result<Interner, CodecError> {
         let start = r.pos();
         let n = r.len_of(1)?;
+        if Vid::try_from(n).is_err() {
+            return Err(CodecError::invalid(
+                start,
+                "more dictionary slots than Vids",
+            ));
+        }
         let mut it = Interner::empty();
+        it.map = IdTable::with_capacity(n);
         it.slots.reserve(n);
         it.refs.reserve(n);
         for i in 0..n {
@@ -219,7 +242,16 @@ impl Interner {
                     if refs == 0 {
                         return Err(CodecError::invalid(at, "live dictionary slot with 0 refs"));
                     }
-                    it.map.insert(value.clone(), i as Vid);
+                    let slots = &it.slots;
+                    let held = it.map.find_or_insert(fx_hash(&value), i as Vid, |vid| {
+                        slots[vid as usize].as_ref() == Some(&value)
+                    });
+                    if held.is_some() {
+                        return Err(CodecError::invalid(
+                            at,
+                            "dictionary value held by two live slots",
+                        ));
+                    }
                     it.slots.push(Some(value));
                     it.refs.push(refs);
                 }
@@ -240,8 +272,8 @@ impl Interner {
             listed[vid as usize] = true;
             it.free.push(vid);
         }
-        // No vid is listed twice, so equality here also means no value
-        // occupies two slots.
+        // No vid is listed twice, so equality here means every empty slot
+        // is listed.
         if it.free.len() != n - it.map.len() {
             return Err(CodecError::invalid(
                 r.pos(),
@@ -253,8 +285,8 @@ impl Interner {
 }
 
 impl ByteSize for Interner {
-    /// From the containers' capacities: spare hash slots and control
-    /// bytes, and the vectors' spare room, are held as much as entries.
+    /// From the containers' capacities: the id table's empty slots and the
+    /// vectors' spare room are held as much as entries.
     fn heap_bytes(&self) -> usize {
         self.map.heap_bytes()
             + self.slots.heap_bytes()
@@ -388,6 +420,26 @@ mod tests {
         codec::put_u64(&mut bytes, 1);
         codec::put_len(&mut bytes, 0);
         assert!(Interner::decode(&mut Reader::new(&bytes)).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_a_value_in_two_slots() {
+        // Slots [NULL, 7, 7] and an empty free list: the free-list count
+        // holds (no slot is empty), but a lookup of 7 could only ever find
+        // one of the two slots.
+        let mut bytes = Vec::new();
+        codec::put_len(&mut bytes, 3);
+        for value in [Value::Null, Value::int(7), Value::int(7)] {
+            codec::put_u8(&mut bytes, 1);
+            value.encode_into(&mut bytes);
+            codec::put_u64(&mut bytes, 1);
+        }
+        codec::put_len(&mut bytes, 0);
+        let err = Interner::decode(&mut Reader::new(&bytes)).unwrap_err();
+        assert!(
+            err.to_string().contains("held by two live slots"),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]

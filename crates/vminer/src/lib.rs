@@ -9,9 +9,8 @@
 //! `b ∈ B`), iterating for several passes. The output is a duplicate-free
 //! condensed graph, directly comparable to DEDUP-1.
 
-use graphgen_common::{FxHashMap, SplitMix64};
+use graphgen_common::{fx_hash, FxHashMap, SplitMix64};
 use graphgen_graph::{CondensedBuilder, Dedup1Graph, ExpandedGraph, GraphRep, RealId};
-use std::hash::{Hash, Hasher};
 
 /// VMiner parameters.
 #[derive(Debug, Clone, Copy)]
@@ -47,9 +46,7 @@ impl Default for VMinerConfig {
 fn minhash(adj: &[u32], salt: u64) -> u64 {
     let mut best = u64::MAX;
     for &v in adj {
-        let mut h = graphgen_common::FxHasher::default();
-        (v as u64 ^ salt).hash(&mut h);
-        best = best.min(h.finish());
+        best = best.min(fx_hash(&(v as u64 ^ salt)));
     }
     best
 }
