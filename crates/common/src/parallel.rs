@@ -24,24 +24,23 @@ pub const MAX_THREADS: usize = 256;
 /// for tiny inputs, at least [`MIN_PARALLEL_ITEMS`] of work per thread,
 /// never more than [`MAX_THREADS`], never zero.
 pub fn effective_threads(threads: usize, items: usize) -> usize {
-    if items < MIN_PARALLEL_ITEMS {
-        1
-    } else {
-        threads
-            .min(items / MIN_PARALLEL_ITEMS)
-            .clamp(1, MAX_THREADS)
-    }
+    threads_for(threads, items, MIN_PARALLEL_ITEMS)
+}
+
+/// [`effective_threads`] with a floor of its own: at least `per_thread`
+/// items per thread, for an operator whose fan-out was measured to cost
+/// more than it saves below that.
+pub fn threads_for(threads: usize, items: usize, per_thread: usize) -> usize {
+    threads.min(items / per_thread.max(1)).clamp(1, MAX_THREADS)
 }
 
 /// Split `items` into at most `threads` (clamped to `1..=`[`MAX_THREADS`])
 /// contiguous near-equal chunks and run `work(base, chunk)` on each —
 /// the first on the calling thread, the rest on scoped threads — returning
 /// the chunks' results in chunk order. `base` is the index of the chunk's
-/// first element; an empty `items` is one empty chunk. Workers inherit the
-/// caller's allocation-region label, so the counting allocator attributes
-/// their allocations to the operator that fanned out (thread-locals do not
-/// propagate on their own). Every chunk writes only its own slots, which is
-/// what lets parallel kernels promise results identical to a serial run.
+/// first element; an empty `items` is one empty chunk. Every chunk writes
+/// only its own slots, which is what lets parallel kernels promise results
+/// identical to a serial run.
 pub fn map_chunks<T, R, W>(items: &mut [T], threads: usize, work: W) -> Vec<R>
 where
     T: Send,
@@ -52,17 +51,46 @@ where
     if chunk >= items.len() {
         return vec![work(0, items)];
     }
+    map_parts(items.chunks_mut(chunk).collect(), |i, slot| {
+        work(i * chunk, slot)
+    })
+}
+
+/// Run `work(i, part)` on each of `parts` — the first on the calling
+/// thread, the rest on one scoped thread each — returning the results in
+/// part order. This is the one place a fan-out spawns threads: the caller
+/// cuts its input into disjoint parts (at most [`MAX_THREADS`] of them),
+/// typically slices of different lengths cut at data-dependent points.
+/// Workers inherit the caller's allocation-region label, so the counting
+/// allocator attributes their allocations to the operator that fanned out
+/// (thread-locals do not propagate on their own).
+///
+/// # Panics
+///
+/// If there are more than [`MAX_THREADS`] parts, or a worker panics.
+pub fn map_parts<P, R, W>(parts: Vec<P>, work: W) -> Vec<R>
+where
+    P: Send,
+    R: Send,
+    W: Fn(usize, P) -> R + Sync,
+{
+    assert!(parts.len() <= MAX_THREADS, "{} parts", parts.len());
+    let mut parts = parts.into_iter();
+    let Some(first) = parts.next() else {
+        return Vec::new();
+    };
+    if parts.len() == 0 {
+        return vec![work(0, first)];
+    }
     let region = crate::region::current();
     let work = &work;
     std::thread::scope(|scope| {
-        let mut chunks = items.chunks_mut(chunk);
-        let first = chunks.next().expect("more than one chunk");
         let rest: Vec<_> = (1..)
-            .zip(chunks)
-            .map(|(i, slot)| {
+            .zip(parts)
+            .map(|(i, part)| {
                 scope.spawn(move || {
                     let _region = crate::region::enter(region);
-                    work(i * chunk, slot)
+                    work(i, part)
                 })
             })
             .collect();
@@ -124,6 +152,20 @@ mod tests {
     }
 
     #[test]
+    fn map_parts_runs_uneven_parts_in_order() {
+        let mut items: Vec<usize> = (0..100).collect();
+        let (a, rest) = items.split_at_mut(7);
+        let (b, c) = rest.split_at_mut(90);
+        let sums = map_parts(vec![a, b, c], |i, part| {
+            part.iter_mut().for_each(|x| *x += i);
+            part.iter().sum::<usize>()
+        });
+        assert_eq!(sums, [21, (7..97).sum::<usize>() + 90, 300]);
+        assert_eq!(items[6..8], [6, 8]);
+        assert!(map_parts(Vec::<()>::new(), |_, ()| ()).is_empty());
+    }
+
+    #[test]
     fn effective_threads_clamps() {
         assert_eq!(effective_threads(8, 10), 1);
         assert_eq!(effective_threads(8, 100_000), 8);
@@ -132,5 +174,7 @@ mod tests {
         assert_eq!(effective_threads(1 << 20, 2048), 2);
         // ...and never more than MAX_THREADS, however huge the input.
         assert_eq!(effective_threads(1 << 20, 1 << 30), MAX_THREADS);
+        assert_eq!(threads_for(8, 3 << 14, 1 << 14), 3);
+        assert_eq!(threads_for(8, (1 << 14) - 1, 1 << 14), 1);
     }
 }

@@ -32,16 +32,12 @@ pub struct GraphGenConfig {
     preprocess: bool,
     auto_expand_threshold: Option<f64>,
     threads: usize,
-    /// Somebody chose `threads` (the builder or `GRAPHGEN_THREADS`), so it
-    /// is used as given; otherwise it is the machine's parallelism and a
-    /// batch extraction sizes its fan-out to the input ([`ROWS_PER_THREAD`]).
-    threads_chosen: bool,
     incremental: bool,
 }
 
 impl Default for GraphGenConfig {
     fn default() -> Self {
-        let chosen = std::env::var("GRAPHGEN_THREADS")
+        let threads = std::env::var("GRAPHGEN_THREADS")
             .ok()
             .and_then(|s| s.trim().parse::<usize>().ok())
             .filter(|&t| t > 0);
@@ -49,29 +45,12 @@ impl Default for GraphGenConfig {
             large_output_factor: 2.0,
             preprocess: true,
             auto_expand_threshold: Some(1.2),
-            threads: chosen
+            threads: threads
                 .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get())),
-            threads_chosen: chosen.is_some(),
             incremental: false,
         }
     }
 }
-
-/// Scanned input rows per worker thread of a batch extraction whose thread
-/// count nobody chose. The scans and the join probes fan out — with the
-/// probes, the direct route's out-list writes, each morsel into its own
-/// flat buffer —, while the grouping sort, the self-join transpose and
-/// the graph build run on the calling thread. Two threads against one,
-/// measured when the probes still collected a bag, gave 0.93x at 50k
-/// scanned rows and 1.00x at 200k, at 800k and at 1.6M (0.97x to 1.08x
-/// over four runs there): below 200k a fan-out costs
-/// more than it saves, above it buys nothing measurable yet, and either way
-/// it costs kernel time (thread stacks, allocator arenas) and makes every
-/// operator wait for the slower of its threads, which on a shared machine
-/// is run-to-run spread bought with no throughput. So a default-configured
-/// extraction stays on the calling thread until it scans two of these, and
-/// grows by one thread per further one.
-const ROWS_PER_THREAD: usize = 1 << 18;
 
 impl GraphGenConfig {
     /// Start building a configuration from the defaults.
@@ -99,11 +78,14 @@ impl GraphGenConfig {
     }
 
     /// Worker threads for the whole extraction pipeline: every segment
-    /// query's scans and join probes, plus Step-6 preprocessing.
-    /// Results are byte-identical for any value. A count set through the
-    /// builder or `GRAPHGEN_THREADS` is used as given. The default is the
-    /// available parallelism, of which a batch extraction uses one thread
-    /// per 262,144 rows it scans, so a small input never fans out.
+    /// query's scans, grouping sorts and join probes, the EXP build of
+    /// the direct route, and Step-6 preprocessing. Results are
+    /// byte-identical for any value. The default is `GRAPHGEN_THREADS` if
+    /// set, else the available parallelism. Each operator sizes its own
+    /// fan-out from it: below its floor of items per thread
+    /// (`graphgen_common::parallel::MIN_PARALLEL_ITEMS`, or one measured
+    /// for the operator) it runs on fewer threads, a small input on the
+    /// calling thread.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -135,12 +117,10 @@ impl GraphGenConfigBuilder {
         self
     }
 
-    /// Worker threads for the whole extraction pipeline (scans, join
-    /// probes, preprocessing), used as given whatever the input size.
-    /// `1` disables parallelism.
+    /// Worker threads for the whole extraction pipeline (see
+    /// [`GraphGenConfig::threads`]). `1` disables parallelism.
     pub fn threads(mut self, threads: usize) -> Self {
         self.cfg.threads = threads.max(1);
-        self.cfg.threads_chosen = true;
         self
     }
 
@@ -287,7 +267,7 @@ impl<'a> GraphGen<'a> {
         let start = Instant::now();
         let mut report = ExtractionReport::default();
 
-        let threads = self.batch_threads(spec)?;
+        let threads = self.cfg.threads;
 
         // Step 1: load nodes.
         let (ids, properties, node_of) = self.load_nodes(&spec.nodes, threads)?;
@@ -378,9 +358,8 @@ impl<'a> GraphGen<'a> {
     /// the C-DUP graph, the key map and the properties from one scan of
     /// every atom and node view — set-at-a-time, like the batch path, with
     /// the result a row-by-row replay through the delta engine would give.
-    /// The operators fan out by the batch rule ([`GraphGen::batch_threads`]);
-    /// the state keeps the configured thread count for later
-    /// [`GraphHandle::apply_delta`] calls.
+    /// The operators fan out over the configured thread count, which the
+    /// state keeps for later [`GraphHandle::apply_delta`] calls.
     fn extract_spec_incremental(&self, spec: &GraphSpec) -> Result<GraphHandle, Error> {
         let start = Instant::now();
         let mut report = ExtractionReport::default();
@@ -391,13 +370,8 @@ impl<'a> GraphGen<'a> {
             }
             report.plans.push(plan);
         }
-        let (state, graph, ids, properties) = IncrementalState::bulk_load(
-            spec,
-            &report.plans,
-            self.cfg.threads(),
-            self.db,
-            self.batch_threads(spec)?,
-        )?;
+        let (state, graph, ids, properties) =
+            IncrementalState::bulk_load(spec, &report.plans, self.cfg.threads, self.db)?;
         report.extraction_micros = start.elapsed().as_micros();
         Ok(GraphHandle::from_parts_incremental(
             graph, ids, properties, report, state,
@@ -412,7 +386,7 @@ impl<'a> GraphGen<'a> {
         let spec = self.checked_spec(dsl)?;
         let start = Instant::now();
         let mut report = ExtractionReport::default();
-        let threads = self.batch_threads(&spec)?;
+        let threads = self.cfg.threads;
         let (ids, properties, node_of) = self.load_nodes(&spec.nodes, threads)?;
         let queries: Vec<Query> = spec.edges.iter().map(full_query).collect();
         let graph = self.extract_direct(&queries, ids.len(), &node_of, threads, &mut report.sql)?;
@@ -440,12 +414,12 @@ impl<'a> GraphGen<'a> {
     /// order there; only then is it sorted. Each morsel of the join appends
     /// its lists to flat blocks of a fixed size ([`FlatLists`]), which are
     /// never reallocated. Once every join is done and its atom bags are
-    /// dropped, [`ExpandedGraph::from_sorted_lists`] moves the lists, in
+    /// dropped, [`ExpandedGraph::from_sorted_lists`] copies the lists, in
     /// node order, into exact-size chunks (a node fed by more than one
-    /// query gets its lists merged) and shares them as the in-lists when
-    /// the graph is symmetric. The list writes are part of the `join` span
-    /// (of `emit`, for a one-atom query) and the graph build is the
-    /// `build_rep` span.
+    /// query gets its lists merged), a range of nodes per thread, and
+    /// shares them as the in-lists when the graph is symmetric. The list
+    /// writes are part of the `join` span (of `emit`, for a one-atom
+    /// query) and the graph build is the `build_rep` span.
     fn extract_direct<'q>(
         &self,
         queries: impl IntoIterator<Item = &'q Query>,
@@ -490,28 +464,7 @@ impl<'a> GraphGen<'a> {
         }
         let _span = span(Phase::BuildRep, Region::BuildRep);
         let lists = FlatLists::by_node(&parts, n);
-        Ok(ExpandedGraph::from_sorted_lists(
-            lists.iter().map(|list| list.iter().copied()),
-        ))
-    }
-
-    /// Worker threads for one batch extraction of `spec`: the configured
-    /// count as given if somebody chose it, otherwise at most that many and
-    /// one per [`ROWS_PER_THREAD`] rows the node views and chain atoms scan.
-    fn batch_threads(&self, spec: &GraphSpec) -> Result<usize, Error> {
-        if self.cfg.threads_chosen {
-            return Ok(self.cfg.threads);
-        }
-        let relations = spec.nodes.iter().map(|view| &view.relation).chain(
-            spec.edges
-                .iter()
-                .flat_map(|chain| chain.steps.iter().map(|atom| &atom.relation)),
-        );
-        let mut rows = 0;
-        for relation in relations {
-            rows += self.db.table(relation)?.num_rows();
-        }
-        Ok(self.cfg.threads.min(rows / ROWS_PER_THREAD).max(1))
+        Ok(ExpandedGraph::from_sorted_lists(&lists, threads))
     }
 
     /// Step 1: scan the node views. Beside the key map and properties the
@@ -657,10 +610,13 @@ pub(crate) fn emit_segment(
     }
 }
 
-/// Targets per [`FlatLists`] block (64 KiB). A block is allocated once, at
+/// Targets per [`FlatLists`] block (16 KiB). A block is allocated once, at
 /// this size or at a longer run's, and never grows: writing a morsel's
-/// lists costs no reallocation and leaves at most one block's slack.
-const BLOCK: usize = 1 << 14;
+/// lists costs no reallocation and leaves at most one block's slack per
+/// join morsel. With 64 KiB blocks an eight-thread extraction of
+/// `dblp_like(25k/33k)` peaked 2.02× above what its handle keeps, against
+/// 1.97× with these.
+const BLOCK: usize = 1 << 12;
 
 /// One join morsel's out-lists on the direct route, written flat: `blocks`
 /// hold the non-empty lists back to back, each list within one block, and
@@ -771,42 +727,6 @@ mod tests {
         let cfg = GraphGenConfig::builder().threads(0).build();
         assert_eq!(cfg.threads(), 1);
         assert!(GraphGenConfig::default().threads() >= 1);
-    }
-
-    #[test]
-    fn unchosen_thread_count_is_sized_to_the_scanned_rows() {
-        let sized = GraphGenConfig {
-            threads: 8,
-            threads_chosen: false,
-            ..GraphGenConfig::default()
-        };
-        let chosen = GraphGenConfig::builder().threads(8).build();
-        let threads = |db: &Database, cfg| {
-            let gg = GraphGen::with_config(db, cfg);
-            gg.batch_threads(&gg.checked_spec(Q1).unwrap()).unwrap()
-        };
-        // Fig. 1 scans 5 + 8 + 8 rows: serial unless somebody asked.
-        let db = fig1_db();
-        assert_eq!(threads(&db, sized), 1);
-        assert_eq!(threads(&db, chosen), 8);
-        // Q1 scans AuthorPub twice: three times ROWS_PER_THREAD rows with
-        // the five authors, so three of the eight threads.
-        let mut author = Table::new(Schema::new(vec![Column::int("id"), Column::str("name")]));
-        for a in 1..=5 {
-            author
-                .push_row(vec![Value::int(a), Value::str(format!("a{a}"))])
-                .unwrap();
-        }
-        let mut ap = Table::new(Schema::new(vec![Column::int("aid"), Column::int("pid")]));
-        for i in 0..(3 * ROWS_PER_THREAD / 2) as i64 {
-            ap.push_row(vec![Value::int(i % 5 + 1), Value::int(i % 7)])
-                .unwrap();
-        }
-        let mut db = Database::new();
-        db.register("Author", author).unwrap();
-        db.register("AuthorPub", ap).unwrap();
-        assert_eq!(threads(&db, sized), 3);
-        assert_eq!(threads(&db, chosen), 8);
     }
 
     #[test]

@@ -1208,14 +1208,13 @@ impl IncrementalState {
     /// `db`, together with the graph, key map and properties it maintains —
     /// the set-at-a-time counterpart of replaying every base row through
     /// [`apply_delta_state`], with the same result down to the encoded
-    /// byte (see the module docs). `threads` is kept for later applies;
-    /// the scans and joins here fan out over `scan_threads`.
+    /// byte (see the module docs). Every operator here fans out over
+    /// `threads`, which the state keeps for later applies.
     pub(crate) fn bulk_load(
         spec: &GraphSpec,
         plans: &[ChainPlan],
         threads: usize,
         db: &Database,
-        scan_threads: usize,
     ) -> Result<(Self, CondensedGraph, IdMap<Value>, Properties), Error> {
         let mut state = Self::new(spec, plans, threads);
         let mut tr = Translation {
@@ -1269,11 +1268,12 @@ impl IncrementalState {
                             earlier.position(|a| a.by_out == Some(b))
                         });
                         if let Some(bag) = partner.and_then(|p| load[p].as_ref()) {
+                            check_joinable(bag.len())?;
                             load[k] = Some(transpose_counted(bag, dict.capacity()));
                             continue;
                         }
                         let cols = [atom.in_col, atom.out_col];
-                        let rows = scan_project(db, &atom.table, &atom.pred, &cols, scan_threads)?;
+                        let rows = scan_project(db, &atom.table, &atom.pred, &cols, threads)?;
                         let keys = {
                             let _span = span(Phase::LoadState, Region::Patch);
                             let mut keys = Vec::with_capacity(rows.num_rows());
@@ -1284,7 +1284,7 @@ impl IncrementalState {
                             }
                             keys
                         };
-                        load[k] = Some(group_pairs(keys));
+                        load[k] = Some(group_pairs(keys, threads));
                     }
                     if !scanned || load.iter().any(Option::is_none) {
                         continue;
@@ -1312,14 +1312,14 @@ impl IncrementalState {
                             let mut joined: Option<CountedPairs> = None;
                             for bag in &bags[1..m - 1] {
                                 let frontier = joined.as_ref().unwrap_or(&bags[0]);
-                                joined = Some(join_counted(frontier, bag, slots, scan_threads));
+                                joined = Some(join_counted(frontier, bag, slots, threads));
                             }
                             let frontier = joined.as_ref().unwrap_or(&bags[0]);
                             let parts = join_runs(
                                 frontier,
                                 &bags[m - 1],
                                 slots,
-                                scan_threads,
+                                threads,
                                 || Ok(RunsBuilder::default()),
                                 |part: &mut Result<RunsBuilder, PatchError>, run| {
                                     let from = run.partition_point(|&(key, _)| {
@@ -1349,7 +1349,7 @@ impl IncrementalState {
                 }
                 let mut cols = vec![view.id_col];
                 cols.extend(view.prop_cols.iter().map(|(_, c)| *c));
-                let rows = scan_project(db, &view.relation, &view.pred, &cols, scan_threads)?;
+                let rows = scan_project(db, &view.relation, &view.pred, &cols, threads)?;
                 let _span = span(Phase::LoadState, Region::Patch);
                 for row in rows.iter() {
                     if row[0] == NULL_VID {

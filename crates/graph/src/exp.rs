@@ -8,13 +8,15 @@
 //!
 //! Both directions are [`ChunkedAdj`] stores of [`Adj::real`] targets, the
 //! chunked, `Arc`-shared, copy-on-write store C-DUP keeps its lists in.
-//! Every builder ends in one finisher (`from_out`): when the in-lists equal
-//! the out-lists — an undirected graph such as a co-author graph — the
-//! in-store is a clone of the out-store and points at the same chunks, so
-//! the graph keeps its lists once and [`GraphRep::heap_bytes`] counts a
+//! Every builder ends in one finisher (`with_in_lists`): when the in-lists
+//! equal the out-lists — an undirected graph such as a co-author graph —
+//! the in-store is a clone of the out-store and points at the same chunks,
+//! so the graph keeps its lists once and [`GraphRep::heap_bytes`] counts a
 //! chunk both directions point at once. Symmetry is decided from the lists
-//! themselves, never from how they were produced, so every builder shares
-//! the same way. An edge edit writes through [`ChunkedAdj::insert_sorted`]
+//! themselves (by [`ExpandedGraph::from_sorted_lists`] in the parallel pass
+//! that chunks them, by one cursor walk otherwise), never from how they
+//! were produced, so every builder shares the same way. An edge edit
+//! writes through [`ChunkedAdj::insert_sorted`]
 //! and [`ChunkedAdj::remove_sorted`]: the first write to a shared graph
 //! copies the one chunk it touches in each direction and leaves every other
 //! chunk shared. [`GraphRep::add_vertex`] keeps a shared trailing chunk
@@ -22,8 +24,11 @@
 //! compacted graph is symmetric.
 
 use crate::api::{GraphRep, RepKind};
-use crate::chunk::ChunkedAdj;
+use crate::chunk::{AdjChunk, ChunkedAdj, CHUNK_LEN};
 use crate::ids::{Adj, RealId};
+use graphgen_common::parallel::{effective_threads, map_morsels};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Fully expanded directed graph with lazy vertex deletion.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -83,42 +88,63 @@ impl ExpandedGraph {
 
     /// Build from out-lists that are already in the order
     /// [`ExpandedGraph::from_edges`] produces — strictly ascending, no
-    /// self-loop — without sorting them again: the `u`-th list holds the
-    /// targets of vertex `u`, and every vertex is alive. Each list is
-    /// dropped as soon as the graph holds it. Every list is checked, in
-    /// O(edges): a list out of order, a repeated target, a self-loop or a
-    /// target outside the graph panics.
-    pub fn from_sorted_lists<L>(
-        out: impl IntoIterator<Item = L, IntoIter: ExactSizeIterator>,
-    ) -> Self
+    /// self-loop — without sorting them again: `lists[u]` holds the
+    /// targets of vertex `u`, and every vertex is alive. Every list is
+    /// checked, in O(edges): a list out of order, a repeated target, a
+    /// self-loop or a target outside the graph panics.
+    ///
+    /// Up to `threads` threads each take a range of whole chunks of
+    /// vertices, check their lists and copy them into exact-size chunks,
+    /// and test whether the range's edges are mirrored by the cursor walk
+    /// of `is_symmetric` over the range's sources (`walk_range`), each
+    /// target's cursor starting at its first entry in the range. A walk
+    /// succeeds only if every edge `u → v` of its range finds `u` in `v`'s
+    /// list, and every walk over a symmetric graph succeeds, so the graph
+    /// is symmetric exactly when every walk succeeds.
+    /// A walk keeps a four-byte cursor per vertex, so there are at most as
+    /// many ranges as keep those cursors within a quarter of the lists'
+    /// own bytes ([`EDGES_PER_CURSOR`] edges per vertex and range). The
+    /// graph and its bytes are the same for any `threads`.
+    pub fn from_sorted_lists<L>(lists: &[L], threads: usize) -> Self
     where
-        L: IntoIterator<Item = u32, IntoIter: ExactSizeIterator>,
+        L: AsRef<[u32]> + Sync,
     {
-        let out = store(out);
-        let n = out.len();
-        for (u, list) in out.iter().enumerate() {
-            assert!(
-                list.windows(2).all(|p| p[0] < p[1]),
-                "out-list is not strictly sorted"
-            );
-            assert!(
-                list.last().is_none_or(|a| (a.raw() as usize) < n),
-                "out-list names a vertex out of range"
-            );
-            assert!(
-                list.binary_search(&target(u as u32)).is_err(),
-                "out-list holds a self-loop"
-            );
+        let n = lists.len();
+        let n_chunks = n.div_ceil(CHUNK_LEN);
+        let edges: usize = lists.iter().map(|list| list.as_ref().len()).sum();
+        let walks = (edges / (EDGES_PER_CURSOR * n).max(1)).max(1);
+        let t = effective_threads(threads, n).min(walks);
+        let ranges = map_morsels(n_chunks, t, |range| {
+            build_range(lists, range.start * CHUNK_LEN..n.min(range.end * CHUNK_LEN))
+        });
+        let mut chunks = Vec::with_capacity(n_chunks);
+        let mut symmetric = true;
+        for range in ranges {
+            let (range_chunks, mirrored) = range.unwrap_or_else(|e| panic!("{e}"));
+            chunks.extend(range_chunks);
+            symmetric &= mirrored;
         }
-        Self::from_out(out, vec![true; n])
+        let out = ChunkedAdj::from_chunks(chunks, n);
+        Self::with_in_lists(out, vec![true; n], symmetric)
+    }
+
+    /// Finish a graph from its sorted, duplicate-free out-lists, deciding
+    /// from them whether it is symmetric.
+    fn from_out(out: ChunkedAdj, alive: Vec<bool>) -> Self {
+        let symmetric = is_symmetric(&out);
+        Self::with_in_lists(out, alive, symmetric)
     }
 
     /// Finish a graph from its sorted, duplicate-free out-lists: the
-    /// in-store is the out-store's clone when the graph is symmetric,
+    /// in-store is the out-store's clone when the graph is `symmetric`,
     /// otherwise a counting transpose in source order, which builds every
     /// in-list sorted.
-    fn from_out(out: ChunkedAdj, alive: Vec<bool>) -> Self {
-        let inc = in_lists(&out);
+    fn with_in_lists(out: ChunkedAdj, alive: Vec<bool>, symmetric: bool) -> Self {
+        let inc = if symmetric {
+            out.clone()
+        } else {
+            transpose(&out)
+        };
         let n_alive = alive.iter().filter(|&&a| a).count();
         Self {
             out,
@@ -138,6 +164,11 @@ impl ExpandedGraph {
     }
 }
 
+/// Edges per vertex that each range of
+/// [`ExpandedGraph::from_sorted_lists`] needs: its walk's cursors take as
+/// many bytes per vertex as a quarter of this many targets.
+const EDGES_PER_CURSOR: usize = 4;
+
 /// Move lists of targets into exact-size chunks, each list dropped as soon
 /// as its chunk holds it.
 fn store<L>(lists: impl IntoIterator<Item = L, IntoIter: ExactSizeIterator>) -> ChunkedAdj
@@ -147,32 +178,102 @@ where
     ChunkedAdj::collect_lists(lists.into_iter().map(|l| l.into_iter().map(target)))
 }
 
-/// Whether every out-list of `out` is also the vertex's in-list. Walking the
-/// sources in ascending order meets each vertex's in-neighbours in ascending
-/// order, so the graph is symmetric exactly when each edge `u → v` is the
-/// next unmatched entry of `v`'s out-list and every entry gets matched.
+/// Whether every out-list of `out` is also the vertex's in-list: one
+/// [`walk_range`] over every source.
 fn is_symmetric(out: &ChunkedAdj) -> bool {
-    let mut matched = vec![0u32; out.len()];
-    for (u, list) in out.iter().enumerate() {
-        for &a in list {
-            let v = a.raw() as usize;
-            let k = &mut matched[v];
-            if out.list(v).get(*k as usize) != Some(&target(u as u32)) {
-                return false;
-            }
-            *k += 1;
-        }
-    }
-    (0..out.len()).all(|v| matched[v] as usize == out.list(v).len())
+    walk_range(|v| out.list(v), out.len(), 0..out.len())
 }
 
-/// The in-lists of a graph whose out-lists are `out`: `out`'s clone, sharing
-/// every chunk, when the graph is symmetric; otherwise a counting transpose
-/// in source order, every in-list at exact size and already sorted.
-fn in_lists(out: &ChunkedAdj) -> ChunkedAdj {
-    if is_symmetric(out) {
-        return out.clone();
+/// Check and chunk the lists of `vertices` (whole chunks of `lists`), and
+/// say whether their edges are mirrored (see
+/// [`ExpandedGraph::from_sorted_lists`]); or say what is wrong with the
+/// first list that fails.
+fn build_range<L: AsRef<[u32]>>(
+    lists: &[L],
+    vertices: Range<usize>,
+) -> Result<(Vec<Arc<AdjChunk>>, bool), &'static str> {
+    let mut chunks = Vec::with_capacity(vertices.len().div_ceil(CHUNK_LEN));
+    let mut group = Vec::with_capacity(CHUNK_LEN);
+    for u in vertices.clone() {
+        let list = lists[u].as_ref();
+        if !list.windows(2).all(|p| p[0] < p[1]) {
+            return Err("out-list is not strictly sorted");
+        }
+        if list.last().is_some_and(|&v| v as usize >= lists.len()) {
+            return Err("out-list names a vertex out of range");
+        }
+        if list.binary_search(&(u as u32)).is_ok() {
+            return Err("out-list holds a self-loop");
+        }
+        group.push(list.iter().map(|&v| target(v)));
+        if group.len() == CHUNK_LEN || u + 1 == vertices.end {
+            let full = std::mem::replace(&mut group, Vec::with_capacity(CHUNK_LEN));
+            chunks.push(Arc::new(AdjChunk::from_lists(full)));
+        }
     }
+    let mirrored = walk_range(|v| lists[v].as_ref(), lists.len(), vertices);
+    Ok((chunks, mirrored))
+}
+
+/// An out-list entry: a target vertex, as the caller's lists hold it.
+trait Entry: Copy + Ord {
+    fn of(v: u32) -> Self;
+    fn vertex(self) -> usize;
+}
+
+impl Entry for u32 {
+    fn of(v: u32) -> Self {
+        v
+    }
+    fn vertex(self) -> usize {
+        self as usize
+    }
+}
+
+impl Entry for Adj {
+    fn of(v: u32) -> Self {
+        target(v)
+    }
+    fn vertex(self) -> usize {
+        self.raw() as usize
+    }
+}
+
+/// The cursor walk over the sources `vertices` of the `n` valid lists
+/// `list(0..n)`: whether each edge `u → v` is the next unmatched entry of
+/// `v`'s list at or after `vertices.start`. A walk that succeeds has found
+/// every edge of its sources mirrored. Walking the sources in ascending
+/// order meets each vertex's in-neighbours among them in ascending order,
+/// so on a symmetric graph every walk succeeds: walks over ranges that
+/// cover all sources all succeed exactly when the graph is symmetric.
+fn walk_range<'a, T: Entry + 'a>(
+    list: impl Fn(usize) -> &'a [T],
+    n: usize,
+    vertices: Range<usize>,
+) -> bool {
+    let first = T::of(vertices.start as u32);
+    // Per target, its next entry to match; `u32::MAX` until a walk past
+    // the first range finds where the range starts in its list.
+    let unset = if vertices.start > 0 { u32::MAX } else { 0 };
+    let mut cursor = vec![unset; n];
+    vertices.into_iter().all(|u| {
+        list(u).iter().all(|&v| {
+            let targets = list(v.vertex());
+            let k = &mut cursor[v.vertex()];
+            if *k == u32::MAX {
+                *k = targets.partition_point(|&w| w < first) as u32;
+            }
+            let hit = targets.get(*k as usize) == Some(&T::of(u as u32));
+            *k += 1;
+            hit
+        })
+    })
+}
+
+/// The in-lists of a graph whose out-lists are `out`, by a counting
+/// transpose in source order: every in-list at exact size and already
+/// sorted.
+fn transpose(out: &ChunkedAdj) -> ChunkedAdj {
     let mut in_degree = vec![0usize; out.len()];
     for &a in out.iter().flatten() {
         in_degree[a.raw() as usize] += 1;
@@ -384,7 +485,7 @@ mod tests {
             let out = random_lists(&mut rng, symmetric);
             let n = out.len();
             let edges = edge_list(&out);
-            let direct = ExpandedGraph::from_sorted_lists(out);
+            let direct = ExpandedGraph::from_sorted_lists(&out, 1);
             let reference = ExpandedGraph::from_edges(n, edges.into_iter().rev());
             assert_eq!(direct, reference, "case {case}");
             assert_eq!(direct.heap_bytes(), reference.heap_bytes(), "case {case}");
@@ -394,6 +495,65 @@ mod tests {
             }
             assert_eq!(shared, reference.inc.shared_chunks_with(&reference.out));
         }
+    }
+
+    /// Out-lists over `n` vertices, 33 targets each on average: both
+    /// directions of the edges from each vertex to the next sixteen round
+    /// a ring, of chords and of a hub's edges to every seventh vertex.
+    fn symmetric_lists(n: u32) -> Vec<Vec<u32>> {
+        let mut out = vec![Vec::new(); n as usize];
+        let ring = (0..n).flat_map(|u| (1..=16).map(move |k| (u, (u + k) % n)));
+        let chords = (0..n).step_by(3).map(|u| (u, (u * 7 + 5) % n));
+        let hub = (1..n).step_by(7).map(|v| (0, v));
+        for (u, v) in ring.chain(chords).chain(hub).filter(|(u, v)| u != v) {
+            out[u as usize].push(v);
+            out[v as usize].push(u);
+        }
+        for list in &mut out {
+            list.sort_unstable();
+            list.dedup();
+        }
+        out
+    }
+
+    #[test]
+    fn from_sorted_lists_is_the_same_at_any_thread_count() {
+        // 12,000 vertices: 750 chunks, dozens per range at eight threads,
+        // and enough edges per vertex for eight ranges' cursors.
+        let n = 12_000u32;
+        let symmetric = symmetric_lists(n);
+        let last = n as usize - 3;
+        assert!(symmetric[last].contains(&(n - 2)));
+        // One pair short of symmetric, in the last range: an upward edge
+        // whose mirror is missing, and a downward edge whose mirror is
+        // missing; either fails the walk of the range holding its source.
+        let mut up_only = symmetric.clone();
+        up_only[n as usize - 2].retain(|&v| v != last as u32);
+        let mut down_only = symmetric.clone();
+        down_only[last].retain(|&v| v != n - 2);
+        for (lists, mirrored) in [(symmetric, true), (up_only, false), (down_only, false)] {
+            let reference = ExpandedGraph::from_edges(n as usize, edge_list(&lists));
+            let shared = reference.inc.shared_chunks_with(&reference.out);
+            assert_eq!(shared == reference.out.chunks().len(), mirrored);
+            for threads in [1, 2, 8] {
+                let g = ExpandedGraph::from_sorted_lists(&lists, threads);
+                assert_eq!(g, reference, "{threads} threads");
+                assert_eq!(g.heap_bytes(), reference.heap_bytes(), "{threads} threads");
+                assert_eq!(
+                    g.inc.shared_chunks_with(&g.out),
+                    shared,
+                    "{threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn from_sorted_lists_reports_a_bad_list_from_a_worker() {
+        let mut lists = symmetric_lists(12_000);
+        lists[11_990].push(12_000);
+        ExpandedGraph::from_sorted_lists(&lists, 8);
     }
 
     /// A graph over 40 vertices (three chunks) holding both directions of
@@ -502,25 +662,25 @@ mod tests {
     #[test]
     #[should_panic(expected = "not strictly sorted")]
     fn from_sorted_lists_rejects_an_unsorted_list() {
-        ExpandedGraph::from_sorted_lists(vec![vec![2, 1], vec![], vec![]]);
+        ExpandedGraph::from_sorted_lists(&[vec![2, 1], vec![], vec![]], 1);
     }
 
     #[test]
     #[should_panic(expected = "not strictly sorted")]
     fn from_sorted_lists_rejects_a_duplicate() {
-        ExpandedGraph::from_sorted_lists(vec![vec![1, 1], vec![]]);
+        ExpandedGraph::from_sorted_lists(&[vec![1, 1], vec![]], 1);
     }
 
     #[test]
     #[should_panic(expected = "self-loop")]
     fn from_sorted_lists_rejects_a_self_loop() {
-        ExpandedGraph::from_sorted_lists(vec![vec![1], vec![0, 1, 2], vec![]]);
+        ExpandedGraph::from_sorted_lists(&[vec![1], vec![0, 1, 2], vec![]], 1);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn from_sorted_lists_rejects_an_out_of_range_target() {
-        ExpandedGraph::from_sorted_lists(vec![vec![1, 2], vec![]]);
+        ExpandedGraph::from_sorted_lists(&[vec![1, 2], vec![]], 1);
     }
 
     #[test]

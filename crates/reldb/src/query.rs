@@ -22,8 +22,8 @@
 use crate::catalog::Database;
 use crate::error::{DbError, DbResult};
 use crate::exec::{
-    check_joinable, group_pairs, join_counted, join_runs, pack, same_left, scan_project,
-    transpose_counted, unpack, CountedPairs,
+    check_joinable, join_counted, join_runs, same_left, scan_grouped, transpose_counted, unpack,
+    CountedPairs,
 };
 use crate::expr::Predicate;
 use crate::intern::Vid;
@@ -89,8 +89,9 @@ impl Query {
     /// distinct `(X, Y)` pairs as ids of `db`'s dictionary
     /// ([`Database::dict`] resolves them), in ascending `(X, Y)` id order.
     /// This is the single `threads` knob of the extraction pipeline: every
-    /// scan and join probe of the chain fans out over it, and the result is
-    /// byte-identical for any value (see [`crate::exec`] for why).
+    /// scan, grouping and join probe of the chain fans out over it, and the
+    /// result is byte-identical for any value (see [`crate::exec`] for
+    /// why).
     /// [`Query::run_counted`] hands back the same pairs without unpacking
     /// them.
     pub fn run_threaded(&self, db: &Database, threads: usize) -> DbResult<Vec<(Vid, Vid)>> {
@@ -177,17 +178,17 @@ impl Query {
                 Some(bag) => bag,
                 None => {
                     let cols = [step.in_col, step.out_col];
-                    let rows = scan_project(db, &step.table, &step.pred, &cols, threads)?;
-                    group_pairs(rows.iter().map(|r| pack(r[0], r[1])).collect())
+                    scan_grouped(db, &step.table, &step.pred, cols, threads)?
                 }
             };
-            if k > 0 {
+            let transposed = |s: &Option<usize>| *s == Some(k);
+            if k > 0 || source.iter().any(transposed) {
                 check_joinable(bag.len())?;
             }
             for (slot, _) in derived
                 .iter_mut()
                 .zip(&source)
-                .filter(|(_, s)| **s == Some(k))
+                .filter(|(_, s)| transposed(s))
             {
                 *slot = Some(transpose_counted(&bag, slots));
             }

@@ -16,7 +16,7 @@
 //!   rows, then a dictionary lookup per projected cell — for every
 //!   predicate kind, NULL and absent constants included, on tables with
 //!   tombstones before and after a compaction; [`group_pairs`] equals a
-//!   value-level count-per-distinct-row;
+//!   value-level count-per-distinct-row, byte-identical at 1/2/8 threads;
 //! * 1-, 2- and 3-step [`Query`]s equal a brute-force evaluator on values
 //!   and return the same pairs in the same order at 1/2/8 threads;
 //! * NULL-heavy, skewed-key, string-keyed, mixed `Int`/`Str`, empty, and
@@ -133,7 +133,10 @@ fn value_join(l: &[Vec<Value>], lk: usize, r: &[Vec<Value>], rk: usize) -> Vec<V
 /// `(R[rk], R's other column)`.
 fn counted_join(fx: &Fixture, lk: usize, rk: usize, threads: usize) -> CountedPairs {
     let bag = |rows: &RowSet, first: usize| {
-        group_pairs(rows.iter().map(|r| pack(r[first], r[1 - first])).collect())
+        group_pairs(
+            rows.iter().map(|r| pack(r[first], r[1 - first])).collect(),
+            threads,
+        )
     };
     let slots = fx.db.dict().capacity();
     join_counted(&bag(&fx.l, 1 - lk), &bag(&fx.r, rk), slots, threads)
@@ -486,7 +489,11 @@ fn grouping_is_distinct_with_counts() {
         )
         .unwrap();
         let rows = scan_all(&db, "T");
-        let bag = group_pairs(rows.iter().map(|r| pack(r[0], r[1])).collect());
+        let keys: Vec<u64> = rows.iter().map(|r| pack(r[0], r[1])).collect();
+        let bag = group_pairs(keys.clone(), 1);
+        for threads in [2, 8] {
+            assert_eq!(group_pairs(keys.clone(), threads), bag, "n={n}");
+        }
         assert!(
             bag.windows(2).all(|w| w[0].0 < w[1].0),
             "ascending at n={n}"

@@ -1,13 +1,20 @@
 //! End-to-end determinism of the parallel extraction pipeline: for the
 //! Appendix C.2 workloads (`datagen::large`), extraction at 2/4/8 threads
 //! must produce a graph byte-identical to the 1-thread run — same node ids,
-//! same edge lists — with preprocessing both off and on.
+//! same edge lists — with preprocessing both off and on. A DBLP-shaped
+//! input large enough that every parallel operator fans out (the grouping
+//! and the EXP build included) must give the same
+//! bytes at 1/2/8 threads on the default direct route and on an
+//! incremental bulk load.
 
 use graphgen::core::{GraphGen, GraphGenConfig, GraphGenConfigBuilder};
 use graphgen::datagen::large::{
     layered_database, single_layer_database, LayeredConfig, SingleLayerConfig,
 };
+use graphgen::datagen::relational::DBLP_COAUTHORS;
+use graphgen::datagen::{dblp_like, DblpConfig};
 use graphgen::graph::expand_to_edge_list;
+use graphgen::reldb::exec::GROUP_KEYS_PER_THREAD;
 use graphgen::reldb::Database;
 
 fn base(preprocess: bool) -> GraphGenConfigBuilder {
@@ -88,4 +95,57 @@ fn full_extraction_is_thread_invariant() {
             "full extraction diverged at {threads} threads"
         );
     }
+}
+
+/// 40,000 publications of 2.5 authors on average: about 100,000
+/// `AuthorPub` rows, past two threads' floor for every operator (the
+/// grouping's is the highest).
+fn large_dblp() -> Database {
+    dblp_like(DblpConfig {
+        authors: 30_000,
+        publications: 40_000,
+        avg_authors_per_pub: 2.5,
+        seed: 45,
+    })
+}
+
+/// `DBLP_COAUTHORS` extracted under `cfg` at 1/2/8 threads: the same
+/// canonical bytes each time.
+fn assert_same_bytes(db: &Database, cfg: GraphGenConfigBuilder, label: &str) {
+    let extract = |threads| {
+        GraphGen::with_config(db, cfg.clone().threads(threads).build())
+            .extract(DBLP_COAUTHORS)
+            .expect("extraction")
+    };
+    let serial = extract(1);
+    assert!(serial.graph().expanded_edge_count() > 0, "{label}");
+    let bytes = serial.canonical_bytes();
+    for threads in [2, 8] {
+        let parallel = extract(threads);
+        assert_eq!(
+            parallel.kind(),
+            serial.kind(),
+            "{label} at {threads} threads"
+        );
+        assert!(
+            parallel.canonical_bytes() == bytes,
+            "{label}: bytes differ at {threads} threads"
+        );
+    }
+}
+
+#[test]
+fn default_direct_route_is_thread_invariant_past_every_floor() {
+    let db = large_dblp();
+    assert!(db.table("AuthorPub").unwrap().num_rows() > 2 * GROUP_KEYS_PER_THREAD);
+    let handle = GraphGen::new(&db).extract(DBLP_COAUTHORS).unwrap();
+    assert!(handle.report().auto_expanded, "the direct route");
+    assert_same_bytes(&db, GraphGenConfig::builder(), "direct route");
+}
+
+#[test]
+fn incremental_bulk_load_is_thread_invariant_past_every_floor() {
+    let db = large_dblp();
+    let cfg = GraphGenConfig::builder().incremental(true);
+    assert_same_bytes(&db, cfg, "incremental bulk load");
 }

@@ -281,10 +281,16 @@ const DELETED_NAMES: &[(&str, Option<&str>)] = &[
     ("boundary_index", None),
     ("boundary_keys", None),
     ("boundary_virts", None),
-    // Scoped threads fan out through `common::parallel::map_chunks`, which
-    // `map_morsels` is a view of.
+    // Scoped threads fan out through `common::parallel::map_parts`, which
+    // `map_chunks` and `map_morsels` are views of.
     ("in_chunks", None),
     ("fn morsels(", None),
+    // Every operator sizes its own fan-out from the configured thread
+    // count (`common::parallel::effective_threads` / `threads_for`); no
+    // rule sizes a whole batch extraction to the rows it scans.
+    ("ROWS_PER_THREAD", None),
+    ("batch_threads", None),
+    ("threads_chosen", None),
     // Every span label is a `common::metrics::Phase`, declared once with
     // its family; the serving layer routes by `phase as usize`.
     ("APPLY_PHASES", None),
@@ -347,7 +353,8 @@ fn deleted_operators_stay_deleted() {
          `core::planner` over `graphgen_dsl::cost`, the writer's \
          rejection map for the registry's per-code counters, the patch \
          path's per-kind edge methods for `segment_edge` and `Target::edge`, \
-         the kernels' own thread fan-out for `map_chunks`, the phase \
+         the kernels' own thread fan-out for `map_chunks`, the batch \
+         extraction's rows-per-thread rule for per-operator fan-outs, the phase \
          label lists for the one `Phase` declaration, and the named, \
          hash-mapped node entries for rows aligned with their view, and \
          public functions nothing called were deleted; extend those instead \
