@@ -206,8 +206,8 @@ mod tests {
         use graphgen_reldb::exec;
         let keys: Vec<u64> = (0..4000).map(|i| exec::pack(i % 97 + 1, i + 1)).collect();
         let (_, deltas) = measure_regions(|| {
-            let bag = exec::group_pairs(keys.clone(), 2);
-            exec::join_counted(&bag, &bag, 4001, 2)
+            let bag = exec::group_pairs(keys.clone(), 2).unwrap();
+            exec::join_counted(&bag, &bag, 2).unwrap()
         });
         let by_region = |r: Region| deltas.iter().find(|d| d.region == r).unwrap().bytes;
         assert!(by_region(Region::Build) > 0, "build not attributed");

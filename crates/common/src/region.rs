@@ -23,7 +23,9 @@ pub enum Region {
     /// Filtered scan + projection, copying ids out of a table's id columns
     /// (`scan_project`).
     Scan = 1,
-    /// Counted-join build: the run offsets of the atom bag (`join_runs`).
+    /// The run offsets of a bag, which a join reads its atom side through
+    /// (`join_runs`): written with the bag by the grouping and the bag
+    /// builder, so a join builds nothing before it probes.
     Build = 2,
     /// Counted-join probe + grouped output handed to the join's consumer
     /// (`join_runs`): the collected bag of `join_counted`, or the out-lists
@@ -31,7 +33,7 @@ pub enum Region {
     Probe = 3,
     /// GROUP BY over packed id pairs, which is the `DISTINCT`
     /// (`group_pairs`), and the transpose that derives a self-join's
-    /// second bag from its first (`transpose_counted`).
+    /// second bag from its first (`Bag::transpose`).
     Distinct = 4,
     /// Representation construction + preprocessing (`build_rep`).
     BuildRep = 5,

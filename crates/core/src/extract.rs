@@ -14,7 +14,7 @@ use graphgen_dsl::{
     check_program, parse, CheckOptions, CheckReport, GraphSpec, NodesView, Severity,
 };
 use graphgen_graph::{CondensedBuilder, ExpandedGraph, PropValue, Properties, RealId, VirtId};
-use graphgen_reldb::exec::{scan_project, unpack};
+use graphgen_reldb::exec::{right_of, scan_project};
 use graphgen_reldb::{Database, Query, Value, Vid, NULL_VID};
 use std::borrow::Cow;
 use std::time::Instant;
@@ -320,7 +320,7 @@ impl<'a> GraphGen<'a> {
                 emit_segment(
                     &mut builder,
                     (j, k),
-                    bag.iter().map(|&(key, _)| key),
+                    bag.iter().map(|(l, r, _)| (l, r)),
                     |vid| real_from(&node_of, vid),
                     |b, vid, builder| {
                         let slot = &mut virt_of[b][vid as usize];
@@ -406,8 +406,9 @@ impl<'a> GraphGen<'a> {
     /// queries.
     ///
     /// No query's bag is collected: [`Query::run_by_source`] hands each
-    /// left id's run — distinct `(l, r)` database-id pairs in ascending
-    /// order — straight from the last join to the node's out-list. Ids that
+    /// left id `l` and its run — the distinct `r` of its `(l, r)`
+    /// database-id pairs, ascending, with their counts — straight from the
+    /// last join to the node's out-list. Ids that
     /// are no node key (`node_of`, over `n` nodes) and self-pairs drop out,
     /// and the rest are distinct, since each node is the key of one id. The
     /// list is already sorted unless the node order differs from the id
@@ -431,8 +432,8 @@ impl<'a> GraphGen<'a> {
         let mut parts: Vec<FlatLists> = Vec::new();
         for query in queries {
             sql.push(query.to_sql(self.db)?);
-            let each = |part: &mut FlatLists, run: &[(u64, i64)]| {
-                let Some(u) = real_from(node_of, unpack(run[0].0).0) else {
+            let each = |part: &mut FlatLists, x: Vid, run: &[u64]| {
+                let Some(u) = real_from(node_of, x) else {
                     return;
                 };
                 let blocks = &mut part.blocks;
@@ -446,7 +447,7 @@ impl<'a> GraphGen<'a> {
                 let start = block.len();
                 block.extend(
                     run.iter()
-                        .filter_map(|&(key, _)| real_from(node_of, unpack(key).1))
+                        .filter_map(|&e| real_from(node_of, right_of(e)))
                         .filter(|&v| v != u)
                         .map(|v| v.0),
                 );
@@ -587,19 +588,19 @@ pub(crate) fn segment_edge(
 }
 
 /// Add the stored edges of segment `j` of a `k`-segment chain to
-/// `builder`, given the keys of the segment's bag: its distinct `(l, r)`
-/// pairs, packed, in ascending order. Each pair goes through
+/// `builder`, given the segment's distinct `(l, r)` pairs in ascending
+/// order. Each pair goes through
 /// [`segment_edge`], whose `virt` here also gets the builder to allocate
 /// from; the id space is database ids for batch extraction and engine ids
 /// for [`IncrementalState::bulk_load`].
 pub(crate) fn emit_segment(
     builder: &mut CondensedBuilder,
     jk: (usize, usize),
-    keys: impl IntoIterator<Item = u64>,
+    pairs: impl IntoIterator<Item = (Vid, Vid)>,
     real: impl Fn(Vid) -> Option<RealId>,
     mut virt: impl FnMut(usize, Vid, &mut CondensedBuilder) -> VirtId,
 ) {
-    for pair in keys.into_iter().map(unpack) {
+    for pair in pairs {
         match segment_edge(jk, pair, &real, |b, vid| virt(b, vid, builder)) {
             Some(StoredEdge::Direct(u, v)) => builder.direct(u, v),
             Some(StoredEdge::RealToVirtual(u, v)) => builder.real_to_virtual(u, v),

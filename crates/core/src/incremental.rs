@@ -61,10 +61,10 @@
 //!
 //! Every keyed structure of the state — atom bags, supports, the reverse
 //! index of a chain's last support where it is kept — is one
-//! `CountedRuns`: the sorted, counted pairs the relational operators emit,
-//! kept at 8 bytes a pair under per-left-id run offsets, plus a small
-//! overlay of the changes deltas made since, folded back when it outgrows a
-//! fixed fraction of the runs. A count past `u32::MAX` is refused.
+//! `CountedRuns`: the `Bag` the relational operators write, 8 bytes a pair
+//! under per-left-id run offsets, plus a small overlay of the changes
+//! deltas made since, folded back when it outgrows a fixed fraction of the
+//! runs. A count past `u32::MAX` is refused.
 //! How many single-segment chains output a pair (the reference count of
 //! its direct edge) is a function of their supports, read from them where
 //! needed and never kept beside them.
@@ -91,14 +91,15 @@
 //! preprocessing phase. It scans every atom and node view once and computes
 //! each segment's counted output with the operators batch extraction runs
 //! its segment queries on — `graphgen_reldb::exec::{group_pairs,
-//! join_counted, join_runs, transpose_counted}`, over engine ids where
+//! join_counted, join_runs}` and `Bag::transpose`, over engine ids where
 //! `Query::run_counted` uses database ids (a self-join's second atom takes
 //! the first one's bag transposed, so its table is scanned once); the
 //! multiplicities the batch path ignores are the supports kept here —
 //! keeps the operators' output as the *primary* state (the grouped atom
-//! bags become the segment's bags, converted chunk by chunk; each
-//! last join step hands its output over run by run, kept compact as the
-//! segment's `support` as it comes), and hands every segment's pairs to
+//! bags become the segment's bags as they are, since the operators write
+//! the layout the state keeps; each last join step hands its output over
+//! run by run, kept as the segment's `support` as it comes), and hands
+//! every segment's pairs to
 //! `crate::extract::emit_segment`, as batch extraction does; the boundary
 //! virtual nodes are numbered as the C-DUP is built through
 //! [`CondensedBuilder`]. A mirrored segment keeps each join run from the
@@ -116,7 +117,7 @@
 use crate::error::{Error, PatchError};
 use crate::extract::{emit_segment, real_from, segment_edge, StoredEdge};
 use crate::planner::{filters_to_predicate, ChainPlan};
-use crate::runs::{CountedRuns, RunsBuilder, MAX_PAIRS};
+use crate::runs::CountedRuns;
 use graphgen_common::metrics::{span, Phase};
 use graphgen_common::parallel::{effective_threads, map_morsels};
 use graphgen_common::region::Region;
@@ -126,8 +127,8 @@ use graphgen_graph::{
     CondensedBuilder, CondensedGraph, GraphRep, PropValue, Properties, RealId, VirtId,
 };
 use graphgen_reldb::exec::{
-    check_joinable, group_pairs, join_counted, join_runs, pack, scan_project, transpose_counted,
-    unpack, CountedPairs,
+    group_pairs, join_counted, join_runs, pack, right_of, scan_project, unpack, Bag, BagBuilder,
+    MAX_BAG_LEN,
 };
 use graphgen_reldb::{Database, Delta, DeltaOp, Interner, Predicate, Value, Vid, NULL_VID};
 
@@ -677,14 +678,13 @@ impl SegmentState {
         below.chain(self.support.run(l).map(|(r, _)| r))
     }
 
-    /// Fill the bags from every atom's `(in, out)` pairs, as the bulk
-    /// load's scans produce them: a bag some atom reads by `in` is that
-    /// atom's pairs, moved; a bag read by `out` only is its first reader's
-    /// pairs, transposed. Pairs no bag takes are dropped. Counts past the
-    /// bags' limits are [`PatchError::Overflow`].
-    fn adopt(&mut self, pairs: Vec<CountedPairs>) -> Result<(), PatchError> {
-        let mut pairs: Vec<Option<CountedPairs>> = pairs.into_iter().map(Some).collect();
-        // Per bag: the atom whose pairs fill it, and whether it reads them by `in`.
+    /// Fill the bags from every atom's bag of `(in, out)` pairs, as the
+    /// bulk load's scans group them: a bag some atom reads by `in` is that
+    /// atom's bag, moved; a bag read by `out` only is its first reader's
+    /// bag, transposed. Bags no segment bag takes are dropped.
+    fn adopt(&mut self, atoms: Vec<Bag>) {
+        let mut atoms: Vec<Option<Bag>> = atoms.into_iter().map(Some).collect();
+        // Per bag: the atom whose bag fills it, and whether it reads it by `in`.
         let sources: Vec<(usize, bool)> = (0..self.bags.len())
             .map(
                 |b| match self.atoms.iter().position(|a| a.by_in == Some(b)) {
@@ -696,19 +696,18 @@ impl SegmentState {
                 },
             )
             .collect();
-        // Transposes first: the pairs they read may be moved below.
+        // Transposes first: the bags they read may be moved below.
         for (b, &(i, keyed_by_in)) in sources.iter().enumerate() {
             if !keyed_by_in {
-                let of = pairs[i].as_deref().expect("an atom's pairs");
-                self.bags[b] = CountedRuns::transpose_of(of)?;
+                let of = atoms[i].as_ref().expect("an atom's bag");
+                self.bags[b] = CountedRuns::from(of.transpose());
             }
         }
         for (b, &(i, keyed_by_in)) in sources.iter().enumerate() {
             if keyed_by_in {
-                self.bags[b] = CountedRuns::new(pairs[i].take().expect("moved once"))?;
+                self.bags[b] = CountedRuns::from(atoms[i].take().expect("moved once"));
             }
         }
-        Ok(())
     }
 
     /// Propagate a table delta through this segment: telescoping delta
@@ -754,7 +753,7 @@ impl SegmentState {
         }
         // Each bag's change in its own orientation, sorted. A bag holds one
         // relation however many atoms read it, so it changes once.
-        let mut change: Vec<CountedPairs> = vec![Vec::new(); self.bags.len()];
+        let mut change: Vec<Vec<(u64, i64)>> = vec![Vec::new(); self.bags.len()];
         for (j, entries) in &changed {
             let atom = &self.atoms[*j];
             for (bag, flipped) in [(atom.by_in, false), (atom.by_out, true)] {
@@ -1223,7 +1222,7 @@ impl IncrementalState {
         };
         // Per segment, the scanned, grouped bag of each atom, until the
         // segment's last table has been scanned and the join has read them.
-        let mut loads: Vec<Vec<Vec<Option<CountedPairs>>>> = state
+        let mut loads: Vec<Vec<Vec<Option<Bag>>>> = state
             .chains
             .iter()
             .map(|chain| {
@@ -1268,8 +1267,8 @@ impl IncrementalState {
                             earlier.position(|a| a.by_out == Some(b))
                         });
                         if let Some(bag) = partner.and_then(|p| load[p].as_ref()) {
-                            check_joinable(bag.len())?;
-                            load[k] = Some(transpose_counted(bag, dict.capacity()));
+                            let _span = span(Phase::Distinct, Region::Distinct);
+                            load[k] = Some(bag.transpose());
                             continue;
                         }
                         let cols = [atom.in_col, atom.out_col];
@@ -1284,59 +1283,43 @@ impl IncrementalState {
                             }
                             keys
                         };
-                        load[k] = Some(group_pairs(keys, threads));
+                        load[k] = Some(group_pairs(keys, threads)?);
                     }
                     if !scanned || load.iter().any(Option::is_none) {
                         continue;
                     }
-                    let mut bags: Vec<CountedPairs> =
-                        std::mem::take(load).into_iter().flatten().collect();
+                    let mut bags: Vec<Bag> = std::mem::take(load).into_iter().flatten().collect();
                     seg.support = match bags.len() {
                         // A single atom mirrors itself only when it reads
                         // one column twice: its pairs are all diagonal.
-                        1 => {
-                            let _span = span(Phase::LoadState, Region::Patch);
-                            CountedRuns::new(bags.pop().expect("one atom"))?
-                        }
+                        1 => CountedRuns::from(bags.pop().expect("one atom")),
                         // The last join step hands its output over run by
-                        // run, kept compact as it comes (a mirrored
-                        // segment's from the diagonal up); the join has read
-                        // the bags, and the segment keeps them as its atoms
-                        // walk them.
+                        // run, kept as it comes (a mirrored segment's from
+                        // the diagonal up); the join has read the bags, and
+                        // the segment keeps them as its atoms walk them.
                         m => {
-                            for bag in &bags[1..] {
-                                check_joinable(bag.len())?;
-                            }
-                            let slots = dict.capacity();
                             let mirrored = seg.mirrored;
-                            let mut joined: Option<CountedPairs> = None;
+                            let mut joined: Option<Bag> = None;
                             for bag in &bags[1..m - 1] {
                                 let frontier = joined.as_ref().unwrap_or(&bags[0]);
-                                joined = Some(join_counted(frontier, bag, slots, threads));
+                                joined = Some(join_counted(frontier, bag, threads)?);
                             }
                             let frontier = joined.as_ref().unwrap_or(&bags[0]);
+                            let keep = |part: &mut BagBuilder, x: Vid, run: &[u64]| {
+                                let from = run.partition_point(|&e| mirrored && right_of(e) < x);
+                                part.push_run(x, &run[from..]);
+                            };
                             let parts = join_runs(
                                 frontier,
                                 &bags[m - 1],
-                                slots,
                                 threads,
-                                || Ok(RunsBuilder::default()),
-                                |part: &mut Result<RunsBuilder, PatchError>, run| {
-                                    let from = run.partition_point(|&(key, _)| {
-                                        let (l, r) = unpack(key);
-                                        mirrored && r < l
-                                    });
-                                    if let Ok(builder) = part {
-                                        if let Err(e) = builder.extend_run(&run[from..]) {
-                                            *part = Err(e);
-                                        }
-                                    }
-                                },
-                            );
+                                BagBuilder::default,
+                                keep,
+                            )?;
                             drop(joined);
                             let _span = span(Phase::LoadState, Region::Patch);
-                            seg.adopt(bags)?;
-                            RunsBuilder::concat(parts.into_iter().collect::<Result<_, _>>()?)?
+                            seg.adopt(bags);
+                            CountedRuns::from(BagBuilder::concat(parts)?)
                         }
                     };
                     completed.push((c, j));
@@ -1455,7 +1438,7 @@ fn check_counted<K: Ord>(
     if count < 1 {
         return Err(CodecError::invalid(at, "multiplicity below 1"));
     }
-    if pairs >= MAX_PAIRS {
+    if pairs >= MAX_BAG_LEN {
         return Err(CodecError::invalid(at, "more pairs than a bag holds"));
     }
     u32::try_from(count).map_err(|_| CodecError::invalid(at, "multiplicity above u32::MAX"))
@@ -1483,7 +1466,7 @@ fn put_bag(out: &mut impl codec::Sink, bag: &CountedRuns) {
 /// and never empty, as the encoder writes them.
 fn read_bag(r: &mut Reader<'_>, dict: &Interner) -> Result<CountedRuns, CodecError> {
     let n = r.len()?;
-    let mut pairs = RunsBuilder::default();
+    let mut pairs = BagBuilder::default();
     let mut prev_slot = None;
     for _ in 0..n {
         let at = r.pos();
@@ -1505,14 +1488,14 @@ fn read_bag(r: &mut Reader<'_>, dict: &Interner) -> Result<CountedRuns, CodecErr
             pairs.push(l, k, v);
         }
     }
-    Ok(pairs.finish())
+    Ok(CountedRuns::from(pairs.finish()))
 }
 
 /// Encode a support map: its length, then every `(packed key, count)`.
 fn put_packed_counts(out: &mut impl codec::Sink, support: &CountedRuns) {
     codec::put_len(out, support.len());
-    for (key, m) in support.iter() {
-        codec::put_u64(out, key);
+    for ((l, r), m) in support.pairs() {
+        codec::put_u64(out, pack(l, r));
         codec::put_i64(out, m);
     }
 }
@@ -1525,7 +1508,7 @@ fn read_packed_counts(
     mirrored: bool,
 ) -> Result<CountedRuns, CodecError> {
     let n = r.len_of(16)?;
-    let mut pairs = RunsBuilder::with_capacity(n.min(MAX_PAIRS));
+    let mut pairs = BagBuilder::with_capacity(n.min(MAX_BAG_LEN));
     let mut prev = None;
     for _ in 0..n {
         let at = r.pos();
@@ -1547,7 +1530,7 @@ fn read_packed_counts(
         let v = check_counted(at, prev.replace(k), k, v, pairs.len())?;
         pairs.push(l, rr, v);
     }
-    Ok(pairs.finish())
+    Ok(CountedRuns::from(pairs.finish()))
 }
 
 impl AtomState {
@@ -1786,13 +1769,16 @@ impl IncrementalState {
 #[cfg(test)]
 mod tests {
     use super::{apply_delta_state, CodecError, GraphPatch, IncrementalState, Reader};
+    use crate::error::Error;
     use crate::extract::{GraphGen, GraphGenConfig};
     use crate::handle::{ConvertOptions, GraphHandle};
     use crate::planner::plan_chain;
     use graphgen_common::{IdMap, SplitMix64};
     use graphgen_graph::{CondensedBuilder, GraphRep, Properties, RepKind};
     use graphgen_reldb::exec::{pack, unpack};
-    use graphgen_reldb::{Column, Database, Delta, DeltaOp, Schema, Table, Value};
+    use graphgen_reldb::{
+        Column, Database, DbError, Delta, DeltaOp, Oversize, Schema, Table, Value,
+    };
     use std::sync::Arc;
 
     /// The Fig. 1 toy DBLP instance.
@@ -2576,6 +2562,32 @@ mod tests {
         }
     }
 
+    /// `R(a, b)` and `S(b, c)` of 65,537 identical rows each: their join
+    /// holds one pair derived 65,537² times, past a bag entry's `u32`
+    /// count. Kept as one segment, a maintained extraction refuses it with
+    /// the operators' typed error at any thread count, as a batch one does.
+    #[test]
+    fn bulk_a_count_past_u32_is_refused() {
+        let mut db = Database::new();
+        for (name, cols, row) in [("R", ["a", "b"], [1, 2]), ("S", ["b", "c"], [2, 3])] {
+            let mut t = Table::new(Schema::new(cols.map(Column::int).to_vec()));
+            for _ in 0..65_537 {
+                t.push_row(row.map(Value::int).to_vec()).unwrap();
+            }
+            db.register(name, t).unwrap();
+        }
+        let dsl = "Nodes(ID, B) :- R(ID, B).\nEdges(X, Y) :- R(X, B), S(B, Y).";
+        let too_large = DbError::TooLarge(Oversize::Count(65_537 * 65_537));
+        for (threads, incremental) in [(1, true), (2, true), (8, true), (2, false)] {
+            let cfg = bulk_cfg(Some(1e12), threads, incremental);
+            let err = GraphGen::with_config(&db, cfg).extract(dsl).err();
+            assert!(
+                matches!(&err, Some(Error::Db(e)) if *e == too_large),
+                "{threads} threads, incremental {incremental}: {err:?}"
+            );
+        }
+    }
+
     /// The named hand-offs from bulk-built state to the delta engine, on
     /// Fig. 1 plus a duplicated row and a membership of a non-author.
     #[test]
@@ -2641,10 +2653,7 @@ mod tests {
             let state = g.incremental_state().unwrap();
             let seg = &state.chains[0].segments[0];
             assert!(seg.mirrored && state.chains[0].by_right.is_none());
-            assert!(seg.support.iter().all(|(key, _)| {
-                let (l, r) = unpack(key);
-                l <= r
-            }));
+            assert!(seg.support.pairs().all(|((l, r), _)| l <= r));
             assert_eq!(
                 String::from_utf8(g.canonical_bytes()).unwrap(),
                 String::from_utf8(fresh.canonical_bytes()).unwrap()

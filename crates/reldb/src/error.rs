@@ -20,9 +20,8 @@ pub enum DbError {
     SchemaMismatch(String),
     /// Malformed CSV input.
     Csv(String),
-    /// A bag of this many entries is past what a join can index (its run
-    /// offsets are `u32`).
-    TooLarge(usize),
+    /// A bag past its `u32` layout (see [`crate::exec::Bag`]).
+    TooLarge(Oversize),
     /// Anything else (query shape errors etc.).
     Invalid(String),
 }
@@ -37,8 +36,11 @@ impl fmt::Display for DbError {
             DbError::DuplicateTable(name) => write!(f, "table `{name}` already exists"),
             DbError::SchemaMismatch(msg) => write!(f, "schema mismatch: {msg}"),
             DbError::Csv(msg) => write!(f, "csv error: {msg}"),
-            DbError::TooLarge(n) => {
-                write!(f, "a bag of {n} entries is too large to join (u32 offsets)")
+            DbError::TooLarge(Oversize::Entries(n)) => {
+                write!(f, "a bag of {n} entries is too large (u32 offsets)")
+            }
+            DbError::TooLarge(Oversize::Count(n)) => {
+                write!(f, "a pair counted {n} times is too large (u32 counts)")
             }
             DbError::Invalid(msg) => write!(f, "invalid query: {msg}"),
         }
@@ -46,6 +48,15 @@ impl fmt::Display for DbError {
 }
 
 impl std::error::Error for DbError {}
+
+/// What of a bag outgrew its `u32` layout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Oversize {
+    /// This many entries: past what its run offsets index.
+    Entries(usize),
+    /// A pair with this many derivations: past what an entry's count holds.
+    Count(u64),
+}
 
 /// Convenience alias.
 pub type DbResult<T> = Result<T, DbError>;

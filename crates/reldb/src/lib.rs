@@ -52,7 +52,7 @@ pub mod value;
 
 pub use catalog::{ColumnStats, Database};
 pub use delta::{Delta, DeltaBatch, DeltaOp, DeltaRow};
-pub use error::{DbError, DbResult};
+pub use error::{DbError, DbResult, Oversize};
 pub use expr::Predicate;
 pub use intern::{Interner, Vid, NULL_VID};
 pub use query::Query;

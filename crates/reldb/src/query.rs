@@ -21,15 +21,12 @@
 
 use crate::catalog::Database;
 use crate::error::{DbError, DbResult};
-use crate::exec::{
-    check_joinable, join_counted, join_runs, same_left, scan_grouped, transpose_counted, unpack,
-    CountedPairs,
-};
+use crate::exec::{join_counted, join_runs, scan_grouped, Bag};
 use crate::expr::Predicate;
 use crate::intern::Vid;
 use crate::table::TableRef;
 use graphgen_common::metrics::{self, Phase};
-use graphgen_common::region;
+use graphgen_common::region::{self, Region};
 
 /// One atom in the chain: a base table with a selection predicate, an input
 /// join column and an output join column (which may coincide, e.g. for an
@@ -91,36 +88,32 @@ impl Query {
     /// This is the single `threads` knob of the extraction pipeline: every
     /// scan, grouping and join probe of the chain fans out over it, and the
     /// result is byte-identical for any value (see [`crate::exec`] for
-    /// why).
-    /// [`Query::run_counted`] hands back the same pairs without unpacking
-    /// them.
+    /// why). [`Query::run_counted`] hands back the same pairs with their
+    /// counts.
     pub fn run_threaded(&self, db: &Database, threads: usize) -> DbResult<Vec<(Vid, Vid)>> {
-        Ok(self
-            .run_counted(db, threads)?
-            .into_iter()
-            .map(|(key, _)| unpack(key))
-            .collect())
+        let bag = self.run_counted(db, threads)?;
+        Ok(bag.iter().map(|(x, y, _)| (x, y)).collect())
     }
 
     /// [`Query::run_threaded`]'s result as the last operator wrote it: the
-    /// bag of `(X, Y)` pairs, `(pack(x, y), multiplicity)` in strictly
-    /// ascending key order. Its keys are the distinct pairs; the
-    /// multiplicities count the join paths behind each.
-    pub fn run_counted(&self, db: &Database, threads: usize) -> DbResult<CountedPairs> {
+    /// bag of `(X, Y)` pairs, each counted by the join paths behind it. A
+    /// count past `u32::MAX`, or a bag past [`crate::exec::MAX_BAG_LEN`]
+    /// pairs, is [`DbError::TooLarge`].
+    pub fn run_counted(&self, db: &Database, threads: usize) -> DbResult<Bag> {
         let (frontier, last) = self.run_to_last_join(db, threads)?;
-        Ok(match last {
-            Some(atom) => join_counted(&frontier, &atom, db.dict().capacity(), threads),
-            None => frontier,
-        })
+        match last {
+            Some(atom) => join_counted(&frontier, &atom, threads),
+            None => Ok(frontier),
+        }
     }
 
     /// [`Query::run_counted`]'s bag handed over one `X` at a time instead
-    /// of collected: each `X`'s run of it goes to `each`, the last join's
-    /// consumer (see [`join_runs`]), with the state its morsel started
-    /// from `init()`; the states come back in morsel order. The runs are
-    /// exactly the bag's, for any `threads`. A one-atom chain has no join:
-    /// its bag's runs are handed over in order, to one state, under the
-    /// `emit` span.
+    /// of collected: each `X` and its run of the bag go to `each`, the last
+    /// join's consumer (see [`join_runs`]), with the state its morsel
+    /// started from `init()`; the states come back in morsel order. The
+    /// runs are exactly the bag's, for any `threads`. A one-atom chain has
+    /// no join: its bag's runs are handed over in order, to one state,
+    /// under the `emit` span.
     pub fn run_by_source<T, I, E>(
         &self,
         db: &Database,
@@ -131,17 +124,16 @@ impl Query {
     where
         T: Send,
         I: Fn() -> T + Sync,
-        E: Fn(&mut T, &[(u64, i64)]) + Sync,
+        E: Fn(&mut T, Vid, &[u64]) + Sync,
     {
         let (frontier, last) = self.run_to_last_join(db, threads)?;
         if let Some(atom) = last {
-            let slots = db.dict().capacity();
-            return Ok(join_runs(&frontier, &atom, slots, threads, init, each));
+            return join_runs(&frontier, &atom, threads, init, each);
         }
         let _span = metrics::span(Phase::Emit, region::current());
         let mut state = init();
-        for run in frontier.chunk_by(same_left) {
-            each(&mut state, run);
+        for (x, run) in frontier.runs() {
+            each(&mut state, x, run);
         }
         Ok(vec![state])
     }
@@ -153,26 +145,21 @@ impl Query {
     /// Every atom's bag is built once. An atom that reads the same table
     /// under an equal predicate as an earlier one, with `in_col` and
     /// `out_col` swapped, gets the transpose of that atom's bag
-    /// ([`transpose_counted`], taken as soon as the earlier bag exists)
+    /// ([`Bag::transpose`], taken as soon as the earlier bag exists)
     /// instead of a second scan and grouping sort: a self-join scans its
     /// table once.
-    fn run_to_last_join(
-        &self,
-        db: &Database,
-        threads: usize,
-    ) -> DbResult<(CountedPairs, Option<CountedPairs>)> {
+    fn run_to_last_join(&self, db: &Database, threads: usize) -> DbResult<(Bag, Option<Bag>)> {
         if self.steps.is_empty() {
             return Err(DbError::Invalid("empty chain query".into()));
         }
-        let slots = db.dict().capacity();
         let steps = &self.steps;
         // Per atom, the earlier atom whose bag it is the transpose of.
         let source: Vec<Option<usize>> = (0..steps.len())
             .map(|k| steps[..k].iter().position(|e| e.transposes(&steps[k])))
             .collect();
         // The transposes taken for later atoms, until they are reached.
-        let mut derived: Vec<Option<CountedPairs>> = vec![None; steps.len()];
-        let mut bag = |k: usize| -> DbResult<CountedPairs> {
+        let mut derived: Vec<Option<Bag>> = vec![None; steps.len()];
+        let mut bag = |k: usize| -> DbResult<Bag> {
             let step = &steps[k];
             let bag = match derived[k].take() {
                 Some(bag) => bag,
@@ -181,16 +168,13 @@ impl Query {
                     scan_grouped(db, &step.table, &step.pred, cols, threads)?
                 }
             };
-            let transposed = |s: &Option<usize>| *s == Some(k);
-            if k > 0 || source.iter().any(transposed) {
-                check_joinable(bag.len())?;
-            }
             for (slot, _) in derived
                 .iter_mut()
                 .zip(&source)
-                .filter(|(_, s)| transposed(s))
+                .filter(|(_, s)| **s == Some(k))
             {
-                *slot = Some(transpose_counted(&bag, slots));
+                let _span = metrics::span(Phase::Distinct, Region::Distinct);
+                *slot = Some(bag.transpose());
             }
             Ok(bag)
         };
@@ -200,7 +184,7 @@ impl Query {
         let mut frontier = bag(0)?;
         let last = steps.len() - 1;
         for k in 1..last {
-            frontier = join_counted(&frontier, &bag(k)?, slots, threads);
+            frontier = join_counted(&frontier, &bag(k)?, threads)?;
         }
         let last = if last > 0 { Some(bag(last)?) } else { None };
         Ok((frontier, last))
@@ -273,6 +257,7 @@ mod tests {
     use crate::schema::{Column, Schema};
     use crate::table::Table;
     use crate::value::Value;
+    use crate::Oversize;
 
     /// AuthorPub(aid, pid): the Fig. 1 toy dataset.
     /// p1: {a1,a2,a4}, p2: {a1,a4}, p3: {a3,a4,a5}... keep it small:
@@ -422,6 +407,42 @@ mod tests {
             "SELECT DISTINCT A.aid AS ID1, B.aid AS ID2 FROM AuthorPub A, AuthorPub B \
              WHERE A.pid=B.pid AND B.aid=3;"
         );
+    }
+
+    /// `R(a, b)` and `S(b, c)` of 65,537 identical rows each: their join
+    /// holds one pair derived 65,537² times, past an entry's `u32` count.
+    #[test]
+    fn a_count_past_u32_is_too_large_on_every_thread_count() {
+        let mut db = Database::new();
+        for (name, cols, row) in [("R", ["a", "b"], [1, 2]), ("S", ["b", "c"], [2, 3])] {
+            let mut t = Table::new(Schema::new(cols.map(Column::int).to_vec()));
+            for _ in 0..65_537 {
+                t.push_row(row.map(Value::int).to_vec()).unwrap();
+            }
+            db.register(name, t).unwrap();
+        }
+        let step = |table: &str| ChainStep {
+            table: table.into(),
+            pred: Predicate::True,
+            in_col: 0,
+            out_col: 1,
+        };
+        let q = Query {
+            steps: vec![step("R"), step("S")],
+        };
+        let too_large = Some(DbError::TooLarge(Oversize::Count(65_537 * 65_537)));
+        for threads in [1, 2, 8] {
+            assert_eq!(q.run_counted(&db, threads).err(), too_large, "{threads}");
+            let runs = q.run_by_source(&db, threads, Vec::new, |seen: &mut Vec<Vid>, x, _| {
+                seen.push(x)
+            });
+            assert_eq!(runs.err(), too_large, "{threads}");
+        }
+        // Each atom's own bag holds its pair counted 65,537 times.
+        let bag = Query::single("R", Predicate::True, 0, 1)
+            .run_counted(&db, 2)
+            .unwrap();
+        assert_eq!(bag.iter().map(|(_, _, m)| m).collect::<Vec<_>>(), [65_537]);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use graphgen_common::parallel::MIN_PARALLEL_ITEMS;
 use graphgen_common::SplitMix64;
 use graphgen_reldb::exec::{
-    group_pairs, join_counted, nested_loop_join, pack, scan_project, unpack, CountedPairs,
+    group_pairs, join_counted, nested_loop_join, pack, scan_project, unpack, Bag,
 };
 use graphgen_reldb::query::{ChainStep, Query};
 use graphgen_reldb::{Column, Database, Predicate, RowSet, Schema, Table, Value, NULL_VID};
@@ -131,20 +131,30 @@ fn value_join(l: &[Vec<Value>], lk: usize, r: &[Vec<Value>], rk: usize) -> Vec<V
 /// `L ⋈ R` on `L[lk] = R[rk]` through the operators under test: the
 /// frontier bag is `(L's other column, L[lk])`, the atom bag
 /// `(R[rk], R's other column)`.
-fn counted_join(fx: &Fixture, lk: usize, rk: usize, threads: usize) -> CountedPairs {
+fn counted_join(fx: &Fixture, lk: usize, rk: usize, threads: usize) -> Pairs {
     let bag = |rows: &RowSet, first: usize| {
         group_pairs(
             rows.iter().map(|r| pack(r[first], r[1 - first])).collect(),
             threads,
         )
+        .unwrap()
     };
-    let slots = fx.db.dict().capacity();
-    join_counted(&bag(&fx.l, 1 - lk), &bag(&fx.r, rk), slots, threads)
+    pairs(&join_counted(&bag(&fx.l, 1 - lk), &bag(&fx.r, rk), threads).unwrap())
+}
+
+/// A bag as `(pack(l, r), count)` entries in ascending key order, the
+/// shape the references are written in.
+type Pairs = Vec<(u64, i64)>;
+
+fn pairs(bag: &Bag) -> Pairs {
+    bag.iter()
+        .map(|(l, r, m)| (pack(l, r), i64::from(m)))
+        .collect()
 }
 
 /// The same join through the nested-loop oracle: project the two non-key
 /// columns, sort, count the runs.
-fn reference_join(fx: &Fixture, lk: usize, rk: usize) -> CountedPairs {
+fn reference_join(fx: &Fixture, lk: usize, rk: usize) -> Pairs {
     let mut keys: Vec<u64> = nested_loop_join(&fx.l, lk, &fx.r, rk)
         .iter()
         .map(|row| pack(row[1 - lk], row[2 + (1 - rk)]))
@@ -490,10 +500,11 @@ fn grouping_is_distinct_with_counts() {
         .unwrap();
         let rows = scan_all(&db, "T");
         let keys: Vec<u64> = rows.iter().map(|r| pack(r[0], r[1])).collect();
-        let bag = group_pairs(keys.clone(), 1);
+        let bag = group_pairs(keys.clone(), 1).unwrap();
         for threads in [2, 8] {
-            assert_eq!(group_pairs(keys.clone(), threads), bag, "n={n}");
+            assert_eq!(group_pairs(keys.clone(), threads).unwrap(), bag, "n={n}");
         }
+        let bag = pairs(&bag);
         assert!(
             bag.windows(2).all(|w| w[0].0 < w[1].0),
             "ascending at n={n}"
