@@ -11,7 +11,8 @@
 //! was what remained uncounted).
 //!
 //! Both dictionaries — the `Interner` and a handle's `IdMap` — keep each
-//! value once, in their slot vector, under an index-only id table. The
+//! value once, in their slot vector, under an index-only id table; the
+//! `Interner` is grow-only and keeps its values in an `IdMap`. The
 //! absolute bounds below fail for a forward map that holds a second copy
 //! of every value in its buckets.
 //!
@@ -29,8 +30,9 @@ const MAX_RELATIVE_ERROR: f64 = 0.10;
 /// Live bytes of an `Interner` of 50,000 ints may not exceed this.
 /// Measured: an `FxHashMap<Value, Vid>` forward map, 4,259,856 bytes; the
 /// index-only id table, 3,145,728 (slots 1.5 MiB, refcounts 0.5 MiB, ids
-/// 1 MiB).
-const MAX_INTERNER_BYTES: usize = 3_300_000;
+/// 1 MiB); grow-only, its values in an `IdMap`, 2,621,440 (values 1.5 MiB,
+/// ids 1 MiB). A per-slot refcount again exceeds it.
+const MAX_INTERNER_BYTES: usize = 2_700_000;
 
 /// Live bytes of an `IdMap<Value>` of 50,000 ints may not exceed this.
 /// Measured: an `FxHashMap<Value, u32>` forward map, 3,735,568 bytes; the

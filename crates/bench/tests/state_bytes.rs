@@ -32,8 +32,10 @@ use std::collections::{BTreeMap, BTreeSet};
 /// entries and `u32` offsets, 2,865,058 bytes (39.5 per pair); the
 /// mirrored co-author support kept on and above its diagonal only,
 /// 2,591,466 bytes (35.7 per pair); the dictionaries' forward maps as
-/// index-only id tables, 1,977,018 bytes (27.3 per pair).
-const MAX_BYTES_PER_PAIR: f64 = 30.0;
+/// index-only id tables, 1,977,018 bytes (27.3 per pair); the state keyed
+/// by database ids, with no dictionary of its own, 1,713,682 bytes (23.6
+/// per pair).
+const MAX_BYTES_PER_PAIR: f64 = 26.0;
 
 /// Peak live bytes above entry during the `EXTRACT` may not exceed this,
 /// so that the loader fails here if it ever holds a second copy of the
@@ -47,8 +49,9 @@ const MAX_BYTES_PER_PAIR: f64 = 30.0;
 /// one thread (3,130,461 at two, 3,094,493 at eight). The dictionaries'
 /// forward maps as index-only id tables, 2,535,464. The operators writing
 /// the kept layout, so no bag is converted, 2,534,992 at one, two and
-/// eight threads: the peak is not where the bags are converted.
-const MAX_PEAK_BYTES: usize = 2_640_000;
+/// eight threads: the peak is not where the bags are converted. No
+/// dictionary of the state's own, 2,241,744 at one, two and eight threads.
+const MAX_PEAK_BYTES: usize = 2_400_000;
 
 /// The distinct output of the co-author self-join
 /// `AuthorPub(a, p), AuthorPub(b, p)`: every `(a, b)`, `a == b` included,

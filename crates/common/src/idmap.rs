@@ -11,6 +11,7 @@
 //! table never holds a copy of a key. An intern offers the table the next
 //! id, which it stores at the end of the same probe run if the key is new.
 
+use crate::bytesize::ByteSize;
 use crate::fxhash::fx_hash;
 use crate::idtable::IdTable;
 use std::hash::Hash;
@@ -49,15 +50,34 @@ impl<K: Eq + Hash> IdMap<K> {
 
     /// Intern `key`, returning its dense id (allocating a new one if unseen).
     pub fn intern(&mut self, key: K) -> u32 {
-        let id = u32::try_from(self.reverse.len()).expect("more than u32::MAX interned ids");
+        let (id, new) = self.find_or_offer(&key);
+        if new {
+            self.reverse.push(key);
+        }
+        id
+    }
+
+    /// Intern a borrowed `key`: one probe, and a clone only if it is new.
+    pub fn intern_cloned(&mut self, key: &K) -> u32
+    where
+        K: Clone,
+    {
+        let (id, new) = self.find_or_offer(key);
+        if new {
+            self.reverse.push(key.clone());
+        }
+        id
+    }
+
+    /// The id of `key`, or the next id, stored in the index for a key the
+    /// caller then pushes (`true`).
+    fn find_or_offer(&mut self, key: &K) -> (u32, bool) {
+        let next = u32::try_from(self.reverse.len()).expect("more than u32::MAX interned ids");
         let reverse = &self.reverse;
         let found = self
             .forward
-            .find_or_insert(fx_hash(&key), id, |id| reverse[id as usize] == key);
-        found.unwrap_or_else(|| {
-            self.reverse.push(key);
-            id
-        })
+            .find_or_insert(fx_hash(key), next, |id| reverse[id as usize] == *key);
+        found.map_or((next, true), |id| (id, false))
     }
 
     /// Look up the dense id of `key` without inserting.
@@ -69,6 +89,11 @@ impl<K: Eq + Hash> IdMap<K> {
     /// The original key for dense id `id`.
     pub fn key_of(&self, id: u32) -> &K {
         &self.reverse[id as usize]
+    }
+
+    /// The key of `id`, or `None` past the last id.
+    pub fn try_key_of(&self, id: u32) -> Option<&K> {
+        self.reverse.get(id as usize)
     }
 
     /// Number of interned keys.
@@ -84,6 +109,13 @@ impl<K: Eq + Hash> IdMap<K> {
     /// Iterate `(dense_id, key)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &K)> {
         self.reverse.iter().enumerate().map(|(i, k)| (i as u32, k))
+    }
+}
+
+impl<K: ByteSize> ByteSize for IdMap<K> {
+    /// The id table and the key vector, from their capacities.
+    fn heap_bytes(&self) -> usize {
+        self.forward.heap_bytes() + self.reverse.heap_bytes()
     }
 }
 
@@ -108,6 +140,18 @@ mod tests {
         for i in 0..100u64 {
             assert_eq!(map.intern(i * 7), i as u32);
         }
+    }
+
+    #[test]
+    fn intern_cloned_matches_intern() {
+        let mut map = IdMap::new();
+        let a = map.intern_cloned(&"alice".to_string());
+        assert_eq!(map.intern("alice".to_string()), a);
+        assert_eq!(map.intern_cloned(&"bob".to_string()), a + 1);
+        assert_eq!(map.intern_cloned(&"alice".to_string()), a);
+        assert_eq!(map.len(), 2);
+        assert_eq!(map.try_key_of(a + 1).map(String::as_str), Some("bob"));
+        assert_eq!(map.try_key_of(a + 2), None);
     }
 
     #[test]

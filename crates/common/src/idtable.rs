@@ -1,7 +1,8 @@
 //! An index-only hash table of dense ids.
 //!
 //! A value dictionary keeps every key once, in its id-indexed slot vector
-//! (`IdMap::reverse`, the database `Interner`'s slots). Its forward index
+//! (`IdMap::reverse`, which also holds the database `Interner`'s values).
+//! Its forward index
 //! only has to answer "which id holds a key equal to this one", so
 //! [`IdTable`] stores ids, never keys: each probe hands the candidate id to
 //! the caller, which compares its own stored key. A `HashMap<K, u32>`
@@ -10,13 +11,12 @@
 //! Layout: open addressing over a power-of-two array of 8-byte slots, each
 //! a `u32` id and a 32-bit tag drawn from the key's 64-bit FxHash. The
 //! tag's top bits are the slot a key starts probing from, so the table can
-//! grow and shift entries without asking for keys again. Probing is
-//! linear; a tag mismatch skips an entry without touching the caller's
-//! keys, so the caller compares a key only where 32 hash bits agree. The
-//! load never exceeds 3/4: an insert past it doubles the table. A removal
-//! shifts the following entries of its probe run back (no tombstones), so
-//! a lookup stops at the first empty slot whatever the insert and removal
-//! history.
+//! grow without asking for keys again. Probing is linear; a tag mismatch
+//! skips an entry without touching the caller's keys, so the caller
+//! compares a key only where 32 hash bits agree. The load never exceeds
+//! 3/4: an insert past it doubles the table. Both dictionaries are
+//! grow-only, so nothing is ever removed and a lookup stops at the first
+//! empty slot.
 //!
 //! The tag is the high half of the hash times the 64-bit golden-ratio
 //! constant, not of the hash itself. FxHash ends by multiplying with a
@@ -183,37 +183,6 @@ impl IdTable {
             self.place(s);
         }
     }
-
-    /// Remove `id`, stored for a key hashing to `hash`; false if it is not
-    /// stored. The entries after it in its probe run move back, each as far
-    /// as its own home slot allows.
-    pub fn remove(&mut self, hash: u64, id: u32) -> bool {
-        if self.slots.is_empty() {
-            return false;
-        }
-        let Ok(mut hole) = self.probe(tag_of(hash), |stored| stored == id) else {
-            return false;
-        };
-        let mask = self.mask();
-        let mut j = (hole + 1) & mask;
-        loop {
-            let s = self.slots[j];
-            if s.id == EMPTY_ID {
-                break;
-            }
-            // `s` may fill the hole when the hole lies on its probe path:
-            // no farther from its home than `j` is.
-            let home = self.home(s.tag);
-            if j.wrapping_sub(home) & mask >= j.wrapping_sub(hole) & mask {
-                self.slots[hole] = s;
-                hole = j;
-            }
-            j = (j + 1) & mask;
-        }
-        self.slots[hole] = EMPTY;
-        self.len -= 1;
-        true
-    }
 }
 
 impl ByteSize for IdTable {
@@ -288,8 +257,8 @@ mod tests {
         }
     }
 
-    /// Interleaved finds, inserts and removes against `HashMap`, ids
-    /// recycled like the interner's free list.
+    /// Interleaved finds and inserts against `HashMap`, ids handed out in
+    /// insert order as the dictionaries do.
     fn run_model(seed: u64, key_range: u64, steps: usize, hash: fn(u64) -> u64) {
         let mut rng = SplitMix64::new(seed);
         let mut model = Model {
@@ -298,37 +267,22 @@ mod tests {
             hash,
         };
         let mut reference: HashMap<u64, u32> = HashMap::new();
-        let mut free: Vec<u32> = Vec::new();
         for step in 0..steps {
             let key = rng.next_below(key_range);
             let want = reference.get(&key).copied();
-            match rng.next_below(3) {
-                0 => assert_eq!(model.find(key), want, "seed {seed} step {step}"),
-                1 => {
-                    let id = free.last().copied().unwrap_or(model.keys.len() as u32);
-                    assert_eq!(
-                        model.find_or_insert(key, id),
-                        want,
-                        "seed {seed} step {step}"
-                    );
-                    if want.is_none() {
-                        free.pop();
-                        if id as usize == model.keys.len() {
-                            model.keys.push(None);
-                        }
-                        model.keys[id as usize] = Some(key);
-                        reference.insert(key, id);
-                    }
+            if rng.next_below(2) == 0 {
+                assert_eq!(model.find(key), want, "seed {seed} step {step}");
+            } else {
+                let id = model.keys.len() as u32;
+                assert_eq!(
+                    model.find_or_insert(key, id),
+                    want,
+                    "seed {seed} step {step}"
+                );
+                if want.is_none() {
+                    model.keys.push(Some(key));
+                    reference.insert(key, id);
                 }
-                _ => match reference.remove(&key) {
-                    Some(id) => {
-                        assert!(model.table.remove(hash(key), id), "seed {seed} step {step}");
-                        model.keys[id as usize] = None;
-                        free.push(id);
-                    }
-                    // An id no key holds is not stored.
-                    None => assert!(!model.table.remove(hash(key), u32::MAX - 1)),
-                },
             }
             assert_eq!(
                 model.table.len(),
@@ -389,14 +343,7 @@ mod tests {
         for (id, &k) in keys.iter().enumerate() {
             assert_eq!(find(&t, k), Some(id as u32));
         }
-        // Removing the entry at the end shifts the wrapped ones back.
-        assert!(t.remove(last(10), 0));
-        assert_eq!(t.slots[7].id, 1);
-        assert_eq!(t.slots[3].id, EMPTY_ID);
-        for (id, &k) in keys.iter().enumerate().skip(1) {
-            assert_eq!(find(&t, k), Some(id as u32));
-        }
-        assert_eq!(find(&t, 10), None);
+        assert_eq!(find(&t, 15), None);
         for seed in 1..=4 {
             run_model(seed, 40, 2_000, last);
         }

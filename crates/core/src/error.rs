@@ -87,6 +87,17 @@ pub enum PatchError {
     /// is not applied, but the delta's earlier changes stand, so the
     /// handle should be considered stale, as for `Inconsistent`.
     Overflow(String),
+    /// A row of the delta carries no database id for each of its values
+    /// (a row decoded from the write-ahead log carries values only): the
+    /// state keys by those ids and never guesses them. Nothing was
+    /// applied; replay the rows through the `Database` that logged them
+    /// and apply the delta it returns.
+    WithoutIds {
+        /// The delta's table.
+        table: String,
+        /// The first such row's position in the delta.
+        row: usize,
+    },
 }
 
 impl fmt::Display for PatchError {
@@ -103,6 +114,11 @@ impl fmt::Display for PatchError {
             PatchError::Overflow(msg) => {
                 write!(f, "count past the maintained state's limits: {msg}")
             }
+            PatchError::WithoutIds { table, row } => write!(
+                f,
+                "row {row} of the delta against `{table}` carries no database ids; \
+                 apply the delta the database returned for it"
+            ),
         }
     }
 }

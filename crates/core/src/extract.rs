@@ -480,7 +480,7 @@ impl<'a> GraphGen<'a> {
         let value = |vid: Vid| dict.resolve(vid).expect("scanned id is live");
         let mut ids: IdMap<Value> = IdMap::new();
         let mut props = Properties::new(0);
-        let mut node_of = vec![u32::MAX; dict.capacity()];
+        let mut node_of = vec![u32::MAX; dict.len()];
         for view in views {
             let mut cols = vec![view.id_col];
             cols.extend(view.prop_cols.iter().map(|(_, c)| *c));
@@ -591,8 +591,8 @@ pub(crate) fn segment_edge(
 /// `builder`, given the segment's distinct `(l, r)` pairs in ascending
 /// order. Each pair goes through
 /// [`segment_edge`], whose `virt` here also gets the builder to allocate
-/// from; the id space is database ids for batch extraction and engine ids
-/// for [`IncrementalState::bulk_load`].
+/// from; the ids are the database's, for batch extraction and
+/// [`IncrementalState::bulk_load`] alike.
 pub(crate) fn emit_segment(
     builder: &mut CondensedBuilder,
     jk: (usize, usize),

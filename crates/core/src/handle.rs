@@ -30,7 +30,7 @@ use graphgen_dedup::{
 use graphgen_graph::{
     CondensedGraph, ExpandedGraph, GraphRep, PropValue, Properties, RealId, RepKind,
 };
-use graphgen_reldb::{Delta, DeltaBatch, Value};
+use graphgen_reldb::{Delta, DeltaBatch, Interner, Value};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -127,14 +127,8 @@ impl GraphHandle {
         graph: CondensedGraph,
         ids: IdMap<Value>,
         properties: Properties,
-        mut state: Option<IncrementalState>,
+        state: Option<IncrementalState>,
     ) -> Self {
-        // The vid → real-id side-table is not part of the snapshot format;
-        // rebuild it against the decoded id map before the state serves
-        // deltas.
-        if let Some(s) = state.as_mut() {
-            s.rebuild_real_ids(&ids);
-        }
         Self {
             graph: AnyGraph::CDup(graph),
             ids: Arc::new(ids),
@@ -199,15 +193,6 @@ impl GraphHandle {
 
     // ---- incremental maintenance ---------------------------------------
 
-    /// Live entries in the incremental engine's dense-id dictionary (0 for
-    /// a plain handle). Observability: the serving layer sums this across
-    /// graphs into the `graphgen_intern_entries` gauge.
-    pub fn intern_entries(&self) -> usize {
-        self.incremental
-            .as_deref()
-            .map_or(0, IncrementalState::intern_entries)
-    }
-
     /// Where the delta-maintenance state's heap bytes live, by part
     /// (`None` for a plain handle). Observability: the serving layer sums
     /// it across graphs into the `graphgen_state_bytes` gauge.
@@ -245,6 +230,13 @@ impl GraphHandle {
     /// [`crate::incremental`] for the propagation rules. Apply deltas in
     /// the order the database applied them.
     ///
+    /// The maintenance state keys by the database's own ids, which every
+    /// row of a delta carries beside its values: a delta applies only to
+    /// handles extracted from the database that produced it (or decoded
+    /// against that database's dictionary). A delta decoded from its binary
+    /// encoding carries values only; replay it through the database and
+    /// apply the delta that returns.
+    ///
     /// After any sequence of deltas the handle's canonical serialization
     /// ([`GraphHandle::canonical_bytes`]) is byte-identical to a
     /// from-scratch extraction on the mutated database.
@@ -254,7 +246,8 @@ impl GraphHandle {
     /// [`PatchError::NotIncremental`] if the handle has no maintenance
     /// state; [`PatchError::Inconsistent`] if the delta contradicts the
     /// maintained state (the handle should then be re-extracted — its
-    /// contents are no longer trustworthy).
+    /// contents are no longer trustworthy); [`PatchError::WithoutIds`] if a
+    /// row carries no database ids, in which case nothing was applied.
     pub fn apply_delta(&mut self, delta: &Delta) -> Result<GraphPatch, Error> {
         let Some(state) = self.incremental.as_mut() else {
             return Err(PatchError::NotIncremental.into());
@@ -331,17 +324,20 @@ impl GraphHandle {
         crate::serialize::encode_snapshot_into(self, out)
     }
 
-    /// Decode a snapshot produced by [`GraphHandle::to_snapshot_bytes`].
-    /// The recovered handle is structurally verbatim: the same C-DUP,
-    /// the same canonical bytes, and — for incremental handles — `apply_delta`
-    /// continues exactly where the encoded handle stopped.
+    /// Decode a snapshot produced by [`GraphHandle::to_snapshot_bytes`],
+    /// against `dict`, the dictionary of the database the handle was
+    /// extracted from (its maintenance state keys by that dictionary's
+    /// ids). The recovered handle is structurally verbatim: the same C-DUP,
+    /// the same canonical bytes, and — for incremental handles —
+    /// `apply_delta` continues exactly where the encoded handle stopped.
     ///
     /// # Errors
     ///
     /// [`crate::ErrorKind::Snapshot`] on bad magic, truncation, trailing
-    /// bytes, or structural corruption.
-    pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<GraphHandle, Error> {
-        crate::serialize::decode_snapshot(bytes)
+    /// bytes, structural corruption, or an id or node key `dict` does not
+    /// hold.
+    pub fn from_snapshot_bytes(bytes: &[u8], dict: &Interner) -> Result<GraphHandle, Error> {
+        crate::serialize::decode_snapshot(bytes, dict)
     }
 
     /// Override the worker-thread count delta probes fan out over (no-op

@@ -90,11 +90,12 @@
 //! database: `IncrementalState::bulk_load` is the separate linear
 //! preprocessing phase. It scans every atom and node view once and computes
 //! each segment's counted output with the operators batch extraction runs
-//! its segment queries on — `graphgen_reldb::exec::{group_pairs,
-//! join_counted, join_runs}` and `Bag::transpose`, over engine ids where
-//! `Query::run_counted` uses database ids (a self-join's second atom takes
-//! the first one's bag transposed, so its table is scanned once); the
-//! multiplicities the batch path ignores are the supports kept here —
+//! its segment queries on — `graphgen_reldb::exec::{scan_grouped,
+//! join_counted, join_runs}` and `Bag::transpose`, over the database ids
+//! the scans hand out, as `Query::run_counted` does (a self-join's second
+//! atom takes the first one's bag transposed, so its table is scanned
+//! once); the multiplicities the batch path ignores are the supports kept
+//! here —
 //! keeps the operators' output as the *primary* state (the grouped atom
 //! bags become the segment's bags as they are, since the operators write
 //! the layout the state keeps; each last join step hands its output over
@@ -110,9 +111,20 @@
 //! decoder ends with. The loader walks tables, chains, segments,
 //! atoms and rows in the order a row-by-row replay through `apply_delta_state`
 //! would, and emits the segments in the order they were completed, so the
-//! engine dictionary and the virtual-node numbering — and with them every
-//! encoded byte of the state — equal the replay's; that replay survives as
-//! the `#[cfg(test)]` oracle of the `bulk_*` tests.
+//! real ids and the virtual-node numbering — and with them every encoded
+//! byte of the state — equal the replay's; that replay survives as the
+//! `#[cfg(test)]` oracle of the `bulk_*` tests.
+//!
+//! # One id space
+//!
+//! Every id the state keeps — a bag's or a support's endpoints, a boundary
+//! key, a node key — is the database dictionary's [`Vid`] of the value,
+//! read off the scanned rows and off each [`Delta`] row's ids; the state
+//! keeps no dictionary of its own. The database dictionary never reuses an
+//! id, so a key kept after its rows are gone (a dead node, a boundary
+//! value) still names its value. A delta therefore applies only to a state
+//! built from the database that produced it, and a snapshot of the state
+//! decodes only against that database's dictionary.
 
 use crate::error::{Error, PatchError};
 use crate::extract::{emit_segment, real_from, segment_edge, StoredEdge};
@@ -127,7 +139,7 @@ use graphgen_graph::{
     CondensedBuilder, CondensedGraph, GraphRep, PropValue, Properties, RealId, VirtId,
 };
 use graphgen_reldb::exec::{
-    group_pairs, join_counted, join_runs, pack, right_of, scan_project, unpack, Bag, BagBuilder,
+    join_counted, join_runs, pack, right_of, scan_grouped, scan_project, unpack, Bag, BagBuilder,
     MAX_BAG_LEN,
 };
 use graphgen_reldb::{Database, Delta, DeltaOp, Interner, Predicate, Value, Vid, NULL_VID};
@@ -310,21 +322,15 @@ pub struct IncrementalState {
     threads: usize,
     views: Vec<ViewState>,
     chains: Vec<ChainState>,
-    /// Per engine id, the node-view rows that currently yield it as a node
-    /// key, in arrival order; empty for an id no row yields.
+    /// Per database id, the node-view rows that currently yield it as a
+    /// node key, in arrival order; empty for an id no row yields.
     node_rows: Vec<Box<[PropRow]>>,
-    /// The engine dictionary: every join value, boundary attribute, and
-    /// node key that ever entered a keyed structure, interned to a dense
-    /// [`Vid`]. Grow-only (interned via [`Interner::intern`], which pins
-    /// slots), so a `Vid` stored anywhere in this state stays resolvable
-    /// for the lifetime of the handle and across snapshot round-trips.
-    dict: Interner,
-    /// Flat `Vid` → real node id side-table (`u32::MAX` = the id is not a
-    /// node key). Pure cache over the handle's `IdMap` — the id map is
-    /// append-only, so entries never invalidate — letting the hot
+    /// Flat database id → real node id side-table (`u32::MAX` = the id is
+    /// not a node key). Pure cache over the handle's `IdMap` — the id map
+    /// is append-only, so entries never invalidate — letting the hot
     /// materialize paths resolve an endpoint with one array load instead
-    /// of a value hash into the id map. Not persisted: rebuilt from the
-    /// dictionary + id map when a snapshot is decoded
+    /// of a value hash into the id map. Not persisted: rebuilt from the id
+    /// map and the database dictionary when a snapshot is decoded
     /// ([`IncrementalState::rebuild_real_ids`]), and maintained by the
     /// node-add path during live applies.
     real_ids: Vec<u32>,
@@ -375,32 +381,32 @@ impl IncrementalState {
             views,
             chains,
             node_rows: Vec::new(),
-            dict: Interner::new(),
             real_ids: Vec::new(),
         };
         state.derive_indexes();
         state
     }
 
-    /// Rebuild the `Vid` → real-id side-table from scratch (snapshot
-    /// decode path: the cache is not persisted). Every dictionary slot is
-    /// probed once against the id map; ids interned after this call are
-    /// added by the live node-add path.
-    pub(crate) fn rebuild_real_ids(&mut self, ids: &IdMap<Value>) {
-        self.real_ids = (0..self.dict.capacity() as Vid)
-            .map(|vid| {
-                self.dict
-                    .resolve(vid)
-                    .and_then(|v| ids.get(v))
-                    .unwrap_or(u32::MAX)
-            })
-            .collect();
-    }
-
-    /// The engine dictionary's live entry count (observability: the
-    /// `graphgen_intern_entries` gauge).
-    pub fn intern_entries(&self) -> usize {
-        self.dict.live()
+    /// Rebuild the database id → real-id side-table from scratch (snapshot
+    /// decode path: the cache is not persisted): one lookup in `dict` per
+    /// node key of `ids`. Real ids added after this call are entered by
+    /// the live node-add path. Fails with the first key `dict` does not
+    /// hold: the handle was not extracted from this database.
+    pub(crate) fn rebuild_real_ids(
+        &mut self,
+        ids: &IdMap<Value>,
+        dict: &Interner,
+    ) -> Result<(), Value> {
+        let mut real_ids = Vec::new();
+        for (id, key) in ids.iter() {
+            let vid = dict.lookup(key).ok_or_else(|| key.clone())? as usize;
+            if real_ids.len() <= vid {
+                real_ids.resize(vid + 1, u32::MAX);
+            }
+            real_ids[vid] = id;
+        }
+        self.real_ids = real_ids;
+        Ok(())
     }
 
     /// Where the state's heap bytes live, estimated from capacities (the
@@ -434,7 +440,7 @@ impl IncrementalState {
             atom_bags: atom_bags.map(ByteSize::heap_bytes).sum(),
             supports,
             node_entries,
-            dictionary: self.dict.heap_bytes() + self.real_ids.heap_bytes() + bounds.sum::<usize>(),
+            dictionary: self.real_ids.heap_bytes() + bounds.sum::<usize>(),
         }
     }
 
@@ -483,7 +489,7 @@ pub struct StateBytes {
     pub supports: usize,
     /// The node-view rows kept per node key.
     pub node_entries: usize,
-    /// The engine dictionary, its real-id side-table and the boundaries'
+    /// The id tables: the real id of each node key and the boundaries'
     /// virtual-node interning.
     pub dictionary: usize,
 }
@@ -715,12 +721,9 @@ impl SegmentState {
     /// atoms at their old state), morsel-parallel over the delta rows, then
     /// support-count transitions for the incremental DISTINCT.
     ///
-    /// Returns the output pairs that (dis)appeared as interned-id pairs,
-    /// each sorted for deterministic downstream interning at every thread
-    /// count. Interning of delta values happens in the sequential
-    /// projection loop, never inside the parallel expansion — so id
-    /// assignment (and with it every downstream order) is independent of
-    /// the thread count.
+    /// Returns the output pairs that (dis)appeared as database-id pairs,
+    /// each sorted, so the virtual nodes they take are numbered alike at
+    /// every thread count.
     ///
     /// Also returns how many output pairs' support changed at all.
     #[allow(clippy::type_complexity)]
@@ -728,10 +731,9 @@ impl SegmentState {
         &mut self,
         delta: &Delta,
         threads: usize,
-        dict: &mut Interner,
     ) -> Result<(Vec<(Vid, Vid)>, Vec<(Vid, Vid)>, usize), Error> {
         // Project the delta rows through every atom on the table, in atom
-        // order, interning the join values (sequential: see above).
+        // order, keyed by the rows' database ids.
         let mut changed: Vec<(usize, Vec<(u64, i64)>)> = Vec::new();
         for (j, atom) in self.atoms.iter().enumerate() {
             if atom.table != delta.table() {
@@ -742,9 +744,8 @@ impl SegmentState {
                 if !atom.pred.eval(&row.values) {
                     continue;
                 }
-                let in_v = dict.intern(&row.values[atom.in_col]);
-                let out_v = dict.intern(&row.values[atom.out_col]);
-                *dj.entry(pack(in_v, out_v)).or_insert(0) += row.op.sign();
+                let key = pack(row.ids[atom.in_col], row.ids[atom.out_col]);
+                *dj.entry(key).or_insert(0) += row.op.sign();
             }
             dj.retain(|_, m| *m != 0);
             if !dj.is_empty() {
@@ -811,14 +812,12 @@ impl SegmentState {
         // Advance every changed bag to its post-delta state, once.
         for (bag, change) in self.bags.iter_mut().zip(&change) {
             for &(key, d) in change {
-                bag.add(key, d, "multiplicity", dict)?;
+                bag.add(key, d, "multiplicity")?;
             }
         }
         sdelta.retain(|_, d| *d != 0);
         // Support transitions, in sorted id-pair order so virtual-node
-        // interning is identical for every thread count (id assignment is
-        // sequential, so the order is as deterministic as the former
-        // value-pair sort — just an integer compare instead).
+        // numbering is identical for every thread count.
         let mut changes: Vec<(u64, i64)> = sdelta.into_iter().collect();
         changes.sort_unstable_by_key(|&(k, _)| k);
         let what = "support of output pair";
@@ -832,7 +831,7 @@ impl SegmentState {
             let old = if self.mirrored && l > r {
                 self.support.get(flip(key)) - d
             } else {
-                self.support.add(key, d, what, dict)?
+                self.support.add(key, d, what)?
             };
             if old == 0 && old + d > 0 {
                 added.push(unpack(key));
@@ -969,7 +968,9 @@ fn set_props(props: &mut Properties, id: RealId, rows: &[PropRow], views: &[View
 
 /// Apply one table delta to the maintained state and the graph. This is
 /// the engine behind [`crate::GraphHandle::apply_delta`]; the state it
-/// updates was built by [`IncrementalState::bulk_load`].
+/// updates was built by [`IncrementalState::bulk_load`]. Every row must
+/// carry its database ids ([`PatchError::WithoutIds`] otherwise, before
+/// anything changes).
 ///
 /// `ids` and `props` arrive behind `Arc`s (the handle shares them with
 /// published reader clones): the engine reads them freely and
@@ -983,12 +984,19 @@ pub(crate) fn apply_delta_state(
     props: &mut std::sync::Arc<Properties>,
     delta: &Delta,
 ) -> Result<GraphPatch, Error> {
+    if let Some(row) = delta
+        .rows()
+        .iter()
+        .position(|row| row.ids.len() != row.values.len())
+    {
+        let table = delta.table().to_string();
+        return Err(PatchError::WithoutIds { table, row }.into());
+    }
     let IncrementalState {
         threads,
         views,
         chains,
         node_rows,
-        dict,
         real_ids,
     } = state;
     let threads = *threads;
@@ -1004,7 +1012,7 @@ pub(crate) fn apply_delta_state(
         let (chain, after) = rest.split_first_mut().expect("chain c exists");
         let k = chain.segments.len();
         for j in 0..k {
-            let (added, removed, changes) = chain.segments[j].transitions(delta, threads, dict)?;
+            let (added, removed, changes) = chain.segments[j].transitions(delta, threads)?;
             target.patch.support_changes += changes;
             if added.is_empty() && removed.is_empty() {
                 continue;
@@ -1029,9 +1037,9 @@ pub(crate) fn apply_delta_state(
         }
     }
 
-    // Phase 2: node views — update per-key support and property rows
-    // (sequential, so key interning is thread-count independent).
-    let mut touched: Vec<Vid> = Vec::new();
+    // Phase 2: node views — update per-key support and property rows, in
+    // row order, so real ids are handed out alike at every thread count.
+    let mut touched: Vec<(Vid, &Value)> = Vec::new();
     let mut prior: FxHashMap<Vid, usize> = FxHashMap::default();
     for (vi, view) in views.iter().enumerate() {
         if view.relation != delta.table() {
@@ -1041,18 +1049,17 @@ pub(crate) fn apply_delta_state(
             if !view.pred.eval(&row.values) {
                 continue;
             }
-            let key = &row.values[view.id_col];
-            if key.is_null() {
+            let (key, kvid) = (&row.values[view.id_col], row.ids[view.id_col]);
+            if kvid == NULL_VID {
                 continue;
             }
-            let kvid = dict.intern(key);
             if node_rows.len() <= kvid as usize {
                 node_rows.resize_with(kvid as usize + 1, Box::default);
             }
             let rows = &mut node_rows[kvid as usize];
             if let std::collections::hash_map::Entry::Vacant(v) = prior.entry(kvid) {
                 v.insert(rows.len());
-                touched.push(kvid);
+                touched.push((kvid, key));
             }
             let derived = PropRow {
                 view: vi,
@@ -1078,12 +1085,11 @@ pub(crate) fn apply_delta_state(
     // this phase writes the (possibly shared) id map and property store —
     // `Arc::make_mut` unshares each at most once per delta, and only when
     // a node view actually changed.
-    for kvid in touched {
+    for (kvid, key) in touched {
         let before = prior[&kvid];
         let now = node_rows[kvid as usize].len();
-        let key = dict.resolve(kvid).expect("node key is interned").clone();
         if before == 0 && now > 0 {
-            if let Some(id) = ids.get(&key) {
+            if let Some(id) = ids.get(key) {
                 target.revive(RealId(id));
             } else {
                 let id = std::sync::Arc::make_mut(ids).intern(key.clone());
@@ -1099,11 +1105,11 @@ pub(crate) fn apply_delta_state(
                 materialize_node_edges(chains, kvid, real_ids, &mut target);
             }
         } else if before > 0 && now == 0 {
-            let id = ids.get(&key).expect("supported key is interned");
+            let id = ids.get(key).expect("supported key is interned");
             target.kill(RealId(id));
         }
         if now > 0 {
-            let id = ids.get(&key).expect("supported key is interned");
+            let id = ids.get(key).expect("supported key is interned");
             let p = std::sync::Arc::make_mut(props);
             p.grow(ids.len());
             p.clear_vertex(RealId(id));
@@ -1178,30 +1184,6 @@ impl IncrementalState {
 // Bulk load: the set-at-a-time initial extraction
 // ---------------------------------------------------------------------------
 
-/// Database ids → engine ids. A value enters the engine dictionary the
-/// first time a scanned cell that the replay would intern holds it, so
-/// engine ids are handed out in the replay's order with one
-/// [`Interner::intern`] per distinct value.
-struct Translation<'a> {
-    db: &'a Interner,
-    /// Indexed by database id; `u32::MAX` = not interned yet.
-    engine: Vec<Vid>,
-}
-
-impl Translation<'_> {
-    fn value(&self, db_vid: Vid) -> &Value {
-        self.db.resolve(db_vid).expect("scanned id is live")
-    }
-
-    #[inline]
-    fn engine_vid(&mut self, dict: &mut Interner, db_vid: Vid) -> Vid {
-        if self.engine[db_vid as usize] == u32::MAX {
-            self.engine[db_vid as usize] = dict.intern(self.value(db_vid));
-        }
-        self.engine[db_vid as usize]
-    }
-}
-
 impl IncrementalState {
     /// Build the maintenance state of `spec` over the current contents of
     /// `db`, together with the graph, key map and properties it maintains —
@@ -1216,10 +1198,7 @@ impl IncrementalState {
         db: &Database,
     ) -> Result<(Self, CondensedGraph, IdMap<Value>, Properties), Error> {
         let mut state = Self::new(spec, plans, threads);
-        let mut tr = Translation {
-            db: db.dict(),
-            engine: vec![u32::MAX; db.dict().capacity()],
-        };
+        let value = |vid: Vid| db.dict().resolve(vid).expect("scanned id is interned");
         // Per segment, the scanned, grouped bag of each atom, until the
         // segment's last table has been scanned and the join has read them.
         let mut loads: Vec<Vec<Vec<Option<Bag>>>> = state
@@ -1242,7 +1221,6 @@ impl IncrementalState {
                 views,
                 chains,
                 node_rows,
-                dict,
                 ..
             } = &mut state;
             // The table's atoms, chain by chain and segment by segment; a
@@ -1258,10 +1236,7 @@ impl IncrementalState {
                         scanned = true;
                         // A transposing atom (a self-join's second) reads
                         // its partner's rows with the columns swapped: its
-                        // bag is the partner's transposed, and its cells
-                        // are the partner's, interned already, so skipping
-                        // its scan leaves the dictionary as the replay
-                        // builds it.
+                        // bag is the partner's transposed.
                         let partner = atom.by_in.and_then(|b| {
                             let mut earlier = seg.atoms[..k].iter();
                             earlier.position(|a| a.by_out == Some(b))
@@ -1272,18 +1247,7 @@ impl IncrementalState {
                             continue;
                         }
                         let cols = [atom.in_col, atom.out_col];
-                        let rows = scan_project(db, &atom.table, &atom.pred, &cols, threads)?;
-                        let keys = {
-                            let _span = span(Phase::LoadState, Region::Patch);
-                            let mut keys = Vec::with_capacity(rows.num_rows());
-                            for row in rows.iter() {
-                                let in_v = tr.engine_vid(dict, row[0]);
-                                let out_v = tr.engine_vid(dict, row[1]);
-                                keys.push(pack(in_v, out_v));
-                            }
-                            keys
-                        };
-                        load[k] = Some(group_pairs(keys, threads)?);
+                        load[k] = Some(scan_grouped(db, &atom.table, &atom.pred, cols, threads)?);
                     }
                     if !scanned || load.iter().any(Option::is_none) {
                         continue;
@@ -1338,15 +1302,15 @@ impl IncrementalState {
                     if row[0] == NULL_VID {
                         continue;
                     }
-                    let kvid = tr.engine_vid(dict, row[0]) as usize;
+                    let kvid = row[0] as usize;
                     if node_rows.len() <= kvid {
                         node_rows.resize_with(kvid + 1, Box::default);
                     }
                     if node_rows[kvid].is_empty() {
-                        ids.intern(tr.value(row[0]).clone());
-                        node_keys.push(kvid as Vid);
+                        ids.intern(value(row[0]).clone());
+                        node_keys.push(row[0]);
                     }
-                    let cells = row[1..].iter().map(|&cell| tr.value(cell));
+                    let cells = row[1..].iter().map(|&cell| value(cell));
                     let values = derive_props(cells);
                     push_row(&mut node_rows[kvid], PropRow { view: vi, values });
                 }
@@ -1355,7 +1319,7 @@ impl IncrementalState {
 
         let load_span = span(Phase::LoadState, Region::Patch);
         let mut props = Properties::new(ids.len());
-        state.real_ids = vec![u32::MAX; state.dict.capacity()];
+        state.real_ids = vec![u32::MAX; state.node_rows.len()];
         state.node_rows.shrink_to_fit();
         for (id, &kvid) in node_keys.iter().enumerate() {
             let rows = &state.node_rows[kvid as usize];
@@ -1396,7 +1360,7 @@ impl IncrementalState {
 // The serving layer persists incremental handles so a recovered process can
 // keep applying deltas exactly where the crashed one stopped. The encoding
 // writes what the state keeps, once, with the workspace codec conventions:
-// the engine dictionary, the views, per segment its atom headers, then its
+// the views, per segment its atom headers, then its
 // bags as kept (how many there are, and which atom reads which, follows
 // from the headers through `SegmentState::new`) and its support, per chain
 // the boundary interning, and the node rows, each its view and one
@@ -1405,18 +1369,28 @@ impl IncrementalState {
 // stored. Every bag and support map is written in run order — strictly
 // ascending keys, multiplicities ≥ 1, no empty bag slot — and the decoder
 // accepts nothing else, so a decoded state re-encodes to the bytes it came
-// from.
+// from. Ids are the database dictionary's and are written as they are; the
+// decoder checks each against that dictionary before anything is sized by
+// it.
 
 use graphgen_common::codec::{self, CodecError, Reader};
 use graphgen_graph::snapshot as graph_snapshot;
 
-/// Read one interned id and check it resolves against the decoded engine
-/// dictionary — every id stored in the state must name a live slot.
+/// Read one database id and check it resolves in `dict` — every id the
+/// state keeps names a value of the database it was extracted from.
 fn read_vid(r: &mut Reader<'_>, dict: &Interner) -> Result<Vid, CodecError> {
     let at = r.pos();
     let v = r.u32()?;
+    check_vid(at, v, dict)
+}
+
+/// `v` if `dict` holds it, else the error at `at`.
+fn check_vid(at: usize, v: Vid, dict: &Interner) -> Result<Vid, CodecError> {
     if dict.resolve(v).is_none() {
-        return Err(CodecError::invalid(at, "id not in engine dictionary"));
+        return Err(CodecError::invalid(
+            at,
+            format!("id {v} past the database dictionary's {}", dict.len()),
+        ));
     }
     Ok(v)
 }
@@ -1514,12 +1488,8 @@ fn read_packed_counts(
         let at = r.pos();
         let k = r.u64()?;
         let (l, rr) = unpack(k);
-        if dict.resolve(l).is_none() || dict.resolve(rr).is_none() {
-            return Err(CodecError::invalid(
-                at,
-                "packed id pair not in engine dictionary",
-            ));
-        }
+        check_vid(at, l, dict)?;
+        check_vid(at, rr, dict)?;
         if mirrored && l > rr {
             return Err(CodecError::invalid(
                 at,
@@ -1569,7 +1539,7 @@ impl SegmentState {
     }
 
     /// The atom headers decide the bag layout ([`SegmentState::new`]); the
-    /// bags and the support follow as written.
+    /// bags and the support follow as written, their ids in `dict`.
     fn decode(r: &mut Reader<'_>, dict: &Interner) -> Result<Self, CodecError> {
         let n = r.len()?;
         let atoms = (0..n).map(|_| AtomState::decode(r));
@@ -1587,10 +1557,6 @@ impl IncrementalState {
     /// notes). Deterministic: runs are walked in order, hash-map content is
     /// emitted in sorted order.
     pub(crate) fn encode_into(&self, out: &mut impl codec::Sink) {
-        // The engine dictionary goes first: everything after it stores
-        // interned ids, and a recovered state must continue allocating
-        // ids exactly where the encoding process stopped.
-        self.dict.encode_into(out);
         codec::put_len(out, self.threads);
         codec::put_len(out, self.views.len());
         for view in &self.views {
@@ -1643,11 +1609,12 @@ impl IncrementalState {
     }
 
     /// Decode a maintenance state (inverse of
-    /// [`IncrementalState::encode_into`]): the primary state is read and
-    /// validated, then [`IncrementalState::derive_indexes`] rebuilds the
-    /// reverse indexes.
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let dict = Interner::decode(r)?;
+    /// [`IncrementalState::encode_into`]) whose ids name values of `dict`,
+    /// the database dictionary: the primary state is read and validated,
+    /// then [`IncrementalState::derive_indexes`] rebuilds the reverse
+    /// indexes. An id `dict` does not hold is an error, raised before
+    /// anything is sized by it.
+    pub(crate) fn decode(r: &mut Reader<'_>, dict: &Interner) -> Result<Self, CodecError> {
         // `threads` is a plain scalar, not a length — `Reader::len`'s
         // fits-in-remaining-input plausibility check would spuriously
         // reject a small state encoded on a many-core machine.
@@ -1682,7 +1649,7 @@ impl IncrementalState {
             }
             let mut segments = Vec::with_capacity(n_segs);
             for _ in 0..n_segs {
-                segments.push(SegmentState::decode(r, &dict)?);
+                segments.push(SegmentState::decode(r, dict)?);
             }
             let n_bounds = r.len()?;
             let at = r.pos();
@@ -1696,7 +1663,7 @@ impl IncrementalState {
                 let mut seen: FxHashSet<Vid> = FxHashSet::default();
                 for _ in 0..n_keys {
                     let at = r.pos();
-                    let k = read_vid(r, &dict)?;
+                    let k = read_vid(r, dict)?;
                     if !seen.insert(k) {
                         return Err(CodecError::invalid(at, "duplicate boundary key"));
                     }
@@ -1724,7 +1691,7 @@ impl IncrementalState {
         let mut node_rows: Vec<Box<[PropRow]>> = Vec::new();
         for _ in 0..n_nodes {
             let at = r.pos();
-            let key = read_vid(r, &dict)? as usize;
+            let key = read_vid(r, dict)? as usize;
             if node_rows.len() > key {
                 return Err(CodecError::invalid(at, "node keys not strictly ascending"));
             }
@@ -1756,8 +1723,7 @@ impl IncrementalState {
             views,
             chains,
             node_rows,
-            dict,
-            // Not persisted: the handle assembly rebuilds this from the
+            // Not persisted: the snapshot decoder rebuilds this from the
             // decoded id map (`rebuild_real_ids`).
             real_ids: Vec::new(),
         };
@@ -1992,14 +1958,43 @@ mod tests {
     fn inconsistent_delta_reports() {
         let db = fig1_db();
         let mut g = extract(&db, true);
-        // A hand-built delta deleting a row the table never held.
+        // A hand-built delta deleting a row the table never held: author 1
+        // never wrote publication 3.
+        let row = vec![Value::int(1), Value::int(3)];
+        let ids = row.iter().map(|v| db.dict().lookup(v).unwrap()).collect();
         let mut delta = Delta::new("AuthorPub");
-        delta.push(vec![Value::int(42), Value::int(42)], DeltaOp::Delete);
+        delta.push(row, ids, DeltaOp::Delete);
         let err = g.apply_delta(&delta).unwrap_err();
         assert!(matches!(
             err.as_patch(),
             Some(crate::error::PatchError::Inconsistent(_))
         ));
+    }
+
+    /// A delta decoded from its binary encoding (a write-ahead-log record)
+    /// carries values only. Applying it is a typed error that changes
+    /// nothing; the delta the database returns for the same rows applies.
+    #[test]
+    fn a_delta_without_ids_is_refused_untouched() {
+        let mut db = fig1_db();
+        let mut g = extract(&db, true);
+        let before = g.canonical_bytes();
+        let delta = db
+            .insert_rows("AuthorPub", vec![vec![Value::int(2), Value::int(3)]])
+            .unwrap();
+        let logged = graphgen_reldb::DeltaBatch::from(delta.clone()).encode();
+        let decoded = graphgen_reldb::DeltaBatch::decode(&mut Reader::new(&logged)).unwrap();
+        let err = g.apply_batch(&decoded).unwrap_err();
+        assert!(
+            matches!(
+                err.as_patch(),
+                Some(crate::error::PatchError::WithoutIds { table, row: 0 }) if table == "AuthorPub"
+            ),
+            "{err}"
+        );
+        assert_eq!(g.canonical_bytes(), before);
+        g.apply_delta(&delta).unwrap();
+        assert_matches_reextraction(&db, &g);
     }
 
     #[test]
@@ -2093,8 +2088,10 @@ mod tests {
         let mut props = Arc::new(Properties::new(0));
         for table in state.referenced_tables() {
             let mut delta = Delta::new(table.as_str());
-            for row in db.table(&table).unwrap().iter_rows() {
-                delta.push(row, DeltaOp::Insert);
+            let t = db.table(&table).unwrap();
+            for r in (0..t.physical_rows()).filter(|&r| t.is_live(r)) {
+                let ids = (0..t.schema().arity()).map(|c| t.ids(c)[r]).collect();
+                delta.push(t.row(r), ids, DeltaOp::Insert);
             }
             apply_delta_state(&mut state, &mut graph, &mut ids, &mut props, &delta).unwrap();
         }
@@ -2115,9 +2112,9 @@ mod tests {
         out
     }
 
-    /// Every encoded byte of the maintenance state — engine dictionary,
-    /// atom bags, supports, boundary key/virtual order, node entries — and
-    /// the graph the handle serves.
+    /// Every encoded byte of the maintenance state — atom bags, supports,
+    /// boundary key/virtual order, node entries — and the graph the handle
+    /// serves.
     fn assert_same_handle(bulk: &GraphHandle, replay: &GraphHandle, what: &str) {
         assert!(state_bytes(bulk) == state_bytes(replay), "{what}: state");
         assert_eq!(
@@ -2291,7 +2288,7 @@ mod tests {
                 let deltas = churn(&mut db, "M", &mut rng, 30, 30, 3000);
                 continue_both(&db, COAUTHORS, None, &mut pair, &deltas);
             }
-            // Tombstoned rows and recycled dictionary slots underneath.
+            // Tombstoned rows and ids of deleted values underneath.
             both_ways(&db, COAUTHORS, None);
         }
     }
@@ -2690,8 +2687,7 @@ mod tests {
         mirrored_step(&db, &mut handles, d);
         let d = db.insert_rows("AuthorPub", vec![row(10, 7)]).unwrap();
         mirrored_step(&db, &mut handles, d);
-        let dict = &handles[0].incremental_state().unwrap().dict;
-        let vid = |a: i64| dict.lookup(&Value::int(a)).unwrap();
+        let vid = |a: i64| db.dict().lookup(&Value::int(a)).unwrap();
         assert!([1, 2, 4].iter().all(|&a| vid(a) < vid(9)) && vid(9) < vid(10));
         // The node add: co-authors 1, 2 and 4 below, 10 above, an edge
         // each way with each.
@@ -2724,8 +2720,10 @@ mod tests {
         (bytes, at)
     }
 
+    /// Decode a state of a handle extracted from [`fig1_db`] against its
+    /// dictionary.
     fn decode_state(bytes: &[u8]) -> Result<IncrementalState, CodecError> {
-        IncrementalState::decode(&mut Reader::new(bytes))
+        IncrementalState::decode(&mut Reader::new(bytes), fig1_db().dict())
     }
 
     #[test]

@@ -36,13 +36,16 @@
 use crate::error::PatchError;
 use graphgen_common::{ByteSize, FxHashMap};
 use graphgen_reldb::exec::{count_of, right_of, unpack, Bag, MAX_BAG_LEN};
-use graphgen_reldb::{Interner, Value, Vid};
+use graphgen_reldb::Vid;
 use std::iter::Peekable;
 
 /// The overlay merges into the base when it holds more entries than
-/// `(base + offset slots) / MERGE_FRACTION`: an overlay entry costs about
-/// twice a base entry, so at its largest the overlay holds about a quarter
-/// of the base's bytes...
+/// `(base + offset slots / 2) / MERGE_FRACTION` — the base's bytes counted
+/// in 8-byte entries, an offset slot taking four: an overlay entry costs
+/// about twice a base entry, so at its largest the overlay holds about a
+/// quarter of the base's bytes, however sparse the left ids are (database
+/// ids of a key column interleaved with another column's values leave
+/// every other slot empty)...
 const MERGE_FRACTION: usize = 8;
 /// ...and more than this many, so small bags do not merge on every add.
 const MERGE_MIN: usize = 64;
@@ -97,22 +100,15 @@ impl CountedRuns {
     /// driven below zero (a delta removing what the bag never held) is
     /// [`PatchError::Inconsistent`]; a count driven past `u32::MAX`, or a
     /// new pair beyond [`MAX_BAG_LEN`], is [`PatchError::Overflow`]. Either
-    /// names the pair by its values in `dict` as `what` and leaves the bag
+    /// names the pair by its database ids as `what` and leaves the bag
     /// unchanged.
-    pub(crate) fn add(
-        &mut self,
-        key: u64,
-        d: i64,
-        what: &str,
-        dict: &Interner,
-    ) -> Result<i64, PatchError> {
+    pub(crate) fn add(&mut self, key: u64, d: i64, what: &str) -> Result<i64, PatchError> {
         let old = self.get(key);
         let now = old + d;
         let grows = old == 0 && now > 0 && self.len == MAX_BAG_LEN;
         if !(0..=COUNT_MAX).contains(&now) || grows {
             let (l, r) = unpack(key);
-            let value = |v| dict.resolve(v).cloned().unwrap_or(Value::Null);
-            let pair = format!("{what} of ({}, {})", value(l), value(r));
+            let pair = format!("{what} of the ids ({l}, {r})");
             return Err(if now < 0 {
                 PatchError::Inconsistent(format!("delta drives {pair} negative"))
             } else if grows {
@@ -166,7 +162,7 @@ impl CountedRuns {
             self.merge_overlay();
             self.base.set(l, r, now as u32);
         } else if self.overlay_len
-            > MERGE_MIN.max((self.base.len() + self.base.slots()) / MERGE_FRACTION)
+            > MERGE_MIN.max((self.base.len() + self.base.slots() / 2) / MERGE_FRACTION)
         {
             self.merge_overlay();
         }
@@ -304,7 +300,6 @@ mod tests {
     use crate::error::PatchError;
     use graphgen_common::SplitMix64;
     use graphgen_reldb::exec::{pack, unpack, BagBuilder};
-    use graphgen_reldb::Interner;
     use std::collections::{BTreeMap, BTreeSet};
 
     /// The operator bag of `pairs` (strictly ascending keys, counts in
@@ -361,7 +356,6 @@ mod tests {
     /// an add driving a count negative must be refused.
     #[test]
     fn counted_runs_match_a_btreemap_model() {
-        let dict = Interner::new();
         for seed in 1..=6u64 {
             let mut rng = SplitMix64::new(seed);
             let ids = 12 + rng.next_below(36);
@@ -382,7 +376,7 @@ mod tests {
                 let d = rng.next_below(7) as i64 - 3;
                 let have = model.get(&key).copied().unwrap_or(0);
                 let overlay_before = runs.overlay_len;
-                let result = runs.add(key, d, "count", &dict);
+                let result = runs.add(key, d, "count");
                 let what = format!("seed {seed} step {step}");
                 if have + d < 0 {
                     assert!(
@@ -410,11 +404,10 @@ mod tests {
 
     #[test]
     fn a_refused_add_leaves_the_bag_unchanged() {
-        let dict = Interner::new();
         let mut runs = runs_of(&BTreeMap::from([(pack(1, 2), 2), (pack(3, 0), 1)]));
-        assert_eq!(runs.add(pack(1, 2), -1, "count", &dict), Ok(2));
+        assert_eq!(runs.add(pack(1, 2), -1, "count"), Ok(2));
         for (key, d) in [(pack(1, 2), -2), (pack(9, 9), -1)] {
-            let err = runs.add(key, d, "count", &dict);
+            let err = runs.add(key, d, "count");
             assert!(matches!(err, Err(PatchError::Inconsistent(_))));
         }
         assert_eq!(runs.get(pack(1, 2)), 1);
@@ -423,7 +416,7 @@ mod tests {
         // The overlay holds one entry; this many more force a merge, and
         // the base takes them over.
         for r in 0..MERGE_MIN as u32 {
-            runs.add(pack(5, r), 1, "count", &dict).unwrap();
+            runs.add(pack(5, r), 1, "count").unwrap();
         }
         assert!(runs.overlay.is_empty());
         assert_eq!(runs.len(), MERGE_MIN + 2);
@@ -437,20 +430,19 @@ mod tests {
     /// base, also for a left id beyond the offsets.
     #[test]
     fn an_add_past_the_count_limit_is_refused_and_leaves_the_bag_unchanged() {
-        let dict = Interner::new();
         let top = i64::from(u32::MAX);
         let mut model = BTreeMap::from([(pack(1, 2), top - 5), (pack(3, 0), 1)]);
         let mut runs = runs_of(&model);
         // Small changes in the overlay, for the folds below to carry.
         for (key, d) in [(pack(0, 4), 2), (pack(3, 0), 1), (pack(6, 1), 1)] {
             assert_eq!(
-                runs.add(key, d, "count", &dict),
+                runs.add(key, d, "count"),
                 Ok(model.get(&key).copied().unwrap_or(0))
             );
             *model.entry(key).or_insert(0) += d;
         }
         for (key, d) in [(pack(1, 2), 6), (pack(4, 4), top + 1), (pack(3, 0), top)] {
-            let err = runs.add(key, d, "count", &dict);
+            let err = runs.add(key, d, "count");
             assert!(matches!(err, Err(PatchError::Overflow(_))), "{err:?}");
             check(&runs, &model, &format!("refused {d}"));
         }
@@ -463,7 +455,7 @@ mod tests {
         ];
         for (key, d) in steps {
             let old = model.get(&key).copied().unwrap_or(0);
-            assert_eq!(runs.add(key, d, "count", &dict), Ok(old));
+            assert_eq!(runs.add(key, d, "count"), Ok(old));
             match old + d {
                 0 => model.remove(&key),
                 n => model.insert(key, n),
@@ -479,7 +471,6 @@ mod tests {
     /// its overlay; `keys(false)` gives the bag's own.
     #[test]
     fn mirrored_keys_are_both_orientations_ascending() {
-        let dict = Interner::new();
         let mut rng = SplitMix64::new(4);
         let mut full: BTreeSet<u64> = BTreeSet::new();
         for _ in 0..300 {
@@ -501,8 +492,8 @@ mod tests {
             .map(|(l, r)| pack(l, r))
             .eq(kept.iter().map(|&(key, _)| key)));
         let (added, gone) = (pack(3, 41), kept[5].0);
-        runs.add(added, 1, "count", &dict).unwrap();
-        runs.add(gone, -2, "count", &dict).unwrap();
+        runs.add(added, 1, "count").unwrap();
+        runs.add(gone, -2, "count").unwrap();
         let (l, r) = unpack(gone);
         full.extend([added, pack(41, 3)]);
         full.retain(|&key| key != gone && key != pack(r, l));

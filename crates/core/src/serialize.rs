@@ -20,7 +20,7 @@
 //! `graphgen_common::codec`):
 //!
 //! ```text
-//! magic  8 bytes  b"GGSNAP5\0"   (embeds the format version)
+//! magic  8 bytes  b"GGSNAP6\0"   (embeds the format version)
 //! chunks …        adjacency chunk table (graphgen_graph::snapshot):
 //!                 chunk capacity, count, then each distinct chunk once —
 //!                 chunks shared between sections (or byte-identical) are
@@ -31,20 +31,23 @@
 //! ids    …        node keys in dense-id order
 //! props  …        property columns (sorted by name)
 //! incr   u8 + …   0 = plain handle; 1 = incremental maintenance state,
-//!                 as the state keeps it: the engine dictionary (dense-id
-//!                 interner) first, then the views, per segment its atom
+//!                 as the state keeps it: the views, per segment its atom
 //!                 headers, its bags and its support (a segment that
 //!                 mirrors itself writes the pairs `l ≤ r` only), the
-//!                 boundary interning, and the node rows
+//!                 boundary interning, and the node rows, every id the
+//!                 database dictionary's
 //! ```
 //!
 //! Format 4 writes each maintained relation once: no per-atom copy of a
 //! bag, no direct-edge counts (they follow from the supports), no property
 //! names per node row and no representation or shadow tag. Format 5 also
 //! writes a symmetric support once: the pairs on and above the diagonal.
-//! Formats 1–4 (`GGSNAP1\0` flat adjacency lists, `GGSNAP2\0` value-keyed
-//! maintenance state, `GGSNAP3\0` derived copies beside the state,
-//! `GGSNAP4\0` symmetric supports in both orientations) are **not**
+//! Format 6 writes no dictionary: the state keys by the database's ids, so
+//! [`decode_snapshot`] takes the database dictionary the ids name and
+//! refuses an id it does not hold. Formats 1–5 (`GGSNAP1\0` flat adjacency
+//! lists, `GGSNAP2\0` value-keyed maintenance state, `GGSNAP3\0` derived
+//! copies beside the state, `GGSNAP4\0` symmetric supports in both
+//! orientations, `GGSNAP5\0` the state's own dictionary) are **not**
 //! readable; their files fail with a clean magic-mismatch error.
 //!
 //! [`encode_snapshot_into`] writes the layout through any
@@ -68,7 +71,7 @@ use graphgen_common::codec::{self, CodecError, Reader, Sink};
 use graphgen_common::IdMap;
 use graphgen_graph::snapshot as graph_snapshot;
 use graphgen_graph::{GraphRep, PropValue};
-use graphgen_reldb::Value;
+use graphgen_reldb::{Interner, Value};
 use std::io::{self, Write};
 
 /// Write the expanded edge list: one `src<TAB>dst` pair per line, using the
@@ -173,11 +176,12 @@ fn json_prop(p: &PropValue) -> String {
 }
 
 /// Magic prefix of the binary handle snapshot format; the trailing digit is
-/// the format version (5 = a symmetric support kept once; 4 = the
-/// maintenance state as it is kept; 3 =
-/// dense-id interned maintenance state; 2 = chunked, deduplicated
-/// adjacency — older-format files fail with a clean magic mismatch).
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"GGSNAP5\0";
+/// the format version (6 = the state in database ids, no dictionary of its
+/// own; 5 = a symmetric support kept once; 4 = the maintenance state as it
+/// is kept; 3 = dense-id interned maintenance state; 2 = chunked,
+/// deduplicated adjacency — older-format files fail with a clean magic
+/// mismatch).
+pub const SNAPSHOT_MAGIC: [u8; 8] = *b"GGSNAP6\0";
 
 /// Encode a whole C-DUP [`GraphHandle`] as a self-contained binary
 /// snapshot (see the module docs for the layout). Deterministic: equal
@@ -228,10 +232,13 @@ pub fn encode_snapshot_into(g: &GraphHandle, out: &mut impl Sink) -> Result<(), 
     Ok(())
 }
 
-/// Decode a binary snapshot produced by [`encode_snapshot`]. Rejects bad
-/// magic (including every retired format), truncation, trailing bytes and
-/// structurally inconsistent sections with [`crate::ErrorKind::Snapshot`].
-pub fn decode_snapshot(bytes: &[u8]) -> Result<GraphHandle, Error> {
+/// Decode a binary snapshot produced by [`encode_snapshot`], against
+/// `dict`, the dictionary of the database the handle was extracted from.
+/// Rejects bad magic (including every retired format), truncation,
+/// trailing bytes, structurally inconsistent sections, and a state naming
+/// an id or a node key `dict` does not hold with
+/// [`crate::ErrorKind::Snapshot`].
+pub fn decode_snapshot(bytes: &[u8], dict: &Interner) -> Result<GraphHandle, Error> {
     let mut r = Reader::new(bytes);
     r.expect_magic(&SNAPSHOT_MAGIC)?;
     let dec = graph_snapshot::ChunkDecoder::decode(&mut r)?;
@@ -269,7 +276,13 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<GraphHandle, Error> {
     let at = r.pos();
     let state = match r.u8()? {
         0 => None,
-        1 => Some(IncrementalState::decode(&mut r)?),
+        1 => {
+            let mut state = IncrementalState::decode(&mut r, dict)?;
+            state.rebuild_real_ids(&ids, dict).map_err(|key| {
+                CodecError::invalid(at, format!("node key {key} not in the database dictionary"))
+            })?;
+            Some(state)
+        }
         tag => return Err(CodecError::invalid(at, format!("bad incremental tag {tag}")).into()),
     };
     r.expect_end()?;
@@ -445,7 +458,8 @@ mod tests {
                  Edges(A, B) :- Knows(A, B).",
             )
             .unwrap();
-        let mut restored = decode_snapshot(&encode_snapshot(&original).unwrap()).unwrap();
+        let mut restored =
+            decode_snapshot(&encode_snapshot(&original).unwrap(), db.dict()).unwrap();
         assert!(restored.is_incremental());
         assert_eq!(restored.canonical_bytes(), original.canonical_bytes());
         // Both handles must evolve identically under further deltas.
@@ -470,15 +484,14 @@ mod tests {
         assert_eq!(restored.canonical_bytes(), original.canonical_bytes());
     }
 
-    /// Snapshot taken after dictionary churn — deletes that release value
-    /// references (freeing dense ids onto the free list) and a revive —
-    /// must decode into a handle whose dictionary *continues* identically:
-    /// further deltas that mint brand-new values (reusing freed slots) and
-    /// revive a deleted node key must keep the live and restored handles
-    /// byte-identical at every step. This is the recovery guarantee for the
-    /// interned hot paths: the persisted dictionary carries its free list,
-    /// so id assignment after decode matches the handle that never
-    /// restarted.
+    /// Snapshot taken after dictionary churn — deletes that leave values
+    /// with no row and a revive — must decode against the database
+    /// dictionary into a handle that *continues* identically: further
+    /// deltas that mint brand-new values and revive a deleted node key
+    /// must keep the live and restored handles byte-identical at every
+    /// step. This is the recovery guarantee for the interned hot paths: the
+    /// state keeps database ids, and the dictionary never hands a value's
+    /// id to another value.
     #[test]
     fn snapshot_after_dictionary_churn_continues_identically() {
         let mut db = tiny();
@@ -496,10 +509,9 @@ mod tests {
                  Edges(A, B) :- Knows(A, B).",
             )
             .unwrap();
-        // Churn the dictionary before the snapshot: drop the only edge row
-        // (releasing pair references), re-add it reversed, then delete a
-        // node row so its name's slot is freed and node 1 goes away while
-        // an edge still names it.
+        // Churn before the snapshot: drop the only edge row, re-add it
+        // reversed, then delete a node row so its name is held by no row
+        // and node 1 goes away while an edge still names it.
         for delta in [
             db.delete_rows("Knows", &[vec![Value::int(1), Value::int(2)]])
                 .unwrap(),
@@ -510,11 +522,12 @@ mod tests {
         ] {
             original.apply_delta(&delta).unwrap();
         }
-        let mut restored = decode_snapshot(&encode_snapshot(&original).unwrap()).unwrap();
+        let mut restored =
+            decode_snapshot(&encode_snapshot(&original).unwrap(), db.dict()).unwrap();
         assert_eq!(restored.canonical_bytes(), original.canonical_bytes());
         // Continue the stream on both sides: revive node 1 under a new
-        // name (its adjacency must come back), mint brand-new values that
-        // reuse freed dictionary slots, and retire an edge again.
+        // name (its adjacency must come back), mint brand-new values, and
+        // retire an edge again.
         for delta in [
             db.insert_rows("Person", vec![vec![Value::int(1), Value::str("ann again")]])
                 .unwrap(),
@@ -533,8 +546,8 @@ mod tests {
                 "restored handle diverged after a post-decode delta"
             );
         }
-        // The full encodings (dictionary and free list included) must
-        // agree too, not just the canonical graph bytes.
+        // The full encodings must agree too, not just the canonical graph
+        // bytes.
         assert_eq!(
             encode_snapshot(&original).unwrap(),
             encode_snapshot(&restored).unwrap()
@@ -561,7 +574,8 @@ mod tests {
                  Edges(A, B) :- Knows(A, B).",
             )
             .unwrap();
-        let mut restored = decode_snapshot(&encode_snapshot(&original).unwrap()).unwrap();
+        let mut restored =
+            decode_snapshot(&encode_snapshot(&original).unwrap(), db.dict()).unwrap();
         assert_eq!(restored.incremental_state().unwrap().threads(), 2);
         restored.set_threads(0); // clamps to 1
         assert_eq!(restored.incremental_state().unwrap().threads(), 1);
@@ -576,8 +590,9 @@ mod tests {
 
     /// An incremental handle whose chain has a virtual layer (every join is
     /// large-output, so co-knowers meet through one virtual node per
-    /// target), taken after a delete and a re-insert churned its state.
-    fn churned_co_occurrence() -> GraphHandle {
+    /// target), taken after a delete and a re-insert churned its state, and
+    /// the database it maintains.
+    fn churned_co_occurrence() -> (GraphHandle, Database) {
         let mut db = tiny();
         db.insert_rows("Person", vec![vec![Value::int(3), Value::str("cy")]])
             .unwrap();
@@ -618,7 +633,7 @@ mod tests {
             .as_condensed()
             .expect("incremental handles are C-DUP");
         assert!(core.num_virtual() > 0, "the chain keeps a virtual layer");
-        g
+        (g, db)
     }
 
     /// A snapshot holds a C-DUP and nothing else: the C-DUP round trip is
@@ -631,18 +646,19 @@ mod tests {
         use graphgen_common::IdMap;
         use graphgen_graph::{CondensedBuilder, Properties, RealId, RepKind};
 
-        for g in [extract(), churned_co_occurrence()] {
+        let (churned, db) = churned_co_occurrence();
+        for g in [extract(), churned] {
             assert_eq!(g.kind(), RepKind::CDup);
             let bytes = g.to_snapshot_bytes().unwrap();
             assert_eq!(bytes.capacity(), bytes.len(), "exact-size buffer");
-            let back = decode_snapshot(&bytes).unwrap();
+            let back = decode_snapshot(&bytes, db.dict()).unwrap();
             assert_eq!(back.kind(), RepKind::CDup);
             assert_eq!(back.is_incremental(), g.is_incremental());
             assert_eq!(back.canonical_bytes(), g.canonical_bytes());
             assert_eq!(back.to_snapshot_bytes().unwrap(), bytes, "re-encode");
         }
 
-        let g = churned_co_occurrence();
+        let (g, _) = churned_co_occurrence();
         let mut refused = Vec::new();
         for target in RepKind::all().into_iter().filter(|&k| k != RepKind::CDup) {
             let h = g.convert(target, &ConvertOptions::default()).unwrap();
@@ -670,23 +686,31 @@ mod tests {
             Properties::new(3),
             Default::default(),
         );
-        let back = decode_snapshot(&encode_snapshot(&h).unwrap()).unwrap();
+        let back = decode_snapshot(&encode_snapshot(&h).unwrap(), &Interner::new()).unwrap();
         assert_eq!(back.canonical_bytes(), h.canonical_bytes());
     }
 
-    /// Older-format snapshots (`GGSNAP4\0` symmetric supports in both
-    /// orientations, `GGSNAP3\0` derived copies beside the state,
-    /// `GGSNAP2\0` value-keyed state, `GGSNAP1\0` flat adjacency) must fail
-    /// with a clean magic mismatch, not a misparse.
+    /// Older-format snapshots (`GGSNAP5\0` the state's own dictionary,
+    /// `GGSNAP4\0` symmetric supports in both orientations, `GGSNAP3\0`
+    /// derived copies beside the state, `GGSNAP2\0` value-keyed state,
+    /// `GGSNAP1\0` flat adjacency) must fail with a clean magic mismatch,
+    /// not a misparse.
     #[test]
     fn snapshot_rejects_old_magic() {
         use crate::error::ErrorKind;
         let g = extract();
+        let dict = tiny().dict().clone();
         let mut bytes = encode_snapshot(&g).unwrap();
-        assert_eq!(&bytes[..8], b"GGSNAP5\0");
-        for old in [*b"GGSNAP4\0", *b"GGSNAP3\0", *b"GGSNAP2\0", *b"GGSNAP1\0"] {
+        assert_eq!(&bytes[..8], b"GGSNAP6\0");
+        for old in [
+            *b"GGSNAP5\0",
+            *b"GGSNAP4\0",
+            *b"GGSNAP3\0",
+            *b"GGSNAP2\0",
+            *b"GGSNAP1\0",
+        ] {
             bytes[..8].copy_from_slice(&old);
-            let err = decode_snapshot(&bytes).unwrap_err();
+            let err = decode_snapshot(&bytes, &dict).unwrap_err();
             assert_eq!(err.kind(), ErrorKind::Snapshot);
             assert!(
                 err.to_string().contains("bad magic"),
@@ -695,7 +719,51 @@ mod tests {
         }
         // Restoring the current magic makes the same bytes decode again.
         bytes[..8].copy_from_slice(&SNAPSHOT_MAGIC);
-        assert!(decode_snapshot(&bytes).is_ok());
+        assert!(decode_snapshot(&bytes, &dict).is_ok());
+    }
+
+    /// The state keeps database ids and the snapshot no dictionary: an id
+    /// at or past the length of the dictionary it is decoded against is a
+    /// typed snapshot error, raised at the id itself — before anything is
+    /// sized by it — and so is a node key that dictionary does not hold.
+    #[test]
+    fn snapshot_rejects_an_id_past_the_dictionary() {
+        use crate::error::ErrorKind;
+        let (g, db) = churned_co_occurrence();
+        let dict = db.dict();
+        let bytes = encode_snapshot(&g).unwrap();
+        // The state ends with the last node entry: its key, one row, the
+        // row's view and its one property cell, "cy".
+        let cell = 1 + 1 + 8 + 2;
+        assert!(bytes.ends_with(b"cy"));
+        let key_at = bytes.len() - cell - 8 - 8 - 4;
+        let key = u32::from_le_bytes(bytes[key_at..key_at + 4].try_into().unwrap());
+        assert_eq!(dict.resolve(key), Some(&Value::int(3)));
+        for past in [dict.len() as u32, dict.len() as u32 + (1 << 16)] {
+            let mut bad = bytes.clone();
+            bad[key_at..key_at + 4].copy_from_slice(&past.to_le_bytes());
+            let err = decode_snapshot(&bad, dict).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Snapshot, "{err}");
+            assert!(
+                matches!(&err, Error::Snapshot(CodecError::Invalid { at, what })
+                    if *at == key_at && what.contains("past the database dictionary")),
+                "id {past}: {err}"
+            );
+        }
+        // A dictionary that is too short for the state's ids, and one that
+        // holds every id but not the node keys' values.
+        let err = decode_snapshot(&bytes, &Interner::new()).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Snapshot, "{err}");
+        let mut other = Interner::new();
+        for i in 1..dict.len() {
+            other.intern(&Value::str(format!("v{i}")));
+        }
+        let err = decode_snapshot(&bytes, &other).unwrap_err();
+        assert!(
+            err.to_string().contains("not in the database dictionary"),
+            "{err}"
+        );
+        assert!(decode_snapshot(&bytes, dict).is_ok());
     }
 
     /// Identical adjacency chunks inside one snapshot are written once and
@@ -729,7 +797,7 @@ mod tests {
         // store's single big list stays distinct): 2 table entries, not 3.
         let n_chunks = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
         assert_eq!(n_chunks, 2, "identical chunks not deduplicated on disk");
-        let back = decode_snapshot(&bytes).unwrap();
+        let back = decode_snapshot(&bytes, &Interner::new()).unwrap();
         let core = back.graph().as_condensed().unwrap();
         assert!(
             std::sync::Arc::ptr_eq(
@@ -745,35 +813,37 @@ mod tests {
     fn snapshot_rejects_corruption() {
         use crate::error::ErrorKind;
         let g = extract();
+        let (churned, db) = churned_co_occurrence();
+        let dict = db.dict();
         let bytes = encode_snapshot(&g).unwrap();
         // Bad magic.
         let mut bad = bytes.clone();
         bad[0] ^= 0xFF;
         assert_eq!(
-            decode_snapshot(&bad).unwrap_err().kind(),
+            decode_snapshot(&bad, dict).unwrap_err().kind(),
             ErrorKind::Snapshot
         );
         // Truncation anywhere must error, never panic.
         for cut in 0..bytes.len() {
-            assert!(decode_snapshot(&bytes[..cut]).is_err(), "cut {cut}");
+            assert!(decode_snapshot(&bytes[..cut], dict).is_err(), "cut {cut}");
         }
         // Trailing garbage.
         let mut long = bytes.clone();
         long.push(0);
         assert_eq!(
-            decode_snapshot(&long).unwrap_err().kind(),
+            decode_snapshot(&long, dict).unwrap_err().kind(),
             ErrorKind::Snapshot
         );
         // Every byte flipped by three masks, in a plain handle and in an
         // incremental one with a virtual layer: each flip decodes to a
         // handle that still serializes, or fails as a snapshot error.
-        for g in [g, churned_co_occurrence()] {
+        for g in [g, churned] {
             let bytes = encode_snapshot(&g).unwrap();
             for i in 0..bytes.len() {
                 for mask in [0xFF, 0x01, 0x80] {
                     let mut bad = bytes.clone();
                     bad[i] ^= mask;
-                    match decode_snapshot(&bad) {
+                    match decode_snapshot(&bad, dict) {
                         Ok(back) => drop(back.canonical_bytes()),
                         Err(err) => assert_eq!(
                             err.kind(),

@@ -103,7 +103,7 @@ impl ExpandedGraph {
     /// is symmetric exactly when every walk succeeds.
     /// A walk keeps a four-byte cursor per vertex, so there are at most as
     /// many ranges as keep those cursors within a quarter of the lists'
-    /// own bytes ([`EDGES_PER_CURSOR`] edges per vertex and range). The
+    /// own bytes (four edges per vertex and range). The
     /// graph and its bytes are the same for any `threads`.
     pub fn from_sorted_lists<L>(lists: &[L], threads: usize) -> Self
     where

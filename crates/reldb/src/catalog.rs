@@ -109,9 +109,8 @@ impl TableCounts {
 pub struct Database {
     tables: FxHashMap<String, StoredTable>,
     counts: FxHashMap<String, TableCounts>,
-    /// The database-wide value dictionary: every live cell occurrence holds
-    /// one reference, so the dictionary's live set is exactly the distinct
-    /// values currently stored in some table.
+    /// The database-wide value dictionary, grow-only: every value any
+    /// table ever stored keeps its id for the life of the database.
     dict: Interner,
 }
 
@@ -147,7 +146,7 @@ impl Database {
             .sum()
     }
 
-    /// Register `table` under `name`: acquire every cell in the dictionary,
+    /// Register `table` under `name`: intern every cell in the dictionary,
     /// keep only the ids, and compute statistics for every column (the
     /// one-time ANALYZE step; mutations afterwards maintain the statistics
     /// per row). The `Value` columns of `table` are dropped.
@@ -166,8 +165,9 @@ impl Database {
     /// Append `rows` to table `name`, returning the [`Delta`] log of the
     /// mutation. Every row is validated against the schema **before** any is
     /// applied, so a failed call leaves the table untouched. Each row's
-    /// cells are acquired in the dictionary once; the ids go into the table
-    /// and the statistics, and the row itself moves into the delta.
+    /// cells are interned in the dictionary once; the ids go into the table,
+    /// the statistics and the delta, and the row itself moves into the
+    /// delta beside them.
     pub fn insert_rows(&mut self, name: &str, rows: Vec<Vec<Value>>) -> DbResult<Delta> {
         let table = self
             .tables
@@ -182,13 +182,11 @@ impl Database {
             .expect("registered table has counts");
         let mut delta = Delta::new(name);
         table.reserve(rows.len());
-        let mut vids = Vec::new();
         for row in rows {
-            vids.clear();
-            vids.extend(row.iter().map(|v| self.dict.acquire(v)));
+            let vids: Vec<Vid> = row.iter().map(|v| self.dict.intern(v)).collect();
             counts.insert(&vids);
             table.push_ids(&vids);
-            delta.push(row, DeltaOp::Insert);
+            delta.push(row, vids, DeltaOp::Insert);
         }
         Ok(delta)
     }
@@ -207,8 +205,8 @@ impl Database {
     /// stops as soon as every *satisfiable* occurrence has been found (the
     /// hash index bounds how many can match, so over-requested counts don't
     /// force a full pass). The ids of each removed row decrement the
-    /// statistics and release their dictionary references directly, so the
-    /// statistics cost tracks the delta.
+    /// statistics directly, so the statistics cost tracks the delta; the
+    /// dictionary keeps every id.
     pub fn delete_rows(&mut self, name: &str, rows: &[Vec<Value>]) -> DbResult<Delta> {
         let table = self
             .tables
@@ -279,19 +277,14 @@ impl Database {
                 }
             }
         }
-        // O(batch): log each matched row while its ids still resolve,
-        // decrement statistics and drop dictionary references per removed
-        // occurrence, then tombstone the slots (compaction is amortized).
+        // O(batch): log each matched row with its ids, decrement the
+        // statistics per removed occurrence, then tombstone the slots
+        // (compaction is amortized).
         for &r in &matched {
-            delta.push(
-                TableRef::new(table, &self.dict).row(r as usize),
-                DeltaOp::Delete,
-            );
             table.row_ids(r as usize, &mut row_vids);
             counts.delete(&row_vids);
-            for &vid in &row_vids {
-                self.dict.release(vid);
-            }
+            let values = TableRef::new(table, &self.dict).row(r as usize);
+            delta.push(values, row_vids.clone(), DeltaOp::Delete);
         }
         table.delete_physical_rows(&matched);
         Ok(delta)
@@ -354,15 +347,12 @@ impl Database {
     }
 
     /// Append the binary encoding of the whole database: the value
-    /// dictionary first (slots, refcounts, free list — so a decoded
-    /// database continues allocating identical `Vid`s), then table count,
-    /// then each table (sorted by name for deterministic bytes) as name +
-    /// its schema, live row count and columns, each cell written as the
-    /// tagged [`Value`] its id resolves to (the snapshot holds values, not
-    /// ids). Statistics are **not** stored — they are rebuilt on decode
-    /// from the ids each cell is looked up to in the decoded dictionary
-    /// (lookup-only, never re-acquiring: the persisted refcounts already
-    /// account for every live occurrence).
+    /// dictionary first (every value in id order, so a decoded database
+    /// gives each value its id and continues allocating where this one
+    /// stopped), then table count, then each table (sorted by name for
+    /// deterministic bytes) as name + its schema, live row count and
+    /// columns, each cell written as its id. Statistics are **not** stored
+    /// — they are rebuilt on decode from the ids.
     pub fn encode_into(&self, out: &mut impl codec::Sink) {
         self.dict.encode_into(out);
         let mut names: Vec<&String> = self.tables.keys().collect();
@@ -370,15 +360,15 @@ impl Database {
         codec::put_len(out, names.len());
         for name in names {
             codec::put_str(out, name);
-            self.tables[name.as_str()].encode_into(&self.dict, out);
+            self.tables[name.as_str()].encode_into(out);
         }
     }
 
-    /// Decode a database (inverse of [`Database::encode_into`]), storing
-    /// each cell as its id in the decoded dictionary and rebuilding
-    /// per-table statistics from those ids. A cell value missing from the
-    /// dictionary is a hard codec error — it means the snapshot's
-    /// dictionary and tables disagree.
+    /// Decode a database (inverse of [`Database::encode_into`]), checking
+    /// each cell's id against the decoded dictionary and rebuilding
+    /// per-table statistics from the ids. A cell id the dictionary does not
+    /// hold is a hard codec error — it means the snapshot's dictionary and
+    /// tables disagree.
     pub fn decode(r: &mut Reader<'_>) -> Result<Database, CodecError> {
         let dict = Interner::decode(r)?;
         let n = r.len()?;
@@ -490,6 +480,15 @@ mod tests {
             .unwrap();
         assert_eq!(delta.len(), 2);
         assert!(delta.rows().iter().all(|r| r.op == DeltaOp::Insert));
+        // Each row carries the ids its cells were interned to.
+        for row in delta.rows() {
+            let ids: Vec<Vid> = row
+                .values
+                .iter()
+                .map(|v| db.dict().lookup(v).unwrap())
+                .collect();
+            assert_eq!(row.ids, ids);
+        }
         assert_eq!(db.table("AuthorPub").unwrap().num_rows(), 7);
         let aid = db.column_stats_by_name("AuthorPub", "aid").unwrap();
         assert_eq!(aid.row_count, 7);
@@ -528,6 +527,9 @@ mod tests {
         // Only the present row is logged; the absent one is a no-op.
         assert_eq!(delta.len(), 1);
         assert_eq!(delta.rows()[0].op, DeltaOp::Delete);
+        let one = db.dict().lookup(&Value::int(1)).unwrap();
+        let ten = db.dict().lookup(&Value::int(10)).unwrap();
+        assert_eq!(delta.rows()[0].ids, vec![one, ten]);
         assert_eq!(db.table("AuthorPub").unwrap().num_rows(), 4);
         let aid = db.column_stats_by_name("AuthorPub", "aid").unwrap();
         assert_eq!(aid.row_count, 4);
@@ -631,6 +633,38 @@ mod tests {
             .unwrap();
         assert_eq!(db.column_stats_by_name("T", "x").unwrap().n_distinct, 1);
         assert_eq!(db.column_stats_by_name("T", "x").unwrap().row_count, 2);
+    }
+
+    /// An id names one value for the life of the database: after every row
+    /// holding a value is deleted, its id still resolves to that value, the
+    /// next new value gets a fresh id, and both survive an encode/decode.
+    #[test]
+    fn an_id_names_one_value_for_the_life_of_the_database() {
+        let mut db = Database::new();
+        let mut t = Table::new(Schema::new(vec![Column::int("x"), Column::str("s")]));
+        t.push_row(vec![Value::int(1), Value::str("gone")]).unwrap();
+        t.push_row(vec![Value::int(2), Value::str("kept")]).unwrap();
+        db.register("T", t).unwrap();
+        let id = |db: &Database, s: &str| db.dict().lookup(&Value::str(s));
+        let (gone, kept) = (id(&db, "gone").unwrap(), id(&db, "kept").unwrap());
+        let removed = db
+            .delete_rows("T", &[vec![Value::int(1), Value::str("gone")]])
+            .unwrap();
+        assert_eq!(removed.len(), 1);
+        assert_eq!(db.dict().resolve(gone), Some(&Value::str("gone")));
+        assert_eq!(id(&db, "gone"), Some(gone));
+        db.insert_rows("T", vec![vec![Value::int(3), Value::str("new")]])
+            .unwrap();
+        let new = id(&db, "new").unwrap();
+        assert!(new > gone && new > kept, "a fresh id, not a recycled one");
+        let mut bytes = Vec::new();
+        db.encode_into(&mut bytes);
+        let back = Database::decode(&mut graphgen_common::Reader::new(&bytes)).unwrap();
+        for (vid, s) in [(gone, "gone"), (kept, "kept"), (new, "new")] {
+            assert_eq!(back.dict().resolve(vid), Some(&Value::str(s)), "{s}");
+            assert_eq!(id(&back, s), Some(vid), "{s}");
+        }
+        assert_eq!(back.dict().resolve(1), Some(&Value::int(1)));
     }
 
     #[test]

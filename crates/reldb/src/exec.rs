@@ -20,7 +20,7 @@
 //!   id by index where it needs the value, and copies the projected ids of
 //!   passing rows into a [`RowSet`]. A registered table already stores
 //!   dictionary ids, so no operator hashes a value: that happens once per
-//!   cell, when registration or a mutation acquires it;
+//!   cell, when registration or a mutation interns it;
 //! * [`group_pairs`] sorts packed pairs ([`pack`]) and counts the runs: the
 //!   pairs of the result are the `DISTINCT` pairs, the counts their bag
 //!   multiplicities; [`scan_grouped`] is a two-column scan grouped so,
@@ -43,9 +43,9 @@
 //! one dictionary, id equality is value equality. The batch path
 //! ([`Query::run_counted`](crate::query::Query::run_counted) and, for the
 //! direct EXP build, [`Query::run_by_source`](crate::query::Query::run_by_source))
-//! evaluates in database ids, the maintenance-state loader of
-//! `graphgen-core` in its engine ids; both group with [`group_pairs`] and
-//! join with [`join_runs`].
+//! and the maintenance-state loader of `graphgen-core` both evaluate in
+//! database ids; both group with [`group_pairs`] and join with
+//! [`join_runs`].
 //!
 //! # Parallelism and determinism
 //!

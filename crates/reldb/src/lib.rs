@@ -13,10 +13,10 @@
 //!   through a [`TableRef`] view.
 //! * [`Database`] — the catalog: named tables plus per-column statistics
 //!   (row count, exact distinct count) used by the extraction planner.
-//! * [`Interner`] — the database-wide `Value` → dense [`Vid`] dictionary;
-//!   every cell of a registered table is stored as its id and holds a
-//!   reference in it. A value is hashed only when registration or a
-//!   mutation acquires (or looks up) it.
+//! * [`Interner`] — the database-wide, grow-only `Value` → dense [`Vid`]
+//!   dictionary; every cell of a registered table is stored as its id, and
+//!   an id names its value for the life of the database. A value is hashed
+//!   only when registration or a mutation interns (or looks up) it.
 //! * [`RowSet`] — the flat [`Vid`] arena a scan produces: one allocation
 //!   per batch, four bytes per cell, rows addressed by index, no per-row
 //!   `Vec`s.
@@ -32,7 +32,8 @@
 //!
 //! Tables are mutable after registration: [`Database::insert_rows`] and
 //! [`Database::delete_rows`] apply a batch, maintain the statistics row by
-//! row, and return a typed [`Delta`] log that `graphgen-core`'s incremental module
+//! row, and return a typed [`Delta`] log — each row's values and the ids
+//! the dictionary gave them — that `graphgen-core`'s incremental module
 //! consumes to maintain extracted graphs without re-running queries.
 
 #![warn(missing_docs)]

@@ -4,7 +4,7 @@
 //! A [`Table`] stores each column as a `Vec<Value>`. It is how rows get
 //! *into* a database: appends validate arity and type, and CSV parsing and
 //! the generators fill one. [`Database::register`] then takes it in: each
-//! cell is acquired once in the database dictionary, only its [`Vid`] is
+//! cell is interned once in the database dictionary, only its [`Vid`] is
 //! kept (one `Vec<Vid>` per column, four bytes a cell), and the `Value`
 //! columns are dropped. A value lives once, in the dictionary.
 //!
@@ -156,7 +156,7 @@ impl StoredTable {
         }
     }
 
-    /// Take `table` in: acquire every cell in `dict` row by row, keep the
+    /// Take `table` in: intern every cell in `dict` row by row, keep the
     /// ids, and hand each row's ids to `each_row` (the catalog's
     /// statistics). The `Value` columns are dropped on return.
     pub(crate) fn ingest(
@@ -170,7 +170,7 @@ impl StoredTable {
         let mut ids = vec![0 as Vid; arity];
         for r in 0..table.rows {
             for (c, id) in ids.iter_mut().enumerate() {
-                *id = dict.acquire(table.cell(r, c));
+                *id = dict.intern(table.cell(r, c));
                 columns[c].push(*id);
             }
             each_row(&ids);
@@ -201,7 +201,7 @@ impl StoredTable {
         }
     }
 
-    /// Append one row of ids (already acquired).
+    /// Append one row of ids (already interned).
     pub(crate) fn push_ids(&mut self, ids: &[Vid]) {
         for (col, &id) in self.columns.iter_mut().zip(ids) {
             col.push(id);
@@ -257,44 +257,47 @@ impl StoredTable {
     }
 
     /// Append the binary encoding of this table: schema, live row count,
-    /// then the columns in declaration order (column-major, each cell the
-    /// tagged [`Value`] its id resolves to in `dict`); tombstoned rows are
-    /// not written, so a decoded table is always compact. Part of the
-    /// service database snapshot.
-    pub(crate) fn encode_into(&self, dict: &Interner, out: &mut impl codec::Sink) {
+    /// then the columns in declaration order (column-major, each cell its
+    /// `u32` id in the database dictionary, which never reuses an id);
+    /// tombstoned rows are not written, so a decoded table is always
+    /// compact. Part of the service database snapshot.
+    pub(crate) fn encode_into(&self, out: &mut impl codec::Sink) {
         self.schema.encode_into(out);
         codec::put_len(out, self.rows);
         for col in &self.columns {
             for (r, &id) in col.iter().enumerate() {
                 if !self.dead[r] {
-                    resolve(dict, id).encode_into(out);
+                    codec::put_u32(out, id);
                 }
             }
         }
     }
 
-    /// Decode one table (inverse of [`StoredTable::encode_into`]), storing
-    /// each cell as its id in `dict`. Cell types are re-validated against
-    /// the decoded schema; a value `dict` does not hold is an error (the
+    /// Decode one table (inverse of [`StoredTable::encode_into`]) against
+    /// the decoded dictionary `dict`. An id `dict` does not hold, or one
+    /// whose value does not fit its column's type, is an error (the
     /// snapshot's dictionary and tables disagree).
     pub(crate) fn decode(r: &mut Reader<'_>, dict: &Interner) -> Result<Self, CodecError> {
         let schema = Schema::decode(r)?;
-        let rows = r.len()?;
+        let rows = r.len_of(4 * schema.arity())?;
         let mut columns = Vec::with_capacity(schema.arity());
         for column in schema.columns() {
             let mut col = Vec::with_capacity(rows);
             for _ in 0..rows {
                 let at = r.pos();
-                let v = Value::decode(r)?;
+                let id = r.u32()?;
+                let Some(v) = dict.resolve(id) else {
+                    return Err(CodecError::invalid(
+                        at,
+                        "table cell missing from dictionary",
+                    ));
+                };
                 if v.data_type().is_some_and(|dt| dt != column.dtype) {
                     return Err(CodecError::invalid(
                         at,
                         format!("column `{}` expects {}", column.name, column.dtype),
                     ));
                 }
-                let id = dict
-                    .lookup(&v)
-                    .ok_or_else(|| CodecError::invalid(at, "table cell missing from dictionary"))?;
                 col.push(id);
             }
             columns.push(col);
@@ -315,8 +318,8 @@ impl ByteSize for StoredTable {
     }
 }
 
-/// The value a stored id names. Every cell of a registered table holds a
-/// reference in the dictionary, so the slot is live.
+/// The value a stored id names. Every cell of a registered table was
+/// interned, and the dictionary never drops an id.
 fn resolve(dict: &Interner, id: Vid) -> &Value {
     dict.resolve(id)
         .expect("cell of a registered table is interned")
@@ -397,7 +400,7 @@ impl<'a> TableRef<'a> {
     /// (NULLs count as one value, matching our join semantics, not SQL's).
     /// Within one dictionary distinct ids are distinct values.
     pub fn distinct_count(&self, col: usize) -> usize {
-        let mut seen = vec![false; self.dict.capacity()];
+        let mut seen = vec![false; self.dict.len()];
         let mut n = 0;
         for (r, &id) in self.ids(col).iter().enumerate() {
             if self.is_live(r) && !std::mem::replace(&mut seen[id as usize], true) {
@@ -526,7 +529,7 @@ mod tests {
         let (mut s, dict) = stored(people());
         s.delete_physical_rows(&[0]);
         let mut bytes = Vec::new();
-        s.encode_into(&dict, &mut bytes);
+        s.encode_into(&mut bytes);
         let back = StoredTable::decode(&mut Reader::new(&bytes), &dict).unwrap();
         assert_eq!(back.num_rows(), 2);
         assert_eq!(back.physical_rows(), 2);
@@ -535,9 +538,13 @@ mod tests {
             back.iter_rows().collect::<Vec<_>>(),
             view.iter_rows().collect::<Vec<_>>()
         );
-        // A value the dictionary does not hold is rejected, not invented.
+        // An id the dictionary does not hold is rejected, not invented,
+        // and so is one naming a value of another type.
         let mut other = Interner::new();
-        other.acquire(&Value::int(2));
+        assert!(StoredTable::decode(&mut Reader::new(&bytes), &other).is_err());
+        for v in 0..dict.len() {
+            other.intern(&Value::str(format!("s{v}")));
+        }
         assert!(StoredTable::decode(&mut Reader::new(&bytes), &other).is_err());
     }
 

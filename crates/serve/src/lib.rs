@@ -50,7 +50,7 @@
 //! the live catalog — pure arithmetic on the same unified cost engine the
 //! planner and the `W105` lint use, no table scans — and `STATS` reports
 //! `drift=<ratio>` (frozen cost over live min-cost) with a `stale_plan`
-//! flag once the ratio exceeds [`ServiceConfig::drift_threshold`] or the
+//! flag once the ratio exceeds [`DRIFT_THRESHOLD`] or the
 //! min-cost plan's shape changes outright. `EXPLAIN <name>` renders the
 //! frozen-vs-live comparison; `EXPLAIN <name> <dsl…>` costs a candidate
 //! program without extracting anything.
@@ -101,5 +101,6 @@ pub use obs::{Obs, ServeMetrics, TraceEvent, TraceRing};
 pub use server::{spawn, ServerHandle};
 pub use service::{
     ApplyOutcome, GraphService, GraphSnapshot, GraphStats, ServiceConfig, TableMutation,
+    DRIFT_THRESHOLD,
 };
 pub use wal::Wal;

@@ -119,8 +119,8 @@ instruments! {
         gauge db_rows: "graphgen_db_rows" =
             "total rows across base tables",
         gauge intern_entries: "graphgen_intern_entries" =
-            "live entries in the database value dictionary plus every \
-             graph's engine dictionary (dense-id interners)",
+            "ids given out by the database value dictionary, the one \
+             dense-id interner every graph's state keys by",
         gauge wedged: "graphgen_wedged" =
             "1 when the writer is wedged after a divergence, else 0",
         counter slow_ops_total: "graphgen_slow_ops_total" =

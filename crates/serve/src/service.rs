@@ -36,20 +36,20 @@
 //!
 //! ```text
 //! dir/
-//!   db.snap            magic GGSVDB2\0 | u64 db_version | Database
-//!                      (value dictionary first, then the tables)
+//!   db.snap            magic GGSVDB3\0 | u64 db_version | Database
+//!                      (value dictionary first, then the tables as ids)
 //!   db.wal             records: u64 db_version | DeltaBatch   (see wal.rs)
 //!   <name>.graph.snap  magic GGSVGR5\0 | u64 version | u64 db_version
 //!                      | dsl | frozen plans (per chain: cuts, planned
 //!                      outputs, planned cost) | u64 length | GraphHandle
-//!                      snapshot (its own magic, GGSNAP5: the C-DUP and the
-//!                      maintenance state as it is kept)
+//!                      snapshot (its own magic, GGSNAP6: the C-DUP and the
+//!                      maintenance state as it is kept, in database ids)
 //! ```
 //!
 //! Graph snapshots are written from the **working** handle (it owns the
 //! delta-maintenance state recovery needs; published reader clones do
 //! not). Each magic versions only its own layout: the handle bytes carry
-//! `GGSNAP`'s, so a file framing an older handle (`GGSNAP4\0` and before)
+//! `GGSNAP`'s, so a file framing an older handle (`GGSNAP5\0` and before)
 //! fails at that magic, and an older frame — `GGSVGR4\0` (value-keyed
 //! maintenance state) back to `GGSVGR2\0` — at its own. Both are
 //! [`ServeError::Corrupt`] naming the file.
@@ -66,10 +66,14 @@
 //! with the database version it produces, **before** any version it leads
 //! to is observable. A graph's durable state is its snapshot alone, stamped
 //! with the graph version and the database version it is consistent with.
-//! [`GraphService::open`] loads `db.snap` and every graph snapshot, then
-//! walks the log once: a record is applied to the database if it is newer
-//! than `db.snap`, and to each graph whose stamp it exceeds and whose tables
-//! it touches — the predicate and the `version += 1` of the live write path.
+//! A graph's maintenance state keys by the database dictionary's ids, and a
+//! graph file may be stamped after `db.snap`, so its ids may name values
+//! only the log interns. [`GraphService::open`] therefore loads `db.snap`,
+//! replays the log's newer records into the database (keeping the deltas
+//! the database returns, which carry the ids), decodes every graph
+//! snapshot against the recovered dictionary, and then advances each graph
+//! by the kept deltas past its own stamp that touch its tables — the
+//! predicate and the `version += 1` of the live write path.
 //!
 //! **Checkpoint.** When the log grows past
 //! [`ServiceConfig::compact_threshold`] (or on [`GraphService::compact`]),
@@ -98,15 +102,17 @@ use graphgen_dsl::cost::{
     cost_with_cuts, estimate_chain, plan_fingerprint, render_explain, render_unknown,
 };
 use graphgen_dsl::{check_source, CheckCatalog, CheckOptions, CheckReport, EdgeChain};
-use graphgen_reldb::{Database, DeltaBatch, Value};
+use graphgen_reldb::{Database, DeltaBatch, Interner, Value};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 /// Magic prefix of `db.snap` (trailing digit = format version; format 2
-/// prepends the database's value dictionary — the dense-id interner the
-/// catalog and the interned join operators key by — to the table section).
-pub const DB_SNAP_MAGIC: [u8; 8] = *b"GGSVDB2\0";
+/// prepended the database's value dictionary — the dense-id interner the
+/// catalog and the interned join operators key by — to the table section;
+/// format 3 writes that dictionary grow-only, as its values in id order,
+/// and each table cell as its id).
+pub const DB_SNAP_MAGIC: [u8; 8] = *b"GGSVDB3\0";
 /// Magic prefix of `<name>.graph.snap`: it versions the frame only (format
 /// 4 added the frozen plan — per-chain cuts and the estimates the plan was
 /// chosen with — for drift detection; formats 3 and 5 were bumped with the
@@ -114,6 +120,11 @@ pub const DB_SNAP_MAGIC: [u8; 8] = *b"GGSVDB2\0";
 /// magic, which versions its bytes. Older-format files fail `expect_magic`
 /// cleanly.
 pub const GRAPH_SNAP_MAGIC: [u8; 8] = *b"GGSVGR5\0";
+
+/// A graph's plan is flagged stale when re-costing its frozen cuts against
+/// the live catalog exceeds the live min-cost plan by this ratio (or when
+/// the min-cost plan's shape changed outright).
+pub const DRIFT_THRESHOLD: f64 = 2.0;
 
 /// Service knobs.
 #[derive(Debug, Clone, Copy)]
@@ -128,10 +139,6 @@ pub struct ServiceConfig {
     /// `GraphGenConfig` default: `GRAPHGEN_THREADS` or the available
     /// parallelism).
     pub threads: usize,
-    /// A graph's plan is flagged stale when re-costing its frozen cuts
-    /// against the live catalog exceeds the live min-cost plan by this
-    /// ratio (or when the min-cost plan's shape changed outright).
-    pub drift_threshold: f64,
     /// An operation at or above this wall time (nanoseconds) counts as
     /// slow: it bumps `graphgen_slow_ops_total` and lands in the `TRACE`
     /// ring with its phase breakdown. Failed operations are traced
@@ -148,7 +155,6 @@ impl Default for ServiceConfig {
             compact_threshold: 1 << 20,
             fsync: true,
             threads: 0,
-            drift_threshold: 2.0,
             slow_op_ns: 100_000_000, // 100 ms
             trace_capacity: 64,
         }
@@ -505,13 +511,39 @@ impl GraphService {
             }
         }
         stems.sort();
+        // -- the log, once, into the database --------------------------------
+        // Graph files may be stamped after db.snap, so their states may name
+        // ids only these records intern: replay them first, keeping the
+        // deltas the database returns (they carry the ids; the log's carry
+        // values only).
+        let log_path = dir.join("db.wal");
+        let log_file = log_path.display().to_string();
+        let (mut wal, records) = Wal::open(&log_path).map_err(|e| match e.kind() {
+            std::io::ErrorKind::InvalidData => ServeError::corrupt(&log_file, e),
+            _ => e.into(),
+        })?;
+        let mut db_version = db_snap_version;
+        let mut replayed: Vec<(u64, DeltaBatch)> = Vec::new();
+        for record in records {
+            let (version, batch) =
+                decode_wal_record(&record).map_err(|e| ServeError::corrupt(&log_file, e))?;
+            if version <= db_version {
+                // Folded into db.snap by a checkpoint that crashed before
+                // truncating — and so into every graph file, none of which
+                // is stamped behind db.snap.
+                continue;
+            }
+            replayed.push((version, replay_batch_on_db(&mut db, &batch)?));
+            db_version = version;
+        }
+        // -- graph snapshots, against the recovered dictionary ---------------
         // Snapshots record the thread count they were extracted with; this
         // service's own knob (resolved the same way extraction resolves
         // it) wins for every recovered handle.
         let threads = Self::extraction_config(&cfg).threads();
         let mut graphs = Vec::with_capacity(stems.len());
         for (name, snap_path) in stems {
-            let state = load_graph_snapshot(&name, &snap_path, threads)?;
+            let state = load_graph_snapshot(&name, &snap_path, threads, db.dict())?;
             if state.snap_db_version < db_snap_version {
                 // A checkpoint rewrites every graph file stamped behind the
                 // database before it writes db.snap, so no crash leaves
@@ -528,36 +560,6 @@ impl GraphService {
                     ),
                 ));
             }
-            graphs.push(state);
-        }
-        // -- the log, once ---------------------------------------------------
-        let log_path = dir.join("db.wal");
-        let log_file = log_path.display().to_string();
-        let (mut wal, records) = Wal::open(&log_path).map_err(|e| match e.kind() {
-            std::io::ErrorKind::InvalidData => ServeError::corrupt(&log_file, e),
-            _ => e.into(),
-        })?;
-        let mut db_version = db_snap_version;
-        let mut replayed = 0u64;
-        for record in records {
-            let (version, batch) =
-                decode_wal_record(&record).map_err(|e| ServeError::corrupt(&log_file, e))?;
-            if version <= db_version {
-                // Folded into db.snap by a checkpoint that crashed before
-                // truncating — and so into every graph file, none of which
-                // is stamped behind db.snap.
-                continue;
-            }
-            replay_batch_on_db(&mut db, &batch)?;
-            db_version = version;
-            replayed += 1;
-            for state in &mut graphs {
-                if version > state.snap_db_version {
-                    state.advance(&batch, version)?;
-                }
-            }
-        }
-        for state in &graphs {
             if state.snap_db_version > db_version {
                 // The log is appended before anything is patched or
                 // snapshotted, so a graph is never ahead of its database.
@@ -565,9 +567,7 @@ impl GraphService {
                 // graph beside a recreated database) or fsync-off
                 // reordering — its history is not this database's.
                 return Err(ServeError::corrupt(
-                    graph_snap_path(dir, state.current.name())
-                        .display()
-                        .to_string(),
+                    snap_path.display().to_string(),
                     format!(
                         "graph is ahead of its database (stamped database version \
                          {}, recovered database at {db_version}): the graph belongs \
@@ -576,7 +576,17 @@ impl GraphService {
                     ),
                 ));
             }
+            graphs.push(state);
         }
+        // -- each graph past its own stamp ------------------------------------
+        for (version, batch) in &replayed {
+            for state in &mut graphs {
+                if *version > state.snap_db_version {
+                    state.advance(batch, *version)?;
+                }
+            }
+        }
+        let replayed = replayed.len() as u64;
         let service = Self::assemble(db, Some(dir.to_path_buf()), cfg);
         // The registry is born with the service, so the replay above is
         // timed externally and recorded here (instruments are in-memory
@@ -594,7 +604,7 @@ impl GraphService {
             let factor = Self::extraction_config(&cfg).large_output_factor();
             let mut published = service.published.write().unwrap();
             for mut state in graphs {
-                recompute_drift(&catalog, &mut state, factor, cfg.drift_threshold);
+                recompute_drift(&catalog, &mut state, factor);
                 let name = state.current.name().to_string();
                 published.insert(name.clone(), Arc::clone(&state.current));
                 inner.graphs.insert(name, state);
@@ -648,13 +658,7 @@ impl GraphService {
             self.obs.m.graphs.set(inner.graphs.len() as u64);
             self.obs.m.db_version.set(inner.db_version);
             self.obs.m.db_rows.set(inner.db.total_rows() as u64);
-            let interned = inner.db.dict().live()
-                + inner
-                    .graphs
-                    .values()
-                    .map(|g| g.working.intern_entries())
-                    .sum::<usize>();
-            self.obs.m.intern_entries.set(interned as u64);
+            self.obs.m.intern_entries.set(inner.db.dict().len() as u64);
             let mut state = StateBytes::default();
             for bytes in inner
                 .graphs
@@ -737,7 +741,6 @@ impl GraphService {
             &catalog_view(&inner.db),
             &mut state,
             Self::extraction_config(&inner.cfg).large_output_factor(),
-            inner.cfg.drift_threshold,
         );
         if let Some(dir) = &inner.dir {
             // The stamp is all recovery needs: log records at or below
@@ -1046,7 +1049,7 @@ impl GraphService {
             let factor = Self::extraction_config(&inner.cfg).large_output_factor();
             for (name, _, _) in &outcome.graphs {
                 if let Some(state) = inner.graphs.get_mut(name) {
-                    recompute_drift(&catalog, state, factor, inner.cfg.drift_threshold);
+                    recompute_drift(&catalog, state, factor);
                 }
             }
         }
@@ -1170,7 +1173,7 @@ fn frozen_plans(report: &graphgen_core::ExtractionReport) -> Vec<FrozenChainPlan
 /// from the frozen cuts or the ratio exceeds `threshold`. When the
 /// catalog lacks statistics the previous verdict is kept: no evidence is
 /// not evidence of drift.
-fn recompute_drift(catalog: &CheckCatalog, state: &mut GraphState, factor: f64, threshold: f64) {
+fn recompute_drift(catalog: &CheckCatalog, state: &mut GraphState, factor: f64) {
     if state.chains.is_empty() || state.chains.len() != state.frozen.len() {
         return;
     }
@@ -1193,7 +1196,7 @@ fn recompute_drift(catalog: &CheckCatalog, state: &mut GraphState, factor: f64, 
     } else {
         1.0
     };
-    state.stale_plan = shape_changed || state.drift > threshold;
+    state.stale_plan = shape_changed || state.drift > DRIFT_THRESHOLD;
 }
 
 fn graph_snap_path(dir: &Path, name: &str) -> PathBuf {
@@ -1215,25 +1218,27 @@ fn decode_wal_record(record: &[u8]) -> Result<(u64, DeltaBatch), graphgen_common
     Ok((version, batch))
 }
 
-/// Re-apply a recovered batch to the database (replay path: the mutations
-/// were already validated when first applied, and deletes name exact rows
-/// the table held, so the regenerated deltas match the logged ones).
-fn replay_batch_on_db(db: &mut Database, batch: &DeltaBatch) -> ServeResult<()> {
+/// Re-apply a recovered batch to the database and return the batch the
+/// database logs for it (replay path: the mutations were already validated
+/// when first applied, and deletes name exact rows the table held, so the
+/// returned deltas hold the logged rows, now with their ids).
+fn replay_batch_on_db(db: &mut Database, batch: &DeltaBatch) -> ServeResult<DeltaBatch> {
     use graphgen_reldb::DeltaOp;
+    let mut replayed = DeltaBatch::new();
     for delta in batch.deltas() {
         // Preserve intra-delta order: group maximal runs of same-op rows.
         let mut run_op: Option<DeltaOp> = None;
         let mut run: Vec<Vec<Value>> = Vec::new();
-        let flush = |db: &mut Database,
-                     op: Option<DeltaOp>,
-                     run: &mut Vec<Vec<Value>>|
+        let mut flush = |db: &mut Database,
+                         op: Option<DeltaOp>,
+                         run: &mut Vec<Vec<Value>>|
          -> ServeResult<()> {
             match op {
                 Some(DeltaOp::Insert) => {
-                    db.insert_rows(delta.table(), std::mem::take(run))?;
+                    replayed.push(db.insert_rows(delta.table(), std::mem::take(run))?);
                 }
                 Some(DeltaOp::Delete) => {
-                    db.delete_rows(delta.table(), &std::mem::take(run))?;
+                    replayed.push(db.delete_rows(delta.table(), &std::mem::take(run))?);
                 }
                 None => {}
             }
@@ -1248,7 +1253,7 @@ fn replay_batch_on_db(db: &mut Database, batch: &DeltaBatch) -> ServeResult<()> 
         }
         flush(db, run_op, &mut run)?;
     }
-    Ok(())
+    Ok(replayed)
 }
 
 fn write_db_snapshot(dir: &Path, db: &Database, db_version: u64, fsync: bool) -> ServeResult<()> {
@@ -1315,8 +1320,13 @@ fn put_graph_header(out: &mut impl Sink, state: &GraphState, db_version: u64) {
 }
 
 /// Load one graph's snapshot file into writer-side state at the version
-/// and database stamp the file carries.
-fn load_graph_snapshot(name: &str, snap_path: &Path, threads: usize) -> ServeResult<GraphState> {
+/// and database stamp the file carries, its ids resolved in `dict`.
+fn load_graph_snapshot(
+    name: &str,
+    snap_path: &Path,
+    threads: usize,
+    dict: &Interner,
+) -> ServeResult<GraphState> {
     let bytes = std::fs::read(snap_path)?;
     let file = snap_path.display().to_string();
     let content =
@@ -1353,7 +1363,7 @@ fn load_graph_snapshot(name: &str, snap_path: &Path, threads: usize) -> ServeRes
     }
     let (version, snap_db_version, dsl, frozen, handle_bytes) =
         parse(&mut r).map_err(|e| ServeError::corrupt(&file, e))?;
-    let mut working = GraphHandle::from_snapshot_bytes(handle_bytes)
+    let mut working = GraphHandle::from_snapshot_bytes(handle_bytes, dict)
         .map_err(|e| ServeError::corrupt(&file, e))?;
     working.set_threads(threads);
     Ok(GraphState::new(
@@ -1576,6 +1586,43 @@ pub(crate) mod tests {
             )])
             .unwrap();
         assert_eq!(recovered.snapshot("g").unwrap().version(), 3);
+    }
+
+    /// A graph extracted after the last checkpoint is stamped after
+    /// `db.snap`, and its state names ids that only the log's records
+    /// intern (a new author and publication). Recovery replays the log into
+    /// the database before it decodes the graph file against the
+    /// dictionary, then advances the graph past its own stamp.
+    #[test]
+    fn a_graph_file_stamped_after_db_snap_decodes_against_the_replayed_dictionary() {
+        let dir = TempDir::new("svc-late-graph");
+        let expected;
+        {
+            let service =
+                GraphService::create(dir.path(), fig1_db(), ServiceConfig::default()).unwrap();
+            let fresh = |a: i64, p: i64| vec![Value::int(a), Value::int(p)];
+            service
+                .apply(&[
+                    TableMutation::new(
+                        "Author",
+                        vec![vec![Value::int(77), Value::str("a77")]],
+                        vec![],
+                    ),
+                    TableMutation::new("AuthorPub", vec![fresh(77, 99), fresh(1, 99)], vec![]),
+                ])
+                .unwrap();
+            service.extract("g", Q1).unwrap();
+            service
+                .apply(&[TableMutation::new("AuthorPub", vec![fresh(2, 99)], vec![])])
+                .unwrap();
+            expected = service.snapshot("g").unwrap().canonical_bytes();
+        }
+        let recovered = GraphService::open(dir.path()).unwrap();
+        let snap = recovered.snapshot("g").unwrap();
+        assert_eq!(snap.version(), 2);
+        assert_eq!(snap.canonical_bytes(), expected);
+        let a77 = snap.handle().neighbors_by_key(&Value::int(77)).unwrap();
+        assert!(a77.contains(&&Value::int(2)), "{a77:?}");
     }
 
     /// The snapshot files the service streams to disk hold exactly the

@@ -777,8 +777,8 @@ fn recover_chunked_snapshot_mid_wal() {
 }
 
 /// Each magic versions its own layout: a `GGSVGR5\0` frame around a handle
-/// of the previous handle format (`GGSNAP4\0`, which stored a symmetric
-/// support in both orientations) must fail recovery at the embedded magic
+/// of the previous handle format (`GGSNAP5\0`, which stored the state's
+/// own dictionary) must fail recovery at the embedded magic
 /// with a `Corrupt` error naming the graph file — never a panic or a
 /// misparse.
 #[test]
@@ -795,10 +795,10 @@ fn graph_file_framing_an_old_handle_format_is_rejected() {
     let mut content = graphgen_serve::wal::unseal(&sealed).unwrap().to_vec();
     assert_eq!(&content[..8], b"GGSVGR5\0");
     let handle: Vec<usize> = (0..content.len() - 8)
-        .filter(|&i| &content[i..i + 8] == b"GGSNAP5\0")
+        .filter(|&i| &content[i..i + 8] == b"GGSNAP6\0")
         .collect();
     assert_eq!(handle.len(), 1, "one framed handle");
-    content[handle[0]..handle[0] + 8].copy_from_slice(b"GGSNAP4\0");
+    content[handle[0]..handle[0] + 8].copy_from_slice(b"GGSNAP5\0");
     graphgen_serve::wal::seal(&mut content);
     std::fs::write(&snap_path, &content).unwrap();
     match GraphService::open(dir.path()) {

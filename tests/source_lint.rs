@@ -234,7 +234,7 @@ const DELETED_NAMES: &[(&str, Option<&str>)] = &[
     ("set_shadow", None),
     ("logical_edges_", None),
     // A registered table stores dictionary ids: the scan copies them, and a
-    // value is hashed only when registration or a mutation acquires it.
+    // value is hashed only when registration or a mutation interns it.
     ("lookup(table.cell", None),
     // A snapshot holds the C-DUP; derived representations are recomputed
     // with `convert` after decoding.
@@ -315,6 +315,12 @@ const DELETED_NAMES: &[(&str, Option<&str>)] = &[
     ("direct_edges_count", None),
     ("to_builder", None),
     ("raw_out", None),
+    // One value dictionary, grow-only: the maintenance state keys by
+    // database ids, and no slot is ever freed or reused.
+    ("engine_vid", None),
+    ("find_or_alloc", None),
+    ("dict.acquire", None),
+    ("dict.release", None),
 ];
 
 #[test]
@@ -366,7 +372,9 @@ fn deleted_operators_stay_deleted() {
          operator bags and their conversion for the one `Bag` layout, the batch \
          extraction's rows-per-thread rule for per-operator fan-outs, the phase \
          label lists for the one `Phase` declaration, and the named, \
-         hash-mapped node entries for rows aligned with their view, and \
+         hash-mapped node entries for rows aligned with their view, the \
+         maintenance state's own dictionary and the refcounted, recycling \
+         slots for the one grow-only database dictionary, and \
          public functions nothing called were deleted; extend those instead \
          of bringing a second mechanism back, and keep the docs on the \
          code that exists:\n{}",
