@@ -1,7 +1,9 @@
 //! What a value dictionary reports it holds, against what it holds.
 //!
-//! `Interner::heap_bytes` feeds the database's `heap_bytes` and the
-//! `graphgen_state_bytes{part="dictionary"}` gauge. It must count the
+//! `Interner::heap_bytes` feeds the database's `heap_bytes` (the
+//! `graphgen_state_bytes{part="dictionary"}` gauge counts only a
+//! maintenance state's own id tables: its real-id side-table and its
+//! boundaries' virtual-node numbering). It must count the
 //! containers' capacities (the id table's empty slots, the vectors' spare
 //! room), not their entries. This test pins that with the counting
 //! allocator: for 50,000 interned integers the report must be within 10%

@@ -3,7 +3,7 @@
 use crate::anygraph::AnyGraph;
 use crate::error::Error;
 use crate::handle::GraphHandle;
-use crate::incremental::IncrementalState;
+use crate::incremental::{Boundaries, IncrementalState};
 use crate::planner::{catalog_view, filters_to_predicate, full_query, plan_chain, ChainPlan};
 use graphgen_common::bytesize::grow_by_eighth;
 use graphgen_common::metrics::{span, Phase};
@@ -310,9 +310,7 @@ impl<'a> GraphGen<'a> {
         let mut builder = CondensedBuilder::new(ids.len());
         for plan in &report.plans {
             let k = plan.segments.len();
-            // Per boundary: database id -> its virtual node (`u32::MAX` =
-            // none yet).
-            let mut virt_of = vec![vec![u32::MAX; node_of.len()]; k - 1];
+            let mut bounds = Boundaries::new(k - 1);
             for (j, seg) in plan.segments.iter().enumerate() {
                 report.sql.push(seg.query.to_sql(self.db)?);
                 let bag = seg.query.run_counted(self.db, threads)?;
@@ -322,13 +320,7 @@ impl<'a> GraphGen<'a> {
                     (j, k),
                     bag.iter().map(|(l, r, _)| (l, r)),
                     |vid| real_from(&node_of, vid),
-                    |b, vid, builder| {
-                        let slot = &mut virt_of[b][vid as usize];
-                        if *slot == u32::MAX {
-                            *slot = builder.add_virtual().0;
-                        }
-                        VirtId(*slot)
-                    },
+                    &mut bounds,
                 );
             }
         }
@@ -355,9 +347,10 @@ impl<'a> GraphGen<'a> {
 
     /// Incremental extraction: plan as the batch path does, then let
     /// [`IncrementalState::bulk_load`] build the delta-maintenance state,
-    /// the C-DUP graph, the key map and the properties from one scan of
-    /// every atom and node view — set-at-a-time, like the batch path, with
-    /// the result a row-by-row replay through the delta engine would give.
+    /// the C-DUP graph, the key map and the properties by one scan of
+    /// every node view and the segment queries' evaluator — set-at-a-time,
+    /// like the batch path, with the result a row-by-row replay through the
+    /// delta engine would give.
     /// The operators fan out over the configured thread count, which the
     /// state keeps for later [`GraphHandle::apply_delta`] calls.
     fn extract_spec_incremental(&self, spec: &GraphSpec) -> Result<GraphHandle, Error> {
@@ -589,19 +582,20 @@ pub(crate) fn segment_edge(
 
 /// Add the stored edges of segment `j` of a `k`-segment chain to
 /// `builder`, given the segment's distinct `(l, r)` pairs in ascending
-/// order. Each pair goes through
-/// [`segment_edge`], whose `virt` here also gets the builder to allocate
-/// from; the ids are the database's, for batch extraction and
+/// order. Each pair goes through [`segment_edge`], with `bounds` numbering
+/// the chain's virtual nodes as the builder allocates them; the ids are
+/// the database's, for batch extraction and
 /// [`IncrementalState::bulk_load`] alike.
 pub(crate) fn emit_segment(
     builder: &mut CondensedBuilder,
     jk: (usize, usize),
     pairs: impl IntoIterator<Item = (Vid, Vid)>,
     real: impl Fn(Vid) -> Option<RealId>,
-    mut virt: impl FnMut(usize, Vid, &mut CondensedBuilder) -> VirtId,
+    bounds: &mut Boundaries,
 ) {
     for pair in pairs {
-        match segment_edge(jk, pair, &real, |b, vid| virt(b, vid, builder)) {
+        let virt = |b, vid| bounds.virt(b, vid, || builder.add_virtual());
+        match segment_edge(jk, pair, &real, virt) {
             Some(StoredEdge::Direct(u, v)) => builder.direct(u, v),
             Some(StoredEdge::RealToVirtual(u, v)) => builder.real_to_virtual(u, v),
             Some(StoredEdge::VirtualToVirtual(v, w)) => builder.virtual_to_virtual(v, w),

@@ -87,33 +87,26 @@
 //! # How the state is first built
 //!
 //! The update routine above is not how the state reaches the current
-//! database: `IncrementalState::bulk_load` is the separate linear
-//! preprocessing phase. It scans every atom and node view once and computes
-//! each segment's counted output with the operators batch extraction runs
-//! its segment queries on — `graphgen_reldb::exec::{scan_grouped,
-//! join_counted, join_runs}` and `Bag::transpose`, over the database ids
-//! the scans hand out, as `Query::run_counted` does (a self-join's second
-//! atom takes the first one's bag transposed, so its table is scanned
-//! once); the multiplicities the batch path ignores are the supports kept
-//! here —
-//! keeps the operators' output as the *primary* state (the grouped atom
-//! bags become the segment's bags as they are, since the operators write
-//! the layout the state keeps; each last join step hands its output over
-//! run by run, kept as the segment's `support` as it comes), and hands
-//! every segment's pairs to
-//! `crate::extract::emit_segment`, as batch extraction does; the boundary
-//! virtual nodes are numbered as the C-DUP is built through
-//! [`CondensedBuilder`]. A mirrored segment keeps each join run from the
-//! diagonal up as it arrives, and hands its pairs to the emitter in both
-//! orientations. The reverse indexes — `by_right`, `bounds.index`
-//! — are derived from the primary state by
-//! `IncrementalState::derive_indexes`, the same function the snapshot
-//! decoder ends with. The loader walks tables, chains, segments,
-//! atoms and rows in the order a row-by-row replay through `apply_delta_state`
-//! would, and emits the segments in the order they were completed, so the
-//! real ids and the virtual-node numbering — and with them every encoded
-//! byte of the state — equal the replay's; that replay survives as the
-//! `#[cfg(test)]` oracle of the `bulk_*` tests.
+//! database: `IncrementalState::bulk_load` is the linear preprocessing
+//! phase, and it is ordinary query evaluation whose intermediate results
+//! are kept. It scans every node view once, then runs each segment query
+//! through the evaluator batch extraction runs (`Query::run_keeping`),
+//! which hands it every atom's grouped bag once no later join reads it —
+//! kept as the segment's bags, since the operators write the layout the
+//! state keeps — and the last join's output run by run, kept as the
+//! segment's `support` as it comes (a mirrored segment's from the diagonal
+//! up). Every segment's pairs then go to `crate::extract::emit_segment`,
+//! as in batch extraction, with the chain's `Boundaries` numbering the
+//! virtual nodes. Two orders are computed up front so that the real ids
+//! and the virtual-node numbering — and with them every encoded byte of
+//! the state — equal a row-by-row replay of every table through
+//! `apply_delta_state`: node views by their table's position in
+//! `referenced_tables`, then view index; segments by the position of the
+//! last table they read, then chain, then segment, the order the replay
+//! completes them in. That replay survives as the `#[cfg(test)]` oracle of
+//! the `bulk_*` tests. The reverse indexes are derived by
+//! `IncrementalState::derive_indexes`, the function the snapshot decoder
+//! ends with.
 //!
 //! # One id space
 //!
@@ -138,10 +131,8 @@ use graphgen_dsl::GraphSpec;
 use graphgen_graph::{
     CondensedBuilder, CondensedGraph, GraphRep, PropValue, Properties, RealId, VirtId,
 };
-use graphgen_reldb::exec::{
-    join_counted, join_runs, pack, right_of, scan_grouped, scan_project, unpack, Bag, BagBuilder,
-    MAX_BAG_LEN,
-};
+use graphgen_reldb::exec::{pack, right_of, scan_project, unpack, Bag, BagBuilder, MAX_BAG_LEN};
+use graphgen_reldb::query::{ChainStep, Output};
 use graphgen_reldb::{Database, Delta, DeltaOp, Interner, Predicate, Value, Vid, NULL_VID};
 
 /// What [`crate::GraphHandle::apply_delta`] did, for reporting and
@@ -229,10 +220,7 @@ fn push_row(rows: &mut Box<[PropRow]>, row: PropRow) {
 /// per orientation a delta join walks it in (see [`SegmentState::new`]).
 #[derive(Debug, Clone)]
 struct AtomState {
-    table: String,
-    pred: Predicate,
-    in_col: usize,
-    out_col: usize,
+    step: ChainStep,
     /// The bag holding the pairs keyed by `in`, `(in, out) → multiplicity`:
     /// for every atom but a segment's first (the delta join of an atom to
     /// its left walks rightwards into it).
@@ -274,9 +262,11 @@ struct ChainState {
     by_right: Option<CountedRuns>,
 }
 
-/// The virtual-node interning of a chain's boundaries between segments.
+/// The virtual-node numbering of a chain's boundaries between segments:
+/// a batch extraction's while it emits the chain, a maintained one's for
+/// the life of the state.
 #[derive(Debug, Clone)]
-struct Boundaries {
+pub(crate) struct Boundaries {
     /// Per boundary: interned id → boundary-local dense index (`u32::MAX` =
     /// not seen at this boundary), flat-indexed by id.
     index: Vec<Vec<u32>>,
@@ -288,7 +278,7 @@ struct Boundaries {
 }
 
 impl Boundaries {
-    fn new(boundaries: usize) -> Self {
+    pub(crate) fn new(boundaries: usize) -> Self {
         Self {
             index: vec![Vec::new(); boundaries],
             keys: vec![Vec::new(); boundaries],
@@ -299,7 +289,7 @@ impl Boundaries {
     /// The virtual node of `vid` at boundary `b`, interning `vid` and
     /// taking a node from `alloc` on first sight. The flat `index` makes
     /// the common repeat case a single array load.
-    fn virt(&mut self, b: usize, vid: Vid, alloc: impl FnOnce() -> VirtId) -> VirtId {
+    pub(crate) fn virt(&mut self, b: usize, vid: Vid, alloc: impl FnOnce() -> VirtId) -> VirtId {
         let index = &mut self.index[b];
         if index.len() <= vid as usize {
             index.resize(vid as usize + 1, u32::MAX);
@@ -356,17 +346,7 @@ impl IncrementalState {
                 let segments: Vec<SegmentState> = plan
                     .segments
                     .iter()
-                    .map(|seg| {
-                        let atoms = seg.query.steps.iter().map(|step| AtomState {
-                            table: step.table.clone(),
-                            pred: step.pred.clone(),
-                            in_col: step.in_col,
-                            out_col: step.out_col,
-                            by_in: None,
-                            by_out: None,
-                        });
-                        SegmentState::new(atoms.collect())
-                    })
+                    .map(|seg| SegmentState::new(seg.query.steps.iter().cloned()))
                     .collect();
                 let bounds = Boundaries::new(segments.len().saturating_sub(1));
                 ChainState {
@@ -390,20 +370,38 @@ impl IncrementalState {
     /// Rebuild the database id → real-id side-table from scratch (snapshot
     /// decode path: the cache is not persisted): one lookup in `dict` per
     /// node key of `ids`. Real ids added after this call are entered by
-    /// the live node-add path. Fails with the first key `dict` does not
-    /// hold: the handle was not extracted from this database.
+    /// the live node-add path. Fails, naming the key, where the handle and
+    /// the state disagree: a key `dict` does not hold (the handle was not
+    /// extracted from this database), or one whose node rows and live
+    /// node (`alive`) are not both there or both gone — a later delta
+    /// could not find its node.
     pub(crate) fn rebuild_real_ids(
         &mut self,
         ids: &IdMap<Value>,
         dict: &Interner,
-    ) -> Result<(), Value> {
-        let mut real_ids = Vec::new();
+        alive: impl Fn(RealId) -> bool,
+    ) -> Result<(), String> {
+        let mut real_ids = vec![u32::MAX; self.node_rows.len()];
         for (id, key) in ids.iter() {
-            let vid = dict.lookup(key).ok_or_else(|| key.clone())? as usize;
-            if real_ids.len() <= vid {
-                real_ids.resize(vid + 1, u32::MAX);
+            let Some(vid) = dict.lookup(key) else {
+                return Err(format!("node key {key} not in the database dictionary"));
+            };
+            if real_ids.len() <= vid as usize {
+                real_ids.resize(vid as usize + 1, u32::MAX);
             }
-            real_ids[vid] = id;
+            real_ids[vid as usize] = id;
+        }
+        for (vid, &id) in real_ids.iter().enumerate() {
+            let rows = self.node_rows.get(vid).is_some_and(|rows| !rows.is_empty());
+            if rows != (id != u32::MAX && alive(RealId(id))) {
+                let key = dict.resolve(vid as Vid).expect("a decoded id");
+                let has = if rows {
+                    "rows but no live node"
+                } else {
+                    "a live node but no row"
+                };
+                return Err(format!("node key {key} has {has}"));
+            }
         }
         self.real_ids = real_ids;
         Ok(())
@@ -455,7 +453,7 @@ impl IncrementalState {
                 .iter()
                 .flat_map(|c| c.segments.iter())
                 .flat_map(|s| s.atoms.iter())
-                .map(|a| a.table.as_str()),
+                .map(|a| a.step.table.as_str()),
         );
         for name in names {
             if seen.insert(name.to_string()) {
@@ -625,21 +623,27 @@ fn normalized(key: u64) -> u64 {
 }
 
 impl SegmentState {
-    /// A segment over `atoms` with empty bags, each atom pointed at the
-    /// bags a delta join walks it through: `by_out` for every atom but the
-    /// last, `by_in` for every atom but the first — so a single-atom
+    /// A segment over the atoms of `steps` with empty bags, each pointed at
+    /// the bags a delta join walks it through: `by_out` for every atom but
+    /// the last, `by_in` for every atom but the first — so a single-atom
     /// segment keeps none. Atoms over the same relation in the same
     /// orientation — same table, equal predicate, same key and value
     /// columns — share one bag: a self-join's second atom reads its
     /// partner's `by_out` as its `by_in`. The layout follows from the atoms
     /// alone, so the bulk load, the snapshot decoder and the empty state
     /// agree on it.
-    fn new(mut atoms: Vec<AtomState>) -> Self {
+    fn new(steps: impl IntoIterator<Item = ChainStep>) -> Self {
+        let atom = |step| AtomState {
+            step,
+            by_in: None,
+            by_out: None,
+        };
+        let mut atoms: Vec<AtomState> = steps.into_iter().map(atom).collect();
         let m = atoms.len();
         // Per bag: the atom that first read it, and its key and value columns.
         let mut relations: Vec<(usize, usize, usize)> = Vec::new();
         for i in 0..m {
-            let (in_col, out_col) = (atoms[i].in_col, atoms[i].out_col);
+            let (in_col, out_col) = (atoms[i].step.in_col, atoms[i].step.out_col);
             let walks = [(i > 0, in_col, out_col), (i + 1 < m, out_col, in_col)];
             let mut picked = [None, None];
             for (slot, (walked, key, value)) in picked.iter_mut().zip(walks) {
@@ -647,10 +651,8 @@ impl SegmentState {
                     continue;
                 }
                 let same = |&(a, k, v): &(usize, usize, usize)| {
-                    let other: &AtomState = &atoms[a];
-                    (k, v) == (key, value)
-                        && other.table == atoms[i].table
-                        && other.pred == atoms[i].pred
+                    let (other, this) = (&atoms[a].step, &atoms[i].step);
+                    (k, v) == (key, value) && other.table == this.table && other.pred == this.pred
                 };
                 let found = relations.iter().position(same);
                 *slot = Some(found.unwrap_or_else(|| {
@@ -685,32 +687,23 @@ impl SegmentState {
     }
 
     /// Fill the bags from every atom's bag of `(in, out)` pairs, as the
-    /// bulk load's scans group them: a bag some atom reads by `in` is that
-    /// atom's bag, moved; a bag read by `out` only is its first reader's
-    /// bag, transposed. Bags no segment bag takes are dropped.
+    /// segment evaluator hands them over: a bag some atom reads by `in` is
+    /// that atom's bag, moved; a bag read by `out` only is its first
+    /// reader's bag, transposed. Bags no segment bag takes are dropped.
     fn adopt(&mut self, atoms: Vec<Bag>) {
         let mut atoms: Vec<Option<Bag>> = atoms.into_iter().map(Some).collect();
-        // Per bag: the atom whose bag fills it, and whether it reads it by `in`.
-        let sources: Vec<(usize, bool)> = (0..self.bags.len())
-            .map(
-                |b| match self.atoms.iter().position(|a| a.by_in == Some(b)) {
-                    Some(i) => (i, true),
-                    None => {
-                        let i = self.atoms.iter().position(|a| a.by_out == Some(b));
-                        (i.expect("every bag is read"), false)
-                    }
-                },
-            )
-            .collect();
+        let reader = |b, by_in: bool| {
+            let reads = |a: &AtomState| if by_in { a.by_in } else { a.by_out } == Some(b);
+            self.atoms.iter().position(reads)
+        };
         // Transposes first: the bags they read may be moved below.
-        for (b, &(i, keyed_by_in)) in sources.iter().enumerate() {
-            if !keyed_by_in {
-                let of = atoms[i].as_ref().expect("an atom's bag");
-                self.bags[b] = CountedRuns::from(of.transpose());
-            }
+        for b in (0..self.bags.len()).filter(|&b| reader(b, true).is_none()) {
+            let i = reader(b, false).expect("every bag is read");
+            let of = atoms[i].as_ref().expect("an atom's bag");
+            self.bags[b] = CountedRuns::from(of.transpose());
         }
-        for (b, &(i, keyed_by_in)) in sources.iter().enumerate() {
-            if keyed_by_in {
+        for b in 0..self.bags.len() {
+            if let Some(i) = reader(b, true) {
                 self.bags[b] = CountedRuns::from(atoms[i].take().expect("moved once"));
             }
         }
@@ -736,15 +729,16 @@ impl SegmentState {
         // order, keyed by the rows' database ids.
         let mut changed: Vec<(usize, Vec<(u64, i64)>)> = Vec::new();
         for (j, atom) in self.atoms.iter().enumerate() {
-            if atom.table != delta.table() {
+            let step = &atom.step;
+            if step.table != delta.table() {
                 continue;
             }
             let mut dj: FxHashMap<u64, i64> = FxHashMap::default();
             for row in delta.rows() {
-                if !atom.pred.eval(&row.values) {
+                if !step.pred.eval(&row.values) {
                     continue;
                 }
-                let key = pack(row.ids[atom.in_col], row.ids[atom.out_col]);
+                let key = pack(row.ids[step.in_col], row.ids[step.out_col]);
                 *dj.entry(key).or_insert(0) += row.op.sign();
             }
             dj.retain(|_, m| *m != 0);
@@ -845,15 +839,16 @@ impl SegmentState {
 
 /// Whether the atoms `last` of a segment mirror the atoms `first` of
 /// another: they are `first` in reverse order, each with its columns
-/// swapped (same table, equal predicate) — as in `M(a, g), M(b, g)`, where
+/// swapped ([`ChainStep::transposes`]) — as in `M(a, g), M(b, g)`, where
 /// one segment mirrors itself. The support of `last` is then the support
 /// of `first` transposed, count for count, and a segment that mirrors
 /// itself has a symmetric support.
 fn mirrors(first: &[AtomState], last: &[AtomState]) -> bool {
     first.len() == last.len()
-        && first.iter().zip(last.iter().rev()).all(|(a, b)| {
-            a.table == b.table && a.pred == b.pred && (a.in_col, a.out_col) == (b.out_col, b.in_col)
-        })
+        && first
+            .iter()
+            .zip(last.iter().rev())
+            .all(|(a, b)| a.step.transposes(&b.step))
 }
 
 // ---------------------------------------------------------------------------
@@ -1140,10 +1135,9 @@ pub(crate) fn apply_delta_state(
 //
 // The bags are the primary state (the bulk loader fills them through
 // `SegmentState::adopt`, the snapshot decoder reads them as written);
-// `by_right` and
-// `bounds.index` are functions of the supports and `bounds.keys`, built by
-// `IncrementalState::derive_indexes`, which both of them end with —
-// `IncrementalState::new` runs it on the empty state.
+// `by_right` and `bounds.index` are functions of the supports and
+// `bounds.keys`, built by `IncrementalState::derive_indexes`, which both
+// end with — `IncrementalState::new` runs it on the empty state.
 
 impl ChainState {
     /// `by_right` transposes the last segment's support keys unless that
@@ -1199,122 +1193,77 @@ impl IncrementalState {
     ) -> Result<(Self, CondensedGraph, IdMap<Value>, Properties), Error> {
         let mut state = Self::new(spec, plans, threads);
         let value = |vid: Vid| db.dict().resolve(vid).expect("scanned id is interned");
-        // Per segment, the scanned, grouped bag of each atom, until the
-        // segment's last table has been scanned and the join has read them.
-        let mut loads: Vec<Vec<Vec<Option<Bag>>>> = state
-            .chains
-            .iter()
-            .map(|chain| {
-                let load = |seg: &SegmentState| vec![None; seg.atoms.len()];
-                chain.segments.iter().map(load).collect()
-            })
-            .collect();
+        // The two orders a replay of every table, row by row, fixes. Node
+        // views come by their table's position, then view index: the
+        // order real ids are handed out in. Segments come by the position
+        // of the last table they read, then chain, then segment: the
+        // order the replay completes them in, and so the order their
+        // boundary values are first seen in.
+        let tables = state.referenced_tables();
+        let at = |table: &str| tables.iter().position(|t| t == table).expect("referenced");
+        let mut views: Vec<usize> = (0..state.views.len()).collect();
+        views.sort_by_key(|&vi| at(&state.views[vi].relation));
+        let mut order: Vec<(usize, usize, usize)> = Vec::new();
+        for (c, chain) in state.chains.iter().enumerate() {
+            for (j, seg) in chain.segments.iter().enumerate() {
+                let last = seg.atoms.iter().map(|a| at(&a.step.table)).max();
+                order.push((last.expect("an atom"), c, j));
+            }
+        }
+        order.sort_unstable();
+
         let mut ids: IdMap<Value> = IdMap::new();
         // Node keys in real-id order.
         let mut node_keys: Vec<Vid> = Vec::new();
-        // `(chain, segment)` in the order the segments were completed: the
-        // order the replay first sees their boundary values in.
-        let mut completed: Vec<(usize, usize)> = Vec::new();
-
-        for table in state.referenced_tables() {
-            let IncrementalState {
-                views,
-                chains,
-                node_rows,
-                ..
-            } = &mut state;
-            // The table's atoms, chain by chain and segment by segment; a
-            // segment produces its output at the table that completes it.
-            for (c, (chain, loads)) in chains.iter_mut().zip(&mut loads).enumerate() {
-                let segments = chain.segments.iter_mut().zip(loads.iter_mut());
-                for (j, (seg, load)) in segments.enumerate() {
-                    let mut scanned = false;
-                    for (k, atom) in seg.atoms.iter().enumerate() {
-                        if atom.table != table {
-                            continue;
-                        }
-                        scanned = true;
-                        // A transposing atom (a self-join's second) reads
-                        // its partner's rows with the columns swapped: its
-                        // bag is the partner's transposed.
-                        let partner = atom.by_in.and_then(|b| {
-                            let mut earlier = seg.atoms[..k].iter();
-                            earlier.position(|a| a.by_out == Some(b))
-                        });
-                        if let Some(bag) = partner.and_then(|p| load[p].as_ref()) {
-                            let _span = span(Phase::Distinct, Region::Distinct);
-                            load[k] = Some(bag.transpose());
-                            continue;
-                        }
-                        let cols = [atom.in_col, atom.out_col];
-                        load[k] = Some(scan_grouped(db, &atom.table, &atom.pred, cols, threads)?);
-                    }
-                    if !scanned || load.iter().any(Option::is_none) {
-                        continue;
-                    }
-                    let mut bags: Vec<Bag> = std::mem::take(load).into_iter().flatten().collect();
-                    seg.support = match bags.len() {
-                        // A single atom mirrors itself only when it reads
-                        // one column twice: its pairs are all diagonal.
-                        1 => CountedRuns::from(bags.pop().expect("one atom")),
-                        // The last join step hands its output over run by
-                        // run, kept as it comes (a mirrored segment's from
-                        // the diagonal up); the join has read the bags, and
-                        // the segment keeps them as its atoms walk them.
-                        m => {
-                            let mirrored = seg.mirrored;
-                            let mut joined: Option<Bag> = None;
-                            for bag in &bags[1..m - 1] {
-                                let frontier = joined.as_ref().unwrap_or(&bags[0]);
-                                joined = Some(join_counted(frontier, bag, threads)?);
-                            }
-                            let frontier = joined.as_ref().unwrap_or(&bags[0]);
-                            let keep = |part: &mut BagBuilder, x: Vid, run: &[u64]| {
-                                let from = run.partition_point(|&e| mirrored && right_of(e) < x);
-                                part.push_run(x, &run[from..]);
-                            };
-                            let parts = join_runs(
-                                frontier,
-                                &bags[m - 1],
-                                threads,
-                                BagBuilder::default,
-                                keep,
-                            )?;
-                            drop(joined);
-                            let _span = span(Phase::LoadState, Region::Patch);
-                            seg.adopt(bags);
-                            CountedRuns::from(BagBuilder::concat(parts)?)
-                        }
-                    };
-                    completed.push((c, j));
-                }
-            }
-            // The table's node views, in view then row order.
-            for (vi, view) in views.iter().enumerate() {
-                if view.relation != table {
+        for vi in views {
+            let view = &state.views[vi];
+            let mut cols = vec![view.id_col];
+            cols.extend(view.prop_cols.iter().map(|(_, c)| *c));
+            let rows = scan_project(db, &view.relation, &view.pred, &cols, threads)?;
+            let _span = span(Phase::LoadState, Region::Patch);
+            let node_rows = &mut state.node_rows;
+            for row in rows.iter() {
+                if row[0] == NULL_VID {
                     continue;
                 }
-                let mut cols = vec![view.id_col];
-                cols.extend(view.prop_cols.iter().map(|(_, c)| *c));
-                let rows = scan_project(db, &view.relation, &view.pred, &cols, threads)?;
-                let _span = span(Phase::LoadState, Region::Patch);
-                for row in rows.iter() {
-                    if row[0] == NULL_VID {
-                        continue;
-                    }
-                    let kvid = row[0] as usize;
-                    if node_rows.len() <= kvid {
-                        node_rows.resize_with(kvid + 1, Box::default);
-                    }
-                    if node_rows[kvid].is_empty() {
-                        ids.intern(value(row[0]).clone());
-                        node_keys.push(row[0]);
-                    }
-                    let cells = row[1..].iter().map(|&cell| value(cell));
-                    let values = derive_props(cells);
-                    push_row(&mut node_rows[kvid], PropRow { view: vi, values });
+                let kvid = row[0] as usize;
+                if node_rows.len() <= kvid {
+                    node_rows.resize_with(kvid + 1, Box::default);
                 }
+                if node_rows[kvid].is_empty() {
+                    ids.intern(value(row[0]).clone());
+                    node_keys.push(row[0]);
+                }
+                let cells = row[1..].iter().map(|&cell| value(cell));
+                let values = derive_props(cells);
+                push_row(&mut node_rows[kvid], PropRow { view: vi, values });
             }
+        }
+
+        // Every segment query through the evaluator batch extraction runs:
+        // its atom bags become the segment's bags as they are, and the last
+        // join's output, kept run by run as it comes (a mirrored segment's
+        // from the diagonal up), its support. A one-atom segment keeps no
+        // bag, and its atom's bag is its support.
+        for &(_, c, j) in &order {
+            let seg = &mut state.chains[c].segments[j];
+            let mirrored = seg.mirrored;
+            let keep = |part: &mut BagBuilder, x: Vid, run: &[u64]| {
+                let from = run.partition_point(|&e| mirrored && right_of(e) < x);
+                part.push_run(x, &run[from..]);
+            };
+            let mut bags = Vec::new();
+            let query = &plans[c].segments[j].query;
+            let out =
+                query.run_keeping(db, threads, BagBuilder::default, keep, |bag| bags.push(bag))?;
+            seg.support = CountedRuns::from(match out {
+                Output::Atom(bag) => bag,
+                Output::Joined(parts) => {
+                    let _span = span(Phase::LoadState, Region::Patch);
+                    seg.adopt(bags);
+                    BagBuilder::concat(parts)?
+                }
+            });
         }
 
         let load_span = span(Phase::LoadState, Region::Patch);
@@ -1336,7 +1285,7 @@ impl IncrementalState {
         // the order a replay's sorted transitions do.
         let _span = span(Phase::BuildRep, Region::BuildRep);
         let mut builder = CondensedBuilder::new(ids.len());
-        for (c, j) in completed {
+        for (_, c, j) in order {
             let ChainState {
                 segments, bounds, ..
             } = &mut state.chains[c];
@@ -1345,7 +1294,7 @@ impl IncrementalState {
                 (j, segments.len()),
                 segments[j].support.keys(segments[j].mirrored),
                 |vid| real_from(&state.real_ids, vid),
-                |b, vid, builder| bounds.virt(b, vid, || builder.add_virtual()),
+                bounds,
             );
         }
         let graph = builder.build();
@@ -1507,21 +1456,19 @@ impl AtomState {
     /// The atom's header; the segment's bags follow its atoms'
     /// ([`SegmentState::encode_into`]).
     fn encode_into(&self, out: &mut impl codec::Sink) {
-        codec::put_str(out, &self.table);
-        self.pred.encode_into(out);
-        codec::put_len(out, self.in_col);
-        codec::put_len(out, self.out_col);
+        codec::put_str(out, &self.step.table);
+        self.step.pred.encode_into(out);
+        codec::put_len(out, self.step.in_col);
+        codec::put_len(out, self.step.out_col);
     }
 
     /// The header only: [`SegmentState::new`] points the atom at its bags.
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
+    fn decode(r: &mut Reader<'_>) -> Result<ChainStep, CodecError> {
+        Ok(ChainStep {
             table: r.str()?.to_string(),
             pred: Predicate::decode(r)?,
             in_col: r.scalar()?,
             out_col: r.scalar()?,
-            by_in: None,
-            by_out: None,
         })
     }
 }
@@ -1542,8 +1489,8 @@ impl SegmentState {
     /// bags and the support follow as written, their ids in `dict`.
     fn decode(r: &mut Reader<'_>, dict: &Interner) -> Result<Self, CodecError> {
         let n = r.len()?;
-        let atoms = (0..n).map(|_| AtomState::decode(r));
-        let mut seg = Self::new(atoms.collect::<Result<_, _>>()?);
+        let steps = (0..n).map(|_| AtomState::decode(r));
+        let mut seg = Self::new(steps.collect::<Result<Vec<_>, _>>()?);
         for bag in &mut seg.bags {
             *bag = read_bag(r, dict)?;
         }
@@ -1740,7 +1687,7 @@ mod tests {
     use crate::handle::{ConvertOptions, GraphHandle};
     use crate::planner::plan_chain;
     use graphgen_common::{IdMap, SplitMix64};
-    use graphgen_graph::{CondensedBuilder, GraphRep, Properties, RepKind};
+    use graphgen_graph::{expand_to_edge_list, CondensedBuilder, GraphRep, Properties, RepKind};
     use graphgen_reldb::exec::{pack, unpack};
     use graphgen_reldb::{
         Column, Database, DbError, Delta, DeltaOp, Oversize, Schema, Table, Value,
@@ -2113,10 +2060,21 @@ mod tests {
     }
 
     /// Every encoded byte of the maintenance state — atom bags, supports,
-    /// boundary key/virtual order, node entries — and the graph the handle
-    /// serves.
+    /// boundary key/virtual order, node entries — the real id of every
+    /// node key, which the encoded state does not hold, and the graph the
+    /// handle serves.
     fn assert_same_handle(bulk: &GraphHandle, replay: &GraphHandle, what: &str) {
         assert!(state_bytes(bulk) == state_bytes(replay), "{what}: state");
+        assert!(
+            bulk.ids().iter().eq(replay.ids().iter()),
+            "{what}: real ids"
+        );
+        let edges = |g: &GraphHandle| {
+            let mut edges = expand_to_edge_list(g);
+            edges.sort_unstable();
+            edges
+        };
+        assert!(edges(bulk) == edges(replay), "{what}: edges by real id");
         assert_eq!(
             String::from_utf8(bulk.canonical_bytes()).unwrap(),
             String::from_utf8(replay.canonical_bytes()).unwrap(),
@@ -2344,25 +2302,29 @@ mod tests {
     /// One segment over two tables completes at whichever is scanned
     /// later: `S` when the node view reads `Entity`, `R` when it reads
     /// `S` (node views come first in table order) — there `S` also serves
-    /// a node view and an atom at once.
+    /// a node view and an atom at once. Cut in two, the chain's segment 1
+    /// (over `S`) completes before its segment 0 (over `R`) when the view
+    /// reads `S`, and the virtual nodes are numbered in that order.
     #[test]
     fn bulk_segment_over_two_tables() {
         let by_entity = "Nodes(ID, Name) :- Entity(ID, Name).\n\
                          Edges(A, B) :- R(A, X), S(X, B).";
         let by_s = "Nodes(ID) :- S(_, ID).\nEdges(A, B) :- R(A, X), S(X, B).";
         for (seed, dsl) in [(9, by_entity), (10, by_s)] {
-            let mut rng = SplitMix64::new(seed);
-            let mut db = Database::new();
-            db.register("Entity", entity_table(&mut rng, 80)).unwrap();
-            db.register("R", int_table(&mut rng, &["a", "x"], 2500, 80, 30))
-                .unwrap();
-            db.register("S", int_table(&mut rng, &["x", "b"], 2500, 80, 30))
-                .unwrap();
-            let mut pair = both_ways(&db, dsl, Some(1e12));
-            assert_eq!(pair.0.report().plans[0].segments.len(), 1);
-            for table in ["R", "S"] {
-                let deltas = churn(&mut db, table, &mut rng, 30, 30, 80);
-                continue_both(&db, dsl, Some(1e12), &mut pair, &deltas);
+            for (factor, segments) in [(1e12, 1), (0.0, 2)] {
+                let mut rng = SplitMix64::new(seed);
+                let mut db = Database::new();
+                db.register("Entity", entity_table(&mut rng, 80)).unwrap();
+                db.register("R", int_table(&mut rng, &["a", "x"], 2500, 80, 30))
+                    .unwrap();
+                db.register("S", int_table(&mut rng, &["x", "b"], 2500, 80, 30))
+                    .unwrap();
+                let mut pair = both_ways(&db, dsl, Some(factor));
+                assert_eq!(pair.0.report().plans[0].segments.len(), segments);
+                for table in ["R", "S"] {
+                    let deltas = churn(&mut db, table, &mut rng, 30, 30, 80);
+                    continue_both(&db, dsl, Some(factor), &mut pair, &deltas);
+                }
             }
         }
     }
@@ -2469,6 +2431,45 @@ mod tests {
                 db.insert_rows("Q", vec![vec![Value::int(30), Value::str("q30")]])
                     .unwrap(),
             ];
+            continue_both(&db, dsl, factor, &mut pair, &deltas);
+        }
+    }
+
+    /// Views on `P`, `Q` and `P` again, the two on `P` with disjoint keys:
+    /// real ids are handed out table by table — both views on `P`, then
+    /// `Q` — not in view order.
+    #[test]
+    fn bulk_views_out_of_table_order() {
+        let dsl = "Nodes(ID, Name) :- P(ID, Name, 0).\n\
+                   Nodes(ID, Name) :- Q(ID, Name).\n\
+                   Nodes(ID, Name) :- P(ID, Name, 1).\n\
+                   Edges(A, B) :- M(A, G), M(B, G).";
+        let mut rng = SplitMix64::new(19);
+        let cols = vec![Column::int("id"), Column::str("name"), Column::int("kind")];
+        let mut p = Table::new(Schema::new(cols));
+        for k in 0..40i64 {
+            p.push_row(vec![
+                Value::int(k),
+                Value::str(format!("p{k}")),
+                Value::int(k % 2),
+            ])
+            .unwrap();
+        }
+        let mut q = Table::new(Schema::new(vec![Column::int("id"), Column::str("name")]));
+        for k in 25..70i64 {
+            q.push_row(vec![Value::int(k), Value::str(format!("q{k}"))])
+                .unwrap();
+        }
+        let mut db = Database::new();
+        db.register("P", p).unwrap();
+        db.register("Q", q).unwrap();
+        db.register("M", int_table(&mut rng, &["e", "g"], 1200, 80, 10))
+            .unwrap();
+        for factor in [None, Some(0.0)] {
+            let mut pair = both_ways(&db, dsl, factor);
+            let id = |k: i64| pair.0.ids().get(&Value::int(k)).unwrap();
+            assert!(id(1) < id(41), "the third view's keys come before Q's");
+            let deltas = churn(&mut db, "M", &mut rng, 30, 30, 80);
             continue_both(&db, dsl, factor, &mut pair, &deltas);
         }
     }

@@ -278,9 +278,10 @@ pub fn decode_snapshot(bytes: &[u8], dict: &Interner) -> Result<GraphHandle, Err
         0 => None,
         1 => {
             let mut state = IncrementalState::decode(&mut r, dict)?;
-            state.rebuild_real_ids(&ids, dict).map_err(|key| {
-                CodecError::invalid(at, format!("node key {key} not in the database dictionary"))
-            })?;
+            let alive = |u| graph.is_alive(u);
+            state
+                .rebuild_real_ids(&ids, dict, alive)
+                .map_err(|what| CodecError::invalid(at, what))?;
             Some(state)
         }
         tag => return Err(CodecError::invalid(at, format!("bad incremental tag {tag}")).into()),
@@ -764,6 +765,32 @@ mod tests {
             "{err}"
         );
         assert!(decode_snapshot(&bytes, dict).is_ok());
+    }
+
+    /// A node entry whose key has no live node in the graph — here the last
+    /// entry's key rewritten to a value the database holds but the handle
+    /// has no node for — is a typed snapshot error: decoded, the next
+    /// delta that makes that value a node would find no node for a key
+    /// with rows.
+    #[test]
+    fn snapshot_rejects_node_rows_without_a_live_node() {
+        use crate::error::ErrorKind;
+        let (g, mut db) = churned_co_occurrence();
+        db.insert_rows("Knows", vec![vec![Value::int(9), Value::int(2)]])
+            .unwrap();
+        let bytes = encode_snapshot(&g).unwrap();
+        let key_at = bytes.len() - (1 + 1 + 8 + 2) - 8 - 8 - 4;
+        let nine = db.dict().lookup(&Value::int(9)).unwrap();
+        let mut bad = bytes.clone();
+        bad[key_at..key_at + 4].copy_from_slice(&nine.to_le_bytes());
+        let err = decode_snapshot(&bad, db.dict()).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Snapshot, "{err}");
+        assert!(err.to_string().contains("live node"), "{err}");
+        // The bytes as written decode, and take the delta.
+        let mut back = decode_snapshot(&bytes, db.dict()).unwrap();
+        let person = vec![vec![Value::int(9), Value::str("zed")]];
+        back.apply_delta(&db.insert_rows("Person", person).unwrap())
+            .unwrap();
     }
 
     /// Identical adjacency chunks inside one snapshot are written once and

@@ -40,12 +40,11 @@
 //! [`DbError::TooLarge`] instead, before it allocates the bag.
 //!
 //! All bags handed to one join must come from the same dictionary: within
-//! one dictionary, id equality is value equality. The batch path
-//! ([`Query::run_counted`](crate::query::Query::run_counted) and, for the
-//! direct EXP build, [`Query::run_by_source`](crate::query::Query::run_by_source))
-//! and the maintenance-state loader of `graphgen-core` both evaluate in
-//! database ids; both group with [`group_pairs`] and join with
-//! [`join_runs`].
+//! one dictionary, id equality is value equality. Every segment query —
+//! batch extraction's and the maintenance-state loader's in
+//! `graphgen-core` alike — runs on the one evaluator of
+//! [`Query`](crate::query::Query), in database ids: it groups with
+//! [`group_pairs`] and joins with [`join_runs`].
 //!
 //! # Parallelism and determinism
 //!

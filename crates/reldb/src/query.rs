@@ -8,16 +8,18 @@
 //!
 //! i.e. a left-deep chain of equi-joins over base tables, with per-atom
 //! selection predicates, projecting the two endpoint attributes — always
-//! with set semantics (`SELECT DISTINCT`). A [`Query`] captures this shape;
-//! [`Query::run`] executes it on the counted sort/group operators of
-//! [`crate::exec`] — every atom is scanned and grouped into a bag of
-//! `(in, out)` pairs once (an atom that reads an earlier one's table the
-//! other way round, as a self-join's second atom does, transposes that
-//! bag instead), and the bags are joined left to right, each join writing
-//! its output already grouped, so the grouping *is* the `DISTINCT` — and
-//! [`Query::to_sql`] renders the equivalent SQL (the Fig. 16 output).
-//! [`Query::run_by_source`] hands the last join's output over one `X` at a
-//! time instead of collecting it.
+//! with set semantics (`SELECT DISTINCT`). A [`Query`] captures this shape,
+//! and [`Query::to_sql`] renders the equivalent SQL (the Fig. 16 output).
+//!
+//! One evaluator runs every segment query, on the counted sort/group
+//! operators of [`crate::exec`]: each atom is scanned and grouped into a
+//! bag of `(in, out)` pairs once (a self-join's second atom transposes the
+//! first one's bag instead), and the bags are joined left to right, each
+//! join writing its output grouped — the grouping *is* the `DISTINCT`.
+//! [`Query::run_counted`] collects the last join's output,
+//! [`Query::run_by_source`] hands it over one `X` at a time, and
+//! [`Query::run_keeping`] also hands each atom's bag to a sink once no
+//! later join reads it, where the others drop it.
 
 use crate::catalog::Database;
 use crate::error::{DbError, DbResult};
@@ -48,12 +50,21 @@ pub struct ChainStep {
 impl ChainStep {
     /// Whether `other`'s bag is this step's transposed: the same table
     /// under an equal predicate, with the join columns swapped.
-    fn transposes(&self, other: &ChainStep) -> bool {
+    pub fn transposes(&self, other: &ChainStep) -> bool {
         self.table == other.table
             && self.pred == other.pred
             && self.in_col == other.out_col
             && self.out_col == other.in_col
     }
+}
+
+/// What the segment evaluator hands back ([`Query::run_keeping`]).
+#[derive(Debug)]
+pub enum Output<R> {
+    /// The last join's result.
+    Joined(R),
+    /// A one-atom chain's bag: no join reads it, it is the output.
+    Atom(Bag),
 }
 
 /// A chain query producing distinct `(X, Y)` pairs.
@@ -100,10 +111,9 @@ impl Query {
     /// count past `u32::MAX`, or a bag past [`crate::exec::MAX_BAG_LEN`]
     /// pairs, is [`DbError::TooLarge`].
     pub fn run_counted(&self, db: &Database, threads: usize) -> DbResult<Bag> {
-        let (frontier, last) = self.run_to_last_join(db, threads)?;
-        match last {
-            Some(atom) => join_counted(&frontier, &atom, threads),
-            None => Ok(frontier),
+        let last = |frontier: &Bag, atom: &Bag| join_counted(frontier, atom, threads);
+        match self.evaluate(db, threads, drop, last)? {
+            Output::Joined(bag) | Output::Atom(bag) => Ok(bag),
         }
     }
 
@@ -126,21 +136,45 @@ impl Query {
         I: Fn() -> T + Sync,
         E: Fn(&mut T, Vid, &[u64]) + Sync,
     {
-        let (frontier, last) = self.run_to_last_join(db, threads)?;
-        if let Some(atom) = last {
-            return join_runs(&frontier, &atom, threads, init, each);
+        match self.run_keeping(db, threads, &init, &each, drop)? {
+            Output::Joined(states) => Ok(states),
+            Output::Atom(bag) => {
+                let _span = metrics::span(Phase::Emit, region::current());
+                let mut state = init();
+                for (x, run) in bag.runs() {
+                    each(&mut state, x, run);
+                }
+                Ok(vec![state])
+            }
         }
-        let _span = metrics::span(Phase::Emit, region::current());
-        let mut state = init();
-        for (x, run) in frontier.runs() {
-            each(&mut state, x, run);
-        }
-        Ok(vec![state])
     }
 
-    /// Everything but the last join: the bag of `(X, carry)` pairs the
-    /// atoms before the last one produce, and the last atom's bag (`None`
-    /// for a one-atom chain, whose bag is the first).
+    /// [`Query::run_by_source`] that also hands every atom's `(in, out)`
+    /// bag to `atoms`, in atom order, as soon as no later join reads it —
+    /// the bags a maintained extraction keeps. A one-atom chain has no
+    /// join: its bag is the output, handed back whole.
+    pub fn run_keeping<T, I, E>(
+        &self,
+        db: &Database,
+        threads: usize,
+        init: I,
+        each: E,
+        atoms: impl FnMut(Bag),
+    ) -> DbResult<Output<Vec<T>>>
+    where
+        T: Send,
+        I: Fn() -> T + Sync,
+        E: Fn(&mut T, Vid, &[u64]) + Sync,
+    {
+        let last = |frontier: &Bag, atom: &Bag| join_runs(frontier, atom, threads, init, each);
+        self.evaluate(db, threads, atoms, last)
+    }
+
+    /// The segment evaluator every route runs: the atoms' bags joined left
+    /// to right, the last join by `last` (on the frontier of `(X, carry)`
+    /// pairs and the last atom's bag). Each atom's bag goes to `atoms` once
+    /// no later join reads it: the first two after the first join, each
+    /// later one after its own; an intermediate frontier is dropped.
     ///
     /// Every atom's bag is built once. An atom that reads the same table
     /// under an equal predicate as an earlier one, with `in_col` and
@@ -148,7 +182,13 @@ impl Query {
     /// ([`Bag::transpose`], taken as soon as the earlier bag exists)
     /// instead of a second scan and grouping sort: a self-join scans its
     /// table once.
-    fn run_to_last_join(&self, db: &Database, threads: usize) -> DbResult<(Bag, Option<Bag>)> {
+    fn evaluate<R>(
+        &self,
+        db: &Database,
+        threads: usize,
+        mut atoms: impl FnMut(Bag),
+        last: impl FnOnce(&Bag, &Bag) -> DbResult<R>,
+    ) -> DbResult<Output<R>> {
         if self.steps.is_empty() {
             return Err(DbError::Invalid("empty chain query".into()));
         }
@@ -182,12 +222,26 @@ impl Query {
         // Every join writes its output grouped, which keeps the frontier
         // bounded by |domain(X)| * |domain(carry)|.
         let mut frontier = bag(0)?;
-        let last = steps.len() - 1;
-        for k in 1..last {
-            frontier = join_counted(&frontier, &bag(k)?, threads)?;
+        let m = steps.len();
+        if m == 1 {
+            return Ok(Output::Atom(frontier));
         }
-        let last = if last > 0 { Some(bag(last)?) } else { None };
-        Ok((frontier, last))
+        for k in 1..m - 1 {
+            let atom = bag(k)?;
+            let joined = join_counted(&frontier, &atom, threads)?;
+            let read = std::mem::replace(&mut frontier, joined);
+            if k == 1 {
+                atoms(read);
+            }
+            atoms(atom);
+        }
+        let atom = bag(m - 1)?;
+        let out = last(&frontier, &atom)?;
+        if m == 2 {
+            atoms(frontier);
+        }
+        atoms(atom);
+        Ok(Output::Joined(out))
     }
 
     /// Render the equivalent SQL text (for display / logging, mirroring the
@@ -254,6 +308,7 @@ fn render_pred(pred: &Predicate, alias: char, table: TableRef<'_>, out: &mut Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::BagBuilder;
     use crate::schema::{Column, Schema};
     use crate::table::Table;
     use crate::value::Value;
@@ -348,6 +403,49 @@ mod tests {
             // Same pairs in the same order, not just the same set.
             assert_eq!(q.run_threaded(&db, threads).unwrap(), serial);
         }
+    }
+
+    /// Every atom's bag reaches the sink once, in atom order, equal to the
+    /// atom's own one-atom query — the transposed ones too — and the last
+    /// join's runs are the whole query's bag; a one-atom chain hands its
+    /// bag back instead.
+    #[test]
+    fn run_keeping_hands_over_every_atom_bag() {
+        let db = fig1_db();
+        let step = |in_col, out_col| ChainStep {
+            table: "AuthorPub".into(),
+            pred: Predicate::True,
+            in_col,
+            out_col,
+        };
+        // The publications of each author's co-authors.
+        let q = Query {
+            steps: vec![step(0, 1), step(1, 0), step(0, 1)],
+        };
+        let append = |out: &mut BagBuilder, x: Vid, run: &[u64]| out.push_run(x, run);
+        for threads in [1, 2, 8] {
+            let mut bags = Vec::new();
+            let out = q.run_keeping(&db, threads, BagBuilder::default, append, |bag| {
+                bags.push(bag)
+            });
+            let Ok(Output::Joined(parts)) = out else {
+                panic!("a three-atom chain joins");
+            };
+            let whole = BagBuilder::concat(parts).unwrap();
+            assert!(whole.iter().eq(q.run_counted(&db, threads).unwrap().iter()));
+            assert_eq!(bags.len(), 3);
+            for (bag, step) in bags.iter().zip(&q.steps) {
+                let own = Query {
+                    steps: vec![step.clone()],
+                };
+                assert!(bag.iter().eq(own.run_counted(&db, threads).unwrap().iter()));
+            }
+        }
+        let single = Query::single("AuthorPub", Predicate::True, 0, 1);
+        let mut handed = 0;
+        let out = single.run_keeping(&db, 2, BagBuilder::default, append, |_| handed += 1);
+        assert!(matches!(out, Ok(Output::Atom(bag)) if bag.len() == 8));
+        assert_eq!(handed, 0);
     }
 
     #[test]

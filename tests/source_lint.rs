@@ -321,6 +321,13 @@ const DELETED_NAMES: &[(&str, Option<&str>)] = &[
     ("find_or_alloc", None),
     ("dict.acquire", None),
     ("dict.release", None),
+    // One segment evaluator, `reldb::Query`'s: the bulk load runs each
+    // segment query through it (`Query::run_keeping`) in the replay's
+    // completion order, and batch extraction numbers its virtual nodes
+    // with the maintenance state's `Boundaries`.
+    ("virt_of", None),
+    ("run_to_last_join", None),
+    ("Vec<Vec<Vec<Option<Bag>>>>", None),
 ];
 
 #[test]
