@@ -1,23 +1,28 @@
 //! What a persistent `EXTRACT` allocates on the way to the graph it keeps.
 //!
-//! A persistent service writes the graph's snapshot file inside `EXTRACT`.
-//! The file streams to disk section by section: only the condensed graph
-//! and its chunk table are buffered, so writing it costs no more than what
-//! an in-memory `EXTRACT` allocates anyway. This test pins that with the counting
-//! allocator: `GraphService::create` plus `EXTRACT` on a DBLP-shaped
-//! database may peak at no more than a multiple of the bytes they retain.
+//! A persistent service writes `db.snap` in `create` and the graph's file
+//! inside `EXTRACT`. The graph file is a header — version stamps, program,
+//! frozen plan — since the database is the only durable state, and
+//! `db.snap` streams to disk table by table, so persisting costs no more
+//! than what an in-memory `EXTRACT` allocates anyway. This test pins that
+//! with the counting allocator: `GraphService::create` plus `EXTRACT` on a
+//! DBLP-shaped database may peak at no more than a multiple of the bytes
+//! they retain.
 //!
 //! Measured at this shape (20,000 authors, 30,000 publications, seed 11;
-//! 14,786,604 bytes retained; release build, 1 and 2 threads):
+//! release build, 1 and 2 threads):
 //!
-//! | snapshot write | peak above entry | ratio |
-//! |---|---|---|
-//! | whole handle encoded into a buffer, copied behind the file header, the copy sealed | 60,536,468 B | 4.09× (both) |
-//! | no copy, streamed seal, but the handle still encoded into one buffer | 34,082,586 B | 2.30× (both) |
-//! | streamed section by section | 20,159,103 / 17,763,127 B | 1.36× / 1.20× |
-//! | in-memory service, no file | 20,158,995 / 17,763,019 B | 1.36× / 1.20× |
+//! | graph file | retained | peak above entry | ratio |
+//! |---|---|---|---|
+//! | whole handle encoded into a buffer, copied behind the file header, the copy sealed | 14,786,604 B | 60,536,468 B | 4.09× (both) |
+//! | no copy, streamed seal, but the handle still encoded into one buffer | 14,786,604 B | 34,082,586 B | 2.30× (both) |
+//! | handle streamed section by section | 14,786,604 B | 20,159,103 / 17,763,127 B | 1.36× / 1.20× |
+//! | handle streamed, after the state shrank (`GGSNAP6`) | 6,942,860 B | 9,086,433 B | 1.31× (both) |
+//! | header only (`GGSVGR6`), no handle written | 6,942,828 B | 9,086,433 B | 1.31× (both) |
 //!
-//! The streamed write stays below the extraction's own peak.
+//! The peak is the extraction's own; writing the handle added 5.3 MB of
+//! allocations (30,800,832 → 25,516,266 B in total at one thread) but no
+//! peak.
 //!
 //! Kept as a single `#[test]` on purpose: `alloc::measure` reads
 //! process-global counters, so no other test in this binary may allocate

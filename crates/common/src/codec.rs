@@ -1,7 +1,8 @@
 //! A tiny binary codec: length-prefixed, little-endian primitives.
 //!
-//! The persistence layer (graph snapshots, the write-ahead delta log)
-//! serializes every structure through these helpers so the on-disk format
+//! The persistence layer (the database snapshot, the graph headers, the
+//! write-ahead delta log) serializes every structure through these helpers
+//! so the on-disk format
 //! has exactly one set of conventions:
 //!
 //! * all integers are **little-endian** and fixed-width;
@@ -17,9 +18,9 @@
 
 use crate::fxhash::FxHasher;
 use std::fmt;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::hash::Hasher;
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 /// A decoding failure: what went wrong and where in the input.
@@ -74,9 +75,9 @@ impl std::error::Error for CodecError {}
 
 /// Where an encoder writes: every `put_*` function appends through one.
 ///
-/// A `Vec<u8>` is a sink (the in-memory encodings: `to_snapshot_bytes`,
-/// log records, tests); a [`FileSink`] streams to a file, so a snapshot
-/// file never exists as one buffer in memory.
+/// A `Vec<u8>` is a sink (the in-memory encodings: log records, tests); a
+/// [`FileSink`] streams to a file, so a snapshot file never exists as one
+/// buffer in memory.
 pub trait Sink {
     /// Append `bytes`.
     fn put(&mut self, bytes: &[u8]);
@@ -129,12 +130,6 @@ pub fn put_len(out: &mut impl Sink, v: usize) {
 pub fn put_str(out: &mut impl Sink, s: &str) {
     put_len(out, s.len());
     out.put(s.as_bytes());
-}
-
-/// Append a length-prefixed byte slice.
-pub fn put_bytes(out: &mut impl Sink, b: &[u8]) {
-    put_len(out, b.len());
-    out.put(b);
 }
 
 // ---------------------------------------------------------------------------
@@ -191,32 +186,27 @@ impl Checksum {
     }
 }
 
-/// Block size of a [`FileSink`]'s write buffer and of its read-back.
+/// Block size of a [`FileSink`]'s write buffer.
 const FILE_BLOCK: usize = 64 << 10;
 
 /// A [`Sink`] that streams into a new file through a 64 KiB
-/// [`BufWriter`], counting the bytes and keeping their [`Checksum`] as
-/// blocks reach the file.
+/// [`BufWriter`], keeping the [`Checksum`] of the bytes as blocks reach
+/// the file.
 ///
 /// Writes cannot fail mid-encode: the first I/O error is kept, later
 /// puts are dropped, and [`FileSink::checksum`] or [`FileSink::finish`]
-/// return it. Bytes already written can be overwritten once their value
-/// is known ([`FileSink::patch`], for a length written ahead of what it
-/// measures); the next [`FileSink::checksum`] then reads the file back
-/// once, sequentially, instead of encoding anything twice.
+/// return it.
 #[derive(Debug)]
 pub struct FileSink {
     out: BufWriter<Tally>,
-    patched: bool,
     err: Option<io::Error>,
 }
 
-/// The file under a [`FileSink`]'s buffer: what reaches it is counted and
+/// The file under a [`FileSink`]'s buffer: what reaches it is
 /// checksummed in the order it is written.
 #[derive(Debug)]
 struct Tally {
     file: File,
-    written: u64,
     sum: Checksum,
 }
 
@@ -224,7 +214,6 @@ impl Write for Tally {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         let n = self.file.write(buf)?;
         self.sum.update(&buf[..n]);
-        self.written += n as u64;
         Ok(n)
     }
 
@@ -236,66 +225,20 @@ impl Write for Tally {
 impl FileSink {
     /// Create (or truncate) the file at `path` and write from its start.
     pub fn create(path: &Path) -> io::Result<Self> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
         let tally = Tally {
-            file,
-            written: 0,
+            file: File::create(path)?,
             sum: Checksum::default(),
         };
         Ok(Self {
             out: BufWriter::with_capacity(FILE_BLOCK, tally),
-            patched: false,
             err: None,
         })
     }
 
-    /// Bytes put so far: the offset the next put writes at.
-    pub fn position(&self) -> u64 {
-        self.out.get_ref().written + self.out.buffer().len() as u64
-    }
-
-    /// Overwrite the bytes at offset `at` (all of them already put) with
-    /// `bytes`. The running checksum no longer matches the file, so the
-    /// next [`FileSink::checksum`] reads the file back.
-    pub fn patch(&mut self, at: u64, bytes: &[u8]) -> io::Result<()> {
-        assert!(
-            at + bytes.len() as u64 <= self.position(),
-            "a patch overwrites bytes already put"
-        );
-        self.flush()?;
-        let file = &mut self.out.get_mut().file;
-        file.seek(SeekFrom::Start(at))?;
-        file.write_all(bytes)?;
-        file.seek(SeekFrom::End(0))?;
-        self.patched = true;
-        Ok(())
-    }
-
-    /// The [`checksum`] of every byte put so far, patches included.
+    /// The [`checksum`] of every byte put so far.
     pub fn checksum(&mut self) -> io::Result<u64> {
         self.flush()?;
-        let tally = self.out.get_mut();
-        if self.patched {
-            let mut sum = Checksum::default();
-            let mut block = vec![0u8; FILE_BLOCK];
-            tally.file.seek(SeekFrom::Start(0))?;
-            loop {
-                match tally.file.read(&mut block) {
-                    Ok(0) => break,
-                    Ok(n) => sum.update(&block[..n]),
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            tally.sum = sum;
-            self.patched = false;
-        }
-        Ok(tally.sum.finish())
+        Ok(self.out.get_ref().sum.finish())
     }
 
     /// Flush everything put and, when `sync` is set, fsync the file.
@@ -414,15 +357,6 @@ impl<'a> Reader<'a> {
         Ok(v)
     }
 
-    /// Read a `u64` scalar (an index, version, or count that does **not**
-    /// describe upcoming input) as `usize`. Unlike [`Reader::len`], no
-    /// remaining-input plausibility bound applies — a column index or
-    /// thread count may legitimately exceed the bytes left to read.
-    pub fn scalar(&mut self) -> Result<usize, CodecError> {
-        let at = self.pos;
-        usize::try_from(self.u64()?).map_err(|_| CodecError::invalid(at, "scalar overflows usize"))
-    }
-
     /// Read a length that counts multi-byte elements of at least
     /// `min_elem_bytes` each (tighter plausibility bound than [`Reader::len`]).
     pub fn len_of(&mut self, min_elem_bytes: usize) -> Result<usize, CodecError> {
@@ -442,12 +376,6 @@ impl<'a> Reader<'a> {
         let n = self.len()?;
         let at = self.pos;
         std::str::from_utf8(self.take(n)?).map_err(|_| CodecError::invalid(at, "non-UTF-8 string"))
-    }
-
-    /// Read a length-prefixed byte slice.
-    pub fn bytes(&mut self) -> Result<&'a [u8], CodecError> {
-        let n = self.len()?;
-        self.take(n)
     }
 
     /// Consume and verify a fixed magic prefix.
@@ -489,7 +417,6 @@ mod tests {
         put_i64(&mut buf, -42);
         put_f64(&mut buf, 1.5);
         put_str(&mut buf, "héllo");
-        put_bytes(&mut buf, &[1, 2, 3]);
         let mut r = Reader::new(&buf);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
@@ -497,7 +424,6 @@ mod tests {
         assert_eq!(r.i64().unwrap(), -42);
         assert_eq!(r.f64().unwrap(), 1.5);
         assert_eq!(r.str().unwrap(), "héllo");
-        assert_eq!(r.bytes().unwrap(), &[1, 2, 3]);
         assert!(r.expect_end().is_ok());
     }
 
@@ -580,8 +506,7 @@ mod tests {
     }
 
     /// A file streamed through a [`FileSink`] holds exactly what a `Vec`
-    /// sink holds, and its checksum is the content's, before and after a
-    /// back-patch.
+    /// sink holds, and its checksum is the content's at every point.
     #[test]
     fn file_sink_writes_what_a_vec_sink_holds() {
         let path = std::env::temp_dir().join(format!("codec-sink-{}", std::process::id()));
@@ -596,13 +521,8 @@ mod tests {
             put_str(&mut file, "héllo");
         }
         let big = vec![7u8; 3 * FILE_BLOCK];
-        put_bytes(&mut vec, &big);
-        put_bytes(&mut file, &big);
-        assert_eq!(file.position(), vec.len() as u64);
-        assert_eq!(file.checksum().unwrap(), checksum(&vec));
-        let len = (vec.len() as u64).to_le_bytes();
-        vec[..8].copy_from_slice(&len);
-        file.patch(0, &len).unwrap();
+        vec.put(&big);
+        file.put(&big);
         assert_eq!(file.checksum().unwrap(), checksum(&vec));
         put_u32(&mut vec, 9);
         put_u32(&mut file, 9);

@@ -6,7 +6,6 @@
 //! classifier and `From` impls from each substrate error so `?` composes
 //! across layers.
 
-use graphgen_common::CodecError;
 use graphgen_dedup::DedupError;
 use graphgen_dsl::{Diagnostic, ParseError};
 use graphgen_graph::RepKind;
@@ -138,9 +137,6 @@ pub enum ErrorKind {
     Convert,
     /// Incremental delta application failure.
     Patch,
-    /// Corrupt or incompatible binary snapshot input, or a snapshot asked
-    /// of a handle that holds a derived representation.
-    Snapshot,
 }
 
 /// The single error type of the facade: everything the pipeline can raise.
@@ -158,12 +154,6 @@ pub enum Error {
     Convert(ConvertError),
     /// Incremental delta application failure.
     Patch(PatchError),
-    /// Corrupt or incompatible binary snapshot input
-    /// (`GraphHandle::from_snapshot_bytes`).
-    Snapshot(CodecError),
-    /// A snapshot holds the C-DUP graph; this handle holds the derived
-    /// representation named here (`GraphHandle::to_snapshot_bytes`).
-    SnapshotOfDerived(RepKind),
 }
 
 impl Error {
@@ -175,7 +165,6 @@ impl Error {
             Error::Db(_) => ErrorKind::Db,
             Error::Convert(_) => ErrorKind::Convert,
             Error::Patch(_) => ErrorKind::Patch,
-            Error::Snapshot(_) | Error::SnapshotOfDerived(_) => ErrorKind::Snapshot,
         }
     }
 
@@ -223,12 +212,6 @@ impl fmt::Display for Error {
             Error::Db(e) => write!(f, "{e}"),
             Error::Convert(e) => write!(f, "{e}"),
             Error::Patch(e) => write!(f, "{e}"),
-            Error::Snapshot(e) => write!(f, "snapshot: {e}"),
-            Error::SnapshotOfDerived(kind) => write!(
-                f,
-                "snapshot: a snapshot holds a C-DUP graph, but this handle holds \
-                 {kind}; snapshot the C-DUP handle and convert after decoding"
-            ),
         }
     }
 }
@@ -237,11 +220,10 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Dsl(e) => Some(e),
-            Error::Check(_) | Error::SnapshotOfDerived(_) => None,
+            Error::Check(_) => None,
             Error::Db(e) => Some(e),
             Error::Convert(e) => Some(e),
             Error::Patch(e) => Some(e),
-            Error::Snapshot(e) => Some(e),
         }
     }
 }
@@ -273,12 +255,6 @@ impl From<ConvertError> for Error {
 impl From<DedupError> for Error {
     fn from(e: DedupError) -> Self {
         Error::Convert(e.into())
-    }
-}
-
-impl From<CodecError> for Error {
-    fn from(e: CodecError) -> Self {
-        Error::Snapshot(e)
     }
 }
 

@@ -4,7 +4,10 @@ use crate::anygraph::AnyGraph;
 use crate::error::Error;
 use crate::handle::GraphHandle;
 use crate::incremental::{Boundaries, IncrementalState};
-use crate::planner::{catalog_view, filters_to_predicate, full_query, plan_chain, ChainPlan};
+use crate::planner::{
+    catalog_view, cost_chain, filters_to_predicate, full_query, plan_chain, plan_with_cuts,
+    ChainPlan,
+};
 use graphgen_common::bytesize::grow_by_eighth;
 use graphgen_common::metrics::{span, Phase};
 use graphgen_common::region::{self, Region};
@@ -262,7 +265,7 @@ impl<'a> GraphGen<'a> {
     /// Extract from a pre-compiled spec.
     pub fn extract_spec(&self, spec: &GraphSpec) -> Result<GraphHandle, Error> {
         if self.cfg.incremental {
-            return self.extract_spec_incremental(spec);
+            return self.extract_maintained(spec, None);
         }
         let start = Instant::now();
         let mut report = ExtractionReport::default();
@@ -345,19 +348,46 @@ impl<'a> GraphGen<'a> {
         Ok(GraphHandle::from_parts(graph, ids, properties, report))
     }
 
-    /// Incremental extraction: plan as the batch path does, then let
-    /// [`IncrementalState::bulk_load`] build the delta-maintenance state,
-    /// the C-DUP graph, the key map and the properties by one scan of
-    /// every node view and the segment queries' evaluator — set-at-a-time,
-    /// like the batch path, with the result a row-by-row replay through the
-    /// delta engine would give.
+    /// The incremental extraction of `spec` with chain `i` planned at
+    /// `cuts[i]` — one flag per join, set to postpone it — instead of at its
+    /// min-cost plan; otherwise [`GraphGen::extract_spec`] with
+    /// `incremental(true)`. The serving layer rebuilds a graph this way on
+    /// recovery, at the cuts the graph was first extracted with.
+    ///
+    /// # Panics
+    ///
+    /// If `cuts` does not hold one cut vector per chain of `spec`, each
+    /// with one flag per join.
+    pub fn extract_with_cuts(
+        &self,
+        spec: &GraphSpec,
+        cuts: &[Vec<bool>],
+    ) -> Result<GraphHandle, Error> {
+        assert_eq!(cuts.len(), spec.edges.len(), "one cut vector per chain");
+        self.extract_maintained(spec, Some(cuts))
+    }
+
+    /// Incremental extraction: plan as the batch path does (or at the
+    /// given cuts), then let [`IncrementalState::bulk_load`] build the
+    /// delta-maintenance state, the C-DUP graph, the key map and the
+    /// properties by one scan of every node view and the segment queries'
+    /// evaluator — set-at-a-time, like the batch path, with the result a
+    /// row-by-row replay through the delta engine would give.
     /// The operators fan out over the configured thread count, which the
     /// state keeps for later [`GraphHandle::apply_delta`] calls.
-    fn extract_spec_incremental(&self, spec: &GraphSpec) -> Result<GraphHandle, Error> {
+    fn extract_maintained(
+        &self,
+        spec: &GraphSpec,
+        cuts: Option<&[Vec<bool>]>,
+    ) -> Result<GraphHandle, Error> {
         let start = Instant::now();
         let mut report = ExtractionReport::default();
-        for chain in &spec.edges {
-            let plan = plan_chain(self.db, chain, self.cfg.large_output_factor)?;
+        let factor = self.cfg.large_output_factor;
+        for (i, chain) in spec.edges.iter().enumerate() {
+            let plan = match cuts {
+                None => plan_chain(self.db, chain, factor)?,
+                Some(cuts) => plan_with_cuts(chain, &cost_chain(self.db, chain, factor)?, &cuts[i]),
+            };
             for seg in &plan.segments {
                 report.sql.push(seg.query.to_sql(self.db)?);
             }

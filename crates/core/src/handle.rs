@@ -30,7 +30,7 @@ use graphgen_dedup::{
 use graphgen_graph::{
     CondensedGraph, ExpandedGraph, GraphRep, PropValue, Properties, RealId, RepKind,
 };
-use graphgen_reldb::{Delta, DeltaBatch, Interner, Value};
+use graphgen_reldb::{Delta, DeltaBatch, Value};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -121,23 +121,6 @@ impl GraphHandle {
         }
     }
 
-    /// Assemble a handle from decoded snapshot sections (the binary
-    /// snapshot decoder's exit point; the report is not persisted).
-    pub(crate) fn from_snapshot_parts(
-        graph: CondensedGraph,
-        ids: IdMap<Value>,
-        properties: Properties,
-        state: Option<IncrementalState>,
-    ) -> Self {
-        Self {
-            graph: AnyGraph::CDup(graph),
-            ids: Arc::new(ids),
-            properties: Arc::new(properties),
-            report: ExtractionReport::default(),
-            incremental: state.map(Arc::new),
-        }
-    }
-
     /// A structurally shared clone for serving **readers**: the graph's
     /// adjacency chunks, the id map, and the property store are `Arc`-shared
     /// with this handle (`O(#chunks)` pointer bumps), and the
@@ -158,8 +141,8 @@ impl GraphHandle {
         }
     }
 
-    /// The delta-maintenance state, if this handle carries one (snapshot
-    /// codec access).
+    /// The delta-maintenance state, if this handle carries one.
+    #[cfg(test)]
     pub(crate) fn incremental_state(&self) -> Option<&IncrementalState> {
         self.incremental.as_deref()
     }
@@ -232,10 +215,9 @@ impl GraphHandle {
     ///
     /// The maintenance state keys by the database's own ids, which every
     /// row of a delta carries beside its values: a delta applies only to
-    /// handles extracted from the database that produced it (or decoded
-    /// against that database's dictionary). A delta decoded from its binary
-    /// encoding carries values only; replay it through the database and
-    /// apply the delta that returns.
+    /// handles extracted from the database that produced it. A delta
+    /// decoded from its binary encoding carries values only; replay it
+    /// through the database and apply the delta that returns.
     ///
     /// After any sequence of deltas the handle's canonical serialization
     /// ([`GraphHandle::canonical_bytes`]) is byte-identical to a
@@ -252,8 +234,8 @@ impl GraphHandle {
         let Some(state) = self.incremental.as_mut() else {
             return Err(PatchError::NotIncremental.into());
         };
-        // Only `from_parts_incremental` and the snapshot decoder attach a
-        // state, both beside a C-DUP, and no API replaces a handle's graph:
+        // Only `from_parts_incremental` attaches a state, beside a C-DUP,
+        // and no API replaces a handle's graph:
         // `convert` returns a new handle without the state.
         let AnyGraph::CDup(graph) = &mut self.graph else {
             unreachable!("an incremental handle always holds its C-DUP");
@@ -296,61 +278,6 @@ impl GraphHandle {
     /// oracle tests assert.
     pub fn canonical_bytes(&self) -> Vec<u8> {
         crate::serialize::canonical_bytes(self)
-    }
-
-    /// Encode this handle as a self-contained binary snapshot: the C-DUP
-    /// graph, the id ↔ key mapping, the properties, and (for incremental
-    /// handles) the complete delta-maintenance state. See
-    /// [`crate::serialize`] for the format. The extraction report is
-    /// diagnostics and is not included.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::SnapshotOfDerived`] (kind [`crate::ErrorKind::Snapshot`])
-    /// if the handle holds a derived representation (EXP, DEDUP-1,
-    /// DEDUP-2 or BITMAP). Snapshot the C-DUP handle instead and
-    /// [`GraphHandle::convert`] after decoding.
-    pub fn to_snapshot_bytes(&self) -> Result<Vec<u8>, Error> {
-        crate::serialize::encode_snapshot(self)
-    }
-
-    /// Write the bytes of [`GraphHandle::to_snapshot_bytes`] through `out`
-    /// without collecting them: a file sink streams them to disk.
-    ///
-    /// # Errors
-    ///
-    /// As [`GraphHandle::to_snapshot_bytes`]; nothing is written then.
-    pub fn write_snapshot(&self, out: &mut impl graphgen_common::codec::Sink) -> Result<(), Error> {
-        crate::serialize::encode_snapshot_into(self, out)
-    }
-
-    /// Decode a snapshot produced by [`GraphHandle::to_snapshot_bytes`],
-    /// against `dict`, the dictionary of the database the handle was
-    /// extracted from (its maintenance state keys by that dictionary's
-    /// ids). The recovered handle is structurally verbatim: the same C-DUP,
-    /// the same canonical bytes, and — for incremental handles —
-    /// `apply_delta` continues exactly where the encoded handle stopped.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::ErrorKind::Snapshot`] on bad magic, truncation, trailing
-    /// bytes, structural corruption, or an id or node key `dict` does not
-    /// hold.
-    pub fn from_snapshot_bytes(bytes: &[u8], dict: &Interner) -> Result<GraphHandle, Error> {
-        crate::serialize::decode_snapshot(bytes, dict)
-    }
-
-    /// Override the worker-thread count delta probes fan out over (no-op
-    /// on non-incremental handles). Results are byte-identical for any
-    /// value. A snapshot records the count it was encoded with, which may
-    /// not fit the machine decoding it — callers recovering a handle apply
-    /// their own configuration through this.
-    pub fn set_threads(&mut self, threads: usize) {
-        if let Some(state) = self.incremental.as_mut() {
-            if state.threads() != threads.max(1) {
-                Arc::make_mut(state).set_threads(threads);
-            }
-        }
     }
 
     // ---- key-space accessors -------------------------------------------

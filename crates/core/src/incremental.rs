@@ -98,15 +98,16 @@
 //! up). Every segment's pairs then go to `crate::extract::emit_segment`,
 //! as in batch extraction, with the chain's `Boundaries` numbering the
 //! virtual nodes. Two orders are computed up front so that the real ids
-//! and the virtual-node numbering — and with them every encoded byte of
-//! the state — equal a row-by-row replay of every table through
+//! and the virtual-node numbering — and with them every field of the
+//! state — equal a row-by-row replay of every table through
 //! `apply_delta_state`: node views by their table's position in
 //! `referenced_tables`, then view index; segments by the position of the
 //! last table they read, then chain, then segment, the order the replay
 //! completes them in. That replay survives as the `#[cfg(test)]` oracle of
-//! the `bulk_*` tests. The reverse indexes are derived by
-//! `IncrementalState::derive_indexes`, the function the snapshot decoder
-//! ends with.
+//! the `bulk_*` tests. The reverse index of a last support is derived by
+//! `IncrementalState::derive_indexes`. The serving layer persists no state:
+//! recovery replays the log into the database and runs this bulk load
+//! again.
 //!
 //! # One id space
 //!
@@ -116,8 +117,7 @@
 //! keeps no dictionary of its own. The database dictionary never reuses an
 //! id, so a key kept after its rows are gone (a dead node, a boundary
 //! value) still names its value. A delta therefore applies only to a state
-//! built from the database that produced it, and a snapshot of the state
-//! decodes only against that database's dictionary.
+//! built from the database that produced it.
 
 use crate::error::{Error, PatchError};
 use crate::extract::{emit_segment, real_from, segment_edge, StoredEdge};
@@ -131,9 +131,9 @@ use graphgen_dsl::GraphSpec;
 use graphgen_graph::{
     CondensedBuilder, CondensedGraph, GraphRep, PropValue, Properties, RealId, VirtId,
 };
-use graphgen_reldb::exec::{pack, right_of, scan_project, unpack, Bag, BagBuilder, MAX_BAG_LEN};
+use graphgen_reldb::exec::{pack, right_of, scan_project, unpack, Bag, BagBuilder};
 use graphgen_reldb::query::{ChainStep, Output};
-use graphgen_reldb::{Database, Delta, DeltaOp, Interner, Predicate, Value, Vid, NULL_VID};
+use graphgen_reldb::{Database, Delta, DeltaOp, Predicate, Value, Vid, NULL_VID};
 
 /// What [`crate::GraphHandle::apply_delta`] did, for reporting and
 /// benchmarking. All counters are in units of applied operations.
@@ -271,7 +271,7 @@ pub(crate) struct Boundaries {
     /// not seen at this boundary), flat-indexed by id.
     index: Vec<Vec<u32>>,
     /// Per boundary: boundary-local index → the id it was allocated for
-    /// (the interning order, persisted so recovery continues identically).
+    /// (the interning order).
     keys: Vec<Vec<Vid>>,
     /// Per boundary: boundary-local index → allocated virtual node.
     virts: Vec<Vec<VirtId>>,
@@ -319,10 +319,8 @@ pub struct IncrementalState {
     /// not a node key). Pure cache over the handle's `IdMap` — the id map
     /// is append-only, so entries never invalidate — letting the hot
     /// materialize paths resolve an endpoint with one array load instead
-    /// of a value hash into the id map. Not persisted: rebuilt from the id
-    /// map and the database dictionary when a snapshot is decoded
-    /// ([`IncrementalState::rebuild_real_ids`]), and maintained by the
-    /// node-add path during live applies.
+    /// of a value hash into the id map. Filled by the bulk load and
+    /// maintained by the node-add path during live applies.
     real_ids: Vec<u32>,
 }
 
@@ -365,46 +363,6 @@ impl IncrementalState {
         };
         state.derive_indexes();
         state
-    }
-
-    /// Rebuild the database id → real-id side-table from scratch (snapshot
-    /// decode path: the cache is not persisted): one lookup in `dict` per
-    /// node key of `ids`. Real ids added after this call are entered by
-    /// the live node-add path. Fails, naming the key, where the handle and
-    /// the state disagree: a key `dict` does not hold (the handle was not
-    /// extracted from this database), or one whose node rows and live
-    /// node (`alive`) are not both there or both gone — a later delta
-    /// could not find its node.
-    pub(crate) fn rebuild_real_ids(
-        &mut self,
-        ids: &IdMap<Value>,
-        dict: &Interner,
-        alive: impl Fn(RealId) -> bool,
-    ) -> Result<(), String> {
-        let mut real_ids = vec![u32::MAX; self.node_rows.len()];
-        for (id, key) in ids.iter() {
-            let Some(vid) = dict.lookup(key) else {
-                return Err(format!("node key {key} not in the database dictionary"));
-            };
-            if real_ids.len() <= vid as usize {
-                real_ids.resize(vid as usize + 1, u32::MAX);
-            }
-            real_ids[vid as usize] = id;
-        }
-        for (vid, &id) in real_ids.iter().enumerate() {
-            let rows = self.node_rows.get(vid).is_some_and(|rows| !rows.is_empty());
-            if rows != (id != u32::MAX && alive(RealId(id))) {
-                let key = dict.resolve(vid as Vid).expect("a decoded id");
-                let has = if rows {
-                    "rows but no live node"
-                } else {
-                    "a live node but no row"
-                };
-                return Err(format!("node key {key} has {has}"));
-            }
-        }
-        self.real_ids = real_ids;
-        Ok(())
     }
 
     /// Where the state's heap bytes live, estimated from capacities (the
@@ -461,19 +419,6 @@ impl IncrementalState {
             }
         }
         out
-    }
-
-    /// The worker-thread count delta probes fan out over.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Override the worker-thread count delta probes fan out over. Results
-    /// are byte-identical for any value (clamped to ≥ 1); snapshots record
-    /// the count they were encoded with, so a handle recovered on a
-    /// different machine applies its own configuration through this.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 }
 
@@ -630,8 +575,7 @@ impl SegmentState {
     /// orientation — same table, equal predicate, same key and value
     /// columns — share one bag: a self-join's second atom reads its
     /// partner's `by_out` as its `by_in`. The layout follows from the atoms
-    /// alone, so the bulk load, the snapshot decoder and the empty state
-    /// agree on it.
+    /// alone, so the bulk load and the empty state agree on it.
     fn new(steps: impl IntoIterator<Item = ChainStep>) -> Self {
         let atom = |step| AtomState {
             step,
@@ -1131,42 +1075,27 @@ pub(crate) fn apply_delta_state(
 //   the first support, a self-mirroring last segment its own;
 // * a support keeps the pairs `l ≤ r` only where its segment mirrors
 //   itself;
-// * `bounds.index` — one per boundary.
+// * `bounds.index` — one per boundary, filled by `Boundaries::virt` as
+//   it interns.
 //
 // The bags are the primary state (the bulk loader fills them through
-// `SegmentState::adopt`, the snapshot decoder reads them as written);
-// `by_right` and `bounds.index` are functions of the supports and
-// `bounds.keys`, built by `IncrementalState::derive_indexes`, which both
-// end with — `IncrementalState::new` runs it on the empty state.
+// `SegmentState::adopt`); `by_right` is a function of the last support,
+// built by `IncrementalState::derive_indexes` — the bulk load runs it once
+// the supports are in, `IncrementalState::new` on the empty state.
 
 impl ChainState {
     /// `by_right` transposes the last segment's support keys unless that
-    /// segment mirrors the first or itself; `bounds.index` inverts
-    /// `bounds.keys` (which holds no id twice).
+    /// segment mirrors the first or itself.
     fn derive_indexes(&mut self) {
         let (first, last) = (&self.segments[0], &self.segments[self.segments.len() - 1]);
         let mirrored = last.mirrored || mirrors(&first.atoms, &last.atoms);
         self.by_right = (!mirrored).then(|| last.support.transposed_keys());
-        self.bounds.index = self
-            .bounds
-            .keys
-            .iter()
-            .map(|keys| {
-                let slots = keys.iter().max().map_or(0, |&k| k as usize + 1);
-                let mut index = vec![u32::MAX; slots];
-                for (i, &k) in keys.iter().enumerate() {
-                    index[k as usize] = i as u32;
-                }
-                index
-            })
-            .collect();
     }
 }
 
 impl IncrementalState {
-    /// (Re)build every derived index from the primary state — the one
-    /// place they come from, whether the primary state was bulk-loaded or
-    /// decoded from a snapshot.
+    /// Build every derived index from the primary state — the one place
+    /// they come from.
     fn derive_indexes(&mut self) {
         for chain in &mut self.chains {
             chain.derive_indexes();
@@ -1182,8 +1111,8 @@ impl IncrementalState {
     /// Build the maintenance state of `spec` over the current contents of
     /// `db`, together with the graph, key map and properties it maintains —
     /// the set-at-a-time counterpart of replaying every base row through
-    /// [`apply_delta_state`], with the same result down to the encoded
-    /// byte (see the module docs). Every operator here fans out over
+    /// [`apply_delta_state`], with the same result in every field (see the
+    /// module docs). Every operator here fans out over
     /// `threads`, which the state keeps for later applies.
     pub(crate) fn bulk_load(
         spec: &GraphSpec,
@@ -1302,393 +1231,16 @@ impl IncrementalState {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Snapshot codec
-// ---------------------------------------------------------------------------
-//
-// The serving layer persists incremental handles so a recovered process can
-// keep applying deltas exactly where the crashed one stopped. The encoding
-// writes what the state keeps, once, with the workspace codec conventions:
-// the views, per segment its atom headers, then its
-// bags as kept (how many there are, and which atom reads which, follows
-// from the headers through `SegmentState::new`) and its support, per chain
-// the boundary interning, and the node rows, each its view and one
-// presence-tagged value per property column the view declares. The reverse
-// indexes (`by_right`, `bounds.index`) are rebuilt on decode instead of
-// stored. Every bag and support map is written in run order — strictly
-// ascending keys, multiplicities ≥ 1, no empty bag slot — and the decoder
-// accepts nothing else, so a decoded state re-encodes to the bytes it came
-// from. Ids are the database dictionary's and are written as they are; the
-// decoder checks each against that dictionary before anything is sized by
-// it.
-
-use graphgen_common::codec::{self, CodecError, Reader};
-use graphgen_graph::snapshot as graph_snapshot;
-
-/// Read one database id and check it resolves in `dict` — every id the
-/// state keeps names a value of the database it was extracted from.
-fn read_vid(r: &mut Reader<'_>, dict: &Interner) -> Result<Vid, CodecError> {
-    let at = r.pos();
-    let v = r.u32()?;
-    check_vid(at, v, dict)
-}
-
-/// `v` if `dict` holds it, else the error at `at`.
-fn check_vid(at: usize, v: Vid, dict: &Interner) -> Result<Vid, CodecError> {
-    if dict.resolve(v).is_none() {
-        return Err(CodecError::invalid(
-            at,
-            format!("id {v} past the database dictionary's {}", dict.len()),
-        ));
-    }
-    Ok(v)
-}
-
-/// Check what every encoded bag and support map guarantees: keys strictly
-/// ascending (`prev` is the key before this one), a multiplicity in
-/// `1..=u32::MAX`, and no more pairs than a bag holds (`pairs` came
-/// before this one).
-fn check_counted<K: Ord>(
-    at: usize,
-    prev: Option<K>,
-    key: K,
-    count: i64,
-    pairs: usize,
-) -> Result<u32, CodecError> {
-    if prev.is_some_and(|p| p >= key) {
-        return Err(CodecError::invalid(at, "keys not strictly ascending"));
-    }
-    if count < 1 {
-        return Err(CodecError::invalid(at, "multiplicity below 1"));
-    }
-    if pairs >= MAX_BAG_LEN {
-        return Err(CodecError::invalid(at, "more pairs than a bag holds"));
-    }
-    u32::try_from(count).map_err(|_| CodecError::invalid(at, "multiplicity above u32::MAX"))
-}
-
-/// Encode an atom bag slot by slot: every left id with a run, ascending,
-/// then its `(right id, multiplicity)` entries, each run walked once.
-fn put_bag(out: &mut impl codec::Sink, bag: &CountedRuns) {
-    let lefts = bag.lefts();
-    codec::put_len(out, lefts.len());
-    let mut run = Vec::new();
-    for l in lefts {
-        run.clear();
-        run.extend(bag.run(l));
-        codec::put_u32(out, l);
-        codec::put_len(out, run.len());
-        for &(r, m) in &run {
-            codec::put_u32(out, r);
-            codec::put_i64(out, m);
-        }
-    }
-}
-
-/// Decode an atom bag (inverse of [`put_bag`]): slots strictly ascending
-/// and never empty, as the encoder writes them.
-fn read_bag(r: &mut Reader<'_>, dict: &Interner) -> Result<CountedRuns, CodecError> {
-    let n = r.len()?;
-    let mut pairs = BagBuilder::default();
-    let mut prev_slot = None;
-    for _ in 0..n {
-        let at = r.pos();
-        let l = read_vid(r, dict)?;
-        if prev_slot.replace(l).is_some_and(|p| p >= l) {
-            return Err(CodecError::invalid(at, "bag slots not strictly ascending"));
-        }
-        let at = r.pos();
-        let m = r.len_of(12)?;
-        if m == 0 {
-            return Err(CodecError::invalid(at, "empty bag slot"));
-        }
-        let mut prev = None;
-        for _ in 0..m {
-            let at = r.pos();
-            let k = read_vid(r, dict)?;
-            let v = r.i64()?;
-            let v = check_counted(at, prev.replace(k), k, v, pairs.len())?;
-            pairs.push(l, k, v);
-        }
-    }
-    Ok(CountedRuns::from(pairs.finish()))
-}
-
-/// Encode a support map: its length, then every `(packed key, count)`.
-fn put_packed_counts(out: &mut impl codec::Sink, support: &CountedRuns) {
-    codec::put_len(out, support.len());
-    for ((l, r), m) in support.pairs() {
-        codec::put_u64(out, pack(l, r));
-        codec::put_i64(out, m);
-    }
-}
-
-/// Decode a support map (inverse of [`put_packed_counts`]); a `mirrored`
-/// one holds no pair below the diagonal.
-fn read_packed_counts(
-    r: &mut Reader<'_>,
-    dict: &Interner,
-    mirrored: bool,
-) -> Result<CountedRuns, CodecError> {
-    let n = r.len_of(16)?;
-    let mut pairs = BagBuilder::with_capacity(n.min(MAX_BAG_LEN));
-    let mut prev = None;
-    for _ in 0..n {
-        let at = r.pos();
-        let k = r.u64()?;
-        let (l, rr) = unpack(k);
-        check_vid(at, l, dict)?;
-        check_vid(at, rr, dict)?;
-        if mirrored && l > rr {
-            return Err(CodecError::invalid(
-                at,
-                "mirrored support pair below the diagonal",
-            ));
-        }
-        let v = r.i64()?;
-        let v = check_counted(at, prev.replace(k), k, v, pairs.len())?;
-        pairs.push(l, rr, v);
-    }
-    Ok(CountedRuns::from(pairs.finish()))
-}
-
-impl AtomState {
-    /// The atom's header; the segment's bags follow its atoms'
-    /// ([`SegmentState::encode_into`]).
-    fn encode_into(&self, out: &mut impl codec::Sink) {
-        codec::put_str(out, &self.step.table);
-        self.step.pred.encode_into(out);
-        codec::put_len(out, self.step.in_col);
-        codec::put_len(out, self.step.out_col);
-    }
-
-    /// The header only: [`SegmentState::new`] points the atom at its bags.
-    fn decode(r: &mut Reader<'_>) -> Result<ChainStep, CodecError> {
-        Ok(ChainStep {
-            table: r.str()?.to_string(),
-            pred: Predicate::decode(r)?,
-            in_col: r.scalar()?,
-            out_col: r.scalar()?,
-        })
-    }
-}
-
-impl SegmentState {
-    fn encode_into(&self, out: &mut impl codec::Sink) {
-        codec::put_len(out, self.atoms.len());
-        for atom in &self.atoms {
-            atom.encode_into(out);
-        }
-        for bag in &self.bags {
-            put_bag(out, bag);
-        }
-        put_packed_counts(out, &self.support);
-    }
-
-    /// The atom headers decide the bag layout ([`SegmentState::new`]); the
-    /// bags and the support follow as written, their ids in `dict`.
-    fn decode(r: &mut Reader<'_>, dict: &Interner) -> Result<Self, CodecError> {
-        let n = r.len()?;
-        let steps = (0..n).map(|_| AtomState::decode(r));
-        let mut seg = Self::new(steps.collect::<Result<Vec<_>, _>>()?);
-        for bag in &mut seg.bags {
-            *bag = read_bag(r, dict)?;
-        }
-        seg.support = read_packed_counts(r, dict, seg.mirrored)?;
-        Ok(seg)
-    }
-}
-
-impl IncrementalState {
-    /// Encode the whole maintenance state (see the module-level codec
-    /// notes). Deterministic: runs are walked in order, hash-map content is
-    /// emitted in sorted order.
-    pub(crate) fn encode_into(&self, out: &mut impl codec::Sink) {
-        codec::put_len(out, self.threads);
-        codec::put_len(out, self.views.len());
-        for view in &self.views {
-            codec::put_str(out, &view.relation);
-            codec::put_len(out, view.id_col);
-            codec::put_len(out, view.prop_cols.len());
-            for (name, col) in &view.prop_cols {
-                codec::put_str(out, name);
-                codec::put_len(out, *col);
-            }
-            view.pred.encode_into(out);
-        }
-        codec::put_len(out, self.chains.len());
-        for chain in &self.chains {
-            codec::put_len(out, chain.segments.len());
-            for seg in &chain.segments {
-                seg.encode_into(out);
-            }
-            codec::put_len(out, chain.bounds.keys.len());
-            for (keys, virts) in chain.bounds.keys.iter().zip(&chain.bounds.virts) {
-                // Boundary interning order, persisted explicitly (the flat
-                // id → local-index table is rebuilt on decode).
-                codec::put_len(out, keys.len());
-                for k in keys {
-                    codec::put_u32(out, *k);
-                }
-                codec::put_len(out, virts.len());
-                for v in virts {
-                    codec::put_u32(out, v.0);
-                }
-            }
-        }
-        // Node entries ascending by key: the rows (their count is the
-        // key's support), each its view and one presence-tagged value per
-        // property column the view declares.
-        let nodes = self.node_rows.iter().enumerate();
-        let nodes: Vec<(usize, &Box<[PropRow]>)> =
-            nodes.filter(|(_, rows)| !rows.is_empty()).collect();
-        codec::put_len(out, nodes.len());
-        for (key, rows) in nodes {
-            codec::put_u32(out, key as Vid);
-            codec::put_len(out, rows.len());
-            for row in rows.iter() {
-                codec::put_len(out, row.view);
-                for value in row.values.iter() {
-                    graph_snapshot::encode_prop_cell(value.as_ref(), out);
-                }
-            }
-        }
-    }
-
-    /// Decode a maintenance state (inverse of
-    /// [`IncrementalState::encode_into`]) whose ids name values of `dict`,
-    /// the database dictionary: the primary state is read and validated,
-    /// then [`IncrementalState::derive_indexes`] rebuilds the reverse
-    /// indexes. An id `dict` does not hold is an error, raised before
-    /// anything is sized by it.
-    pub(crate) fn decode(r: &mut Reader<'_>, dict: &Interner) -> Result<Self, CodecError> {
-        // `threads` is a plain scalar, not a length — `Reader::len`'s
-        // fits-in-remaining-input plausibility check would spuriously
-        // reject a small state encoded on a many-core machine.
-        let threads = r.scalar()?.max(1);
-        let n_views = r.len()?;
-        let mut views = Vec::with_capacity(n_views);
-        for _ in 0..n_views {
-            let relation = r.str()?.to_string();
-            let id_col = r.scalar()?;
-            let n_props = r.len()?;
-            let mut prop_cols = Vec::with_capacity(n_props);
-            for _ in 0..n_props {
-                let name = r.str()?.to_string();
-                let col = r.scalar()?;
-                prop_cols.push((name, col));
-            }
-            let pred = Predicate::decode(r)?;
-            views.push(ViewState {
-                relation,
-                id_col,
-                prop_cols,
-                pred,
-            });
-        }
-        let n_chains = r.len()?;
-        let mut chains = Vec::with_capacity(n_chains);
-        for _ in 0..n_chains {
-            let at = r.pos();
-            let n_segs = r.len()?;
-            if n_segs == 0 {
-                return Err(CodecError::invalid(at, "chain without a segment"));
-            }
-            let mut segments = Vec::with_capacity(n_segs);
-            for _ in 0..n_segs {
-                segments.push(SegmentState::decode(r, dict)?);
-            }
-            let n_bounds = r.len()?;
-            let at = r.pos();
-            if n_bounds != n_segs.saturating_sub(1) {
-                return Err(CodecError::invalid(at, "boundary count mismatch"));
-            }
-            let mut bounds = Boundaries::new(0);
-            for _ in 0..n_bounds {
-                let n_keys = r.len_of(4)?;
-                let mut keys = Vec::with_capacity(n_keys);
-                let mut seen: FxHashSet<Vid> = FxHashSet::default();
-                for _ in 0..n_keys {
-                    let at = r.pos();
-                    let k = read_vid(r, dict)?;
-                    if !seen.insert(k) {
-                        return Err(CodecError::invalid(at, "duplicate boundary key"));
-                    }
-                    keys.push(k);
-                }
-                let n_virts = r.len_of(4)?;
-                let at = r.pos();
-                if n_virts != keys.len() {
-                    return Err(CodecError::invalid(at, "boundary virtual count mismatch"));
-                }
-                let mut virts = Vec::with_capacity(n_virts);
-                for _ in 0..n_virts {
-                    virts.push(VirtId(r.u32()?));
-                }
-                bounds.keys.push(keys);
-                bounds.virts.push(virts);
-            }
-            chains.push(ChainState {
-                segments,
-                bounds,
-                by_right: None,
-            });
-        }
-        let n_nodes = r.len()?;
-        let mut node_rows: Vec<Box<[PropRow]>> = Vec::new();
-        for _ in 0..n_nodes {
-            let at = r.pos();
-            let key = read_vid(r, dict)? as usize;
-            if node_rows.len() > key {
-                return Err(CodecError::invalid(at, "node keys not strictly ascending"));
-            }
-            let at = r.pos();
-            let n_rows = r.len()?;
-            if n_rows == 0 {
-                return Err(CodecError::invalid(at, "node entry without a row"));
-            }
-            let mut rows = Vec::with_capacity(n_rows);
-            for _ in 0..n_rows {
-                let at = r.pos();
-                let view = r.scalar()?;
-                let Some(view_state) = views.get(view) else {
-                    return Err(CodecError::invalid(
-                        at,
-                        "node entry references unknown view",
-                    ));
-                };
-                let values = (0..view_state.prop_cols.len())
-                    .map(|_| graph_snapshot::decode_prop_cell(r))
-                    .collect::<Result<_, _>>()?;
-                rows.push(PropRow { view, values });
-            }
-            node_rows.resize_with(key, Box::default);
-            node_rows.push(rows.into_boxed_slice());
-        }
-        let mut state = Self {
-            threads,
-            views,
-            chains,
-            node_rows,
-            // Not persisted: the snapshot decoder rebuilds this from the
-            // decoded id map (`rebuild_real_ids`).
-            real_ids: Vec::new(),
-        };
-        state.derive_indexes();
-        Ok(state)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::{apply_delta_state, CodecError, GraphPatch, IncrementalState, Reader};
+    use super::{apply_delta_state, GraphPatch, IncrementalState};
     use crate::error::Error;
     use crate::extract::{GraphGen, GraphGenConfig};
     use crate::handle::{ConvertOptions, GraphHandle};
     use crate::planner::plan_chain;
+    use graphgen_common::codec::Reader;
     use graphgen_common::{IdMap, SplitMix64};
     use graphgen_graph::{expand_to_edge_list, CondensedBuilder, GraphRep, Properties, RepKind};
-    use graphgen_reldb::exec::{pack, unpack};
     use graphgen_reldb::{
         Column, Database, DbError, Delta, DeltaOp, Oversize, Schema, Table, Value,
     };
@@ -2051,20 +1603,34 @@ mod tests {
         )
     }
 
-    fn state_bytes(g: &GraphHandle) -> Vec<u8> {
-        let mut out = Vec::new();
-        g.incremental_state()
-            .expect("incremental handle")
-            .encode_into(&mut out);
-        out
+    /// Every field of the maintenance state but the derived indexes, in
+    /// order: the thread count, the views, per segment its atoms, whether
+    /// it mirrors itself, each bag's and the support's pairs with their
+    /// counts, per chain the boundary keys and virtual nodes in interning
+    /// order, and the node rows of every key that has any.
+    fn state_dump(g: &GraphHandle) -> String {
+        let state = g.incremental_state().expect("incremental handle");
+        let mut out = format!("threads {}\nviews {:?}\n", state.threads, state.views);
+        for chain in &state.chains {
+            for seg in &chain.segments {
+                let steps: Vec<_> = seg.atoms.iter().map(|a| &a.step).collect();
+                out += &format!("segment {steps:?} mirrored {}\n", seg.mirrored);
+                for runs in seg.bags.iter().chain([&seg.support]) {
+                    out += &format!("  {:?}\n", runs.pairs().collect::<Vec<_>>());
+                }
+            }
+            let bounds = &chain.bounds;
+            out += &format!("keys {:?}\nvirts {:?}\n", bounds.keys, bounds.virts);
+        }
+        let rows = state.node_rows.iter().enumerate();
+        let rows: Vec<_> = rows.filter(|(_, rows)| !rows.is_empty()).collect();
+        out + &format!("nodes {rows:?}\n")
     }
 
-    /// Every encoded byte of the maintenance state — atom bags, supports,
-    /// boundary key/virtual order, node entries — the real id of every
-    /// node key, which the encoded state does not hold, and the graph the
-    /// handle serves.
+    /// Every field of the maintenance state ([`state_dump`]), the real id
+    /// of every node key, and the graph the handle serves.
     fn assert_same_handle(bulk: &GraphHandle, replay: &GraphHandle, what: &str) {
-        assert!(state_bytes(bulk) == state_bytes(replay), "{what}: state");
+        assert!(state_dump(bulk) == state_dump(replay), "{what}: state");
         assert!(
             bulk.ids().iter().eq(replay.ids().iter()),
             "{what}: real ids"
@@ -2699,182 +2265,6 @@ mod tests {
         assert_eq!(mirrored_step(&db, &mut handles, d).nodes_removed, 1);
         let d = db.insert_rows("Author", vec![author(9)]).unwrap();
         assert_eq!(mirrored_step(&db, &mut handles, d).nodes_revived, 1);
-    }
-
-    // -----------------------------------------------------------------------
-    // Hostile snapshot bytes
-    // -----------------------------------------------------------------------
-
-    /// The encoded state of Q1 over Fig. 1 cut into two single-atom
-    /// segments, and the offset of segment 0's support map in it.
-    fn encoded_state_with_support_at() -> (Vec<u8>, usize) {
-        let g = GraphGen::with_config(&fig1_db(), cfg(true, 1))
-            .extract(Q1)
-            .unwrap();
-        let bytes = state_bytes(&g);
-        // Fig. 1's eight (author, publication) pairs, each held once: the
-        // first map of eight entries whose first count is 1.
-        let n = 8u64.to_le_bytes();
-        let at = (0..bytes.len() - 32)
-            .find(|&i| bytes[i..i + 8] == n && bytes[i + 16..i + 24] == 1i64.to_le_bytes())
-            .expect("support map of segment 0");
-        (bytes, at)
-    }
-
-    /// Decode a state of a handle extracted from [`fig1_db`] against its
-    /// dictionary.
-    fn decode_state(bytes: &[u8]) -> Result<IncrementalState, CodecError> {
-        IncrementalState::decode(&mut Reader::new(bytes), fig1_db().dict())
-    }
-
-    #[test]
-    fn decode_rejects_zero_multiplicity() {
-        let (mut bytes, at) = encoded_state_with_support_at();
-        assert!(decode_state(&bytes).is_ok());
-        bytes[at + 16..at + 24].copy_from_slice(&0i64.to_le_bytes());
-        let err = decode_state(&bytes).unwrap_err();
-        assert!(
-            matches!(&err, CodecError::Invalid { at: pos, what }
-                if *pos == at + 8 && what.contains("multiplicity")),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn decode_rejects_duplicate_packed_key() {
-        let (mut bytes, at) = encoded_state_with_support_at();
-        // Entry 1's key := entry 0's key.
-        let first = bytes[at + 8..at + 16].to_vec();
-        bytes[at + 24..at + 32].copy_from_slice(&first);
-        let err = decode_state(&bytes).unwrap_err();
-        assert!(
-            matches!(&err, CodecError::Invalid { at: pos, what }
-                if *pos == at + 24 && what.contains("ascending")),
-            "{err}"
-        );
-    }
-
-    /// A count is kept in 32 bits: an encoded support or bag entry whose
-    /// count passes `u32::MAX` is refused at the entry, never truncated.
-    #[test]
-    fn decode_rejects_a_count_above_u32_max() {
-        let over = (i64::from(u32::MAX) + 1).to_le_bytes();
-        let (mut bytes, at) = encoded_state_with_support_at();
-        bytes[at + 16..at + 24].copy_from_slice(&over);
-        let err = decode_state(&bytes).unwrap_err();
-        assert!(
-            matches!(&err, CodecError::Invalid { at: pos, what }
-                if *pos == at + 8 && what.contains("above u32::MAX")),
-            "{err}"
-        );
-        let g = GraphGen::with_config(&fig1_db(), bulk_cfg(None, 1, true))
-            .extract(Q1)
-            .unwrap();
-        let mut bytes = state_bytes(&g);
-        // Slot 0's first entry: its right id, then its count.
-        let entry = shared_bag_at(&bytes) + 8 + 4 + 8;
-        bytes[entry + 4..entry + 12].copy_from_slice(&over);
-        let err = decode_state(&bytes).unwrap_err();
-        assert!(
-            matches!(&err, CodecError::Invalid { at: pos, what }
-                if *pos == entry && what.contains("above u32::MAX")),
-            "{err}"
-        );
-    }
-
-    /// Q1 over Fig. 1 as one two-atom segment: the self-join's one bag,
-    /// `(publication, author)`, has three publication slots, the first
-    /// holding three authors, one each. Its offset in the encoded state.
-    fn shared_bag_at(bytes: &[u8]) -> usize {
-        let three = 3u64.to_le_bytes();
-        (0..bytes.len() - 24)
-            .find(|&i| bytes[i..i + 8] == three && bytes[i + 12..i + 20] == three)
-            .expect("the self-join's bag")
-    }
-
-    /// Q1 over Fig. 1 as one segment mirrors itself: its support keeps
-    /// the 11 pairs on and above the diagonal of the 19 it counts, and
-    /// follows the shared bag (three slots of 3, 2 and 3 authors). A pair
-    /// below the diagonal is refused at its entry.
-    #[test]
-    fn decode_rejects_a_mirrored_support_pair_below_the_diagonal() {
-        let g = GraphGen::with_config(&fig1_db(), bulk_cfg(None, 1, true))
-            .extract(Q1)
-            .unwrap();
-        let mut bytes = state_bytes(&g);
-        let support = shared_bag_at(&bytes) + 8 + 3 * (4 + 8) + 8 * 12;
-        assert_eq!(bytes[support..support + 8], 11u64.to_le_bytes());
-        // Entry 1 is a1's pair with a2: store it as (a2, a1).
-        let entry = support + 8 + 16;
-        let key = u64::from_le_bytes(bytes[entry..entry + 8].try_into().unwrap());
-        let (l, r) = unpack(key);
-        assert!(l < r);
-        bytes[entry..entry + 8].copy_from_slice(&pack(r, l).to_le_bytes());
-        let err = decode_state(&bytes).unwrap_err();
-        assert!(
-            matches!(&err, CodecError::Invalid { at: pos, what }
-                if *pos == entry && what.contains("below the diagonal")),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn decode_rejects_empty_bag_slot() {
-        let g = GraphGen::with_config(&fig1_db(), bulk_cfg(None, 1, true))
-            .extract(Q1)
-            .unwrap();
-        let mut bytes = state_bytes(&g);
-        assert!(decode_state(&bytes).is_ok());
-        let at = shared_bag_at(&bytes);
-        // Slot 0 keeps its id but loses its three entries: a slot the
-        // encoder never writes.
-        let count = at + 8 + 4;
-        bytes.drain(count + 8..count + 8 + 3 * 12);
-        bytes[count..count + 8].copy_from_slice(&0u64.to_le_bytes());
-        let err = decode_state(&bytes).unwrap_err();
-        assert!(
-            matches!(&err, CodecError::Invalid { at: pos, what }
-                if *pos == count && what.contains("empty bag slot")),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn decode_rejects_descending_bag_slot() {
-        let g = GraphGen::with_config(&fig1_db(), bulk_cfg(None, 1, true))
-            .extract(Q1)
-            .unwrap();
-        let mut bytes = state_bytes(&g);
-        assert!(decode_state(&bytes).is_ok());
-        let at = shared_bag_at(&bytes);
-        // Slot 1's id := 0, not above slot 0's: it would overwrite a bag.
-        let second = at + 8 + 4 + 8 + 3 * 12;
-        bytes[second..second + 4].copy_from_slice(&0u32.to_le_bytes());
-        let err = decode_state(&bytes).unwrap_err();
-        assert!(
-            matches!(&err, CodecError::Invalid { at: pos, what }
-                if *pos == second && what.contains("bag slots")),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn decode_rejects_a_bad_presence_tag() {
-        let g = extract(&fig1_db(), true);
-        let mut bytes = state_bytes(&g);
-        assert!(decode_state(&bytes).is_ok());
-        // The state ends with the last node row's one property cell:
-        // present, text, "a5".
-        let at = bytes.len() - (1 + 1 + 8 + 2);
-        assert_eq!(bytes[at..at + 2], [1, 2]);
-        assert!(bytes.ends_with(b"a5"));
-        bytes[at] = 7;
-        let err = decode_state(&bytes).unwrap_err();
-        assert!(
-            matches!(&err, CodecError::Invalid { at: pos, what }
-                if *pos == at && what.contains("bad presence tag 7")),
-            "{err}"
-        );
     }
 
     /// `M(e, g, y)` with `y` in {7, 8}, keys and groups from small domains.

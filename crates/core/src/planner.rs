@@ -18,7 +18,9 @@
 //! `graphgen-check --explain` plan trees, and the serve layer's `EXPLAIN`
 //! verb and drift detector.
 
-use graphgen_dsl::cost::{estimate_chain, render_explain, ChainCost, PlanFingerprint};
+use graphgen_dsl::cost::{
+    estimate_chain, plan_fingerprint, render_explain, segments_of, ChainCost, PlanFingerprint,
+};
 use graphgen_dsl::{
     ChainAtom, CheckCatalog, ColType, ConstFilter, EdgeChain, GraphSpec, RelationInfo,
 };
@@ -164,13 +166,28 @@ pub fn plan_chain(
     chain: &EdgeChain,
     large_output_factor: f64,
 ) -> DbResult<ChainPlan> {
-    let atoms = &chain.steps;
     let cost = cost_chain(db, chain, large_output_factor)?;
+    Ok(plan_with_cuts(chain, &cost, &cost.cuts()))
+}
+
+/// Build the plan of `chain` that postpones exactly the joins `cuts` flags,
+/// with the estimates of `cost`, the chain's analysis under the statistics
+/// it is planned against. [`plan_chain`] passes the min-cost cuts; a served
+/// graph rebuilt on recovery passes the cuts it was first extracted with,
+/// so a restart never re-plans it.
+///
+/// # Panics
+///
+/// If `cuts` does not hold one flag per join of `chain`.
+pub fn plan_with_cuts(chain: &EdgeChain, cost: &ChainCost, cuts: &[bool]) -> ChainPlan {
+    let atoms = &chain.steps;
+    assert_eq!(cuts.len(), cost.joins.len(), "one cut flag per join");
     let joins = cost
         .joins
         .iter()
+        .zip(cuts)
         .enumerate()
-        .map(|(i, j)| JoinDecision {
+        .map(|(i, (j, &cut))| JoinDecision {
             left_atom: i,
             left_table: j.left.clone(),
             right_table: j.right.clone(),
@@ -178,11 +195,10 @@ pub fn plan_chain(
             right_rows: j.right_rows.round() as usize,
             distinct: j.distinct as usize,
             estimated_output: j.estimated_output,
-            large_output: j.cut,
+            large_output: cut,
         })
         .collect();
-    let segments = cost
-        .segments()
+    let segments = segments_of(cuts, atoms.len())
         .into_iter()
         .map(|(start, end)| {
             let steps: Vec<ChainStep> = atoms[start..=end].iter().map(atom_to_step).collect();
@@ -192,12 +208,12 @@ pub fn plan_chain(
             }
         })
         .collect();
-    Ok(ChainPlan {
+    ChainPlan {
         joins,
         segments,
-        estimated_cost: cost.cost,
-        fingerprint: cost.fingerprint,
-    })
+        estimated_cost: cost.cost_of(cuts),
+        fingerprint: plan_fingerprint(atoms, cuts),
+    }
 }
 
 /// Build the single full-expansion query for the chain (the paper's
@@ -217,11 +233,6 @@ pub struct Explanation {
 }
 
 impl Explanation {
-    /// Total estimated cost of the chosen plans across all chains.
-    pub fn total_cost(&self) -> f64 {
-        self.chains.iter().map(|c| c.cost).sum()
-    }
-
     /// Total virtual-node layers across all chains.
     pub fn virtual_layers(&self) -> usize {
         self.chains.iter().map(|c| c.virtual_layers()).sum()
@@ -321,6 +332,24 @@ mod tests {
         }
     }
 
+    /// A plan built at cuts other than the min-cost ones keeps them, and
+    /// carries their cost and fingerprint, not the min-cost plan's.
+    #[test]
+    fn a_plan_at_given_cuts_is_costed_at_them() {
+        use graphgen_dsl::cost::cost_with_cuts;
+        let db = dblp_like(50, 100, 10);
+        let chain = coauthor_chain();
+        let best = plan_chain(&db, &chain, 2.0).unwrap();
+        let cost = cost_chain(&db, &chain, 2.0).unwrap();
+        let kept = plan_with_cuts(&chain, &cost, &[false]);
+        assert_eq!(kept.segments.len(), 1);
+        assert!(!kept.joins[0].large_output);
+        let live = cost_with_cuts(&catalog_view(&db), &chain.steps, 2.0, &[false]);
+        assert_eq!(Some(kept.estimated_cost), live);
+        assert!(kept.estimated_cost > best.estimated_cost);
+        assert_ne!(kept.fingerprint, best.fingerprint);
+    }
+
     #[test]
     fn full_query_matches_chain_len() {
         let chain = coauthor_chain();
@@ -391,7 +420,6 @@ mod tests {
         assert_eq!(ex.chains.len(), 1);
         // 1000·1000/100 = 10000 > 2·2000 -> one virtual layer.
         assert_eq!(ex.virtual_layers(), 1);
-        assert!(ex.total_cost() > 0.0);
         let rendered = ex.to_string();
         assert!(
             rendered.contains("chain 1: AuthorPub ⋈ AuthorPub"),

@@ -7,8 +7,7 @@
 //! the net changes made since the last merge.
 //!
 //! * **Base:** the [`Bag`] as of the last merge. The bulk loader adopts the
-//!   operators' bags as they are, and a snapshot decoder writes one with a
-//!   [`graphgen_reldb::exec::BagBuilder`].
+//!   operators' bags as they are.
 //! * **Overlay:** per left id, a short list of `(r: u32, change: i32)`
 //!   sorted by `r`, 8 B an entry.
 //! * **Limits:** counts are `1..=u32::MAX` and a bag holds at most
@@ -81,11 +80,6 @@ impl From<Bag> for CountedRuns {
 }
 
 impl CountedRuns {
-    /// How many pairs have a positive count.
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
     /// The count of `key` (0 when absent).
     pub(crate) fn get(&self, key: u64) -> i64 {
         let (l, r) = unpack(key);
@@ -185,20 +179,6 @@ impl CountedRuns {
             base.map(|&e| (right_of(e), i64::from(count_of(e)))),
             adj.map(|&(r, d)| (r, i64::from(d))),
         )
-    }
-
-    /// Every left id with at least one pair, ascending.
-    pub(crate) fn lefts(&self) -> Vec<Vid> {
-        let mut changed: Vec<Vid> = self.overlay.keys().copied().collect();
-        changed.sort_unstable();
-        let slots = (self.base.slots() as Vid).max(changed.last().map_or(0, |&l| l + 1));
-        let mut changed = changed.into_iter().peekable();
-        (0..slots)
-            .filter(|&l| match changed.next_if_eq(&l) {
-                Some(_) => self.run(l).next().is_some(),
-                None => !self.base.run(l).is_empty(),
-            })
-            .collect()
     }
 
     /// Every `((l, r), count)`, ascending by `(l, r)`.
@@ -322,7 +302,7 @@ mod tests {
     fn check(runs: &CountedRuns, model: &BTreeMap<u64, i64>, what: &str) {
         let all: Vec<(u64, i64)> = model.iter().map(|(&k, &m)| (k, m)).collect();
         assert_eq!(entries(runs), all, "{what}: iteration");
-        assert_eq!(runs.len(), model.len(), "{what}: len");
+        assert_eq!(runs.len, model.len(), "{what}: len");
         let lefts: BTreeSet<u32> = model.keys().map(|&k| unpack(k).0).chain(0..4).collect();
         for &l in &lefts {
             let want: Vec<(u32, i64)> = model
@@ -412,14 +392,14 @@ mod tests {
         }
         assert_eq!(runs.get(pack(1, 2)), 1);
         assert_eq!(runs.get(pack(9, 9)), 0);
-        assert_eq!(runs.len(), 2);
+        assert_eq!(runs.len, 2);
         // The overlay holds one entry; this many more force a merge, and
         // the base takes them over.
         for r in 0..MERGE_MIN as u32 {
             runs.add(pack(5, r), 1, "count").unwrap();
         }
         assert!(runs.overlay.is_empty());
-        assert_eq!(runs.len(), MERGE_MIN + 2);
+        assert_eq!(runs.len, MERGE_MIN + 2);
         assert_eq!(runs.run(5).count(), MERGE_MIN);
         assert_eq!(runs.get(pack(1, 2)), 1);
     }
@@ -461,8 +441,6 @@ mod tests {
                 n => model.insert(key, n),
             };
             check(&runs, &model, &format!("add {d}"));
-            let lefts: BTreeSet<u32> = model.keys().map(|&k| unpack(k).0).collect();
-            assert_eq!(runs.lefts(), lefts.into_iter().collect::<Vec<_>>());
         }
     }
 

@@ -35,30 +35,6 @@ pub struct CondensedGenConfig {
     pub seed: u64,
 }
 
-impl CondensedGenConfig {
-    /// The paper's Synthetic_1: many small virtual nodes.
-    pub fn synthetic_1(scale: f64) -> Self {
-        Self {
-            n_real: (20_000.0 * scale) as usize,
-            n_virtual: (200_000.0 * scale) as usize,
-            mean_size: 7.0,
-            sd_size: 3.0,
-            seed: 101,
-        }
-    }
-
-    /// The paper's Synthetic_2: few very large overlapping cliques.
-    pub fn synthetic_2(scale: f64) -> Self {
-        Self {
-            n_real: (200_000.0 * scale) as usize,
-            n_virtual: (1_000.0 * scale).max(8.0) as usize,
-            mean_size: 94.0,
-            sd_size: 30.0,
-            seed: 102,
-        }
-    }
-}
-
 /// Draw from N(mean, sd) via Box–Muller.
 fn normal(rng: &mut SplitMix64, mean: f64, sd: f64) -> f64 {
     let u1 = rng.next_f64().max(1e-12);
@@ -244,13 +220,5 @@ mod tests {
         });
         // Dense overlap: expansion should dwarf the condensed size.
         assert!(g.expanded_edge_count() > 2 * g.stored_edge_count());
-    }
-
-    #[test]
-    fn presets_scale() {
-        let s1 = CondensedGenConfig::synthetic_1(0.01);
-        assert_eq!(s1.n_real, 200);
-        let s2 = CondensedGenConfig::synthetic_2(0.01);
-        assert_eq!(s2.n_real, 2000);
     }
 }

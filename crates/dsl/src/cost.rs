@@ -182,6 +182,17 @@ impl ChainCost {
     pub fn segments(&self) -> Vec<(usize, usize)> {
         segments_of(&self.cuts(), self.atoms.len())
     }
+
+    /// The cost of the plan that applies `cuts` (one flag per join) under
+    /// the statistics this analysis ran on: [`ChainCost::cost`] for the
+    /// chosen cuts.
+    pub fn cost_of(&self, cuts: &[bool]) -> f64 {
+        let stats = ChainStats {
+            atoms: self.atoms.clone(),
+            distinct: self.joins.iter().map(|j| j.distinct).collect(),
+        };
+        plan_cost(&stats, cuts, self.factor)
+    }
 }
 
 /// Segment boundaries implied by a cut set over `n_atoms` atoms.

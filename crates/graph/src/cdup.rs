@@ -13,8 +13,7 @@
 //!
 //! Every adjacency list is **strictly sorted**, and [`Adj`]'s order puts
 //! real targets before virtual ones: the builder sorts and dedups, the
-//! patch surface inserts in place (`insert_sorted`), and the snapshot
-//! decoder rejects any list that is not strictly sorted. So the real
+//! patch surface inserts in place (`insert_sorted`). So the real
 //! prefix of a list is duplicate-free, and two paths can meet only behind
 //! a virtual entry. The iterator therefore emits the prefix directly and
 //! hashes only when the list holds a virtual target; a graph with no
@@ -94,29 +93,13 @@ impl CondensedGraph {
         g
     }
 
-    /// Assemble from decoded chunked stores (the snapshot codec's exit
-    /// point; shape and liveness lengths already validated).
-    pub(crate) fn from_chunked(
-        real_out: ChunkedAdj,
-        virt_out: ChunkedAdj,
-        alive: Vec<bool>,
-    ) -> Self {
-        let n_alive = alive.iter().filter(|&&a| a).count();
-        Self {
-            real_out,
-            virt_out,
-            alive,
-            n_alive,
-        }
-    }
-
     /// Number of virtual nodes.
     pub fn num_virtual(&self) -> usize {
         self.virt_out.len()
     }
 
     /// The chunked real-node adjacency store (structural-sharing
-    /// diagnostics and the snapshot codec).
+    /// diagnostics).
     pub fn real_out_chunks(&self) -> &ChunkedAdj {
         &self.real_out
     }

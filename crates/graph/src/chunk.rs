@@ -26,16 +26,13 @@
 //! a straight `memcpy` (not a pointer chase through per-list allocations),
 //! and iteration over a chunk's lists is sequential in memory.
 //!
-//! A chunk's buffer never doubles: a built, decoded or copied chunk is
+//! A chunk's buffer never doubles: a built or copied chunk is
 //! exact-sized, and a full buffer grows by an eighth of its length. A
 //! served graph is copied chunk by chunk on every publish that writes to
 //! it, so a doubling buffer would leave most chunks half empty; an eighth
 //! keeps the store within about an eighth of its exact size, for one
 //! reallocation per `len / 8` inserts, each of which already moves
 //! `O(len)` entries.
-//!
-//! The snapshot codec (`crate::snapshot`) understands chunks natively and
-//! deduplicates identical ones on disk.
 
 use crate::ids::Adj;
 use graphgen_common::bytesize::grow_by_eighth;
@@ -198,7 +195,7 @@ impl ChunkedAdj {
         Self { chunks, len }
     }
 
-    /// Rebuild from decoded chunks (the snapshot codec's inverse). The
+    /// Assemble from chunks built elsewhere (the EXP builder's). The
     /// caller guarantees the shape invariant: every chunk but the last
     /// holds exactly [`CHUNK_LEN`] lists, and the lengths sum to `len`.
     pub(crate) fn from_chunks(chunks: Vec<Arc<AdjChunk>>, len: usize) -> Self {
@@ -220,7 +217,7 @@ impl ChunkedAdj {
         self.len == 0
     }
 
-    /// The backing chunks (snapshot codec and sharing tests).
+    /// The backing chunks (structural-sharing diagnostics and tests).
     pub fn chunks(&self) -> &[Arc<AdjChunk>] {
         &self.chunks
     }

@@ -67,13 +67,6 @@ impl Adj {
     pub fn raw(self) -> u32 {
         self.0
     }
-
-    /// Rebuild from a packed value produced by [`Adj::raw`] (the snapshot
-    /// codec's inverse).
-    #[inline]
-    pub fn from_raw(raw: u32) -> Self {
-        Adj(raw)
-    }
 }
 
 impl fmt::Debug for Adj {

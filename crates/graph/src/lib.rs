@@ -34,7 +34,6 @@ pub mod dedup2;
 pub mod exp;
 pub mod ids;
 pub mod properties;
-pub mod snapshot;
 pub mod validate;
 
 pub use api::{GraphRep, RepKind};

@@ -6,8 +6,7 @@
 //!   `for_each_neighbor`, `degree` and `expanded_edge_count` are checked
 //!   against an independent `BTreeSet` reachability over the stored lists,
 //!   on random single- and multi-layer graphs with direct edges and
-//!   deleted vertices, after every kind of in-place patch and a snapshot
-//!   round-trip.
+//!   deleted vertices, after every kind of in-place patch.
 //! * `ExpandedGraph::from_rep` (one buffer per vertex, a counting
 //!   transpose for the in-lists) must equal `from_edges` over the
 //!   representation's expanded edge list, field for field, for every
@@ -20,9 +19,7 @@
 //! `cargo test --release -p graphgen-graph --test neighbor_differential
 //! -- --include-ignored`.
 
-use graphgen_common::codec::Reader;
 use graphgen_common::SplitMix64;
-use graphgen_graph::snapshot::{decode_condensed, encode_condensed, ChunkDecoder, ChunkEncoder};
 use graphgen_graph::validate::{validate_dedup1, validate_dedup2, validate_no_duplicate_emission};
 use graphgen_graph::{
     expand_to_edge_list, Adj, BitmapGraph, CondensedBuilder, CondensedGraph, Dedup1Graph,
@@ -154,20 +151,6 @@ fn check_cdup(g: &CondensedGraph, ctx: &str) {
     validate_no_duplicate_emission(g).unwrap_or_else(|e| panic!("{ctx}: {e}"));
 }
 
-fn snapshot_round_trip(g: &CondensedGraph) -> CondensedGraph {
-    let mut enc = ChunkEncoder::new();
-    let mut body = Vec::new();
-    encode_condensed(g, &mut enc, &mut body);
-    let mut buf = Vec::new();
-    enc.finish_into(&mut buf);
-    buf.extend_from_slice(&body);
-    let mut r = Reader::new(&buf);
-    let dec = ChunkDecoder::decode(&mut r).expect("chunk table");
-    let back = decode_condensed(&mut r, &dec).expect("decode");
-    r.expect_end().expect("no trailing bytes");
-    back
-}
-
 /// Virtual nodes `expand_virtual` accepts: no virtual parent, only real
 /// targets, and not already emptied.
 fn expandable(g: &CondensedGraph) -> Vec<VirtId> {
@@ -221,13 +204,6 @@ fn check_patched(seed: u64, rng: &mut SplitMix64, layers: u32) {
     }
     g.revive_vertex(RealId(range(rng, 0, n)));
     check_cdup(&g, &format!("seed {seed}: revived"));
-    let back = snapshot_round_trip(&g);
-    check_cdup(&back, &format!("seed {seed}: snapshot"));
-    assert_eq!(
-        expand_to_edge_list(&back),
-        expand_to_edge_list(&g),
-        "seed {seed}: snapshot changed the graph"
-    );
 }
 
 #[test]

@@ -30,17 +30,6 @@ pub struct ColumnStats {
     pub n_distinct: usize,
 }
 
-impl ColumnStats {
-    /// Average number of rows per distinct value of this column.
-    pub fn avg_fanout(&self) -> f64 {
-        if self.n_distinct == 0 {
-            0.0
-        } else {
-            self.row_count as f64 / self.n_distinct as f64
-        }
-    }
-}
-
 /// Maintained statistics state of one table: a [`Vid`] → occurrence-count
 /// map per column (the exact-`n_distinct` index the planner reads through
 /// [`ColumnStats`]), plus a whole-row hash → occurrence-count map that
@@ -299,11 +288,6 @@ impl Database {
             .ok_or_else(|| DbError::UnknownTable(name.to_string()))
     }
 
-    /// True if a table with this name exists.
-    pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(name)
-    }
-
     /// Statistics for the `col`-th column of `table` (the `pg_stats`
     /// lookup), read from the incrementally maintained value-count maps.
     pub fn column_stats(&self, table: &str, col: usize) -> DbResult<ColumnStats> {
@@ -430,7 +414,6 @@ mod tests {
     #[test]
     fn register_and_lookup() {
         let db = sample_db();
-        assert!(db.has_table("AuthorPub"));
         assert_eq!(db.table("AuthorPub").unwrap().num_rows(), 5);
         assert!(db.table("Missing").is_err());
         assert_eq!(db.total_rows(), 5);
@@ -454,7 +437,6 @@ mod tests {
         assert_eq!(aid.n_distinct, 3);
         let pid = db.column_stats_by_name("AuthorPub", "pid").unwrap();
         assert_eq!(pid.n_distinct, 3);
-        assert!((pid.avg_fanout() - 5.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 
 use crate::table::TableRef;
 use crate::value::Value;
-use graphgen_common::codec::{self, CodecError, Reader};
 
 /// A predicate over a row (indexed by column position).
 #[derive(Debug, Clone, PartialEq)]
@@ -83,78 +82,6 @@ impl Predicate {
             (a, b) => Predicate::And(vec![a, b]),
         }
     }
-
-    /// True if this predicate is the trivial `True`.
-    pub fn is_trivial(&self) -> bool {
-        matches!(self, Predicate::True)
-    }
-
-    /// Append the binary encoding of this predicate (a tag byte, then
-    /// column and value for comparisons, count and children for `And`).
-    /// Part of the graph snapshot format: the incremental maintenance
-    /// state persists its pre-compiled atom predicates.
-    pub fn encode_into<S: codec::Sink>(&self, out: &mut S) {
-        let cmp = |out: &mut S, tag: u8, col: &usize, v: &Value| {
-            codec::put_u8(out, tag);
-            codec::put_len(out, *col);
-            v.encode_into(out);
-        };
-        match self {
-            Predicate::True => codec::put_u8(out, 0),
-            Predicate::Eq(c, v) => cmp(out, 1, c, v),
-            Predicate::Ne(c, v) => cmp(out, 2, c, v),
-            Predicate::Lt(c, v) => cmp(out, 3, c, v),
-            Predicate::Le(c, v) => cmp(out, 4, c, v),
-            Predicate::Gt(c, v) => cmp(out, 5, c, v),
-            Predicate::Ge(c, v) => cmp(out, 6, c, v),
-            Predicate::And(ps) => {
-                codec::put_u8(out, 7);
-                codec::put_len(out, ps.len());
-                for p in ps {
-                    p.encode_into(out);
-                }
-            }
-        }
-    }
-
-    /// Decode one predicate (inverse of [`Predicate::encode_into`]).
-    /// `And` nesting is capped (the compiler only ever produces flat
-    /// conjunctions) so corrupt input reports an error instead of
-    /// overflowing the decode stack.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Predicate, CodecError> {
-        Self::decode_at_depth(r, 0)
-    }
-
-    fn decode_at_depth(r: &mut Reader<'_>, depth: u32) -> Result<Predicate, CodecError> {
-        const MAX_DEPTH: u32 = 64;
-        let at = r.pos();
-        if depth > MAX_DEPTH {
-            return Err(CodecError::invalid(at, "predicate nested too deeply"));
-        }
-        let tag = r.u8()?;
-        if tag == 0 {
-            return Ok(Predicate::True);
-        }
-        if tag == 7 {
-            let n = r.len()?;
-            let mut ps = Vec::with_capacity(n);
-            for _ in 0..n {
-                ps.push(Predicate::decode_at_depth(r, depth + 1)?);
-            }
-            return Ok(Predicate::And(ps));
-        }
-        let col = r.scalar()?;
-        let v = Value::decode(r)?;
-        Ok(match tag {
-            1 => Predicate::Eq(col, v),
-            2 => Predicate::Ne(col, v),
-            3 => Predicate::Lt(col, v),
-            4 => Predicate::Le(col, v),
-            5 => Predicate::Gt(col, v),
-            6 => Predicate::Ge(col, v),
-            _ => return Err(CodecError::invalid(at, format!("bad predicate tag {tag}"))),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -214,43 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn codec_roundtrip() {
-        use graphgen_common::Reader;
-        let preds = [
-            Predicate::True,
-            Predicate::Eq(0, Value::int(5)),
-            Predicate::Ne(1, Value::str("y")),
-            Predicate::Eq(2, Value::Null),
-            Predicate::Lt(0, Value::int(6))
-                .and(Predicate::Ge(0, Value::int(1)))
-                .and(Predicate::Le(1, Value::str("z")))
-                .and(Predicate::Gt(0, Value::int(0))),
-        ];
-        for p in preds {
-            let mut buf = Vec::new();
-            p.encode_into(&mut buf);
-            let mut r = Reader::new(&buf);
-            assert_eq!(Predicate::decode(&mut r).unwrap(), p);
-            assert!(r.is_empty());
-        }
-    }
-
-    #[test]
-    fn decode_rejects_pathological_nesting() {
-        use graphgen_common::Reader;
-        // 9 bytes per level (tag 7 + count 1): deep enough to have blown
-        // the decode stack before the depth cap existed.
-        let mut buf = Vec::new();
-        for _ in 0..50_000 {
-            codec::put_u8(&mut buf, 7);
-            codec::put_len(&mut buf, 1);
-        }
-        codec::put_u8(&mut buf, 0);
-        let mut r = Reader::new(&buf);
-        assert!(Predicate::decode(&mut r).is_err());
-    }
-
-    #[test]
     fn and_flattening() {
         let p = Predicate::Eq(0, Value::int(5))
             .and(Predicate::True)
@@ -260,6 +150,6 @@ mod tests {
             Predicate::And(ps) => assert_eq!(ps.len(), 2),
             other => panic!("expected And, got {other:?}"),
         }
-        assert!(Predicate::True.and(Predicate::True).is_trivial());
+        assert_eq!(Predicate::True.and(Predicate::True), Predicate::True);
     }
 }

@@ -91,11 +91,6 @@ impl Table {
         &self.columns[idx]
     }
 
-    /// Column by name.
-    pub fn column_by_name(&self, name: &str) -> Option<&[Value]> {
-        self.schema.index_of(name).map(|i| self.column(i))
-    }
-
     /// The cell at (`row`, `col`).
     pub fn cell(&self, row: usize, col: usize) -> &Value {
         &self.columns[col][row]
@@ -474,13 +469,6 @@ mod tests {
         let view = TableRef::new(&s, &dict);
         assert_eq!(view.distinct_count(0), 3);
         assert_eq!(view.distinct_count(1), 2);
-    }
-
-    #[test]
-    fn column_by_name() {
-        let t = people();
-        assert!(t.column_by_name("name").is_some());
-        assert!(t.column_by_name("nope").is_none());
     }
 
     #[test]

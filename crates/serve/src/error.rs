@@ -1,6 +1,5 @@
 //! The serving layer's error surface.
 
-use graphgen_common::CodecError;
 use std::fmt;
 use std::io;
 
@@ -97,12 +96,6 @@ impl From<graphgen_core::Error> for ServeError {
 impl From<graphgen_reldb::DbError> for ServeError {
     fn from(e: graphgen_reldb::DbError) -> Self {
         ServeError::Graph(e.into())
-    }
-}
-
-impl From<CodecError> for ServeError {
-    fn from(e: CodecError) -> Self {
-        ServeError::Graph(graphgen_core::Error::Snapshot(e))
     }
 }
 

@@ -1,5 +1,5 @@
 //! `graphgen-serve` — the serving layer: snapshot-isolated concurrent
-//! graph serving with binary persistence and crash recovery.
+//! graph serving with persistence and crash recovery.
 //!
 //! The paper's GraphGen lives *inside* a live application: graphs are
 //! extracted once and then queried continuously while the base tables keep
@@ -13,13 +13,15 @@
 //!   reader's view is always byte-identical to *some* committed version,
 //!   never a torn mid-patch state (snapshot isolation; enforced by the
 //!   crate's soak tests at 1/2/8 reader threads);
-//! * **persistence** — per-graph binary snapshots of the maintained C-DUP
-//!   (`GraphHandle::write_snapshot`, magic-headed, length-prefixed
-//!   little-endian, streamed to the file) plus **one** write-ahead delta log with checksummed
-//!   records and torn-tail truncation, folded into fresh snapshots by a
-//!   size-triggered checkpoint. [`GraphService::open`] recovers the exact
-//!   pre-crash committed state from any abrupt-drop layout, including
-//!   mid-checkpoint ones;
+//! * **persistence** — the database is the only durable state: a binary
+//!   database snapshot (magic-headed, length-prefixed little-endian,
+//!   streamed to the file) plus **one** write-ahead delta log with
+//!   checksummed records and torn-tail truncation, folded into a fresh
+//!   database snapshot by a size-triggered checkpoint. A graph's file is a
+//!   header — its version stamps, program and frozen plan — and
+//!   [`GraphService::open`] replays the log into the database and rebuilds
+//!   every graph from it, recovering the exact pre-crash committed state
+//!   from any abrupt-drop layout, including mid-checkpoint ones;
 //! * a **TCP front end** — the `graphgen-serve` binary: std
 //!   `TcpListener`, thread per connection, newline-delimited text protocol
 //!   (one verb per [`protocol::Verb`], declared once beside

@@ -404,7 +404,7 @@ fn smoke() -> Result<(), String> {
         return Err(format!("TRACE ring was not drained: `{trace}`"));
     }
     // One log, and COMPACT bounds what a restart replays: the four batches
-    // above are in it until the checkpoint folds them into the snapshots;
+    // above are in it until the checkpoint folds them into db.snap;
     // the one applied afterwards is all that is left to redo.
     let stats = send("STATS")?;
     if stats.contains("wal_bytes=0 ") || !stats.contains(" wal_bytes=") {

@@ -91,13 +91,13 @@ instruments! {
         histogram wal_fsync_ns: "graphgen_wal_fsync_ns" =
             "WAL fsync duration (ns) — the durability tax per synced append",
         counter compactions_total: "graphgen_compactions_total" =
-            "checkpoints: the log folded into fresh graph and db snapshots",
+            "checkpoints: the log folded into a fresh db snapshot",
         histogram compaction_ns: "graphgen_compaction_ns" =
-            "checkpoint duration, snapshot writes and truncation included (ns)",
+            "checkpoint duration, file writes and truncation included (ns)",
         histogram recovery_replay_ns: "graphgen_recovery_replay_ns" =
-            "startup graph-snapshot load plus log replay duration (ns)",
+            "startup log replay plus the rebuild of every graph from the recovered database (ns)",
         counter recovery_records_total: "graphgen_recovery_records_total" =
-            "log records replayed at startup (each counted once)",
+            "log records replayed into the database at startup (each counted once)",
         counter analyze_computes_total: "graphgen_analyze_computes_total" =
             "ANALYZE kernel runs (cache misses)",
         counter analyze_hits_total: "graphgen_analyze_hits_total" =

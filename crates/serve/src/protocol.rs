@@ -17,7 +17,7 @@
 //! APPLY <table> <±row …>     mutate a table: +1,2 inserts row (1,2); -1,2 deletes it
 //! STATS [<name>]             per-graph version/vertices/edges (all graphs, after a
 //!                            service line with the log's size, if no name)
-//! COMPACT <name>             checkpoint: fold the log into fresh snapshots
+//! COMPACT <name>             checkpoint: fold the log into a fresh db.snap
 //! METRICS                    full instrument registry, escaped exposition
 //! TRACE [<n>]                drain up to n slow/failed ops from the trace ring
 //! PING                       liveness probe

@@ -28,12 +28,6 @@ impl ServerHandle {
         self.addr
     }
 
-    /// True once `SHUTDOWN` was received (or [`ServerHandle::shutdown`]
-    /// was called).
-    pub fn is_stopped(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
-
     /// Stop accepting and join the accept loop. Idempotent with a
     /// protocol-level `SHUTDOWN`.
     pub fn shutdown(self) {
@@ -224,7 +218,6 @@ mod tests {
         let service = Arc::new(GraphService::in_memory(fig1_db()));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let handle = spawn(service, listener).unwrap();
-        assert!(!handle.is_stopped());
         handle.shutdown();
     }
 }

@@ -1,5 +1,5 @@
 //! The versioned multi-graph registry: snapshot-isolated serving with
-//! binary persistence and crash recovery.
+//! persistence and crash recovery.
 //!
 //! # Concurrency model
 //!
@@ -39,51 +39,49 @@
 //!   db.snap            magic GGSVDB3\0 | u64 db_version | Database
 //!                      (value dictionary first, then the tables as ids)
 //!   db.wal             records: u64 db_version | DeltaBatch   (see wal.rs)
-//!   <name>.graph.snap  magic GGSVGR5\0 | u64 version | u64 db_version
-//!                      | dsl | frozen plans (per chain: cuts, planned
-//!                      outputs, planned cost) | u64 length | GraphHandle
-//!                      snapshot (its own magic, GGSNAP6: the C-DUP and the
-//!                      maintenance state as it is kept, in database ids)
+//!   <name>.graph.snap  magic GGSVGR6\0 | u64 version | u64 db_version
+//!                      | dsl | frozen plans (per chain: cuts, planned cost)
 //! ```
 //!
-//! Graph snapshots are written from the **working** handle (it owns the
-//! delta-maintenance state recovery needs; published reader clones do
-//! not). Each magic versions only its own layout: the handle bytes carry
-//! `GGSNAP`'s, so a file framing an older handle (`GGSNAP5\0` and before)
-//! fails at that magic, and an older frame — `GGSVGR4\0` (value-keyed
-//! maintenance state) back to `GGSVGR2\0` — at its own. Both are
-//! [`ServeError::Corrupt`] naming the file.
+//! **The database is the only durable state.** A graph is a view the
+//! database and its program give back, so a graph file is a header: what
+//! the database cannot give back — the graph's version, the database
+//! version it is consistent with, its program, and the plan it was
+//! extracted with. The C-DUP and its maintenance state are never written.
+//! Older graph files — `GGSVGR5\0` back to `GGSVGR2\0`, which framed a
+//! handle snapshot — fail at their magic as [`ServeError::Corrupt`] naming
+//! the file.
 //!
 //! Snapshot files carry a whole-file fxhash64 trailer ([`crate::wal::seal`])
 //! and log records carry per-record checksums, so recovery surfaces
 //! corruption as [`ServeError::Corrupt`] instead of decoding flipped bytes.
 //! Both snapshot files stream to disk through
-//! [`crate::wal::write_sealed_file`]; neither exists in memory whole.
+//! [`crate::wal::write_sealed_file`]; `db.snap` never exists in memory
+//! whole.
 //!
 //! **One log.** The writer lock puts every batch in one serial order, and
 //! the delta engine is deterministic in that order, so the order is all
 //! durability has to record: a batch is appended to `db.wal` once, stamped
 //! with the database version it produces, **before** any version it leads
-//! to is observable. A graph's durable state is its snapshot alone, stamped
-//! with the graph version and the database version it is consistent with.
-//! A graph's maintenance state keys by the database dictionary's ids, and a
-//! graph file may be stamped after `db.snap`, so its ids may name values
-//! only the log interns. [`GraphService::open`] therefore loads `db.snap`,
-//! replays the log's newer records into the database (keeping the deltas
-//! the database returns, which carry the ids), decodes every graph
-//! snapshot against the recovered dictionary, and then advances each graph
-//! by the kept deltas past its own stamp that touch its tables — the
-//! predicate and the `version += 1` of the live write path.
+//! to is observable. [`GraphService::open`] loads `db.snap`, replays the
+//! log's newer records into the database, and then rebuilds every graph
+//! from the recovered database by the bulk load an incremental `EXTRACT`
+//! runs, with the graph's frozen cuts — never a fresh plan, so a stale plan
+//! stays stale across a restart. A graph's version is its file's plus the
+//! replayed batches past its stamp that touch its tables — the predicate
+//! and the `version += 1` of the live write path. A graph file whose cuts
+//! do not fit its program is refused before anything is built.
 //!
 //! **Checkpoint.** When the log grows past
 //! [`ServiceConfig::compact_threshold`] (or on [`GraphService::compact`]),
-//! the service writes the snapshot of every graph whose file is stamped
+//! the service rewrites the header of every graph whose file is stamped
 //! older than the current database version, then `db.snap`, then truncates
 //! the log (each file atomically, tmp+rename). Replay skips the records at
-//! or below each file's own stamp, so a crash between any two of those
-//! steps — some graph snapshots new, `db.snap` old or new, the log still
-//! full, a leftover `.tmp` — recovers to the exact pre-crash state, and
-//! restart cost is bounded by the log written since the last checkpoint.
+//! or below `db.snap`'s stamp and a graph's version counts only the records
+//! past its own, so a crash between any two of those steps — some graph
+//! files new, `db.snap` old or new, the log still full, a leftover `.tmp` —
+//! recovers to the exact pre-crash state, and restart cost is bounded by
+//! the log written since the last checkpoint plus one extraction per graph.
 //! A checkpoint leaves no file stamped behind `db.snap`, and the log is
 //! appended before anything else, so a graph stamped *behind* `db.snap` or
 //! *ahead of* the recovered database is a foreign file and recovery rejects
@@ -101,8 +99,8 @@ use graphgen_core::{
 use graphgen_dsl::cost::{
     cost_with_cuts, estimate_chain, plan_fingerprint, render_explain, render_unknown,
 };
-use graphgen_dsl::{check_source, CheckCatalog, CheckOptions, CheckReport, EdgeChain};
-use graphgen_reldb::{Database, DeltaBatch, Interner, Value};
+use graphgen_dsl::{check_source, CheckCatalog, CheckOptions, CheckReport, EdgeChain, GraphSpec};
+use graphgen_reldb::{Database, DeltaBatch, Value};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -113,13 +111,12 @@ use std::time::Instant;
 /// format 3 writes that dictionary grow-only, as its values in id order,
 /// and each table cell as its id).
 pub const DB_SNAP_MAGIC: [u8; 8] = *b"GGSVDB3\0";
-/// Magic prefix of `<name>.graph.snap`: it versions the frame only (format
-/// 4 added the frozen plan — per-chain cuts and the estimates the plan was
-/// chosen with — for drift detection; formats 3 and 5 were bumped with the
-/// embedded handle's layout). The framed handle carries its own `GGSNAP`
-/// magic, which versions its bytes. Older-format files fail `expect_magic`
-/// cleanly.
-pub const GRAPH_SNAP_MAGIC: [u8; 8] = *b"GGSVGR5\0";
+/// Magic prefix of `<name>.graph.snap` (trailing digit = format version;
+/// format 4 added the frozen plan for drift detection, formats 3 and 5
+/// framed a handle snapshot behind it, and format 6 is the header alone:
+/// the graph is rebuilt from the database on recovery). Older-format files
+/// fail `expect_magic` cleanly.
+pub const GRAPH_SNAP_MAGIC: [u8; 8] = *b"GGSVGR6\0";
 
 /// A graph's plan is flagged stale when re-costing its frozen cuts against
 /// the live catalog exceeds the live min-cost plan by this ratio (or when
@@ -129,7 +126,7 @@ pub const DRIFT_THRESHOLD: f64 = 2.0;
 /// Service knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Checkpoint (fold the log into fresh snapshots) once the log exceeds
+    /// Checkpoint (fold the log into a fresh `db.snap`) once the log exceeds
     /// this many bytes.
     pub compact_threshold: u64,
     /// Fsync log appends and snapshot writes (durability on return). Turn
@@ -267,15 +264,14 @@ impl TableMutation {
 // ---------------------------------------------------------------------------
 
 /// The plan one chain of a graph was extracted with, frozen at
-/// extraction time: the cut set (which joins were postponed) plus the
-/// estimates the planner chose it on. Persisted in the graph snapshot so
-/// recovery restores drift detection without re-planning.
+/// extraction time: the cut set (which joins were postponed) plus the cost
+/// the planner chose it at. Persisted in the graph file, so recovery
+/// rebuilds the graph with these cuts and restores drift detection without
+/// re-planning.
 #[derive(Debug, Clone)]
 struct FrozenChainPlan {
     /// Per-join postpone flags (length = #atoms - 1).
     cuts: Vec<bool>,
-    /// Per-join `|L|·|R|/d` estimates at plan time.
-    planned_outputs: Vec<f64>,
     /// Total plan cost under the statistics it was planned with.
     planned_cost: f64,
 }
@@ -295,23 +291,24 @@ struct GraphState {
     stale_plan: bool,
     /// The writer's private working handle: owns the delta-maintenance
     /// state, is patched **in place** per batch, and is the source of
-    /// every published [`GraphHandle::reader_clone`] and every on-disk
-    /// snapshot. Readers never touch it.
+    /// every published [`GraphHandle::reader_clone`]. Readers never touch
+    /// it.
     working: GraphHandle,
     /// The currently published version (a structurally shared reader
     /// clone of `working` as of its commit).
     current: Arc<GraphSnapshot>,
-    /// The database version stamped on the graph's snapshot **file**: log
-    /// records at or below it are already in that file. A checkpoint
-    /// rewrites the file when this is behind the current database version.
+    /// The database version stamped on the graph's **file**: log records
+    /// at or below it are already counted in the file's version. A
+    /// checkpoint rewrites the file when this is behind the current
+    /// database version.
     snap_db_version: u64,
 }
 
 impl GraphState {
     /// Writer-side state around `working`, published as `version` and
-    /// stamped `db_version` in memory and on disk (a fresh extraction, or a
-    /// snapshot file just loaded). Drift starts neutral; the caller
-    /// re-costs it against its catalog.
+    /// stamped `db_version` in memory and on disk (a fresh extraction; a
+    /// recovered graph then sets its file's own stamp). Drift starts
+    /// neutral; the caller re-costs it against its catalog.
     fn new(
         name: &str,
         dsl: String,
@@ -339,9 +336,10 @@ impl GraphState {
         }
     }
 
-    /// Push the batch that produced `db_version` through the graph — the
-    /// one step the live write path and recovery's log walk share. A graph
-    /// is affected iff the batch touches a table its spec reads: such a
+    /// Push the batch that produced `db_version` through the graph. A graph
+    /// is affected iff the batch touches a table its spec reads
+    /// ([`batch_affects`], the predicate recovery versions a rebuilt graph
+    /// by): such a
     /// batch is always applied and versioned (even when it changes no
     /// visible edge, it advances the maintenance state the next delta
     /// builds on), and `current` becomes a structurally shared reader
@@ -470,8 +468,9 @@ impl GraphService {
         Ok(service)
     }
 
-    /// Recover a persistent service from `dir`: load every snapshot, walk
-    /// the log once, and serve the exact pre-crash committed state.
+    /// Recover a persistent service from `dir`: load `db.snap`, walk the
+    /// log once into the database, rebuild every graph from it, and serve
+    /// the exact pre-crash committed state.
     pub fn open(dir: impl AsRef<Path>) -> ServeResult<Self> {
         Self::open_with(dir, ServiceConfig::default())
     }
@@ -479,7 +478,7 @@ impl GraphService {
     /// [`GraphService::open`] with explicit knobs.
     pub fn open_with(dir: impl AsRef<Path>, cfg: ServiceConfig) -> ServeResult<Self> {
         let dir = dir.as_ref();
-        // -- snapshots -----------------------------------------------------
+        // -- the database snapshot -------------------------------------------
         let db_snap_path = dir.join("db.snap");
         let bytes = std::fs::read(&db_snap_path)?;
         let content = unseal(&bytes).ok_or_else(|| {
@@ -511,11 +510,29 @@ impl GraphService {
             }
         }
         stems.sort();
+        // -- every graph file's header, checked before anything is built --
+        let mut headers = Vec::with_capacity(stems.len());
+        for (name, path) in stems {
+            let (header, spec) = read_graph_file(&path)?;
+            if header.db_version < db_snap_version {
+                // A checkpoint rewrites every graph file stamped behind the
+                // database before it writes db.snap, so no crash leaves
+                // this layout, and the batches in between are gone from
+                // the log: refuse rather than serve a graph behind its
+                // database.
+                return Err(ServeError::corrupt(
+                    path.display().to_string(),
+                    format!(
+                        "graph is consistent with database version {} but db.snap \
+                         is at {db_snap_version} and the batches between were \
+                         checkpointed away; re-extract the graph",
+                        header.db_version
+                    ),
+                ));
+            }
+            headers.push((name, path, header, spec));
+        }
         // -- the log, once, into the database --------------------------------
-        // Graph files may be stamped after db.snap, so their states may name
-        // ids only these records intern: replay them first, keeping the
-        // deltas the database returns (they carry the ids; the log's carry
-        // values only).
         let log_path = dir.join("db.wal");
         let log_file = log_path.display().to_string();
         let (mut wal, records) = Wal::open(&log_path).map_err(|e| match e.kind() {
@@ -533,58 +550,55 @@ impl GraphService {
                 // is stamped behind db.snap.
                 continue;
             }
-            replayed.push((version, replay_batch_on_db(&mut db, &batch)?));
+            replay_batch_on_db(&mut db, &batch)?;
+            replayed.push((version, batch));
             db_version = version;
         }
-        // -- graph snapshots, against the recovered dictionary ---------------
-        // Snapshots record the thread count they were extracted with; this
-        // service's own knob (resolved the same way extraction resolves
-        // it) wins for every recovered handle.
-        let threads = Self::extraction_config(&cfg).threads();
-        let mut graphs = Vec::with_capacity(stems.len());
-        for (name, snap_path) in stems {
-            let state = load_graph_snapshot(&name, &snap_path, threads, db.dict())?;
-            if state.snap_db_version < db_snap_version {
-                // A checkpoint rewrites every graph file stamped behind the
-                // database before it writes db.snap, so no crash leaves
-                // this layout, and the batches in between are gone from
-                // the log: refuse rather than serve a graph behind its
-                // database.
-                return Err(ServeError::corrupt(
-                    snap_path.display().to_string(),
-                    format!(
-                        "graph is consistent with database version {} but db.snap \
-                         is at {db_snap_version} and the batches between were \
-                         checkpointed away; re-extract the graph",
-                        state.snap_db_version
-                    ),
-                ));
-            }
-            if state.snap_db_version > db_version {
+        // -- each graph, rebuilt from the recovered database -----------------
+        // With the cuts it was first extracted with, by the bulk load an
+        // incremental EXTRACT runs; its version counts the replayed batches
+        // past its stamp that touch its tables, as the live write path did.
+        let gg = GraphGen::with_config(&db, Self::extraction_config(&cfg));
+        let mut graphs = Vec::with_capacity(headers.len());
+        for (name, path, header, spec) in headers {
+            let file = path.display().to_string();
+            if header.db_version > db_version {
                 // The log is appended before anything is patched or
                 // snapshotted, so a graph is never ahead of its database.
                 // Finding one means foreign files (a previous incarnation's
                 // graph beside a recreated database) or fsync-off
                 // reordering — its history is not this database's.
                 return Err(ServeError::corrupt(
-                    snap_path.display().to_string(),
+                    file,
                     format!(
                         "graph is ahead of its database (stamped database version \
                          {}, recovered database at {db_version}): the graph belongs \
                          to another incarnation; re-extract it",
-                        state.snap_db_version
+                        header.db_version
                     ),
                 ));
             }
-            graphs.push(state);
-        }
-        // -- each graph past its own stamp ------------------------------------
-        for (version, batch) in &replayed {
-            for state in &mut graphs {
-                if *version > state.snap_db_version {
-                    state.advance(batch, *version)?;
+            let cuts: Vec<Vec<bool>> = header.frozen.iter().map(|p| p.cuts.clone()).collect();
+            let working = gg
+                .extract_with_cuts(&spec, &cuts)
+                .map_err(|e| ServeError::corrupt(&file, e))?;
+            let tables = working.referenced_tables();
+            let (mut version, mut published_at) = (header.version, header.db_version);
+            for (at, batch) in &replayed {
+                if *at > header.db_version && batch_affects(batch, &tables) {
+                    (version, published_at) = (version + 1, *at);
                 }
             }
+            let mut state = GraphState::new(
+                &name,
+                header.dsl,
+                header.frozen,
+                working,
+                version,
+                published_at,
+            );
+            state.snap_db_version = header.db_version;
+            graphs.push(state);
         }
         let replayed = replayed.len() as u64;
         let service = Self::assemble(db, Some(dir.to_path_buf()), cfg);
@@ -699,7 +713,7 @@ impl GraphService {
     // -- registry ---------------------------------------------------------
 
     /// Extract a new named graph from the current database state with the
-    /// given DSL program, register it at version 1, persist its snapshot
+    /// given DSL program, register it at version 1, write its graph file
     /// (when the service is persistent), and publish it.
     pub fn extract(&self, name: &str, dsl: &str) -> ServeResult<Arc<GraphSnapshot>> {
         if !valid_name(name) {
@@ -745,8 +759,8 @@ impl GraphService {
         if let Some(dir) = &inner.dir {
             // The stamp is all recovery needs: log records at or below
             // `db_version` (a previous graph of this name may have seen
-            // them) are skipped for this file.
-            write_graph_snapshot(dir, &state, db_version, inner.cfg.fsync)?;
+            // them) do not version this graph again.
+            write_graph_file(dir, &state, db_version, inner.cfg.fsync)?;
         }
         inner.graphs.insert(name.to_string(), state);
         self.published
@@ -834,7 +848,7 @@ impl GraphService {
         Ok(out)
     }
 
-    /// Unregister a graph and delete its snapshot file. Readers holding
+    /// Unregister a graph and delete its graph file. Readers holding
     /// snapshots keep their pinned versions.
     pub fn drop_graph(&self, name: &str) -> ServeResult<()> {
         let mut inner = self.inner.lock().unwrap();
@@ -1090,7 +1104,7 @@ impl GraphService {
     }
 
     /// Checkpoint now (the automatic threshold does this lazily): fold the
-    /// log into fresh snapshots so a restart replays nothing older. `name`
+    /// log into a fresh `db.snap` so a restart replays nothing older. `name`
     /// must be a registered graph; the checkpoint itself covers the
     /// database and every graph, because they share the one log.
     pub fn compact(&self, name: &str) -> ServeResult<()> {
@@ -1104,13 +1118,13 @@ impl GraphService {
         self.checkpoint(&mut inner)
     }
 
-    /// The one compaction routine: write the snapshot of every graph whose
+    /// The one compaction routine: rewrite the header of every graph whose
     /// file is stamped behind the database, then `db.snap`, then truncate
     /// the log. Requires a non-wedged service — every graph is then
     /// consistent with the current database version (each batch that
     /// touched its tables was applied), so its file can be stamped with
-    /// it. Each step leaves a layout recovery already handles: replay
-    /// skips the records at or below each file's own stamp.
+    /// it. Each step leaves a layout recovery already handles: a graph's
+    /// version counts only the records past its file's own stamp.
     fn checkpoint(&self, inner: &mut Inner) -> ServeResult<()> {
         let (Some(dir), Some(wal)) = (&inner.dir, &mut inner.wal) else {
             return Ok(()); // in-memory service: nothing to fold
@@ -1122,7 +1136,7 @@ impl GraphService {
         let (db_version, fsync) = (inner.db_version, inner.cfg.fsync);
         for state in inner.graphs.values_mut() {
             if state.snap_db_version < db_version {
-                write_graph_snapshot(dir, state, db_version, fsync)?;
+                write_graph_file(dir, state, db_version, fsync)?;
                 state.snap_db_version = db_version;
             }
         }
@@ -1153,14 +1167,13 @@ fn batch_affects(batch: &DeltaBatch, tables: &[String]) -> bool {
 }
 
 /// Freeze the plans an extraction ran with, straight off its report:
-/// the cut set plus the estimates the planner chose it on.
+/// the cut set plus the cost the planner chose it at.
 fn frozen_plans(report: &graphgen_core::ExtractionReport) -> Vec<FrozenChainPlan> {
     report
         .plans
         .iter()
         .map(|plan| FrozenChainPlan {
             cuts: plan.joins.iter().map(|j| j.large_output).collect(),
-            planned_outputs: plan.joins.iter().map(|j| j.estimated_output).collect(),
             planned_cost: plan.estimated_cost,
         })
         .collect()
@@ -1174,9 +1187,6 @@ fn frozen_plans(report: &graphgen_core::ExtractionReport) -> Vec<FrozenChainPlan
 /// catalog lacks statistics the previous verdict is kept: no evidence is
 /// not evidence of drift.
 fn recompute_drift(catalog: &CheckCatalog, state: &mut GraphState, factor: f64) {
-    if state.chains.is_empty() || state.chains.len() != state.frozen.len() {
-        return;
-    }
     let mut frozen_live = 0.0f64;
     let mut best_live = 0.0f64;
     let mut shape_changed = false;
@@ -1218,27 +1228,25 @@ fn decode_wal_record(record: &[u8]) -> Result<(u64, DeltaBatch), graphgen_common
     Ok((version, batch))
 }
 
-/// Re-apply a recovered batch to the database and return the batch the
-/// database logs for it (replay path: the mutations were already validated
-/// when first applied, and deletes name exact rows the table held, so the
-/// returned deltas hold the logged rows, now with their ids).
-fn replay_batch_on_db(db: &mut Database, batch: &DeltaBatch) -> ServeResult<DeltaBatch> {
+/// Re-apply a recovered batch to the database (replay path: the mutations
+/// were already validated when first applied, and deletes name exact rows
+/// the table held).
+fn replay_batch_on_db(db: &mut Database, batch: &DeltaBatch) -> ServeResult<()> {
     use graphgen_reldb::DeltaOp;
-    let mut replayed = DeltaBatch::new();
     for delta in batch.deltas() {
         // Preserve intra-delta order: group maximal runs of same-op rows.
         let mut run_op: Option<DeltaOp> = None;
         let mut run: Vec<Vec<Value>> = Vec::new();
-        let mut flush = |db: &mut Database,
-                         op: Option<DeltaOp>,
-                         run: &mut Vec<Vec<Value>>|
+        let flush = |db: &mut Database,
+                     op: Option<DeltaOp>,
+                     run: &mut Vec<Vec<Value>>|
          -> ServeResult<()> {
             match op {
                 Some(DeltaOp::Insert) => {
-                    replayed.push(db.insert_rows(delta.table(), std::mem::take(run))?);
+                    db.insert_rows(delta.table(), std::mem::take(run))?;
                 }
                 Some(DeltaOp::Delete) => {
-                    replayed.push(db.delete_rows(delta.table(), &std::mem::take(run))?);
+                    db.delete_rows(delta.table(), &std::mem::take(run))?;
                 }
                 None => {}
             }
@@ -1253,7 +1261,7 @@ fn replay_batch_on_db(db: &mut Database, batch: &DeltaBatch) -> ServeResult<Delt
         }
         flush(db, run_op, &mut run)?;
     }
-    Ok(replayed)
+    Ok(())
 }
 
 fn write_db_snapshot(dir: &Path, db: &Database, db_version: u64, fsync: bool) -> ServeResult<()> {
@@ -1270,18 +1278,11 @@ fn put_db_snapshot(out: &mut impl Sink, db: &Database, db_version: u64) {
     db.encode_into(out);
 }
 
-/// `db_version` is passed explicitly (not read off the snapshot) because a
-/// checkpoint may stamp a graph as consistent with a database version
-/// *newer* than the one it was published at — every batch in between left
-/// its tables untouched. The snapshot is written from the **working**
-/// handle: it owns the delta-maintenance state the recovered graph
-/// continues from (published reader clones deliberately carry none).
-///
-/// The handle's encoding streams to the file behind its `u64` length,
-/// which is written as 0 and patched once the handle is out; the seal is
-/// then computed by reading the file back once. Only the handle's
-/// condensed-graph section is ever buffered whole.
-fn write_graph_snapshot(
+/// Write a graph's file: its header, sealed. `db_version` is passed
+/// explicitly (not read off the snapshot) because a checkpoint may stamp a
+/// graph as consistent with a database version *newer* than the one it was
+/// published at — every batch in between left its tables untouched.
+fn write_graph_file(
     dir: &Path,
     state: &GraphState,
     db_version: u64,
@@ -1290,17 +1291,12 @@ fn write_graph_snapshot(
     let path = graph_snap_path(dir, state.current.name());
     write_sealed_file(&path, fsync, |out| {
         put_graph_header(out, state, db_version);
-        let at = out.position();
-        codec::put_u64(out, 0);
-        state.working.write_snapshot(out)?;
-        let len = out.position() - at - 8;
-        out.patch(at, &len.to_le_bytes())?;
         Ok(())
     })
 }
 
-/// What a graph snapshot file holds before the handle's length and bytes:
-/// magic, version stamps, DSL and frozen plans.
+/// The content of a graph file before its seal: magic, version stamps,
+/// DSL and, per chain, the frozen cuts and the cost they were planned at.
 fn put_graph_header(out: &mut impl Sink, state: &GraphState, db_version: u64) {
     out.put(&GRAPH_SNAP_MAGIC);
     codec::put_u64(out, state.current.version());
@@ -1312,68 +1308,69 @@ fn put_graph_header(out: &mut impl Sink, state: &GraphState, db_version: u64) {
         for &cut in &plan.cuts {
             codec::put_u8(out, u8::from(cut));
         }
-        for &planned in &plan.planned_outputs {
-            codec::put_f64(out, planned);
-        }
         codec::put_f64(out, plan.planned_cost);
     }
 }
 
-/// Load one graph's snapshot file into writer-side state at the version
-/// and database stamp the file carries, its ids resolved in `dict`.
-fn load_graph_snapshot(
-    name: &str,
-    snap_path: &Path,
-    threads: usize,
-    dict: &Interner,
-) -> ServeResult<GraphState> {
-    let bytes = std::fs::read(snap_path)?;
-    let file = snap_path.display().to_string();
+/// What a graph file holds: everything about a served graph the database
+/// cannot give back.
+struct GraphHeader {
+    version: u64,
+    db_version: u64,
+    dsl: String,
+    frozen: Vec<FrozenChainPlan>,
+}
+
+/// Read and check one graph file: its seal, its layout, and that its frozen
+/// cuts fit its program — one cut vector per `Edges` chain, one flag per
+/// join — which is compiled here. Anything else is [`ServeError::Corrupt`]
+/// naming the file.
+fn read_graph_file(path: &Path) -> ServeResult<(GraphHeader, GraphSpec)> {
+    let bytes = std::fs::read(path)?;
+    let file = path.display().to_string();
     let content =
         unseal(&bytes).ok_or_else(|| ServeError::corrupt(&file, "integrity checksum mismatch"))?;
-    let mut r = Reader::new(content);
-    type SnapParts<'a> = (u64, u64, String, Vec<FrozenChainPlan>, &'a [u8]);
-    fn parse<'a>(r: &mut Reader<'a>) -> Result<SnapParts<'a>, graphgen_common::CodecError> {
+    let parse = |r: &mut Reader<'_>| -> Result<GraphHeader, graphgen_common::CodecError> {
         r.expect_magic(&GRAPH_SNAP_MAGIC)?;
         let version = r.u64()?;
         let db_version = r.u64()?;
         let dsl = r.str()?.to_string();
-        let n_chains = r.len()?;
-        let mut frozen = Vec::with_capacity(n_chains);
-        for _ in 0..n_chains {
-            let n_joins = r.len()?;
-            let mut cuts = Vec::with_capacity(n_joins);
-            for _ in 0..n_joins {
-                cuts.push(r.u8()? != 0);
-            }
-            let mut planned_outputs = Vec::with_capacity(n_joins);
-            for _ in 0..n_joins {
-                planned_outputs.push(r.f64()?);
-            }
+        let mut frozen = Vec::new();
+        for _ in 0..r.len()? {
+            let cuts = (0..r.len()?)
+                .map(|_| Ok(r.u8()? != 0))
+                .collect::<Result<_, _>>()?;
             let planned_cost = r.f64()?;
-            frozen.push(FrozenChainPlan {
-                cuts,
-                planned_outputs,
-                planned_cost,
-            });
+            frozen.push(FrozenChainPlan { cuts, planned_cost });
         }
-        let handle_bytes = r.bytes()?;
         r.expect_end()?;
-        Ok((version, db_version, dsl, frozen, handle_bytes))
+        Ok(GraphHeader {
+            version,
+            db_version,
+            dsl,
+            frozen,
+        })
+    };
+    let header = parse(&mut Reader::new(content)).map_err(|e| ServeError::corrupt(&file, e))?;
+    let spec = graphgen_dsl::compile(&header.dsl)
+        .map_err(|e| ServeError::corrupt(&file, format!("its program does not compile: {e}")))?;
+    if header.frozen.len() != spec.edges.len() {
+        let (plans, chains) = (header.frozen.len(), spec.edges.len());
+        let what = format!("{plans} frozen plans for {chains} Edges chains");
+        return Err(ServeError::corrupt(&file, what));
     }
-    let (version, snap_db_version, dsl, frozen, handle_bytes) =
-        parse(&mut r).map_err(|e| ServeError::corrupt(&file, e))?;
-    let mut working = GraphHandle::from_snapshot_bytes(handle_bytes, dict)
-        .map_err(|e| ServeError::corrupt(&file, e))?;
-    working.set_threads(threads);
-    Ok(GraphState::new(
-        name,
-        dsl,
-        frozen,
-        working,
-        version,
-        snap_db_version,
-    ))
+    for (i, (chain, plan)) in spec.edges.iter().zip(&header.frozen).enumerate() {
+        let joins = chain.steps.len().saturating_sub(1);
+        if plan.cuts.len() != joins {
+            let what = format!(
+                "chain {}: {} cuts for {joins} joins",
+                i + 1,
+                plan.cuts.len()
+            );
+            return Err(ServeError::corrupt(&file, what));
+        }
+    }
+    Ok((header, spec))
 }
 
 #[cfg(test)]
@@ -1589,10 +1586,10 @@ pub(crate) mod tests {
     }
 
     /// A graph extracted after the last checkpoint is stamped after
-    /// `db.snap`, and its state names ids that only the log's records
-    /// intern (a new author and publication). Recovery replays the log into
-    /// the database before it decodes the graph file against the
-    /// dictionary, then advances the graph past its own stamp.
+    /// `db.snap`, and its graph holds values only the log's records add (a
+    /// new author and publication). Recovery replays the log into the
+    /// database before it rebuilds the graph from it, and versions the
+    /// graph by the batches past its own stamp.
     #[test]
     fn a_graph_file_stamped_after_db_snap_decodes_against_the_replayed_dictionary() {
         let dir = TempDir::new("svc-late-graph");
@@ -1628,7 +1625,7 @@ pub(crate) mod tests {
     /// The snapshot files the service streams to disk hold exactly the
     /// bytes of the same content encoded into a `Vec` and sealed:
     /// `db.snap` and `g.graph.snap` after the `EXTRACT` and after a
-    /// `COMPACT` between applies, on a graph whose handle spans many file
+    /// `COMPACT` between applies, on a database whose `db.snap` spans file
     /// blocks. The directory then reopens to the graph it served.
     #[test]
     fn streamed_snapshot_files_equal_the_vec_encoding() {
@@ -1644,7 +1641,6 @@ pub(crate) mod tests {
             let state = &inner.graphs["g"];
             let mut graph_snap = Vec::new();
             put_graph_header(&mut graph_snap, state, state.snap_db_version);
-            codec::put_bytes(&mut graph_snap, &state.working.to_snapshot_bytes().unwrap());
             seal(&mut graph_snap);
             (db_snap, graph_snap)
         }
@@ -1666,7 +1662,7 @@ pub(crate) mod tests {
             let service = GraphService::create(dir.path(), db, ServiceConfig::default()).unwrap();
             service.extract("g", DBLP_COAUTHORS).unwrap();
             let files = on_disk(dir.path());
-            assert!(files.1.len() > 4 * 65_536, "the handle spans file blocks");
+            assert!(files.0.len() > 65_536, "db.snap spans file blocks");
             assert_eq!(files, expected(&service), "after EXTRACT");
             let apply = |i: usize| {
                 let a = Value::int(i as i64 % 1_500);

@@ -25,6 +25,18 @@ fn graph_stats(service: &GraphService, name: &str) -> GraphStats {
         .expect("registered graph")
 }
 
+/// Virtual nodes of the served coauthor graph: none while the frozen plan
+/// keeps the join, one per publication once a plan cuts it.
+fn num_virtual(service: &GraphService) -> usize {
+    let snapshot = service.snapshot("coauthors").expect("registered graph");
+    let graph = snapshot
+        .handle()
+        .graph()
+        .as_condensed()
+        .map(|g| g.num_virtual());
+    graph.expect("served graphs are C-DUP")
+}
+
 /// Insert `n` fresh memberships all naming publication `pid` (skewing the
 /// join-key distribution without adding new distinct keys).
 fn skew(service: &GraphService, pid: i64, n: i64) {
@@ -111,12 +123,14 @@ fn churn_that_preserves_the_distribution_never_trips_the_detector() {
 #[test]
 fn drift_verdict_survives_recovery() {
     let dir = TempDir::new("drift-recovery");
+    let virtual_nodes;
     {
         let service =
             GraphService::create(dir.path(), fig1_db(), ServiceConfig::default()).unwrap();
         service.extract("coauthors", Q).unwrap();
         skew(&service, 1, 20);
         assert!(graph_stats(&service, "coauthors").stale_plan);
+        virtual_nodes = num_virtual(&service);
     } // dropped: recovery path only from here
     let service = GraphService::open(dir.path()).unwrap();
     let s = graph_stats(&service, "coauthors");
@@ -125,6 +139,11 @@ fn drift_verdict_survives_recovery() {
         "recovered frozen plan must still read stale against recovered stats"
     );
     assert!(s.drift > 1.0);
+    assert_eq!(
+        num_virtual(&service),
+        virtual_nodes,
+        "rebuilt at the frozen cuts"
+    );
     // And the verdict keeps updating on the recovered service.
     let rows: Vec<Vec<Value>> = (0..20)
         .map(|i| vec![Value::int(100 + i), Value::int(1)])
@@ -142,12 +161,14 @@ fn drift_verdict_survives_recovery() {
 #[test]
 fn compaction_preserves_the_frozen_plan() {
     let dir = TempDir::new("drift-compact");
+    let virtual_nodes;
     {
         let service =
             GraphService::create(dir.path(), fig1_db(), ServiceConfig::default()).unwrap();
         service.extract("coauthors", Q).unwrap();
         skew(&service, 1, 20);
         service.compact("coauthors").unwrap();
+        virtual_nodes = num_virtual(&service);
     }
     let service = GraphService::open(dir.path()).unwrap();
     let s = graph_stats(&service, "coauthors");
@@ -155,5 +176,10 @@ fn compaction_preserves_the_frozen_plan() {
         s.stale_plan,
         "post-compaction snapshot must carry the original frozen plan, \
          not one re-planned on the skewed statistics"
+    );
+    assert_eq!(
+        num_virtual(&service),
+        virtual_nodes,
+        "rebuilt at the frozen cuts"
     );
 }

@@ -695,13 +695,14 @@ fn recovered_service_continues_identically() {
 }
 
 /// Format-bump guard: a graph snapshot carrying a retired magic (here
+/// `GGSVGR5\0`, which framed a handle snapshot behind the header,
 /// `GGSVGR4\0`, which framed the value-keyed maintenance state, and
 /// `GGSVGR3\0`, which also lacked the frozen-plan section) must fail
 /// recovery with a clean `Corrupt` magic mismatch — never misparse into a
 /// half-decoded graph.
 #[test]
 fn old_format_graph_snapshot_is_rejected_by_magic() {
-    for old in [*b"GGSVGR4\0", *b"GGSVGR3\0"] {
+    for old in [*b"GGSVGR5\0", *b"GGSVGR4\0", *b"GGSVGR3\0"] {
         let dir = TempDir::new("rec-old-magic");
         {
             let service =
@@ -714,7 +715,7 @@ fn old_format_graph_snapshot_is_rejected_by_magic() {
         let snap_path = dir.path().join("coauthors.graph.snap");
         let sealed = std::fs::read(&snap_path).unwrap();
         let mut content = graphgen_serve::wal::unseal(&sealed).unwrap().to_vec();
-        assert_eq!(&content[..8], b"GGSVGR5\0");
+        assert_eq!(&content[..8], b"GGSVGR6\0");
         content[..8].copy_from_slice(&old);
         graphgen_serve::wal::seal(&mut content);
         std::fs::write(&snap_path, &content).unwrap();
@@ -728,12 +729,11 @@ fn old_format_graph_snapshot_is_rejected_by_magic() {
     }
 }
 
-/// Restart onto the chunked snapshot format mid-WAL: the `.graph.snap`
-/// (GGSVGR5 framing a chunked GGSNAP5 handle, written from the *working*
-/// handle so it carries the full maintenance state) plus a WAL holding
-/// batches committed after it. Recovery must decode the chunked snapshot,
-/// replay the log, and keep both the reader side (canonical bytes, CoW
-/// isolation) and the writer side (identical continuation) intact.
+/// Restart mid-WAL: the `.graph.snap` header written by the `EXTRACT` plus
+/// a WAL holding batches committed after it. Recovery must replay the log,
+/// rebuild the graph from the recovered database, and keep both the reader
+/// side (canonical bytes, CoW isolation) and the writer side (identical
+/// continuation) intact.
 #[test]
 fn recover_chunked_snapshot_mid_wal() {
     let dir = TempDir::new("rec-chunked-midwal");
@@ -776,37 +776,64 @@ fn recover_chunked_snapshot_mid_wal() {
     );
 }
 
-/// Each magic versions its own layout: a `GGSVGR5\0` frame around a handle
-/// of the previous handle format (`GGSNAP5\0`, which stored the state's
-/// own dictionary) must fail recovery at the embedded magic
-/// with a `Corrupt` error naming the graph file — never a panic or a
-/// misparse.
+/// A sealed graph file whose frozen cuts do not fit its program — a cut
+/// vector missing or extra, a vector whose length is not the chain's join
+/// count, a program that no longer compiles — is refused as `Corrupt`
+/// naming the file before anything is built, never a panic.
 #[test]
-fn graph_file_framing_an_old_handle_format_is_rejected() {
-    let dir = TempDir::new("rec-old-handle");
-    {
-        let service =
-            GraphService::create(dir.path(), seed_db(), ServiceConfig::default()).unwrap();
-        service.extract("coauthors", Q_COAUTHORS).unwrap();
-        churn(&service, 5, 3);
-    }
-    let snap_path = dir.path().join("coauthors.graph.snap");
-    let sealed = std::fs::read(&snap_path).unwrap();
-    let mut content = graphgen_serve::wal::unseal(&sealed).unwrap().to_vec();
-    assert_eq!(&content[..8], b"GGSVGR5\0");
-    let handle: Vec<usize> = (0..content.len() - 8)
-        .filter(|&i| &content[i..i + 8] == b"GGSNAP6\0")
-        .collect();
-    assert_eq!(handle.len(), 1, "one framed handle");
-    content[handle[0]..handle[0] + 8].copy_from_slice(b"GGSNAP5\0");
-    graphgen_serve::wal::seal(&mut content);
-    std::fs::write(&snap_path, &content).unwrap();
-    match GraphService::open(dir.path()) {
-        Err(ServeError::Corrupt { file, what }) => {
-            assert!(file.ends_with("coauthors.graph.snap"), "names `{file}`");
-            assert!(what.contains("bad magic"), "unexpected reason: {what}");
+fn graph_file_whose_cuts_do_not_fit_its_program_is_rejected() {
+    use graphgen_common::codec;
+    let dir = TempDir::new("rec-misfit-cuts");
+    drop(GraphService::create(dir.path(), seed_db(), ServiceConfig::default()).unwrap());
+    let write = |dsl: &str, cuts: &[&[bool]]| {
+        let mut content = b"GGSVGR6\0".to_vec();
+        codec::put_u64(&mut content, 1);
+        codec::put_u64(&mut content, 0);
+        codec::put_str(&mut content, dsl);
+        codec::put_len(&mut content, cuts.len());
+        for chain in cuts {
+            codec::put_len(&mut content, chain.len());
+            chain
+                .iter()
+                .for_each(|&cut| codec::put_u8(&mut content, u8::from(cut)));
+            codec::put_f64(&mut content, 1.0);
         }
-        Err(other) => panic!("expected Corrupt, got {other}"),
-        Ok(_) => panic!("expected Corrupt, but the service opened"),
+        graphgen_serve::wal::seal(&mut content);
+        std::fs::write(dir.path().join("coauthors.graph.snap"), &content).unwrap();
+    };
+    // A file that fits opens, at the version it holds.
+    write(Q_COAUTHORS, &[&[false]]);
+    let service = GraphService::open(dir.path()).unwrap();
+    assert_eq!(service.snapshot("coauthors").unwrap().version(), 1);
+    drop(service);
+    let misfits: [(&str, &[&[bool]], &str); 5] = [
+        (Q_COAUTHORS, &[], "0 frozen plans for 1 Edges chains"),
+        (
+            Q_COAUTHORS,
+            &[&[false], &[true]],
+            "2 frozen plans for 1 Edges chains",
+        ),
+        (Q_COAUTHORS, &[&[]], "chain 1: 0 cuts for 1 joins"),
+        (
+            Q_COAUTHORS,
+            &[&[true, false]],
+            "chain 1: 2 cuts for 1 joins",
+        ),
+        (
+            "Nodes(ID, Name) :- Author(ID, Name). Edges(A, B) :-",
+            &[&[false]],
+            "does not compile",
+        ),
+    ];
+    for (dsl, cuts, want) in misfits {
+        write(dsl, cuts);
+        match GraphService::open(dir.path()) {
+            Err(ServeError::Corrupt { file, what }) => {
+                assert!(file.ends_with("coauthors.graph.snap"), "names `{file}`");
+                assert!(what.contains(want), "{cuts:?}: unexpected reason: {what}");
+            }
+            Err(other) => panic!("{cuts:?}: expected Corrupt, got {other}"),
+            Ok(_) => panic!("{cuts:?}: expected Corrupt, but the service opened"),
+        }
     }
 }

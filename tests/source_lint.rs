@@ -328,6 +328,51 @@ const DELETED_NAMES: &[(&str, Option<&str>)] = &[
     ("virt_of", None),
     ("run_to_last_join", None),
     ("Vec<Vec<Vec<Option<Bag>>>>", None),
+    // The database is the only durable state: a graph file is a header,
+    // and recovery rebuilds each graph from the recovered database with
+    // the bulk load at its frozen cuts. No handle, graph or state codec.
+    ("GGSNAP", Some("docs/ARCHITECTURE.md")),
+    ("SNAPSHOT_MAGIC", None),
+    ("to_snapshot_bytes", None),
+    ("from_snapshot_bytes", None),
+    ("write_snapshot", None),
+    ("from_snapshot_parts", None),
+    ("encode_snapshot", None),
+    ("decode_snapshot", None),
+    ("graph::snapshot", None),
+    ("graph_snapshot", None),
+    ("ChunkEncoder", None),
+    ("ChunkDecoder", None),
+    ("encode_condensed", None),
+    ("decode_condensed", None),
+    ("encode_prop_cell", None),
+    ("decode_prop_cell", None),
+    ("encode_properties", None),
+    ("decode_properties", None),
+    ("put_idmap", None),
+    ("read_idmap", None),
+    ("rebuild_real_ids", None),
+    ("set_threads", None),
+    ("SnapshotOfDerived", None),
+    ("ErrorKind::Snapshot", None),
+    ("Error::Snapshot", None),
+    ("from_chunked", None),
+    ("Adj::from_raw", None),
+    ("decode_at_depth", None),
+    ("planned_outputs", None),
+    ("fn lefts", None),
+    ("fn scalar", None),
+    ("put_bytes", None),
+    ("handle_snapshot_size", None),
+    // Public functions whose only caller was their own unit test.
+    ("avg_fanout", None),
+    ("has_table", None),
+    ("is_stopped", None),
+    ("is_trivial", None),
+    ("total_cost", None),
+    ("column_by_name", None),
+    ("synthetic_1", None),
+    ("synthetic_2", None),
 ];
 
 #[test]
@@ -381,7 +426,9 @@ fn deleted_operators_stay_deleted() {
          label lists for the one `Phase` declaration, and the named, \
          hash-mapped node entries for rows aligned with their view, the \
          maintenance state's own dictionary and the refcounted, recycling \
-         slots for the one grow-only database dictionary, and \
+         slots for the one grow-only database dictionary, the handle, \
+         graph and state snapshot codecs for rebuilding each graph from \
+         the recovered database, and \
          public functions nothing called were deleted; extend those instead \
          of bringing a second mechanism back, and keep the docs on the \
          code that exists:\n{}",
