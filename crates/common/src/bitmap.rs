@@ -86,42 +86,9 @@ impl Bitmap {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Iterate over the indices of set bits in ascending order.
-    pub fn iter_ones(&self) -> IterOnes<'_> {
-        IterOnes {
-            words: &self.words,
-            word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
-        }
-    }
-
     /// Heap bytes used by the word storage.
     pub fn heap_bytes(&self) -> usize {
         self.words.len() * std::mem::size_of::<u64>()
-    }
-}
-
-/// Iterator over set-bit indices of a [`Bitmap`].
-pub struct IterOnes<'a> {
-    words: &'a [u64],
-    word_idx: usize,
-    current: u64,
-}
-
-impl Iterator for IterOnes<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        while self.current == 0 {
-            self.word_idx += 1;
-            if self.word_idx >= self.words.len() {
-                return None;
-            }
-            self.current = self.words[self.word_idx];
-        }
-        let bit = self.current.trailing_zeros() as usize;
-        self.current &= self.current - 1;
-        Some(self.word_idx * 64 + bit)
     }
 }
 
@@ -165,21 +132,10 @@ mod tests {
     }
 
     #[test]
-    fn iter_ones_matches_gets() {
-        let mut b = Bitmap::zeros(200);
-        let set_bits = [0usize, 1, 63, 64, 65, 127, 128, 199];
-        for &i in &set_bits {
-            b.set(i);
-        }
-        let collected: Vec<usize> = b.iter_ones().collect();
-        assert_eq!(collected, set_bits);
-    }
-
-    #[test]
     fn empty_bitmap() {
         let b = Bitmap::zeros(0);
         assert!(b.is_empty());
-        assert_eq!(b.iter_ones().count(), 0);
+        assert_eq!(b.count_ones(), 0);
         assert!(b.all_zero());
     }
 }

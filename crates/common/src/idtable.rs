@@ -14,9 +14,13 @@
 //! grow without asking for keys again. Probing is linear; a tag mismatch
 //! skips an entry without touching the caller's keys, so the caller
 //! compares a key only where 32 hash bits agree. The load never exceeds
-//! 3/4: an insert past it doubles the table. Both dictionaries are
-//! grow-only, so nothing is ever removed and a lookup stops at the first
-//! empty slot.
+//! 3/4: an insert past it doubles the table. A lookup stops at the first
+//! empty slot: none ever sits between an entry and its home. The
+//! dictionaries dedup through [`IdTable::find_or_insert`]; the catalog's
+//! row locator keeps a bag of row positions per row hash, added by
+//! [`IdTable::insert`] and taken out by [`IdTable::remove`], which shifts
+//! the rest of the run back over the gap (an entry moves only where that
+//! keeps it at or after its home, which its tag names: no key is asked).
 //!
 //! The tag is the high half of the hash times the 64-bit golden-ratio
 //! constant, not of the hash itself. FxHash ends by multiplying with a
@@ -168,6 +172,43 @@ impl IdTable {
         None
     }
 
+    /// Store `id` under `hash` beside any ids already there: no key is
+    /// compared, so equal keys may hold several ids (a bag).
+    pub fn insert(&mut self, hash: u64, id: u32) {
+        self.find_or_insert(hash, id, |_| false);
+    }
+
+    /// Take `id` out of the table, naming the `hash` it was stored under
+    /// (only the tag and the id are compared); false if it is not there.
+    /// The entries after it in its run shift back over the gap, so every
+    /// lookup still ends at the first empty slot.
+    pub fn remove(&mut self, hash: u64, id: u32) -> bool {
+        if self.slots.is_empty() {
+            return false;
+        }
+        let Ok(mut gap) = self.probe(tag_of(hash), |stored| stored == id) else {
+            return false;
+        };
+        let mask = self.mask();
+        let mut i = gap;
+        loop {
+            i = (i + 1) & mask;
+            let s = self.slots[i];
+            if s.id == EMPTY_ID {
+                break;
+            }
+            // `s` may fill the gap iff the gap lies on its way from its home
+            // to `i`.
+            if (i.wrapping_sub(self.home(s.tag)) & mask) >= (i.wrapping_sub(gap) & mask) {
+                self.slots[gap] = s;
+                gap = i;
+            }
+        }
+        self.slots[gap] = EMPTY;
+        self.len -= 1;
+        true
+    }
+
     /// Put `s` in the empty slot that ends its probe run.
     fn place(&mut self, s: Slot) {
         let empty = self.probe(s.tag, |_| false).unwrap_err();
@@ -231,6 +272,20 @@ mod tests {
             let keys = &self.keys;
             self.table
                 .find_or_insert((self.hash)(key), id, |id| keys[id as usize] == Some(key))
+        }
+
+        /// Every id stored under `key`, sorted: the walk a bag's caller
+        /// makes, recording each candidate and accepting none.
+        fn bag(&self, key: u64) -> Vec<u32> {
+            let mut ids = Vec::new();
+            self.table.find((self.hash)(key), |id| {
+                if self.keys[id as usize] == Some(key) {
+                    ids.push(id);
+                }
+                false
+            });
+            ids.sort_unstable();
+            ids
         }
 
         /// Every stored entry sits no farther from its home than the first
@@ -347,6 +402,149 @@ mod tests {
         for seed in 1..=4 {
             run_model(seed, 40, 2_000, last);
         }
+    }
+
+    /// Interleaved inserts of fresh ids (duplicate keys included) and
+    /// removals against a `HashMap` of id bags. A removal names an id
+    /// stored under the key, one already removed from it, or one never
+    /// stored: an id is only ever removed under the hash it was stored
+    /// with, as the catalog does.
+    fn run_bag_model(seed: u64, key_range: u64, steps: usize, hash: fn(u64) -> u64) {
+        let mut rng = SplitMix64::new(seed);
+        let mut model = Model {
+            table: IdTable::new(),
+            keys: Vec::new(),
+            hash,
+        };
+        let mut reference: HashMap<u64, Vec<u32>> = HashMap::new();
+        let mut removed: HashMap<u64, Vec<u32>> = HashMap::new();
+        for step in 0..steps {
+            let key = rng.next_below(key_range);
+            // Insert a little more often than remove, so the table grows,
+            // empties runs and grows again.
+            if rng.next_below(5) < 3 {
+                let id = model.keys.len() as u32;
+                model.keys.push(Some(key));
+                model.table.insert(hash(key), id);
+                reference.entry(key).or_default().push(id);
+            } else {
+                let bag = reference.entry(key).or_default();
+                let gone = removed.entry(key).or_default();
+                let (id, held) = match rng.next_below(4) {
+                    0 if !gone.is_empty() => {
+                        (gone[rng.next_below(gone.len() as u64) as usize], false)
+                    }
+                    0 | 1 => (model.keys.len() as u32 + 7, false),
+                    _ if bag.is_empty() => (model.keys.len() as u32, false),
+                    _ => (
+                        bag.swap_remove(rng.next_below(bag.len() as u64) as usize),
+                        true,
+                    ),
+                };
+                if held {
+                    gone.push(id);
+                }
+                assert_eq!(
+                    model.table.remove(hash(key), id),
+                    held,
+                    "seed {seed} step {step}"
+                );
+            }
+            let stored: usize = reference.values().map(Vec::len).sum();
+            assert_eq!(model.table.len(), stored, "seed {seed} step {step}");
+            let mut want = reference.get(&key).cloned().unwrap_or_default();
+            want.sort_unstable();
+            assert_eq!(model.bag(key), want, "seed {seed} step {step}");
+            if step % 53 == 0 {
+                model.check_runs();
+            }
+        }
+        model.check_runs();
+        for key in 0..key_range {
+            let mut want = reference.get(&key).cloned().unwrap_or_default();
+            want.sort_unstable();
+            assert_eq!(model.bag(key), want, "seed {seed} key {key}");
+        }
+    }
+
+    #[test]
+    fn bag_inserts_and_removals_match_a_hash_map_model() {
+        fn eight(key: u64) -> u64 {
+            hash_with_tag((key % 8) as u32 * 0x1357_9BDF, key as u32)
+        }
+        fn last(key: u64) -> u64 {
+            hash_with_tag(u32::MAX, key as u32)
+        }
+        for seed in 1..=6 {
+            run_bag_model(seed, 500, 12_000, fx);
+            run_bag_model(seed, 20, 3_000, fx);
+        }
+        for seed in 1..=4 {
+            run_bag_model(seed, 200, 4_000, eight);
+            run_bag_model(seed, 30, 2_000, last);
+        }
+    }
+
+    #[test]
+    fn removal_inside_a_wrapped_run_shifts_the_rest_back() {
+        // Every key's home is slot 7, so ids 0..5 fill slots 7, 0, 1, 2, 3.
+        fn last(key: u64) -> u64 {
+            hash_with_tag(u32::MAX, key as u32)
+        }
+        let mut t = IdTable::with_capacity(5);
+        for id in 0..5 {
+            t.insert(last(id as u64), id);
+        }
+        let at = |t: &IdTable| t.slots.iter().map(|s| s.id).collect::<Vec<_>>();
+        assert_eq!(at(&t), [1, 2, 3, 4, EMPTY_ID, EMPTY_ID, EMPTY_ID, 0]);
+        // Removing from the middle of the run, and across the wrap, keeps
+        // it contiguous from slot 7.
+        assert!(t.remove(last(2), 2));
+        assert_eq!(at(&t), [1, 3, 4, EMPTY_ID, EMPTY_ID, EMPTY_ID, EMPTY_ID, 0]);
+        assert!(t.remove(last(0), 0));
+        assert_eq!(
+            at(&t),
+            [3, 4, EMPTY_ID, EMPTY_ID, EMPTY_ID, EMPTY_ID, EMPTY_ID, 1]
+        );
+        assert!(!t.remove(last(0), 0), "already gone");
+        assert_eq!(t.len(), 3);
+        // An entry at its home stays put when one before it goes.
+        let mut t = IdTable::with_capacity(5);
+        let home = |slot: u32| hash_with_tag(slot << 29, 0);
+        t.insert(home(1), 10);
+        t.insert(home(1), 11);
+        t.insert(home(2), 12);
+        assert_eq!(at(&t)[1..4], [10, 11, 12]);
+        assert!(t.remove(home(1), 10));
+        assert_eq!(at(&t)[1..4], [11, 12, EMPTY_ID]);
+        assert!(t.remove(home(1), 11));
+        assert_eq!(at(&t)[1..4], [EMPTY_ID, 12, EMPTY_ID]);
+    }
+
+    #[test]
+    fn growth_after_removals_counts_what_is_stored() {
+        let mut t = IdTable::new();
+        for id in 0..6 {
+            t.insert(fx(id as u64 % 2), id);
+        }
+        assert_eq!((t.len(), t.slots.len()), (6, 8));
+        for id in 0..3 {
+            assert!(t.remove(fx(id as u64 % 2), id));
+        }
+        for id in 6..9 {
+            t.insert(fx(id as u64 % 2), id);
+        }
+        assert_eq!((t.len(), t.slots.len()), (6, 8), "refilled, not grown");
+        t.insert(fx(1), 9);
+        assert_eq!((t.len(), t.slots.len()), (7, 16));
+        let model = Model {
+            table: t,
+            keys: (0..10).map(|id| Some(id % 2)).collect(),
+            hash: fx,
+        };
+        model.check_runs();
+        assert_eq!(model.bag(0), [4, 6, 8]);
+        assert_eq!(model.bag(1), [3, 5, 7, 9]);
     }
 
     #[test]

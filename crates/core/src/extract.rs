@@ -221,8 +221,10 @@ impl<'a> GraphGen<'a> {
     }
 
     /// Run [`GraphGen::check`] and compile the spec, rejecting programs the
-    /// checker finds errors in before any extraction work happens.
-    fn checked_spec(&self, dsl: &str) -> Result<GraphSpec, Error> {
+    /// checker finds errors in before any extraction work happens. What
+    /// [`GraphGen::extract`] runs before [`GraphGen::extract_spec`], for a
+    /// caller that keeps the spec.
+    pub fn checked_spec(&self, dsl: &str) -> Result<GraphSpec, Error> {
         let report = self.check(dsl)?;
         if report.has_errors() {
             let errors: Vec<_> = report

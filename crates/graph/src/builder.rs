@@ -34,23 +34,10 @@ impl CondensedBuilder {
         self.virt_out.len()
     }
 
-    /// Append a fresh real node, returning its id.
-    pub fn add_real(&mut self) -> RealId {
-        self.real_out.push(Vec::new());
-        RealId(self.real_out.len() as u32 - 1)
-    }
-
     /// Create a fresh virtual node, returning its id.
     pub fn add_virtual(&mut self) -> VirtId {
         self.virt_out.push(Vec::new());
         VirtId(self.virt_out.len() as u32 - 1)
-    }
-
-    /// Create `n` fresh virtual nodes, returning the id of the first.
-    pub fn add_virtuals(&mut self, n: usize) -> VirtId {
-        let first = self.virt_out.len() as u32;
-        self.virt_out.resize(self.virt_out.len() + n, Vec::new());
-        VirtId(first)
     }
 
     /// Edge from a real source to a virtual node (`u_s → V`).
@@ -128,23 +115,5 @@ mod tests {
         b.virtual_to_real(v, RealId(1));
         let g = b.build();
         assert_eq!(g.stored_edge_count(), 2);
-    }
-
-    #[test]
-    fn add_real_extends_id_space() {
-        let mut b = CondensedBuilder::new(1);
-        let r = b.add_real();
-        assert_eq!(r, RealId(1));
-        assert_eq!(b.num_real(), 2);
-    }
-
-    #[test]
-    fn add_virtuals_batch() {
-        let mut b = CondensedBuilder::new(0);
-        let first = b.add_virtuals(5);
-        assert_eq!(first, VirtId(0));
-        assert_eq!(b.num_virtual(), 5);
-        let next = b.add_virtual();
-        assert_eq!(next, VirtId(5));
     }
 }

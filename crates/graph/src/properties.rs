@@ -29,15 +29,6 @@ impl PropValue {
         }
     }
 
-    /// As float (ints widen).
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            PropValue::Float(v) => Some(*v),
-            PropValue::Int(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
     /// As text.
     pub fn as_text(&self) -> Option<&str> {
         match self {
@@ -148,14 +139,8 @@ mod tests {
         p.set(RealId(0), "x", PropValue::Float(1.5));
         p.grow(5);
         assert_eq!(p.len(), 5);
-        assert_eq!(p.get(RealId(0), "x").unwrap().as_float(), Some(1.5));
+        assert_eq!(p.get(RealId(0), "x"), Some(&PropValue::Float(1.5)));
         assert!(p.get(RealId(4), "x").is_none());
-    }
-
-    #[test]
-    fn float_widening() {
-        assert_eq!(PropValue::Int(2).as_float(), Some(2.0));
-        assert_eq!(PropValue::Text("x".into()).as_float(), None);
     }
 
     #[test]

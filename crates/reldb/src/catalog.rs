@@ -12,14 +12,23 @@
 //! `O(table)` — matching the delta-bound contract of the graph-side
 //! incremental maintenance. Mutations are logged as typed [`Delta`]s for
 //! that maintenance layer.
+//!
+//! Beside the counts, each table keeps a **row locator** (an `IdTable` of
+//! live row positions keyed by the hash of the row's ids): a delete probes
+//! it and confirms each candidate cell-wise, so it costs its batch.
 
 use crate::delta::{Delta, DeltaOp};
-use crate::error::{DbError, DbResult};
+use crate::error::{DbError, DbResult, Oversize};
 use crate::intern::{hash_vids, Interner, Vid};
 use crate::table::{StoredTable, Table, TableRef};
 use crate::value::Value;
 use graphgen_common::codec::{self, CodecError, Reader};
-use graphgen_common::{ByteSize, FxHashMap};
+use graphgen_common::{ByteSize, FxHashMap, IdTable};
+
+/// A table holds fewer physical rows than this: what the row locator
+/// indexes (2^32 slots at a load of at most 3/4), so positions and value
+/// counts fit a `u32`.
+pub const MAX_PHYSICAL_ROWS: usize = 3 << 30;
 
 /// Statistics for one column, analogous to a `pg_stats` row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,10 +41,9 @@ pub struct ColumnStats {
 
 /// Maintained statistics state of one table: a [`Vid`] → occurrence-count
 /// map per column (the exact-`n_distinct` index the planner reads through
-/// [`ColumnStats`]), plus a whole-row hash → occurrence-count map that
-/// lets [`Database::delete_rows`] reject absent rows without scanning
-/// (hash collisions only make the map over-report, so it is advisory —
-/// presence is always confirmed cell-wise by the scan).
+/// [`ColumnStats`]), plus the row locator [`Database::delete_rows`] probes
+/// (a bag, since rows repeat; a hash collision only adds a candidate that
+/// the cell-wise check turns down).
 ///
 /// Keying by interned id instead of owned [`Value`] means the statistics
 /// never clone a string: their footprint is a few machine words per
@@ -43,27 +51,36 @@ pub struct ColumnStats {
 /// in the database dictionary).
 #[derive(Debug, Clone, Default)]
 struct TableCounts {
-    columns: Vec<FxHashMap<Vid, u64>>,
-    row_hashes: FxHashMap<u64, u64>,
+    columns: Vec<FxHashMap<Vid, u32>>,
+    locator: IdTable,
 }
 
 impl TableCounts {
-    fn new(arity: usize) -> Self {
-        Self {
+    /// Count and locate every live row of `table`: at registration, on
+    /// decode, and after a compaction renumbered the rows.
+    fn of(table: &StoredTable) -> Self {
+        let arity = table.schema().arity();
+        let mut counts = Self {
             columns: vec![FxHashMap::default(); arity],
-            row_hashes: FxHashMap::default(),
+            locator: IdTable::with_capacity(table.num_rows()),
+        };
+        let mut vids = vec![0 as Vid; arity];
+        for pos in (0..table.physical_rows()).filter(|&r| table.is_live(r)) {
+            table.row_ids(pos, &mut vids);
+            counts.insert(&vids, pos);
         }
+        counts
     }
 
-    /// Bump counts for one inserted row (already interned).
-    fn insert(&mut self, vids: &[Vid]) {
+    /// Count one inserted row (already interned) at physical row `pos`.
+    fn insert(&mut self, vids: &[Vid], pos: usize) {
         for (col, &v) in self.columns.iter_mut().zip(vids) {
             *col.entry(v).or_insert(0) += 1;
         }
-        *self.row_hashes.entry(hash_vids(vids)).or_insert(0) += 1;
+        self.locator.insert(hash_vids(vids), pos as u32);
     }
 
-    /// Decrement counts for one deleted row, dropping exhausted values.
+    /// Uncount one deleted row (already out of the locator).
     fn delete(&mut self, vids: &[Vid]) {
         for (col, v) in self.columns.iter_mut().zip(vids) {
             if let Some(n) = col.get_mut(v) {
@@ -73,23 +90,23 @@ impl TableCounts {
                 }
             }
         }
-        let h = hash_vids(vids);
-        if let Some(n) = self.row_hashes.get_mut(&h) {
-            *n -= 1;
-            if *n == 0 {
-                self.row_hashes.remove(&h);
-            }
-        }
     }
+}
 
-    /// Rows currently sharing this whole-row hash (0 = definitely absent).
-    fn rows_with_hash(&self, h: u64) -> u64 {
-        self.row_hashes.get(&h).copied().unwrap_or(0)
+impl ByteSize for TableCounts {
+    /// The count maps' buckets and control bytes, and the locator's slots.
+    fn heap_bytes(&self) -> usize {
+        self.columns.heap_bytes() + self.locator.heap_bytes()
     }
+}
 
-    fn n_distinct(&self, idx: usize) -> usize {
-        self.columns.get(idx).map_or(0, FxHashMap::len)
+/// Refuse a table that `extra` more rows take to [`MAX_PHYSICAL_ROWS`].
+fn check_rows(physical: usize, extra: usize) -> DbResult<()> {
+    let rows = physical.saturating_add(extra);
+    if rows >= MAX_PHYSICAL_ROWS {
+        return Err(DbError::TooLarge(Oversize::Rows(rows)));
     }
+    Ok(())
 }
 
 /// A named collection of tables with statistics and a shared value
@@ -106,11 +123,7 @@ pub struct Database {
 impl Database {
     /// New empty database.
     pub fn new() -> Self {
-        Self {
-            tables: FxHashMap::default(),
-            counts: FxHashMap::default(),
-            dict: Interner::new(),
-        }
+        Self::default()
     }
 
     /// The database's value dictionary (read-only).
@@ -118,21 +131,20 @@ impl Database {
         &self.dict
     }
 
-    /// Heap bytes held by the maintained statistics maps alone — excludes
-    /// table storage and the dictionary. These are `Vid`-keyed, so the
-    /// number must not scale with value payload size (asserted by the
-    /// `catalog_bytes` test against the counting allocator).
+    /// Heap bytes held by the maintained statistics alone — the count maps
+    /// and row locators, by their allocations (buckets plus control bytes,
+    /// locator slots); excludes table storage and the dictionary. These are
+    /// `Vid`-keyed, so the number must not scale with value payload size
+    /// (asserted by the `catalog_bytes` test against the counting
+    /// allocator).
     pub fn stats_heap_bytes(&self) -> usize {
-        self.counts
-            .values()
-            .map(|t| {
-                t.columns
-                    .iter()
-                    .map(|col| col.capacity() * std::mem::size_of::<(Vid, u64)>())
-                    .sum::<usize>()
-                    + t.row_hashes.capacity() * std::mem::size_of::<(u64, u64)>()
-            })
-            .sum()
+        self.counts.heap_bytes()
+    }
+
+    /// Heap bytes of the tables: their id columns and tombstones, names
+    /// and the map holding them. The values are the dictionary's.
+    pub fn tables_heap_bytes(&self) -> usize {
+        self.tables.heap_bytes()
     }
 
     /// Register `table` under `name`: intern every cell in the dictionary,
@@ -144,16 +156,17 @@ impl Database {
         if self.tables.contains_key(&name) {
             return Err(DbError::DuplicateTable(name));
         }
-        let mut counts = TableCounts::new(table.schema().arity());
-        let stored = StoredTable::ingest(table, &mut self.dict, |ids| counts.insert(ids));
-        self.counts.insert(name.clone(), counts);
+        check_rows(table.num_rows(), 0)?;
+        let stored = StoredTable::ingest(table, &mut self.dict);
+        self.counts.insert(name.clone(), TableCounts::of(&stored));
         self.tables.insert(name, stored);
         Ok(())
     }
 
     /// Append `rows` to table `name`, returning the [`Delta`] log of the
-    /// mutation. Every row is validated against the schema **before** any is
-    /// applied, so a failed call leaves the table untouched. Each row's
+    /// mutation. Every row is validated against the schema, and the table's
+    /// size against [`MAX_PHYSICAL_ROWS`], **before** any is applied, so a
+    /// failed call leaves the table untouched. Each row's
     /// cells are interned in the dictionary once; the ids go into the table,
     /// the statistics and the delta, and the row itself moves into the
     /// delta beside them.
@@ -165,6 +178,7 @@ impl Database {
         for row in &rows {
             table.schema().check_row(row)?;
         }
+        check_rows(table.physical_rows(), rows.len())?;
         let counts = self
             .counts
             .get_mut(name)
@@ -173,7 +187,7 @@ impl Database {
         table.reserve(rows.len());
         for row in rows {
             let vids: Vec<Vid> = row.iter().map(|v| self.dict.intern(v)).collect();
-            counts.insert(&vids);
+            counts.insert(&vids, table.physical_rows());
             table.push_ids(&vids);
             delta.push(row, vids, DeltaOp::Insert);
         }
@@ -186,16 +200,17 @@ impl Database {
     /// ignored — the returned [`Delta`] only logs rows actually removed, so
     /// deleting a never-inserted row yields an empty delta.
     ///
-    /// Requested rows are looked up in the dictionary once each and checked
-    /// against the maintained whole-row hash index: a batch of absent rows
-    /// (common under random churn) is a true `O(batch)` no-op with **no
-    /// scan at all**. When present rows remain, the scan hashes each table
-    /// row's stored ids (no dictionary lookup, no row materialization) and
-    /// stops as soon as every *satisfiable* occurrence has been found (the
-    /// hash index bounds how many can match, so over-requested counts don't
-    /// force a full pass). The ids of each removed row decrement the
-    /// statistics directly, so the statistics cost tracks the delta; the
-    /// dictionary keeps every id.
+    /// Each requested row is looked up in the dictionary once (a cell the
+    /// dictionary does not hold means the row is stored nowhere) and its
+    /// hash probed in the table's row locator; a candidate counts only if
+    /// its ids equal the row's, cell by cell. A request takes its row's
+    /// live occurrence at the lowest physical position, and leaves the
+    /// locator at once, so the next request for the same row takes the
+    /// next one. The cost is a probe per requested row, walking that row's
+    /// live occurrences, never a walk of the table (positions are `u32`,
+    /// below [`MAX_PHYSICAL_ROWS`]). The removed rows are logged in
+    /// physical order, their ids decrement the statistics directly, and
+    /// their slots are tombstoned; the dictionary keeps every id.
     pub fn delete_rows(&mut self, name: &str, rows: &[Vec<Value>]) -> DbResult<Delta> {
         let table = self
             .tables
@@ -208,13 +223,8 @@ impl Database {
             .counts
             .get_mut(name)
             .expect("registered table has counts");
-        // Resolve each requested row to interned ids and group by hash,
-        // keeping a remaining count per distinct row (bag semantics). A row
-        // with any cell absent from the dictionary is stored nowhere and is
-        // dropped with no scan; so are hashes the whole-row index provably
-        // holds no row for. For the rest, the table can match at most
-        // `rows_with_hash` occurrences, whatever was requested.
-        let mut by_hash: FxHashMap<u64, Vec<(Vec<Vid>, u32)>> = FxHashMap::default();
+        let mut row_vids = vec![0 as Vid; table.schema().arity()];
+        let mut taken: Vec<u32> = Vec::new();
         for row in rows {
             let Some(vids) = row
                 .iter()
@@ -224,58 +234,34 @@ impl Database {
                 continue;
             };
             let h = hash_vids(&vids);
-            if counts.rows_with_hash(h) == 0 {
-                continue;
-            }
-            let candidates = by_hash.entry(h).or_default();
-            match candidates.iter_mut().find(|(want, _)| *want == vids) {
-                Some((_, count)) => *count += 1,
-                None => candidates.push((vids, 1)),
-            }
-        }
-        let mut remaining = 0u64;
-        for (h, candidates) in &by_hash {
-            let requested: u64 = candidates.iter().map(|(_, c)| u64::from(*c)).sum();
-            remaining += requested.min(counts.rows_with_hash(*h));
-        }
-        let mut delta = Delta::new(name);
-        if remaining == 0 {
-            return Ok(delta);
-        }
-        let arity = table.schema().arity();
-        let mut matched: Vec<u32> = Vec::new();
-        let mut row_vids = vec![0 as Vid; arity];
-        for r in 0..table.physical_rows() {
-            if remaining == 0 {
-                break;
-            }
-            if !table.is_live(r) {
-                continue;
-            }
-            table.row_ids(r, &mut row_vids);
-            let h = hash_vids(&row_vids);
-            let Some(candidates) = by_hash.get_mut(&h) else {
-                continue;
-            };
-            for (want, count) in candidates.iter_mut() {
-                if *count > 0 && *want == row_vids {
-                    *count -= 1;
-                    remaining -= 1;
-                    matched.push(r as u32);
-                    break;
+            // Walk every candidate (`find` asks about each and is told no),
+            // keeping the lowest position whose ids match.
+            let mut lowest: Option<u32> = None;
+            counts.locator.find(h, |pos| {
+                if lowest.is_none_or(|low| pos < low) {
+                    table.row_ids(pos as usize, &mut row_vids);
+                    if row_vids == vids {
+                        lowest = Some(pos);
+                    }
                 }
+                false
+            });
+            if let Some(pos) = lowest {
+                counts.locator.remove(h, pos);
+                taken.push(pos);
             }
         }
-        // O(batch): log each matched row with its ids, decrement the
-        // statistics per removed occurrence, then tombstone the slots
-        // (compaction is amortized).
-        for &r in &matched {
+        taken.sort_unstable();
+        let mut delta = Delta::new(name);
+        for &r in &taken {
             table.row_ids(r as usize, &mut row_vids);
             counts.delete(&row_vids);
             let values = TableRef::new(table, &self.dict).row(r as usize);
             delta.push(values, row_vids.clone(), DeltaOp::Delete);
         }
-        table.delete_physical_rows(&matched);
+        if table.delete_physical_rows(&taken) {
+            *counts = TableCounts::of(table);
+        }
         Ok(delta)
     }
 
@@ -303,7 +289,7 @@ impl Database {
         }
         Ok(ColumnStats {
             row_count: self.tables[table].num_rows(),
-            n_distinct: counts.n_distinct(col),
+            n_distinct: counts.columns[col].len(),
         })
     }
 
@@ -368,13 +354,13 @@ impl Database {
                 return Err(CodecError::invalid(at, format!("duplicate table `{name}`")));
             }
             let table = StoredTable::decode(r, &db.dict)?;
-            let mut counts = TableCounts::new(table.schema().arity());
-            let mut vids = vec![0 as Vid; table.schema().arity()];
-            for row in 0..table.num_rows() {
-                table.row_ids(row, &mut vids);
-                counts.insert(&vids);
+            if check_rows(table.num_rows(), 0).is_err() {
+                return Err(CodecError::invalid(
+                    at,
+                    format!("table `{name}` is too large"),
+                ));
             }
-            db.counts.insert(name.clone(), counts);
+            db.counts.insert(name.clone(), TableCounts::of(&table));
             db.tables.insert(name, table);
         }
         Ok(db)
@@ -383,15 +369,10 @@ impl Database {
 
 impl ByteSize for Database {
     /// Id columns and tombstones of every table, the statistics (per-column
-    /// counts and whole-row index) and the dictionary, which holds every
-    /// value payload once.
+    /// counts and row locators) and the dictionary, which holds every value
+    /// payload once.
     fn heap_bytes(&self) -> usize {
-        self.tables
-            .values()
-            .map(ByteSize::heap_bytes)
-            .sum::<usize>()
-            + self.stats_heap_bytes()
-            + self.dict.heap_bytes()
+        self.tables_heap_bytes() + self.stats_heap_bytes() + self.dict.heap_bytes()
     }
 }
 
@@ -601,6 +582,141 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The delete semantics, by a scan: per distinct requested row,
+    /// the first `min(requested, present)` live occurrences in table order
+    /// go, and are reported in table order.
+    fn scan_delete(rows: &mut Vec<Vec<Value>>, requests: &[Vec<Value>]) -> Vec<Vec<Value>> {
+        let mut wanted: Vec<(&Vec<Value>, usize)> = Vec::new();
+        for req in requests {
+            match wanted.iter_mut().find(|(row, _)| *row == req) {
+                Some((_, n)) => *n += 1,
+                None => wanted.push((req, 1)),
+            }
+        }
+        let mut removed = Vec::new();
+        rows.retain(
+            |row| match wanted.iter_mut().find(|(want, _)| *want == row) {
+                Some((_, n)) if *n > 0 => {
+                    *n -= 1;
+                    removed.push(row.clone());
+                    false
+                }
+                _ => true,
+            },
+        );
+        removed
+    }
+
+    /// The row locator against a scan-based reference: seeded sequences of
+    /// inserts, deletes (duplicate requests, more requests than
+    /// occurrences, absent rows, cells the dictionary never saw), the
+    /// compactions they trigger and codec round trips. After every step the
+    /// delta rows (values and ids, in order), the table's live rows and
+    /// every column's statistics must match.
+    #[test]
+    fn deletes_match_a_scan_reference_through_compaction_and_codec() {
+        let schema = Schema::new(vec![Column::int("a"), Column::str("b")]);
+        let cell = |rng: &mut graphgen_common::SplitMix64| {
+            let a = match rng.next_below(12) {
+                0 => Value::Null,
+                // Never inserted: a cell the dictionary may not hold.
+                1 => Value::int(1_000 + rng.next_below(3) as i64),
+                n => Value::int(n as i64 % 5),
+            };
+            let b = match rng.next_below(10) {
+                0 => Value::str("unseen"),
+                n => Value::str(format!("s{}", n % 3)),
+            };
+            vec![a, b]
+        };
+        let mut compactions = 0;
+        for seed in 1..=12u64 {
+            let mut rng = graphgen_common::SplitMix64::new(seed);
+            let mut reference: Vec<Vec<Value>> = Vec::new();
+            let mut t = Table::new(schema.clone());
+            for _ in 0..rng.next_below(40) {
+                let row = cell(&mut rng);
+                if row[0] != Value::int(1_000) && row[1] != Value::str("unseen") {
+                    reference.push(row.clone());
+                    t.push_row(row).unwrap();
+                }
+            }
+            let mut db = Database::new();
+            db.register("T", t).unwrap();
+            for step in 0..150 {
+                let at = format!("seed {seed} step {step}");
+                match rng.next_below(10) {
+                    0..=3 => {
+                        let rows: Vec<Vec<Value>> =
+                            (0..rng.next_below(30)).map(|_| cell(&mut rng)).collect();
+                        reference.extend(rows.iter().cloned());
+                        let delta = db.insert_rows("T", rows.clone()).unwrap();
+                        let got: Vec<_> = delta.rows().iter().map(|r| r.values.clone()).collect();
+                        assert_eq!(got, rows, "{at}");
+                    }
+                    4..=8 => {
+                        // Draw most requests from live rows, repeated, so a
+                        // batch asks for more occurrences than exist.
+                        let mut requests = Vec::new();
+                        for _ in 0..rng.next_below(60) {
+                            if reference.is_empty() || rng.next_below(4) == 0 {
+                                requests.push(cell(&mut rng));
+                            } else {
+                                let i = rng.next_below(reference.len() as u64) as usize;
+                                requests.push(reference[i].clone());
+                            }
+                        }
+                        let want = scan_delete(&mut reference, &requests);
+                        let delta = db.delete_rows("T", &requests).unwrap();
+                        let got: Vec<_> = delta.rows().iter().map(|r| r.values.clone()).collect();
+                        assert_eq!(got, want, "{at}");
+                        for row in delta.rows() {
+                            assert_eq!(row.op, DeltaOp::Delete, "{at}");
+                            let ids: Vec<Vid> = row
+                                .values
+                                .iter()
+                                .map(|v| db.dict().lookup(v).unwrap())
+                                .collect();
+                            assert_eq!(row.ids, ids, "{at}");
+                        }
+                    }
+                    _ => {
+                        compactions += db.table("T").unwrap().compaction_count();
+                        let mut bytes = Vec::new();
+                        db.encode_into(&mut bytes);
+                        db = Database::decode(&mut graphgen_common::Reader::new(&bytes)).unwrap();
+                    }
+                }
+                let table = db.table("T").unwrap();
+                assert_eq!(table.iter_rows().collect::<Vec<_>>(), reference, "{at}");
+                for col in 0..2 {
+                    let distinct: std::collections::BTreeSet<&Value> =
+                        reference.iter().map(|row| &row[col]).collect();
+                    let want = ColumnStats {
+                        row_count: reference.len(),
+                        n_distinct: distinct.len(),
+                    };
+                    assert_eq!(
+                        db.column_stats("T", col).unwrap(),
+                        want,
+                        "{at} column {col}"
+                    );
+                }
+            }
+            compactions += db.table("T").unwrap().compaction_count();
+        }
+        assert!(compactions > 0, "no sequence compacted its table");
+    }
+
+    #[test]
+    fn the_row_limit_counts_every_physical_row() {
+        let err = check_rows(MAX_PHYSICAL_ROWS - 10, 10).unwrap_err();
+        assert_eq!(err, DbError::TooLarge(Oversize::Rows(MAX_PHYSICAL_ROWS)));
+        assert!(check_rows(MAX_PHYSICAL_ROWS - 10, 9).is_ok());
+        assert!(check_rows(usize::MAX, 1).is_err());
+        assert!(MAX_PHYSICAL_ROWS < u32::MAX as usize);
     }
 
     #[test]

@@ -20,7 +20,8 @@ pub enum DbError {
     SchemaMismatch(String),
     /// Malformed CSV input.
     Csv(String),
-    /// A bag past its `u32` layout (see [`crate::exec::Bag`]).
+    /// A bag past its `u32` layout (see [`crate::exec::Bag`]), or a table
+    /// past its `u32` row positions.
     TooLarge(Oversize),
     /// Anything else (query shape errors etc.).
     Invalid(String),
@@ -42,6 +43,9 @@ impl fmt::Display for DbError {
             DbError::TooLarge(Oversize::Count(n)) => {
                 write!(f, "a pair counted {n} times is too large (u32 counts)")
             }
+            DbError::TooLarge(Oversize::Rows(n)) => {
+                write!(f, "a table of {n} rows is too large (u32 row positions)")
+            }
             DbError::Invalid(msg) => write!(f, "invalid query: {msg}"),
         }
     }
@@ -49,13 +53,16 @@ impl fmt::Display for DbError {
 
 impl std::error::Error for DbError {}
 
-/// What of a bag outgrew its `u32` layout.
+/// What of a bag or a table outgrew its `u32` layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Oversize {
     /// This many entries: past what its run offsets index.
     Entries(usize),
     /// A pair with this many derivations: past what an entry's count holds.
     Count(u64),
+    /// This many physical rows: past what the catalog's row positions and
+    /// value counts hold.
+    Rows(usize),
 }
 
 /// Convenience alias.

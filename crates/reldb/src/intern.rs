@@ -39,7 +39,7 @@ pub type Vid = u32;
 pub const NULL_VID: Vid = 0;
 
 /// 64-bit FxHash of a row of ids — the single definition of row identity,
-/// shared by DISTINCT and the catalog's whole-row index. Hashing dense
+/// shared by DISTINCT and the catalog's row locator. Hashing dense
 /// `u32`s instead of owned values keeps both off the heap.
 pub(crate) fn hash_vids(vids: &[Vid]) -> u64 {
     let mut h = FxHasher::default();

@@ -151,24 +151,16 @@ impl StoredTable {
         }
     }
 
-    /// Take `table` in: intern every cell in `dict` row by row, keep the
-    /// ids, and hand each row's ids to `each_row` (the catalog's
-    /// statistics). The `Value` columns are dropped on return.
-    pub(crate) fn ingest(
-        table: Table,
-        dict: &mut Interner,
-        mut each_row: impl FnMut(&[Vid]),
-    ) -> Self {
-        let arity = table.schema.arity();
-        let mut columns: Vec<Vec<Vid>> =
-            (0..arity).map(|_| Vec::with_capacity(table.rows)).collect();
-        let mut ids = vec![0 as Vid; arity];
+    /// Take `table` in: intern every cell in `dict` row by row and keep
+    /// the ids. The `Value` columns are dropped on return.
+    pub(crate) fn ingest(table: Table, dict: &mut Interner) -> Self {
+        let mut columns: Vec<Vec<Vid>> = (0..table.schema.arity())
+            .map(|_| Vec::with_capacity(table.rows))
+            .collect();
         for r in 0..table.rows {
-            for (c, id) in ids.iter_mut().enumerate() {
-                *id = dict.intern(table.cell(r, c));
-                columns[c].push(*id);
+            for (c, col) in columns.iter_mut().enumerate() {
+                col.push(dict.intern(table.cell(r, c)));
             }
-            each_row(&ids);
         }
         Self::with_columns(table.schema, columns, table.rows)
     }
@@ -215,8 +207,9 @@ impl StoredTable {
 
     /// Tombstone the physical rows in `rows` — O(batch), no column rewrite.
     /// Already-dead entries are ignored. May trigger a compaction pass when
-    /// dead rows outnumber live ones (amortized O(1) per deleted row).
-    pub(crate) fn delete_physical_rows(&mut self, rows: &[u32]) {
+    /// dead rows outnumber live ones (amortized O(1) per deleted row); true
+    /// if it did, which renumbers every physical row.
+    pub(crate) fn delete_physical_rows(&mut self, rows: &[u32]) -> bool {
         for &r in rows {
             let r = r as usize;
             if !self.dead[r] {
@@ -225,17 +218,17 @@ impl StoredTable {
                 self.rows -= 1;
             }
         }
-        self.maybe_compact();
+        self.maybe_compact()
     }
 
     /// Rewrite the columns dropping tombstoned rows iff the dead outnumber
-    /// the living (and there are enough of them to matter). One `retain`
-    /// pass per column — the cost is charged against the ≥ 50% of physical
-    /// rows that were deleted since the last rewrite, so deletes stay
-    /// amortized O(1) each.
-    fn maybe_compact(&mut self) {
+    /// the living (and there are enough of them to matter); true if it
+    /// did. One `retain` pass per column — the cost is charged against the
+    /// ≥ 50% of physical rows that were deleted since the last rewrite, so
+    /// deletes stay amortized O(1) each.
+    fn maybe_compact(&mut self) -> bool {
         if self.dead_count < COMPACT_MIN_DEAD || self.dead_count <= self.rows {
-            return;
+            return false;
         }
         for col in &mut self.columns {
             let mut idx = 0;
@@ -249,6 +242,7 @@ impl StoredTable {
         self.dead.resize(self.rows, false);
         self.dead_count = 0;
         self.compactions += 1;
+        true
     }
 
     /// Append the binary encoding of this table: schema, live row count,
@@ -422,7 +416,7 @@ mod tests {
 
     fn stored(t: Table) -> (StoredTable, Interner) {
         let mut dict = Interner::new();
-        let stored = StoredTable::ingest(t, &mut dict, |_| {});
+        let stored = StoredTable::ingest(t, &mut dict);
         (stored, dict)
     }
 

@@ -121,9 +121,12 @@ impl fmt::Display for Value {
 }
 
 impl graphgen_common::ByteSize for Value {
+    /// A string's `Arc` allocation: its two reference counts beside the
+    /// bytes, padded to a word.
     fn heap_bytes(&self) -> usize {
         match self {
-            Value::Str(s) => s.len(),
+            Value::Str(s) => (2 * std::mem::size_of::<usize>() + s.len())
+                .next_multiple_of(std::mem::align_of::<usize>()),
             _ => 0,
         }
     }

@@ -9,7 +9,8 @@
 //!   [`graphgen_common::instruments!`] as [`ServeMetrics`], and the
 //!   labelled families (per-verb request latency over [`Verb::ALL`],
 //!   per-phase apply and extraction timings, per-code check rejections)
-//!   are registered beside it, with the per-part state-bytes gauge;
+//!   are registered beside it, with the per-part state-bytes and
+//!   database-bytes gauges;
 //! * the phase router ([`Obs::record_phases`]) that folds the span labels
 //!   captured by [`graphgen_common::metrics::collect_phases`] into those
 //!   families;
@@ -24,8 +25,10 @@
 use crate::protocol::Verb;
 use graphgen_common::instruments;
 use graphgen_common::metrics::{Counter, Gauge, Histogram, Phase, PhaseFamily, Registry};
+use graphgen_common::ByteSize;
 use graphgen_core::StateBytes;
 use graphgen_dsl::{Code, Severity};
+use graphgen_reldb::Database;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
@@ -274,6 +277,9 @@ pub struct Obs {
     rejects: Vec<(Code, Counter)>,
     /// `graphgen_state_bytes`, one member per [`StateBytes`] part.
     state_bytes: Vec<Gauge>,
+    /// `graphgen_db_bytes`: the database's tables, dictionary and
+    /// statistics, in that order.
+    db_bytes: [Gauge; 3],
     trace: TraceRing,
     slow_op_ns: u64,
 }
@@ -320,6 +326,10 @@ impl Obs {
             .iter()
             .map(|(part, _)| registry.gauge_with("graphgen_state_bytes", "part", part, help))
             .collect();
+        let help = "heap bytes of the database, by owner: id columns and tombstones, \
+                    the value dictionary, the catalog's statistics (counted when METRICS renders)";
+        let db_bytes = ["tables", "dictionary", "statistics"]
+            .map(|part| registry.gauge_with("graphgen_db_bytes", "part", part, help));
         Obs {
             registry,
             m,
@@ -327,6 +337,7 @@ impl Obs {
             phase_ns,
             rejects,
             state_bytes,
+            db_bytes,
             trace: TraceRing::new(trace_capacity),
             slow_op_ns,
         }
@@ -359,6 +370,14 @@ impl Obs {
         for (gauge, (_, bytes)) in self.state_bytes.iter().zip(total.parts()) {
             gauge.set(bytes as u64);
         }
+    }
+
+    /// Set `graphgen_db_bytes` from `db`, part by part.
+    pub fn set_db_bytes(&self, db: &Database) {
+        let [tables, dictionary, statistics] = &self.db_bytes;
+        tables.set(db.tables_heap_bytes() as u64);
+        dictionary.set(db.dict().heap_bytes() as u64);
+        statistics.set(db.stats_heap_bytes() as u64);
     }
 
     /// The codes that rejected an EXTRACT, with their counts, in code order.

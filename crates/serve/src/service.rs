@@ -305,19 +305,20 @@ struct GraphState {
 }
 
 impl GraphState {
-    /// Writer-side state around `working`, published as `version` and
-    /// stamped `db_version` in memory and on disk (a fresh extraction; a
-    /// recovered graph then sets its file's own stamp). Drift starts
-    /// neutral; the caller re-costs it against its catalog.
+    /// Writer-side state around `working`, extracted from `dsl` (whose
+    /// compiled chains are `chains`), published as `version` and stamped
+    /// `db_version` in memory and on disk (a fresh extraction; a recovered
+    /// graph then sets its file's own stamp). Drift starts neutral; the
+    /// caller re-costs it against its catalog.
     fn new(
         name: &str,
-        dsl: String,
+        dsl: &str,
+        chains: Vec<EdgeChain>,
         frozen: Vec<FrozenChainPlan>,
         working: GraphHandle,
         version: u64,
         db_version: u64,
     ) -> Self {
-        let chains = graphgen_dsl::compile(&dsl).map_or_else(|_| Vec::new(), |spec| spec.edges);
         let current = Arc::new(GraphSnapshot {
             name: name.to_string(),
             version,
@@ -325,7 +326,7 @@ impl GraphState {
             handle: working.reader_clone(),
         });
         GraphState {
-            dsl,
+            dsl: dsl.to_string(),
             chains,
             frozen,
             drift: 1.0,
@@ -591,7 +592,8 @@ impl GraphService {
             }
             let mut state = GraphState::new(
                 &name,
-                header.dsl,
+                &header.dsl,
+                spec.edges,
                 header.frozen,
                 working,
                 version,
@@ -662,8 +664,8 @@ impl GraphService {
 
     /// Render the Prometheus-style text exposition of every instrument,
     /// refreshing the point-in-time gauges (graph count, database
-    /// version/rows, dictionary entries, state bytes, wedge flag, analyze
-    /// cache occupancy) from live state
+    /// version/rows/bytes, dictionary entries, state bytes, wedge flag,
+    /// analyze cache occupancy) from live state
     /// first. One coherent registry snapshot per call: counters are read
     /// monotonically, never torn against each other mid-line.
     pub fn metrics_text(&self) -> String {
@@ -672,6 +674,7 @@ impl GraphService {
             self.obs.m.graphs.set(inner.graphs.len() as u64);
             self.obs.m.db_version.set(inner.db_version);
             self.obs.m.db_rows.set(inner.db.total_rows() as u64);
+            self.obs.set_db_bytes(&inner.db);
             self.obs.m.intern_entries.set(inner.db.dict().len() as u64);
             let mut state = StateBytes::default();
             for bytes in inner
@@ -727,10 +730,12 @@ impl GraphService {
             return Err(ServeError::DuplicateGraph(name.to_string()));
         }
         let t0 = Instant::now();
-        let result =
-            GraphGen::with_config(&inner.db, Self::extraction_config(&inner.cfg)).extract(dsl);
-        let handle = match result {
-            Ok(handle) => handle,
+        let gg = GraphGen::with_config(&inner.db, Self::extraction_config(&inner.cfg));
+        let result = gg
+            .checked_spec(dsl)
+            .and_then(|spec| Ok((gg.extract_spec(&spec)?, spec)));
+        let (handle, spec) = match result {
+            Ok(extracted) => extracted,
             Err(e) => {
                 // Count what the static checker rejected, per code (parse
                 // failures under E000). Not persisted: a rejected
@@ -749,7 +754,7 @@ impl GraphService {
         // re-costs exactly these cuts against every future catalog state.
         let frozen = frozen_plans(handle.report());
         let db_version = inner.db_version;
-        let mut state = GraphState::new(name, dsl.to_string(), frozen, handle, 1, db_version);
+        let mut state = GraphState::new(name, dsl, spec.edges, frozen, handle, 1, db_version);
         let snapshot = Arc::clone(&state.current);
         recompute_drift(
             &catalog_view(&inner.db),

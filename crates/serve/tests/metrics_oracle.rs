@@ -29,6 +29,8 @@
 //! * **State bytes by part** — `graphgen_state_bytes` has one member per
 //!   part of the maintenance state, each holding bytes once a graph is
 //!   served and growing with a second one.
+//! * **Database bytes by owner** — `graphgen_db_bytes` exports its
+//!   tables, dictionary and statistics members, each non-zero.
 //! * **`APPLY` attribution** — every apply-family phase fires on every
 //!   apply and, the spans never nesting, their sums stay within
 //!   `graphgen_apply_ns`.
@@ -536,6 +538,32 @@ fn state_bytes_gauge_has_one_member_per_part() {
     let two = gauges(&s);
     for part in &parts {
         assert!(two[part] > one[part], "`{part}`: {one:?} -> {two:?}");
+    }
+}
+
+#[test]
+fn db_bytes_gauge_exports_every_owner() {
+    let s = GraphService::in_memory(fig1_db());
+    let text = s.metrics_text(); // the gauge is computed when METRICS renders
+    let parts: BTreeMap<String, u64> = s
+        .obs()
+        .registry()
+        .snapshot()
+        .into_iter()
+        .filter(|i| i.name == "graphgen_db_bytes")
+        .filter_map(|i| match (i.label, i.value) {
+            (Some((_, part)), ValueSnapshot::Gauge(v)) => Some((part, v)),
+            _ => None,
+        })
+        .collect();
+    let names: Vec<&str> = parts.keys().map(String::as_str).collect();
+    assert_eq!(names, ["dictionary", "statistics", "tables"], "{parts:?}");
+    for (part, bytes) in &parts {
+        assert!(*bytes > 0, "`{part}` holds no bytes: {parts:?}");
+        assert!(
+            text.contains(&format!("graphgen_db_bytes{{part=\"{part}\"}} {bytes}")),
+            "`{part}` is not in the exposition"
+        );
     }
 }
 

@@ -373,6 +373,14 @@ const DELETED_NAMES: &[(&str, Option<&str>)] = &[
     ("column_by_name", None),
     ("synthetic_1", None),
     ("synthetic_2", None),
+    ("iter_ones", None),
+    ("as_float", None),
+    ("add_real(", None),
+    ("add_virtuals", None),
+    // A delete probes the table's row locator (positions keyed by the
+    // row's hash) instead of checking a whole-row count map and scanning.
+    ("row_hashes", None),
+    ("rows_with_hash", None),
 ];
 
 #[test]
@@ -428,7 +436,8 @@ fn deleted_operators_stay_deleted() {
          maintenance state's own dictionary and the refcounted, recycling \
          slots for the one grow-only database dictionary, the handle, \
          graph and state snapshot codecs for rebuilding each graph from \
-         the recovered database, and \
+         the recovered database, the catalog's whole-row hash counts and \
+         delete scan for the row locator, and \
          public functions nothing called were deleted; extend those instead \
          of bringing a second mechanism back, and keep the docs on the \
          code that exists:\n{}",
